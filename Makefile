@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-smoke soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check experiments profile clean ci
+.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check experiments profile clean ci
 
 all: build test
 
@@ -12,8 +12,9 @@ all: build test
 # (so they can't rot), the smoke soak byte-diffed against its committed
 # scorecard, and a short fuzz pass over the attacker-facing parsers
 # (fault plans included), and the telemetry-plane smoke: live scrape,
-# token isolation, audit-chain tamper evidence.
-ci: fmt-check vet test race stress bench-smoke soak-smoke telemetry-smoke llm-smoke
+# token isolation, audit-chain tamper evidence. benchmark-check compiles
+# and smoke-tests the benchmark of record against this tree.
+ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/pcie/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault/
 # The deterministic allocation ceilings (64 KiB protected task and the
@@ -90,6 +91,12 @@ bench:
 # keeps benchmark code building and passing without paying for timing.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The benchmark of record (benchmark/, a module of its own) imports the
+# root package's exported surface; vet and its smoke tests run here so a
+# signature it uses cannot drift unnoticed.
+benchmark-check:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
 # Coverage summary across the module.
 cover:

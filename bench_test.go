@@ -181,7 +181,7 @@ func BenchmarkFigure6Attestation(b *testing.B) {
 // BenchmarkProtectedTask measures one full confidential task through
 // the packet-level functional path (real AES-GCM per chunk).
 func BenchmarkProtectedTask(b *testing.B) {
-	plat, err := ccai.NewPlatform(ccai.Config{XPU: xpu.A100, Mode: ccai.Protected})
+	plat, err := ccai.New(ccai.WithXPU(xpu.A100), ccai.WithMode(ccai.Protected))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func BenchmarkProtectedTask(b *testing.B) {
 // perf acceptance gate watches; `make profile` runs CPU and allocation
 // profiles over it.
 func BenchmarkProtectedTask64KiB(b *testing.B) {
-	plat, err := ccai.NewPlatform(ccai.Config{XPU: xpu.A100, Mode: ccai.Protected})
+	plat, err := ccai.New(ccai.WithXPU(xpu.A100), ccai.WithMode(ccai.Protected))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func BenchmarkProtectedTask64KiB(b *testing.B) {
 // two ns/op figures; instrumentation must stay within a few percent
 // (span/counter work is atomic increments and slice appends, no I/O).
 func BenchmarkProtectedTaskObserved(b *testing.B) {
-	plat, err := ccai.NewPlatform(ccai.Config{XPU: xpu.A100, Mode: ccai.Protected, Observe: true})
+	plat, err := ccai.New(ccai.WithXPU(xpu.A100), ccai.WithMode(ccai.Protected), ccai.WithObserve())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func BenchmarkProtectedTaskObserved(b *testing.B) {
 
 // BenchmarkVanillaTask is the unprotected functional baseline.
 func BenchmarkVanillaTask(b *testing.B) {
-	plat, err := ccai.NewPlatform(ccai.Config{XPU: xpu.A100, Mode: ccai.Vanilla})
+	plat, err := ccai.New(ccai.WithXPU(xpu.A100), ccai.WithMode(ccai.Vanilla))
 	if err != nil {
 		b.Fatal(err)
 	}

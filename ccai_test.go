@@ -2,6 +2,8 @@ package ccai
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"ccai/internal/adaptor"
@@ -10,7 +12,7 @@ import (
 
 func protectedPlatform(t *testing.T, profile xpu.Profile) *Platform {
 	t.Helper()
-	p, err := NewPlatform(Config{XPU: profile, Mode: Protected})
+	p, err := New(WithXPU(profile), WithMode(Protected))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func protectedPlatform(t *testing.T, profile xpu.Profile) *Platform {
 
 func vanillaPlatform(t *testing.T, profile xpu.Profile) *Platform {
 	t.Helper()
-	p, err := NewPlatform(Config{XPU: profile, Mode: Vanilla})
+	p, err := New(WithXPU(profile), WithMode(Vanilla))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestInterruptsDeliveredThroughSC(t *testing.T) {
 }
 
 func TestTaskWithoutTrustRejected(t *testing.T) {
-	p, err := NewPlatform(Config{Mode: Protected})
+	p, err := New(WithMode(Protected))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestEnvResetFallbackForNPU(t *testing.T) {
 
 func TestNoOptModeStillCorrect(t *testing.T) {
 	opts := adaptor.NoOpt()
-	p, err := NewPlatform(Config{Mode: Protected, Adaptor: &opts})
+	p, err := New(WithMode(Protected), WithAdaptor(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +220,7 @@ func TestNoOptModeStillCorrect(t *testing.T) {
 
 func TestOptimizationReducesIOWrites(t *testing.T) {
 	run := func(opts adaptor.Options) adaptor.IOStats {
-		p, err := NewPlatform(Config{Mode: Protected, Adaptor: &opts})
+		p, err := New(WithMode(Protected), WithAdaptor(opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +253,7 @@ func TestEmptyTaskRejected(t *testing.T) {
 // derived from its (wrong) firmware, the SC's golden measurement does
 // not match, and trust establishment refuses to hand out keys (§6).
 func TestAttestationGatesKeyProvisioning(t *testing.T) {
-	p, err := NewPlatform(Config{Mode: Protected, GoldenFirmware: "550.90.07-genuine"})
+	p, err := New(WithMode(Protected), WithGoldenFirmware("550.90.07-genuine"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,5 +265,77 @@ func TestAttestationGatesKeyProvisioning(t *testing.T) {
 	}
 	if _, err := p.RunTask(Task{Input: []byte("x"), Kernel: KernelAdd}); err == nil {
 		t.Fatal("task ran on unattested platform")
+	}
+}
+
+// flipCtx reports context.Canceled from its (after+1)-th Err call on:
+// a cancellation landing at an exact point of the pipeline, without a
+// goroutine racing it.
+type flipCtx struct {
+	context.Context
+	calls, after int
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls++; c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunTaskCtxSafePoints pins the cancellation contract of the one
+// protected pipeline for both owners: a context cancelled after staging
+// is abandoned before the doorbell (the device sees nothing); one
+// cancelled after the doorbell drains fully — collect included — and
+// only then reports the cancellation, withholding the result. Either
+// way the slice stays usable: the next clean task succeeds.
+func TestRunTaskCtxSafePoints(t *testing.T) {
+	type owner struct {
+		name string
+		run  func(context.Context, Task) ([]byte, error)
+		tail func() uint64
+	}
+	owners := []func(t *testing.T) owner{
+		func(t *testing.T) owner {
+			p := protectedPlatform(t, xpu.A100)
+			return owner{"Platform", p.RunTaskCtx, func() uint64 { return p.Driver.Tail() }}
+		},
+		func(t *testing.T) owner {
+			tn := twoTenants(t).Tenants[0]
+			return owner{"Tenant", tn.RunTaskCtx, func() uint64 { return tn.Driver.Tail() }}
+		},
+	}
+	points := []struct {
+		name     string
+		after    int    // Err calls answered nil: entry check, pre-doorbell check
+		consumed uint64 // ring slots the cancelled run may use
+	}{
+		{"before-doorbell", 1, 0},
+		{"after-collect", 2, 3},
+	}
+	task := Task{Input: make([]byte, 4096), Kernel: KernelXOR, Param: 0x5a}
+	for _, build := range owners {
+		for _, pt := range points {
+			o := build(t)
+			t.Run(o.name+"/"+pt.name, func(t *testing.T) {
+				before := o.tail()
+				out, err := o.run(&flipCtx{Context: context.Background(), after: pt.after}, task)
+				if !errors.Is(err, context.Canceled) || out != nil {
+					t.Fatalf("cancelled run returned (%d bytes, %v), want (nil, context.Canceled)", len(out), err)
+				}
+				if got := o.tail() - before; got != pt.consumed {
+					t.Fatalf("cancelled run rang %d commands, want %d", got, pt.consumed)
+				}
+				out, err = o.run(context.Background(), task)
+				if err != nil {
+					t.Fatalf("clean task after cancellation: %v", err)
+				}
+				for i, b := range out {
+					if b != 0x5a {
+						t.Fatalf("clean task after cancellation: byte %d = %#x", i, b)
+					}
+				}
+			})
+		}
 	}
 }

@@ -290,11 +290,14 @@ func microBench(serveTel bool) ([]benchResult, error) {
 	}
 	var results []benchResult
 	for _, c := range cases {
-		pc := ccai.Config{Mode: c.mode, Observe: c.observe}
-		if c.telemetry {
-			pc.Telemetry = &telemetry.Options{}
+		opts := []ccai.Option{ccai.WithMode(c.mode)}
+		if c.observe {
+			opts = append(opts, ccai.WithObserve())
 		}
-		plat, err := ccai.NewPlatform(pc)
+		if c.telemetry {
+			opts = append(opts, ccai.WithTelemetry(telemetry.Options{}))
+		}
+		plat, err := ccai.New(opts...)
 		if err != nil {
 			return nil, err
 		}

@@ -57,8 +57,11 @@ func run(args []string, stdout io.Writer) error {
 	if *mode == "vanilla" {
 		m = ccai.Vanilla
 	}
-	observe := *metrics || *timeline != ""
-	plat, err := ccai.NewPlatform(ccai.Config{XPU: profile, Mode: m, Observe: observe})
+	opts := []ccai.Option{ccai.WithXPU(profile), ccai.WithMode(m)}
+	if *metrics || *timeline != "" {
+		opts = append(opts, ccai.WithObserve())
+	}
+	plat, err := ccai.New(opts...)
 	if err != nil {
 		return err
 	}

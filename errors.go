@@ -58,7 +58,7 @@ var (
 	// layer when the platform was built without it. Metric and span
 	// accessors themselves are nil-safe (see Observability) — only
 	// exports that would otherwise produce an empty artifact error.
-	ErrObserveOff = errors.New("ccai: observability not enabled (Config.Observe / WithObserve)")
+	ErrObserveOff = errors.New("ccai: observability not enabled (WithObserve)")
 
 	// ErrSessionClosed is returned for operations on an InferenceSession
 	// after Close — including Close racing an in-flight Prefill/Decode:

@@ -8,11 +8,11 @@ import (
 	"ccai/internal/xpu"
 )
 
-// ExampleNewPlatform shows the minimal confidential-task flow: build a
+// ExampleNew shows the minimal confidential-task flow: build a
 // protected platform, establish trust, run a task through the
 // unmodified driver, tear down.
-func ExampleNewPlatform() {
-	plat, err := ccai.NewPlatform(ccai.Config{XPU: xpu.A100, Mode: ccai.Protected})
+func ExampleNew() {
+	plat, err := ccai.New(ccai.WithXPU(xpu.A100), ccai.WithMode(ccai.Protected))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func ExampleNewMultiPlatform() {
 func ExamplePlatform_RunTask() {
 	input := []byte("same bytes in")
 	for _, mode := range []ccai.Mode{ccai.Vanilla, ccai.Protected} {
-		plat, err := ccai.NewPlatform(ccai.Config{Mode: mode})
+		plat, err := ccai.New(ccai.WithMode(mode))
 		if err != nil {
 			log.Fatal(err)
 		}

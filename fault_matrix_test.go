@@ -254,7 +254,7 @@ func runMatrixCell(t *testing.T, class fault.Class, seed uint64) (string, uint64
 	// I7: attestation of a flashed device still fails under this fault
 	// class (fault hooks that exist pre-trust are wired; key-dependent
 	// ones cannot exist before keys do).
-	p7, err := NewPlatform(Config{XPU: xpu.A100, Mode: Protected, GoldenFirmware: "flashed-rogue-firmware-v666"})
+	p7, err := New(WithXPU(xpu.A100), WithMode(Protected), WithGoldenFirmware("flashed-rogue-firmware-v666"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,6 +410,53 @@ func TestMidPipelineFaults(t *testing.T) {
 			}
 			if arenaHoldsSecret(secret) {
 				t.Fatalf("plaintext canary left in pooled buffer under mid-pipeline %v", tc.class)
+			}
+		})
+	}
+}
+
+// TestPrefillKVTagLossHeals is the session-side TagLoss cell: the lost
+// tag record belongs to the prefill step's KV region (the first and by
+// far the largest H2D region of the submission), not to the token-id
+// region staged after it. The recovery ladder reposts every region the
+// submission staged, so the device's stalled KV copy heals; reposting
+// the id region alone (the pre-pipeline behaviour) burned all three
+// attempts on the wrong table and failed the tenant closed.
+func TestPrefillKVTagLossHeals(t *testing.T) {
+	for _, skip := range []int{0, 5} {
+		skip := skip
+		t.Run(fmt.Sprintf("skip=%d", skip), func(t *testing.T) {
+			mp := llmChassis(t, []xpu.Profile{xpu.A100})
+			tenant := mp.Tenants[0]
+			inj := fault.NewInjector(fault.Single(0x717e11e, fault.TagLoss, skip, 1))
+			tenant.SC.Tags().SetFaultHook(inj.TagFault)
+
+			cfg := llm.Config{MaxNewTokens: 16, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 0x7a9}
+			prompt := []byte("kv tag loss at prefill")
+			s, err := tenant.OpenSession(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ch, err := s.Decode(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Prefill(context.Background(), prompt); err != nil {
+				t.Fatalf("prefill under KV-region tag loss: %v", err)
+			}
+			if got := collectStream(t, ch); !bytes.Equal(got, expectedStream(cfg, prompt)) {
+				t.Fatal("token stream corrupted by KV-region tag loss")
+			}
+			if inj.Fired(fault.TagLoss) != 1 {
+				t.Fatalf("tag loss fired %d times, want 1; cell vacuous", inj.Fired(fault.TagLoss))
+			}
+			rec := tenant.Adaptor.Recovery()
+			if rec.Reposts == 0 {
+				t.Fatalf("stream survived without a repost: %+v", rec)
+			}
+			if rec.FailClosed != 0 || !tenant.trusted {
+				t.Fatalf("one absorbed tag loss tore the tenant down: %+v", rec)
 			}
 		})
 	}

@@ -444,9 +444,11 @@ func (s *InferenceSession) emit(c DecodeChunk) {
 	s.ch <- c
 }
 
-// runStep executes one engine step on the tenant's sealed pipeline.
-// Called from dispatcher workers; t.mu serializes against blob tasks
-// and other sessions of the same tenant.
+// runStep executes one engine step on the tenant's sealed pipeline:
+// stage the step's regions, build its commands, hand both to
+// pipeline.run under the session's context. Called from dispatcher
+// workers; t.mu serializes against blob tasks and other sessions of
+// the same tenant.
 func (s *InferenceSession) runStep(st *llm.Step) error {
 	t := s.t
 	t.mu.Lock()
@@ -464,7 +466,13 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 	devIds := s.devBase + llmIdsOff
 	devOut := s.devBase + llmOutOff
 
-	var cmds []xpu.Command
+	// A step is at most the KV crossing plus ids-up / kernel / chunk-down;
+	// staged collects the H2D regions the recovery ladder reposts.
+	var (
+		cmds   [4]xpu.Command
+		staged [2]*adaptor.Region
+		n      int
+	)
 	name := func(kind string) string {
 		return fmt.Sprintf("llm-%s/t%d/s%d", kind, t.Index, s.devSlot)
 	}
@@ -485,9 +493,9 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 		}
 		s.fence = t.Adaptor.H2DFence()
 		s.mu.Unlock()
-		cmds = append(cmds, xpu.Command{
-			Op: xpu.OpCopyH2D, Src: kvRegion.Buf.Base(), Dst: devKV, Len: uint64(len(s.kvHost)),
-		})
+		staged[0] = kvRegion
+		cmds[0] = xpu.Command{Op: xpu.OpCopyH2D, Src: kvRegion.Buf.Base(), Dst: devKV, Len: uint64(len(s.kvHost))}
+		n = 1
 	}
 	payload := llm.TokenIDs(s.digest, st.Chunk, s.cfg.ChunkSpan(st.Chunk), s.cfg.TokenBytes)
 	if st.Kind == llm.StepPrefill {
@@ -504,24 +512,12 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 	}
 	defer t.Adaptor.ReleaseRegion(out)
 
-	cmds = append(cmds,
-		xpu.Command{Op: xpu.OpCopyH2D, Src: ids.Buf.Base(), Dst: devIds, Len: uint64(len(payload))},
-		xpu.Command{Op: xpu.OpKernel, Param: uint32(KernelXOR)<<16 | uint32(key),
-			Src: devKV + uint64(off), Dst: devOut, Len: uint64(span)},
-		xpu.Command{Op: xpu.OpCopyD2H, Src: devOut, Dst: out.Buf.Base(), Len: uint64(span)},
-	)
-	before := t.Driver.Tail()
-	if err := t.Driver.Submit(cmds...); err != nil {
-		return err
-	}
-	want := before + uint64(len(cmds))
-	head, err := t.Driver.Head()
-	if err != nil || head != want {
-		if rerr := t.recoverSubmission(ids, before, want); rerr != nil {
-			return rerr
-		}
-	}
-	tokens, err := t.Adaptor.CollectD2H(out, span)
+	staged[n] = ids
+	cmds[n] = xpu.Command{Op: xpu.OpCopyH2D, Src: ids.Buf.Base(), Dst: devIds, Len: uint64(len(payload))}
+	cmds[n+1] = xpu.Command{Op: xpu.OpKernel, Param: uint32(KernelXOR)<<16 | uint32(key),
+		Src: devKV + uint64(off), Dst: devOut, Len: uint64(span)}
+	cmds[n+2] = xpu.Command{Op: xpu.OpCopyD2H, Src: devOut, Dst: out.Buf.Base(), Len: uint64(span)}
+	tokens, err := t.run(s.sctx, cmds[:n+3], staged[:n+1], out, span)
 	if err != nil {
 		return err
 	}

@@ -203,6 +203,9 @@ func (c *Controller) ringFetch(addr uint64, dst []byte) bool {
 		cpl := c.hostBus.Route(req)
 		if cpl != nil && cpl.Status == pcie.CplSuccess && !staleCpl(req, cpl) && len(cpl.Payload) >= len(dst) {
 			copy(dst, cpl.Payload)
+			if c.recycleOn(c.hostBus) {
+				arena.Put(cpl.Payload) // ring slots: public bytes, copied out
+			}
 			return true
 		}
 	}

@@ -6,6 +6,8 @@ package ccai
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"ccai/internal/attack"
@@ -172,6 +174,39 @@ func TestMultiTenantTeardownIsPerTenant(t *testing.T) {
 	// Tenant A can't run anymore.
 	if _, err := a.RunTask(Task{Input: []byte("x"), Kernel: KernelAdd, Param: 0}); err == nil {
 		t.Fatal("closed tenant still runs tasks")
+	}
+}
+
+// TestTenantAttestationGatesKeyProvisioning is §6 on the §9 chassis:
+// every tenant's xPU is software-attested against the golden firmware
+// before any key is installed. A flashed device in slot 1 never receives
+// keys; the genuine one in slot 0 trusts and serves regardless.
+func TestTenantAttestationGatesKeyProvisioning(t *testing.T) {
+	flashed := xpu.A100
+	flashed.FirmwareVersion = "flashed-rogue-firmware-v666"
+	mp, err := NewMultiPlatform([]xpu.Profile{xpu.A100, flashed}, WithGoldenFirmware(xpu.A100.FirmwareVersion))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mp.Close)
+
+	err = mp.EstablishTrustAll()
+	if !errors.Is(err, ErrAttestFailed) || !strings.Contains(err.Error(), "tenant 1") {
+		t.Fatalf("EstablishTrustAll = %v, want ErrAttestFailed naming tenant 1", err)
+	}
+	good, bad := mp.Tenants[0], mp.Tenants[1]
+	if err := bad.EstablishTrust(); !errors.Is(err, ErrAttestFailed) {
+		t.Fatalf("flashed tenant EstablishTrust = %v, want ErrAttestFailed", err)
+	}
+	if n := bad.SC.Keys().Count() + bad.tvmKeys.Count() + bad.SC.Params().Active(); n != 0 {
+		t.Fatalf("keys provisioned to an unattested device: %d streams live", n)
+	}
+	if _, err := bad.RunTask(Task{Input: []byte("x"), Kernel: KernelAdd}); !errors.Is(err, ErrNotTrusted) {
+		t.Fatalf("task on unattested tenant = %v, want ErrNotTrusted", err)
+	}
+	out, err := good.RunTask(Task{Input: []byte("abc"), Kernel: KernelAdd, Param: 1})
+	if err != nil || string(out) != "bcd" {
+		t.Fatalf("genuine tenant did not serve: %q, %v", out, err)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // enabled.
 func observedPlatform(t *testing.T) *Platform {
 	t.Helper()
-	p, err := NewPlatform(Config{XPU: xpu.A100, Mode: Protected, Observe: true})
+	p, err := New(WithXPU(xpu.A100), WithMode(Protected), WithObserve())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 		// the legacy read path.
 		opts := adaptor.Optimized()
 		opts.CompletionReap = false
-		p, err := NewPlatform(Config{XPU: xpu.A100, Mode: Protected, Observe: true, Adaptor: &opts})
+		p, err := New(WithXPU(xpu.A100), WithMode(Protected), WithObserve(), WithAdaptor(opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,12 +319,12 @@ func TestFailClosedTeardownMetrics(t *testing.T) {
 }
 
 // TestObservabilityOffIsInert pins the zero-cost contract at the API
-// level: without Config.Observe the hub is nil, exports refuse, and the
+// level: without WithObserve the hub is nil, exports refuse, and the
 // snapshot is empty — while the task still runs.
 func TestObservabilityOffIsInert(t *testing.T) {
 	p := protectedPlatform(t, xpu.A100)
 	if p.Observability() != nil {
-		t.Fatal("hub exists without Config.Observe")
+		t.Fatal("hub exists without WithObserve")
 	}
 	if _, err := p.RunTask(Task{Input: []byte("plain run"), Kernel: KernelAdd, Param: 1}); err != nil {
 		t.Fatal(err)

@@ -7,22 +7,21 @@ import (
 	"ccai/internal/xpu"
 )
 
-// Option is one functional construction option for New. Options apply
-// onto a Config, so New and the (deprecated) NewPlatform build
-// identical platforms; zero options means the defaults (A100, Vanilla,
-// 64-entry ring, observability off).
-type Option func(*Config)
+// Option is one functional construction option for New and
+// NewMultiPlatform; zero options means the defaults (A100, Vanilla,
+// observability off).
+type Option func(*config)
 
 // WithXPU selects the device model (xpu.A100, xpu.H100, xpu.MI300,
 // ...).
-func WithXPU(p xpu.Profile) Option { return func(c *Config) { c.XPU = p } }
+func WithXPU(p xpu.Profile) Option { return func(c *config) { c.XPU = p } }
 
 // WithMode selects Vanilla or Protected operation.
-func WithMode(m Mode) Option { return func(c *Config) { c.Mode = m } }
+func WithMode(m Mode) Option { return func(c *config) { c.Mode = m } }
 
 // WithObserve enables the observability layer: the metrics registry
 // and span tracer wired through every pipeline stage.
-func WithObserve() Option { return func(c *Config) { c.Observe = true } }
+func WithObserve() Option { return func(c *config) { c.Observe = true } }
 
 // WithTelemetry attaches the live telemetry plane: an HTTP server
 // (Prometheus-text metrics with p50/p99 and exemplars, JSON snapshots,
@@ -32,27 +31,25 @@ func WithObserve() Option { return func(c *Config) { c.Observe = true } }
 // port with a generated admin token — read it back via
 // Telemetry().AdminToken().
 func WithTelemetry(o telemetry.Options) Option {
-	return func(c *Config) { opts := o; c.Telemetry = &opts; c.Observe = true }
+	return func(c *config) { opts := o; c.Telemetry = &opts; c.Observe = true }
 }
-
-// WithRingEntries sizes the command ring (default 64).
-func WithRingEntries(n uint64) Option { return func(c *Config) { c.RingEntries = n } }
 
 // WithAdaptor selects the §5 optimization set (Protected mode only);
 // the default is adaptor.Optimized().
 func WithAdaptor(o adaptor.Options) Option {
-	return func(c *Config) { opts := o; c.Adaptor = &opts }
+	return func(c *config) { opts := o; c.Adaptor = &opts }
 }
 
 // WithGoldenFirmware sets the firmware measurement the PCIe-SC attests
-// the xPU against; empty means the profile's shipped firmware.
-func WithGoldenFirmware(fw string) Option { return func(c *Config) { c.GoldenFirmware = fw } }
+// the xPU against — every tenant's xPU, on a MultiPlatform; empty means
+// each profile's shipped firmware.
+func WithGoldenFirmware(fw string) Option { return func(c *config) { c.GoldenFirmware = fw } }
 
 // WithLLMEngine configures the chassis's continuous-batching inference
 // engine (KV budget, session slots, step quantum, dispatcher workers).
 // Only NewMultiPlatform consumes it; zero fields keep engine defaults.
 func WithLLMEngine(cfg llm.EngineConfig) Option {
-	return func(c *Config) { c.LLM = cfg }
+	return func(c *config) { c.LLM = cfg }
 }
 
 // WithKVBudget bounds the summed KV-cache reservations of concurrently
@@ -60,19 +57,5 @@ func WithLLMEngine(cfg llm.EngineConfig) Option {
 // admission-control knob behind Tenant.OpenSession. Shorthand for the
 // KVBudget field of WithLLMEngine.
 func WithKVBudget(bytes int64) Option {
-	return func(c *Config) { c.LLM.KVBudget = bytes }
-}
-
-// New assembles and boots a platform — the v2 constructor:
-//
-//	plat, err := ccai.New(ccai.WithXPU(xpu.H100), ccai.WithMode(ccai.Protected), ccai.WithObserve())
-//
-// It is NewPlatform with functional options instead of a config
-// struct; both remain supported, new code should use New.
-func New(opts ...Option) (*Platform, error) {
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewPlatform(cfg)
+	return func(c *config) { c.LLM.KVBudget = bytes }
 }

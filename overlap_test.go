@@ -55,7 +55,7 @@ func TestCompletionReapHalvesMMIOReads(t *testing.T) {
 	perTask := func(reap bool) uint64 {
 		opts := adaptor.Optimized()
 		opts.CompletionReap = reap
-		p, err := NewPlatform(Config{XPU: xpu.A100, Mode: Protected, Adaptor: &opts})
+		p, err := New(WithXPU(xpu.A100), WithMode(Protected), WithAdaptor(opts))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,7 @@
 package ccai
 
 import (
-	"crypto/rand"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"sync"
 
@@ -31,7 +29,6 @@ import (
 	"ccai/internal/mem"
 	"ccai/internal/obsv"
 	"ccai/internal/pcie"
-	"ccai/internal/secmem"
 	"ccai/internal/telemetry"
 	"ccai/internal/tvm"
 	"ccai/internal/xpu"
@@ -81,8 +78,8 @@ var (
 	XPUID = pcie.MakeID(2, 0, 0)
 )
 
-// Config parameterizes platform construction.
-type Config struct {
+// config is what the functional options (options.go) accumulate.
+type config struct {
 	// XPU selects the device model; zero value defaults to A100.
 	XPU xpu.Profile
 	// Mode selects vanilla or protected operation.
@@ -90,8 +87,6 @@ type Config struct {
 	// Adaptor selects the §5 optimization set (Protected mode only);
 	// zero value means fully Optimized.
 	Adaptor *adaptor.Options
-	// RingEntries sizes the command ring (default 64).
-	RingEntries uint64
 	// GoldenFirmware is the firmware measurement the PCIe-SC attests
 	// the xPU against (§6's software-based attestation). Empty means
 	// the profile's shipped firmware — i.e. a genuine device. Tests
@@ -186,9 +181,55 @@ func (h *HostBridge) Interrupts() []uint32 {
 	return append([]uint32(nil), h.msi...)
 }
 
-// Platform is one assembled machine: guest, buses, optional PCIe-SC,
-// device, and driver.
+// observed is the observability surface a Platform and a MultiPlatform
+// share: the hub, the live telemetry plane, and their accessors.
+type observed struct {
+	// Obs is the observability hub (nil unless WithObserve): one registry
+	// and tracer shared by every pipeline stage — on a MultiPlatform, by
+	// every tenant and any Scheduler serving the chassis.
+	Obs *obsv.Hub
+	// Tel is the live telemetry plane (nil unless WithTelemetry).
+	Tel *telemetry.Plane
+}
+
+// Telemetry returns the live telemetry plane, nil when not attached.
+func (o *observed) Telemetry() *telemetry.Plane { return o.Tel }
+
+// Observability returns the hub, nil when observability is off. All
+// obsv types no-op on nil, so callers may chain freely:
+// plat.Observability().T().Spans() is safe either way.
+func (o *observed) Observability() *obsv.Hub { return o.Obs }
+
+// WriteTimeline exports every recorded span as Chrome trace-event JSON
+// (load in chrome://tracing or Perfetto). ErrObserveOff is returned
+// when observability is off.
+func (o *observed) WriteTimeline(w io.Writer) error {
+	if o.Obs == nil {
+		return ErrObserveOff
+	}
+	return o.Obs.Tracer.WriteChromeTrace(w)
+}
+
+// MetricsSnapshot returns a point-in-time copy of every metric. The
+// zero Snapshot is returned when observability is off.
+func (o *observed) MetricsSnapshot() obsv.Snapshot { return o.Obs.Reg().Snapshot() }
+
+// closeTelemetry stops the telemetry server, if any.
+func (o *observed) closeTelemetry() {
+	if o.Tel != nil {
+		o.Tel.Close()
+		o.Tel = nil
+	}
+}
+
+// Platform is one assembled machine: guest, buses, device and driver,
+// plus — under Protected mode — the one protected pipeline (PCIe-SC,
+// Adaptor, guarded driver) whose SC, Adaptor and Driver fields are
+// promoted here. Under Vanilla only Driver is populated.
 type Platform struct {
+	pipeline
+	observed
+
 	Mode   Mode
 	Guest  *tvm.Guest
 	Host   *pcie.Bus
@@ -198,65 +239,22 @@ type Platform struct {
 	Internal *pcie.Bus
 	Device   *xpu.Device
 
-	SC      *core.Controller
-	Adaptor *adaptor.Adaptor
-	Driver  *tvm.Driver
-
-	ring    *adaptor.Region // protected-mode ring region
-	ringBuf *mem.Buffer     // vanilla-mode ring buffer
-	tvmKeys *secmem.KeyStore
-	scKeys  *secmem.KeyStore
-	trusted bool
-	golden  string
-
 	// Blade is the HRoT-Blade populated by SecureBoot (nil until then).
 	Blade *hrot.Blade
-	// bootRules records the static policy for PCR measurement.
-	bootRules []core.Rule
-
-	// Obs is the observability hub (nil unless Config.Observe).
-	Obs *obsv.Hub
-	// Tel is the live telemetry plane (nil unless Config.Telemetry).
-	Tel *telemetry.Plane
 }
 
-// Telemetry returns the live telemetry plane, nil when not attached.
-func (p *Platform) Telemetry() *telemetry.Plane { return p.Tel }
-
-// Observability returns the platform's hub, nil when observability is
-// off. All obsv types no-op on nil, so callers may chain freely:
-// plat.Observability().T().Spans() is safe either way.
-func (p *Platform) Observability() *obsv.Hub { return p.Obs }
-
-// WriteTimeline exports every recorded span as Chrome trace-event JSON
-// (load in chrome://tracing or Perfetto). An error is returned when
-// observability is off.
-func (p *Platform) WriteTimeline(w io.Writer) error {
-	if p.Obs == nil {
-		return ErrObserveOff
-	}
-	return p.Obs.Tracer.WriteChromeTrace(w)
-}
-
-// MetricsSnapshot returns a point-in-time copy of every metric. The
-// zero Snapshot is returned when observability is off.
-func (p *Platform) MetricsSnapshot() obsv.Snapshot { return p.Obs.Reg().Snapshot() }
-
-// NewPlatform assembles and boots a platform.
+// New assembles and boots a platform from functional options:
 //
-// Deprecated: prefer New with functional options (WithXPU, WithMode,
-// WithObserve, ...), which reads better and leaves Config extensible.
-// NewPlatform remains fully supported for struct-literal callers.
-func NewPlatform(cfg Config) (*Platform, error) {
+//	plat, err := ccai.New(ccai.WithXPU(xpu.H100), ccai.WithMode(ccai.Protected), ccai.WithObserve())
+//
+// Zero options means the defaults: A100, Vanilla, observability off.
+func New(options ...Option) (*Platform, error) {
+	var cfg config
+	for _, opt := range options {
+		opt(&cfg)
+	}
 	if cfg.XPU.Name == "" {
 		cfg.XPU = xpu.A100
-	}
-	if cfg.RingEntries == 0 {
-		cfg.RingEntries = 64
-	}
-	opts := adaptor.Optimized()
-	if cfg.Adaptor != nil {
-		opts = *cfg.Adaptor
 	}
 
 	guest, err := tvm.NewGuest(TVMID, privateBase, privateSize, sharedBase, sharedSize)
@@ -264,11 +262,10 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	p := &Platform{
-		Mode:   cfg.Mode,
-		Guest:  guest,
-		Host:   pcie.NewBus("host"),
-		IOMMU:  mem.NewIOMMU(),
-		golden: cfg.GoldenFirmware,
+		Mode:  cfg.Mode,
+		Guest: guest,
+		Host:  pcie.NewBus("host"),
+		IOMMU: mem.NewIOMMU(),
 	}
 	if cfg.Observe || cfg.Telemetry != nil {
 		p.Obs = obsv.NewHub()
@@ -286,14 +283,10 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 
 	p.Device = xpu.NewDevice(cfg.XPU, XPUID, xpuBARBase, 1<<20)
-	if p.Obs != nil {
-		p.Device.SetObserver(p.Obs)
-	}
-
 	if cfg.Mode == Vanilla {
-		err = p.assembleVanilla(cfg)
+		err = p.assembleVanilla()
 	} else {
-		err = p.assembleProtected(cfg, opts)
+		err = p.assembleProtected(cfg)
 	}
 	if err != nil {
 		return p, err
@@ -306,12 +299,12 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-func (p *Platform) assembleVanilla(cfg Config) error {
+func (p *Platform) assembleVanilla() error {
 	p.Host.Attach(p.Device)
 	if err := p.Host.Claim(XPUID, p.Device.BAR0()); err != nil {
 		return err
 	}
-	p.Device.SetUpstream(func(pkt *pcie.Packet) *pcie.Packet { return p.Host.Route(pkt) })
+	p.Device.SetUpstream(p.Host.Route)
 	// Completion payloads come from the host bridge's arena pool while
 	// the bus stays untapped; the device returns them after copying. MWr
 	// staging keeps the slab — the bridge copies posted writes but does
@@ -321,223 +314,65 @@ func (p *Platform) assembleVanilla(cfg Config) error {
 	// region, as a conventional driver would map it.
 	p.IOMMU.Map(XPUID, sharedBase, sharedSize, mem.PermRead|mem.PermWrite)
 
-	ring, err := p.Guest.Space.Alloc(tvm.SharedRegion, "cmdring", int64(cfg.RingEntries)*xpu.CmdSize)
+	ring, err := p.Guest.Space.Alloc(tvm.SharedRegion, "cmdring", ringEntries*xpu.CmdSize)
 	if err != nil {
 		return err
 	}
-	p.ringBuf = ring
 	port := &tvm.DirectPort{ID: TVMID, Bus: p.Host, BAR0: xpuBARBase}
-	p.Driver, err = tvm.NewDriver(port, p.Guest.Space, ring, cfg.RingEntries)
+	p.Driver, err = tvm.NewDriver(port, p.Guest.Space, ring, ringEntries)
 	if err != nil {
 		return err
 	}
-	if p.Obs != nil {
-		p.Driver.SetObserver(p.Obs)
-	}
+	p.Device.SetObserver(p.Obs)
+	p.Driver.SetObserver(p.Obs)
 	return p.Driver.ConfigureMSI(msiBase, 0x41)
 }
 
-func (p *Platform) assembleProtected(cfg Config, opts adaptor.Options) error {
-	p.Internal = pcie.NewBus("internal")
-	p.Internal.Attach(p.Device)
-	if err := p.Internal.Claim(XPUID, p.Device.BAR0()); err != nil {
+func (p *Platform) assembleProtected(cfg config) error {
+	opts := adaptor.Optimized()
+	if cfg.Adaptor != nil {
+		opts = *cfg.Adaptor
+	}
+	bar := p.Device.BAR0()
+	internal, err := p.assemble(p.Bridge, p.Device, slice{
+		tvm: TVMID, sc: SCID, xpu: XPUID,
+		scBar:  pcie.Region{Base: scBARBase, Size: core.SCBarSize, Name: "pcie-sc"},
+		xpuWin: bar,
+		shared: pcie.Region{Base: sharedBase, Size: sharedSize, Name: adaptor.SharedRegion},
+	}, opts, cfg.GoldenFirmware)
+	if err != nil {
 		return err
 	}
-
-	p.scKeys = secmem.NewKeyStore()
-	p.tvmKeys = secmem.NewKeyStore()
-	p.SC = core.NewController(SCID, pcie.Region{Base: scBARBase, Size: core.SCBarSize, Name: "pcie-sc"}, p.scKeys)
-	if err := p.SC.AttachHostBus(p.Host, p.Device.BAR0()); err != nil {
+	p.Internal = internal
+	// A single-slice platform has no Mux in front of it: the SC itself
+	// claims its control BAR and the xPU window on the host bus and pins
+	// the one TVM allowed to drive them. TVM-private memory is claimed on
+	// the internal segment too, so a device DMA aimed at it reaches the
+	// filter (and dies there) instead of going unrouted.
+	if err := p.SC.AttachHostBus(p.Host, bar); err != nil {
 		return err
 	}
-	p.SC.AttachInternalBus(p.Internal, XPUID)
 	p.SC.SetAuthorizedTVM(TVMID)
-	// Batched completion reaping: after forwarding a guarded doorbell the
-	// SC reads the device's command head once and DMA-writes it into the
-	// submission ring header, so the driver's completion poll becomes a
-	// host-memory read.
-	p.SC.ConfigureCompletionReap(xpu.RegDoorbell, xpu.RegCmdHead)
-	// The SC's internal port claims every host window on the internal
-	// bus, so all device-initiated traffic (DMA, MSI) routes through the
-	// filter — and is observable on the internal segment like real wire
-	// traffic.
-	p.Internal.Attach(p.SC.InternalPort())
-	for _, r := range []pcie.Region{
-		{Base: privateBase, Size: privateSize, Name: "up/private"},
-		{Base: sharedBase, Size: sharedSize, Name: "up/shared"},
-		{Base: msiBase, Size: msiSize, Name: "up/msi"},
-	} {
-		if err := p.Internal.Claim(SCID, r); err != nil {
-			return err
-		}
+	if err := internal.Claim(SCID, pcie.Region{Base: privateBase, Size: privateSize, Name: "up/private"}); err != nil {
+		return err
 	}
-	p.SC.SetTeardownHook(func() {
-		// Environment guard: clean the device on session teardown.
-		plan := p.SC.Guard().CleanPlan(p.Device.Profile().SupportsSoftReset, xpu.RegReset, xpu.ResetEnv, xpu.ResetCold)
-		buf := make([]byte, 8)
-		binary.LittleEndian.PutUint64(buf, plan.Val)
-		p.Internal.Route(pcie.NewMemWrite(SCID, xpuBARBase+plan.Reg, buf))
-	})
-	p.Device.SetUpstream(func(pkt *pcie.Packet) *pcie.Packet { return p.Internal.Route(pkt) })
-	// Close the payload-recycling loops on the internal segment: the
-	// device returns the SC's H2D plaintext completions to the arena
-	// after copying, stages D2H MWr payloads from the arena for the SC's
-	// write-span pipeline to return after sealing, and the SC recycles
-	// its own bounce-buffer fetches and ciphertext staging likewise. All
-	// gates re-check Bus.Untapped per packet, so fault-injection taps
-	// installed mid-run degrade to today's allocate-and-forget behavior.
-	p.Device.SetPayloadRecycling(p.Internal.Untapped, p.Internal.Untapped)
-	p.SC.EnableDatapathRecycling()
-
-	// The SC (not the device) masters the host bus; only the shared
-	// bounce window is mapped for it. The TVM-private region stays
-	// unmapped for every device — the paper's IOMMU assumption.
-	p.IOMMU.Map(SCID, sharedBase, sharedSize, mem.PermRead|mem.PermWrite)
-
-	p.installBootRules()
-
-	p.Adaptor = adaptor.New(TVMID, p.Host, p.Guest.Space, p.tvmKeys, scBARBase, xpuBARBase, opts)
-	if p.Obs != nil {
-		p.SC.SetObserver(p.Obs)
-		p.Adaptor.SetObserver(p.Obs)
-	}
+	p.setObserver(p.Obs)
 	return nil
 }
 
-// installBootRules loads the static platform policy measured at secure
-// boot: the L1 screen for the TVM and the xPU, and the L2
-// classification of Figure 5 adapted to the platform address map.
-func (p *Platform) installBootRules() {
-	f := p.SC.Filter()
-	for _, r := range core.L1Screen(1, TVMID) {
-		f.InstallL1(r)
-		p.recordBootRule(r)
-	}
-	for _, r := range core.L1Screen(10, XPUID) {
-		f.InstallL1(r)
-		p.recordBootRule(r)
-	}
-	bar := p.Device.BAR0()
-	l2 := []core.Rule{
-		// TVM control writes to the xPU window: Write Protected (A3).
-		{ID: 20, Mask: core.MatchKind | core.MatchRequester | core.MatchAddr,
-			Kind: pcie.MWr, Requester: TVMID, AddrLo: bar.Base, AddrHi: bar.End(),
-			Action: core.ActionWriteProtect},
-		// TVM reads of xPU status: Full Accessible (A4).
-		{ID: 21, Mask: core.MatchKind | core.MatchRequester | core.MatchAddr,
-			Kind: pcie.MRd, Requester: TVMID, AddrLo: bar.Base, AddrHi: bar.End(),
-			Action: core.ActionPassThrough},
-		// xPU DMA into the shared window: protected (descriptor
-		// decides A2 vs A3 per region).
-		{ID: 22, Mask: core.MatchKind | core.MatchRequester | core.MatchAddr,
-			Kind: pcie.MRd, Requester: XPUID, AddrLo: sharedBase, AddrHi: sharedBase + sharedSize,
-			Action: core.ActionWriteReadProtect},
-		{ID: 23, Mask: core.MatchKind | core.MatchRequester | core.MatchAddr,
-			Kind: pcie.MWr, Requester: XPUID, AddrLo: sharedBase, AddrHi: sharedBase + sharedSize,
-			Action: core.ActionWriteReadProtect},
-		// xPU interrupts: Full Accessible (A4).
-		{ID: 24, Mask: core.MatchKind | core.MatchRequester | core.MatchAddr,
-			Kind: pcie.MWr, Requester: XPUID, AddrLo: msiBase, AddrHi: msiBase + msiSize,
-			Action: core.ActionPassThrough},
-	}
-	for _, r := range l2 {
-		f.InstallL2(r)
-		p.recordBootRule(r)
-	}
-}
-
 // EstablishTrust provisions the session's symmetric streams on both
-// ends. In deployment this material comes out of the Figure 6 remote
-// attestation + key exchange (see internal/attest and the attestation
-// example); the platform helper runs the same installation step with
-// locally generated keys. Before provisioning anything, the PCIe-SC
-// software-attests the xPU firmware (§6): a device answering the
-// challenge wrongly never receives keys.
+// ends and brings the protected driver up (see pipeline.establishTrust
+// for the sequence). A no-op under Vanilla.
 func (p *Platform) EstablishTrust() error {
 	if p.Mode != Protected {
 		return nil
 	}
-	sp := p.Obs.T().Begin(obsv.TrackTask, "establish_trust", obsv.Str("xpu", p.Device.Profile().Name))
-	defer sp.End()
-	var nonceBuf [8]byte
-	if _, err := rand.Read(nonceBuf[:]); err != nil {
-		return err
-	}
-	nonce := binary.LittleEndian.Uint64(nonceBuf[:])
-	golden := p.golden
-	if golden == "" {
-		golden = p.Device.Profile().FirmwareVersion
-	}
-	expected := xpu.AttestDigest(golden, nonce)
-	if !p.SC.AttestDevice(nonce, expected, xpu.RegAttestNonce, xpu.RegAttestResp) {
-		return fmt.Errorf("%w; refusing to provision keys", ErrAttestFailed)
-	}
-	p.Obs.Eventf(obsv.EvAttest, "", "xpu=%s", p.Device.Profile().Name)
-	for _, stream := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO} {
-		key, nonce := secmem.FreshKey(), secmem.FreshNonce()
-		if err := p.scKeys.Install(stream, key, nonce); err != nil {
-			return err
-		}
-		if err := p.tvmKeys.Install(stream, key, nonce); err != nil {
-			return err
-		}
-		if stream != core.StreamMMIO { // MMIO uses raw MAC keys, not a stream
-			if err := p.SC.Params().Activate(stream); err != nil {
-				return err
-			}
-		}
-	}
-	if err := p.Adaptor.HWInit(); err != nil {
-		return err
-	}
-	p.trusted = true
-	return p.setupProtectedDriver()
-}
-
-func (p *Platform) setupProtectedDriver() error {
-	const ringEntries = 64
-	ring, err := p.Adaptor.StageVerified("cmdring", ringEntries*xpu.CmdSize, xpu.CmdSize)
-	if err != nil {
-		return err
-	}
-	p.ring = ring
-	port := &guardedPort{a: p.Adaptor}
-	p.Driver, err = tvm.NewDriver(port, p.Guest.Space, ring.Buf, ringEntries)
-	if err != nil {
-		return err
-	}
-	if p.Obs != nil {
-		p.Driver.SetObserver(p.Obs)
-	}
-	p.Driver.SetPreDoorbell(func(chunks []uint32) error {
-		return p.Adaptor.SyncVerified(p.ring, chunks)
-	})
-	return p.Driver.ConfigureMSI(msiBase, 0x41)
-}
-
-// guardedPort carries driver MMIO through the Adaptor's A3 protocol.
-// Command-head polls route through the reaped completion word so the
-// steady-state task loop costs zero MMIO reads.
-type guardedPort struct{ a *adaptor.Adaptor }
-
-func (g *guardedPort) WriteReg(reg uint64, v uint64) error { return g.a.GuardedWrite(reg, v) }
-
-func (g *guardedPort) ReadReg(reg uint64) (uint64, error) {
-	if reg == xpu.RegCmdHead {
-		return g.a.CompletionHead(reg)
-	}
-	return g.a.DeviceRead(reg)
+	return p.establishTrust()
 }
 
 // Close tears the session down: keys destroyed, device cleaned, the
 // telemetry server (if any) stopped.
 func (p *Platform) Close() {
-	if p.Mode == Protected && p.Adaptor != nil && p.trusted {
-		p.Adaptor.Teardown()
-		p.trusted = false
-	}
-	if p.Tel != nil {
-		p.Tel.Close()
-		p.Tel = nil
-	}
+	p.teardown()
+	p.closeTelemetry()
 }

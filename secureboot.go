@@ -68,5 +68,5 @@ func (p *Platform) BootPolicyImage() []byte {
 	return img
 }
 
-// bootRules records the rules installBootRules loaded, for measurement.
+// recordBootRule appends to the policy image measured at secure boot.
 func (p *Platform) recordBootRule(r core.Rule) { p.bootRules = append(p.bootRules, r) }

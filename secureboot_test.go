@@ -22,7 +22,7 @@ func newVendorCA(t *testing.T) *ecdsa.PrivateKey {
 
 func TestPlatformSecureBootMeasuresPolicy(t *testing.T) {
 	ca := newVendorCA(t)
-	p, err := NewPlatform(Config{XPU: xpu.A100, Mode: Protected})
+	p, err := New(WithXPU(xpu.A100), WithMode(Protected))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestPlatformSecureBootMeasuresPolicy(t *testing.T) {
 
 func TestPlatformSecureBootSensitiveToPolicy(t *testing.T) {
 	ca := newVendorCA(t)
-	a, err := NewPlatform(Config{XPU: xpu.A100, Mode: Protected})
+	a, err := New(WithXPU(xpu.A100), WithMode(Protected))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPlatformSecureBootSensitiveToPolicy(t *testing.T) {
 	// the same geometry, but its firmware PCR differs; more to the
 	// point, a platform whose *policy* got an extra rule diverges in
 	// PCRPolicy.
-	b, err := NewPlatform(Config{XPU: xpu.A100, Mode: Protected})
+	b, err := New(WithXPU(xpu.A100), WithMode(Protected))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPlatformSecureBootSensitiveToPolicy(t *testing.T) {
 
 func TestPlatformSecureBootVanillaRejected(t *testing.T) {
 	ca := newVendorCA(t)
-	p, err := NewPlatform(Config{XPU: xpu.A100, Mode: Vanilla})
+	p, err := New(WithXPU(xpu.A100), WithMode(Vanilla))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPlatformSecureBootVanillaRejected(t *testing.T) {
 // confidential task.
 func TestBootToAttestationToTask(t *testing.T) {
 	ca := newVendorCA(t)
-	p, err := NewPlatform(Config{XPU: xpu.S60, Mode: Protected})
+	p, err := New(WithXPU(xpu.S60), WithMode(Protected))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestParallelIndependentSessions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			profile := xpu.Fleet()[i%len(xpu.Fleet())]
-			p, err := NewPlatform(Config{XPU: profile, Mode: Protected})
+			p, err := New(WithXPU(profile), WithMode(Protected))
 			if err != nil {
 				errs <- err
 				return
@@ -61,7 +61,7 @@ func (e errByte) Error() string { return "wrong byte in parallel session" }
 // time (no leak across the environment-guard teardown).
 func TestManySequentialSessionsNoLeak(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		p, err := NewPlatform(Config{XPU: xpu.A100, Mode: Protected})
+		p, err := New(WithXPU(xpu.A100), WithMode(Protected))
 		if err != nil {
 			t.Fatal(err)
 		}

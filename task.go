@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ccai/internal/adaptor"
 	"ccai/internal/obsv"
 	"ccai/internal/tvm"
 	"ccai/internal/xpu"
@@ -51,7 +50,7 @@ type Task struct {
 // as ciphertext and the result returns encrypted; under Vanilla it
 // travels in the clear (which the adversary tests exploit).
 //
-// With observability on (Config.Observe) each run opens a task scope:
+// With observability on (WithObserve) each run opens a task scope:
 // every span recorded until the task returns carries the same task ID,
 // and the run itself is one "run_task" span on the task track tagged
 // with the kernel, input size and outcome — metadata only, never the
@@ -60,12 +59,13 @@ func (p *Platform) RunTask(t Task) ([]byte, error) {
 	return p.RunTaskCtx(context.Background(), t)
 }
 
-// RunTaskCtx is RunTask with end-to-end cancellation: the context is
-// honored at the pipeline's safe points (before staging, before the
-// doorbell); once the submission is rung the run drains to completion
-// and only then is the cancellation reported, so stream state is never
-// left mid-protocol. Cancellation errors satisfy errors.Is on
-// context.Canceled / ErrDeadlineExceeded.
+// RunTaskCtx is RunTask with end-to-end cancellation, honored at the
+// protected pipeline's safe points (see pipeline.run): before staging
+// and before the doorbell an early cancellation costs nothing on the
+// device; once the submission is rung the run drains to completion and
+// only then is the cancellation reported and the result withheld, so
+// stream state is never left mid-protocol. Cancellation errors satisfy
+// errors.Is on context.Canceled / ErrDeadlineExceeded.
 func (p *Platform) RunTaskCtx(ctx context.Context, t Task) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -99,114 +99,62 @@ func (p *Platform) runTask(ctx context.Context, t Task) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(err)
 	}
-	outLen := int64(len(t.Input))
-	if t.Kernel == KernelChecksum && outLen < 8 {
-		outLen = 8
-	}
-
-	var inAddr, outAddr uint64
-	var collect func() ([]byte, error)
-	var release func()
-	var inRegion *adaptor.Region
-
 	if p.Mode == Protected {
-		in, err := p.Adaptor.StageH2D("task-input", t.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := p.Adaptor.PrepareD2H("task-output", outLen)
-		if err != nil {
-			p.Adaptor.ReleaseRegion(in)
-			return nil, err
-		}
-		inRegion = in
-		inAddr, outAddr = in.Buf.Base(), out.Buf.Base()
-		collect = func() ([]byte, error) { return p.Adaptor.CollectD2H(out, outLen) }
-		release = func() {
-			p.Adaptor.ReleaseRegion(in)
-			p.Adaptor.ReleaseRegion(out)
-		}
-	} else {
-		in, err := p.Guest.Space.Alloc(tvm.SharedRegion, "task-input", int64(len(t.Input)))
-		if err != nil {
-			return nil, err
-		}
-		copy(in.Bytes(), t.Input)
-		out, err := p.Guest.Space.Alloc(tvm.SharedRegion, "task-output", outLen)
-		if err != nil {
-			p.Guest.Space.Free(in)
-			return nil, err
-		}
-		inAddr, outAddr = in.Base(), out.Base()
-		collect = func() ([]byte, error) { return append([]byte(nil), out.Bytes()...), nil }
-		release = func() {
-			p.Guest.Space.Free(in)
-			p.Guest.Space.Free(out)
-		}
+		return p.task(ctx, t)
 	}
-	defer release()
+	return p.runVanilla(t)
+}
 
-	// The device-memory layout for the task: input at 0, output after.
+// outLen is the task's result size: the input size, except that
+// KernelChecksum pads to its 8-byte digest.
+func (t Task) outLen() int64 {
+	n := int64(len(t.Input))
+	if t.Kernel == KernelChecksum && n < 8 {
+		n = 8
+	}
+	return n
+}
+
+// commands builds the native driver's copy/kernel/copy sequence for the
+// task against the given host staging addresses. The device-memory
+// layout is fixed: input at 0, output after.
+func (t Task) commands(inAddr, outAddr uint64, outLen int64) [3]xpu.Command {
 	const devIn, devOut = 0x0, 0x40000
-	cmds := []xpu.Command{
+	return [3]xpu.Command{
 		{Op: xpu.OpCopyH2D, Src: inAddr, Dst: devIn, Len: uint64(len(t.Input))},
 		{Op: xpu.OpKernel, Param: uint32(t.Kernel)<<16 | uint32(t.Param), Src: devIn, Dst: devOut, Len: uint64(outLen)},
 		{Op: xpu.OpCopyD2H, Src: devOut, Dst: outAddr, Len: uint64(outLen)},
 	}
+}
+
+// runVanilla is the unprotected baseline: plaintext staged in ordinary
+// DMA-able memory, the device driven directly on the host bus. It shares
+// nothing with the protected pipeline — no sealing, no recovery ladder.
+func (p *Platform) runVanilla(t Task) ([]byte, error) {
+	outLen := t.outLen()
+	in, err := p.Guest.Space.Alloc(tvm.SharedRegion, "task-input", int64(len(t.Input)))
+	if err != nil {
+		return nil, err
+	}
+	defer p.Guest.Space.Free(in)
+	copy(in.Bytes(), t.Input)
+	out, err := p.Guest.Space.Alloc(tvm.SharedRegion, "task-output", outLen)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Guest.Space.Free(out)
+	cmds := t.commands(in.Base(), out.Base(), outLen)
 	before := p.Driver.Tail()
-	if err := p.Driver.Submit(cmds...); err != nil {
+	if err := p.Driver.Submit(cmds[:]...); err != nil {
 		return nil, err
 	}
-	want := before + uint64(len(cmds))
 	head, err := p.Driver.Head()
-	if err != nil && p.Mode != Protected {
+	if err != nil {
 		return nil, err
 	}
-	if err == nil && head == want {
-		return collect()
-	}
-	if p.Mode != Protected {
+	if head != before+uint64(len(cmds)) {
 		st, _ := p.Driver.Status()
 		return nil, fmt.Errorf("ccai: device consumed %d/%d commands (status %#x)", head-before, len(cmds), st)
 	}
-	if err := p.recoverSubmission(inRegion, before, want); err != nil {
-		return nil, err
-	}
-	return collect()
-}
-
-// submitRecoveryAttempts bounds the stalled-submission recovery loop.
-const submitRecoveryAttempts = 3
-
-// recoverSubmission drives the Protected-mode recovery ladder for a
-// submission the device did not fully consume: re-align the A3 MMIO
-// sequence (a lost guarded write desynchronises it permanently), repost
-// the input region's tag table (tag-packet loss orphans chunks), then
-// kick the driver (re-sync ring MACs, re-ring the doorbell). If the
-// device still hasn't consumed everything after bounded attempts, the
-// Adaptor tears the session down fail-closed: keys zeroized on both
-// ends and the device cleaned through the environment guard, because a
-// half-run confidential task must not leave a live session behind.
-func (p *Platform) recoverSubmission(in *adaptor.Region, before, want uint64) error {
-	for attempt := 0; attempt < submitRecoveryAttempts; attempt++ {
-		if err := p.Adaptor.ResyncMMIO(); err != nil {
-			break
-		}
-		if in != nil {
-			p.Adaptor.RepostTags(in)
-		}
-		if err := p.Driver.Kick(); err != nil {
-			continue
-		}
-		head, err := p.Driver.Head()
-		if err == nil && head == want {
-			return nil
-		}
-	}
-	st, _ := p.Driver.Status()
-	head, _ := p.Driver.Head()
-	reason := fmt.Sprintf("submission stalled: device consumed %d/%d commands (status %#x)", head-before, want-before, st)
-	p.Adaptor.FailClosed(reason)
-	p.trusted = false
-	return fmt.Errorf("ccai: %s; session torn down", reason)
+	return append([]byte(nil), out.Bytes()...), nil
 }
