@@ -1,14 +1,15 @@
 package ccai_test
 
-// One testing.B benchmark per table and figure of the paper's
-// evaluation (§8), plus micro-benchmarks of the hot functional paths.
+// One testing.B sub-benchmark per table and figure of the paper's
+// evaluation (§8), plus wall-clock runs of the hot functional paths.
 // Run them all with:
 //
 //	go test -bench=. -benchmem
 //
-// The figure benchmarks print the regenerated rows once (first
+// The experiment benchmarks print the regenerated rows once (first
 // iteration) and then measure harness throughput; absolute latency
-// values inside the rows are virtual time, not wall-clock.
+// values inside the rows are virtual time, not wall-clock. The
+// functional runs gate nothing — benchmark/ is the benchmark of record.
 
 import (
 	"fmt"
@@ -22,148 +23,26 @@ import (
 
 var printOnce sync.Map
 
-func once(b *testing.B, key, out string) {
-	b.Helper()
-	if _, done := printOnce.LoadOrStore(key, true); !done {
-		fmt.Println(out)
-	}
-}
-
-func BenchmarkTable1Actions(b *testing.B) {
-	rows := bench.Table1Categorization()
-	once(b, "t1", bench.RenderTable1(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.Table1Categorization()
-	}
-}
-
-func BenchmarkTable2Compatibility(b *testing.B) {
-	rows := bench.Table2Compatibility()
-	checks := bench.Table2Checks(true, true, true, true)
-	once(b, "t2", bench.RenderTable2(rows, checks))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RenderTable2(bench.Table2Compatibility(), checks)
-	}
-}
-
-func BenchmarkTable3TCB(b *testing.B) {
-	rows, err := bench.Table3TCB(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "t3", bench.RenderTable3(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table3TCB("."); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure8FixBatch(b *testing.B) {
+// BenchmarkExperiments regenerates each paper experiment of
+// bench.Experiments as a sub-benchmark named after its -only key.
+func BenchmarkExperiments(b *testing.B) {
 	cm := bench.Defaults()
-	rows, err := bench.Figure8FixBatch(cm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "f8a", bench.RenderFig8("Figure 8a/c/e — fix-batch sweep (Llama-2-7B, A100, batch 1)", rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure8FixBatch(cm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure8FixToken(b *testing.B) {
-	cm := bench.Defaults()
-	rows, err := bench.Figure8FixToken(cm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "f8b", bench.RenderFig8("Figure 8b/d/f — fix-token sweep (Llama-2-7B, A100, 128 tokens)", rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure8FixToken(cm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure9Models(b *testing.B) {
-	cm := bench.Defaults()
-	rows, err := bench.Figure9Models(cm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "f9", bench.RenderFig9(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure9Models(cm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure10XPUs(b *testing.B) {
-	cm := bench.Defaults()
-	rows, err := bench.Figure10XPUs(cm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "f10", bench.RenderFig10(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure10XPUs(cm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure11Optimization(b *testing.B) {
-	cm := bench.Defaults()
-	tok, bat, err := bench.Figure11Optimization(cm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "f11", bench.RenderFig11(tok, bat))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.Figure11Optimization(cm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12aBandwidth(b *testing.B) {
-	cm := bench.Defaults()
-	rows, err := bench.Figure12aBandwidth(cm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "f12a", bench.RenderFig12a(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure12aBandwidth(cm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12bKVCache(b *testing.B) {
-	cm := bench.Defaults()
-	rows, err := bench.Figure12bKVCache(cm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "f12b", bench.RenderFig12b(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure12bKVCache(cm); err != nil {
-			b.Fatal(err)
-		}
+	for _, e := range bench.Experiments(".") {
+		b.Run(e.Name, func(b *testing.B) {
+			out, err := e.Run(cm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, done := printOnce.LoadOrStore(e.Name, true); !done {
+				fmt.Println(out)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(cm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -261,23 +140,6 @@ func BenchmarkVanillaTask(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := plat.RunTask(ccai.Task{Input: input, Kernel: ccai.KernelAdd, Param: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblations runs the design-choice sensitivity sweeps
-// (context slots, wire expansion, per-packet I/O, crypto threads).
-func BenchmarkAblations(b *testing.B) {
-	cm := bench.Defaults()
-	out, err := bench.RenderAblations(cm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	once(b, "abl", out)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RenderAblations(cm); err != nil {
 			b.Fatal(err)
 		}
 	}

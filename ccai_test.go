@@ -218,6 +218,26 @@ func TestNoOptModeStillCorrect(t *testing.T) {
 	}
 }
 
+// An option set that names completion reaping without the submission
+// ring it rides on is refused at construction — no platform comes back
+// that would quietly poll over MMIO instead.
+func TestIncoherentAdaptorOptionsRejected(t *testing.T) {
+	opts := adaptor.Optimized()
+	opts.SubmitRing = false
+	if err := opts.Validate(); err == nil {
+		t.Fatal("Validate accepted CompletionReap without SubmitRing")
+	}
+	p, err := New(WithMode(Protected), WithAdaptor(opts))
+	if err == nil || p != nil {
+		t.Fatalf("New = (%v, %v), want no platform and an error", p, err)
+	}
+	for _, ok := range []adaptor.Options{adaptor.Optimized(), adaptor.NoOpt()} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("Validate(%+v) = %v", ok, err)
+		}
+	}
+}
+
 func TestOptimizationReducesIOWrites(t *testing.T) {
 	run := func(opts adaptor.Options) adaptor.IOStats {
 		p, err := New(WithMode(Protected), WithAdaptor(opts))

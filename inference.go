@@ -77,6 +77,12 @@ type InferenceSession struct {
 	devSlot int
 	devBase uint64
 
+	// Resolved once at OpenSession so a decode step builds no string:
+	// the step's region labels and the engine-step counters by
+	// llm.StepKind (nil with observability off).
+	kvName, idsName, outName string
+	steps                    [2]*obsv.Counter
+
 	mu            sync.Mutex
 	prompt        []byte
 	digest        uint64
@@ -227,7 +233,7 @@ func (srv *llmServer) worker() {
 			srv.eng.Fail(st)
 			continue
 		}
-		srv.mp.Obs.Reg().Counter(obsv.Name("llm.steps", "kind", st.Kind.String())).Inc()
+		sess.steps[st.Kind].Inc()
 		if !srv.eng.Complete(st) {
 			sess.finish()
 		}
@@ -288,6 +294,15 @@ func (t *Tenant) OpenSession(ctx context.Context, cfg llm.Config) (*InferenceSes
 		kvBytes:     kvBytes,
 		ch:          make(chan DecodeChunk, cfg.Chunks()+1),
 		prefillDone: make(chan struct{}),
+	}
+	name := func(kind string) string {
+		return fmt.Sprintf("llm-%s/t%d/s%d", kind, t.Index, slot)
+	}
+	sess.kvName, sess.idsName, sess.outName = name("kv"), name("ids"), name("chunk")
+	if reg := t.parent.Obs.Reg(); reg != nil {
+		for _, kind := range []llm.StepKind{llm.StepPrefill, llm.StepDecode} {
+			sess.steps[kind] = reg.Counter(obsv.Name("llm.steps", "kind", kind.String()))
+		}
 	}
 	state.Owner = sess
 	return sess, nil
@@ -473,15 +488,12 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 		staged [2]*adaptor.Region
 		n      int
 	)
-	name := func(kind string) string {
-		return fmt.Sprintf("llm-%s/t%d/s%d", kind, t.Index, s.devSlot)
-	}
 	if st.Kind == llm.StepPrefill {
 		// The once-per-session KV crossing: sealed, staged, pinned, and
 		// from here on only referenced by device-local kernel reads.
 		// Recorded on the session before the submit so Close owns its
 		// release from here on, whatever this step's outcome.
-		kvRegion, err := t.Adaptor.StageH2D(name("kv"), s.kvHost)
+		kvRegion, err := t.Adaptor.StageH2D(s.kvName, s.kvHost)
 		if err != nil {
 			return err
 		}
@@ -501,12 +513,12 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 	if st.Kind == llm.StepPrefill {
 		payload = s.prompt
 	}
-	ids, err := t.Adaptor.StageH2D(name("ids"), payload)
+	ids, err := t.Adaptor.StageH2D(s.idsName, payload)
 	if err != nil {
 		return err
 	}
 	defer t.Adaptor.ReleaseRegion(ids)
-	out, err := t.Adaptor.PrepareD2H(name("chunk"), span)
+	out, err := t.Adaptor.PrepareD2H(s.outName, span)
 	if err != nil {
 		return err
 	}

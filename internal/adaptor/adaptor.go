@@ -10,6 +10,7 @@ package adaptor
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -51,8 +52,17 @@ type Options struct {
 	// CompletionReap serves device command-head polls from the
 	// submission ring's completion word — DMA-written by the SC after
 	// every forwarded doorbell — instead of one guarded MMIO read per
-	// task. Requires SubmitRing; without it Head() falls back to MMIO.
+	// task. Requires SubmitRing (the completion word lives in the ring).
 	CompletionReap bool
+}
+
+// Validate rejects option sets that name an optimization without what
+// it rides on, instead of letting the Adaptor quietly run without it.
+func (o Options) Validate() error {
+	if o.CompletionReap && !o.SubmitRing {
+		return errors.New("adaptor: CompletionReap requires SubmitRing")
+	}
+	return nil
 }
 
 // Optimized is the full ccAI optimization set.

@@ -148,8 +148,8 @@ func TestStagedRegionSpanReadable(t *testing.T) {
 
 // BenchmarkStageH2D64KiB times the hot staging path in isolation:
 // seal 256 chunks, write the bounce buffer, upload tags. allocs/op is
-// the number the arena work targets — the CI gate tracks it via
-// `ccai-bench -compare`.
+// the number the arena work targets (the benchmark of record tracks it
+// as adaptor.stage_h2d_64k_xref and allocs_per_op).
 func BenchmarkStageH2D64KiB(b *testing.B) {
 	r, _ := newRig(b, Optimized())
 	data := make([]byte, 64<<10)

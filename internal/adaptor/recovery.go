@@ -152,114 +152,57 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 	}
 }
 
-// sealWithRetry runs Seal, retrying only on transient engine faults.
-// ErrTransient fires before the stream consumes an IV counter, so the
-// retry seals with the SAME counter the failed attempt would have used
-// — a retransmit never reuses an IV because the failed attempt never
-// allocated one. Callers hold a.mu.
-func (a *Adaptor) sealWithRetry(s *secmem.Stream, pt, aad []byte) (*secmem.Sealed, error) {
+// retryTransient runs one crypto operation, re-running it only on
+// transient engine faults (op labels the retry instant: "seal" or
+// "open"). secmem.ErrTransient fires before the stream consumes an IV
+// counter, reserves a batch range, moves a watermark or hands a chunk
+// to an emit callback, so a retry replays the identical operation with
+// the SAME counters — a retransmit never reuses an IV because the
+// failed attempt never allocated one. Auth and replay failures are
+// security verdicts, not faults, and return at once. Callers hold a.mu.
+func (a *Adaptor) retryTransient(op string, fn func() error) error {
 	delay := a.policy.Backoff
 	for attempt := 0; ; attempt++ {
-		sealed, err := s.Seal(pt, aad)
+		err := fn()
 		if !errors.Is(err, secmem.ErrTransient) {
 			if err == nil && attempt > 0 {
 				a.rec.Recovered++
 				a.obs.recovered.Inc()
 			}
-			return sealed, err
+			return err
 		}
 		if attempt >= a.policy.MaxRetries {
 			a.rec.Exhausted++
 			a.obs.exhausted.Inc()
-			return nil, err
+			return err
 		}
 		a.rec.CryptoRetries++
 		a.obs.cryptoRetries.Inc()
-		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.crypto_retry", obsv.Str("op", "seal"))
+		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.crypto_retry", obsv.Str("op", op))
 		a.backoff(&delay)
 	}
 }
 
-// sealBatchStreamWithRetry drives the streaming seal pipeline with the
-// crypto-retry discipline. ErrTransient fires before any counter is
-// reserved AND before any chunk reaches emit, so a retried attempt
-// replays the identical batch with the identical counter range, and
-// emit still observes every chunk exactly once, in submission order.
-// Callers hold a.mu.
+// sealWithRetry seals one record under the crypto-retry discipline.
+func (a *Adaptor) sealWithRetry(s *secmem.Stream, pt, aad []byte) (sealed *secmem.Sealed, err error) {
+	err = a.retryTransient("seal", func() error {
+		sealed, err = s.Seal(pt, aad)
+		return err
+	})
+	return sealed, err
+}
+
+// sealBatchStreamWithRetry drives the streaming seal pipeline under the
+// same discipline: emit still observes every chunk exactly once, in
+// submission order.
 func (a *Adaptor) sealBatchStreamWithRetry(s *secmem.Stream, pts, aads [][]byte, emit func(i int, chunk *secmem.Sealed) error) error {
-	delay := a.policy.Backoff
-	for attempt := 0; ; attempt++ {
-		err := s.SealBatchStream(pts, aads, a.pool, emit)
-		if !errors.Is(err, secmem.ErrTransient) {
-			if err == nil && attempt > 0 {
-				a.rec.Recovered++
-				a.obs.recovered.Inc()
-			}
-			return err
-		}
-		if attempt >= a.policy.MaxRetries {
-			a.rec.Exhausted++
-			a.obs.exhausted.Inc()
-			return err
-		}
-		a.rec.CryptoRetries++
-		a.obs.cryptoRetries.Inc()
-		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.crypto_retry", obsv.Str("op", "seal"))
-		a.backoff(&delay)
-	}
+	return a.retryTransient("seal", func() error { return s.SealBatchStream(pts, aads, a.pool, emit) })
 }
 
-// openBatchIntoWithRetry is the in-place batch decrypt twin: only
-// ErrTransient retries (it fires before any watermark movement); auth
-// and replay failures are verdicts, and a failed batch leaves dst
-// zeroed. Callers hold a.mu.
+// openBatchIntoWithRetry is the in-place batch decrypt twin; a failed
+// batch leaves dst zeroed.
 func (a *Adaptor) openBatchIntoWithRetry(s *secmem.Stream, dst []byte, sealed []secmem.Sealed, aads [][]byte) error {
-	delay := a.policy.Backoff
-	for attempt := 0; ; attempt++ {
-		err := s.OpenBatchInto(dst, sealed, aads, a.pool)
-		if !errors.Is(err, secmem.ErrTransient) {
-			if err == nil && attempt > 0 {
-				a.rec.Recovered++
-				a.obs.recovered.Inc()
-			}
-			return err
-		}
-		if attempt >= a.policy.MaxRetries {
-			a.rec.Exhausted++
-			a.obs.exhausted.Inc()
-			return err
-		}
-		a.rec.CryptoRetries++
-		a.obs.cryptoRetries.Inc()
-		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.crypto_retry", obsv.Str("op", "open"))
-		a.backoff(&delay)
-	}
-}
-
-// openWithRetry is sealWithRetry for the decrypt side. Auth and replay
-// failures are security verdicts, not faults — only ErrTransient
-// retries. Callers hold a.mu.
-func (a *Adaptor) openWithRetry(s *secmem.Stream, sealed *secmem.Sealed, aad []byte) ([]byte, error) {
-	delay := a.policy.Backoff
-	for attempt := 0; ; attempt++ {
-		pt, err := s.Open(sealed, aad)
-		if !errors.Is(err, secmem.ErrTransient) {
-			if err == nil && attempt > 0 {
-				a.rec.Recovered++
-				a.obs.recovered.Inc()
-			}
-			return pt, err
-		}
-		if attempt >= a.policy.MaxRetries {
-			a.rec.Exhausted++
-			a.obs.exhausted.Inc()
-			return nil, err
-		}
-		a.rec.CryptoRetries++
-		a.obs.cryptoRetries.Inc()
-		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.crypto_retry", obsv.Str("op", "open"))
-		a.backoff(&delay)
-	}
+	return a.retryTransient("open", func() error { return s.OpenBatchInto(dst, sealed, aads, a.pool) })
 }
 
 // RepostTags re-uploads a region's retained tag records after suspected

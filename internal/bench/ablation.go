@@ -13,8 +13,7 @@ import (
 // Ablation sweeps: each function varies one design parameter of the
 // cost model around its calibrated default and reports the resulting
 // overhead, quantifying how much each design choice in DESIGN.md §5
-// matters. They back the BenchmarkAblation* targets and the
-// `ccai-bench -only ablations` output.
+// matters. They back the `ccai-bench -only ablations` output.
 
 // AblationRow is one parameter setting's outcome.
 type AblationRow struct {

@@ -39,16 +39,6 @@ import (
 	"ccai/internal/sim"
 )
 
-// ScheduledP99WaitBudget is the wall-clock SLO budget for the
-// `serve/scheduled/p99-queue-wait` micro-benchmark (admission→dispatch
-// p99 under the 4-tenant scheduled load). The committed baseline sits
-// around 164 ms; the budget allows ~3× headroom for noisy shared CI
-// hosts before ccai-bench -compare flags the tail as over budget (a
-// soft gate: reported, not failing, since absolute wall time on a
-// shared machine is advisory — the *virtual* budgets below are the
-// hard ones).
-const ScheduledP99WaitBudget = 500_000_000 // ns
-
 // Virtual service-time model for the virtual plane: a dispatched
 // request occupies its slot for svcBase plus svcPerKiB per 1024 input
 // bytes. The shape (fixed setup + linear transfer) mirrors the

@@ -256,6 +256,11 @@ func New(options ...Option) (*Platform, error) {
 	if cfg.XPU.Name == "" {
 		cfg.XPU = xpu.A100
 	}
+	if cfg.Adaptor != nil {
+		if err := cfg.Adaptor.Validate(); err != nil {
+			return nil, err
+		}
+	}
 
 	guest, err := tvm.NewGuest(TVMID, privateBase, privateSize, sharedBase, sharedSize)
 	if err != nil {

@@ -138,7 +138,7 @@ func TestRingCutsMMIOWritesAtLeast4x(t *testing.T) {
 	}
 
 	ringOff := adaptor.Optimized()
-	ringOff.SubmitRing = false
+	ringOff.SubmitRing, ringOff.CompletionReap = false, false
 	off := writesPerTask(t, ringOff)
 	on := writesPerTask(t, adaptor.Optimized())
 	t.Logf("MMIO writes per 64 KiB task: ring on = %d, ring off = %d", on, off)

@@ -115,6 +115,61 @@ type request struct {
 	h     *Handle
 	enq   time.Time
 	qspan obsv.ActiveSpan
+
+	// stop detaches the queued-cancellation hook from ctx. It is set
+	// after Push has made the request visible, so it and finished (set
+	// by finish) share a lock: whichever of submit and finish comes
+	// second runs it.
+	stopMu   sync.Mutex
+	stop     func() bool
+	finished bool
+}
+
+// schedObs holds the scheduler's metric handles, resolved once in
+// NewScheduler (all nil with observability off, so the serving path
+// builds no metric name per request).
+type schedObs struct {
+	canceledQueued, canceledClaim, canceledClaimed, canceledInflight *obsv.Counter
+	faultStall, faultCancelRace                                      *obsv.Counter
+	tenants                                                          []tenantObs
+}
+
+// tenantObs is one tenant's slice of schedObs.
+type tenantObs struct {
+	label                               string
+	admitted, completedOK, completedErr *obsv.Counter
+	depth                               *obsv.Gauge
+	wait                                *obsv.Histogram
+}
+
+func newSchedObs(reg *obsv.Registry, tenants int) schedObs {
+	canceled := func(stage string) *obsv.Counter {
+		return reg.Counter(obsv.Name("sched.canceled", "stage", stage))
+	}
+	o := schedObs{
+		canceledQueued:   canceled("queued"),
+		canceledClaim:    canceled("claim"),
+		canceledClaimed:  canceled("claimed"),
+		canceledInflight: canceled("inflight"),
+		faultStall:       reg.Counter(obsv.Name("sched.faults", "class", "sched-stall")),
+		faultCancelRace:  reg.Counter(obsv.Name("sched.faults", "class", "cancel-race")),
+		tenants:          make([]tenantObs, tenants),
+	}
+	for i := range o.tenants {
+		label := tenantLabel(i)
+		// WaitBuckets (1 ms–10 s) rather than DurationBuckets: real queue
+		// waits live in the ms–100 ms range, far above the 10 ms ceiling
+		// of the pipeline-stage layout.
+		o.tenants[i] = tenantObs{
+			label:        label,
+			admitted:     reg.Counter(obsv.Name("sched.admitted", "tenant", label)),
+			completedOK:  reg.Counter(obsv.Name("sched.completed", "tenant", label, "status", "ok")),
+			completedErr: reg.Counter(obsv.Name("sched.completed", "tenant", label, "status", "error")),
+			depth:        reg.Gauge(obsv.Name("sched.queue_depth", "tenant", label)),
+			wait:         reg.Histogram(obsv.Name("sched.queue_wait_ns", "tenant", label), obsv.WaitBuckets()),
+		}
+	}
+	return o
 }
 
 // Scheduler is the long-lived serving engine over a MultiPlatform.
@@ -124,6 +179,7 @@ type Scheduler struct {
 	mp    *MultiPlatform
 	q     *sched.Fair
 	obs   *obsv.Hub
+	met   schedObs
 	slots chan struct{}
 
 	mu       sync.Mutex
@@ -163,6 +219,7 @@ func (mp *MultiPlatform) NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		mp:       mp,
 		q:        q,
 		obs:      mp.Obs,
+		met:      newSchedObs(mp.Obs.Reg(), n),
 		slots:    make(chan struct{}, slots),
 		stop:     make(chan struct{}),
 		finished: make(chan struct{}),
@@ -229,7 +286,8 @@ func (s *Scheduler) submit(ctx context.Context, tt TenantTask, idx int) (*Handle
 	}
 
 	tr := s.obs.T()
-	label := tenantLabel(tt.Tenant)
+	met := &s.met.tenants[tt.Tenant]
+	label := met.label
 	sp := tr.Begin(obsv.TrackSched, "admit",
 		obsv.Str("tenant", label), obsv.I64("bytes", int64(len(tt.Task.Input))))
 	h := &Handle{Tenant: tt.Tenant, Index: idx, done: make(chan struct{})}
@@ -249,19 +307,29 @@ func (s *Scheduler) submit(ctx context.Context, tt TenantTask, idx int) (*Handle
 		}
 		return reject("invalid", err)
 	}
-	reg.Counter(obsv.Name("sched.admitted", "tenant", label)).Inc()
-	reg.Gauge(obsv.Name("sched.queue_depth", "tenant", label)).Set(int64(s.q.Len(tt.Tenant)))
+	met.admitted.Inc()
+	met.depth.Set(int64(s.q.Len(tt.Tenant)))
 
 	// Cancellation while queued: win the claim race and the request
 	// completes here, never having occupied a pipeline slot.
-	context.AfterFunc(ctx, func() {
+	stop := context.AfterFunc(ctx, func() {
 		if s.q.Cancel(e) {
 			r.qspan.End()
-			reg.Counter(obsv.Name("sched.canceled", "stage", "queued")).Inc()
-			reg.Gauge(obsv.Name("sched.queue_depth", "tenant", label)).Set(int64(s.q.Len(tt.Tenant)))
+			s.met.canceledQueued.Inc()
+			met.depth.Set(int64(s.q.Len(e.Flow)))
 			s.finish(r, nil, ctxErr(ctx.Err()))
 		}
 	})
+	// finish detaches the hook, or else a long-lived ctx would keep every
+	// completed request reachable from its child set. A request that
+	// finished before the hook was recorded is detached here.
+	r.stopMu.Lock()
+	r.stop = stop
+	finished := r.finished
+	r.stopMu.Unlock()
+	if finished {
+		stop()
+	}
 	return h, nil
 }
 
@@ -277,14 +345,21 @@ func (s *Scheduler) monitor() *telemetry.Monitor {
 // finish resolves the request's handle exactly once.
 func (s *Scheduler) finish(r *request, out []byte, err error) {
 	r.h.once.Do(func() {
+		r.stopMu.Lock()
+		r.finished = true
+		stop := r.stop
+		r.stopMu.Unlock()
+		if stop != nil {
+			stop()
+		}
 		r.h.out, r.h.err = out, err
 		close(r.h.done)
-		status := "ok"
-		if err != nil {
-			status = "error"
+		met := &s.met.tenants[r.h.Tenant]
+		if err == nil {
+			met.completedOK.Inc()
+		} else {
+			met.completedErr.Inc()
 		}
-		s.obs.Reg().Counter(obsv.Name("sched.completed",
-			"tenant", tenantLabel(r.h.Tenant), "status", status)).Inc()
 		s.monitor().RecordOutcome(err == nil, r.h.wait.Load())
 	})
 }
@@ -313,7 +388,7 @@ func (s *Scheduler) dispatch() {
 			// Mid-queue stall: the claim is abandoned, the request goes
 			// back to the head of its tenant's queue with its fair-share
 			// deficit refunded, and dispatch retries.
-			s.obs.Reg().Counter(obsv.Name("sched.faults", "class", "sched-stall")).Inc()
+			s.met.faultStall.Inc()
 			s.q.Requeue(e)
 			s.q.Release(e.Flow)
 			<-s.slots
@@ -323,9 +398,9 @@ func (s *Scheduler) dispatch() {
 		if s.probeFault(fault.SchedPointCancel) {
 			// Cancellation landing at the exact claim boundary: settle it
 			// as a queue-side cancellation — the slot is returned unused.
-			s.obs.Reg().Counter(obsv.Name("sched.faults", "class", "cancel-race")).Inc()
+			s.met.faultCancelRace.Inc()
 			r.qspan.End()
-			s.obs.Reg().Counter(obsv.Name("sched.canceled", "stage", "claim")).Inc()
+			s.met.canceledClaim.Inc()
 			s.finish(r, nil, ctxErr(context.Canceled))
 			s.q.Release(e.Flow)
 			<-s.slots
@@ -343,22 +418,19 @@ func (s *Scheduler) execute(r *request, flow int) {
 		<-s.slots
 		s.inflight.Done()
 	}()
-	reg := s.obs.Reg()
-	label := tenantLabel(r.h.Tenant)
+	met := &s.met.tenants[r.h.Tenant]
+	label := met.label
 	wait := time.Since(r.enq)
 	r.h.wait.Store(int64(wait))
 	r.qspan.End()
 	// The request runs under a task scope so its pipeline spans share a
 	// task ID, and the wait sample carries that ID as its bucket's
 	// exemplar — a p99 outlier on the scrape page links straight to the
-	// timeline spans that produced it. WaitBuckets (1 ms–10 s) rather
-	// than DurationBuckets: real queue waits live in the ms–100 ms
-	// range, far above the 10 ms ceiling of the pipeline-stage layout.
+	// timeline spans that produced it.
 	tid := s.obs.T().StartTask()
 	defer s.obs.T().EndTask()
-	reg.Histogram(obsv.Name("sched.queue_wait_ns", "tenant", label),
-		obsv.WaitBuckets()).ObserveExemplar(wait.Nanoseconds(), tid)
-	reg.Gauge(obsv.Name("sched.queue_depth", "tenant", label)).Set(int64(s.q.Len(r.h.Tenant)))
+	met.wait.ObserveExemplar(wait.Nanoseconds(), tid)
+	met.depth.Set(int64(s.q.Len(r.h.Tenant)))
 
 	if s.execGate != nil {
 		s.execGate(r.h.Tenant)
@@ -366,7 +438,7 @@ func (s *Scheduler) execute(r *request, flow int) {
 	// A request whose context died between claim and here still never
 	// touches the pipeline.
 	if err := r.ctx.Err(); err != nil {
-		reg.Counter(obsv.Name("sched.canceled", "stage", "claimed")).Inc()
+		s.met.canceledClaimed.Inc()
 		s.finish(r, nil, ctxErr(err))
 		return
 	}
@@ -378,7 +450,7 @@ func (s *Scheduler) execute(r *request, flow int) {
 	case err == nil:
 	case errors.Is(err, context.Canceled) || errors.Is(err, ErrDeadlineExceeded):
 		status = "canceled"
-		reg.Counter(obsv.Name("sched.canceled", "stage", "inflight")).Inc()
+		s.met.canceledInflight.Inc()
 	default:
 		status = "error"
 	}

@@ -821,3 +821,140 @@ func TestSchedulerObservability(t *testing.T) {
 		}
 	}
 }
+
+// hookCtx is a cancellable context that owns its cancellation hooks: it
+// implements the AfterFunc(func()) (stop func() bool) method
+// context.AfterFunc defers to, so a test can count hooks registered
+// against hooks still attached (neither stopped nor fired) without
+// waiting on the garbage collector.
+type hookCtx struct {
+	mu         sync.Mutex
+	done       chan struct{}
+	err        error
+	hooks      map[int]func()
+	registered int
+}
+
+func newHookCtx() *hookCtx {
+	return &hookCtx{done: make(chan struct{}), hooks: make(map[int]func())}
+}
+
+func (c *hookCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *hookCtx) Done() <-chan struct{}       { return c.done }
+func (c *hookCtx) Value(any) any               { return nil }
+
+func (c *hookCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+func (c *hookCtx) AfterFunc(f func()) (stop func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id := c.registered
+	c.registered++
+	c.hooks[id] = f
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, pending := c.hooks[id]
+		delete(c.hooks, id)
+		return pending
+	}
+}
+
+func (c *hookCtx) cancel() {
+	c.mu.Lock()
+	hooks := c.hooks
+	c.hooks = make(map[int]func())
+	c.err = context.Canceled
+	close(c.done)
+	c.mu.Unlock()
+	for _, f := range hooks {
+		go f()
+	}
+}
+
+// counts reports hooks registered and hooks still attached.
+func (c *hookCtx) counts() (registered, attached int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.registered, len(c.hooks)
+}
+
+// TestSchedulerDetachesCancellationHook pins that every request, however
+// it ends — completed, cancelled in the queue, dropped by Shutdown —
+// detaches the hook Submit hung on its context. A hook left attached
+// keeps the request, its Handle, input and output reachable from a
+// long-lived submit context until that context is cancelled.
+func TestSchedulerDetachesCancellationHook(t *testing.T) {
+	const n = 8
+	mp := servingPlatform(t, 2)
+	s, err := mp.NewScheduler(SchedulerConfig{Slots: 1, QueueDepth: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tenant 1 is the blocker: its request parks in the only slot so
+	// tenant 0's stay queued.
+	entered, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
+	s.execGate = func(tenant int) {
+		if tenant == 1 {
+			close(entered)
+			<-release
+		}
+	}
+	submit := func(ctx context.Context) []*Handle {
+		t.Helper()
+		hs := make([]*Handle, n)
+		for i := range hs {
+			if hs[i], err = s.Submit(ctx, TenantTask{Tenant: 0, Task: schedTask(byte(i), 128)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return hs
+	}
+	settle := func(stage string, ctx *hookCtx, hs []*Handle, want error) {
+		t.Helper()
+		for _, h := range hs {
+			if _, err := mustResult(t, h); !errors.Is(err, want) {
+				t.Fatalf("%s: err = %v, want %v", stage, err, want)
+			}
+		}
+		if registered, attached := ctx.counts(); registered != n || attached != 0 {
+			t.Fatalf("%s: %d hooks registered, %d still attached; want %d, 0", stage, registered, attached, n)
+		}
+	}
+
+	completed := newHookCtx()
+	settle("completed", completed, submit(completed), nil)
+
+	blocker, err := s.Submit(context.Background(), TenantTask{Tenant: 1, Task: schedTask(9, 128)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	canceled := newHookCtx()
+	hs := submit(canceled)
+	canceled.cancel()
+	settle("queue-cancelled", canceled, hs, context.Canceled)
+
+	dropped := newHookCtx()
+	hs = submit(dropped)
+	stopped := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		stopped <- s.Shutdown(ctx)
+	}()
+	settle("shutdown-dropped", dropped, hs, ErrSchedulerClosed)
+	releaseOnce()
+	if err := <-stopped; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if _, err := mustResult(t, blocker); err != nil {
+		t.Fatalf("in-flight request at shutdown: %v", err)
+	}
+}
