@@ -60,10 +60,12 @@ soak-smoke:
 
 # The LLM-serving smoke: the streaming-session happy path, the
 # staged-once KV invariant (the PCIe tap proof that decode never
-# re-stages the cache), and the multi-session decode determinism check —
-# the §16 serving story's merge gate, in seconds.
+# re-stages the cache), the multi-session decode determinism check and
+# the deterministic per-step wire budget of the step channel (config
+# blobs, MMIO writes and reads, host TLPs per decode step; installs per
+# session) — the §16 serving story's merge gate, in seconds.
 llm-smoke:
-	$(GO) test -count=1 -run 'TestLLMSessionStreamsExpectedTokens|TestKVStagedOncePerSession|TestDecodeDeterminism' .
+	$(GO) test -count=1 -run 'TestLLMSessionStreamsExpectedTokens|TestKVStagedOncePerSession|TestDecodeDeterminism|TestDecodeStepWireBudget' .
 
 # The telemetry-plane smoke: boot a two-tenant chassis with the live
 # telemetry plane on an ephemeral port, fire the fault matrix (rekey,

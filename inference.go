@@ -27,8 +27,11 @@ import (
 //     resident copy. No per-token KV traffic crosses PCIe — the gated
 //     TestKVStagedOncePerSession pins this.
 //   - Per-step traffic (token ids up, decode chunk down) rides the
-//     same sealed datapath as blob tasks: ring-batched descriptors,
-//     per-epoch cached ciphers, completion writeback.
+//     same sealed datapath as blob tasks, but through a step channel
+//     (internal/adaptor) installed once per 64 decode steps: a step
+//     seals its ids into the channel's next window slot and arms it
+//     with a positioned tag — no descriptor install, allocation or
+//     release, one ring doorbell.
 //   - A mid-decode rekey trips the session's epoch fence
 //     (secmem.Fence): the resident KV stays valid — it was decrypted on
 //     arrival and never re-staged — while all new step traffic seals
@@ -83,19 +86,30 @@ type InferenceSession struct {
 	kvName, idsName, outName string
 	steps                    [2]*obsv.Counter
 
-	mu            sync.Mutex
-	prompt        []byte
-	digest        uint64
-	kvBytes       int64
-	kvHost        []byte // KVInit image, dropped once staged
-	kvRegion      *adaptor.Region
-	kvSealEpoch   uint32
-	fence         secmem.Fence
-	finished      bool
-	err           error
-	ch            chan DecodeChunk
+	// step is the decode stream's step channel and idsScratch the
+	// token-id buffer its steps refill; both belong to whoever holds
+	// t.mu. The channel is opened by the first decode step, renewed when
+	// its window is spent, and released when the stream ends.
+	step       *adaptor.StepChannel
+	idsScratch []byte
+
+	mu          sync.Mutex
+	prompt      []byte
+	digest      uint64
+	kvBytes     int64
+	kvHost      []byte // KVInit image, dropped once staged
+	kvRegion    *adaptor.Region
+	kvSealEpoch uint32
+	fence       secmem.Fence
+	finished    bool
+	err         error
+	ch          chan DecodeChunk
+	// prefillDone is closed — once, under mu, with prefillErr final —
+	// when the prefill step has emitted chunk 0 or the stream aborted
+	// before it could.
 	prefillDone   chan struct{}
 	prefillClosed bool
+	prefillErr    error
 	ctxStops      []func() bool
 
 	closed   atomic.Bool
@@ -311,9 +325,10 @@ func (t *Tenant) OpenSession(ctx context.Context, cfg llm.Config) (*InferenceSes
 // Prefill stages the session: derives the KV-cache image from the
 // prompt, seals it into protected device memory (the once-per-session
 // PCIe crossing), runs the prefill step and emits chunk 0 on the
-// decode stream. It blocks until the step executes under the
+// decode stream. It blocks until the step has executed under the
 // continuous-batching engine — competing sessions' decode steps
-// interleave in front of it. Single-shot: a second call fails.
+// interleave in front of it — and returns with chunk 0 readable, the
+// rest of the stream still to come. Single-shot: a second call fails.
 func (s *InferenceSession) Prefill(ctx context.Context, prompt []byte) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -343,9 +358,7 @@ func (s *InferenceSession) Prefill(ctx context.Context, prompt []byte) error {
 	}
 	select {
 	case <-s.prefillDone:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.err
+		return s.prefillErr
 	case <-ctx.Done():
 		return ctxErr(ctx.Err())
 	case <-s.sctx.Done():
@@ -400,6 +413,7 @@ func (s *InferenceSession) Close() error {
 	s.abort(fmt.Errorf("%w: %w", ErrStreamAborted, ErrSessionClosed))
 	s.srv.eng.Release(s.state)
 	s.t.mu.Lock()
+	s.releaseStepLocked()
 	if s.kvRegion != nil {
 		s.kvRegion.Buf.Unpin()
 		s.t.Adaptor.ReleaseRegion(s.kvRegion)
@@ -421,7 +435,7 @@ func (s *InferenceSession) abort(err error) {
 	s.finished = true
 	s.err = err
 	if !s.prefillClosed {
-		s.prefillClosed = true
+		s.prefillClosed, s.prefillErr = true, err
 		close(s.prefillDone)
 	}
 	stops := s.ctxStops
@@ -442,6 +456,21 @@ func (s *InferenceSession) abort(err error) {
 	for _, stop := range stops {
 		stop()
 	}
+	// The stream is over: its step channel goes back in one ring burst
+	// (the resident KV stays until Close). A step of this session still
+	// in flight finishes first; a later one sees finished and never runs.
+	s.t.mu.Lock()
+	s.releaseStepLocked()
+	s.t.mu.Unlock()
+}
+
+// releaseStepLocked closes the session's step channel, if it has one.
+// Callers hold t.mu.
+func (s *InferenceSession) releaseStepLocked() {
+	if s.step != nil {
+		s.t.Adaptor.CloseStepChannel(s.step)
+		s.step = nil
+	}
 }
 
 // finish closes the stream cleanly after the final chunk.
@@ -460,7 +489,7 @@ func (s *InferenceSession) emit(c DecodeChunk) {
 }
 
 // runStep executes one engine step on the tenant's sealed pipeline:
-// stage the step's regions, build its commands, hand both to
+// stage or arm the step's regions, build its commands, hand both to
 // pipeline.run under the session's context. Called from dispatcher
 // workers; t.mu serializes against blob tasks and other sessions of
 // the same tenant.
@@ -468,88 +497,154 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 	t := s.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s.closed.Load() {
+	if s.closed.Load() || s.streamOver() {
 		return fmt.Errorf("ccai: tenant %d: %w", t.Index, ErrSessionClosed)
 	}
 	if !t.trusted {
 		return fmt.Errorf("ccai: tenant %d: %w", t.Index, ErrNotTrusted)
 	}
-	span := int64(s.cfg.ChunkSpan(st.Chunk) * s.cfg.TokenBytes)
-	off := llm.StepOffset(s.digest, st.Chunk, s.kvBytes, span)
-	key := llm.StepKey(s.digest, st.Chunk)
-	devKV := s.devBase
-	devIds := s.devBase + llmIdsOff
-	devOut := s.devBase + llmOutOff
-
-	// A step is at most the KV crossing plus ids-up / kernel / chunk-down;
-	// staged collects the H2D regions the recovery ladder reposts.
 	var (
-		cmds   [4]xpu.Command
-		staged [2]*adaptor.Region
-		n      int
+		tokens []byte
+		err    error
 	)
 	if st.Kind == llm.StepPrefill {
-		// The once-per-session KV crossing: sealed, staged, pinned, and
-		// from here on only referenced by device-local kernel reads.
-		// Recorded on the session before the submit so Close owns its
-		// release from here on, whatever this step's outcome.
-		kvRegion, err := t.Adaptor.StageH2D(s.kvName, s.kvHost)
-		if err != nil {
-			return err
-		}
-		kvRegion.Buf.Pin()
-		s.mu.Lock()
-		s.kvRegion = kvRegion
-		if len(kvRegion.Recs) > 0 {
-			s.kvSealEpoch = kvRegion.Recs[0].Epoch
-		}
-		s.fence = t.Adaptor.H2DFence()
-		s.mu.Unlock()
-		staged[0] = kvRegion
-		cmds[0] = xpu.Command{Op: xpu.OpCopyH2D, Src: kvRegion.Buf.Base(), Dst: devKV, Len: uint64(len(s.kvHost))}
-		n = 1
+		tokens, err = s.prefillStep(st)
+	} else {
+		tokens, err = s.decodeStep(st)
 	}
-	payload := llm.TokenIDs(s.digest, st.Chunk, s.cfg.ChunkSpan(st.Chunk), s.cfg.TokenBytes)
-	if st.Kind == llm.StepPrefill {
-		payload = s.prompt
-	}
-	ids, err := t.Adaptor.StageH2D(s.idsName, payload)
 	if err != nil {
 		return err
+	}
+	// CollectD2H allocated tokens for its caller; the chunk takes it over.
+	s.emit(DecodeChunk{Index: st.Chunk, Tokens: tokens, Final: st.Chunk == s.cfg.Chunks()-1})
+	if st.Kind == llm.StepPrefill {
+		s.prefillExecuted()
+	}
+	return nil
+}
+
+// stepCommands builds a step's ids-up / kernel / chunk-down commands:
+// idsLen bytes from bounce address ids into the slot's id scratch, the
+// keyed XOR over the step's window of the resident KV, span bytes of
+// result out to bounce address out.
+func (s *InferenceSession) stepCommands(st *llm.Step, ids uint64, idsLen int, out uint64, span int64) [3]xpu.Command {
+	off := llm.StepOffset(s.digest, st.Chunk, s.kvBytes, span)
+	key := llm.StepKey(s.digest, st.Chunk)
+	devOut := s.devBase + llmOutOff
+	return [3]xpu.Command{
+		{Op: xpu.OpCopyH2D, Src: ids, Dst: s.devBase + llmIdsOff, Len: uint64(idsLen)},
+		{Op: xpu.OpKernel, Param: uint32(KernelXOR)<<16 | uint32(key),
+			Src: s.devBase + uint64(off), Dst: devOut, Len: uint64(span)},
+		{Op: xpu.OpCopyD2H, Src: devOut, Dst: out, Len: uint64(span)},
+	}
+}
+
+// prefillStep is the one-shot step: the once-per-session KV crossing
+// plus the variable-size prompt, each staged as a region of its own and
+// released after the step, exactly like a blob task's. Callers hold t.mu.
+func (s *InferenceSession) prefillStep(st *llm.Step) ([]byte, error) {
+	t := s.t
+	span := int64(s.cfg.ChunkSpan(st.Chunk) * s.cfg.TokenBytes)
+	// The KV image: sealed, staged, pinned, and from here on only
+	// referenced by device-local kernel reads. Recorded on the session
+	// before the submit so Close owns its release from here on, whatever
+	// this step's outcome.
+	kvRegion, err := t.Adaptor.StageH2D(s.kvName, s.kvHost)
+	if err != nil {
+		return nil, err
+	}
+	kvRegion.Buf.Pin()
+	s.mu.Lock()
+	s.kvRegion = kvRegion
+	if len(kvRegion.Recs) > 0 {
+		s.kvSealEpoch = kvRegion.Recs[0].Epoch
+	}
+	s.fence = t.Adaptor.H2DFence()
+	s.mu.Unlock()
+	ids, err := t.Adaptor.StageH2D(s.idsName, s.prompt)
+	if err != nil {
+		return nil, err
 	}
 	defer t.Adaptor.ReleaseRegion(ids)
 	out, err := t.Adaptor.PrepareD2H(s.outName, span)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer t.Adaptor.ReleaseRegion(out)
 
-	staged[n] = ids
-	cmds[n] = xpu.Command{Op: xpu.OpCopyH2D, Src: ids.Buf.Base(), Dst: devIds, Len: uint64(len(payload))}
-	cmds[n+1] = xpu.Command{Op: xpu.OpKernel, Param: uint32(KernelXOR)<<16 | uint32(key),
-		Src: devKV + uint64(off), Dst: devOut, Len: uint64(span)}
-	cmds[n+2] = xpu.Command{Op: xpu.OpCopyD2H, Src: devOut, Dst: out.Buf.Base(), Len: uint64(span)}
-	tokens, err := t.run(s.sctx, cmds[:n+3], staged[:n+1], out, span)
-	if err != nil {
-		return err
+	step := s.stepCommands(st, ids.Buf.Base(), len(s.prompt), out.Buf.Base(), span)
+	cmds := [4]xpu.Command{
+		{Op: xpu.OpCopyH2D, Src: kvRegion.Buf.Base(), Dst: s.devBase, Len: uint64(len(s.kvHost))},
+		step[0], step[1], step[2],
 	}
-	if st.Kind == llm.StepPrefill {
-		s.mu.Lock()
-		s.kvHost = nil
-		s.mu.Unlock()
-		s.kvStaged.Store(true)
-	} else if f := s.stepFence(); !f.Valid() {
+	// The recovery ladder reposts every H2D region of the submission.
+	staged := [2]*adaptor.Region{kvRegion, ids}
+	tokens, err := t.run(s.sctx, cmds[:], staged[:], out, span)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.kvHost = nil
+	s.mu.Unlock()
+	s.kvStaged.Store(true)
+	return tokens, nil
+}
+
+// decodeStep moves one chunk through the session's step channel: the
+// token ids are sealed into the window's next slot and armed with a
+// positioned tag, the chunk comes back through the channel's output
+// region. Nothing is installed, allocated or released unless the
+// window is spent. Callers hold t.mu.
+func (s *InferenceSession) decodeStep(st *llm.Step) ([]byte, error) {
+	t := s.t
+	span := int64(s.cfg.ChunkSpan(st.Chunk) * s.cfg.TokenBytes)
+	s.idsScratch = llm.TokenIDs(s.idsScratch, s.digest, st.Chunk, s.cfg.ChunkSpan(st.Chunk), s.cfg.TokenBytes)
+	ids := s.idsScratch
+	if s.step == nil || !s.step.Fits(len(ids)) {
+		// First decode step, or the window's slots are spent. Only the
+		// final chunk is ever shorter than this one, so the channel this
+		// step sizes fits every later step.
+		s.releaseStepLocked()
+		ch, err := t.Adaptor.OpenStepChannel(s.idsName, s.outName, span)
+		if err != nil {
+			return nil, err
+		}
+		s.step = ch
+	}
+	src, err := t.Adaptor.ArmStep(s.step, ids)
+	if err != nil {
+		return nil, err
+	}
+	cmds := s.stepCommands(st, src, len(ids), s.step.Out.Buf.Base(), span)
+	staged := [1]*adaptor.Region{s.step.Window}
+	tokens, err := t.run(s.sctx, cmds[:], staged[:], s.step.Out, span)
+	if err != nil {
+		return nil, err
+	}
+	if f := s.stepFence(); !f.Valid() {
 		// Rekey happened under the session: the resident KV belongs to
 		// the fenced epoch and stays put; new traffic is already sealing
 		// under the fresh one.
 		s.kvFenced.Store(true)
 	}
-	s.emit(DecodeChunk{
-		Index:  st.Chunk,
-		Tokens: append([]byte(nil), tokens...),
-		Final:  st.Chunk == s.cfg.Chunks()-1,
-	})
-	return nil
+	return tokens, nil
+}
+
+// streamOver reports whether the stream already ended (abort or finish).
+func (s *InferenceSession) streamOver() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.finished
+}
+
+// prefillExecuted releases Prefill's caller: chunk 0 is on the stream.
+func (s *InferenceSession) prefillExecuted() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.prefillClosed {
+		s.prefillClosed = true
+		close(s.prefillDone)
+	}
 }
 
 func (s *InferenceSession) stepFence() secmem.Fence {

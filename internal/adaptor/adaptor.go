@@ -88,8 +88,11 @@ type Region struct {
 	TagBuf   *mem.Buffer
 	PlainLen int64
 	// Recs retains the posted tag records so recovery can repost them
-	// after tag-packet loss (RepostTags).
+	// after tag-packet loss (RepostTags). For a step window they are the
+	// records of the step armed last, which occupy chunk slots starting
+	// at slot.
 	Recs []core.TagRecord
+	slot uint32
 }
 
 // Adaptor is the TVM-side component instance. It owns the TVM replicas
@@ -145,6 +148,7 @@ type Adaptor struct {
 	scratchPts    [][]byte
 	scratchAADs   [][]byte
 	scratchSealed []secmem.Sealed
+	descWire      [core.DescriptorSize]byte // registerDescriptor's marshal buffer
 
 	// hub propagates observability to streams activated in HWInit; obs
 	// holds the cached handles (zero value = uninstrumented).
@@ -225,7 +229,7 @@ func (a *Adaptor) HWInit() error {
 	}
 	if a.opts.SubmitRing {
 		if a.ringBuf == nil {
-			buf, err := a.space.Alloc(a.region, "dma-submitring", int64(core.RingHdrSize+ringSlots*core.RingSlotSize))
+			buf, err := a.space.Alloc(a.region, "dma-submitring", int64(core.RingHdrSize+(ringSlots+core.RingMirrorSlots)*core.RingSlotSize))
 			if err != nil {
 				return fmt.Errorf("adaptor: submission ring: %w", err)
 			}
@@ -293,7 +297,10 @@ func (a *Adaptor) InstallRule(r core.Rule) error {
 }
 
 func (a *Adaptor) registerDescriptor(d core.Descriptor) error {
-	sealed, err := a.sealWithRetry(a.config, d.Marshal(), nil)
+	// The wire image lives in the Adaptor (guarded by mu): a local array
+	// would escape through the cipher's interface call and cost the
+	// allocation Marshal did.
+	sealed, err := a.sealWithRetry(a.config, d.AppendMarshal(a.descWire[:0]), nil)
 	if err != nil {
 		return fmt.Errorf("adaptor: seal descriptor: %w", err)
 	}
@@ -312,12 +319,7 @@ func (a *Adaptor) ReleaseRegion(r *Region) {
 		// wipes its regions); only a delivered release needs publishing.
 		_ = a.flushRingLocked()
 	}
-	if r.Buf != nil {
-		a.space.Free(r.Buf)
-	}
-	if r.TagBuf != nil {
-		a.space.Free(r.TagBuf)
-	}
+	a.freeRegionLocked(r)
 }
 
 // --- tag uploads ---------------------------------------------------------------
@@ -412,27 +414,8 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	// stream lock (matching desc.FirstCounter), the AES-GCM work fans
 	// out over the crypto pool (§5 parallel-crypto optimization), and
 	// AADs share one backing array instead of one alloc per chunk.
-	nChunks := (len(data) + core.ChunkSize - 1) / core.ChunkSize
-	if cap(a.scratchPts) < nChunks {
-		a.scratchPts = make([][]byte, nChunks)
-	}
-	if cap(a.scratchAADs) < nChunks {
-		a.scratchAADs = make([][]byte, nChunks)
-	}
-	pts := a.scratchPts[:nChunks]
-	aads := a.scratchAADs[:nChunks]
-	aadAll := arena.Get(8 * nChunks)
-	for i := 0; i < nChunks; i++ {
-		off := i * core.ChunkSize
-		end := off + core.ChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		pts[i] = data[off:end]
-		ab := aadAll[i*8 : i*8+8 : i*8+8]
-		desc.PutAAD((*[8]byte)(ab), uint32(i))
-		aads[i] = ab
-	}
+	pts, aads, aadAll := a.chunkViews(desc, 0, data)
+	nChunks := len(pts)
 
 	// Streaming pipeline (DESIGN.md §10): the crypto pool delivers
 	// sealed chunks in submission order while this emit stage copies
@@ -469,10 +452,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 		err = a.sendTags(tagPayload)
 	}
 	arena.Put(tagPayload) // wire-format tags: public bytes
-	arena.PutZero(aadAll) // AAD scratch follows the secret-adjacent discipline
-	for i := range pts {  // drop plaintext aliases before returning
-		pts[i], aads[i] = nil, nil
-	}
+	dropChunkViews(pts, aads, aadAll)
 	if err == nil {
 		// One region-ready notify, then one doorbell publishes the whole
 		// burst: descriptor, tag packets, notify (the batched I/O of §5).
@@ -489,6 +469,40 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 		return nil, fmt.Errorf("adaptor: encrypt_data: %w", err)
 	}
 	return &Region{Desc: desc, Buf: buf, PlainLen: int64(len(data)), Recs: recs}, nil
+}
+
+// chunkViews slices data into ChunkSize plaintext views and builds the
+// AAD binding each to region positions first, first+1, … — in the
+// Adaptor's reusable scratch (guarded by mu), the AADs sharing one arena
+// buffer instead of one alloc per chunk. dropChunkViews gives all three
+// back.
+func (a *Adaptor) chunkViews(desc core.Descriptor, first uint32, data []byte) (pts, aads [][]byte, aadAll []byte) {
+	n := (len(data) + core.ChunkSize - 1) / core.ChunkSize
+	if cap(a.scratchPts) < n {
+		a.scratchPts = make([][]byte, n)
+	}
+	if cap(a.scratchAADs) < n {
+		a.scratchAADs = make([][]byte, n)
+	}
+	pts, aads = a.scratchPts[:n], a.scratchAADs[:n]
+	aadAll = arena.Get(8 * n)
+	for i := range pts {
+		pts[i] = data[i*core.ChunkSize : min((i+1)*core.ChunkSize, len(data))]
+		ab := aadAll[i*8 : i*8+8 : i*8+8]
+		desc.PutAAD((*[8]byte)(ab), first+uint32(i))
+		aads[i] = ab
+	}
+	return pts, aads, aadAll
+}
+
+// dropChunkViews zeroes the AAD scratch (it follows the secret-adjacent
+// discipline) and drops the plaintext aliases, so the Adaptor never
+// retains references into a caller's buffer.
+func dropChunkViews(pts, aads [][]byte, aadAll []byte) {
+	arena.PutZero(aadAll)
+	for i := range pts {
+		pts[i], aads[i] = nil, nil
+	}
 }
 
 // StageVerified stages plaintext the device may read under action A3
@@ -526,7 +540,10 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 // SyncVerified recomputes and posts MAC records for the given chunk
 // indices of an A3 region; the driver (via the platform hook) calls
 // this right before ringing a doorbell that will make the device read
-// those chunks.
+// those chunks. With the submission ring on, the records are queued,
+// not published: the guarded doorbell write that follows flushes the
+// ring before it goes out, so they reach the SC ahead of the device's
+// first read without a doorbell of their own.
 func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -547,10 +564,7 @@ func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 		copy(rec.Tag[:], mac[:secmem.TagSize])
 		recs = append(recs, rec)
 	}
-	if err := a.postTags(recs); err != nil {
-		return err
-	}
-	return a.flushRingLocked()
+	return a.postTags(recs)
 }
 
 // PrepareD2H allocates a result bounce region plus its tag table and
@@ -558,6 +572,20 @@ func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 func (a *Adaptor) PrepareD2H(name string, size int64) (*Region, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	r, err := a.prepareD2HLocked(name, size)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.flushRingLocked(); err != nil {
+		a.freeRegionLocked(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+// prepareD2HLocked is PrepareD2H up to, but not including, the flush
+// that publishes the descriptor. Callers hold a.mu.
+func (a *Adaptor) prepareD2HLocked(name string, size int64) (*Region, error) {
 	if a.d2h == nil {
 		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
 	}
@@ -574,23 +602,27 @@ func (a *Adaptor) PrepareD2H(name string, size int64) (*Region, error) {
 		a.space.Free(buf)
 		return nil, fmt.Errorf("adaptor: tag table alloc: %w", err)
 	}
-	desc := core.Descriptor{
+	r := &Region{PlainLen: size, Buf: buf, TagBuf: tagBuf, Desc: core.Descriptor{
 		ID: a.nextID, Dir: core.DirD2H, Class: core.ActionWriteReadProtect,
 		Base: buf.Base(), Len: uint64(size), TagBase: tagBuf.Base(),
 		ChunkSize: core.ChunkSize,
-	}
+	}}
 	a.nextID++
-	if err := a.registerDescriptor(desc); err != nil {
-		a.space.Free(buf)
-		a.space.Free(tagBuf)
+	if err := a.registerDescriptor(r.Desc); err != nil {
+		a.freeRegionLocked(r)
 		return nil, err
 	}
-	if err := a.flushRingLocked(); err != nil {
-		a.space.Free(buf)
-		a.space.Free(tagBuf)
-		return nil, err
+	return r, nil
+}
+
+// freeRegionLocked returns a region's staging memory to the space.
+func (a *Adaptor) freeRegionLocked(r *Region) {
+	if r.Buf != nil {
+		a.space.Free(r.Buf)
 	}
-	return &Region{Desc: desc, Buf: buf, TagBuf: tagBuf, PlainLen: size}, nil
+	if r.TagBuf != nil {
+		a.space.Free(r.TagBuf)
+	}
 }
 
 // D2HProgress reports how many chunks the SC has completed for a D2H
@@ -686,18 +718,24 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 // register: post the MAC record for the upcoming sequence number, then
 // issue the write through the SC's shadow window.
 func (a *Adaptor) GuardedWrite(reg uint64, value uint64) error {
+	return a.guardedWrite(reg, value, false)
+}
+
+// GuardedWriteBatched is GuardedWrite for a register whose value the
+// device only acts on at a later doorbell (the command-ring tail): the
+// MAC record and the write join the submission ring behind whatever is
+// pending and reach the SC with the burst the next direct guarded
+// write publishes — same sequence number, same MAC, same order, no
+// MMIO of their own. With the ring off it is GuardedWrite.
+func (a *Adaptor) GuardedWriteBatched(reg uint64, value uint64) error {
+	return a.guardedWrite(reg, value, true)
+}
+
+func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "guarded_write", obsv.Hex("reg", reg))
 	defer sp.End()
-	// A3 stays on the direct MMIO path: each write is already
-	// individually MACed and sequence-bound, and batching it would hide
-	// the very TLPs the per-write integrity protocol protects. Pending
-	// ring entries (tag syncs, notifies) are published first so the
-	// guarded write cannot pass them.
-	if err := a.flushRingLocked(); err != nil {
-		return err
-	}
 	var payload [8]byte
 	binary.LittleEndian.PutUint64(payload[:], value)
 	var hdr [16]byte
@@ -708,6 +746,25 @@ func (a *Adaptor) GuardedWrite(reg uint64, value uint64) error {
 	}
 	rec := core.TagRecord{Stream: core.StreamMMIO, Chunk: a.mmioSeq}
 	copy(rec.Tag[:], mac[:secmem.TagSize])
+	if batched && a.ring != nil {
+		var one [core.TagRecordSize]byte
+		if err := a.ringPush(core.RingOpTags, 0, rec.AppendMarshal(one[:0])); err != nil {
+			return err
+		}
+		if err := a.ringPush(core.RingOpGuarded, a.xpuBar+reg, payload[:]); err != nil {
+			return err
+		}
+		a.mmioSeq++
+		return nil
+	}
+	// A write the device acts on stays on the direct MMIO path: it is
+	// individually MACed and sequence-bound, and batching it would hide
+	// the very TLP the per-write integrity protocol protects. Pending
+	// ring entries (tag syncs, notifies, batched guarded writes) are
+	// published first so the guarded write cannot pass them.
+	if err := a.flushRingLocked(); err != nil {
+		return err
+	}
 	a.postTag(rec)
 	a.mmioSeq++
 

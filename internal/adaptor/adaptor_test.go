@@ -335,6 +335,10 @@ func TestVerifiedRegionSync(t *testing.T) {
 	if err := r.adaptor.SyncVerified(region, []uint32{1}); err != nil {
 		t.Fatal(err)
 	}
+	// The records ride the ring burst of the doorbell the driver rings next.
+	if err := r.adaptor.GuardedWrite(0x10, 1); err != nil {
+		t.Fatal(err)
+	}
 	got, ok := dev.dmaRead(region.Buf.Base()+64, 64)
 	if !ok {
 		t.Fatal("verified read failed")

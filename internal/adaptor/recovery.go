@@ -206,9 +206,10 @@ func (a *Adaptor) openBatchIntoWithRetry(s *secmem.Stream, dst []byte, sealed []
 }
 
 // RepostTags re-uploads a region's retained tag records after suspected
-// tag-packet loss. The SC re-verifies already-consumed chunks through
-// its duplicate-read cache, so reposting is idempotent and never
-// weakens the replay discipline.
+// tag-packet loss — for a step window, the positioned tags of the step
+// armed last. The SC re-verifies already-consumed chunks through its
+// duplicate-read cache, so reposting is idempotent and never weakens
+// the replay discipline.
 func (a *Adaptor) RepostTags(r *Region) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -219,7 +220,13 @@ func (a *Adaptor) RepostTags(r *Region) {
 	a.obs.reposts.Inc()
 	a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.repost_tags",
 		obsv.U64("region", uint64(r.Desc.ID)), obsv.I64("records", int64(len(r.Recs))))
-	if a.postTags(r.Recs) == nil {
+	var err error
+	if r.Desc.Slotted {
+		err = a.postArm(r)
+	} else {
+		err = a.postTags(r.Recs)
+	}
+	if err == nil {
 		_ = a.flushRingLocked()
 	}
 }

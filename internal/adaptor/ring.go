@@ -1,6 +1,7 @@
 package adaptor
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -55,11 +56,16 @@ func (a *Adaptor) ringPush(op uint8, arg uint64, payload []byte) error {
 		}
 	}
 	slot := r.tail % r.slots
-	dst := r.buf.Bytes()[core.RingHdrSize+slot*core.RingSlotSize:]
+	dst := r.buf.Bytes()[core.RingHdrSize+slot*core.RingSlotSize:][:core.RingSlotSize]
 	var hdr [core.RingEntryHdrSize]byte
 	core.PutRingEntry(&hdr, op, uint16(len(payload)), uint32(r.tail), arg)
 	copy(dst, hdr[:])
-	copy(dst[core.RingEntryHdrSize:core.RingSlotSize], payload)
+	copy(dst[core.RingEntryHdrSize:], payload)
+	if slot < core.RingMirrorSlots {
+		// Keep the mirror tail identical, so the SC can read a wrapping
+		// burst in one contiguous run.
+		copy(r.buf.Bytes()[core.RingHdrSize+(r.slots+slot)*core.RingSlotSize:], dst)
+	}
 	r.tail++
 	r.pend++
 	a.obs.ringEntries.Inc()
@@ -152,6 +158,18 @@ func (a *Adaptor) sendTags(payload []byte) error {
 		return a.ringPush(core.RingOpTags, 0, payload)
 	}
 	a.mmioWrite(core.RegTagWindow, payload)
+	return nil
+}
+
+// sendArm routes one positioned tag payload: the position word
+// (core.ArmPosition) followed by the packed records arming consecutive
+// slots. The ring entry carries the position in its arg and only the
+// records as data. Callers hold a.mu.
+func (a *Adaptor) sendArm(payload []byte) error {
+	if a.ring != nil {
+		return a.ringPush(core.RingOpTags, binary.LittleEndian.Uint64(payload), payload[8:])
+	}
+	a.mmioWrite(core.RegTagArm, payload)
 	return nil
 }
 

@@ -1,0 +1,190 @@
+package adaptor
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"ccai/internal/arena"
+	"ccai/internal/core"
+	"ccai/internal/obsv"
+	"ccai/internal/secmem"
+)
+
+// Step channel (DESIGN.md §16): the session-resident pair of regions a
+// decode stream moves its per-step traffic through. StageH2D and
+// PrepareD2H describe a buffer to the SC, use it once and release it —
+// right for a blob task or a prefill, whose buffers differ every time,
+// and 126 sealed installs too many for a stream whose every step moves
+// the same few bytes the same way. A channel is installed once: an H2D
+// window of StepWindowSlots chunk slots, filled one step at a time,
+// and a D2H output region the SC re-seals into on every step. A step
+// then costs a seal into the next free slot and a positioned tag entry
+// — public bytes, like every tag record — telling the SC which IV
+// counter that slot was sealed under; nothing is sealed under the
+// config stream, allocated or released until the window is spent.
+
+// StepWindowSlots is W, the chunk slots of a step window: a stream of
+// single-chunk steps renews its channel every 64 steps.
+const StepWindowSlots = 64
+
+// armRecords bounds the records of one positioned tag entry so that
+// entry and position word fit one TLP payload on the legacy path too.
+const armRecords = (core.RingMaxData - 8) / core.TagRecordSize
+
+// StepChannel is one installed step window plus output region. The
+// owner serializes its use (one step at a time).
+type StepChannel struct {
+	// Window is the H2D ids window; the recovery ladder reposts it like
+	// any staged region (RepostTags).
+	Window *Region
+	// Out is the D2H output region CollectD2H opens after every step.
+	Out *Region
+
+	next uint32 // first unspent window slot
+}
+
+// stepSlots is how many chunk slots an n-byte step payload takes.
+func stepSlots(n int) uint32 { return uint32((n + core.ChunkSize - 1) / core.ChunkSize) }
+
+// Fits reports whether the window has unspent slots for an n-byte step
+// payload; when it does not, the channel is spent: close it and open
+// the next one.
+func (ch *StepChannel) Fits(n int) bool { return ch.next+stepSlots(n) <= StepWindowSlots }
+
+// OpenStepChannel installs a step channel: the window and an outLen-byte
+// output region, registered with the SC in one ring burst. Every later
+// step's output must fit outLen; a multi-chunk output region must be
+// sized to the step that opens it (the SC's flush cadence counts chunks
+// against the region's size).
+func (a *Adaptor) OpenStepChannel(idsName, outName string, outLen int64) (*StepChannel, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	win, err := a.stageWindowLocked(idsName)
+	if err != nil {
+		return nil, err
+	}
+	out, err := a.prepareD2HLocked(outName, outLen)
+	if err != nil {
+		// The window's descriptor is already queued: take it back.
+		if a.sendRelease(win.Desc.ID) == nil {
+			_ = a.flushRingLocked()
+		}
+		a.freeRegionLocked(win)
+		return nil, err
+	}
+	if err := a.flushRingLocked(); err != nil {
+		a.freeRegionLocked(out)
+		a.freeRegionLocked(win)
+		return nil, err
+	}
+	return &StepChannel{Window: win, Out: out}, nil
+}
+
+// stageWindowLocked allocates and registers an empty step window. It
+// seals no data: slots are filled by ArmStep. Callers hold a.mu and
+// publish the descriptor with their own flush.
+func (a *Adaptor) stageWindowLocked(name string) (*Region, error) {
+	if a.h2d == nil {
+		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+	}
+	const size = StepWindowSlots * core.ChunkSize
+	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "stage_h2d",
+		obsv.Str("region", name), obsv.I64("bytes", size))
+	defer sp.End()
+	buf, err := a.space.Alloc(a.region, name, size)
+	if err != nil {
+		return nil, fmt.Errorf("adaptor: step window alloc: %w", err)
+	}
+	r := &Region{Buf: buf, PlainLen: size, Desc: core.Descriptor{
+		ID: a.nextID, Dir: core.DirH2D, Class: core.ActionWriteReadProtect,
+		Base: buf.Base(), Len: size, ChunkSize: core.ChunkSize, Slotted: true,
+	}}
+	a.nextID++
+	if err := a.registerDescriptor(r.Desc); err != nil {
+		a.space.Free(buf)
+		return nil, err
+	}
+	return r, nil
+}
+
+// ArmStep seals one step's payload into the window's next free slots
+// under the next h2d IV counters and queues the positioned tag entry
+// (and the region-ready notify) behind it in the submission ring. It
+// returns the bounce address the step's DMA command reads. Nothing is
+// published here: the entries ride the burst the submission's doorbell
+// flushes, so an armed step costs no MMIO of its own. Each (window,
+// slot) position is sealed at most once — the AAD binds it — so a
+// failed step never gets its slots back.
+func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.h2d == nil {
+		return 0, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+	}
+	win, slot, n := ch.Window, ch.next, stepSlots(len(data))
+	if n == 0 || !ch.Fits(len(data)) {
+		return 0, fmt.Errorf("adaptor: %d-byte step does not fit step window %d at slot %d", len(data), win.Desc.ID, slot)
+	}
+	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "arm_step",
+		obsv.U64("region", uint64(win.Desc.ID)), obsv.U64("slot", uint64(slot)), obsv.I64("bytes", int64(len(data))))
+	defer sp.End()
+	if _, err := a.maybeRekeyLocked(); err != nil {
+		return 0, err
+	}
+	ch.next += n
+
+	pts, aads, aadAll := a.chunkViews(win.Desc, slot, data)
+	win.Recs, win.slot = win.Recs[:0], slot
+	dst := win.Buf.Bytes()[int(slot)*core.ChunkSize:]
+	err := a.sealBatchStreamWithRetry(a.h2d, pts, aads, func(i int, chunk *secmem.Sealed) error {
+		copy(dst[i*core.ChunkSize:], chunk.Ciphertext)
+		win.Recs = append(win.Recs, core.TagRecord{
+			Stream: core.StreamH2D, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag,
+		})
+		return nil
+	})
+	dropChunkViews(pts, aads, aadAll)
+	if err == nil {
+		err = a.postArm(win)
+	}
+	if err == nil {
+		err = a.sendNotify(win.Desc.ID)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("adaptor: arm step: %w", err)
+	}
+	return win.Buf.Base() + uint64(slot)*core.ChunkSize, nil
+}
+
+// postArm queues the positioned tag entries for the step a window
+// holds in Recs: each entry is a position word plus up to armRecords
+// records arming consecutive slots. Callers hold a.mu.
+func (a *Adaptor) postArm(win *Region) error {
+	payload := arena.Get(8 + armRecords*core.TagRecordSize)
+	defer arena.Put(payload) // wire-format tags: public bytes
+	for at := 0; at < len(win.Recs); at += armRecords {
+		recs := win.Recs[at:min(at+armRecords, len(win.Recs))]
+		payload = binary.LittleEndian.AppendUint64(payload[:0], core.ArmPosition(win.Desc.ID, win.slot+uint32(at)))
+		for _, r := range recs {
+			payload = r.AppendMarshal(payload)
+		}
+		if err := a.sendArm(payload); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CloseStepChannel releases both regions on the SC in one ring burst
+// and frees their staging memory.
+func (a *Adaptor) CloseStepChannel(ch *StepChannel) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	// A desync inside a push already tore the session down (the SC wipes
+	// its regions); only delivered releases need publishing.
+	if a.sendRelease(ch.Out.Desc.ID) == nil && a.sendRelease(ch.Window.Desc.ID) == nil {
+		_ = a.flushRingLocked()
+	}
+	a.freeRegionLocked(ch.Out)
+	a.freeRegionLocked(ch.Window)
+}

@@ -30,6 +30,7 @@ const (
 	RegRingSize      = 0x060 // RW: submission ring slot count
 	RegRingDoorbell  = 0x068 // WO: publish ring entries up to the written tail index
 	RegTagWindow     = 0x080 // WO: tag-record uploads (payload = packed records)
+	RegTagArm        = 0x0c0 // WO: positioned tag upload (payload = position word + packed records)
 	RegRuleWindow    = 0x100 // WO: sealed rule blob staging (256 B)
 	RegDescWindow    = 0x200 // WO: sealed descriptor blob staging (256 B)
 	RegRekeyWindow   = 0x300 // WO: sealed rekey command staging (256 B)
@@ -143,6 +144,12 @@ type Controller struct {
 	// and per-insert map growth dominated the decrypt path's allocation
 	// profile.
 	verified map[uint32]*verifiedSet
+
+	// slots holds, per slotted step window (descriptor ID), the IV
+	// counter each chunk slot was armed with by a positioned tag entry;
+	// 0 = never armed (counters start at 1). Created at install, dropped
+	// at release. Guarded by mu.
+	slots map[uint32][]uint32
 
 	// recycle arms the datapath's payload-recycling fast paths: bounce
 	// fetches, ciphertext staging and retained device write payloads
@@ -325,6 +332,7 @@ func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controll
 		tagPend:   make(map[uint32]*tagSpan),
 		wspans:    make(map[uint32]*writeSpan),
 		verified:  make(map[uint32]*verifiedSet),
+		slots:     make(map[uint32][]uint32),
 		pool:      secmem.NewPool(cryptoWidth()),
 		status:    SCStatusReady,
 	}
@@ -621,7 +629,13 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 		c.stageConfig(&c.descBuf, p.Payload)
 	case off >= RegRekeyWindow && off < RegRekeyWindow+256:
 		c.stageConfig(&c.rekeyBuf, p.Payload)
-	case off >= RegTagWindow && off < RegTagWindow+0x80:
+	case off >= RegTagArm && off < RegTagWindow+0x80:
+		if len(p.Payload) < 8 {
+			c.configReject(fmt.Errorf("core: positioned tag upload without a position word"))
+			break
+		}
+		c.armSlots(binary.LittleEndian.Uint64(p.Payload), p.Payload[8:])
+	case off >= RegTagWindow && off < RegTagArm:
 		c.ingestTags(p.Payload)
 	default:
 		c.controlWrite(off&^7, p.Payload)
@@ -672,18 +686,84 @@ func (c *Controller) controlWrite(reg uint64, payload []byte) {
 
 func (c *Controller) ingestTags(payload []byte) {
 	for len(payload) >= TagRecordSize {
-		rec := TagRecord{
-			Chunk: binary.LittleEndian.Uint32(payload[4:]),
-			Epoch: binary.LittleEndian.Uint32(payload[8:]),
-		}
-		streamHash := binary.LittleEndian.Uint32(payload[0:])
-		copy(rec.Tag[:], payload[12:12+secmem.TagSize])
-		rec.Stream = c.streamByHash(streamHash)
-		if rec.Stream != "" {
+		if rec := c.parseTag(payload); rec.Stream != "" {
 			c.tags.Enqueue(rec)
 		}
 		payload = payload[TagRecordSize:]
 	}
+}
+
+// parseTag decodes one wire tag record; Stream is "" when its hash
+// names no known stream (the record is dropped, fail closed).
+func (c *Controller) parseTag(payload []byte) TagRecord {
+	rec := TagRecord{
+		Stream: c.streamByHash(binary.LittleEndian.Uint32(payload[0:])),
+		Chunk:  binary.LittleEndian.Uint32(payload[4:]),
+		Epoch:  binary.LittleEndian.Uint32(payload[8:]),
+	}
+	copy(rec.Tag[:], payload[12:12+secmem.TagSize])
+	return rec
+}
+
+// ArmPosition packs a positioned tag entry's position word: the step
+// window's descriptor ID and the first chunk slot the entry's records
+// arm. Descriptor IDs start at 1, so a position is never zero — which
+// is how a ring tag entry (whose arg was unused) tells the two apart.
+func ArmPosition(region, slot uint32) uint64 { return uint64(region)<<32 | uint64(slot) }
+
+// armSlots ingests a positioned tag entry (DESIGN.md §16): record i
+// arms slot first+i of a slotted step window with the IV counter it
+// carries, then joins the tag queue like any uploaded record. The
+// entry is public, unsealed bytes, so nothing here is trusted: a
+// position outside a live step window, a record of another stream, or
+// a counter that contradicts a slot the device already consumed is a
+// config reject. A forged counter on a fresh slot is accepted here
+// and fails where it must — the slot's ciphertext and tag only open
+// under the counter and (region, slot) AAD the Adaptor sealed them
+// with, so the read fails GCM or lands behind the replay watermark. A
+// slot may be re-armed until it is consumed, so the recovery ladder's
+// repost heals a corrupted or lost arm.
+func (c *Controller) armSlots(pos uint64, payload []byte) {
+	region, first := uint32(pos>>32), uint32(pos)
+	if len(payload) == 0 || len(payload)%TagRecordSize != 0 {
+		c.configReject(fmt.Errorf("core: positioned tag entry of %d bytes", len(payload)))
+		return
+	}
+	for i := uint32(0); len(payload) > 0; i, payload = i+1, payload[TagRecordSize:] {
+		rec := c.parseTag(payload)
+		slot := first + i
+		c.mu.Lock()
+		ctrs := c.slots[region]
+		vrec, consumed := c.verified[region].get(slot)
+		ok := rec.Stream == StreamH2D && rec.Chunk != 0 && slot >= first && int(slot) < len(ctrs) &&
+			(!consumed || vrec.Chunk == rec.Chunk)
+		if ok {
+			ctrs[slot] = rec.Chunk
+		}
+		c.mu.Unlock()
+		if !ok {
+			c.configReject(fmt.Errorf("core: positioned tag for region %d slot %d refused", region, slot))
+			return
+		}
+		c.tags.Enqueue(rec)
+	}
+}
+
+// chunkCounter resolves the IV counter an A2 H2D chunk was sealed
+// under: consecutive from FirstCounter in a one-shot region, whatever
+// the positioned tag armed in a slotted step window. ok is false for a
+// slot nothing armed — the read fails closed.
+func (c *Controller) chunkCounter(desc Descriptor, chunk uint32) (uint32, bool) {
+	if !desc.Slotted {
+		return desc.FirstCounter + chunk, true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ctrs := c.slots[desc.ID]
+	if int(chunk) >= len(ctrs) || ctrs[chunk] == 0 {
+		return 0, false
+	}
+	return ctrs[chunk], true
 }
 
 // streamByHash resolves a wire stream hash against the active streams
@@ -760,6 +840,11 @@ func (c *Controller) installDescriptorFrame(frame []byte) {
 	// anything pipelined for the old incarnation is stale.
 	c.dropWriteSpan(d.ID)
 	c.dropSpanCache(d.ID)
+	if d.Slotted {
+		c.mu.Lock()
+		c.slots[d.ID] = make([]uint32, chunkCount(d))
+		c.mu.Unlock()
+	}
 }
 
 // RekeyCommand carries fresh stream material for the §6 IV-exhaustion
@@ -942,6 +1027,11 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 		c.authFailed()
 		return c.reject(p)
 	}
+	ctr, armed := c.chunkCounter(desc, chunk)
+	if !armed {
+		c.authFailed()
+		return c.reject(p)
+	}
 	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
 	cpl := c.hostBus.Route(req)
 	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) {
@@ -952,7 +1042,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 		c.authFailed()
 		return c.reject(p)
 	}
-	rec, ok := c.tagMatch(StreamH2D, desc.FirstCounter+chunk)
+	rec, ok := c.tagMatch(StreamH2D, ctr)
 	pt, good := c.openChunk(stream, desc, chunk, cpl.Payload, rec, ok)
 	if c.recycleOn(c.hostBus) {
 		arena.Put(cpl.Payload) // ciphertext consumed either way: public bytes
@@ -989,7 +1079,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 			return nil, false
 		}
 		pt, err := stream.OpenStateless(&secmem.Sealed{
-			Counter:    desc.FirstCounter + chunk,
+			Counter:    vrec.Chunk,
 			Epoch:      vrec.Epoch,
 			Ciphertext: ct,
 			Tag:        vrec.Tag,
@@ -1001,7 +1091,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 		return pt, true
 	}
 	sealed := &secmem.Sealed{
-		Counter:    desc.FirstCounter + chunk,
+		Counter:    rec.Chunk,
 		Epoch:      rec.Epoch,
 		Ciphertext: ct,
 		Tag:        rec.Tag,
@@ -1104,7 +1194,12 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 	}
 	all := true
 	for i := range recs {
-		recs[i], have[i] = c.tagMatch(StreamH2D, desc.FirstCounter+first+uint32(i))
+		ctr, armed := c.chunkCounter(desc, first+uint32(i))
+		if !armed {
+			c.authFailed()
+			return c.reject(p)
+		}
+		recs[i], have[i] = c.tagMatch(StreamH2D, ctr)
 		all = all && have[i]
 	}
 	// Plaintext destined for the device-facing completion: arena-carved
@@ -1127,7 +1222,7 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 		for i := range sealed {
 			chunk := first + uint32(i)
 			sealed[i] = secmem.Sealed{
-				Counter:    desc.FirstCounter + chunk,
+				Counter:    recs[i].Chunk,
 				Epoch:      recs[i].Epoch,
 				Ciphertext: ctAt(i),
 				Tag:        recs[i].Tag,
@@ -1361,11 +1456,13 @@ func (c *Controller) dropTagSpan(region uint32) {
 	}
 }
 
-// dropVerified forgets retained chunk records for a released region.
+// dropVerified forgets retained chunk records (and, for a step window,
+// the armed slot counters) of a released region.
 func (c *Controller) dropVerified(region uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.verified, region)
+	delete(c.slots, region)
 }
 
 // metadataPacketLocked implements the §5 I/O-read optimization: instead
@@ -1438,6 +1535,7 @@ func (c *Controller) Teardown() {
 	droppedSpans := c.wspans
 	c.wspans = make(map[uint32]*writeSpan)
 	c.verified = make(map[uint32]*verifiedSet)
+	c.slots = make(map[uint32][]uint32)
 	c.mu.Unlock()
 	for _, span := range droppedSpans {
 		c.recyclePts(span)

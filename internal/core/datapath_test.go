@@ -542,3 +542,130 @@ func TestDecryptReadSpanDuplicateReRead(t *testing.T) {
 		t.Fatalf("DecryptedChunks = %d, want 4 (re-read must not re-count)", n)
 	}
 }
+
+// --- slotted step windows ------------------------------------------------------
+
+// installWindow registers a slotted step window through the sealed
+// descriptor path, like the Adaptor does.
+func (d *dpRig) installWindow(t *testing.T, id uint32, base uint64, slots int) Descriptor {
+	t.Helper()
+	desc := Descriptor{ID: id, Dir: DirH2D, Class: ActionWriteReadProtect,
+		Base: base, Len: uint64(slots * ChunkSize), ChunkSize: ChunkSize, Slotted: true}
+	sealed, err := d.cfgTx.Seal(desc.Marshal(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescWindow, MarshalBlob(sealed)))
+	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	return desc
+}
+
+// sealSlot seals data for one window slot and returns its tag record.
+func (d *dpRig) sealSlot(t *testing.T, desc Descriptor, slot uint32, data []byte) TagRecord {
+	t.Helper()
+	sealed, err := d.h2dTx.Seal(data, desc.AAD(slot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.hostMem[desc.Base+uint64(slot)*ChunkSize] = sealed.Ciphertext
+	return TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag}
+}
+
+// arm uploads a positioned tag through the legacy RegTagArm window.
+func (d *dpRig) arm(region, slot uint32, recs ...TagRecord) {
+	payload := binary.LittleEndian.AppendUint64(nil, ArmPosition(region, slot))
+	for _, r := range recs {
+		payload = r.AppendMarshal(payload)
+	}
+	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegTagArm, payload))
+}
+
+func (d *dpRig) readSlot(desc Descriptor, slot uint32) ([]byte, bool) {
+	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, desc.Base+uint64(slot)*ChunkSize, 32, 0))
+	if cpl == nil || cpl.Status != pcie.CplSuccess {
+		return nil, false
+	}
+	return cpl.Payload, true
+}
+
+// TestSlottedWindowPositionAcceptedOnce pins the §6 rule for step
+// windows: a (window, slot) position is accepted at most once per
+// install. A slot opens only under the counter its positioned tag armed
+// — out of stream order across windows, gaps included — an unarmed slot
+// fails closed, a consumed slot cannot be re-armed under another
+// counter, and release forgets every armed counter.
+func TestSlottedWindowPositionAcceptedOnce(t *testing.T) {
+	d := newDPRig(t)
+	w1 := d.installWindow(t, 5, ctlMem+0x4000, 4)
+	w2 := d.installWindow(t, 6, ctlMem+0x8000, 4)
+	if d.sc.Regions() != 2 {
+		t.Fatalf("%d regions after two window installs", d.sc.Regions())
+	}
+	a0 := d.sealSlot(t, w1, 0, []byte("window one, step zero: 32 bytes.")) // counter 1
+	b0 := d.sealSlot(t, w2, 0, []byte("window two, step zero: 32 bytes.")) // counter 2
+	skipped := d.sealSlot(t, w1, 1, []byte("armed but never read: 32 bytes.."))
+	a2 := d.sealSlot(t, w1, 2, []byte("window one, step two: 32 bytes..")) // counter 4
+
+	// Unarmed: fail closed, nothing fetched or decrypted.
+	if _, ok := d.readSlot(w1, 0); ok || d.sc.Stats().AuthFailures != 1 {
+		t.Fatal("unarmed slot readable")
+	}
+	d.arm(w1.ID, 0, a0)
+	d.arm(w2.ID, 0, b0)
+	d.arm(w1.ID, 1, skipped)
+	d.arm(w1.ID, 2, a2)
+	for _, c := range []struct {
+		desc Descriptor
+		slot uint32
+		want string
+	}{{w1, 0, "window one, step zero: 32 bytes."}, {w2, 0, "window two, step zero: 32 bytes."}, {w1, 2, "window one, step two: 32 bytes.."}} {
+		if got, ok := d.readSlot(c.desc, c.slot); !ok || string(got) != c.want {
+			t.Fatalf("window %d slot %d: read %q, ok %v", c.desc.ID, c.slot, got, ok)
+		}
+	}
+	if st := d.sc.Stats(); st.DecryptedChunks != 3 || st.ConfigRejects != 0 {
+		t.Fatalf("decrypted %d, config rejects %d", st.DecryptedChunks, st.ConfigRejects)
+	}
+
+	// A consumed position is not re-armed under another counter; a slot
+	// past the window, a wrapped slot index, a window that does not exist,
+	// a record of another stream and a zero counter are refused too.
+	forged := a0
+	forged.Chunk = 99
+	other := a0
+	other.Stream = StreamD2H
+	zero := a0
+	zero.Chunk = 0
+	d.arm(w1.ID, 0, forged)
+	d.arm(w1.ID, 4, a0)
+	d.arm(w1.ID, ^uint32(0), a0, a0)
+	d.arm(77, 0, a0)
+	d.arm(w1.ID, 3, other)
+	d.arm(w1.ID, 3, zero)
+	if got := d.sc.Stats().ConfigRejects; got != 6 {
+		t.Fatalf("%d config rejects for six refused arms", got)
+	}
+	// The consumed slot still answers a retransmit (same counter reposted),
+	// as a duplicate — and slot 1's counter, behind the watermark and never
+	// accepted, is dead.
+	d.arm(w1.ID, 0, a0)
+	if got, ok := d.readSlot(w1, 0); !ok || string(got) != "window one, step zero: 32 bytes." || d.sc.Stats().DuplicateReads != 1 {
+		t.Fatal("reposted slot not re-served as a duplicate")
+	}
+	if _, ok := d.readSlot(w1, 1); ok {
+		t.Fatal("slot behind the replay watermark, never accepted, was served")
+	}
+
+	// Release forgets the window: its arms are refused, and a new install
+	// under the same ID starts with every slot unarmed.
+	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescRelease, []byte{byte(w1.ID), 0, 0, 0, 0, 0, 0, 0}))
+	rejects := d.sc.Stats().ConfigRejects
+	d.arm(w1.ID, 3, a2)
+	if d.sc.Stats().ConfigRejects != rejects+1 {
+		t.Fatal("arm for a released window accepted")
+	}
+	w1 = d.installWindow(t, 5, ctlMem+0x4000, 4)
+	if _, ok := d.readSlot(w1, 2); ok {
+		t.Fatal("reinstalled window inherited an armed slot")
+	}
+}

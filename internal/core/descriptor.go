@@ -44,8 +44,11 @@ type Descriptor struct {
 	// FirstCounter is the IV counter of chunk 0 for A2 H2D regions
 	// (the Adaptor sealed them with consecutive counters).
 	FirstCounter uint32
-	// Epoch pins the key epoch the region was sealed under.
-	Epoch uint32
+	// Slotted marks an A2 H2D step window (DESIGN.md §16): its chunks
+	// are sealed one step at a time, long after the install, so chunk
+	// i's IV counter is not FirstCounter+i but whatever the positioned
+	// tag entry that armed slot i carried.
+	Slotted bool
 }
 
 // DescriptorSize is the serialized descriptor length.
@@ -53,16 +56,29 @@ const DescriptorSize = 40
 
 // Marshal encodes the descriptor for sealed upload.
 func (d Descriptor) Marshal() []byte {
-	buf := make([]byte, DescriptorSize)
-	binary.LittleEndian.PutUint32(buf[0:], d.ID)
-	buf[4] = uint8(d.Dir)
-	buf[5] = uint8(d.Class)
-	binary.LittleEndian.PutUint64(buf[8:], d.Base)
-	binary.LittleEndian.PutUint64(buf[16:], d.Len)
-	binary.LittleEndian.PutUint64(buf[24:], d.TagBase)
-	binary.LittleEndian.PutUint32(buf[32:], d.ChunkSize)
-	binary.LittleEndian.PutUint16(buf[36:], uint16(d.FirstCounter))
-	binary.LittleEndian.PutUint16(buf[38:], uint16(d.FirstCounter>>16))
+	return d.AppendMarshal(make([]byte, 0, DescriptorSize))
+}
+
+// AppendMarshal appends the descriptor's encoding to buf and returns
+// the extended slice — the allocation-free variant for callers sealing
+// from a stack array.
+func (d Descriptor) AppendMarshal(buf []byte) []byte {
+	var zero [DescriptorSize]byte
+	off := len(buf)
+	buf = append(buf, zero[:]...)
+	b := buf[off:]
+	binary.LittleEndian.PutUint32(b[0:], d.ID)
+	b[4] = uint8(d.Dir)
+	b[5] = uint8(d.Class)
+	if d.Slotted {
+		b[6] = 1
+	}
+	binary.LittleEndian.PutUint64(b[8:], d.Base)
+	binary.LittleEndian.PutUint64(b[16:], d.Len)
+	binary.LittleEndian.PutUint64(b[24:], d.TagBase)
+	binary.LittleEndian.PutUint32(b[32:], d.ChunkSize)
+	binary.LittleEndian.PutUint16(b[36:], uint16(d.FirstCounter))
+	binary.LittleEndian.PutUint16(b[38:], uint16(d.FirstCounter>>16))
 	return buf
 }
 
@@ -79,6 +95,7 @@ func UnmarshalDescriptor(buf []byte) (Descriptor, error) {
 		Len:       binary.LittleEndian.Uint64(buf[16:]),
 		TagBase:   binary.LittleEndian.Uint64(buf[24:]),
 		ChunkSize: binary.LittleEndian.Uint32(buf[32:]),
+		Slotted:   buf[6]&1 != 0,
 	}
 	d.FirstCounter = uint32(binary.LittleEndian.Uint16(buf[36:])) |
 		uint32(binary.LittleEndian.Uint16(buf[38:]))<<16
@@ -87,6 +104,9 @@ func UnmarshalDescriptor(buf []byte) (Descriptor, error) {
 	}
 	if d.ChunkSize == 0 || d.Len == 0 {
 		return Descriptor{}, fmt.Errorf("core: descriptor %d has empty geometry", d.ID)
+	}
+	if d.Slotted && (d.Dir != DirH2D || d.Class != ActionWriteReadProtect) {
+		return Descriptor{}, fmt.Errorf("core: descriptor %d is slotted but not an A2 H2D region", d.ID)
 	}
 	return d, nil
 }
@@ -148,6 +168,18 @@ func (rt *regionTable) find(addr uint64) (Descriptor, bool) {
 	defer rt.mu.Unlock()
 	for _, d := range rt.regions {
 		if d.Contains(addr) {
+			return d, true
+		}
+	}
+	return Descriptor{}, false
+}
+
+// byID returns the live descriptor registered under id.
+func (rt *regionTable) byID(id uint32) (Descriptor, bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, d := range rt.regions {
+		if d.ID == id {
 			return d, true
 		}
 	}

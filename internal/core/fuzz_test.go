@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"ccai/internal/pcie"
@@ -93,6 +94,13 @@ func FuzzControllerControlWindow(f *testing.F) {
 	f.Add(uint16(RegDescWindow), make([]byte, 64))
 	f.Add(uint16(RegRekeyWindow), make([]byte, 40))
 	f.Add(uint16(RegTagWindow), make([]byte, TagRecordSize*2))
+	// Positioned tag uploads: a well-formed arm for a window that does
+	// not exist, a short position word, and a ragged record tail.
+	arm := binary.LittleEndian.AppendUint64(nil, ArmPosition(3, 5))
+	arm = TagRecord{Stream: StreamH2D, Chunk: 9, Epoch: 0}.AppendMarshal(arm)
+	f.Add(uint16(RegTagArm), arm)
+	f.Add(uint16(RegTagArm), arm[:5])
+	f.Add(uint16(RegTagArm), arm[:len(arm)-3])
 	f.Fuzz(func(t *testing.T, off uint16, payload []byte) {
 		keys := secmem.NewKeyStore()
 		sc := NewController(pcie.MakeID(1, 0, 0), pcie.Region{Base: 0xd010_0000, Size: SCBarSize}, keys)

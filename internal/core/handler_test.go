@@ -177,10 +177,19 @@ func TestDescriptorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Epoch isn't serialized; zero both for comparison.
-	d.Epoch, got.Epoch = 0, 0
 	if got != d {
 		t.Fatalf("round trip: %+v vs %+v", got, d)
+	}
+	// A step window round-trips its slotted mark, and only an A2 H2D
+	// region may carry it.
+	win := Descriptor{ID: 10, Dir: DirH2D, Class: ActionWriteReadProtect,
+		Base: 0x8000_0000, Len: 64 * 256, ChunkSize: 256, Slotted: true}
+	if got, err := UnmarshalDescriptor(win.Marshal()); err != nil || got != win {
+		t.Fatalf("slotted round trip: %+v, %v", got, err)
+	}
+	d.Slotted = true
+	if _, err := UnmarshalDescriptor(d.Marshal()); err == nil {
+		t.Fatal("slotted D2H descriptor accepted")
 	}
 }
 

@@ -180,7 +180,8 @@ func (c *Controller) recycleOn(bus *pcie.Bus) bool {
 // path owns the acceptance ladder.
 func (c *Controller) prefetchSpan(desc Descriptor, addr uint64) {
 	end := desc.Base + desc.Len
-	if addr < desc.Base || addr >= end {
+	if addr < desc.Base || addr >= end || desc.Slotted {
+		// A step window's next slots belong to steps not sealed yet.
 		return
 	}
 	cs := uint64(desc.ChunkSize)

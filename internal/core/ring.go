@@ -64,7 +64,7 @@ const (
 	RingOpRule    = 1 // payload: sealed rule blob (RegRuleWindow+doorbell)
 	RingOpDesc    = 2 // payload: sealed descriptor blob (RegDescWindow+doorbell)
 	RingOpRekey   = 3 // payload: sealed rekey command (RegRekeyWindow+doorbell)
-	RingOpTags    = 4 // payload: packed tag records (RegTagWindow)
+	RingOpTags    = 4 // payload: packed tag records (RegTagWindow); arg != 0: positioned (ArmPosition, RegTagArm)
 	RingOpRelease = 5 // arg: region ID (RegDescRelease)
 	RingOpNotify  = 6 // arg: region ID (RegNotify)
 	RingOpGuarded = 7 // arg: absolute MMIO address, payload: value (A3 write)
@@ -82,6 +82,15 @@ func PutRingEntry(hdr *[RingEntryHdrSize]byte, op uint8, n uint16, seq uint32, a
 
 // ringSpanSlots is how many ring slots one MaxReadReq DMA read covers.
 const ringSpanSlots = pcie.MaxReadReq / RingSlotSize
+
+// RingMirrorSlots is the ring's mirror tail: its backing memory
+// continues past the last slot with a copy of its first RingMirrorSlots
+// slots, which the producer keeps identical to the originals. A
+// published span that wraps is then still contiguous in memory, so the
+// DMA reads a burst costs depend on its length only — not on where in
+// the ring it happens to start, and so not on what was submitted
+// before it.
+const RingMirrorSlots = ringSpanSlots
 
 // processRing consumes the span [head, tail) the doorbell just
 // published. Called from controlWrite WITHOUT c.mu held — dispatch
@@ -115,18 +124,13 @@ func (c *Controller) processRing(tail uint64) {
 	}
 
 	// Gather the published slots with as few DMA reads as possible:
-	// contiguous runs bounded by the ring wrap and MaxReadReq.
+	// contiguous runs bounded by MaxReadReq. A run that starts near the
+	// end of the ring continues into the mirror tail instead of wrapping.
 	n := tail - head
 	buf := arena.Get(int(n) * RingSlotSize)
 	for i := uint64(0); i < n; {
 		slot := (head + i) % slots
-		run := slots - slot
-		if run > n-i {
-			run = n - i
-		}
-		if run > ringSpanSlots {
-			run = ringSpanSlots
-		}
+		run := min(n-i, ringSpanSlots)
 		addr := base + RingHdrSize + slot*RingSlotSize
 		off := int(i) * RingSlotSize
 		if !c.ringFetch(addr, buf[off:off+int(run)*RingSlotSize]) {
@@ -177,7 +181,11 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 	case RingOpRekey:
 		c.applyRekeyFrame(data)
 	case RingOpTags:
-		c.ingestTags(data)
+		if arg != 0 {
+			c.armSlots(arg, data)
+		} else {
+			c.ingestTags(data)
+		}
 	case RingOpRelease:
 		c.releaseRegion(uint32(arg))
 	case RingOpNotify:

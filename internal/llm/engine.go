@@ -210,9 +210,16 @@ type Engine struct {
 	nextID uint64
 	closed bool
 
-	log    []StepRecord
-	admits []uint64
+	// log is a ring of the last StepLogCap dispatch records: logHead is
+	// the oldest entry's index once the ring has wrapped.
+	log     []StepRecord
+	logHead int
+	admits  []uint64
 }
+
+// StepLogCap bounds the dispatch log: a serving chassis keeps the most
+// recent records, not one per token it ever produced.
+const StepLogCap = 4096
 
 // NewEngine builds an engine.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
@@ -343,7 +350,7 @@ func (e *Engine) Next(stop <-chan struct{}) (*Step, bool) {
 			kind = StepPrefill
 		}
 		st := &Step{S: s, Kind: kind, Chunk: s.nextChunk, entry: entry}
-		e.log = append(e.log, StepRecord{Session: s.ID, Kind: kind, Chunk: st.Chunk})
+		e.logStep(StepRecord{Session: s.ID, Kind: kind, Chunk: st.Chunk})
 		e.mu.Unlock()
 		return st, true
 	}
@@ -395,8 +402,13 @@ func (e *Engine) Fail(st *Step) {
 func (e *Engine) Requeue(st *Step) {
 	e.mu.Lock()
 	if n := len(e.log); n > 0 {
-		last := e.log[n-1]
-		if last.Session == st.S.ID && last.Chunk == st.Chunk {
+		// The newest record sits just before logHead: at the end of the
+		// slice until the ring wraps, after which the log is put back in
+		// order first so that dropping it is again a truncation.
+		if last := e.log[(e.logHead+n-1)%n]; last.Session == st.S.ID && last.Chunk == st.Chunk {
+			if e.logHead != 0 {
+				e.log, e.logHead = e.orderedLog(), 0
+			}
 			e.log = e.log[:n-1]
 		}
 	}
@@ -435,12 +447,31 @@ func (e *Engine) Close() {
 	e.q.Close()
 }
 
-// StepLog returns a copy of the dispatch log (session ID, kind, chunk
-// per executed dispatch).
+// logStep appends one dispatch record, overwriting the oldest once
+// StepLogCap are retained. Callers hold e.mu.
+func (e *Engine) logStep(r StepRecord) {
+	if len(e.log) < StepLogCap {
+		e.log = append(e.log, r)
+		return
+	}
+	e.log[e.logHead] = r
+	e.logHead = (e.logHead + 1) % StepLogCap
+}
+
+// StepLog returns a copy of the retained tail of the dispatch log —
+// the last StepLogCap executed dispatches (session ID, kind, chunk),
+// oldest first.
 func (e *Engine) StepLog() []StepRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]StepRecord(nil), e.log...)
+	return e.orderedLog()
+}
+
+// orderedLog copies the ring out oldest first. Callers hold e.mu.
+func (e *Engine) orderedLog() []StepRecord {
+	out := make([]StepRecord, 0, len(e.log))
+	out = append(out, e.log[e.logHead:]...)
+	return append(out, e.log[:e.logHead]...)
 }
 
 // AdmitOrder returns the session IDs in admission order.

@@ -292,8 +292,68 @@ func TestTokenMaterialDeterministic(t *testing.T) {
 			}
 		}
 	}
-	ids := TokenIDs(d, 1, 8, 4)
+	ids := TokenIDs(nil, d, 1, 8, 4)
 	if len(ids) != 32 {
 		t.Fatalf("TokenIDs len %d, want 32", len(ids))
+	}
+}
+
+// TestStepLogIsBounded drives 10,000 steps through one engine: the
+// dispatch log keeps the last StepLogCap records in order, the newest
+// last, and Requeue still drops exactly the newest after the ring wrapped.
+func TestStepLogIsBounded(t *testing.T) {
+	e, err := NewEngine(EngineConfig{KVBudget: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 10000
+	s, err := e.Admit(Config{MaxNewTokens: steps, ChunkTokens: 1, KVBytesPerToken: 1}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(s); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < steps; i++ {
+		st, ok := e.Next(nil)
+		if !ok || st.Chunk != i {
+			t.Fatalf("step %d: got %+v, %v", i, st, ok)
+		}
+		if i == steps-1 {
+			// Claimed but not executed: the record must leave the log again.
+			e.Requeue(st)
+			if st, ok = e.Next(nil); !ok || st.Chunk != i {
+				t.Fatalf("requeued step %d came back as %+v, %v", i, st, ok)
+			}
+		}
+		if e.Complete(st) != (i < steps-1) {
+			t.Fatalf("step %d: wrong more-steps verdict", i)
+		}
+	}
+	log := e.StepLog()
+	if len(log) != StepLogCap {
+		t.Fatalf("%d records retained after %d steps, want %d", len(log), steps, StepLogCap)
+	}
+	for i, r := range log {
+		if want := steps - StepLogCap + i; r.Chunk != want || r.Session != s.ID {
+			t.Fatalf("log[%d] = %+v, want chunk %d of session %d", i, r, want, s.ID)
+		}
+	}
+}
+
+// TestKVInitWordwiseMatchesByteStream pins the KV image's definition —
+// byte i is byte i%8 of mix64(digest + i/8) — against the word-at-a-time
+// fill, for lengths on and off a word boundary.
+func TestKVInitWordwiseMatchesByteStream(t *testing.T) {
+	for _, n := range []int64{0, 1, 7, 8, 9, 33, 4096, 65280, 65283} {
+		got := KVInit(0xfeedface, n)
+		if int64(len(got)) != n {
+			t.Fatalf("KVInit(%d) returned %d bytes", n, len(got))
+		}
+		for i, b := range got {
+			if want := byte(mix64(0xfeedface+uint64(i/8)) >> (8 * (i % 8))); b != want {
+				t.Fatalf("KVInit(%d)[%d] = %#x, want %#x", n, i, b, want)
+			}
+		}
 	}
 }

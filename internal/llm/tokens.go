@@ -1,5 +1,7 @@
 package llm
 
+import "encoding/binary"
+
 // Deterministic token material for the serving datapath. Real decode
 // output depends on model weights; here the stream is a seeded function
 // of (prompt, seed) with one crucial property preserved: every decode
@@ -50,11 +52,14 @@ func mix64(x uint64) uint64 {
 // stages into protected device memory exactly once.
 func KVInit(digest uint64, n int64) []byte {
 	out := make([]byte, n)
-	var w uint64
-	for i := range out {
-		if i%8 == 0 {
-			w = mix64(digest + uint64(i/8))
-		}
+	// One little-endian word of the stream per step; the tail of an
+	// image that is not a multiple of eight takes the low bytes of the
+	// next word.
+	i := 0
+	for ; i+8 <= len(out); i += 8 {
+		binary.LittleEndian.PutUint64(out[i:], mix64(digest+uint64(i/8)))
+	}
+	for w := mix64(digest + uint64(i/8)); i < len(out); i++ {
 		out[i] = byte(w)
 		w >>= 8
 	}
@@ -80,9 +85,16 @@ func StepOffset(digest uint64, chunk int, kvLen, span int64) int64 {
 }
 
 // TokenIDs is the small host→device payload for one decode step: the
-// token ids "sampled" for chunk idx, tokens×tokenBytes wide.
-func TokenIDs(digest uint64, chunk, tokens, tokenBytes int) []byte {
-	out := make([]byte, tokens*tokenBytes)
+// token ids "sampled" for chunk idx, tokens×tokenBytes wide. They are
+// written into dst's backing array when it is large enough (a session
+// passes the same scratch every step), else into a fresh one.
+func TokenIDs(dst []byte, digest uint64, chunk, tokens, tokenBytes int) []byte {
+	out := dst[:0]
+	if n := tokens * tokenBytes; cap(out) >= n {
+		out = out[:n]
+	} else {
+		out = make([]byte, n)
+	}
 	for t := 0; t < tokens; t++ {
 		w := mix64(digest ^ uint64(chunk)<<20 ^ uint64(t))
 		for b := 0; b < tokenBytes; b++ {

@@ -180,18 +180,24 @@ func (r *regionAlloc) alloc(size int64) (uint64, error) {
 
 func (r *regionAlloc) release(base uint64, size int64) {
 	need := align(uint64(size))
-	r.free = append(r.free, span{base: base, size: need})
-	sort.Slice(r.free, func(i, j int) bool { return r.free[i].base < r.free[j].base })
-	// Coalesce adjacent spans.
-	out := r.free[:0]
-	for _, f := range r.free {
-		if n := len(out); n > 0 && out[n-1].base+out[n-1].size == f.base {
-			out[n-1].size += f.size
-		} else {
-			out = append(out, f)
+	// The list is sorted and coalesced, so the freed span belongs at the
+	// binary-searched position and can only merge with its two neighbours.
+	i := sort.Search(len(r.free), func(i int) bool { return r.free[i].base >= base })
+	if i > 0 && r.free[i-1].base+r.free[i-1].size == base {
+		r.free[i-1].size += need
+		if i < len(r.free) && base+need == r.free[i].base {
+			r.free[i-1].size += r.free[i].size
+			r.free = append(r.free[:i], r.free[i+1:]...)
 		}
+		return
 	}
-	r.free = out
+	if i < len(r.free) && base+need == r.free[i].base {
+		r.free[i] = span{base: base, size: need + r.free[i].size}
+		return
+	}
+	r.free = append(r.free, span{})
+	copy(r.free[i+1:], r.free[i:])
+	r.free[i] = span{base: base, size: need}
 }
 
 // spareCap bounds how many retired backings are kept per size class;
@@ -345,9 +351,9 @@ func (s *Space) WriteUint64(addr uint64, v uint64) error {
 
 // ReadUint64 loads a little-endian 64-bit value.
 func (s *Space) ReadUint64(addr uint64) (uint64, error) {
-	b, err := s.Read(addr, 8)
-	if err != nil {
+	var buf [8]byte
+	if err := s.ReadInto(addr, buf[:]); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.Uint64(buf[:]), nil
 }

@@ -2,10 +2,12 @@ package mem
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"ccai/internal/pcie"
+	"ccai/internal/sim"
 )
 
 func newTestSpace(t *testing.T) *Space {
@@ -331,5 +333,115 @@ func TestPinnedBufferSurvivesFree(t *testing.T) {
 	s.Free(b)
 	if _, ok := s.Resolve(b.Base()); ok {
 		t.Fatal("buffer still resolvable after Unpin+Free")
+	}
+}
+
+// TestControlPathReadsDoNotAllocate pins the two allocation leaks the
+// llm-decode object profile found on every control path: ReadUint64 (the
+// ring producer's status/head/completion-word polls) and the free-list
+// insert behind every Space.Free.
+func TestControlPathReadsDoNotAllocate(t *testing.T) {
+	s := newTestSpace(t)
+	b, err := s.Alloc("bounce", "ring", PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteUint64(b.Base()+8, 0xfeed); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if v, err := s.ReadUint64(b.Base() + 8); err != nil || v != 0xfeed {
+			t.Fatalf("ReadUint64 = %#x, %v", v, err)
+		}
+	}); n != 0 {
+		t.Fatalf("ReadUint64 allocates %v objects per call, want 0", n)
+	}
+
+	// An Alloc+Free pair costs the Buffer and nothing for the free list:
+	// three live neighbours keep the list non-trivial (the freed span
+	// lands between two others) and the backing comes from the spare pool.
+	var keep [3]*Buffer
+	for i := range keep {
+		if keep[i], err = s.Alloc("bounce", "neighbour", PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hole, _ := s.Alloc("bounce", "hole", PageSize)
+	tail, _ := s.Alloc("bounce", "tail", PageSize)
+	s.Free(keep[1])
+	s.Free(hole)
+	_ = tail
+	if n := testing.AllocsPerRun(100, func() {
+		x, err := s.Alloc("bounce", "step", 2*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Free(x)
+	}); n > 1 {
+		t.Fatalf("Alloc+Free pair allocates %v objects, want 1 (the Buffer)", n)
+	}
+}
+
+// refRelease is the parent implementation of regionAlloc.release —
+// append, sort the whole list, re-coalesce — kept as the reference the
+// in-place insert is compared against.
+func refRelease(free []span, base uint64, size int64) []span {
+	free = append(free, span{base: base, size: align(uint64(size))})
+	sort.Slice(free, func(i, j int) bool { return free[i].base < free[j].base })
+	out := free[:0]
+	for _, f := range free {
+		if n := len(out); n > 0 && out[n-1].base+out[n-1].size == f.base {
+			out[n-1].size += f.size
+		} else {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestFreeListProperty drives random alloc/free sequences through the
+// allocator and through a twin whose release is the reference: after
+// every operation the free list is sorted, coalesced and overlap-free,
+// and both allocators hand out the same first-fit addresses.
+func TestFreeListProperty(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := sim.NewRand(seed)
+		got := &regionAlloc{base: 0x1000_0000, size: 256 * PageSize, next: 0x1000_0000}
+		ref := &regionAlloc{base: got.base, size: got.size, next: got.next}
+		type live struct {
+			base uint64
+			size int64
+		}
+		var held []live
+		for op := 0; op < 2000; op++ {
+			if len(held) == 0 || rng.Intn(5) < 3 {
+				size := int64(1 + rng.Intn(6*PageSize))
+				a, errA := got.alloc(size)
+				b, errB := ref.alloc(size)
+				if (errA == nil) != (errB == nil) || a != b {
+					t.Fatalf("seed %d op %d: alloc(%d) = %#x/%v, reference %#x/%v", seed, op, size, a, errA, b, errB)
+				}
+				if errA == nil {
+					held = append(held, live{a, size})
+				}
+			} else {
+				i := rng.Intn(len(held))
+				h := held[i]
+				held = append(held[:i], held[i+1:]...)
+				got.release(h.base, h.size)
+				ref.free = refRelease(ref.free, h.base, h.size)
+			}
+			if len(got.free) != len(ref.free) {
+				t.Fatalf("seed %d op %d: free list %v, reference %v", seed, op, got.free, ref.free)
+			}
+			for i, f := range got.free {
+				if f != ref.free[i] {
+					t.Fatalf("seed %d op %d: free[%d] = %v, reference %v", seed, op, i, f, ref.free[i])
+				}
+				if i > 0 && got.free[i-1].base+got.free[i-1].size >= f.base {
+					t.Fatalf("seed %d op %d: spans %v and %v unsorted, overlapping or uncoalesced", seed, op, got.free[i-1], f)
+				}
+			}
+		}
 	}
 }

@@ -43,8 +43,14 @@ func llmChassis(t *testing.T, profiles []xpu.Profile, opts ...Option) *MultiPlat
 // returning the concatenated token bytes.
 func collectStream(t *testing.T, ch <-chan DecodeChunk) []byte {
 	t.Helper()
+	return collectStreamFrom(t, ch, 0)
+}
+
+// collectStreamFrom is collectStream for a stream whose first `next`
+// chunks were already read.
+func collectStreamFrom(t *testing.T, ch <-chan DecodeChunk, next int) []byte {
+	t.Helper()
 	var out []byte
-	next := 0
 	deadline := time.After(30 * time.Second)
 	for {
 		select {

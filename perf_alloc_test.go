@@ -14,6 +14,8 @@ import (
 	"runtime"
 	"testing"
 
+	"ccai/internal/fault"
+	"ccai/internal/llm"
 	"ccai/internal/xpu"
 )
 
@@ -91,6 +93,50 @@ func TestTaskAllocBudget(t *testing.T) {
 		})
 	}
 	t.Run("scheduled/tenant/4KiB", schedulerAllocBudget)
+	t.Run("decode-step", decodeStepAllocBudget)
+}
+
+// decodeStepAllocCeiling is the hard budget for one steady-state decode
+// step of a streaming session, dispatcher and stream delivery included,
+// observability off. Through the step channel a step allocates ~40
+// objects; it was ~105 while every step staged, installed and released
+// two regions of its own.
+const decodeStepAllocCeiling = 80
+
+// decodeStepAllocBudget is the decode-step row: heap objects per decode
+// step between two dispatches deep inside one window of a 512-token
+// session (no channel open, renewal or release in the measured span).
+func decodeStepAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
+	const from, to = 8, 56 // dispatch ordinals: decode steps 8..55
+	var (
+		dispatch int
+		ms       [2]runtime.MemStats
+	)
+	mp.SetLLMFaultHook(func(point string) bool {
+		if point == fault.SchedPointDequeue {
+			switch dispatch++; dispatch {
+			case from + 1:
+				runtime.ReadMemStats(&ms[0])
+			case to + 1:
+				runtime.ReadMemStats(&ms[1])
+			}
+		}
+		return false
+	})
+	cfg := llm.Config{MaxNewTokens: 512, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 0xa110c}
+	for warm := 0; warm < 2; warm++ { // the second session is the measured one
+		dispatch = 0
+		s, ch := openStream(t, mp.Tenants[0], cfg, []byte("decode-step allocation row"))
+		collectStream(t, ch)
+		s.Close()
+	}
+	got := (ms[1].Mallocs - ms[0].Mallocs) / (to - from)
+	t.Logf("decode-step: %d allocs/step at GOMAXPROCS 1 (ceiling %d)", got, decodeStepAllocCeiling)
+	if got > decodeStepAllocCeiling {
+		t.Fatalf("a decode step allocates %d objects; budget is %d", got, decodeStepAllocCeiling)
+	}
 }
 
 // schedulerAllocBudget is the scheduled/tenant/4KiB row: with

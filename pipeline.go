@@ -231,10 +231,17 @@ func (pl *pipeline) establishTrust() error {
 
 // guardedPort carries driver MMIO through the Adaptor's A3 protocol.
 // Command-head polls route through the reaped completion word so the
-// steady-state task loop costs zero MMIO reads.
+// steady-state task loop costs zero MMIO reads, and the command-tail
+// write — inert until the doorbell that always follows it — rides the
+// doorbell's ring burst instead of costing two MMIO writes of its own.
 type guardedPort struct{ a *adaptor.Adaptor }
 
-func (g *guardedPort) WriteReg(reg uint64, v uint64) error { return g.a.GuardedWrite(reg, v) }
+func (g *guardedPort) WriteReg(reg uint64, v uint64) error {
+	if reg == xpu.RegCmdTail {
+		return g.a.GuardedWriteBatched(reg, v)
+	}
+	return g.a.GuardedWrite(reg, v)
+}
 
 func (g *guardedPort) ReadReg(reg uint64) (uint64, error) {
 	if reg == xpu.RegCmdHead {
@@ -280,7 +287,8 @@ func (pl *pipeline) run(ctx context.Context, cmds []xpu.Command, staged []*adapt
 // device did not fully consume: re-align the A3 MMIO sequence (a lost
 // guarded write desynchronises it permanently), repost the tag table of
 // every H2D region staged for the submission (tag-packet loss orphans
-// chunks), then kick the driver (re-sync ring MACs, re-ring the
+// chunks; for a decode step's window that is the step's positioned
+// tag), then kick the driver (re-sync ring MACs, re-ring the
 // doorbell). A single dropped doorbell or lost guarded write is absorbed
 // here. If the device still hasn't consumed everything after bounded
 // attempts, the Adaptor tears the session down fail-closed: keys
