@@ -149,6 +149,13 @@ type Adaptor struct {
 	scratchAADs   [][]byte
 	scratchSealed []secmem.Sealed
 	descWire      [core.DescriptorSize]byte // registerDescriptor's marshal buffer
+	// recsFree keeps the tag-record tables of released H2D regions for
+	// the next StageH2D (a 64 KiB region's table is 10 KiB).
+	recsFree [][]core.TagRecord
+
+	// pkts hands out the structs of the MMIO writes this Adaptor routes;
+	// routeWrite takes them back.
+	pkts pcie.PacketArena
 
 	// hub propagates observability to streams activated in HWInit; obs
 	// holds the cached handles (zero value = uninstrumented).
@@ -255,7 +262,25 @@ func (a *Adaptor) HWInit() error {
 func (a *Adaptor) mmioWrite(off uint64, payload []byte) {
 	a.io.MMIOWrites++
 	a.obs.mmioWrites.Inc()
-	a.bus.Route(pcie.NewMemWrite(a.id, a.scBar+off, payload))
+	a.routeWrite(a.scBar+off, payload)
+}
+
+// routeWrite issues one posted MMIO write carrying a copy of payload.
+// Copy and packet struct are pooled: every MMIO payload is public bytes
+// (sealed blobs, tag records, register values the bus shows anyway) and
+// the SC and the device consume a write before Route returns, so when
+// no tap has seen the bus — and the SC did not pin the packet because a
+// tap sits on the segment it relayed it to — the Adaptor is the last
+// holder of both.
+func (a *Adaptor) routeWrite(addr uint64, payload []byte) {
+	body := arena.Get(len(payload))
+	copy(body, payload)
+	p := a.pkts.MemWrite(a.id, addr, body)
+	p.FirstBE, p.LastBE = 0xf, 0xf
+	a.bus.Route(p)
+	if a.bus.Untapped() && pcie.Release(p) {
+		arena.Put(body)
+	}
 }
 
 func (a *Adaptor) mmioWrite64(off uint64, v uint64) {
@@ -423,7 +448,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	// staging for chunk i overlaps the sealing of chunks > i. The
 	// chunk's arena-backed ciphertext is only valid inside emit, so it
 	// is copied out before returning.
-	recs := make([]core.TagRecord, 0, nChunks)
+	recs := a.takeRecs(nChunks)
 	out := buf.Bytes()
 	perPacket := pcie.MaxPayload / core.TagRecordSize
 	tagPayload := arena.Get(perPacket * core.TagRecordSize)[:0]
@@ -466,9 +491,32 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 			_ = a.flushRingLocked()
 		}
 		a.space.Free(buf)
+		a.putRecs(recs)
 		return nil, fmt.Errorf("adaptor: encrypt_data: %w", err)
 	}
 	return &Region{Desc: desc, Buf: buf, PlainLen: int64(len(data)), Recs: recs}, nil
+}
+
+// takeRecs returns an empty tag-record table with room for n records,
+// a released region's when one is big enough. Callers hold a.mu.
+func (a *Adaptor) takeRecs(n int) []core.TagRecord {
+	for i, recs := range a.recsFree {
+		if cap(recs) >= n {
+			last := len(a.recsFree) - 1
+			a.recsFree[i], a.recsFree[last] = a.recsFree[last], nil
+			a.recsFree = a.recsFree[:last]
+			return recs
+		}
+	}
+	return make([]core.TagRecord, 0, n)
+}
+
+// putRecs keeps a released region's table (tags and counters: public
+// bytes) for the next region. Callers hold a.mu.
+func (a *Adaptor) putRecs(recs []core.TagRecord) {
+	if cap(recs) > 0 && len(a.recsFree) < 4 {
+		a.recsFree = append(a.recsFree, recs[:0])
+	}
 }
 
 // chunkViews slices data into ChunkSize plaintext views and builds the
@@ -615,7 +663,8 @@ func (a *Adaptor) prepareD2HLocked(name string, size int64) (*Region, error) {
 	return r, nil
 }
 
-// freeRegionLocked returns a region's staging memory to the space.
+// freeRegionLocked returns a region's staging memory to the space and
+// its tag-record table to the Adaptor; the region is dead afterwards.
 func (a *Adaptor) freeRegionLocked(r *Region) {
 	if r.Buf != nil {
 		a.space.Free(r.Buf)
@@ -623,6 +672,8 @@ func (a *Adaptor) freeRegionLocked(r *Region) {
 	if r.TagBuf != nil {
 		a.space.Free(r.TagBuf)
 	}
+	a.putRecs(r.Recs)
+	r.Recs = nil
 }
 
 // D2HProgress reports how many chunks the SC has completed for a D2H
@@ -769,7 +820,7 @@ func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 	a.mmioSeq++
 
 	a.io.MMIOWrites++
-	a.bus.Route(pcie.NewMemWrite(a.id, a.xpuBar+reg, payload[:]))
+	a.routeWrite(a.xpuBar+reg, payload[:])
 	return nil
 }
 

@@ -11,8 +11,11 @@ import (
 // D2H read path (ISSUE 9 satellite): CollectD2H assembles the sealed
 // batch from per-stream scratch, decrypts straight into the result
 // buffer, and must allocate essentially nothing beyond that
-// caller-escaping buffer.
-const readAllocCeiling = 24
+// caller-escaping buffer. Measured 1 (that buffer) at GOMAXPROCS 1, where
+// the count is deterministic — a ≥ 2-worker crypto pool allocates per
+// batch (12 at two procs) — plus one for a collection emptying the
+// buffer pools mid-run.
+const readAllocCeiling = 2
 
 // TestReadAllocBudget pins the steady-state allocation count of the
 // D2H read path: per 64 KiB CollectD2H after warm-up, measured around
@@ -21,6 +24,12 @@ func TestReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short harnesses")
 	}
+	if raceDetector {
+		t.Skip("the race detector makes the buffer pools drop at random")
+	}
+	// The rig is built under the pin: the Adaptor sizes its crypto pool
+	// from GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r, dev := newRig(t, Optimized())
 	const size = 64 << 10
 	result := make([]byte, size)

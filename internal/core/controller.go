@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ccai/internal/arena"
 	"ccai/internal/obsv"
@@ -127,11 +128,12 @@ type Controller struct {
 	pf spanCache
 
 	// scratchPool holds the reusable span bookkeeping (tag records,
-	// sealed views, AADs) for the span paths — two slots, because a
+	// sealed views, AADs) for the H2D span paths — two slots, because a
 	// demand decrypt still holds its scratch while it kicks the next
-	// prefetch. Taken and returned under mu, with a fresh allocation as
-	// fallback so deeper nesting is merely slower, never wrong.
-	scratchPool [2]*spanScratch
+	// prefetch. Slots are swapped atomically (no lock), with a fresh
+	// allocation as fallback so deeper nesting is merely slower, never
+	// wrong.
+	scratchPool [2]atomic.Pointer[spanScratch]
 
 	// verified retains the tag record of every H2D chunk already
 	// accepted once, keyed by descriptor ID then chunk index, so a
@@ -144,6 +146,9 @@ type Controller struct {
 	// and per-insert map growth dominated the decrypt path's allocation
 	// profile.
 	verified map[uint32]*verifiedSet
+	// vsFree recycles the tables of released regions, zeroed, so a task
+	// stream of same-sized regions allocates none. Guarded by mu.
+	vsFree []*verifiedSet
 
 	// slots holds, per slotted step window (descriptor ID), the IV
 	// counter each chunk slot was armed with by a positioned tag entry;
@@ -182,7 +187,8 @@ type Controller struct {
 
 	// slab and pkts amortize the SC's per-chunk heap traffic: slab
 	// carves never-recycled payload bytes (safe to hand to bus taps),
-	// pkts bump-allocates the packet structs themselves.
+	// pkts hands out the packet structs, which come back only from
+	// their last holder on an untapped bus (pcie.PacketArena).
 	slab arena.Slab
 	pkts pcie.PacketArena
 
@@ -243,50 +249,73 @@ func (c *Controller) EnableDatapathRecycling() {
 }
 
 // verifiedSet densely retains one region's accepted-chunk tag records,
-// indexed by chunk ordinal. get/put are nil-safe on the read side so
-// lookups compose with the map access without an existence check.
+// indexed by chunk ordinal. Only A2 H2D chunks are ever retained, so an
+// entry keeps the counter, epoch and tag and leaves the stream name
+// out: the table holds no pointers. get is nil-safe so lookups compose
+// with the map access without an existence check.
 type verifiedSet struct {
-	recs []TagRecord
-	seen []bool
+	recs []verifiedRec
+}
+
+type verifiedRec struct {
+	chunk, epoch uint32
+	tag          [secmem.TagSize]byte
+	seen         bool
 }
 
 func (v *verifiedSet) get(chunk uint32) (TagRecord, bool) {
-	if v == nil || int(chunk) >= len(v.seen) || !v.seen[chunk] {
+	if v == nil || int(chunk) >= len(v.recs) || !v.recs[chunk].seen {
 		return TagRecord{}, false
 	}
-	return v.recs[chunk], true
+	r := &v.recs[chunk]
+	return TagRecord{Stream: StreamH2D, Chunk: r.chunk, Epoch: r.epoch, Tag: r.tag}, true
 }
 
-func (v *verifiedSet) put(chunk uint32, rec TagRecord) {
-	if int(chunk) >= len(v.seen) {
-		n := 2 * len(v.seen)
-		if n < int(chunk)+1 {
-			n = int(chunk) + 1
-		}
-		recs := make([]TagRecord, n)
-		seen := make([]bool, n)
-		copy(recs, v.recs)
-		copy(seen, v.seen)
-		v.recs, v.seen = recs, seen
+func (v *verifiedSet) put(chunk uint32, rec *TagRecord) {
+	if int(chunk) >= len(v.recs) {
+		n := max(2*len(v.recs), int(chunk)+1)
+		v.recs = append(v.recs, make([]verifiedRec, n-len(v.recs))...)
 	}
-	v.recs[chunk], v.seen[chunk] = rec, true
+	v.recs[chunk] = verifiedRec{chunk: rec.Chunk, epoch: rec.Epoch, tag: rec.Tag, seen: true}
 }
 
 // verifiedFor returns the region's verified set, creating it on first
 // use sized for hint chunks (the region's chunk count when the caller
-// knows it — one allocation instead of a doubling ladder). Caller
-// holds c.mu.
+// knows it — one table instead of a doubling ladder), from the
+// freelist when a released table is big enough. Caller holds c.mu.
 func (c *Controller) verifiedFor(region uint32, hint int) *verifiedSet {
 	v := c.verified[region]
 	if v == nil {
-		v = new(verifiedSet)
-		if hint > 0 {
-			v.recs = make([]TagRecord, hint)
-			v.seen = make([]bool, hint)
+		for i, free := range c.vsFree {
+			if cap(free.recs) >= hint {
+				last := len(c.vsFree) - 1
+				c.vsFree[i], c.vsFree[last] = c.vsFree[last], nil
+				c.vsFree = c.vsFree[:last]
+				free.recs = free.recs[:hint]
+				v = free
+				break
+			}
+		}
+		if v == nil {
+			v = &verifiedSet{recs: make([]verifiedRec, hint)}
 		}
 		c.verified[region] = v
 	}
 	return v
+}
+
+// retireVerifiedLocked forgets a region's retained records: the table
+// is zeroed and kept for the next region. Caller holds c.mu.
+func (c *Controller) retireVerifiedLocked(region uint32) {
+	v := c.verified[region]
+	if v == nil {
+		return
+	}
+	delete(c.verified, region)
+	clear(v.recs)
+	if len(c.vsFree) < 4 {
+		c.vsFree = append(c.vsFree, v)
+	}
 }
 
 // chunkCount reports the descriptor's region size in chunks.
@@ -307,14 +336,24 @@ func (c *Controller) authFailed() {
 	c.obs.authFail.Inc()
 }
 
-// tagMatch wraps TagManager.Take in a tag_match span.
-func (c *Controller) tagMatch(stream string, chunk uint32) (TagRecord, bool) {
+// tagMatchEach wraps TagManager.TakeEach in a tag_match span: the
+// records of a read — one chunk's or a whole span's — leave the tag
+// queue in one operation.
+func (c *Controller) tagMatchEach(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
 	sp := c.obs.tracer.Begin(obsv.TrackSC, "tag_match",
-		obsv.Str("stream", stream), obsv.U64("chunk", uint64(chunk)))
-	rec, ok := c.tags.Take(stream, chunk)
-	sp.Attr(obsv.Bool("matched", ok))
+		obsv.Str("stream", stream), obsv.U64("chunk", uint64(ctrs[0])), obsv.I64("chunks", int64(len(ctrs))))
+	all := c.tags.TakeEach(stream, ctrs, recs, have)
+	sp.Attr(obsv.Bool("matched", all))
 	sp.End()
-	return rec, ok
+	return all
+}
+
+// tagMatch is tagMatchEach for one chunk.
+func (c *Controller) tagMatch(stream string, chunk uint32) (TagRecord, bool) {
+	var rec [1]TagRecord
+	var have [1]bool
+	c.tagMatchEach(stream, []uint32{chunk}, rec[:], have[:])
+	return rec[0], have[0]
 }
 
 // NewController builds a PCIe-SC with the given identity and control
@@ -476,6 +515,7 @@ func (c *Controller) forwardToDevice(p *pcie.Packet) *pcie.Packet {
 		return c.reject(p)
 	}
 	cpl := c.internal.Route(p)
+	c.pinRelayed(c.internal, p, cpl)
 	if staleCpl(p, cpl) {
 		// A completion answering a different transaction (delayed,
 		// duplicated, or misrouted on the device segment) must never be
@@ -485,6 +525,18 @@ func (c *Controller) forwardToDevice(p *pcie.Packet) *pcie.Packet {
 		return c.reject(p)
 	}
 	return cpl
+}
+
+// pinRelayed is the relay half of the packet-recycling contract
+// (pcie.PacketArena): p was built by an agent on the other bus and its
+// completion goes back there, and neither end can see far. When far
+// has a tap after the relayed route returned, the tap may have kept
+// either packet, so both leave recycling for good.
+func (c *Controller) pinRelayed(far *pcie.Bus, p, cpl *pcie.Packet) {
+	if !far.Untapped() {
+		pcie.Pin(p)
+		pcie.Pin(cpl)
+	}
 }
 
 // staleCpl reports whether cpl answers a transaction other than req:
@@ -684,25 +736,45 @@ func (c *Controller) controlWrite(reg uint64, payload []byte) {
 	}
 }
 
+// ingestTags enqueues an uploaded tag packet's records under one tag
+// manager lock. Records whose hash names no known stream are dropped
+// (fail closed).
 func (c *Controller) ingestTags(payload []byte) {
-	for len(payload) >= TagRecordSize {
-		if rec := c.parseTag(payload); rec.Stream != "" {
-			c.tags.Enqueue(rec)
+	var recs [tagSpanRecords]TagRecord
+	var names streamNames
+	n := 0
+	for ; len(payload) >= TagRecordSize; payload = payload[TagRecordSize:] {
+		if !c.parseTag(&recs[n], &names, payload) {
+			continue
 		}
-		payload = payload[TagRecordSize:]
+		if n++; n == len(recs) {
+			c.tags.Enqueue(recs[:]...)
+			n = 0
+		}
 	}
+	c.tags.Enqueue(recs[:n]...)
 }
 
-// parseTag decodes one wire tag record; Stream is "" when its hash
-// names no known stream (the record is dropped, fail closed).
-func (c *Controller) parseTag(payload []byte) TagRecord {
-	rec := TagRecord{
-		Stream: c.streamByHash(binary.LittleEndian.Uint32(payload[0:])),
-		Chunk:  binary.LittleEndian.Uint32(payload[4:]),
-		Epoch:  binary.LittleEndian.Uint32(payload[8:]),
+// streamNames remembers the last wire hash a tag packet resolved: a
+// packet's records almost always share one stream, so it is resolved
+// once per packet, not once per record.
+type streamNames struct {
+	hash  uint32
+	name  string
+	valid bool
+}
+
+// parseTag decodes one wire tag record into rec; false when its hash
+// names no known stream.
+func (c *Controller) parseTag(rec *TagRecord, names *streamNames, payload []byte) bool {
+	if h := binary.LittleEndian.Uint32(payload[0:]); !names.valid || h != names.hash {
+		*names = streamNames{hash: h, name: c.streamByHash(h), valid: true}
 	}
+	rec.Stream = names.name
+	rec.Chunk = binary.LittleEndian.Uint32(payload[4:])
+	rec.Epoch = binary.LittleEndian.Uint32(payload[8:])
 	copy(rec.Tag[:], payload[12:12+secmem.TagSize])
-	return rec
+	return rec.Stream != ""
 }
 
 // ArmPosition packs a positioned tag entry's position word: the step
@@ -729,23 +801,34 @@ func (c *Controller) armSlots(pos uint64, payload []byte) {
 		c.configReject(fmt.Errorf("core: positioned tag entry of %d bytes", len(payload)))
 		return
 	}
-	for i := uint32(0); len(payload) > 0; i, payload = i+1, payload[TagRecordSize:] {
-		rec := c.parseTag(payload)
-		slot := first + i
+	// A packet's worth of records at a time: one critical section arms
+	// their slots, one tag manager lock enqueues them. A refused record
+	// stops the entry where it stands, the records before it armed and
+	// enqueued.
+	var recs [tagSpanRecords]TagRecord
+	var names streamNames
+	for slot, refused := first, false; len(payload) > 0 && !refused; {
+		n := 0
 		c.mu.Lock()
 		ctrs := c.slots[region]
-		vrec, consumed := c.verified[region].get(slot)
-		ok := rec.Stream == StreamH2D && rec.Chunk != 0 && slot >= first && int(slot) < len(ctrs) &&
-			(!consumed || vrec.Chunk == rec.Chunk)
-		if ok {
+		for ; len(payload) > 0 && n < len(recs); payload = payload[TagRecordSize:] {
+			rec := &recs[n]
+			c.parseTag(rec, &names, payload)
+			vrec, consumed := c.verified[region].get(slot)
+			if rec.Stream != StreamH2D || rec.Chunk == 0 || slot < first || int(slot) >= len(ctrs) ||
+				(consumed && vrec.Chunk != rec.Chunk) {
+				refused = true
+				break
+			}
 			ctrs[slot] = rec.Chunk
+			slot++
+			n++
 		}
 		c.mu.Unlock()
-		if !ok {
+		c.tags.Enqueue(recs[:n]...)
+		if refused {
 			c.configReject(fmt.Errorf("core: positioned tag for region %d slot %d refused", region, slot))
-			return
 		}
-		c.tags.Enqueue(rec)
 	}
 }
 
@@ -754,16 +837,31 @@ func (c *Controller) armSlots(pos uint64, payload []byte) {
 // the positioned tag armed in a slotted step window. ok is false for a
 // slot nothing armed — the read fails closed.
 func (c *Controller) chunkCounter(desc Descriptor, chunk uint32) (uint32, bool) {
+	var ctr [1]uint32
+	armed := c.chunkCounters(desc, chunk, ctr[:])
+	return ctr[0], armed
+}
+
+// chunkCounters is chunkCounter for the span of chunks first,
+// first+1, … first+len(ctrs)-1, under at most one critical section.
+func (c *Controller) chunkCounters(desc Descriptor, first uint32, ctrs []uint32) bool {
 	if !desc.Slotted {
-		return desc.FirstCounter + chunk, true
+		for i := range ctrs {
+			ctrs[i] = desc.FirstCounter + first + uint32(i)
+		}
+		return true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ctrs := c.slots[desc.ID]
-	if int(chunk) >= len(ctrs) || ctrs[chunk] == 0 {
-		return 0, false
+	armed := c.slots[desc.ID]
+	for i := range ctrs {
+		slot := int(first) + i
+		if slot >= len(armed) || armed[slot] == 0 {
+			return false
+		}
+		ctrs[i] = armed[slot]
 	}
-	return ctrs[chunk], true
+	return true
 }
 
 // streamByHash resolves a wire stream hash against the active streams
@@ -983,6 +1081,7 @@ func (c *Controller) HandleFromDevice(p *pcie.Packet) *pcie.Packet {
 		return c.reject(p)
 	case ActionPassThrough:
 		cpl := c.hostBus.Route(p)
+		c.pinRelayed(c.hostBus, p, cpl)
 		if staleCpl(p, cpl) {
 			c.authFailed()
 			return c.reject(p)
@@ -1043,10 +1142,8 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 		return c.reject(p)
 	}
 	rec, ok := c.tagMatch(StreamH2D, ctr)
-	pt, good := c.openChunk(stream, desc, chunk, cpl.Payload, rec, ok)
-	if c.recycleOn(c.hostBus) {
-		arena.Put(cpl.Payload) // ciphertext consumed either way: public bytes
-	}
+	pt, good := c.openChunk(stream, desc, chunk, cpl.Payload, &rec, ok)
+	c.releaseFetch(req, cpl, false)
 	if !good {
 		c.authFailed()
 		return c.reject(p)
@@ -1067,7 +1164,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 //
 // Anything never accepted before stays fail-closed; the caller counts
 // the auth failure and rejects.
-func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uint32, ct []byte, rec TagRecord, have bool) ([]byte, bool) {
+func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uint32, ct []byte, rec *TagRecord, have bool) ([]byte, bool) {
 	var aadBuf [8]byte
 	desc.PutAAD(&aadBuf, chunk)
 	aad := aadBuf[:]
@@ -1161,11 +1258,7 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 	// came from the host bridge's arena pool it goes back on the way
 	// out. Runs before the deferred putScratch clears the sealed views —
 	// harmless, the views are rebuilt per span.
-	defer func() {
-		if c.recycleOn(c.hostBus) {
-			arena.Put(cpl.Payload) // ciphertext: public bytes
-		}
-	}()
+	defer c.releaseFetch(req, cpl, false)
 	stream, err := c.params.Stream(StreamH2D)
 	if err != nil {
 		c.authFailed()
@@ -1185,23 +1278,19 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 	// the common path.
 	sc := c.takeScratch()
 	defer c.putScratch(sc)
-	recs, have := sc.recs[:], sc.have[:]
+	ctrs, recs, have := sc.ctrs[:], sc.recs[:], sc.have[:]
 	if k > spanChunks {
+		ctrs = make([]uint32, k)
 		recs = make([]TagRecord, k)
 		have = make([]bool, k)
 	} else {
-		recs, have = recs[:k], have[:k]
+		ctrs, recs, have = ctrs[:k], recs[:k], have[:k]
 	}
-	all := true
-	for i := range recs {
-		ctr, armed := c.chunkCounter(desc, first+uint32(i))
-		if !armed {
-			c.authFailed()
-			return c.reject(p)
-		}
-		recs[i], have[i] = c.tagMatch(StreamH2D, ctr)
-		all = all && have[i]
+	if !c.chunkCounters(desc, first, ctrs) {
+		c.authFailed()
+		return c.reject(p)
 	}
+	all := c.tagMatchEach(StreamH2D, ctrs, recs, have)
 	// Plaintext destined for the device-facing completion: arena-carved
 	// when the device returns completion payloads to the pool, else
 	// slab-carved (never recycled, so handing it to taps stays safe).
@@ -1236,7 +1325,7 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 			c.mu.Lock()
 			region := c.verifiedFor(desc.ID, chunkCount(desc))
 			for i := range recs {
-				region.put(first+uint32(i), recs[i])
+				region.put(first+uint32(i), &recs[i])
 			}
 			c.stats.DecryptedChunks += uint64(k)
 			c.mu.Unlock()
@@ -1255,7 +1344,7 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 		// it decrypts — so sort it out chunk by chunk below.
 	}
 	for i := 0; i < k; i++ {
-		cpt, good := c.openChunk(stream, desc, first+uint32(i), ctAt(i), recs[i], have[i])
+		cpt, good := c.openChunk(stream, desc, first+uint32(i), ctAt(i), &recs[i], have[i])
 		if !good {
 			// Zero the partial plaintext before dropping it: fail-closed
 			// spans never leak the chunks that did verify.
@@ -1317,9 +1406,18 @@ func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet 
 	c.stats.VerifiedChunks++
 	c.mu.Unlock()
 	c.obs.verified.Inc()
-	// The fetched completion's payload is immutable once routed, so the
-	// device-facing completion may alias it instead of copying.
-	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, cpl.Payload)
+	// The device-facing completion takes the fetched payload over instead
+	// of copying it — when the SC is provably its only holder. The device
+	// zeroes and pools what it is handed, so a payload a host-bus tap may
+	// have kept is copied instead.
+	payload := cpl.Payload
+	if c.recycleOn(c.hostBus) {
+		c.releaseFetch(req, cpl, true)
+	} else {
+		payload = c.payloadBuf(len(payload), c.internal)
+		copy(payload, cpl.Payload)
+	}
+	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, payload)
 }
 
 // encryptWrite services a device write into an A2 D2H region through
@@ -1340,11 +1438,13 @@ func (c *Controller) encryptWrite(p *pcie.Packet, desc Descriptor) *pcie.Packet 
 		return c.reject(p)
 	}
 	ok := true
-	if c.needsSpanFlush(desc.ID, chunk) {
-		ok = c.flushWriteSpan(desc)
+	span, brk := c.stageWrite(desc, chunk, p.Payload)
+	if brk {
+		ok = c.sealSpan(c.detachSpan(desc))
+		span, _ = c.stageWrite(desc, chunk, p.Payload)
 	}
-	if c.stageWrite(desc, chunk, p.Payload) {
-		ok = c.flushWriteSpan(desc) && ok
+	if span != nil {
+		ok = c.sealSpan(span) && ok
 	}
 	if !ok {
 		c.authFailed()
@@ -1371,79 +1471,95 @@ type tagSpan struct {
 	buf   []byte // marshalled records (arena-backed, public bytes)
 }
 
-// depositTag buffers chunk's tag record for desc's tag table and
-// advances the region's completion count. The span flushes to host
-// memory when it fills a TLP, when the chunk sequence breaks (a lost
-// chunk under fault injection), and — together with the batched
-// metadata counter — every metaPublishEvery chunks and at region
-// completion, so whenever the metadata buffer claims N chunks the tag
-// table already holds their records. Packets are built under c.mu but
-// routed after it is released (routing can reenter the controller).
-func (c *Controller) depositTag(desc Descriptor, chunk uint32, rec TagRecord) {
-	cs := uint64(desc.ChunkSize)
-	if cs == 0 {
-		cs = ChunkSize
+// tagRunLocked reports how many tag records of desc, deposited in
+// chunk order from chunk on, it takes to reach the next host-memory
+// write depositTags issues: the run ends with the record that flushes
+// the tag span (a sequence break, a full TLP) or publishes the
+// metadata counter. Caller holds c.mu.
+func (c *Controller) tagRunLocked(desc Descriptor, chunk uint32) int {
+	pend := 0
+	if span := c.tagPend[desc.ID]; span != nil && len(span.buf) > 0 {
+		if span.next != chunk {
+			return 1
+		}
+		pend = len(span.buf) / TagRecordSize
 	}
+	count, total := c.d2hChunks[desc.ID], uint64(chunkCount(desc))
+	if count+1 >= total {
+		return 1
+	}
+	run := metaPublishEvery - int(count%metaPublishEvery)
+	if rem := total - count; rem < uint64(run) {
+		run = int(rem)
+	}
+	return min(run, tagSpanRecords-pend)
+}
+
+// depositTags moves a sealing span's pending tag records into the
+// region's tag span and advances its completion count — one critical
+// section for the whole run, with exactly the effect of depositing the
+// records one by one. The tag span flushes to host memory when it fills
+// a TLP, when the chunk sequence breaks (a lost chunk under fault
+// injection), and — together with the batched metadata counter — every
+// metaPublishEvery chunks and at region completion, so whenever the
+// metadata buffer claims N chunks the tag table already holds their
+// records. The writes are decided under c.mu but routed after it is
+// released (routing can reenter the controller). emitChunk calls this
+// when the run tagRunLocked predicted is complete, so each write goes
+// out right behind the ciphertext of the chunk that caused it.
+func (c *Controller) depositTags(ws *writeSpan) {
+	desc := ws.desc
+	total := uint64(chunkCount(desc))
+	writes := ws.writes[:0]
 	c.mu.Lock()
 	span := c.tagPend[desc.ID]
-	var stale *pcie.Packet
 	if span == nil {
-		span = &tagSpan{start: chunk, buf: arena.Get(tagSpanRecords * TagRecordSize)[:0]}
+		span = &tagSpan{start: ws.tagStart, next: ws.tagStart, buf: arena.Get(tagSpanRecords * TagRecordSize)[:0]}
 		c.tagPend[desc.ID] = span
-	} else if chunk != span.next {
-		stale = c.tagFlushPacket(desc, span)
-		span.start, span.buf = chunk, span.buf[:0]
 	}
-	span.buf = rec.AppendMarshal(span.buf)
-	span.next = chunk + 1
-
-	c.stats.EncryptedChunks++
-	c.d2hChunks[desc.ID]++
 	count := c.d2hChunks[desc.ID]
-	publish := count >= (desc.Len+cs-1)/cs || count%metaPublishEvery == 0
-	var flush, meta *pcie.Packet
-	if publish || len(span.buf) >= tagSpanRecords*TagRecordSize {
-		flush = c.tagFlushPacket(desc, span)
-		span.start, span.buf = span.next, span.buf[:0]
+	for i := range ws.tags[:ws.nTags] {
+		chunk := ws.tagStart + uint32(i)
+		if chunk != span.next {
+			writes = c.appendTagFlush(writes, desc, span)
+			span.start, span.buf = chunk, span.buf[:0]
+		}
+		span.buf = ws.tags[i].AppendMarshal(span.buf)
+		span.next = chunk + 1
+		count++
+		publish := count >= total || count%metaPublishEvery == 0
+		if publish || len(span.buf) >= tagSpanRecords*TagRecordSize {
+			writes = c.appendTagFlush(writes, desc, span)
+			span.start, span.buf = span.next, span.buf[:0]
+		}
+		if publish {
+			writes = c.appendMetadataLocked(writes, desc.ID, count)
+		}
 	}
-	if publish {
-		meta = c.metadataPacketLocked(desc.ID, count)
-	}
+	c.stats.EncryptedChunks += uint64(ws.nTags)
+	c.d2hChunks[desc.ID] = count
+	ws.tagStart += uint32(ws.nTags)
+	ws.nTags = 0
+	ws.run = c.tagRunLocked(desc, ws.tagStart)
 	c.mu.Unlock()
-	if stale != nil {
-		c.routeTagWrite(stale)
+	for _, w := range writes {
+		c.hostWrite(w.addr, w.body)
 	}
-	if flush != nil {
-		c.routeTagWrite(flush)
-	}
-	if meta != nil {
-		c.hostBus.Route(meta)
-	}
+	clear(writes)
+	ws.writes = writes[:0]
 }
 
-// routeTagWrite delivers a tag-table write and, when the recycling loop
-// is closed, reclaims its payload: the host bridge copies MWr bodies
-// synchronously, so after Route the SC is the payload's last holder.
-func (c *Controller) routeTagWrite(p *pcie.Packet) {
-	payload := p.Payload
-	c.hostBus.Route(p)
-	if c.recycleOn(c.hostBus) {
-		arena.Put(payload) // marshalled tags: public bytes
-	}
-}
-
-// tagFlushPacket builds the tag-table write for a span's buffered
-// records, or nil when the span is empty. The records are copied out of
-// the span buffer (which refills immediately) into arena or slab memory
-// via payloadBuf, so no per-flush heap allocation occurs.
-func (c *Controller) tagFlushPacket(desc Descriptor, span *tagSpan) *pcie.Packet {
+// appendTagFlush queues the tag-table write for a tag span's buffered
+// records, if it holds any. The records are copied out of the span
+// buffer (which refills immediately) into arena or slab memory via
+// payloadBuf, so no per-flush heap allocation occurs.
+func (c *Controller) appendTagFlush(writes []hostWr, desc Descriptor, span *tagSpan) []hostWr {
 	if len(span.buf) == 0 {
-		return nil
+		return writes
 	}
-	addr := desc.TagBase + uint64(span.start)*TagRecordSize
 	body := c.payloadBuf(len(span.buf), c.hostBus)
 	copy(body, span.buf)
-	return c.pkts.MemWrite(c.id, addr, body)
+	return append(writes, hostWr{addr: desc.TagBase + uint64(span.start)*TagRecordSize, body: body})
 }
 
 // dropTagSpan discards a released region's pending tag records.
@@ -1461,30 +1577,30 @@ func (c *Controller) dropTagSpan(region uint32) {
 func (c *Controller) dropVerified(region uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.verified, region)
+	c.retireVerifiedLocked(region)
 	delete(c.slots, region)
 }
 
-// metadataPacketLocked implements the §5 I/O-read optimization: instead
+// appendMetadataLocked implements the §5 I/O-read optimization: instead
 // of the Adaptor polling the SC for DMA metadata, the SC batches
 // progress counters into a TVM-resident buffer (one 8-byte
 // completed-chunk count per region) that the Adaptor reads as plain
-// memory. Returns the counter write, or nil when no buffer is
+// memory. It queues the counter write, or nothing when no buffer is
 // configured or the region falls outside the batch window. Callers
-// hold c.mu and route the packet after releasing it.
-func (c *Controller) metadataPacketLocked(region uint32, count uint64) *pcie.Packet {
+// hold c.mu and route the write after releasing it.
+func (c *Controller) appendMetadataLocked(writes []hostWr, region uint32, count uint64) []hostWr {
 	metaBase := c.regs[RegMetaBase]
 	size := c.regs[RegMetaSize]
 	if metaBase == 0 {
-		return nil
+		return writes
 	}
 	slot := metaBase + uint64(region)*8
 	if size > 0 && slot+8 > metaBase+size {
-		return nil // region id outside the configured batch window
+		return writes // region id outside the configured batch window
 	}
-	buf := c.slab.Take(8)
+	buf := c.payloadBuf(8, c.hostBus)
 	binary.LittleEndian.PutUint64(buf, count)
-	return c.pkts.MemWrite(c.id, slot, buf)
+	return append(writes, hostWr{addr: slot, body: buf})
 }
 
 // D2HProgress reports completed chunks for a region — the MMIO-polled
@@ -1534,11 +1650,13 @@ func (c *Controller) Teardown() {
 	c.tagPend = make(map[uint32]*tagSpan)
 	droppedSpans := c.wspans
 	c.wspans = make(map[uint32]*writeSpan)
-	c.verified = make(map[uint32]*verifiedSet)
+	for region := range c.verified {
+		c.retireVerifiedLocked(region)
+	}
 	c.slots = make(map[uint32][]uint32)
 	c.mu.Unlock()
 	for _, span := range droppedSpans {
-		c.recyclePts(span)
+		c.finishSpan(span, false)
 	}
 	c.dropSpanCache(^uint32(0))
 	c.obs.teardowns.Inc()

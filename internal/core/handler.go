@@ -210,225 +210,6 @@ func hashStream(s string) uint32 {
 	return h
 }
 
-// tagID is the full identity of a pending tag record. Records are
-// keyed by the complete (stream, chunk) pair — not by the 32-bit
-// stream-hash prefix used on the wire — so two streams whose names
-// collide under hashStream can never cross-match or steal each other's
-// tags.
-type tagID struct {
-	stream string
-	chunk  uint32
-}
-
-// DefaultTagCap bounds the pending-tag queue. Under tag-packet loss
-// the data chunk never claims its record, so without a cap a lossy or
-// malicious peer could grow the queue forever; overflowing the cap
-// evicts the oldest unmatched records fail-closed (their data chunks
-// will miss the tag match and be rejected).
-const DefaultTagCap = 4096
-
-// TagManager is the Authentication Tag Manager control panel: it queues
-// tag records and matches them with data chunks during verification.
-// All methods are safe for concurrent use.
-type TagManager struct {
-	mu      sync.Mutex
-	pending map[tagID]TagRecord
-	// order tracks arrival order for cap eviction. Entries matched by
-	// Take leave stale order slots behind; evictLocked skips those and
-	// the slice is compacted when stale entries dominate.
-	order   []tagID
-	cap     int
-	matched uint64
-	missing uint64
-	evicted uint64
-
-	// fault, when set, may drop an arriving tag record — the
-	// tag-packet-loss fault class. A dropped tag makes the matching
-	// data chunk fail closed until the Adaptor reposts it.
-	fault        func(rec TagRecord) bool
-	droppedFault uint64
-
-	obs tagObs
-}
-
-// tagObs mirrors the manager's counters into the metrics registry. The
-// zero value (all-nil handles) is the uninstrumented state.
-type tagObs struct {
-	enqueued, matched, missing, dropped, evicted *obsv.Counter
-}
-
-// SetObserver instruments the tag manager; a nil hub clears it.
-func (tm *TagManager) SetObserver(h *obsv.Hub) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if h == nil {
-		tm.obs = tagObs{}
-		return
-	}
-	reg := h.Reg()
-	tm.obs = tagObs{
-		enqueued: reg.Counter("sc.tags.enqueued"),
-		matched:  reg.Counter("sc.tags.matched"),
-		missing:  reg.Counter("sc.tags.missing"),
-		dropped:  reg.Counter("sc.tags.dropped_by_fault"),
-		evicted:  reg.Counter("sc.tags.evicted"),
-	}
-}
-
-// NewTagManager returns an empty tag queue with the default cap.
-func NewTagManager() *TagManager {
-	return &TagManager{pending: make(map[tagID]TagRecord), cap: DefaultTagCap}
-}
-
-// SetPendingCap changes the pending-queue bound (≤0 restores the
-// default) and immediately evicts down to the new cap.
-func (tm *TagManager) SetPendingCap(n int) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if n <= 0 {
-		n = DefaultTagCap
-	}
-	tm.cap = n
-	tm.evictLocked()
-}
-
-// PendingCap reports the configured bound.
-func (tm *TagManager) PendingCap() int {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return tm.cap
-}
-
-// evictLocked drops oldest-first until the queue fits the cap.
-func (tm *TagManager) evictLocked() {
-	for len(tm.pending) > tm.cap && len(tm.order) > 0 {
-		id := tm.order[0]
-		tm.order = tm.order[1:]
-		if _, ok := tm.pending[id]; !ok {
-			continue // already matched; stale order slot
-		}
-		delete(tm.pending, id)
-		tm.evicted++
-		tm.obs.evicted.Inc()
-	}
-	// Compact once stale (already-matched) slots dominate so the order
-	// queue cannot grow without bound either.
-	if len(tm.order) > 2*len(tm.pending)+16 {
-		live := tm.order[:0]
-		for _, id := range tm.order {
-			if _, ok := tm.pending[id]; ok {
-				live = append(live, id)
-			}
-		}
-		tm.order = live
-	}
-}
-
-// Enqueue stores an arriving tag record, evicting the oldest pending
-// records (fail-closed) if the queue would exceed its cap.
-func (tm *TagManager) Enqueue(rec TagRecord) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if tm.fault != nil && tm.fault(rec) {
-		tm.droppedFault++
-		tm.obs.dropped.Inc()
-		return
-	}
-	id := tagID{stream: rec.Stream, chunk: rec.Chunk}
-	if _, exists := tm.pending[id]; !exists {
-		tm.order = append(tm.order, id)
-	}
-	tm.pending[id] = rec
-	tm.obs.enqueued.Inc()
-	tm.evictLocked()
-}
-
-// SetFaultHook installs (or clears, with nil) the tag-packet-loss
-// injection point.
-func (tm *TagManager) SetFaultHook(fn func(rec TagRecord) bool) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	tm.fault = fn
-}
-
-// DroppedByFault reports tag records lost to injected faults.
-func (tm *TagManager) DroppedByFault() uint64 {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return tm.droppedFault
-}
-
-// HasSpan reports whether a record is pending for every chunk in
-// [first, first+k) of stream, without matching, counting, or evicting.
-// The decrypt-ahead prefetcher probes with this before committing to a
-// speculative span decrypt: a probe must not disturb the miss
-// accounting the demand path feeds the SLO monitors, and must not
-// consume records the demand path may still need.
-func (tm *TagManager) HasSpan(stream string, first uint32, k int) bool {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	for i := 0; i < k; i++ {
-		rec, ok := tm.pending[tagID{stream: stream, chunk: first + uint32(i)}]
-		if !ok || rec.Stream != stream {
-			return false
-		}
-	}
-	return true
-}
-
-// Take matches and removes the tag for (stream, chunk); ok is false
-// when no tag packet arrived, which fails the integrity check. A
-// record whose stored stream differs from the requested one (possible
-// only if state was corrupted, since keys carry the full identity) is
-// treated as missing — fail closed, never cross-matched.
-func (tm *TagManager) Take(stream string, chunk uint32) (TagRecord, bool) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	id := tagID{stream: stream, chunk: chunk}
-	rec, ok := tm.pending[id]
-	if ok && rec.Stream != stream {
-		ok = false
-	}
-	if ok {
-		delete(tm.pending, id)
-		tm.matched++
-		tm.obs.matched.Inc()
-		return rec, true
-	}
-	tm.missing++
-	tm.obs.missing.Inc()
-	return TagRecord{}, false
-}
-
-// Depth reports queued, unmatched tags.
-func (tm *TagManager) Depth() int {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return len(tm.pending)
-}
-
-// Stats reports matched and missing lookups.
-func (tm *TagManager) Stats() (matched, missing uint64) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return tm.matched, tm.missing
-}
-
-// Evicted reports records dropped by the pending-queue cap.
-func (tm *TagManager) Evicted() uint64 {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return tm.evicted
-}
-
-// Clear drops all pending tags.
-func (tm *TagManager) Clear() {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	tm.pending = make(map[tagID]TagRecord)
-	tm.order = nil
-}
-
 // --- xPU environment guard --------------------------------------------------
 
 // MMIOCheck is one environment-verification predicate on a guarded

@@ -43,26 +43,22 @@ type spanScratch struct {
 	sealed [spanChunks]secmem.Sealed
 	aads   [spanChunks][]byte
 	aadBuf [8 * spanChunks]byte
+	ctrs   [spanChunks]uint32
 	recs   [spanChunks]TagRecord
 	have   [spanChunks]bool
 }
 
-// takeScratch grabs a span scratch from the pool, or allocates a
-// fresh one if both slots are in use (re-entrant span handling).
+// takeScratch grabs a span scratch from the two-slot pool, or
+// allocates a fresh one if both are in use (re-entrant span handling).
+// The slots are swapped atomically: a span costs no critical section
+// for its bookkeeping.
 func (c *Controller) takeScratch() *spanScratch {
-	var s *spanScratch
-	c.mu.Lock()
-	for i, v := range c.scratchPool {
-		if v != nil {
-			s, c.scratchPool[i] = v, nil
-			break
+	for i := range c.scratchPool {
+		if s := c.scratchPool[i].Swap(nil); s != nil {
+			return s
 		}
 	}
-	c.mu.Unlock()
-	if s == nil {
-		s = new(spanScratch)
-	}
-	return s
+	return new(spanScratch)
 }
 
 // putScratch returns a span scratch, dropping payload references so
@@ -71,14 +67,11 @@ func (c *Controller) putScratch(s *spanScratch) {
 	for i := range s.sealed {
 		s.sealed[i].Ciphertext = nil
 	}
-	c.mu.Lock()
 	for i := range c.scratchPool {
-		if c.scratchPool[i] == nil {
-			c.scratchPool[i] = s
-			break
+		if c.scratchPool[i].CompareAndSwap(nil, s) {
+			return
 		}
 	}
-	c.mu.Unlock()
 }
 
 // --- H2D decrypt-ahead ------------------------------------------------------
@@ -109,13 +102,23 @@ func (c *Controller) takeCachedSpan(region uint32, addr uint64, length uint32) (
 	return pt, true
 }
 
-// installCachedSpan publishes a prefetched span, zeroizing any entry
-// it displaces (the cache holds decrypted secrets in SC-local memory).
-func (c *Controller) installCachedSpan(region uint32, addr uint64, pt []byte) {
+// installCachedSpan publishes a prefetched span together with its
+// bookkeeping — the accepted records and the chunk counts — in the one
+// critical section a prefetched span costs, zeroizing any entry it
+// displaces (the cache holds decrypted secrets in SC-local memory).
+func (c *Controller) installCachedSpan(desc Descriptor, addr uint64, first uint32, recs []TagRecord, pt []byte) {
+	k := uint64(len(recs))
 	c.mu.Lock()
+	region := c.verifiedFor(desc.ID, chunkCount(desc))
+	for i := range recs {
+		region.put(first+uint32(i), &recs[i])
+	}
+	c.stats.DecryptedChunks += k
+	c.stats.PrefetchedChunks += k
 	old := c.pf.pt
-	c.pf = spanCache{valid: true, region: region, addr: addr, length: uint32(len(pt)), pt: pt}
+	c.pf = spanCache{valid: true, region: desc.ID, addr: addr, length: uint32(len(pt)), pt: pt}
 	c.mu.Unlock()
+	c.obs.decrypted.Add(k)
 	c.retireCachedPt(old)
 }
 
@@ -173,6 +176,35 @@ func (c *Controller) recycleOn(bus *pcie.Bus) bool {
 	return c.recycle && bus.Untapped()
 }
 
+// releaseFetch gives back a finished host-bus fetch: the bounce
+// payload the host bridge carved from the arena (ciphertext or other
+// public bytes, consumed either way) unless keepPayload says a
+// completion still aliases it, and both packet structs. Sound only
+// after the route returned and the payload was consumed.
+func (c *Controller) releaseFetch(req, cpl *pcie.Packet, keepPayload bool) {
+	if !c.recycleOn(c.hostBus) {
+		return
+	}
+	payload := cpl.Payload
+	if pcie.Release(cpl) && !keepPayload {
+		arena.Put(payload)
+	}
+	pcie.Release(req)
+}
+
+// hostWrite DMA-writes body (from payloadBuf on the host bus) to host
+// memory and, when the recycling loop is closed, reclaims the payload
+// and the packet: the host bridge copies MWr bodies synchronously, so
+// after Route the SC is their last holder. Public bytes only
+// (ciphertext, marshalled tags, counters).
+func (c *Controller) hostWrite(addr uint64, body []byte) {
+	p := c.pkts.MemWrite(c.id, addr, body)
+	c.hostBus.Route(p)
+	if c.recycleOn(c.hostBus) && pcie.Release(p) {
+		arena.Put(body)
+	}
+}
+
 // prefetchSpan speculatively fetches and decrypts the span at addr —
 // the read the device is predicted to issue next — into the cache.
 // Every early return is silent: speculation must not consume tag
@@ -201,9 +233,9 @@ func (c *Controller) prefetchSpan(desc Descriptor, addr uint64) {
 		return
 	}
 	// Probe before committing: if any tag is still in flight the span
-	// is not ready, and taking a partial set would steal records the
-	// demand path needs.
-	if !c.tags.HasSpan(StreamH2D, desc.FirstCounter+first, k) {
+	// is not ready, and the fetch would be wasted.
+	ctr := desc.FirstCounter + first
+	if !c.tags.HasSpan(StreamH2D, ctr, k) {
 		return
 	}
 	stream, err := c.params.Stream(StreamH2D)
@@ -217,16 +249,11 @@ func (c *Controller) prefetchSpan(desc Descriptor, addr uint64) {
 	}
 	sc := c.takeScratch()
 	defer c.putScratch(sc)
-	for i := 0; i < k; i++ {
-		rec, ok := c.tags.Take(StreamH2D, desc.FirstCounter+first+uint32(i))
-		if !ok {
-			// Raced away since the probe; put back what was taken.
-			for j := 0; j < i; j++ {
-				c.tags.Enqueue(sc.recs[j])
-			}
-			return
-		}
-		sc.recs[i] = rec
+	// All or nothing: a partial set would steal records the demand path
+	// needs, so a span that raced away since the probe takes none.
+	recs := sc.recs[:k]
+	if !c.tags.TakeSpan(StreamH2D, ctr, recs) {
+		return
 	}
 	pt := c.payloadBuf(int(n), c.internal)
 	for i := 0; i < k; i++ {
@@ -238,180 +265,200 @@ func (c *Controller) prefetchSpan(desc Descriptor, addr uint64) {
 		}
 		sc.sealed[i] = secmem.Sealed{
 			Counter:    desc.FirstCounter + chunk,
-			Epoch:      sc.recs[i].Epoch,
+			Epoch:      recs[i].Epoch,
 			Ciphertext: cpl.Payload[lo:hi],
-			Tag:        sc.recs[i].Tag,
+			Tag:        recs[i].Tag,
 		}
 		ab := sc.aadBuf[8*i : 8*i+8 : 8*i+8]
 		desc.PutAAD((*[8]byte)(ab), chunk)
 		sc.aads[i] = ab
 	}
 	err = stream.OpenBatchInto(pt, sc.sealed[:k], sc.aads[:k], c.pool)
-	if c.recycleOn(c.hostBus) {
-		// The bounce fetch came from the host bridge's arena pool and its
-		// ciphertext has been consumed either way (public bytes: Put).
-		arena.Put(cpl.Payload)
-	}
+	c.releaseFetch(req, cpl, false)
 	if err != nil {
 		// Back out: the records return to the queue and the demand read
 		// re-runs the full ladder (per-chunk fallback, fail-closed).
-		for i := 0; i < k; i++ {
-			c.tags.Enqueue(sc.recs[i])
-		}
+		c.tags.Enqueue(recs...)
 		return
 	}
-	c.mu.Lock()
-	region := c.verifiedFor(desc.ID, chunkCount(desc))
-	for i := 0; i < k; i++ {
-		region.put(first+uint32(i), sc.recs[i])
-	}
-	c.stats.DecryptedChunks += uint64(k)
-	c.stats.PrefetchedChunks += uint64(k)
-	c.mu.Unlock()
-	c.obs.decrypted.Add(uint64(k))
-	c.installCachedSpan(desc.ID, addr, pt)
+	c.installCachedSpan(desc, addr, first, recs, pt)
 }
 
 // --- D2H write-span batching ------------------------------------------------
 
 // writeSpan accumulates consecutive device D2H plaintext chunks of one
-// region. The payload slices come straight from the device's MWr
-// packets; the device stages DMA payloads in never-reused slab memory
-// (xpu.dmaWrite), so retaining them until the flush one Handle call
-// later is safe and copy-free.
+// region and then carries everything its seal needs, so a flush
+// allocates nothing. The payload slices come straight from the device's
+// MWr packets; the device stages DMA payloads in memory it never reuses
+// itself (xpu.dmaWrite), so retaining them until the flush one Handle
+// call later is safe and copy-free.
+//
+// A span is in one of two states. While it is in Controller.wspans it
+// is pending and guarded by c.mu. Once stageWrite or detachSpan has
+// taken it out for sealing it belongs to the sealing goroutine alone,
+// until finishSpan puts the shell back on the freelist.
 type writeSpan struct {
 	start  uint32 // chunk index of pts[0]
 	next   uint32 // chunk index that extends the span
 	pts    [][]byte
 	ptsArr [spanChunks][]byte
+
+	// Seal-time state, filled when the span is detached.
+	c      *Controller
+	desc   Descriptor
+	aads   [spanChunks][]byte
+	aadBuf [8 * spanChunks]byte
+	// tags holds the sealed chunks' records not yet deposited, for
+	// chunks tagStart, tagStart+1, …; run is how many of them reach the
+	// next tag-table or metadata write (tagRunLocked), which is when
+	// they are deposited — so those writes keep their place among the
+	// ciphertext writes.
+	tags     [tagSpanRecords]TagRecord
+	nTags    int
+	run      int
+	tagStart uint32
+	writes   []hostWr // depositTags' scratch
+	// emit is emitChunk bound to this shell, made once per shell.
+	emit func(i int, chunk *secmem.Sealed) error
 }
 
-// needsSpanFlush reports whether the region's pending span cannot
-// absorb chunk — a sequence break or a full span — so it must seal
-// before the chunk is staged.
-func (c *Controller) needsSpanFlush(region uint32, chunk uint32) bool {
+// hostWr is one host-memory write decided under c.mu and routed after
+// it is released (routing can reenter the controller).
+type hostWr struct {
+	addr uint64
+	body []byte
+}
+
+// stageWrite buffers one device D2H chunk in the region's pending span
+// — the one critical section a staged chunk costs. When the chunk
+// completes the span (it is full, the region is complete, or the
+// metadata publish cadence is due: the progress counter must never
+// claim chunks whose ciphertext and tags are still buffered) the span
+// comes back detached, ready for sealSpan. When the pending span cannot
+// absorb the chunk — a sequence break — nothing is staged and brk is
+// true: the caller seals the detachSpan'd span and stages again.
+func (c *Controller) stageWrite(desc Descriptor, chunk uint32, payload []byte) (flush *writeSpan, brk bool) {
+	total := uint64(chunkCount(desc))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	span := c.wspans[region]
-	return span != nil && (chunk != span.next || len(span.pts) == spanChunks)
-}
-
-// stageWrite buffers one device D2H chunk and reports whether the span
-// must flush now. The caller has already flushed any non-extendable
-// span (needsSpanFlush), so the pending span — if any — continues at
-// exactly this chunk.
-func (c *Controller) stageWrite(desc Descriptor, chunk uint32, payload []byte) (flush bool) {
-	cs := uint64(desc.ChunkSize)
-	if cs == 0 {
-		cs = ChunkSize
-	}
-	total := (desc.Len + cs - 1) / cs
-	c.mu.Lock()
 	span := c.wspans[desc.ID]
-	if span == nil {
+	switch {
+	case span == nil:
 		if n := len(c.wsFree); n > 0 {
 			span = c.wsFree[n-1]
 			c.wsFree = c.wsFree[:n-1]
 		} else {
-			span = new(writeSpan)
+			span = &writeSpan{c: c}
+			span.emit = span.emitChunk
 		}
 		span.start, span.next = chunk, chunk
 		span.pts = span.ptsArr[:0]
 		c.wspans[desc.ID] = span
+	case chunk != span.next || len(span.pts) == spanChunks:
+		return nil, true
 	}
 	span.pts = append(span.pts, payload)
 	span.next = chunk + 1
 	buffered := c.d2hChunks[desc.ID] + uint64(len(span.pts))
-	// Flush when the span fills, when the region completes, and at the
-	// metadata publish cadence — the progress counter must never claim
-	// chunks whose ciphertext and tags are still buffered.
-	flush = len(span.pts) == spanChunks ||
-		buffered >= total ||
-		buffered%metaPublishEvery == 0
-	c.mu.Unlock()
-	return flush
+	if len(span.pts) == spanChunks || buffered >= total || buffered%metaPublishEvery == 0 {
+		c.detachLocked(desc, span)
+		return span, false
+	}
+	return nil, false
 }
 
-// flushWriteSpan seals the region's buffered chunks as one batch and
-// moves them to host memory. SealBatchStream delivers sealed chunks in
-// order to the emit callback, which routes chunk i's ciphertext DMA
-// and tag deposit while the engine is already sealing chunks > i —
-// the D2H half of the decrypt/DMA overlap. Returns false only when the
-// batch failed (engine fault, missing stream): the buffered chunks are
-// dropped and the caller fails closed.
-func (c *Controller) flushWriteSpan(desc Descriptor) bool {
+// detachSpan takes the region's pending span out for sealing; nil when
+// there is none.
+func (c *Controller) detachSpan(desc Descriptor) *writeSpan {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	span := c.wspans[desc.ID]
-	if span == nil || len(span.pts) == 0 {
-		c.mu.Unlock()
+	if span != nil {
+		c.detachLocked(desc, span)
+	}
+	return span
+}
+
+// detachLocked hands span to the caller for sealing. Caller holds c.mu.
+func (c *Controller) detachLocked(desc Descriptor, span *writeSpan) {
+	delete(c.wspans, desc.ID)
+	span.desc = desc
+	span.nTags, span.tagStart = 0, span.start
+	span.run = c.tagRunLocked(desc, span.start)
+}
+
+// sealSpan seals a detached span's chunks as one batch and moves them
+// to host memory. SealBatchStream delivers sealed chunks in order to
+// emitChunk, which routes chunk i's ciphertext DMA and tag deposit
+// while the engine is already sealing chunks > i — the D2H half of the
+// decrypt/DMA overlap. Returns false only when the batch failed (engine
+// fault, missing stream): the buffered chunks are dropped and the
+// caller fails closed. A nil span is an empty flush.
+func (c *Controller) sealSpan(span *writeSpan) bool {
+	if span == nil {
 		return true
 	}
-	delete(c.wspans, desc.ID)
-	c.mu.Unlock()
-
+	k := len(span.pts)
 	stream, err := c.params.Stream(StreamD2H)
+	if err == nil {
+		for i := 0; i < k; i++ {
+			ab := span.aadBuf[8*i : 8*i+8 : 8*i+8]
+			span.desc.PutAAD((*[8]byte)(ab), span.start+uint32(i))
+			span.aads[i] = ab
+		}
+		err = stream.SealBatchStream(span.pts, span.aads[:k], c.pool, span.emit)
+	}
+	if span.nTags > 0 {
+		// Records past the last publish point: buffered for the span that
+		// continues the region, no write due.
+		c.depositTags(span)
+	}
+	c.finishSpan(span, err == nil)
 	if err != nil {
 		return false
 	}
-	k := len(span.pts)
-	cs := uint64(desc.ChunkSize)
-	if cs == 0 {
-		cs = ChunkSize
+	c.obs.encrypted.Add(uint64(k))
+	return true
+}
+
+// emitChunk is SealBatchStream's emit stage for this span's seal. The
+// sealed ciphertext is engine-internal memory reclaimed when emit
+// returns; the copy into a buffer the host bridge cannot still be
+// sharing (arena when the recycling loop is closed, never-recycled slab
+// otherwise) is what makes the packet payload safe to route.
+func (span *writeSpan) emitChunk(i int, chunk *secmem.Sealed) error {
+	c := span.c
+	cs := uint64(span.desc.ChunkSize)
+	ctBuf := c.payloadBuf(len(chunk.Ciphertext), c.hostBus)
+	copy(ctBuf, chunk.Ciphertext)
+	c.hostWrite(span.desc.Base+uint64(span.start+uint32(i))*cs, ctBuf)
+	span.tags[span.nTags] = TagRecord{Stream: StreamD2H, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag}
+	span.nTags++
+	if span.nTags == span.run {
+		c.depositTags(span)
 	}
-	base := desc.Base + uint64(span.start)*cs
-	// The AAD views live in the controller's reusable span scratch —
-	// local arrays here escape through the emit closure and cost a heap
-	// allocation per flush.
-	sc := c.takeScratch()
-	defer c.putScratch(sc)
-	for i := 0; i < k; i++ {
-		ab := sc.aadBuf[8*i : 8*i+8 : 8*i+8]
-		desc.PutAAD((*[8]byte)(ab), span.start+uint32(i))
-		sc.aads[i] = ab
-	}
-	err = stream.SealBatchStream(span.pts, sc.aads[:k], c.pool, func(i int, chunk *secmem.Sealed) error {
-		// The sealed ciphertext is engine-internal memory reclaimed when
-		// emit returns; the copy into a buffer the host bridge cannot
-		// still be sharing (arena when the recycling loop is closed,
-		// never-recycled slab otherwise) is what makes the packet payload
-		// safe to route.
-		ctBuf := c.payloadBuf(len(chunk.Ciphertext), c.hostBus)
-		copy(ctBuf, chunk.Ciphertext)
-		c.hostBus.Route(c.pkts.MemWrite(c.id, base+uint64(i)*cs, ctBuf))
-		if c.recycleOn(c.hostBus) {
-			arena.Put(ctBuf) // ciphertext: public bytes
-		}
-		rec := TagRecord{Stream: StreamD2H, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag}
-		c.depositTag(desc, span.start+uint32(i), rec)
-		return nil
-	})
-	// The staged plaintext came from the device's arena-backed MWr
-	// staging whenever the internal bus is still untapped (the platform
-	// wires both ends of that contract); the SC is its last holder.
+	return nil
+}
+
+// finishSpan retires a sealed or dropped span: the staged plaintext
+// goes back zeroed when the SC is provably its last holder — it came
+// from the device's arena-backed MWr staging whenever the internal bus
+// is still untapped (the platform wires both ends of that contract);
+// otherwise the slices belong to memory the device never reuses and
+// dropping the references is all the SC may do — and the shell returns
+// to the freelist.
+func (c *Controller) finishSpan(span *writeSpan, sealed bool) {
 	if c.recycleOn(c.internal) {
 		for _, pt := range span.pts {
 			arena.PutZero(pt) // device plaintext
 		}
 	}
-	c.putSpan(span)
-	if err != nil {
-		return false
-	}
-	c.mu.Lock()
-	c.stats.BatchedD2HSpans++
-	c.mu.Unlock()
-	c.obs.encrypted.Add(uint64(k))
-	return true
-}
-
-// putSpan drops a flushed span's payload references and returns the
-// shell to the freelist so the next stageWrite reuses it.
-func (c *Controller) putSpan(span *writeSpan) {
-	for i := range span.pts {
-		span.pts[i] = nil
-	}
+	clear(span.pts)
 	span.pts = nil
 	c.mu.Lock()
+	if sealed {
+		c.stats.BatchedD2HSpans++
+	}
 	if len(c.wsFree) < 4 {
 		c.wsFree = append(c.wsFree, span)
 	}
@@ -419,40 +466,13 @@ func (c *Controller) putSpan(span *writeSpan) {
 }
 
 // dropWriteSpan discards a region's buffered, unsealed chunks
-// (descriptor release or teardown). When the recycling loop is closed
-// the SC is the plaintext's last holder and returns it zeroed;
-// otherwise the slices belong to the device's never-reused slab and
-// dropping the references is all the SC may do.
+// (descriptor release or reinstall).
 func (c *Controller) dropWriteSpan(region uint32) {
 	c.mu.Lock()
 	span := c.wspans[region]
 	delete(c.wspans, region)
 	c.mu.Unlock()
-	c.recyclePts(span)
-}
-
-// dropAllWriteSpans resets the D2H pipeline (teardown).
-func (c *Controller) dropAllWriteSpans() {
-	c.mu.Lock()
-	spans := c.wspans
-	c.wspans = make(map[uint32]*writeSpan)
-	c.mu.Unlock()
-	for _, span := range spans {
-		c.recyclePts(span)
+	if span != nil {
+		c.finishSpan(span, false)
 	}
-}
-
-// recyclePts returns a dropped span's staged device plaintext to the
-// arena when that is provably safe (see dropWriteSpan), then retires
-// the shell to the freelist.
-func (c *Controller) recyclePts(span *writeSpan) {
-	if span == nil {
-		return
-	}
-	if c.recycleOn(c.internal) {
-		for _, pt := range span.pts {
-			arena.PutZero(pt)
-		}
-	}
-	c.putSpan(span)
 }

@@ -195,11 +195,15 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 	case RingOpGuarded:
 		// Rebuild the A3 write the entry stands for, attributed to the
 		// authorized TVM, and run it through the full sequence+MAC+guard
-		// pipeline. The payload is copied to never-recycled memory: the
-		// packet outlives this dispatch on the internal bus.
-		val := c.slab.Take(len(data))
+		// pipeline. The payload is copied out of the gather buffer: a tap
+		// on the internal bus may keep the packet past this dispatch.
+		val := c.payloadBuf(len(data), c.internal)
 		copy(val, data)
-		c.handleGuardedMMIO(c.pkts.MemWrite(c.authorizedTVM, arg, val))
+		p := c.pkts.MemWrite(c.authorizedTVM, arg, val)
+		c.handleGuardedMMIO(p)
+		if c.recycleOn(c.internal) && pcie.Release(p) {
+			arena.Put(val) // a register value the host bus already carried
+		}
 	}
 }
 
@@ -211,9 +215,7 @@ func (c *Controller) ringFetch(addr uint64, dst []byte) bool {
 		cpl := c.hostBus.Route(req)
 		if cpl != nil && cpl.Status == pcie.CplSuccess && !staleCpl(req, cpl) && len(cpl.Payload) >= len(dst) {
 			copy(dst, cpl.Payload)
-			if c.recycleOn(c.hostBus) {
-				arena.Put(cpl.Payload) // ring slots: public bytes, copied out
-			}
+			c.releaseFetch(req, cpl, false) // ring slots: public bytes, copied out
 			return true
 		}
 	}
@@ -224,9 +226,7 @@ func (c *Controller) ringFetch(addr uint64, dst []byte) bool {
 // header, followed by the current completion word so a reaping
 // producer refreshes both with the same doorbell.
 func (c *Controller) ringPostHead(base, head uint64) {
-	buf := c.slab.Take(8)
-	binary.LittleEndian.PutUint64(buf, head)
-	c.hostBus.Route(c.pkts.MemWrite(c.id, base, buf))
+	c.hostWrite64(base, head)
 	c.postCompletionWord(base)
 }
 
@@ -241,9 +241,14 @@ func (c *Controller) postCompletionWord(base uint64) {
 	if w == 0 {
 		return
 	}
-	buf := c.slab.Take(8)
-	binary.LittleEndian.PutUint64(buf, w)
-	c.hostBus.Route(c.pkts.MemWrite(c.id, base+RingHdrCplOff, buf))
+	c.hostWrite64(base+RingHdrCplOff, w)
+}
+
+// hostWrite64 DMA-writes one ring-header word.
+func (c *Controller) hostWrite64(addr, v uint64) {
+	buf := c.payloadBuf(8, c.hostBus)
+	binary.LittleEndian.PutUint64(buf, v)
+	c.hostWrite(addr, buf)
 }
 
 // reapCompletion is the SC half of batched completion reaping: after
@@ -262,6 +267,12 @@ func (c *Controller) reapCompletion() {
 		return // unreadable head: leave the cache alone, MMIO fallback rules
 	}
 	head := binary.LittleEndian.Uint64(cpl.Payload)
+	if c.recycleOn(c.internal) {
+		// The device carves register completions from memory it never
+		// reuses; only the two structs come back.
+		pcie.Release(cpl)
+		pcie.Release(req)
+	}
 	c.mu.Lock()
 	c.cplWord = RingCplValid | head
 	base := c.regs[RegRingBase]
@@ -276,7 +287,5 @@ func (c *Controller) reapCompletion() {
 // flush and fails closed.
 func (c *Controller) ringDesync(base uint64) {
 	c.configReject(fmt.Errorf("core: submission ring desync"))
-	buf := c.slab.Take(8)
-	binary.LittleEndian.PutUint64(buf, RingStatusDesync)
-	c.hostBus.Route(c.pkts.MemWrite(c.id, base+8, buf))
+	c.hostWrite64(base+8, RingStatusDesync)
 }

@@ -163,12 +163,17 @@ type Packet struct {
 	// Meta is opaque simulation metadata; it does not exist on the wire
 	// and must never influence security decisions.
 	Meta map[string]string
+
+	// home is the PacketArena the struct was carved from and may be
+	// released to; nil for every other packet (see Release, Pin).
+	home *PacketArena
 }
 
 // Clone deep-copies the packet (payload and meta included) so mutation
 // by an attacker model cannot alias the original.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.home = nil // the copy is the collector's, whatever p was
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
 	}

@@ -1,6 +1,7 @@
 package secmem
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -77,27 +78,20 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, pool *Pool, emit func(i int
 		w = n
 	}
 
-	// sealInto encrypts chunk i into an arena buffer using the worker's
-	// reusable IV array. The returned slice is ciphertext||tag.
-	sealInto := func(iv *[NonceSize]byte, i int) []byte {
-		c := base + 1 + uint32(i)
-		binary.BigEndian.PutUint32(iv[nonceBase:], c)
-		var aad []byte
-		if aads != nil {
-			aad = aads[i]
-		}
-		buf := arena.Get(len(pts[i]) + TagSize)
-		return aead.Seal(buf[:0], iv[:], pts[i], aad)
-	}
-
 	var err error
 	if w == 1 {
 		// Serial fast path: seal and emit inline, already in order. One
 		// arena buffer sized for the largest chunk serves the whole
 		// batch — emit must copy anything it keeps, so the buffer is
-		// free for reuse the moment emit returns.
-		var iv [NonceSize]byte
-		copy(iv[:], nb[:])
+		// free for reuse the moment emit returns. The IV and the Sealed
+		// handed to emit both escape (an interface call, a func value),
+		// so they live in the stream's seal scratch; a batch that finds
+		// it taken — a concurrent or nested batch — gets one of its own.
+		scr := &s.sealScr
+		owned := s.sealBusy.CompareAndSwap(false, true)
+		if !owned {
+			scr = new(sealScratch)
+		}
 		maxLen := 0
 		for _, pt := range pts {
 			if len(pt) > maxLen {
@@ -105,22 +99,38 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, pool *Pool, emit func(i int
 			}
 		}
 		buf := arena.Get(maxLen + TagSize)
-		var chunk Sealed
 		for i := 0; i < n && err == nil; i++ {
 			c := base + 1 + uint32(i)
-			putNonce(&iv, nb, c)
+			putNonce(&scr.iv, nb, c)
 			var aad []byte
 			if aads != nil {
 				aad = aads[i]
 			}
-			ct := aead.Seal(buf[:0], iv[:], pts[i], aad)
+			ct := aead.Seal(buf[:0], scr.iv[:], pts[i], aad)
 			k := len(ct) - TagSize
-			chunk = Sealed{Counter: c, Epoch: epoch, Ciphertext: ct[:k]}
-			copy(chunk.Tag[:], ct[k:])
-			err = emit(i, &chunk)
+			scr.chunk = Sealed{Counter: c, Epoch: epoch, Ciphertext: ct[:k]}
+			copy(scr.chunk.Tag[:], ct[k:])
+			err = emit(i, &scr.chunk)
 		}
 		arena.Put(buf) // ciphertext only: public bytes
+		if owned {
+			scr.chunk.Ciphertext = nil
+			s.sealBusy.Store(false)
+		}
 	} else {
+		// sealInto encrypts chunk i into an arena buffer using the
+		// worker's reusable IV array. The returned slice is
+		// ciphertext||tag.
+		sealInto := func(iv *[NonceSize]byte, i int) []byte {
+			c := base + 1 + uint32(i)
+			binary.BigEndian.PutUint32(iv[nonceBase:], c)
+			var aad []byte
+			if aads != nil {
+				aad = aads[i]
+			}
+			buf := arena.Get(len(pts[i]) + TagSize)
+			return aead.Seal(buf[:0], iv[:], pts[i], aad)
+		}
 		err = sealStreamParallel(n, w, base, epoch, nb, sealInto, emit)
 	}
 
@@ -298,35 +308,32 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, pool 
 			maxCt = len(sealed[i].Ciphertext)
 		}
 	}
-	var bufMu sync.Mutex
-	var bufs [][]byte
-	pool.RunEach(n, func() func(i int) {
-		// One scratch per worker carries ciphertext||tag plus the IV at
-		// its tail for every chunk that worker opens — Open only reads
-		// from it while writing into dst, so reuse across chunks is safe
-		// and the per-chunk pool traffic of the old layout disappears.
+	// One scratch per worker carries ciphertext||tag plus the IV at its
+	// tail for every chunk that worker opens — Open only reads from it
+	// while writing into dst, so reuse across chunks is safe.
+	if min(pool.Workers(), n) == 1 {
+		// Serial: the caller is the only worker, no closure needed.
 		buf := arena.Get(maxCt + TagSize + NonceSize)
-		bufMu.Lock()
-		bufs = append(bufs, buf)
-		bufMu.Unlock()
-		return func(i int) {
-			ctLen := len(sealed[i].Ciphertext)
-			copy(buf, sealed[i].Ciphertext)
-			copy(buf[ctLen:], sealed[i].Tag[:])
-			iv := buf[ctLen+TagSize : ctLen+TagSize+NonceSize]
-			copy(iv, nb[:])
-			binary.BigEndian.PutUint32(iv[nonceBase:], sealed[i].Counter)
-			var aad []byte
-			if aads != nil {
-				aad = aads[i]
-			}
-			out := dst[offs[i]:offs[i]:offs[i+1]]
-			_, err := aead.Open(out, iv, buf[:ctLen+TagSize], aad)
-			errs[i] = err
+		for i := range sealed {
+			errs[i] = openInto(aead, &nb, buf, &sealed[i], aadAt(aads, i), dst[offs[i]:offs[i]:offs[i+1]])
 		}
-	})
-	for _, b := range bufs {
-		arena.Put(b) // scratch held ciphertext||tag||iv: public bytes
+		arena.Put(buf) // scratch held ciphertext||tag||iv: public bytes
+	} else {
+		var bufMu sync.Mutex
+		var bufs [][]byte
+		wnb := nb // the workers' copy: a captured nb would cost the serial path its heap box
+		pool.RunEach(n, func() func(i int) {
+			buf := arena.Get(maxCt + TagSize + NonceSize)
+			bufMu.Lock()
+			bufs = append(bufs, buf)
+			bufMu.Unlock()
+			return func(i int) {
+				errs[i] = openInto(aead, &wnb, buf, &sealed[i], aadAt(aads, i), dst[offs[i]:offs[i]:offs[i+1]])
+			}
+		})
+		for _, b := range bufs {
+			arena.Put(b)
+		}
 	}
 
 	// Advance the watermark through the contiguous success prefix.
@@ -354,4 +361,25 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, pool 
 		o.openBytes.Add(uint64(offs[n]))
 	}
 	return nil
+}
+
+// openInto authenticates and decrypts one chunk into out (length 0,
+// capacity the plaintext's), staging ciphertext||tag and the IV in buf.
+func openInto(aead cipher.AEAD, nb *[nonceBase]byte, buf []byte, c *Sealed, aad, out []byte) error {
+	ctLen := len(c.Ciphertext)
+	copy(buf, c.Ciphertext)
+	copy(buf[ctLen:], c.Tag[:])
+	iv := buf[ctLen+TagSize : ctLen+TagSize+NonceSize]
+	copy(iv, nb[:])
+	binary.BigEndian.PutUint32(iv[nonceBase:], c.Counter)
+	_, err := aead.Open(out, iv, buf[:ctLen+TagSize], aad)
+	return err
+}
+
+// aadAt is aads[i], nil when the batch carries no AADs.
+func aadAt(aads [][]byte, i int) []byte {
+	if aads == nil {
+		return nil
+	}
+	return aads[i]
 }

@@ -209,3 +209,74 @@ func TestOpenBatchIntoZeroesOnAuthFailure(t *testing.T) {
 		})
 	}
 }
+
+// TestSerialBatchCryptoAllocatesNothing pins the serial (one-worker)
+// batch paths at zero heap objects per 64 KiB batch of 256 chunks: the
+// IV and the Sealed handed to emit live in the stream's seal scratch,
+// and the serial open runs without the worker closures. A batch that
+// finds the seal scratch taken — here, one started from inside emit —
+// pays for its own and must still seal correctly.
+func TestSerialBatchCryptoAllocatesNothing(t *testing.T) {
+	tx, rx := newPair(t)
+	pts, aads := chunkset(256, 256)
+	pool := NewPool(1)
+	ct := make([]byte, 256*256)
+	sealed := make([]Sealed, len(pts))
+	dst := make([]byte, len(ct))
+	emit := func(i int, c *Sealed) error {
+		copy(ct[i*256:], c.Ciphertext)
+		sealed[i] = Sealed{Counter: c.Counter, Epoch: c.Epoch, Ciphertext: ct[i*256 : i*256+len(c.Ciphertext)], Tag: c.Tag}
+		return nil
+	}
+	round := func() {
+		if err := tx.SealBatchStream(pts, aads, pool, emit); err != nil {
+			t.Fatal(err)
+		}
+		if err := rx.OpenBatchInto(dst, sealed, aads, pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // sizes the per-stream scratch, primes the buffer pool
+	if got := testing.AllocsPerRun(20, round); got != 0 && !raceDetector {
+		t.Fatalf("a serial 64 KiB seal + open batch allocates %v objects, want 0", got)
+	}
+	for i := range pts {
+		if !bytes.Equal(dst[i*256:(i+1)*256], pts[i]) {
+			t.Fatalf("chunk %d did not round-trip", i)
+		}
+	}
+
+	// Nested batch on the same stream: the inner one cannot have the
+	// scratch the outer one holds. The outer batch reserved its two
+	// counters first, so rx sees outer 0, outer 1, then the inner three.
+	inner, innerAAD := chunkset(3, 64)
+	keep := func(c *Sealed) Sealed {
+		return Sealed{Counter: c.Counter, Epoch: c.Epoch, Ciphertext: append([]byte(nil), c.Ciphertext...), Tag: c.Tag}
+	}
+	var outerSealed, innerSealed []Sealed
+	err := tx.SealBatchStream(pts[:2], aads[:2], pool, func(i int, c *Sealed) error {
+		outerSealed = append(outerSealed, keep(c))
+		if i != 0 {
+			return nil
+		}
+		err := tx.SealBatchStream(inner, innerAAD, pool, func(_ int, ic *Sealed) error {
+			innerSealed = append(innerSealed, keep(ic))
+			return nil
+		})
+		if c.Counter != outerSealed[0].Counter || c.Tag != outerSealed[0].Tag {
+			t.Fatal("a nested batch overwrote the outer batch's Sealed")
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPts := append(append([][]byte(nil), pts[:2]...), inner...)
+	wantAADs := append(append([][]byte(nil), aads[:2]...), innerAAD...)
+	for i, c := range append(outerSealed, innerSealed...) {
+		pt, err := rx.Open(&c, wantAADs[i])
+		if err != nil || !bytes.Equal(pt, wantPts[i]) {
+			t.Fatalf("nested batches: chunk %d (counter %d) did not round-trip: %v", i, c.Counter, err)
+		}
+	}
+}

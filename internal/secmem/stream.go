@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ccai/internal/arena"
 	"ccai/internal/obsv"
@@ -67,6 +68,12 @@ type Stream struct {
 	// batchMu. They carry no secret material.
 	batchOffs []int
 	batchErrs []error
+
+	// sealScr is the serial SealBatchStream path's scratch, owned by
+	// whichever batch flipped sealBusy; it carries no secret material
+	// (an IV and a view of pooled ciphertext).
+	sealBusy atomic.Bool
+	sealScr  sealScratch
 
 	mu        sync.Mutex
 	aead      cipher.AEAD
@@ -175,6 +182,12 @@ func NewStreamAEAD(aead cipher.AEAD, nonce []byte) (*Stream, error) {
 	s := &Stream{aead: aead}
 	copy(s.nonceBase[:], nonce)
 	return s, nil
+}
+
+// sealScratch is what one serial seal batch needs on the heap.
+type sealScratch struct {
+	iv    [NonceSize]byte
+	chunk Sealed
 }
 
 // Sealed is one protected chunk: ciphertext, its GCM tag (carried by a

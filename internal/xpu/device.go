@@ -173,16 +173,18 @@ type Device struct {
 	upstream Upstream
 
 	// cplRecycle, when non-nil and returning true, authorizes returning
-	// upstream completion payloads to the shared arena after their bytes
-	// are copied out: the device is the payload's terminal consumer, and
-	// the hook (wired by the platform to the upstream bus's Untapped
-	// check, evaluated AFTER the route returned) proves no tap retained
-	// the packet. wrRecycle likewise authorizes staging outbound MWr
-	// payloads from the arena instead of the never-reused slab; it is
-	// wired only when the upstream consumer takes ownership of the bytes
-	// and returns them to the arena itself (the protected-mode SC's
-	// write-span pipeline). Nil hooks preserve the allocate-and-forget
-	// behavior, which is the only safe choice on a tapped bus.
+	// upstream completions — payload to the shared arena, struct to the
+	// packet arena it came from — after their bytes are copied out, and
+	// with them the request they answer: the device is their terminal
+	// consumer, and the hook (wired by the platform to the upstream bus's
+	// Untapped check, evaluated AFTER the route returned) proves no tap
+	// retained the packets. wrRecycle likewise authorizes staging outbound
+	// MWr payloads from the arena instead of the never-reused slab and
+	// taking the MWr struct back once routed; it is wired only when the
+	// upstream consumer takes ownership of the bytes and returns them to
+	// the arena itself (the protected-mode SC's write-span pipeline). Nil
+	// hooks preserve the allocate-and-forget behavior, which is the only
+	// safe choice on a tapped bus.
 	cplRecycle func() bool
 	wrRecycle  func() bool
 
@@ -196,10 +198,11 @@ type Device struct {
 	hangs      int
 	msiDropped int
 
-	// slab/pkts bump-allocate DMA payloads and TLP structs: one heap
-	// allocation per block instead of one per 256-byte chunk. Carved
-	// memory is never recycled, so handing it to buses whose taps retain
-	// packets is as safe as a fresh make.
+	// slab bump-allocates DMA payloads — one heap allocation per block
+	// instead of one per 256-byte chunk, never reused, so handing them to
+	// buses whose taps retain packets is as safe as a fresh make. pkts
+	// hands out the TLP structs, which come back only under the gates
+	// above.
 	slab arena.Slab
 	pkts pcie.PacketArena
 
@@ -562,7 +565,18 @@ func (d *Device) raiseInterrupt(cause uint64) {
 	}
 	data := d.slab.Take(4)
 	binary.LittleEndian.PutUint32(data, uint32(d.regs[RegMSIData]))
-	d.upstream(d.pkts.MemWrite(d.id, msiAddr, data))
+	d.postWrite(msiAddr, data)
+}
+
+// postWrite routes one posted write upstream and takes the packet
+// struct back when wrRecycle allows: an upstream consumer that keeps
+// the payload keeps the slice, never the packet.
+func (d *Device) postWrite(addr uint64, payload []byte) {
+	p := d.pkts.MemWrite(d.id, addr, payload)
+	d.upstream(p)
+	if d.wrRecycle != nil && d.wrRecycle() {
+		pcie.Release(p)
+	}
 }
 
 // dmaRead issues chunked MRd requests upstream and concatenates
@@ -585,13 +599,26 @@ func (d *Device) dmaRead(addr uint64, n int64) ([]byte, bool) {
 			return nil, false
 		}
 		out = append(out, cpl.Payload...)
-		if d.cplRecycle != nil && d.cplRecycle() {
-			arena.PutZero(cpl.Payload) // may carry tenant plaintext
-		}
+		d.releaseRead(req, cpl)
 		addr += uint64(chunk)
 		n -= chunk
 	}
 	return out, true
+}
+
+// releaseRead gives back a DMA read whose completion was copied out:
+// the payload zeroed (it may carry tenant plaintext) and both structs,
+// when cplRecycle proves the device is their last holder. A completion
+// the upstream relay pinned keeps its payload out of the pool too.
+func (d *Device) releaseRead(req, cpl *pcie.Packet) {
+	if d.cplRecycle == nil || !d.cplRecycle() {
+		return
+	}
+	payload := cpl.Payload
+	if pcie.Release(cpl) {
+		arena.PutZero(payload)
+	}
+	pcie.Release(req)
 }
 
 // dmaReadInto issues chunked MRd requests upstream, copying each
@@ -612,9 +639,7 @@ func (d *Device) dmaReadInto(dst []byte, addr uint64) bool {
 			return false
 		}
 		copy(dst, cpl.Payload[:chunk])
-		if d.cplRecycle != nil && d.cplRecycle() {
-			arena.PutZero(cpl.Payload) // may carry tenant plaintext
-		}
+		d.releaseRead(req, cpl)
 		addr += uint64(chunk)
 		dst = dst[chunk:]
 	}
@@ -643,7 +668,7 @@ func (d *Device) dmaWrite(addr uint64, data []byte) bool {
 			buf = d.slab.Take(chunk)
 		}
 		copy(buf, data[:chunk])
-		d.upstream(d.pkts.MemWrite(d.id, addr, buf))
+		d.postWrite(addr, buf)
 		addr += uint64(chunk)
 		data = data[chunk:]
 	}
@@ -688,12 +713,10 @@ func (d *Device) kernel(cmd Command) bool {
 	}
 	src := d.devMem[cmd.Src : cmd.Src+cmd.Len]
 	dst := d.devMem[cmd.Dst : cmd.Dst+cmd.Len]
+	overlap := cmd.Src < cmd.Dst+cmd.Len && cmd.Dst < cmd.Src+cmd.Len
 	switch cmd.Param >> 16 {
 	case KernelVecAddConst:
-		k := byte(cmd.Param)
-		for i := range src {
-			dst[i] = src[i] + k
-		}
+		vecAddConst(dst, src, byte(cmd.Param), overlap)
 	case KernelChecksum:
 		if cmd.Len < 8 {
 			return false
@@ -705,10 +728,7 @@ func (d *Device) kernel(cmd Command) bool {
 		}
 		binary.LittleEndian.PutUint64(dst[:8], h)
 	case KernelXORMask:
-		k := byte(cmd.Param)
-		for i := range src {
-			dst[i] = src[i] ^ k
-		}
+		xorMask(dst, src, byte(cmd.Param), overlap)
 	case KernelMatVecRelu:
 		return d.matVecRelu(cmd)
 	default:

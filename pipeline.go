@@ -100,13 +100,14 @@ func (pl *pipeline) assemble(br *HostBridge, dev *xpu.Device, s slice, opts adap
 		binary.LittleEndian.PutUint64(buf, plan.Val)
 		internal.Route(pcie.NewMemWrite(s.sc, s.xpuWin.Base+plan.Reg, buf))
 	})
-	// Close the payload-recycling loops on the internal segment: the
-	// device returns the SC's H2D plaintext completions to the arena
-	// after copying, stages D2H MWr payloads from the arena for the SC's
+	// Close the recycling loops on the internal segment: the device
+	// returns the SC's H2D plaintext completions to the arena after
+	// copying, stages D2H MWr payloads from the arena for the SC's
 	// write-span pipeline to return after sealing, and the SC recycles
-	// its own bounce-buffer fetches and ciphertext staging likewise. All
-	// gates re-check Bus.Untapped per packet, so fault-injection taps
-	// installed mid-run degrade to allocate-and-forget behavior.
+	// its own bounce-buffer fetches and ciphertext staging likewise; the
+	// packet structs travel back with the payloads. All gates re-check
+	// Bus.Untapped per packet, so fault-injection taps installed mid-run
+	// degrade to allocate-and-forget behavior.
 	dev.SetPayloadRecycling(internal.Untapped, internal.Untapped)
 	sc.EnableDatapathRecycling()
 	// The SC (not the device) masters the host bus; only the slice's

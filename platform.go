@@ -122,6 +122,10 @@ type HostBridge struct {
 	// freshly allocated per read.
 	bus *pcie.Bus
 
+	// pkts hands out the completion structs of successful reads; the
+	// requester releases them with the payload (pcie.PacketArena).
+	pkts pcie.PacketArena
+
 	msiMu sync.Mutex
 	msi   []uint32
 }
@@ -155,7 +159,7 @@ func (h *HostBridge) Handle(p *pcie.Packet) *pcie.Packet {
 				arena.Put(data)
 				return pcie.NewCompletion(p, h.id, pcie.CplUR, nil)
 			}
-			return pcie.NewCompletionOwned(p, h.id, pcie.CplSuccess, data)
+			return h.pkts.CompletionOwned(p, h.id, pcie.CplSuccess, data)
 		}
 		data, err := h.space.Read(p.Address, int64(p.Length))
 		if err != nil {
@@ -163,7 +167,7 @@ func (h *HostBridge) Handle(p *pcie.Packet) *pcie.Packet {
 		}
 		// space.Read returned a fresh copy; transfer it instead of
 		// copying a second time.
-		return pcie.NewCompletionOwned(p, h.id, pcie.CplSuccess, data)
+		return h.pkts.CompletionOwned(p, h.id, pcie.CplSuccess, data)
 	case pcie.MWr:
 		if !h.iommu.Check(p.Requester, p.Address, int64(len(p.Payload)), true) {
 			return nil // posted write silently dropped, fault recorded
