@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check experiments profile clean ci
+.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check experiments profile profile-observed clean ci
 
 all: build test
 
@@ -24,6 +24,14 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # D2H read path) run as named tests so a breach points at the exact
 # budget, not a benchmark diff.
 	$(GO) test -run 'TestTaskAllocBudget|TestReadAllocBudget' ./ ./internal/adaptor/
+# The price of observation, as named deterministic gates beside them:
+# exact spans per op, allocation parity observed/unobserved, the
+# symbol-table bound, the names benchmark/ and the soak scorecards read,
+# a Reset racing open spans — and the tracer against its reference, from
+# the seeded scripts TestSpansMatchesReference plays.
+	$(GO) test -run 'TestSpanBudget|TestObservedAllocParity|TestSymbolTableBounded|TestObservabilityNameContract' ./ ./internal/obsv/
+	$(GO) test -race -run 'TestResetWithOpenSpans|TestSpansMatchesReference' ./internal/obsv/
+	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=10s ./internal/obsv/
 
 build:
 	$(GO) build ./...
@@ -110,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalRekeyCommand -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzControllerControlWindow -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=15s ./internal/obsv/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=15s ./internal/fault/
 
 # CPU and allocation profiles of the end-to-end protected 64 KiB task —
@@ -125,6 +134,24 @@ profile:
 		-cpuprofile profiles/cpu.out -memprofile profiles/mem.out -o profiles/ccai.test .
 	$(GO) tool pprof -top -cum -nodecount=40 profiles/ccai.test profiles/cpu.out > profiles/top.txt
 	@cat profiles/top.txt
+
+# CPU profiles of the two observed ops — the 64 KiB task and the
+# 512-token decode session with WithObserve() — at the same one-proc
+# shape, harvested so that no span is dropped (the benchmarks fail
+# otherwise). The cumulative tops land in profiles/top-observed.txt;
+# what recording costs is the obsv.* frames in it.
+profile-observed:
+	mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkProtectedTask64KiBObserved$$' -benchtime 3000x -cpu 1 \
+		-cpuprofile profiles/cpu-task-observed.out -o profiles/ccai.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeSessionObserved$$' -benchtime 1000x -cpu 1 \
+		-cpuprofile profiles/cpu-decode-observed.out -o profiles/ccai.test .
+	{ echo "== BenchmarkProtectedTask64KiBObserved"; \
+	  $(GO) tool pprof -top -cum -nodecount=40 profiles/ccai.test profiles/cpu-task-observed.out; \
+	  echo "== BenchmarkDecodeSessionObserved"; \
+	  $(GO) tool pprof -top -cum -nodecount=40 profiles/ccai.test profiles/cpu-decode-observed.out; \
+	} > profiles/top-observed.txt
+	@cat profiles/top-observed.txt
 
 # Regenerate every table and figure of the paper's evaluation (prints
 # only; no file is written).

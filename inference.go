@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -81,10 +80,8 @@ type InferenceSession struct {
 	devBase uint64
 
 	// Resolved once at OpenSession so a decode step builds no string:
-	// the step's region labels and the engine-step counters by
-	// llm.StepKind (nil with observability off).
+	// the step's region labels.
 	kvName, idsName, outName string
-	steps                    [2]*obsv.Counter
 
 	// step is the decode stream's step channel and idsScratch the
 	// token-id buffer its steps refill; both belong to whoever holds
@@ -247,11 +244,48 @@ func (srv *llmServer) worker() {
 			srv.eng.Fail(st)
 			continue
 		}
-		sess.steps[st.Kind].Inc()
+		srv.mp.llmMet.steps[st.Kind].Inc()
 		if !srv.eng.Complete(st) {
 			sess.finish()
 		}
 	}
+}
+
+// llmObs holds the serving engine's metric handles — engine steps by
+// kind, finished sessions by tenant and outcome — resolved once in
+// MultiPlatform.Observe. All nil with observability off, so neither a
+// step nor a session builds a metric name.
+type llmObs struct {
+	steps    [2]*obsv.Counter // by llm.StepKind
+	sessions []sessionObs     // by tenant
+}
+
+type sessionObs struct{ ok, aborted *obsv.Counter }
+
+func newLLMObs(reg *obsv.Registry, tenants int) llmObs {
+	o := llmObs{sessions: make([]sessionObs, tenants)}
+	for _, kind := range []llm.StepKind{llm.StepPrefill, llm.StepDecode} {
+		o.steps[kind] = reg.Counter(obsv.Name("llm.steps", "kind", kind.String()))
+	}
+	for i := range o.sessions {
+		sessions := func(status string) *obsv.Counter {
+			return reg.Counter(obsv.Name("llm.sessions", "status", status, "tenant", tenantLabel(i)))
+		}
+		o.sessions[i] = sessionObs{ok: sessions("ok"), aborted: sessions("aborted")}
+	}
+	return o
+}
+
+// session returns the llm.sessions counter of a tenant's sessions that
+// ended ok or aborted (nil with observability off).
+func (o *llmObs) session(tenant int, ok bool) *obsv.Counter {
+	switch {
+	case o.sessions == nil:
+		return nil
+	case ok:
+		return o.sessions[tenant].ok
+	}
+	return o.sessions[tenant].aborted
 }
 
 // OpenSession admits a streaming inference session on the tenant. KV
@@ -313,11 +347,6 @@ func (t *Tenant) OpenSession(ctx context.Context, cfg llm.Config) (*InferenceSes
 		return fmt.Sprintf("llm-%s/t%d/s%d", kind, t.Index, slot)
 	}
 	sess.kvName, sess.idsName, sess.outName = name("kv"), name("ids"), name("chunk")
-	if reg := t.parent.Obs.Reg(); reg != nil {
-		for _, kind := range []llm.StepKind{llm.StepPrefill, llm.StepDecode} {
-			sess.steps[kind] = reg.Counter(obsv.Name("llm.steps", "kind", kind.String()))
-		}
-	}
 	state.Owner = sess
 	return sess, nil
 }
@@ -443,12 +472,7 @@ func (s *InferenceSession) abort(err error) {
 	ch := s.ch
 	s.mu.Unlock()
 	s.srv.eng.Release(s.state)
-	status := "ok"
-	if err != nil {
-		status = "aborted"
-	}
-	s.srv.mp.Obs.Reg().Counter(obsv.Name("llm.sessions",
-		"status", status, "tenant", strconv.Itoa(s.t.Index))).Inc()
+	s.srv.mp.llmMet.session(s.t.Index, err == nil).Inc()
 	if err != nil {
 		ch <- DecodeChunk{Index: -1, Err: err}
 	}

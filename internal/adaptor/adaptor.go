@@ -352,8 +352,7 @@ func (a *Adaptor) ReleaseRegion(r *Region) {
 // postTags uploads tag records; batched mode packs as many as fit one
 // TLP payload, non-optimized mode issues one I/O write per record.
 func (a *Adaptor) postTags(recs []core.TagRecord) error {
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "post_tags",
-		obsv.I64("records", int64(len(recs))))
+	sp := a.obs.tracer.Start(sitePostTags, keyRecords.I64(int64(len(recs))))
 	defer sp.End()
 	if !a.opts.BatchTags {
 		var one [core.TagRecordSize]byte
@@ -409,8 +408,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	if a.h2d == nil {
 		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
 	}
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "stage_h2d",
-		obsv.Str("region", name), obsv.I64("bytes", int64(len(data))))
+	sp := a.obs.tracer.Start(siteStageH2D, a.obs.regionName(name), keyBytes.I64(int64(len(data))))
 	defer sp.End()
 	if _, err := a.maybeRekeyLocked(); err != nil {
 		return nil, err
@@ -562,8 +560,7 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 	if a.config == nil {
 		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
 	}
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "stage_verified",
-		obsv.Str("region", name), obsv.I64("bytes", size))
+	sp := a.obs.tracer.Start(siteStageVerified, a.obs.regionName(name), keyBytes.I64(size))
 	defer sp.End()
 	buf, err := a.space.Alloc(a.region, name, size)
 	if err != nil {
@@ -595,8 +592,8 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "sync_verified",
-		obsv.U64("region", uint64(r.Desc.ID)), obsv.I64("chunks", int64(len(chunks))))
+	sp := a.obs.tracer.Start(siteSyncVerified,
+		keyRegion.U64(uint64(r.Desc.ID)), keyChunks.I64(int64(len(chunks))))
 	defer sp.End()
 	recs := make([]core.TagRecord, 0, len(chunks))
 	var aad [8]byte
@@ -637,8 +634,7 @@ func (a *Adaptor) prepareD2HLocked(name string, size int64) (*Region, error) {
 	if a.d2h == nil {
 		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
 	}
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "prepare_d2h",
-		obsv.Str("region", name), obsv.I64("bytes", size))
+	sp := a.obs.tracer.Start(sitePrepareD2H, a.obs.regionName(name), keyBytes.I64(size))
 	defer sp.End()
 	buf, err := a.space.Alloc(a.region, name, size)
 	if err != nil {
@@ -712,8 +708,7 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 	if n > r.PlainLen {
 		return nil, fmt.Errorf("adaptor: collect %d bytes from %d-byte region", n, r.PlainLen)
 	}
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "collect_d2h",
-		obsv.U64("region", uint64(r.Desc.ID)), obsv.I64("bytes", n))
+	sp := a.obs.tracer.Start(siteCollectD2H, keyRegion.U64(uint64(r.Desc.ID)), keyBytes.I64(n))
 	defer sp.End()
 	if err := a.flushRingLocked(); err != nil {
 		return nil, err
@@ -785,7 +780,7 @@ func (a *Adaptor) GuardedWriteBatched(reg uint64, value uint64) error {
 func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "guarded_write", obsv.Hex("reg", reg))
+	sp := a.obs.tracer.Start(siteGuardedWrite, keyReg.Hex(reg))
 	defer sp.End()
 	var payload [8]byte
 	binary.LittleEndian.PutUint64(payload[:], value)
@@ -836,7 +831,7 @@ func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 func (a *Adaptor) CompletionHead(reg uint64) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "completion_head", obsv.Hex("reg", reg))
+	sp := a.obs.tracer.Start(siteCompletionHead, keyReg.Hex(reg))
 	defer sp.End()
 	if a.opts.CompletionReap && a.ring != nil {
 		// Ordering: anything pending in the ring (tag syncs, notifies)
@@ -873,7 +868,7 @@ func (a *Adaptor) CompletionHead(reg uint64) (uint64, error) {
 func (a *Adaptor) DeviceRead(reg uint64) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "device_read", obsv.Hex("reg", reg))
+	sp := a.obs.tracer.Start(siteDeviceRead, keyReg.Hex(reg))
 	defer sp.End()
 	cpl, err := a.readWithRetry(a.xpuBar + reg)
 	if err != nil {
@@ -917,7 +912,7 @@ func (a *Adaptor) rekeyStreamLocked(stream string) error {
 		return err
 	}
 	a.obs.rekeys.Inc()
-	a.obs.tracer.Instant(obsv.TrackAdaptor, "rekey", obsv.Str("stream", stream))
+	a.obs.tracer.Mark(siteRekey, keyStream.Str(obsv.Intern(stream)))
 	a.hub.Eventf(obsv.EvRekey, "", "stream=%s", stream)
 
 	// Mirror on the TVM side.
@@ -995,7 +990,7 @@ func (a *Adaptor) Teardown() {
 }
 
 func (a *Adaptor) teardownLocked() {
-	a.obs.tracer.Instant(obsv.TrackAdaptor, "teardown")
+	a.obs.tracer.Mark(siteTeardown)
 	// Pending ring entries die with the session; teardown itself stays a
 	// direct MMIO write so it cannot depend on ring health.
 	a.ring = nil

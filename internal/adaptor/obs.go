@@ -5,6 +5,47 @@ import (
 	"ccai/internal/obsv"
 )
 
+// Span sites, attribute keys and fixed attribute values of the
+// Adaptor, resolved once: recording a span stores these handles as
+// they are.
+var (
+	sitePostTags       = obsv.NewSite(obsv.TrackAdaptor, "post_tags")
+	siteStageH2D       = obsv.NewSite(obsv.TrackAdaptor, "stage_h2d")
+	siteStageVerified  = obsv.NewSite(obsv.TrackAdaptor, "stage_verified")
+	siteSyncVerified   = obsv.NewSite(obsv.TrackAdaptor, "sync_verified")
+	sitePrepareD2H     = obsv.NewSite(obsv.TrackAdaptor, "prepare_d2h")
+	siteCollectD2H     = obsv.NewSite(obsv.TrackAdaptor, "collect_d2h")
+	siteGuardedWrite   = obsv.NewSite(obsv.TrackAdaptor, "guarded_write")
+	siteCompletionHead = obsv.NewSite(obsv.TrackAdaptor, "completion_head")
+	siteDeviceRead     = obsv.NewSite(obsv.TrackAdaptor, "device_read")
+	siteArmStep        = obsv.NewSite(obsv.TrackAdaptor, "arm_step")
+	siteRekey          = obsv.NewSite(obsv.TrackAdaptor, "rekey")
+	siteTeardown       = obsv.NewSite(obsv.TrackAdaptor, "teardown")
+	siteStaleSuppress  = obsv.NewSite(obsv.TrackAdaptor, "recovery.stale_suppressed")
+	siteRetry          = obsv.NewSite(obsv.TrackAdaptor, "recovery.retry")
+	siteCryptoRetry    = obsv.NewSite(obsv.TrackAdaptor, "recovery.crypto_retry")
+	siteRepostTags     = obsv.NewSite(obsv.TrackAdaptor, "recovery.repost_tags")
+	siteResyncMMIO     = obsv.NewSite(obsv.TrackAdaptor, "recovery.resync_mmio")
+	siteFailClosed     = obsv.NewSite(obsv.TrackAdaptor, "recovery.fail_closed")
+
+	keyRecords = obsv.NewKey("records")
+	keyRegion  = obsv.NewKey("region")
+	keyBytes   = obsv.NewKey("bytes")
+	keyChunks  = obsv.NewKey("chunks")
+	keyReg     = obsv.NewKey("reg")
+	keySlot    = obsv.NewKey("slot")
+	keyStream  = obsv.NewKey("stream")
+	keyAddr    = obsv.NewKey("addr")
+	keyAttempt = obsv.NewKey("attempt")
+	keyOp      = obsv.NewKey("op")
+	keySeq     = obsv.NewKey("seq")
+	keyReason  = obsv.NewKey("reason")
+
+	symRingDoorbell       = obsv.Intern("ring-doorbell")
+	symRingDesync         = obsv.Intern("ring-desync")
+	symRingHeadRegression = obsv.Intern("ring-head-regression")
+)
+
 // adaptorObs caches the Adaptor's observability handles. The zero value
 // (all-nil handles) is the uninstrumented state: every increment and
 // Begin/End call is nil-safe, so the hot path never branches on
@@ -23,6 +64,17 @@ type adaptorObs struct {
 	cryptoRetries                *obsv.Counter
 	reposts, resyncs             *obsv.Counter
 	exhausted, failClosed        *obsv.Counter
+}
+
+// regionName renders a caller-supplied region name as a span
+// attribute. The name arrives as a string through the staging API, so
+// this is the one symbol lookup (lock-free) an observed staging call
+// makes — per call, never per chunk — and none at all unobserved.
+func (o *adaptorObs) regionName(name string) obsv.Field {
+	if o.tracer == nil {
+		return obsv.Field{}
+	}
+	return keyRegion.Str(obsv.Intern(name))
 }
 
 // SetObserver instruments the Adaptor and its active stream replicas;

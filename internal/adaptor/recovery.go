@@ -123,7 +123,7 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 			// is suppressed and the attempt treated as timed out.
 			a.rec.StaleSuppressed++
 			a.obs.staleSuppressed.Inc()
-			a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.stale_suppressed", obsv.Hex("addr", addr))
+			a.obs.tracer.Mark(siteStaleSuppress, keyAddr.Hex(addr))
 			cpl = nil
 		} else if cpl == nil {
 			a.rec.Timeouts++
@@ -146,8 +146,7 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 		}
 		a.rec.Retries++
 		a.obs.retries.Inc()
-		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.retry",
-			obsv.Hex("addr", addr), obsv.I64("attempt", int64(attempt+1)))
+		a.obs.tracer.Mark(siteRetry, keyAddr.Hex(addr), keyAttempt.I64(int64(attempt+1)))
 		a.backoff(&delay)
 	}
 }
@@ -178,7 +177,7 @@ func (a *Adaptor) retryTransient(op string, fn func() error) error {
 		}
 		a.rec.CryptoRetries++
 		a.obs.cryptoRetries.Inc()
-		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.crypto_retry", obsv.Str("op", op))
+		a.obs.tracer.Mark(siteCryptoRetry, keyOp.Str(obsv.Intern(op)))
 		a.backoff(&delay)
 	}
 }
@@ -218,8 +217,8 @@ func (a *Adaptor) RepostTags(r *Region) {
 	}
 	a.rec.Reposts++
 	a.obs.reposts.Inc()
-	a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.repost_tags",
-		obsv.U64("region", uint64(r.Desc.ID)), obsv.I64("records", int64(len(r.Recs))))
+	a.obs.tracer.Mark(siteRepostTags,
+		keyRegion.U64(uint64(r.Desc.ID)), keyRecords.I64(int64(len(r.Recs))))
 	var err error
 	if r.Desc.Slotted {
 		err = a.postArm(r)
@@ -250,7 +249,7 @@ func (a *Adaptor) ResyncMMIO() error {
 	if seq != a.mmioSeq {
 		a.rec.Resyncs++
 		a.obs.resyncs.Inc()
-		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.resync_mmio", obsv.U64("seq", uint64(seq)))
+		a.obs.tracer.Mark(siteResyncMMIO, keySeq.U64(uint64(seq)))
 		a.mmioSeq = seq
 	}
 	return nil
@@ -268,14 +267,26 @@ func (a *Adaptor) MMIOSeq() uint32 {
 // environment guard (via the SC teardown path). Confidentiality is
 // preserved by construction — nothing that was protected becomes less
 // protected because the session died.
-func (a *Adaptor) FailClosed(reason string) {
+//
+// reason names the failure class and is recorded as a span attribute,
+// so it must be one of a few fixed strings (the symbol table keeps
+// every distinct one for the life of the process); what varies from
+// one failure to the next — counts, status words — goes in detail as
+// numeric attributes. RecoveryStats.LastFailure and the audit event
+// keep both, rendered as text.
+func (a *Adaptor) FailClosed(reason string, detail ...obsv.Attr) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	text := reason
+	for _, d := range detail {
+		text += " " + d.Key + "=" + d.Val()
+	}
 	a.rec.FailClosed++
-	a.rec.LastFailure = reason
+	a.rec.LastFailure = text
 	a.obs.failClosed.Inc()
-	a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.fail_closed", obsv.Str("reason", reason))
-	a.hub.Eventf(obsv.EvFailClosed, "", "reason=%s", reason)
+	a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.fail_closed",
+		append([]obsv.Attr{obsv.Str("reason", reason)}, detail...)...)
+	a.hub.Eventf(obsv.EvFailClosed, "", "reason=%s", text)
 	a.teardownLocked()
 }
 

@@ -94,7 +94,7 @@ func (a *Adaptor) flushRingLocked() error {
 			a.rec.FailClosed++
 			a.rec.LastFailure = "submission ring desync"
 			a.obs.failClosed.Inc()
-			a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.fail_closed", obsv.Str("reason", "ring-desync"))
+			a.obs.tracer.Mark(siteFailClosed, keyReason.Str(symRingDesync))
 			a.hub.Eventf(obsv.EvFailClosed, "", "reason=ring-desync")
 			a.teardownLocked()
 			return ErrRingDesync
@@ -122,7 +122,7 @@ func (a *Adaptor) flushRingLocked() error {
 				a.rec.FailClosed++
 				a.rec.LastFailure = "submission ring head regression"
 				a.obs.failClosed.Inc()
-				a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.fail_closed", obsv.Str("reason", "ring-head-regression"))
+				a.obs.tracer.Mark(siteFailClosed, keyReason.Str(symRingHeadRegression))
 				a.hub.Eventf(obsv.EvFailClosed, "", "reason=ring-head-regression")
 				a.teardownLocked()
 				return ErrRingDesync
@@ -133,8 +133,7 @@ func (a *Adaptor) flushRingLocked() error {
 		}
 		a.rec.Retries++
 		a.obs.retries.Inc()
-		a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.retry",
-			obsv.Str("op", "ring-doorbell"), obsv.I64("attempt", int64(attempt+1)))
+		a.obs.tracer.Mark(siteRetry, keyOp.Str(symRingDoorbell), keyAttempt.I64(int64(attempt+1)))
 		a.backoff(&delay)
 	}
 }

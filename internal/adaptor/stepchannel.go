@@ -6,7 +6,6 @@ import (
 
 	"ccai/internal/arena"
 	"ccai/internal/core"
-	"ccai/internal/obsv"
 	"ccai/internal/secmem"
 )
 
@@ -88,8 +87,7 @@ func (a *Adaptor) stageWindowLocked(name string) (*Region, error) {
 		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
 	}
 	const size = StepWindowSlots * core.ChunkSize
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "stage_h2d",
-		obsv.Str("region", name), obsv.I64("bytes", size))
+	sp := a.obs.tracer.Start(siteStageH2D, a.obs.regionName(name), keyBytes.I64(size))
 	defer sp.End()
 	buf, err := a.space.Alloc(a.region, name, size)
 	if err != nil {
@@ -125,8 +123,8 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 	if n == 0 || !ch.Fits(len(data)) {
 		return 0, fmt.Errorf("adaptor: %d-byte step does not fit step window %d at slot %d", len(data), win.Desc.ID, slot)
 	}
-	sp := a.obs.tracer.Begin(obsv.TrackAdaptor, "arm_step",
-		obsv.U64("region", uint64(win.Desc.ID)), obsv.U64("slot", uint64(slot)), obsv.I64("bytes", int64(len(data))))
+	sp := a.obs.tracer.Start(siteArmStep,
+		keyRegion.U64(uint64(win.Desc.ID)), keySlot.U64(uint64(slot)), keyBytes.I64(int64(len(data))))
 	defer sp.End()
 	if _, err := a.maybeRekeyLocked(); err != nil {
 		return 0, err

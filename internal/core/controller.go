@@ -340,10 +340,13 @@ func (c *Controller) authFailed() {
 // records of a read — one chunk's or a whole span's — leave the tag
 // queue in one operation.
 func (c *Controller) tagMatchEach(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
-	sp := c.obs.tracer.Begin(obsv.TrackSC, "tag_match",
-		obsv.Str("stream", stream), obsv.U64("chunk", uint64(ctrs[0])), obsv.I64("chunks", int64(len(ctrs))))
+	var sp obsv.ActiveSpan
+	if tr := c.obs.tracer; tr != nil {
+		sp = tr.Start(siteTagMatch, keyStream.Str(streamSym(stream)),
+			keyChunk.U64(uint64(ctrs[0])), keyChunks.I64(int64(len(ctrs))))
+	}
 	all := c.tags.TakeEach(stream, ctrs, recs, have)
-	sp.Attr(obsv.Bool("matched", all))
+	sp.Set(keyMatched.Bool(all))
 	sp.End()
 	return all
 }
@@ -559,8 +562,8 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
 		// Reads of guarded registers carry no payload to verify.
 		return c.forwardToDevice(p)
 	}
-	sp := c.obs.tracer.Begin(obsv.TrackSC, "guarded_mmio",
-		obsv.Hex("addr", p.Address), obsv.I64("bytes", int64(len(p.Payload))))
+	sp := c.obs.tracer.Start(siteGuardedMMIO,
+		keyAddr.Hex(p.Address), keyBytes.I64(int64(len(p.Payload))))
 	defer sp.End()
 	// The sequence check, MAC verify and counter advance form one
 	// atomic step under mu so concurrent guarded writes cannot both
@@ -1074,38 +1077,58 @@ func (c *Controller) InternalPort() pcie.Endpoint { return internalPort{c} }
 // HandleFromDevice is the internal bus's upstream path: every DMA
 // request and MSI the xPU emits crosses the filter and, inside
 // protected regions, the crypto handlers.
+//
+// On an observed chassis a chunk write into a live A2 D2H region
+// records no span of its own: it is accounted, with the verdict it
+// classified to, in the one encrypt_write span of the write span it
+// joins (sealSpan). A write that does not get that far — dropped,
+// misrouted, failed to seal — has its classify span recorded after the
+// fact, so every drop, reject and auth failure still shows one.
 func (c *Controller) HandleFromDevice(p *pcie.Packet) *pcie.Packet {
-	verdict := c.filter.Classify(p)
+	fold := c.obs.tracer != nil && p.Kind == pcie.MWr && c.regions.foldsWrite(p.Address)
+	verdict := c.filter.classify(p, !fold)
+	cpl, staged := c.dispatchFromDevice(p, verdict)
+	if fold && !staged {
+		c.filter.traceVerdict(p, verdict)
+	}
+	return cpl
+}
+
+// dispatchFromDevice applies the verdict to a device-initiated packet.
+// staged reports that the packet was a D2H chunk write accepted into
+// its region's write span.
+func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict) (cpl *pcie.Packet, staged bool) {
 	switch verdict.Action {
 	case ActionDrop:
-		return c.reject(p)
+		return c.reject(p), false
 	case ActionPassThrough:
 		cpl := c.hostBus.Route(p)
 		c.pinRelayed(c.hostBus, p, cpl)
 		if staleCpl(p, cpl) {
 			c.authFailed()
-			return c.reject(p)
+			return c.reject(p), false
 		}
-		return cpl
+		return cpl, false
 	}
 
 	desc, ok := c.regions.find(p.Address)
 	if !ok {
 		// Classified protected but no registered region: fail closed.
 		c.authFailed()
-		return c.reject(p)
+		return c.reject(p), false
 	}
 	switch {
 	case p.Kind == pcie.MRd && desc.Dir == DirH2D && desc.Class == ActionWriteReadProtect:
-		return c.decryptRead(p, desc)
+		return c.decryptRead(p, desc), false
 	case p.Kind == pcie.MRd && desc.Dir == DirH2D && desc.Class == ActionWriteProtect:
-		return c.verifiedRead(p, desc)
+		return c.verifiedRead(p, desc), false
 	case p.Kind == pcie.MWr && desc.Dir == DirD2H && desc.Class == ActionWriteReadProtect:
-		return c.encryptWrite(p, desc)
-	default:
-		c.authFailed()
-		return c.reject(p)
+		if c.encryptWrite(p, desc, verdict) {
+			return nil, true
+		}
 	}
+	c.authFailed()
+	return c.reject(p), false
 }
 
 // decryptRead services a device read of an A2 H2D region: fetch the
@@ -1117,9 +1140,8 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 	if uint64(p.Length) > uint64(desc.ChunkSize) {
 		return c.decryptReadSpan(p, desc)
 	}
-	sp := c.obs.tracer.Begin(obsv.TrackSC, "decrypt_read",
-		obsv.Hex("addr", p.Address), obsv.I64("bytes", int64(p.Length)),
-		obsv.U64("region", uint64(desc.ID)))
+	sp := c.obs.tracer.Start(siteDecryptRead,
+		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	chunk, err := desc.ChunkOf(p.Address, p.Length)
 	if err != nil {
@@ -1225,9 +1247,8 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 // reposted table behind the watermark — drops to the per-chunk policy
 // in openChunk, which knows about duplicates and retransmits.
 func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Packet {
-	sp := c.obs.tracer.Begin(obsv.TrackSC, "decrypt_read_span",
-		obsv.Hex("addr", p.Address), obsv.I64("bytes", int64(p.Length)),
-		obsv.U64("region", uint64(desc.ID)))
+	sp := c.obs.tracer.Start(siteDecryptReadSpan,
+		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	cs := uint64(desc.ChunkSize)
 	off := p.Address - desc.Base
@@ -1370,9 +1391,8 @@ func (c *Controller) duplicateRead() {
 // verifiedRead services a device read of an A3 H2D region (e.g. the
 // command ring): fetch plaintext, verify its one-shot MAC record.
 func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
-	sp := c.obs.tracer.Begin(obsv.TrackSC, "verified_read",
-		obsv.Hex("addr", p.Address), obsv.I64("bytes", int64(p.Length)),
-		obsv.U64("region", uint64(desc.ID)))
+	sp := c.obs.tracer.Start(siteVerifiedRead,
+		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	chunk, err := desc.ChunkOf(p.Address, p.Length)
 	if err != nil {
@@ -1427,30 +1447,27 @@ func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet 
 // on a full span, a sequence break, the metadata publish cadence, and
 // region completion, so host-visible progress never runs ahead of the
 // ciphertext and tags backing it.
-func (c *Controller) encryptWrite(p *pcie.Packet, desc Descriptor) *pcie.Packet {
-	sp := c.obs.tracer.Begin(obsv.TrackSC, "encrypt_write",
-		obsv.Hex("addr", p.Address), obsv.I64("bytes", int64(len(p.Payload))),
-		obsv.U64("region", uint64(desc.ID)))
-	defer sp.End()
+//
+// The write is posted, so there is nothing to return but the outcome:
+// false — a write outside the chunk grid, or a seal that failed — and
+// the caller fails closed. verdict is what the TLP classified to; a
+// write span holds only TLPs of one verdict, which its encrypt_write
+// span reports.
+func (c *Controller) encryptWrite(p *pcie.Packet, desc Descriptor, verdict Verdict) bool {
 	chunk, err := desc.ChunkOf(p.Address, uint32(len(p.Payload)))
 	if err != nil {
-		c.authFailed()
-		return c.reject(p)
+		return false
 	}
 	ok := true
-	span, brk := c.stageWrite(desc, chunk, p.Payload)
+	span, brk := c.stageWrite(desc, chunk, p.Payload, verdict)
 	if brk {
 		ok = c.sealSpan(c.detachSpan(desc))
-		span, _ = c.stageWrite(desc, chunk, p.Payload)
+		span, _ = c.stageWrite(desc, chunk, p.Payload, verdict)
 	}
 	if span != nil {
 		ok = c.sealSpan(span) && ok
 	}
-	if !ok {
-		c.authFailed()
-		return c.reject(p)
-	}
-	return nil
+	return ok
 }
 
 // tagSpanRecords is how many marshalled tag records fit one TLP payload.
@@ -1660,7 +1677,7 @@ func (c *Controller) Teardown() {
 	}
 	c.dropSpanCache(^uint32(0))
 	c.obs.teardowns.Inc()
-	c.obs.tracer.Instant(obsv.TrackSC, "teardown")
+	c.obs.tracer.Mark(siteTeardown)
 	c.params.DestroyAll()
 	c.regions.clear()
 	c.tags.Clear()

@@ -174,6 +174,13 @@ func (rt *regionTable) find(addr uint64) (Descriptor, bool) {
 	return Descriptor{}, false
 }
 
+// foldsWrite reports whether addr lies in a live A2 D2H region — where
+// a device chunk write is staged into a write span.
+func (rt *regionTable) foldsWrite(addr uint64) bool {
+	d, ok := rt.find(addr)
+	return ok && d.Dir == DirD2H && d.Class == ActionWriteReadProtect
+}
+
 // byID returns the live descriptor registered under id.
 func (rt *regionTable) byID(id uint32) (Descriptor, bool) {
 	rt.mu.Lock()

@@ -319,13 +319,18 @@ func kindRequesterOnly(r Rule) bool {
 // classifies against it. A concurrent Install/Clear publishes a new
 // snapshot; this call keeps the one it loaded, exactly like a packet
 // that hit the hardware filter one cycle before the table update.
-func (f *Filter) Classify(p *pcie.Packet) Verdict {
+func (f *Filter) Classify(p *pcie.Packet) Verdict { return f.classify(p, true) }
+
+// classify is Classify with the packet's own classify span optional:
+// the controller passes span=false for a TLP it accounts in an
+// aggregate span instead (Controller.HandleFromDevice). Stats, the
+// per-action counters and the rogue event cover every packet either way.
+func (f *Filter) classify(p *pcie.Packet, span bool) Verdict {
 	s := f.state.Load()
 	o := f.obs.Load()
 	var sp obsv.ActiveSpan
-	if o != nil {
-		sp = o.tracer.Begin(obsv.TrackFilter, "classify",
-			obsv.Str("kind", p.Kind.String()), obsv.Hex("addr", p.Address))
+	if o != nil && span {
+		sp = o.tracer.Start(siteClassify, keyKind.Str(kindSym(p.Kind)), keyAddr.Hex(p.Address))
 	}
 	key := memoKey(p.Kind, p.Requester)
 	v, hit := s.memo.lookup(key)
@@ -361,11 +366,21 @@ func (f *Filter) Classify(p *pcie.Packet) Verdict {
 		case ActionPassThrough:
 			o.pass.Inc()
 		}
-		sp.Attr(obsv.Str("action", actionLabel(v.Action)),
-			obsv.U64("rule", uint64(v.Rule)), obsv.I64("stage", int64(v.Stage)))
+		sp.Set(keyAction.Str(actionSym(v.Action)), keyRule.U64(uint64(v.Rule)), keyStage.I64(int64(v.Stage)))
 		sp.End()
 	}
 	return v
+}
+
+// traceVerdict records the classify span of a packet classified
+// without one, once it is known not to reach the aggregate span that
+// would have accounted it.
+func (f *Filter) traceVerdict(p *pcie.Packet, v Verdict) {
+	if o := f.obs.Load(); o != nil {
+		sp := o.tracer.Start(siteClassify, keyKind.Str(kindSym(p.Kind)), keyAddr.Hex(p.Address),
+			keyAction.Str(actionSym(v.Action)), keyRule.U64(uint64(v.Rule)), keyStage.I64(int64(v.Stage)))
+		sp.End()
+	}
 }
 
 // classify walks the snapshot's tables. The second return reports

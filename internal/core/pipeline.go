@@ -302,6 +302,9 @@ type writeSpan struct {
 	next   uint32 // chunk index that extends the span
 	pts    [][]byte
 	ptsArr [spanChunks][]byte
+	// verdict is what every TLP staged in the span classified to; the
+	// span's one encrypt_write span reports it for all of them.
+	verdict Verdict
 
 	// Seal-time state, filled when the span is detached.
 	c      *Controller
@@ -336,8 +339,10 @@ type hostWr struct {
 // claim chunks whose ciphertext and tags are still buffered) the span
 // comes back detached, ready for sealSpan. When the pending span cannot
 // absorb the chunk — a sequence break — nothing is staged and brk is
-// true: the caller seals the detachSpan'd span and stages again.
-func (c *Controller) stageWrite(desc Descriptor, chunk uint32, payload []byte) (flush *writeSpan, brk bool) {
+// true: the caller seals the detachSpan'd span and stages again. A TLP
+// that classified differently from the pending span's (the rule table
+// changed under the burst) breaks it the same way.
+func (c *Controller) stageWrite(desc Descriptor, chunk uint32, payload []byte, verdict Verdict) (flush *writeSpan, brk bool) {
 	total := uint64(chunkCount(desc))
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -351,10 +356,10 @@ func (c *Controller) stageWrite(desc Descriptor, chunk uint32, payload []byte) (
 			span = &writeSpan{c: c}
 			span.emit = span.emitChunk
 		}
-		span.start, span.next = chunk, chunk
+		span.start, span.next, span.verdict = chunk, chunk, verdict
 		span.pts = span.ptsArr[:0]
 		c.wspans[desc.ID] = span
-	case chunk != span.next || len(span.pts) == spanChunks:
+	case chunk != span.next || len(span.pts) == spanChunks || verdict != span.verdict:
 		return nil, true
 	}
 	span.pts = append(span.pts, payload)
@@ -394,11 +399,25 @@ func (c *Controller) detachLocked(desc Descriptor, span *writeSpan) {
 // decrypt/DMA overlap. Returns false only when the batch failed (engine
 // fault, missing stream): the buffered chunks are dropped and the
 // caller fails closed. A nil span is an empty flush.
+//
+// The seal is the one encrypt_write span of all its chunk writes:
+// region, first chunk, chunk and byte counts, and the action and rule
+// those TLPs classified to (they recorded no span of their own).
 func (c *Controller) sealSpan(span *writeSpan) bool {
 	if span == nil {
 		return true
 	}
 	k := len(span.pts)
+	if tr := c.obs.tracer; tr != nil {
+		bytes := 0
+		for _, pt := range span.pts {
+			bytes += len(pt)
+		}
+		sp := tr.Start(siteEncryptWrite, keyRegion.U64(uint64(span.desc.ID)),
+			keyChunk.U64(uint64(span.start)), keyChunks.I64(int64(k)), keyBytes.I64(int64(bytes)),
+			keyAction.Str(actionSym(span.verdict.Action)), keyRule.U64(uint64(span.verdict.Rule)))
+		defer sp.End()
+	}
 	stream, err := c.params.Stream(StreamD2H)
 	if err == nil {
 		for i := 0; i < k; i++ {

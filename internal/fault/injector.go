@@ -76,6 +76,14 @@ type Injector struct {
 	obsReg    *obsv.Registry
 }
 
+// The firing event's span site and attribute keys, resolved once; the
+// class name resolves per firing (rare, and one of a fixed set).
+var (
+	siteFaultInjected = obsv.NewSite(obsv.TrackFault, "fault_injected")
+	keyClass          = obsv.NewKey("class")
+	keyIndex          = obsv.NewKey("index")
+)
+
 // SetObserver instruments the injector; a nil hub clears it.
 func (inj *Injector) SetObserver(h *obsv.Hub) {
 	inj.mu.Lock()
@@ -146,8 +154,7 @@ func (inj *Injector) fires(class Class) bool {
 		inj.stats.Fired[class]++
 		inj.log = append(inj.log, Firing{Class: class, Index: i, At: inj.now()})
 		inj.obsReg.Counter(obsv.Name("fault.fired", "class", class.String())).Inc()
-		inj.obsTracer.Instant(obsv.TrackFault, "fault_injected",
-			obsv.Str("class", class.String()), obsv.U64("index", i))
+		inj.obsTracer.Mark(siteFaultInjected, keyClass.Str(obsv.Intern(class.String())), keyIndex.U64(i))
 		return true
 	}
 	return false

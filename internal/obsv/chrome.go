@@ -69,18 +69,19 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		})
 	}
 	for _, s := range spans {
+		attrs := s.Attrs()
 		ev := chromeEvent{
 			Name: s.Name,
 			Cat:  s.Track,
 			TS:   float64(s.Start) / 1e3, // virtual ns → µs
 			PID:  1,
 			TID:  tid[s.Track],
-			Args: make(map[string]string, len(s.Attrs())+1),
+			Args: make(map[string]string, len(attrs)+1),
 		}
 		if s.Task != 0 {
 			ev.Args["task"] = U64("task", s.Task).Val()
 		}
-		for _, a := range s.Attrs() {
+		for _, a := range attrs {
 			ev.Args[a.Key] = a.Val()
 		}
 		if s.Instant {

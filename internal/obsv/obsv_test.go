@@ -3,7 +3,10 @@ package obsv
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccai/internal/sim"
@@ -220,5 +223,159 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if !haveX || !haveI || !haveMeta {
 		t.Fatalf("export missing event kinds: X=%v i=%v M=%v", haveX, haveI, haveMeta)
+	}
+}
+
+// TestResetRecyclesBuffers pins the harvest's allocation contract: with
+// no span open, Reset alternates between two buffers and allocates
+// nothing; a span held open keeps its buffer out of reuse until it ends.
+func TestResetRecyclesBuffers(t *testing.T) {
+	tr := NewTracer()
+	site := NewSite(TrackSC, "recycle")
+	tr.Reset() // the second buffer comes into being
+	cycle := func() {
+		sp := tr.Start(site)
+		tr.Mark(site)
+		sp.End()
+		tr.Reset()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a record-and-Reset cycle allocates %v objects, want 0", allocs)
+	}
+
+	held := tr.Start(site)
+	pinned := tr.cur.Load()
+	for i := 0; i < 4; i++ {
+		tr.Reset()
+		if tr.cur.Load() == pinned {
+			t.Fatalf("Reset %d reused a buffer with a span still open in it", i)
+		}
+	}
+	held.End()
+	tr.Reset() // pinned's successor is the spare now; pinned itself was let go
+	if n := len(tr.Spans()); n != 0 {
+		t.Fatalf("%d spans after Reset", n)
+	}
+}
+
+// TestResetWithOpenSpans holds spans open across a thousand Resets from
+// another goroutine. Every span carries its own serial number, and
+// before ending one its holder checks that the slot is still its own: a
+// slot handed to a later span would be caught there, and the unordered
+// writes to it by the race detector.
+func TestResetWithOpenSpans(t *testing.T) {
+	tr := NewTracer()
+	tr.SetLimit(64) // small: slots come round again quickly
+	site, key := NewSite(TrackSC, "held"), NewKey("serial")
+	const recorders, resets = 3, 1000
+	stop := make(chan struct{})
+	errs := make(chan error, recorders)
+	var wg sync.WaitGroup
+	for g := 0; g < recorders; g++ {
+		wg.Add(1)
+		go func(g uint64) {
+			defer wg.Done()
+			type held struct {
+				sp     ActiveSpan
+				serial uint64
+			}
+			var ring [5]held // each span stays open for five more begins
+			for n := uint64(1); ; n++ {
+				select {
+				case <-stop:
+					for i := range ring {
+						ring[i].sp.End()
+					}
+					return
+				default:
+				}
+				if n%50 < 10 {
+					// Let go of everything for a stretch, so some Resets find
+					// the spare free and reuse it.
+					for i := range ring {
+						ring[i].sp.End()
+					}
+					runtime.Gosched()
+					continue
+				}
+				h := &ring[n%uint64(len(ring))]
+				if r := h.sp.r; r != nil && (r.site != site || r.nattrs != 1 || r.attrs[0].num != h.serial || r.end != 0) {
+					errs <- fmt.Errorf("recorder %d: slot of span %#x now holds %+v", g, h.serial, *r)
+					return
+				}
+				h.sp.End()
+				h.serial = g<<32 | n
+				h.sp = tr.Start(site, key.U64(h.serial))
+				if n%3 == 0 {
+					tr.Mark(site, key.U64(h.serial))
+				}
+				runtime.Gosched() // interleave with the Resets span by span
+			}
+		}(uint64(g))
+	}
+	reused, fresh := 0, 0
+	for i := 0; i < resets; i++ {
+		spare := tr.spare
+		tr.Reset()
+		if tr.cur.Load() == spare {
+			reused++
+		} else {
+			fresh++
+		}
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d Resets reused the spare, %d allocated", reused, fresh)
+	if reused == 0 || fresh == 0 {
+		t.Fatalf("%d Resets reused the spare and %d allocated: the test needs both", reused, fresh)
+	}
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	// Quiescent now: whatever the last epoch holds is whole.
+	for _, sp := range tr.Spans() {
+		if sp.Name != "held" || sp.nattrs != 1 || (!sp.Instant && sp.End == 0) {
+			t.Fatalf("last epoch holds a torn span: %+v", sp)
+		}
+	}
+}
+
+// TestSymbolTableBounded floods the table with distinct Str values —
+// the misuse Str's contract forbids — and checks it stops at MaxSymbols:
+// later strangers share the overflow symbol, everything interned before
+// still resolves. It runs against a copy of the process-wide table so
+// the flood does not outlive the test.
+func TestSymbolTableBounded(t *testing.T) {
+	saved := symbols
+	symbols = newSymtab()
+	for _, s := range saved.snapshot()[symOverflow+1:] {
+		symbols.intern(s)
+	}
+	defer func() { symbols = saved }()
+
+	tr := NewTracer()
+	tr.SetLimit(10000)
+	before := Intern("known-before")
+	for i := 0; i < 10000; i++ {
+		tr.Instant(TrackSC, "flood", Str("v", fmt.Sprintf("value-%d", i)))
+	}
+	if n := SymbolCount(); n > MaxSymbols {
+		t.Fatalf("symbol table holds %d strings, cap is %d", n, MaxSymbols)
+	}
+	if got := Intern("one more stranger"); got != symOverflow || got.String() != "(overflow)" {
+		t.Fatalf("a stranger past the cap interned to %d %q", got, got)
+	}
+	if Intern("known-before") != before || before.String() != "known-before" {
+		t.Fatal("a symbol interned before the flood no longer resolves")
+	}
+	spans := tr.Spans()
+	if first := spans[0].Attrs()[0].Val(); first != "value-0" {
+		t.Fatalf("first flood value renders as %q", first)
+	}
+	if last := spans[len(spans)-1].Attrs()[0].Val(); last != "(overflow)" {
+		t.Fatalf("a value past the cap renders as %q, want (overflow)", last)
 	}
 }

@@ -33,9 +33,9 @@ type Attr struct {
 }
 
 // Str builds a string attribute. Values should be low-cardinality
-// (names, actions, states): the tracer interns them for the lifetime
-// of the process, so unbounded-cardinality values would leak table
-// space — encode those as numbers instead.
+// (names, actions, states): the symbol table keeps every distinct one
+// for the life of the process, and past its cap (MaxSymbols) a new
+// value records as "(overflow)" — encode what varies as numbers.
 func Str(k, v string) Attr { return Attr{Key: k, str: v} }
 
 // U64 builds an unsigned integer attribute.
@@ -86,57 +86,22 @@ type Span struct {
 	Instant bool
 
 	nattrs uint8
-	attrs  [maxSpanAttrs]Attr
+	attrs  [maxSpanAttrs]Field
 }
 
-// Attrs returns the span's attributes.
-func (s *Span) Attrs() []Attr { return s.attrs[:s.nattrs] }
-
-// sym is an interned-string handle. Records store syms instead of
-// string headers so the retained span buffer carries no pointers and
-// the garbage collector never scans it.
-type sym uint32
-
-// symtab interns strings. Lookup of an already-known string is a
-// single lock-free sync.Map load; the write path (first sighting of a
-// string, ~dozens over a process lifetime) takes the mutex.
-type symtab struct {
-	ids   sync.Map // string → sym
-	mu    sync.Mutex
-	names []string
-}
-
-func (st *symtab) sym(s string) sym {
-	if v, ok := st.ids.Load(s); ok {
-		return v.(sym)
+// Attrs renders the span's attributes. They are kept as recorded, in
+// handle form, so a harvest that only reads names and times never pays
+// for them; each call builds the rendered list.
+func (s *Span) Attrs() []Attr {
+	if s.nattrs == 0 {
+		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if v, ok := st.ids.Load(s); ok {
-		return v.(sym)
+	names := symbols.snapshot()
+	out := make([]Attr, s.nattrs)
+	for i := range out {
+		out[i] = s.attrs[i].attr(names)
 	}
-	id := sym(len(st.names))
-	st.names = append(st.names, s)
-	st.ids.Store(s, id)
-	return id
-}
-
-// name resolves a sym; only snapshot paths call it.
-func (st *symtab) name(id sym) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if int(id) < len(st.names) {
-		return st.names[id]
-	}
-	return ""
-}
-
-// recAttr is the in-buffer attribute: for attrStr the num field holds
-// the value's sym, otherwise the raw number. Pointer-free.
-type recAttr struct {
-	key  sym
-	num  uint64
-	kind attrKind
+	return out
 }
 
 // rec is the in-buffer span record. It contains no pointers, so a
@@ -144,38 +109,44 @@ type recAttr struct {
 // history costs the garbage collector nothing per cycle. Strings are
 // rebuilt from the symbol table when Spans() materializes records.
 type rec struct {
-	track   sym
-	name    sym
+	site    Site
 	task    uint64
 	start   sim.Time
 	end     sim.Time
 	instant bool
 	nattrs  uint8
-	attrs   [maxSpanAttrs]recAttr
+	attrs   [maxSpanAttrs]Field
 }
 
-func (r *rec) addAttrs(st *symtab, attrs []Attr) {
-	for _, a := range attrs {
-		if r.nattrs >= maxSpanAttrs {
-			return
-		}
-		ra := recAttr{key: st.sym(a.Key), num: a.num, kind: a.kind}
-		if a.kind == attrStr {
-			ra.num = uint64(st.sym(a.str))
-		}
-		r.attrs[r.nattrs] = ra
-		r.nattrs++
-	}
+func (r *rec) addFields(fields []Field) {
+	r.nattrs += uint8(copy(r.attrs[r.nattrs:], fields))
 }
 
 // spanBuf is one fixed-capacity recording epoch: records are written
 // in place at fetch-add slots until full, then are counted as dropped.
 // Reset swaps the whole buffer, so recording never takes a lock.
+//
+// A buffer is reused by a later Reset only once no span begun in it is
+// still open, and that is counted, not assumed: next counts slots
+// claimed, done counts claimed slots whose recorder is finished with
+// them (the span ended, the instant was written). The swap that
+// displaces a buffer seals next — no slot can be claimed through it
+// afterwards — and notes how many were (claimed); the buffer is
+// reusable when done has caught up with that. So neither a late End
+// nor a recorder that stalled mid-write can land in a slot of a later
+// epoch.
 type spanBuf struct {
+	t       *Tracer
 	next    atomic.Uint64
+	done    atomic.Uint64
 	dropped atomic.Uint64
+	claimed uint64 // set when displaced; guarded by t.mu
 	buf     []rec
 }
+
+// sealed is added to a displaced buffer's next: every later claim
+// through it reads as "full".
+const sealed = 1 << 62
 
 // Tracer collects spans on the virtual clock. Without an attached
 // clock it falls back to a deterministic synthetic tick (fallbackTick
@@ -184,22 +155,26 @@ type spanBuf struct {
 // never advances a sim.Engine. A nil *Tracer is a no-op.
 //
 // The hot path is lock- and allocation-free: timestamps and task scope
-// are atomics, attributes live inline in the record, and Begin
+// are atomics, attributes live inline in the record, and Start
 // reserves a preallocated buffer slot at a fetch-add index and writes
 // the span in place — End only stamps the finish time. Records hold
-// interned-symbol handles instead of strings, so the retained buffer
-// is invisible to the garbage collector. Only Reset/SetLimit (buffer
-// swaps) and snapshot reads take the mutex.
+// symbol handles instead of strings, so the retained buffer is
+// invisible to the garbage collector, and the handle forms (Start,
+// Mark, Set) store the handles they are given: no lookup per span.
+// Begin, Instant and Attr are the string forms of the same recorder
+// for cold sites — they resolve their strings lock-free and record
+// through the same path. Only Reset/SetLimit (buffer swaps) and
+// snapshot reads take the mutex.
 type Tracer struct {
 	clock   atomic.Pointer[func() sim.Time]
 	tick    atomic.Int64
 	taskSeq atomic.Uint64
 	curTask atomic.Uint64
 	cur     atomic.Pointer[spanBuf]
-	syms    symtab
 
-	mu    sync.Mutex // serializes buffer swaps against each other
+	mu    sync.Mutex // serializes buffer swaps and snapshot reads
 	limit int
+	spare *spanBuf // the buffer the last swap displaced, reused by the next
 }
 
 // fallbackTick is the synthetic-clock step per timestamp sample.
@@ -207,16 +182,16 @@ const fallbackTick = 20 * sim.Nanosecond
 
 // DefaultSpanLimit bounds retained spans so long-running sessions do
 // not grow without bound; older spans are kept, newer ones dropped and
-// counted. The buffer is preallocated (~150 B per slot, pointer-free),
+// counted. The buffer is preallocated (~140 B per slot, pointer-free),
 // so the limit is also a memory budget — the default holds a few
-// dozen tasks of history in well under a MiB. Raise it with SetLimit
+// dozen tasks of history in about half a MiB. Raise it with SetLimit
 // before capturing long sessions.
 const DefaultSpanLimit = 1 << 12
 
 // NewTracer returns a tracer on the synthetic clock.
 func NewTracer() *Tracer {
 	t := &Tracer{limit: DefaultSpanLimit}
-	t.cur.Store(&spanBuf{buf: make([]rec, DefaultSpanLimit)})
+	t.swapLocked()
 	return t
 }
 
@@ -245,7 +220,31 @@ func (t *Tracer) SetLimit(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.limit = n
-	t.cur.Store(&spanBuf{buf: make([]rec, n)})
+	t.swapLocked()
+}
+
+// swapLocked makes an empty buffer of t.limit slots current and keeps
+// the displaced one, sealed, as the spare. The spare is reused — so a
+// harvest cadence allocates nothing — only when it has the right size
+// and every slot claimed in it is done with; otherwise a fresh buffer
+// is allocated and the spare is left to the garbage collector, exactly
+// as safe as never reusing. Records are written whole by the recorder,
+// so a reused buffer needs no clearing. Caller holds t.mu (or owns t).
+func (t *Tracer) swapLocked() {
+	next := t.spare
+	if next != nil && len(next.buf) == t.limit && next.done.Load() == next.claimed {
+		// Unsealing comes last: until then nothing can be claimed.
+		next.dropped.Store(0)
+		next.done.Store(0)
+		next.next.Store(0)
+	} else {
+		next = &spanBuf{t: t, buf: make([]rec, t.limit)}
+	}
+	old := t.cur.Swap(next)
+	if old != nil {
+		old.claimed = min(old.next.Add(sealed)-sealed, uint64(len(old.buf)))
+	}
+	t.spare = old
 }
 
 // now samples the clock.
@@ -276,113 +275,140 @@ func (t *Tracer) EndTask() {
 
 // ActiveSpan is an open interval; End finishes it. The zero value
 // (from a nil tracer, or when the buffer is full) ignores every call,
-// so callers never branch on enablement.
+// so callers never branch on enablement. An ActiveSpan may be held
+// across a Reset or SetLimit: it keeps its buffer out of reuse until it
+// ends, and is simply absent from later harvests.
 type ActiveSpan struct {
-	t *Tracer
+	b *spanBuf
 	r *rec
 }
 
 // reserve claims the current buffer's next slot, counting a drop (and
-// returning nil) when full. Buffers are never reused, so a claimed
-// slot is zero-valued and written exactly once.
-func (t *Tracer) reserve() *rec {
+// returning nil) when full. Whoever claims a slot owes the buffer one
+// done.Add(1) when finished with it. A recorder that raced a swap
+// either claimed its slot before the displaced buffer was sealed — the
+// span is recorded there and misses the harvest, as it always has — or
+// finds it sealed and records nothing; that is not a drop (the buffer
+// it would count against may be in its next epoch by then).
+func (t *Tracer) reserve() (*spanBuf, *rec) {
 	b := t.cur.Load()
 	// Saturated fast path: once full, skip the fetch-add — a plain
-	// load keeps the steady-state cost of a capped buffer at two
-	// loads and one increment per span.
-	if b.next.Load() >= uint64(len(b.buf)) {
-		b.dropped.Add(1)
-		return nil
+	// load keeps the steady-state cost of a capped buffer at two loads
+	// and one increment per span.
+	i := b.next.Load()
+	if i < uint64(len(b.buf)) {
+		i = b.next.Add(1) - 1
 	}
-	i := b.next.Add(1) - 1
 	if i >= uint64(len(b.buf)) {
-		b.dropped.Add(1)
-		return nil
+		if i < sealed {
+			b.dropped.Add(1)
+		}
+		return nil, nil
 	}
-	return &b.buf[i]
+	return b, &b.buf[i]
 }
 
-// Begin opens a span on the given track. The record is written in
+// open writes the fixed part of a freshly reserved record — all of it,
+// so a slot's previous contents never show through.
+func (t *Tracer) open(r *rec, s Site) {
+	r.site, r.task, r.start = s, t.curTask.Load(), t.now()
+	r.end, r.instant, r.nattrs = 0, false, 0
+}
+
+// Start opens a span at a resolved site. The record is written in
 // place in its preallocated buffer slot, so the common
-// sp := Begin(...); defer sp.End() pattern does not heap-allocate or
+// sp := Start(...); defer sp.End() pattern does not heap-allocate or
 // copy. An unfinished span exports with End == 0.
-func (t *Tracer) Begin(track, name string, attrs ...Attr) ActiveSpan {
+func (t *Tracer) Start(s Site, fields ...Field) ActiveSpan {
 	if t == nil {
 		return ActiveSpan{}
 	}
-	r := t.reserve()
+	b, r := t.reserve()
 	if r == nil {
 		return ActiveSpan{}
 	}
-	r.track, r.name = t.syms.sym(track), t.syms.sym(name)
-	r.task = t.curTask.Load()
-	r.start = t.now()
-	r.addAttrs(&t.syms, attrs)
-	return ActiveSpan{t: t, r: r}
+	t.open(r, s)
+	r.addFields(fields)
+	return ActiveSpan{b: b, r: r}
 }
 
-// Attr appends attributes to an open span.
+// Begin is Start for a site named by strings: the form for cold sites
+// and callers outside the instrumented packages.
+func (t *Tracer) Begin(track, name string, attrs ...Attr) ActiveSpan {
+	sp := t.Start(Site{}) // resolve only once a slot is known to exist
+	if sp.r != nil {
+		sp.r.site = NewSite(track, name)
+		sp.Attr(attrs...)
+	}
+	return sp
+}
+
+// Set appends attributes to an open span.
+func (a *ActiveSpan) Set(fields ...Field) {
+	if a == nil || a.r == nil {
+		return
+	}
+	a.r.addFields(fields)
+}
+
+// Attr is Set for string-form attributes.
 func (a *ActiveSpan) Attr(attrs ...Attr) {
 	if a == nil || a.r == nil {
 		return
 	}
-	a.r.addAttrs(&a.t.syms, attrs)
+	for _, at := range attrs {
+		if a.r.nattrs >= maxSpanAttrs {
+			return
+		}
+		a.r.attrs[a.r.nattrs] = at.field()
+		a.r.nattrs++
+	}
 }
 
-// End closes the span.
+// End closes the span. Ending it again is a no-op.
 func (a *ActiveSpan) End() {
 	if a == nil || a.r == nil {
 		return
 	}
-	a.r.end = a.t.now()
+	a.r.end = a.b.t.now()
+	a.r = nil
+	a.b.done.Add(1)
 }
 
-// Instant records a point event (fault firings, teardowns).
-func (t *Tracer) Instant(track, name string, attrs ...Attr) {
-	if t == nil {
-		return
+// point finishes a span just begun as a point event.
+func (a ActiveSpan) point() {
+	if a.r != nil {
+		a.r.end, a.r.instant = a.r.start, true
+		a.b.done.Add(1)
 	}
-	r := t.reserve()
-	if r == nil {
-		return
-	}
-	at := t.now()
-	r.track, r.name, r.task = t.syms.sym(track), t.syms.sym(name), t.curTask.Load()
-	r.start, r.end, r.instant = at, at, true
-	r.addAttrs(&t.syms, attrs)
 }
 
-// Spans materializes a copy of all recorded spans in begin order.
+// Mark records a point event (fault firings, teardowns) at a resolved
+// site.
+func (t *Tracer) Mark(s Site, fields ...Field) { t.Start(s, fields...).point() }
+
+// Instant is Mark for a site named by strings.
+func (t *Tracer) Instant(track, name string, attrs ...Attr) { t.Begin(track, name, attrs...).point() }
+
+// Spans materializes all recorded spans in begin order, in one pass
+// straight from the buffer against one snapshot of the name table.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
+	// Held throughout: a concurrent Reset must not hand the buffer being
+	// read back to recorders.
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	b := t.cur.Load()
-	n := b.next.Load()
-	if n > uint64(len(b.buf)) {
-		n = uint64(len(b.buf))
-	}
-	recs := append([]rec(nil), b.buf[:n]...)
-	t.mu.Unlock()
-
-	spans := make([]Span, len(recs))
-	for i := range recs {
-		r := &recs[i]
-		s := &spans[i]
-		s.Track = t.syms.name(r.track)
-		s.Name = t.syms.name(r.name)
+	n := min(b.next.Load(), uint64(len(b.buf)))
+	names := symbols.snapshot()
+	spans := make([]Span, n)
+	for i := range spans {
+		r, s := &b.buf[i], &spans[i]
+		s.Track, s.Name = names[r.site.track], names[r.site.name]
 		s.Task, s.Start, s.End, s.Instant = r.task, r.start, r.end, r.instant
-		s.nattrs = r.nattrs
-		for j := 0; j < int(r.nattrs); j++ {
-			ra := r.attrs[j]
-			a := Attr{Key: t.syms.name(ra.key), num: ra.num, kind: ra.kind}
-			if ra.kind == attrStr {
-				a.str = t.syms.name(sym(ra.num))
-				a.num = 0
-			}
-			s.attrs[j] = a
-		}
+		s.nattrs, s.attrs = r.nattrs, r.attrs
 	}
 	return spans
 }
@@ -403,5 +429,5 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.cur.Store(&spanBuf{buf: make([]rec, t.limit)})
+	t.swapLocked()
 }

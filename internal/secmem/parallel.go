@@ -146,8 +146,7 @@ func (s *Stream) SealBatch(pts, aads [][]byte, pool *Pool) ([]*Sealed, error) {
 
 	var sp obsv.ActiveSpan
 	if o != nil {
-		sp = o.tracer.Begin(o.track, "seal_batch",
-			obsv.Str("stream", o.name), obsv.I64("bytes", total), obsv.I64("chunks", int64(n)))
+		sp = o.tracer.Start(o.sealBatch, keyStream.Str(o.name), keyBytes.I64(total), keyChunks.I64(int64(n)))
 	}
 
 	out := make([]*Sealed, n)
@@ -170,7 +169,7 @@ func (s *Stream) SealBatch(pts, aads [][]byte, pool *Pool) ([]*Sealed, error) {
 	})
 
 	if o != nil {
-		sp.Attr(obsv.U64("ctr_first", uint64(base+1)), obsv.U64("epoch", uint64(epoch)))
+		sp.Set(keyCtrFirst.U64(uint64(base+1)), keyEpoch.U64(uint64(epoch)))
 		sp.End()
 		o.sealOps.Add(uint64(n))
 		o.sealBytes.Add(uint64(total))

@@ -69,8 +69,7 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, pool *Pool, emit func(i int
 
 	var sp obsv.ActiveSpan
 	if o != nil {
-		sp = o.tracer.Begin(o.track, "seal_stream",
-			obsv.Str("stream", o.name), obsv.I64("bytes", total), obsv.I64("chunks", int64(n)))
+		sp = o.tracer.Start(o.sealStream, keyStream.Str(o.name), keyBytes.I64(total), keyChunks.I64(int64(n)))
 	}
 
 	w := pool.Workers()
@@ -135,7 +134,7 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, pool *Pool, emit func(i int
 	}
 
 	if o != nil {
-		sp.Attr(obsv.U64("ctr_first", uint64(base+1)), obsv.U64("epoch", uint64(epoch)))
+		sp.Set(keyCtrFirst.U64(uint64(base+1)), keyEpoch.U64(uint64(epoch)))
 		sp.End()
 		if err == nil {
 			o.sealOps.Add(uint64(n))

@@ -102,13 +102,27 @@ type Stream struct {
 	obs *streamObs
 }
 
+// Attribute keys and values of the stream spans, resolved once.
+var (
+	keyStream    = obsv.NewKey("stream")
+	keyBytes     = obsv.NewKey("bytes")
+	keyChunks    = obsv.NewKey("chunks")
+	keyCtr       = obsv.NewKey("ctr")
+	keyCtrFirst  = obsv.NewKey("ctr_first")
+	keyEpoch     = obsv.NewKey("epoch")
+	keyMode      = obsv.NewKey("mode")
+	symStateless = obsv.Intern("stateless")
+)
+
 // streamObs holds cached metric handles and the tracer for one stream
 // endpoint. Spans and counters carry only metadata (stream name, side,
 // byte counts, counters) — never plaintext or ciphertext bytes.
 type streamObs struct {
 	tracer *obsv.Tracer
-	track  string
-	name   string
+	// The stream's span sites on its side's track, and its name as an
+	// attribute value, resolved when the stream is handed its hub.
+	seal, open, sealBatch, sealStream, rekey obsv.Site
+	name                                     obsv.Sym
 
 	sealOps, sealBytes *obsv.Counter
 	openOps, openBytes *obsv.Counter
@@ -129,16 +143,20 @@ func (s *Stream) SetObserver(h *obsv.Hub, track, name string) {
 	reg := h.Reg()
 	label := func(base string) string { return obsv.Name(base, "stream", name, "side", track) }
 	s.obs = &streamObs{
-		tracer:    h.T(),
-		track:     track,
-		name:      name,
-		sealOps:   reg.Counter(label("secmem.seal.ops")),
-		sealBytes: reg.Counter(label("secmem.seal.bytes")),
-		openOps:   reg.Counter(label("secmem.open.ops")),
-		openBytes: reg.Counter(label("secmem.open.bytes")),
-		authFail:  reg.Counter(label("secmem.auth_failures")),
-		replay:    reg.Counter(label("secmem.replay_rejects")),
-		rekeys:    reg.Counter(label("secmem.rekeys")),
+		tracer:     h.T(),
+		seal:       obsv.NewSite(track, "seal"),
+		open:       obsv.NewSite(track, "open"),
+		sealBatch:  obsv.NewSite(track, "seal_batch"),
+		sealStream: obsv.NewSite(track, "seal_stream"),
+		rekey:      obsv.NewSite(track, "rekey"),
+		name:       obsv.Intern(name),
+		sealOps:    reg.Counter(label("secmem.seal.ops")),
+		sealBytes:  reg.Counter(label("secmem.seal.bytes")),
+		openOps:    reg.Counter(label("secmem.open.ops")),
+		openBytes:  reg.Counter(label("secmem.open.bytes")),
+		authFail:   reg.Counter(label("secmem.auth_failures")),
+		replay:     reg.Counter(label("secmem.replay_rejects")),
+		rekeys:     reg.Counter(label("secmem.rekeys")),
 	}
 }
 
@@ -241,8 +259,7 @@ func (s *Stream) SealDst(sealed *Sealed, plaintext, aad, dst []byte) error {
 	}
 	var sp obsv.ActiveSpan
 	if o := s.obs; o != nil {
-		sp = o.tracer.Begin(o.track, "seal",
-			obsv.Str("stream", o.name), obsv.I64("bytes", int64(len(plaintext))))
+		sp = o.tracer.Start(o.seal, keyStream.Str(o.name), keyBytes.I64(int64(len(plaintext))))
 	}
 	s.sendCtr++
 	c := s.sendCtr
@@ -258,7 +275,7 @@ func (s *Stream) SealDst(sealed *Sealed, plaintext, aad, dst []byte) error {
 	sealed.Ciphertext = out[:n]
 	copy(sealed.Tag[:], out[n:])
 	if o := s.obs; o != nil {
-		sp.Attr(obsv.U64("ctr", uint64(c)), obsv.U64("epoch", uint64(s.epoch)))
+		sp.Set(keyCtr.U64(uint64(c)), keyEpoch.U64(uint64(s.epoch)))
 		sp.End()
 		o.sealOps.Inc()
 		o.sealBytes.Add(uint64(len(plaintext)))
@@ -286,9 +303,8 @@ func (s *Stream) Open(sealed *Sealed, aad []byte) ([]byte, error) {
 	}
 	var sp obsv.ActiveSpan
 	if o := s.obs; o != nil {
-		sp = o.tracer.Begin(o.track, "open",
-			obsv.Str("stream", o.name), obsv.I64("bytes", int64(len(sealed.Ciphertext))),
-			obsv.U64("ctr", uint64(sealed.Counter)))
+		sp = o.tracer.Start(o.open, keyStream.Str(o.name),
+			keyBytes.I64(int64(len(sealed.Ciphertext))), keyCtr.U64(uint64(sealed.Counter)))
 	}
 	// One arena buffer carries ciphertext||tag plus the IV at its tail;
 	// everything in it is public bytes, so Put (not PutZero) on release.
@@ -349,10 +365,8 @@ func (s *Stream) OpenStateless(sealed *Sealed, aad []byte) ([]byte, error) {
 	}
 	var sp obsv.ActiveSpan
 	if o := s.obs; o != nil {
-		sp = o.tracer.Begin(o.track, "open",
-			obsv.Str("stream", o.name), obsv.Str("mode", "stateless"),
-			obsv.I64("bytes", int64(len(sealed.Ciphertext))),
-			obsv.U64("ctr", uint64(sealed.Counter)))
+		sp = o.tracer.Start(o.open, keyStream.Str(o.name), keyMode.Str(symStateless),
+			keyBytes.I64(int64(len(sealed.Ciphertext))), keyCtr.U64(uint64(sealed.Counter)))
 	}
 	// One arena buffer carries ciphertext||tag plus the IV at its tail;
 	// everything in it is public bytes, so Put (not PutZero) on release.
@@ -433,8 +447,7 @@ func (s *Stream) Rekey(key, nonce []byte) error {
 	s.epoch++
 	if o := s.obs; o != nil {
 		o.rekeys.Inc()
-		o.tracer.Instant(o.track, "rekey",
-			obsv.Str("stream", o.name), obsv.U64("epoch", uint64(s.epoch)))
+		o.tracer.Mark(o.rekey, keyStream.Str(o.name), keyEpoch.U64(uint64(s.epoch)))
 	}
 	return nil
 }

@@ -101,6 +101,14 @@ type Driver struct {
 	obs driverObs
 }
 
+// The driver's span sites and attribute keys, resolved once.
+var (
+	siteSubmit = obsv.NewSite(obsv.TrackDriver, "submit")
+	siteKick   = obsv.NewSite(obsv.TrackDriver, "kick")
+	keyCmds    = obsv.NewKey("cmds")
+	keyTail    = obsv.NewKey("tail")
+)
+
 // driverObs caches the driver's observability handles; the zero value
 // is the uninstrumented state.
 type driverObs struct {
@@ -152,7 +160,7 @@ func (d *Driver) ConfigureMSI(addr uint64, data uint32) error {
 
 // Submit writes commands into the ring and rings the doorbell.
 func (d *Driver) Submit(cmds ...xpu.Command) error {
-	sp := d.obs.tracer.Begin(obsv.TrackDriver, "submit", obsv.I64("cmds", int64(len(cmds))))
+	sp := d.obs.tracer.Start(siteSubmit, keyCmds.I64(int64(len(cmds))))
 	defer sp.End()
 	d.obs.submits.Inc()
 	chunks := make([]uint32, 0, len(cmds))
@@ -183,7 +191,7 @@ func (d *Driver) Submit(cmds ...xpu.Command) error {
 // again. Safe when nothing is pending — the device ignores a doorbell
 // with head == tail.
 func (d *Driver) Kick() error {
-	sp := d.obs.tracer.Begin(obsv.TrackDriver, "kick", obsv.U64("tail", d.tail))
+	sp := d.obs.tracer.Start(siteKick, keyTail.U64(d.tail))
 	defer sp.End()
 	d.obs.kicks.Inc()
 	head, err := d.Head()

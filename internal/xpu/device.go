@@ -237,21 +237,40 @@ func (d *Device) SetObserver(h *obsv.Hub) {
 	}
 }
 
-// opName renders a command opcode as a span attribute value.
-func opName(op uint32) string {
-	switch op {
-	case OpNop:
-		return "nop"
-	case OpCopyH2D:
-		return "copy_h2d"
-	case OpCopyD2H:
-		return "copy_d2h"
-	case OpKernel:
-		return "kernel"
-	case OpFence:
-		return "fence"
+// Span sites, attribute keys and opcode names of the device model,
+// resolved once.
+var (
+	siteDoorbellHang = obsv.NewSite(obsv.TrackXPU, "doorbell_hang")
+	sitePump         = obsv.NewSite(obsv.TrackXPU, "pump")
+	siteDeviceFault  = obsv.NewSite(obsv.TrackXPU, "device_fault")
+	siteMSIDropped   = obsv.NewSite(obsv.TrackXPU, "msi_dropped")
+	siteDMARead      = obsv.NewSite(obsv.TrackXPU, "dma_read")
+	siteDMAWrite     = obsv.NewSite(obsv.TrackXPU, "dma_write")
+	siteExec         = obsv.NewSite(obsv.TrackXPU, "exec")
+
+	keyHead  = obsv.NewKey("head")
+	keyTail  = obsv.NewKey("tail")
+	keyAddr  = obsv.NewKey("addr")
+	keyBytes = obsv.NewKey("bytes")
+	keyOp    = obsv.NewKey("op")
+
+	opSyms = [...]obsv.Sym{
+		OpNop:     obsv.Intern("nop"),
+		OpCopyH2D: obsv.Intern("copy_h2d"),
+		OpCopyD2H: obsv.Intern("copy_d2h"),
+		OpKernel:  obsv.Intern("kernel"),
+		OpFence:   obsv.Intern("fence"),
 	}
-	return fmt.Sprintf("op%d", op)
+)
+
+// opField renders a command opcode as a span attribute: its name, or —
+// outside the command set, where the value is whatever the ring held —
+// the bare number, so no opcode ever mints a symbol.
+func opField(op uint32) obsv.Field {
+	if int(op) < len(opSyms) {
+		return keyOp.Str(opSyms[op])
+	}
+	return keyOp.U64(uint64(op))
 }
 
 // NewDevice instantiates a device model at the given bus ID with BAR0
@@ -441,7 +460,7 @@ func (d *Device) mmioWrite(p *pcie.Packet) {
 		if d.faultHook != nil && d.faultHook(FaultDoorbell) {
 			d.hangs++ // command queue hang: ring swallowed, no progress
 			d.obs.hangs.Inc()
-			d.obs.tracer.Instant(obsv.TrackXPU, "doorbell_hang")
+			d.obs.tracer.Mark(siteDoorbellHang)
 			return
 		}
 		d.pump()
@@ -511,8 +530,7 @@ func (d *Device) pump() {
 	}
 	head := d.regs[RegCmdHead]
 	tail := d.regs[RegCmdTail]
-	sp := d.obs.tracer.Begin(obsv.TrackXPU, "pump",
-		obsv.U64("head", head), obsv.U64("tail", tail))
+	sp := d.obs.tracer.Start(sitePump, keyHead.U64(head), keyTail.U64(tail))
 	defer sp.End()
 	for head != tail {
 		entryAddr := base + (head%size)*CmdSize
@@ -539,7 +557,7 @@ func (d *Device) pump() {
 func (d *Device) fault() {
 	d.faults++
 	d.obs.faults.Inc()
-	d.obs.tracer.Instant(obsv.TrackXPU, "device_fault")
+	d.obs.tracer.Mark(siteDeviceFault)
 	d.regs[RegStatus] |= StatusFault
 	d.raiseInterrupt(IntFault)
 }
@@ -560,7 +578,7 @@ func (d *Device) raiseInterrupt(cause uint64) {
 	if d.faultHook != nil && d.faultHook(FaultMSI) {
 		d.msiDropped++ // cause bit stays latched; polling still observes it
 		d.obs.msiDropped.Inc()
-		d.obs.tracer.Instant(obsv.TrackXPU, "msi_dropped")
+		d.obs.tracer.Mark(siteMSIDropped)
 		return
 	}
 	data := d.slab.Take(4)
@@ -584,8 +602,7 @@ func (d *Device) postWrite(addr uint64, payload []byte) {
 // MaxReadReq rather than MaxPayload — one request covers a whole span
 // of cipher chunks, which the SC batch-decrypts (DESIGN.md §10).
 func (d *Device) dmaRead(addr uint64, n int64) ([]byte, bool) {
-	sp := d.obs.tracer.Begin(obsv.TrackXPU, "dma_read",
-		obsv.Hex("addr", addr), obsv.I64("bytes", n))
+	sp := d.obs.tracer.Start(siteDMARead, keyAddr.Hex(addr), keyBytes.I64(n))
 	defer sp.End()
 	out := d.slab.Take(int(n))[:0]
 	for n > 0 {
@@ -625,8 +642,7 @@ func (d *Device) releaseRead(req, cpl *pcie.Packet) {
 // completion straight into dst — the zero-intermediate-buffer path for
 // bulk H2D copies into device memory.
 func (d *Device) dmaReadInto(dst []byte, addr uint64) bool {
-	sp := d.obs.tracer.Begin(obsv.TrackXPU, "dma_read",
-		obsv.Hex("addr", addr), obsv.I64("bytes", int64(len(dst))))
+	sp := d.obs.tracer.Start(siteDMARead, keyAddr.Hex(addr), keyBytes.I64(int64(len(dst))))
 	defer sp.End()
 	for len(dst) > 0 {
 		chunk := pcie.MaxReadReq
@@ -649,8 +665,7 @@ func (d *Device) dmaReadInto(dst []byte, addr uint64) bool {
 // dmaWrite issues chunked MWr requests upstream. Writes carry their
 // payload in the TLP, so they stay capped at MaxPayload.
 func (d *Device) dmaWrite(addr uint64, data []byte) bool {
-	sp := d.obs.tracer.Begin(obsv.TrackXPU, "dma_write",
-		obsv.Hex("addr", addr), obsv.I64("bytes", int64(len(data))))
+	sp := d.obs.tracer.Start(siteDMAWrite, keyAddr.Hex(addr), keyBytes.I64(int64(len(data))))
 	defer sp.End()
 	for len(data) > 0 {
 		chunk := pcie.MaxPayload
@@ -676,8 +691,7 @@ func (d *Device) dmaWrite(addr uint64, data []byte) bool {
 }
 
 func (d *Device) execute(cmd Command) bool {
-	sp := d.obs.tracer.Begin(obsv.TrackXPU, "exec",
-		obsv.Str("op", opName(cmd.Op)), obsv.I64("bytes", int64(cmd.Len)))
+	sp := d.obs.tracer.Start(siteExec, opField(cmd.Op), keyBytes.I64(int64(cmd.Len)))
 	defer sp.End()
 	d.obs.commands.Inc()
 	switch cmd.Op {

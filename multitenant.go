@@ -39,6 +39,7 @@ type MultiPlatform struct {
 	llmMu    sync.Mutex
 	llmSrv   *llmServer
 	llmCfg   llm.EngineConfig
+	llmMet   llmObs
 	llmFault atomic.Pointer[func(point string) bool]
 }
 
@@ -48,6 +49,7 @@ type MultiPlatform struct {
 func (mp *MultiPlatform) Observe() *obsv.Hub {
 	if mp.Obs == nil {
 		mp.Obs = obsv.NewHub()
+		mp.llmMet = newLLMObs(mp.Obs.Reg(), len(mp.Tenants))
 		for _, t := range mp.Tenants {
 			t.setObserver(mp.Obs)
 		}

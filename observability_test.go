@@ -108,11 +108,34 @@ func TestTimelineCoversPipeline(t *testing.T) {
 	if strings.Contains(metricsText, string(secret)) {
 		t.Fatal("metrics text contains the plaintext secret")
 	}
+	var aggregates int
 	for _, sp := range p.Observability().T().Spans() {
 		for _, a := range sp.Attrs() {
 			if strings.Contains(a.Val(), string(secret)) || strings.Contains(a.Key, string(secret)) {
 				t.Fatalf("span %s attr %s leaks the secret", sp.Name, a.Key)
 			}
+		}
+		// The aggregate that stands for the result's chunk writes carries
+		// counts, ids and the verdict — a closed list, so nothing derived
+		// from what was written can ride along.
+		if sp.Name == "encrypt_write" {
+			aggregates++
+			var keys []string
+			for _, a := range sp.Attrs() {
+				keys = append(keys, a.Key)
+			}
+			if got := strings.Join(keys, " "); got != "region chunk chunks bytes action rule" {
+				t.Fatalf("encrypt_write attributes are %q", got)
+			}
+		}
+	}
+	if aggregates == 0 {
+		t.Fatal("no encrypt_write span: the result's write span went unrecorded")
+	}
+	// Neither does anything the process ever interned.
+	for i := 0; i < obsv.SymbolCount(); i++ {
+		if strings.Contains(obsv.Sym(i).String(), string(secret)) {
+			t.Fatalf("symbol %d holds the secret", i)
 		}
 	}
 

@@ -314,14 +314,15 @@ func (pl *pipeline) recoverSubmission(staged []*adaptor.Region, before, want uin
 	}
 	st, _ := pl.Driver.Status()
 	head, _ := pl.Driver.Head()
-	reason := fmt.Sprintf("submission stalled: device consumed %d/%d commands (status %#x)", head-before, want-before, st)
-	pl.Adaptor.FailClosed(reason)
+	pl.Adaptor.FailClosed("submission stalled",
+		obsv.U64("consumed", head-before), obsv.U64("expected", want-before), obsv.Hex("status", st))
 	pl.trusted = false
 	who := "ccai"
 	if pl.tenant != "" {
 		who = "ccai: tenant " + pl.tenant
 	}
-	return fmt.Errorf("%s: %s; session torn down", who, reason)
+	return fmt.Errorf("%s: submission stalled: device consumed %d/%d commands (status %#x); session torn down",
+		who, head-before, want-before, st)
 }
 
 // task stages one blob Task on the slice and runs it: input sealed up,

@@ -245,6 +245,8 @@ type Platform struct {
 
 	// Blade is the HRoT-Blade populated by SecureBoot (nil until then).
 	Blade *hrot.Blade
+
+	taskMet taskObs
 }
 
 // New assembles and boots a platform from functional options:
@@ -278,6 +280,7 @@ func New(options ...Option) (*Platform, error) {
 	}
 	if cfg.Observe || cfg.Telemetry != nil {
 		p.Obs = obsv.NewHub()
+		p.taskMet = newTaskObs(p.Obs.Reg(), p.Mode)
 	}
 	p.Bridge = &HostBridge{id: HostBridgeID, space: guest.Space, iommu: p.IOMMU, bus: p.Host}
 	p.Host.Attach(p.Bridge)

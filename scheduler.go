@@ -125,6 +125,16 @@ type request struct {
 	finished bool
 }
 
+// The scheduler's span sites and attribute keys, resolved once.
+var (
+	siteAdmit     = obsv.NewSite(obsv.TrackSched, "admit")
+	siteQueueWait = obsv.NewSite(obsv.TrackSched, "queue_wait")
+	siteExecute   = obsv.NewSite(obsv.TrackSched, "execute")
+
+	keyTenant = obsv.NewKey("tenant")
+	keyBytes  = obsv.NewKey("bytes")
+)
+
 // schedObs holds the scheduler's metric handles, resolved once in
 // NewScheduler (all nil with observability off, so the serving path
 // builds no metric name per request).
@@ -136,7 +146,7 @@ type schedObs struct {
 
 // tenantObs is one tenant's slice of schedObs.
 type tenantObs struct {
-	label                               string
+	label                               obsv.Sym // the tenant's label as an attribute value
 	admitted, completedOK, completedErr *obsv.Counter
 	depth                               *obsv.Gauge
 	wait                                *obsv.Histogram
@@ -161,7 +171,7 @@ func newSchedObs(reg *obsv.Registry, tenants int) schedObs {
 		// waits live in the ms–100 ms range, far above the 10 ms ceiling
 		// of the pipeline-stage layout.
 		o.tenants[i] = tenantObs{
-			label:        label,
+			label:        obsv.Intern(label),
 			admitted:     reg.Counter(obsv.Name("sched.admitted", "tenant", label)),
 			completedOK:  reg.Counter(obsv.Name("sched.completed", "tenant", label, "status", "ok")),
 			completedErr: reg.Counter(obsv.Name("sched.completed", "tenant", label, "status", "error")),
@@ -287,14 +297,12 @@ func (s *Scheduler) submit(ctx context.Context, tt TenantTask, idx int) (*Handle
 
 	tr := s.obs.T()
 	met := &s.met.tenants[tt.Tenant]
-	label := met.label
-	sp := tr.Begin(obsv.TrackSched, "admit",
-		obsv.Str("tenant", label), obsv.I64("bytes", int64(len(tt.Task.Input))))
+	sp := tr.Start(siteAdmit, keyTenant.Str(met.label), keyBytes.I64(int64(len(tt.Task.Input))))
 	h := &Handle{Tenant: tt.Tenant, Index: idx, done: make(chan struct{})}
 	r := &request{ctx: ctx, task: tt.Task, h: h, enq: time.Now()}
 	// The queue_wait span opens before Push: once the entry is visible
 	// to the dispatcher, no field of r may be written again.
-	r.qspan = tr.Begin(obsv.TrackSched, "queue_wait", obsv.Str("tenant", label))
+	r.qspan = tr.Start(siteQueueWait, keyTenant.Str(met.label))
 	e, err := s.q.Push(tt.Tenant, int64(len(tt.Task.Input)), r)
 	sp.End()
 	if err != nil {
@@ -419,7 +427,6 @@ func (s *Scheduler) execute(r *request, flow int) {
 		s.inflight.Done()
 	}()
 	met := &s.met.tenants[r.h.Tenant]
-	label := met.label
 	wait := time.Since(r.enq)
 	r.h.wait.Store(int64(wait))
 	r.qspan.End()
@@ -442,19 +449,18 @@ func (s *Scheduler) execute(r *request, flow int) {
 		s.finish(r, nil, ctxErr(err))
 		return
 	}
-	sp := s.obs.T().Begin(obsv.TrackSched, "execute",
-		obsv.Str("tenant", label), obsv.I64("bytes", int64(len(r.task.Input))))
+	sp := s.obs.T().Start(siteExecute, keyTenant.Str(met.label), keyBytes.I64(int64(len(r.task.Input))))
 	out, err := s.mp.Tenants[r.h.Tenant].RunTaskCtx(r.ctx, r.task)
-	status := "ok"
+	status := symOK
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled) || errors.Is(err, ErrDeadlineExceeded):
-		status = "canceled"
+		status = symCanceled
 		s.met.canceledInflight.Inc()
 	default:
-		status = "error"
+		status = symError
 	}
-	sp.Attr(obsv.Str("status", status))
+	sp.Set(keyStatus.Str(status))
 	sp.End()
 	s.finish(r, out, err)
 }

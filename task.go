@@ -24,6 +24,43 @@ const (
 	KernelXOR Kernel = xpu.KernelXORMask
 )
 
+// RunTask's span site, attribute keys and fixed attribute values,
+// resolved once.
+var (
+	siteRunTask = obsv.NewSite(obsv.TrackTask, "run_task")
+
+	keyTask     = obsv.NewKey("task")
+	keyKernel   = obsv.NewKey("kernel")
+	keyInBytes  = obsv.NewKey("in_bytes")
+	keyOutBytes = obsv.NewKey("out_bytes")
+	keyMode     = obsv.NewKey("mode")
+	keyStatus   = obsv.NewKey("status")
+
+	symOK       = obsv.Intern("ok")
+	symError    = obsv.Intern("error")
+	symCanceled = obsv.Intern("canceled")
+	kernelSyms  = [...]obsv.Sym{
+		KernelAdd:      obsv.Intern(KernelAdd.String()),
+		KernelChecksum: obsv.Intern(KernelChecksum.String()),
+		KernelXOR:      obsv.Intern(KernelXOR.String()),
+	}
+)
+
+// taskObs holds RunTask's per-platform handles — the task.runs counter
+// of each outcome and the mode as an attribute value — resolved once in
+// New. All zero with observability off, so a run builds no metric name.
+type taskObs struct {
+	runsOK, runsErr *obsv.Counter
+	mode            obsv.Sym
+}
+
+func newTaskObs(reg *obsv.Registry, mode Mode) taskObs {
+	runs := func(status string) *obsv.Counter {
+		return reg.Counter(obsv.Name("task.runs", "mode", mode.String(), "status", status))
+	}
+	return taskObs{runsOK: runs("ok"), runsErr: runs("error"), mode: obsv.Intern(mode.String())}
+}
+
 func (k Kernel) String() string {
 	switch k {
 	case KernelAdd:
@@ -34,6 +71,16 @@ func (k Kernel) String() string {
 		return "xor"
 	}
 	return fmt.Sprintf("kernel%d", uint32(k))
+}
+
+// field renders the kernel as a span attribute: its name, or — for a
+// selector outside the reference set — the bare number, so no caller
+// value ever mints a symbol.
+func (k Kernel) field() obsv.Field {
+	if k >= KernelAdd && int(k) < len(kernelSyms) {
+		return keyKernel.Str(kernelSyms[k])
+	}
+	return keyKernel.U64(uint64(k))
 }
 
 // Task is one confidential xPU job: input data, a kernel, and its
@@ -73,19 +120,16 @@ func (p *Platform) RunTaskCtx(ctx context.Context, t Task) ([]byte, error) {
 	tr := p.Obs.T()
 	id := tr.StartTask()
 	defer tr.EndTask()
-	sp := tr.Begin(obsv.TrackTask, "run_task",
-		obsv.U64("task", id),
-		obsv.Str("kernel", t.Kernel.String()),
-		obsv.I64("in_bytes", int64(len(t.Input))),
-		obsv.Str("mode", p.Mode.String()))
+	sp := tr.Start(siteRunTask, keyTask.U64(id), t.Kernel.field(),
+		keyInBytes.I64(int64(len(t.Input))), keyMode.Str(p.taskMet.mode))
 	out, err := p.runTask(ctx, t)
-	status := "ok"
+	status, runs := symOK, p.taskMet.runsOK
 	if err != nil {
-		status = "error"
+		status, runs = symError, p.taskMet.runsErr
 	}
-	sp.Attr(obsv.Str("status", status), obsv.I64("out_bytes", int64(len(out))))
+	sp.Set(keyStatus.Str(status), keyOutBytes.I64(int64(len(out))))
 	sp.End()
-	p.Obs.Reg().Counter(obsv.Name("task.runs", "mode", p.Mode.String(), "status", status)).Inc()
+	runs.Inc()
 	return out, err
 }
 
