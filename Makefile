@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check experiments profile profile-observed clean ci
+.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check loc experiments profile profile-observed clean ci
 
 all: build test
 
@@ -10,16 +10,22 @@ all: build test
 # suite, the race detector over the concurrent retry paths, the
 # multi-tenant stress matrix, a one-iteration pass over every benchmark
 # (so they can't rot), the smoke soak byte-diffed against its committed
-# scorecard, and a short fuzz pass over the attacker-facing parsers
-# (fault plans included), and the telemetry-plane smoke: live scrape,
-# token isolation, audit-chain tamper evidence. benchmark-check compiles
-# and smoke-tests the benchmark of record against this tree.
+# scorecard, a short fuzz pass over the attacker-facing parsers (fault
+# plans included) and the SC's control BAR and submission ring, and the
+# telemetry-plane smoke: live scrape, token isolation, audit-chain
+# tamper evidence. benchmark-check compiles and smoke-tests the
+# benchmark of record against this tree.
 ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/pcie/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault/
 # The tag plane against its map-based reference, from the seeded scripts
 # TestTagPlaneMatchesReference plays.
 	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=10s ./internal/core/
+# The SC's two host-writable surfaces: raw control-BAR writes, and the
+# submission ring — slot bytes and doorbell tail — which is the only way
+# in for sealed configuration, positioned tags and notifies.
+	$(GO) test -run '^$$' -fuzz=FuzzControllerControlWindow -fuzztime=10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=10s ./internal/core/
 # The deterministic allocation ceilings (64 KiB protected task and the
 # D2H read path) run as named tests so a breach points at the exact
 # budget, not a benchmark diff.
@@ -62,6 +68,21 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# The one line counter simplicity PRs and ROADMAP quote: Go lines that
+# are neither blank nor a // comment (the tree has no block comments),
+# per package and in total for the non-test tree outside benchmark/, the
+# part of it that is the program (root + internal/ + cmd/, no examples),
+# and the test tree.
+loc:
+	@set -f; count() { xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'; }; \
+	src="-name *.go ! -name *_test.go ! -path ./benchmark/*"; \
+	for d in $$(find . $$src -exec dirname {} \; | sort -u); do \
+		printf '%7d  %s\n' $$(find $$d -maxdepth 1 $$src | count) $$d; \
+	done; \
+	printf '%7d  non-test Go outside benchmark/\n' $$(find . $$src | count); \
+	printf '%7d  of it root + internal/ + cmd/\n' $$(find . $$src ! -path './examples/*' | count); \
+	printf '%7d  test Go outside benchmark/\n' $$(find . -name '*_test.go' ! -path './benchmark/*' | count)
 
 # The CI soak: the smoke storm preset (seconds of wall clock), its
 # scorecard byte-diffed against the committed baseline — deterministic
@@ -117,6 +138,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalBlob -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzUnmarshalRekeyCommand -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzControllerControlWindow -fuzztime=15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=15s ./internal/obsv/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=15s ./internal/fault/

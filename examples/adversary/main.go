@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"log"
 
@@ -142,17 +143,35 @@ func main() {
 		p := freshPlatform(ccai.Protected)
 		defer p.Close()
 		l1Before, l2Before := p.SC.Filter().RuleCount()
-		// A match-all allow rule, written in plaintext (the attacker has
-		// no config-stream key to seal it).
-		evil := []byte{99, 0, 0, 0, 0, 0, 4, 0}
+		// A match-all allow rule, in plaintext (the attacker has no
+		// config-stream key to seal it), pushed the one way policy
+		// reaches the SC: as an entry of the submission ring, which sits
+		// in host memory right behind the shared window's metadata page.
+		// The attacker writes it at the head the SC last posted and rings
+		// the doorbell in the TVM's name.
+		evil := core.Rule{ID: 99, Action: core.ActionPassThrough}.Marshal()
+		const ring, slots = 0x8000_1000, 64
+		head, err := p.Guest.Space.ReadUint64(ring)
+		if err != nil {
+			return "test broken: " + err.Error()
+		}
+		slot := make([]byte, core.RingEntryHdrSize, core.RingSlotSize)
+		core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), core.RingOpRule, uint16(len(evil)), uint32(head), 0)
+		if err := p.Guest.Space.Write(ring+core.RingHdrSize+head%slots*core.RingSlotSize, append(slot, evil...)); err != nil {
+			return "test broken: " + err.Error()
+		}
+		p.Host.Route(pcie.NewMemWrite(ccai.TVMID, 0xd010_0000+core.RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, head+1)))
+		// And, for good measure, at a control-BAR offset that names no
+		// register.
 		p.Host.Route(pcie.NewMemWrite(ccai.TVMID, 0xd010_0100, evil))
-		p.Host.Route(pcie.NewMemWrite(ccai.TVMID, 0xd010_0010, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
 		l1After, l2After := p.SC.Filter().RuleCount()
 		if l1After != l1Before || l2After != l2Before {
 			return "BROKEN: unsealed policy installed"
 		}
-		return fmt.Sprintf("defended: sealed-config check rejected the blob (%d config rejects)",
-			p.SC.Stats().ConfigRejects)
+		if p.SC.Stats().ConfigRejects != 2 {
+			return fmt.Sprintf("BROKEN: %d config rejects, want one per attempt", p.SC.Stats().ConfigRejects)
+		}
+		return "defended: the unsealed ring entry failed the sealed-config check, the stray register write was refused (2 config rejects)"
 	})
 
 	scenario("data residue after the session", func() string {

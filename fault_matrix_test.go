@@ -218,15 +218,17 @@ func runMatrixCell(t *testing.T, class fault.Class, seed uint64) (string, uint64
 		t.Fatalf("I4 violated: L1 filter did not drop rogue traffic under %v", class)
 	}
 
-	// I5: config injection without the config key still fails.
+	// I5: config injection without the config key still fails. The
+	// session may be live or torn down; the rule entry goes into the
+	// ring either way and must be refused either way.
 	rejBefore := p.SC.Stats().ConfigRejects
+	l1Before, l2Before := p.SC.Filter().RuleCount()
 	garbage := make([]byte, 4+secmem.TagSize+32)
 	for i := range garbage {
 		garbage[i] = byte(i*7 + 1)
 	}
-	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRuleWindow, garbage))
-	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRuleDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
-	if p.SC.Stats().ConfigRejects <= rejBefore {
+	forgeRingEntry(t, p, core.RingOpRule, 0, garbage)
+	if l1, l2 := p.SC.Filter().RuleCount(); p.SC.Stats().ConfigRejects <= rejBefore || l1 != l1Before || l2 != l2Before {
 		t.Fatalf("I5 violated: unsealed rule upload accepted under %v", class)
 	}
 

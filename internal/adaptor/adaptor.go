@@ -2,8 +2,8 @@
 // §7.1): a kernel module that gives the unmodified native xPU driver a
 // confidential path to the device. It stages sensitive payloads through
 // encrypted bounce buffers (de/encrypt_data), uploads Packet Filter
-// policies and transfer descriptors to the PCIe-SC through sealed
-// configuration windows (pkt_filter_manage), posts authentication-tag
+// policies and transfer descriptors to the PCIe-SC as sealed entries of
+// its submission ring (pkt_filter_manage), posts authentication-tag
 // records, and wraps control MMIO with the A3 integrity protocol — all
 // without touching the driver or the application.
 package adaptor
@@ -23,55 +23,6 @@ import (
 	"ccai/internal/secmem"
 	"ccai/internal/sim"
 )
-
-// Options select the §5 optimizations. The defaults (all on) are the
-// ccAI configuration; Figure 11's "No Opt" ablation clears them.
-type Options struct {
-	// BatchTags packs many tag records into each upload packet instead
-	// of one I/O write per record.
-	BatchTags bool
-	// BatchedMetadata reads DMA progress from the TVM-resident metadata
-	// buffer instead of polling SC registers with I/O reads.
-	BatchedMetadata bool
-	// HWCrypto uses AES-NI-class hardware instructions for
-	// de/encryption (timing model; the functional bytes are identical).
-	HWCrypto bool
-	// ParallelCrypto spreads crypto across extra CPU threads: chunk
-	// seal/open within one region fans out over a bounded worker pool
-	// (the paper's "allocate additional CPU threads" optimization).
-	ParallelCrypto bool
-	// CryptoWorkers bounds the parallel-crypto pool. Zero means auto:
-	// min(GOMAXPROCS, 8) when ParallelCrypto is set, otherwise 1
-	// (serial).
-	CryptoWorkers int
-	// SubmitRing batches control-path operations (descriptor installs,
-	// tag uploads, releases, notifies, A3 guarded writes) into a shared
-	// submission ring published with one doorbell MMIO per burst
-	// instead of one MMIO write per operation.
-	SubmitRing bool
-	// CompletionReap serves device command-head polls from the
-	// submission ring's completion word — DMA-written by the SC after
-	// every forwarded doorbell — instead of one guarded MMIO read per
-	// task. Requires SubmitRing (the completion word lives in the ring).
-	CompletionReap bool
-}
-
-// Validate rejects option sets that name an optimization without what
-// it rides on, instead of letting the Adaptor quietly run without it.
-func (o Options) Validate() error {
-	if o.CompletionReap && !o.SubmitRing {
-		return errors.New("adaptor: CompletionReap requires SubmitRing")
-	}
-	return nil
-}
-
-// Optimized is the full ccAI optimization set.
-func Optimized() Options {
-	return Options{BatchTags: true, BatchedMetadata: true, HWCrypto: true, ParallelCrypto: true, SubmitRing: true, CompletionReap: true}
-}
-
-// NoOpt is the Figure 11 ablation configuration.
-func NoOpt() Options { return Options{} }
 
 // IOStats counts the Adaptor's MMIO interactions with the PCIe-SC —
 // the quantity §5's optimizations exist to reduce.
@@ -113,7 +64,6 @@ type Adaptor struct {
 	scBar   uint64
 	xpuBar  uint64
 	region  string // staging region name within the space
-	opts    Options
 	mmioSeq uint32
 	nextID  uint32
 	nextTag uint8 // transaction tag for non-posted requests; fresh per attempt
@@ -122,11 +72,10 @@ type Adaptor struct {
 	d2h    *secmem.Stream // open side
 	config *secmem.Stream // seal side
 
+	// metaBuf (the DMA-metadata batch page) and ringBuf (the submission
+	// ring's backing memory) are allocated once and survive teardown;
+	// ring is the live producer state, nil when there is no session.
 	metaBuf *mem.Buffer
-
-	// ringBuf is the submission-ring backing memory (allocated once,
-	// survives teardown); ring is the live producer state, nil when the
-	// ring optimization is off or the session is torn down.
 	ringBuf *mem.Buffer
 	ring    *submitRing
 
@@ -163,41 +112,29 @@ type Adaptor struct {
 	obs adaptorObs
 }
 
+// errNoSession is what every operation that needs the session's streams
+// or its ring returns before HWInit and after teardown.
+var errNoSession = errors.New("adaptor: session not established (HWInit) or already torn down")
+
 // SharedRegion is the mem.Space region name the Adaptor stages bounce
 // buffers in; the platform must create it and IOMMU-map it for the SC.
 const SharedRegion = "shared"
 
 // New constructs an Adaptor for a TVM with requester ID id, talking to
 // a PCIe-SC whose control BAR is at scBar and whose guarded xPU window
-// starts at xpuBar. Staging memory comes from the default SharedRegion.
-func New(id pcie.ID, bus *pcie.Bus, space *mem.Space, keys *secmem.KeyStore, scBar, xpuBar uint64, opts Options) *Adaptor {
-	return NewScoped(id, bus, space, keys, scBar, xpuBar, SharedRegion, opts)
-}
-
-// NewScoped is New with an explicit staging-region name; multi-tenant
-// platforms give each tenant its own shared window.
-func NewScoped(id pcie.ID, bus *pcie.Bus, space *mem.Space, keys *secmem.KeyStore, scBar, xpuBar uint64, region string, opts Options) *Adaptor {
-	w := opts.CryptoWorkers
-	if w <= 0 {
-		w = 1
-		if opts.ParallelCrypto {
-			if w = runtime.GOMAXPROCS(0); w > 8 {
-				w = 8
-			}
-		}
-	}
+// starts at xpuBar. Staging memory comes from the named region of space
+// (SharedRegion on a single-slice platform; multi-tenant platforms give
+// each tenant its own shared window). Chunk seal/open within one region
+// fans out over min(GOMAXPROCS, 8) workers — the paper's "allocate
+// additional CPU threads" optimization, capped where AES-GCM stops
+// scaling.
+func New(id pcie.ID, bus *pcie.Bus, space *mem.Space, keys *secmem.KeyStore, scBar, xpuBar uint64, region string) *Adaptor {
 	return &Adaptor{
 		id: id, bus: bus, space: space, keys: keys,
-		scBar: scBar, xpuBar: xpuBar, region: region, opts: opts, nextID: 1,
-		nextTag: 1, policy: DefaultRetryPolicy(), pool: secmem.NewPool(w),
+		scBar: scBar, xpuBar: xpuBar, region: region, nextID: 1,
+		nextTag: 1, policy: DefaultRetryPolicy(), pool: secmem.NewPool(min(runtime.GOMAXPROCS(0), 8)),
 	}
 }
-
-// CryptoWorkers reports the resolved parallel-crypto pool width.
-func (a *Adaptor) CryptoWorkers() int { return a.pool.Workers() }
-
-// Options reports the active optimization set.
-func (a *Adaptor) Options() Options { return a.opts }
 
 // IO reports cumulative MMIO interaction counts.
 func (a *Adaptor) IO() IOStats {
@@ -207,7 +144,10 @@ func (a *Adaptor) IO() IOStats {
 }
 
 // HWInit activates the Adaptor's stream replicas from negotiated key
-// material and programs the metadata batch buffer (§7.1 hw_init).
+// material and programs the metadata batch buffer and the submission
+// ring (§7.1 hw_init). Both buffers are allocated by the first session
+// and reused, scrubbed, by every later one: the SC forgets their bases
+// at teardown, so each session programs them again.
 func (a *Adaptor) HWInit() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -225,35 +165,28 @@ func (a *Adaptor) HWInit() error {
 	a.h2d.SetObserver(a.hub, track, core.StreamH2D)
 	a.d2h.SetObserver(a.hub, track, core.StreamD2H)
 	a.config.SetObserver(a.hub, track, core.StreamConfig)
-	if a.opts.BatchedMetadata {
-		buf, err := a.space.Alloc(a.region, "dma-metadata", mem.PageSize)
-		if err != nil {
+	if a.metaBuf == nil {
+		if a.metaBuf, err = a.space.Alloc(a.region, "dma-metadata", mem.PageSize); err != nil {
 			return fmt.Errorf("adaptor: metadata buffer: %w", err)
 		}
-		a.metaBuf = buf
-		a.mmioWrite64(core.RegMetaBase, buf.Base())
-		a.mmioWrite64(core.RegMetaSize, uint64(buf.Size()))
+	} else {
+		clear(a.metaBuf.Bytes()) // last session's progress counters
 	}
-	if a.opts.SubmitRing {
-		if a.ringBuf == nil {
-			buf, err := a.space.Alloc(a.region, "dma-submitring", int64(core.RingHdrSize+(ringSlots+core.RingMirrorSlots)*core.RingSlotSize))
-			if err != nil {
-				return fmt.Errorf("adaptor: submission ring: %w", err)
-			}
-			a.ringBuf = buf
-		} else {
-			// Re-established session: scrub the head/status words the SC
-			// wrote last session before re-arming.
-			hdr := a.ringBuf.Bytes()[:core.RingHdrSize]
-			for i := range hdr {
-				hdr[i] = 0
-			}
+	a.mmioWrite64(core.RegMetaBase, a.metaBuf.Base())
+	a.mmioWrite64(core.RegMetaSize, uint64(a.metaBuf.Size()))
+	if a.ringBuf == nil {
+		if a.ringBuf, err = a.space.Alloc(a.region, "dma-submitring", int64(core.RingHdrSize+(ringSlots+core.RingMirrorSlots)*core.RingSlotSize)); err != nil {
+			return fmt.Errorf("adaptor: submission ring: %w", err)
 		}
-		a.ring = &submitRing{buf: a.ringBuf, slots: ringSlots}
-		a.lastCplHead = 0
-		a.mmioWrite64(core.RegRingBase, a.ringBuf.Base())
-		a.mmioWrite64(core.RegRingSize, ringSlots)
+	} else {
+		// Scrub the head/status words the SC wrote last session before
+		// re-arming.
+		clear(a.ringBuf.Bytes()[:core.RingHdrSize])
 	}
+	a.ring = &submitRing{buf: a.ringBuf, slots: ringSlots}
+	a.lastCplHead = 0
+	a.mmioWrite64(core.RegRingBase, a.ringBuf.Base())
+	a.mmioWrite64(core.RegRingSize, ringSlots)
 	return nil
 }
 
@@ -304,18 +237,18 @@ func (a *Adaptor) SCStatus() uint64 {
 // --- pkt_filter_manage --------------------------------------------------------
 
 // InstallRule seals a Packet Filter policy under the config stream and
-// uploads it through the rule window (§4.1's encrypted configuration).
+// uploads it as a ring entry (§4.1's encrypted configuration).
 func (a *Adaptor) InstallRule(r core.Rule) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.config == nil {
-		return fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+		return errNoSession
 	}
 	sealed, err := a.sealWithRetry(a.config, r.Marshal(), nil)
 	if err != nil {
 		return fmt.Errorf("adaptor: seal rule: %w", err)
 	}
-	if err := a.sendBlob(core.RingOpRule, core.RegRuleWindow, core.RegRuleDoorbell, core.MarshalBlob(sealed)); err != nil {
+	if err := a.ringPush(core.RingOpRule, 0, core.MarshalBlob(sealed)); err != nil {
 		return err
 	}
 	return a.flushRingLocked()
@@ -331,7 +264,7 @@ func (a *Adaptor) registerDescriptor(d core.Descriptor) error {
 	}
 	// No flush here: staging callers batch the descriptor with the tag
 	// and notify entries that follow it and publish once.
-	return a.sendBlob(core.RingOpDesc, core.RegDescWindow, core.RegDescDoorbell, core.MarshalBlob(sealed))
+	return a.ringPush(core.RingOpDesc, 0, core.MarshalBlob(sealed))
 }
 
 // ReleaseRegion drops a transfer region on the SC and frees its staging
@@ -349,23 +282,13 @@ func (a *Adaptor) ReleaseRegion(r *Region) {
 
 // --- tag uploads ---------------------------------------------------------------
 
-// postTags uploads tag records; batched mode packs as many as fit one
-// TLP payload, non-optimized mode issues one I/O write per record.
+// postTags queues tag records, as many to a ring entry as fit one TLP
+// payload.
 func (a *Adaptor) postTags(recs []core.TagRecord) error {
 	sp := a.obs.tracer.Start(sitePostTags, keyRecords.I64(int64(len(recs))))
 	defer sp.End()
-	if !a.opts.BatchTags {
-		var one [core.TagRecordSize]byte
-		for _, r := range recs {
-			if err := a.sendTags(r.AppendMarshal(one[:0])); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// One reused arena buffer per upload burst: both sendTags paths copy
-	// the payload (into the ring slot or the MemWrite), so the buffer is
-	// free to refill immediately.
+	// One reused arena buffer per upload burst: ringPush copies the
+	// payload into the slot, so the buffer is free to refill immediately.
 	perPacket := pcie.MaxPayload / core.TagRecordSize
 	payload := arena.Get(perPacket * core.TagRecordSize)[:0]
 	for len(recs) > 0 {
@@ -377,7 +300,7 @@ func (a *Adaptor) postTags(recs []core.TagRecord) error {
 		for _, r := range recs[:n] {
 			payload = r.AppendMarshal(payload)
 		}
-		if err := a.sendTags(payload); err != nil {
+		if err := a.ringPush(core.RingOpTags, 0, payload); err != nil {
 			arena.Put(payload)
 			return err
 		}
@@ -406,7 +329,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.h2d == nil {
-		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+		return nil, errNoSession
 	}
 	sp := a.obs.tracer.Start(siteStageH2D, a.obs.regionName(name), keyBytes.I64(int64(len(data))))
 	defer sp.End()
@@ -455,31 +378,25 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 		recs = append(recs, core.TagRecord{
 			Stream: core.StreamH2D, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag,
 		})
-		r := &recs[len(recs)-1]
-		if a.opts.BatchTags {
-			tagPayload = r.AppendMarshal(tagPayload)
-			if len(tagPayload) >= perPacket*core.TagRecordSize {
-				if err := a.sendTags(tagPayload); err != nil {
-					return err
-				}
-				tagPayload = tagPayload[:0]
+		tagPayload = recs[len(recs)-1].AppendMarshal(tagPayload)
+		if len(tagPayload) >= perPacket*core.TagRecordSize {
+			if err := a.ringPush(core.RingOpTags, 0, tagPayload); err != nil {
+				return err
 			}
-		} else {
-			var one [core.TagRecordSize]byte
-			return a.sendTags(r.AppendMarshal(one[:0]))
+			tagPayload = tagPayload[:0]
 		}
 		return nil
 	}
 	err = a.sealBatchStreamWithRetry(a.h2d, pts, aads, emit)
 	if err == nil && len(tagPayload) > 0 {
-		err = a.sendTags(tagPayload)
+		err = a.ringPush(core.RingOpTags, 0, tagPayload)
 	}
 	arena.Put(tagPayload) // wire-format tags: public bytes
 	dropChunkViews(pts, aads, aadAll)
 	if err == nil {
 		// One region-ready notify, then one doorbell publishes the whole
 		// burst: descriptor, tag packets, notify (the batched I/O of §5).
-		err = a.sendNotify(desc.ID)
+		err = a.ringPush(core.RingOpNotify, uint64(desc.ID), nil)
 	}
 	if err == nil {
 		err = a.flushRingLocked()
@@ -558,7 +475,7 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.config == nil {
-		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+		return nil, errNoSession
 	}
 	sp := a.obs.tracer.Start(siteStageVerified, a.obs.regionName(name), keyBytes.I64(size))
 	defer sp.End()
@@ -585,10 +502,10 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 // SyncVerified recomputes and posts MAC records for the given chunk
 // indices of an A3 region; the driver (via the platform hook) calls
 // this right before ringing a doorbell that will make the device read
-// those chunks. With the submission ring on, the records are queued,
-// not published: the guarded doorbell write that follows flushes the
-// ring before it goes out, so they reach the SC ahead of the device's
-// first read without a doorbell of their own.
+// those chunks. The records are queued, not published: the guarded
+// doorbell write that follows flushes the ring before it goes out, so
+// they reach the SC ahead of the device's first read without a doorbell
+// of their own.
 func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -632,7 +549,7 @@ func (a *Adaptor) PrepareD2H(name string, size int64) (*Region, error) {
 // that publishes the descriptor. Callers hold a.mu.
 func (a *Adaptor) prepareD2HLocked(name string, size int64) (*Region, error) {
 	if a.d2h == nil {
-		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+		return nil, errNoSession
 	}
 	sp := a.obs.tracer.Start(sitePrepareD2H, a.obs.regionName(name), keyBytes.I64(size))
 	defer sp.End()
@@ -673,27 +590,21 @@ func (a *Adaptor) freeRegionLocked(r *Region) {
 }
 
 // D2HProgress reports how many chunks the SC has completed for a D2H
-// region — from the TVM metadata buffer when batched (a memory read),
-// otherwise by polling the SC over MMIO (the §5 anti-pattern, counted
-// as an I/O read).
-func (a *Adaptor) D2HProgress(r *Region, sc *core.Controller) uint64 {
+// region, from the TVM metadata buffer the SC batches its progress
+// counters into (§5: a memory read, not an I/O read).
+func (a *Adaptor) D2HProgress(r *Region) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// Ordering safety: anything still pending in the ring (tag records,
 	// a notify) must reach the SC before progress is interpreted.
-	if err := a.flushRingLocked(); err != nil {
+	if a.metaBuf == nil || a.flushRingLocked() != nil {
 		return 0
 	}
-	if a.opts.BatchedMetadata && a.metaBuf != nil {
-		v, err := a.space.ReadUint64(a.metaBuf.Base() + uint64(r.Desc.ID)*8)
-		if err != nil {
-			return 0
-		}
-		return v
+	v, err := a.space.ReadUint64(a.metaBuf.Base() + uint64(r.Desc.ID)*8)
+	if err != nil {
+		return 0
 	}
-	a.io.MMIOReads++
-	a.obs.mmioReads.Inc()
-	return sc.D2HProgress(r.Desc.ID)
+	return v
 }
 
 // CollectD2H authenticates and decrypts a completed result region
@@ -703,7 +614,7 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.d2h == nil {
-		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+		return nil, errNoSession
 	}
 	if n > r.PlainLen {
 		return nil, fmt.Errorf("adaptor: collect %d bytes from %d-byte region", n, r.PlainLen)
@@ -772,7 +683,7 @@ func (a *Adaptor) GuardedWrite(reg uint64, value uint64) error {
 // MAC record and the write join the submission ring behind whatever is
 // pending and reach the SC with the burst the next direct guarded
 // write publishes — same sequence number, same MAC, same order, no
-// MMIO of their own. With the ring off it is GuardedWrite.
+// MMIO of their own.
 func (a *Adaptor) GuardedWriteBatched(reg uint64, value uint64) error {
 	return a.guardedWrite(reg, value, true)
 }
@@ -792,7 +703,7 @@ func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 	}
 	rec := core.TagRecord{Stream: core.StreamMMIO, Chunk: a.mmioSeq}
 	copy(rec.Tag[:], mac[:secmem.TagSize])
-	if batched && a.ring != nil {
+	if batched {
 		var one [core.TagRecordSize]byte
 		if err := a.ringPush(core.RingOpTags, 0, rec.AppendMarshal(one[:0])); err != nil {
 			return err
@@ -820,8 +731,8 @@ func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 }
 
 // CompletionHead reads the device's command-head register, serving it
-// from the submission ring's completion word (a host-memory read) when
-// batched reaping is active. The word is accepted only when it carries
+// from the submission ring's completion word (a host-memory read) while
+// the session has a ring. The word is accepted only when it carries
 // the RingCplValid tag and is monotonic against the session floor;
 // anything else — never posted, scrubbed, regressed, or corrupted —
 // falls back to the guarded MMIO read, which is authoritative. A stale
@@ -833,7 +744,7 @@ func (a *Adaptor) CompletionHead(reg uint64) (uint64, error) {
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Start(siteCompletionHead, keyReg.Hex(reg))
 	defer sp.End()
-	if a.opts.CompletionReap && a.ring != nil {
+	if a.ring != nil {
 		// Ordering: anything pending in the ring (tag syncs, notifies)
 		// must be published before the completion word is interpreted —
 		// the SC reaps on the far side of the doorbell.
@@ -885,8 +796,8 @@ func (a *Adaptor) DeviceRead(reg uint64) (uint64, error) {
 const RekeyThreshold = 1 << 16
 
 // RekeyStream rotates one protected stream: fresh material is sealed
-// under the config stream, uploaded through the rekey window, and
-// installed on both ends with a bumped epoch.
+// under the config stream, uploaded as a ring entry, and installed on
+// both ends with a bumped epoch.
 func (a *Adaptor) RekeyStream(stream string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -903,7 +814,7 @@ func (a *Adaptor) rekeyStreamLocked(stream string) error {
 	if err != nil {
 		return fmt.Errorf("adaptor: seal rekey: %w", err)
 	}
-	if err := a.sendBlob(core.RingOpRekey, core.RegRekeyWindow, core.RegRekeyDoorbell, core.MarshalBlob(sealed)); err != nil {
+	if err := a.ringPush(core.RingOpRekey, 0, core.MarshalBlob(sealed)); err != nil {
 		return err
 	}
 	// Publish before the TVM-side mirror rotates: the SC must never lag

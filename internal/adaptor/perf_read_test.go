@@ -30,7 +30,7 @@ func TestReadAllocBudget(t *testing.T) {
 	// The rig is built under the pin: the Adaptor sizes its crypto pool
 	// from GOMAXPROCS.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	r, dev := newRig(t, Optimized())
+	r, dev := newRig(t)
 	const size = 64 << 10
 	result := make([]byte, size)
 	for i := range result {

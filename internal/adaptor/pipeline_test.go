@@ -14,22 +14,30 @@ import (
 
 	"ccai/internal/core"
 	"ccai/internal/pcie"
+	"ccai/internal/secmem"
 )
 
-// tagWindowCounters parses every H2D tag record seen in RegTagWindow
-// writes, in wire order.
-type tagWindowTap struct {
+// ringTagTap parses every tag record in the tag entries of the ring
+// slots the SC fetches (completions of whole slots), in wire order.
+type ringTagTap struct {
 	mu       sync.Mutex
 	counters []uint32
 }
 
-func (tw *tagWindowTap) Tap(p *pcie.Packet) *pcie.Packet {
-	if p.Kind == pcie.MWr && p.Address == scBar+core.RegTagWindow {
-		tw.mu.Lock()
-		for off := 0; off+core.TagRecordSize <= len(p.Payload); off += core.TagRecordSize {
-			tw.counters = append(tw.counters, binary.LittleEndian.Uint32(p.Payload[off+4:]))
+func (tw *ringTagTap) Tap(p *pcie.Packet) *pcie.Packet {
+	if p.Kind != pcie.CplD || len(p.Payload) == 0 || len(p.Payload)%core.RingSlotSize != 0 {
+		return p
+	}
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	for slot := p.Payload; len(slot) > 0; slot = slot[core.RingSlotSize:] {
+		if slot[0] != core.RingOpTags {
+			continue
 		}
-		tw.mu.Unlock()
+		recs := slot[core.RingEntryHdrSize:][:binary.LittleEndian.Uint16(slot[2:])]
+		for ; len(recs) >= core.TagRecordSize; recs = recs[core.TagRecordSize:] {
+			tw.counters = append(tw.counters, binary.LittleEndian.Uint32(recs[4:]))
+		}
 	}
 	return p
 }
@@ -44,8 +52,9 @@ func (tw *tagWindowTap) Tap(p *pcie.Packet) *pcie.Packet {
 func TestStageH2DTagOrderUnderParallelCrypto(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			r, _ := newRig(t, Options{BatchTags: true, ParallelCrypto: true, CryptoWorkers: workers})
-			tap := &tagWindowTap{}
+			r, _ := newRig(t)
+			r.adaptor.pool = secmem.NewPool(workers)
+			tap := &ringTagTap{}
 			r.host.AddTap(tap)
 
 			data := make([]byte, 64<<10) // 256 chunks through the pipeline
@@ -86,7 +95,8 @@ func TestStageH2DParallelMatchesSerial(t *testing.T) {
 		data[i] = byte(i*7 + 3)
 	}
 	stage := func(workers int) []core.TagRecord {
-		r, dev := newRig(t, Options{BatchTags: true, ParallelCrypto: true, CryptoWorkers: workers})
+		r, dev := newRig(t)
+		r.adaptor.pool = secmem.NewPool(workers)
 		reg, err := r.adaptor.StageH2D("w", data)
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +127,7 @@ func TestStageH2DParallelMatchesSerial(t *testing.T) {
 // span reads must come back as the original plaintext, chunk batching
 // and all.
 func TestStagedRegionSpanReadable(t *testing.T) {
-	r, dev := newRig(t, Options{BatchTags: true})
+	r, dev := newRig(t)
 	data := make([]byte, 64<<10)
 	for i := range data {
 		data[i] = byte(i ^ (i >> 8))
@@ -151,7 +161,7 @@ func TestStagedRegionSpanReadable(t *testing.T) {
 // the number the arena work targets (the benchmark of record tracks it
 // as adaptor.stage_h2d_64k_xref and allocs_per_op).
 func BenchmarkStageH2D64KiB(b *testing.B) {
-	r, _ := newRig(b, Optimized())
+	r, _ := newRig(b)
 	data := make([]byte, 64<<10)
 	for i := range data {
 		data[i] = byte(i * 13)

@@ -62,14 +62,6 @@ type RecoveryStats struct {
 	LastFailure string
 }
 
-// SetRetryPolicy installs the recovery policy (zero value = no
-// retries).
-func (a *Adaptor) SetRetryPolicy(p RetryPolicy) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.policy = p
-}
-
 // SetClock attaches the virtual clock that backoff waits are charged
 // to. Without a clock retries are immediate (still bounded).
 func (a *Adaptor) SetClock(clk *sim.Engine) {

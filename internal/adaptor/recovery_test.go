@@ -60,7 +60,7 @@ func (l *ivLedger) bad() string {
 // failed attempt never consumed, not burn or repeat one.
 func TestIVMonotonicProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		r, dev := newRig(t, Optimized())
+		r, dev := newRig(t)
 		ledger := &ivLedger{}
 		if err := r.adaptor.AuditIVs(core.StreamH2D, ledger.hook); err != nil {
 			t.Fatal(err)
@@ -130,7 +130,7 @@ func TestIVMonotonicProperty(t *testing.T) {
 // an exhausted counter must refuse to seal rather than wrap.
 func TestMaybeRekeyBoundary(t *testing.T) {
 	t.Run("max-1 rotates", func(t *testing.T) {
-		r, dev := newRig(t, Optimized())
+		r, dev := newRig(t)
 		if err := r.adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)-1); err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestMaybeRekeyBoundary(t *testing.T) {
 	})
 
 	t.Run("max refuses to seal, then rotates", func(t *testing.T) {
-		r, _ := newRig(t, Optimized())
+		r, _ := newRig(t)
 		if err := r.adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)); err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestMaybeRekeyBoundary(t *testing.T) {
 	})
 
 	t.Run("exactly at threshold does not rotate", func(t *testing.T) {
-		r, _ := newRig(t, Optimized())
+		r, _ := newRig(t)
 		if err := r.adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)-RekeyThreshold); err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestMaybeRekeyBoundary(t *testing.T) {
 		// succeed with N distinct counters, the rest must see
 		// ErrIVExhausted — never a duplicate, never a wrap.
 		const headroom = 16
-		r, _ := newRig(t, Optimized())
+		r, _ := newRig(t)
 		ledger := &ivLedger{}
 		if err := r.adaptor.AuditIVs(core.StreamH2D, ledger.hook); err != nil {
 			t.Fatal(err)

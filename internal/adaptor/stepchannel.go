@@ -1,7 +1,6 @@
 package adaptor
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ccai/internal/arena"
@@ -26,8 +25,9 @@ import (
 // single-chunk steps renews its channel every 64 steps.
 const StepWindowSlots = 64
 
-// armRecords bounds the records of one positioned tag entry so that
-// entry and position word fit one TLP payload on the legacy path too.
+// armRecords bounds the records of one positioned tag entry: 8, one
+// fewer than a slot holds. How a multi-chunk step splits into entries is
+// on the wire — the decode budgets and the committed scorecards pin it.
 const armRecords = (core.RingMaxData - 8) / core.TagRecordSize
 
 // StepChannel is one installed step window plus output region. The
@@ -84,7 +84,7 @@ func (a *Adaptor) OpenStepChannel(idsName, outName string, outLen int64) (*StepC
 // publish the descriptor with their own flush.
 func (a *Adaptor) stageWindowLocked(name string) (*Region, error) {
 	if a.h2d == nil {
-		return nil, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+		return nil, errNoSession
 	}
 	const size = StepWindowSlots * core.ChunkSize
 	sp := a.obs.tracer.Start(siteStageH2D, a.obs.regionName(name), keyBytes.I64(size))
@@ -117,7 +117,7 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.h2d == nil {
-		return 0, fmt.Errorf("adaptor: session not established (HWInit) or already torn down")
+		return 0, errNoSession
 	}
 	win, slot, n := ch.Window, ch.next, stepSlots(len(data))
 	if n == 0 || !ch.Fits(len(data)) {
@@ -146,7 +146,7 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 		err = a.postArm(win)
 	}
 	if err == nil {
-		err = a.sendNotify(win.Desc.ID)
+		err = a.ringPush(core.RingOpNotify, uint64(win.Desc.ID), nil)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("adaptor: arm step: %w", err)
@@ -155,18 +155,18 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 }
 
 // postArm queues the positioned tag entries for the step a window
-// holds in Recs: each entry is a position word plus up to armRecords
-// records arming consecutive slots. Callers hold a.mu.
+// holds in Recs: each entry carries its position (core.ArmPosition) in
+// the ring entry's arg and up to armRecords records arming consecutive
+// slots as its data. Callers hold a.mu.
 func (a *Adaptor) postArm(win *Region) error {
-	payload := arena.Get(8 + armRecords*core.TagRecordSize)
+	payload := arena.Get(armRecords * core.TagRecordSize)
 	defer arena.Put(payload) // wire-format tags: public bytes
 	for at := 0; at < len(win.Recs); at += armRecords {
-		recs := win.Recs[at:min(at+armRecords, len(win.Recs))]
-		payload = binary.LittleEndian.AppendUint64(payload[:0], core.ArmPosition(win.Desc.ID, win.slot+uint32(at)))
-		for _, r := range recs {
+		payload = payload[:0]
+		for _, r := range win.Recs[at:min(at+armRecords, len(win.Recs))] {
 			payload = r.AppendMarshal(payload)
 		}
-		if err := a.sendArm(payload); err != nil {
+		if err := a.ringPush(core.RingOpTags, core.ArmPosition(win.Desc.ID, win.slot+uint32(at)), payload); err != nil {
 			return err
 		}
 	}

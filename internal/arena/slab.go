@@ -15,10 +15,10 @@ const slabBlock = 64 * 1024
 // That no-reuse property is the point: unlike the Get/Put pools above,
 // slices carved from a Slab are safe to hand off as packet payloads or
 // completion bodies even though bus taps may retain routed packets
-// indefinitely (see pcie.NewCompletionOwned). The slab only amortizes
-// the allocation count — one make per block instead of one per chunk —
-// it does not recycle bytes, so there is nothing a retained reference
-// could later observe being overwritten.
+// indefinitely (see pcie.PacketArena.CompletionOwned). The slab only
+// amortizes the allocation count — one make per block instead of one
+// per chunk — it does not recycle bytes, so there is nothing a retained
+// reference could later observe being overwritten.
 type Slab struct {
 	mu  sync.Mutex
 	buf []byte

@@ -15,27 +15,24 @@ import (
 )
 
 // PCIe-SC control register offsets within its own 4 KB Upstream BAR
-// (§7.2: "we allocate a 4KB Upstream Bar space on the PCIe-SC").
+// (§7.2: "we allocate a 4KB Upstream Bar space on the PCIe-SC"). This is
+// the whole map: sealed configuration, positioned tags and notifies have
+// no register — they arrive as submission-ring entries (ring.go) — and a
+// write to any other offset is a config reject.
 const (
-	RegSCStatus      = 0x000 // RO: status bits
-	RegRuleDoorbell  = 0x010 // WO: decode the sealed rule in the rule window
-	RegDescDoorbell  = 0x018 // WO: decode the sealed descriptor in the window
-	RegDescRelease   = 0x020 // WO: release descriptor by ID
-	RegTeardown      = 0x028 // WO: destroy keys, clean xPU, drop regions
-	RegMetaBase      = 0x030 // RW: host address of the DMA-metadata batch buffer
-	RegMetaSize      = 0x038 // RW: batch buffer size
-	RegNotify        = 0x040 // WO: region-ready notify (the batched I/O write of §5)
-	RegRekeyDoorbell = 0x048 // WO: apply the sealed rekey command in the window
-	RegMMIOSeq       = 0x050 // RO: next expected A3 MMIO sequence number (recovery resync)
-	RegRingBase      = 0x058 // RW: host address of the submission ring (ring.go)
-	RegRingSize      = 0x060 // RW: submission ring slot count
-	RegRingDoorbell  = 0x068 // WO: publish ring entries up to the written tail index
-	RegTagWindow     = 0x080 // WO: tag-record uploads (payload = packed records)
-	RegTagArm        = 0x0c0 // WO: positioned tag upload (payload = position word + packed records)
-	RegRuleWindow    = 0x100 // WO: sealed rule blob staging (256 B)
-	RegDescWindow    = 0x200 // WO: sealed descriptor blob staging (256 B)
-	RegRekeyWindow   = 0x300 // WO: sealed rekey command staging (256 B)
-	SCBarSize        = 0x1000
+	RegSCStatus     = 0x000 // RO: status bits
+	RegDescRelease  = 0x020 // WO: release descriptor by ID (the release a torn-down producer still issues)
+	RegTeardown     = 0x028 // WO: destroy keys, clean xPU, drop regions
+	RegMetaBase     = 0x030 // RW: host address of the DMA-metadata batch buffer
+	RegMetaSize     = 0x038 // RW: batch buffer size
+	RegMMIOSeq      = 0x050 // RO: next expected A3 MMIO sequence number (recovery resync)
+	RegRingBase     = 0x058 // RW: host address of the submission ring
+	RegRingSize     = 0x060 // RW: submission ring slot count
+	RegRingDoorbell = 0x068 // WO: publish ring entries up to the written tail index
+	RegTagWindow    = 0x080 // WO: the MAC record of the A3 guarded write that follows it (64 B window)
+	SCBarSize       = 0x1000
+
+	tagWindowSize = 0x40
 )
 
 // Status bits.
@@ -95,22 +92,21 @@ type Controller struct {
 	regions regionTable
 
 	// mu guards the controller's own mutable state below (mmioSeq,
-	// status, regs, the config staging buffers, d2hChunks, verified,
-	// stats). Control panels (filter, params, tags, guard, regions)
-	// carry their own leaf locks and may be called while mu is held;
-	// mu is NEVER held across a bus Route call — routing can reenter
-	// this controller on the same goroutine (doorbell → DMA upstream).
+	// status, regs, d2hChunks, verified, stats). Control panels (filter,
+	// params, tags, guard, regions) carry their own leaf locks and may
+	// be called while mu is held; mu is NEVER held across a bus Route
+	// call — routing can reenter this controller on the same goroutine
+	// (doorbell → DMA upstream).
 	mu sync.Mutex
 
 	// config is the stream guarding policy/descriptor uploads.
 	// mmioSeq tracks the next expected A3 MMIO sequence number.
 	mmioSeq uint32
 
-	status    uint64
+	status uint64
+	// regs holds the RW registers: the metadata buffer and submission
+	// ring placement, programmed per session and forgotten at teardown.
 	regs      map[uint64]uint64
-	ruleBuf   []byte
-	descBuf   []byte
-	rekeyBuf  []byte
 	d2hChunks map[uint32]uint64
 	tagPend   map[uint32]*tagSpan
 
@@ -499,8 +495,8 @@ func (c *Controller) Handle(p *pcie.Packet) *pcie.Packet {
 		return c.handleGuardedMMIO(p)
 	case ActionWriteReadProtect:
 		// Sensitive MMIO (command payloads addressed at ccAI hardware,
-		// Figure 5 L2 row 1) must arrive through the control BAR's
-		// sealed windows; anything else here is misrouted.
+		// Figure 5 L2 row 1) must arrive as sealed submission-ring
+		// entries; anything else here is misrouted.
 		return c.reject(p)
 	}
 	return c.reject(p)
@@ -676,67 +672,28 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 		copy(buf, tmp[:])
 		return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, buf)
 	}
-	// Writes.
-	switch {
-	case off >= RegRuleWindow && off < RegRuleWindow+256:
-		c.stageConfig(&c.ruleBuf, p.Payload)
-	case off >= RegDescWindow && off < RegDescWindow+256:
-		c.stageConfig(&c.descBuf, p.Payload)
-	case off >= RegRekeyWindow && off < RegRekeyWindow+256:
-		c.stageConfig(&c.rekeyBuf, p.Payload)
-	case off >= RegTagArm && off < RegTagWindow+0x80:
-		if len(p.Payload) < 8 {
-			c.configReject(fmt.Errorf("core: positioned tag upload without a position word"))
-			break
-		}
-		c.armSlots(binary.LittleEndian.Uint64(p.Payload), p.Payload[8:])
-	case off >= RegTagWindow && off < RegTagArm:
+	if off >= RegTagWindow && off < RegTagWindow+tagWindowSize {
 		c.ingestTags(p.Payload)
-	default:
-		c.controlWrite(off&^7, p.Payload)
+		return nil
 	}
-	return nil
-}
-
-// stageConfig copies a sealed blob into its staging buffer under mu.
-func (c *Controller) stageConfig(buf *[]byte, payload []byte) {
-	c.mu.Lock()
-	*buf = append([]byte(nil), payload...)
-	c.mu.Unlock()
-}
-
-// takeConfig claims and clears a staging buffer under mu.
-func (c *Controller) takeConfig(buf *[]byte) []byte {
-	c.mu.Lock()
-	frame := *buf
-	*buf = nil
-	c.mu.Unlock()
-	return frame
-}
-
-func (c *Controller) controlWrite(reg uint64, payload []byte) {
-	var v uint64
 	var tmp [8]byte
-	copy(tmp[:], payload)
-	v = binary.LittleEndian.Uint64(tmp[:])
-	switch reg {
-	case RegRuleDoorbell:
-		c.installSealedRule()
-	case RegDescDoorbell:
-		c.installSealedDescriptor()
-	case RegRekeyDoorbell:
-		c.applySealedRekey()
+	copy(tmp[:], p.Payload)
+	v := binary.LittleEndian.Uint64(tmp[:])
+	switch reg := off &^ 7; reg {
 	case RegDescRelease:
 		c.releaseRegion(uint32(v))
 	case RegRingDoorbell:
 		c.processRing(v)
 	case RegTeardown:
 		c.Teardown()
-	default:
+	case RegMetaBase, RegMetaSize, RegRingBase, RegRingSize:
 		c.mu.Lock()
 		c.regs[reg] = v
 		c.mu.Unlock()
+	default:
+		c.configReject(fmt.Errorf("core: write to control offset %#x, which names no writable register", off))
 	}
+	return nil
 }
 
 // ingestTags enqueues an uploaded tag packet's records under one tag
@@ -884,18 +841,15 @@ func (c *Controller) streamByHash(h uint32) string {
 	return ""
 }
 
-// releaseRegion drops one region and all state retained for it —
-// shared by the RegDescRelease MMIO path and the ring's release op.
+// releaseRegion drops one region and all state retained for it — the
+// ring's release op and the RegDescRelease write of a producer with no
+// ring left.
 func (c *Controller) releaseRegion(id uint32) {
 	c.regions.remove(id)
 	c.dropVerified(id)
 	c.dropTagSpan(id)
 	c.dropWriteSpan(id)
 	c.dropSpanCache(id)
-}
-
-func (c *Controller) installSealedRule() {
-	c.installRuleFrame(c.takeConfig(&c.ruleBuf))
 }
 
 // installRuleFrame decodes and installs one sealed rule blob; frame may
@@ -916,10 +870,6 @@ func (c *Controller) installRuleFrame(frame []byte) {
 	} else {
 		c.filter.InstallL2(r)
 	}
-}
-
-func (c *Controller) installSealedDescriptor() {
-	c.installDescriptorFrame(c.takeConfig(&c.descBuf))
 }
 
 func (c *Controller) installDescriptorFrame(frame []byte) {
@@ -997,10 +947,6 @@ func UnmarshalRekeyCommand(b []byte) (RekeyCommand, error) {
 	return rc, nil
 }
 
-func (c *Controller) applySealedRekey() {
-	c.applyRekeyFrame(c.takeConfig(&c.rekeyBuf))
-}
-
 func (c *Controller) applyRekeyFrame(frame []byte) {
 	pt, err := c.openConfig(frame)
 	if err != nil {
@@ -1037,9 +983,6 @@ func (c *Controller) applyRekeyFrame(frame []byte) {
 }
 
 func (c *Controller) openConfig(frame []byte) ([]byte, error) {
-	if frame == nil {
-		return nil, fmt.Errorf("core: empty config window")
-	}
 	sealed, err := UnmarshalBlob(frame)
 	if err != nil {
 		return nil, err
@@ -1620,9 +1563,8 @@ func (c *Controller) appendMetadataLocked(writes []hostWr, region uint32, count 
 	return append(writes, hostWr{addr: slot, body: buf})
 }
 
-// D2HProgress reports completed chunks for a region — the MMIO-polled
-// fallback the non-optimized ablation uses in place of the metadata
-// batch buffer.
+// D2HProgress reports completed chunks for a region: the count the SC
+// batches into the metadata buffer, read at its source (tests).
 func (c *Controller) D2HProgress(region uint32) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1651,15 +1593,19 @@ func (c *Controller) AttestDevice(nonce uint64, expected uint64, attestReg, resp
 	return binary.LittleEndian.Uint64(cpl.Payload) == expected
 }
 
-// Teardown destroys key material, drops regions and pending tags, and
-// triggers the environment guard's device clean. The filter's static
-// platform rules survive; per-session rules are the TVM's to reinstall.
+// Teardown destroys key material, drops regions and pending tags,
+// forgets where the session's submission ring and metadata buffer live —
+// a torn-down SC masters nothing on the host bus, whatever doorbell is
+// replayed at it; hw_init programs both again — and triggers the
+// environment guard's device clean. The filter's static platform rules
+// survive; per-session rules are the TVM's to reinstall.
 func (c *Controller) Teardown() {
 	c.mu.Lock()
 	c.stats.Teardowns++
 	c.mmioSeq = 0
 	c.ringHead = 0
 	c.cplWord = 0
+	clear(c.regs)
 	c.d2hChunks = make(map[uint32]uint64)
 	for _, span := range c.tagPend {
 		arena.Put(span.buf)

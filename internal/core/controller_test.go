@@ -14,6 +14,11 @@ const (
 	ctlWin  = 0xd000_0000
 	ctlMem  = 0x8000_0000
 	ctlMemN = 1 << 20
+
+	// The rig's submission ring, in the upper half of its host memory:
+	// deep enough that no test wraps it.
+	ctlRing      = ctlMem + ctlMemN/2
+	ctlRingSlots = 1024
 )
 
 // ctlRig wires a controller between a fake host memory endpoint and a
@@ -25,6 +30,53 @@ type ctlRig struct {
 	hostMem map[uint64][]byte
 	cfgTx   *secmem.Stream
 	dev     *ctlDevice
+	tail    uint64 // ring producer index: the next entry's sequence number
+}
+
+// ringEntry is one submission-ring entry as a test spells it.
+type ringEntry struct {
+	op   uint8
+	arg  uint64
+	data []byte
+}
+
+// slot frames e as the ring slot with sequence number seq.
+func (e ringEntry) slot(seq uint32) []byte {
+	s := make([]byte, RingSlotSize)
+	PutRingEntry((*[RingEntryHdrSize]byte)(s), e.op, uint16(len(e.data)), seq, e.arg)
+	copy(s[RingEntryHdrSize:], e.data)
+	return s
+}
+
+// publish is the rig's ring producer at its rawest: slot bytes laid down
+// where the SC's next fetch starts, then the doorbell with tail.
+// ctlHostMem serves a read from the exact address of one write, so a
+// burst must be what one SC fetch covers (≤ 15 slots).
+func (r *ctlRig) publish(slots []byte, tail uint64) {
+	r.hostMem[ctlRing+RingHdrSize+r.tail%ctlRingSlots*RingSlotSize] = slots
+	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, tail)))
+}
+
+// submit publishes well-framed entries: consecutive sequence numbers
+// from the producer's tail, the doorbell one past the last.
+func (r *ctlRig) submit(entries ...ringEntry) {
+	var slots []byte
+	for i, e := range entries {
+		slots = append(slots, e.slot(uint32(r.tail)+uint32(i))...)
+	}
+	r.publish(slots, r.tail+uint64(len(entries)))
+	r.tail += uint64(len(entries))
+}
+
+// sealed seals a marshalled rule, descriptor or rekey command under the
+// config stream into a ring entry's payload.
+func (r *ctlRig) sealed(t *testing.T, pt []byte) []byte {
+	t.Helper()
+	s, err := r.cfgTx.Seal(pt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return MarshalBlob(s)
 }
 
 type ctlHostMem struct{ m map[uint64][]byte }
@@ -109,17 +161,16 @@ func newCtlRig(t *testing.T) *ctlRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ctlRig{sc: sc, host: host, inner: inner, hostMem: hm.m, cfgTx: cfgTx, dev: dev}
+	r := &ctlRig{sc: sc, host: host, inner: inner, hostMem: hm.m, cfgTx: cfgTx, dev: dev}
+	for reg, v := range map[uint64]uint64{RegRingBase: ctlRing, RegRingSize: ctlRingSlots} {
+		host.Route(pcie.NewMemWrite(tvmID, ctlBar+reg, binary.LittleEndian.AppendUint64(nil, v)))
+	}
+	return r
 }
 
 func (r *ctlRig) installRule(t *testing.T, rule Rule) {
 	t.Helper()
-	sealed, err := r.cfgTx.Seal(rule.Marshal(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRuleWindow, MarshalBlob(sealed)))
-	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRuleDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	r.submit(ringEntry{op: RingOpRule, data: r.sealed(t, rule.Marshal())})
 }
 
 func TestControllerSealedRuleInstall(t *testing.T) {
@@ -142,15 +193,8 @@ func TestControllerSealedRuleInstall(t *testing.T) {
 func TestControllerRuleReplayRejected(t *testing.T) {
 	r := newCtlRig(t)
 	rule := Rule{ID: 1, Mask: MatchKind, Kind: pcie.MRd, Action: ActionPassThrough}
-	sealed, err := r.cfgTx.Seal(rule.Marshal(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := MarshalBlob(sealed)
-	install := func() {
-		r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRuleWindow, frame))
-		r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRuleDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
-	}
+	frame := r.sealed(t, rule.Marshal())
+	install := func() { r.submit(ringEntry{op: RingOpRule, data: frame}) }
 	install()
 	_, l2 := r.sc.Filter().RuleCount()
 	if l2 != 1 {
@@ -169,9 +213,9 @@ func TestControllerRuleReplayRejected(t *testing.T) {
 
 func TestControllerEmptyDoorbellRejected(t *testing.T) {
 	r := newCtlRig(t)
-	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRuleDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	r.submit(ringEntry{op: RingOpRule})
 	if r.sc.Stats().ConfigRejects != 1 {
-		t.Fatal("doorbell without staged blob accepted")
+		t.Fatal("rule entry without a blob accepted")
 	}
 	if r.sc.SCStatusBits()&SCStatusConfigErr == 0 {
 		t.Fatal("config error status not latched")
@@ -279,12 +323,7 @@ func TestControllerIngestTagsBatch(t *testing.T) {
 func TestControllerDescriptorOverlapRejected(t *testing.T) {
 	r := newCtlRig(t)
 	install := func(d Descriptor) {
-		sealed, err := r.cfgTx.Seal(d.Marshal(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescWindow, MarshalBlob(sealed)))
-		r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+		r.submit(ringEntry{op: RingOpDesc, data: r.sealed(t, d.Marshal())})
 	}
 	install(Descriptor{ID: 1, Dir: DirH2D, Class: ActionWriteReadProtect, Base: ctlMem, Len: 0x1000, ChunkSize: 256})
 	if r.sc.Regions() != 1 {
@@ -340,5 +379,168 @@ func TestControllerStatsSnapshot(t *testing.T) {
 	st := r.sc.Stats()
 	if st.Filter.Dropped == 0 {
 		t.Fatal("snapshot missing filter stats")
+	}
+}
+
+// TestControllerUnknownOffsetsRejected: the control BAR decodes its ten
+// registers and nothing else. A write anywhere else — the offsets the
+// sealed-blob windows, their doorbells, the notify latch and the
+// positioned-tag window once had included — is one config reject and
+// changes no rule, region, key or slot table, whatever it carries.
+func TestControllerUnknownOffsetsRejected(t *testing.T) {
+	d := newDPRig(t)
+	w := d.installWindow(t, 5, ctlMem+0x4000, 4)
+	l1, l2 := d.sc.Filter().RuleCount()
+	arm := binary.LittleEndian.AppendUint64(nil, ArmPosition(w.ID, 1))
+	arm = TagRecord{Stream: StreamH2D, Chunk: 7}.AppendMarshal(arm)
+	payloads := [][]byte{
+		{1, 0, 0, 0, 0, 0, 0, 0},
+		d.sealed(t, Rule{ID: 99, Action: ActionPassThrough}.Marshal()), // well sealed, wrong door
+		arm,
+	}
+	offsets := []uint64{0x008, 0x010, 0x018, 0x040, 0x048, 0x070, 0x0c0, 0x0f8, 0x400, SCBarSize - 8,
+		RegSCStatus, RegMMIOSeq} // read-only: not writable either
+	for off := uint64(0x100); off < 0x400; off += 0x48 {
+		offsets = append(offsets, off)
+	}
+	for i, off := range offsets {
+		rejects := d.sc.Stats().ConfigRejects
+		d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+off, payloads[i%len(payloads)]))
+		if got := d.sc.Stats().ConfigRejects; got != rejects+1 {
+			t.Fatalf("write to offset %#x: %d config rejects, want 1", off, got-rejects)
+		}
+	}
+	if a1, a2 := d.sc.Filter().RuleCount(); a1 != l1 || a2 != l2 || d.sc.Regions() != 1 {
+		t.Fatal("a write to an unknown offset changed the rule or region table")
+	}
+	for slot, ctr := range d.sc.slots[w.ID] {
+		if ctr != 0 {
+			t.Fatalf("a write to an unknown offset armed slot %d", slot)
+		}
+	}
+	for _, name := range []string{StreamH2D, StreamD2H, StreamConfig} {
+		if s, err := d.sc.Params().Stream(name); err != nil || s.Epoch() != 0 {
+			t.Fatalf("a write to an unknown offset touched stream %s", name)
+		}
+	}
+	// The sealed rule a wrong offset refused is still good at the right one.
+	d.submit(ringEntry{op: RingOpRule, data: payloads[1]})
+	if _, a2 := d.sc.Filter().RuleCount(); a2 != l2+1 {
+		t.Fatal("rule refused at an unknown offset was consumed there")
+	}
+}
+
+// TestControllerRingFraming drives processRing directly: a well-framed
+// burst is consumed and the head posted; a skewed sequence number, an
+// oversized length, an unknown opcode, a tail behind the head or further
+// ahead than the ring is deep is a desync — one config reject, the status
+// word raised, the head where it was, the bad entry and everything behind
+// it undispatched.
+func TestControllerRingFraming(t *testing.T) {
+	word := func(r *ctlRig, off uint64) uint64 {
+		if b := r.hostMem[ctlRing+off]; len(b) == 8 {
+			return binary.LittleEndian.Uint64(b)
+		}
+		return 0
+	}
+	release := ringEntry{op: RingOpRelease, arg: 1}
+	oversized := release.slot(1)
+	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
+	for name, c := range map[string]struct {
+		slots []byte
+		tail  uint64
+	}{
+		"sequence skew":    {release.slot(2), 2},
+		"oversized length": {oversized, 2},
+		"opcode 0":         {ringEntry{}.slot(1), 2},
+		"opcode 8":         {ringEntry{op: RingOpGuarded + 1}.slot(1), 2},
+		"bad entry second": {append(ringEntry{op: RingOpNotify}.slot(1), release.slot(3)...), 3},
+		"tail behind head": {release.slot(1), 0},
+		"tail past ring":   {release.slot(1), 1 + ctlRingSlots + 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newCtlRig(t)
+			r.submit(ringEntry{op: RingOpDesc, data: r.sealed(t, Descriptor{ID: 1, Dir: DirH2D,
+				Class: ActionWriteReadProtect, Base: ctlMem, Len: 0x1000, ChunkSize: ChunkSize}.Marshal())})
+			if r.sc.Regions() != 1 || word(r, 0) != 1 || word(r, 8) != 0 {
+				t.Fatalf("clean burst: %d regions, head word %d, status %d", r.sc.Regions(), word(r, 0), word(r, 8))
+			}
+			r.publish(c.slots, c.tail)
+			if st := r.sc.Stats(); st.ConfigRejects != 1 || word(r, 8) != RingStatusDesync || r.sc.ringHead != 1 || word(r, 0) != 1 {
+				t.Fatalf("%d config rejects, status %d, head %d (posted %d)", st.ConfigRejects, word(r, 8), r.sc.ringHead, word(r, 0))
+			}
+			if r.sc.Regions() != 1 {
+				t.Fatal("a refused entry was dispatched")
+			}
+		})
+	}
+}
+
+// TestControllerTeardownForgetsRing: a torn-down SC no longer knows where
+// the dead session's ring or metadata buffer lived. A doorbell replayed
+// at it is one "no configured ring" reject and not a single SC-mastered
+// packet on the host bus — no fetch of last session's slots, no head
+// written back into memory the TVM may have reused.
+func TestControllerTeardownForgetsRing(t *testing.T) {
+	r := newCtlRig(t)
+	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegMetaBase, binary.LittleEndian.AppendUint64(nil, ctlMem+0x1000)))
+	r.installRule(t, Rule{ID: 1, Mask: MatchKind, Kind: pcie.MRd, Action: ActionPassThrough})
+	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegTeardown, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+
+	mastered := 0
+	r.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Requester == r.sc.DeviceID() {
+			mastered++
+		}
+		return p
+	}))
+	rejects := r.sc.Stats().ConfigRejects
+	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRingDoorbell, []byte{3, 0, 0, 0, 0, 0, 0, 0}))
+	if got := r.sc.Stats().ConfigRejects - rejects; got != 1 || mastered != 0 {
+		t.Fatalf("doorbell replayed after teardown: %d config rejects, %d SC packets on the host bus; want 1 and 0", got, mastered)
+	}
+	for _, reg := range []uint64{RegRingBase, RegRingSize, RegMetaBase, RegMetaSize} {
+		cpl := r.host.Route(pcie.NewMemRead(tvmID, ctlBar+reg, 8, 0))
+		if cpl == nil || binary.LittleEndian.Uint64(cpl.Payload) != 0 {
+			t.Fatalf("register %#x survived teardown", reg)
+		}
+	}
+}
+
+// TestControllerForgedEntriesRejected: a rule, descriptor or rekey entry
+// whose payload is not sealed under the config stream — plaintext, or
+// sealed under a key of the forger's choosing — is one config reject
+// each and installs nothing; the ring moves on to the next entry.
+func TestControllerForgedEntriesRejected(t *testing.T) {
+	d := newDPRig(t)
+	l1, l2 := d.sc.Filter().RuleCount()
+	wrongKey, err := secmem.NewStream(secmem.FreshKey(), secmem.FreshNonce())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op, pt := range map[uint8][]byte{
+		RingOpRule: Rule{ID: 99, Action: ActionPassThrough}.Marshal(),
+		RingOpDesc: Descriptor{ID: 9, Dir: DirH2D, Class: ActionWriteReadProtect,
+			Base: ctlMem, Len: 0x1000, ChunkSize: ChunkSize}.Marshal(),
+		RingOpRekey: RekeyCommand{Stream: StreamH2D, Key: secmem.FreshKey(), Nonce: secmem.FreshNonce()}.Marshal(),
+	} {
+		sealed, err := wrongKey.Seal(pt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejects := d.sc.Stats().ConfigRejects
+		d.submit(ringEntry{op: op, data: pt}, ringEntry{op: op, data: MarshalBlob(sealed)})
+		if got := d.sc.Stats().ConfigRejects - rejects; got != 2 {
+			t.Fatalf("op %d: %d config rejects for a plaintext and a wrong-key entry, want 2", op, got)
+		}
+	}
+	if a1, a2 := d.sc.Filter().RuleCount(); a1 != l1 || a2 != l2 || d.sc.Regions() != 0 {
+		t.Fatal("a forged entry installed a rule or a region")
+	}
+	if s, err := d.sc.Params().Stream(StreamH2D); err != nil || s.Epoch() != 0 {
+		t.Fatal("a forged rekey entry rotated the stream")
+	}
+	if d.sc.ringHead != d.tail {
+		t.Fatalf("ring head %d after %d entries: a rejected entry stalled the ring", d.sc.ringHead, d.tail)
 	}
 }

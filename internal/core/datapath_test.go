@@ -551,12 +551,7 @@ func (d *dpRig) installWindow(t *testing.T, id uint32, base uint64, slots int) D
 	t.Helper()
 	desc := Descriptor{ID: id, Dir: DirH2D, Class: ActionWriteReadProtect,
 		Base: base, Len: uint64(slots * ChunkSize), ChunkSize: ChunkSize, Slotted: true}
-	sealed, err := d.cfgTx.Seal(desc.Marshal(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescWindow, MarshalBlob(sealed)))
-	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	d.submit(ringEntry{op: RingOpDesc, data: d.sealed(t, desc.Marshal())})
 	return desc
 }
 
@@ -571,13 +566,13 @@ func (d *dpRig) sealSlot(t *testing.T, desc Descriptor, slot uint32, data []byte
 	return TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag}
 }
 
-// arm uploads a positioned tag through the legacy RegTagArm window.
+// arm uploads a positioned tag entry.
 func (d *dpRig) arm(region, slot uint32, recs ...TagRecord) {
-	payload := binary.LittleEndian.AppendUint64(nil, ArmPosition(region, slot))
+	var payload []byte
 	for _, r := range recs {
 		payload = r.AppendMarshal(payload)
 	}
-	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegTagArm, payload))
+	d.submit(ringEntry{op: RingOpTags, arg: ArmPosition(region, slot), data: payload})
 }
 
 func (d *dpRig) readSlot(desc Descriptor, slot uint32) ([]byte, bool) {

@@ -8,8 +8,8 @@ import (
 	"ccai/internal/secmem"
 )
 
-// The PCIe-SC's configuration windows receive attacker-writable bytes;
-// every parser on that path must reject garbage without panicking.
+// The PCIe-SC's control BAR and submission ring receive attacker-writable
+// bytes; every parser on that path must reject garbage without panicking.
 
 func FuzzUnmarshalRule(f *testing.F) {
 	f.Add(Rule{ID: 1, Mask: MatchKind | MatchAddr, Kind: pcie.MWr,
@@ -86,21 +86,21 @@ func FuzzUnmarshalRekeyCommand(f *testing.F) {
 	})
 }
 
-// FuzzControllerControlWindow drives arbitrary bytes at the SC's
-// configuration surface end to end: nothing may panic, and no rule may
-// install without a valid seal.
+// FuzzControllerControlWindow drives arbitrary bytes at the SC's control
+// BAR: nothing may panic and no rule or region may install. The BAR
+// decodes ten registers; everywhere else — the offsets sealed blobs and
+// positioned tags once had among them — a write is a config reject.
 func FuzzControllerControlWindow(f *testing.F) {
-	f.Add(uint16(RegRuleWindow), []byte("garbage"))
-	f.Add(uint16(RegDescWindow), make([]byte, 64))
-	f.Add(uint16(RegRekeyWindow), make([]byte, 40))
+	for _, off := range []uint16{0x010, 0x018, 0x040, 0x048, 0x100, 0x200, 0x300} {
+		f.Add(off, []byte("garbage"))
+	}
 	f.Add(uint16(RegTagWindow), make([]byte, TagRecordSize*2))
-	// Positioned tag uploads: a well-formed arm for a window that does
-	// not exist, a short position word, and a ragged record tail.
 	arm := binary.LittleEndian.AppendUint64(nil, ArmPosition(3, 5))
 	arm = TagRecord{Stream: StreamH2D, Chunk: 9, Epoch: 0}.AppendMarshal(arm)
-	f.Add(uint16(RegTagArm), arm)
-	f.Add(uint16(RegTagArm), arm[:5])
-	f.Add(uint16(RegTagArm), arm[:len(arm)-3])
+	f.Add(uint16(0x0c0), arm)
+	f.Add(uint16(RegRingDoorbell), []byte{3})
+	f.Add(uint16(RegDescRelease), []byte{1})
+	f.Add(uint16(RegTeardown), []byte{1})
 	f.Fuzz(func(t *testing.T, off uint16, payload []byte) {
 		keys := secmem.NewKeyStore()
 		sc := NewController(pcie.MakeID(1, 0, 0), pcie.Region{Base: 0xd010_0000, Size: SCBarSize}, keys)
@@ -109,15 +109,80 @@ func FuzzControllerControlWindow(f *testing.F) {
 		tvm := pcie.MakeID(0, 1, 0)
 		sc.SetAuthorizedTVM(tvm)
 
-		addr := 0xd010_0000 + uint64(off)%SCBarSize
-		sc.Handle(pcie.NewMemWrite(tvm, addr, payload))
-		// Ring every doorbell after the write.
-		for _, db := range []uint64{RegRuleDoorbell, RegDescDoorbell, RegRekeyDoorbell} {
-			sc.Handle(pcie.NewMemWrite(tvm, 0xd010_0000+db, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+		sc.Handle(pcie.NewMemWrite(tvm, 0xd010_0000+uint64(off)%SCBarSize, payload))
+		if l1, l2 := sc.Filter().RuleCount(); l1 != 0 || l2 != 0 || sc.Regions() != 0 {
+			t.Fatal("fuzzed bytes installed a filter rule or a region")
 		}
-		l1, l2 := sc.Filter().RuleCount()
-		if l1 != 0 || l2 != 0 {
-			t.Fatal("fuzzed bytes installed a filter rule")
+	})
+}
+
+// FuzzControllerRing fuzzes the one way sealed configuration, positioned
+// tags and notifies have in: raw slot bytes laid down at the head of a
+// trusted SC's submission ring, and the doorbell's tail. Nothing may
+// panic, and every input must end one of three ways — consumed up to the
+// tail (with whatever rejects its entries earned), refused with the
+// desync status word raised and the head where it was, or nothing
+// published at all — never with a rule, a region or a key epoch the
+// fuzzer did not seal (it holds no key, so: none).
+func FuzzControllerRing(f *testing.F) {
+	const firstSeq = 1 // the rig's own window install took sequence 0
+	add := func(tail uint64, entries ...ringEntry) {
+		var slots []byte
+		for i, e := range entries {
+			slots = append(slots, e.slot(firstSeq+uint32(i))...)
+		}
+		f.Add(slots, tail)
+	}
+	rec := TagRecord{Stream: StreamH2D, Chunk: 4242}.Marshal()
+	// The forged entries of the ported security cells: unsealed rule,
+	// descriptor and rekey command, misaimed and in-window arms.
+	add(firstSeq+1, ringEntry{op: RingOpRule, data: Rule{ID: 99, Action: ActionPassThrough}.Marshal()})
+	add(firstSeq+1, ringEntry{op: RingOpDesc, data: Descriptor{ID: 9, Dir: DirH2D, Class: ActionWriteReadProtect,
+		Base: ctlMem, Len: 4096, ChunkSize: ChunkSize}.Marshal()})
+	add(firstSeq+1, ringEntry{op: RingOpRekey, data: RekeyCommand{Stream: StreamH2D,
+		Key: secmem.FreshKey(), Nonce: secmem.FreshNonce()}.Marshal()})
+	add(firstSeq+3,
+		ringEntry{op: RingOpTags, arg: ArmPosition(5, 64), data: rec},
+		ringEntry{op: RingOpTags, arg: ArmPosition(1005, 0), data: rec},
+		ringEntry{op: RingOpTags, arg: ArmPosition(5, 1), data: rec})
+	add(firstSeq+1, ringEntry{op: RingOpRelease, arg: 5})
+	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, 8)})
+	// Framing: a sequence skew, an oversized length, opcodes 0 and 8, a
+	// tail behind the head and one past the ring.
+	f.Add(ringEntry{op: RingOpNotify}.slot(firstSeq+1), uint64(firstSeq+1))
+	oversized := ringEntry{op: RingOpTags}.slot(firstSeq)
+	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
+	f.Add(oversized, uint64(firstSeq+1))
+	add(firstSeq+1, ringEntry{op: 0})
+	add(firstSeq+1, ringEntry{op: RingOpGuarded + 1})
+	add(0, ringEntry{op: RingOpNotify})
+	add(firstSeq+ctlRingSlots+1, ringEntry{op: RingOpNotify})
+	f.Fuzz(func(t *testing.T, slots []byte, tail uint64) {
+		d := newDPRig(t)
+		d.installWindow(t, 5, ctlMem+0x4000, 4)
+		l1, l2 := d.sc.Filter().RuleCount()
+		before := d.sc.ringHead
+		if before != firstSeq || d.sc.Regions() != 1 {
+			t.Fatalf("rig: head %d, %d regions", before, d.sc.Regions())
+		}
+
+		d.publish(slots, tail)
+
+		head := d.sc.ringHead
+		desync := len(d.hostMem[ctlRing+8]) == 8 && binary.LittleEndian.Uint64(d.hostMem[ctlRing+8]) == RingStatusDesync
+		if head != tail && (head != before || !desync) {
+			t.Fatalf("head %d → %d for tail %d, desync %v: neither consumed nor refused", before, head, tail, desync)
+		}
+		if a1, a2 := d.sc.Filter().RuleCount(); a1 != l1 || a2 != l2 {
+			t.Fatal("fuzzed ring entries installed a filter rule")
+		}
+		if d.sc.Regions() > 1 {
+			t.Fatal("fuzzed ring entries installed a region")
+		}
+		for _, name := range []string{StreamH2D, StreamD2H} {
+			if s, err := d.sc.Params().Stream(name); err != nil || s.Epoch() != 0 {
+				t.Fatalf("fuzzed ring entries rotated %s", name)
+			}
 		}
 	})
 }

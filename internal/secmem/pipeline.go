@@ -15,13 +15,15 @@ import (
 // strictly in submission order, overlapping crypto with whatever the
 // caller does in emit (bounce-buffer writes, tag posting): while emit
 // runs for chunk i, pool workers are already sealing chunks > i. This
-// is the streaming pipeline of DESIGN.md §10 — the replacement for the
-// barrier-style "seal all, then write all" staging.
+// is the streaming pipeline of DESIGN.md §10. aads[i] is bound into
+// chunk i's tag; aads may be nil (no AAD for any chunk).
 //
-// Counter reservation and fault semantics are identical to SealBatch:
-// the fault hook is consulted once per chunk before any counter is
+// A contiguous counter range is reserved under the stream lock, and the
+// fault hook is consulted once per chunk before any counter is
 // reserved, so an ErrTransient return consumes no stream state and the
-// whole batch may be retried with the same IVs. Once emit has run for
+// whole batch may be retried with the same IVs; a batch that would
+// cross the 32-bit counter boundary fails with ErrIVExhausted and
+// again consumes nothing. Once emit has run for
 // any chunk the batch is no longer retryable — an emit error aborts
 // the remaining pipeline and is returned as-is, with the consumed
 // counters abandoned (the recovery ladder's repost/teardown logic owns
@@ -236,9 +238,14 @@ func sealStreamParallel(n, w int, base, epoch uint32, nb [nonceBase]byte,
 // into dst, which must hold at least the sum of the ciphertext
 // lengths. Chunk i's plaintext lands at the prefix-sum offset of the
 // preceding ciphertext lengths, so a region reassembles contiguously
-// with zero copies. Validation, watermark and fault semantics match
-// OpenBatch (the sealed records are taken by value so the caller can
-// reuse a scratch slice).
+// with zero copies. The counters must be strictly increasing and all
+// above the receive watermark (the batch is new, in-order traffic);
+// the watermark advances only through the contiguous prefix of
+// successfully authenticated chunks, and only if no rekey intervened.
+// The fault hook fires for every chunk before any state changes, so a
+// transient fault leaves the stream untouched and the batch is
+// retryable. The sealed records are taken by value so the caller can
+// reuse a scratch slice.
 //
 // On any authentication failure the written span of dst is zeroed
 // before returning ErrAuth — partial plaintext, including chunks that

@@ -112,6 +112,14 @@ func TestSealBatchStreamTransientConsumesNoCounters(t *testing.T) {
 		}
 		return nil
 	})
+	ivs := map[uint64]bool{}
+	tx.SetIVAudit(func(epoch, counter uint32) {
+		iv := uint64(epoch)<<32 | uint64(counter)
+		if ivs[iv] {
+			t.Errorf("IV reused: %#x", iv)
+		}
+		ivs[iv] = true
+	})
 	pts, aads := chunkset(6, 64)
 
 	before := tx.SendCounter()
@@ -182,16 +190,11 @@ func TestOpenBatchIntoZeroesOnAuthFailure(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			tx, rx := newPair(t)
 			pts, aads := chunkset(9, 128)
-			sealedPtrs, err := tx.SealBatch(pts, aads, nil)
+			sealed, err := sealAll(tx, pts, aads, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sealed := make([]Sealed, len(sealedPtrs))
-			for i, s := range sealedPtrs {
-				sealed[i] = *s
-			}
 			// Corrupt a late chunk so earlier ones decrypt first.
-			sealed[7].Ciphertext = append([]byte(nil), sealed[7].Ciphertext...)
 			sealed[7].Ciphertext[0] ^= 1
 
 			dst := make([]byte, 9*128)

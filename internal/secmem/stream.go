@@ -59,7 +59,7 @@ var ErrTransient = errors.New("secmem: transient crypto-engine fault")
 // the receiver enforces strictly increasing counters, which defeats
 // replay and reordering on the untrusted bus segment (§8.2).
 type Stream struct {
-	// batchMu serializes whole OpenBatch operations (validate →
+	// batchMu serializes whole OpenBatchInto operations (validate →
 	// parallel decrypt → watermark advance); it is always acquired
 	// before mu and never held by single-chunk operations.
 	batchMu sync.Mutex
@@ -121,8 +121,8 @@ type streamObs struct {
 	tracer *obsv.Tracer
 	// The stream's span sites on its side's track, and its name as an
 	// attribute value, resolved when the stream is handed its hub.
-	seal, open, sealBatch, sealStream, rekey obsv.Site
-	name                                     obsv.Sym
+	seal, open, sealStream, rekey obsv.Site
+	name                          obsv.Sym
 
 	sealOps, sealBytes *obsv.Counter
 	openOps, openBytes *obsv.Counter
@@ -146,7 +146,6 @@ func (s *Stream) SetObserver(h *obsv.Hub, track, name string) {
 		tracer:     h.T(),
 		seal:       obsv.NewSite(track, "seal"),
 		open:       obsv.NewSite(track, "open"),
-		sealBatch:  obsv.NewSite(track, "seal_batch"),
 		sealStream: obsv.NewSite(track, "seal_stream"),
 		rekey:      obsv.NewSite(track, "rekey"),
 		name:       obsv.Intern(name),

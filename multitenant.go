@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ccai/internal/adaptor"
 	"ccai/internal/core"
 	"ccai/internal/llm"
 	"ccai/internal/mem"
@@ -161,7 +160,7 @@ func (mp *MultiPlatform) addTenant(i int, profile xpu.Profile, golden string) er
 		parent: mp,
 	}
 	var err error
-	if t.internal, err = t.assemble(mp.Bridge, t.Device, sl, adaptor.Optimized(), golden); err != nil {
+	if t.internal, err = t.assemble(mp.Bridge, t.Device, sl, golden); err != nil {
 		return err
 	}
 	// The Mux owns the slice's host-side presence: it claims the SC

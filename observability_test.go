@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"ccai/internal/adaptor"
 	"ccai/internal/fault"
 	"ccai/internal/obsv"
 	"ccai/internal/pcie"
@@ -271,20 +270,12 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 	})
 
 	t.Run("stale_suppressed", func(t *testing.T) {
-		// Completion reaping serves Head() from host memory, so with it
-		// on the steady-state task issues no MMIO reads at all and the
+		// Completion reaping serves Head() from host memory, so the
+		// steady-state task issues no MMIO reads at all and the
 		// stale-completion rung has nothing to suppress. Pin the rung on
-		// the legacy read path.
-		opts := adaptor.Optimized()
-		opts.CompletionReap = false
-		p, err := New(WithXPU(xpu.A100), WithMode(Protected), WithObserve(), WithAdaptor(opts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.EstablishTrust(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
+		// the read the Adaptor still issues itself: a device register
+		// read through the SC window.
+		p := observedPlatform(t)
 		// Two firings: the first stashes a completion (a timeout), the
 		// second delivers it in place of a newer one — a stale tag the
 		// adaptor must suppress exactly once.
@@ -295,7 +286,9 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 		// swallow both firings before the Adaptor ever reads.
 		inj.SetMatch(func(pk *pcie.Packet) bool { return pk.Requester == TVMID })
 		p.Host.AddTap(inj)
-		run(t, p)
+		if _, err := p.Adaptor.DeviceRead(xpu.RegStatus); err != nil {
+			t.Fatalf("single fault must be recoverable: %v", err)
+		}
 		c := p.MetricsSnapshot().Counters
 		if c["adaptor.recovery.stale_suppressed"] != 1 {
 			t.Fatalf("stale_suppressed = %d, want exactly 1", c["adaptor.recovery.stale_suppressed"])

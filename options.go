@@ -1,7 +1,6 @@
 package ccai
 
 import (
-	"ccai/internal/adaptor"
 	"ccai/internal/llm"
 	"ccai/internal/telemetry"
 	"ccai/internal/xpu"
@@ -32,12 +31,6 @@ func WithObserve() Option { return func(c *config) { c.Observe = true } }
 // Telemetry().AdminToken().
 func WithTelemetry(o telemetry.Options) Option {
 	return func(c *config) { opts := o; c.Telemetry = &opts; c.Observe = true }
-}
-
-// WithAdaptor selects the §5 optimization set (Protected mode only);
-// the default is adaptor.Optimized().
-func WithAdaptor(o adaptor.Options) Option {
-	return func(c *config) { opts := o; c.Adaptor = &opts }
 }
 
 // WithGoldenFirmware sets the firmware measurement the PCIe-SC attests

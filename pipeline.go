@@ -66,7 +66,7 @@ type slice struct {
 // loops, the boot policy, and the Adaptor. The SC's host-side presence
 // (a direct claim, or a Mux unit) is the caller's. It returns the
 // internal segment.
-func (pl *pipeline) assemble(br *HostBridge, dev *xpu.Device, s slice, opts adaptor.Options, golden string) (*pcie.Bus, error) {
+func (pl *pipeline) assemble(br *HostBridge, dev *xpu.Device, s slice, golden string) (*pcie.Bus, error) {
 	internal := pcie.NewBus("internal" + s.tenant)
 	internal.Attach(dev)
 	if err := internal.Claim(s.xpu, dev.BAR0()); err != nil {
@@ -145,7 +145,7 @@ func (pl *pipeline) assemble(br *HostBridge, dev *xpu.Device, s slice, opts adap
 		pl.bootRules = append(pl.bootRules, r)
 	}
 
-	pl.Adaptor = adaptor.NewScoped(s.tvm, br.bus, br.space, pl.tvmKeys, s.scBar.Base, s.xpuWin.Base, s.shared.Name, opts)
+	pl.Adaptor = adaptor.New(s.tvm, br.bus, br.space, pl.tvmKeys, s.scBar.Base, s.xpuWin.Base, s.shared.Name)
 	return internal, nil
 }
 
@@ -202,6 +202,12 @@ func (pl *pipeline) establishTrust() error {
 	}
 	if err := pl.Adaptor.HWInit(); err != nil {
 		return err
+	}
+	if pl.ring != nil {
+		// A dead session's command ring: the SC wiped the region at
+		// teardown, so only the staging memory is left to give back.
+		pl.space.Free(pl.ring.Buf)
+		pl.ring = nil
 	}
 	ring, err := pl.Adaptor.StageVerified("cmdring"+pl.tenant, ringEntries*xpu.CmdSize, xpu.CmdSize)
 	if err != nil {

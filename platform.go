@@ -84,9 +84,6 @@ type config struct {
 	XPU xpu.Profile
 	// Mode selects vanilla or protected operation.
 	Mode Mode
-	// Adaptor selects the §5 optimization set (Protected mode only);
-	// zero value means fully Optimized.
-	Adaptor *adaptor.Options
 	// GoldenFirmware is the firmware measurement the PCIe-SC attests
 	// the xPU against (§6's software-based attestation). Empty means
 	// the profile's shipped firmware — i.e. a genuine device. Tests
@@ -262,11 +259,6 @@ func New(options ...Option) (*Platform, error) {
 	if cfg.XPU.Name == "" {
 		cfg.XPU = xpu.A100
 	}
-	if cfg.Adaptor != nil {
-		if err := cfg.Adaptor.Validate(); err != nil {
-			return nil, err
-		}
-	}
 
 	guest, err := tvm.NewGuest(TVMID, privateBase, privateSize, sharedBase, sharedSize)
 	if err != nil {
@@ -341,17 +333,13 @@ func (p *Platform) assembleVanilla() error {
 }
 
 func (p *Platform) assembleProtected(cfg config) error {
-	opts := adaptor.Optimized()
-	if cfg.Adaptor != nil {
-		opts = *cfg.Adaptor
-	}
 	bar := p.Device.BAR0()
 	internal, err := p.assemble(p.Bridge, p.Device, slice{
 		tvm: TVMID, sc: SCID, xpu: XPUID,
 		scBar:  pcie.Region{Base: scBARBase, Size: core.SCBarSize, Name: "pcie-sc"},
 		xpuWin: bar,
 		shared: pcie.Region{Base: sharedBase, Size: sharedSize, Name: adaptor.SharedRegion},
-	}, opts, cfg.GoldenFirmware)
+	}, cfg.GoldenFirmware)
 	if err != nil {
 		return err
 	}

@@ -7,16 +7,16 @@ package ccai
 // duplicate. Corrupted ring framing is indistinguishable from an
 // attack on the submission path — the SC refuses the batch, raises the
 // header status word, and the producer fails closed. And the whole
-// point of the ring: the batched doorbell must cut per-task MMIO
-// writes by at least 4× against the same platform with the ring off.
+// point of the ring: what a task costs in MMIO writes, pinned exactly.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
-	"ccai/internal/adaptor"
 	"ccai/internal/attack"
 	"ccai/internal/core"
+	"ccai/internal/mem"
 	"ccai/internal/pcie"
 	"ccai/internal/xpu"
 )
@@ -114,35 +114,90 @@ func TestRingDesyncFailsClosed(t *testing.T) {
 	}
 }
 
-// TestRingCutsMMIOWritesAtLeast4x is the ISSUE 8 acceptance gate: the
-// batched submission ring must reduce MMIO writes per 64 KiB staged
-// task by ≥4× against the identical platform with only the ring
-// disabled, measured through the obsv counters.
+// TestRingCutsMMIOWritesAtLeast4x pins the control path's price per
+// 64 KiB staged task in SC register writes, measured through the obsv
+// counters: 6 — five ring doorbells (input, output, submission, two
+// releases) and the MAC record ahead of the guarded doorbell — however
+// many tag records (256 here) the task stages. One write per operation
+// would be 39; that ratio is Figure 11's, held in internal/bench.
 func TestRingCutsMMIOWritesAtLeast4x(t *testing.T) {
-	writesPerTask := func(t *testing.T, opts adaptor.Options) uint64 {
-		t.Helper()
-		p, err := New(WithXPU(xpu.A100), WithMode(Protected), WithObserve(), WithAdaptor(opts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		if err := p.EstablishTrust(); err != nil {
-			t.Fatal(err)
-		}
-		in := bytes.Repeat([]byte{0x42}, 64<<10)
-		before := p.MetricsSnapshot().Counters["adaptor.mmio.writes"]
-		if _, err := p.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 1}); err != nil {
-			t.Fatal(err)
-		}
-		return p.MetricsSnapshot().Counters["adaptor.mmio.writes"] - before
+	p := observedPlatform(t)
+	in := bytes.Repeat([]byte{0x42}, 64<<10)
+	before := p.MetricsSnapshot().Counters["adaptor.mmio.writes"]
+	if _, err := p.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 1}); err != nil {
+		t.Fatal(err)
 	}
+	if got := p.MetricsSnapshot().Counters["adaptor.mmio.writes"] - before; got != 6 {
+		t.Fatalf("64 KiB task cost %d SC MMIO writes, want 6", got)
+	}
+}
 
-	ringOff := adaptor.Optimized()
-	ringOff.SubmitRing, ringOff.CompletionReap = false, false
-	off := writesPerTask(t, ringOff)
-	on := writesPerTask(t, adaptor.Optimized())
-	t.Logf("MMIO writes per 64 KiB task: ring on = %d, ring off = %d", on, off)
-	if on == 0 || off/on < 4 {
-		t.Fatalf("submission ring reduced MMIO writes only %dx (%d -> %d); need >=4x", off/on, off, on)
+// forgeRingEntry is the host writing the control path itself. The ring's
+// address is no secret — it crossed the host bus at bring-up, and the
+// shared window is host memory: the ring is its second allocation, right
+// behind the metadata page — so the attacker writes one entry at the
+// head the SC last posted and rings the doorbell one past it. That
+// leaves the SC's head ahead of the producer's tail
+// (TestRingAppendedEntry is that attack's own cell), so a cell that
+// wants the session undisturbed rewrites an entry of a passing burst
+// instead (ringEdit, rewriteEntry).
+func forgeRingEntry(t *testing.T, p *Platform, op uint8, arg uint64, data []byte) {
+	t.Helper()
+	ring, ok := p.Guest.Space.Resolve(sharedBase + mem.PageSize)
+	if !ok || ring.Name() != "dma-submitring" {
+		t.Fatal("no submission ring behind the shared window's metadata page")
+	}
+	slots := (uint64(ring.Size())-core.RingHdrSize)/core.RingSlotSize - core.RingMirrorSlots
+	head := binary.LittleEndian.Uint64(ring.Bytes())
+	slot := ring.Bytes()[core.RingHdrSize+head%slots*core.RingSlotSize:][:core.RingSlotSize]
+	core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), op, uint16(len(data)), uint32(head), arg)
+	copy(slot[core.RingEntryHdrSize:], data)
+	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, head+1)))
+}
+
+// rewriteEntry turns a ring slot into another entry in place, under the
+// sequence number the producer gave it.
+func rewriteEntry(slot []byte, op uint8, arg uint64, data []byte) {
+	seq := binary.LittleEndian.Uint32(slot[4:])
+	core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), op, uint16(len(data)), seq, arg)
+	copy(slot[core.RingEntryHdrSize:], data)
+}
+
+// TestRingAppendedEntry: the host appends an entry of its own behind the
+// producer's tail and rings the doorbell. The entry earns its config
+// reject, but the SC's head now sits one past the producer's tail: the
+// producer's next entry — the next task's input descriptor — lands in a
+// slot the SC holds consumed and is never dispatched. That is an
+// availability attack (the host can as well drop the doorbell) and ends
+// like one: the device's read of the undescribed region is refused, the
+// ladder runs out, the session fails closed with no wrong byte handed
+// back, and a re-trust serves.
+func TestRingAppendedEntry(t *testing.T) {
+	p := protectedPlatform(t, xpu.A100)
+	task := Task{Input: taskInput(), Kernel: KernelAdd, Param: 2}
+	if _, err := p.RunTask(task); err != nil {
+		t.Fatal(err)
+	}
+	rejects := p.SC.Stats().ConfigRejects
+	forgeRingEntry(t, p, core.RingOpRule, 0, core.Rule{ID: 99, Action: core.ActionPassThrough}.Marshal())
+	if got := p.SC.Stats().ConfigRejects; got != rejects+1 {
+		t.Fatalf("appended unsealed rule: %d config rejects, want 1", got-rejects)
+	}
+	out, err := p.RunTask(task)
+	if rec := p.Adaptor.Recovery(); err == nil || out != nil || p.trusted || rec.FailClosed != 1 {
+		t.Fatalf("task over a ring the host advanced: out %d bytes, err %v, trusted %v, %+v; want fail closed",
+			len(out), err, p.trusted, rec)
+	}
+	if err := p.EstablishTrust(); err != nil {
+		t.Fatalf("re-trust: %v", err)
+	}
+	out, err = p.RunTask(task)
+	if err != nil {
+		t.Fatalf("task after re-trust: %v", err)
+	}
+	for i, b := range task.Input {
+		if out[i] != b+2 {
+			t.Fatalf("byte %d wrong after re-trust", i)
+		}
 	}
 }

@@ -331,22 +331,26 @@ func TestRQ2_ForgedConfigInjectionRejected(t *testing.T) {
 	l1Before, l2Before := p.SC.Filter().RuleCount()
 
 	evil := core.Rule{ID: 99, Mask: 0, Action: core.ActionPassThrough} // match-all allow
-	// Attempt 1: raw plaintext rule (no sealing) from the real TVM ID.
-	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRuleWindow, evil.Marshal()))
-	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRuleDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	// Attempt 1: raw plaintext rule (no sealing), as a ring entry
+	// published in the real TVM's name.
+	forgeRingEntry(t, p, core.RingOpRule, 0, evil.Marshal())
 
 	// Attempt 2: sealed under an attacker-chosen key.
 	wrongStream, _ := secmem.NewStream(secmem.FreshKey(), secmem.FreshNonce())
 	sealed, _ := wrongStream.Seal(evil.Marshal(), nil)
-	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRuleWindow, core.MarshalBlob(sealed)))
-	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRuleDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	forgeRingEntry(t, p, core.RingOpRule, 0, core.MarshalBlob(sealed))
+
+	// Attempt 3: at the offsets the sealed-rule window and its doorbell
+	// once had. Nothing decodes them any more.
+	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+0x100, core.MarshalBlob(sealed)))
+	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+0x010, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
 
 	l1After, l2After := p.SC.Filter().RuleCount()
 	if l1After != l1Before || l2After != l2Before {
 		t.Fatal("forged policy installed")
 	}
-	if p.SC.Stats().ConfigRejects < 2 {
-		t.Fatalf("config rejects = %d, want >= 2", p.SC.Stats().ConfigRejects)
+	if got := p.SC.Stats().ConfigRejects; got != 4 {
+		t.Fatalf("config rejects = %d, want 4", got)
 	}
 }
 
@@ -693,13 +697,9 @@ func TestStepChannelReplayedStep(t *testing.T) {
 	a.failedClosed(t, s, chunks, streamErr, 3, 0, true)
 }
 
-// armWrite injects a positioned tag through the legacy RegTagArm
-// window, as the host could at any time.
-func armWrite(mp *MultiPlatform, t *Tenant, region, slot, counter uint32) {
-	payload := binary.LittleEndian.AppendUint64(nil, core.ArmPosition(region, slot))
-	payload = core.TagRecord{Stream: core.StreamH2D, Chunk: counter}.AppendMarshal(payload)
-	mp.Host.Route(pcie.NewMemWrite(t.TVMID, scBARBase+core.RegTagArm, payload))
-}
+// forgedArm is a positioned tag entry's data: one h2d record carrying
+// a counter the Adaptor never sealed anything under.
+var forgedArm = core.TagRecord{Stream: core.StreamH2D, Chunk: 4242}.Marshal()
 
 // TestStepChannelMisaimedArm is cell (d): a positioned tag for a slot
 // outside the window and for a window already released is a config
@@ -708,34 +708,54 @@ func armWrite(mp *MultiPlatform, t *Tenant, region, slot, counter uint32) {
 // and the tenant fails closed.
 func TestStepChannelMisaimedArm(t *testing.T) {
 	a := newStepAttack(t)
-	gate := holdStep(a.mp, 3) // decode step 1 ran: the channel is live
-	s, ch := openStream(t, a.tenant, a.cfg, a.prompt)
-	gate.wait(t)
-	win := s.step.Window.Desc.ID
+	// The host forges arms into a live stream without moving the ring's
+	// indices: once decode step 1 has run (slot 0 is consumed), each
+	// burst's region-ready notify — an entry the SC does nothing with —
+	// is rewritten into the next forged arm. First a slot not yet used:
+	// accepted for now and overwritten by the step's own, it costs
+	// nothing. Then four misaimed ones: past the window, a wrapped slot
+	// index, a window that does not exist, and slot 0, consumed under
+	// another counter.
+	var win uint32
+	var aims []uint64
+	forge := ringEdit{func(slot []byte) {
+		if region, first, _, ok := positionedEntry(slot); ok && first == 1 && win == 0 {
+			win = region
+			aims = []uint64{core.ArmPosition(win, 5), core.ArmPosition(win, adaptor.StepWindowSlots),
+				core.ArmPosition(win, ^uint32(0)), core.ArmPosition(win+1000, 0), core.ArmPosition(win, 0)}
+		}
+		if slot[0] == core.RingOpNotify && len(aims) > 0 {
+			rewriteEntry(slot, core.RingOpTags, aims[0], forgedArm)
+			aims = aims[1:]
+		}
+	}}
+	a.mp.Host.AddTap(forge)
 	rejects := a.tenant.SC.Stats().ConfigRejects
-	armWrite(a.mp, a.tenant, win, adaptor.StepWindowSlots, 4242)
-	armWrite(a.mp, a.tenant, win, ^uint32(0), 4242)
-	armWrite(a.mp, a.tenant, win+1000, 0, 4242)
-	armWrite(a.mp, a.tenant, win, 0, 4242) // slot 0 was consumed under another counter
-	if got := a.tenant.SC.Stats().ConfigRejects; got != rejects+4 {
-		t.Fatalf("%d config rejects for four misaimed arms, want 4", got-rejects)
-	}
-	// A forged arm of a slot not yet used is accepted for now and
-	// overwritten by the step's own: it costs nothing.
-	armWrite(a.mp, a.tenant, win, 5, 4242)
-	gate.release()
+	s, ch := openStream(t, a.tenant, a.cfg, a.prompt)
 	if got := collectStream(t, ch); !bytes.Equal(got, expectedStream(a.cfg, a.prompt)) {
 		t.Fatal("stream disturbed by rejected arms")
 	}
+	if win == 0 || len(aims) != 0 {
+		t.Fatalf("vacuous: window %d, %d forged arms never injected", win, len(aims))
+	}
+	if got := a.tenant.SC.Stats().ConfigRejects; got != rejects+4 {
+		t.Fatalf("%d config rejects for four misaimed arms, want 4", got-rejects)
+	}
 	s.Close()
+	// The window is released: an arm for it, riding a blob task's burst,
+	// is refused and the task is none the wiser.
 	rejects = a.tenant.SC.Stats().ConfigRejects
-	armWrite(a.mp, a.tenant, win, 1, 4242)
-	if got := a.tenant.SC.Stats().ConfigRejects; got != rejects+1 {
+	aims = []uint64{core.ArmPosition(win, 1)}
+	if _, err := a.tenant.RunTask(Task{Input: taskInput(), Kernel: KernelAdd, Param: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.tenant.SC.Stats().ConfigRejects; len(aims) != 0 || got != rejects+1 {
 		t.Fatal("arm for a released window not rejected")
 	}
 	if a.tenant.SC.Stats().AuthFailures != 0 || !a.tenant.trusted {
 		t.Fatal("rejected arms cost the tenant an auth failure or the session")
 	}
+	a.mp.Host.ClearTaps()
 
 	// Two sessions, two windows: once both have armed, the first one's
 	// arms from its third step on are redirected into the other's.
@@ -762,7 +782,7 @@ func TestStepChannelMisaimedArm(t *testing.T) {
 	}})
 	other := a.cfg
 	other.Seed++
-	gate = holdStep(a.mp, 1)
+	gate := holdStep(a.mp, 1)
 	sa, err := a.tenant.OpenSession(context.Background(), a.cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -107,9 +107,6 @@ func configOpens(mp *MultiPlatform) uint64 {
 func TestDecodeStepWireBudget(t *testing.T) {
 	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithObserve(), WithLLMEngine(llm.EngineConfig{Workers: 1}))
 	tenant := mp.Tenants[0]
-	if tenant.Adaptor.Options() != adaptor.Optimized() {
-		t.Fatalf("tenant runs %+v, want adaptor.Optimized()", tenant.Adaptor.Options())
-	}
 	tap := trace.NewRecorder()
 	mp.Host.AddTap(tap)
 
