@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check loc experiments profile profile-observed clean ci
+.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode clean ci
 
 all: build test
 
@@ -26,10 +26,12 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # in for sealed configuration, positioned tags and notifies.
 	$(GO) test -run '^$$' -fuzz=FuzzControllerControlWindow -fuzztime=10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=10s ./internal/core/
-# The deterministic allocation ceilings (64 KiB protected task and the
-# D2H read path) run as named tests so a breach points at the exact
-# budget, not a benchmark diff.
-	$(GO) test -run 'TestTaskAllocBudget|TestReadAllocBudget' ./ ./internal/adaptor/
+# The deterministic allocation ceilings (64 KiB protected task, the
+# steady decode step — TestTaskAllocBudget/decode-step — and the D2H read
+# path) run as named tests so a breach points at the exact budget, not a
+# benchmark diff; beside them the A3 record key space, 33,000 tasks past
+# the sequence numbers that once aliased command-ring slots.
+	$(GO) test -run 'TestTaskAllocBudget|TestReadAllocBudget|TestA3RecordKeySpace' ./ ./internal/adaptor/
 # The price of observation, as named deterministic gates beside them:
 # exact spans per op, allocation parity observed/unobserved, the
 # symbol-table bound, the names benchmark/ and the soak scorecards read,
@@ -174,6 +176,23 @@ profile-observed:
 	  $(GO) tool pprof -top -cum -nodecount=40 profiles/ccai.test profiles/cpu-decode-observed.out; \
 	} > profiles/top-observed.txt
 	@cat profiles/top-observed.txt
+
+# CPU and allocation profiles of the unobserved 512-token decode session
+# (BenchmarkDecodeSession, the benchmark's llm-decode op) at one proc.
+# The cumulative CPU top and the allocation top by object count (every
+# allocation sampled: -memprofilerate 1) land in profiles/top-decode.txt.
+profile-decode:
+	mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeSession$$' -benchtime 3000x -cpu 1 \
+		-cpuprofile profiles/cpu-decode.out -o profiles/ccai.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeSession$$' -benchtime 200x -cpu 1 \
+		-memprofile profiles/mem-decode.out -memprofilerate 1 -o profiles/ccai.test .
+	{ echo "== BenchmarkDecodeSession, CPU"; \
+	  $(GO) tool pprof -top -cum -nodecount=40 profiles/ccai.test profiles/cpu-decode.out; \
+	  echo "== BenchmarkDecodeSession, allocated objects"; \
+	  $(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 profiles/ccai.test profiles/mem-decode.out; \
+	} > profiles/top-decode.txt
+	@cat profiles/top-decode.txt
 
 # Regenerate every table and figure of the paper's evaluation (prints
 # only; no file is written).

@@ -199,10 +199,11 @@ func TestEnvResetFallbackForNPU(t *testing.T) {
 // TestOptimizationReducesIOWrites pins what the §5 batching leaves of
 // the control path's I/O, exactly: trust bring-up costs 13 MMIO writes
 // (metadata and ring placement, one ring doorbell for the command ring's
-// descriptor, four guarded driver writes with their MAC records) and an
-// 8 KiB task — 32 tag records — costs 7 (five ring doorbells: input,
-// output, submission, two releases; the guarded doorbell and its MAC
-// record) and no MMIO read. The unoptimized figure these stand against
+// descriptor, four guarded driver writes each behind the ring doorbell
+// that delivers its MAC record) and an 8 KiB task — 32 tag records —
+// costs 6 (five ring doorbells: input, output, submission, two releases;
+// the guarded doorbell, whose MAC record rides the submission's burst)
+// and no MMIO read. The unoptimized figure these stand against
 // is Figure 11's, held by TestDecompositionEndpointsMatchFigure11 in
 // internal/bench.
 func TestOptimizationReducesIOWrites(t *testing.T) {
@@ -221,7 +222,7 @@ func TestOptimizationReducesIOWrites(t *testing.T) {
 	if _, err := p.RunTask(Task{Input: input, Kernel: KernelAdd, Param: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.Adaptor.IO(), (adaptor.IOStats{MMIOWrites: 13 + 7}); got != want {
+	if got, want := p.Adaptor.IO(), (adaptor.IOStats{MMIOWrites: 13 + 6}); got != want {
 		t.Fatalf("I/O after one 8 KiB task = %+v, want %+v", got, want)
 	}
 }

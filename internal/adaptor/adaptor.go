@@ -310,14 +310,6 @@ func (a *Adaptor) postTags(recs []core.TagRecord) error {
 	return nil
 }
 
-// postTag uploads a single record directly (never via the ring) — the
-// guarded-MMIO path, where the record must reach the SC before the A3
-// write that immediately follows it on the bus.
-func (a *Adaptor) postTag(r core.TagRecord) {
-	var one [core.TagRecordSize]byte
-	a.mmioWrite(core.RegTagWindow, r.AppendMarshal(one[:0]))
-}
-
 // --- encrypt_data / staging ------------------------------------------------------
 
 // StageH2D encrypts data into a fresh bounce region chunk-by-chunk
@@ -469,13 +461,17 @@ func dropChunkViews(pts, aads [][]byte, aadAll []byte) {
 }
 
 // StageVerified stages plaintext the device may read under action A3
-// (e.g. the command ring): the data sits in the clear but each chunk
-// carries a one-shot MAC record keyed to its region position.
+// (e.g. the command ring): the data sits in the clear, and the device
+// reads only runs of chunks SyncVerified posted a one-shot MAC record
+// for.
 func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Region, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.config == nil {
 		return nil, errNoSession
+	}
+	if chunkSize == 0 || chunkSize > pcie.MaxReadReq {
+		return nil, fmt.Errorf("adaptor: verified region chunk size %d outside (0, %d]", chunkSize, pcie.MaxReadReq)
 	}
 	sp := a.obs.tracer.Start(siteStageVerified, a.obs.regionName(name), keyBytes.I64(size))
 	defer sp.End()
@@ -499,34 +495,54 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 	return &Region{Desc: desc, Buf: buf, PlainLen: size}, nil
 }
 
-// SyncVerified recomputes and posts MAC records for the given chunk
-// indices of an A3 region; the driver (via the platform hook) calls
+// SyncVerified posts the MAC records that let the device read the given
+// chunk indices of an A3 region; the driver (via the platform hook) calls
 // this right before ringing a doorbell that will make the device read
-// those chunks. The records are queued, not published: the guarded
-// doorbell write that follows flushes the ring before it goes out, so
-// they reach the SC ahead of the device's first read without a doorbell
-// of their own.
+// those chunks. Consecutive indices form a run — a submission is one,
+// two when it wraps the region — and a run gets one record: its MAC
+// binds the region, the first slot, the length and the run's bytes
+// (core.PutRunMACHeader), and the SC fetches and verifies the run as a
+// unit. The records are queued, not published: the guarded doorbell
+// write that follows flushes the ring before it goes out, so they reach
+// the SC ahead of the device's first read without a doorbell of their
+// own.
 func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Start(siteSyncVerified,
 		keyRegion.U64(uint64(r.Desc.ID)), keyChunks.I64(int64(len(chunks))))
 	defer sp.End()
-	recs := make([]core.TagRecord, 0, len(chunks))
-	var aad [8]byte
-	for _, c := range chunks {
-		off := int64(c) * int64(r.Desc.ChunkSize)
-		data := r.Buf.Slice(off, int64(r.Desc.ChunkSize))
-		r.Desc.PutAAD(&aad, c)
-		mac, err := a.keys.MACSum(core.StreamMMIO, aad[:], data)
+	cs := r.Desc.ChunkSize
+	maxRun := min(core.MaxRunSlots, pcie.MaxReadReq/int(cs))
+	var entry [core.RingMaxData]byte // one tag entry's worth of records
+	payload := entry[:0]
+	for len(chunks) > 0 {
+		n := 1
+		for n < len(chunks) && n < maxRun && chunks[n] == chunks[n-1]+1 {
+			n++
+		}
+		first, size := chunks[0], uint32(n)*cs
+		var hdr [16]byte
+		core.PutRunMACHeader(&hdr, r.Desc.ID, first, uint32(n), size)
+		mac, err := a.keys.MACSum(core.StreamMMIO, hdr[:], r.Buf.Slice(int64(first)*int64(cs), int64(size)))
 		if err != nil {
 			return fmt.Errorf("adaptor: %w", err)
 		}
-		rec := core.TagRecord{Stream: core.StreamMMIO, Chunk: r.Desc.ID<<16 | c}
+		rec := core.TagRecord{Stream: core.StreamA3Run, Chunk: core.RunKey(r.Desc.ID, first), Epoch: uint32(n)}
 		copy(rec.Tag[:], mac[:secmem.TagSize])
-		recs = append(recs, rec)
+		if len(payload)+core.TagRecordSize > len(entry) {
+			if err := a.ringPush(core.RingOpTags, 0, payload); err != nil {
+				return err
+			}
+			payload = entry[:0]
+		}
+		payload = rec.AppendMarshal(payload)
+		chunks = chunks[n:]
 	}
-	return a.postTags(recs)
+	if len(payload) == 0 {
+		return nil
+	}
+	return a.ringPush(core.RingOpTags, 0, payload)
 }
 
 // PrepareD2H allocates a result bounce region plus its tag table and
@@ -672,18 +688,23 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 // --- control MMIO -----------------------------------------------------------------
 
 // GuardedWrite performs an A3-protected MMIO write to a device
-// register: post the MAC record for the upcoming sequence number, then
-// issue the write through the SC's shadow window.
+// register: the MAC record for the upcoming sequence number joins the
+// submission ring behind whatever is pending, one doorbell publishes the
+// burst — the record is consumed (head == tail) before anything else
+// happens — and then the write itself goes out through the SC's shadow
+// window. A write the device acts on stays that direct TLP: it is
+// individually MACed and sequence-bound, and batching it would hide the
+// very packet the per-write integrity protocol protects.
 func (a *Adaptor) GuardedWrite(reg uint64, value uint64) error {
 	return a.guardedWrite(reg, value, false)
 }
 
 // GuardedWriteBatched is GuardedWrite for a register whose value the
 // device only acts on at a later doorbell (the command-ring tail): the
-// MAC record and the write join the submission ring behind whatever is
-// pending and reach the SC with the burst the next direct guarded
-// write publishes — same sequence number, same MAC, same order, no
-// MMIO of their own.
+// write joins the submission ring as one entry, its MAC record behind
+// its value, and reaches the SC with the burst the next direct guarded
+// write publishes — same sequence number, same MAC, same order, no MMIO
+// of its own.
 func (a *Adaptor) GuardedWriteBatched(reg uint64, value uint64) error {
 	return a.guardedWrite(reg, value, true)
 }
@@ -693,40 +714,34 @@ func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Start(siteGuardedWrite, keyReg.Hex(reg))
 	defer sp.End()
-	var payload [8]byte
-	binary.LittleEndian.PutUint64(payload[:], value)
+	// entry is the batched form's ring payload: value, then MAC record.
+	var entry [8 + core.TagRecordSize]byte
+	payload := entry[:8]
+	binary.LittleEndian.PutUint64(payload, value)
 	var hdr [16]byte
 	core.PutMACHeader(&hdr, a.mmioSeq, a.xpuBar+reg, uint32(len(payload)))
-	mac, err := a.keys.MACSum(core.StreamMMIO, hdr[:], payload[:])
+	mac, err := a.keys.MACSum(core.StreamMMIO, hdr[:], payload)
 	if err != nil {
 		return fmt.Errorf("adaptor: %w", err)
 	}
 	rec := core.TagRecord{Stream: core.StreamMMIO, Chunk: a.mmioSeq}
 	copy(rec.Tag[:], mac[:secmem.TagSize])
 	if batched {
-		var one [core.TagRecordSize]byte
-		if err := a.ringPush(core.RingOpTags, 0, rec.AppendMarshal(one[:0])); err != nil {
-			return err
-		}
-		if err := a.ringPush(core.RingOpGuarded, a.xpuBar+reg, payload[:]); err != nil {
+		if err := a.ringPush(core.RingOpGuarded, a.xpuBar+reg, rec.AppendMarshal(payload)); err != nil {
 			return err
 		}
 		a.mmioSeq++
 		return nil
 	}
-	// A write the device acts on stays on the direct MMIO path: it is
-	// individually MACed and sequence-bound, and batching it would hide
-	// the very TLP the per-write integrity protocol protects. Pending
-	// ring entries (tag syncs, notifies, batched guarded writes) are
-	// published first so the guarded write cannot pass them.
+	if err := a.ringPush(core.RingOpTags, 0, rec.AppendMarshal(entry[8:8])); err != nil {
+		return err
+	}
 	if err := a.flushRingLocked(); err != nil {
 		return err
 	}
-	a.postTag(rec)
 	a.mmioSeq++
-
 	a.io.MMIOWrites++
-	a.routeWrite(a.xpuBar+reg, payload[:])
+	a.routeWrite(a.xpuBar+reg, payload)
 	return nil
 }
 

@@ -324,34 +324,75 @@ func TestInstallRuleTakesEffect(t *testing.T) {
 	}
 }
 
+// TestVerifiedRegionSync: SyncVerified posts one MAC record per run of
+// consecutive slots — a wrap splits a run — and the SC answers a run's
+// slots from one fetch and one verification, each slot once, whether the
+// device reads 64 bytes at a time or 128 at once.
 func TestVerifiedRegionSync(t *testing.T) {
 	r, dev := newRig(t)
-	region, err := r.adaptor.StageVerified("ring", 256, 64)
+	region, err := r.adaptor.StageVerified("ring", 512, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(region.Buf.Bytes()[64:], []byte("command entry 1 payload here....padded to sixty-four bytes....."))
-	if err := r.adaptor.SyncVerified(region, []uint32{1}); err != nil {
-		t.Fatal(err)
+	for i := range region.Buf.Bytes() {
+		region.Buf.Bytes()[i] = byte(i/64 + 1)
 	}
-	// The records ride the ring burst of the doorbell the driver rings next.
-	if err := r.adaptor.GuardedWrite(0x10, 1); err != nil {
-		t.Fatal(err)
+	fetches := 0
+	r.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Kind == pcie.MRd && p.Address >= region.Buf.Base() && p.Address < region.Buf.Base()+512 {
+			fetches++
+		}
+		return p
+	}))
+	// sync posts the records and rings the doorbell they ride; it returns
+	// how many records the SC holds for the region afterwards.
+	reg := uint64(0x10)
+	sync := func(chunks ...uint32) int {
+		t.Helper()
+		if err := r.adaptor.SyncVerified(region, chunks); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.adaptor.GuardedWrite(reg, 1); err != nil {
+			t.Fatal(err)
+		}
+		reg += 8
+		return r.sc.Tags().Depth()
 	}
-	got, ok := dev.dmaRead(region.Buf.Base()+64, 64)
-	if !ok {
-		t.Fatal("verified read failed")
+	read := func(slot, n int) bool {
+		t.Helper()
+		got, ok := dev.dmaRead(region.Buf.Base()+uint64(slot)*64, int64(n)*64)
+		if ok && !bytes.Equal(got, region.Buf.Bytes()[slot*64:(slot+n)*64]) {
+			t.Fatalf("verified read of slots %d..%d returned wrong bytes", slot, slot+n-1)
+		}
+		return ok
 	}
-	if !bytes.Equal(got, region.Buf.Bytes()[64:128]) {
-		t.Fatal("verified read returned wrong bytes")
+
+	if got := sync(1, 2, 3); got != 1 {
+		t.Fatalf("%d records pending for one run of three, want 1", got)
 	}
-	// One-shot MACs: a second read of the same chunk must fail.
-	if _, ok := dev.dmaRead(region.Buf.Base()+64, 64); ok {
-		t.Fatal("MAC record replayable")
+	if !read(1, 1) || !read(2, 1) || !read(3, 1) || fetches != 1 {
+		t.Fatalf("three slots read one at a time: %d host fetches, want 1", fetches)
 	}
-	// Unsynced chunks are unreadable.
-	if _, ok := dev.dmaRead(region.Buf.Base(), 64); ok {
-		t.Fatal("unsynced chunk readable")
+	// One-shot: a served slot needs a fresh record; an unsynced one never
+	// had any.
+	if read(2, 1) || read(0, 1) || fetches != 1 {
+		t.Fatal("a served or unsynced slot was readable")
+	}
+	if got := sync(4, 5, 6, 7); got != 1 {
+		t.Fatalf("%d records pending for one run of four, want 1", got)
+	}
+	if !read(4, 2) || !read(6, 2) || fetches != 2 {
+		t.Fatalf("four slots read 128 B at once: %d host fetches, want 2 in all", fetches)
+	}
+	// A submission that wraps the region is two runs.
+	if got := sync(6, 7, 0); got != 2 {
+		t.Fatalf("%d records pending for a wrapping submission, want 2", got)
+	}
+	if !read(6, 1) || !read(7, 1) || !read(0, 1) || fetches != 4 {
+		t.Fatalf("wrapping submission: %d host fetches, want 4 in all", fetches)
+	}
+	if st := r.sc.Stats(); st.VerifiedChunks != 3+4+3+3 { // slots covered, and three guarded writes
+		t.Fatalf("VerifiedChunks = %d, want 13", st.VerifiedChunks)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 
 // PCIe-SC control register offsets within its own 4 KB Upstream BAR
 // (§7.2: "we allocate a 4KB Upstream Bar space on the PCIe-SC"). This is
-// the whole map: sealed configuration, positioned tags and notifies have
-// no register — they arrive as submission-ring entries (ring.go) — and a
-// write to any other offset is a config reject.
+// the whole map: sealed configuration, tag and MAC records and notifies
+// have no register — they arrive as submission-ring entries (ring.go) —
+// and a write to any other offset is a config reject.
 const (
 	RegSCStatus     = 0x000 // RO: status bits
 	RegDescRelease  = 0x020 // WO: release descriptor by ID (the release a torn-down producer still issues)
@@ -29,10 +29,7 @@ const (
 	RegRingBase     = 0x058 // RW: host address of the submission ring
 	RegRingSize     = 0x060 // RW: submission ring slot count
 	RegRingDoorbell = 0x068 // WO: publish ring entries up to the written tail index
-	RegTagWindow    = 0x080 // WO: the MAC record of the A3 guarded write that follows it (64 B window)
 	SCBarSize       = 0x1000
-
-	tagWindowSize = 0x40
 )
 
 // Status bits.
@@ -145,6 +142,11 @@ type Controller struct {
 	// vsFree recycles the tables of released regions, zeroed, so a task
 	// stream of same-sized regions allocates none. Guarded by mu.
 	vsFree []*verifiedSet
+
+	// runs holds, per A3 region (descriptor ID), the verified copy of the
+	// run of slots the device is reading (verifiedRead). Dropped at
+	// release, reinstall and teardown. Guarded by mu.
+	runs map[uint32]*verifiedRun
 
 	// slots holds, per slotted step window (descriptor ID), the IV
 	// counter each chunk slot was armed with by a positioned tag entry;
@@ -370,6 +372,7 @@ func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controll
 		tagPend:   make(map[uint32]*tagSpan),
 		wspans:    make(map[uint32]*writeSpan),
 		verified:  make(map[uint32]*verifiedSet),
+		runs:      make(map[uint32]*verifiedRun),
 		slots:     make(map[uint32][]uint32),
 		pool:      secmem.NewPool(cryptoWidth()),
 		status:    SCStatusReady,
@@ -672,10 +675,6 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 		copy(buf, tmp[:])
 		return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, buf)
 	}
-	if off >= RegTagWindow && off < RegTagWindow+tagWindowSize {
-		c.ingestTags(p.Payload)
-		return nil
-	}
 	var tmp [8]byte
 	copy(tmp[:], p.Payload)
 	v := binary.LittleEndian.Uint64(tmp[:])
@@ -891,11 +890,12 @@ func (c *Controller) installDescriptorFrame(frame []byte) {
 	// anything pipelined for the old incarnation is stale.
 	c.dropWriteSpan(d.ID)
 	c.dropSpanCache(d.ID)
+	c.mu.Lock()
+	delete(c.runs, d.ID)
 	if d.Slotted {
-		c.mu.Lock()
 		c.slots[d.ID] = make([]uint32, chunkCount(d))
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 }
 
 // RekeyCommand carries fresh stream material for the §6 IV-exhaustion
@@ -1158,7 +1158,9 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 		Ciphertext: ct,
 		Tag:        rec.Tag,
 	}
-	pt, err := stream.Open(sealed, aad)
+	// The plaintext goes to the device in a completion: open it straight
+	// into a completion payload, as the span path does.
+	pt, err := stream.OpenDst(sealed, aad, c.payloadBuf(len(ct), c.internal))
 	if errors.Is(err, secmem.ErrReplay) {
 		c.mu.Lock()
 		_, seen := c.verified[desc.ID].get(chunk)
@@ -1331,56 +1333,141 @@ func (c *Controller) duplicateRead() {
 	c.obs.dupReads.Inc()
 }
 
-// verifiedRead services a device read of an A3 H2D region (e.g. the
-// command ring): fetch plaintext, verify its one-shot MAC record.
+// MaxRunSlots bounds a verified run: the SC tracks which of a run's
+// slots it has served in one word.
+const MaxRunSlots = 64
+
+// RunKey is the tag-queue counter a verified run's MAC record travels
+// under (stream StreamA3Run); the record's epoch field carries the run
+// length in slots. The key packs the low 16 bits of the region id over
+// the low 16 bits of the run's first slot, so it can alias — a region id
+// past 65,535 (a chassis re-trusted after ~32k tasks stages its command
+// ring under one) with an earlier one, a slot past 65,535 with an
+// earlier slot. That is safe: the MAC binds the full region id, first
+// slot and length (PutRunMACHeader), so a record found under an aliased
+// key fails verification, and it does not happen between live regions —
+// a slice keeps one verified region, staged anew at every re-trust after
+// teardown cleared the queue.
+func RunKey(region, first uint32) uint32 { return region<<16 | first&0xffff }
+
+// PutRunMACHeader writes the header both ends authenticate ahead of a
+// verified run's bytes: region, first slot, run length, byte count. A
+// run's MAC input is at least 16+ChunkSize bytes and a guarded write's
+// (PutMACHeader) 24, so neither MAC verifies as the other.
+func PutRunMACHeader(buf *[16]byte, region, first, n, size uint32) {
+	binary.LittleEndian.PutUint32(buf[0:], region)
+	binary.LittleEndian.PutUint32(buf[4:], first)
+	binary.LittleEndian.PutUint32(buf[8:], n)
+	binary.LittleEndian.PutUint32(buf[12:], size)
+}
+
+// verifiedRun is the SC's copy of one verified run of an A3 region:
+// slots first..first+n-1, fetched from host memory once and checked
+// against the run's MAC record before any of them reached the device.
+type verifiedRun struct {
+	first, n uint32
+	served   uint64 // bit i: slot first+i went to the device
+	data     []byte // the run's bytes; a served slot's are zeroed
+}
+
+// verifiedRead services a device read of an A3 H2D region (the command
+// ring). A submission's slots are authenticated as one run: on the read
+// that finds the run's one-shot MAC record, the SC fetches the whole run
+// from host memory with one read, verifies the one MAC and keeps the
+// bytes; that read and the device's reads of the run's other slots are
+// answered from the copy, each slot once. What the device executes is
+// therefore byte for byte what was verified — there is no second fetch
+// for the host to race — and a slot read again, or never covered, finds
+// neither record nor copy and is an auth failure. A fresh record for the
+// slot being read always wins over the copy (the driver's Kick re-MACs
+// what the device has not consumed). A fetch that fails spends nothing.
 func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 	sp := c.obs.tracer.Start(siteVerifiedRead,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
-	chunk, err := desc.ChunkOf(p.Address, p.Length)
-	if err != nil {
+	cs, off, length := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
+	if cs == 0 || length == 0 || off%cs != 0 || length%cs != 0 || off+length > desc.Len {
 		c.authFailed()
 		return c.reject(p)
 	}
-	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
+	first, k := uint32(off/cs), uint32(length/cs)
+	key := RunKey(desc.ID, first)
+	rec, fresh := c.tags.Peek(StreamA3Run, key)
+	if !fresh {
+		c.mu.Lock()
+		payload := c.serveRun(desc.ID, first, k, cs)
+		c.mu.Unlock()
+		if payload != nil {
+			return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, payload)
+		}
+		c.tagMatch(StreamA3Run, key) // counts the miss
+		c.authFailed()
+		return c.reject(p)
+	}
+	n := uint64(rec.Epoch)
+	if n < uint64(k) || n > MaxRunSlots || n*cs > pcie.MaxReadReq || off+n*cs > desc.Len {
+		// A record no producer of ours wrote: spent, and nothing fetched.
+		c.tagMatch(StreamA3Run, key)
+		c.authFailed()
+		return c.reject(p)
+	}
+	req := c.pkts.MemRead(c.id, p.Address, uint32(n*cs), p.Tag)
 	cpl := c.hostBus.Route(req)
-	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) {
+	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n*cs {
 		return c.reject(p)
 	}
-	rec, ok := c.tagMatch(StreamMMIO, desc.ID<<16|chunk)
-	if !ok {
-		c.authFailed()
-		return c.reject(p)
-	}
-	var aad [8]byte
-	desc.PutAAD(&aad, chunk)
-	want, err := c.params.keys.MACSum(StreamMMIO, aad[:], cpl.Payload)
-	if err != nil {
-		c.authFailed()
-		return c.reject(p)
-	}
+	span := cpl.Payload[:n*cs]
+	var hdr [16]byte
+	PutRunMACHeader(&hdr, desc.ID, first, uint32(n), uint32(n*cs))
+	rec, ok := c.tagMatch(StreamA3Run, key)
+	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], span)
+	match := ok && err == nil && uint64(rec.Epoch) == n
 	for i := 0; i < secmem.TagSize; i++ {
 		if want[i] != rec.Tag[i] {
-			c.authFailed()
-			return c.reject(p)
+			match = false
 		}
 	}
-	c.mu.Lock()
-	c.stats.VerifiedChunks++
-	c.mu.Unlock()
-	c.obs.verified.Inc()
-	// The device-facing completion takes the fetched payload over instead
-	// of copying it — when the SC is provably its only holder. The device
-	// zeroes and pools what it is handed, so a payload a host-bus tap may
-	// have kept is copied instead.
-	payload := cpl.Payload
-	if c.recycleOn(c.hostBus) {
-		c.releaseFetch(req, cpl, true)
-	} else {
-		payload = c.payloadBuf(len(payload), c.internal)
-		copy(payload, cpl.Payload)
+	if !match {
+		c.releaseFetch(req, cpl, false)
+		c.authFailed()
+		return c.reject(p)
 	}
+	c.mu.Lock()
+	run := c.runs[desc.ID]
+	if run == nil {
+		run = &verifiedRun{}
+		c.runs[desc.ID] = run
+	}
+	run.first, run.n, run.served = first, uint32(n), 0
+	run.data = append(run.data[:0], span...)
+	c.stats.VerifiedChunks += n
+	payload := c.serveRun(desc.ID, first, k, cs)
+	c.mu.Unlock()
+	c.obs.verified.Add(n)
+	c.releaseFetch(req, cpl, false) // command slots: public bytes, copied out
 	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, payload)
+}
+
+// serveRun hands slots first..first+k-1 of a region's verified run to
+// the device — a copy; the run's own bytes are zeroed behind it — or
+// nil when the run does not cover them or has served one already.
+// Caller holds c.mu.
+func (c *Controller) serveRun(region, first, k uint32, cs uint64) []byte {
+	run := c.runs[region]
+	if run == nil || first < run.first || uint64(first-run.first)+uint64(k) > uint64(run.n) {
+		return nil
+	}
+	at := first - run.first
+	mask := (uint64(1)<<k - 1) << at
+	if run.served&mask != 0 {
+		return nil
+	}
+	run.served |= mask
+	src := run.data[uint64(at)*cs:][:uint64(k)*cs]
+	out := c.payloadBuf(len(src), c.internal)
+	copy(out, src)
+	clear(src)
+	return out
 }
 
 // encryptWrite services a device write into an A2 D2H region through
@@ -1532,13 +1619,15 @@ func (c *Controller) dropTagSpan(region uint32) {
 	}
 }
 
-// dropVerified forgets retained chunk records (and, for a step window,
-// the armed slot counters) of a released region.
+// dropVerified forgets retained chunk records (for a step window, the
+// armed slot counters; for an A3 region, the verified run) of a released
+// or reinstalled region.
 func (c *Controller) dropVerified(region uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.retireVerifiedLocked(region)
 	delete(c.slots, region)
+	delete(c.runs, region)
 }
 
 // appendMetadataLocked implements the §5 I/O-read optimization: instead
@@ -1617,6 +1706,7 @@ func (c *Controller) Teardown() {
 		c.retireVerifiedLocked(region)
 	}
 	c.slots = make(map[uint32][]uint32)
+	clear(c.runs)
 	c.mu.Unlock()
 	for _, span := range droppedSpans {
 		c.finishSpan(span, false)

@@ -303,7 +303,7 @@ func TestControllerIngestTagsBatch(t *testing.T) {
 		rec.Tag[0] = byte(i)
 		payload = append(payload, rec.Marshal()...)
 	}
-	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegTagWindow, payload))
+	r.submit(ringEntry{op: RingOpTags, data: payload})
 	if r.sc.Tags().Depth() != 5 {
 		t.Fatalf("tag depth = %d, want 5", r.sc.Tags().Depth())
 	}
@@ -314,7 +314,7 @@ func TestControllerIngestTagsBatch(t *testing.T) {
 	// Garbage stream hashes are ignored, not enqueued.
 	junk := make([]byte, TagRecordSize)
 	binary.LittleEndian.PutUint32(junk, 0xdeadbeef)
-	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegTagWindow, junk))
+	r.submit(ringEntry{op: RingOpTags, data: junk})
 	if r.sc.Tags().Depth() != 4 {
 		t.Fatalf("junk tag enqueued (depth %d)", r.sc.Tags().Depth())
 	}
@@ -382,11 +382,12 @@ func TestControllerStatsSnapshot(t *testing.T) {
 	}
 }
 
-// TestControllerUnknownOffsetsRejected: the control BAR decodes its ten
+// TestControllerUnknownOffsetsRejected: the control BAR decodes its nine
 // registers and nothing else. A write anywhere else — the offsets the
-// sealed-blob windows, their doorbells, the notify latch and the
-// positioned-tag window once had included — is one config reject and
-// changes no rule, region, key or slot table, whatever it carries.
+// sealed-blob windows, their doorbells, the notify latch, the
+// positioned-tag window and the 64-byte tag window (0x080–0x0bf) once
+// had included — is one config reject and changes no rule, region, key,
+// slot table or pending tag, whatever it carries.
 func TestControllerUnknownOffsetsRejected(t *testing.T) {
 	d := newDPRig(t)
 	w := d.installWindow(t, 5, ctlMem+0x4000, 4)
@@ -397,9 +398,13 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 		{1, 0, 0, 0, 0, 0, 0, 0},
 		d.sealed(t, Rule{ID: 99, Action: ActionPassThrough}.Marshal()), // well sealed, wrong door
 		arm,
+		TagRecord{Stream: StreamMMIO, Chunk: 0}.Marshal(), // what the tag window took
 	}
 	offsets := []uint64{0x008, 0x010, 0x018, 0x040, 0x048, 0x070, 0x0c0, 0x0f8, 0x400, SCBarSize - 8,
 		RegSCStatus, RegMMIOSeq} // read-only: not writable either
+	for off := uint64(0x080); off < 0x0c0; off += 4 {
+		offsets = append(offsets, off)
+	}
 	for off := uint64(0x100); off < 0x400; off += 0x48 {
 		offsets = append(offsets, off)
 	}
@@ -412,6 +417,9 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 	}
 	if a1, a2 := d.sc.Filter().RuleCount(); a1 != l1 || a2 != l2 || d.sc.Regions() != 1 {
 		t.Fatal("a write to an unknown offset changed the rule or region table")
+	}
+	if depth := d.sc.Tags().Depth(); depth != 0 {
+		t.Fatalf("a write to an unknown offset queued %d tag records", depth)
 	}
 	for slot, ctr := range d.sc.slots[w.ID] {
 		if ctr != 0 {

@@ -289,36 +289,213 @@ func TestGuardedMMIOEnvCheck(t *testing.T) {
 	}
 }
 
-func TestVerifiedReadPath(t *testing.T) {
-	d := newDPRig(t)
-	desc := Descriptor{ID: 5, Dir: DirH2D, Class: ActionWriteProtect,
-		Base: ctlMem + 0x2000, Len: 256, ChunkSize: 64}
-	if err := d.sc.regions.add(desc); err != nil {
+// a3Rig is a dpRig with one A3 region of 64-byte slots (a command ring)
+// whose host-memory image the test owns, and a count of the SC's host
+// fetches from it.
+type a3Rig struct {
+	*dpRig
+	desc    Descriptor
+	slots   [][]byte
+	fetches int
+}
+
+func newA3Rig(t *testing.T, nSlots int) *a3Rig {
+	t.Helper()
+	a := &a3Rig{dpRig: newDPRig(t), desc: Descriptor{ID: 5, Dir: DirH2D, Class: ActionWriteProtect,
+		Base: ctlMem + 0x2000, Len: uint64(nSlots) * 64, ChunkSize: 64}}
+	if err := a.sc.regions.add(a.desc); err != nil {
 		t.Fatal(err)
 	}
-	entry := bytes.Repeat([]byte{7}, 64)
-	d.hostMem[desc.Base] = append([]byte(nil), entry...)
-	mac := secmem.MAC(d.mmioKy, desc.AAD(0), entry)
-	rec := TagRecord{Stream: StreamMMIO, Chunk: desc.ID<<16 | 0}
-	copy(rec.Tag[:], mac[:secmem.TagSize])
-	d.sc.Tags().Enqueue(rec)
+	for i := 0; i < nSlots; i++ {
+		a.slots = append(a.slots, bytes.Repeat([]byte{byte(i + 1)}, 64))
+	}
+	a.sync()
+	a.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Kind == pcie.MRd && p.Requester == a.sc.DeviceID() && a.desc.Contains(p.Address) {
+			a.fetches++
+		}
+		return p
+	}))
+	return a
+}
 
-	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, desc.Base, 64, 0))
-	if cpl == nil || cpl.Status != pcie.CplSuccess || !bytes.Equal(cpl.Payload, entry) {
-		t.Fatalf("verified read failed: %v", cpl)
+// sync lays the slots down as contiguous host memory: ctlHostMem serves
+// a read from the exact address of one write, so every slot address gets
+// the bytes from there to the region's end.
+func (a *a3Rig) sync() {
+	for i := range a.slots {
+		a.hostMem[a.desc.Base+uint64(i)*64] = bytes.Join(a.slots[i:], nil)
 	}
-	if d.sc.Stats().VerifiedChunks != 1 {
-		t.Fatal("verification not counted")
+}
+
+// post queues the MAC record of run [first, first+n), as the Adaptor's
+// SyncVerified does, over the slots as they are now; claim is the run
+// length the record says it covers.
+func (a *a3Rig) post(first, n, claim uint32) {
+	var hdr [16]byte
+	PutRunMACHeader(&hdr, a.desc.ID, first, n, n*64)
+	mac := secmem.MAC(a.mmioKy, hdr[:], bytes.Join(a.slots[first:first+n], nil))
+	rec := TagRecord{Stream: StreamA3Run, Chunk: RunKey(a.desc.ID, first), Epoch: claim}
+	copy(rec.Tag[:], mac[:secmem.TagSize])
+	a.sc.Tags().Enqueue(rec)
+}
+
+// read is the device reading k slots from slot on; nil when refused.
+func (a *a3Rig) read(slot, k uint32) []byte {
+	cpl := a.sc.HandleFromDevice(pcie.NewMemRead(a.dev.id, a.desc.Base+uint64(slot)*64, k*64, 0))
+	if cpl == nil || cpl.Status != pcie.CplSuccess {
+		return nil
 	}
-	// Host tampers with the plaintext after MAC posting.
-	d.hostMem[desc.Base][0] ^= 1
-	mac2 := secmem.MAC(d.mmioKy, desc.AAD(0), entry) // MAC of the original
-	rec2 := TagRecord{Stream: StreamMMIO, Chunk: desc.ID<<16 | 0}
-	copy(rec2.Tag[:], mac2[:secmem.TagSize])
-	d.sc.Tags().Enqueue(rec2)
-	cpl = d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, desc.Base, 64, 0))
-	if cpl != nil && cpl.Status == pcie.CplSuccess {
-		t.Fatal("tampered command entry verified")
+	return cpl.Payload
+}
+
+// TestVerifiedReadPath: one record, one host fetch, one verification
+// answer every slot of a run — whether the device reads a slot at a time
+// or two at once — each slot once; a slot read again, or one the run
+// never covered, is an auth failure and no fetch.
+func TestVerifiedReadPath(t *testing.T) {
+	for name, reads := range map[string][][2]uint32{
+		"64 B at a time": {{0, 1}, {1, 1}, {2, 1}, {3, 1}},
+		"128 B at once":  {{0, 2}, {2, 2}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := newA3Rig(t, 8)
+			a.post(0, 4, 4)
+			for _, rd := range reads {
+				want := bytes.Join(a.slots[rd[0]:rd[0]+rd[1]], nil)
+				if got := a.read(rd[0], rd[1]); !bytes.Equal(got, want) {
+					t.Fatalf("read of %d slots at %d: %x", rd[1], rd[0], got)
+				}
+			}
+			if st := a.sc.Stats(); a.fetches != 1 || st.VerifiedChunks != 4 || st.AuthFailures != 0 {
+				t.Fatalf("%d host fetches, %d verified slots, %d auth failures; want 1, 4, 0", a.fetches, st.VerifiedChunks, st.AuthFailures)
+			}
+			for _, slot := range []uint32{0, 3, 4} { // served, served, never covered
+				if a.read(slot, 1) != nil {
+					t.Fatalf("slot %d served without a fresh record", slot)
+				}
+			}
+			if st := a.sc.Stats(); a.fetches != 1 || st.AuthFailures != 3 {
+				t.Fatalf("re-reads: %d host fetches, %d auth failures; want 1 and 3", a.fetches, st.AuthFailures)
+			}
+			if a.read(2, 2) != nil || a.read(1, 2) != nil {
+				t.Fatal("a read overlapping served slots was answered")
+			}
+		})
+	}
+}
+
+// TestVerifiedRunTamperRejectsWholeRun: a bit flipped in any slot of a
+// three-slot run after its record was posted fails the one MAC, and none
+// of the three slots reaches the device — not even the untouched ones.
+func TestVerifiedRunTamperRejectsWholeRun(t *testing.T) {
+	for flipped := 0; flipped < 3; flipped++ {
+		a := newA3Rig(t, 4)
+		a.post(0, 3, 3)
+		a.slots[flipped][17] ^= 4
+		a.sync()
+		for slot := uint32(0); slot < 3; slot++ {
+			if a.read(slot, 1) != nil {
+				t.Fatalf("bit flipped in slot %d: slot %d served", flipped, slot)
+			}
+		}
+		if st := a.sc.Stats(); st.VerifiedChunks != 0 || st.AuthFailures != 3 || a.fetches != 1 {
+			t.Fatalf("bit flipped in slot %d: %d verified, %d auth failures, %d fetches; want 0, 3, 1",
+				flipped, st.VerifiedChunks, st.AuthFailures, a.fetches)
+		}
+	}
+}
+
+// TestVerifiedRunMalformedRecord: a record whose run length is zero,
+// runs past the region, or asks for more than one read request or more
+// slots than the SC tracks, is an auth failure without a host fetch —
+// and spent: the read after it finds nothing.
+func TestVerifiedRunMalformedRecord(t *testing.T) {
+	for name, c := range map[string]struct{ slots, first, claim uint32 }{
+		"length 0":         {8, 0, 0},
+		"past the region":  {8, 6, 3},
+		"over MaxReadReq":  {128, 0, pcie.MaxReadReq/64 + 1},
+		"over MaxRunSlots": {128, 0, MaxRunSlots + 1},
+		"length 2^32-1":    {8, 0, ^uint32(0)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := newA3Rig(t, int(c.slots))
+			a.post(c.first, 1, c.claim)
+			for i := uint64(1); i <= 2; i++ {
+				if a.read(c.first, 1) != nil {
+					t.Fatal("served")
+				}
+				if st := a.sc.Stats(); st.AuthFailures != i || a.fetches != 0 {
+					t.Fatalf("read %d: %d auth failures, %d host fetches; want %d and 0", i, st.AuthFailures, a.fetches, i)
+				}
+			}
+			if a.sc.Tags().Depth() != 0 {
+				t.Fatal("malformed record still pending")
+			}
+		})
+	}
+}
+
+// TestVerifiedRunFreshRecordWins: after the device consumed one slot of
+// three, a record re-MACing the remaining two (the driver's Kick) beats
+// the verified copy — the stale bytes are never served, the host's
+// current ones are fetched and verified — and a fetch that fails spends
+// no record.
+func TestVerifiedRunFreshRecordWins(t *testing.T) {
+	a := newA3Rig(t, 4)
+	a.post(0, 3, 3)
+	if a.read(0, 1) == nil {
+		t.Fatal("first slot refused")
+	}
+	a.slots[1] = bytes.Repeat([]byte{0xee}, 64) // the host rewrote a pending slot
+	a.sync()
+	a.post(1, 2, 2)
+
+	drop := true
+	a.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if drop && p.Kind == pcie.CplD {
+			drop = false
+			return nil
+		}
+		return p
+	}))
+	if a.read(1, 1) != nil || a.sc.Stats().AuthFailures != 0 || a.sc.Tags().Depth() != 1 {
+		t.Fatalf("lost fetch: %d auth failures, %d records pending; want 0 and the record kept",
+			a.sc.Stats().AuthFailures, a.sc.Tags().Depth())
+	}
+	if got := a.read(1, 1); !bytes.Equal(got, a.slots[1]) {
+		t.Fatalf("slot 1 after the fresh record: %x", got)
+	}
+	if got := a.read(2, 1); !bytes.Equal(got, a.slots[2]) {
+		t.Fatalf("slot 2 after the fresh record: %x", got)
+	}
+	if st := a.sc.Stats(); a.fetches != 3 || st.VerifiedChunks != 5 || st.AuthFailures != 0 {
+		t.Fatalf("%d fetches, %d verified, %d auth failures; want 3, 5, 0", a.fetches, st.VerifiedChunks, st.AuthFailures)
+	}
+}
+
+// TestVerifiedRunDroppedWithRegion: release and teardown take the
+// verified copy with them — a region reinstalled under the same id does
+// not serve the old run's leftovers.
+func TestVerifiedRunDroppedWithRegion(t *testing.T) {
+	for name, drop := range map[string]func(a *a3Rig){
+		"release":  func(a *a3Rig) { a.submit(ringEntry{op: RingOpRelease, arg: uint64(a.desc.ID)}) },
+		"teardown": func(a *a3Rig) { a.sc.Teardown() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := newA3Rig(t, 4)
+			a.post(0, 2, 2)
+			if a.read(0, 1) == nil {
+				t.Fatal("first slot refused")
+			}
+			drop(a)
+			if err := a.sc.regions.add(a.desc); err != nil {
+				t.Fatal(err)
+			}
+			if a.read(1, 1) != nil {
+				t.Fatal("a verified run outlived its region")
+			}
+		})
 	}
 }
 

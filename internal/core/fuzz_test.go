@@ -88,13 +88,14 @@ func FuzzUnmarshalRekeyCommand(f *testing.F) {
 
 // FuzzControllerControlWindow drives arbitrary bytes at the SC's control
 // BAR: nothing may panic and no rule or region may install. The BAR
-// decodes ten registers; everywhere else — the offsets sealed blobs and
-// positioned tags once had among them — a write is a config reject.
+// decodes nine registers; everywhere else — the offsets sealed blobs,
+// positioned tags and the guarded write's MAC record once had among them
+// — a write is a config reject.
 func FuzzControllerControlWindow(f *testing.F) {
 	for _, off := range []uint16{0x010, 0x018, 0x040, 0x048, 0x100, 0x200, 0x300} {
 		f.Add(off, []byte("garbage"))
 	}
-	f.Add(uint16(RegTagWindow), make([]byte, TagRecordSize*2))
+	f.Add(uint16(0x080), make([]byte, TagRecordSize*2)) // where the tag window was
 	arm := binary.LittleEndian.AppendUint64(nil, ArmPosition(3, 5))
 	arm = TagRecord{Stream: StreamH2D, Chunk: 9, Epoch: 0}.AppendMarshal(arm)
 	f.Add(uint16(0x0c0), arm)
@@ -147,6 +148,14 @@ func FuzzControllerRing(f *testing.F) {
 		ringEntry{op: RingOpTags, arg: ArmPosition(5, 1), data: rec})
 	add(firstSeq+1, ringEntry{op: RingOpRelease, arg: 5})
 	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, 8)})
+	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10,
+		data: TagRecord{Stream: StreamMMIO}.AppendMarshal(make([]byte, 8))})
+	// Run records no producer wrote: length 0, past the region, past one
+	// read request.
+	add(firstSeq+1, ringEntry{op: RingOpTags, data: append(append(
+		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 0)}.Marshal(),
+		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 1), Epoch: 1 << 20}.Marshal()...),
+		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 2), Epoch: MaxRunSlots + 1}.Marshal()...)})
 	// Framing: a sequence skew, an oversized length, opcodes 0 and 8, a
 	// tail behind the head and one past the ring.
 	f.Add(ringEntry{op: RingOpNotify}.slot(firstSeq+1), uint64(firstSeq+1))

@@ -22,8 +22,15 @@ const (
 	// StreamConfig protects Packet Filter policy updates (§4.1
 	// "dynamic and secure configuration").
 	StreamConfig = "config"
-	// StreamMMIO keys the A3 integrity MACs on control traffic.
+	// StreamMMIO keys the A3 integrity MACs on control traffic, and names
+	// the records of guarded writes (counter: the A3 sequence number).
 	StreamMMIO = "mmio"
+	// StreamA3Run names the records of verified runs — the MACs, under the
+	// StreamMMIO key, over the slots of an A3 region a submission makes
+	// the device read (counter: RunKey). It is an identity of its own so
+	// that no A3 sequence number can ever name, and replace, a run's
+	// record.
+	StreamA3Run = "a3-run"
 )
 
 // ErrNoStream reports a protected packet arriving before its stream's
@@ -87,7 +94,7 @@ func NewParamsManager(keys *secmem.KeyStore) *ParamsManager {
 // wellKnownStreams are the platform's fixed stream names. Tag records
 // for them resolve even before activation, and no other name may
 // activate with a colliding hash.
-var wellKnownStreams = []string{StreamH2D, StreamD2H, StreamConfig, StreamMMIO}
+var wellKnownStreams = []string{StreamH2D, StreamD2H, StreamConfig, StreamMMIO, StreamA3Run}
 
 func (pm *ParamsManager) Activate(name string) error {
 	pm.mu.Lock()

@@ -62,6 +62,16 @@ func TestTagManagerMatchAndConsume(t *testing.T) {
 	if tm.Depth() != 1 {
 		t.Fatalf("depth = %d", tm.Depth())
 	}
+	// Peek shows the record and spends nothing, hit or miss.
+	if got, ok := tm.Peek(StreamH2D, 42); !ok || got != rec || tm.Depth() != 1 {
+		t.Fatalf("Peek = %+v, %v (depth %d)", got, ok, tm.Depth())
+	}
+	if _, ok := tm.Peek(StreamH2D, 43); ok {
+		t.Fatal("Peek found a record nobody enqueued")
+	}
+	if matched, missing := tm.Stats(); matched != 0 || missing != 0 {
+		t.Fatalf("Peek counted: stats = %d/%d", matched, missing)
+	}
 	got, ok := tm.Take(StreamH2D, 42)
 	if !ok || got.Tag[0] != 0xaa || got.Epoch != 1 {
 		t.Fatalf("Take = %+v, %v", got, ok)

@@ -23,9 +23,11 @@ import (
 // Trust boundary: the ring lives in TVM memory reachable over the
 // untrusted host bus, so its contents get no more trust than an MMIO
 // payload — rule/descriptor/rekey entries carry sealed blobs only the
-// attested peer can mint, tag entries carry MACs verified on use, and
-// guarded entries go through the A3 sequence+MAC check of a direct
-// guarded write. Tampering with an entry therefore yields a config
+// attested peer can mint, tag entries carry tags and MAC records verified
+// on use (the record of a direct guarded write among them: it rides the
+// burst that write's flush publishes, so it is consumed before the write
+// goes out), and guarded entries go through the A3 sequence+MAC check of
+// a direct guarded write. Tampering with an entry therefore yields a config
 // reject or an auth failure. Tampering with the ring
 // *framing* (sequence skew, oversized length, unknown opcode) is a
 // desync: the SC sets the ring status word, rejects, and refuses to
@@ -66,7 +68,7 @@ const (
 	RingOpTags    = 4 // payload: packed tag records; arg != 0: positioned (ArmPosition)
 	RingOpRelease = 5 // arg: region ID
 	RingOpNotify  = 6 // arg: region ID (the region-ready notify of §5)
-	RingOpGuarded = 7 // arg: absolute MMIO address, payload: value (A3 write)
+	RingOpGuarded = 7 // arg: absolute MMIO address, payload: value, then the write's MAC record (A3 write)
 )
 
 // PutRingEntry encodes an entry header into a caller-provided
@@ -189,12 +191,20 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		// Region-ready: the SC has nothing to do — the entry's records and
 		// descriptor were dispatched ahead of it, in order.
 	case RingOpGuarded:
-		// Rebuild the A3 write the entry stands for, attributed to the
-		// authorized TVM, and run it through the full sequence+MAC+guard
-		// pipeline. The payload is copied out of the gather buffer: a tap
-		// on the internal bus may keep the packet past this dispatch.
-		val := c.payloadBuf(len(data), c.internal)
-		copy(val, data)
+		// The entry carries the write's MAC record behind its value. Queue
+		// the record, rebuild the A3 write the entry stands for, attributed
+		// to the authorized TVM, and run it through the full
+		// sequence+MAC+guard pipeline. The value is copied out of the gather
+		// buffer: a tap on the internal bus may keep the packet past this
+		// dispatch.
+		if len(data) <= TagRecordSize {
+			c.configReject(fmt.Errorf("core: guarded entry of %d bytes carries no value", len(data)))
+			return
+		}
+		value, rec := data[:len(data)-TagRecordSize], data[len(data)-TagRecordSize:]
+		c.ingestTags(rec)
+		val := c.payloadBuf(len(value), c.internal)
+		copy(val, value)
 		p := c.pkts.MemWrite(c.authorizedTVM, arg, val)
 		c.handleGuardedMMIO(p)
 		if c.recycleOn(c.internal) && pcie.Release(p) {

@@ -197,6 +197,20 @@ func (tm *TagManager) hasSpan(s *tagStream, first uint32, k int) bool {
 	return true
 }
 
+// Peek returns the pending record for (stream, chunk) and leaves it
+// pending, uncounted: a verified-run read needs the run length its
+// record carries to size the host fetch, and a fetch that fails must
+// not have spent the record.
+func (tm *TagManager) Peek(stream string, chunk uint32) (TagRecord, bool) {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	e := tm.find(tm.lookup(stream), chunk)
+	if e == nil {
+		return TagRecord{}, false
+	}
+	return TagRecord{Stream: stream, Chunk: e.chunk, Epoch: e.epoch, Tag: e.tag}, true
+}
+
 // Take matches and removes the tag for (stream, chunk); ok is false
 // when no tag packet arrived, which fails the integrity check.
 func (tm *TagManager) Take(stream string, chunk uint32) (TagRecord, bool) {

@@ -157,13 +157,15 @@ type SessionState struct {
 	done      bool
 	released  bool
 	entry     *sched.Entry
+	step      Step // the one step in flight (Engine.Next)
 }
 
 // Generated reports chunks completed so far.
 func (s *SessionState) Generated() int { return s.nextChunk }
 
 // Step is one dispatch decision: session s performs kind, producing
-// chunk Chunk.
+// chunk Chunk. It is the session's to reuse: valid until Complete, Fail
+// or Requeue settles it.
 type Step struct {
 	S     *SessionState
 	Kind  StepKind
@@ -349,7 +351,10 @@ func (e *Engine) Next(stop <-chan struct{}) (*Step, bool) {
 		if s.nextChunk == 0 {
 			kind = StepPrefill
 		}
-		st := &Step{S: s, Kind: kind, Chunk: s.nextChunk, entry: entry}
+		// A session has one step in flight (its flow is busy until the
+		// step is settled), so the step lives in the session.
+		s.step = Step{S: s, Kind: kind, Chunk: s.nextChunk, entry: entry}
+		st := &s.step
 		e.logStep(StepRecord{Session: s.ID, Kind: kind, Chunk: st.Chunk})
 		e.mu.Unlock()
 		return st, true

@@ -104,6 +104,7 @@ type Fair struct {
 	seq    uint64
 	closed bool
 	wake   chan struct{} // closed to broadcast state changes, then replaced
+	parked bool          // a Next took wake and may be blocked on it
 }
 
 // New builds a Fair queue.
@@ -133,8 +134,15 @@ func New(cfg Config) (*Fair, error) {
 	return f, nil
 }
 
-// broadcast wakes every Next waiter. Callers hold f.mu.
+// broadcast wakes every Next waiter. With none parked since the last
+// one — a dispatcher that always finds work, the steady state of a busy
+// queue — there is nobody to wake and the channel stays as it is.
+// Callers hold f.mu.
 func (f *Fair) broadcast() {
+	if !f.parked {
+		return
+	}
+	f.parked = false
 	close(f.wake)
 	f.wake = make(chan struct{})
 }
@@ -181,17 +189,30 @@ func (f *Fair) Cancel(e *Entry) bool {
 	return true
 }
 
-// head returns the flow's first live entry, unlinking cancelled ones
-// encountered on the way. Callers hold f.mu.
+// drop unlinks the flow's first k entries by shifting the rest down, so
+// the queue keeps its backing array: re-slicing from the front would
+// leave a yielded entry's append to reallocate on every step. Callers
+// hold f.mu.
+func (fl *flow) drop(k int) {
+	n := copy(fl.entries, fl.entries[k:])
+	clear(fl.entries[n:])
+	fl.entries = fl.entries[:n]
+}
+
+// head returns the flow's first live entry, unlinking the cancelled ones
+// ahead of it. Callers hold f.mu.
 func (fl *flow) head() *Entry {
-	for len(fl.entries) > 0 {
-		e := fl.entries[0]
-		if e.state.Load() != stateCanceled {
-			return e
-		}
-		fl.entries = fl.entries[1:]
+	k := 0
+	for k < len(fl.entries) && fl.entries[k].state.Load() == stateCanceled {
+		k++
 	}
-	return nil
+	if k > 0 {
+		fl.drop(k)
+	}
+	if len(fl.entries) == 0 {
+		return nil
+	}
+	return fl.entries[0]
 }
 
 // tryNext scans for a dispatchable entry under f.mu: a non-busy flow
@@ -226,7 +247,7 @@ func (f *Fair) tryNext() *Entry {
 				off--
 				continue
 			}
-			fl.entries = fl.entries[1:]
+			fl.drop(1)
 			fl.pending--
 			fl.deficit -= e.Cost
 			fl.busy = true
@@ -262,6 +283,7 @@ func (f *Fair) Next(stop <-chan struct{}) (*Entry, bool) {
 			return nil, false
 		}
 		wake := f.wake
+		f.parked = true
 		f.mu.Unlock()
 		select {
 		case <-wake:

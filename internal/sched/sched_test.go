@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -372,4 +373,47 @@ func TestYieldRefusals(t *testing.T) {
 	if _, ok := f.Next(stop); ok {
 		t.Fatal("cancelled yield leaked a dispatchable entry")
 	}
+}
+
+// TestSteadyDispatchAllocatesNothing: a dispatcher that always finds
+// work — claim, yield to the tail, release, claim again: a decode
+// stream's loop — allocates nothing: no wake channel is swapped with
+// nobody parked on it, and the yielded entry re-joins its flow in the
+// slot it left. A waiter that does park is still woken by the next push.
+func TestSteadyDispatchAllocatesNothing(t *testing.T) {
+	f, err := New(Config{Flows: 2, Depth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPush(t, f, 0, 1, "stream")
+	if got := testing.AllocsPerRun(100, func() {
+		e, ok := f.Next(nil)
+		if !ok || !f.Yield(e, 1) {
+			t.Fatal("dispatch loop broke")
+		}
+		f.Release(e.Flow)
+	}); got != 0 {
+		t.Fatalf("a claim/yield/release round allocates %v objects, want 0", got)
+	}
+
+	e, _ := f.Next(nil) // flow 0 is now busy and flow 1 empty: the next Next parks
+	got := make(chan *Entry)
+	go func() {
+		e, _ := f.Next(nil)
+		got <- e
+	}()
+	for {
+		f.mu.Lock()
+		parked := f.parked
+		f.mu.Unlock()
+		if parked {
+			break
+		}
+		runtime.Gosched()
+	}
+	pushed := mustPush(t, f, 1, 1, "late")
+	if woken := <-got; woken != pushed {
+		t.Fatalf("parked Next woke with %v, want the pushed entry", woken)
+	}
+	f.Release(e.Flow)
 }

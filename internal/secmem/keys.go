@@ -23,10 +23,11 @@ type keyEntry struct {
 	key   []byte
 	nonce []byte
 	// mac is the lazily built, reusable HMAC-SHA256 state for MACSum;
-	// sum is its reusable output scratch. Both are guarded by ks.mu and
-	// die with the entry (Install replaces the entry, so a fresh key
-	// can never reuse a stale HMAC state).
+	// msg and sum are its reusable input and output scratch. All three
+	// are guarded by ks.mu and die with the entry (Install replaces the
+	// entry, so a fresh key can never reuse a stale HMAC state).
 	mac hash.Hash
+	msg []byte
 	sum []byte
 	// aead is the lazily built AES-GCM instance for this key epoch.
 	// Streams handed out by Stream share it, so the AES key schedule
@@ -96,8 +97,11 @@ func (ks *KeyStore) Material(name string) (key, nonce []byte, err error) {
 // the named stream's key without copying the key out of the store and
 // without constructing a fresh HMAC per call: the per-entry HMAC state
 // is cached and Reset between uses. ks.mu is a leaf lock, so callers
-// may hold their own locks across this call; the steady-state cost is
-// zero allocations.
+// may hold their own locks across this call. The message is assembled
+// in store-owned scratch before it meets the hash.Hash interface, so a
+// caller's stack arrays stay on the stack: the steady-state cost is zero
+// allocations on both sides of the call. The scratch holds only bytes
+// the bus carries in the clear (A3 is integrity-only).
 func (ks *KeyStore) MACSum(name string, header, payload []byte) ([32]byte, error) {
 	var out [32]byte
 	ks.mu.Lock()
@@ -110,8 +114,8 @@ func (ks *KeyStore) MACSum(name string, header, payload []byte) ([32]byte, error
 		e.mac = hmac.New(sha256.New, e.key)
 	}
 	e.mac.Reset()
-	e.mac.Write(header)
-	e.mac.Write(payload)
+	e.msg = append(append(e.msg[:0], header...), payload...)
+	e.mac.Write(e.msg)
 	e.sum = e.mac.Sum(e.sum[:0])
 	copy(out[:], e.sum)
 	return out, nil

@@ -285,6 +285,13 @@ func (s *Stream) SealDst(sealed *Sealed, plaintext, aad, dst []byte) error {
 // Open authenticates and decrypts one chunk, enforcing the
 // strictly-increasing counter discipline.
 func (s *Stream) Open(sealed *Sealed, aad []byte) ([]byte, error) {
+	return s.OpenDst(sealed, aad, nil)
+}
+
+// OpenDst is Open with the plaintext written into dst's backing array
+// (allocated when its capacity is short of the ciphertext) — the variant
+// for callers that hand the plaintext on in a buffer they pool.
+func (s *Stream) OpenDst(sealed *Sealed, aad, dst []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fault != nil {
@@ -305,17 +312,7 @@ func (s *Stream) Open(sealed *Sealed, aad []byte) ([]byte, error) {
 		sp = o.tracer.Start(o.open, keyStream.Str(o.name),
 			keyBytes.I64(int64(len(sealed.Ciphertext))), keyCtr.U64(uint64(sealed.Counter)))
 	}
-	// One arena buffer carries ciphertext||tag plus the IV at its tail;
-	// everything in it is public bytes, so Put (not PutZero) on release.
-	ctLen := len(sealed.Ciphertext)
-	buf := arena.Get(ctLen + TagSize + NonceSize)
-	copy(buf, sealed.Ciphertext)
-	copy(buf[ctLen:], sealed.Tag[:])
-	iv := buf[ctLen+TagSize:]
-	copy(iv, s.nonceBase[:])
-	binary.BigEndian.PutUint32(iv[nonceBase:], sealed.Counter)
-	pt, err := s.aead.Open(nil, iv, buf[:ctLen+TagSize], aad)
-	arena.Put(buf)
+	pt, err := s.decryptLocked(sealed, aad, dst)
 	if err != nil {
 		if o := s.obs; o != nil {
 			o.authFail.Inc()
@@ -329,6 +326,26 @@ func (s *Stream) Open(sealed *Sealed, aad []byte) ([]byte, error) {
 		o.openBytes.Add(uint64(len(pt)))
 	}
 	return pt, nil
+}
+
+// decryptLocked runs the AEAD open of one chunk into dst[:0]. One arena
+// buffer carries ciphertext||tag, the IV and a copy of the AAD — the AEAD
+// is an interface, and what it is handed escapes, so the caller's AAD
+// array stays on its stack. Everything in the buffer is public bytes, so
+// Put (not PutZero) on release. Callers hold s.mu.
+func (s *Stream) decryptLocked(sealed *Sealed, aad, dst []byte) ([]byte, error) {
+	ctLen := len(sealed.Ciphertext)
+	buf := arena.Get(ctLen + TagSize + NonceSize + len(aad))
+	copy(buf, sealed.Ciphertext)
+	copy(buf[ctLen:], sealed.Tag[:])
+	iv := buf[ctLen+TagSize:][:NonceSize]
+	copy(iv, s.nonceBase[:])
+	binary.BigEndian.PutUint32(iv[nonceBase:], sealed.Counter)
+	ad := buf[ctLen+TagSize+NonceSize:]
+	copy(ad, aad)
+	pt, err := s.aead.Open(dst[:0], iv, buf[:ctLen+TagSize], ad)
+	arena.Put(buf)
+	return pt, err
 }
 
 // obsReplay counts one replay rejection. Callers hold s.mu.
@@ -367,17 +384,7 @@ func (s *Stream) OpenStateless(sealed *Sealed, aad []byte) ([]byte, error) {
 		sp = o.tracer.Start(o.open, keyStream.Str(o.name), keyMode.Str(symStateless),
 			keyBytes.I64(int64(len(sealed.Ciphertext))), keyCtr.U64(uint64(sealed.Counter)))
 	}
-	// One arena buffer carries ciphertext||tag plus the IV at its tail;
-	// everything in it is public bytes, so Put (not PutZero) on release.
-	ctLen := len(sealed.Ciphertext)
-	buf := arena.Get(ctLen + TagSize + NonceSize)
-	copy(buf, sealed.Ciphertext)
-	copy(buf[ctLen:], sealed.Tag[:])
-	iv := buf[ctLen+TagSize:]
-	copy(iv, s.nonceBase[:])
-	binary.BigEndian.PutUint32(iv[nonceBase:], sealed.Counter)
-	pt, err := s.aead.Open(nil, iv, buf[:ctLen+TagSize], aad)
-	arena.Put(buf)
+	pt, err := s.decryptLocked(sealed, aad, nil)
 	if err != nil {
 		if o := s.obs; o != nil {
 			o.authFail.Inc()

@@ -10,6 +10,7 @@ package ccai
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -100,23 +101,41 @@ func configOpens(mp *MultiPlatform) uint64 {
 // step on the untrusted side: a 16-prompt / 512-token / 8-per-chunk
 // session (the benchmark's llm-decode shape) is sampled at every step
 // dispatch, and every steady-state decode step must cost no sealed
-// config blob, at most 3 MMIO writes (ring doorbell, A3 tag, guarded
-// doorbell), no MMIO read and at most 22 host-bus TLPs; the whole
-// session installs at most 5 descriptors (KV, prompt, prefill output,
-// step window, step output).
+// config blob, at most 2 MMIO writes (ring doorbell, guarded doorbell),
+// no MMIO read, at most 15 host-bus TLPs, at most 5 submission-ring
+// slots and exactly one SC fetch of its command slots — or two fetches
+// and 17 TLPs for the step whose three commands straddle the end of the
+// 64-slot command ring, which is two runs. The whole session installs at
+// most 5 descriptors (KV, prompt, prefill output, step window, step
+// output).
 func TestDecodeStepWireBudget(t *testing.T) {
 	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithObserve(), WithLLMEngine(llm.EngineConfig{Workers: 1}))
 	tenant := mp.Tenants[0]
 	tap := trace.NewRecorder()
 	mp.Host.AddTap(tap)
+	// What the SC fetches: command-ring runs, and submission-ring slots.
+	fetches := cmdFetches(mp.Host, &tenant.pipeline)
+	var ringSlots uint64
+	mp.Host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Kind == pcie.MRd && p.Requester == tenant.SC.DeviceID() {
+			if buf, ok := tenant.space.Resolve(p.Address); ok && buf.Name() == "dma-submitring" {
+				ringSlots += uint64(p.Length) / core.RingSlotSize
+			}
+		}
+		return p
+	}))
 
 	type sample struct {
 		io      adaptor.IOStats
 		tlps    uint64
 		configs uint64
+		slots   uint64
+		fetches uint64
+		tail    uint64
 	}
 	take := func() sample {
-		return sample{io: tenant.Adaptor.IO(), tlps: tap.Packets(), configs: configOpens(mp)}
+		return sample{io: tenant.Adaptor.IO(), tlps: tap.Packets(), configs: configOpens(mp),
+			slots: ringSlots, fetches: uint64(len(*fetches)), tail: tenant.Driver.Tail()}
 	}
 	// One sample per dispatch, taken by the single worker just before the
 	// step runs: samples[i] is the state before step i (0 = prefill).
@@ -147,19 +166,29 @@ func TestDecodeStepWireBudget(t *testing.T) {
 	}
 	// Decode step 1 opens the channel and the last one is followed by its
 	// release; the 61 in between are the steady state.
+	wraps := 0
 	for i := 2; i < steps-1; i++ {
 		a, b := samples[i], samples[i+1]
 		blobs, writes, reads, tlps := b.configs-a.configs, b.io.MMIOWrites-a.io.MMIOWrites, b.io.MMIOReads-a.io.MMIOReads, b.tlps-a.tlps
-		if blobs != 0 || writes > 3 || reads != 0 || tlps > 22 {
-			t.Fatalf("decode step %d cost %d config blobs, %d MMIO writes, %d MMIO reads, %d host TLPs; budget 0 / 3 / 0 / 22",
-				i, blobs, writes, reads, tlps)
+		slots, fetches := b.slots-a.slots, b.fetches-a.fetches
+		wantFetches, maxTLPs := uint64(1), uint64(15)
+		if a.tail%ringEntries > ringEntries-3 { // the step's commands wrap the command ring
+			wantFetches, maxTLPs = 2, 17
+			wraps++
 		}
+		if blobs != 0 || writes > 2 || reads != 0 || tlps > maxTLPs || slots > 5 || fetches != wantFetches {
+			t.Fatalf("decode step %d cost %d config blobs, %d MMIO writes, %d MMIO reads, %d host TLPs, %d ring slots, %d command fetches; budget 0 / 2 / 0 / %d / 5 / %d",
+				i, blobs, writes, reads, tlps, slots, fetches, maxTLPs, wantFetches)
+		}
+	}
+	if wraps != 1 {
+		t.Fatalf("%d steady steps straddled the command ring's end, want 1 (the two-run case must be exercised)", wraps)
 	}
 	if installs := after.configs - before.configs; installs > 5 {
 		t.Fatalf("session installed %d descriptors, budget 5", installs)
 	}
-	t.Logf("steady decode step: %d MMIO writes, %d host TLPs; session: %d installs, %d MMIO writes, %d host TLPs",
-		samples[11].io.MMIOWrites-samples[10].io.MMIOWrites, samples[11].tlps-samples[10].tlps,
+	t.Logf("steady decode step: %d MMIO writes, %d host TLPs, %d ring slots; session: %d installs, %d MMIO writes, %d host TLPs",
+		samples[11].io.MMIOWrites-samples[10].io.MMIOWrites, samples[11].tlps-samples[10].tlps, samples[11].slots-samples[10].slots,
 		after.configs-before.configs, after.io.MMIOWrites-before.io.MMIOWrites, after.tlps-before.tlps)
 }
 
@@ -213,10 +242,13 @@ func TestPrefillReturnsAfterChunkZero(t *testing.T) {
 }
 
 // TestDecodeStepFaultsHeal are the decode-step cells of the fault
-// matrix: the fault lands on decode step 1 (held at the dispatcher
-// while the injection point is wired), must heal through the recovery
-// ladder — repost of the step's positioned tag, doorbell retry — and
-// the stream must stay byte-exact without the tenant failing closed.
+// matrix: the fault lands on decode step 2, a steady step (held at the
+// dispatcher while the injection point is wired), must heal through the
+// recovery ladder — repost of the step's positioned tag, doorbell retry
+// — and the stream must stay byte-exact without the tenant failing
+// closed. A steady step's one ring doorbell publishes the whole
+// submission, the MAC record of the guarded doorbell included, so the
+// doorbell cells lose or duplicate that record's delivery too.
 func TestDecodeStepFaultsHeal(t *testing.T) {
 	cfg := llm.Config{MaxNewTokens: 48, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 0x7a11}
 	prompt := []byte("decode step fault cell")
@@ -226,7 +258,7 @@ func TestDecodeStepFaultsHeal(t *testing.T) {
 		check func(t *testing.T, rec adaptor.RecoveryStats)
 	}{
 		{"tag-loss/positioned", func(mp *MultiPlatform) func() uint64 {
-			// The next h2d record to arrive is decode step 1's positioned tag.
+			// The next h2d record to arrive is decode step 2's positioned tag.
 			var dropped atomic.Uint64
 			mp.Tenants[0].SC.Tags().SetFaultHook(func(rec core.TagRecord) bool {
 				return rec.Stream == core.StreamH2D && dropped.CompareAndSwap(0, 1)
@@ -239,14 +271,32 @@ func TestDecodeStepFaultsHeal(t *testing.T) {
 		}},
 		{"drop-tlp/ring-doorbell", func(mp *MultiPlatform) func() uint64 {
 			drop := &attack.Dropper{Count: 1, Match: func(pk *pcie.Packet) bool {
-				return pk.Kind == pcie.MWr && pk.Requester == mp.Tenants[0].TVMID &&
-					pk.Address == scBARBase+core.RegRingDoorbell
+				return isRingDoorbell(pk, mp.Tenants[0])
 			}}
 			mp.Host.AddTap(drop)
-			return func() uint64 { return uint64(drop.Dropped()) }
+			carried := carriesGuardedRecord(mp)
+			return func() uint64 { return uint64(drop.Dropped()) & *carried }
 		}, func(t *testing.T, rec adaptor.RecoveryStats) {
 			if rec.Retries == 0 || rec.Recovered == 0 {
 				t.Fatalf("doorbell loss left no recovery trace: %+v", rec)
+			}
+		}},
+		{"dup-tlp/ring-doorbell", func(mp *MultiPlatform) func() uint64 {
+			// The SC consumes the burst on the first copy; the second finds
+			// head == tail and only re-posts the header words.
+			var dupes uint64
+			mp.Host.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
+				if dupes == 0 && isRingDoorbell(pk, mp.Tenants[0]) {
+					dupes++
+					mp.Host.Route(pk.Clone())
+				}
+				return pk
+			}))
+			carried := carriesGuardedRecord(mp)
+			return func() uint64 { return dupes & *carried }
+		}, func(t *testing.T, rec adaptor.RecoveryStats) {
+			if rec != (adaptor.RecoveryStats{}) {
+				t.Fatalf("a duplicated doorbell needed recovery: %+v", rec)
 			}
 		}},
 	}
@@ -254,7 +304,7 @@ func TestDecodeStepFaultsHeal(t *testing.T) {
 		t.Run(cell.name, func(t *testing.T) {
 			mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
 			tenant := mp.Tenants[0]
-			gate := holdStep(mp, 2)
+			gate := holdStep(mp, 3)
 			s, ch := openStream(t, tenant, cfg, prompt)
 			defer s.Close()
 			gate.wait(t)
@@ -262,6 +312,9 @@ func TestDecodeStepFaultsHeal(t *testing.T) {
 			gate.release()
 			if got := collectStream(t, ch); !bytes.Equal(got, expectedStream(cfg, prompt)) {
 				t.Fatal("token stream corrupted by a decode-step fault")
+			}
+			if st := tenant.SC.Stats(); st.AuthFailures != 0 && !strings.HasPrefix(cell.name, "tag-loss") {
+				t.Fatalf("%d auth failures: the guarded doorbell went out ahead of its record", st.AuthFailures)
 			}
 			if fired() != 1 {
 				t.Fatalf("fault fired %d times, want 1; cell vacuous", fired())
@@ -273,6 +326,37 @@ func TestDecodeStepFaultsHeal(t *testing.T) {
 			}
 		})
 	}
+}
+
+func isRingDoorbell(pk *pcie.Packet, tenant *Tenant) bool {
+	return pk.Kind == pcie.MWr && pk.Requester == tenant.TVMID && pk.Address == scBARBase+core.RegRingDoorbell
+}
+
+// carriesGuardedRecord watches the first submission-ring burst the SC
+// fetches from now on and reports (1 or 0) whether it carried a lone
+// StreamMMIO record in a tag entry — the MAC record of a direct guarded
+// write, riding the burst that write's flush publishes.
+func carriesGuardedRecord(mp *MultiPlatform) *uint64 {
+	carried, bursts := new(uint64), 0
+	mmio := core.TagRecord{Stream: core.StreamMMIO}.Marshal()[:4]
+	mp.Host.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
+		if pk.Kind != pcie.CplD || len(pk.Payload) == 0 || len(pk.Payload)%core.RingSlotSize != 0 {
+			return pk
+		}
+		if bursts++; bursts > 1 {
+			return pk
+		}
+		for off := 0; off < len(pk.Payload); off += core.RingSlotSize {
+			slot := pk.Payload[off:]
+			if slot[0] == core.RingOpTags && binary.LittleEndian.Uint64(slot[8:]) == 0 &&
+				binary.LittleEndian.Uint16(slot[2:]) == core.TagRecordSize &&
+				bytes.Equal(slot[core.RingEntryHdrSize:][:4], mmio) {
+				*carried = 1
+			}
+		}
+		return pk
+	}))
+	return carried
 }
 
 // largestFree is the largest single allocation a space region can
