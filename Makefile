@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode clean ci
+.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode profile-serve clean ci
 
 all: build test
 
@@ -29,9 +29,13 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # The deterministic allocation ceilings (64 KiB protected task, the
 # steady decode step — TestTaskAllocBudget/decode-step — and the D2H read
 # path) run as named tests so a breach points at the exact budget, not a
-# benchmark diff; beside them the A3 record key space, 33,000 tasks past
-# the sequence numbers that once aliased command-ring slots.
-	$(GO) test -run 'TestTaskAllocBudget|TestReadAllocBudget|TestA3RecordKeySpace' ./ ./internal/adaptor/
+# benchmark diff — the scheduled rows of TestTaskAllocBudget hold what a
+# Scheduler round trip may add, by kind of context; beside them the A3
+# record key space, 33,000 tasks past the sequence numbers that once
+# aliased command-ring slots, and the scheduler's goroutine budget: at
+# most Slots of them however many requests, none left after Drain or
+# Shutdown.
+	$(GO) test -run 'TestTaskAllocBudget|TestReadAllocBudget|TestA3RecordKeySpace|TestSchedulerWorkersResident' ./ ./internal/adaptor/
 # The price of observation, as named deterministic gates beside them:
 # exact spans per op, allocation parity observed/unobserved, the
 # symbol-table bound, the names benchmark/ and the soak scorecards read,
@@ -193,6 +197,25 @@ profile-decode:
 	  $(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 profiles/ccai.test profiles/mem-decode.out; \
 	} > profiles/top-decode.txt
 	@cat profiles/top-decode.txt
+
+# CPU profile of one serve-burst op (BenchmarkServeBurst: four tenants,
+# a two-slot scheduler, one submitter, eight mixed-size tasks a burst) at
+# one proc. The cumulative top lands in profiles/top-serve.txt, followed
+# by the frames that say what the serving layer itself costs: stack
+# growth (runtime.newstack/copystack — there is none while the slots are
+# resident workers), goroutine starts (runtime.newproc) and the
+# scheduler's own methods.
+profile-serve:
+	mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkServeBurst$$' -benchtime 4000x -cpu 1 \
+		-cpuprofile profiles/cpu-serve.out -o profiles/ccai.test .
+	{ echo "== BenchmarkServeBurst, CPU"; \
+	  $(GO) tool pprof -top -cum -nodecount=40 profiles/ccai.test profiles/cpu-serve.out; \
+	  echo "== of it: stack growth, goroutine starts, the scheduler"; \
+	  $(GO) tool pprof -top -cum -nodecount=2000 profiles/ccai.test profiles/cpu-serve.out \
+		| grep -E 'runtime\.(newstack|copystack|newproc)$$|ccai\.\(\*Scheduler\)|ccai\.startWorkers' || true; \
+	} > profiles/top-serve.txt
+	@cat profiles/top-serve.txt
 
 # Regenerate every table and figure of the paper's evaluation (prints
 # only; no file is written).

@@ -220,3 +220,47 @@ func BenchmarkMultiTenantTask(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeBurst is one burst of the benchmark's serve-burst shape:
+// four A100 tenants behind a two-slot scheduler, one submitter, eight
+// tasks — 256 B, 4 KiB, 16 KiB and 64 KiB twice, round-robin over the
+// tenants — submitted together and waited for together. Half of a burst
+// is small tasks, so what the serving layer adds to a task is what it
+// shows; `make profile-serve` profiles it.
+func BenchmarkServeBurst(b *testing.B) {
+	mp, err := ccai.NewMultiPlatform([]xpu.Profile{xpu.A100, xpu.A100, xpu.A100, xpu.A100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mp.Close()
+	if err := mp.EstablishTrustAll(); err != nil {
+		b.Fatal(err)
+	}
+	s, err := mp.NewScheduler(ccai.SchedulerConfig{Slots: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	var burst [8]ccai.TenantTask
+	total := 0
+	for i, size := range [...]int{256, 4 << 10, 16 << 10, 64 << 10, 64 << 10, 256, 4 << 10, 16 << 10} {
+		burst[i] = ccai.TenantTask{Tenant: i % 4, Task: ccai.Task{Input: make([]byte, size), Kernel: ccai.KernelAdd, Param: 1}}
+		total += size
+	}
+	ctx := context.Background()
+	b.SetBytes(int64(total))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var hs [len(burst)]*ccai.Handle
+		for j, tt := range burst {
+			if hs[j], err = s.Submit(ctx, tt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, h := range hs {
+			if _, err := h.Result(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ package ccai
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -39,8 +40,42 @@ func servingPlatform(t *testing.T, n int) *MultiPlatform {
 	return mp
 }
 
+// batchScheduler starts the scheduler a batch test drives its chassis
+// through: one slot per tenant, queues deep enough to admit a whole batch
+// of depth tasks up front. Shut down with the test.
+func batchScheduler(tb testing.TB, mp *MultiPlatform, depth int) *Scheduler {
+	tb.Helper()
+	s, err := mp.NewScheduler(SchedulerConfig{QueueDepth: depth})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	return s
+}
+
+// runBatch is the batch barrier over a Scheduler (what the removed
+// MultiPlatform.RunTasks shim was): submit everything, wait for
+// everything. results[i] answers tasks[i] and carries Index i; a task
+// the scheduler rejects — an out-of-range tenant — fails in its own slot.
+func runBatch(s *Scheduler, tasks []TenantTask) []TenantResult {
+	ctx := context.Background()
+	results := make([]TenantResult, len(tasks))
+	handles := make([]*Handle, len(tasks))
+	for i, tt := range tasks {
+		h, err := s.Submit(ctx, tt)
+		handles[i], results[i] = h, TenantResult{Tenant: tt.Tenant, Err: err}
+	}
+	for i, h := range handles {
+		if h != nil {
+			results[i], _ = h.Wait(ctx)
+		}
+		results[i].Index = i
+	}
+	return results
+}
+
 // TestConcurrentMultiTenantServing drives four tenants at once through
-// RunTasks and byte-verifies every result against its own input: the
+// one scheduler and byte-verifies every result against its own input: the
 // serving engine must preserve request→response pairing and per-tenant
 // data integrity while all pipelines interleave on the shared layers.
 func TestConcurrentMultiTenantServing(t *testing.T) {
@@ -54,7 +89,7 @@ func TestConcurrentMultiTenantServing(t *testing.T) {
 			tasks = append(tasks, TenantTask{Tenant: tn, Task: Task{Input: in, Kernel: KernelXOR, Param: 0x37}})
 		}
 	}
-	results := mp.RunTasks(tasks)
+	results := runBatch(batchScheduler(t, mp, len(tasks)), tasks)
 	if len(results) != len(tasks) {
 		t.Fatalf("results = %d, want %d", len(results), len(tasks))
 	}
@@ -87,7 +122,7 @@ func TestRunTasksIndexingAndErrors(t *testing.T) {
 		{Tenant: 1, Task: Task{Input: []byte("second"), Kernel: KernelAdd, Param: 2}},
 		{Tenant: -1, Task: Task{Input: []byte("nobody"), Kernel: KernelAdd, Param: 1}},
 	}
-	results := mp.RunTasks(tasks)
+	results := runBatch(batchScheduler(t, mp, len(tasks)), tasks)
 	if results[0].Err != nil || results[0].Output[0] != 'f'+1 {
 		t.Fatalf("valid task 0 failed: %+v", results[0])
 	}
@@ -143,7 +178,7 @@ func servingTaskMix(tenants, rounds int) []TenantTask {
 
 // TestServingThroughputScales is the concurrent-serving acceptance
 // gate: with four tenants and enough CPUs to overlap their pipelines,
-// RunTasks must finish the same task mix at least 2× faster than
+// one scheduler must finish the same task mix at least 2× faster than
 // running the tasks one at a time. The pipelines are pure CPU work, so
 // the gate is only meaningful when the runtime can actually schedule
 // them in parallel; on smaller machines the measurement still runs and
@@ -168,8 +203,9 @@ func TestServingThroughputScales(t *testing.T) {
 		}
 	}
 	serialized := time.Since(start)
+	s := batchScheduler(t, mp, len(tasks))
 	start = time.Now()
-	for _, res := range mp.RunTasks(tasks) {
+	for _, res := range runBatch(s, tasks) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -221,10 +257,11 @@ func BenchmarkServingConcurrent(b *testing.B) {
 		b.Fatal(err)
 	}
 	tasks := servingTaskMix(4, 1)
+	s := batchScheduler(b, mp, len(tasks))
 	b.SetBytes(int64(len(tasks) * len(tasks[0].Task.Input)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, res := range mp.RunTasks(tasks) {
+		for _, res := range runBatch(s, tasks) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
@@ -308,7 +345,7 @@ func TestConcurrencyStressMatrix(t *testing.T) {
 						tasks = append(tasks, TenantTask{Tenant: tn, Task: Task{Input: in, Kernel: KernelXOR, Param: 0x5a}})
 					}
 				}
-				results := mp.RunTasks(tasks)
+				results := runBatch(batchScheduler(t, mp, len(tasks)), tasks)
 
 				for i, res := range results {
 					in := tasks[i].Task.Input

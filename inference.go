@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"ccai/internal/adaptor"
-	"ccai/internal/fault"
 	"ccai/internal/llm"
 	"ccai/internal/obsv"
 	"ccai/internal/secmem"
@@ -79,9 +78,9 @@ type InferenceSession struct {
 	devSlot int
 	devBase uint64
 
-	// Resolved once at OpenSession so a decode step builds no string:
-	// the step's region labels.
-	kvName, idsName, outName string
+	// The session's region labels — its device slot's, built once when
+	// the llmServer started, so neither a session nor a step builds a string.
+	sessionNames
 
 	// step is the decode stream's step channel and idsScratch the
 	// token-id buffer its steps refill; both belong to whoever holds
@@ -115,17 +114,22 @@ type InferenceSession struct {
 }
 
 // llmServer is the chassis's lazily-started inference dispatcher: a
-// small worker pool pulling steps off the continuous-batching engine
-// and executing them on the owning tenant's sealed pipeline.
+// small pool of resident workers (startWorkers, the loop the blob
+// Scheduler's slots run) pulling steps off the continuous-batching
+// engine and executing them on the owning tenant's sealed pipeline.
 type llmServer struct {
-	mp   *MultiPlatform
-	eng  *llm.Engine
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mp       *MultiPlatform
+	eng      *llm.Engine
+	stop     chan struct{}
+	finished <-chan struct{}                  // closed when the last worker has returned
+	names    [][llmSlotsPerVault]sessionNames // by tenant index, session slot
 
 	mu      sync.Mutex
 	devFree [][]int // per tenant index: free session slots
 }
+
+// sessionNames are the region labels of one device session slot.
+type sessionNames struct{ kvName, idsName, outName string }
 
 // llmServer returns the chassis inference server, starting it on first
 // use with the Config.LLM engine parameters.
@@ -143,19 +147,19 @@ func (mp *MultiPlatform) llmServer() *llmServer {
 	}
 	srv := &llmServer{mp: mp, eng: eng, stop: make(chan struct{})}
 	srv.devFree = make([][]int, len(mp.Tenants))
+	srv.names = make([][llmSlotsPerVault]sessionNames, len(mp.Tenants))
 	for i := range srv.devFree {
 		for s := llmSlotsPerVault - 1; s >= 0; s-- {
 			srv.devFree[i] = append(srv.devFree[i], s)
+			name := func(kind string) string { return fmt.Sprintf("llm-%s/t%d/s%d", kind, i, s) }
+			srv.names[i][s] = sessionNames{name("kv"), name("ids"), name("chunk")}
 		}
 	}
 	workers := mp.llmCfg.Workers
 	if workers <= 0 {
 		workers = 2
 	}
-	srv.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go srv.worker()
-	}
+	srv.finished = startWorkers(workers, srv, srv.stop)
 	mp.llmSrv = srv
 	return srv
 }
@@ -167,7 +171,7 @@ func (mp *MultiPlatform) Engine() *llm.Engine { return mp.llmServer().eng }
 func (srv *llmServer) shutdown() {
 	srv.eng.Close()
 	close(srv.stop)
-	srv.wg.Wait()
+	<-srv.finished
 }
 
 func (srv *llmServer) allocSlot(tenant int) (int, error) {
@@ -196,7 +200,7 @@ func (srv *llmServer) probeFault(point string) bool {
 
 // SetLLMFaultHook installs the deterministic fault probe on the
 // inference dispatcher (see fault.Injector.SchedFault); nil clears it.
-// Probed at every step dispatch: SchedPointDequeue firing requeues the
+// Probed at every step claim: SchedPointDequeue firing requeues the
 // step (mid-queue stall), SchedPointCancel firing aborts the stream at
 // the claim boundary.
 func (mp *MultiPlatform) SetLLMFaultHook(fn func(point string) bool) {
@@ -207,47 +211,52 @@ func (mp *MultiPlatform) SetLLMFaultHook(fn func(point string) bool) {
 	mp.llmFault.Store(&fn)
 }
 
-// worker is the dispatch loop: pull a step, run it on the owning
-// session, re-arm or retire.
-func (srv *llmServer) worker() {
-	defer srv.wg.Done()
+// The llmServer as a workSource: a unit is an engine step, whose flow —
+// the session — stays busy until the step is settled with the engine.
+//
+// next fails a step that has no session behind it before a fault probe
+// can see it, so every unit the loop handles is owned.
+func (srv *llmServer) next(stop <-chan struct{}) (*llm.Step, bool) {
 	for {
-		st, ok := srv.eng.Next(srv.stop)
+		st, ok := srv.eng.Next(stop)
 		if !ok {
-			return
+			return nil, false
 		}
-		sess, _ := st.S.Owner.(*InferenceSession)
-		if sess == nil {
-			srv.eng.Fail(st)
-			continue
+		if sess, _ := st.S.Owner.(*InferenceSession); sess != nil {
+			return st, true
 		}
-		if srv.probeFault(fault.SchedPointDequeue) {
-			srv.eng.Requeue(st)
-			continue
-		}
-		if srv.probeFault(fault.SchedPointCancel) {
-			sess.abort(fmt.Errorf("%w: %w", ErrStreamAborted, ctxErr(context.Canceled)))
-			srv.eng.Fail(st)
-			continue
-		}
-		if err := sess.sctx.Err(); err != nil {
-			sess.abort(fmt.Errorf("%w: %w", ErrStreamAborted, ctxErr(err)))
-			srv.eng.Fail(st)
-			continue
-		}
-		if sess.closed.Load() {
-			srv.eng.Fail(st)
-			continue
-		}
-		if err := sess.runStep(st); err != nil {
-			sess.abort(fmt.Errorf("%w: %w", ErrStreamAborted, err))
-			srv.eng.Fail(st)
-			continue
-		}
-		srv.mp.llmMet.steps[st.Kind].Inc()
-		if !srv.eng.Complete(st) {
-			sess.finish()
-		}
+		srv.eng.Fail(st)
+	}
+}
+
+func (srv *llmServer) stall(st *llm.Step) { srv.eng.Requeue(st) }
+
+func (srv *llmServer) cancelAtClaim(st *llm.Step) { srv.fail(st, ctxErr(context.Canceled)) }
+
+// fail aborts the step's stream with cause and retires its session.
+func (srv *llmServer) fail(st *llm.Step, cause error) {
+	st.S.Owner.(*InferenceSession).abort(fmt.Errorf("%w: %w", ErrStreamAborted, cause))
+	srv.eng.Fail(st)
+}
+
+// run executes one step on the owning session, then re-arms or retires it.
+func (srv *llmServer) run(st *llm.Step) {
+	sess := st.S.Owner.(*InferenceSession)
+	if err := sess.sctx.Err(); err != nil {
+		srv.fail(st, ctxErr(err))
+		return
+	}
+	if sess.closed.Load() {
+		srv.eng.Fail(st)
+		return
+	}
+	if err := sess.runStep(st); err != nil {
+		srv.fail(st, err)
+		return
+	}
+	srv.mp.llmMet.steps[st.Kind].Inc()
+	if !srv.eng.Complete(st) {
+		sess.finish()
 	}
 }
 
@@ -339,14 +348,11 @@ func (t *Tenant) OpenSession(ctx context.Context, cfg llm.Config) (*InferenceSes
 	sess := &InferenceSession{
 		t: t, srv: srv, cfg: cfg, state: state, sctx: ctx,
 		devSlot: slot, devBase: llmSessBase + uint64(slot)*llmSlotSpan,
-		kvBytes:     kvBytes,
-		ch:          make(chan DecodeChunk, cfg.Chunks()+1),
-		prefillDone: make(chan struct{}),
+		sessionNames: srv.names[t.Index][slot],
+		kvBytes:      kvBytes,
+		ch:           make(chan DecodeChunk, cfg.Chunks()+1),
+		prefillDone:  make(chan struct{}),
 	}
-	name := func(kind string) string {
-		return fmt.Sprintf("llm-%s/t%d/s%d", kind, t.Index, slot)
-	}
-	sess.kvName, sess.idsName, sess.outName = name("kv"), name("ids"), name("chunk")
 	state.Owner = sess
 	return sess, nil
 }
@@ -403,7 +409,8 @@ func (s *InferenceSession) Decode(ctx context.Context) (<-chan DecodeChunk, erro
 	if s.closed.Load() {
 		return nil, fmt.Errorf("ccai: tenant %d: %w", s.t.Index, ErrSessionClosed)
 	}
-	if ctx != nil {
+	// A ctx that cannot be cancelled gets no hook (and has none to detach).
+	if ctx != nil && ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, ctxErr(err)
 		}

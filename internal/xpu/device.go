@@ -190,8 +190,11 @@ type Device struct {
 
 	faultHook FaultHook
 
-	// Execution log for tests and the environment guard.
-	executed   []Command
+	// Execution log for tests and the environment guard: the last
+	// executedLogCap commands, a ring written at nExecuted%executedLogCap
+	// — bounded, because a device lives as long as its chassis.
+	executed   [executedLogCap]Command
+	nExecuted  uint64
 	faults     int
 	coldBoots  int
 	envResets  int
@@ -376,11 +379,20 @@ func (d *Device) MSIDropped() int {
 // only while the device is quiescent.
 func (d *Device) DevMem() []byte { return d.devMem }
 
-// Executed reports commands completed since the last reset.
+// executedLogCap bounds the execution log.
+const executedLogCap = 64
+
+// Executed reports the commands completed since the last reset, oldest
+// first — the last executedLogCap of them once there were more.
 func (d *Device) Executed() []Command {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]Command(nil), d.executed...)
+	n := min(d.nExecuted, executedLogCap)
+	out := make([]Command, 0, n)
+	for i := d.nExecuted - n; i < d.nExecuted; i++ {
+		out = append(out, d.executed[i%executedLogCap])
+	}
+	return out
 }
 
 // ColdBoots reports how many cold resets the device performed.
@@ -509,7 +521,7 @@ func (d *Device) wipe() {
 		d.devMem[i] = 0
 	}
 	d.scratch = [64]byte{}
-	d.executed = nil
+	d.nExecuted = 0
 	d.regs[RegCmdHead] = 0
 	d.regs[RegCmdTail] = 0
 	d.regs[RegPageTable] = 0
@@ -717,7 +729,8 @@ func (d *Device) execute(cmd Command) bool {
 	default:
 		return false
 	}
-	d.executed = append(d.executed, cmd)
+	d.executed[d.nExecuted%executedLogCap] = cmd
+	d.nExecuted++
 	return true
 }
 

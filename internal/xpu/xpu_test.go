@@ -208,6 +208,25 @@ func TestMultipleCommandsAdvanceHead(t *testing.T) {
 	}
 }
 
+// TestExecutedLogBounded: the execution log keeps the last
+// executedLogCap commands, oldest first, however many the device ran.
+func TestExecutedLogBounded(t *testing.T) {
+	h := newHarness(t, A100)
+	const total = 3*executedLogCap + 7
+	for i := 0; i < total; i++ {
+		h.submit(t, Command{Op: OpNop, Param: uint32(i)})
+	}
+	got := h.dev.Executed()
+	if len(got) != executedLogCap {
+		t.Fatalf("log holds %d commands, want %d", len(got), executedLogCap)
+	}
+	for i, c := range got {
+		if want := uint32(total - executedLogCap + i); c.Param != want {
+			t.Fatalf("log[%d].Param = %d, want %d (oldest first)", i, c.Param, want)
+		}
+	}
+}
+
 func TestFaultOnBadCommand(t *testing.T) {
 	h := newHarness(t, A100)
 	h.submit(t, Command{Op: 0xff})

@@ -487,3 +487,35 @@ func TestLLMCloseReleasesDeterministically(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnerlessStepFailsUnprobed: a step with no session behind it is
+// failed before the workers' fault probes can see it, so it consumes no
+// count of a deterministic fault schedule and cannot be stalled back
+// into the queue.
+func TestOwnerlessStepFailsUnprobed(t *testing.T) {
+	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
+	var probes atomic.Int32
+	mp.SetLLMFaultHook(func(string) bool {
+		probes.Add(1)
+		return true
+	})
+	eng := mp.Engine()
+	s, err := eng.Admit(llm.Config{MaxNewTokens: 8, ChunkTokens: 4, MaxPromptTokens: 16}, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Release(s)
+	if err := eng.Start(s); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !errors.Is(eng.Start(s), llm.ErrSessionDone) {
+		if time.Now().After(deadline) {
+			t.Fatal("the ownerless step was never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := probes.Load(); n != 0 {
+		t.Fatalf("the ownerless step was probed %d times", n)
+	}
+}

@@ -221,7 +221,12 @@ func TestObservedAllocParity(t *testing.T) {
 		if d := mp.Obs.T().Dropped(); d != 0 {
 			t.Fatalf("dropped %d spans: the measured span must fit the buffer", d)
 		}
-		return (m1 - m0) / sessions
+		// To the nearest object, not the floor: the total sits three
+		// objects over a multiple of sessions, and the runtime adds one of
+		// its own now and then (a type-assertion cache rebuilt, a timer heap
+		// or sudog cache grown) on either side — which a floor at the edge
+		// of its bucket reads as a difference of one a session.
+		return (m1 - m0 + sessions/2) / sessions
 	})
 }
 

@@ -9,17 +9,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ccai/internal/fault"
 	"ccai/internal/obsv"
 	"ccai/internal/sched"
 	"ccai/internal/telemetry"
 )
 
 // This file is the v2 serving frontend: a long-lived, admission-
-// controlled scheduler over a MultiPlatform. Where RunTasks is a batch
-// barrier (submit everything, wait for everything), the Scheduler is
-// what the paper's §9 deployment actually needs — an always-on engine
-// that admits requests one at a time under sustained load:
+// controlled scheduler over a MultiPlatform — what the paper's §9
+// deployment needs: an always-on engine that admits requests one at a
+// time under sustained load:
 //
 //   - Bounded per-tenant ingress queues with fail-fast backpressure:
 //     Submit returns ErrQueueFull instead of buffering unboundedly.
@@ -33,7 +31,9 @@ import (
 //   - Graceful Drain (stop admission, finish everything) and Shutdown
 //     (stop admission, cancel the queue, finish what is in flight).
 //
-// RunTasks is now a thin synchronous wrapper over this engine.
+// Its Slots execution slots are resident workers (startWorkers,
+// serving.go): goroutines that live as long as the scheduler and pull
+// from the fair queue themselves.
 
 // SchedulerConfig parameterizes a Scheduler. The zero value serves:
 // 32-deep queues, equal weights, one execution slot per tenant.
@@ -64,8 +64,8 @@ const (
 type Handle struct {
 	// Tenant is the request's tenant index.
 	Tenant int
-	// Index is the request's position in its originating RunTasks batch,
-	// or -1 for requests submitted directly through Submit.
+	// Index is -1: a request submitted through Submit has no batch
+	// position (a caller that batches keeps its own).
 	Index int
 
 	done chan struct{}
@@ -116,10 +116,10 @@ type request struct {
 	enq   time.Time
 	qspan obsv.ActiveSpan
 
-	// stop detaches the queued-cancellation hook from ctx. It is set
-	// after Push has made the request visible, so it and finished (set
-	// by finish) share a lock: whichever of submit and finish comes
-	// second runs it.
+	// stop detaches the queued-cancellation hook from ctx (nil for a ctx
+	// that cannot be cancelled: there is no hook). It is set after Push
+	// has made the request visible, so it and finished (set by finish)
+	// share a lock: whichever of submit and finish comes second runs it.
 	stopMu   sync.Mutex
 	stop     func() bool
 	finished bool
@@ -186,17 +186,15 @@ func newSchedObs(reg *obsv.Registry, tenants int) schedObs {
 // Construct with MultiPlatform.NewScheduler; all methods are safe for
 // concurrent use.
 type Scheduler struct {
-	mp    *MultiPlatform
-	q     *sched.Fair
-	obs   *obsv.Hub
-	met   schedObs
-	slots chan struct{}
+	mp  *MultiPlatform
+	q   *sched.Fair
+	obs *obsv.Hub
+	met schedObs
 
 	mu       sync.Mutex
 	state    int32
-	inflight sync.WaitGroup
-	stop     chan struct{} // closed by Shutdown to abort the dispatcher
-	finished chan struct{} // closed when the dispatcher and all in-flight work end
+	stop     chan struct{}   // closed by Shutdown to release parked workers
+	finished <-chan struct{} // closed when the last worker has returned
 
 	faultHook atomic.Pointer[func(point string) bool]
 	// execGate, when set (tests only, before first Submit), runs at the
@@ -205,8 +203,8 @@ type Scheduler struct {
 	execGate func(tenant int)
 }
 
-// NewScheduler starts a serving scheduler over the chassis. The
-// dispatcher goroutine runs until Drain or Shutdown completes.
+// NewScheduler starts a serving scheduler over the chassis. Its Slots
+// workers run until Drain or Shutdown completes.
 func (mp *MultiPlatform) NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	n := len(mp.Tenants)
 	if n == 0 {
@@ -226,20 +224,18 @@ func (mp *MultiPlatform) NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{
-		mp:       mp,
-		q:        q,
-		obs:      mp.Obs,
-		met:      newSchedObs(mp.Obs.Reg(), n),
-		slots:    make(chan struct{}, slots),
-		stop:     make(chan struct{}),
-		finished: make(chan struct{}),
+		mp:   mp,
+		q:    q,
+		obs:  mp.Obs,
+		met:  newSchedObs(mp.Obs.Reg(), n),
+		stop: make(chan struct{}),
 	}
-	go s.dispatch()
+	s.finished = startWorkers(slots, s, s.stop)
 	return s, nil
 }
 
 // SetFaultHook installs the deterministic fault probe (see
-// fault.Injector.SchedFault); nil clears it. Probed at every dispatch:
+// fault.Injector.SchedFault); nil clears it. Probed at every claim:
 // SchedPointDequeue firing requeues the request (mid-queue stall),
 // SchedPointCancel firing cancels it at the claim boundary.
 func (s *Scheduler) SetFaultHook(fn func(point string) bool) {
@@ -266,12 +262,6 @@ func tenantLabel(i int) string { return strconv.Itoa(i) }
 // is cancelled; errors.Is(err, context.Canceled) and
 // errors.Is(err, ErrDeadlineExceeded) identify cancellations.
 func (s *Scheduler) Submit(ctx context.Context, tt TenantTask) (*Handle, error) {
-	return s.submit(ctx, tt, -1)
-}
-
-// submit is Submit with a batch index stamped on the handle — RunTasks
-// uses it so Wait's TenantResult answers the original slice position.
-func (s *Scheduler) submit(ctx context.Context, tt TenantTask, idx int) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -298,10 +288,10 @@ func (s *Scheduler) submit(ctx context.Context, tt TenantTask, idx int) (*Handle
 	tr := s.obs.T()
 	met := &s.met.tenants[tt.Tenant]
 	sp := tr.Start(siteAdmit, keyTenant.Str(met.label), keyBytes.I64(int64(len(tt.Task.Input))))
-	h := &Handle{Tenant: tt.Tenant, Index: idx, done: make(chan struct{})}
+	h := &Handle{Tenant: tt.Tenant, Index: -1, done: make(chan struct{})}
 	r := &request{ctx: ctx, task: tt.Task, h: h, enq: time.Now()}
 	// The queue_wait span opens before Push: once the entry is visible
-	// to the dispatcher, no field of r may be written again.
+	// to the workers, no field of r may be written again.
 	r.qspan = tr.Start(siteQueueWait, keyTenant.Str(met.label))
 	e, err := s.q.Push(tt.Tenant, int64(len(tt.Task.Input)), r)
 	sp.End()
@@ -318,6 +308,9 @@ func (s *Scheduler) submit(ctx context.Context, tt TenantTask, idx int) (*Handle
 	met.admitted.Inc()
 	met.depth.Set(int64(s.q.Len(tt.Tenant)))
 
+	if ctx.Done() == nil {
+		return h, nil // nothing can cancel it: no hook to arm or detach
+	}
 	// Cancellation while queued: win the claim race and the request
 	// completes here, never having occupied a pipeline slot.
 	stop := context.AfterFunc(ctx, func() {
@@ -372,60 +365,36 @@ func (s *Scheduler) finish(r *request, out []byte, err error) {
 	})
 }
 
-// dispatch is the scheduler loop: acquire a slot, let the fair queue
-// pick the next request at that instant, execute. It exits when the
-// queue is closed and drained (Drain) or stop is signalled (Shutdown),
-// then waits out in-flight work.
-func (s *Scheduler) dispatch() {
-	defer func() {
-		s.inflight.Wait()
-		close(s.finished)
-	}()
-	for {
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.stop:
-			return
-		}
-		e, ok := s.q.Next(s.stop)
-		if !ok {
-			<-s.slots
-			return
-		}
-		if s.probeFault(fault.SchedPointDequeue) {
-			// Mid-queue stall: the claim is abandoned, the request goes
-			// back to the head of its tenant's queue with its fair-share
-			// deficit refunded, and dispatch retries.
-			s.met.faultStall.Inc()
-			s.q.Requeue(e)
-			s.q.Release(e.Flow)
-			<-s.slots
-			continue
-		}
-		r := e.Value.(*request)
-		if s.probeFault(fault.SchedPointCancel) {
-			// Cancellation landing at the exact claim boundary: settle it
-			// as a queue-side cancellation — the slot is returned unused.
-			s.met.faultCancelRace.Inc()
-			r.qspan.End()
-			s.met.canceledClaim.Inc()
-			s.finish(r, nil, ctxErr(context.Canceled))
-			s.q.Release(e.Flow)
-			<-s.slots
-			continue
-		}
-		s.inflight.Add(1)
-		go s.execute(r, e.Flow)
-	}
+// The scheduler as a workSource: a unit is a claimed queue entry, whose
+// flow — the tenant — stays busy until the worker releases it, so the
+// fair queue picks at the instant a worker frees up and a tenant never
+// holds more than one of them. Workers leave when the queue is closed
+// and drained (Drain) or stop is signalled (Shutdown).
+func (s *Scheduler) next(stop <-chan struct{}) (*sched.Entry, bool) { return s.q.Next(stop) }
+
+// stall is the mid-queue stall: the request goes back to the head of its
+// tenant's queue with its fair-share deficit refunded.
+func (s *Scheduler) stall(e *sched.Entry) {
+	s.met.faultStall.Inc()
+	s.q.Requeue(e)
+	s.q.Release(e.Flow)
 }
 
-// execute runs one dispatched request in its slot.
-func (s *Scheduler) execute(r *request, flow int) {
-	defer func() {
-		s.q.Release(flow)
-		<-s.slots
-		s.inflight.Done()
-	}()
+// cancelAtClaim settles a cancellation landing at the exact claim
+// boundary as a queue-side one — the worker goes back for other work.
+func (s *Scheduler) cancelAtClaim(e *sched.Entry) {
+	r := e.Value.(*request)
+	s.met.faultCancelRace.Inc()
+	r.qspan.End()
+	s.met.canceledClaim.Inc()
+	s.finish(r, nil, ctxErr(context.Canceled))
+	s.q.Release(e.Flow)
+}
+
+// run executes one claimed request on the calling worker.
+func (s *Scheduler) run(e *sched.Entry) {
+	defer s.q.Release(e.Flow)
+	r := e.Value.(*request)
 	met := &s.met.tenants[r.h.Tenant]
 	wait := time.Since(r.enq)
 	r.h.wait.Store(int64(wait))
@@ -488,7 +457,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 
 // Shutdown stops admission, cancels everything still queued (their
 // handles complete with ErrSchedulerClosed), waits for in-flight
-// requests to drain, and stops the dispatcher — bounded by ctx.
+// requests to drain, and stops the workers — bounded by ctx.
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,9 +1,11 @@
 package ccai
 
 import (
-	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"ccai/internal/fault"
 )
 
 // This file is the multi-tenant serving engine: the concurrency layer
@@ -24,8 +26,7 @@ type TenantTask struct {
 
 // TenantResult is the outcome of one TenantTask.
 type TenantResult struct {
-	// Tenant and Index identify the request: Index is the position of
-	// the originating TenantTask in the RunTasks input slice.
+	// Tenant and Index identify the request (Index as Handle.Index).
 	Tenant int
 	Index  int
 	// Output is the task's result bytes when Err is nil.
@@ -35,50 +36,60 @@ type TenantResult struct {
 	Err error
 }
 
-// RunTasks executes a mixed batch of tenant tasks concurrently. Since
-// the v2 API it is a thin synchronous wrapper over the Scheduler: the
-// whole batch is admitted up front (queues sized to fit, so admission
-// never rejects), dispatched under weighted-fair scheduling with one
-// execution slot per tenant, and collected. Per-tenant submission
-// order is preserved (a tenant's pipeline is inherently serial — one
-// command ring, one stream counter sequence). Results come back
-// indexed by input position, so results[i] always answers tasks[i].
-//
-// Tasks addressed to an out-of-range tenant fail with ErrNoTenant in
-// their result slot; everything else still runs. Callers that need
-// backpressure, cancellation, or deadlines should use the Scheduler
-// directly.
-func (mp *MultiPlatform) RunTasks(tasks []TenantTask) []TenantResult {
-	results := make([]TenantResult, len(tasks))
-	for i, tt := range tasks {
-		results[i] = TenantResult{Tenant: tt.Tenant, Index: i}
+// workSource is what a resident serving worker pulls from: the blob
+// Scheduler (a unit is a claimed queue entry) and the llmServer (a unit
+// is an engine step) both serve through it. A unit handed out by next
+// has its flow marked busy; each of stall, cancelAtClaim and run settles
+// the unit and releases the flow.
+type workSource[W any] interface {
+	// next blocks for the next dispatchable unit; false means there
+	// will never be another (closed and drained, or stop fired).
+	next(stop <-chan struct{}) (W, bool)
+	// probeFault consults the deterministic fault hook.
+	probeFault(point string) bool
+	// stall undoes the claim: the unit goes back to the head of its flow
+	// (a mid-queue stall).
+	stall(W)
+	// cancelAtClaim settles the unit as cancelled at the claim boundary,
+	// never having run.
+	cancelAtClaim(W)
+	// run executes the unit.
+	run(W)
+}
+
+// startWorkers starts n resident workers over src and returns a channel
+// closed when the last of them has returned. A worker lives until next
+// reports false, so a unit of work never pays for a goroutine, for the
+// regrowth of its stack down the protected datapath, or for a hand-off
+// from a dispatcher: whichever worker frees up asks the fair queue
+// itself, at that instant.
+func startWorkers[W any](n int, src workSource[W], stop <-chan struct{}) <-chan struct{} {
+	done := make(chan struct{})
+	var live atomic.Int32
+	live.Store(int32(n))
+	for i := 0; i < n; i++ {
+		go func() {
+			defer func() {
+				if live.Add(-1) == 0 {
+					close(done)
+				}
+			}()
+			for {
+				w, ok := src.next(stop)
+				switch {
+				case !ok:
+					return
+				case src.probeFault(fault.SchedPointDequeue):
+					src.stall(w)
+				case src.probeFault(fault.SchedPointCancel):
+					src.cancelAtClaim(w)
+				default:
+					src.run(w)
+				}
+			}
+		}()
 	}
-	if len(tasks) == 0 {
-		return results
-	}
-	s, err := mp.NewScheduler(SchedulerConfig{QueueDepth: len(tasks)})
-	if err != nil {
-		for i := range results {
-			results[i].Err = err
-		}
-		return results
-	}
-	handles := make([]*Handle, len(tasks))
-	for i, tt := range tasks {
-		h, err := s.submit(context.Background(), tt, i)
-		if err != nil {
-			results[i].Err = err
-			continue
-		}
-		handles[i] = h
-	}
-	for i, h := range handles {
-		if h != nil {
-			results[i], _ = h.Wait(context.Background())
-		}
-	}
-	_ = s.Shutdown(context.Background())
-	return results
+	return done
 }
 
 // EstablishTrustAll runs every tenant's trust establishment
