@@ -55,8 +55,8 @@ func batchScheduler(tb testing.TB, mp *MultiPlatform, depth int) *Scheduler {
 
 // runBatch is the batch barrier over a Scheduler (what the removed
 // MultiPlatform.RunTasks shim was): submit everything, wait for
-// everything. results[i] answers tasks[i] and carries Index i; a task
-// the scheduler rejects — an out-of-range tenant — fails in its own slot.
+// everything. results[i] answers tasks[i]; a task the scheduler rejects
+// — an out-of-range tenant — fails in its own slot.
 func runBatch(s *Scheduler, tasks []TenantTask) []TenantResult {
 	ctx := context.Background()
 	results := make([]TenantResult, len(tasks))
@@ -69,7 +69,6 @@ func runBatch(s *Scheduler, tasks []TenantTask) []TenantResult {
 		if h != nil {
 			results[i], _ = h.Wait(ctx)
 		}
-		results[i].Index = i
 	}
 	return results
 }
@@ -97,7 +96,7 @@ func TestConcurrentMultiTenantServing(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("task %d (tenant %d): %v", i, res.Tenant, res.Err)
 		}
-		if res.Index != i || res.Tenant != tasks[i].Tenant {
+		if res.Tenant != tasks[i].Tenant {
 			t.Fatalf("result %d mislabelled: %+v", i, res)
 		}
 		in := tasks[i].Task.Input

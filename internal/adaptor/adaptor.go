@@ -194,7 +194,6 @@ func (a *Adaptor) HWInit() error {
 
 func (a *Adaptor) mmioWrite(off uint64, payload []byte) {
 	a.io.MMIOWrites++
-	a.obs.mmioWrites.Inc()
 	a.routeWrite(a.scBar+off, payload)
 }
 

@@ -46,24 +46,15 @@ var (
 	symRingHeadRegression = obsv.Intern("ring-head-regression")
 )
 
-// adaptorObs caches the Adaptor's observability handles. The zero value
-// (all-nil handles) is the uninstrumented state: every increment and
-// Begin/End call is nil-safe, so the hot path never branches on
-// enablement. Counters mirror RecoveryStats one-for-one so the fault
-// matrix's exactly-once assertions hold for the metrics too.
+// adaptorObs caches the Adaptor's observability handles: the tracer and
+// the counts kept only in the registry. The zero value (all-nil handles)
+// is the uninstrumented state: every increment and Begin/End call is
+// nil-safe, so the hot path never branches on enablement.
 type adaptorObs struct {
 	tracer *obsv.Tracer
 
-	mmioWrites, mmioReads *obsv.Counter
-	rekeys                *obsv.Counter
-
+	rekeys                                  *obsv.Counter
 	ringEntries, ringDoorbells, ringFlushes *obsv.Counter
-
-	timeouts, retries, recovered *obsv.Counter
-	staleSuppressed              *obsv.Counter
-	cryptoRetries                *obsv.Counter
-	reposts, resyncs             *obsv.Counter
-	exhausted, failClosed        *obsv.Counter
 }
 
 // regionName renders a caller-supplied region name as a span
@@ -78,8 +69,9 @@ func (o *adaptorObs) regionName(name string) obsv.Field {
 }
 
 // SetObserver instruments the Adaptor and its active stream replicas;
-// streams activated later (HWInit) inherit the hub. A nil hub clears
-// everything.
+// streams activated later (HWInit) inherit the hub. The hub's registry
+// reads the counts IO and Recovery return. A nil hub stops the tracing
+// and the registry-only counts; a registry keeps its reads.
 func (a *Adaptor) SetObserver(h *obsv.Hub) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -94,27 +86,23 @@ func (a *Adaptor) SetObserver(h *obsv.Hub) {
 	if a.config != nil {
 		a.config.SetObserver(h, track, core.StreamConfig)
 	}
-	if h == nil {
-		a.obs = adaptorObs{}
-		return
-	}
 	reg := h.Reg()
 	a.obs = adaptorObs{
-		tracer:          h.T(),
-		mmioWrites:      reg.Counter("adaptor.mmio.writes"),
-		mmioReads:       reg.Counter("adaptor.mmio.reads"),
-		rekeys:          reg.Counter("adaptor.rekeys"),
-		ringEntries:     reg.Counter("adaptor.ring.entries"),
-		ringDoorbells:   reg.Counter("adaptor.ring.doorbells"),
-		ringFlushes:     reg.Counter("adaptor.ring.flushes"),
-		timeouts:        reg.Counter("adaptor.recovery.timeouts"),
-		retries:         reg.Counter("adaptor.recovery.retries"),
-		recovered:       reg.Counter("adaptor.recovery.recovered"),
-		staleSuppressed: reg.Counter("adaptor.recovery.stale_suppressed"),
-		cryptoRetries:   reg.Counter("adaptor.recovery.crypto_retries"),
-		reposts:         reg.Counter("adaptor.recovery.reposts"),
-		resyncs:         reg.Counter("adaptor.recovery.resyncs"),
-		exhausted:       reg.Counter("adaptor.recovery.exhausted"),
-		failClosed:      reg.Counter("adaptor.recovery.fail_closed"),
+		tracer:        h.T(),
+		rekeys:        reg.Counter("adaptor.rekeys"),
+		ringEntries:   reg.Counter("adaptor.ring.entries"),
+		ringDoorbells: reg.Counter("adaptor.ring.doorbells"),
+		ringFlushes:   reg.Counter("adaptor.ring.flushes"),
 	}
+	reg.CounterFunc("adaptor.mmio.writes", func() uint64 { return a.IO().MMIOWrites })
+	reg.CounterFunc("adaptor.mmio.reads", func() uint64 { return a.IO().MMIOReads })
+	reg.CounterFunc("adaptor.recovery.timeouts", func() uint64 { return a.Recovery().Timeouts })
+	reg.CounterFunc("adaptor.recovery.retries", func() uint64 { return a.Recovery().Retries })
+	reg.CounterFunc("adaptor.recovery.recovered", func() uint64 { return a.Recovery().Recovered })
+	reg.CounterFunc("adaptor.recovery.stale_suppressed", func() uint64 { return a.Recovery().StaleSuppressed })
+	reg.CounterFunc("adaptor.recovery.crypto_retries", func() uint64 { return a.Recovery().CryptoRetries })
+	reg.CounterFunc("adaptor.recovery.reposts", func() uint64 { return a.Recovery().Reposts })
+	reg.CounterFunc("adaptor.recovery.resyncs", func() uint64 { return a.Recovery().Resyncs })
+	reg.CounterFunc("adaptor.recovery.exhausted", func() uint64 { return a.Recovery().Exhausted })
+	reg.CounterFunc("adaptor.recovery.fail_closed", func() uint64 { return a.Recovery().FailClosed })
 }

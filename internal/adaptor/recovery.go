@@ -106,7 +106,6 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 		tag := a.nextTag
 		a.nextTag++
 		a.io.MMIOReads++
-		a.obs.mmioReads.Inc()
 		cpl := a.bus.Route(pcie.NewMemRead(a.id, addr, 8, tag))
 		if cpl != nil && cpl.Tag != tag {
 			// A completion for a request we no longer have outstanding:
@@ -114,12 +113,10 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 			// caller another transaction's (possibly older) data, so it
 			// is suppressed and the attempt treated as timed out.
 			a.rec.StaleSuppressed++
-			a.obs.staleSuppressed.Inc()
 			a.obs.tracer.Mark(siteStaleSuppress, keyAddr.Hex(addr))
 			cpl = nil
 		} else if cpl == nil {
 			a.rec.Timeouts++
-			a.obs.timeouts.Inc()
 		}
 		if cpl != nil {
 			if cpl.Status != pcie.CplSuccess {
@@ -127,17 +124,14 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 			}
 			if attempt > 0 {
 				a.rec.Recovered++
-				a.obs.recovered.Inc()
 			}
 			return cpl, nil
 		}
 		if attempt >= a.policy.MaxRetries {
 			a.rec.Exhausted++
-			a.obs.exhausted.Inc()
 			return nil, fmt.Errorf("adaptor: read %#x: no completion after %d attempts", addr, attempt+1)
 		}
 		a.rec.Retries++
-		a.obs.retries.Inc()
 		a.obs.tracer.Mark(siteRetry, keyAddr.Hex(addr), keyAttempt.I64(int64(attempt+1)))
 		a.backoff(&delay)
 	}
@@ -158,17 +152,14 @@ func (a *Adaptor) retryTransient(op string, fn func() error) error {
 		if !errors.Is(err, secmem.ErrTransient) {
 			if err == nil && attempt > 0 {
 				a.rec.Recovered++
-				a.obs.recovered.Inc()
 			}
 			return err
 		}
 		if attempt >= a.policy.MaxRetries {
 			a.rec.Exhausted++
-			a.obs.exhausted.Inc()
 			return err
 		}
 		a.rec.CryptoRetries++
-		a.obs.cryptoRetries.Inc()
 		a.obs.tracer.Mark(siteCryptoRetry, keyOp.Str(obsv.Intern(op)))
 		a.backoff(&delay)
 	}
@@ -208,7 +199,6 @@ func (a *Adaptor) RepostTags(r *Region) {
 		return
 	}
 	a.rec.Reposts++
-	a.obs.reposts.Inc()
 	a.obs.tracer.Mark(siteRepostTags,
 		keyRegion.U64(uint64(r.Desc.ID)), keyRecords.I64(int64(len(r.Recs))))
 	var err error
@@ -240,7 +230,6 @@ func (a *Adaptor) ResyncMMIO() error {
 	seq := uint32(binary.LittleEndian.Uint64(cpl.Payload))
 	if seq != a.mmioSeq {
 		a.rec.Resyncs++
-		a.obs.resyncs.Inc()
 		a.obs.tracer.Mark(siteResyncMMIO, keySeq.U64(uint64(seq)))
 		a.mmioSeq = seq
 	}
@@ -275,7 +264,6 @@ func (a *Adaptor) FailClosed(reason string, detail ...obsv.Attr) {
 	}
 	a.rec.FailClosed++
 	a.rec.LastFailure = text
-	a.obs.failClosed.Inc()
 	a.obs.tracer.Instant(obsv.TrackAdaptor, "recovery.fail_closed",
 		append([]obsv.Attr{obsv.Str("reason", reason)}, detail...)...)
 	a.hub.Eventf(obsv.EvFailClosed, "", "reason=%s", text)

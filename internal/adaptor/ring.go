@@ -95,7 +95,6 @@ func (a *Adaptor) flushRingLocked() error {
 		if status, err := a.space.ReadUint64(r.buf.Base() + 8); err == nil && status != 0 {
 			a.rec.FailClosed++
 			a.rec.LastFailure = "submission ring desync"
-			a.obs.failClosed.Inc()
 			a.obs.tracer.Mark(siteFailClosed, keyReason.Str(symRingDesync))
 			a.hub.Eventf(obsv.EvFailClosed, "", "reason=ring-desync")
 			a.teardownLocked()
@@ -107,7 +106,6 @@ func (a *Adaptor) flushRingLocked() error {
 			r.lastHead = head
 			if attempt > 0 {
 				a.rec.Recovered++
-				a.obs.recovered.Inc()
 			}
 			return nil
 		}
@@ -123,18 +121,15 @@ func (a *Adaptor) flushRingLocked() error {
 			if implausible {
 				a.rec.FailClosed++
 				a.rec.LastFailure = "submission ring head regression"
-				a.obs.failClosed.Inc()
 				a.obs.tracer.Mark(siteFailClosed, keyReason.Str(symRingHeadRegression))
 				a.hub.Eventf(obsv.EvFailClosed, "", "reason=ring-head-regression")
 				a.teardownLocked()
 				return ErrRingDesync
 			}
 			a.rec.Exhausted++
-			a.obs.exhausted.Inc()
 			return fmt.Errorf("adaptor: ring flush: head %d never reached tail %d", head, r.tail)
 		}
 		a.rec.Retries++
-		a.obs.retries.Inc()
 		a.obs.tracer.Mark(siteRetry, keyOp.Str(symRingDoorbell), keyAttempt.I64(int64(attempt+1)))
 		a.backoff(&delay)
 	}

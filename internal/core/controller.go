@@ -43,6 +43,8 @@ const (
 type Stats struct {
 	Filter          FilterStats
 	DecryptedChunks uint64
+	// EncryptedChunks counts D2H chunks at their tag deposit, so a span
+	// whose seal fails part-way counts the chunks it had emitted.
 	EncryptedChunks uint64
 	VerifiedChunks  uint64
 	AuthFailures    uint64
@@ -194,48 +196,36 @@ type Controller struct {
 	// on the H2D read path). Stateless and safe without mu.
 	pool *secmem.Pool
 
+	// stats is the one cell of every count Stats reports; the metrics
+	// registry reads it (SetObserver).
 	stats Stats
 
-	// obs mirrors stats into the metrics registry and records spans.
-	// The zero value (all-nil handles) is the uninstrumented state, so
-	// increments and Begin/End calls never branch.
-	obs controllerObs
+	// tracer records the SC's spans; nil is the untraced state, and every
+	// Start/Mark on it is a nil check.
+	tracer *obsv.Tracer
 
 	// onTeardown lets the platform hook environment cleaning.
 	onTeardown func()
 }
 
-// controllerObs holds the controller's cached observability handles.
-type controllerObs struct {
-	tracer                  *obsv.Tracer
-	decrypted, encrypted    *obsv.Counter
-	verified, authFail      *obsv.Counter
-	cfgRejects, guardBlocks *obsv.Counter
-	teardowns, dupReads     *obsv.Counter
-}
-
 // SetObserver instruments the controller and its control panels
-// (filter, params manager, tag manager); a nil hub clears everything.
+// (filter, params manager, tag manager): the hub's registry reads the
+// counts Stats returns, and its tracer records spans. A nil hub stops
+// the tracing; a registry keeps its reads.
 func (c *Controller) SetObserver(h *obsv.Hub) {
 	c.filter.SetObserver(h)
 	c.params.SetObserver(h, obsv.TrackCrypto+"/sc")
 	c.tags.SetObserver(h)
-	if h == nil {
-		c.obs = controllerObs{}
-		return
-	}
+	c.tracer = h.T()
 	reg := h.Reg()
-	c.obs = controllerObs{
-		tracer:      h.T(),
-		decrypted:   reg.Counter("sc.decrypted_chunks"),
-		encrypted:   reg.Counter("sc.encrypted_chunks"),
-		verified:    reg.Counter("sc.verified_chunks"),
-		authFail:    reg.Counter("sc.auth_failures"),
-		cfgRejects:  reg.Counter("sc.config_rejects"),
-		guardBlocks: reg.Counter("sc.guard_blocks"),
-		teardowns:   reg.Counter("sc.teardowns"),
-		dupReads:    reg.Counter("sc.duplicate_reads"),
-	}
+	reg.CounterFunc("sc.decrypted_chunks", func() uint64 { return c.Stats().DecryptedChunks })
+	reg.CounterFunc("sc.encrypted_chunks", func() uint64 { return c.Stats().EncryptedChunks })
+	reg.CounterFunc("sc.verified_chunks", func() uint64 { return c.Stats().VerifiedChunks })
+	reg.CounterFunc("sc.auth_failures", func() uint64 { return c.Stats().AuthFailures })
+	reg.CounterFunc("sc.config_rejects", func() uint64 { return c.Stats().ConfigRejects })
+	reg.CounterFunc("sc.guard_blocks", func() uint64 { return c.Stats().GuardBlocks })
+	reg.CounterFunc("sc.teardowns", func() uint64 { return c.Stats().Teardowns })
+	reg.CounterFunc("sc.duplicate_reads", func() uint64 { return c.Stats().DuplicateReads })
 }
 
 // EnableDatapathRecycling arms the arena-recycling fast paths (see the
@@ -325,13 +315,12 @@ func chunkCount(desc Descriptor) int {
 	return int((desc.Len + cs - 1) / cs)
 }
 
-// authFailed counts one integrity failure in both stats and metrics.
-// It takes c.mu and must not be called with it held.
+// authFailed counts one integrity failure. It takes c.mu and must not
+// be called with it held.
 func (c *Controller) authFailed() {
 	c.mu.Lock()
 	c.stats.AuthFailures++
 	c.mu.Unlock()
-	c.obs.authFail.Inc()
 }
 
 // tagMatchEach wraps TagManager.TakeEach in a tag_match span: the
@@ -339,7 +328,7 @@ func (c *Controller) authFailed() {
 // queue in one operation.
 func (c *Controller) tagMatchEach(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
 	var sp obsv.ActiveSpan
-	if tr := c.obs.tracer; tr != nil {
+	if tr := c.tracer; tr != nil {
 		sp = tr.Start(siteTagMatch, keyStream.Str(streamSym(stream)),
 			keyChunk.U64(uint64(ctrs[0])), keyChunks.I64(int64(len(ctrs))))
 	}
@@ -561,7 +550,7 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
 		// Reads of guarded registers carry no payload to verify.
 		return c.forwardToDevice(p)
 	}
-	sp := c.obs.tracer.Start(siteGuardedMMIO,
+	sp := c.tracer.Start(siteGuardedMMIO,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(len(p.Payload))))
 	defer sp.End()
 	// The sequence check, MAC verify and counter advance form one
@@ -602,7 +591,6 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
 	c.mmioSeq++
 	c.stats.VerifiedChunks++
 	c.mu.Unlock()
-	c.obs.verified.Inc()
 
 	// Environment verification on guarded registers.
 	if len(p.Payload) >= 8 && p.Address >= c.xpuBar.Base {
@@ -612,7 +600,6 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
 			c.mu.Lock()
 			c.stats.GuardBlocks++
 			c.mu.Unlock()
-			c.obs.guardBlocks.Inc()
 			return c.reject(p)
 		}
 	}
@@ -1000,7 +987,6 @@ func (c *Controller) configReject(err error) {
 	c.stats.ConfigRejects++
 	c.status |= SCStatusConfigErr
 	c.mu.Unlock()
-	c.obs.cfgRejects.Inc()
 }
 
 // --- device-side traffic ------------------------------------------------------
@@ -1028,7 +1014,7 @@ func (c *Controller) InternalPort() pcie.Endpoint { return internalPort{c} }
 // misrouted, failed to seal — has its classify span recorded after the
 // fact, so every drop, reject and auth failure still shows one.
 func (c *Controller) HandleFromDevice(p *pcie.Packet) *pcie.Packet {
-	fold := c.obs.tracer != nil && p.Kind == pcie.MWr && c.regions.foldsWrite(p.Address)
+	fold := c.tracer != nil && p.Kind == pcie.MWr && c.regions.foldsWrite(p.Address)
 	verdict := c.filter.classify(p, !fold)
 	cpl, staged := c.dispatchFromDevice(p, verdict)
 	if fold && !staged {
@@ -1083,7 +1069,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 	if uint64(p.Length) > uint64(desc.ChunkSize) {
 		return c.decryptReadSpan(p, desc)
 	}
-	sp := c.obs.tracer.Start(siteDecryptRead,
+	sp := c.tracer.Start(siteDecryptRead,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	chunk, err := desc.ChunkOf(p.Address, p.Length)
@@ -1179,7 +1165,6 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 	c.verifiedFor(desc.ID, chunkCount(desc)).put(chunk, rec)
 	c.stats.DecryptedChunks++
 	c.mu.Unlock()
-	c.obs.decrypted.Inc()
 	return pt, true
 }
 
@@ -1192,7 +1177,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 // reposted table behind the watermark — drops to the per-chunk policy
 // in openChunk, which knows about duplicates and retransmits.
 func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Packet {
-	sp := c.obs.tracer.Start(siteDecryptReadSpan,
+	sp := c.tracer.Start(siteDecryptReadSpan,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	cs := uint64(desc.ChunkSize)
@@ -1295,7 +1280,6 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 			}
 			c.stats.DecryptedChunks += uint64(k)
 			c.mu.Unlock()
-			c.obs.decrypted.Add(uint64(k))
 			c.prefetchSpan(desc, p.Address+uint64(p.Length))
 			return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
 		}
@@ -1330,7 +1314,6 @@ func (c *Controller) duplicateRead() {
 	c.mu.Lock()
 	c.stats.DuplicateReads++
 	c.mu.Unlock()
-	c.obs.dupReads.Inc()
 }
 
 // MaxRunSlots bounds a verified run: the SC tracks which of a run's
@@ -1382,7 +1365,7 @@ type verifiedRun struct {
 // slot being read always wins over the copy (the driver's Kick re-MACs
 // what the device has not consumed). A fetch that fails spends nothing.
 func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
-	sp := c.obs.tracer.Start(siteVerifiedRead,
+	sp := c.tracer.Start(siteVerifiedRead,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	cs, off, length := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
@@ -1443,7 +1426,6 @@ func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet 
 	c.stats.VerifiedChunks += n
 	payload := c.serveRun(desc.ID, first, k, cs)
 	c.mu.Unlock()
-	c.obs.verified.Add(n)
 	c.releaseFetch(req, cpl, false) // command slots: public bytes, copied out
 	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, payload)
 }
@@ -1712,8 +1694,7 @@ func (c *Controller) Teardown() {
 		c.finishSpan(span, false)
 	}
 	c.dropSpanCache(^uint32(0))
-	c.obs.teardowns.Inc()
-	c.obs.tracer.Mark(siteTeardown)
+	c.tracer.Mark(siteTeardown)
 	c.params.DestroyAll()
 	c.regions.clear()
 	c.tags.Clear()

@@ -199,13 +199,11 @@ func (m *l1Memo) store(key uint32, v Verdict) {
 	m.entries[memoSlot(key)].Store(w)
 }
 
-// filterObs caches the per-action classification counters and the
-// tracer. Only header metadata (kind, action, rule ID, stage) is ever
-// recorded.
+// filterObs caches the tracer and the hub rogue-traffic events go to.
+// Only header metadata (kind, action, rule ID, stage) is ever recorded.
 type filterObs struct {
-	tracer                      *obsv.Tracer
-	hub                         *obsv.Hub
-	drop, protect, verify, pass *obsv.Counter
+	tracer *obsv.Tracer
+	hub    *obsv.Hub
 }
 
 // actionLabel renders an action as a metric-label token.
@@ -223,21 +221,24 @@ func actionLabel(a Action) string {
 	return "unknown"
 }
 
-// SetObserver instruments the filter; a nil hub clears instrumentation.
+// SetObserver instruments the filter: the hub's registry reads the
+// per-action counts Stats returns, as sc.filter.classified{action=…}.
+// A nil hub stops the tracing and the events; a registry keeps its
+// reads.
 func (f *Filter) SetObserver(h *obsv.Hub) {
 	if h == nil {
 		f.obs.Store(nil)
 		return
 	}
-	reg := h.Reg()
-	f.obs.Store(&filterObs{
-		tracer:  h.T(),
-		hub:     h,
-		drop:    reg.Counter(obsv.Name("sc.filter.classified", "action", actionLabel(ActionDrop))),
-		protect: reg.Counter(obsv.Name("sc.filter.classified", "action", actionLabel(ActionWriteReadProtect))),
-		verify:  reg.Counter(obsv.Name("sc.filter.classified", "action", actionLabel(ActionWriteProtect))),
-		pass:    reg.Counter(obsv.Name("sc.filter.classified", "action", actionLabel(ActionPassThrough))),
-	})
+	f.obs.Store(&filterObs{tracer: h.T(), hub: h})
+	for a, v := range map[Action]*atomic.Uint64{
+		ActionDrop:             &f.stats.dropped,
+		ActionWriteReadProtect: &f.stats.protected,
+		ActionWriteProtect:     &f.stats.verified,
+		ActionPassThrough:      &f.stats.passed,
+	} {
+		h.Reg().CounterFunc(obsv.Name("sc.filter.classified", "action", actionLabel(a)), v.Load)
+	}
 }
 
 // NewFilter returns an empty, fail-closed filter: with no rules
@@ -293,14 +294,6 @@ func (f *Filter) Stats() FilterStats {
 	}
 }
 
-// ResetStats zeroes counters between experiments.
-func (f *Filter) ResetStats() {
-	f.stats.dropped.Store(0)
-	f.stats.protected.Store(0)
-	f.stats.verified.Store(0)
-	f.stats.passed.Store(0)
-}
-
 // kindRequesterOnly reports whether the rule's match outcome depends
 // only on (kind, requester) — the memo key. Rules with any other masked
 // field (address, completer, TC) make a packet-class verdict
@@ -323,8 +316,8 @@ func (f *Filter) Classify(p *pcie.Packet) Verdict { return f.classify(p, true) }
 
 // classify is Classify with the packet's own classify span optional:
 // the controller passes span=false for a TLP it accounts in an
-// aggregate span instead (Controller.HandleFromDevice). Stats, the
-// per-action counters and the rogue event cover every packet either way.
+// aggregate span instead (Controller.HandleFromDevice). Stats and the
+// rogue event cover every packet either way.
 func (f *Filter) classify(p *pcie.Packet, span bool) Verdict {
 	s := f.state.Load()
 	o := f.obs.Load()
@@ -352,19 +345,9 @@ func (f *Filter) classify(p *pcie.Packet, span bool) Verdict {
 		f.stats.passed.Add(1)
 	}
 	if o != nil {
-		switch v.Action {
-		case ActionDrop:
-			o.drop.Inc()
-			if o.hub.EventsOn() {
-				o.hub.Eventf(obsv.EvRogue, "", "requester=%04x kind=%s rule=%d stage=%d",
-					uint16(p.Requester), p.Kind.String(), v.Rule, v.Stage)
-			}
-		case ActionWriteReadProtect:
-			o.protect.Inc()
-		case ActionWriteProtect:
-			o.verify.Inc()
-		case ActionPassThrough:
-			o.pass.Inc()
+		if v.Action == ActionDrop && o.hub.EventsOn() {
+			o.hub.Eventf(obsv.EvRogue, "", "requester=%04x kind=%s rule=%d stage=%d",
+				uint16(p.Requester), p.Kind.String(), v.Rule, v.Stage)
 		}
 		sp.Set(keyAction.Str(actionSym(v.Action)), keyRule.U64(uint64(v.Rule)), keyStage.I64(int64(v.Stage)))
 		sp.End()

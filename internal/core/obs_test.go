@@ -75,6 +75,28 @@ func TestWriteSpanFoldsItsTLPSpans(t *testing.T) {
 	}
 }
 
+// TestSetObserverNilKeepsReads: the registry reads the SC's own counts,
+// which run from when the SC was built, not from SetObserver; and
+// SetObserver(nil) stops the tracing while the registry keeps its reads.
+func TestSetObserverNilKeepsReads(t *testing.T) {
+	d := newDPRig(t)
+	rogue := pcie.MakeID(7, 7, 0)
+	drop := func() { d.sc.HandleFromDevice(pcie.NewMemWrite(rogue, ctlMem+0x4000, make([]byte, 8))) }
+	drop() // before any hub
+	hub := obsv.NewHub()
+	d.sc.SetObserver(hub)
+	drop()
+	d.sc.SetObserver(nil)
+	drop()
+	name := obsv.Name("sc.filter.classified", "action", "A1_drop")
+	if got, st := hub.Reg().Snapshot().Counters[name], d.sc.Stats().Filter.Dropped; got != 3 || st != 3 {
+		t.Fatalf("%s = %d, Stats().Filter.Dropped = %d, want 3 each", name, got, st)
+	}
+	if n := len(spansNamed(hub, "classify")); n != 1 {
+		t.Fatalf("%d classify spans, want the one recorded while observed", n)
+	}
+}
+
 // TestFoldKeepsFailureSpans: a write into a live D2H region that does
 // not make it into a write span — dropped by the filter, off the chunk
 // grid — keeps a classify span of its own, with the verdict it got.

@@ -118,7 +118,6 @@ func (c *Controller) installCachedSpan(desc Descriptor, addr uint64, first uint3
 	old := c.pf.pt
 	c.pf = spanCache{valid: true, region: desc.ID, addr: addr, length: uint32(len(pt)), pt: pt}
 	c.mu.Unlock()
-	c.obs.decrypted.Add(k)
 	c.retireCachedPt(old)
 }
 
@@ -408,7 +407,7 @@ func (c *Controller) sealSpan(span *writeSpan) bool {
 		return true
 	}
 	k := len(span.pts)
-	if tr := c.obs.tracer; tr != nil {
+	if tr := c.tracer; tr != nil {
 		bytes := 0
 		for _, pt := range span.pts {
 			bytes += len(pt)
@@ -433,11 +432,7 @@ func (c *Controller) sealSpan(span *writeSpan) bool {
 		c.depositTags(span)
 	}
 	c.finishSpan(span, err == nil)
-	if err != nil {
-		return false
-	}
-	c.obs.encrypted.Add(uint64(k))
-	return true
+	return err == nil
 }
 
 // emitChunk is SealBatchStream's emit stage for this span's seal. The

@@ -54,7 +54,9 @@ type TagManager struct {
 	fault        func(rec TagRecord) bool
 	droppedFault uint64
 
-	obs tagObs
+	// enqueued is the one count kept only in the metrics registry (nil
+	// unobserved); the registry reads the others from the fields above.
+	enqueued *obsv.Counter
 }
 
 // tagEntry is one pending record in the arrival log. It names its
@@ -83,28 +85,18 @@ type tagRun struct {
 	pos      uint64
 }
 
-// tagObs mirrors the manager's counters into the metrics registry. The
-// zero value (all-nil handles) is the uninstrumented state.
-type tagObs struct {
-	enqueued, matched, missing, dropped, evicted *obsv.Counter
-}
-
-// SetObserver instruments the tag manager; a nil hub clears it.
+// SetObserver instruments the tag manager: the hub's registry reads the
+// counts Stats, DroppedByFault and Evicted return. A nil hub stops
+// sc.tags.enqueued; a registry keeps its reads.
 func (tm *TagManager) SetObserver(h *obsv.Hub) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if h == nil {
-		tm.obs = tagObs{}
-		return
-	}
 	reg := h.Reg()
-	tm.obs = tagObs{
-		enqueued: reg.Counter("sc.tags.enqueued"),
-		matched:  reg.Counter("sc.tags.matched"),
-		missing:  reg.Counter("sc.tags.missing"),
-		dropped:  reg.Counter("sc.tags.dropped_by_fault"),
-		evicted:  reg.Counter("sc.tags.evicted"),
-	}
+	tm.mu.Lock()
+	tm.enqueued = reg.Counter("sc.tags.enqueued")
+	tm.mu.Unlock()
+	reg.CounterFunc("sc.tags.matched", func() uint64 { m, _ := tm.Stats(); return m })
+	reg.CounterFunc("sc.tags.missing", func() uint64 { _, m := tm.Stats(); return m })
+	reg.CounterFunc("sc.tags.dropped_by_fault", tm.DroppedByFault)
+	reg.CounterFunc("sc.tags.evicted", tm.Evicted)
 }
 
 // NewTagManager returns an empty tag queue with the default cap.
@@ -159,7 +151,6 @@ func (tm *TagManager) Enqueue(recs ...TagRecord) {
 		rec := &recs[i]
 		if tm.fault != nil && tm.fault(*rec) {
 			tm.droppedFault++
-			tm.obs.dropped.Inc()
 			continue
 		}
 		if s == nil || s.name != rec.Stream {
@@ -173,7 +164,7 @@ func (tm *TagManager) Enqueue(recs ...TagRecord) {
 		stored++
 		tm.evictLocked()
 	}
-	tm.obs.enqueued.Add(stored)
+	tm.enqueued.Add(stored)
 }
 
 // HasSpan reports whether a record is pending for every chunk in
@@ -345,13 +336,11 @@ func (tm *TagManager) take(s *tagStream, c uint32) (TagRecord, bool) {
 	e := tm.find(s, c)
 	if e == nil {
 		tm.missing++
-		tm.obs.missing.Inc()
 		return TagRecord{}, false
 	}
 	rec := TagRecord{Stream: s.name, Chunk: e.chunk, Epoch: e.epoch, Tag: e.tag}
 	tm.kill(e)
 	tm.matched++
-	tm.obs.matched.Inc()
 	return rec, true
 }
 
@@ -370,7 +359,6 @@ func (tm *TagManager) evictLocked() {
 	for tm.live > tm.cap {
 		tm.kill(&tm.log[tm.head&uint64(len(tm.log)-1)])
 		tm.evicted++
-		tm.obs.evicted.Inc()
 	}
 }
 

@@ -212,16 +212,40 @@ type Engine struct {
 	nextID uint64
 	closed bool
 
-	// log is a ring of the last StepLogCap dispatch records: logHead is
-	// the oldest entry's index once the ring has wrapped.
-	log     []StepRecord
-	logHead int
-	admits  []uint64
+	// log and admits keep the last StepLogCap dispatch records and
+	// admitted session IDs.
+	log    ring[StepRecord]
+	admits ring[uint64]
 }
 
-// StepLogCap bounds the dispatch log: a serving chassis keeps the most
-// recent records, not one per token it ever produced.
+// StepLogCap bounds the dispatch log and the admission order: a serving
+// chassis keeps the most recent records, not one per token or session
+// it ever served.
 const StepLogCap = 4096
+
+// ring holds the last StepLogCap values added: head is the oldest
+// value's index once the ring has wrapped.
+type ring[T any] struct {
+	buf  []T
+	head int
+}
+
+// add appends v, overwriting the oldest value once StepLogCap are kept.
+func (r *ring[T]) add(v T) {
+	if len(r.buf) < StepLogCap {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % StepLogCap
+}
+
+// ordered copies the values out oldest first.
+func (r *ring[T]) ordered() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
+}
 
 // NewEngine builds an engine.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
@@ -293,7 +317,7 @@ func (e *Engine) Admit(cfg Config, promptTokens int, owner any) (*SessionState, 
 		ID: e.nextID, Cfg: cfg, PromptTokens: promptTokens,
 		KVBytes: kv, Owner: owner, slot: slot,
 	}
-	e.admits = append(e.admits, s.ID)
+	e.admits.add(s.ID)
 	return s, nil
 }
 
@@ -355,7 +379,7 @@ func (e *Engine) Next(stop <-chan struct{}) (*Step, bool) {
 		// step is settled), so the step lives in the session.
 		s.step = Step{S: s, Kind: kind, Chunk: s.nextChunk, entry: entry}
 		st := &s.step
-		e.logStep(StepRecord{Session: s.ID, Kind: kind, Chunk: st.Chunk})
+		e.log.add(StepRecord{Session: s.ID, Kind: kind, Chunk: st.Chunk})
 		e.mu.Unlock()
 		return st, true
 	}
@@ -406,15 +430,15 @@ func (e *Engine) Fail(st *Step) {
 // dispatch log reflects executed steps only.
 func (e *Engine) Requeue(st *Step) {
 	e.mu.Lock()
-	if n := len(e.log); n > 0 {
-		// The newest record sits just before logHead: at the end of the
+	if n := len(e.log.buf); n > 0 {
+		// The newest record sits just before head: at the end of the
 		// slice until the ring wraps, after which the log is put back in
 		// order first so that dropping it is again a truncation.
-		if last := e.log[(e.logHead+n-1)%n]; last.Session == st.S.ID && last.Chunk == st.Chunk {
-			if e.logHead != 0 {
-				e.log, e.logHead = e.orderedLog(), 0
+		if last := e.log.buf[(e.log.head+n-1)%n]; last.Session == st.S.ID && last.Chunk == st.Chunk {
+			if e.log.head != 0 {
+				e.log = ring[StepRecord]{buf: e.log.ordered()}
 			}
-			e.log = e.log[:n-1]
+			e.log.buf = e.log.buf[:n-1]
 		}
 	}
 	e.mu.Unlock()
@@ -452,36 +476,19 @@ func (e *Engine) Close() {
 	e.q.Close()
 }
 
-// logStep appends one dispatch record, overwriting the oldest once
-// StepLogCap are retained. Callers hold e.mu.
-func (e *Engine) logStep(r StepRecord) {
-	if len(e.log) < StepLogCap {
-		e.log = append(e.log, r)
-		return
-	}
-	e.log[e.logHead] = r
-	e.logHead = (e.logHead + 1) % StepLogCap
-}
-
 // StepLog returns a copy of the retained tail of the dispatch log —
 // the last StepLogCap executed dispatches (session ID, kind, chunk),
 // oldest first.
 func (e *Engine) StepLog() []StepRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.orderedLog()
+	return e.log.ordered()
 }
 
-// orderedLog copies the ring out oldest first. Callers hold e.mu.
-func (e *Engine) orderedLog() []StepRecord {
-	out := make([]StepRecord, 0, len(e.log))
-	out = append(out, e.log[e.logHead:]...)
-	return append(out, e.log[:e.logHead]...)
-}
-
-// AdmitOrder returns the session IDs in admission order.
+// AdmitOrder returns the IDs of the last StepLogCap sessions admitted,
+// oldest first.
 func (e *Engine) AdmitOrder() []uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]uint64(nil), e.admits...)
+	return e.admits.ordered()
 }

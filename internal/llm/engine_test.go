@@ -341,6 +341,36 @@ func TestStepLogIsBounded(t *testing.T) {
 	}
 }
 
+// TestAdmitOrderIsBounded admits and releases 10,000 sessions through
+// one engine: the admission order keeps the last StepLogCap session IDs,
+// oldest first, instead of growing for the life of the engine.
+func TestAdmitOrderIsBounded(t *testing.T) {
+	e, err := NewEngine(EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const sessions = 10000
+	var last uint64
+	for i := 0; i < sessions; i++ {
+		s, err := e.Admit(testCfg(4), 1, nil)
+		if err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+		e.Release(s)
+		last = s.ID
+	}
+	order := e.AdmitOrder()
+	if len(order) != StepLogCap {
+		t.Fatalf("%d admissions retained after %d, want %d", len(order), sessions, StepLogCap)
+	}
+	for i, id := range order {
+		if want := last - StepLogCap + 1 + uint64(i); id != want {
+			t.Fatalf("AdmitOrder()[%d] = %d, want %d", i, id, want)
+		}
+	}
+}
+
 // TestKVInitWordwiseMatchesByteStream pins the KV image's definition —
 // byte i is byte i%8 of mix64(digest + i/8) — against the word-at-a-time
 // fill, for lengths on and off a word boundary.

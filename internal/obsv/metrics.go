@@ -25,6 +25,7 @@ package obsv
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -177,9 +178,15 @@ func (h *Histogram) Sum() int64 {
 // for concurrent use; handles are cached by the instrumented component
 // so the hot path never touches the map. A nil *Registry hands out nil
 // handles, which is how "observability off" costs nothing.
+//
+// A count a component already keeps for its own accessor is not
+// mirrored into a *Counter: the component registers a read of it with
+// CounterFunc, so each count has one cell and the two views cannot
+// drift apart.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
+	funcs    map[string][]func() uint64
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
@@ -188,6 +195,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
+		funcs:    make(map[string][]func() uint64),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
@@ -227,6 +235,27 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// CounterFunc registers read as a source of the named counter: a
+// snapshot reports under name the sum of every read registered for it,
+// so the tenants of a shared hub add up exactly as they would on one
+// *Counter. Register a component once per registry; there is no
+// unregister (a component's SetObserver(nil) stops its tracing, not
+// its reads).
+//
+// The value runs from when the component was built, not from when it
+// was registered. Snapshot calls read after releasing the registry's
+// lock: a component may hold its own lock while it registers, and read
+// takes that lock. A snapshot therefore waits, briefly, for whatever
+// call holds the lock a read takes.
+func (r *Registry) CounterFunc(name string, read func() uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.funcs[name] = append(r.funcs[name], read)
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -331,14 +360,16 @@ type Snapshot struct {
 	Hists    []HistValue       `json:"histograms"`
 }
 
-// Snapshot captures every metric's current value.
+// Snapshot captures every metric's current value. Read functions
+// (CounterFunc) run after the registry's lock is released.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{Counters: make(map[string]uint64), Gauges: make(map[string]int64)}
 	if r == nil {
 		return snap
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	// CounterFunc only appends, so the copied slice headers stay valid.
+	reads := maps.Clone(r.funcs)
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Value()
 	}
@@ -364,6 +395,12 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 		snap.Hists = append(snap.Hists, hv)
+	}
+	r.mu.Unlock()
+	for name, fns := range reads {
+		for _, read := range fns {
+			snap.Counters[name] += read()
+		}
 	}
 	return snap
 }

@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ccai/internal/sim"
 )
@@ -29,6 +31,45 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	g.Add(-2)
 	if got := r.Gauge("x.depth").Value(); got != 3 {
 		t.Fatalf("gauge = %d, want 3", got)
+	}
+}
+
+// TestCounterFuncSums: a snapshot reports a name's registered reads
+// summed — the tenants of one hub add up as they would on one *Counter
+// — at their current values, and a registered name is present at zero.
+func TestCounterFuncSums(t *testing.T) {
+	r := NewRegistry()
+	var a, b atomic.Uint64
+	r.CounterFunc("x.ops", a.Load)
+	r.CounterFunc("x.ops", b.Load)
+	if got, ok := r.Snapshot().Counters["x.ops"]; !ok || got != 0 {
+		t.Fatalf("x.ops = %d (present %v), want 0", got, ok)
+	}
+	a.Add(2)
+	b.Add(5)
+	if got := r.Snapshot().Counters["x.ops"]; got != 7 {
+		t.Fatalf("x.ops = %d, want 7", got)
+	}
+}
+
+// TestCounterFuncReadsOutsideLock: Snapshot calls the reads after it
+// releases the registry's lock. A component registers while holding its
+// own lock (Adaptor.SetObserver holds a.mu) and its read takes that
+// lock, so a read under the registry's lock would invert the order. The
+// read here calls back into the registry; it deadlocks if Snapshot holds
+// the lock.
+func TestCounterFuncReadsOutsideLock(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("x.reads", func() uint64 { return r.Counter("x.ops").Value() + 1 })
+	done := make(chan uint64)
+	go func() { done <- r.Snapshot().Counters["x.reads"] }()
+	select {
+	case got := <-done:
+		if got != 1 {
+			t.Fatalf("x.reads = %d, want 1", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Snapshot deadlocked: it calls reads under the registry's lock")
 	}
 }
 
@@ -96,6 +137,7 @@ func TestNilSafety(t *testing.T) {
 	h.Reg().Counter("x").Add(3)
 	h.Reg().Gauge("y").Set(1)
 	h.Reg().Histogram("z", SizeBuckets()).Observe(1)
+	h.Reg().CounterFunc("w", func() uint64 { return 1 })
 	if h.Reg().Counter("x").Value() != 0 {
 		t.Fatal("nil counter reported a value")
 	}

@@ -212,32 +212,28 @@ type Device struct {
 	obs deviceObs
 }
 
-// deviceObs caches the device's observability handles; the zero value
-// is the uninstrumented state.
+// deviceObs caches the device's observability handles: the tracer and
+// the counts kept only in the registry. The zero value is the
+// uninstrumented state.
 type deviceObs struct {
-	tracer     *obsv.Tracer
-	doorbells  *obsv.Counter
-	hangs      *obsv.Counter
-	msiDropped *obsv.Counter
-	faults     *obsv.Counter
-	commands   *obsv.Counter
+	tracer    *obsv.Tracer
+	doorbells *obsv.Counter
+	commands  *obsv.Counter
 }
 
-// SetObserver instruments the device model; a nil hub clears it.
+// SetObserver instruments the device model: the hub's registry reads
+// the counts Hangs, MSIDropped and Faults return. A nil hub stops the
+// tracing and the registry-only counts; a registry keeps its reads.
 func (d *Device) SetObserver(h *obsv.Hub) {
-	if h == nil {
-		d.obs = deviceObs{}
-		return
-	}
 	reg := h.Reg()
 	d.obs = deviceObs{
-		tracer:     h.T(),
-		doorbells:  reg.Counter("xpu.doorbells"),
-		hangs:      reg.Counter("xpu.doorbell_hangs"),
-		msiDropped: reg.Counter("xpu.msi_dropped"),
-		faults:     reg.Counter("xpu.faults"),
-		commands:   reg.Counter("xpu.commands"),
+		tracer:    h.T(),
+		doorbells: reg.Counter("xpu.doorbells"),
+		commands:  reg.Counter("xpu.commands"),
 	}
+	reg.CounterFunc("xpu.doorbell_hangs", func() uint64 { return uint64(d.Hangs()) })
+	reg.CounterFunc("xpu.msi_dropped", func() uint64 { return uint64(d.MSIDropped()) })
+	reg.CounterFunc("xpu.faults", func() uint64 { return uint64(d.Faults()) })
 }
 
 // Span sites, attribute keys and opcode names of the device model,
@@ -471,7 +467,6 @@ func (d *Device) mmioWrite(p *pcie.Packet) {
 		d.obs.doorbells.Inc()
 		if d.faultHook != nil && d.faultHook(FaultDoorbell) {
 			d.hangs++ // command queue hang: ring swallowed, no progress
-			d.obs.hangs.Inc()
 			d.obs.tracer.Mark(siteDoorbellHang)
 			return
 		}
@@ -568,7 +563,6 @@ func (d *Device) pump() {
 
 func (d *Device) fault() {
 	d.faults++
-	d.obs.faults.Inc()
 	d.obs.tracer.Mark(siteDeviceFault)
 	d.regs[RegStatus] |= StatusFault
 	d.raiseInterrupt(IntFault)
@@ -589,7 +583,6 @@ func (d *Device) raiseInterrupt(cause uint64) {
 	}
 	if d.faultHook != nil && d.faultHook(FaultMSI) {
 		d.msiDropped++ // cause bit stays latched; polling still observes it
-		d.obs.msiDropped.Inc()
 		d.obs.tracer.Mark(siteMSIDropped)
 		return
 	}

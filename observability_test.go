@@ -138,22 +138,7 @@ func TestTimelineCoversPipeline(t *testing.T) {
 		}
 	}
 
-	// The metric mirrors must agree with the SC's own statistics.
 	c := p.MetricsSnapshot().Counters
-	st := p.SC.Stats()
-	for _, m := range []struct {
-		name string
-		want uint64
-	}{
-		{"sc.decrypted_chunks", st.DecryptedChunks},
-		{"sc.encrypted_chunks", st.EncryptedChunks},
-		{"sc.verified_chunks", st.VerifiedChunks},
-		{"sc.auth_failures", st.AuthFailures},
-	} {
-		if c[m.name] != m.want {
-			t.Fatalf("%s = %d, SC stats say %d", m.name, c[m.name], m.want)
-		}
-	}
 	if c["sc.decrypted_chunks"] == 0 || c["sc.encrypted_chunks"] == 0 {
 		t.Fatal("protected task decrypted/encrypted nothing; test vacuous")
 	}
@@ -192,35 +177,9 @@ func TestTimelineShowsFaultRecovery(t *testing.T) {
 	}
 }
 
-// assertRecoveryMirrors checks every adaptor.recovery.* counter against
-// the RecoveryStats struct the fault matrix already trusts.
-func assertRecoveryMirrors(t *testing.T, p *Platform) {
-	t.Helper()
-	c := p.MetricsSnapshot().Counters
-	rec := p.Adaptor.Recovery()
-	for _, m := range []struct {
-		name string
-		want uint64
-	}{
-		{"adaptor.recovery.timeouts", rec.Timeouts},
-		{"adaptor.recovery.retries", rec.Retries},
-		{"adaptor.recovery.recovered", rec.Recovered},
-		{"adaptor.recovery.stale_suppressed", rec.StaleSuppressed},
-		{"adaptor.recovery.crypto_retries", rec.CryptoRetries},
-		{"adaptor.recovery.reposts", rec.Reposts},
-		{"adaptor.recovery.resyncs", rec.Resyncs},
-		{"adaptor.recovery.exhausted", rec.Exhausted},
-		{"adaptor.recovery.fail_closed", rec.FailClosed},
-	} {
-		if c[m.name] != m.want {
-			t.Fatalf("%s = %d but RecoveryStats says %d", m.name, c[m.name], m.want)
-		}
-	}
-}
-
 // TestRecoveryRungMetricsExactlyOnce injects one fault per recovery
 // rung under a fixed matrix seed and asserts the rung's metric
-// increments exactly once — and mirrors RecoveryStats bit-for-bit.
+// increments exactly once.
 func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 	seed := matrixSeeds[0]
 	run := func(t *testing.T, p *Platform) {
@@ -250,7 +209,6 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 		if c["adaptor.recovery.fail_closed"] != 0 || c["adaptor.recovery.exhausted"] != 0 {
 			t.Fatal("recoverable fault must not exhaust or fail closed")
 		}
-		assertRecoveryMirrors(t, p)
 	})
 
 	t.Run("tag_repost", func(t *testing.T) {
@@ -266,7 +224,6 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 		if c["sc.tags.dropped_by_fault"] != 1 {
 			t.Fatalf("tags dropped = %d, want exactly 1", c["sc.tags.dropped_by_fault"])
 		}
-		assertRecoveryMirrors(t, p)
 	})
 
 	t.Run("stale_suppressed", func(t *testing.T) {
@@ -296,7 +253,6 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 		if c["adaptor.recovery.retries"] == 0 {
 			t.Fatal("stale completions must cost retries")
 		}
-		assertRecoveryMirrors(t, p)
 	})
 }
 
@@ -331,7 +287,77 @@ func TestFailClosedTeardownMetrics(t *testing.T) {
 			t.Fatalf("fail-closed timeline missing %q", want)
 		}
 	}
-	assertRecoveryMirrors(t, p)
+}
+
+// TestMetricsSumTenantAccessors: a chassis's tenants share one hub, so a
+// component count reads as the sum of the tenants' accessors — and
+// counts from when the components were built, so traffic before Observe
+// is in it too.
+func TestMetricsSumTenantAccessors(t *testing.T) {
+	mp := servingPlatform(t, 2)
+	if _, err := mp.Tenants[0].RunTask(schedTask(1, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	mp.Observe()
+	if _, err := mp.Tenants[1].RunTask(schedTask(2, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	var writes, decrypted uint64
+	for i, tn := range mp.Tenants {
+		w, d := tn.Adaptor.IO().MMIOWrites, tn.SC.Stats().DecryptedChunks
+		if w == 0 || d == 0 {
+			t.Fatalf("tenant %d: %d MMIO writes, %d decrypted chunks; test vacuous", i, w, d)
+		}
+		writes += w
+		decrypted += d
+	}
+	c := mp.MetricsSnapshot().Counters
+	if c["adaptor.mmio.writes"] != writes || c["sc.decrypted_chunks"] != decrypted {
+		t.Fatalf("adaptor.mmio.writes = %d, sc.decrypted_chunks = %d; tenants' accessors sum to %d, %d",
+			c["adaptor.mmio.writes"], c["sc.decrypted_chunks"], writes, decrypted)
+	}
+}
+
+// TestSnapshotDuringServing scrapes the registry in a loop while a
+// two-tenant Scheduler runs tasks. A snapshot takes each component's
+// lock briefly, so under -race it must neither race nor deadlock, and a
+// count it reads never goes backwards.
+func TestSnapshotDuringServing(t *testing.T) {
+	mp := servingPlatform(t, 2)
+	mp.Observe()
+	var tasks []TenantTask
+	for i := 0; i < 16; i++ {
+		tasks = append(tasks, TenantTask{Tenant: i % 2, Task: schedTask(byte(i+1), 1024)})
+	}
+	stop, scrapes := make(chan struct{}), make(chan int)
+	go func() {
+		var n int
+		var prev uint64
+		for {
+			select {
+			case <-stop:
+				scrapes <- n
+				return
+			default:
+			}
+			got := mp.MetricsSnapshot().Counters["sc.decrypted_chunks"]
+			if got < prev {
+				t.Errorf("sc.decrypted_chunks went back from %d to %d", prev, got)
+			}
+			prev, n = got, n+1
+		}
+	}()
+	results := runBatch(batchScheduler(t, mp, len(tasks)), tasks)
+	close(stop)
+	if n := <-scrapes; n == 0 {
+		t.Fatal("no scrape completed while serving")
+	}
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("task %d: %v", i, res.Err)
+		}
+		checkXOR(t, tasks[i].Task.Input, res.Output)
+	}
 }
 
 // TestObservabilityOffIsInert pins the zero-cost contract at the API

@@ -64,9 +64,6 @@ const (
 type Handle struct {
 	// Tenant is the request's tenant index.
 	Tenant int
-	// Index is -1: a request submitted through Submit has no batch
-	// position (a caller that batches keeps its own).
-	Index int
 
 	done chan struct{}
 	once sync.Once
@@ -97,10 +94,10 @@ func (h *Handle) Wait(ctx context.Context) (TenantResult, error) {
 	}
 	select {
 	case <-h.done:
-		return TenantResult{Tenant: h.Tenant, Index: h.Index, Output: h.out, Err: h.err}, h.err
+		return TenantResult{Tenant: h.Tenant, Output: h.out, Err: h.err}, h.err
 	case <-ctx.Done():
 		err := ctxErr(ctx.Err())
-		return TenantResult{Tenant: h.Tenant, Index: h.Index, Err: err}, err
+		return TenantResult{Tenant: h.Tenant, Err: err}, err
 	}
 }
 
@@ -288,7 +285,7 @@ func (s *Scheduler) Submit(ctx context.Context, tt TenantTask) (*Handle, error) 
 	tr := s.obs.T()
 	met := &s.met.tenants[tt.Tenant]
 	sp := tr.Start(siteAdmit, keyTenant.Str(met.label), keyBytes.I64(int64(len(tt.Task.Input))))
-	h := &Handle{Tenant: tt.Tenant, Index: -1, done: make(chan struct{})}
+	h := &Handle{Tenant: tt.Tenant, done: make(chan struct{})}
 	r := &request{ctx: ctx, task: tt.Task, h: h, enq: time.Now()}
 	// The queue_wait span opens before Push: once the entry is visible
 	// to the workers, no field of r may be written again.

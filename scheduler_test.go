@@ -295,6 +295,17 @@ func schedCellQueueFull(t *testing.T, mp *MultiPlatform, seed uint64) {
 // weights 1:3. Over the window where both stay backlogged, the heavy
 // tenant must get roughly 3× the dispatches and the light tenant must
 // never starve.
+//
+// The slot is parked on a plug request from tenant 1 before the flood
+// is queued, and the window starts at the first claim after it, so
+// every measured claim is made with both flows backlogged. Without the
+// plug the first claim could land while tenant 0 was alone — the worker
+// woke between the flood's first two Pushes — and sched.Fair lets a
+// flow claimed alone keep the rest of its top-up while it is busy with
+// an empty queue, then spend that credit first: 16:24 instead of 12:28,
+// and the weight check failed (ROADMAP item 1). The plug is that same
+// effect made fixed: tenant 1 keeps its credit, and the window reads
+// 8:32 on every run.
 func schedCellWeightedFairness(t *testing.T, mp *MultiPlatform, seed uint64) {
 	const per = 40
 	s := newTestScheduler(t, mp, SchedulerConfig{
@@ -302,6 +313,8 @@ func schedCellWeightedFairness(t *testing.T, mp *MultiPlatform, seed uint64) {
 	}, seed)
 	var mu sync.Mutex
 	var order []int
+	plugged := make(chan struct{})
+	plugOnce := sync.OnceFunc(func() { close(plugged) })
 	release := make(chan struct{})
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	t.Cleanup(releaseOnce)
@@ -309,11 +322,17 @@ func schedCellWeightedFairness(t *testing.T, mp *MultiPlatform, seed uint64) {
 		mu.Lock()
 		order = append(order, tenant)
 		mu.Unlock()
+		plugOnce()
 		<-release // holds the slot until the whole flood is queued
 	}
 
 	task := schedTask(7, 512)
-	var handles []*Handle
+	plug, err := s.Submit(context.Background(), TenantTask{Tenant: 1, Task: task})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-plugged // the plug holds the only slot
+	handles := []*Handle{plug}
 	for i := 0; i < per; i++ {
 		for tn := 0; tn < 2; tn++ {
 			h, err := s.Submit(context.Background(), TenantTask{Tenant: tn, Task: task})
@@ -333,7 +352,7 @@ func schedCellWeightedFairness(t *testing.T, mp *MultiPlatform, seed uint64) {
 	}
 
 	mu.Lock()
-	window := order[:per] // both tenants still backlogged here
+	window := order[1 : 1+per] // both tenants still backlogged here
 	mu.Unlock()
 	var counts [2]int
 	for _, tn := range window {

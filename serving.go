@@ -24,11 +24,12 @@ type TenantTask struct {
 	Task Task
 }
 
-// TenantResult is the outcome of one TenantTask.
+// TenantResult is the outcome of one TenantTask. It names the tenant,
+// not a position: a caller that batches requests keeps their order
+// itself.
 type TenantResult struct {
-	// Tenant and Index identify the request (Index as Handle.Index).
+	// Tenant is the request's tenant index.
 	Tenant int
-	Index  int
 	// Output is the task's result bytes when Err is nil.
 	Output []byte
 	// Err is the per-task failure, if any; one tenant's failure never
