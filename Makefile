@@ -29,13 +29,15 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # The deterministic allocation ceilings (64 KiB protected task, the
 # steady decode step — TestTaskAllocBudget/decode-step — and the D2H read
 # path) run as named tests so a breach points at the exact budget, not a
-# benchmark diff — the scheduled rows of TestTaskAllocBudget hold what a
+# benchmark diff, and at one proc and at two, since what a 64 KiB task or
+# collect allocates must not depend on GOMAXPROCS. The scheduled rows of
+# TestTaskAllocBudget hold what a
 # Scheduler round trip may add, by kind of context; beside them the A3
 # record key space, 33,000 tasks past the sequence numbers that once
 # aliased command-ring slots, and the scheduler's goroutine budget: at
 # most Slots of them however many requests, none left after Drain or
 # Shutdown.
-	$(GO) test -run 'TestTaskAllocBudget|TestReadAllocBudget|TestA3RecordKeySpace|TestSchedulerWorkersResident' ./ ./internal/adaptor/
+	$(GO) test -cpu 1,2 -run 'TestTaskAllocBudget|TestReadAllocBudget|TestA3RecordKeySpace|TestSchedulerWorkersResident' ./ ./internal/adaptor/
 # The price of observation, as named deterministic gates beside them:
 # exact spans per op, allocation parity observed/unobserved, the
 # symbol-table bound, the names benchmark/ and the soak scorecards read,
@@ -61,10 +63,12 @@ race:
 # × seeds) plus the shared-layer concurrency tests, run twice under the
 # race detector so scheduling varies between passes — and the weighted
 # fairness cell, a flake until ISSUE 25, twenty times; beside them a
-# metrics scrape racing a serving scheduler.
+# metrics scrape racing a serving scheduler, and the same scrape fifty
+# times at one proc, where its goroutine is scheduled last.
 stress:
 	$(GO) test -race -count=2 -run 'TestConcurrencyStressMatrix|TestConcurrentMultiTenantServing|TestSameTenantConcurrentCallsSerialize|Concurrent|TestSnapshotDuringServing' ./ ./internal/core/ ./internal/secmem/
 	$(GO) test -race -count=20 -run 'TestSchedulerSemanticsTable/weighted_fairness_flood' ./
+	$(GO) test -cpu 1 -count=50 -run 'TestSnapshotDuringServing' ./
 
 vet:
 	$(GO) vet ./...
@@ -155,8 +159,7 @@ fuzz:
 
 # CPU and allocation profiles of the end-to-end protected 64 KiB task —
 # the workload the DESIGN.md §10 datapath work optimizes — at the shape
-# the benchmark of record measures: one proc (-cpu 1; at the box's proc
-# count the ≥ 2-worker crypto pool is a different code path). The
+# the benchmark of record measures: one proc (-cpu 1). The
 # cumulative top lands in profiles/top.txt so an issue can quote it;
 # dig further with `go tool pprof profiles/ccai.test profiles/cpu.out`
 # (or mem.out).

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ccai/internal/arena"
@@ -88,10 +87,9 @@ type Adaptor struct {
 	policy RetryPolicy
 	clock  *sim.Engine
 	rec    RecoveryStats
-	pool   *secmem.Pool // per-chunk crypto fan-out
 
 	// Per-call scratch reused across staging/collect batches (guarded by
-	// mu): the slice-header tables for seal/open fan-out. Plaintext
+	// mu): the slice-header tables for batch seal/open. Plaintext
 	// aliases are cleared before the call returns so the Adaptor never
 	// retains references into a caller's buffer.
 	scratchPts    [][]byte
@@ -124,15 +122,12 @@ const SharedRegion = "shared"
 // a PCIe-SC whose control BAR is at scBar and whose guarded xPU window
 // starts at xpuBar. Staging memory comes from the named region of space
 // (SharedRegion on a single-slice platform; multi-tenant platforms give
-// each tenant its own shared window). Chunk seal/open within one region
-// fans out over min(GOMAXPROCS, 8) workers — the paper's "allocate
-// additional CPU threads" optimization, capped where AES-GCM stops
-// scaling.
+// each tenant its own shared window).
 func New(id pcie.ID, bus *pcie.Bus, space *mem.Space, keys *secmem.KeyStore, scBar, xpuBar uint64, region string) *Adaptor {
 	return &Adaptor{
 		id: id, bus: bus, space: space, keys: keys,
 		scBar: scBar, xpuBar: xpuBar, region: region, nextID: 1,
-		nextTag: 1, policy: DefaultRetryPolicy(), pool: secmem.NewPool(min(runtime.GOMAXPROCS(0), 8)),
+		nextTag: 1, policy: DefaultRetryPolicy(),
 	}
 }
 
@@ -348,18 +343,15 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	}
 
 	// Chunk the payload. Counters are reserved contiguously under the
-	// stream lock (matching desc.FirstCounter), the AES-GCM work fans
-	// out over the crypto pool (§5 parallel-crypto optimization), and
-	// AADs share one backing array instead of one alloc per chunk.
+	// stream lock (matching desc.FirstCounter), and AADs share one
+	// backing array instead of one alloc per chunk.
 	pts, aads, aadAll := a.chunkViews(desc, 0, data)
 	nChunks := len(pts)
 
-	// Streaming pipeline (DESIGN.md §10): the crypto pool delivers
-	// sealed chunks in submission order while this emit stage copies
-	// each into the bounce buffer and flushes full tag packets — DMA
-	// staging for chunk i overlaps the sealing of chunks > i. The
-	// chunk's arena-backed ciphertext is only valid inside emit, so it
-	// is copied out before returning.
+	// Streaming pipeline (DESIGN.md §10): each chunk is sealed, then
+	// handed to this emit stage, which copies it into the bounce buffer
+	// and flushes full tag packets. The chunk's arena-backed ciphertext
+	// is only valid inside emit, so it is copied out before returning.
 	recs := a.takeRecs(nChunks)
 	out := buf.Bytes()
 	perPacket := pcie.MaxPayload / core.TagRecordSize
@@ -641,10 +633,10 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 	}
 	// Assemble the batch from the bounce buffer + tag table (records by
 	// value, AADs sharing one backing array), then authenticate and
-	// decrypt straight into the result buffer on the crypto pool; the
-	// stream replica enforces the strictly-increasing counter
-	// discipline across the whole batch, and a failed batch comes back
-	// zeroed rather than partially decrypted.
+	// decrypt straight into the result buffer; the stream replica
+	// enforces the strictly-increasing counter discipline across the
+	// whole batch, and a failed batch comes back zeroed rather than
+	// partially decrypted.
 	nChunks := int((n + core.ChunkSize - 1) / core.ChunkSize)
 	if cap(a.scratchSealed) < nChunks {
 		a.scratchSealed = make([]secmem.Sealed, nChunks)

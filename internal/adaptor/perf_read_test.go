@@ -2,6 +2,7 @@ package adaptor
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ccai/internal/core"
@@ -11,10 +12,11 @@ import (
 // D2H read path (ISSUE 9 satellite): CollectD2H assembles the sealed
 // batch from per-stream scratch, decrypts straight into the result
 // buffer, and must allocate essentially nothing beyond that
-// caller-escaping buffer. Measured 1 (that buffer) at GOMAXPROCS 1, where
-// the count is deterministic — a ≥ 2-worker crypto pool allocates per
-// batch (12 at two procs) — plus one for a collection emptying the
-// buffer pools mid-run.
+// caller-escaping buffer. Measured 1 (that buffer) at one proc and at
+// two — the batch is opened on the caller — plus one of headroom. The
+// collector is off across the measured collects: a collection empties
+// the buffer pools, and refilling them (~9 objects) is not the read
+// path's cost.
 const readAllocCeiling = 2
 
 // TestReadAllocBudget pins the steady-state allocation count of the
@@ -27,9 +29,6 @@ func TestReadAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes the buffer pools drop at random")
 	}
-	// The rig is built under the pin: the Adaptor sizes its crypto pool
-	// from GOMAXPROCS.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r, dev := newRig(t)
 	const size = 64 << 10
 	result := make([]byte, size)
@@ -58,6 +57,7 @@ func TestReadAllocBudget(t *testing.T) {
 	}
 
 	cycle() // warm-up: scratch slices sized, pools primed
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const iters = 8
 	var total uint64
 	for i := 0; i < iters; i++ {

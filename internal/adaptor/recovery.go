@@ -178,13 +178,13 @@ func (a *Adaptor) sealWithRetry(s *secmem.Stream, pt, aad []byte) (sealed *secme
 // same discipline: emit still observes every chunk exactly once, in
 // submission order.
 func (a *Adaptor) sealBatchStreamWithRetry(s *secmem.Stream, pts, aads [][]byte, emit func(i int, chunk *secmem.Sealed) error) error {
-	return a.retryTransient("seal", func() error { return s.SealBatchStream(pts, aads, a.pool, emit) })
+	return a.retryTransient("seal", func() error { return s.SealBatchStream(pts, aads, nil, emit) })
 }
 
 // openBatchIntoWithRetry is the in-place batch decrypt twin; a failed
 // batch leaves dst zeroed.
 func (a *Adaptor) openBatchIntoWithRetry(s *secmem.Stream, dst []byte, sealed []secmem.Sealed, aads [][]byte) error {
-	return a.retryTransient("open", func() error { return s.OpenBatchInto(dst, sealed, aads, a.pool) })
+	return a.retryTransient("open", func() error { return s.OpenBatchInto(dst, sealed, aads, nil) })
 }
 
 // RepostTags re-uploads a region's retained tag records after suspected

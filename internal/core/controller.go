@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -192,10 +191,6 @@ type Controller struct {
 	slab arena.Slab
 	pkts pcie.PacketArena
 
-	// pool bounds the SC's own batch-crypto parallelism (span decrypts
-	// on the H2D read path). Stateless and safe without mu.
-	pool *secmem.Pool
-
 	// stats is the one cell of every count Stats reports; the metrics
 	// registry reads it (SetObserver).
 	stats Stats
@@ -363,19 +358,8 @@ func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controll
 		verified:  make(map[uint32]*verifiedSet),
 		runs:      make(map[uint32]*verifiedRun),
 		slots:     make(map[uint32][]uint32),
-		pool:      secmem.NewPool(cryptoWidth()),
 		status:    SCStatusReady,
 	}
-}
-
-// cryptoWidth mirrors the Adaptor's auto policy for crypto-pool sizing:
-// one worker per scheduler thread, capped where AES-GCM stops scaling.
-func cryptoWidth() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
 }
 
 // AttachHostBus registers the controller's host-side presence: its own
@@ -1271,7 +1255,7 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 			desc.PutAAD((*[8]byte)(ab), chunk)
 			aads[i] = ab
 		}
-		err := stream.OpenBatchInto(pt, sealed, aads, c.pool)
+		err := stream.OpenBatchInto(pt, sealed, aads, nil)
 		if err == nil {
 			c.mu.Lock()
 			region := c.verifiedFor(desc.ID, chunkCount(desc))

@@ -272,7 +272,7 @@ func (c *Controller) prefetchSpan(desc Descriptor, addr uint64) {
 		desc.PutAAD((*[8]byte)(ab), chunk)
 		sc.aads[i] = ab
 	}
-	err = stream.OpenBatchInto(pt, sc.sealed[:k], sc.aads[:k], c.pool)
+	err = stream.OpenBatchInto(pt, sc.sealed[:k], sc.aads[:k], nil)
 	c.releaseFetch(req, cpl, false)
 	if err != nil {
 		// Back out: the records return to the queue and the demand read
@@ -424,7 +424,7 @@ func (c *Controller) sealSpan(span *writeSpan) bool {
 			span.desc.PutAAD((*[8]byte)(ab), span.start+uint32(i))
 			span.aads[i] = ab
 		}
-		err = stream.SealBatchStream(span.pts, span.aads[:k], c.pool, span.emit)
+		err = stream.SealBatchStream(span.pts, span.aads[:k], nil, span.emit)
 	}
 	if span.nTags > 0 {
 		// Records past the last publish point: buffered for the span that

@@ -2,9 +2,9 @@ package secmem
 
 // Tests for the streaming seal pipeline and the batch-open-into path —
 // the DESIGN.md §10 datapath. The properties pinned here are the ones
-// the pipeline must not trade away for speed: in-order emit under a
-// parallel pool, IV safety across transient retries, and fail-closed
-// zeroing of partially decrypted output.
+// the pipeline must not trade away for speed: in-order emit, IV safety
+// across transient retries, and fail-closed zeroing of partially
+// decrypted output.
 
 import (
 	"bytes"
@@ -13,11 +13,11 @@ import (
 	"testing"
 )
 
-// TestSealBatchStreamInOrder runs the streaming pipeline over several
-// pool widths and asserts emit sees chunks strictly in submission
-// order with contiguous counters, and that the bytes delivered are
-// exactly what a serial Seal sequence would produce — reordering
-// inside the pool must never be visible at the emit boundary.
+// TestSealBatchStreamInOrder asserts emit sees chunks strictly in
+// submission order with contiguous counters, and that the bytes
+// delivered are exactly what a Seal sequence would produce. Each
+// subtest passes a pool of that width, as a caller may still do (the
+// benchmark passes NewPool(GOMAXPROCS)): the pool must change nothing.
 func TestSealBatchStreamInOrder(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
@@ -71,14 +71,14 @@ func TestSealBatchStreamInOrder(t *testing.T) {
 // contract: the Ciphertext handed to emit is only valid inside emit,
 // so a consumer that copies (like the Adaptor's bounce-buffer write)
 // must end up with chunks that all still authenticate after the
-// pipeline — pooled-buffer reuse during the run must never corrupt an
-// earlier chunk's copy.
+// batch — the seal buffer's reuse from chunk to chunk must never
+// corrupt an earlier chunk's copy.
 func TestSealBatchStreamEmitCopiesSurvive(t *testing.T) {
 	tx, rx := newPair(t)
 	pts, aads := chunkset(25, 256)
 
 	sealed := make([]Sealed, 0, len(pts))
-	err := tx.SealBatchStream(pts, aads, NewPool(4), func(i int, chunk *Sealed) error {
+	err := tx.SealBatchStream(pts, aads, nil, func(i int, chunk *Sealed) error {
 		c := *chunk
 		c.Ciphertext = append([]byte(nil), chunk.Ciphertext...)
 		sealed = append(sealed, c)
@@ -124,7 +124,7 @@ func TestSealBatchStreamTransientConsumesNoCounters(t *testing.T) {
 
 	before := tx.SendCounter()
 	emits := 0
-	err := tx.SealBatchStream(pts, aads, NewPool(2), func(i int, chunk *Sealed) error {
+	err := tx.SealBatchStream(pts, aads, nil, func(i int, chunk *Sealed) error {
 		emits++
 		return nil
 	})
@@ -139,7 +139,7 @@ func TestSealBatchStreamTransientConsumesNoCounters(t *testing.T) {
 	}
 
 	sealed := make([]Sealed, 0, len(pts))
-	err = tx.SealBatchStream(pts, aads, NewPool(2), func(i int, chunk *Sealed) error {
+	err = tx.SealBatchStream(pts, aads, nil, func(i int, chunk *Sealed) error {
 		c := *chunk
 		c.Ciphertext = append([]byte(nil), chunk.Ciphertext...)
 		sealed = append(sealed, c)
@@ -158,15 +158,15 @@ func TestSealBatchStreamTransientConsumesNoCounters(t *testing.T) {
 }
 
 // TestSealBatchStreamEmitErrorAborts: once emit has run, the batch is
-// not retryable; an emit error must surface as-is and stop the
-// pipeline without emitting further chunks.
+// not retryable; an emit error must surface as-is and stop the batch:
+// emit is never called again after it returns an error.
 func TestSealBatchStreamEmitErrorAborts(t *testing.T) {
 	tx, _ := newPair(t)
 	pts, aads := chunkset(16, 64)
 	boom := errors.New("bounce buffer revoked")
-	last := -1
-	err := tx.SealBatchStream(pts, aads, NewPool(4), func(i int, chunk *Sealed) error {
-		last = i
+	last, calls := -1, 0
+	err := tx.SealBatchStream(pts, aads, nil, func(i int, chunk *Sealed) error {
+		last, calls = i, calls+1
 		if i == 3 {
 			return boom
 		}
@@ -175,33 +175,36 @@ func TestSealBatchStreamEmitErrorAborts(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the emit error", err)
 	}
-	if last != 3 {
-		t.Fatalf("pipeline emitted chunk %d after the failing one", last)
+	if last != 3 || calls != 4 {
+		t.Fatalf("emit ran %d times, last for chunk %d; want 4, ending at the failing chunk 3", calls, last)
 	}
 }
 
 // TestOpenBatchIntoZeroesOnAuthFailure: when any chunk fails
-// authentication, every plaintext byte the batch already produced —
-// including chunks that verified fine — must be zeroed before the
-// error returns. Partial plaintext never survives in caller-visible
-// memory.
+// authentication — the first, one in the middle or the last — every
+// plaintext byte the batch already produced, including chunks that
+// verified fine, must be zeroed before the error returns, and the
+// receive watermark must stand at the end of the authenticated prefix.
+// Partial plaintext never survives in caller-visible memory.
 func TestOpenBatchIntoZeroesOnAuthFailure(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  int
+	}{{"first", 0}, {"middle", 4}, {"last", 8}} {
+		t.Run(tc.name, func(t *testing.T) {
 			tx, rx := newPair(t)
 			pts, aads := chunkset(9, 128)
-			sealed, err := sealAll(tx, pts, aads, nil)
+			sealed, err := sealAll(tx, pts, aads)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Corrupt a late chunk so earlier ones decrypt first.
-			sealed[7].Ciphertext[0] ^= 1
+			sealed[tc.bad].Ciphertext[0] ^= 1
 
 			dst := make([]byte, 9*128)
 			for i := range dst {
 				dst[i] = 0xEE // sentinel: must not survive as plaintext
 			}
-			if err := rx.OpenBatchInto(dst, sealed, aads, NewPool(w)); !errors.Is(err, ErrAuth) {
+			if err := rx.OpenBatchInto(dst, sealed, aads, nil); !errors.Is(err, ErrAuth) {
 				t.Fatalf("got %v, want ErrAuth", err)
 			}
 			for i, v := range dst {
@@ -209,20 +212,37 @@ func TestOpenBatchIntoZeroesOnAuthFailure(t *testing.T) {
 					t.Fatalf("byte %d = %#x after auth failure; span not zeroed", i, v)
 				}
 			}
+			var want uint32 // the watermark of a fresh stream
+			if tc.bad > 0 {
+				want = sealed[tc.bad-1].Counter
+			}
+			rx.mu.Lock()
+			got := rx.recvCtr
+			rx.mu.Unlock()
+			if got != want {
+				t.Fatalf("watermark at %d after chunk %d failed, want %d", got, tc.bad, want)
+			}
+			// The rest of the stream, repaired, still delivers.
+			sealed[tc.bad].Ciphertext[0] ^= 1
+			if err := rx.OpenBatchInto(dst, sealed[tc.bad:], aads[tc.bad:], nil); err != nil {
+				t.Fatalf("resumed delivery from chunk %d: %v", tc.bad, err)
+			}
+			if !bytes.Equal(dst[:128], pts[tc.bad]) {
+				t.Fatalf("resumed delivery from chunk %d corrupted", tc.bad)
+			}
 		})
 	}
 }
 
-// TestSerialBatchCryptoAllocatesNothing pins the serial (one-worker)
-// batch paths at zero heap objects per 64 KiB batch of 256 chunks: the
-// IV and the Sealed handed to emit live in the stream's seal scratch,
-// and the serial open runs without the worker closures. A batch that
-// finds the seal scratch taken — here, one started from inside emit —
-// pays for its own and must still seal correctly.
+// TestSerialBatchCryptoAllocatesNothing pins the batch paths at zero
+// heap objects per 64 KiB batch of 256 chunks: the IV and the Sealed
+// handed to emit live in the stream's seal scratch, and the open stages
+// every chunk in one arena buffer. A batch that finds the seal scratch
+// taken — here, one started from inside emit — pays for its own and
+// must still seal correctly.
 func TestSerialBatchCryptoAllocatesNothing(t *testing.T) {
 	tx, rx := newPair(t)
 	pts, aads := chunkset(256, 256)
-	pool := NewPool(1)
 	ct := make([]byte, 256*256)
 	sealed := make([]Sealed, len(pts))
 	dst := make([]byte, len(ct))
@@ -232,10 +252,10 @@ func TestSerialBatchCryptoAllocatesNothing(t *testing.T) {
 		return nil
 	}
 	round := func() {
-		if err := tx.SealBatchStream(pts, aads, pool, emit); err != nil {
+		if err := tx.SealBatchStream(pts, aads, nil, emit); err != nil {
 			t.Fatal(err)
 		}
-		if err := rx.OpenBatchInto(dst, sealed, aads, pool); err != nil {
+		if err := rx.OpenBatchInto(dst, sealed, aads, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,12 +277,12 @@ func TestSerialBatchCryptoAllocatesNothing(t *testing.T) {
 		return Sealed{Counter: c.Counter, Epoch: c.Epoch, Ciphertext: append([]byte(nil), c.Ciphertext...), Tag: c.Tag}
 	}
 	var outerSealed, innerSealed []Sealed
-	err := tx.SealBatchStream(pts[:2], aads[:2], pool, func(i int, c *Sealed) error {
+	err := tx.SealBatchStream(pts[:2], aads[:2], nil, func(i int, c *Sealed) error {
 		outerSealed = append(outerSealed, keep(c))
 		if i != 0 {
 			return nil
 		}
-		err := tx.SealBatchStream(inner, innerAAD, pool, func(_ int, ic *Sealed) error {
+		err := tx.SealBatchStream(inner, innerAAD, nil, func(_ int, ic *Sealed) error {
 			innerSealed = append(innerSealed, keep(ic))
 			return nil
 		})

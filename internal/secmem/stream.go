@@ -60,18 +60,16 @@ var ErrTransient = errors.New("secmem: transient crypto-engine fault")
 // replay and reordering on the untrusted bus segment (§8.2).
 type Stream struct {
 	// batchMu serializes whole OpenBatchInto operations (validate →
-	// parallel decrypt → watermark advance); it is always acquired
-	// before mu and never held by single-chunk operations.
+	// decrypt → watermark advance); it is always acquired before mu and
+	// never held by single-chunk operations.
 	batchMu sync.Mutex
-	// batchOffs/batchErrs are OpenBatchInto's reusable scratch (offset
-	// prefix sums and per-chunk verdicts), owned by whoever holds
-	// batchMu. They carry no secret material.
+	// batchOffs is OpenBatchInto's reusable offset prefix sums, owned by
+	// whoever holds batchMu.
 	batchOffs []int
-	batchErrs []error
 
-	// sealScr is the serial SealBatchStream path's scratch, owned by
-	// whichever batch flipped sealBusy; it carries no secret material
-	// (an IV and a view of pooled ciphertext).
+	// sealScr is SealBatchStream's scratch, owned by whichever batch
+	// flipped sealBusy; it carries no secret material (an IV and a view
+	// of pooled ciphertext).
 	sealBusy atomic.Bool
 	sealScr  sealScratch
 
@@ -83,8 +81,8 @@ type Stream struct {
 	epoch     uint32 // increments on rekey
 
 	// ivScratch is the IV assembly buffer for single-chunk Seal calls.
-	// Guarded by mu; batched paths build IVs in per-worker scratch
-	// instead, so this never races with the pipeline.
+	// Guarded by mu; batches build IVs in their own scratch (sealScr,
+	// the open buffer), so this never races with them.
 	ivScratch [NonceSize]byte
 
 	// fault, when set, is consulted before each engine operation and
@@ -201,7 +199,7 @@ func NewStreamAEAD(aead cipher.AEAD, nonce []byte) (*Stream, error) {
 	return s, nil
 }
 
-// sealScratch is what one serial seal batch needs on the heap.
+// sealScratch is what one seal batch needs on the heap.
 type sealScratch struct {
 	iv    [NonceSize]byte
 	chunk Sealed

@@ -329,24 +329,30 @@ func TestSnapshotDuringServing(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tasks = append(tasks, TenantTask{Tenant: i % 2, Task: schedTask(byte(i+1), 1024)})
 	}
-	stop, scrapes := make(chan struct{}), make(chan int)
+	// The scraper signals its first snapshot before the batch starts and
+	// checks stop only after each snapshot, so at least one completes
+	// however the goroutines are scheduled.
+	stop, started, scrapes := make(chan struct{}), make(chan struct{}), make(chan int)
 	go func() {
 		var n int
 		var prev uint64
 		for {
+			got := mp.MetricsSnapshot().Counters["sc.decrypted_chunks"]
+			if got < prev {
+				t.Errorf("sc.decrypted_chunks went back from %d to %d", prev, got)
+			}
+			if prev, n = got, n+1; n == 1 {
+				close(started)
+			}
 			select {
 			case <-stop:
 				scrapes <- n
 				return
 			default:
 			}
-			got := mp.MetricsSnapshot().Counters["sc.decrypted_chunks"]
-			if got < prev {
-				t.Errorf("sc.decrypted_chunks went back from %d to %d", prev, got)
-			}
-			prev, n = got, n+1
 		}
 	}()
+	<-started
 	results := runBatch(batchScheduler(t, mp, len(tasks)), tasks)
 	close(stop)
 	if n := <-scrapes; n == 0 {
