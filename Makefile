@@ -47,6 +47,10 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 	$(GO) test -run 'TestSpanBudget|TestObservedAllocParity|TestSymbolTableBounded|TestObservabilityNameContract' ./ ./internal/obsv/
 	$(GO) test -race -run 'TestResetWithOpenSpans|TestSpansMatchesReference|TestCounterFuncReadsOutsideLock' ./internal/obsv/
 	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=10s ./internal/obsv/
+# One chassis: a protected Platform puts the same packets on both
+# segments as tenant 0 of a one-tenant MultiPlatform, its host side is a
+# Mux, and every slice's TVM-private window dies in its own filter.
+	$(GO) test -run 'TestPlatformIsOneUnitChassis|TestPlatformHostSideIsMux|TestSlicePrivateWindowReachesFilter' ./
 
 build:
 	$(GO) build ./...

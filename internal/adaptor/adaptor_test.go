@@ -135,11 +135,21 @@ func newRig(t testing.TB) (*rig, *stubXPU) {
 
 	scKeys := secmem.NewKeyStore()
 	sc := core.NewController(scID, pcie.Region{Base: scBar, Size: core.SCBarSize}, scKeys)
-	if err := sc.AttachHostBus(host, pcie.Region{Base: xpuBar, Size: 0x1000, Name: "xpu-window"}); err != nil {
+	// The production shape: the SC's host-side presence is a one-unit
+	// Mux, which pins the TVM.
+	unit := &core.MuxUnit{Ctrl: sc, Bar: pcie.Region{Base: scBar, Size: core.SCBarSize, Name: "pcie-sc"},
+		Window: pcie.Region{Base: xpuBar, Size: 0x1000, Name: "xpu-window"}, XPU: xpuID, TVM: tvm}
+	sc.Attach(inner, unit.Window, host)
+	mux := core.NewMux(scID)
+	if err := mux.AddUnit(unit); err != nil {
 		t.Fatal(err)
 	}
-	sc.AttachInternalBus(inner, xpuID)
-	sc.SetAuthorizedTVM(tvm)
+	host.Attach(mux)
+	for _, r := range []pcie.Region{unit.Bar, unit.Window} {
+		if err := host.Claim(scID, r); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	dev := &stubXPU{id: xpuID, regs: make(map[uint64]uint64)}
 	inner.Attach(dev)

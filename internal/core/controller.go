@@ -67,8 +67,8 @@ type Stats struct {
 	BatchedD2HSpans uint64
 }
 
-// Controller is the PCIe Security Controller. On the host bus it is an
-// endpoint claiming (a) its own control BAR and (b) a shadow window over
+// Controller is the PCIe Security Controller. On the host bus it is a
+// Mux unit owning (a) its own control BAR and (b) a shadow window over
 // the xPU's BAR0, so all host→device MMIO lands here first. On the
 // internal bus it is the upstream port through which all device DMA and
 // MSI traffic must pass. Every packet in both directions crosses the
@@ -79,7 +79,6 @@ type Controller struct {
 	hostBus *pcie.Bus
 
 	internal *pcie.Bus
-	xpuID    pcie.ID
 	xpuBar   pcie.Region
 
 	filter *Filter
@@ -181,8 +180,11 @@ type Controller struct {
 	reapHeadReg     uint64
 	cplWord         uint64
 
+	// authorizedTVM is the one requester the control BAR answers: the
+	// sealed-blob crypto already stops policy forgery; this check also
+	// denies everyone else the DoS-ish knobs (teardown, metadata
+	// redirection). Mux.AddUnit sets it.
 	authorizedTVM pcie.ID
-	tvmPinned     bool
 
 	// slab and pkts amortize the SC's per-chunk heap traffic: slab
 	// carves never-recycled payload bytes (safe to hand to bus taps),
@@ -362,32 +364,14 @@ func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controll
 	}
 }
 
-// AttachHostBus registers the controller's host-side presence: its own
-// control BAR plus the shadow claim over the xPU window.
-func (c *Controller) AttachHostBus(bus *pcie.Bus, xpuWindow pcie.Region) error {
-	c.hostBus = bus
-	c.xpuBar = xpuWindow
-	bus.Attach(c)
-	if err := bus.Claim(c.id, c.bar); err != nil {
-		return err
-	}
-	return bus.Claim(c.id, xpuWindow)
-}
-
-// AttachInternalBus wires the trusted downstream segment holding the
-// xPU.
-func (c *Controller) AttachInternalBus(bus *pcie.Bus, xpu pcie.ID) {
-	c.internal = bus
-	c.xpuID = xpu
-}
-
-// AttachInternalBusOnly configures a controller used as a Mux unit:
-// it wires the internal bus, the shadow window geometry, and the host
-// bus used for mastering — without claiming anything on the host bus
-// (the Mux owns the host-side presence).
-func (c *Controller) AttachInternalBusOnly(bus *pcie.Bus, xpu pcie.ID, window pcie.Region, host *pcie.Bus) {
-	c.internal = bus
-	c.xpuID = xpu
+// Attach wires the controller's one attachment: the trusted internal
+// segment holding the xPU, the xPU's BAR0 shadow window and the host bus
+// the SC masters DMA on. It claims nothing on the host bus: the SC's
+// host-side presence is a Mux unit (Mux.AddUnit), which also pins the
+// one TVM allowed to drive the control BAR. Assembly-time
+// configuration: call before traffic flows.
+func (c *Controller) Attach(internal *pcie.Bus, window pcie.Region, host *pcie.Bus) {
+	c.internal = internal
 	c.xpuBar = window
 	c.hostBus = host
 }
@@ -446,13 +430,6 @@ func (c *Controller) ConfigureCompletionReap(doorbellReg, headReg uint64) {
 	c.reapHeadReg = headReg
 }
 
-// SetAuthorizedTVM restricts control-BAR access to one requester ID.
-// The sealed-blob crypto already stops policy forgery; this check
-// additionally denies unauthorized parties the DoS-ish knobs (teardown,
-// metadata redirection). Like the bus attachments, it is assembly-time
-// configuration: call before traffic flows, never concurrently with it.
-func (c *Controller) SetAuthorizedTVM(id pcie.ID) { c.authorizedTVM = id; c.tvmPinned = true }
-
 // --- host-side traffic ------------------------------------------------------
 
 // Handle implements pcie.Endpoint for packets arriving from the host
@@ -486,9 +463,6 @@ func (c *Controller) reject(p *pcie.Packet) *pcie.Packet {
 }
 
 func (c *Controller) forwardToDevice(p *pcie.Packet) *pcie.Packet {
-	if c.internal == nil {
-		return c.reject(p)
-	}
 	cpl := c.internal.Route(p)
 	c.pinRelayed(c.internal, p, cpl)
 	if staleCpl(p, cpl) {
@@ -625,7 +599,7 @@ func (c *Controller) MMIOSeq() uint32 {
 // --- control BAR -------------------------------------------------------------
 
 func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
-	if c.tvmPinned && p.Requester != c.authorizedTVM {
+	if p.Requester != c.authorizedTVM {
 		c.configReject(nil)
 		return c.reject(p)
 	}
@@ -1634,9 +1608,6 @@ func (c *Controller) D2HProgress(region uint32) uint64 {
 // (e.g. xpu.AttestDigest(goldenFirmware, nonce)); attestReg/respReg
 // are BAR0-relative.
 func (c *Controller) AttestDevice(nonce uint64, expected uint64, attestReg, respReg uint64) bool {
-	if c.internal == nil {
-		return false
-	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], nonce)
 	c.internal.Route(pcie.NewMemWrite(c.id, c.xpuBar.Base+attestReg, buf[:]))

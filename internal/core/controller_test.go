@@ -25,6 +25,7 @@ const (
 // fake device for direct unit testing.
 type ctlRig struct {
 	sc      *Controller
+	mux     *Mux
 	host    *pcie.Bus
 	inner   *pcie.Bus
 	hostMem map[uint64][]byte
@@ -133,9 +134,6 @@ func newCtlRig(t *testing.T) *ctlRig {
 	scID := pcie.MakeID(1, 0, 0)
 	keys := secmem.NewKeyStore()
 	sc := NewController(scID, pcie.Region{Base: ctlBar, Size: SCBarSize}, keys)
-	if err := sc.AttachHostBus(host, pcie.Region{Base: ctlWin, Size: 0x1000}); err != nil {
-		t.Fatal(err)
-	}
 	hm := &ctlHostMem{m: make(map[uint64][]byte)}
 	host.Attach(hm)
 	if err := host.Claim(hm.DeviceID(), pcie.Region{Base: ctlMem, Size: ctlMemN}); err != nil {
@@ -146,8 +144,21 @@ func newCtlRig(t *testing.T) *ctlRig {
 	if err := inner.Claim(dev.id, pcie.Region{Base: ctlWin, Size: 0x1000}); err != nil {
 		t.Fatal(err)
 	}
-	sc.AttachInternalBus(inner, dev.id)
-	sc.SetAuthorizedTVM(tvmID)
+	// The production shape: the SC's host-side presence is a one-unit
+	// Mux, which pins the TVM.
+	unit := &MuxUnit{Ctrl: sc, Bar: pcie.Region{Base: ctlBar, Size: SCBarSize},
+		Window: pcie.Region{Base: ctlWin, Size: 0x1000}, XPU: dev.id, TVM: tvmID}
+	sc.Attach(inner, unit.Window, host)
+	mux := NewMux(scID)
+	if err := mux.AddUnit(unit); err != nil {
+		t.Fatal(err)
+	}
+	host.Attach(mux)
+	for _, r := range []pcie.Region{unit.Bar, unit.Window} {
+		if err := host.Claim(scID, r); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Config stream provisioning.
 	key, nonce := secmem.FreshKey(), secmem.FreshNonce()
@@ -161,7 +172,7 @@ func newCtlRig(t *testing.T) *ctlRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &ctlRig{sc: sc, host: host, inner: inner, hostMem: hm.m, cfgTx: cfgTx, dev: dev}
+	r := &ctlRig{sc: sc, mux: mux, host: host, inner: inner, hostMem: hm.m, cfgTx: cfgTx, dev: dev}
 	for reg, v := range map[uint64]uint64{RegRingBase: ctlRing, RegRingSize: ctlRingSlots} {
 		host.Route(pcie.NewMemWrite(tvmID, ctlBar+reg, binary.LittleEndian.AppendUint64(nil, v)))
 	}

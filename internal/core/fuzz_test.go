@@ -104,13 +104,20 @@ func FuzzControllerControlWindow(f *testing.F) {
 	f.Add(uint16(RegTeardown), []byte{1})
 	f.Fuzz(func(t *testing.T, off uint16, payload []byte) {
 		keys := secmem.NewKeyStore()
-		sc := NewController(pcie.MakeID(1, 0, 0), pcie.Region{Base: 0xd010_0000, Size: SCBarSize}, keys)
+		bar := pcie.Region{Base: 0xd010_0000, Size: SCBarSize}
+		sc := NewController(pcie.MakeID(1, 0, 0), bar, keys)
 		_ = keys.Install(StreamConfig, secmem.FreshKey(), secmem.FreshNonce())
 		_ = sc.Params().Activate(StreamConfig)
 		tvm := pcie.MakeID(0, 1, 0)
-		sc.SetAuthorizedTVM(tvm)
+		unit := &MuxUnit{Ctrl: sc, Bar: bar, Window: pcie.Region{Base: 0xd000_0000, Size: 0x1000},
+			XPU: pcie.MakeID(2, 0, 0), TVM: tvm}
+		sc.Attach(pcie.NewBus("internal"), unit.Window, pcie.NewBus("host"))
+		mux := NewMux(sc.DeviceID())
+		if err := mux.AddUnit(unit); err != nil {
+			t.Fatal(err)
+		}
 
-		sc.Handle(pcie.NewMemWrite(tvm, 0xd010_0000+uint64(off)%SCBarSize, payload))
+		mux.Handle(pcie.NewMemWrite(tvm, bar.Base+uint64(off)%SCBarSize, payload))
 		if l1, l2 := sc.Filter().RuleCount(); l1 != 0 || l2 != 0 || sc.Regions() != 0 {
 			t.Fatal("fuzzed bytes installed a filter rule or a region")
 		}

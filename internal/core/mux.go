@@ -11,14 +11,14 @@ import (
 // and users": one physical security controller serving several
 // (TVM, xPU) pairs. Each pair gets an isolated unit — its own Packet
 // Filter policies, stream keys, tag queues and transfer regions — and
-// the mux routes traffic to the right unit by the PCIe identifiers
-// involved: host-side packets by target address (control BAR or xPU
-// shadow window), device-side packets by requester ID. Unit
+// the mux is every unit's host-side presence: host packets reach a unit
+// by target address (control BAR or xPU shadow window). Device-side
+// traffic never crosses the mux; each unit's own internal segment
+// carries it. A single-xPU platform is a mux with one unit. Unit
 // controllers present distinct function numbers upstream, so host
 // software sees them as virtual functions of one device.
-// Dispatch on both sides takes only a read lock, so tenants routed to
-// different units proceed in parallel; AddUnit (assembly-time) is the
-// sole writer.
+// Dispatch takes only a read lock, so tenants routed to different units
+// proceed in parallel; AddUnit (assembly-time) is the sole writer.
 type Mux struct {
 	id pcie.ID
 
@@ -43,12 +43,14 @@ func NewMux(id pcie.ID) *Mux { return &Mux{id: id} }
 // DeviceID implements pcie.Endpoint.
 func (m *Mux) DeviceID() pcie.ID { return m.id }
 
-// AddUnit registers a slice. The unit's controller must already be
-// attached to its internal bus; the caller claims Bar and Window for
-// the mux on the host bus.
+// AddUnit registers a slice and pins its controller's control BAR to
+// the slice's TVM. The unit's controller must already be attached
+// (Controller.Attach) — so every controller reachable from a host bus
+// is both wired and pinned; the caller claims Bar and Window for the
+// mux on the host bus.
 func (m *Mux) AddUnit(u *MuxUnit) error {
-	if u.Ctrl == nil {
-		return fmt.Errorf("core: mux unit without controller")
+	if u.Ctrl == nil || u.Ctrl.internal == nil {
+		return fmt.Errorf("core: mux unit without an attached controller")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -60,28 +62,9 @@ func (m *Mux) AddUnit(u *MuxUnit) error {
 			return fmt.Errorf("core: TVM %v already owns a slice", u.TVM)
 		}
 	}
-	u.Ctrl.SetAuthorizedTVM(u.TVM)
+	u.Ctrl.authorizedTVM = u.TVM
 	m.units = append(m.units, u)
 	return nil
-}
-
-// Units reports the registered slice count.
-func (m *Mux) Units() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.units)
-}
-
-// Unit returns the slice guarding the given xPU.
-func (m *Mux) Unit(xpu pcie.ID) (*MuxUnit, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, u := range m.units {
-		if u.XPU == xpu {
-			return u, true
-		}
-	}
-	return nil, false
 }
 
 // Handle implements pcie.Endpoint for host-side traffic: the packet's
@@ -104,29 +87,4 @@ func (m *Mux) Handle(p *pcie.Packet) *pcie.Packet {
 		return pcie.NewCompletion(p, m.id, pcie.CplUR, nil)
 	}
 	return nil
-}
-
-// HandleFromDevice routes device-originated traffic (DMA, MSI) to the
-// unit owning the requesting xPU — the "unique PCIe identifiers"
-// dispatch of §9. Unknown requesters are rejected.
-func (m *Mux) HandleFromDevice(p *pcie.Packet) *pcie.Packet {
-	if u, ok := m.Unit(p.Requester); ok {
-		return u.Ctrl.HandleFromDevice(p)
-	}
-	if p.Kind == pcie.MRd {
-		return pcie.NewCompletion(p, m.id, pcie.CplUR, nil)
-	}
-	return nil
-}
-
-// TeardownAll tears down every slice (chassis decommission). The
-// snapshot is taken under the read lock, but each teardown runs
-// outside it: teardown hooks route reset MMIO over the bus.
-func (m *Mux) TeardownAll() {
-	m.mu.RLock()
-	units := append([]*MuxUnit(nil), m.units...)
-	m.mu.RUnlock()
-	for _, u := range units {
-		u.Ctrl.Teardown()
-	}
 }

@@ -11,7 +11,6 @@ import (
 	"ccai/internal/mem"
 	"ccai/internal/obsv"
 	"ccai/internal/pcie"
-	"ccai/internal/telemetry"
 	"ccai/internal/tvm"
 	"ccai/internal/xpu"
 )
@@ -21,14 +20,13 @@ import (
 // fully isolated keys, policies and transfer regions per tenant. Each
 // tenant sees exactly the single-tenant programming model (an Adaptor,
 // a native driver, RunTask); isolation between tenants is enforced by
-// the mux's identifier-based dispatch plus the usual fail-closed
-// filters.
+// the mux's address dispatch, each slice's own internal segment, and
+// the usual fail-closed filters. A Protected Platform is this chassis
+// with one unit.
 type MultiPlatform struct {
 	observed
+	hostSide
 
-	Host    *pcie.Bus
-	Bridge  *HostBridge
-	IOMMU   *mem.IOMMU
 	Mux     *core.Mux
 	Tenants []*Tenant
 	space   *mem.Space
@@ -96,19 +94,12 @@ func NewMultiPlatform(profiles []xpu.Profile, options ...Option) (*MultiPlatform
 	for _, opt := range options {
 		opt(&cfg)
 	}
-	mp := &MultiPlatform{
-		Host:   pcie.NewBus("host"),
-		IOMMU:  mem.NewIOMMU(),
-		space:  mem.NewSpace(),
-		Mux:    core.NewMux(SCID),
-		llmCfg: cfg.LLM,
-	}
-	mp.Bridge = &HostBridge{id: HostBridgeID, space: mp.space, iommu: mp.IOMMU, bus: mp.Host}
-	mp.Host.Attach(mp.Bridge)
-	mp.Host.Attach(mp.Mux)
-	if err := mp.Host.Claim(HostBridgeID, pcie.Region{Base: msiBase, Size: msiSize, Name: "msi"}); err != nil {
+	mp := &MultiPlatform{space: mem.NewSpace(), Mux: core.NewMux(SCID), llmCfg: cfg.LLM}
+	var err error
+	if mp.hostSide, err = newHostSide(mp.space); err != nil {
 		return nil, err
 	}
+	mp.Host.Attach(mp.Mux)
 
 	for i, profile := range profiles {
 		if err := mp.addTenant(i, profile, cfg.GoldenFirmware); err != nil {
@@ -118,15 +109,8 @@ func NewMultiPlatform(profiles []xpu.Profile, options ...Option) (*MultiPlatform
 	if cfg.Observe || cfg.Telemetry != nil {
 		mp.Observe()
 	}
-	if cfg.Telemetry != nil {
-		tel, err := telemetry.Attach(mp.Obs, *cfg.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-		for i := range mp.Tenants {
-			tel.RegisterTenant(tenantLabel(i))
-		}
-		mp.Tel = tel
+	if err := mp.attachTelemetry(cfg, len(mp.Tenants)); err != nil {
+		return nil, err
 	}
 	return mp, nil
 }
@@ -135,16 +119,16 @@ func (mp *MultiPlatform) addTenant(i int, profile xpu.Profile, golden string) er
 	stride := uint64(i) * tenantStride
 	label := tenantLabel(i)
 	sl := slice{
-		tenant: label,
-		tvm:    pcie.MakeID(0, uint8(1+i), 0),
-		sc:     pcie.MakeID(1, 0, uint8(i)), // virtual function per slice
-		xpu:    pcie.MakeID(uint8(2+i), 0, 0),
-		scBar:  pcie.Region{Base: uint64(scBARBase) + stride, Size: core.SCBarSize, Name: "sc-unit" + label},
-		xpuWin: pcie.Region{Base: uint64(xpuBARBase) + stride, Size: xpu.BAR0Size, Name: "xpu" + label + "-window"},
-		shared: pcie.Region{Base: uint64(sharedBase) + stride, Size: sharedSize / 4, Name: "shared" + label},
+		tenant:  label,
+		tvm:     pcie.MakeID(0, uint8(1+i), 0),
+		sc:      pcie.MakeID(1, 0, uint8(i)), // virtual function per slice
+		xpu:     pcie.MakeID(uint8(2+i), 0, 0),
+		scBar:   pcie.Region{Base: uint64(scBARBase) + stride, Size: core.SCBarSize, Name: "sc-unit" + label},
+		xpuWin:  pcie.Region{Base: uint64(xpuBARBase) + stride, Size: xpu.BAR0Size, Name: "xpu" + label + "-window"},
+		private: pcie.Region{Base: uint64(privateBase) + stride, Size: privateSize / 4, Name: "private" + label},
+		shared:  pcie.Region{Base: uint64(sharedBase) + stride, Size: sharedSize / 4, Name: "shared" + label},
 	}
-	private := pcie.Region{Base: uint64(privateBase) + stride, Size: privateSize / 4, Name: "private" + label}
-	for _, r := range []pcie.Region{private, sl.shared} {
+	for _, r := range []pcie.Region{sl.private, sl.shared} {
 		if err := mp.space.AddRegion(r.Name, r.Base, r.Size); err != nil {
 			return err
 		}
@@ -160,18 +144,8 @@ func (mp *MultiPlatform) addTenant(i int, profile xpu.Profile, golden string) er
 		parent: mp,
 	}
 	var err error
-	if t.internal, err = t.assemble(mp.Bridge, t.Device, sl, golden); err != nil {
+	if t.internal, err = t.assemble(mp.Bridge, mp.Mux, t.Device, sl, golden); err != nil {
 		return err
-	}
-	// The Mux owns the slice's host-side presence: it claims the SC
-	// unit's BAR and the xPU window and dispatches by identifier.
-	if err := mp.Mux.AddUnit(&core.MuxUnit{Ctrl: t.SC, Bar: sl.scBar, Window: sl.xpuWin, XPU: sl.xpu, TVM: sl.tvm}); err != nil {
-		return err
-	}
-	for _, r := range []pcie.Region{sl.scBar, sl.xpuWin} {
-		if err := mp.Host.Claim(SCID, r); err != nil {
-			return err
-		}
 	}
 	mp.Tenants = append(mp.Tenants, t)
 	return nil
@@ -206,15 +180,6 @@ func (t *Tenant) RunTaskCtx(ctx context.Context, task Task) ([]byte, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, ctxErr(err)
-	}
-	if !t.trusted {
-		return nil, fmt.Errorf("ccai: tenant %d: %w", t.Index, ErrNotTrusted)
-	}
-	if len(task.Input) == 0 {
-		return nil, fmt.Errorf("ccai: tenant %d: %w", t.Index, ErrEmptyInput)
-	}
 	return t.task(ctx, task)
 }
 

@@ -6,6 +6,7 @@ package ccai
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -48,8 +49,15 @@ func TestMultiTenantBothRunTasks(t *testing.T) {
 			}
 		}
 	}
-	if mp.Mux.Units() != 2 {
-		t.Fatalf("units = %d", mp.Mux.Units())
+	// Each tenant's control BAR answers, through the one host bus, from
+	// that tenant's own unit.
+	for i, tenant := range mp.Tenants {
+		bar := uint64(scBARBase) + uint64(i)*tenantStride
+		cpl := mp.Host.Route(pcie.NewMemRead(tenant.TVMID, bar+core.RegMMIOSeq, 8, 0))
+		if cpl == nil || cpl.Status != pcie.CplSuccess || cpl.Completer != tenant.SC.DeviceID() ||
+			binary.LittleEndian.Uint64(cpl.Payload) != uint64(tenant.SC.MMIOSeq()) {
+			t.Fatalf("tenant %d: control-BAR read answered %v, want its own unit %v", i, cpl, tenant.SC.DeviceID())
+		}
 	}
 }
 
@@ -212,10 +220,9 @@ func TestTenantAttestationGatesKeyProvisioning(t *testing.T) {
 
 func TestMuxRejectsDuplicateSlices(t *testing.T) {
 	mux := core.NewMux(SCID)
-	keys1 := core.NewController(pcie.MakeID(1, 0, 0), pcie.Region{Base: 0x1000, Size: 0x1000}, nil)
-	_ = keys1
 	mk := func(fn uint8) *core.MuxUnit {
 		c := core.NewController(pcie.MakeID(1, 0, fn), pcie.Region{Base: 0x1000, Size: 0x1000}, nil)
+		c.Attach(pcie.NewBus("internal"), pcie.Region{}, pcie.NewBus("host"))
 		return &core.MuxUnit{Ctrl: c, XPU: pcie.MakeID(2, 0, 0), TVM: pcie.MakeID(0, 1, 0)}
 	}
 	if err := mux.AddUnit(mk(0)); err != nil {
@@ -226,6 +233,10 @@ func TestMuxRejectsDuplicateSlices(t *testing.T) {
 	}
 	if err := mux.AddUnit(&core.MuxUnit{}); err == nil {
 		t.Fatal("unit without controller accepted")
+	}
+	bare := core.NewController(pcie.MakeID(1, 0, 2), pcie.Region{Base: 0x1000, Size: 0x1000}, nil)
+	if err := mux.AddUnit(&core.MuxUnit{Ctrl: bare, XPU: pcie.MakeID(3, 0, 0), TVM: pcie.MakeID(0, 2, 0)}); err == nil {
+		t.Fatal("unit with an unattached controller accepted")
 	}
 }
 

@@ -52,21 +52,21 @@ type pipeline struct {
 
 // slice names what differs between protected slices: the three bus
 // identities and the windows the boot policy is scoped to. shared.Name
-// is also the mem.Space region the Adaptor stages bounce buffers in.
+// is also the mem.Space region the Adaptor stages bounce buffers in;
+// private is the TVM's own memory, which no device may reach.
 type slice struct {
-	tenant        string
-	tvm, sc, xpu  pcie.ID
-	scBar, xpuWin pcie.Region
-	shared        pcie.Region
+	tenant          string
+	tvm, sc, xpu    pcie.ID
+	scBar, xpuWin   pcie.Region
+	private, shared pcie.Region
 }
 
-// assemble wires the trusted side of one slice behind the host bridge:
-// the internal segment holding the device, the SC unit with completion
-// reaping, the environment-guard teardown hook, the payload-recycling
-// loops, the boot policy, and the Adaptor. The SC's host-side presence
-// (a direct claim, or a Mux unit) is the caller's. It returns the
-// internal segment.
-func (pl *pipeline) assemble(br *HostBridge, dev *xpu.Device, s slice, golden string) (*pcie.Bus, error) {
+// assemble wires one slice into the chassis: the internal segment
+// holding the device, the SC unit with completion reaping, the
+// environment-guard teardown hook, the payload-recycling loops, the
+// boot policy, the Adaptor, and the SC's one host-side presence — a
+// unit of mux. It returns the internal segment.
+func (pl *pipeline) assemble(br *HostBridge, mux *core.Mux, dev *xpu.Device, s slice, golden string) (*pcie.Bus, error) {
 	internal := pcie.NewBus("internal" + s.tenant)
 	internal.Attach(dev)
 	if err := internal.Claim(s.xpu, dev.BAR0()); err != nil {
@@ -76,7 +76,7 @@ func (pl *pipeline) assemble(br *HostBridge, dev *xpu.Device, s slice, golden st
 	pl.scKeys, pl.tvmKeys = secmem.NewKeyStore(), secmem.NewKeyStore()
 	sc := core.NewController(s.sc, s.scBar, pl.scKeys)
 	pl.SC = sc
-	sc.AttachInternalBusOnly(internal, s.xpu, s.xpuWin, br.bus)
+	sc.Attach(internal, s.xpuWin, br.bus)
 	// Batched completion reaping: after forwarding a guarded doorbell the
 	// SC reads the device's command head once and DMA-writes it into the
 	// submission ring header, so the driver's completion poll becomes a
@@ -85,9 +85,11 @@ func (pl *pipeline) assemble(br *HostBridge, dev *xpu.Device, s slice, golden st
 	// The SC's internal port claims the host windows on the internal
 	// bus, so all device-initiated traffic (DMA, MSI) routes through the
 	// filter — and is observable on the internal segment like real wire
-	// traffic.
+	// traffic. TVM-private memory is claimed too, so a device DMA aimed
+	// at it reaches the filter (and dies there) instead of going
+	// unrouted.
 	internal.Attach(sc.InternalPort())
-	for _, r := range []pcie.Region{s.shared, {Base: msiBase, Size: msiSize, Name: "msi"}} {
+	for _, r := range []pcie.Region{s.private, s.shared, {Base: msiBase, Size: msiSize, Name: "msi"}} {
 		if err := internal.Claim(s.sc, r); err != nil {
 			return nil, err
 		}
@@ -146,6 +148,17 @@ func (pl *pipeline) assemble(br *HostBridge, dev *xpu.Device, s slice, golden st
 	}
 
 	pl.Adaptor = adaptor.New(s.tvm, br.bus, br.space, pl.tvmKeys, s.scBar.Base, s.xpuWin.Base, s.shared.Name)
+
+	// The host side: the mux claims the SC BAR and the xPU window and
+	// pins the slice's TVM as the one requester the control BAR answers.
+	if err := mux.AddUnit(&core.MuxUnit{Ctrl: sc, Bar: s.scBar, Window: s.xpuWin, XPU: s.xpu, TVM: s.tvm}); err != nil {
+		return nil, err
+	}
+	for _, r := range []pcie.Region{s.scBar, s.xpuWin} {
+		if err := br.bus.Claim(mux.DeviceID(), r); err != nil {
+			return nil, err
+		}
+	}
 	return internal, nil
 }
 
@@ -331,9 +344,19 @@ func (pl *pipeline) recoverSubmission(staged []*adaptor.Region, before, want uin
 		who, head-before, want-before, st)
 }
 
-// task stages one blob Task on the slice and runs it: input sealed up,
-// copy/kernel/copy submitted, result collected.
+// task admits one blob Task on the slice — not cancelled, trusted,
+// input non-empty, in that order — stages it and runs it: input sealed
+// up, copy/kernel/copy submitted, result collected.
 func (pl *pipeline) task(ctx context.Context, t Task) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, ctxErr(err)
+	}
+	if !pl.trusted {
+		return nil, pl.label(fmt.Errorf("%w; call EstablishTrust first", ErrNotTrusted))
+	}
+	if len(t.Input) == 0 {
+		return nil, pl.label(ErrEmptyInput)
+	}
 	outLen := t.outLen()
 	in, err := pl.Adaptor.StageH2D("task-input", t.Input)
 	if err != nil {
@@ -347,6 +370,15 @@ func (pl *pipeline) task(ctx context.Context, t Task) ([]byte, error) {
 	defer pl.Adaptor.ReleaseRegion(out)
 	cmds := t.commands(in.Buf.Base(), out.Buf.Base(), outLen)
 	return pl.run(ctx, cmds[:], []*adaptor.Region{in}, out, outLen)
+}
+
+// label prefixes err with the slice's tenant; a Platform's errors go
+// unlabelled.
+func (pl *pipeline) label(err error) error {
+	if pl.tenant == "" {
+		return err
+	}
+	return fmt.Errorf("ccai: tenant %s: %w", pl.tenant, err)
 }
 
 // teardown destroys the session: keys zeroized on both ends, device

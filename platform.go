@@ -182,6 +182,29 @@ func (h *HostBridge) Interrupts() []uint32 {
 	return append([]uint32(nil), h.msi...)
 }
 
+// hostSide is the host segment every owner builds the same way: the
+// bus, the IOMMU, and the bridge terminating DMA and MSI into guest
+// memory.
+type hostSide struct {
+	Host   *pcie.Bus
+	Bridge *HostBridge
+	IOMMU  *mem.IOMMU
+}
+
+// newHostSide builds the host segment over space, the bridge claiming
+// the given RAM windows and the MSI window.
+func newHostSide(space *mem.Space, ram ...pcie.Region) (hostSide, error) {
+	h := hostSide{Host: pcie.NewBus("host"), IOMMU: mem.NewIOMMU()}
+	h.Bridge = &HostBridge{id: HostBridgeID, space: space, iommu: h.IOMMU, bus: h.Host}
+	h.Host.Attach(h.Bridge)
+	for _, r := range append(ram, pcie.Region{Base: msiBase, Size: msiSize, Name: "msi"}) {
+		if err := h.Host.Claim(HostBridgeID, r); err != nil {
+			return h, err
+		}
+	}
+	return h, nil
+}
+
 // observed is the observability surface a Platform and a MultiPlatform
 // share: the hub, the live telemetry plane, and their accessors.
 type observed struct {
@@ -215,6 +238,23 @@ func (o *observed) WriteTimeline(w io.Writer) error {
 // zero Snapshot is returned when observability is off.
 func (o *observed) MetricsSnapshot() obsv.Snapshot { return o.Obs.Reg().Snapshot() }
 
+// attachTelemetry attaches the live telemetry plane when cfg asks for
+// one, with a bearer token for each of the first tenants tenant labels.
+func (o *observed) attachTelemetry(cfg config, tenants int) error {
+	if cfg.Telemetry == nil {
+		return nil
+	}
+	tel, err := telemetry.Attach(o.Obs, *cfg.Telemetry)
+	if err != nil {
+		return err
+	}
+	for i := range tenants {
+		tel.RegisterTenant(tenantLabel(i))
+	}
+	o.Tel = tel
+	return nil
+}
+
 // closeTelemetry stops the telemetry server, if any.
 func (o *observed) closeTelemetry() {
 	if o.Tel != nil {
@@ -226,16 +266,16 @@ func (o *observed) closeTelemetry() {
 // Platform is one assembled machine: guest, buses, device and driver,
 // plus — under Protected mode — the one protected pipeline (PCIe-SC,
 // Adaptor, guarded driver) whose SC, Adaptor and Driver fields are
-// promoted here. Under Vanilla only Driver is populated.
+// promoted here. Under Vanilla only Driver is populated. A Protected
+// Platform is the §9 chassis with one unit: its SC sits on the host bus
+// behind a one-unit core.Mux, exactly like a MultiPlatform tenant's.
 type Platform struct {
 	pipeline
 	observed
+	hostSide
 
-	Mode   Mode
-	Guest  *tvm.Guest
-	Host   *pcie.Bus
-	Bridge *HostBridge
-	IOMMU  *mem.IOMMU
+	Mode  Mode
+	Guest *tvm.Guest
 
 	Internal *pcie.Bus
 	Device   *xpu.Device
@@ -264,26 +304,15 @@ func New(options ...Option) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Platform{
-		Mode:  cfg.Mode,
-		Guest: guest,
-		Host:  pcie.NewBus("host"),
-		IOMMU: mem.NewIOMMU(),
+	p := &Platform{Mode: cfg.Mode, Guest: guest}
+	if p.hostSide, err = newHostSide(guest.Space,
+		pcie.Region{Base: privateBase, Size: privateSize, Name: "ram/private"},
+		pcie.Region{Base: sharedBase, Size: sharedSize, Name: "ram/shared"}); err != nil {
+		return nil, err
 	}
 	if cfg.Observe || cfg.Telemetry != nil {
 		p.Obs = obsv.NewHub()
 		p.taskMet = newTaskObs(p.Obs.Reg(), p.Mode)
-	}
-	p.Bridge = &HostBridge{id: HostBridgeID, space: guest.Space, iommu: p.IOMMU, bus: p.Host}
-	p.Host.Attach(p.Bridge)
-	for _, r := range []pcie.Region{
-		{Base: privateBase, Size: privateSize, Name: "ram/private"},
-		{Base: sharedBase, Size: sharedSize, Name: "ram/shared"},
-		{Base: msiBase, Size: msiSize, Name: "msi"},
-	} {
-		if err := p.Host.Claim(HostBridgeID, r); err != nil {
-			return nil, err
-		}
 	}
 
 	p.Device = xpu.NewDevice(cfg.XPU, XPUID, xpuBARBase, 1<<20)
@@ -295,12 +324,7 @@ func New(options ...Option) (*Platform, error) {
 	if err != nil {
 		return p, err
 	}
-	if cfg.Telemetry != nil {
-		if p.Tel, err = telemetry.Attach(p.Obs, *cfg.Telemetry); err != nil {
-			return p, err
-		}
-	}
-	return p, nil
+	return p, p.attachTelemetry(cfg, 0)
 }
 
 func (p *Platform) assembleVanilla() error {
@@ -332,30 +356,22 @@ func (p *Platform) assembleVanilla() error {
 	return p.Driver.ConfigureMSI(msiBase, 0x41)
 }
 
+// assembleProtected builds the chassis with one unit: a Mux on the host
+// bus and the one slice attached to it, on Platform's address map.
 func (p *Platform) assembleProtected(cfg config) error {
-	bar := p.Device.BAR0()
-	internal, err := p.assemble(p.Bridge, p.Device, slice{
+	mux := core.NewMux(SCID)
+	p.Host.Attach(mux)
+	internal, err := p.assemble(p.Bridge, mux, p.Device, slice{
 		tvm: TVMID, sc: SCID, xpu: XPUID,
-		scBar:  pcie.Region{Base: scBARBase, Size: core.SCBarSize, Name: "pcie-sc"},
-		xpuWin: bar,
-		shared: pcie.Region{Base: sharedBase, Size: sharedSize, Name: adaptor.SharedRegion},
+		scBar:   pcie.Region{Base: scBARBase, Size: core.SCBarSize, Name: "pcie-sc"},
+		xpuWin:  p.Device.BAR0(),
+		private: pcie.Region{Base: privateBase, Size: privateSize, Name: tvm.PrivateRegion},
+		shared:  pcie.Region{Base: sharedBase, Size: sharedSize, Name: adaptor.SharedRegion},
 	}, cfg.GoldenFirmware)
 	if err != nil {
 		return err
 	}
 	p.Internal = internal
-	// A single-slice platform has no Mux in front of it: the SC itself
-	// claims its control BAR and the xPU window on the host bus and pins
-	// the one TVM allowed to drive them. TVM-private memory is claimed on
-	// the internal segment too, so a device DMA aimed at it reaches the
-	// filter (and dies there) instead of going unrouted.
-	if err := p.SC.AttachHostBus(p.Host, bar); err != nil {
-		return err
-	}
-	p.SC.SetAuthorizedTVM(TVMID)
-	if err := internal.Claim(SCID, pcie.Region{Base: privateBase, Size: privateSize, Name: "up/private"}); err != nil {
-		return err
-	}
 	p.setObserver(p.Obs)
 	return nil
 }

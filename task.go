@@ -134,19 +134,10 @@ func (p *Platform) RunTaskCtx(ctx context.Context, t Task) ([]byte, error) {
 }
 
 func (p *Platform) runTask(ctx context.Context, t Task) ([]byte, error) {
-	if len(t.Input) == 0 {
-		return nil, ErrEmptyInput
-	}
-	if p.Mode == Protected && !p.trusted {
-		return nil, fmt.Errorf("%w; call EstablishTrust first", ErrNotTrusted)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ctxErr(err)
-	}
 	if p.Mode == Protected {
 		return p.task(ctx, t)
 	}
-	return p.runVanilla(t)
+	return p.runVanilla(ctx, t)
 }
 
 // outLen is the task's result size: the input size, except that
@@ -174,7 +165,13 @@ func (t Task) commands(inAddr, outAddr uint64, outLen int64) [3]xpu.Command {
 // runVanilla is the unprotected baseline: plaintext staged in ordinary
 // DMA-able memory, the device driven directly on the host bus. It shares
 // nothing with the protected pipeline — no sealing, no recovery ladder.
-func (p *Platform) runVanilla(t Task) ([]byte, error) {
+func (p *Platform) runVanilla(ctx context.Context, t Task) ([]byte, error) {
+	if len(t.Input) == 0 {
+		return nil, ErrEmptyInput
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, ctxErr(err)
+	}
 	outLen := t.outLen()
 	in, err := p.Guest.Space.Alloc(tvm.SharedRegion, "task-input", int64(len(t.Input)))
 	if err != nil {
