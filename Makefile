@@ -26,6 +26,10 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # in for sealed configuration, positioned tags and notifies.
 	$(GO) test -run '^$$' -fuzz=FuzzControllerControlWindow -fuzztime=10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=10s ./internal/core/
+# The device's side of the SC: one MWr at any offset of a live D2H region,
+# up to 8 KiB, is refused whole or sealed exactly, and no plaintext
+# reaches the host segment either way.
+	$(GO) test -run '^$$' -fuzz=FuzzDeviceWriteBurst -fuzztime=10s ./internal/core/
 # The deterministic allocation ceilings (64 KiB protected task, the
 # steady decode step — TestTaskAllocBudget/decode-step — and the D2H read
 # path) run as named tests so a breach points at the exact budget, not a
@@ -51,6 +55,13 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # segments as tenant 0 of a one-tenant MultiPlatform, its host side is a
 # Mux, and every slice's TVM-private window dies in its own filter.
 	$(GO) test -run 'TestPlatformIsOneUnitChassis|TestPlatformHostSideIsMux|TestSlicePrivateWindowReachesFilter' ./
+# D2H write bursts: the device posts its results to the SC in MaxReadReq
+# bursts, and the host segment carries the same rows as 256-byte device
+# writes left it, protected and Vanilla; the SC takes a burst whole or
+# not at all, seals it exactly as chunk-by-chunk writes, zeroes its
+# staging on a seal fault and never publishes progress past what is in
+# host memory.
+	$(GO) test -run 'TestD2HBurstKeepsHostWire|TestEncryptWriteBurst' ./ ./internal/core/
 
 build:
 	$(GO) build ./...
@@ -158,6 +169,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzControllerControlWindow -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzDeviceWriteBurst -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=15s ./internal/obsv/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=15s ./internal/fault/
 

@@ -6,6 +6,9 @@ package ccai
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"ccai/internal/core"
@@ -72,6 +75,75 @@ func TestPlatformIsOneUnitChassis(t *testing.T) {
 				t.Fatalf("%s segment packet %d: platform %+v, tenant %+v", seg.name, i, seg.plat[i], seg.mt[i])
 			}
 		}
+	}
+}
+
+// wireDigest hashes rows in order.
+func wireDigest(rows []wireRow) string {
+	h := sha256.New()
+	for _, r := range rows {
+		var b [27]byte
+		b[0] = byte(r.kind)
+		binary.LittleEndian.PutUint16(b[1:], uint16(r.req))
+		binary.LittleEndian.PutUint64(b[3:], r.addr)
+		binary.LittleEndian.PutUint32(b[11:], r.length)
+		binary.LittleEndian.PutUint64(b[15:], uint64(r.payload))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestD2HBurstKeepsHostWire pins what the device's D2H write bursts
+// must not move. Three 64 KiB XOR tasks put the same host-segment rows —
+// kind, requester, address, lengths, in order — as when the device
+// posted its result in 256-byte writes: on a protected Platform, where
+// the bursts end at the SC and the SC still writes 256-byte ciphertext
+// chunks, and on a Vanilla one, whose device writes straight onto the
+// host bus. Behind the SC the device posts each 64 KiB result as 16
+// MaxReadReq bursts, not 256 MaxPayload writes.
+func TestD2HBurstKeepsHostWire(t *testing.T) {
+	const tasks = 3
+	task := Task{Input: bytes.Repeat([]byte{7}, 64<<10), Kernel: KernelXOR, Param: 0x5a}
+	for _, c := range []struct {
+		name   string
+		p      func(*testing.T, xpu.Profile) *Platform
+		rows   int
+		digest string
+	}{
+		{"protected", protectedPlatform, 1155, "f219a0f5e2ccc2af8f66e6b2f973072430be62f74b768f3208b5d4ad732a4a40"},
+		{"vanilla", vanillaPlatform, 897, "6f06d3025c1b63d44b3b8229475a8f390ea76ba41a1477dc6182815060fe74cb"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.p(t, xpu.A100)
+			host := recordWire(p.Host)
+			var inner *[]wireRow
+			if p.Internal != nil {
+				inner = recordWire(p.Internal)
+			}
+			for i := 0; i < tasks; i++ {
+				if _, err := p.RunTask(task); err != nil {
+					t.Fatalf("task %d: %v", i, err)
+				}
+			}
+			if got := wireDigest(*host); len(*host) != c.rows || got != c.digest {
+				t.Fatalf("host segment: %d rows, digest %s; want %d rows, %s", len(*host), got, c.rows, c.digest)
+			}
+			if inner == nil {
+				return
+			}
+			bursts := 0
+			for _, r := range *inner {
+				if r.kind == pcie.MWr && r.req == XPUID && r.addr >= sharedBase && r.addr < sharedBase+sharedSize {
+					if r.payload != pcie.MaxReadReq {
+						t.Fatalf("D2H write of %d bytes, want %d", r.payload, pcie.MaxReadReq)
+					}
+					bursts++
+				}
+			}
+			if bursts != tasks*(64<<10)/pcie.MaxReadReq {
+				t.Fatalf("internal segment: %d D2H writes over %d tasks, want 16 a task", bursts, tasks)
+			}
+		})
 	}
 }
 

@@ -62,8 +62,9 @@ type Stats struct {
 	// reads whose crypto ran concurrently with the previous span's DMA.
 	PrefetchedChunks uint64
 	PrefetchHits     uint64
-	// BatchedD2HSpans counts device write bursts the SC sealed as one
-	// engine batch instead of one engine dispatch per chunk.
+	// BatchedD2HSpans counts the write spans — runs of up to
+	// MaxReadReq/ChunkSize consecutive D2H chunks of one region — the SC
+	// sealed as one engine batch instead of one engine dispatch per chunk.
 	BatchedD2HSpans uint64
 }
 
@@ -965,12 +966,12 @@ func (c *Controller) InternalPort() pcie.Endpoint { return internalPort{c} }
 // request and MSI the xPU emits crosses the filter and, inside
 // protected regions, the crypto handlers.
 //
-// On an observed chassis a chunk write into a live A2 D2H region
+// On an observed chassis a write burst into a live A2 D2H region
 // records no span of its own: it is accounted, with the verdict it
-// classified to, in the one encrypt_write span of the write span it
-// joins (sealSpan). A write that does not get that far — dropped,
-// misrouted, failed to seal — has its classify span recorded after the
-// fact, so every drop, reject and auth failure still shows one.
+// classified to, in the encrypt_write span of each write span it joins
+// (sealSpan). A write that does not get that far — dropped, misrouted,
+// failed to seal — has its classify span recorded after the fact, so
+// every drop, reject and auth failure still shows one.
 func (c *Controller) HandleFromDevice(p *pcie.Packet) *pcie.Packet {
 	fold := c.tracer != nil && p.Kind == pcie.MWr && c.regions.foldsWrite(p.Address)
 	verdict := c.filter.classify(p, !fold)
@@ -1410,34 +1411,46 @@ func (c *Controller) serveRun(region, first, k uint32, cs uint64) []byte {
 	return out
 }
 
-// encryptWrite services a device write into an A2 D2H region through
-// the write-span pipeline (pipeline.go): the chunk is staged with its
-// in-order neighbours and the span seals as one engine batch whose
+// encryptWrite services a device write burst into an A2 D2H region —
+// one to MaxReadReq/ChunkSize chunks, a single chunk being a burst of
+// one — through the write-span pipeline (pipeline.go): the burst's
+// chunks are staged with their in-order neighbours, a span's worth per
+// critical section, and each span seals as one engine batch whose
 // ciphertext DMA overlaps the remaining chunks' crypto. Flushes happen
 // on a full span, a sequence break, the metadata publish cadence, and
 // region completion, so host-visible progress never runs ahead of the
 // ciphertext and tags backing it.
 //
-// The write is posted, so there is nothing to return but the outcome:
-// false — a write outside the chunk grid, or a seal that failed — and
-// the caller fails closed. verdict is what the TLP classified to; a
-// write span holds only TLPs of one verdict, which its encrypt_write
-// span reports.
+// The burst's geometry is checked as a whole before anything is staged:
+// a chunk-aligned start, at most MaxReadReq bytes, inside the region,
+// and a partial chunk only at the region's tail. The write is posted,
+// so there is nothing to return but the outcome: false — a burst off
+// the chunk grid, or a seal that failed, which stops the burst where it
+// stands — and the caller fails closed. verdict is what the TLP
+// classified to; a write span holds only TLPs of one verdict, which its
+// encrypt_write span reports.
 func (c *Controller) encryptWrite(p *pcie.Packet, desc Descriptor, verdict Verdict) bool {
-	chunk, err := desc.ChunkOf(p.Address, uint32(len(p.Payload)))
-	if err != nil {
+	cs, off, n := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(len(p.Payload))
+	if n == 0 || n > pcie.MaxReadReq || off%cs != 0 || off+n > desc.Len || (n%cs != 0 && off+n != desc.Len) {
 		return false
 	}
-	ok := true
-	span, brk := c.stageWrite(desc, chunk, p.Payload, verdict)
-	if brk {
-		ok = c.sealSpan(c.detachSpan(desc))
-		span, _ = c.stageWrite(desc, chunk, p.Payload, verdict)
+	chunk, data := uint32(off/cs), p.Payload
+	for len(data) > 0 {
+		staged, span := c.stageWrite(desc, chunk, data, p.Payload, verdict)
+		if staged == 0 {
+			span = c.detachSpan(desc) // a sequence break
+		}
+		chunk += uint32(staged)
+		data = data[min(staged*int(cs), len(data)):]
+		if !c.sealSpan(span) {
+			if len(data) > 0 {
+				// No span took the burst's last chunk, so none owns its buffer.
+				c.retireStaging(p.Payload)
+			}
+			return false
+		}
 	}
-	if span != nil {
-		ok = c.sealSpan(span) && ok
-	}
-	return ok
+	return true
 }
 
 // tagSpanRecords is how many marshalled tag records fit one TLP payload.

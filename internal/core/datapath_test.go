@@ -9,8 +9,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"testing"
 
+	"ccai/internal/arena"
 	"ccai/internal/pcie"
 	"ccai/internal/secmem"
 )
@@ -819,5 +822,393 @@ func TestSlottedWindowPositionAcceptedOnce(t *testing.T) {
 	w1 = d.installWindow(t, 5, ctlMem+0x4000, 4)
 	if _, ok := d.readSlot(w1, 2); ok {
 		t.Fatal("reinstalled window inherited an armed slot")
+	}
+}
+
+// --- D2H write bursts -----------------------------------------------------------
+
+// burstMeta is where the burst tests' SC publishes progress counters.
+const burstMeta = ctlMem + 0xf000
+
+// d2hRegion registers an A2 D2H region of n bytes at base with its tag
+// table at tagBase, as the Adaptor's PrepareD2H does, and points the
+// SC's metadata buffer at burstMeta.
+func (d *dpRig) d2hRegion(t *testing.T, id uint32, base, tagBase uint64, n int) Descriptor {
+	t.Helper()
+	desc := Descriptor{ID: id, Dir: DirD2H, Class: ActionWriteReadProtect,
+		Base: base, Len: uint64(n), TagBase: tagBase, ChunkSize: ChunkSize}
+	if err := d.sc.regions.add(desc); err != nil {
+		t.Fatal(err)
+	}
+	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegMetaBase, le64(burstMeta)))
+	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegMetaSize, le64(4096)))
+	return desc
+}
+
+// useD2HKey replaces the SC's D2H stream with one under the given key
+// material.
+func (d *dpRig) useD2HKey(t *testing.T, key, nonce []byte) {
+	t.Helper()
+	if err := d.sc.Keys().Install(StreamD2H, key, nonce); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.sc.Params().Activate(StreamD2H); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// hostWrite is one write the SC put on the host segment.
+type hostWrite struct {
+	addr uint64
+	body []byte
+}
+
+// recordHostWrites taps the rig's host bus for the SC's writes from now
+// on.
+func (d *dpRig) recordHostWrites() *[]hostWrite {
+	ws := new([]hostWrite)
+	d.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Kind == pcie.MWr && p.Requester == d.sc.DeviceID() {
+			*ws = append(*ws, hostWrite{p.Address, append([]byte(nil), p.Payload...)})
+		}
+		return p
+	}))
+	return ws
+}
+
+// devWrite posts data — not a copy: the SC takes the device's staging
+// buffer itself — as one device MWr at addr, and reports whether the SC
+// took it: false when it counted an auth failure or a filter drop.
+func (d *dpRig) devWrite(addr uint64, data []byte) bool {
+	p := pcie.NewMemWrite(d.dev.id, addr, nil)
+	p.Payload, p.Length = data, uint32(len(data))
+	before := d.sc.Stats()
+	d.sc.HandleFromDevice(p)
+	after := d.sc.Stats()
+	return after.AuthFailures == before.AuthFailures && after.Filter.Dropped == before.Filter.Dropped
+}
+
+// pendingSpans reports how many regions hold staged, unsealed chunks.
+func (d *dpRig) pendingSpans() int {
+	d.sc.mu.Lock()
+	defer d.sc.mu.Unlock()
+	return len(d.sc.wspans)
+}
+
+// d2hView is what the SC's writes for one D2H region left in host
+// memory: per chunk its ciphertext and tag record (nil: never written),
+// and every progress counter published, in order.
+type d2hView struct {
+	ct   [][]byte
+	recs []*TagRecord
+	meta []uint64
+}
+
+// viewD2H sorts the SC's host writes into desc's ciphertext chunks, tag
+// records and progress counters, failing the test on any other write —
+// for a D2H region the SC writes nothing else. It also holds the
+// metadata invariant at every publish: the counter never claims more
+// chunks than have both their ciphertext and their tag record in host
+// memory.
+func viewD2H(t *testing.T, desc Descriptor, writes []hostWrite) d2hView {
+	t.Helper()
+	n := chunkCount(desc)
+	v := d2hView{ct: make([][]byte, n), recs: make([]*TagRecord, n)}
+	cs := uint64(desc.ChunkSize)
+	backed := func() (k uint64) {
+		for j := range v.ct {
+			if v.ct[j] != nil && v.recs[j] != nil {
+				k++
+			}
+		}
+		return k
+	}
+	for _, w := range writes {
+		switch {
+		case desc.Contains(w.addr):
+			off := w.addr - desc.Base
+			j := off / cs
+			if off%cs != 0 || uint64(len(w.body)) != min(cs, desc.Len-off) {
+				t.Fatalf("ciphertext write of %d bytes at region offset %d is off the chunk grid", len(w.body), off)
+			}
+			v.ct[j] = w.body
+		case w.addr >= desc.TagBase && w.addr < desc.TagBase+uint64(n)*TagRecordSize:
+			off := w.addr - desc.TagBase
+			if off%TagRecordSize != 0 || len(w.body)%TagRecordSize != 0 || off+uint64(len(w.body)) > uint64(n)*TagRecordSize {
+				t.Fatalf("tag write of %d bytes at table offset %d is off the record grid", len(w.body), off)
+			}
+			for b, j := w.body, off/TagRecordSize; len(b) > 0; b, j = b[TagRecordSize:], j+1 {
+				if binary.LittleEndian.Uint32(b) != hashStream(StreamD2H) {
+					t.Fatalf("tag record for chunk %d names another stream", j)
+				}
+				rec := &TagRecord{Stream: StreamD2H, Chunk: binary.LittleEndian.Uint32(b[4:]), Epoch: binary.LittleEndian.Uint32(b[8:])}
+				copy(rec.Tag[:], b[12:TagRecordSize])
+				v.recs[j] = rec
+			}
+		case w.addr == burstMeta+uint64(desc.ID)*8 && len(w.body) == 8:
+			count := binary.LittleEndian.Uint64(w.body)
+			if k := backed(); count > k {
+				t.Fatalf("metadata claims %d chunks; %d have ciphertext and tag in host memory", count, k)
+			}
+			v.meta = append(v.meta, count)
+		default:
+			t.Fatalf("SC wrote %d bytes at %#x, outside region %d's chunks, tag table and counter", len(w.body), w.addr, desc.ID)
+		}
+	}
+	return v
+}
+
+// opens reports whether chunk j of the view opens, under the SC's D2H
+// key and the chunk's AAD, to exactly pt. Each chunk is opened by a
+// fresh replica, so chunks open in any order.
+func (d *dpRig) opens(desc Descriptor, v d2hView, j int, pt []byte) bool {
+	rec := v.recs[j]
+	if v.ct[j] == nil || rec == nil {
+		return false
+	}
+	key, nonce, err := d.sc.Keys().Material(StreamD2H)
+	if err != nil {
+		return false
+	}
+	rx, err := secmem.NewStream(key, nonce)
+	if err != nil {
+		return false
+	}
+	got, err := rx.Open(&secmem.Sealed{Counter: rec.Chunk, Epoch: rec.Epoch,
+		Ciphertext: v.ct[j], Tag: rec.Tag}, desc.AAD(uint32(j)))
+	return err == nil && bytes.Equal(got, pt)
+}
+
+// chunkOf slices chunk j out of a region's plaintext.
+func chunkOf(data []byte, j int) []byte {
+	return data[j*ChunkSize : min((j+1)*ChunkSize, len(data))]
+}
+
+// deviceStaging copies data into an arena buffer, as a device stages
+// its MWr payloads when the SC recycles them.
+func deviceStaging(data []byte) []byte {
+	b := arena.Get(len(data))
+	copy(b, data)
+	return b
+}
+
+func burstData(n int, seed byte) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*31) ^ seed
+	}
+	return data
+}
+
+// TestEncryptWriteBurst: one device write of a whole region — a single
+// chunk, 16 chunks, or chunks ending in a partial one at the region's
+// tail — is sealed chunk by chunk into host memory: every chunk opens to
+// its bytes, the counter ends at the chunk count, and the span seals at
+// the metadata cadence (8 chunks a batch).
+func TestEncryptWriteBurst(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		n     int
+		spans uint64
+	}{
+		{"one chunk", ChunkSize, 1},
+		{"16 chunks", pcie.MaxReadReq, 2},
+		{"partial tail chunk", 2*ChunkSize + 128, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDPRig(t)
+			d.sc.EnableDatapathRecycling()
+			desc := d.d2hRegion(t, 9, ctlMem+0x4000, ctlMem+0x8000, c.n)
+			writes := d.recordHostWrites()
+			data := burstData(c.n, 0x3c)
+			if !d.devWrite(desc.Base, deviceStaging(data)) {
+				t.Fatal("burst refused")
+			}
+			v := viewD2H(t, desc, *writes)
+			k := chunkCount(desc)
+			for j := 0; j < k; j++ {
+				if !d.opens(desc, v, j, chunkOf(data, j)) {
+					t.Fatalf("chunk %d does not open to its bytes", j)
+				}
+			}
+			st := d.sc.Stats()
+			if st.EncryptedChunks != uint64(k) || st.BatchedD2HSpans != c.spans || v.meta[len(v.meta)-1] != uint64(k) {
+				t.Fatalf("%d chunks sealed in %d spans, counter %v; want %d in %d, ending at %d",
+					st.EncryptedChunks, st.BatchedD2HSpans, v.meta, k, c.spans, k)
+			}
+		})
+	}
+}
+
+// TestEncryptWriteBurstRejectedWhole: a burst whose geometry is wrong
+// anywhere — start off the chunk grid, end past the region or in the
+// next one, a partial chunk short of the region's tail, more than one
+// MaxReadReq, or no bytes — is refused as a whole: one auth failure,
+// nothing staged, nothing written to host memory, not even the chunks
+// that would have fit.
+func TestEncryptWriteBurstRejectedWhole(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		regionLen int
+		off, n    int
+		next      bool // a second region starts where the first ends
+	}{
+		{"unaligned start", 4 * ChunkSize, 128, 2 * ChunkSize, false},
+		{"past the region end", 2 * ChunkSize, 0, 4 * ChunkSize, false},
+		{"straddles two regions", 2 * ChunkSize, 0, 4 * ChunkSize, true},
+		{"partial chunk before the tail", 4 * ChunkSize, 0, ChunkSize + 44, false},
+		{"over MaxReadReq", 2 * pcie.MaxReadReq, 0, pcie.MaxReadReq + ChunkSize, false},
+		{"empty", 4 * ChunkSize, 0, 0, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDPRig(t)
+			desc := d.d2hRegion(t, 9, ctlMem+0x4000, ctlMem+0x8000, c.regionLen)
+			if c.next {
+				d.d2hRegion(t, 10, desc.Base+desc.Len, ctlMem+0xa000, c.regionLen)
+			}
+			writes := d.recordHostWrites()
+			d.devWrite(desc.Base+uint64(c.off), burstData(c.n, 1))
+			st := d.sc.Stats()
+			if st.AuthFailures != 1 || st.EncryptedChunks != 0 || d.pendingSpans() != 0 || len(*writes) != 0 {
+				t.Fatalf("%d auth failures, %d chunks sealed, %d spans pending, %d host writes; want 1, 0, 0, 0",
+					st.AuthFailures, st.EncryptedChunks, d.pendingSpans(), len(*writes))
+			}
+		})
+	}
+}
+
+// TestEncryptWriteBurstMatchesChunkWrites: under the same key, a region
+// written in bursts — 16 chunks, then 4 ending in a partial one — and
+// the same region written one chunk per MWr put the same writes on the
+// host segment, byte for byte and in the same order, and seal in the
+// same batches.
+func TestEncryptWriteBurstMatchesChunkWrites(t *testing.T) {
+	key, nonce := secmem.FreshKey(), secmem.FreshNonce()
+	const n = pcie.MaxReadReq + 3*ChunkSize + 100
+	data := burstData(n, 0xa5)
+	run := func(size int) ([]hostWrite, uint64) {
+		d := newDPRig(t)
+		d.useD2HKey(t, key, nonce)
+		desc := d.d2hRegion(t, 9, ctlMem+0x4000, ctlMem+0x8000, n)
+		writes := d.recordHostWrites()
+		for off := 0; off < n; off += size {
+			if !d.devWrite(desc.Base+uint64(off), data[off:min(off+size, n)]) {
+				t.Fatalf("write of %d bytes at %d refused", size, off)
+			}
+		}
+		return *writes, d.sc.Stats().BatchedD2HSpans
+	}
+	bursts, burstSpans := run(pcie.MaxReadReq)
+	chunks, chunkSpans := run(ChunkSize)
+	if len(bursts) != len(chunks) || burstSpans != chunkSpans {
+		t.Fatalf("%d host writes in %d sealed spans from bursts, %d in %d from single chunks",
+			len(bursts), burstSpans, len(chunks), chunkSpans)
+	}
+	for i := range bursts {
+		if bursts[i].addr != chunks[i].addr || !bytes.Equal(bursts[i].body, chunks[i].body) {
+			t.Fatalf("host write %d: %#x/%d bytes from bursts, %#x/%d from single chunks",
+				i, bursts[i].addr, len(bursts[i].body), chunks[i].addr, len(chunks[i].body))
+		}
+	}
+}
+
+// TestEncryptWriteBurstSealFaultZeroesStaging: a seal that fails under a
+// burst stops it where it stands — one auth failure, the chunks sealed
+// before the fault in host memory and counted, nothing after it — and
+// the burst's staging buffer goes back to the arena zeroed, whether the
+// fault hit the span holding its last chunk, an earlier one, or the
+// pending span a sequence break had to seal first.
+func TestEncryptWriteBurstSealFaultZeroesStaging(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		pending bool // chunk 0 is staged alone first; the burst starts at chunk 8
+		sealed  int  // chunks sealed before the fault
+	}{
+		{"first span", false, 0},
+		{"second span", false, 8},
+		{"pending span at a break", true, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDPRig(t)
+			d.sc.EnableDatapathRecycling()
+			desc := d.d2hRegion(t, 9, ctlMem+0x4000, ctlMem+0x8000, 2*pcie.MaxReadReq)
+			writes := d.recordHostWrites()
+			var lone []byte
+			first := 0
+			if c.pending {
+				lone = deviceStaging(burstData(ChunkSize, 7))
+				if !d.devWrite(desc.Base, lone) || d.pendingSpans() != 1 {
+					t.Fatal("lone chunk not staged")
+				}
+				first = 8
+			}
+			stream, err := d.sc.Params().Stream(StreamD2H)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			stream.SetFaultHook(func(string) error {
+				if calls++; calls > c.sealed {
+					return errors.New("injected seal fault")
+				}
+				return nil
+			})
+			burst := deviceStaging(burstData(pcie.MaxReadReq, 9))
+			if d.devWrite(desc.Base+uint64(first*ChunkSize), burst) {
+				t.Fatal("burst accepted through a seal fault")
+			}
+			for name, b := range map[string][]byte{"burst": burst, "lone chunk": lone} {
+				if !bytes.Equal(b[:cap(b)], make([]byte, cap(b))) {
+					t.Fatalf("%s staging buffer not zeroed", name)
+				}
+			}
+			v := viewD2H(t, desc, *writes)
+			for j, ct := range v.ct {
+				if (ct != nil) != (j < c.sealed) {
+					t.Fatalf("chunk %d: ciphertext written %v, want %v", j, ct != nil, j < c.sealed)
+				}
+			}
+			if st := d.sc.Stats(); st.AuthFailures != 1 || st.EncryptedChunks != uint64(c.sealed) ||
+				d.sc.D2HProgress(desc.ID) != uint64(c.sealed) || d.pendingSpans() != 0 {
+				t.Fatalf("%d auth failures, %d chunks sealed, progress %d, %d spans pending; want 1, %d, %d, 0",
+					st.AuthFailures, st.EncryptedChunks, d.sc.D2HProgress(desc.ID), d.pendingSpans(), c.sealed, c.sealed)
+			}
+		})
+	}
+}
+
+// TestEncryptWriteBurstDropNeverOverclaims: with one of a 48-chunk
+// region's three bursts lost on the internal segment, the progress
+// counter never claims a chunk whose ciphertext and tag record are not
+// in host memory (viewD2H checks it at every publish), stops at the 32
+// chunks that arrived — so the region never reads complete — and none
+// of the lost burst's chunks has anything in host memory.
+func TestEncryptWriteBurstDropNeverOverclaims(t *testing.T) {
+	const bursts = 3
+	for lost := 0; lost < bursts; lost++ {
+		t.Run(fmt.Sprintf("burst %d lost", lost), func(t *testing.T) {
+			d := newDPRig(t)
+			desc := d.d2hRegion(t, 9, ctlMem+0x4000, ctlMem+0x8000, bursts*pcie.MaxReadReq)
+			writes := d.recordHostWrites()
+			data := burstData(bursts*pcie.MaxReadReq, 0x77)
+			for b := 0; b < bursts; b++ {
+				if b != lost && !d.devWrite(desc.Base+uint64(b*pcie.MaxReadReq), data[b*pcie.MaxReadReq:][:pcie.MaxReadReq]) {
+					t.Fatalf("burst %d refused", b)
+				}
+			}
+			v := viewD2H(t, desc, *writes)
+			for j := range v.ct {
+				inLost := j/spanChunks == lost
+				if written := v.ct[j] != nil || v.recs[j] != nil; written == inLost {
+					t.Fatalf("chunk %d: written %v", j, written)
+				}
+				if !inLost && !d.opens(desc, v, j, chunkOf(data, j)) {
+					t.Fatalf("chunk %d does not open to its bytes", j)
+				}
+			}
+			if got := v.meta[len(v.meta)-1]; got != 2*spanChunks || d.sc.D2HProgress(desc.ID) != got {
+				t.Fatalf("counter ends at %d, progress %d; want %d", got, d.sc.D2HProgress(desc.ID), 2*spanChunks)
+			}
+		})
 	}
 }

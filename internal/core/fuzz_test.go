@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -199,6 +200,80 @@ func FuzzControllerRing(f *testing.F) {
 			if s, err := d.sc.Params().Stream(name); err != nil || s.Epoch() != 0 {
 				t.Fatalf("fuzzed ring entries rotated %s", name)
 			}
+		}
+	})
+}
+
+// FuzzDeviceWriteBurst posts one device MWr — any offset from a live A2
+// D2H region's base, up to 8 KiB of payload — at the SC. Nothing may
+// panic, and the write ends one of two ways. Refused: one auth failure
+// or filter drop, nothing staged, nothing on the host segment. Taken:
+// once the rest of the region is written chunk by chunk (the chunks
+// after the burst, then those before it), every chunk the burst carried
+// sits in host memory as the ciphertext and tag record that open to its
+// bytes. Either way the SC's host writes are only ciphertext chunks, tag
+// records and progress counters (viewD2H), and no plaintext chunk of the
+// burst appears in any of them.
+func FuzzDeviceWriteBurst(f *testing.F) {
+	const cs = ChunkSize
+	f.Add(int64(0), uint16(16*cs), burstData(16*cs, 1))
+	f.Add(int64(0), uint16(2*cs+128), burstData(2*cs+128, 2))
+	f.Add(int64(4*cs), uint16(24*cs), burstData(16*cs, 3))
+	f.Add(int64(0), uint16(24*cs), burstData(3*cs, 4))
+	f.Add(int64(cs/2), uint16(16*cs), make([]byte, 2*cs))
+	f.Add(int64(0), uint16(4*cs), make([]byte, 3*cs+1))
+	f.Add(int64(0), uint16(32*cs), make([]byte, 17*cs))
+	f.Add(int64(-cs), uint16(4*cs), make([]byte, cs))
+	f.Add(int64(ctlMemN), uint16(4*cs), make([]byte, cs))
+	f.Fuzz(func(t *testing.T, off int64, regionLen uint16, payload []byte) {
+		payload = payload[:min(len(payload), 8<<10)]
+		d := newDPRig(t)
+		// As on a platform: the device stages its writes in the arena and
+		// the SC gives them back zeroed once sealed.
+		d.sc.EnableDatapathRecycling()
+		n := int(regionLen)%(32*cs) + 1
+		desc := d.d2hRegion(t, 9, ctlMem+0x10000, ctlMem+0x20000, n)
+		writes := d.recordHostWrites()
+		taken := d.devWrite(desc.Base+uint64(off), deviceStaging(payload))
+
+		end := off + int64(len(payload))
+		valid := off >= 0 && off%cs == 0 && len(payload) > 0 && len(payload) <= pcie.MaxReadReq &&
+			end <= int64(n) && (len(payload)%cs == 0 || end == int64(n))
+		if taken != valid {
+			t.Fatalf("write of %d bytes at offset %d into %d: taken %v, valid %v", len(payload), off, n, taken, valid)
+		}
+		if !taken {
+			if len(*writes) != 0 || d.pendingSpans() != 0 {
+				t.Fatalf("refused write left %d host writes, %d spans pending", len(*writes), d.pendingSpans())
+			}
+			return
+		}
+		first, last := int(off/cs), int((end-1)/cs)
+		fill := func(j int) []byte { return bytes.Repeat([]byte{byte(j)}, int(min(cs, int64(n)-int64(j*cs)))) }
+		for _, span := range [][2]int{{last + 1, chunkCount(desc)}, {0, first}} {
+			for j := span[0]; j < span[1]; j++ {
+				if !d.devWrite(desc.Base+uint64(j*cs), deviceStaging(fill(j))) {
+					t.Fatalf("fill chunk %d refused", j)
+				}
+			}
+		}
+		v := viewD2H(t, desc, *writes)
+		for j := first; j <= last; j++ {
+			pt := payload[(j-first)*cs : min((j-first+1)*cs, len(payload))]
+			if !d.opens(desc, v, j, pt) {
+				t.Fatalf("chunk %d of the burst does not open to its bytes", j)
+			}
+			if len(pt) < 32 {
+				continue // too short to tell from chance
+			}
+			for _, w := range *writes {
+				if bytes.Contains(w.body, pt) {
+					t.Fatalf("chunk %d's plaintext on the host segment at %#x", j, w.addr)
+				}
+			}
+		}
+		if got := v.meta[len(v.meta)-1]; got != uint64(chunkCount(desc)) {
+			t.Fatalf("region of %d chunks ends with the counter at %d", chunkCount(desc), got)
 		}
 	})
 }

@@ -19,12 +19,13 @@ import (
 // span's DMA shadow, so the steady-state per-span cost is
 // max(crypto, DMA) plus one pipeline fill, not their sum.
 //
-// D2H: device writes are accumulated per region (writeSpan) and sealed
-// as one engine batch when the span fills, the chunk sequence breaks,
-// or the region completes. The batch runs through SealBatchStream, so
-// chunk i's ciphertext DMA to host memory is issued from the emit
-// callback while the engine is already sealing chunks > i — the same
-// overlap, pointed the other way.
+// D2H: device write bursts (up to MaxReadReq each) are split along the
+// chunk grid, accumulated per region (writeSpan) and sealed as one
+// engine batch when the span fills, the chunk sequence breaks, the
+// metadata cadence is due, or the region completes. The batch runs
+// through SealBatchStream, so chunk i's ciphertext DMA to host memory
+// is issued from the emit callback while the engine is already sealing
+// chunks > i — the same overlap, pointed the other way.
 //
 // Both sides are speculation-safe: a prefetch that cannot complete
 // cleanly (missing tag, stale counter, corrupt fetch) backs out
@@ -287,20 +288,29 @@ func (c *Controller) prefetchSpan(desc Descriptor, addr uint64) {
 
 // writeSpan accumulates consecutive device D2H plaintext chunks of one
 // region and then carries everything its seal needs, so a flush
-// allocates nothing. The payload slices come straight from the device's
-// MWr packets; the device stages DMA payloads in memory it never reuses
-// itself (xpu.dmaWrite), so retaining them until the flush one Handle
-// call later is safe and copy-free.
+// allocates nothing. The chunks are views of the device's MWr bursts;
+// the device stages DMA payloads in memory it never reuses itself
+// (xpu.dmaWrite), so retaining them until the flush — later in the same
+// burst, or a Handle call later — is safe and copy-free.
+//
+// A burst's staging buffer belongs to the span that takes its last
+// chunk (owned) and goes back whole when that span retires; the spans
+// holding its earlier chunks were sealed before that chunk was staged.
+// A chunk view never goes back on its own: a 256-byte view of a 4 KiB
+// buffer would enter the arena's 256 B pool while aliasing the larger
+// buffer.
 //
 // A span is in one of two states. While it is in Controller.wspans it
 // is pending and guarded by c.mu. Once stageWrite or detachSpan has
 // taken it out for sealing it belongs to the sealing goroutine alone,
 // until finishSpan puts the shell back on the freelist.
 type writeSpan struct {
-	start  uint32 // chunk index of pts[0]
-	next   uint32 // chunk index that extends the span
-	pts    [][]byte
-	ptsArr [spanChunks][]byte
+	start    uint32 // chunk index of pts[0]
+	next     uint32 // chunk index that extends the span
+	pts      [][]byte
+	ptsArr   [spanChunks][]byte
+	owned    [][]byte
+	ownedArr [spanChunks][]byte
 	// verdict is what every TLP staged in the span classified to; the
 	// span's one encrypt_write span reports it for all of them.
 	verdict Verdict
@@ -331,17 +341,21 @@ type hostWr struct {
 	body []byte
 }
 
-// stageWrite buffers one device D2H chunk in the region's pending span
-// — the one critical section a staged chunk costs. When the chunk
-// completes the span (it is full, the region is complete, or the
-// metadata publish cadence is due: the progress counter must never
-// claim chunks whose ciphertext and tags are still buffered) the span
-// comes back detached, ready for sealSpan. When the pending span cannot
-// absorb the chunk — a sequence break — nothing is staged and brk is
-// true: the caller seals the detachSpan'd span and stages again. A TLP
-// that classified differently from the pending span's (the rule table
-// changed under the burst) breaks it the same way.
-func (c *Controller) stageWrite(desc Descriptor, chunk uint32, payload []byte, verdict Verdict) (flush *writeSpan, brk bool) {
+// stageWrite buffers the chunks of data — the rest of a device write
+// burst, from chunk on — in the region's pending span, in the one
+// critical section a span's worth of them costs. When a chunk completes
+// the span (it is full, the region is complete, or the metadata publish
+// cadence is due: the progress counter must never claim chunks whose
+// ciphertext and tags are still buffered) the span comes back detached,
+// ready for sealSpan, and the chunks after it are left for the next
+// call; staged counts the chunks taken. When the pending span cannot
+// absorb the burst — a sequence break — nothing is staged: the caller
+// seals the detachSpan'd span and stages again. A burst that classified
+// differently from the pending span's TLPs (the rule table changed
+// under the burst) breaks it the same way. The span that takes the
+// burst's last chunk takes owner, its staging buffer, with it.
+func (c *Controller) stageWrite(desc Descriptor, chunk uint32, data, owner []byte, verdict Verdict) (staged int, flush *writeSpan) {
+	cs := int(desc.ChunkSize)
 	total := uint64(chunkCount(desc))
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -356,19 +370,28 @@ func (c *Controller) stageWrite(desc Descriptor, chunk uint32, payload []byte, v
 			span.emit = span.emitChunk
 		}
 		span.start, span.next, span.verdict = chunk, chunk, verdict
-		span.pts = span.ptsArr[:0]
+		span.pts, span.owned = span.ptsArr[:0], span.ownedArr[:0]
 		c.wspans[desc.ID] = span
-	case chunk != span.next || len(span.pts) == spanChunks || verdict != span.verdict:
-		return nil, true
+	case chunk != span.next || verdict != span.verdict:
+		return 0, nil
 	}
-	span.pts = append(span.pts, payload)
-	span.next = chunk + 1
 	buffered := c.d2hChunks[desc.ID] + uint64(len(span.pts))
-	if len(span.pts) == spanChunks || buffered >= total || buffered%metaPublishEvery == 0 {
-		c.detachLocked(desc, span)
-		return span, false
+	for len(data) > 0 {
+		n := min(cs, len(data))
+		span.pts = append(span.pts, data[:n:n])
+		data = data[n:]
+		span.next++
+		staged++
+		buffered++
+		if len(data) == 0 {
+			span.owned = append(span.owned, owner)
+		}
+		if len(span.pts) == spanChunks || buffered >= total || buffered%metaPublishEvery == 0 {
+			c.detachLocked(desc, span)
+			return staged, span
+		}
 	}
-	return nil, false
+	return staged, nil
 }
 
 // detachSpan takes the region's pending span out for sealing; nil when
@@ -454,21 +477,15 @@ func (span *writeSpan) emitChunk(i int, chunk *secmem.Sealed) error {
 	return nil
 }
 
-// finishSpan retires a sealed or dropped span: the staged plaintext
-// goes back zeroed when the SC is provably its last holder — it came
-// from the device's arena-backed MWr staging whenever the internal bus
-// is still untapped (the platform wires both ends of that contract);
-// otherwise the slices belong to memory the device never reuses and
-// dropping the references is all the SC may do — and the shell returns
-// to the freelist.
+// finishSpan retires a sealed or dropped span: the staging buffers it
+// owns go back (retireStaging), and the shell returns to the freelist.
 func (c *Controller) finishSpan(span *writeSpan, sealed bool) {
-	if c.recycleOn(c.internal) {
-		for _, pt := range span.pts {
-			arena.PutZero(pt) // device plaintext
-		}
+	for _, b := range span.owned {
+		c.retireStaging(b)
 	}
+	clear(span.owned)
 	clear(span.pts)
-	span.pts = nil
+	span.pts, span.owned = nil, nil
 	c.mu.Lock()
 	if sealed {
 		c.stats.BatchedD2HSpans++
@@ -477,6 +494,18 @@ func (c *Controller) finishSpan(span *writeSpan, sealed bool) {
 		c.wsFree = append(c.wsFree, span)
 	}
 	c.mu.Unlock()
+}
+
+// retireStaging gives back a device write burst's staging buffer once
+// none of its chunks is buffered: zeroed into the arena when the SC is
+// provably its last holder — it came from the device's arena-backed MWr
+// staging whenever the internal bus is still untapped (the platform
+// wires both ends of that contract); otherwise it is memory the device
+// never reuses, and dropping the reference is all the SC may do.
+func (c *Controller) retireStaging(b []byte) {
+	if c.recycleOn(c.internal) {
+		arena.PutZero(b) // device plaintext
+	}
 }
 
 // dropWriteSpan discards a region's buffered, unsealed chunks

@@ -97,6 +97,10 @@ type Driver struct {
 	// chunk indices about to be consumed; ccAI's platform glue uses it
 	// to post MAC records. Vanilla leaves it nil.
 	preDoorbell func(chunks []uint32) error
+	// chunks is Submit's slot-index list, reused call to call: the
+	// preDoorbell hook does not retain it, and the driver's owner
+	// serializes its calls.
+	chunks []uint32
 
 	obs driverObs
 }
@@ -163,18 +167,18 @@ func (d *Driver) Submit(cmds ...xpu.Command) error {
 	sp := d.obs.tracer.Start(siteSubmit, keyCmds.I64(int64(len(cmds))))
 	defer sp.End()
 	d.obs.submits.Inc()
-	chunks := make([]uint32, 0, len(cmds))
+	d.chunks = d.chunks[:0]
 	for _, c := range cmds {
 		slot := d.tail % d.ringSize
 		addr := d.ring.Base() + slot*xpu.CmdSize
 		if err := d.space.Write(addr, c.Marshal()); err != nil {
 			return fmt.Errorf("tvm: ring write: %w", err)
 		}
-		chunks = append(chunks, uint32(slot))
+		d.chunks = append(d.chunks, uint32(slot))
 		d.tail++
 	}
 	if d.preDoorbell != nil {
-		if err := d.preDoorbell(chunks); err != nil {
+		if err := d.preDoorbell(d.chunks); err != nil {
 			return err
 		}
 	}

@@ -188,6 +188,10 @@ type Device struct {
 	cplRecycle func() bool
 	wrRecycle  func() bool
 
+	// writeBurst is the largest MWr payload dmaWrite posts upstream:
+	// MaxPayload, what a host bus carries, unless SetWriteBurst raised it.
+	writeBurst int
+
 	faultHook FaultHook
 
 	// Execution log for tests and the environment guard: the last
@@ -279,12 +283,13 @@ func NewDevice(profile Profile, id pcie.ID, bar0 uint64, functionalMem int) *Dev
 		functionalMem = 1 << 20
 	}
 	d := &Device{
-		profile: profile,
-		id:      id,
-		cfg:     pcie.NewConfigSpace(profile.VendorID, profile.DeviceID, 0x030200),
-		bar0:    bar0,
-		regs:    make(map[uint64]uint64),
-		devMem:  make([]byte, functionalMem),
+		profile:    profile,
+		id:         id,
+		cfg:        pcie.NewConfigSpace(profile.VendorID, profile.DeviceID, 0x030200),
+		bar0:       bar0,
+		regs:       make(map[uint64]uint64),
+		devMem:     make([]byte, functionalMem),
+		writeBurst: pcie.MaxPayload,
 	}
 	d.cfg.SetBAR(0, bar0)
 	d.cfg.EnableMaster(true)
@@ -348,6 +353,18 @@ func (d *Device) SetPayloadRecycling(cpl, wr func() bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.cplRecycle, d.wrRecycle = cpl, wr
+}
+
+// SetWriteBurst sets the largest payload of the MWr requests dmaWrite
+// posts upstream. A device on the host bus keeps the default,
+// MaxPayload. Behind a PCIe-SC the internal segment ends at the SC's
+// upstream port, which takes a write of up to MaxReadReq as one burst
+// and splits it along its chunk grid (core.Controller.HandleFromDevice),
+// so the platform raises it there. Assembly-time configuration.
+func (d *Device) SetWriteBurst(n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.writeBurst = n
 }
 
 // SetFaultHook wires the benign-failure injection layer (nil clears).
@@ -668,17 +685,15 @@ func (d *Device) dmaReadInto(dst []byte, addr uint64) bool {
 }
 
 // dmaWrite issues chunked MWr requests upstream. Writes carry their
-// payload in the TLP, so they stay capped at MaxPayload.
+// payload in the TLP, so each is capped at the write burst: MaxPayload
+// on a host bus, MaxReadReq behind a PCIe-SC (SetWriteBurst).
 func (d *Device) dmaWrite(addr uint64, data []byte) bool {
 	sp := d.obs.tracer.Start(siteDMAWrite, keyAddr.Hex(addr), keyBytes.I64(int64(len(data))))
 	defer sp.End()
 	for len(data) > 0 {
-		chunk := pcie.MaxPayload
-		if len(data) < chunk {
-			chunk = len(data)
-		}
+		chunk := min(d.writeBurst, len(data))
 		// The packet must not alias devMem — a later kernel or wipe would
-		// mutate a payload a tap may have retained — so stage each chunk
+		// mutate a payload a tap may have retained — so stage each write
 		// through the never-reused slab, or through the arena when the
 		// upstream consumer owns and recycles the bytes (wrRecycle).
 		var buf []byte

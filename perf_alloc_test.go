@@ -118,18 +118,18 @@ func TestTaskAllocBudget(t *testing.T) {
 
 // decodeStepAllocCeiling is the hard budget for one steady-state decode
 // step of a streaming session, dispatcher and stream delivery included,
-// observability off. Measured 2 — the chunk CollectD2H returns, which its
-// consumer owns, and the slot-index list the unmodified driver builds in
-// Submit — with headroom for a collection that empties the buffer pools
-// inside the measured span. It was ~105 while every step staged,
+// observability off. Measured 1 — the chunk CollectD2H returns, which its
+// consumer owns — with headroom for a collection that empties the buffer
+// pools inside the measured span. It was ~105 while every step staged,
 // installed and released two regions of its own, ~42 through the step
 // channel, 20 when MMIO writes, packet structs and the seal scratch
-// stopped being allocated per call, and 2 once MAC inputs and AADs
-// stopped escaping through the hash and cipher interfaces, the fair
-// queue stopped swapping its wake channel with nobody parked on it, the
-// SC opened single chunks into a pooled completion payload and the
-// engine's step lived in its session.
-const decodeStepAllocCeiling = 4
+// stopped being allocated per call, 2 once MAC inputs and AADs stopped
+// escaping through the hash and cipher interfaces, the fair queue
+// stopped swapping its wake channel with nobody parked on it, the SC
+// opened single chunks into a pooled completion payload and the engine's
+// step lived in its session, and 1 once the driver's Submit reused its
+// slot-index list.
+const decodeStepAllocCeiling = 3
 
 // decodeStepAllocBudget is the decode-step row: heap objects per decode
 // step between two dispatches deep inside one window of a 512-token

@@ -112,6 +112,11 @@ func (pl *pipeline) assemble(br *HostBridge, mux *core.Mux, dev *xpu.Device, s s
 	// degrade to allocate-and-forget behavior.
 	dev.SetPayloadRecycling(internal.Untapped, internal.Untapped)
 	sc.EnableDatapathRecycling()
+	// The SC's internal port takes D2H writes of up to MaxReadReq and
+	// splits them along its chunk grid itself, so the device posts its
+	// results in 4 KiB bursts; what the SC writes on the host bus is one
+	// 256-byte ciphertext chunk per TLP.
+	dev.SetWriteBurst(pcie.MaxReadReq)
 	// The SC (not the device) masters the host bus; only the slice's
 	// shared bounce window is mapped for it. TVM-private memory stays
 	// unmapped for every device — the paper's IOMMU assumption.
