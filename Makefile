@@ -62,6 +62,15 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # staging on a seal fault and never publishes progress past what is in
 # host memory.
 	$(GO) test -run 'TestD2HBurstKeepsHostWire|TestEncryptWriteBurst' ./ ./internal/core/
+# Command runs: the device fetches each run of command slots with one
+# read, and the SC answers only a read of one whole run whose record is
+# fresh, verifying the bytes it serves and keeping none; the host segment
+# carries the rows it did when the device read a slot at a time. The fuzz
+# aims any read at a ring with any queued records: served whole and
+# verified, or refused with no fetch (or one, for a run that fails its
+# MAC).
+	$(GO) test -run 'TestCommandRunFetch|TestVerifiedRead|TestVerifiedRun|TestVerifiedRegionSync|TestKickReMACsRemainder' ./ ./internal/core/ ./internal/adaptor/
+	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=10s ./internal/core/
 
 build:
 	$(GO) build ./...
@@ -123,10 +132,11 @@ soak-smoke:
 # staged-once KV invariant (the PCIe tap proof that decode never
 # re-stages the cache), the multi-session decode determinism check and
 # the deterministic per-step wire budget of the step channel (config
-# blobs, MMIO writes and reads, host TLPs per decode step; installs per
-# session) — the §16 serving story's merge gate, in seconds.
+# blobs, MMIO writes and reads, host and internal TLPs per decode step;
+# installs per session) and the error Close aborts an unfinished stream
+# with — the §16 serving story's merge gate, in seconds.
 llm-smoke:
-	$(GO) test -count=1 -run 'TestLLMSessionStreamsExpectedTokens|TestKVStagedOncePerSession|TestDecodeDeterminism|TestDecodeStepWireBudget' .
+	$(GO) test -count=1 -run 'TestLLMSessionStreamsExpectedTokens|TestKVStagedOncePerSession|TestDecodeDeterminism|TestDecodeStepWireBudget|TestCloseAbortMatchesBothSentinels' .
 
 # The telemetry-plane smoke: boot a two-tenant chassis with the live
 # telemetry plane on an ephemeral port, fire the fault matrix (rekey,
@@ -170,6 +180,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDeviceWriteBurst -fuzztime=15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=15s ./internal/obsv/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=15s ./internal/fault/
 

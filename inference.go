@@ -437,6 +437,10 @@ func (s *InferenceSession) KVSealEpoch() uint32 {
 	return s.kvSealEpoch
 }
 
+// errClosedMidStream ends a stream Close aborts. It is built once: Close
+// runs on every session, and abort ignores it on a finished stream.
+var errClosedMidStream = fmt.Errorf("%w: %w", ErrStreamAborted, ErrSessionClosed)
+
 // Close deterministically releases everything the session holds: the
 // engine's KV reservation and scheduling slot, the device session
 // slot, and the pinned host staging region. An unfinished stream is
@@ -446,7 +450,7 @@ func (s *InferenceSession) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.abort(fmt.Errorf("%w: %w", ErrStreamAborted, ErrSessionClosed))
+	s.abort(errClosedMidStream)
 	s.srv.eng.Release(s.state)
 	s.t.mu.Lock()
 	s.releaseStepLocked()

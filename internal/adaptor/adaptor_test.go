@@ -335,9 +335,8 @@ func TestInstallRuleTakesEffect(t *testing.T) {
 }
 
 // TestVerifiedRegionSync: SyncVerified posts one MAC record per run of
-// consecutive slots — a wrap splits a run — and the SC answers a run's
-// slots from one fetch and one verification, each slot once, whether the
-// device reads 64 bytes at a time or 128 at once.
+// consecutive slots — a wrap splits a run — and the SC answers a device
+// read of a whole run, once, with one fetch and one verification.
 func TestVerifiedRegionSync(t *testing.T) {
 	r, dev := newRig(t)
 	region, err := r.adaptor.StageVerified("ring", 512, 64)
@@ -380,29 +379,33 @@ func TestVerifiedRegionSync(t *testing.T) {
 	if got := sync(1, 2, 3); got != 1 {
 		t.Fatalf("%d records pending for one run of three, want 1", got)
 	}
-	if !read(1, 1) || !read(2, 1) || !read(3, 1) || fetches != 1 {
-		t.Fatalf("three slots read one at a time: %d host fetches, want 1", fetches)
+	if !read(1, 3) || fetches != 1 {
+		t.Fatalf("a run of three read whole: %d host fetches, want 1", fetches)
 	}
-	// One-shot: a served slot needs a fresh record; an unsynced one never
+	// One-shot: a served run needs a fresh record; an unsynced slot never
 	// had any.
-	if read(2, 1) || read(0, 1) || fetches != 1 {
-		t.Fatal("a served or unsynced slot was readable")
+	if read(1, 3) || read(0, 1) || fetches != 1 {
+		t.Fatal("a served run or an unsynced slot was readable")
 	}
+	// Whole: half a run is refused unfetched and spends its record.
 	if got := sync(4, 5, 6, 7); got != 1 {
 		t.Fatalf("%d records pending for one run of four, want 1", got)
 	}
-	if !read(4, 2) || !read(6, 2) || fetches != 2 {
-		t.Fatalf("four slots read 128 B at once: %d host fetches, want 2 in all", fetches)
+	if read(4, 2) || read(4, 4) || fetches != 1 {
+		t.Fatal("half a run was answered, or left its record behind")
+	}
+	if sync(4, 5, 6, 7); !read(4, 4) || fetches != 2 {
+		t.Fatalf("a run of four synced again and read whole: %d host fetches, want 2 in all", fetches)
 	}
 	// A submission that wraps the region is two runs.
 	if got := sync(6, 7, 0); got != 2 {
 		t.Fatalf("%d records pending for a wrapping submission, want 2", got)
 	}
-	if !read(6, 1) || !read(7, 1) || !read(0, 1) || fetches != 4 {
+	if !read(6, 2) || !read(0, 1) || fetches != 4 {
 		t.Fatalf("wrapping submission: %d host fetches, want 4 in all", fetches)
 	}
-	if st := r.sc.Stats(); st.VerifiedChunks != 3+4+3+3 { // slots covered, and three guarded writes
-		t.Fatalf("VerifiedChunks = %d, want 13", st.VerifiedChunks)
+	if st := r.sc.Stats(); st.VerifiedChunks != 3+4+3+4 { // slots served, and four guarded writes
+		t.Fatalf("VerifiedChunks = %d, want 14", st.VerifiedChunks)
 	}
 }
 

@@ -144,11 +144,6 @@ type Controller struct {
 	// stream of same-sized regions allocates none. Guarded by mu.
 	vsFree []*verifiedSet
 
-	// runs holds, per A3 region (descriptor ID), the verified copy of the
-	// run of slots the device is reading (verifiedRead). Dropped at
-	// release, reinstall and teardown. Guarded by mu.
-	runs map[uint32]*verifiedRun
-
 	// slots holds, per slotted step window (descriptor ID), the IV
 	// counter each chunk slot was armed with by a positioned tag entry;
 	// 0 = never armed (counters start at 1). Created at install, dropped
@@ -359,7 +354,6 @@ func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controll
 		tagPend:   make(map[uint32]*tagSpan),
 		wspans:    make(map[uint32]*writeSpan),
 		verified:  make(map[uint32]*verifiedSet),
-		runs:      make(map[uint32]*verifiedRun),
 		slots:     make(map[uint32][]uint32),
 		status:    SCStatusReady,
 	}
@@ -836,12 +830,11 @@ func (c *Controller) installDescriptorFrame(frame []byte) {
 	// anything pipelined for the old incarnation is stale.
 	c.dropWriteSpan(d.ID)
 	c.dropSpanCache(d.ID)
-	c.mu.Lock()
-	delete(c.runs, d.ID)
 	if d.Slotted {
+		c.mu.Lock()
 		c.slots[d.ID] = make([]uint32, chunkCount(d))
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 }
 
 // RekeyCommand carries fresh stream material for the §6 IV-exhaustion
@@ -1275,8 +1268,8 @@ func (c *Controller) duplicateRead() {
 	c.mu.Unlock()
 }
 
-// MaxRunSlots bounds a verified run: the SC tracks which of a run's
-// slots it has served in one word.
+// MaxRunSlots bounds a verified run, in slots; MaxReadReq bounds it in
+// bytes, so one device read fetches a whole run.
 const MaxRunSlots = 64
 
 // RunKey is the tag-queue counter a verified run's MAC record travels
@@ -1303,112 +1296,67 @@ func PutRunMACHeader(buf *[16]byte, region, first, n, size uint32) {
 	binary.LittleEndian.PutUint32(buf[12:], size)
 }
 
-// verifiedRun is the SC's copy of one verified run of an A3 region:
-// slots first..first+n-1, fetched from host memory once and checked
-// against the run's MAC record before any of them reached the device.
-type verifiedRun struct {
-	first, n uint32
-	served   uint64 // bit i: slot first+i went to the device
-	data     []byte // the run's bytes; a served slot's are zeroed
-}
-
 // verifiedRead services a device read of an A3 H2D region (the command
-// ring). A submission's slots are authenticated as one run: on the read
-// that finds the run's one-shot MAC record, the SC fetches the whole run
-// from host memory with one read, verifies the one MAC and keeps the
-// bytes; that read and the device's reads of the run's other slots are
-// answered from the copy, each slot once. What the device executes is
-// therefore byte for byte what was verified — there is no second fetch
-// for the host to race — and a slot read again, or never covered, finds
-// neither record nor copy and is an auth failure. A fresh record for the
-// slot being read always wins over the copy (the driver's Kick re-MACs
-// what the device has not consumed). A fetch that fails spends nothing.
+// ring). A submission's slots are authenticated as one run, and the
+// device reads a run whole: the SC answers a read only when a fresh run
+// record sits at its first slot and names exactly the read's slot count.
+// It then fetches the run from host memory with one read and verifies
+// the one MAC over the very buffer it serves, one only the SC holds — what
+// the device executes is byte for byte what was verified, with no window
+// between the check and a copy — and the SC keeps nothing.
+// Any other read — part of a run, two runs, more than a run, a run
+// already served, a slot no record names — is an auth failure without a
+// host fetch, and spends the record it found. A fetch that fails spends
+// nothing.
 func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 	sp := c.tracer.Start(siteVerifiedRead,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
-	cs, off, length := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
-	if cs == 0 || length == 0 || off%cs != 0 || length%cs != 0 || off+length > desc.Len {
+	cs, off, n := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
+	if cs == 0 || n == 0 || off%cs != 0 || n%cs != 0 || n > pcie.MaxReadReq || n/cs > MaxRunSlots || off+n > desc.Len {
 		c.authFailed()
 		return c.reject(p)
 	}
-	first, k := uint32(off/cs), uint32(length/cs)
+	first, k := uint32(off/cs), uint32(n/cs)
 	key := RunKey(desc.ID, first)
-	rec, fresh := c.tags.Peek(StreamA3Run, key)
-	if !fresh {
-		c.mu.Lock()
-		payload := c.serveRun(desc.ID, first, k, cs)
-		c.mu.Unlock()
-		if payload != nil {
-			return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, payload)
-		}
-		c.tagMatch(StreamA3Run, key) // counts the miss
+	if rec, fresh := c.tags.Peek(StreamA3Run, key); !fresh || rec.Epoch != k {
+		c.tagMatch(StreamA3Run, key) // spends the record, or counts the miss
 		c.authFailed()
 		return c.reject(p)
 	}
-	n := uint64(rec.Epoch)
-	if n < uint64(k) || n > MaxRunSlots || n*cs > pcie.MaxReadReq || off+n*cs > desc.Len {
-		// A record no producer of ours wrote: spent, and nothing fetched.
-		c.tagMatch(StreamA3Run, key)
-		c.authFailed()
-		return c.reject(p)
-	}
-	req := c.pkts.MemRead(c.id, p.Address, uint32(n*cs), p.Tag)
+	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
 	cpl := c.hostBus.Route(req)
-	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n*cs {
+	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n {
 		return c.reject(p)
 	}
-	span := cpl.Payload[:n*cs]
+	// The MAC is taken over the buffer the device gets. On a host bus no
+	// tap ever saw, the fetched payload is the SC's alone and is served as
+	// it is; otherwise a tap may still hold it, so the SC verifies and
+	// serves a copy of its own.
+	run := cpl.Payload[:n]
+	if !c.recycleOn(c.hostBus) {
+		run = c.payloadBuf(int(n), c.internal)
+		copy(run, cpl.Payload)
+	}
+	c.releaseFetch(req, cpl, true)
 	var hdr [16]byte
-	PutRunMACHeader(&hdr, desc.ID, first, uint32(n), uint32(n*cs))
+	PutRunMACHeader(&hdr, desc.ID, first, k, uint32(n))
 	rec, ok := c.tagMatch(StreamA3Run, key)
-	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], span)
-	match := ok && err == nil && uint64(rec.Epoch) == n
+	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], run)
+	match := ok && err == nil && rec.Epoch == k
 	for i := 0; i < secmem.TagSize; i++ {
 		if want[i] != rec.Tag[i] {
 			match = false
 		}
 	}
 	if !match {
-		c.releaseFetch(req, cpl, false)
 		c.authFailed()
 		return c.reject(p)
 	}
 	c.mu.Lock()
-	run := c.runs[desc.ID]
-	if run == nil {
-		run = &verifiedRun{}
-		c.runs[desc.ID] = run
-	}
-	run.first, run.n, run.served = first, uint32(n), 0
-	run.data = append(run.data[:0], span...)
-	c.stats.VerifiedChunks += n
-	payload := c.serveRun(desc.ID, first, k, cs)
+	c.stats.VerifiedChunks += uint64(k)
 	c.mu.Unlock()
-	c.releaseFetch(req, cpl, false) // command slots: public bytes, copied out
-	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, payload)
-}
-
-// serveRun hands slots first..first+k-1 of a region's verified run to
-// the device — a copy; the run's own bytes are zeroed behind it — or
-// nil when the run does not cover them or has served one already.
-// Caller holds c.mu.
-func (c *Controller) serveRun(region, first, k uint32, cs uint64) []byte {
-	run := c.runs[region]
-	if run == nil || first < run.first || uint64(first-run.first)+uint64(k) > uint64(run.n) {
-		return nil
-	}
-	at := first - run.first
-	mask := (uint64(1)<<k - 1) << at
-	if run.served&mask != 0 {
-		return nil
-	}
-	run.served |= mask
-	src := run.data[uint64(at)*cs:][:uint64(k)*cs]
-	out := c.payloadBuf(len(src), c.internal)
-	copy(out, src)
-	clear(src)
-	return out
+	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, run)
 }
 
 // encryptWrite services a device write burst into an A2 D2H region —
@@ -1573,14 +1521,12 @@ func (c *Controller) dropTagSpan(region uint32) {
 }
 
 // dropVerified forgets retained chunk records (for a step window, the
-// armed slot counters; for an A3 region, the verified run) of a released
-// or reinstalled region.
+// armed slot counters) of a released region.
 func (c *Controller) dropVerified(region uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.retireVerifiedLocked(region)
 	delete(c.slots, region)
-	delete(c.runs, region)
 }
 
 // appendMetadataLocked implements the §5 I/O-read optimization: instead
@@ -1656,7 +1602,6 @@ func (c *Controller) Teardown() {
 		c.retireVerifiedLocked(region)
 	}
 	c.slots = make(map[uint32][]uint32)
-	clear(c.runs)
 	c.mu.Unlock()
 	for _, span := range droppedSpans {
 		c.finishSpan(span, false)

@@ -304,6 +304,20 @@ type a3Rig struct {
 
 func newA3Rig(t *testing.T, nSlots int) *a3Rig {
 	t.Helper()
+	a := untappedA3Rig(t, nSlots)
+	a.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Kind == pcie.MRd && p.Requester == a.sc.DeviceID() && a.desc.Contains(p.Address) {
+			a.fetches++
+		}
+		return p
+	}))
+	return a
+}
+
+// untappedA3Rig is newA3Rig without the fetch counter: no tap on either
+// bus.
+func untappedA3Rig(t *testing.T, nSlots int) *a3Rig {
+	t.Helper()
 	a := &a3Rig{dpRig: newDPRig(t), desc: Descriptor{ID: 5, Dir: DirH2D, Class: ActionWriteProtect,
 		Base: ctlMem + 0x2000, Len: uint64(nSlots) * 64, ChunkSize: 64}}
 	if err := a.sc.regions.add(a.desc); err != nil {
@@ -313,12 +327,6 @@ func newA3Rig(t *testing.T, nSlots int) *a3Rig {
 		a.slots = append(a.slots, bytes.Repeat([]byte{byte(i + 1)}, 64))
 	}
 	a.sync()
-	a.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
-		if p.Kind == pcie.MRd && p.Requester == a.sc.DeviceID() && a.desc.Contains(p.Address) {
-			a.fetches++
-		}
-		return p
-	}))
 	return a
 }
 
@@ -343,67 +351,114 @@ func (a *a3Rig) post(first, n, claim uint32) {
 	a.sc.Tags().Enqueue(rec)
 }
 
-// read is the device reading k slots from slot on; nil when refused.
-func (a *a3Rig) read(slot, k uint32) []byte {
-	cpl := a.sc.HandleFromDevice(pcie.NewMemRead(a.dev.id, a.desc.Base+uint64(slot)*64, k*64, 0))
+// readAt is the device reading n bytes at byte offset off of the region;
+// nil when refused.
+func (a *a3Rig) readAt(off, n uint64) []byte {
+	cpl := a.sc.HandleFromDevice(pcie.NewMemRead(a.dev.id, a.desc.Base+off, uint32(n), 0))
 	if cpl == nil || cpl.Status != pcie.CplSuccess {
 		return nil
 	}
 	return cpl.Payload
 }
 
-// TestVerifiedReadPath: one record, one host fetch, one verification
-// answer every slot of a run — whether the device reads a slot at a time
-// or two at once — each slot once; a slot read again, or one the run
-// never covered, is an auth failure and no fetch.
+// read is the device reading k slots from slot on; nil when refused.
+func (a *a3Rig) read(slot, k uint32) []byte { return a.readAt(uint64(slot)*64, uint64(k)*64) }
+
+// TestVerifiedReadPath: a read covering exactly the run a fresh record
+// names is answered with one host fetch and one verification, byte-exact
+// — 64 B at a time over one-slot runs, 128 B at once over two-slot runs,
+// a 64-slot run in one 4 KiB read — and the SC keeps nothing: the record
+// is spent, so the run read again is an auth failure without a fetch.
 func TestVerifiedReadPath(t *testing.T) {
-	for name, reads := range map[string][][2]uint32{
-		"64 B at a time": {{0, 1}, {1, 1}, {2, 1}, {3, 1}},
-		"128 B at once":  {{0, 2}, {2, 2}},
+	for name, c := range map[string]struct{ slots, run uint32 }{
+		"64 B at a time": {4, 1},
+		"128 B at once":  {4, 2},
+		"4 KiB at once":  {MaxRunSlots, MaxRunSlots},
 	} {
 		t.Run(name, func(t *testing.T) {
-			a := newA3Rig(t, 8)
-			a.post(0, 4, 4)
-			for _, rd := range reads {
-				want := bytes.Join(a.slots[rd[0]:rd[0]+rd[1]], nil)
-				if got := a.read(rd[0], rd[1]); !bytes.Equal(got, want) {
-					t.Fatalf("read of %d slots at %d: %x", rd[1], rd[0], got)
+			a := newA3Rig(t, int(c.slots))
+			for first := uint32(0); first < c.slots; first += c.run {
+				a.post(first, c.run, c.run)
+			}
+			for first := uint32(0); first < c.slots; first += c.run {
+				want := bytes.Join(a.slots[first:first+c.run], nil)
+				if got := a.read(first, c.run); !bytes.Equal(got, want) {
+					t.Fatalf("read of %d slots at %d: %x", c.run, first, got)
 				}
 			}
-			if st := a.sc.Stats(); a.fetches != 1 || st.VerifiedChunks != 4 || st.AuthFailures != 0 {
-				t.Fatalf("%d host fetches, %d verified slots, %d auth failures; want 1, 4, 0", a.fetches, st.VerifiedChunks, st.AuthFailures)
+			runs := int(c.slots / c.run)
+			if st := a.sc.Stats(); a.fetches != runs || st.VerifiedChunks != uint64(c.slots) || st.AuthFailures != 0 {
+				t.Fatalf("%d host fetches, %d verified slots, %d auth failures; want %d, %d, 0",
+					a.fetches, st.VerifiedChunks, st.AuthFailures, runs, c.slots)
 			}
-			for _, slot := range []uint32{0, 3, 4} { // served, served, never covered
-				if a.read(slot, 1) != nil {
-					t.Fatalf("slot %d served without a fresh record", slot)
-				}
+			if a.read(0, c.run) != nil || a.fetches != runs || a.sc.Stats().AuthFailures != 1 {
+				t.Fatalf("served run read again: %d host fetches, %d auth failures; want %d and 1 (refused)",
+					a.fetches, a.sc.Stats().AuthFailures, runs)
 			}
-			if st := a.sc.Stats(); a.fetches != 1 || st.AuthFailures != 3 {
-				t.Fatalf("re-reads: %d host fetches, %d auth failures; want 1 and 3", a.fetches, st.AuthFailures)
+		})
+	}
+}
+
+// TestVerifiedReadRejects: the SC answers no read but a whole run. Over
+// runs [0,3) and [3,5) of an 8-slot region (128 slots for the oversized
+// read), each read below is exactly one auth failure, with no host fetch
+// and nothing handed to the device.
+func TestVerifiedReadRejects(t *testing.T) {
+	const over = pcie.MaxReadReq/64 + 1
+	for name, c := range map[string]struct {
+		slots   int
+		prep    func(a *a3Rig) // runs before the counts are taken
+		off, n  uint64         // the read, in bytes
+		nothing bool           // no record may remain at the read's first slot
+	}{
+		"partial run":          {off: 0, n: 2 * 64, nothing: true},
+		"straddling two runs":  {off: 0, n: 5 * 64, nothing: true},
+		"longer than the run":  {off: 3 * 64, n: 3 * 64, nothing: true},
+		"re-read after served": {prep: func(a *a3Rig) { a.read(0, 3) }, off: 0, n: 3 * 64, nothing: true},
+		"unaligned start":      {off: 32, n: 3 * 64},
+		"ragged length":        {off: 0, n: 3*64 - 1},
+		"past the region end":  {prep: func(a *a3Rig) { a.post(6, 2, 3) }, off: 6 * 64, n: 3 * 64},
+		"no record":            {off: 5 * 64, n: 64, nothing: true},
+		"over MaxReadReq":      {slots: 128, prep: func(a *a3Rig) { a.post(0, over, over) }, off: 0, n: over * 64},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := newA3Rig(t, max(c.slots, 8))
+			a.post(0, 3, 3)
+			a.post(3, 2, 2)
+			if c.prep != nil {
+				c.prep(a)
 			}
-			if a.read(2, 2) != nil || a.read(1, 2) != nil {
-				t.Fatal("a read overlapping served slots was answered")
+			fetches, st := a.fetches, a.sc.Stats()
+			if got := a.readAt(c.off, c.n); got != nil {
+				t.Fatalf("served %d bytes", len(got))
+			}
+			after := a.sc.Stats()
+			if a.fetches != fetches || after.AuthFailures != st.AuthFailures+1 || after.VerifiedChunks != st.VerifiedChunks {
+				t.Fatalf("%d host fetches, %d auth failures, %d verified slots; want 0, 1, 0",
+					a.fetches-fetches, after.AuthFailures-st.AuthFailures, after.VerifiedChunks-st.VerifiedChunks)
+			}
+			if _, left := a.sc.Tags().Peek(StreamA3Run, RunKey(a.desc.ID, uint32(c.off/64))); c.nothing && left {
+				t.Fatal("the record the read found is still pending")
 			}
 		})
 	}
 }
 
 // TestVerifiedRunTamperRejectsWholeRun: a bit flipped in any slot of a
-// three-slot run after its record was posted fails the one MAC, and none
-// of the three slots reaches the device — not even the untouched ones.
+// three-slot run after its record was posted fails the one MAC: one host
+// fetch, one auth failure, and none of the three slots reaches the device
+// — not even the untouched ones.
 func TestVerifiedRunTamperRejectsWholeRun(t *testing.T) {
 	for flipped := 0; flipped < 3; flipped++ {
 		a := newA3Rig(t, 4)
 		a.post(0, 3, 3)
 		a.slots[flipped][17] ^= 4
 		a.sync()
-		for slot := uint32(0); slot < 3; slot++ {
-			if a.read(slot, 1) != nil {
-				t.Fatalf("bit flipped in slot %d: slot %d served", flipped, slot)
-			}
+		if a.read(0, 3) != nil {
+			t.Fatalf("bit flipped in slot %d: the run was served", flipped)
 		}
-		if st := a.sc.Stats(); st.VerifiedChunks != 0 || st.AuthFailures != 3 || a.fetches != 1 {
-			t.Fatalf("bit flipped in slot %d: %d verified, %d auth failures, %d fetches; want 0, 3, 1",
+		if st := a.sc.Stats(); st.VerifiedChunks != 0 || st.AuthFailures != 1 || a.fetches != 1 {
+			t.Fatalf("bit flipped in slot %d: %d verified, %d auth failures, %d fetches; want 0, 1, 1",
 				flipped, st.VerifiedChunks, st.AuthFailures, a.fetches)
 		}
 	}
@@ -439,16 +494,39 @@ func TestVerifiedRunMalformedRecord(t *testing.T) {
 	}
 }
 
-// TestVerifiedRunFreshRecordWins: after the device consumed one slot of
-// three, a record re-MACing the remaining two (the driver's Kick) beats
-// the verified copy — the stale bytes are never served, the host's
-// current ones are fetched and verified — and a fetch that fails spends
-// no record.
+// TestVerifiedReadUntappedHost: recycling as on a platform, over buses no
+// tap ever saw, the SC verifies and serves the fetched buffer itself. A
+// whole run is served byte-exact, once; a run the host rewrote after its
+// MAC was taken is refused.
+func TestVerifiedReadUntappedHost(t *testing.T) {
+	a := untappedA3Rig(t, 8)
+	a.sc.EnableDatapathRecycling()
+	a.post(0, 3, 3)
+	a.post(3, 2, 2)
+	a.slots[4][9] ^= 1 // after run [3,5) was MACed
+	a.sync()
+	if got, want := a.read(0, 3), bytes.Join(a.slots[0:3], nil); !bytes.Equal(got, want) {
+		t.Fatalf("run [0,3): %x", got)
+	}
+	if a.read(0, 3) != nil || a.read(3, 2) != nil {
+		t.Fatal("a served run, or one the host rewrote, was answered")
+	}
+	if st := a.sc.Stats(); st.VerifiedChunks != 3 || st.AuthFailures != 2 || !a.host.Untapped() {
+		t.Fatalf("%d verified slots, %d auth failures, host untapped %v; want 3, 2, true",
+			st.VerifiedChunks, st.AuthFailures, a.host.Untapped())
+	}
+}
+
+// TestVerifiedRunFreshRecordWins: a three-slot run was served, the host
+// rewrote slot 1, and a record re-MACs slots 1–2 (the driver's Kick after
+// the device faulted on slot 1). The SC kept no copy of the served run to
+// answer from: the read of the remainder fetches and verifies the host's
+// current bytes. A fetch that fails spends no record.
 func TestVerifiedRunFreshRecordWins(t *testing.T) {
 	a := newA3Rig(t, 4)
 	a.post(0, 3, 3)
-	if a.read(0, 1) == nil {
-		t.Fatal("first slot refused")
+	if a.read(0, 3) == nil {
+		t.Fatal("run refused")
 	}
 	a.slots[1] = bytes.Repeat([]byte{0xee}, 64) // the host rewrote a pending slot
 	a.sync()
@@ -462,24 +540,21 @@ func TestVerifiedRunFreshRecordWins(t *testing.T) {
 		}
 		return p
 	}))
-	if a.read(1, 1) != nil || a.sc.Stats().AuthFailures != 0 || a.sc.Tags().Depth() != 1 {
+	if a.read(1, 2) != nil || a.sc.Stats().AuthFailures != 0 || a.sc.Tags().Depth() != 1 {
 		t.Fatalf("lost fetch: %d auth failures, %d records pending; want 0 and the record kept",
 			a.sc.Stats().AuthFailures, a.sc.Tags().Depth())
 	}
-	if got := a.read(1, 1); !bytes.Equal(got, a.slots[1]) {
-		t.Fatalf("slot 1 after the fresh record: %x", got)
-	}
-	if got := a.read(2, 1); !bytes.Equal(got, a.slots[2]) {
-		t.Fatalf("slot 2 after the fresh record: %x", got)
+	if got, want := a.read(1, 2), bytes.Join(a.slots[1:3], nil); !bytes.Equal(got, want) {
+		t.Fatalf("slots 1–2 after the fresh record: %x", got)
 	}
 	if st := a.sc.Stats(); a.fetches != 3 || st.VerifiedChunks != 5 || st.AuthFailures != 0 {
 		t.Fatalf("%d fetches, %d verified, %d auth failures; want 3, 5, 0", a.fetches, st.VerifiedChunks, st.AuthFailures)
 	}
 }
 
-// TestVerifiedRunDroppedWithRegion: release and teardown take the
-// verified copy with them — a region reinstalled under the same id does
-// not serve the old run's leftovers.
+// TestVerifiedRunDroppedWithRegion: nothing of a served run outlives its
+// region. After release or teardown, a region reinstalled under the same
+// id answers neither the old run nor a slot of it, and fetches nothing.
 func TestVerifiedRunDroppedWithRegion(t *testing.T) {
 	for name, drop := range map[string]func(a *a3Rig){
 		"release":  func(a *a3Rig) { a.submit(ringEntry{op: RingOpRelease, arg: uint64(a.desc.ID)}) },
@@ -488,15 +563,15 @@ func TestVerifiedRunDroppedWithRegion(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a := newA3Rig(t, 4)
 			a.post(0, 2, 2)
-			if a.read(0, 1) == nil {
-				t.Fatal("first slot refused")
+			if a.read(0, 2) == nil {
+				t.Fatal("run refused")
 			}
 			drop(a)
 			if err := a.sc.regions.add(a.desc); err != nil {
 				t.Fatal(err)
 			}
-			if a.read(1, 1) != nil {
-				t.Fatal("a verified run outlived its region")
+			if a.read(0, 2) != nil || a.read(1, 1) != nil || a.fetches != 1 {
+				t.Fatalf("a served run outlived its region (%d host fetches, want 1)", a.fetches)
 			}
 		})
 	}

@@ -277,3 +277,94 @@ func FuzzDeviceWriteBurst(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVerifiedRead aims one device read — any offset from an A3 region's
+// base, any length — at a 64-slot command ring with a script of queued run
+// records. A record op is three bytes: first slot, run length − 1, flags:
+// the low two bits make the length the record claims the run's, one more,
+// one less or zero, and bit 7 flips a byte of the run in host memory after
+// its MAC was taken. Nothing may panic, and the read ends one of three
+// ways. Served: the newest record at the read's first slot claims exactly
+// the read's slots, its MAC verifies over the host's bytes, and those bytes
+// are what the device gets, with one host fetch. Fetched and refused: such
+// a record's MAC does not verify — one fetch, one auth failure. Refused
+// unfetched: anything else — one auth failure or filter drop, no fetch.
+func FuzzVerifiedRead(f *testing.F) {
+	f.Add(int64(0), uint16(3*64), []byte{0, 2, 0})
+	f.Add(int64(0), uint16(2*64), []byte{0, 2, 0})
+	f.Add(int64(0), uint16(5*64), []byte{0, 2, 0, 3, 1, 0})
+	f.Add(int64(3*64), uint16(2*64), []byte{0, 2, 0, 3, 1, 0})
+	f.Add(int64(0), uint16(64*64), []byte{0, 63, 0})
+	f.Add(int64(0), uint16(3*64), []byte{0, 2, 0x81})
+	f.Add(int64(0), uint16(3*64), []byte{0, 2, 1})
+	f.Add(int64(0), uint16(3*64), []byte{0, 2, 0, 0, 2, 0x80})
+	f.Add(int64(32), uint16(3*64), []byte{0, 2, 0})
+	f.Add(int64(62*64), uint16(3*64), []byte{62, 2, 0})
+	f.Add(int64(-64), uint16(64), []byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, off int64, length uint16, script []byte) {
+		const slots = 64
+		a := newA3Rig(t, slots)
+		type posted struct {
+			first uint32
+			tag   [secmem.TagSize]byte
+			claim uint32
+		}
+		var recs []posted
+		for i := 0; i+3 <= len(script) && i < 3*16; i += 3 {
+			first := uint32(script[i]) % slots
+			n := min(uint32(script[i+1])%slots+1, slots-first)
+			flags := script[i+2]
+			claim := [...]uint32{n, n + 1, n - 1, 0}[flags&3]
+			a.post(first, n, claim)
+			rec, _ := a.sc.Tags().Peek(StreamA3Run, RunKey(a.desc.ID, first))
+			recs = append(recs, posted{first, rec.Tag, claim})
+			if flags&0x80 != 0 {
+				a.slots[first+uint32(flags>>2&0x1f)%n][flags&0x3f] ^= 0x40
+				a.sync()
+			}
+		}
+
+		// The oracle: the read's run, and the newest record naming its slot.
+		k := uint32(length) / 64
+		aligned := off >= 0 && off%64 == 0 && length%64 == 0 && k >= 1 && off/64+int64(k) <= slots
+		var rec *posted
+		for i := range recs {
+			if aligned && recs[i].first == uint32(off/64) {
+				rec = &recs[i]
+			}
+		}
+		want := []byte(nil)
+		candidate := rec != nil && rec.claim == k
+		if candidate {
+			first := uint32(off / 64)
+			var hdr [16]byte
+			PutRunMACHeader(&hdr, a.desc.ID, first, k, k*64)
+			bytesNow := bytes.Join(a.slots[first:first+k], nil)
+			if mac := secmem.MAC(a.mmioKy, hdr[:], bytesNow); bytes.Equal(mac[:secmem.TagSize], rec.tag[:]) {
+				want = bytesNow
+			}
+		}
+
+		before := a.sc.Stats()
+		got := a.readAt(uint64(off), uint64(length))
+		after := a.sc.Stats()
+		refusals := after.AuthFailures + after.Filter.Dropped - before.AuthFailures - before.Filter.Dropped
+		switch {
+		case want != nil:
+			if !bytes.Equal(got, want) || a.fetches != 1 || refusals != 0 || after.VerifiedChunks != uint64(k) {
+				t.Fatalf("read of %d B at %d: served %d B (want the %d verified), %d fetches, %d refusals, %d verified slots",
+					length, off, len(got), len(want), a.fetches, refusals, after.VerifiedChunks)
+			}
+		case candidate:
+			if got != nil || a.fetches != 1 || after.AuthFailures != before.AuthFailures+1 || after.VerifiedChunks != 0 {
+				t.Fatalf("read of %d B at %d against a run that fails its MAC: served %d B, %d fetches, %d auth failures",
+					length, off, len(got), a.fetches, after.AuthFailures-before.AuthFailures)
+			}
+		default:
+			if got != nil || a.fetches != 0 || refusals != 1 || after.VerifiedChunks != 0 {
+				t.Fatalf("read of %d B at %d: served %d B, %d fetches, %d refusals; want none, none, 1",
+					length, off, len(got), a.fetches, refusals)
+			}
+		}
+	})
+}

@@ -192,6 +192,10 @@ type Device struct {
 	// MaxPayload, what a host bus carries, unless SetWriteBurst raised it.
 	writeBurst int
 
+	// cmdRun holds the command slots pump fetched with one DMA read and
+	// is executing.
+	cmdRun [pcie.MaxReadReq]byte
+
 	faultHook FaultHook
 
 	// Execution log for tests and the environment guard: the last
@@ -539,8 +543,11 @@ func (d *Device) wipe() {
 	d.regs[RegPageTable] = 0
 }
 
-// pump drains the command ring: DMA-read each pending entry from host
-// memory, execute it, raise completion.
+// pump drains the command ring a run at a time: one DMA read fetches the
+// pending entries — consecutive slots up to the ring's end, at most
+// MaxReadReq bytes, the cuts at which the driver's ring sync MACs a
+// submission's runs — then they execute in order, the head advancing
+// past each, and completion is raised.
 func (d *Device) pump() {
 	if d.upstream == nil {
 		d.fault()
@@ -557,23 +564,21 @@ func (d *Device) pump() {
 	sp := d.obs.tracer.Start(sitePump, keyHead.U64(head), keyTail.U64(tail))
 	defer sp.End()
 	for head != tail {
-		entryAddr := base + (head%size)*CmdSize
-		data, ok := d.dmaRead(entryAddr, CmdSize)
-		if !ok {
+		slot := head % size
+		run := d.cmdRun[:min(tail-head, size-slot, pcie.MaxReadReq/CmdSize)*CmdSize]
+		if !d.dmaReadInto(run, base+slot*CmdSize) {
 			d.fault()
 			return
 		}
-		cmd, err := UnmarshalCommand(data)
-		if err != nil {
-			d.fault()
-			return
+		for ; len(run) > 0; run = run[CmdSize:] {
+			cmd, _ := UnmarshalCommand(run) // a whole slot: never short
+			if !d.execute(cmd) {
+				d.fault()
+				return
+			}
+			head++
+			d.regs[RegCmdHead] = head
 		}
-		if !d.execute(cmd) {
-			d.fault()
-			return
-		}
-		head++
-		d.regs[RegCmdHead] = head
 	}
 	d.raiseInterrupt(IntCmdDone)
 }
@@ -619,32 +624,6 @@ func (d *Device) postWrite(addr uint64, payload []byte) {
 	}
 }
 
-// dmaRead issues chunked MRd requests upstream and concatenates
-// completions. Read requests carry no payload, so they chunk at
-// MaxReadReq rather than MaxPayload — one request covers a whole span
-// of cipher chunks, which the SC batch-decrypts (DESIGN.md §10).
-func (d *Device) dmaRead(addr uint64, n int64) ([]byte, bool) {
-	sp := d.obs.tracer.Start(siteDMARead, keyAddr.Hex(addr), keyBytes.I64(n))
-	defer sp.End()
-	out := d.slab.Take(int(n))[:0]
-	for n > 0 {
-		chunk := int64(pcie.MaxReadReq)
-		if n < chunk {
-			chunk = n
-		}
-		req := d.pkts.MemRead(d.id, addr, uint32(chunk), 0)
-		cpl := d.upstream(req)
-		if cpl == nil || cpl.Status != pcie.CplSuccess {
-			return nil, false
-		}
-		out = append(out, cpl.Payload...)
-		d.releaseRead(req, cpl)
-		addr += uint64(chunk)
-		n -= chunk
-	}
-	return out, true
-}
-
 // releaseRead gives back a DMA read whose completion was copied out:
 // the payload zeroed (it may carry tenant plaintext) and both structs,
 // when cplRecycle proves the device is their last holder. A completion
@@ -661,8 +640,11 @@ func (d *Device) releaseRead(req, cpl *pcie.Packet) {
 }
 
 // dmaReadInto issues chunked MRd requests upstream, copying each
-// completion straight into dst — the zero-intermediate-buffer path for
-// bulk H2D copies into device memory.
+// completion straight into dst: device memory for an H2D copy, the
+// command run for the ring. Read requests carry no payload, so they
+// chunk at MaxReadReq rather than MaxPayload — one request covers a
+// whole span of cipher chunks, which the SC batch-decrypts (DESIGN.md
+// §10), or a whole command run.
 func (d *Device) dmaReadInto(dst []byte, addr uint64) bool {
 	sp := d.obs.tracer.Start(siteDMARead, keyAddr.Hex(addr), keyBytes.I64(int64(len(dst))))
 	defer sp.End()

@@ -488,6 +488,35 @@ func TestLLMCloseReleasesDeterministically(t *testing.T) {
 	}
 }
 
+// TestCloseAbortMatchesBothSentinels: Close on a session whose stream has
+// not finished ends the stream with one error chunk matching both
+// ErrStreamAborted and ErrSessionClosed — on every session, though the
+// error is built once.
+func TestCloseAbortMatchesBothSentinels(t *testing.T) {
+	mp := llmChassis(t, []xpu.Profile{xpu.A100})
+	cfg := llm.Config{MaxNewTokens: 16, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 6}
+	for i := 0; i < 2; i++ {
+		sess, err := mp.Tenants[0].OpenSession(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := sess.Decode(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var errs []error
+		for c := range ch { // Close has closed it
+			errs = append(errs, c.Err)
+		}
+		if len(errs) != 1 || !errors.Is(errs[0], ErrStreamAborted) || !errors.Is(errs[0], ErrSessionClosed) {
+			t.Fatalf("session %d: stream ended with %v, want one chunk matching ErrStreamAborted and ErrSessionClosed", i, errs)
+		}
+	}
+}
+
 // TestOwnerlessStepFailsUnprobed: a step with no session behind it is
 // failed before the workers' fault probes can see it, so it consumes no
 // count of a deterministic fault schedule and cannot be stalled back

@@ -75,14 +75,14 @@ func betweenDispatches(t *testing.T, mp *MultiPlatform, at func(n int)) {
 // are 32 encrypt_write spans (one per sealed write span) and its span
 // reads one tag_match each. A new per-TLP or per-chunk span shows up
 // here as a jump, in the count pass of benchmark/ as obsv.spans_per_op.
-// A submission's command slots verify as one run: one sync_verified, one
-// tag_match for the run's record, a verified_read per command the device
-// fetches.
+// A submission's command slots verify as one run, and the device fetches
+// a run with one read: one sync_verified, and one dma_read, classify,
+// verified_read and tag_match per run.
 const (
-	spansPerTask64K    = 133
-	spansPerTask4K     = 43
-	spansPerDecodeStep = 36
-	spansPerPrefill    = 82
+	spansPerTask64K    = 127
+	spansPerTask4K     = 37
+	spansPerDecodeStep = 30
+	spansPerPrefill    = 73
 )
 
 // TestSpanBudget pins spans per op exactly, on the synthetic clock.
@@ -127,8 +127,8 @@ func TestSpanBudget(t *testing.T) {
 		})
 		// One of the 48 submissions straddles the end of the 64-slot command
 		// ring (commands 127–129 of the session are slots 63, 0, 1): two
-		// runs, so one tag_match more.
-		if want := spansPerDecodeStep*(to-from) + 1; spans != want {
+		// runs, so one dma_read, classify, verified_read and tag_match more.
+		if want := spansPerDecodeStep*(to-from) + 4; spans != want {
 			t.Errorf("%d decode steps record %d spans, budget is exactly %d a step and one for the wrap (%d)",
 				to-from, spans, spansPerDecodeStep, want)
 		}
@@ -221,7 +221,7 @@ func TestObservedAllocParity(t *testing.T) {
 		if d := mp.Obs.T().Dropped(); d != 0 {
 			t.Fatalf("dropped %d spans: the measured span must fit the buffer", d)
 		}
-		// To the nearest object, not the floor: the total sits three
+		// To the nearest object, not the floor: the total sits two
 		// objects over a multiple of sessions, and the runtime adds one of
 		// its own now and then (a type-assertion cache rebuilt, a timer heap
 		// or sudog cache grown) on either side — which a floor at the edge

@@ -105,9 +105,11 @@ func configOpens(mp *MultiPlatform) uint64 {
 // no MMIO read, at most 15 host-bus TLPs, at most 5 submission-ring
 // slots and exactly one SC fetch of its command slots — or two fetches
 // and 17 TLPs for the step whose three commands straddle the end of the
-// 64-slot command ring, which is two runs. The whole session installs at
-// most 5 descriptors (KV, prompt, prefill output, step window, step
-// output).
+// 64-slot command ring, which is two runs. On the internal segment a step
+// costs at most 10 TLPs, exactly one of them the device's read of its
+// command run (12 and two reads for the straddling step). The whole
+// session installs at most 5 descriptors (KV, prompt, prefill output,
+// step window, step output).
 func TestDecodeStepWireBudget(t *testing.T) {
 	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithObserve(), WithLLMEngine(llm.EngineConfig{Workers: 1}))
 	tenant := mp.Tenants[0]
@@ -124,18 +126,24 @@ func TestDecodeStepWireBudget(t *testing.T) {
 		}
 		return p
 	}))
+	// The internal segment: every TLP, and the device's command reads.
+	inner := trace.NewRecorder()
+	tenant.internal.AddTap(inner)
+	reads := cmdReads(tenant.internal, tenant.space, tenant.XPUID)
 
 	type sample struct {
 		io      adaptor.IOStats
 		tlps    uint64
+		inner   uint64
 		configs uint64
 		slots   uint64
 		fetches uint64
+		reads   uint64
 		tail    uint64
 	}
 	take := func() sample {
-		return sample{io: tenant.Adaptor.IO(), tlps: tap.Packets(), configs: configOpens(mp),
-			slots: ringSlots, fetches: uint64(len(*fetches)), tail: tenant.Driver.Tail()}
+		return sample{io: tenant.Adaptor.IO(), tlps: tap.Packets(), inner: inner.Packets(), configs: configOpens(mp),
+			slots: ringSlots, fetches: uint64(len(*fetches)), reads: uint64(len(*reads)), tail: tenant.Driver.Tail()}
 	}
 	// One sample per dispatch, taken by the single worker just before the
 	// step runs: samples[i] is the state before step i (0 = prefill).
@@ -171,14 +179,18 @@ func TestDecodeStepWireBudget(t *testing.T) {
 		a, b := samples[i], samples[i+1]
 		blobs, writes, reads, tlps := b.configs-a.configs, b.io.MMIOWrites-a.io.MMIOWrites, b.io.MMIOReads-a.io.MMIOReads, b.tlps-a.tlps
 		slots, fetches := b.slots-a.slots, b.fetches-a.fetches
-		wantFetches, maxTLPs := uint64(1), uint64(15)
+		wantFetches, maxTLPs, maxInner := uint64(1), uint64(15), uint64(10)
 		if a.tail%ringEntries > ringEntries-3 { // the step's commands wrap the command ring
-			wantFetches, maxTLPs = 2, 17
+			wantFetches, maxTLPs, maxInner = 2, 17, 12
 			wraps++
 		}
 		if blobs != 0 || writes > 2 || reads != 0 || tlps > maxTLPs || slots > 5 || fetches != wantFetches {
 			t.Fatalf("decode step %d cost %d config blobs, %d MMIO writes, %d MMIO reads, %d host TLPs, %d ring slots, %d command fetches; budget 0 / 2 / 0 / %d / 5 / %d",
 				i, blobs, writes, reads, tlps, slots, fetches, maxTLPs, wantFetches)
+		}
+		if innerTLPs, cmdReads := b.inner-a.inner, b.reads-a.reads; innerTLPs > maxInner || cmdReads != wantFetches {
+			t.Fatalf("decode step %d cost %d internal TLPs and %d device command reads; budget %d / %d",
+				i, innerTLPs, cmdReads, maxInner, wantFetches)
 		}
 	}
 	if wraps != 1 {
@@ -187,9 +199,9 @@ func TestDecodeStepWireBudget(t *testing.T) {
 	if installs := after.configs - before.configs; installs > 5 {
 		t.Fatalf("session installed %d descriptors, budget 5", installs)
 	}
-	t.Logf("steady decode step: %d MMIO writes, %d host TLPs, %d ring slots; session: %d installs, %d MMIO writes, %d host TLPs",
-		samples[11].io.MMIOWrites-samples[10].io.MMIOWrites, samples[11].tlps-samples[10].tlps, samples[11].slots-samples[10].slots,
-		after.configs-before.configs, after.io.MMIOWrites-before.io.MMIOWrites, after.tlps-before.tlps)
+	t.Logf("steady decode step: %d MMIO writes, %d host TLPs, %d internal TLPs, %d ring slots; session: %d installs, %d MMIO writes, %d host TLPs",
+		samples[11].io.MMIOWrites-samples[10].io.MMIOWrites, samples[11].tlps-samples[10].tlps, samples[11].inner-samples[10].inner,
+		samples[11].slots-samples[10].slots, after.configs-before.configs, after.io.MMIOWrites-before.io.MMIOWrites, after.tlps-before.tlps)
 }
 
 // TestPrefillReturnsAfterChunkZero pins Prefill's documented contract:

@@ -1,18 +1,21 @@
 package ccai
 
 // A submission's command slots cross the untrusted bus as one verified
-// run (ISSUE 23, DESIGN.md §6 invariant 2): one MAC record, one SC fetch,
-// every slot served to the device once from the verified copy. These are
-// the platform-level cells; the SC-level ones (malformed records, served
-// slots re-read, the 128-byte reader) sit beside the rig in
+// run (DESIGN.md §6 invariant 2): one MAC record, one device read, one SC
+// fetch, the run served whole and nothing of it kept. These are the
+// platform-level cells; the SC-level ones (malformed records, reads that
+// are not one whole run, a served run re-read) sit beside the rig in
 // internal/core and internal/adaptor.
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"ccai/internal/adaptor"
+	"ccai/internal/llm"
+	"ccai/internal/mem"
 	"ccai/internal/pcie"
 	"ccai/internal/xpu"
 )
@@ -30,6 +33,88 @@ func cmdFetches(host *pcie.Bus, pl *pipeline) *[]int {
 		return pk
 	}))
 	return &fetches
+}
+
+// cmdRead is one read of command slots: where it starts and how many
+// slots it covers.
+type cmdRead struct {
+	addr  uint64
+	slots int
+}
+
+// cmdReads taps bus for requester's reads of a command ring in space.
+func cmdReads(bus *pcie.Bus, space *mem.Space, requester pcie.ID) *[]cmdRead {
+	var reads []cmdRead
+	bus.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
+		if pk.Kind == pcie.MRd && pk.Requester == requester {
+			if buf, ok := space.Resolve(pk.Address); ok && strings.HasPrefix(buf.Name(), "cmdring") {
+				reads = append(reads, cmdRead{pk.Address, int(pk.Length) / xpu.CmdSize})
+			}
+		}
+		return pk
+	}))
+	return &reads
+}
+
+// runCuts is where submissions of the given command counts, queued from
+// ring position tail on, are cut into runs: at the end of the ring.
+func runCuts(tail uint64, sizes ...int) []int {
+	var cuts []int
+	for _, n := range sizes {
+		for n > 0 {
+			k := min(n, ringEntries-int(tail%ringEntries))
+			cuts = append(cuts, k)
+			tail += uint64(k)
+			n -= k
+		}
+	}
+	return cuts
+}
+
+// TestCommandRunFetch: the device fetches each command run with one read.
+// Over a 512-token decode session (a 4-command prefill, 63 three-command
+// steps) and three 64 KiB tasks on one tenant, the internal segment
+// carries one command MRd per run, the SC answers each with one host
+// fetch of the same slots, and the host segment's rows are the ones the
+// per-slot reader left, pinned by a digest taken before the device read a
+// run whole.
+func TestCommandRunFetch(t *testing.T) {
+	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
+	tenant := mp.Tenants[0]
+	host := recordWire(mp.Host)
+	device := cmdReads(tenant.internal, tenant.space, tenant.XPUID)
+	fetches := cmdReads(mp.Host, tenant.space, tenant.SC.DeviceID())
+	tail := tenant.Driver.Tail()
+
+	runSession(t, tenant, decodeCfg, []byte("one read per command run"))
+	task := Task{Input: bytes.Repeat([]byte{7}, 64<<10), Kernel: KernelXOR, Param: 0x5a}
+	for i := 0; i < 3; i++ {
+		if _, err := tenant.RunTask(task); err != nil {
+			t.Fatalf("task %d: %v", i, err)
+		}
+	}
+
+	sizes := []int{4}
+	for i := 1; i < decodeCfg.Chunks(); i++ {
+		sizes = append(sizes, 3)
+	}
+	sizes = append(sizes, 3, 3, 3)
+	want := runCuts(tail, sizes...)
+	if len(*device) != len(want) {
+		t.Fatalf("%d device command reads, want one per run: %d", len(*device), len(want))
+	}
+	for i, rd := range *device {
+		if rd.slots != want[i] {
+			t.Fatalf("device command read %d covers %d slots, want %d", i, rd.slots, want[i])
+		}
+	}
+	if !slices.Equal(*device, *fetches) {
+		t.Fatalf("the SC's host fetches are not the device's reads:\ndevice %v\nhost   %v", *device, *fetches)
+	}
+	const rows, digest = 2178, "fca64671ccfc9f99fdcc8a8f7043fdc2e1d4adaa1910079b6cdb44cd0e1ecdde"
+	if got := wireDigest(*host); len(*host) != rows || got != digest {
+		t.Fatalf("host segment: %d rows, digest %s; want %d rows, %s", len(*host), got, rows, digest)
+	}
 }
 
 // TestA3RecordKeySpace: the records of guarded writes (keyed by the A3
