@@ -71,6 +71,13 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # MAC).
 	$(GO) test -run 'TestCommandRunFetch|TestVerifiedRead|TestVerifiedRun|TestVerifiedRegionSync|TestKickReMACsRemainder' ./ ./internal/core/ ./internal/adaptor/
 	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=10s ./internal/core/
+# The one A2 read path: the SC decrypts a device read of 1 to 16 chunks
+# when it arrives, and refuses bad geometry or an unarmed step-window
+# slot before it fetches or spends a tag; the host segment carries the
+# rows it did when the SC decrypted ahead. The fuzz aims any read, under
+# any chunk size, at a staged region: served byte-exact, or refused.
+	$(GO) test -run 'TestDecryptReadRejects|TestD2HBurstKeepsHostWire|TestCommandRunFetch' ./ ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=10s ./internal/core/
 
 build:
 	$(GO) build ./...
@@ -181,6 +188,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDeviceWriteBurst -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=15s ./internal/obsv/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=15s ./internal/fault/
 

@@ -56,12 +56,10 @@ type Stats struct {
 	// advancing the stream counter, so recovery never weakens the
 	// replay discipline.
 	DuplicateReads uint64
-	// PrefetchedChunks counts H2D chunks the SC decrypted ahead of the
-	// device's read request (the decrypt/DMA overlap pipeline), and
-	// PrefetchHits counts span reads served straight from that cache —
-	// reads whose crypto ran concurrently with the previous span's DMA.
-	PrefetchedChunks uint64
-	PrefetchHits     uint64
+	// PrefetchHits is always 0: the SC decrypts a device read when it
+	// arrives and keeps no decrypt-ahead cache to hit. It stays because
+	// the benchmark of record (benchmark/counts.go) still reads it.
+	PrefetchHits uint64
 	// BatchedD2HSpans counts the write spans — runs of up to
 	// MaxReadReq/ChunkSize consecutive D2H chunks of one region — the SC
 	// sealed as one engine batch instead of one engine dispatch per chunk.
@@ -109,25 +107,17 @@ type Controller struct {
 	tagPend   map[uint32]*tagSpan
 
 	// wspans accumulates in-order device D2H plaintext per region so a
-	// burst seals as one engine batch with the span's ciphertext DMA
-	// overlapping the next chunks' crypto (pipeline.go).
+	// burst seals as one engine batch (pipeline.go).
 	wspans map[uint32]*writeSpan
 	// wsFree recycles writeSpan shells between flushes (the steady-state
 	// D2H loop otherwise allocates one per span). Guarded by mu.
 	wsFree []*writeSpan
 
-	// pf is the single-entry H2D decrypt-ahead cache: the plaintext of
-	// the span the device is predicted to read next, decrypted while
-	// the previous span's completion DMA was in flight (pipeline.go).
-	pf spanCache
-
-	// scratchPool holds the reusable span bookkeeping (tag records,
-	// sealed views, AADs) for the H2D span paths — two slots, because a
-	// demand decrypt still holds its scratch while it kicks the next
-	// prefetch. Slots are swapped atomically (no lock), with a fresh
-	// allocation as fallback so deeper nesting is merely slower, never
-	// wrong.
-	scratchPool [2]atomic.Pointer[spanScratch]
+	// scratch holds the reusable span bookkeeping (counters, tag
+	// records, sealed views, AADs) of decryptRead. It is swapped
+	// atomically (no lock); a read that finds it taken allocates its
+	// own.
+	scratch atomic.Pointer[spanScratch]
 
 	// verified retains the tag record of every H2D chunk already
 	// accepted once, keyed by descriptor ID then chunk index, so a
@@ -731,18 +721,11 @@ func (c *Controller) armSlots(pos uint64, payload []byte) {
 	}
 }
 
-// chunkCounter resolves the IV counter an A2 H2D chunk was sealed
-// under: consecutive from FirstCounter in a one-shot region, whatever
-// the positioned tag armed in a slotted step window. ok is false for a
-// slot nothing armed — the read fails closed.
-func (c *Controller) chunkCounter(desc Descriptor, chunk uint32) (uint32, bool) {
-	var ctr [1]uint32
-	armed := c.chunkCounters(desc, chunk, ctr[:])
-	return ctr[0], armed
-}
-
-// chunkCounters is chunkCounter for the span of chunks first,
-// first+1, … first+len(ctrs)-1, under at most one critical section.
+// chunkCounters resolves the IV counters A2 H2D chunks first, first+1,
+// … first+len(ctrs)-1 were sealed under, under at most one critical
+// section: consecutive from FirstCounter in a one-shot region, whatever
+// the positioned tag armed in a slotted step window. It reports false
+// when a slot of the span was never armed — the read fails closed.
 func (c *Controller) chunkCounters(desc Descriptor, first uint32, ctrs []uint32) bool {
 	if !desc.Slotted {
 		for i := range ctrs {
@@ -788,7 +771,6 @@ func (c *Controller) releaseRegion(id uint32) {
 	c.dropVerified(id)
 	c.dropTagSpan(id)
 	c.dropWriteSpan(id)
-	c.dropSpanCache(id)
 }
 
 // installRuleFrame decodes and installs one sealed rule blob; frame may
@@ -829,7 +811,6 @@ func (c *Controller) installDescriptorFrame(frame []byte) {
 	// A reinstalled descriptor reuses the region ID with fresh counters;
 	// anything pipelined for the old incarnation is stale.
 	c.dropWriteSpan(d.ID)
-	c.dropSpanCache(d.ID)
 	if d.Slotted {
 		c.mu.Lock()
 		c.slots[d.ID] = make([]uint32, chunkCount(d))
@@ -912,13 +893,7 @@ func (c *Controller) applyRekeyFrame(frame []byte) {
 	}
 	if err := c.params.Rekey(rc.Stream, rc.Key, rc.Nonce); err != nil {
 		c.configReject(err)
-		return
 	}
-	// Fail-closed across epochs: plaintext decrypted ahead under the old
-	// key is never served after a rekey — the demand path re-runs the
-	// acceptance ladder, which rejects pre-rekey material exactly as it
-	// did before decrypt-ahead existed.
-	c.dropSpanCache(^uint32(0))
 }
 
 func (c *Controller) openConfig(frame []byte) ([]byte, error) {
@@ -1012,50 +987,115 @@ func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict) (cpl *p
 	return c.reject(p), false
 }
 
-// decryptRead services a device read of an A2 H2D region: fetch the
-// ciphertext from host memory, match tags, decrypt, and return
-// plaintext to the device. Reads wider than one chunk (the device
-// requests up to MaxReadReq at a time) take the span path, which
-// amortizes the host round trip and batch-decrypts.
+// decryptRead is the SC's one A2 read path: a device read of 1 to
+// MaxReadReq bytes of an H2D region, decrypted when it arrives. Nothing
+// is fetched or decrypted before the device asks for it, and the SC
+// keeps no plaintext once the completion is handed over.
+//
+// The read's geometry is checked first: a chunk-aligned start, 1 to
+// MaxReadReq bytes, inside the region, at most spanChunks chunks (a
+// sealed descriptor may carry any non-zero ChunkSize), and every slot
+// of a step window armed. Anything else is one auth failure with no
+// host fetch and no tag spent. Then one host fetch covers the read, its
+// tags leave the queue in one match, and one OpenBatchInto decrypts
+// straight into the completion payload; only the last chunk may be
+// short, and one that is not the region's tail fails its tag. When
+// every tag is on hand and fresh the batch validates, decrypts and
+// fail-closes as a unit; any wrinkle — a consumed tag, a reposted table
+// behind the watermark — drops to the per-chunk policy in openChunk,
+// which knows about duplicates and retransmits.
 func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
-	if uint64(p.Length) > uint64(desc.ChunkSize) {
-		return c.decryptReadSpan(p, desc)
-	}
-	sp := c.tracer.Start(siteDecryptRead,
+	sp := c.tracer.Start(siteDecryptReadSpan,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
-	chunk, err := desc.ChunkOf(p.Address, p.Length)
-	if err != nil {
+	cs, off, n := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
+	if cs == 0 || n == 0 || n > pcie.MaxReadReq || off%cs != 0 || off+n > desc.Len || (n+cs-1)/cs > spanChunks {
 		c.authFailed()
 		return c.reject(p)
 	}
-	ctr, armed := c.chunkCounter(desc, chunk)
-	if !armed {
+	first, k := uint32(off/cs), int((n+cs-1)/cs)
+	sc := c.takeScratch()
+	defer c.putScratch(sc)
+	ctrs, recs, have := sc.ctrs[:k], sc.recs[:k], sc.have[:k]
+	if !c.chunkCounters(desc, first, ctrs) {
 		c.authFailed()
 		return c.reject(p)
 	}
+
 	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
 	cpl := c.hostBus.Route(req)
-	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) {
+	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n {
 		return c.reject(p)
 	}
+	// The bounce fetch is consumed on every path below (its ciphertext
+	// is either decrypted into pt or abandoned on reject), so when it
+	// came from the host bridge's arena pool it goes back on the way
+	// out. Runs before the deferred putScratch clears the sealed views —
+	// harmless, the views are rebuilt per read.
+	defer c.releaseFetch(req, cpl, false)
 	stream, err := c.params.Stream(StreamH2D)
 	if err != nil {
 		c.authFailed()
 		return c.reject(p)
 	}
-	rec, ok := c.tagMatch(StreamH2D, ctr)
-	pt, good := c.openChunk(stream, desc, chunk, cpl.Payload, &rec, ok)
-	c.releaseFetch(req, cpl, false)
-	if !good {
-		c.authFailed()
-		return c.reject(p)
+	// Chunk i is bytes [lo, hi) of both the fetched ciphertext and pt.
+	bounds := func(i int) (lo, hi uint64) { return uint64(i) * cs, min(uint64(i+1)*cs, n) }
+	all := c.tagMatchEach(StreamH2D, ctrs, recs, have)
+	// Plaintext destined for the device-facing completion: arena-carved
+	// when the device returns completion payloads to the pool, else
+	// slab-carved (never recycled, so handing it to taps stays safe).
+	pt := c.payloadBuf(int(n), c.internal)
+	if all {
+		sealed, aads := sc.sealed[:k], sc.aads[:k]
+		for i := range sealed {
+			lo, hi := bounds(i)
+			sealed[i] = secmem.Sealed{
+				Counter:    recs[i].Chunk,
+				Epoch:      recs[i].Epoch,
+				Ciphertext: cpl.Payload[lo:hi],
+				Tag:        recs[i].Tag,
+			}
+			ab := sc.aadBuf[8*i : 8*i+8 : 8*i+8]
+			desc.PutAAD((*[8]byte)(ab), first+uint32(i))
+			aads[i] = ab
+		}
+		err = stream.OpenBatchInto(pt, sealed, aads, nil)
+		if err == nil {
+			c.mu.Lock()
+			region := c.verifiedFor(desc.ID, chunkCount(desc))
+			for i := range recs {
+				region.put(first+uint32(i), &recs[i])
+			}
+			c.stats.DecryptedChunks += uint64(k)
+			c.mu.Unlock()
+			return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
+		}
+		if !errors.Is(err, secmem.ErrReplay) {
+			// ErrAuth (dst already zeroed) or a fault-hook error: the
+			// whole read fails closed, exactly like a single bad chunk.
+			c.authFailed()
+			return c.reject(p)
+		}
+		// A counter behind the watermark: some chunks are benign
+		// retransmits. Nothing was consumed — the batch validates before
+		// it decrypts — so sort it out chunk by chunk below.
+	}
+	for i := 0; i < k; i++ {
+		lo, hi := bounds(i)
+		if !c.openChunk(stream, desc, first+uint32(i), cpl.Payload[lo:hi], pt[lo:hi], &recs[i], have[i]) {
+			// Zero the partial plaintext before dropping it: a fail-closed
+			// read never leaks the chunks that did verify.
+			clear(pt)
+			c.authFailed()
+			return c.reject(p)
+		}
 	}
 	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
 }
 
 // openChunk authenticates and decrypts one H2D chunk whose tag-match
-// result is (rec, have). It owns the full per-chunk acceptance policy:
+// result is (rec, have) into dst, which is as long as ct. It owns the
+// full per-chunk acceptance policy:
 //
 //   - have: normal open, advancing the replay watermark; on ErrReplay
 //     (the Adaptor reposted the whole table after a loss) fall back to
@@ -1067,7 +1107,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 //
 // Anything never accepted before stays fail-closed; the caller counts
 // the auth failure and rejects.
-func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uint32, ct []byte, rec *TagRecord, have bool) ([]byte, bool) {
+func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uint32, ct, dst []byte, rec *TagRecord, have bool) bool {
 	var aadBuf [8]byte
 	desc.PutAAD(&aadBuf, chunk)
 	aad := aadBuf[:]
@@ -1076,7 +1116,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 		vrec, seen := c.verified[desc.ID].get(chunk)
 		c.mu.Unlock()
 		if !seen {
-			return nil, false
+			return false
 		}
 		pt, err := stream.OpenStateless(&secmem.Sealed{
 			Counter:    vrec.Chunk,
@@ -1085,10 +1125,11 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 			Tag:        vrec.Tag,
 		}, aad)
 		if err != nil {
-			return nil, false
+			return false
 		}
+		copy(dst, pt)
 		c.duplicateRead()
-		return pt, true
+		return true
 	}
 	sealed := &secmem.Sealed{
 		Counter:    rec.Chunk,
@@ -1096,169 +1137,27 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 		Ciphertext: ct,
 		Tag:        rec.Tag,
 	}
-	// The plaintext goes to the device in a completion: open it straight
-	// into a completion payload, as the span path does.
-	pt, err := stream.OpenDst(sealed, aad, c.payloadBuf(len(ct), c.internal))
+	_, err := stream.OpenDst(sealed, aad, dst[:0])
 	if errors.Is(err, secmem.ErrReplay) {
 		c.mu.Lock()
 		_, seen := c.verified[desc.ID].get(chunk)
 		c.mu.Unlock()
 		if seen {
 			if pt, err2 := stream.OpenStateless(sealed, aad); err2 == nil {
+				copy(dst, pt)
 				c.duplicateRead()
-				return pt, true
+				return true
 			}
 		}
 	}
 	if err != nil {
-		return nil, false
+		return false
 	}
 	c.mu.Lock()
 	c.verifiedFor(desc.ID, chunkCount(desc)).put(chunk, rec)
 	c.stats.DecryptedChunks++
 	c.mu.Unlock()
-	return pt, true
-}
-
-// decryptReadSpan services a multi-chunk H2D read: one host fetch for
-// the whole span, then a batch decrypt straight into the completion
-// payload. The span must start on a chunk boundary and stay inside the
-// region; only its last chunk may be partial (region tail). When every
-// tag is on hand and fresh, OpenBatchInto validates, decrypts in
-// parallel and fail-closes as a unit; any wrinkle — a consumed tag, a
-// reposted table behind the watermark — drops to the per-chunk policy
-// in openChunk, which knows about duplicates and retransmits.
-func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Packet {
-	sp := c.tracer.Start(siteDecryptReadSpan,
-		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
-	defer sp.End()
-	cs := uint64(desc.ChunkSize)
-	off := p.Address - desc.Base
-	if off%cs != 0 || p.Address+uint64(p.Length) > desc.Base+desc.Len {
-		c.authFailed()
-		return c.reject(p)
-	}
-	first := uint32(off / cs)
-	k := int((uint64(p.Length) + cs - 1) / cs)
-
-	// Decrypt-ahead fast path: the span was fetched and batch-decrypted
-	// while the device was still consuming the previous span's DMA
-	// (pipeline.go). Serve the cached plaintext and keep the pipeline
-	// primed with the next span.
-	if pt, ok := c.takeCachedSpan(desc.ID, p.Address, p.Length); ok {
-		sp.Attr(obsv.Bool("prefetched", true))
-		c.prefetchSpan(desc, p.Address+uint64(p.Length))
-		return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
-	}
-
-	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
-	cpl := c.hostBus.Route(req)
-	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) {
-		return c.reject(p)
-	}
-	// The bounce fetch is consumed on every path below (its ciphertext
-	// is either decrypted into pt or abandoned on reject), so when it
-	// came from the host bridge's arena pool it goes back on the way
-	// out. Runs before the deferred putScratch clears the sealed views —
-	// harmless, the views are rebuilt per span.
-	defer c.releaseFetch(req, cpl, false)
-	stream, err := c.params.Stream(StreamH2D)
-	if err != nil {
-		c.authFailed()
-		return c.reject(p)
-	}
-	// ctAt slices chunk i's ciphertext out of the span completion.
-	ctAt := func(i int) []byte {
-		lo := uint64(i) * cs
-		hi := lo + cs
-		if hi > uint64(p.Length) {
-			hi = uint64(p.Length)
-		}
-		return cpl.Payload[lo:hi]
-	}
-	// A span covers at most MaxReadReq/ChunkSize chunks, so the tag
-	// bookkeeping lives in the controller's reusable span scratch on
-	// the common path.
-	sc := c.takeScratch()
-	defer c.putScratch(sc)
-	ctrs, recs, have := sc.ctrs[:], sc.recs[:], sc.have[:]
-	if k > spanChunks {
-		ctrs = make([]uint32, k)
-		recs = make([]TagRecord, k)
-		have = make([]bool, k)
-	} else {
-		ctrs, recs, have = ctrs[:k], recs[:k], have[:k]
-	}
-	if !c.chunkCounters(desc, first, ctrs) {
-		c.authFailed()
-		return c.reject(p)
-	}
-	all := c.tagMatchEach(StreamH2D, ctrs, recs, have)
-	// Plaintext destined for the device-facing completion: arena-carved
-	// when the device returns completion payloads to the pool, else
-	// slab-carved (never recycled, so handing it to taps stays safe).
-	pt := c.payloadBuf(int(p.Length), c.internal)
-	if all {
-		sealed, aads := sc.sealed[:], sc.aads[:]
-		if k > spanChunks {
-			sealed = make([]secmem.Sealed, k)
-			aads = make([][]byte, k)
-		} else {
-			sealed, aads = sealed[:k], aads[:k]
-		}
-		aadBuf := sc.aadBuf[:]
-		if 8*k > len(aadBuf) {
-			aadBuf = arena.Get(8 * k)
-			defer arena.Put(aadBuf)
-		}
-		for i := range sealed {
-			chunk := first + uint32(i)
-			sealed[i] = secmem.Sealed{
-				Counter:    recs[i].Chunk,
-				Epoch:      recs[i].Epoch,
-				Ciphertext: ctAt(i),
-				Tag:        recs[i].Tag,
-			}
-			ab := aadBuf[8*i : 8*i+8 : 8*i+8]
-			desc.PutAAD((*[8]byte)(ab), chunk)
-			aads[i] = ab
-		}
-		err := stream.OpenBatchInto(pt, sealed, aads, nil)
-		if err == nil {
-			c.mu.Lock()
-			region := c.verifiedFor(desc.ID, chunkCount(desc))
-			for i := range recs {
-				region.put(first+uint32(i), &recs[i])
-			}
-			c.stats.DecryptedChunks += uint64(k)
-			c.mu.Unlock()
-			c.prefetchSpan(desc, p.Address+uint64(p.Length))
-			return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
-		}
-		if !errors.Is(err, secmem.ErrReplay) {
-			// ErrAuth (dst already zeroed) or a fault-hook error: the
-			// whole span fails closed, exactly like a single bad chunk.
-			c.authFailed()
-			return c.reject(p)
-		}
-		// A counter behind the watermark: some chunks are benign
-		// retransmits. Nothing was consumed — the batch validates before
-		// it decrypts — so sort it out chunk by chunk below.
-	}
-	for i := 0; i < k; i++ {
-		cpt, good := c.openChunk(stream, desc, first+uint32(i), ctAt(i), &recs[i], have[i])
-		if !good {
-			// Zero the partial plaintext before dropping it: fail-closed
-			// spans never leak the chunks that did verify.
-			for j := range pt {
-				pt[j] = 0
-			}
-			c.authFailed()
-			return c.reject(p)
-		}
-		copy(pt[uint64(i)*cs:], cpt)
-	}
-	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
+	return true
 }
 
 // duplicateRead counts one benign retransmit.
@@ -1363,8 +1262,8 @@ func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet 
 // one to MaxReadReq/ChunkSize chunks, a single chunk being a burst of
 // one — through the write-span pipeline (pipeline.go): the burst's
 // chunks are staged with their in-order neighbours, a span's worth per
-// critical section, and each span seals as one engine batch whose
-// ciphertext DMA overlaps the remaining chunks' crypto. Flushes happen
+// critical section, and each span seals as one engine batch that writes
+// each chunk's ciphertext out before sealing the next. Flushes happen
 // on a full span, a sequence break, the metadata publish cadence, and
 // region completion, so host-visible progress never runs ahead of the
 // ciphertext and tags backing it.
@@ -1606,7 +1505,6 @@ func (c *Controller) Teardown() {
 	for _, span := range droppedSpans {
 		c.finishSpan(span, false)
 	}
-	c.dropSpanCache(^uint32(0))
 	c.tracer.Mark(siteTeardown)
 	c.params.DestroyAll()
 	c.regions.clear()

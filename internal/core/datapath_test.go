@@ -778,6 +778,126 @@ func TestDecryptReadSpanDuplicateReRead(t *testing.T) {
 	}
 }
 
+// stageA2 seals data as A2 H2D region id at base under chunk size cs and
+// queues its tags, as the Adaptor does, laying the ciphertext down so a
+// read at any chunk boundary gets the bytes from there to the region's
+// end (ctlHostMem serves a read from the exact address of one write).
+func (d *dpRig) stageA2(t *testing.T, id uint32, base uint64, data []byte, cs uint32) Descriptor {
+	t.Helper()
+	desc := Descriptor{ID: id, Dir: DirH2D, Class: ActionWriteReadProtect,
+		Base: base, Len: uint64(len(data)), ChunkSize: cs, FirstCounter: d.h2dTx.SendCounter() + 1}
+	var ct []byte
+	for off, j := 0, uint32(0); off < len(data); off, j = off+int(cs), j+1 {
+		sealed, err := d.h2dTx.Seal(data[off:min(off+int(cs), len(data))], desc.AAD(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct = append(ct, sealed.Ciphertext...)
+		d.sc.Tags().Enqueue(TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
+	}
+	for off := 0; off < len(ct); off += int(cs) {
+		d.hostMem[base+uint64(off)] = ct[off:]
+	}
+	if err := d.sc.regions.add(desc); err != nil {
+		t.Fatal(err)
+	}
+	return desc
+}
+
+// countDataFetches counts the SC's host reads below the rig's submission
+// ring from now on: fetches of data regions, not of ring slots.
+func (d *dpRig) countDataFetches() *int {
+	n := new(int)
+	d.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Kind == pcie.MRd && p.Requester == d.sc.DeviceID() && p.Address < ctlRing {
+			*n++
+		}
+		return p
+	}))
+	return n
+}
+
+// devRead is the device reading n bytes at addr; nil when refused.
+func (d *dpRig) devRead(addr uint64, n uint32) []byte {
+	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, addr, n, 0))
+	if cpl == nil || cpl.Status != pcie.CplSuccess {
+		return nil
+	}
+	return cpl.Payload
+}
+
+// TestDecryptReadRejects: the SC's one A2 read path checks a read's
+// geometry, and in a step window that every slot it covers is armed,
+// before it fetches anything. Against two adjacent live regions of
+// eight chunks (32 for the oversized read; 64-byte chunks for the read
+// of seventeen) with every tag queued, or a four-slot step window with
+// slot 0 armed, each read below is exactly one auth failure, with no
+// host fetch, no tag spent and nothing handed to the device.
+func TestDecryptReadRejects(t *testing.T) {
+	const base, cs = ctlMem + 0x10000, ChunkSize
+	for name, c := range map[string]struct {
+		chunk  uint32 // the regions' ChunkSize
+		chunks int    // per region
+		off    uint64 // from the first region's base
+		n      uint32
+		window bool
+	}{
+		"unaligned start":                 {chunk: cs, chunks: 8, off: cs / 2, n: cs},
+		"zero length":                     {chunk: cs, chunks: 8, off: 0, n: 0},
+		"over MaxReadReq":                 {chunk: cs, chunks: 32, off: 0, n: 2 * pcie.MaxReadReq},
+		"past the region end":             {chunk: cs, chunks: 8, off: 6 * cs, n: 3 * cs},
+		"straddling two regions":          {chunk: cs, chunks: 8, off: 7 * cs, n: 2 * cs},
+		"more than 16 chunks":             {chunk: 64, chunks: 32, off: 0, n: (spanChunks + 1) * 64},
+		"two-slot read, one slot unarmed": {window: true, off: 0, n: 2 * cs},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := newDPRig(t)
+			if c.window {
+				w := d.installWindow(t, 9, base, 4)
+				d.arm(w.ID, 0, d.sealSlot(t, w, 0, bytes.Repeat([]byte{1}, cs)))
+				d.sealSlot(t, w, 1, bytes.Repeat([]byte{2}, cs))
+			} else {
+				size := c.chunks * int(c.chunk)
+				d.stageA2(t, 7, base, burstData(size, 1), c.chunk)
+				d.stageA2(t, 8, base+uint64(size), burstData(size, 2), c.chunk)
+			}
+			fetches, st, depth := d.countDataFetches(), d.sc.Stats(), d.sc.Tags().Depth()
+			if got := d.devRead(base+c.off, c.n); got != nil {
+				t.Fatalf("served %d bytes", len(got))
+			}
+			after := d.sc.Stats()
+			if *fetches != 0 || after.AuthFailures != st.AuthFailures+1 || d.sc.Tags().Depth() != depth {
+				t.Fatalf("%d host fetches, %d auth failures, %d tags spent; want 0, 1, 0",
+					*fetches, after.AuthFailures-st.AuthFailures, depth-d.sc.Tags().Depth())
+			}
+		})
+	}
+}
+
+// TestDecryptReadShortCompletion: the host answers the SC's fetch with a
+// completion shorter than the read — a tampering host's truncation. One
+// chunk or sixteen, the read is refused whole, with nothing served and
+// nothing decrypted.
+func TestDecryptReadShortCompletion(t *testing.T) {
+	const base = ctlMem + 0x10000
+	for _, chunks := range []int{1, spanChunks} {
+		d := newDPRig(t)
+		d.stageA2(t, 7, base, burstData(chunks*ChunkSize, 3), ChunkSize)
+		d.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+			if p.Kind == pcie.CplD && p.Requester == d.sc.DeviceID() {
+				p.Payload = p.Payload[:len(p.Payload)/2]
+			}
+			return p
+		}))
+		if got := d.devRead(base, uint32(chunks*ChunkSize)); got != nil {
+			t.Fatalf("%d-chunk read served %d bytes from a truncated fetch", chunks, len(got))
+		}
+		if n := d.sc.Stats().DecryptedChunks; n != 0 {
+			t.Fatalf("%d-chunk read decrypted %d chunks from a truncated fetch", chunks, n)
+		}
+	}
+}
+
 // --- slotted step windows ------------------------------------------------------
 
 // installWindow registers a slotted step window through the sealed

@@ -116,17 +116,6 @@ func (d Descriptor) Contains(addr uint64) bool {
 	return addr >= d.Base && addr < d.Base+d.Len
 }
 
-// ChunkOf maps an address to its chunk index; the access must not cross
-// a chunk boundary.
-func (d Descriptor) ChunkOf(addr uint64, n uint32) (uint32, error) {
-	off := addr - d.Base
-	idx := uint32(off / uint64(d.ChunkSize))
-	if (off%uint64(d.ChunkSize))+uint64(n) > uint64(d.ChunkSize) {
-		return 0, fmt.Errorf("core: access [%#x,+%d) crosses chunk boundary in region %d", addr, n, d.ID)
-	}
-	return idx, nil
-}
-
 // AAD builds the additional authenticated data binding a chunk to its
 // region and position, preventing relocation of valid ciphertext.
 func (d Descriptor) AAD(chunk uint32) []byte {

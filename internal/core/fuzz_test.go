@@ -278,6 +278,71 @@ func FuzzDeviceWriteBurst(f *testing.F) {
 	})
 }
 
+// FuzzDecryptRead aims one device read — any offset from an A2 H2D
+// region's base, any length — at a region of up to 64 chunks staged
+// under any ChunkSize, with every tag queued. Nothing may panic, and the
+// read ends one of two ways. Served: its geometry is valid (chunk-aligned
+// start, 1 to MaxReadReq bytes, inside the region, at most 16 chunks)
+// and it ends on a chunk boundary or at the region's end; the device
+// gets exactly those plaintext bytes, after one host fetch. Refused: one
+// auth failure or filter drop and nothing served — with no host fetch
+// and no tag spent when the geometry is invalid, and after one fetch
+// when a valid read ends inside a chunk, whose tag then fails.
+func FuzzDecryptRead(f *testing.F) {
+	// add seeds a read of length bytes at off from a region of region
+	// bytes in chunks of chunk.
+	add := func(off int64, length, chunk, region int) {
+		f.Add(off, uint16(length), uint16(chunk-1), uint16(region-1))
+	}
+	const cs = ChunkSize
+	add(0, 16*cs, cs, 16*cs)
+	add(4*cs, cs, cs, 8*cs)
+	add(cs, cs+128, cs, 2*cs+128)
+	add(0, cs+1, cs, 4*cs)
+	add(cs/2, cs, cs, 4*cs)
+	add(0, 0, cs, 4*cs)
+	add(0, 2*pcie.MaxReadReq, cs, 32*cs)
+	add(6*cs, 3*cs, cs, 8*cs)
+	add(0, 17*64, 64, 32*64)
+	add(0, 16*64, 64, 32*64)
+	add(0, 300, 5000, 300)
+	add(-cs, cs, cs, 4*cs)
+	add(ctlMemN, cs, cs, 4*cs)
+	f.Fuzz(func(t *testing.T, off int64, length, chunkSize, regionLen uint16) {
+		const base = ctlMem + 0x10000
+		d := newDPRig(t)
+		cs := int64(chunkSize) + 1
+		n := int64(regionLen)%min(64*cs, 32<<10) + 1
+		data := burstData(int(n), byte(chunkSize))
+		d.stageA2(t, 7, base, data, uint32(cs))
+		fetches, before, depth := d.countDataFetches(), d.sc.Stats(), d.sc.Tags().Depth()
+
+		got := d.devRead(base+uint64(off), uint32(length))
+
+		after := d.sc.Stats()
+		refusals := after.AuthFailures + after.Filter.Dropped - before.AuthFailures - before.Filter.Dropped
+		end, k := off+int64(length), (int64(length)+cs-1)/cs
+		valid := off >= 0 && off%cs == 0 && length > 0 && length <= pcie.MaxReadReq && end <= n && k <= spanChunks
+		switch {
+		case valid && (int64(length)%cs == 0 || end == n):
+			if !bytes.Equal(got, data[off:end]) || *fetches != 1 || refusals != 0 {
+				t.Fatalf("read of %d B at %d of %d (chunk %d): served %d B (want the plaintext), %d fetches, %d refusals",
+					length, off, n, cs, len(got), *fetches, refusals)
+			}
+		case valid:
+			if got != nil || *fetches != 1 || after.AuthFailures != before.AuthFailures+1 {
+				t.Fatalf("read of %d B at %d of %d (chunk %d) ending inside a chunk: served %d B, %d fetches, %d auth failures",
+					length, off, n, cs, len(got), *fetches, after.AuthFailures-before.AuthFailures)
+			}
+		default:
+			if got != nil || *fetches != 0 || refusals != 1 || d.sc.Tags().Depth() != depth {
+				t.Fatalf("read of %d B at %d of %d (chunk %d): served %d B, %d fetches, %d refusals, %d tags spent; want none, none, 1, none",
+					length, off, n, cs, len(got), *fetches, refusals, depth-d.sc.Tags().Depth())
+			}
+		}
+	})
+}
+
 // FuzzVerifiedRead aims one device read — any offset from an A3 region's
 // base, any length — at a 64-slot command ring with a script of queued run
 // records. A record op is three bytes: first slot, run length − 1, flags:

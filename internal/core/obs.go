@@ -12,7 +12,6 @@ var (
 	siteClassify        = obsv.NewSite(obsv.TrackFilter, "classify")
 	siteTagMatch        = obsv.NewSite(obsv.TrackSC, "tag_match")
 	siteGuardedMMIO     = obsv.NewSite(obsv.TrackSC, "guarded_mmio")
-	siteDecryptRead     = obsv.NewSite(obsv.TrackSC, "decrypt_read")
 	siteDecryptReadSpan = obsv.NewSite(obsv.TrackSC, "decrypt_read_span")
 	siteVerifiedRead    = obsv.NewSite(obsv.TrackSC, "verified_read")
 	siteEncryptWrite    = obsv.NewSite(obsv.TrackSC, "encrypt_write")

@@ -6,40 +6,35 @@ import (
 	"ccai/internal/secmem"
 )
 
-// This file is the SC data-plane pipeline (DESIGN.md §15): the
-// decrypt/DMA overlap machinery that turns the serial
-// fetch→decrypt→serve / receive→seal→store chunk loops into the mirror
-// image of the Adaptor's StageH2D seal-vs-submit pipeline.
+// This file is the SC data-plane pipeline (DESIGN.md §15): the span
+// scratch and buffer rules the read and write paths share, and the D2H
+// write-span batching.
 //
-// H2D: while the device consumes span i's completion DMA, the SC
-// speculatively fetches and batch-decrypts span i+1 into a one-entry
-// plaintext cache (spanCache). The device's strictly sequential
-// MaxReadReq gulps make the next span perfectly predictable; a cache
-// hit serves plaintext whose crypto already ran under the previous
-// span's DMA shadow, so the steady-state per-span cost is
-// max(crypto, DMA) plus one pipeline fill, not their sum.
+// H2D: a device read of an A2 region is decrypted when it arrives
+// (Controller.decryptRead): one host fetch, one tag match and one batch
+// open per read of up to MaxReadReq. Nothing is fetched or decrypted
+// before the device asks for it, and the SC holds no H2D plaintext
+// between device reads. The paper's SC overlaps its AES-GCM engine with
+// DMA; that is a property of the hardware, and the analytic model
+// charges it (bench.OptSet.OverlapDMA). This functional path runs on
+// the goroutine of the device's read, so it has no overlap to show.
 //
 // D2H: device write bursts (up to MaxReadReq each) are split along the
 // chunk grid, accumulated per region (writeSpan) and sealed as one
 // engine batch when the span fills, the chunk sequence breaks, the
-// metadata cadence is due, or the region completes. The batch runs
-// through SealBatchStream, so chunk i's ciphertext DMA to host memory
-// is issued from the emit callback while the engine is already sealing
-// chunks > i — the same overlap, pointed the other way.
-//
-// Both sides are speculation-safe: a prefetch that cannot complete
-// cleanly (missing tag, stale counter, corrupt fetch) backs out
-// without consuming tag records or counting failures, and the demand
-// path then runs the full acceptance ladder exactly as before.
+// metadata cadence is due, or the region completes. SealBatchStream
+// seals the batch's chunks in order on its caller and hands each to
+// emitChunk, which writes its ciphertext to host memory before the next
+// chunk is sealed.
 
 // spanChunks is the pipeline granularity in chunks: one device read
-// gulp (MaxReadReq) worth of MaxPayload chunks, for both the H2D
-// prefetch spans and the D2H write-burst spans.
+// gulp (MaxReadReq) worth of MaxPayload chunks, for both the H2D reads
+// and the D2H write-burst spans.
 const spanChunks = pcie.MaxReadReq / ChunkSize
 
-// spanScratch is the reusable per-span bookkeeping for the H2D batch
-// paths. OpenBatchInto documents that the sealed records are taken by
-// value, so the views may be rebuilt in place for every span.
+// spanScratch is the reusable per-read bookkeeping of decryptRead.
+// OpenBatchInto documents that the sealed records are taken by value,
+// so the views may be rebuilt in place for every read.
 type spanScratch struct {
 	sealed [spanChunks]secmem.Sealed
 	aads   [spanChunks][]byte
@@ -49,112 +44,23 @@ type spanScratch struct {
 	have   [spanChunks]bool
 }
 
-// takeScratch grabs a span scratch from the two-slot pool, or
-// allocates a fresh one if both are in use (re-entrant span handling).
-// The slots are swapped atomically: a span costs no critical section
-// for its bookkeeping.
+// takeScratch grabs the controller's span scratch, or allocates a fresh
+// one if a concurrent read holds it. The slot is swapped atomically: a
+// read costs no critical section for its bookkeeping.
 func (c *Controller) takeScratch() *spanScratch {
-	for i := range c.scratchPool {
-		if s := c.scratchPool[i].Swap(nil); s != nil {
-			return s
-		}
+	if s := c.scratch.Swap(nil); s != nil {
+		return s
 	}
 	return new(spanScratch)
 }
 
 // putScratch returns a span scratch, dropping payload references so
-// the scratch does not pin completed span buffers.
+// the scratch does not pin completed read buffers.
 func (c *Controller) putScratch(s *spanScratch) {
 	for i := range s.sealed {
 		s.sealed[i].Ciphertext = nil
 	}
-	for i := range c.scratchPool {
-		if c.scratchPool[i].CompareAndSwap(nil, s) {
-			return
-		}
-	}
-}
-
-// --- H2D decrypt-ahead ------------------------------------------------------
-
-// spanCache is the one-entry plaintext cache behind the H2D overlap:
-// the next span's decrypted bytes, keyed by exactly the (region, addr,
-// length) triple the device must request for them.
-type spanCache struct {
-	valid  bool
-	region uint32
-	addr   uint64
-	length uint32
-	pt     []byte // slab-carved; ownership transfers to the hit's completion
-}
-
-// takeCachedSpan serves a span read from the decrypt-ahead cache. On a
-// hit the plaintext's ownership moves to the caller (it becomes the
-// completion payload) and the entry clears.
-func (c *Controller) takeCachedSpan(region uint32, addr uint64, length uint32) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.pf.valid || c.pf.region != region || c.pf.addr != addr || c.pf.length != length {
-		return nil, false
-	}
-	pt := c.pf.pt
-	c.pf = spanCache{}
-	c.stats.PrefetchHits++
-	return pt, true
-}
-
-// installCachedSpan publishes a prefetched span together with its
-// bookkeeping — the accepted records and the chunk counts — in the one
-// critical section a prefetched span costs, zeroizing any entry it
-// displaces (the cache holds decrypted secrets in SC-local memory).
-func (c *Controller) installCachedSpan(desc Descriptor, addr uint64, first uint32, recs []TagRecord, pt []byte) {
-	k := uint64(len(recs))
-	c.mu.Lock()
-	region := c.verifiedFor(desc.ID, chunkCount(desc))
-	for i := range recs {
-		region.put(first+uint32(i), &recs[i])
-	}
-	c.stats.DecryptedChunks += k
-	c.stats.PrefetchedChunks += k
-	old := c.pf.pt
-	c.pf = spanCache{valid: true, region: desc.ID, addr: addr, length: uint32(len(pt)), pt: pt}
-	c.mu.Unlock()
-	c.retireCachedPt(old)
-}
-
-// dropSpanCache invalidates the decrypt-ahead cache if it belongs to
-// region (descriptor release or reinstall); region == ^0 drops any
-// entry (rekey, teardown). The orphaned plaintext is zeroized.
-func (c *Controller) dropSpanCache(region uint32) {
-	c.mu.Lock()
-	var old []byte
-	if c.pf.valid && (region == ^uint32(0) || c.pf.region == region) {
-		old = c.pf.pt
-		c.pf = spanCache{}
-	}
-	c.mu.Unlock()
-	c.retireCachedPt(old)
-}
-
-// retireCachedPt zeroizes an evicted decrypt-ahead plaintext and, when
-// it provably came from the arena (payloadBuf carved it there, and the
-// sticky Untapped gate cannot have flipped back), returns it to the
-// pool instead of leaving it for the GC.
-func (c *Controller) retireCachedPt(b []byte) {
-	if b == nil {
-		return
-	}
-	if c.recycleOn(c.internal) {
-		arena.PutZero(b)
-		return
-	}
-	zero(b)
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
+	c.scratch.Store(s)
 }
 
 // payloadBuf carves an outbound payload (completion plaintext, MWr
@@ -203,85 +109,6 @@ func (c *Controller) hostWrite(addr uint64, body []byte) {
 	if c.recycleOn(c.hostBus) && pcie.Release(p) {
 		arena.Put(body)
 	}
-}
-
-// prefetchSpan speculatively fetches and decrypts the span at addr —
-// the read the device is predicted to issue next — into the cache.
-// Every early return is silent: speculation must not consume tag
-// records, advance failure counters, or reject anything; the demand
-// path owns the acceptance ladder.
-func (c *Controller) prefetchSpan(desc Descriptor, addr uint64) {
-	end := desc.Base + desc.Len
-	if addr < desc.Base || addr >= end || desc.Slotted {
-		// A step window's next slots belong to steps not sealed yet.
-		return
-	}
-	cs := uint64(desc.ChunkSize)
-	if cs == 0 {
-		cs = ChunkSize
-	}
-	if (addr-desc.Base)%cs != 0 {
-		return
-	}
-	n := uint64(pcie.MaxReadReq)
-	if end-addr < n {
-		n = end - addr
-	}
-	first := uint32((addr - desc.Base) / cs)
-	k := int((n + cs - 1) / cs)
-	if k > spanChunks {
-		return
-	}
-	// Probe before committing: if any tag is still in flight the span
-	// is not ready, and the fetch would be wasted.
-	ctr := desc.FirstCounter + first
-	if !c.tags.HasSpan(StreamH2D, ctr, k) {
-		return
-	}
-	stream, err := c.params.Stream(StreamH2D)
-	if err != nil {
-		return
-	}
-	req := c.pkts.MemRead(c.id, addr, uint32(n), 0)
-	cpl := c.hostBus.Route(req)
-	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) {
-		return
-	}
-	sc := c.takeScratch()
-	defer c.putScratch(sc)
-	// All or nothing: a partial set would steal records the demand path
-	// needs, so a span that raced away since the probe takes none.
-	recs := sc.recs[:k]
-	if !c.tags.TakeSpan(StreamH2D, ctr, recs) {
-		return
-	}
-	pt := c.payloadBuf(int(n), c.internal)
-	for i := 0; i < k; i++ {
-		chunk := first + uint32(i)
-		lo := uint64(i) * cs
-		hi := lo + cs
-		if hi > n {
-			hi = n
-		}
-		sc.sealed[i] = secmem.Sealed{
-			Counter:    desc.FirstCounter + chunk,
-			Epoch:      recs[i].Epoch,
-			Ciphertext: cpl.Payload[lo:hi],
-			Tag:        recs[i].Tag,
-		}
-		ab := sc.aadBuf[8*i : 8*i+8 : 8*i+8]
-		desc.PutAAD((*[8]byte)(ab), chunk)
-		sc.aads[i] = ab
-	}
-	err = stream.OpenBatchInto(pt, sc.sealed[:k], sc.aads[:k], nil)
-	c.releaseFetch(req, cpl, false)
-	if err != nil {
-		// Back out: the records return to the queue and the demand read
-		// re-runs the full ladder (per-chunk fallback, fail-closed).
-		c.tags.Enqueue(recs...)
-		return
-	}
-	c.installCachedSpan(desc, addr, first, recs, pt)
 }
 
 // --- D2H write-span batching ------------------------------------------------
@@ -415,12 +242,12 @@ func (c *Controller) detachLocked(desc Descriptor, span *writeSpan) {
 }
 
 // sealSpan seals a detached span's chunks as one batch and moves them
-// to host memory. SealBatchStream delivers sealed chunks in order to
-// emitChunk, which routes chunk i's ciphertext DMA and tag deposit
-// while the engine is already sealing chunks > i — the D2H half of the
-// decrypt/DMA overlap. Returns false only when the batch failed (engine
-// fault, missing stream): the buffered chunks are dropped and the
-// caller fails closed. A nil span is an empty flush.
+// to host memory. SealBatchStream seals the chunks in order on this
+// goroutine and hands each to emitChunk, which routes its ciphertext
+// DMA and tag deposit before the next chunk is sealed. Returns false
+// only when the batch failed (engine fault, missing stream): the
+// buffered chunks are dropped and the caller fails closed. A nil span
+// is an empty flush.
 //
 // The seal is the one encrypt_write span of all its chunk writes:
 // region, first chunk, chunk and byte counts, and the action and rule

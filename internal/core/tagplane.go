@@ -167,27 +167,6 @@ func (tm *TagManager) Enqueue(recs ...TagRecord) {
 	tm.enqueued.Add(stored)
 }
 
-// HasSpan reports whether a record is pending for every chunk in
-// [first, first+k) of stream, without matching, counting, or evicting.
-// The decrypt-ahead prefetcher probes with this before committing to a
-// speculative span fetch: a probe must not disturb the miss accounting
-// the demand path feeds the SLO monitors, and must not consume records
-// the demand path may still need.
-func (tm *TagManager) HasSpan(stream string, first uint32, k int) bool {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return tm.hasSpan(tm.lookup(stream), first, k)
-}
-
-func (tm *TagManager) hasSpan(s *tagStream, first uint32, k int) bool {
-	for i := 0; i < k; i++ {
-		if tm.find(s, first+uint32(i)) == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // Peek returns the pending record for (stream, chunk) and leaves it
 // pending, uncounted: a verified-run read needs the run length its
 // record carries to size the host fetch, and a fetch that fails must
@@ -224,24 +203,6 @@ func (tm *TagManager) TakeEach(stream string, ctrs []uint32, recs []TagRecord, h
 		all = all && have[i]
 	}
 	return all
-}
-
-// TakeSpan matches and removes the records of counters first,
-// first+1, … first+len(recs)-1 of stream, all or nothing: when any one
-// is not pending it takes none, counts nothing and returns false — a
-// speculative span decrypt must neither steal records the demand path
-// needs nor feed the miss accounting.
-func (tm *TagManager) TakeSpan(stream string, first uint32, recs []TagRecord) bool {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	s := tm.lookup(stream)
-	if !tm.hasSpan(s, first, len(recs)) {
-		return false
-	}
-	for i := range recs {
-		recs[i], _ = tm.take(s, first+uint32(i))
-	}
-	return true
 }
 
 // DroppedByFault reports tag records lost to injected faults.

@@ -89,13 +89,9 @@ func (tm *refTagManager) Enqueue(rec TagRecord) {
 	tm.evict()
 }
 
-func (tm *refTagManager) HasSpan(stream string, first uint32, k int) bool {
-	for i := 0; i < k; i++ {
-		if _, ok := tm.pending[refTagID{stream: stream, chunk: first + uint32(i)}]; !ok {
-			return false
-		}
-	}
-	return true
+func (tm *refTagManager) Peek(stream string, chunk uint32) (TagRecord, bool) {
+	p, ok := tm.pending[refTagID{stream: stream, chunk: chunk}]
+	return p.rec, ok
 }
 
 func (tm *refTagManager) Take(stream string, chunk uint32) (TagRecord, bool) {

@@ -41,7 +41,7 @@ func tagScriptUniverse() []uint32 {
 // tagScriptOps spreads op codes over a byte so random bytes mostly
 // enqueue and take, and seldom clear.
 var tagScriptOps = func() (t [100]byte) {
-	weights := []int{30, 5, 15, 10, 10, 10, 6, 5, 2, 7} // must sum to 100
+	weights := []int{30, 5, 20, 20, 6, 5, 2, 12} // must sum to 100
 	i := 0
 	for op, w := range weights {
 		for ; w > 0; w-- {
@@ -56,9 +56,7 @@ const (
 	opEnqueuePacket = iota
 	opEnqueueDuplicate
 	opTake
-	opTakeSpan
 	opTakeEach
-	opHasSpan
 	opSetCap
 	opFaultHook
 	opClear
@@ -150,20 +148,6 @@ func (r *tagScriptRun) step() {
 		if ok != wantOK || got != want {
 			r.fail("Take(%q, %#x) = %+v, %v; reference %+v, %v", stream, c, got, ok, want, wantOK)
 		}
-	case opTakeSpan:
-		first, k := tagScriptCounter(r.next()), 1+int(r.next())%spanChunks
-		got := make([]TagRecord, k)
-		ok := r.tm.TakeSpan(stream, first, got)
-		// Reference: probe, then take record by record.
-		wantOK := r.ref.HasSpan(stream, first, k)
-		if ok != wantOK {
-			r.fail("TakeSpan(%q, %#x, %d) = %v; reference %v", stream, first, k, ok, wantOK)
-		}
-		for i := 0; ok && i < k; i++ {
-			if want, _ := r.ref.Take(stream, first+uint32(i)); got[i] != want {
-				r.fail("TakeSpan(%q, %#x, %d)[%d] = %+v; reference %+v", stream, first, k, i, got[i], want)
-			}
-		}
 	case opTakeEach:
 		k := 1 + int(r.next())%spanChunks
 		ctrs := make([]uint32, k)
@@ -188,11 +172,6 @@ func (r *tagScriptRun) step() {
 		}
 		if all != wantAll {
 			r.fail("TakeEach(%q, %#x) = %v; reference %v", stream, ctrs, all, wantAll)
-		}
-	case opHasSpan:
-		first, k := tagScriptCounter(r.next()), int(r.next())%(spanChunks+2)
-		if got, want := r.tm.HasSpan(stream, first, k), r.ref.HasSpan(stream, first, k); got != want {
-			r.fail("HasSpan(%q, %#x, %d) = %v; reference %v", stream, first, k, got, want)
 		}
 	case opSetCap:
 		n := int(r.next()) % 48 // 0 restores the default
@@ -241,8 +220,10 @@ func (r *tagScriptRun) compare() {
 	r.seenNew, r.seenRef = r.seenNew[:0], r.seenRef[:0]
 	for _, stream := range tagScriptStreams {
 		for _, c := range r.universe {
-			if got, want := r.tm.HasSpan(stream, c, 1), r.ref.HasSpan(stream, c, 1); got != want {
-				r.fail("(%q, %#x) pending = %v; reference %v", stream, c, got, want)
+			got, ok := r.tm.Peek(stream, c)
+			want, wantOK := r.ref.Peek(stream, c)
+			if ok != wantOK || got != want {
+				r.fail("Peek(%q, %#x) = %+v, %v; reference %+v, %v", stream, c, got, ok, want, wantOK)
 			}
 		}
 	}
@@ -303,8 +284,8 @@ func tagScriptSeeds() [][]byte {
 		seeds = append(seeds, append(capped.data, data...))
 	}
 	// The task shape: packets of nine consecutive counters building one
-	// long run, consumed a span of sixteen at a time, by probe + span
-	// take and by demand take, with a colliding pair interleaved.
+	// long run, consumed a span of sixteen at a time by demand take, with
+	// a colliding pair interleaved.
 	const a, b, h2d, mmio = 0, 1, 2, 3 // tagScriptStreams indices
 	var task tagScript
 	for c := byte(0); c < 45; c += 9 {
@@ -312,11 +293,10 @@ func tagScriptSeeds() [][]byte {
 		task.op(opEnqueuePacket, a, c, 8, 1)
 		task.op(opEnqueuePacket, b, c, 8, 2)
 	}
-	task.op(opHasSpan, h2d, 0, 16)
-	task.op(opTakeSpan, h2d, 0, 15)
-	task.op(opTakeEach, a, 15, 16, 1) // consecutive [16,32)
-	task.op(opTakeSpan, b, 40, 15)    // [40,56): not all there, takes none
-	task.op(opTakeSpan, h2d, 16, 15)
+	task.op(opTakeEach, h2d, 15, 0, 1) // consecutive [0,16)
+	task.op(opTakeEach, a, 15, 16, 1)  // consecutive [16,32)
+	task.op(opTakeEach, b, 15, 40, 1)  // [40,56): not all there, takes what is
+	task.op(opTakeEach, h2d, 15, 16, 1)
 	task.op(opEnqueueDuplicate, h2d, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 	task.op(opTakeEach, b, 3, 0, 0, 44, 2, 43, 200) // arbitrary counters, one absent
 	seeds = append(seeds, task.data)
@@ -327,15 +307,14 @@ func tagScriptSeeds() [][]byte {
 	for i := 0; i < 300; i++ {
 		c := byte(i % 50)
 		wedge.op(opEnqueuePacket, mmio, c, 3, 0)
-		wedge.op(opTakeSpan, mmio, c, 3)
+		wedge.op(opTakeEach, mmio, 3, c, 1)
 	}
 	seeds = append(seeds, wedge.data)
 	// The wrap band: runs and spans across counter 0xffffffff → 0.
 	var wrap tagScript
 	wrap.op(opEnqueuePacket, h2d, 228, 8, 0) // [0xfffffffc, +9)
 	wrap.op(opEnqueuePacket, h2d, 237, 8, 0) // the next nine, one run
-	wrap.op(opHasSpan, h2d, 228, 16)
-	wrap.op(opTakeSpan, h2d, 230, 15)
+	wrap.op(opTakeEach, h2d, 15, 230, 1)
 	wrap.op(opTakeEach, h2d, 7, 226, 1)
 	seeds = append(seeds, wrap.data)
 	return seeds
@@ -343,9 +322,9 @@ func tagScriptSeeds() [][]byte {
 
 // TestTagPlaneMatchesReference drives the tag plane and the map-based
 // reference with the same scripts — enqueue packet, duplicate enqueue,
-// take, span take, demand span take, span probe, cap change, fault-hook
-// drop, clear, over four streams of which two collide under hashStream
-// — and requires every return value and every counter to match.
+// take, span take, cap change, fault-hook drop, clear, over four
+// streams of which two collide under hashStream — and requires every
+// return value and every counter to match.
 func TestTagPlaneMatchesReference(t *testing.T) {
 	for i, data := range tagScriptSeeds() {
 		t.Run(fmt.Sprintf("script%02d", i), func(t *testing.T) { runTagScript(t, data) })

@@ -72,17 +72,18 @@ func betweenDispatches(t *testing.T, mp *MultiPlatform, at func(n int)) {
 
 // Span budgets, pinned at what each op records today. Aggregates keep
 // them flat in the transfer size: a 64 KiB task's 256 D2H chunk writes
-// are 32 encrypt_write spans (one per sealed write span) and its span
-// reads one tag_match each. A new per-TLP or per-chunk span shows up
-// here as a jump, in the count pass of benchmark/ as obsv.spans_per_op.
-// A submission's command slots verify as one run, and the device fetches
-// a run with one read: one sync_verified, and one dma_read, classify,
-// verified_read and tag_match per run.
+// are 32 encrypt_write spans (one per sealed write span), and every
+// device read of an A2 region, one chunk or sixteen, is one
+// decrypt_read_span and one tag_match. A new per-TLP or per-chunk span
+// shows up here as a jump, in the count pass of benchmark/ as
+// obsv.spans_per_op. A submission's command slots verify as one run, and
+// the device fetches a run with one read: one sync_verified, and one
+// dma_read, classify, verified_read and tag_match per run.
 const (
-	spansPerTask64K    = 127
+	spansPerTask64K    = 142
 	spansPerTask4K     = 37
-	spansPerDecodeStep = 30
-	spansPerPrefill    = 73
+	spansPerDecodeStep = 29
+	spansPerPrefill    = 88
 )
 
 // TestSpanBudget pins spans per op exactly, on the synthetic clock.
@@ -307,13 +308,16 @@ func TestObservabilityNameContract(t *testing.T) {
 	}
 	before := sum(counters(), descInstalls)
 	tr.Reset()
-	// Device reads wider than a chunk, seen on the device segments: each
-	// is one H2D span read.
-	var wideReads atomic.Uint64
+	// Device reads of A2 H2D regions — every device read but the
+	// command ring's (A3) — seen on the device segments: each, one chunk
+	// or sixteen, is one decrypt_read_span.
+	var a2Reads atomic.Uint64
 	for _, tenant := range mp.Tenants {
 		tenant.internal.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
-			if p.Kind == pcie.MRd && p.Requester == tenant.XPUID && p.Length > core.ChunkSize {
-				wideReads.Add(1)
+			if p.Kind == pcie.MRd && p.Requester == tenant.XPUID {
+				if buf, ok := tenant.space.Resolve(p.Address); !ok || !strings.HasPrefix(buf.Name(), "cmdring") {
+					a2Reads.Add(1)
+				}
 			}
 			return p
 		}))
@@ -375,8 +379,8 @@ func TestObservabilityNameContract(t *testing.T) {
 	if staging == 0 || staging != installs {
 		t.Errorf("%d staging spans (stage_h2d + prepare_d2h + stage_verified) but the SC opened %d config-stream blobs", staging, installs)
 	}
-	if spanReads == 0 || spanReads != wideReads.Load() {
-		t.Errorf("%d decrypt_read_span spans for %d multi-chunk H2D span reads", spanReads, wideReads.Load())
+	if spanReads == 0 || spanReads != a2Reads.Load() {
+		t.Errorf("%d decrypt_read_span spans for %d device reads of A2 regions", spanReads, a2Reads.Load())
 	}
 	for _, want := range []struct{ prefix, label string }{
 		{"secmem.seal.bytes{", "side=crypto/sc"},

@@ -6,18 +6,17 @@ import (
 	"ccai/internal/xpu"
 )
 
-// These tests pin the ISSUE 9 data-plane overlap structurally: the SC
-// must actually run decrypt ahead of the device's DMA (H2D), seal
-// device write bursts as batches (D2H), and serve completion heads
-// without MMIO round trips (batched reaping). The virtual-time side of
-// the same claims lives in internal/bench's overlap test.
+// These tests pin the SC data plane structurally: the SC seals device
+// write bursts as batches (D2H) and serves completion heads without
+// MMIO round trips (batched reaping). The crypto/DMA overlap of the
+// paper's hardware exists only on the virtual clock; internal/bench's
+// overlap test holds it there.
 
-// TestDecryptDMAOverlapPipelined runs one 64 KiB protected task and
-// checks both halves of the pipeline fired: every span read after the
-// first was served from the decrypt-ahead cache (its crypto ran under
-// the previous span's DMA shadow), and the D2H path sealed spans as
-// engine batches rather than chunk-at-a-time.
-func TestDecryptDMAOverlapPipelined(t *testing.T) {
+// TestD2HSealsWriteSpansAsBatches runs one 64 KiB protected task and
+// checks that the D2H path sealed its 256 chunks as engine batches, one
+// per write span (16 chunks cut at the 8-chunk metadata cadence: 32),
+// rather than chunk-at-a-time.
+func TestD2HSealsWriteSpansAsBatches(t *testing.T) {
 	p := protectedPlatform(t, xpu.A100)
 	input := make([]byte, 64<<10)
 	for i := range input {
@@ -28,20 +27,8 @@ func TestDecryptDMAOverlapPipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := p.SC.Stats()
-
-	// 64 KiB input = 16 MaxReadReq spans; the first span is a demand
-	// miss, every later one must hit the cache filled while the prior
-	// span's completion was in flight.
-	const spans = 16
-	hits := after.PrefetchHits - before.PrefetchHits
-	if hits < spans-1 {
-		t.Fatalf("prefetch hits = %d, want >= %d: H2D decrypt not overlapping DMA", hits, spans-1)
-	}
-	if pf := after.PrefetchedChunks - before.PrefetchedChunks; pf == 0 {
-		t.Fatal("no chunks decrypted ahead of demand")
-	}
-	if d2h := after.BatchedD2HSpans - before.BatchedD2HSpans; d2h == 0 {
-		t.Fatal("no D2H write spans sealed as batches")
+	if d2h := after.BatchedD2HSpans - before.BatchedD2HSpans; d2h != 32 {
+		t.Fatalf("%d D2H write spans sealed as batches, want 32", d2h)
 	}
 }
 
