@@ -78,6 +78,11 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # any chunk size, at a staged region: served byte-exact, or refused.
 	$(GO) test -run 'TestDecryptReadRejects|TestD2HBurstKeepsHostWire|TestCommandRunFetch' ./ ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=10s ./internal/core/
+# One record per live region: nothing the SC held for a region outlives
+# its release — no progress count after 50 tasks, none carried into a
+# reinstall under the same ID, no tag or metadata write for a region
+# released while its span seals — and one ID names one live region.
+	$(GO) test -run 'TestReleasedRegionsLeaveNoState|TestReinstalledRegionCountsFromZero|TestInstallUnderLiveIDRejected|TestReleaseInSealKeepsNoState' ./ ./internal/core/
 
 build:
 	$(GO) build ./...

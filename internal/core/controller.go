@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,60 +86,33 @@ type Controller struct {
 	tags   *TagManager
 	guard  *EnvGuard
 
-	regions regionTable
-
-	// mu guards the controller's own mutable state below (mmioSeq,
-	// status, regs, d2hChunks, verified, stats). Control panels (filter,
-	// params, tags, guard, regions) carry their own leaf locks and may
-	// be called while mu is held; mu is NEVER held across a bus Route
-	// call — routing can reenter this controller on the same goroutine
-	// (doorbell → DMA upstream).
+	// mu guards the controller's own mutable state below (sess, status,
+	// stats and the freelists). Control panels (filter, params, tags,
+	// guard) carry their own leaf locks and may be called while mu is
+	// held; mu is NEVER held across a bus Route call — routing can
+	// reenter this controller on the same goroutine (doorbell → DMA
+	// upstream).
 	mu sync.Mutex
 
-	// config is the stream guarding policy/descriptor uploads.
-	// mmioSeq tracks the next expected A3 MMIO sequence number.
-	mmioSeq uint32
+	// sess is everything the session programs, one record per live
+	// region included; Teardown swaps it out whole.
+	sess session
+	// regFree pools retired region records, zeroed, with the tables they
+	// grew, so a task stream installs without allocating.
+	regFree []*region
+	// wsFree recycles writeSpan shells between flushes (the steady-state
+	// D2H loop otherwise allocates one per span). A detached span belongs
+	// to its sealing goroutine past any critical section, so it is
+	// pooled apart from the records.
+	wsFree []*writeSpan
 
 	status uint64
-	// regs holds the RW registers: the metadata buffer and submission
-	// ring placement, programmed per session and forgotten at teardown.
-	regs      map[uint64]uint64
-	d2hChunks map[uint32]uint64
-	tagPend   map[uint32]*tagSpan
-
-	// wspans accumulates in-order device D2H plaintext per region so a
-	// burst seals as one engine batch (pipeline.go).
-	wspans map[uint32]*writeSpan
-	// wsFree recycles writeSpan shells between flushes (the steady-state
-	// D2H loop otherwise allocates one per span). Guarded by mu.
-	wsFree []*writeSpan
 
 	// scratch holds the reusable span bookkeeping (counters, tag
 	// records, sealed views, AADs) of decryptRead. It is swapped
 	// atomically (no lock); a read that finds it taken allocates its
 	// own.
 	scratch atomic.Pointer[spanScratch]
-
-	// verified retains the tag record of every H2D chunk already
-	// accepted once, keyed by descriptor ID then chunk index, so a
-	// benign retransmit (device re-read after a fault) can be
-	// re-verified and re-served without loosening the stream's replay
-	// watermark. The per-region nesting makes a descriptor release a
-	// single map delete instead of a scan over every retained chunk;
-	// within a region the records live in chunk-indexed slices
-	// (verifiedSet) because the datapath inserts one per accepted chunk
-	// and per-insert map growth dominated the decrypt path's allocation
-	// profile.
-	verified map[uint32]*verifiedSet
-	// vsFree recycles the tables of released regions, zeroed, so a task
-	// stream of same-sized regions allocates none. Guarded by mu.
-	vsFree []*verifiedSet
-
-	// slots holds, per slotted step window (descriptor ID), the IV
-	// counter each chunk slot was armed with by a positioned tag entry;
-	// 0 = never armed (counters start at 1). Created at install, dropped
-	// at release. Guarded by mu.
-	slots map[uint32][]uint32
 
 	// recycle arms the datapath's payload-recycling fast paths: bounce
 	// fetches, ciphertext staging and retained device write payloads
@@ -151,20 +125,14 @@ type Controller struct {
 	// keep the never-reuse discipline.
 	recycle bool
 
-	// ringHead is the submission-ring consumption index (absolute entry
-	// count); the matching tail arrives through RegRingDoorbell.
-	ringHead uint64
-
 	// Completion reaping (ring.go): after forwarding a guarded write to
 	// reapDoorbellReg the SC reads the device head from reapHeadReg and
-	// caches it in cplWord (RingCplValid-tagged, guarded by mu) for the
-	// ring-header writeback. The register offsets are assembly-time
-	// configuration — the platform knows the device layout, the SC does
-	// not.
+	// caches it in sess.cplWord for the ring-header writeback. The
+	// register offsets are assembly-time configuration — the platform
+	// knows the device layout, the SC does not.
 	reapConfigured  bool
 	reapDoorbellReg uint64
 	reapHeadReg     uint64
-	cplWord         uint64
 
 	// authorizedTVM is the one requester the control BAR answers: the
 	// sealed-blob crypto already stops policy forgery; this check also
@@ -219,76 +187,6 @@ func (c *Controller) EnableDatapathRecycling() {
 	c.mu.Unlock()
 }
 
-// verifiedSet densely retains one region's accepted-chunk tag records,
-// indexed by chunk ordinal. Only A2 H2D chunks are ever retained, so an
-// entry keeps the counter, epoch and tag and leaves the stream name
-// out: the table holds no pointers. get is nil-safe so lookups compose
-// with the map access without an existence check.
-type verifiedSet struct {
-	recs []verifiedRec
-}
-
-type verifiedRec struct {
-	chunk, epoch uint32
-	tag          [secmem.TagSize]byte
-	seen         bool
-}
-
-func (v *verifiedSet) get(chunk uint32) (TagRecord, bool) {
-	if v == nil || int(chunk) >= len(v.recs) || !v.recs[chunk].seen {
-		return TagRecord{}, false
-	}
-	r := &v.recs[chunk]
-	return TagRecord{Stream: StreamH2D, Chunk: r.chunk, Epoch: r.epoch, Tag: r.tag}, true
-}
-
-func (v *verifiedSet) put(chunk uint32, rec *TagRecord) {
-	if int(chunk) >= len(v.recs) {
-		n := max(2*len(v.recs), int(chunk)+1)
-		v.recs = append(v.recs, make([]verifiedRec, n-len(v.recs))...)
-	}
-	v.recs[chunk] = verifiedRec{chunk: rec.Chunk, epoch: rec.Epoch, tag: rec.Tag, seen: true}
-}
-
-// verifiedFor returns the region's verified set, creating it on first
-// use sized for hint chunks (the region's chunk count when the caller
-// knows it — one table instead of a doubling ladder), from the
-// freelist when a released table is big enough. Caller holds c.mu.
-func (c *Controller) verifiedFor(region uint32, hint int) *verifiedSet {
-	v := c.verified[region]
-	if v == nil {
-		for i, free := range c.vsFree {
-			if cap(free.recs) >= hint {
-				last := len(c.vsFree) - 1
-				c.vsFree[i], c.vsFree[last] = c.vsFree[last], nil
-				c.vsFree = c.vsFree[:last]
-				free.recs = free.recs[:hint]
-				v = free
-				break
-			}
-		}
-		if v == nil {
-			v = &verifiedSet{recs: make([]verifiedRec, hint)}
-		}
-		c.verified[region] = v
-	}
-	return v
-}
-
-// retireVerifiedLocked forgets a region's retained records: the table
-// is zeroed and kept for the next region. Caller holds c.mu.
-func (c *Controller) retireVerifiedLocked(region uint32) {
-	v := c.verified[region]
-	if v == nil {
-		return
-	}
-	delete(c.verified, region)
-	clear(v.recs)
-	if len(c.vsFree) < 4 {
-		c.vsFree = append(c.vsFree, v)
-	}
-}
-
 // chunkCount reports the descriptor's region size in chunks.
 func chunkCount(desc Descriptor) int {
 	cs := uint64(desc.ChunkSize)
@@ -333,19 +231,13 @@ func (c *Controller) tagMatch(stream string, chunk uint32) (TagRecord, bool) {
 // BAR placement, guarding the xPU whose BAR0 shadow window is xpuBar.
 func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controller {
 	return &Controller{
-		id:        id,
-		bar:       bar,
-		filter:    NewFilter(),
-		params:    NewParamsManager(keys),
-		tags:      NewTagManager(),
-		guard:     NewEnvGuard(),
-		regs:      make(map[uint64]uint64),
-		d2hChunks: make(map[uint32]uint64),
-		tagPend:   make(map[uint32]*tagSpan),
-		wspans:    make(map[uint32]*writeSpan),
-		verified:  make(map[uint32]*verifiedSet),
-		slots:     make(map[uint32][]uint32),
-		status:    SCStatusReady,
+		id:     id,
+		bar:    bar,
+		filter: NewFilter(),
+		params: NewParamsManager(keys),
+		tags:   NewTagManager(),
+		guard:  NewEnvGuard(),
+		status: SCStatusReady,
 	}
 }
 
@@ -401,8 +293,16 @@ func (c *Controller) Stats() Stats {
 // SetTeardownHook installs a platform callback run after Teardown.
 func (c *Controller) SetTeardownHook(fn func()) { c.onTeardown = fn }
 
-// Regions reports live protected regions (tests).
-func (c *Controller) Regions() int { return c.regions.count() }
+// Regions reports live protected regions (tests). Everything the SC
+// holds for a region — its descriptor, D2H progress, pending tag records
+// and write span, accepted-chunk records, step-window slots — lives in
+// that region's one record, so this count covers all of it: a leak
+// check that reads it sees every per-region thing the SC could leak.
+func (c *Controller) Regions() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.sess.regions)
+}
 
 // ConfigureCompletionReap enables batched completion reaping: after
 // every guarded write the SC forwards to doorbellReg (BAR0-relative),
@@ -501,7 +401,7 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
 	// claim the same sequence number. The leaf locks taken inside
 	// (tags, keystore, guard) never call back into the controller.
 	c.mu.Lock()
-	seq := c.mmioSeq
+	seq := c.sess.mmioSeq
 	rec, ok := c.tagMatch(StreamMMIO, seq)
 	if !ok {
 		c.mu.Unlock()
@@ -531,7 +431,7 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
 		c.authFailed()
 		return c.reject(p)
 	}
-	c.mmioSeq++
+	c.sess.mmioSeq++
 	c.stats.VerifiedChunks++
 	c.mu.Unlock()
 
@@ -578,27 +478,31 @@ func PutMACHeader(buf *[16]byte, seq uint32, addr uint64, n uint32) {
 func (c *Controller) MMIOSeq() uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.mmioSeq
+	return c.sess.mmioSeq
 }
 
 // --- control BAR -------------------------------------------------------------
 
 func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 	if p.Requester != c.authorizedTVM {
-		c.configReject(nil)
+		c.configReject() // the control BAR answers its TVM only
 		return c.reject(p)
 	}
 	off := p.Address - c.bar.Base
 	if p.Kind == pcie.MRd {
 		buf := c.slab.Take(int(p.Length))
 		var tmp [8]byte
+		var v uint64
 		c.mu.Lock()
-		v := c.regs[off&^7]
-		switch off &^ 7 {
+		switch reg := off &^ 7; reg {
 		case RegSCStatus:
 			v = c.status
 		case RegMMIOSeq:
-			v = uint64(c.mmioSeq)
+			v = uint64(c.sess.mmioSeq)
+		default:
+			if r := c.sess.reg(reg); r != nil {
+				v = *r
+			}
 		}
 		c.mu.Unlock()
 		binary.LittleEndian.PutUint64(tmp[:], v)
@@ -617,10 +521,10 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 		c.Teardown()
 	case RegMetaBase, RegMetaSize, RegRingBase, RegRingSize:
 		c.mu.Lock()
-		c.regs[reg] = v
+		*c.sess.reg(reg) = v
 		c.mu.Unlock()
 	default:
-		c.configReject(fmt.Errorf("core: write to control offset %#x, which names no writable register", off))
+		c.configReject() // the offset names no writable register
 	}
 	return nil
 }
@@ -687,7 +591,7 @@ func ArmPosition(region, slot uint32) uint64 { return uint64(region)<<32 | uint6
 func (c *Controller) armSlots(pos uint64, payload []byte) {
 	region, first := uint32(pos>>32), uint32(pos)
 	if len(payload) == 0 || len(payload)%TagRecordSize != 0 {
-		c.configReject(fmt.Errorf("core: positioned tag entry of %d bytes", len(payload)))
+		c.configReject() // not a whole number of records
 		return
 	}
 	// A packet's worth of records at a time: one critical section arms
@@ -699,24 +603,24 @@ func (c *Controller) armSlots(pos uint64, payload []byte) {
 	for slot, refused := first, false; len(payload) > 0 && !refused; {
 		n := 0
 		c.mu.Lock()
-		ctrs := c.slots[region]
+		r := c.sess.byID(region)
 		for ; len(payload) > 0 && n < len(recs); payload = payload[TagRecordSize:] {
 			rec := &recs[n]
 			c.parseTag(rec, &names, payload)
-			vrec, consumed := c.verified[region].get(slot)
-			if rec.Stream != StreamH2D || rec.Chunk == 0 || slot < first || int(slot) >= len(ctrs) ||
+			vrec, consumed := r.verifiedAt(slot)
+			if rec.Stream != StreamH2D || rec.Chunk == 0 || slot < first || r == nil || int(slot) >= len(r.slots) ||
 				(consumed && vrec.Chunk != rec.Chunk) {
 				refused = true
 				break
 			}
-			ctrs[slot] = rec.Chunk
+			r.slots[slot] = rec.Chunk
 			slot++
 			n++
 		}
 		c.mu.Unlock()
 		c.tags.Enqueue(recs[:n]...)
 		if refused {
-			c.configReject(fmt.Errorf("core: positioned tag for region %d slot %d refused", region, slot))
+			c.configReject() // a position outside a live window, or a record it may not arm
 		}
 	}
 }
@@ -735,7 +639,10 @@ func (c *Controller) chunkCounters(desc Descriptor, first uint32, ctrs []uint32)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	armed := c.slots[desc.ID]
+	var armed []uint32
+	if r := c.sess.of(desc); r != nil {
+		armed = r.slots
+	}
 	for i := range ctrs {
 		slot := int(first) + i
 		if slot >= len(armed) || armed[slot] == 0 {
@@ -763,27 +670,87 @@ func (c *Controller) streamByHash(h uint32) string {
 	return ""
 }
 
-// releaseRegion drops one region and all state retained for it — the
-// ring's release op and the RegDescRelease write of a producer with no
-// ring left.
-func (c *Controller) releaseRegion(id uint32) {
-	c.regions.remove(id)
-	c.dropVerified(id)
-	c.dropTagSpan(id)
-	c.dropWriteSpan(id)
+// install makes d a live region, its record from the pool: what a
+// sealed descriptor entry reaches once opened. A descriptor that names a
+// live ID or overlaps a live region is a config reject.
+func (c *Controller) install(d Descriptor) bool {
+	c.mu.Lock()
+	for _, r := range c.sess.regions {
+		if r.desc.ID == d.ID || d.Base < r.desc.Base+r.desc.Len && r.desc.Base < d.Base+d.Len {
+			c.mu.Unlock()
+			c.configReject()
+			return false
+		}
+	}
+	var r *region
+	if n := len(c.regFree); n > 0 {
+		r, c.regFree = c.regFree[n-1], c.regFree[:n-1]
+	} else {
+		r = new(region)
+	}
+	r.desc = d
+	if d.Slotted {
+		n := chunkCount(d)
+		r.slots = slices.Grow(r.slots, n)[:n]
+	}
+	c.sess.regions = append(c.sess.regions, r)
+	c.mu.Unlock()
+	return true
 }
+
+// releaseRegion unlinks one region's record, and with it everything the
+// SC held for the region — the ring's release op and the RegDescRelease
+// write of a producer with no ring left. An ID no live region has
+// releases nothing.
+func (c *Controller) releaseRegion(id uint32) {
+	c.mu.Lock()
+	var gone *region
+	if i := slices.IndexFunc(c.sess.regions, func(r *region) bool { return r.desc.ID == id }); i >= 0 {
+		gone = c.sess.regions[i]
+		c.sess.regions = slices.Delete(c.sess.regions, i, i+1)
+	}
+	c.mu.Unlock()
+	c.retire(gone)
+}
+
+// retire pools records unlinked from the table: each one's pending write
+// span is dropped and its tables are zeroed, keeping their capacity for
+// the next install. nil entries are skipped. Called without c.mu.
+func (c *Controller) retire(rs ...*region) {
+	for _, r := range rs {
+		if r == nil {
+			continue
+		}
+		if r.ws != nil {
+			c.finishSpan(r.ws, false)
+		}
+		clear(r.verified)
+		clear(r.slots)
+		*r = region{tags: tagSpan{buf: r.tags.buf[:0]}, verified: r.verified[:0], slots: r.slots[:0]}
+	}
+	c.mu.Lock()
+	for _, r := range rs {
+		if r != nil && len(c.regFree) < regionPool {
+			c.regFree = append(c.regFree, r)
+		}
+	}
+	c.mu.Unlock()
+}
+
+// regionPool caps the retired records the SC keeps for reuse.
+const regionPool = 8
 
 // installRuleFrame decodes and installs one sealed rule blob; frame may
 // alias caller scratch (it is consumed synchronously).
 func (c *Controller) installRuleFrame(frame []byte) {
 	pt, err := c.openConfig(frame)
 	if err != nil {
-		c.configReject(err)
+		c.configReject() // not sealed under the config stream, or replayed
 		return
 	}
 	r, err := UnmarshalRule(pt)
 	if err != nil {
-		c.configReject(err)
+		c.configReject() // a malformed rule
 		return
 	}
 	if r.Action == actionToL2 {
@@ -796,26 +763,15 @@ func (c *Controller) installRuleFrame(frame []byte) {
 func (c *Controller) installDescriptorFrame(frame []byte) {
 	pt, err := c.openConfig(frame)
 	if err != nil {
-		c.configReject(err)
+		c.configReject() // not sealed under the config stream, or replayed
 		return
 	}
 	d, err := UnmarshalDescriptor(pt)
 	if err != nil {
-		c.configReject(err)
+		c.configReject() // a malformed descriptor
 		return
 	}
-	if err := c.regions.add(d); err != nil {
-		c.configReject(err)
-		return
-	}
-	// A reinstalled descriptor reuses the region ID with fresh counters;
-	// anything pipelined for the old incarnation is stale.
-	c.dropWriteSpan(d.ID)
-	if d.Slotted {
-		c.mu.Lock()
-		c.slots[d.ID] = make([]uint32, chunkCount(d))
-		c.mu.Unlock()
-	}
+	c.install(d)
 }
 
 // RekeyCommand carries fresh stream material for the §6 IV-exhaustion
@@ -870,29 +826,29 @@ func UnmarshalRekeyCommand(b []byte) (RekeyCommand, error) {
 func (c *Controller) applyRekeyFrame(frame []byte) {
 	pt, err := c.openConfig(frame)
 	if err != nil {
-		c.configReject(err)
+		c.configReject() // not sealed under the config stream, or replayed
 		return
 	}
 	rc, err := UnmarshalRekeyCommand(pt)
 	if err != nil {
-		c.configReject(err)
+		c.configReject() // a truncated rekey command
 		return
 	}
 	if rc.Stream == StreamConfig {
 		// Rotating the config stream itself would let one sealed blob
 		// hand control to a new key without attestation; refuse.
-		c.configReject(fmt.Errorf("core: config stream cannot self-rekey"))
+		c.configReject()
 		return
 	}
 	if rc.Stream == StreamMMIO {
 		// MMIO MACs use raw key material, not a stream context.
 		if err := c.params.keys.Install(rc.Stream, rc.Key, rc.Nonce); err != nil {
-			c.configReject(err)
+			c.configReject() // bad key material
 		}
 		return
 	}
 	if err := c.params.Rekey(rc.Stream, rc.Key, rc.Nonce); err != nil {
-		c.configReject(err)
+		c.configReject() // an unknown stream or bad key material
 	}
 }
 
@@ -908,8 +864,9 @@ func (c *Controller) openConfig(frame []byte) ([]byte, error) {
 	return stream.Open(sealed, nil)
 }
 
-func (c *Controller) configReject(err error) {
-	_ = err
+// configReject counts one refused control operation and latches the
+// config-error status bit. Each call site says why it refuses.
+func (c *Controller) configReject() {
 	c.mu.Lock()
 	c.stats.ConfigRejects++
 	c.status |= SCStatusConfigErr
@@ -941,19 +898,28 @@ func (c *Controller) InternalPort() pcie.Endpoint { return internalPort{c} }
 // failed to seal — has its classify span recorded after the fact, so
 // every drop, reject and auth failure still shows one.
 func (c *Controller) HandleFromDevice(p *pcie.Packet) *pcie.Packet {
-	fold := c.tracer != nil && p.Kind == pcie.MWr && c.regions.foldsWrite(p.Address)
+	var desc Descriptor
+	c.mu.Lock()
+	r := c.sess.at(p.Address)
+	found := r != nil
+	if found {
+		desc = r.desc
+	}
+	c.mu.Unlock()
+	fold := c.tracer != nil && p.Kind == pcie.MWr && found && desc.Dir == DirD2H && desc.Class == ActionWriteReadProtect
 	verdict := c.filter.classify(p, !fold)
-	cpl, staged := c.dispatchFromDevice(p, verdict)
+	cpl, staged := c.dispatchFromDevice(p, verdict, desc, found)
 	if fold && !staged {
 		c.filter.traceVerdict(p, verdict)
 	}
 	return cpl
 }
 
-// dispatchFromDevice applies the verdict to a device-initiated packet.
+// dispatchFromDevice applies the verdict to a device-initiated packet;
+// desc is the live region the packet's address fell in, if found.
 // staged reports that the packet was a D2H chunk write accepted into
 // its region's write span.
-func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict) (cpl *pcie.Packet, staged bool) {
+func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict, desc Descriptor, found bool) (cpl *pcie.Packet, staged bool) {
 	switch verdict.Action {
 	case ActionDrop:
 		return c.reject(p), false
@@ -967,8 +933,7 @@ func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict) (cpl *p
 		return cpl, false
 	}
 
-	desc, ok := c.regions.find(p.Address)
-	if !ok {
+	if !found {
 		// Classified protected but no registered region: fail closed.
 		c.authFailed()
 		return c.reject(p), false
@@ -1062,9 +1027,9 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 		err = stream.OpenBatchInto(pt, sealed, aads, nil)
 		if err == nil {
 			c.mu.Lock()
-			region := c.verifiedFor(desc.ID, chunkCount(desc))
+			r := c.sess.of(desc)
 			for i := range recs {
-				region.put(first+uint32(i), &recs[i])
+				r.verify(first+uint32(i), &recs[i])
 			}
 			c.stats.DecryptedChunks += uint64(k)
 			c.mu.Unlock()
@@ -1113,7 +1078,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 	aad := aadBuf[:]
 	if !have {
 		c.mu.Lock()
-		vrec, seen := c.verified[desc.ID].get(chunk)
+		vrec, seen := c.sess.of(desc).verifiedAt(chunk)
 		c.mu.Unlock()
 		if !seen {
 			return false
@@ -1140,7 +1105,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 	_, err := stream.OpenDst(sealed, aad, dst[:0])
 	if errors.Is(err, secmem.ErrReplay) {
 		c.mu.Lock()
-		_, seen := c.verified[desc.ID].get(chunk)
+		_, seen := c.sess.of(desc).verifiedAt(chunk)
 		c.mu.Unlock()
 		if seen {
 			if pt, err2 := stream.OpenStateless(sealed, aad); err2 == nil {
@@ -1154,7 +1119,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 		return false
 	}
 	c.mu.Lock()
-	c.verifiedFor(desc.ID, chunkCount(desc)).put(chunk, rec)
+	c.sess.of(desc).verify(chunk, rec)
 	c.stats.DecryptedChunks++
 	c.mu.Unlock()
 	return true
@@ -1284,8 +1249,10 @@ func (c *Controller) encryptWrite(p *pcie.Packet, desc Descriptor, verdict Verdi
 	chunk, data := uint32(off/cs), p.Payload
 	for len(data) > 0 {
 		staged, span := c.stageWrite(desc, chunk, data, p.Payload, verdict)
-		if staged == 0 {
-			span = c.detachSpan(desc) // a sequence break
+		if staged == 0 && span == nil {
+			// The region was released under the burst, which no span owns.
+			c.retireStaging(p.Payload)
+			return false
 		}
 		chunk += uint32(staged)
 		data = data[min(staged*int(cs), len(data)):]
@@ -1315,31 +1282,7 @@ const metaPublishEvery = 8
 type tagSpan struct {
 	start uint32 // chunk index of the first buffered record
 	next  uint32 // chunk index that extends the span
-	buf   []byte // marshalled records (arena-backed, public bytes)
-}
-
-// tagRunLocked reports how many tag records of desc, deposited in
-// chunk order from chunk on, it takes to reach the next host-memory
-// write depositTags issues: the run ends with the record that flushes
-// the tag span (a sequence break, a full TLP) or publishes the
-// metadata counter. Caller holds c.mu.
-func (c *Controller) tagRunLocked(desc Descriptor, chunk uint32) int {
-	pend := 0
-	if span := c.tagPend[desc.ID]; span != nil && len(span.buf) > 0 {
-		if span.next != chunk {
-			return 1
-		}
-		pend = len(span.buf) / TagRecordSize
-	}
-	count, total := c.d2hChunks[desc.ID], uint64(chunkCount(desc))
-	if count+1 >= total {
-		return 1
-	}
-	run := metaPublishEvery - int(count%metaPublishEvery)
-	if rem := total - count; rem < uint64(run) {
-		run = int(rem)
-	}
-	return min(run, tagSpanRecords-pend)
+	buf   []byte // marshalled records (public bytes), kept with the record
 }
 
 // depositTags moves a sealing span's pending tag records into the
@@ -1352,42 +1295,43 @@ func (c *Controller) tagRunLocked(desc Descriptor, chunk uint32) int {
 // metadata buffer claims N chunks the tag table already holds their
 // records. The writes are decided under c.mu but routed after it is
 // released (routing can reenter the controller). emitChunk calls this
-// when the run tagRunLocked predicted is complete, so each write goes
-// out right behind the ciphertext of the chunk that caused it.
+// when the run tagRun predicted is complete, so each write goes out
+// right behind the ciphertext of the chunk that caused it. A region
+// released under the seal is not brought back: its records are dropped.
 func (c *Controller) depositTags(ws *writeSpan) {
 	desc := ws.desc
 	total := uint64(chunkCount(desc))
 	writes := ws.writes[:0]
 	c.mu.Lock()
-	span := c.tagPend[desc.ID]
-	if span == nil {
-		span = &tagSpan{start: ws.tagStart, next: ws.tagStart, buf: arena.Get(tagSpanRecords * TagRecordSize)[:0]}
-		c.tagPend[desc.ID] = span
+	r := c.sess.of(desc)
+	if r != nil {
+		span := &r.tags
+		if span.buf == nil {
+			span.buf = make([]byte, 0, tagSpanRecords*TagRecordSize)
+		}
+		for i := range ws.tags[:ws.nTags] {
+			chunk := ws.tagStart + uint32(i)
+			if chunk != span.next {
+				writes = c.appendTagFlush(writes, desc, span)
+				span.start, span.buf = chunk, span.buf[:0]
+			}
+			span.buf = ws.tags[i].AppendMarshal(span.buf)
+			span.next = chunk + 1
+			r.d2hDone++
+			publish := r.d2hDone >= total || r.d2hDone%metaPublishEvery == 0
+			if publish || len(span.buf) >= tagSpanRecords*TagRecordSize {
+				writes = c.appendTagFlush(writes, desc, span)
+				span.start, span.buf = span.next, span.buf[:0]
+			}
+			if publish {
+				writes = c.appendMetadataLocked(writes, desc.ID, r.d2hDone)
+			}
+		}
+		c.stats.EncryptedChunks += uint64(ws.nTags)
 	}
-	count := c.d2hChunks[desc.ID]
-	for i := range ws.tags[:ws.nTags] {
-		chunk := ws.tagStart + uint32(i)
-		if chunk != span.next {
-			writes = c.appendTagFlush(writes, desc, span)
-			span.start, span.buf = chunk, span.buf[:0]
-		}
-		span.buf = ws.tags[i].AppendMarshal(span.buf)
-		span.next = chunk + 1
-		count++
-		publish := count >= total || count%metaPublishEvery == 0
-		if publish || len(span.buf) >= tagSpanRecords*TagRecordSize {
-			writes = c.appendTagFlush(writes, desc, span)
-			span.start, span.buf = span.next, span.buf[:0]
-		}
-		if publish {
-			writes = c.appendMetadataLocked(writes, desc.ID, count)
-		}
-	}
-	c.stats.EncryptedChunks += uint64(ws.nTags)
-	c.d2hChunks[desc.ID] = count
 	ws.tagStart += uint32(ws.nTags)
 	ws.nTags = 0
-	ws.run = c.tagRunLocked(desc, ws.tagStart)
+	ws.run = r.tagRun(ws.tagStart)
 	c.mu.Unlock()
 	for _, w := range writes {
 		c.hostWrite(w.addr, w.body)
@@ -1409,25 +1353,6 @@ func (c *Controller) appendTagFlush(writes []hostWr, desc Descriptor, span *tagS
 	return append(writes, hostWr{addr: desc.TagBase + uint64(span.start)*TagRecordSize, body: body})
 }
 
-// dropTagSpan discards a released region's pending tag records.
-func (c *Controller) dropTagSpan(region uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if span, ok := c.tagPend[region]; ok {
-		arena.Put(span.buf)
-		delete(c.tagPend, region)
-	}
-}
-
-// dropVerified forgets retained chunk records (for a step window, the
-// armed slot counters) of a released region.
-func (c *Controller) dropVerified(region uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.retireVerifiedLocked(region)
-	delete(c.slots, region)
-}
-
 // appendMetadataLocked implements the §5 I/O-read optimization: instead
 // of the Adaptor polling the SC for DMA metadata, the SC batches
 // progress counters into a TVM-resident buffer (one 8-byte
@@ -1436,8 +1361,7 @@ func (c *Controller) dropVerified(region uint32) {
 // configured or the region falls outside the batch window. Callers
 // hold c.mu and route the write after releasing it.
 func (c *Controller) appendMetadataLocked(writes []hostWr, region uint32, count uint64) []hostWr {
-	metaBase := c.regs[RegMetaBase]
-	size := c.regs[RegMetaSize]
+	metaBase, size := c.sess.metaBase, c.sess.metaSize
 	if metaBase == 0 {
 		return writes
 	}
@@ -1455,7 +1379,10 @@ func (c *Controller) appendMetadataLocked(writes []hostWr, region uint32, count 
 func (c *Controller) D2HProgress(region uint32) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.d2hChunks[region]
+	if r := c.sess.byID(region); r != nil {
+		return r.d2hDone
+	}
+	return 0
 }
 
 // AttestDevice runs the §6 software-based attestation fallback against
@@ -1481,33 +1408,19 @@ func (c *Controller) AttestDevice(nonce uint64, expected uint64, attestReg, resp
 // forgets where the session's submission ring and metadata buffer live —
 // a torn-down SC masters nothing on the host bus, whatever doorbell is
 // replayed at it; hw_init programs both again — and triggers the
-// environment guard's device clean. The filter's static platform rules
-// survive; per-session rules are the TVM's to reinstall.
+// environment guard's device clean. The session goes in one swap; its
+// region records are retired after the lock is released. The filter's
+// static platform rules survive; per-session rules are the TVM's to
+// reinstall.
 func (c *Controller) Teardown() {
 	c.mu.Lock()
 	c.stats.Teardowns++
-	c.mmioSeq = 0
-	c.ringHead = 0
-	c.cplWord = 0
-	clear(c.regs)
-	c.d2hChunks = make(map[uint32]uint64)
-	for _, span := range c.tagPend {
-		arena.Put(span.buf)
-	}
-	c.tagPend = make(map[uint32]*tagSpan)
-	droppedSpans := c.wspans
-	c.wspans = make(map[uint32]*writeSpan)
-	for region := range c.verified {
-		c.retireVerifiedLocked(region)
-	}
-	c.slots = make(map[uint32][]uint32)
+	old := c.sess
+	c.sess = session{}
 	c.mu.Unlock()
-	for _, span := range droppedSpans {
-		c.finishSpan(span, false)
-	}
+	c.retire(old.regions...)
 	c.tracer.Mark(siteTeardown)
 	c.params.DestroyAll()
-	c.regions.clear()
 	c.tags.Clear()
 	// The hook routes reset MMIO to the device, so it must run with no
 	// controller lock held.

@@ -432,7 +432,10 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 	if depth := d.sc.Tags().Depth(); depth != 0 {
 		t.Fatalf("a write to an unknown offset queued %d tag records", depth)
 	}
-	for slot, ctr := range d.sc.slots[w.ID] {
+	d.sc.mu.Lock()
+	slots := d.sc.sess.byID(w.ID).slots
+	d.sc.mu.Unlock()
+	for slot, ctr := range slots {
 		if ctr != 0 {
 			t.Fatalf("a write to an unknown offset armed slot %d", slot)
 		}
@@ -485,8 +488,8 @@ func TestControllerRingFraming(t *testing.T) {
 				t.Fatalf("clean burst: %d regions, head word %d, status %d", r.sc.Regions(), word(r, 0), word(r, 8))
 			}
 			r.publish(c.slots, c.tail)
-			if st := r.sc.Stats(); st.ConfigRejects != 1 || word(r, 8) != RingStatusDesync || r.sc.ringHead != 1 || word(r, 0) != 1 {
-				t.Fatalf("%d config rejects, status %d, head %d (posted %d)", st.ConfigRejects, word(r, 8), r.sc.ringHead, word(r, 0))
+			if st := r.sc.Stats(); st.ConfigRejects != 1 || word(r, 8) != RingStatusDesync || r.sc.sess.ringHead != 1 || word(r, 0) != 1 {
+				t.Fatalf("%d config rejects, status %d, head %d (posted %d)", st.ConfigRejects, word(r, 8), r.sc.sess.ringHead, word(r, 0))
 			}
 			if r.sc.Regions() != 1 {
 				t.Fatal("a refused entry was dispatched")
@@ -559,7 +562,7 @@ func TestControllerForgedEntriesRejected(t *testing.T) {
 	if s, err := d.sc.Params().Stream(StreamH2D); err != nil || s.Epoch() != 0 {
 		t.Fatal("a forged rekey entry rotated the stream")
 	}
-	if d.sc.ringHead != d.tail {
-		t.Fatalf("ring head %d after %d entries: a rejected entry stalled the ring", d.sc.ringHead, d.tail)
+	if d.sc.sess.ringHead != d.tail {
+		t.Fatalf("ring head %d after %d entries: a rejected entry stalled the ring", d.sc.sess.ringHead, d.tail)
 	}
 }

@@ -91,8 +91,8 @@ func (d *dpRig) stageH2D(t *testing.T, base uint64, data []byte) Descriptor {
 		d.hostMem[base+uint64(off)] = sealed.Ciphertext
 		d.sc.Tags().Enqueue(TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
 	}
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 	return desc
 }
@@ -161,8 +161,8 @@ func TestEncryptWriteDepositsCiphertextAndTags(t *testing.T) {
 		ID: 9, Dir: DirD2H, Class: ActionWriteReadProtect,
 		Base: ctlMem + 0x4000, Len: ChunkSize, TagBase: ctlMem + 0x8000, ChunkSize: ChunkSize,
 	}
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 	result := bytes.Repeat([]byte{0xAB}, ChunkSize)
 	d.sc.HandleFromDevice(pcie.NewMemWrite(d.dev.id, desc.Base, result))
@@ -200,8 +200,8 @@ func TestEncryptWritePublishesMetadata(t *testing.T) {
 		ID: 3, Dir: DirD2H, Class: ActionWriteReadProtect,
 		Base: ctlMem + 0x4000, Len: 2 * ChunkSize, TagBase: ctlMem + 0x8000, ChunkSize: ChunkSize,
 	}
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 	metaBase := uint64(ctlMem + 0xf000)
 	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegMetaBase, le64(metaBase)))
@@ -220,8 +220,8 @@ func TestEncryptWritePublishesMetadata(t *testing.T) {
 	// Out-of-window region IDs are not published.
 	big := Descriptor{ID: 4000, Dir: DirD2H, Class: ActionWriteReadProtect,
 		Base: ctlMem + 0x6000, Len: ChunkSize, TagBase: ctlMem + 0x9000, ChunkSize: ChunkSize}
-	if err := d.sc.regions.add(big); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(big) {
+		t.Fatal("install refused")
 	}
 	d.sc.HandleFromDevice(pcie.NewMemWrite(d.dev.id, big.Base, make([]byte, ChunkSize)))
 	if _, exists := d.hostMem[metaBase+uint64(big.ID)*8]; exists {
@@ -320,8 +320,8 @@ func untappedA3Rig(t *testing.T, nSlots int) *a3Rig {
 	t.Helper()
 	a := &a3Rig{dpRig: newDPRig(t), desc: Descriptor{ID: 5, Dir: DirH2D, Class: ActionWriteProtect,
 		Base: ctlMem + 0x2000, Len: uint64(nSlots) * 64, ChunkSize: 64}}
-	if err := a.sc.regions.add(a.desc); err != nil {
-		t.Fatal(err)
+	if !a.sc.install(a.desc) {
+		t.Fatal("install refused")
 	}
 	for i := 0; i < nSlots; i++ {
 		a.slots = append(a.slots, bytes.Repeat([]byte{byte(i + 1)}, 64))
@@ -567,8 +567,8 @@ func TestVerifiedRunDroppedWithRegion(t *testing.T) {
 				t.Fatal("run refused")
 			}
 			drop(a)
-			if err := a.sc.regions.add(a.desc); err != nil {
-				t.Fatal(err)
+			if !a.sc.install(a.desc) {
+				t.Fatal("install refused")
 			}
 			if a.read(0, 2) != nil || a.read(1, 1) != nil || a.fetches != 1 {
 				t.Fatalf("a served run outlived its region (%d host fetches, want 1)", a.fetches)
@@ -664,8 +664,8 @@ func (d *dpRig) stageH2DSpan(t *testing.T, base uint64, data []byte) Descriptor 
 		d.sc.Tags().Enqueue(TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
 	}
 	d.hostMem[base] = ct
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 	return desc
 }
@@ -798,8 +798,8 @@ func (d *dpRig) stageA2(t *testing.T, id uint32, base uint64, data []byte, cs ui
 	for off := 0; off < len(ct); off += int(cs) {
 		d.hostMem[base+uint64(off)] = ct[off:]
 	}
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 	return desc
 }
@@ -1032,8 +1032,8 @@ func (d *dpRig) d2hRegion(t *testing.T, id uint32, base, tagBase uint64, n int) 
 	t.Helper()
 	desc := Descriptor{ID: id, Dir: DirD2H, Class: ActionWriteReadProtect,
 		Base: base, Len: uint64(n), TagBase: tagBase, ChunkSize: ChunkSize}
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegMetaBase, le64(burstMeta)))
 	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegMetaSize, le64(4096)))
@@ -1087,7 +1087,13 @@ func (d *dpRig) devWrite(addr uint64, data []byte) bool {
 func (d *dpRig) pendingSpans() int {
 	d.sc.mu.Lock()
 	defer d.sc.mu.Unlock()
-	return len(d.sc.wspans)
+	n := 0
+	for _, r := range d.sc.sess.regions {
+		if r.ws != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // d2hView is what the SC's writes for one D2H region left in host
@@ -1405,5 +1411,100 @@ func TestEncryptWriteBurstDropNeverOverclaims(t *testing.T) {
 				t.Fatalf("counter ends at %d, progress %d; want %d", got, d.sc.D2HProgress(desc.ID), 2*spanChunks)
 			}
 		})
+	}
+}
+
+// --- one record per live region ------------------------------------------------
+
+// release drops region id through the control BAR, as a producer with no
+// ring left does.
+func (d *dpRig) release(id uint32) {
+	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescRelease, le64(uint64(id))))
+}
+
+// TestReinstalledRegionCountsFromZero: a D2H region's progress count
+// goes with its release. Reinstalled under the released ID, a one-chunk
+// region publishes 1 after its one chunk — not the old count plus one,
+// which would claim chunks not in host memory (viewD2H checks every
+// publish).
+func TestReinstalledRegionCountsFromZero(t *testing.T) {
+	d := newDPRig(t)
+	desc := d.d2hRegion(t, 9, ctlMem+0x4000, ctlMem+0x8000, 4*ChunkSize)
+	if !d.devWrite(desc.Base, burstData(4*ChunkSize, 1)) || d.sc.D2HProgress(desc.ID) != 4 {
+		t.Fatal("first region not written whole")
+	}
+	d.release(desc.ID)
+	if d.sc.Regions() != 0 || d.sc.D2HProgress(desc.ID) != 0 {
+		t.Fatalf("after release: %d regions, progress %d; want 0, 0", d.sc.Regions(), d.sc.D2HProgress(desc.ID))
+	}
+	again := d.d2hRegion(t, desc.ID, ctlMem+0x4000, ctlMem+0x8000, ChunkSize)
+	writes := d.recordHostWrites()
+	if !d.devWrite(again.Base, burstData(ChunkSize, 2)) {
+		t.Fatal("reinstalled region refused its chunk")
+	}
+	if v := viewD2H(t, again, *writes); len(v.meta) != 1 || v.meta[0] != 1 || d.sc.D2HProgress(again.ID) != 1 {
+		t.Fatalf("one chunk published %v, progress %d; want [1], 1", v.meta, d.sc.D2HProgress(again.ID))
+	}
+}
+
+// TestInstallUnderLiveIDRejected: one ID names one live region. A
+// second install under a live ID — elsewhere in memory, overlapping
+// nothing — is one config reject, and the live region is the only one:
+// a device write into the refused span finds no region.
+func TestInstallUnderLiveIDRejected(t *testing.T) {
+	d := newDPRig(t)
+	install := func(desc Descriptor) {
+		d.submit(ringEntry{op: RingOpDesc, data: d.sealed(t, desc.Marshal())})
+	}
+	live := Descriptor{ID: 9, Dir: DirD2H, Class: ActionWriteReadProtect,
+		Base: ctlMem + 0x4000, Len: 4 * ChunkSize, TagBase: ctlMem + 0x8000, ChunkSize: ChunkSize}
+	install(live)
+	twin := live
+	twin.Base, twin.TagBase = ctlMem+0x10000, ctlMem+0x12000
+	rejects := d.sc.Stats().ConfigRejects
+	install(twin)
+	if got := d.sc.Stats().ConfigRejects - rejects; got != 1 || d.sc.Regions() != 1 {
+		t.Fatalf("install under a live ID: %d config rejects, %d regions; want 1, 1", got, d.sc.Regions())
+	}
+	if d.devWrite(twin.Base, burstData(ChunkSize, 3)) || !d.devWrite(live.Base, burstData(ChunkSize, 4)) {
+		t.Fatal("a device write found the refused region, or missed the live one")
+	}
+}
+
+// TestReleaseInSealKeepsNoState: a D2H region released from its
+// stream's fault hook while its second span seals is gone for good. The
+// span's remaining ciphertext may still land in the region's memory,
+// but no tag record and no progress counter is written after the
+// release, and the SC keeps no count, tag span or write span for it.
+func TestReleaseInSealKeepsNoState(t *testing.T) {
+	d := newDPRig(t)
+	desc := d.d2hRegion(t, 9, ctlMem+0x4000, ctlMem+0x8000, pcie.MaxReadReq)
+	writes := d.recordHostWrites()
+	stream, err := d.sc.Params().Stream(StreamD2H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, mark := 0, -1
+	stream.SetFaultHook(func(string) error {
+		// The hook runs once per chunk as a span's batch opens: call
+		// metaPublishEvery+1 opens the second span's.
+		if calls++; calls == metaPublishEvery+1 {
+			d.release(desc.ID)
+			mark = len(*writes)
+		}
+		return nil
+	})
+	d.devWrite(desc.Base, burstData(pcie.MaxReadReq, 5))
+	if mark < 0 {
+		t.Fatal("the second span never sealed")
+	}
+	for _, w := range (*writes)[mark:] {
+		if !desc.Contains(w.addr) {
+			t.Fatalf("after the release the SC wrote %d bytes at %#x", len(w.body), w.addr)
+		}
+	}
+	if d.sc.Regions() != 0 || d.sc.D2HProgress(desc.ID) != 0 || d.pendingSpans() != 0 {
+		t.Fatalf("released region kept state: %d regions, progress %d, %d spans pending",
+			d.sc.Regions(), d.sc.D2HProgress(desc.ID), d.pendingSpans())
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
+	"slices"
+
+	"ccai/internal/secmem"
 )
 
 // Dir is a transfer direction relative to the host.
@@ -131,77 +133,168 @@ func (d Descriptor) PutAAD(buf *[8]byte, chunk uint32) {
 	binary.LittleEndian.PutUint32(buf[4:], chunk)
 }
 
-// regionTable resolves device accesses to descriptors. It carries a
-// leaf mutex so lookups and mutations are safe under concurrent
-// per-tenant pipelines; find returns the descriptor by value, so
-// callers hold no reference into the table.
-type regionTable struct {
-	mu      sync.Mutex
-	regions []Descriptor
+// region is everything the SC holds for one live protected region: the
+// descriptor and what the handlers serving it keep between packets. It
+// lives in the session's table, guarded by Controller.mu, from install
+// to release or teardown. Records are pooled, so a handler looks its
+// record up again in every critical section and keeps no pointer to it
+// past one; a record unlinked from the table belongs to whoever
+// unlinked it until retire pools it.
+type region struct {
+	desc Descriptor
+	// d2hDone is a D2H region's §5 metadata counter: the chunks whose
+	// ciphertext and tag record are deposited.
+	d2hDone uint64
+	// tags buffers a D2H region's tag records until a tag-table write is
+	// due (depositTags).
+	tags tagSpan
+	// ws is a D2H region's pending write span (pipeline.go), nil when no
+	// chunk is staged.
+	ws *writeSpan
+	// verified retains the tag record of every A2 H2D chunk accepted
+	// once, by chunk index, so a benign retransmit (a device re-read
+	// after a fault) is re-verified and re-served without loosening the
+	// stream's replay watermark (openChunk). It holds no pointers and is
+	// sized for the whole region at the first accept.
+	verified []verifiedRec
+	// slots holds a step window's IV counter per chunk slot, as a
+	// positioned tag entry armed it; 0 = never armed (counters start at
+	// 1). Sized at install for a slotted descriptor, empty otherwise.
+	slots []uint32
 }
 
-func (rt *regionTable) add(d Descriptor) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, e := range rt.regions {
-		if d.Base < e.Base+e.Len && e.Base < d.Base+d.Len {
-			return fmt.Errorf("core: region %d overlaps region %d", d.ID, e.ID)
-		}
+// verifiedRec is one accepted chunk's tag record. Only A2 H2D chunks
+// are retained, so the stream name is left out.
+type verifiedRec struct {
+	chunk, epoch uint32
+	tag          [secmem.TagSize]byte
+	seen         bool
+}
+
+// verifiedAt returns the retained record of chunk. It is nil-safe, so a
+// lookup that found no region composes with it.
+func (r *region) verifiedAt(chunk uint32) (TagRecord, bool) {
+	if r == nil || int(chunk) >= len(r.verified) || !r.verified[chunk].seen {
+		return TagRecord{}, false
 	}
-	rt.regions = append(rt.regions, d)
+	v := &r.verified[chunk]
+	return TagRecord{Stream: StreamH2D, Chunk: v.chunk, Epoch: v.epoch, Tag: v.tag}, true
+}
+
+// verify retains chunk's accepted record; a nil region retains nothing.
+func (r *region) verify(chunk uint32, rec *TagRecord) {
+	if r == nil {
+		return
+	}
+	if n := chunkCount(r.desc); len(r.verified) == 0 {
+		r.verified = slices.Grow(r.verified, n)[:n]
+	}
+	if int(chunk) < len(r.verified) {
+		r.verified[chunk] = verifiedRec{chunk: rec.Chunk, epoch: rec.Epoch, tag: rec.Tag, seen: true}
+	}
+}
+
+// tagRun reports how many tag records of the region, deposited in chunk
+// order from chunk on, it takes to reach the next host-memory write
+// depositTags issues: the run ends with the record that flushes the tag
+// span (a sequence break, a full TLP) or publishes the metadata
+// counter. A region that is gone takes them one at a time; none of them
+// is written.
+func (r *region) tagRun(chunk uint32) int {
+	if r == nil {
+		return 1
+	}
+	pend := 0
+	if len(r.tags.buf) > 0 {
+		if r.tags.next != chunk {
+			return 1
+		}
+		pend = len(r.tags.buf) / TagRecordSize
+	}
+	count, total := r.d2hDone, uint64(chunkCount(r.desc))
+	if count+1 >= total {
+		return 1
+	}
+	run := metaPublishEvery - int(count%metaPublishEvery)
+	if rem := total - count; rem < uint64(run) {
+		run = int(rem)
+	}
+	return min(run, tagSpanRecords-pend)
+}
+
+// detach takes the region's pending write span out for sealing; nil
+// when there is none. Caller holds c.mu.
+func (r *region) detach() *writeSpan {
+	if r == nil || r.ws == nil {
+		return nil
+	}
+	span := r.ws
+	r.ws = nil
+	span.desc = r.desc
+	span.nTags, span.tagStart = 0, span.start
+	span.run = r.tagRun(span.start)
+	return span
+}
+
+// session is the SC state a trust session programs and Teardown forgets
+// in one swap: the live regions, the next A3 MMIO sequence number, the
+// submission ring's consumed head and cached completion word, and the
+// RW registers placing the ring and the metadata buffer. Guarded by
+// Controller.mu.
+type session struct {
+	regions []*region
+	mmioSeq uint32
+	// ringHead is the submission-ring consumption index (absolute entry
+	// count); the matching tail arrives through RegRingDoorbell.
+	ringHead uint64
+	// cplWord is the device command head the SC last reaped,
+	// RingCplValid-tagged, for the ring-header writeback (ring.go).
+	cplWord                                uint64
+	ringBase, ringSize, metaBase, metaSize uint64
+}
+
+// reg returns the RW control register at off; nil for any other offset.
+func (s *session) reg(off uint64) *uint64 {
+	switch off {
+	case RegRingBase:
+		return &s.ringBase
+	case RegRingSize:
+		return &s.ringSize
+	case RegMetaBase:
+		return &s.metaBase
+	case RegMetaSize:
+		return &s.metaSize
+	}
 	return nil
 }
 
-func (rt *regionTable) find(addr uint64) (Descriptor, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, d := range rt.regions {
-		if d.Contains(addr) {
-			return d, true
+// byID returns the live region registered under id, nil if none is.
+func (s *session) byID(id uint32) *region {
+	for _, r := range s.regions {
+		if r.desc.ID == id {
+			return r
 		}
 	}
-	return Descriptor{}, false
+	return nil
 }
 
-// foldsWrite reports whether addr lies in a live A2 D2H region — where
-// a device chunk write is staged into a write span.
-func (rt *regionTable) foldsWrite(addr uint64) bool {
-	d, ok := rt.find(addr)
-	return ok && d.Dir == DirD2H && d.Class == ActionWriteReadProtect
-}
-
-// byID returns the live descriptor registered under id.
-func (rt *regionTable) byID(id uint32) (Descriptor, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, d := range rt.regions {
-		if d.ID == id {
-			return d, true
+// at returns the live region containing addr, nil if none does.
+func (s *session) at(addr uint64) *region {
+	for _, r := range s.regions {
+		if r.desc.Contains(addr) {
+			return r
 		}
 	}
-	return Descriptor{}, false
+	return nil
 }
 
-func (rt *regionTable) remove(id uint32) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	kept := rt.regions[:0]
-	for _, d := range rt.regions {
-		if d.ID != id {
-			kept = append(kept, d)
-		}
+// of returns desc's own record: the live region under desc.ID, if it is
+// still the region desc describes. A handler that resolved desc before
+// it released c.mu finds nothing once the region was released — or
+// reinstalled as another region — in between.
+func (s *session) of(desc Descriptor) *region {
+	if r := s.byID(desc.ID); r != nil && r.desc == desc {
+		return r
 	}
-	rt.regions = kept
-}
-
-func (rt *regionTable) clear() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.regions = nil
-}
-
-func (rt *regionTable) count() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.regions)
+	return nil
 }

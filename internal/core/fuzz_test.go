@@ -178,14 +178,14 @@ func FuzzControllerRing(f *testing.F) {
 		d := newDPRig(t)
 		d.installWindow(t, 5, ctlMem+0x4000, 4)
 		l1, l2 := d.sc.Filter().RuleCount()
-		before := d.sc.ringHead
+		before := d.sc.sess.ringHead
 		if before != firstSeq || d.sc.Regions() != 1 {
 			t.Fatalf("rig: head %d, %d regions", before, d.sc.Regions())
 		}
 
 		d.publish(slots, tail)
 
-		head := d.sc.ringHead
+		head := d.sc.sess.ringHead
 		desync := len(d.hostMem[ctlRing+8]) == 8 && binary.LittleEndian.Uint64(d.hostMem[ctlRing+8]) == RingStatusDesync
 		if head != tail && (head != before || !desync) {
 			t.Fatalf("head %d → %d for tail %d, desync %v: neither consumed nor refused", before, head, tail, desync)

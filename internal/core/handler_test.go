@@ -225,20 +225,20 @@ func TestDescriptorChunkGeometry(t *testing.T) {
 }
 
 func TestRegionTableOverlapAndRemove(t *testing.T) {
-	var rt regionTable
+	sc := newCtlRig(t).sc
 	a := Descriptor{ID: 1, Class: ActionWriteReadProtect, Base: 0x1000, Len: 0x1000, ChunkSize: 256}
 	b := Descriptor{ID: 2, Class: ActionWriteReadProtect, Base: 0x1800, Len: 0x1000, ChunkSize: 256}
-	if err := rt.add(a); err != nil {
-		t.Fatal(err)
+	if !sc.install(a) {
+		t.Fatal("install refused")
 	}
-	if err := rt.add(b); err == nil {
+	if sc.install(b) {
 		t.Fatal("overlapping region accepted")
 	}
-	if _, ok := rt.find(0x1400); !ok {
+	if sc.sess.at(0x1400) == nil {
 		t.Fatal("lookup failed")
 	}
-	rt.remove(1)
-	if _, ok := rt.find(0x1400); ok {
+	sc.releaseRegion(1)
+	if sc.sess.at(0x1400) != nil || sc.Regions() != 0 {
 		t.Fatal("removed region found")
 	}
 }

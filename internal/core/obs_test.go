@@ -37,8 +37,8 @@ func TestWriteSpanFoldsItsTLPSpans(t *testing.T) {
 		ID: 9, Dir: DirD2H, Class: ActionWriteReadProtect,
 		Base: ctlMem + 0x4000, Len: chunks * ChunkSize, TagBase: ctlMem + 0x8000, ChunkSize: ChunkSize,
 	}
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 	before := d.sc.Stats().Filter.Protected
 	for i := 0; i < chunks; i++ {
@@ -108,8 +108,8 @@ func TestFoldKeepsFailureSpans(t *testing.T) {
 		ID: 9, Dir: DirD2H, Class: ActionWriteReadProtect,
 		Base: ctlMem + 0x4000, Len: 4 * ChunkSize, TagBase: ctlMem + 0x8000, ChunkSize: ChunkSize,
 	}
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 
 	// Off the chunk grid: classified A2, rejected by the handler.
@@ -147,8 +147,8 @@ func TestWriteSpanBreaksOnVerdictChange(t *testing.T) {
 		ID: 9, Dir: DirD2H, Class: ActionWriteReadProtect,
 		Base: ctlMem + 0x4000, Len: 4 * ChunkSize, TagBase: ctlMem + 0x8000, ChunkSize: ChunkSize,
 	}
-	if err := d.sc.regions.add(desc); err != nil {
-		t.Fatal(err)
+	if !d.sc.install(desc) {
+		t.Fatal("install refused")
 	}
 	write := func(chunk uint64) {
 		d.sc.HandleFromDevice(pcie.NewMemWrite(d.dev.id, desc.Base+chunk*ChunkSize, make([]byte, ChunkSize)))

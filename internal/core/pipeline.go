@@ -127,10 +127,12 @@ func (c *Controller) hostWrite(addr uint64, body []byte) {
 // buffer would enter the arena's 256 B pool while aliasing the larger
 // buffer.
 //
-// A span is in one of two states. While it is in Controller.wspans it
-// is pending and guarded by c.mu. Once stageWrite or detachSpan has
-// taken it out for sealing it belongs to the sealing goroutine alone,
-// until finishSpan puts the shell back on the freelist.
+// A span is in one of two states. While it is its region record's ws it
+// is pending and guarded by c.mu. Once stageWrite has taken it out for
+// sealing it belongs to the sealing goroutine alone — past every
+// critical section, which is why it is pooled on its own freelist
+// (wsFree) and not with the records — until finishSpan puts the shell
+// back.
 type writeSpan struct {
 	start    uint32 // chunk index of pts[0]
 	next     uint32 // chunk index that extends the span
@@ -149,7 +151,7 @@ type writeSpan struct {
 	aadBuf [8 * spanChunks]byte
 	// tags holds the sealed chunks' records not yet deposited, for
 	// chunks tagStart, tagStart+1, …; run is how many of them reach the
-	// next tag-table or metadata write (tagRunLocked), which is when
+	// next tag-table or metadata write (region.tagRun), which is when
 	// they are deposited — so those writes keep their place among the
 	// ciphertext writes.
 	tags     [tagSpanRecords]TagRecord
@@ -176,17 +178,23 @@ type hostWr struct {
 // ciphertext and tags are still buffered) the span comes back detached,
 // ready for sealSpan, and the chunks after it are left for the next
 // call; staged counts the chunks taken. When the pending span cannot
-// absorb the burst — a sequence break — nothing is staged: the caller
-// seals the detachSpan'd span and stages again. A burst that classified
-// differently from the pending span's TLPs (the rule table changed
-// under the burst) breaks it the same way. The span that takes the
-// burst's last chunk takes owner, its staging buffer, with it.
+// absorb the burst — a sequence break — nothing is staged and the
+// pending span comes back detached: the caller seals it and stages
+// again. A burst that classified differently from the pending span's
+// TLPs (the rule table changed under the burst) breaks it the same way.
+// Nothing staged and nothing detached means the region is gone. The
+// span that takes the burst's last chunk takes owner, its staging
+// buffer, with it.
 func (c *Controller) stageWrite(desc Descriptor, chunk uint32, data, owner []byte, verdict Verdict) (staged int, flush *writeSpan) {
 	cs := int(desc.ChunkSize)
 	total := uint64(chunkCount(desc))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	span := c.wspans[desc.ID]
+	r := c.sess.of(desc)
+	if r == nil {
+		return 0, nil
+	}
+	span := r.ws
 	switch {
 	case span == nil:
 		if n := len(c.wsFree); n > 0 {
@@ -198,11 +206,11 @@ func (c *Controller) stageWrite(desc Descriptor, chunk uint32, data, owner []byt
 		}
 		span.start, span.next, span.verdict = chunk, chunk, verdict
 		span.pts, span.owned = span.ptsArr[:0], span.ownedArr[:0]
-		c.wspans[desc.ID] = span
+		r.ws = span
 	case chunk != span.next || verdict != span.verdict:
-		return 0, nil
+		return 0, r.detach()
 	}
-	buffered := c.d2hChunks[desc.ID] + uint64(len(span.pts))
+	buffered := r.d2hDone + uint64(len(span.pts))
 	for len(data) > 0 {
 		n := min(cs, len(data))
 		span.pts = append(span.pts, data[:n:n])
@@ -214,31 +222,10 @@ func (c *Controller) stageWrite(desc Descriptor, chunk uint32, data, owner []byt
 			span.owned = append(span.owned, owner)
 		}
 		if len(span.pts) == spanChunks || buffered >= total || buffered%metaPublishEvery == 0 {
-			c.detachLocked(desc, span)
-			return staged, span
+			return staged, r.detach()
 		}
 	}
 	return staged, nil
-}
-
-// detachSpan takes the region's pending span out for sealing; nil when
-// there is none.
-func (c *Controller) detachSpan(desc Descriptor) *writeSpan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	span := c.wspans[desc.ID]
-	if span != nil {
-		c.detachLocked(desc, span)
-	}
-	return span
-}
-
-// detachLocked hands span to the caller for sealing. Caller holds c.mu.
-func (c *Controller) detachLocked(desc Descriptor, span *writeSpan) {
-	delete(c.wspans, desc.ID)
-	span.desc = desc
-	span.nTags, span.tagStart = 0, span.start
-	span.run = c.tagRunLocked(desc, span.start)
 }
 
 // sealSpan seals a detached span's chunks as one batch and moves them
@@ -332,17 +319,5 @@ func (c *Controller) finishSpan(span *writeSpan, sealed bool) {
 func (c *Controller) retireStaging(b []byte) {
 	if c.recycleOn(c.internal) {
 		arena.PutZero(b) // device plaintext
-	}
-}
-
-// dropWriteSpan discards a region's buffered, unsealed chunks
-// (descriptor release or reinstall).
-func (c *Controller) dropWriteSpan(region uint32) {
-	c.mu.Lock()
-	span := c.wspans[region]
-	delete(c.wspans, region)
-	c.mu.Unlock()
-	if span != nil {
-		c.finishSpan(span, false)
 	}
 }

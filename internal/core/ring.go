@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"ccai/internal/arena"
 	"ccai/internal/pcie"
@@ -98,12 +97,10 @@ const RingMirrorSlots = ringSpanSlots
 // reaches handlers that route on the buses.
 func (c *Controller) processRing(tail uint64) {
 	c.mu.Lock()
-	base := c.regs[RegRingBase]
-	slots := c.regs[RegRingSize]
-	head := c.ringHead
+	base, slots, head := c.sess.ringBase, c.sess.ringSize, c.sess.ringHead
 	c.mu.Unlock()
 	if base == 0 || slots == 0 {
-		c.configReject(fmt.Errorf("core: ring doorbell with no configured ring"))
+		c.configReject() // a doorbell with no configured ring
 		return
 	}
 	if tail < head || tail-head > slots {
@@ -162,7 +159,7 @@ func (c *Controller) processRing(tail uint64) {
 	arena.Put(buf)
 
 	c.mu.Lock()
-	c.ringHead = tail
+	c.sess.ringHead = tail
 	c.mu.Unlock()
 	c.ringPostHead(base, tail)
 }
@@ -198,7 +195,7 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		// buffer: a tap on the internal bus may keep the packet past this
 		// dispatch.
 		if len(data) <= TagRecordSize {
-			c.configReject(fmt.Errorf("core: guarded entry of %d bytes carries no value", len(data)))
+			c.configReject() // a guarded entry that carries no value
 			return
 		}
 		value, rec := data[:len(data)-TagRecordSize], data[len(data)-TagRecordSize:]
@@ -242,7 +239,7 @@ func (c *Controller) ringPostHead(base, head uint64) {
 // header word invalid so the producer falls back to the MMIO read.
 func (c *Controller) postCompletionWord(base uint64) {
 	c.mu.Lock()
-	w := c.cplWord
+	w := c.sess.cplWord
 	c.mu.Unlock()
 	if w == 0 {
 		return
@@ -280,8 +277,8 @@ func (c *Controller) reapCompletion() {
 		pcie.Release(req)
 	}
 	c.mu.Lock()
-	c.cplWord = RingCplValid | head
-	base := c.regs[RegRingBase]
+	c.sess.cplWord = RingCplValid | head
+	base := c.sess.ringBase
 	c.mu.Unlock()
 	if base != 0 {
 		c.postCompletionWord(base)
@@ -292,6 +289,6 @@ func (c *Controller) reapCompletion() {
 // refuses to advance. The producer observes the status on its next
 // flush and fails closed.
 func (c *Controller) ringDesync(base uint64) {
-	c.configReject(fmt.Errorf("core: submission ring desync"))
+	c.configReject()
 	c.hostWrite64(base+8, RingStatusDesync)
 }

@@ -83,3 +83,24 @@ func TestManySequentialSessionsNoLeak(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedRegionsLeaveNoState: after a run of protected 64 KiB tasks
+// the SC holds the command ring's region and nothing else — no released
+// D2H region's progress count outlives it.
+func TestReleasedRegionsLeaveNoState(t *testing.T) {
+	p := protectedPlatform(t, xpu.A100)
+	task := Task{Input: bytes.Repeat([]byte{3}, 64<<10), Kernel: KernelXOR, Param: 1}
+	for i := 0; i < 50; i++ {
+		if _, err := p.RunTask(task); err != nil {
+			t.Fatalf("task %d: %v", i, err)
+		}
+	}
+	if n := p.SC.Regions(); n != 1 {
+		t.Fatalf("SC holds %d regions after 50 tasks, want the command ring only", n)
+	}
+	for id := uint32(0); id < 1<<12; id++ {
+		if got := p.SC.D2HProgress(id); got != 0 {
+			t.Fatalf("region %d: progress %d after its release", id, got)
+		}
+	}
+}
