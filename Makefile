@@ -62,6 +62,11 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # staging on a seal fault and never publishes progress past what is in
 # host memory.
 	$(GO) test -run 'TestD2HBurstKeepsHostWire|TestEncryptWriteBurst' ./ ./internal/core/
+# Sealed where the bytes leave: the SC seals a D2H span straight into one
+# host-write buffer whose slots its chunk MWrs carry, and never reuses a
+# buffer a tap may hold; SealBatchInto seals in place, writes nothing
+# past its buffer, and refuses a batch before writing any of it.
+	$(GO) test -run 'TestD2HSpanSealsIntoOneHostBuffer|TestD2HSpanBufferHeldOnceTapped|TestSealBatchInto' ./internal/core/ ./internal/secmem/
 # Command runs: the device fetches each run of command slots with one
 # read, and the SC answers only a read of one whole run whose record is
 # fresh, verifying the bytes it serves and keeping none; the host segment

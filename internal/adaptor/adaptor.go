@@ -348,16 +348,13 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	pts, aads, aadAll := a.chunkViews(desc, 0, data)
 	nChunks := len(pts)
 
-	// Streaming pipeline (DESIGN.md §10): each chunk is sealed, then
-	// handed to this emit stage, which copies it into the bounce buffer
-	// and flushes full tag packets. The chunk's arena-backed ciphertext
-	// is only valid inside emit, so it is copied out before returning.
+	// Streaming pipeline (DESIGN.md §10): each chunk is sealed straight
+	// into its slot of the bounce buffer, then handed to this emit stage,
+	// which records its tag and flushes full tag packets.
 	recs := a.takeRecs(nChunks)
-	out := buf.Bytes()
 	perPacket := pcie.MaxPayload / core.TagRecordSize
 	tagPayload := arena.Get(perPacket * core.TagRecordSize)[:0]
 	emit := func(i int, chunk *secmem.Sealed) error {
-		copy(out[i*core.ChunkSize:], chunk.Ciphertext)
 		recs = append(recs, core.TagRecord{
 			Stream: core.StreamH2D, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag,
 		})
@@ -370,7 +367,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 		}
 		return nil
 	}
-	err = a.sealBatchStreamWithRetry(a.h2d, pts, aads, emit)
+	err = a.sealBatchIntoWithRetry(a.h2d, buf.Bytes(), pts, aads, emit)
 	if err == nil && len(tagPayload) > 0 {
 		err = a.ringPush(core.RingOpTags, 0, tagPayload)
 	}

@@ -174,11 +174,12 @@ func (a *Adaptor) sealWithRetry(s *secmem.Stream, pt, aad []byte) (sealed *secme
 	return sealed, err
 }
 
-// sealBatchStreamWithRetry drives the streaming seal pipeline under the
-// same discipline: emit still observes every chunk exactly once, in
-// submission order.
-func (a *Adaptor) sealBatchStreamWithRetry(s *secmem.Stream, pts, aads [][]byte, emit func(i int, chunk *secmem.Sealed) error) error {
-	return a.retryTransient("seal", func() error { return s.SealBatchStream(pts, aads, nil, emit) })
+// sealBatchIntoWithRetry drives the streaming seal pipeline into dst —
+// a bounce buffer — under the same discipline: emit still observes every
+// chunk exactly once, in submission order, and a transient fault leaves
+// dst untouched.
+func (a *Adaptor) sealBatchIntoWithRetry(s *secmem.Stream, dst []byte, pts, aads [][]byte, emit func(i int, chunk *secmem.Sealed) error) error {
+	return a.retryTransient("seal", func() error { return s.SealBatchInto(dst, pts, aads, emit) })
 }
 
 // openBatchIntoWithRetry is the in-place batch decrypt twin; a failed

@@ -133,9 +133,9 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 
 	pts, aads, aadAll := a.chunkViews(win.Desc, slot, data)
 	win.Recs, win.slot = win.Recs[:0], slot
-	dst := win.Buf.Bytes()[int(slot)*core.ChunkSize:]
-	err := a.sealBatchStreamWithRetry(a.h2d, pts, aads, func(i int, chunk *secmem.Sealed) error {
-		copy(dst[i*core.ChunkSize:], chunk.Ciphertext)
+	// Cut at the step's bytes: the seal writes nothing outside them.
+	dst := win.Buf.Bytes()[int(slot)*core.ChunkSize:][:len(data)]
+	err := a.sealBatchIntoWithRetry(a.h2d, dst, pts, aads, func(_ int, chunk *secmem.Sealed) error {
 		win.Recs = append(win.Recs, core.TagRecord{
 			Stream: core.StreamH2D, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag,
 		})

@@ -29,6 +29,7 @@ type ctlRig struct {
 	host    *pcie.Bus
 	inner   *pcie.Bus
 	hostMem map[uint64][]byte
+	hostEP  *ctlHostMem
 	cfgTx   *secmem.Stream
 	dev     *ctlDevice
 	tail    uint64 // ring producer index: the next entry's sequence number
@@ -80,12 +81,21 @@ func (r *ctlRig) sealed(t *testing.T, pt []byte) []byte {
 	return MarshalBlob(s)
 }
 
-type ctlHostMem struct{ m map[uint64][]byte }
+// ctlHostMem is the rig's host memory. seen, when set, sees every write
+// before it is copied in: a test reading the payload the SC handed over,
+// not a copy, does it there — a tap would stop the SC recycling.
+type ctlHostMem struct {
+	m    map[uint64][]byte
+	seen func(p *pcie.Packet)
+}
 
 func (h *ctlHostMem) DeviceID() pcie.ID { return pcie.MakeID(0, 0, 0) }
 func (h *ctlHostMem) Handle(p *pcie.Packet) *pcie.Packet {
 	switch p.Kind {
 	case pcie.MWr:
+		if h.seen != nil {
+			h.seen(p)
+		}
 		h.m[p.Address] = append([]byte(nil), p.Payload...)
 		return nil
 	case pcie.MRd:
@@ -172,7 +182,7 @@ func newCtlRig(t *testing.T) *ctlRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &ctlRig{sc: sc, mux: mux, host: host, inner: inner, hostMem: hm.m, cfgTx: cfgTx, dev: dev}
+	r := &ctlRig{sc: sc, mux: mux, host: host, inner: inner, hostMem: hm.m, hostEP: hm, cfgTx: cfgTx, dev: dev}
 	for reg, v := range map[uint64]uint64{RegRingBase: ctlRing, RegRingSize: ctlRingSlots} {
 		host.Route(pcie.NewMemWrite(tvmID, ctlBar+reg, binary.LittleEndian.AppendUint64(nil, v)))
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"ccai/internal/arena"
 	"ccai/internal/pcie"
@@ -1411,6 +1412,106 @@ func TestEncryptWriteBurstDropNeverOverclaims(t *testing.T) {
 				t.Fatalf("counter ends at %d, progress %d; want %d", got, d.sc.D2HProgress(desc.ID), 2*spanChunks)
 			}
 		})
+	}
+}
+
+// seeHostWrites records the SC's writes from now on at the rig's host
+// memory: a copy of each, for viewD2H, and the payload the SC handed
+// over, to see which buffer it is a slot of. No tap is added, so the SC
+// keeps recycling.
+func (d *dpRig) seeHostWrites() (writes *[]hostWrite, payloads *[][]byte) {
+	writes, payloads = new([]hostWrite), new([][]byte)
+	d.hostEP.seen = func(p *pcie.Packet) {
+		if p.Requester == d.sc.DeviceID() {
+			*writes = append(*writes, hostWrite{p.Address, append([]byte(nil), p.Payload...)})
+			*payloads = append(*payloads, p.Payload)
+		}
+	}
+	return writes, payloads
+}
+
+// TestD2HSpanSealsIntoOneHostBuffer: with the recycling loop closed, a
+// 64 KiB result's ciphertext leaves in one host-write buffer per sealed
+// span — 32 buffers, not 256: chunk j of a span goes out as the j-th
+// ChunkSize slot of its span's buffer, its capacity clipped to the slot,
+// and every chunk opens to its bytes.
+func TestD2HSpanSealsIntoOneHostBuffer(t *testing.T) {
+	d := newDPRig(t)
+	d.sc.EnableDatapathRecycling()
+	const n = 16 * pcie.MaxReadReq
+	desc := d.d2hRegion(t, 9, ctlMem+0x10000, ctlMem+0x30000, n)
+	writes, payloads := d.seeHostWrites()
+	data := burstData(n, 0x5a)
+	for off := 0; off < n; off += pcie.MaxReadReq {
+		if !d.devWrite(desc.Base+uint64(off), deviceStaging(data[off:off+pcie.MaxReadReq])) {
+			t.Fatalf("burst at %d refused", off)
+		}
+	}
+	k := chunkCount(desc)
+	slots := make([]uintptr, k)
+	for i, w := range *writes {
+		if p := (*payloads)[i]; desc.Contains(w.addr) {
+			if cap(p) != len(p) {
+				t.Fatalf("chunk at %#x: %d-byte payload with capacity %d", w.addr, len(p), cap(p))
+			}
+			slots[(w.addr-desc.Base)/ChunkSize] = uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+		}
+	}
+	for j, at := range slots {
+		first := j - j%metaPublishEvery
+		if want := slots[first] + uintptr((j-first)*ChunkSize); at != want {
+			t.Fatalf("chunk %d is not slot %d of its span's host-write buffer", j, j-first)
+		}
+	}
+	v := viewD2H(t, desc, *writes)
+	for j := 0; j < k; j++ {
+		if !d.opens(desc, v, j, chunkOf(data, j)) {
+			t.Fatalf("chunk %d does not open to its bytes", j)
+		}
+	}
+	if got := d.sc.Stats().BatchedD2HSpans; got != uint64(k/metaPublishEvery) {
+		t.Fatalf("%d spans sealed, want %d", got, k/metaPublishEvery)
+	}
+}
+
+// TestD2HSpanBufferHeldOnceTapped: a tap attached while a span's chunks
+// go out keeps the later ones — slots of that span's host-write buffer,
+// which came from the arena. The buffer then never goes back: whatever
+// the arena hands out next is scribbled on, and every slot the tap kept
+// still holds the ciphertext it saw.
+func TestD2HSpanBufferHeldOnceTapped(t *testing.T) {
+	d := newDPRig(t)
+	d.sc.EnableDatapathRecycling()
+	desc := d.d2hRegion(t, 9, ctlMem+0x10000, ctlMem+0x30000, pcie.MaxReadReq)
+	type kept struct{ slot, seen []byte }
+	var keep []kept
+	tap := pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if desc.Contains(p.Address) {
+			keep = append(keep, kept{p.Payload, append([]byte(nil), p.Payload...)})
+		}
+		return p
+	})
+	d.hostEP.seen = func(p *pcie.Packet) {
+		if p.Address == desc.Base+3*ChunkSize {
+			d.host.AddTap(tap)
+		}
+	}
+	if !d.devWrite(desc.Base, deviceStaging(burstData(pcie.MaxReadReq, 6))) {
+		t.Fatal("burst refused")
+	}
+	if len(keep) < metaPublishEvery {
+		t.Fatalf("the tap kept %d chunks, want the first span's last ones and the second span's", len(keep))
+	}
+	for i := 0; i < 8; i++ {
+		b := arena.Get(pcie.MaxReadReq)
+		for j := range b {
+			b[j] = 0xAB
+		}
+	}
+	for i, k := range keep {
+		if !bytes.Equal(k.slot, k.seen) {
+			t.Fatalf("kept chunk %d changed after its span's buffer was retired", i)
+		}
 	}
 }
 

@@ -22,10 +22,10 @@ import (
 // D2H: device write bursts (up to MaxReadReq each) are split along the
 // chunk grid, accumulated per region (writeSpan) and sealed as one
 // engine batch when the span fills, the chunk sequence breaks, the
-// metadata cadence is due, or the region completes. SealBatchStream
-// seals the batch's chunks in order on its caller and hands each to
-// emitChunk, which writes its ciphertext to host memory before the next
-// chunk is sealed.
+// metadata cadence is due, or the region completes. SealBatchInto seals
+// the batch's chunks in order on its caller, each straight into its slot
+// of the span's one host-write buffer, and hands each to emitChunk,
+// which writes that slot to host memory before the next chunk is sealed.
 
 // spanChunks is the pipeline granularity in chunks: one device read
 // gulp (MaxReadReq) worth of MaxPayload chunks, for both the H2D reads
@@ -104,11 +104,18 @@ func (c *Controller) releaseFetch(req, cpl *pcie.Packet, keepPayload bool) {
 // after Route the SC is their last holder. Public bytes only
 // (ciphertext, marshalled tags, counters).
 func (c *Controller) hostWrite(addr uint64, body []byte) {
-	p := c.pkts.MemWrite(c.id, addr, body)
-	c.hostBus.Route(p)
-	if c.recycleOn(c.hostBus) && pcie.Release(p) {
+	if c.routeHost(addr, body) {
 		arena.Put(body)
 	}
+}
+
+// routeHost DMA-writes body to host memory and reports whether the SC
+// got the packet back — it was body's last holder, and body's buffer may
+// go back to the arena once nothing else in it is still to be written.
+func (c *Controller) routeHost(addr uint64, body []byte) bool {
+	p := c.pkts.MemWrite(c.id, addr, body)
+	c.hostBus.Route(p)
+	return c.recycleOn(c.hostBus) && pcie.Release(p)
 }
 
 // --- D2H write-span batching ------------------------------------------------
@@ -149,6 +156,12 @@ type writeSpan struct {
 	desc   Descriptor
 	aads   [spanChunks][]byte
 	aadBuf [8 * spanChunks]byte
+	// out is the span's host-write buffer: the chunks are sealed straight
+	// into it and each chunk's MWr carries its slot. held means out may
+	// never be reused: it came from the slab, or a chunk's packet did not
+	// come back (a tap may keep it).
+	out  []byte
+	held bool
 	// tags holds the sealed chunks' records not yet deposited, for
 	// chunks tagStart, tagStart+1, …; run is how many of them reach the
 	// next tag-table or metadata write (region.tagRun), which is when
@@ -229,12 +242,13 @@ func (c *Controller) stageWrite(desc Descriptor, chunk uint32, data, owner []byt
 }
 
 // sealSpan seals a detached span's chunks as one batch and moves them
-// to host memory. SealBatchStream seals the chunks in order on this
-// goroutine and hands each to emitChunk, which routes its ciphertext
-// DMA and tag deposit before the next chunk is sealed. Returns false
-// only when the batch failed (engine fault, missing stream): the
-// buffered chunks are dropped and the caller fails closed. A nil span
-// is an empty flush.
+// to host memory. SealBatchInto seals the chunks in order on this
+// goroutine straight into the span's one host-write buffer — TagSize
+// over, so every chunk seals in place — and hands each to emitChunk,
+// which routes its ciphertext DMA and tag deposit before the next chunk
+// is sealed. Returns false only when the batch failed (engine fault,
+// missing stream): the buffered chunks are dropped and the caller fails
+// closed. A nil span is an empty flush.
 //
 // The seal is the one encrypt_write span of all its chunk writes:
 // region, first chunk, chunk and byte counts, and the action and rule
@@ -243,12 +257,11 @@ func (c *Controller) sealSpan(span *writeSpan) bool {
 	if span == nil {
 		return true
 	}
-	k := len(span.pts)
+	k, bytes := len(span.pts), 0
+	for _, pt := range span.pts {
+		bytes += len(pt)
+	}
 	if tr := c.tracer; tr != nil {
-		bytes := 0
-		for _, pt := range span.pts {
-			bytes += len(pt)
-		}
 		sp := tr.Start(siteEncryptWrite, keyRegion.U64(uint64(span.desc.ID)),
 			keyChunk.U64(uint64(span.start)), keyChunks.I64(int64(k)), keyBytes.I64(int64(bytes)),
 			keyAction.Str(actionSym(span.verdict.Action)), keyRule.U64(uint64(span.verdict.Rule)))
@@ -261,7 +274,9 @@ func (c *Controller) sealSpan(span *writeSpan) bool {
 			span.desc.PutAAD((*[8]byte)(ab), span.start+uint32(i))
 			span.aads[i] = ab
 		}
-		err = stream.SealBatchStream(span.pts, span.aads[:k], nil, span.emit)
+		span.out = c.payloadBuf(bytes+secmem.TagSize, c.hostBus)
+		span.held = !c.recycleOn(c.hostBus)
+		err = stream.SealBatchInto(span.out, span.pts, span.aads[:k], span.emit)
 	}
 	if span.nTags > 0 {
 		// Records past the last publish point: buffered for the span that
@@ -272,17 +287,18 @@ func (c *Controller) sealSpan(span *writeSpan) bool {
 	return err == nil
 }
 
-// emitChunk is SealBatchStream's emit stage for this span's seal. The
-// sealed ciphertext is engine-internal memory reclaimed when emit
-// returns; the copy into a buffer the host bridge cannot still be
-// sharing (arena when the recycling loop is closed, never-recycled slab
-// otherwise) is what makes the packet payload safe to route.
+// emitChunk is SealBatchInto's emit stage for this span's seal. The
+// ciphertext is the chunk's slot of the span's host-write buffer, which
+// payloadBuf carved where the host bridge cannot still be sharing it
+// (arena when the recycling loop is closed, never-recycled slab
+// otherwise); the MWr carries the slot itself, and no later seal of the
+// span writes into it.
 func (span *writeSpan) emitChunk(i int, chunk *secmem.Sealed) error {
 	c := span.c
 	cs := uint64(span.desc.ChunkSize)
-	ctBuf := c.payloadBuf(len(chunk.Ciphertext), c.hostBus)
-	copy(ctBuf, chunk.Ciphertext)
-	c.hostWrite(span.desc.Base+uint64(span.start+uint32(i))*cs, ctBuf)
+	if !c.routeHost(span.desc.Base+uint64(span.start+uint32(i))*cs, chunk.Ciphertext) {
+		span.held = true
+	}
 	span.tags[span.nTags] = TagRecord{Stream: StreamD2H, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag}
 	span.nTags++
 	if span.nTags == span.run {
@@ -292,14 +308,19 @@ func (span *writeSpan) emitChunk(i int, chunk *secmem.Sealed) error {
 }
 
 // finishSpan retires a sealed or dropped span: the staging buffers it
-// owns go back (retireStaging), and the shell returns to the freelist.
+// owns go back (retireStaging), its host-write buffer goes back whole
+// unless held (ciphertext: public bytes), and the shell returns to the
+// freelist.
 func (c *Controller) finishSpan(span *writeSpan, sealed bool) {
 	for _, b := range span.owned {
 		c.retireStaging(b)
 	}
+	if span.out != nil && !span.held {
+		arena.Put(span.out)
+	}
 	clear(span.owned)
 	clear(span.pts)
-	span.pts, span.owned = nil, nil
+	span.pts, span.owned, span.out, span.held = nil, nil, nil, false
 	c.mu.Lock()
 	if sealed {
 		c.stats.BatchedD2HSpans++

@@ -1,7 +1,6 @@
 package secmem
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -10,7 +9,7 @@ import (
 // TestLastSealableCounter pins the exhaustion boundary exactly: the
 // final IV a stream may ever consume carries counter 2^32−1, and the
 // seal after it fails with ErrIVExhausted without consuming state. The
-// audit behind ISSUE 8's off-by-one satellite: SealInto rejects when
+// off-by-one audit: Seal rejects when
 // sendCtr already equals MaxUint32 (pre-increment check), so MaxUint32
 // itself is sealable and the counter never wraps back into used IV
 // space.
@@ -73,54 +72,5 @@ func TestRemainingMatchesSealBudget(t *testing.T) {
 		if ok != headroom {
 			t.Fatalf("headroom %d: %d seals succeeded, want exactly %d", headroom, ok, headroom)
 		}
-	}
-}
-
-// TestSealDstMatchesSealInto verifies the caller-staged variant is
-// bit-compatible with SealInto: same ciphertext and tag for the same
-// (key, counter, plaintext, aad), output aliased into dst when capacity
-// suffices, and an ordinary allocation when it does not.
-func TestSealDstMatchesSealInto(t *testing.T) {
-	key, nonce := FreshKey(), FreshNonce()
-	a, err := NewStream(key, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewStream(key, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := []byte("chunk payload for the descriptor ring")
-	aad := []byte("MWr addr=0x2000 ctr-bound")
-
-	var want Sealed
-	if err := a.SealInto(&want, pt, aad); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := make([]byte, 0, len(pt)+TagSize)
-	var got Sealed
-	if err := b.SealDst(&got, pt, aad, dst); err != nil {
-		t.Fatal(err)
-	}
-	if got.Counter != want.Counter || got.Epoch != want.Epoch {
-		t.Fatalf("counter/epoch diverged: %+v vs %+v", got, want)
-	}
-	if !bytes.Equal(got.Ciphertext, want.Ciphertext) || got.Tag != want.Tag {
-		t.Fatal("SealDst output differs from SealInto")
-	}
-	if &got.Ciphertext[0] != &dst[:1][0] {
-		t.Fatal("SealDst did not stage ciphertext in the provided buffer")
-	}
-
-	// Undersized dst: engine must fall back to a fresh allocation and
-	// still produce the right bytes.
-	short := make([]byte, 0, len(pt)) // TagSize short of the combined output
-	var fallback Sealed
-	if err := b.SealDst(&fallback, pt, aad, short); err != nil {
-		t.Fatal(err)
-	}
-	if len(fallback.Ciphertext) != len(pt) {
-		t.Fatalf("fallback ciphertext length = %d", len(fallback.Ciphertext))
 	}
 }

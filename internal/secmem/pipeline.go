@@ -42,12 +42,39 @@ func NewPool(int) *Pool { return new(Pool) }
 // memory that is reused the moment emit returns: emit must copy any
 // bytes it keeps and must not retain the slice or the *Sealed.
 func (s *Stream) SealBatchStream(pts, aads [][]byte, _ *Pool, emit func(i int, chunk *Sealed) error) error {
+	return s.SealBatchInto(nil, pts, aads, emit)
+}
+
+// SealBatchInto is SealBatchStream sealing straight into dst: chunk i's
+// ciphertext lands at the prefix-sum offset of the preceding plaintext
+// lengths — the layout OpenBatchInto reads — and the Sealed handed to
+// emit has its Ciphertext aliasing that slot of dst (capacity clipped to
+// it), so emit may keep the slice without copying; the *Sealed itself is
+// still reused. GCM writes ciphertext and tag contiguously: a chunk
+// whose tag still fits inside dst is sealed in place, the tag landing in
+// the slot after it before that slot's own seal overwrites it, and a
+// chunk whose tag would run past dst is sealed in scratch and copied.
+// So a dst TagSize bytes longer than the batch is sealed wholly in
+// place, one exactly as long copies only its last chunk, and nothing
+// past len(dst) is ever written. dst must not overlap any plaintext.
+// Counters, the fault hook and the emit contract are SealBatchStream's:
+// a batch refused before its first seal leaves dst untouched. A nil dst
+// seals every chunk in scratch, which is SealBatchStream.
+func (s *Stream) SealBatchInto(dst []byte, pts, aads [][]byte, emit func(i int, chunk *Sealed) error) error {
 	n := len(pts)
 	if n == 0 {
 		return nil
 	}
 	if aads != nil && len(aads) != n {
 		return fmt.Errorf("secmem: %d plaintexts but %d aads", n, len(aads))
+	}
+	total, maxLen := 0, 0
+	for _, pt := range pts {
+		total += len(pt)
+		maxLen = max(maxLen, len(pt))
+	}
+	if dst != nil && total > len(dst) {
+		return fmt.Errorf("secmem: dst holds %d bytes, batch needs %d", len(dst), total)
 	}
 
 	s.mu.Lock()
@@ -74,20 +101,15 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, _ *Pool, emit func(i int, c
 	o := s.obs
 	s.mu.Unlock()
 
-	var total int64
-	maxLen := 0
-	for _, pt := range pts {
-		total += int64(len(pt))
-		maxLen = max(maxLen, len(pt))
-	}
 	var sp obsv.ActiveSpan
 	if o != nil {
-		sp = o.tracer.Start(o.sealStream, keyStream.Str(o.name), keyBytes.I64(total), keyChunks.I64(int64(n)))
+		sp = o.tracer.Start(o.sealStream, keyStream.Str(o.name), keyBytes.I64(int64(total)), keyChunks.I64(int64(n)))
 	}
 
-	// One arena buffer sized for the largest chunk serves the whole
-	// batch — emit must copy anything it keeps, so the buffer is free
-	// for reuse the moment emit returns. The IV and the Sealed handed to
+	// A chunk not sealed in place goes through one arena buffer sized
+	// for the largest chunk, taken the first time one needs it; without
+	// dst, emit must copy anything it keeps, so the buffer is free for
+	// reuse the moment emit returns. The IV and the Sealed handed to
 	// emit both escape (an interface call, a func value), so they live
 	// in the stream's seal scratch; a batch that finds it taken — a
 	// concurrent or nested batch — gets one of its own.
@@ -96,18 +118,35 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, _ *Pool, emit func(i int, c
 	if !owned {
 		scr = new(sealScratch)
 	}
-	buf := arena.Get(maxLen + TagSize)
+	var buf []byte
 	var err error
-	for i := 0; i < n && err == nil; i++ {
+	for i, off := 0, 0; i < n && err == nil; i++ {
 		c := base + 1 + uint32(i)
 		putNonce(&scr.iv, nb, c)
-		ct := aead.Seal(buf[:0], scr.iv[:], pts[i], aadAt(aads, i))
-		k := len(ct) - TagSize
-		scr.chunk = Sealed{Counter: c, Epoch: epoch, Ciphertext: ct[:k]}
+		k := len(pts[i])
+		inPlace := off+k+TagSize <= len(dst)
+		var out []byte
+		if inPlace {
+			out = dst[off : off : off+k+TagSize]
+		} else {
+			if buf == nil {
+				buf = arena.Get(maxLen + TagSize)
+			}
+			out = buf[:0]
+		}
+		ct := aead.Seal(out, scr.iv[:], pts[i], aadAt(aads, i))
+		scr.chunk = Sealed{Counter: c, Epoch: epoch, Ciphertext: ct[:k:k]}
 		copy(scr.chunk.Tag[:], ct[k:])
+		if dst != nil && !inPlace {
+			scr.chunk.Ciphertext = dst[off : off+k : off+k]
+			copy(scr.chunk.Ciphertext, ct[:k])
+		}
+		off += k
 		err = emit(i, &scr.chunk)
 	}
-	arena.Put(buf) // ciphertext only: public bytes
+	if buf != nil {
+		arena.Put(buf) // ciphertext only: public bytes
+	}
 	if owned {
 		scr.chunk.Ciphertext = nil
 		s.sealBusy.Store(false)

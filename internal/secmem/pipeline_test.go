@@ -69,10 +69,10 @@ func TestSealBatchStreamInOrder(t *testing.T) {
 
 // TestSealBatchStreamEmitCopiesSurvive verifies the documented arena
 // contract: the Ciphertext handed to emit is only valid inside emit,
-// so a consumer that copies (like the Adaptor's bounce-buffer write)
-// must end up with chunks that all still authenticate after the
-// batch — the seal buffer's reuse from chunk to chunk must never
-// corrupt an earlier chunk's copy.
+// so a consumer that keeps chunks copies them (or seals with
+// SealBatchInto) and must end up with chunks that all still
+// authenticate after the batch — the seal buffer's reuse from chunk to
+// chunk must never corrupt an earlier chunk's copy.
 func TestSealBatchStreamEmitCopiesSurvive(t *testing.T) {
 	tx, rx := newPair(t)
 	pts, aads := chunkset(25, 256)
@@ -180,6 +180,105 @@ func TestSealBatchStreamEmitErrorAborts(t *testing.T) {
 	}
 }
 
+// TestSealBatchIntoSealsInPlace: a batch sealed into dst — chunks of
+// 256, 100 and 7 bytes, the last shorter than a tag — carries the
+// counters, ciphertext and tags SealBatchStream gives the same batch
+// under the same key, each chunk's Ciphertext is its prefix-sum slot of
+// dst (capacity clipped to it), and nothing past len(dst) is written:
+// whether dst is exactly the batch's length (the tail is sealed in
+// scratch), TagSize over (every chunk in place), or longer still.
+func TestSealBatchIntoSealsInPlace(t *testing.T) {
+	key, nonce := FreshKey(), FreshNonce()
+	var pts, aads [][]byte
+	for i, n := range []int{256, 256, 100, 256, 7} {
+		pts = append(pts, bytes.Repeat([]byte{byte(0x40 + i)}, n))
+		aads = append(aads, []byte(fmt.Sprintf("aad-%d", i)))
+	}
+	const total = 256 + 256 + 100 + 256 + 7
+	ref, err := NewStream(key, nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sealAll(ref, pts, aads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range []int{0, TagSize, TagSize + 40} {
+		t.Run(fmt.Sprintf("dst+%d", extra), func(t *testing.T) {
+			tx, err := NewStream(key, nonce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const guard = 32
+			mem := bytes.Repeat([]byte{0xEE}, total+extra+guard)
+			dst := mem[:total+extra]
+			off := 0
+			err = tx.SealBatchInto(dst, pts, aads, func(i int, c *Sealed) error {
+				k := len(pts[i])
+				if len(c.Ciphertext) != k || cap(c.Ciphertext) != k || &c.Ciphertext[0] != &dst[off] {
+					t.Fatalf("chunk %d: ciphertext is not its %d-byte slot at offset %d of dst", i, k, off)
+				}
+				if c.Counter != want[i].Counter || c.Tag != want[i].Tag || !bytes.Equal(c.Ciphertext, want[i].Ciphertext) {
+					t.Fatalf("chunk %d: sealed differently from SealBatchStream", i)
+				}
+				off += k
+				return nil
+			})
+			if err != nil || off != total {
+				t.Fatalf("batch sealed %d of %d bytes: %v", off, total, err)
+			}
+			if !bytes.Equal(mem[total+extra:], bytes.Repeat([]byte{0xEE}, guard)) {
+				t.Fatal("the seal wrote past len(dst)")
+			}
+			for i, off := 0, 0; i < len(pts); off, i = off+len(pts[i]), i+1 {
+				if !bytes.Equal(dst[off:off+len(pts[i])], want[i].Ciphertext) {
+					t.Fatalf("chunk %d's slot was overwritten after its seal", i)
+				}
+			}
+		})
+	}
+}
+
+// TestSealBatchIntoRefusesBeforeSealing: a dst shorter than the batch,
+// or a transient engine fault, refuses the batch before its first seal —
+// no counter consumed, no emit, not a byte of dst written — and the
+// retry seals from the same counter.
+func TestSealBatchIntoRefusesBeforeSealing(t *testing.T) {
+	tx, rx := newPair(t)
+	pts, aads := chunkset(6, 64)
+	dst := bytes.Repeat([]byte{0xEE}, 6*64)
+	fail := true
+	tx.SetFaultHook(func(string) error {
+		if fail {
+			fail = false
+			return ErrTransient
+		}
+		return nil
+	})
+	emit := func(int, *Sealed) error { t.Fatal("a refused batch emitted"); return nil }
+	if err := tx.SealBatchInto(dst[:6*64-1], pts, aads, emit); err == nil {
+		t.Fatal("a dst one byte short was accepted")
+	}
+	if err := tx.SealBatchInto(dst, pts, aads, emit); !errors.Is(err, ErrTransient) {
+		t.Fatalf("got %v, want ErrTransient", err)
+	}
+	if tx.SendCounter() != 0 || !bytes.Equal(dst, bytes.Repeat([]byte{0xEE}, len(dst))) {
+		t.Fatalf("refused batches left counter %d and touched dst", tx.SendCounter())
+	}
+	sealed := make([]Sealed, 0, len(pts))
+	err := tx.SealBatchInto(dst, pts, aads, func(_ int, c *Sealed) error {
+		sealed = append(sealed, *c)
+		return nil
+	})
+	if err != nil || sealed[0].Counter != 1 {
+		t.Fatalf("retry: %v, first counter %d; want nil, 1", err, sealed[0].Counter)
+	}
+	out := make([]byte, len(dst))
+	if err := rx.OpenBatchInto(out, sealed, aads, nil); err != nil || !bytes.Equal(out, bytes.Join(pts, nil)) {
+		t.Fatalf("chunks kept as dst slots did not round-trip: %v", err)
+	}
+}
+
 // TestOpenBatchIntoZeroesOnAuthFailure: when any chunk fails
 // authentication — the first, one in the middle or the last — every
 // plaintext byte the batch already produced, including chunks that
@@ -235,11 +334,12 @@ func TestOpenBatchIntoZeroesOnAuthFailure(t *testing.T) {
 }
 
 // TestSerialBatchCryptoAllocatesNothing pins the batch paths at zero
-// heap objects per 64 KiB batch of 256 chunks: the IV and the Sealed
-// handed to emit live in the stream's seal scratch, and the open stages
-// every chunk in one arena buffer. A batch that finds the seal scratch
-// taken — here, one started from inside emit — pays for its own and
-// must still seal correctly.
+// heap objects per 64 KiB batch of 256 chunks, sealed through emit or
+// straight into a buffer: the IV and the Sealed handed to emit live in
+// the stream's seal scratch, and the open stages every chunk in one
+// arena buffer. A batch that finds the seal scratch taken — here, one
+// started from inside emit — pays for its own and must still seal
+// correctly.
 func TestSerialBatchCryptoAllocatesNothing(t *testing.T) {
 	tx, rx := newPair(t)
 	pts, aads := chunkset(256, 256)
@@ -251,8 +351,18 @@ func TestSerialBatchCryptoAllocatesNothing(t *testing.T) {
 		sealed[i] = Sealed{Counter: c.Counter, Epoch: c.Epoch, Ciphertext: ct[i*256 : i*256+len(c.Ciphertext)], Tag: c.Tag}
 		return nil
 	}
+	inPlace := func(i int, c *Sealed) error {
+		sealed[i] = *c
+		return nil
+	}
 	round := func() {
 		if err := tx.SealBatchStream(pts, aads, nil, emit); err != nil {
+			t.Fatal(err)
+		}
+		if err := rx.OpenBatchInto(dst, sealed, aads, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.SealBatchInto(ct, pts, aads, inPlace); err != nil {
 			t.Fatal(err)
 		}
 		if err := rx.OpenBatchInto(dst, sealed, aads, nil); err != nil {

@@ -67,9 +67,9 @@ type Stream struct {
 	// whoever holds batchMu.
 	batchOffs []int
 
-	// sealScr is SealBatchStream's scratch, owned by whichever batch
-	// flipped sealBusy; it carries no secret material (an IV and a view
-	// of pooled ciphertext).
+	// sealScr is the batch seal's scratch (SealBatchStream,
+	// SealBatchInto), owned by whichever batch flipped sealBusy; it
+	// carries no secret material (an IV and a view of ciphertext).
 	sealBusy atomic.Bool
 	sealScr  sealScratch
 
@@ -221,38 +221,15 @@ type Sealed struct {
 // pipelined in-flight packets can never double-allocate (and therefore
 // never reuse) an IV, even at the exhaustion boundary.
 func (s *Stream) Seal(plaintext, aad []byte) (*Sealed, error) {
-	sealed := new(Sealed)
-	if err := s.SealInto(sealed, plaintext, aad); err != nil {
-		return nil, err
-	}
-	return sealed, nil
-}
-
-// SealInto is Seal with the result written into a caller-provided
-// struct, so per-chunk hot paths (the SC's D2H encrypt loop) keep the
-// Sealed on their own stack. Only Ciphertext is freshly allocated — it
-// outlives the call as a packet payload.
-func (s *Stream) SealInto(sealed *Sealed, plaintext, aad []byte) error {
-	return s.SealDst(sealed, plaintext, aad, nil)
-}
-
-// SealDst is SealInto with the engine output staged in dst when it has
-// capacity for len(plaintext)+TagSize bytes (GCM emits ciphertext and
-// tag contiguously; the tag is then split off into sealed.Tag and
-// sealed.Ciphertext aliases dst). With nil or an undersized dst the
-// engine allocates, exactly like SealInto. Because the ciphertext
-// aliases dst and outlives the call as a packet payload, dst must come
-// from never-recycled memory (arena.Slab) — never from a Put/Get pool.
-func (s *Stream) SealDst(sealed *Sealed, plaintext, aad, dst []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fault != nil {
 		if err := s.fault("seal"); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if s.sendCtr == ^uint32(0) {
-		return ErrIVExhausted
+		return nil, ErrIVExhausted
 	}
 	var sp obsv.ActiveSpan
 	if o := s.obs; o != nil {
@@ -265,11 +242,9 @@ func (s *Stream) SealDst(sealed *Sealed, plaintext, aad, dst []byte) error {
 	}
 	copy(s.ivScratch[:], s.nonceBase[:])
 	binary.BigEndian.PutUint32(s.ivScratch[nonceBase:], c)
-	out := s.aead.Seal(dst[:0], s.ivScratch[:], plaintext, aad)
-	sealed.Counter = c
-	sealed.Epoch = s.epoch
+	out := s.aead.Seal(nil, s.ivScratch[:], plaintext, aad)
 	n := len(out) - TagSize
-	sealed.Ciphertext = out[:n]
+	sealed := &Sealed{Counter: c, Epoch: s.epoch, Ciphertext: out[:n]}
 	copy(sealed.Tag[:], out[n:])
 	if o := s.obs; o != nil {
 		sp.Set(keyCtr.U64(uint64(c)), keyEpoch.U64(uint64(s.epoch)))
@@ -277,7 +252,7 @@ func (s *Stream) SealDst(sealed *Sealed, plaintext, aad, dst []byte) error {
 		o.sealOps.Inc()
 		o.sealBytes.Add(uint64(len(plaintext)))
 	}
-	return nil
+	return sealed, nil
 }
 
 // Open authenticates and decrypts one chunk, enforcing the
