@@ -83,6 +83,16 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # any chunk size, at a staged region: served byte-exact, or refused.
 	$(GO) test -run 'TestDecryptReadRejects|TestD2HBurstKeepsHostWire|TestCommandRunFetch' ./ ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=10s ./internal/core/
+# Per-TLP lookups without read locks: the bus binds each claim to its
+# endpoint (a claim made before attach routes, a re-attach revives no
+# detached claim), the IOMMU denies a negative size and a range wrapping
+# past 2^64, and the three lock-free readers — Space.Resolve, IOMMU.Check,
+# Bus.Route — never miss, never see a freed buffer or a revoked grant or
+# claim while writers churn, under the race detector. Host buffers are
+# back at their post-trust count after tasks, sessions and a burst, and
+# an Alloc/Free pair allocates only the *Buffer.
+	$(GO) test -run 'TestBusRoutesByAddress|TestBusDetach|TestIOMMUPermissionEnforcement|TestHostBuffersReleasedAfterWork|TestSpaceAllocFreeAllocatesOneObject' ./ ./internal/pcie/ ./internal/mem/
+	$(GO) test -race -run 'TestLockFreeReadersUnderChurn' ./internal/mem/
 # One record per live region: nothing the SC held for a region outlives
 # its release — no progress count after 50 tasks, none carried into a
 # reinstall under the same ID, no tag or metadata write for a region

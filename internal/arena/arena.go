@@ -14,56 +14,44 @@ package arena
 
 import "sync"
 
-// classes are the power-of-two size classes the arena maintains. The
-// smallest covers MAC headers and AAD scratch; 512 covers one
-// TLP-payload chunk (256 B) plus a GCM tag with headroom.
-var classSizes = [...]int{64, 128, 256, 512, 1024, 4096, 65536}
-
-var pools [len(classSizes)]sync.Pool
-
-// headers recycles the *[]byte boxes the class pools store. Taking the
-// address of a local slice header inside Put would heap-allocate a
-// 24-byte box per call — exactly the steady-state garbage this package
-// exists to remove — so Get hands its emptied box back here and Put
-// reuses it. Pointer values cross the sync.Pool interface boundary
-// without allocating.
-var headers = sync.Pool{New: func() any { return new([]byte) }}
-
-func init() {
-	for i := range pools {
-		size := classSizes[i]
-		pools[i].New = func() any {
-			b := make([]byte, size)
-			return &b
-		}
-	}
-}
-
-// classOf returns the index of the smallest class holding n bytes, or
-// -1 when n exceeds every class (the caller gets a plain allocation).
-func classOf(n int) int {
-	for i, s := range classSizes {
-		if n <= s {
-			return i
-		}
-	}
-	return -1
-}
+// The class pools hold pointers to fixed-size arrays, one pool per
+// power-of-two size class. The smallest covers MAC headers and AAD
+// scratch; 512 covers one TLP-payload chunk (256 B) plus a GCM tag with
+// headroom. An array pointer crosses the sync.Pool interface without a
+// box, and Put recovers it from the slice by conversion, so a Get/Put
+// pair is one pool operation each way and allocates nothing.
+var (
+	pool64    = sync.Pool{New: func() any { return new([64]byte) }}
+	pool128   = sync.Pool{New: func() any { return new([128]byte) }}
+	pool256   = sync.Pool{New: func() any { return new([256]byte) }}
+	pool512   = sync.Pool{New: func() any { return new([512]byte) }}
+	pool1024  = sync.Pool{New: func() any { return new([1024]byte) }}
+	pool4096  = sync.Pool{New: func() any { return new([4096]byte) }}
+	pool65536 = sync.Pool{New: func() any { return new([65536]byte) }}
+)
 
 // Get returns a buffer of length n. The contents are unspecified (the
 // previous user's public bytes may still be there — see PutZero for
 // the secret-carrying discipline). Buffers larger than the biggest
 // class fall through to the allocator and are not pooled.
 func Get(n int) []byte {
-	c := classOf(n)
-	if c < 0 {
-		return make([]byte, n)
+	switch {
+	case n <= 64:
+		return pool64.Get().(*[64]byte)[:n]
+	case n <= 128:
+		return pool128.Get().(*[128]byte)[:n]
+	case n <= 256:
+		return pool256.Get().(*[256]byte)[:n]
+	case n <= 512:
+		return pool512.Get().(*[512]byte)[:n]
+	case n <= 1024:
+		return pool1024.Get().(*[1024]byte)[:n]
+	case n <= 4096:
+		return pool4096.Get().(*[4096]byte)[:n]
+	case n <= 65536:
+		return pool65536.Get().(*[65536]byte)[:n]
 	}
-	bp := pools[c].Get().(*[]byte)
-	b := *bp
-	*bp = nil
-	headers.Put(bp)
-	return b[:n]
+	return make([]byte, n)
 }
 
 // Put returns a buffer obtained from Get to its pool without zeroing.
@@ -71,13 +59,24 @@ func Get(n int) []byte {
 // (ciphertext, marshalled records, header scratch). Buffers not from
 // Get (or beyond the largest class) are dropped for the GC.
 func Put(b []byte) {
-	c := classOf(cap(b))
-	if c < 0 || cap(b) != classSizes[c] {
-		return // not one of ours; let the GC have it
+	b = b[:cap(b)]
+	switch len(b) {
+	case 64:
+		pool64.Put((*[64]byte)(b))
+	case 128:
+		pool128.Put((*[128]byte)(b))
+	case 256:
+		pool256.Put((*[256]byte)(b))
+	case 512:
+		pool512.Put((*[512]byte)(b))
+	case 1024:
+		pool1024.Put((*[1024]byte)(b))
+	case 4096:
+		pool4096.Put((*[4096]byte)(b))
+	case 65536:
+		pool65536.Put((*[65536]byte)(b))
 	}
-	bp := headers.Get().(*[]byte)
-	*bp = b[:cap(b)]
-	pools[c].Put(bp)
+	// Any other capacity is not one of ours; let the GC have it.
 }
 
 // PutZero zeroes the buffer's full capacity and then pools it. This is

@@ -98,9 +98,8 @@ func TestConcurrentNoAliasing(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocs pins the package's headline contract: a
-// warmed Get/Put pair allocates nothing — including the *[]byte box
-// the class pools store, which is recycled through the headers pool
-// rather than re-boxed per Put.
+// warmed Get/Put pair allocates nothing — the class pools store array
+// pointers, which cross the pool's interface without a box.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	// Warm every class so the measured loop only recycles.
 	for _, n := range []int{64, 256, 4096} {

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ccai/internal/pcie"
 )
@@ -35,17 +36,23 @@ func (p Perm) String() string {
 // existing setting unchanged (§8.1 "ccAI follows existing IOMMU
 // settings"). The TVM's private pages are simply never mapped for any
 // device, while bounce buffers are mapped for the PCIe-SC only.
-// Methods are safe for concurrent use; the exported Faults slice is
-// guarded by the same mutex and should be read only after the traffic
-// under test has quiesced (as the security tests do).
+//
+// Methods are safe for concurrent use. The grants live in an immutable
+// table, each grant naming its device, swapped atomically by Map, Unmap
+// and UnmapAll under the mutex, so Check — every DMA the host bridge
+// terminates — reads it without a lock. Grants are few (a window or two
+// per SC or device), so Check scans them. The exported Faults slice is
+// guarded by the mutex and should be read only after the traffic under
+// test has quiesced (as the security tests do).
 type IOMMU struct {
-	mu   sync.RWMutex
-	maps map[pcie.ID][]mapping
+	mu     sync.Mutex
+	grants atomic.Pointer[[]grant]
 	// Faults records rejected accesses for the security tests.
 	Faults []Fault
 }
 
-type mapping struct {
+type grant struct {
+	dev        pcie.ID
 	base, size uint64
 	perm       Perm
 }
@@ -67,7 +74,9 @@ func (f Fault) String() string {
 
 // NewIOMMU returns an IOMMU with no mappings (default-deny).
 func NewIOMMU() *IOMMU {
-	return &IOMMU{maps: make(map[pcie.ID][]mapping)}
+	u := &IOMMU{}
+	u.grants.Store(new([]grant))
+	return u
 }
 
 // Map grants device access to [base, base+size) with the given
@@ -75,7 +84,8 @@ func NewIOMMU() *IOMMU {
 func (u *IOMMU) Map(dev pcie.ID, base, size uint64, perm Perm) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	u.maps[dev] = append(u.maps[dev], mapping{base: base, size: size, perm: perm})
+	next := append(append([]grant(nil), *u.grants.Load()...), grant{dev: dev, base: base, size: size, perm: perm})
+	u.grants.Store(&next)
 }
 
 // MapBuffer grants device access to a buffer's full span.
@@ -85,42 +95,48 @@ func (u *IOMMU) MapBuffer(dev pcie.ID, b *Buffer, perm Perm) {
 
 // Unmap revokes every mapping of dev that intersects [base, base+size).
 func (u *IOMMU) Unmap(dev pcie.ID, base, size uint64) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	kept := u.maps[dev][:0]
-	for _, m := range u.maps[dev] {
-		if base < m.base+m.size && m.base < base+size {
-			continue
-		}
-		kept = append(kept, m)
-	}
-	u.maps[dev] = kept
+	u.revoke(func(g grant) bool {
+		return g.dev == dev && base < g.base+g.size && g.base < base+size
+	})
 }
 
 // UnmapAll revokes all of a device's mappings (task teardown).
 func (u *IOMMU) UnmapAll(dev pcie.ID) {
+	u.revoke(func(g grant) bool { return g.dev == dev })
+}
+
+// revoke publishes a table without the grants drop selects.
+func (u *IOMMU) revoke(drop func(grant) bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	delete(u.maps, dev)
+	var kept []grant
+	for _, g := range *u.grants.Load() {
+		if !drop(g) {
+			kept = append(kept, g)
+		}
+	}
+	u.grants.Store(&kept)
 }
 
 // Check validates one device access and records a fault when denied.
-// The grant path (every legitimate DMA) takes only the read lock; the
-// write lock is taken solely to record a fault.
+// The grant path (every legitimate DMA) takes no lock; the mutex is
+// taken solely to record a fault. A negative size, or a range that
+// wraps past the top of the address space, is denied like any other
+// access outside the grants.
 func (u *IOMMU) Check(dev pcie.ID, addr uint64, size int64, write bool) bool {
 	need := PermRead
 	if write {
 		need = PermWrite
 	}
-	end := addr + uint64(size)
-	u.mu.RLock()
-	for _, m := range u.maps[dev] {
-		if addr >= m.base && end <= m.base+m.size && m.perm&need != 0 {
-			u.mu.RUnlock()
-			return true
+	if end := addr + uint64(size); size >= 0 && end >= addr {
+		for _, g := range *u.grants.Load() {
+			// end-g.base cannot wrap once addr >= g.base, and comparing
+			// it with g.size never forms g.base+g.size.
+			if g.dev == dev && addr >= g.base && end-g.base <= g.size && g.perm&need != 0 {
+				return true
+			}
 		}
 	}
-	u.mu.RUnlock()
 	u.mu.Lock()
 	u.Faults = append(u.Faults, Fault{Device: dev, Addr: addr, Write: write})
 	u.mu.Unlock()
@@ -129,14 +145,18 @@ func (u *IOMMU) Check(dev pcie.ID, addr uint64, size int64, write bool) bool {
 
 // FaultCount reports recorded faults under the lock.
 func (u *IOMMU) FaultCount() int {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
+	u.mu.Lock()
+	defer u.mu.Unlock()
 	return len(u.Faults)
 }
 
 // Mappings reports how many live mappings a device holds.
 func (u *IOMMU) Mappings(dev pcie.ID) int {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	return len(u.maps[dev])
+	n := 0
+	for _, g := range *u.grants.Load() {
+		if g.dev == dev {
+			n++
+		}
+	}
+	return n
 }

@@ -38,6 +38,10 @@ type Buffer struct {
 	// (and their backing un-recycled) across decode steps until the
 	// owning session unpins them at Close.
 	pinned atomic.Bool
+
+	// slot is the buffer's index in its Space's slot table, written
+	// under the Space's mutex.
+	slot int
 }
 
 // Base reports the buffer's physical base address.
@@ -103,17 +107,20 @@ func (b *Buffer) Contains(addr uint64) bool {
 // Space is a host physical address space with a bump+free-list page
 // allocator per named region ("TVM private", "shared/bounce", ...).
 //
-// The allocator and buffer index are safe for concurrent use: lookups
-// take a read lock, allocation/free take the write lock. Buffer byte
-// contents are NOT arbitrated here — each tenant owns disjoint buffers,
-// so concurrent DMA into the same buffer is a caller bug, exactly as
-// with real host RAM.
+// The allocator and buffer index are safe for concurrent use.
+// Allocation and free serialize on the mutex; Resolve — every DMA the
+// host bridge terminates — takes no lock. Buffer byte contents are NOT
+// arbitrated here — each tenant owns disjoint buffers, so concurrent DMA
+// into the same buffer is a caller bug, exactly as with real host RAM.
 type Space struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	regions map[string]*regionAlloc
-	// buffers indexes all live allocations by base address for DMA
-	// resolution.
-	buffers []*Buffer
+	// slots indexes all live allocations for DMA resolution: Alloc
+	// publishes a buffer in a free slot, Free clears the slot. The
+	// table grows by doubling and never compacts, so a live buffer
+	// never moves to a slot a reader in mid-scan has already passed,
+	// and a steady alloc/free loop reuses slots without allocating.
+	slots atomic.Pointer[[]atomic.Pointer[Buffer]]
 	// spare retires the byte backings of freed materialized buffers,
 	// keyed by exact capacity, so the steady-state task loop (alloc
 	// bounce buffer, run, free) stops paying one large allocation per
@@ -134,7 +141,9 @@ type span struct{ base, size uint64 }
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
-	return &Space{regions: make(map[string]*regionAlloc)}
+	s := &Space{regions: make(map[string]*regionAlloc)}
+	s.slots.Store(new([]atomic.Pointer[Buffer]))
+	return s
 }
 
 // AddRegion defines a named allocatable window. Windows must not
@@ -246,28 +255,49 @@ func (s *Space) allocCommon(region, name string, size int64, init func(*Buffer))
 	}
 	b := &Buffer{base: base, size: size, name: name}
 	init(b)
-	s.buffers = append(s.buffers, b)
+	s.publish(b)
 	return b, nil
 }
 
+// publish stores b in the lowest free slot, doubling the table when
+// every slot is taken. The grown table is filled before it is swapped
+// in, so a reader sees every live buffer in whichever table it loaded.
+// Callers hold s.mu.
+func (s *Space) publish(b *Buffer) {
+	slots := *s.slots.Load()
+	for i := range slots {
+		if slots[i].Load() == nil {
+			b.slot = i
+			slots[i].Store(b)
+			return
+		}
+	}
+	grown := make([]atomic.Pointer[Buffer], max(8, 2*len(slots)))
+	for i := range slots {
+		grown[i].Store(slots[i].Load())
+	}
+	b.slot = len(slots)
+	grown[b.slot].Store(b)
+	s.slots.Store(&grown)
+}
+
 // Free releases a buffer's pages back to its region. Pinned buffers
-// are left untouched — the owner must Unpin first (KV residency).
+// are left untouched — the owner must Unpin first (KV residency) — and
+// so is a buffer this space no longer holds.
 func (s *Space) Free(b *Buffer) {
 	if b.Pinned() {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, r := range s.regions {
+	slots := *s.slots.Load()
+	if b.slot >= len(slots) || slots[b.slot].Load() != b {
+		return
+	}
+	slots[b.slot].Store(nil)
+	for _, r := range s.regions {
 		if b.base >= r.base && b.base < r.base+r.size {
 			r.release(b.base, b.size)
-			_ = name
-			break
-		}
-	}
-	for i, x := range s.buffers {
-		if x == b {
-			s.buffers = append(s.buffers[:i], s.buffers[i+1:]...)
 			break
 		}
 	}
@@ -288,14 +318,26 @@ func (s *Space) Free(b *Buffer) {
 
 // Resolve finds the live buffer containing addr.
 func (s *Space) Resolve(addr uint64) (*Buffer, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, b := range s.buffers {
-		if b.Contains(addr) {
+	slots := *s.slots.Load()
+	for i := range slots {
+		if b := slots[i].Load(); b != nil && b.Contains(addr) {
 			return b, true
 		}
 	}
 	return nil, false
+}
+
+// Live reports how many buffers the space holds: allocated and not yet
+// freed.
+func (s *Space) Live() int {
+	n := 0
+	slots := *s.slots.Load()
+	for i := range slots {
+		if slots[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Write stores data at a physical address inside a materialized buffer.

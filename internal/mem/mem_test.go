@@ -219,6 +219,21 @@ func TestIOMMUPermissionEnforcement(t *testing.T) {
 	if u.Check(dev, 0x1fff, 64, false) {
 		t.Fatal("straddling access allowed")
 	}
+	// A range that wraps past 2^64, or a negative size, is outside every
+	// grant — however large — and faults like any other denial.
+	u.Map(dev, 0x1000_0000, 16<<20, PermRead|PermWrite)
+	if u.Check(dev, 0xffff_ffff_ffff_f000, 0x2000, true) {
+		t.Fatal("write wrapping past 2^64 allowed")
+	}
+	if u.Check(dev, 0x1000_1000, -1, false) {
+		t.Fatal("negative-size read allowed")
+	}
+	if n := u.FaultCount(); n != 4 {
+		t.Fatalf("faults = %d, want 4 (write, straddle, wrap, negative size)", n)
+	}
+	if f := u.Faults[2]; f.Addr != 0xffff_ffff_ffff_f000 || !f.Write {
+		t.Fatalf("wrap fault = %v", f)
+	}
 }
 
 func TestIOMMUIsolationBetweenDevices(t *testing.T) {

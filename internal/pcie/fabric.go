@@ -45,8 +45,10 @@ func (r Region) End() uint64 { return r.Base + r.Size }
 // device DMA upstream), so Route must never block on topology locks.
 // The routing tables live in an immutable snapshot swapped atomically
 // by the mutators (copy-on-write); Route reads the current snapshot
-// lock-free. Topology changes are assembly-time operations and do not
-// need to be atomic with in-flight packets.
+// lock-free. Each snapshot binds every claim to its owner's endpoint
+// when it is built, so address routing hashes nothing. Topology changes
+// are assembly-time operations and do not need to be atomic with
+// in-flight packets.
 type Bus struct {
 	name  string
 	mu    sync.Mutex // serializes topology mutations (snapshot rebuilds)
@@ -62,14 +64,17 @@ type Bus struct {
 
 // busState is one immutable routing snapshot.
 type busState struct {
-	endpoints map[ID]Endpoint
-	claims    []claim
+	endpoints []Endpoint
+	claims    []claim // ascending by base
 	taps      []Tap
 }
 
 type claim struct {
 	region Region
 	owner  ID
+	// ep is the owner's endpoint, bound when the snapshot is built; nil
+	// while the owner is not attached.
+	ep Endpoint
 }
 
 // Tap observes and may transform packets crossing a bus segment. A tap
@@ -88,40 +93,55 @@ func (f TapFunc) Tap(p *Packet) *Packet { return f(p) }
 // NewBus returns an empty bus segment with a diagnostic name.
 func NewBus(name string) *Bus {
 	b := &Bus{name: name}
-	b.state.Store(&busState{endpoints: make(map[ID]Endpoint)})
+	b.state.Store(&busState{})
 	return b
 }
 
 // Name reports the bus segment's diagnostic name.
 func (b *Bus) Name() string { return b.name }
 
-// mutate rebuilds the routing snapshot under the topology lock.
+// mutate rebuilds the routing snapshot under the topology lock, then
+// binds every claim to its owner's endpoint in the new snapshot.
 func (b *Bus) mutate(fn func(s *busState) error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	old := b.state.Load()
 	next := &busState{
-		endpoints: make(map[ID]Endpoint, len(old.endpoints)+1),
+		endpoints: append([]Endpoint(nil), old.endpoints...),
 		claims:    append([]claim(nil), old.claims...),
 		taps:      append([]Tap(nil), old.taps...),
 	}
-	for id, e := range old.endpoints {
-		next.endpoints[id] = e
-	}
 	if err := fn(next); err != nil {
 		return err
+	}
+	for i := range next.claims {
+		next.claims[i].ep = next.endpoint(next.claims[i].owner)
 	}
 	b.state.Store(next)
 	return nil
 }
 
-// Attach registers an endpoint for ID-routed traffic.
+// endpoint finds the attached endpoint with the given ID. Endpoints are
+// few (a bridge, an SC or a device and its peers), so a scan beats a
+// hash.
+func (s *busState) endpoint(id ID) Endpoint {
+	for _, e := range s.endpoints {
+		if e.DeviceID() == id {
+			return e
+		}
+	}
+	return nil
+}
+
+// Attach registers an endpoint for ID-routed traffic; claims its ID
+// already holds route to it from now on.
 func (b *Bus) Attach(e Endpoint) {
 	err := b.mutate(func(s *busState) error {
-		if _, dup := s.endpoints[e.DeviceID()]; dup {
-			return fmt.Errorf("pcie: duplicate endpoint %v on bus %s", e.DeviceID(), b.name)
+		id := e.DeviceID()
+		if s.endpoint(id) != nil {
+			return fmt.Errorf("pcie: duplicate endpoint %v on bus %s", id, b.name)
 		}
-		s.endpoints[e.DeviceID()] = e
+		s.endpoints = append(s.endpoints, e)
 		return nil
 	})
 	if err != nil {
@@ -132,7 +152,13 @@ func (b *Bus) Attach(e Endpoint) {
 // Detach removes an endpoint and all its memory claims.
 func (b *Bus) Detach(id ID) {
 	_ = b.mutate(func(s *busState) error {
-		delete(s.endpoints, id)
+		eps := s.endpoints[:0]
+		for _, e := range s.endpoints {
+			if e.DeviceID() != id {
+				eps = append(eps, e)
+			}
+		}
+		s.endpoints = eps
 		kept := s.claims[:0]
 		for _, c := range s.claims {
 			if c.owner != id {
@@ -190,17 +216,20 @@ func (b *Bus) ClearTaps() {
 
 // Owner resolves the endpoint claiming addr, if any.
 func (b *Bus) Owner(addr uint64) (ID, bool) {
-	return b.state.Load().owner(addr)
-}
-
-func (s *busState) owner(addr uint64) (ID, bool) {
-	// Claims are few (BAR windows); linear scan over sorted slice.
-	for _, c := range s.claims {
-		if c.region.Contains(addr) {
-			return c.owner, true
-		}
+	if c := b.state.Load().claimAt(addr); c != nil {
+		return c.owner, true
 	}
 	return 0, false
+}
+
+func (s *busState) claimAt(addr uint64) *claim {
+	// Claims are few (BAR windows); linear scan over sorted slice.
+	for i := range s.claims {
+		if s.claims[i].region.Contains(addr) {
+			return &s.claims[i]
+		}
+	}
+	return nil
 }
 
 // Route delivers one TLP to its destination endpoint, applying taps in
@@ -233,15 +262,13 @@ func (s *busState) route(p *Packet) *Packet {
 	var dst Endpoint
 	switch p.Kind {
 	case MRd, MWr:
-		owner, ok := s.owner(p.Address)
-		if !ok {
-			return s.unsupported(p)
+		if c := s.claimAt(p.Address); c != nil {
+			dst = c.ep
 		}
-		dst = s.endpoints[owner]
 	case Cpl, CplD:
-		dst = s.endpoints[p.Requester] // completions route back by requester ID
+		dst = s.endpoint(p.Requester) // completions route back by requester ID
 	case CfgRd, CfgWr, Msg, MsgD:
-		dst = s.endpoints[p.Completer]
+		dst = s.endpoint(p.Completer)
 		if dst == nil && (p.Kind == Msg || p.Kind == MsgD) {
 			// Broadcast-style message with no target: deliver to all.
 			for _, e := range s.endpoints {
@@ -268,9 +295,9 @@ func (s *busState) unsupported(p *Packet) *Packet {
 // Endpoints returns the attached endpoint IDs in ascending order.
 func (b *Bus) Endpoints() []ID {
 	s := b.state.Load()
-	ids := make([]ID, 0, len(s.endpoints))
-	for id := range s.endpoints {
-		ids = append(ids, id)
+	ids := make([]ID, len(s.endpoints))
+	for i, e := range s.endpoints {
+		ids[i] = e.DeviceID()
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids

@@ -176,27 +176,40 @@ func (d *echoDevice) Handle(p *Packet) *Packet {
 }
 
 func TestBusRoutesByAddress(t *testing.T) {
-	b := NewBus("host")
-	d1 := newEchoDevice(MakeID(1, 0, 0))
-	d2 := newEchoDevice(MakeID(2, 0, 0))
-	b.Attach(d1)
-	b.Attach(d2)
-	if err := b.Claim(d1.id, Region{Base: 0x1000, Size: 0x1000, Name: "d1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Claim(d2.id, Region{Base: 0x2000, Size: 0x1000, Name: "d2"}); err != nil {
-		t.Fatal(err)
-	}
+	// A claim binds to its owner's endpoint when the routing snapshot is
+	// built, whichever of Attach and Claim comes first.
+	for _, claimFirst := range []bool{false, true} {
+		b := NewBus("host")
+		d1 := newEchoDevice(MakeID(1, 0, 0))
+		d2 := newEchoDevice(MakeID(2, 0, 0))
+		if !claimFirst {
+			b.Attach(d1)
+			b.Attach(d2)
+		}
+		if err := b.Claim(d1.id, Region{Base: 0x1000, Size: 0x1000, Name: "d1"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Claim(d2.id, Region{Base: 0x2000, Size: 0x1000, Name: "d2"}); err != nil {
+			t.Fatal(err)
+		}
+		if claimFirst {
+			if cpl := b.Route(NewMemRead(MakeID(0, 0, 0), 0x1234, 3, 1)); cpl == nil || cpl.Status != CplUR {
+				t.Fatalf("claim-first: read before attach = %v, want UR", cpl)
+			}
+			b.Attach(d1)
+			b.Attach(d2)
+		}
 
-	b.Route(NewMemWrite(MakeID(0, 0, 0), 0x1234, []byte("one")))
-	b.Route(NewMemWrite(MakeID(0, 0, 0), 0x2234, []byte("two")))
-	if string(d1.mem[0x1234]) != "one" || string(d2.mem[0x2234]) != "two" {
-		t.Fatal("writes routed to wrong devices")
-	}
+		b.Route(NewMemWrite(MakeID(0, 0, 0), 0x1234, []byte("one")))
+		b.Route(NewMemWrite(MakeID(0, 0, 0), 0x2234, []byte("two")))
+		if string(d1.mem[0x1234]) != "one" || string(d2.mem[0x2234]) != "two" {
+			t.Fatalf("claim-first=%v: writes routed to wrong devices", claimFirst)
+		}
 
-	cpl := b.Route(NewMemRead(MakeID(0, 0, 0), 0x1234, 3, 1))
-	if cpl == nil || cpl.Status != CplSuccess || string(cpl.Payload) != "one" {
-		t.Fatalf("read completion = %v", cpl)
+		cpl := b.Route(NewMemRead(MakeID(0, 0, 0), 0x1234, 3, 1))
+		if cpl == nil || cpl.Status != CplSuccess || string(cpl.Payload) != "one" {
+			t.Fatalf("claim-first=%v: read completion = %v", claimFirst, cpl)
+		}
 	}
 }
 
@@ -251,18 +264,37 @@ func TestBusTapObservesAndDrops(t *testing.T) {
 }
 
 func TestBusDetach(t *testing.T) {
-	b := NewBus("host")
-	d := newEchoDevice(MakeID(1, 0, 0))
-	b.Attach(d)
-	if err := b.Claim(d.id, Region{Base: 0x1000, Size: 0x100}); err != nil {
-		t.Fatal(err)
-	}
-	b.Detach(d.id)
-	if _, ok := b.Owner(0x1000); ok {
-		t.Fatal("claim survived detach")
-	}
-	if cpl := b.Route(NewMemRead(MakeID(0, 0, 0), 0x1000, 4, 0)); cpl == nil || cpl.Status != CplUR {
-		t.Fatal("detached device still reachable")
+	for _, claimFirst := range []bool{false, true} {
+		b := NewBus("host")
+		d := newEchoDevice(MakeID(1, 0, 0))
+		if !claimFirst {
+			b.Attach(d)
+		}
+		if err := b.Claim(d.id, Region{Base: 0x1000, Size: 0x100}); err != nil {
+			t.Fatal(err)
+		}
+		if claimFirst {
+			b.Attach(d)
+		}
+		b.Detach(d.id)
+		if _, ok := b.Owner(0x1000); ok {
+			t.Fatalf("claim-first=%v: claim survived detach", claimFirst)
+		}
+		if cpl := b.Route(NewMemRead(MakeID(0, 0, 0), 0x1000, 4, 0)); cpl == nil || cpl.Status != CplUR {
+			t.Fatalf("claim-first=%v: detached device still reachable", claimFirst)
+		}
+		// Attaching the same ID again does not revive the old claims.
+		again := newEchoDevice(d.id)
+		b.Attach(again)
+		if _, ok := b.Owner(0x1000); ok {
+			t.Fatalf("claim-first=%v: re-attach revived a detached claim", claimFirst)
+		}
+		if cpl := b.Route(NewMemRead(MakeID(0, 0, 0), 0x1000, 4, 0)); cpl == nil || cpl.Status != CplUR {
+			t.Fatalf("claim-first=%v: re-attached device reachable through a detached claim", claimFirst)
+		}
+		if len(d.got)+len(again.got) != 0 {
+			t.Fatalf("claim-first=%v: %d packets reached a detached claim", claimFirst, len(d.got)+len(again.got))
+		}
 	}
 }
 
