@@ -98,6 +98,11 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # reinstall under the same ID, no tag or metadata write for a region
 # released while its span seals — and one ID names one live region.
 	$(GO) test -run 'TestReleasedRegionsLeaveNoState|TestReinstalledRegionCountsFromZero|TestInstallUnderLiveIDRejected|TestReleaseInSealKeepsNoState' ./ ./internal/core/
+# One timing model: every paper experiment but Table 3 (its LoC rows move
+# with the code) renders exactly the text in
+# internal/bench/testdata/experiments.golden, so a refactor moves no
+# figure; regenerate with -update only when a figure is meant to move.
+	$(GO) test -run 'TestExperimentsGolden' ./internal/bench/
 
 build:
 	$(GO) build ./...

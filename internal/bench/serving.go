@@ -12,11 +12,10 @@ import (
 
 // Serving-load extension (beyond the paper's single-request figures):
 // a stream of inference requests arrives at one protected xPU and
-// queues for the device. The discrete-event engine drives arrivals and
-// completions; per-request latency distributions show how ccAI's small
-// per-request overhead composes under load — in particular, that the
-// overhead does not amplify through the queue until the device
-// approaches saturation.
+// queues for the device, served first come, first served. Per-request
+// latency distributions show how ccAI's small per-request overhead
+// composes under load — in particular, that the overhead does not
+// amplify through the queue until the device approaches saturation.
 
 // ServingConfig describes one serving-load run.
 type ServingConfig struct {
@@ -60,28 +59,21 @@ func RunServing(cfg ServingConfig, prot Protection, cm CostModel) (ServingResult
 	}
 	service := r.E2E // per-request service time on the device
 
-	eng := sim.NewEngine()
+	// One FIFO server with a fixed service time: a request starts when
+	// it arrives or when the one before it is done, whichever is later.
 	rng := sim.NewRand(cfg.Seed)
-	device := sim.NewResource("xpu", 0, service)
-
 	latencies := make([]sim.Time, 0, cfg.Requests)
-	var at sim.Time
+	var at, freeAt sim.Time
 	for i := 0; i < cfg.Requests; i++ {
 		// Exponential interarrival via inverse transform.
 		u := rng.Float64()
 		if u <= 0 {
 			u = 1e-12
 		}
-		gap := sim.Time(-lnApprox(u) / cfg.ArrivalRate * float64(sim.Second))
-		at += gap
-		arrival := at
-		eng.At(arrival, func() {
-			done := device.Use(arrival, 0)
-			latencies = append(latencies, done-arrival)
-		})
+		at += sim.Time(-lnApprox(u) / cfg.ArrivalRate * float64(sim.Second))
+		freeAt = max(at, freeAt) + service
+		latencies = append(latencies, freeAt-at)
 	}
-	end := eng.Run()
-	_ = end
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	pct := func(p float64) sim.Time {
@@ -92,11 +84,10 @@ func RunServing(cfg ServingConfig, prot Protection, cm CostModel) (ServingResult
 	for _, l := range latencies {
 		sum += l
 	}
-	_, _, busy, _ := device.Stats()
-	makespan := device.FreeAt()
+	busy := sim.Time(cfg.Requests) * service
 	util := 0.0
-	if makespan > 0 {
-		util = float64(busy) / float64(makespan)
+	if freeAt > 0 {
+		util = float64(busy) / float64(freeAt)
 	}
 	return ServingResult{
 		Protection: prot,

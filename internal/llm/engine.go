@@ -174,8 +174,9 @@ type Step struct {
 	entry *sched.Entry
 }
 
-// StepRecord is one line of the engine's dispatch log — the artifact
-// the same-seed determinism test compares across runs.
+// StepRecord is one line of the engine's step log, written when the
+// step is settled — the artifact the same-seed determinism test
+// compares across runs.
 type StepRecord struct {
 	Session uint64
 	Kind    StepKind
@@ -212,13 +213,13 @@ type Engine struct {
 	nextID uint64
 	closed bool
 
-	// log and admits keep the last StepLogCap dispatch records and
+	// log and admits keep the last StepLogCap settled-step records and
 	// admitted session IDs.
 	log    ring[StepRecord]
 	admits ring[uint64]
 }
 
-// StepLogCap bounds the dispatch log and the admission order: a serving
+// StepLogCap bounds the step log and the admission order: a serving
 // chassis keeps the most recent records, not one per token or session
 // it ever served.
 const StepLogCap = 4096
@@ -378,14 +379,12 @@ func (e *Engine) Next(stop <-chan struct{}) (*Step, bool) {
 		// A session has one step in flight (its flow is busy until the
 		// step is settled), so the step lives in the session.
 		s.step = Step{S: s, Kind: kind, Chunk: s.nextChunk, entry: entry}
-		st := &s.step
-		e.log.add(StepRecord{Session: s.ID, Kind: kind, Chunk: st.Chunk})
 		e.mu.Unlock()
-		return st, true
+		return &s.step, true
 	}
 }
 
-// Complete records the step's success and re-arms the session: the
+// Complete logs the step's success and re-arms the session: the
 // entry yields to the tail of its flow for the next decode step
 // (token-granular preemption — competing sessions are served in
 // between), or retires when the last chunk is out. It reports whether
@@ -393,6 +392,7 @@ func (e *Engine) Next(stop <-chan struct{}) (*Step, bool) {
 func (e *Engine) Complete(st *Step) bool {
 	e.mu.Lock()
 	s := st.S
+	e.log.add(StepRecord{Session: s.ID, Kind: st.Kind, Chunk: st.Chunk})
 	s.nextChunk++
 	more := s.nextChunk < s.Cfg.Chunks() && !s.done
 	if !more {
@@ -414,10 +414,12 @@ func (e *Engine) Complete(st *Step) bool {
 	return more
 }
 
-// Fail retires the session after a terminal step error; the flow slot
-// frees for other work (budget stays reserved until Release).
+// Fail logs the step and retires the session after a terminal step
+// error; the flow slot frees for other work (budget stays reserved
+// until Release).
 func (e *Engine) Fail(st *Step) {
 	e.mu.Lock()
+	e.log.add(StepRecord{Session: st.S.ID, Kind: st.Kind, Chunk: st.Chunk})
 	st.S.done = true
 	st.S.entry = nil
 	e.mu.Unlock()
@@ -426,22 +428,9 @@ func (e *Engine) Fail(st *Step) {
 
 // Requeue undoes a claimed-but-unexecuted dispatch (fault injection,
 // preemption): the entry returns to the head of its flow with its
-// deficit refunded, and the duplicate log record is dropped so the
-// dispatch log reflects executed steps only.
+// deficit refunded. Nothing was logged at the claim, so the log still
+// holds settled steps only.
 func (e *Engine) Requeue(st *Step) {
-	e.mu.Lock()
-	if n := len(e.log.buf); n > 0 {
-		// The newest record sits just before head: at the end of the
-		// slice until the ring wraps, after which the log is put back in
-		// order first so that dropping it is again a truncation.
-		if last := e.log.buf[(e.log.head+n-1)%n]; last.Session == st.S.ID && last.Chunk == st.Chunk {
-			if e.log.head != 0 {
-				e.log = ring[StepRecord]{buf: e.log.ordered()}
-			}
-			e.log.buf = e.log.buf[:n-1]
-		}
-	}
-	e.mu.Unlock()
 	e.q.Requeue(st.entry)
 	e.q.Release(st.entry.Flow)
 }
@@ -476,9 +465,9 @@ func (e *Engine) Close() {
 	e.q.Close()
 }
 
-// StepLog returns a copy of the retained tail of the dispatch log —
-// the last StepLogCap executed dispatches (session ID, kind, chunk),
-// oldest first.
+// StepLog returns a copy of the retained tail of the step log — the
+// last StepLogCap steps settled by Complete or Fail (session ID, kind,
+// chunk), in settle order, oldest first.
 func (e *Engine) StepLog() []StepRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()

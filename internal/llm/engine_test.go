@@ -237,6 +237,52 @@ func TestEngineRequeueKeepsLogExact(t *testing.T) {
 			t.Fatalf("log[%d] = %+v, want %+v", i, log[i], want[i])
 		}
 	}
+
+	// Two sessions: another session's step is claimed after the one
+	// that is requeued, so the requeued step's claim is not the newest.
+	// Each step is still logged exactly once, when it is settled.
+	e2, err := NewEngine(EngineConfig{MaxSessions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	a, _ := e2.Admit(testCfg(8), 4, nil)
+	b, _ := e2.Admit(testCfg(8), 4, nil)
+	for _, s := range []*SessionState{a, b} {
+		if err := e2.Start(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stA, okA := e2.Next(stop)
+	stB, okB := e2.Next(stop)
+	if !okA || !okB || stA.S != a || stB.S != b {
+		t.Fatalf("claims %+v, %+v: want session %d then %d", stA, stB, a.ID, b.ID)
+	}
+	e2.Requeue(stA)
+	live := 2
+	if !e2.Complete(stB) {
+		live--
+	}
+	for live > 0 {
+		st, ok := e2.Next(stop)
+		if !ok {
+			t.Fatalf("Next returned !ok with %d sessions live", live)
+		}
+		if !e2.Complete(st) {
+			live--
+		}
+	}
+	log = e2.StepLog()
+	seen := make(map[StepRecord]int)
+	for _, r := range log {
+		seen[r]++
+	}
+	if len(log) != 4 || len(seen) != 4 {
+		t.Fatalf("log %v: want each of the 4 steps once", log)
+	}
+	if first := (StepRecord{Session: b.ID, Kind: StepPrefill, Chunk: 0}); log[0] != first {
+		t.Fatalf("log[0] = %+v, want %+v: the requeued step settled later", log[0], first)
+	}
 }
 
 func TestConfigNormalizeAndChunks(t *testing.T) {

@@ -1,12 +1,7 @@
 // Package mem models host physical memory as seen from the PCIe fabric:
 // an address space carved into regions, a page-grained allocator, bounce
 // buffers for ccAI's encrypted DMA staging, and an IOMMU that restricts
-// which device may reach which pages.
-//
-// Buffers come in two fidelities (DESIGN.md §2): materialized buffers
-// hold real bytes and flow through real AES-GCM; synthetic buffers track
-// only a size + deterministic content seed so multi-gigabyte model
-// weights don't require gigabytes of host RAM per benchmark iteration.
+// which device may reach which pages. Every buffer holds real bytes.
 package mem
 
 import (
@@ -15,23 +10,17 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"ccai/internal/sim"
 )
 
 // PageSize is the allocation granule, matching the 4 KiB host page size
 // the paper's Adaptor maps bounce buffers with.
 const PageSize = 4096
 
-// Buffer is a contiguous span of host physical memory. A Buffer either
-// materializes its bytes (data != nil) or is synthetic: size-only with a
-// deterministic content generator, used for bulk tensors whose crypto
-// cost is accounted analytically.
+// Buffer is a contiguous span of host physical memory.
 type Buffer struct {
 	base uint64
 	size int64
-	data []byte // nil for synthetic buffers
-	seed uint64 // content generator seed for synthetic buffers
+	data []byte // nil once freed
 	name string
 
 	// pinned buffers survive Space.Free: KV-cache regions stay resident
@@ -53,38 +42,21 @@ func (b *Buffer) Size() int64 { return b.size }
 // Name reports the buffer's diagnostic label.
 func (b *Buffer) Name() string { return b.name }
 
-// Synthetic reports whether the buffer is size-only.
-func (b *Buffer) Synthetic() bool { return b.data == nil }
-
-// Seed reports the synthetic content seed (zero for materialized
-// buffers).
-func (b *Buffer) Seed() uint64 { return b.seed }
-
-// Bytes exposes the materialized contents; it panics for synthetic
-// buffers because code touching real bytes must never silently receive
-// fabricated ones.
+// Bytes exposes the buffer's contents. It panics on a freed buffer: a
+// use after Free must fail loudly, not read zeros.
 func (b *Buffer) Bytes() []byte {
 	if b.data == nil {
-		panic(fmt.Sprintf("mem: Bytes() on synthetic buffer %q", b.name))
+		panic(fmt.Sprintf("mem: Bytes() on freed buffer %q", b.name))
 	}
 	return b.data
 }
 
-// Slice returns the materialized bytes in [off, off+n).
+// Slice returns the bytes in [off, off+n).
 func (b *Buffer) Slice(off, n int64) []byte {
 	if off < 0 || n < 0 || off+n > b.size {
 		panic(fmt.Sprintf("mem: slice [%d,%d) outside buffer %q of size %d", off, off+n, b.name, b.size))
 	}
 	return b.Bytes()[off : off+n]
-}
-
-// SampleChunk deterministically materializes one chunk of a synthetic
-// buffer (for spot-check integrity tests): chunk i of size n.
-func (b *Buffer) SampleChunk(i int64, n int) []byte {
-	out := make([]byte, n)
-	r := sim.NewRand(b.seed ^ uint64(i)*0x9e3779b97f4a7c15)
-	r.Bytes(out)
-	return out
 }
 
 // Pin marks the buffer resident: Space.Free becomes a no-op until
@@ -121,10 +93,9 @@ type Space struct {
 	// never moves to a slot a reader in mid-scan has already passed,
 	// and a steady alloc/free loop reuses slots without allocating.
 	slots atomic.Pointer[[]atomic.Pointer[Buffer]]
-	// spare retires the byte backings of freed materialized buffers,
-	// keyed by exact capacity, so the steady-state task loop (alloc
-	// bounce buffer, run, free) stops paying one large allocation per
-	// task. Backings are zeroed at Free time — the same eager-zeroing
+	// spare retires the byte backings of freed buffers, keyed by exact
+	// capacity, so the steady-state task loop (alloc bounce buffer, run,
+	// free) stops paying one large allocation per task. Backings are zeroed at Free time — the same eager-zeroing
 	// discipline as arena.PutZero, since a bounce buffer may have held
 	// tenant plaintext — so Alloc's zeroed-memory contract holds for
 	// recycled backings without further work.
@@ -214,32 +185,11 @@ func (r *regionAlloc) release(base uint64, size int64) {
 // pin memory forever.
 const spareCap = 8
 
-// Alloc materializes a zeroed buffer of the given size in region,
-// reusing a retired backing of the same capacity when one is spare.
+// Alloc reserves pages for a zeroed buffer of the given size in region,
+// reusing a retired backing of the same capacity when one is spare, and
+// publishes it in the DMA index with its backing in place, so a buffer
+// is never resolvable while half-initialized.
 func (s *Space) Alloc(region, name string, size int64) (*Buffer, error) {
-	return s.allocCommon(region, name, size, func(b *Buffer) {
-		// allocCommon holds s.mu, so the spare map needs no extra lock.
-		if bs := s.spare[int(size)]; len(bs) > 0 {
-			b.data = bs[len(bs)-1]
-			s.spare[int(size)] = bs[:len(bs)-1]
-			return
-		}
-		b.data = make([]byte, size)
-	})
-}
-
-// AllocSynthetic reserves address space for a size-only buffer whose
-// contents are generated deterministically from seed.
-func (s *Space) AllocSynthetic(region, name string, size int64, seed uint64) (*Buffer, error) {
-	return s.allocCommon(region, name, size, func(b *Buffer) {
-		b.seed = seed
-	})
-}
-
-// allocCommon reserves pages and publishes the buffer in the DMA index.
-// init runs before publication so a buffer is never resolvable while
-// half-initialized.
-func (s *Space) allocCommon(region, name string, size int64, init func(*Buffer)) (*Buffer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mem: non-positive allocation %q", name)
 	}
@@ -254,7 +204,12 @@ func (s *Space) allocCommon(region, name string, size int64, init func(*Buffer))
 		return nil, fmt.Errorf("mem: %q in %q: %w", name, region, err)
 	}
 	b := &Buffer{base: base, size: size, name: name}
-	init(b)
+	if bs := s.spare[int(size)]; len(bs) > 0 {
+		b.data = bs[len(bs)-1]
+		s.spare[int(size)] = bs[:len(bs)-1]
+	} else {
+		b.data = make([]byte, size)
+	}
 	s.publish(b)
 	return b, nil
 }
@@ -301,7 +256,7 @@ func (s *Space) Free(b *Buffer) {
 			break
 		}
 	}
-	if b.data != nil && int64(cap(b.data)) == b.size {
+	if int64(cap(b.data)) == b.size {
 		if s.spare == nil {
 			s.spare = make(map[int][][]byte)
 		}
@@ -340,7 +295,7 @@ func (s *Space) Live() int {
 	return n
 }
 
-// Write stores data at a physical address inside a materialized buffer.
+// Write stores data at a physical address inside a buffer.
 func (s *Space) Write(addr uint64, data []byte) error {
 	b, ok := s.Resolve(addr)
 	if !ok {
@@ -354,8 +309,7 @@ func (s *Space) Write(addr uint64, data []byte) error {
 	return nil
 }
 
-// Read loads n bytes from a physical address inside a materialized
-// buffer.
+// Read loads n bytes from a physical address inside a buffer.
 func (s *Space) Read(addr uint64, n int64) ([]byte, error) {
 	b, ok := s.Resolve(addr)
 	if !ok {

@@ -110,33 +110,21 @@ func TestRegionOverlapRejected(t *testing.T) {
 	}
 }
 
-func TestSyntheticBufferBehaviour(t *testing.T) {
+// TestBytesAfterFreePanics: a freed buffer has no backing, and a use
+// after Free panics rather than reading zeros.
+func TestBytesAfterFreePanics(t *testing.T) {
 	s := newTestSpace(t)
-	if err := s.AddRegion("bulk", 0x100_0000_0000, 1<<40); err != nil {
-		t.Fatal(err)
-	}
-	w, err := s.AllocSynthetic("bulk", "weights", 14<<30, 7) // 14 GB costs no RAM
+	b, err := s.Alloc("tvm", "gone", PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.Synthetic() || w.Size() != 14<<30 {
-		t.Fatal("synthetic buffer misdescribed")
-	}
-	// Sampling the same chunk twice is deterministic; different chunks differ.
-	c0a, c0b := w.SampleChunk(0, 256), w.SampleChunk(0, 256)
-	c1 := w.SampleChunk(1, 256)
-	if !bytes.Equal(c0a, c0b) {
-		t.Fatal("SampleChunk non-deterministic")
-	}
-	if bytes.Equal(c0a, c1) {
-		t.Fatal("distinct chunks identical")
-	}
+	s.Free(b)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Bytes() on synthetic buffer did not panic")
+			t.Fatal("Bytes() on a freed buffer did not panic")
 		}
 	}()
-	_ = w.Bytes()
+	_ = b.Bytes()
 }
 
 func TestWriteOverrunRejected(t *testing.T) {
@@ -296,17 +284,6 @@ func TestAccessorsAndSlice(t *testing.T) {
 	b.Slice(2*PageSize-2, 8)
 }
 
-func TestSyntheticSeedAccessor(t *testing.T) {
-	s := newTestSpace(t)
-	b, err := s.AllocSynthetic("tvm", "syn", PageSize, 1234)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Seed() != 1234 {
-		t.Fatalf("seed = %d", b.Seed())
-	}
-}
-
 func TestPermAndFaultStrings(t *testing.T) {
 	for _, p := range []Perm{PermRead, PermWrite, PermRead | PermWrite, 0} {
 		if p.String() == "" {
@@ -335,7 +312,7 @@ func TestPinnedBufferSurvivesFree(t *testing.T) {
 		t.Fatal("Pin did not stick")
 	}
 	s.Free(b) // must be a no-op while pinned
-	if b.Synthetic() {
+	if len(b.Bytes()) != 8192 {
 		t.Fatal("pinned buffer lost its backing on Free")
 	}
 	if _, ok := s.Resolve(b.Base()); !ok {

@@ -3,13 +3,10 @@ package pcie
 import (
 	"strings"
 	"testing"
-
-	"ccai/internal/sim"
 )
 
 // Tests for the smaller surface: stringers, config DW access,
-// tap-on-completion behaviour, broadcast messages, and utilization
-// accounting.
+// tap-on-completion behaviour and broadcast messages.
 
 func TestStringers(t *testing.T) {
 	if !strings.Contains(Gen4.String(), "16GT/s") {
@@ -18,9 +15,6 @@ func TestStringers(t *testing.T) {
 	lc := LinkConfig{Gen: Gen3, Lanes: 8}
 	if lc.String() != "8GT/s x8" {
 		t.Errorf("LinkConfig = %q", lc)
-	}
-	if Downstream.String() != "downstream" || Upstream.String() != "upstream" {
-		t.Error("Dir strings wrong")
 	}
 	w := NewMemWrite(MakeID(0, 1, 0), 0x1000, []byte{1})
 	if !strings.Contains(w.String(), "MWr") {
@@ -147,34 +141,6 @@ func TestBroadcastMessageReachesAll(t *testing.T) {
 	}
 }
 
-func TestLinkUtilizationAndConfig(t *testing.T) {
-	l := NewLink("u", LinkConfig{Gen: Gen4, Lanes: 16})
-	if l.Config().Lanes != 16 {
-		t.Fatal("config lost")
-	}
-	l.Transfer(0, Downstream, 1<<20, 0)
-	l.Transfer(0, Upstream, 2<<20, 0)
-	down, up := l.Utilization()
-	if down <= 0 || up <= down {
-		t.Fatalf("utilization down=%v up=%v", down, up)
-	}
-	l.Reset()
-	down, up = l.Utilization()
-	if down != 0 || up != 0 {
-		t.Fatal("reset did not clear utilization")
-	}
-}
-
-func TestTransferExtraPacketsCost(t *testing.T) {
-	l := NewLink("e", LinkConfig{Gen: Gen4, Lanes: 16, PropagationDelay: 0})
-	plain := l.Transfer(0, Downstream, 1<<20, 0)
-	l.Reset()
-	withTags := l.Transfer(0, Downstream, 1<<20, 4096) // one tag pkt per data pkt
-	if withTags <= plain {
-		t.Fatal("companion packets cost nothing")
-	}
-}
-
 func TestLinkPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -182,13 +148,6 @@ func TestLinkPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	NewLink("bad", LinkConfig{Gen: Gen4, Lanes: 0})
-}
-
-func TestResourceNameAndRate(t *testing.T) {
-	r := sim.NewResource("nm", 100, 0)
-	if r.Name() != "nm" || r.Rate() != 100 {
-		t.Fatal("resource accessors broken")
-	}
 }
 
 func TestEnumerate(t *testing.T) {

@@ -58,71 +58,20 @@ func (c LinkConfig) String() string {
 	return fmt.Sprintf("%gGT/s x%d", c.Gen.GTps(), c.Lanes)
 }
 
-// Link models one full-duplex PCIe link as two independent sim.Resources
-// (one per direction). Bulk DMA duration and ccAI's tag/metadata traffic
-// expansion are charged against these resources; the emergent saturation
-// behaviour reproduces Figure 12a.
+// Link is one PCIe link of a given shape. The cost model prices traffic
+// analytically (internal/bench); a Link answers only the latency of a
+// minimal non-posted transaction on it.
 type Link struct {
-	cfg      LinkConfig
-	upstream *sim.Resource // device -> host direction
-	down     *sim.Resource // host -> device direction
+	cfg LinkConfig
 }
 
-// NewLink builds a link with the given configuration.
+// NewLink builds a link with the given configuration. The name is not
+// kept.
 func NewLink(name string, cfg LinkConfig) *Link {
 	if cfg.Lanes <= 0 {
 		panic("pcie: link needs at least one lane")
 	}
-	bw := cfg.RawBandwidth()
-	return &Link{
-		cfg:      cfg,
-		upstream: sim.NewResource(name+"/up", bw, 0),
-		down:     sim.NewResource(name+"/down", bw, 0),
-	}
-}
-
-// Config reports the link's current configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
-// Reconfigure changes speed/width in place — the knob Figure 12a sweeps.
-func (l *Link) Reconfigure(cfg LinkConfig) {
-	if cfg.Lanes <= 0 {
-		panic("pcie: link needs at least one lane")
-	}
-	l.cfg = cfg
-	bw := cfg.RawBandwidth()
-	l.upstream.SetRate(bw)
-	l.down.SetRate(bw)
-}
-
-// Reset clears both directions' queue state between experiment runs.
-func (l *Link) Reset() {
-	l.upstream.Reset()
-	l.down.Reset()
-}
-
-// Dir selects a link direction.
-type Dir int
-
-const (
-	// Downstream is host→device.
-	Downstream Dir = iota
-	// Upstream is device→host.
-	Upstream
-)
-
-func (d Dir) String() string {
-	if d == Downstream {
-		return "downstream"
-	}
-	return "upstream"
-}
-
-func (l *Link) resource(d Dir) *sim.Resource {
-	if d == Upstream {
-		return l.upstream
-	}
-	return l.down
+	return &Link{cfg: cfg}
 }
 
 // WireBytes reports the total on-link size of transferring n payload
@@ -137,31 +86,11 @@ func WireBytes(n int64, extraPackets int64) int64 {
 	return n + (packets+extraPackets)*HeaderOverhead
 }
 
-// TransferTime reports the duration n payload bytes occupy one direction
-// of an otherwise idle link.
-func (l *Link) TransferTime(n int64) sim.Time {
-	return l.upstream.ServiceTime(WireBytes(n, 0)) // both dirs share the rate
-}
-
-// Transfer schedules a bulk payload of n bytes (plus extra header-only
-// packets) onto direction d beginning no earlier than at, and returns
-// the completion instant including propagation delay.
-func (l *Link) Transfer(at sim.Time, d Dir, n int64, extraPackets int64) sim.Time {
-	end := l.resource(d).Use(at, WireBytes(n, extraPackets))
-	return end + l.cfg.PropagationDelay
-}
-
 // RoundTrip reports the latency of a minimal non-posted transaction
 // (request out, completion back) on an idle link — the basis of MMIO
-// read cost.
+// read cost: a header's serialization at the raw rate plus the flight
+// delay, each way.
 func (l *Link) RoundTrip() sim.Time {
-	perPkt := l.upstream.ServiceTime(HeaderOverhead)
+	perPkt := sim.Time(float64(HeaderOverhead) / l.cfg.RawBandwidth() * float64(sim.Second))
 	return 2 * (perPkt + l.cfg.PropagationDelay)
-}
-
-// Utilization reports cumulative busy time per direction.
-func (l *Link) Utilization() (down, up sim.Time) {
-	_, _, busyDown, _ := l.down.Stats()
-	_, _, busyUp, _ := l.upstream.Stats()
-	return busyDown, busyUp
 }

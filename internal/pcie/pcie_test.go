@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-
-	"ccai/internal/sim"
 )
 
 func TestIDPacking(t *testing.T) {
@@ -313,42 +311,6 @@ func TestLinkBandwidthByGeneration(t *testing.T) {
 	}
 }
 
-func TestLinkTransferScalesWithSize(t *testing.T) {
-	l := NewLink("test", LinkConfig{Gen: Gen4, Lanes: 16, PropagationDelay: 200 * sim.Nanosecond})
-	t1 := l.Transfer(0, Downstream, 1<<20, 0)
-	l.Reset()
-	t2 := l.Transfer(0, Downstream, 2<<20, 0)
-	if t2 <= t1 {
-		t.Fatalf("2MB (%v) not slower than 1MB (%v)", t2, t1)
-	}
-	// Ratio should be close to 2 (propagation delay is tiny).
-	ratio := float64(t2) / float64(t1)
-	if ratio < 1.9 || ratio > 2.1 {
-		t.Fatalf("transfer time ratio = %v, want ~2", ratio)
-	}
-}
-
-func TestLinkDirectionsIndependent(t *testing.T) {
-	l := NewLink("test", LinkConfig{Gen: Gen3, Lanes: 4, PropagationDelay: 0})
-	down := l.Transfer(0, Downstream, 1<<20, 0)
-	up := l.Transfer(0, Upstream, 1<<20, 0)
-	if down != up {
-		t.Fatalf("full duplex broken: down=%v up=%v", down, up)
-	}
-}
-
-func TestLinkReconfigureChangesRate(t *testing.T) {
-	l := NewLink("test", LinkConfig{Gen: Gen4, Lanes: 16})
-	fast := l.TransferTime(10 << 20)
-	l.Reconfigure(LinkConfig{Gen: Gen3, Lanes: 8})
-	slow := l.TransferTime(10 << 20)
-	// Gen3 x8 is 1/4 the bandwidth of Gen4 x16.
-	ratio := float64(slow) / float64(fast)
-	if ratio < 3.9 || ratio > 4.1 {
-		t.Fatalf("reconfigure ratio = %v, want ~4", ratio)
-	}
-}
-
 func TestWireBytesChargesHeaders(t *testing.T) {
 	// 1024 bytes = 4 packets of 256 -> 4 headers.
 	if got := WireBytes(1024, 0); got != 1024+4*HeaderOverhead {
@@ -361,13 +323,6 @@ func TestWireBytesChargesHeaders(t *testing.T) {
 	// Non-multiple sizes round packets up.
 	if got := WireBytes(257, 0); got != 257+2*HeaderOverhead {
 		t.Fatalf("WireBytes(257) = %d", got)
-	}
-}
-
-func TestLinkRoundTripPositive(t *testing.T) {
-	l := NewLink("t", LinkConfig{Gen: Gen4, Lanes: 16, PropagationDelay: 300 * sim.Nanosecond})
-	if rt := l.RoundTrip(); rt < 600*sim.Nanosecond {
-		t.Fatalf("round trip %v below propagation floor", rt)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package secmem implements ccAI's cryptographic machinery: AES-GCM
 // protected streams with the paper's IV discipline (12-byte nonce +
-// 4-byte big-endian counter, §7.2), IV-exhaustion rekeying (§6), plain
-// HMAC integrity for Write-Protected (A3) traffic, and performance
-// models for the three engines the evaluation distinguishes — the
-// PCIe-SC's pipelined hardware engine, the Adaptor's AES-NI path, and
-// the slow software path used by the Figure 11 "No Opt" ablation.
+// 4-byte big-endian counter, §7.2), IV-exhaustion rekeying (§6), and plain
+// HMAC integrity for Write-Protected (A3) traffic. It moves real bytes
+// through real AES-GCM; what the crypto costs in time is priced by the
+// analytic cost model in internal/bench.
 package secmem
 
 import (

@@ -3,10 +3,11 @@
 //
 // The paper's prototype measures wall-clock seconds on a physical
 // Agilex-7 + A100 testbed. We reproduce the *shape* of those results in
-// a simulator, so time here is virtual: a Clock carries the current
-// simulation instant, an Engine orders discrete events, and Timeline /
-// Resource implement the transaction-level performance model used by
-// the benchmark harness (see DESIGN.md §5).
+// a simulator, so time here is virtual: a Time is an instant in virtual
+// nanoseconds, an Engine orders discrete events on that clock, and Rand
+// draws seeded randomness. The soak, the Adaptor's backoff clock and the
+// fault injector run on them; the paper figures come from the analytic
+// cost model in internal/bench (see DESIGN.md §5).
 package sim
 
 import (

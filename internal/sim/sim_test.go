@@ -95,76 +95,6 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-func TestTimelineAdvanceAndJoin(t *testing.T) {
-	tl := NewTimeline(0)
-	tl.Advance(5 * Microsecond)
-	fork := tl.Fork()
-	fork.Advance(20 * Microsecond)
-	tl.Advance(3 * Microsecond)
-	tl.Join(fork)
-	if tl.Now() != 25*Microsecond {
-		t.Fatalf("joined cursor = %v, want 25µs", tl.Now())
-	}
-}
-
-func TestTimelineWaitUntilNeverRewinds(t *testing.T) {
-	tl := NewTimeline(10 * Microsecond)
-	tl.WaitUntil(5 * Microsecond)
-	if tl.Now() != 10*Microsecond {
-		t.Fatalf("WaitUntil rewound the cursor to %v", tl.Now())
-	}
-}
-
-func TestResourceSerializesWork(t *testing.T) {
-	// 1 GB/s resource: 1000 bytes take 1µs.
-	r := NewResource("link", 1e9, 0)
-	end1 := r.Use(0, 1000)
-	if end1 != 1*Microsecond {
-		t.Fatalf("first op ends at %v, want 1µs", end1)
-	}
-	// Second op offered at t=0 must queue behind the first.
-	end2 := r.Use(0, 1000)
-	if end2 != 2*Microsecond {
-		t.Fatalf("queued op ends at %v, want 2µs", end2)
-	}
-	// An op offered after the queue drains starts immediately.
-	end3 := r.Use(10*Microsecond, 1000)
-	if end3 != 11*Microsecond {
-		t.Fatalf("late op ends at %v, want 11µs", end3)
-	}
-}
-
-func TestResourcePerOpCost(t *testing.T) {
-	r := NewResource("mmio", 0, 2*Microsecond)
-	if got := r.Use(0, 0); got != 2*Microsecond {
-		t.Fatalf("latency-only op = %v, want 2µs", got)
-	}
-	if got := r.Use(0, 123456); got != 4*Microsecond {
-		t.Fatalf("rate-free resource must ignore bytes; got %v", got)
-	}
-}
-
-func TestResourceStatsAndReset(t *testing.T) {
-	r := NewResource("eng", 1e9, Microsecond)
-	r.Use(0, 1000)
-	r.Use(0, 1000)
-	ops, bytes, busy, wait := r.Stats()
-	if ops != 2 || bytes != 2000 {
-		t.Fatalf("ops=%d bytes=%d", ops, bytes)
-	}
-	if busy != 4*Microsecond {
-		t.Fatalf("busy = %v, want 4µs", busy)
-	}
-	if wait != 2*Microsecond {
-		t.Fatalf("wait = %v, want 2µs", wait)
-	}
-	r.Reset()
-	ops, bytes, busy, wait = r.Stats()
-	if ops != 0 || bytes != 0 || busy != 0 || wait != 0 || r.FreeAt() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 100; i++ {
@@ -197,30 +127,6 @@ func TestRandBytesCoversTail(t *testing.T) {
 	}
 	if zero == len(p) {
 		t.Fatal("Bytes left buffer all-zero")
-	}
-}
-
-// Property: resource completion times are monotone non-decreasing when
-// offered in time order, and never precede offer time + service time.
-func TestResourceMonotoneProperty(t *testing.T) {
-	f := func(sizes []uint16) bool {
-		r := NewResource("p", 5e8, 100*Nanosecond)
-		var at, last Time
-		for _, s := range sizes {
-			end := r.Use(at, int64(s))
-			if end < last {
-				return false
-			}
-			if end < at+r.ServiceTime(int64(s)) {
-				return false
-			}
-			last = end
-			at += Time(s) // offers move forward in time
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -275,11 +181,10 @@ func TestTimeStringAndNegativePanics(t *testing.T) {
 	if (1500 * Microsecond).String() == "" {
 		t.Fatal("empty time string")
 	}
-	tl := NewTimeline(0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative advance did not panic")
+			t.Fatal("negative delay did not panic")
 		}
 	}()
-	tl.Advance(-1)
+	NewEngine().Schedule(-1, func() {})
 }

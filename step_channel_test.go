@@ -379,7 +379,7 @@ func largestFree(t *testing.T, mp *MultiPlatform, region string) int64 {
 	lo, hi := int64(0), int64(sharedSize/4/4096)
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		b, err := mp.space.AllocSynthetic(region, "probe", mid*4096, 1)
+		b, err := mp.space.Alloc(region, "probe", mid*4096)
 		if err != nil {
 			hi = mid - 1
 			continue
