@@ -23,6 +23,7 @@ func protectedPlatform(t *testing.T, profile xpu.Profile) *Platform {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
+	sliceHygiene(t, &p.pipeline, nil, p.Guest.Space)
 	return p
 }
 

@@ -197,6 +197,7 @@ func TestSlicePrivateWindowReachesFilter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer r.space.Free(buf)
 			copy(buf.Bytes(), secret)
 			addr := buf.Base()
 			before := r.sc.Stats().Filter.Dropped

@@ -37,6 +37,7 @@ func servingPlatform(t *testing.T, n int) *MultiPlatform {
 		t.Fatal(err)
 	}
 	t.Cleanup(mp.Close)
+	chassisHygiene(t, mp)
 	return mp
 }
 

@@ -382,11 +382,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 		err = a.flushRingLocked()
 	}
 	if err != nil {
-		if a.sendRelease(desc.ID) == nil {
-			_ = a.flushRingLocked()
-		}
-		a.space.Free(buf)
-		a.putRecs(recs)
+		a.withdrawLocked(&Region{Desc: desc, Buf: buf, Recs: recs})
 		return nil, fmt.Errorf("adaptor: encrypt_data: %w", err)
 	}
 	return &Region{Desc: desc, Buf: buf, PlainLen: int64(len(data)), Recs: recs}, nil
@@ -476,11 +472,12 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 		a.space.Free(buf)
 		return nil, err
 	}
+	r := &Region{Desc: desc, Buf: buf, PlainLen: size}
 	if err := a.flushRingLocked(); err != nil {
-		a.space.Free(buf)
+		a.withdrawLocked(r)
 		return nil, err
 	}
-	return &Region{Desc: desc, Buf: buf, PlainLen: size}, nil
+	return r, nil
 }
 
 // SyncVerified posts the MAC records that let the device read the given
@@ -543,7 +540,7 @@ func (a *Adaptor) PrepareD2H(name string, size int64) (*Region, error) {
 		return nil, err
 	}
 	if err := a.flushRingLocked(); err != nil {
-		a.freeRegionLocked(r)
+		a.withdrawLocked(r)
 		return nil, err
 	}
 	return r, nil
@@ -578,6 +575,26 @@ func (a *Adaptor) prepareD2HLocked(name string, size int64) (*Region, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// withdrawLocked takes back regions whose descriptors the caller queued
+// but will not hand out, because a flush failed: a release rides behind
+// each, so whenever the ring next publishes, the SC drops what it
+// installs — it never keeps a region whose memory went back to the
+// space — and the staging memory is freed. Callers hold a.mu.
+func (a *Adaptor) withdrawLocked(rs ...*Region) {
+	queued := true
+	for _, r := range rs {
+		if queued = a.sendRelease(r.Desc.ID) == nil; !queued {
+			break // a desync tore the session down: the SC holds nothing
+		}
+	}
+	if queued {
+		_ = a.flushRingLocked()
+	}
+	for _, r := range rs {
+		a.freeRegionLocked(r)
+	}
 }
 
 // freeRegionLocked returns a region's staging memory to the space and
@@ -820,10 +837,14 @@ func (a *Adaptor) rekeyStreamLocked(stream string) error {
 	if err := a.ringPush(core.RingOpRekey, 0, core.MarshalBlob(sealed)); err != nil {
 		return err
 	}
-	// Publish before the TVM-side mirror rotates: the SC must never lag
-	// an epoch behind its peer.
-	if err := a.flushRingLocked(); err != nil {
-		return err
+	// Once the entry is queued the TVM side rotates, whether or not this
+	// flush publishes it: whatever is sealed under the new key reaches
+	// the SC behind the entry, so the SC never lags an epoch behind its
+	// peer — and a rekey the next flush publishes cannot rotate the SC
+	// alone.
+	flushErr := a.flushRingLocked()
+	if a.config == nil {
+		return flushErr // the flush found the ring desynced: no session left
 	}
 	a.obs.rekeys.Inc()
 	a.obs.tracer.Mark(siteRekey, keyStream.Str(obsv.Intern(stream)))
@@ -835,14 +856,18 @@ func (a *Adaptor) rekeyStreamLocked(stream string) error {
 	}
 	switch stream {
 	case core.StreamH2D:
-		return a.h2d.Rekey(key, nonce)
+		err = a.h2d.Rekey(key, nonce)
 	case core.StreamD2H:
-		return a.d2h.Rekey(key, nonce)
+		err = a.d2h.Rekey(key, nonce)
 	case core.StreamMMIO:
-		return nil // raw MAC key; Install above is the whole rotation
+		// raw MAC key; Install above is the whole rotation
 	default:
-		return fmt.Errorf("adaptor: stream %q not rotatable", stream)
+		err = fmt.Errorf("adaptor: stream %q not rotatable", stream)
 	}
+	if err != nil {
+		return err
+	}
+	return flushErr
 }
 
 // H2DFence pins the H2D stream's current key epoch. Long-lived sealed

@@ -65,15 +65,11 @@ func (a *Adaptor) OpenStepChannel(idsName, outName string, outLen int64) (*StepC
 	out, err := a.prepareD2HLocked(outName, outLen)
 	if err != nil {
 		// The window's descriptor is already queued: take it back.
-		if a.sendRelease(win.Desc.ID) == nil {
-			_ = a.flushRingLocked()
-		}
-		a.freeRegionLocked(win)
+		a.withdrawLocked(win)
 		return nil, err
 	}
 	if err := a.flushRingLocked(); err != nil {
-		a.freeRegionLocked(out)
-		a.freeRegionLocked(win)
+		a.withdrawLocked(out, win)
 		return nil, err
 	}
 	return &StepChannel{Window: win, Out: out}, nil

@@ -710,7 +710,29 @@ func (c *Controller) releaseRegion(id uint32) {
 		c.sess.regions = slices.Delete(c.sess.regions, i, i+1)
 	}
 	c.mu.Unlock()
+	c.dropTags(gone)
 	c.retire(gone)
+}
+
+// dropTags discards the tag records still pending for a released A2 H2D
+// region: those of chunks no device read took — a submission cancelled
+// before its doorbell, or one that failed — and reposted duplicates of
+// chunks the region had already verified. No read can take them once
+// the region is gone; left queued they would outlive it until the cap
+// evicted them.
+func (c *Controller) dropTags(r *region) {
+	if r == nil || r.desc.Dir != DirH2D || r.desc.Class != ActionWriteReadProtect {
+		return
+	}
+	if r.desc.Slotted {
+		for _, ctr := range r.slots {
+			if ctr != 0 {
+				c.tags.Discard(StreamH2D, ctr, 1)
+			}
+		}
+		return
+	}
+	c.tags.Discard(StreamH2D, r.desc.FirstCounter, uint32((r.desc.Len+uint64(r.desc.ChunkSize)-1)/uint64(r.desc.ChunkSize)))
 }
 
 // retire pools records unlinked from the table: each one's pending write

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"ccai/internal/obsv"
@@ -231,6 +232,25 @@ func (tm *TagManager) Evicted() uint64 {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	return tm.evicted
+}
+
+// Discard drops the pending records of counters first, first+1, …
+// first+n-1 of stream, matched by nothing and counted as nothing. It
+// walks the pending log once, so its cost is bounded by the cap however
+// large n is.
+func (tm *TagManager) Discard(stream string, first, n uint32) {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	if tm.live == 0 {
+		return
+	}
+	si := int32(slices.IndexFunc(tm.streams, func(s *tagStream) bool { return s.name == stream }))
+	mask := uint64(len(tm.log) - 1)
+	for p := tm.head; si >= 0 && p < tm.tail; p++ {
+		if e := &tm.log[p&mask]; e.live && e.stream == si && e.chunk-first < n {
+			tm.kill(e)
+		}
+	}
 }
 
 // Clear drops all pending tags.

@@ -372,3 +372,28 @@ func TestTagPlaneRingStaysBounded(t *testing.T) {
 		t.Fatalf("depth = %d, want the cap", d)
 	}
 }
+
+// TestTagManagerDiscard: a released region's pending records go, and
+// only they — another stream's, and counters outside the range, stay
+// matchable; a discard counts neither as a match nor as a miss.
+func TestTagManagerDiscard(t *testing.T) {
+	tm := NewTagManager()
+	for c := uint32(1); c <= 8; c++ {
+		tm.Enqueue(TagRecord{Stream: StreamH2D, Chunk: c}, TagRecord{Stream: StreamD2H, Chunk: c})
+	}
+	tm.Discard(StreamH2D, 3, 4)
+	tm.Discard(StreamMMIO, 1, 8) // nothing of it pending
+	if d := tm.Depth(); d != 12 {
+		t.Fatalf("depth %d after discarding h2d 3…6, want 12", d)
+	}
+	for c := uint32(1); c <= 8; c++ {
+		_, h2d := tm.Peek(StreamH2D, c)
+		_, d2h := tm.Peek(StreamD2H, c)
+		if h2d == (c >= 3 && c <= 6) || !d2h {
+			t.Fatalf("counter %d: h2d pending %v, d2h pending %v", c, h2d, d2h)
+		}
+	}
+	if matched, missing := tm.Stats(); matched != 0 || missing != 0 {
+		t.Fatalf("discard counted %d matches, %d misses", matched, missing)
+	}
+}

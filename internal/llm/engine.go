@@ -160,9 +160,6 @@ type SessionState struct {
 	step      Step // the one step in flight (Engine.Next)
 }
 
-// Generated reports chunks completed so far.
-func (s *SessionState) Generated() int { return s.nextChunk }
-
 // Step is one dispatch decision: session s performs kind, producing
 // chunk Chunk. It is the session's to reuse: valid until Complete, Fail
 // or Requeue settles it.
@@ -272,10 +269,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// Budget reports the configured KV budget; KVInUse the summed live
-// reservations.
-func (e *Engine) Budget() int64 { return e.cfg.KVBudget }
-
+// KVInUse reports the summed live KV reservations.
 func (e *Engine) KVInUse() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

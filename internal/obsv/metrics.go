@@ -113,16 +113,10 @@ func SizeBuckets() []int64 {
 	return []int64{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 }
 
-// DurationBuckets is the default virtual-nanosecond bucket layout
-// (100 ns .. 10 ms).
-func DurationBuckets() []int64 {
-	return []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
-}
-
 // WaitBuckets is the queue-wait bucket layout (1 ms .. 10 s, virtual
-// nanoseconds). Scheduler waits under load sit in the ms–100 ms range,
-// far above DurationBuckets' 10 ms ceiling; without these bounds every
-// wait lands in the overflow bucket and quantile estimates degenerate.
+// nanoseconds). Scheduler waits under load sit in the ms–100 ms range;
+// with bounds sized for pipeline stages (10 ms and below) every wait
+// would land in the overflow bucket and quantile estimates degenerate.
 func WaitBuckets() []int64 {
 	return []int64{
 		1_000_000, 5_000_000, 10_000_000, 50_000_000, 100_000_000,

@@ -101,18 +101,6 @@ func (r *Recorder) PayloadBytes() uint64 {
 	return r.payload
 }
 
-// RequesterStats reports one requester's packet and payload-byte
-// totals.
-func (r *Recorder) RequesterStats(id pcie.ID) (packets, payloadBytes uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rs := r.byRequester[id]
-	if rs == nil {
-		return 0, 0
-	}
-	return rs.count, rs.payload
-}
-
 // Retained returns the kept packets.
 func (r *Recorder) Retained() []*pcie.Packet {
 	r.mu.Lock()

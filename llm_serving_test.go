@@ -36,6 +36,7 @@ func llmChassis(t *testing.T, profiles []xpu.Profile, opts ...Option) *MultiPlat
 	if err := mp.EstablishTrustAll(); err != nil {
 		t.Fatal(err)
 	}
+	chassisHygiene(t, mp)
 	return mp
 }
 

@@ -29,6 +29,7 @@ func twoTenants(t *testing.T) *MultiPlatform {
 		}
 	}
 	t.Cleanup(mp.Close)
+	chassisHygiene(t, mp)
 	return mp
 }
 

@@ -164,9 +164,8 @@ func newSchedObs(reg *obsv.Registry, tenants int) schedObs {
 	}
 	for i := range o.tenants {
 		label := tenantLabel(i)
-		// WaitBuckets (1 ms–10 s) rather than DurationBuckets: real queue
-		// waits live in the ms–100 ms range, far above the 10 ms ceiling
-		// of the pipeline-stage layout.
+		// WaitBuckets (1 ms–10 s): real queue waits live in the
+		// ms–100 ms range, far above what a pipeline stage takes.
 		o.tenants[i] = tenantObs{
 			label:        obsv.Intern(label),
 			admitted:     reg.Counter(obsv.Name("sched.admitted", "tenant", label)),

@@ -85,7 +85,7 @@ func TestSchedulerSustainedRekeyUnderLoad(t *testing.T) {
 	}
 	for _, tn := range mp.Tenants {
 		stream := fmt.Sprintf("t%d/%s", tn.Index, core.StreamH2D)
-		if got := aud.epoch(stream); got < rounds {
+		if got := uint32(aud.lastIV(stream) >> 32); got < rounds {
 			t.Errorf("%s epoch = %d, want >= %d (one roll per pressured round)", stream, got, rounds)
 		}
 	}
