@@ -107,9 +107,15 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # session model, each played twice and its outcome line diffed against
 # testdata/fault_matrix.golden (regenerate with -update only when an
 # outcome is meant to move); then a minute of the stateful fuzz from the
-# committed corpus (the RQ2 attacks, the ring cells, the leaks it found).
+# committed corpus (the RQ2 attacks, the ring cells, the session and
+# step-channel cells, the leaks and bugs it found).
 	$(GO) test -run '^TestFaultMatrix$$' .
 	$(GO) test -run '^$$' -fuzz=FuzzProtocolTrace -fuzztime=60s .
+# The same model on the decode stream: the session cells it replaced play
+# their saved traces — the step-channel attacks, the decode-step and
+# prefill fault cells, window renewal, release on Close and abort, the
+# mid-decode rekey, and a session outliving its trust generation.
+	$(GO) test -run 'TestStepChannel|TestDecodeStepFaultsHeal|TestPrefillKVTagLossHeals|TestRekeyMidDecode|TestSessionDiesWithItsTrustGeneration' .
 # Teardown hygiene runs inside `test` above, shuffled: every test that
 # builds its slice with a shared constructor checks it is back at its
 # post-trust counts before Close, and TestMain fails the root package

@@ -40,7 +40,9 @@ func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space
 			t.Errorf("torn-down %s holds %d regions, %d stream contexts, %d+%d keys",
 				slice, pl.SC.Regions(), pl.SC.Params().Active(), pl.scKeys.Count(), pl.tvmKeys.Count())
 		}
-		if n := space.Live(); n != buffers {
+		// A failed re-trust gives the dead session's command ring back
+		// before staging its own: a slice with no session may hold fewer.
+		if n := space.Live(); n > buffers || live && n != buffers {
 			t.Errorf("%s: %d live host buffers, %d after bring-up", slice, n, buffers)
 		}
 	})

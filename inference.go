@@ -95,6 +95,7 @@ type InferenceSession struct {
 	kvBytes     int64
 	kvHost      []byte // KVInit image, dropped once staged
 	kvRegion    *adaptor.Region
+	kvGen       int // the tenant's trust generation the KV was staged in
 	kvSealEpoch uint32
 	fence       secmem.Fence
 	finished    bool
@@ -538,6 +539,11 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 	if !t.trusted {
 		return fmt.Errorf("ccai: tenant %d: %w", t.Index, ErrNotTrusted)
 	}
+	if st.Kind == llm.StepDecode && s.kvGen != t.gen {
+		// The resident KV died with the session it was staged in: teardown
+		// cleaned the device. A step now would compute on a wiped cache.
+		return fmt.Errorf("ccai: tenant %d: KV staged in trust generation %d, now %d: %w", t.Index, s.kvGen, t.gen, ErrNotTrusted)
+	}
 	var (
 		tokens []byte
 		err    error
@@ -590,7 +596,7 @@ func (s *InferenceSession) prefillStep(st *llm.Step) ([]byte, error) {
 	}
 	kvRegion.Buf.Pin()
 	s.mu.Lock()
-	s.kvRegion = kvRegion
+	s.kvRegion, s.kvGen = kvRegion, t.gen
 	if len(kvRegion.Recs) > 0 {
 		s.kvSealEpoch = kvRegion.Recs[0].Epoch
 	}

@@ -115,8 +115,10 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 			a.rec.StaleSuppressed++
 			a.obs.tracer.Mark(siteStaleSuppress, keyAddr.Hex(addr))
 			cpl = nil
-		} else if cpl == nil {
+		} else if cpl == nil || cpl.Status == pcie.CplSuccess && len(cpl.Payload) < 8 {
+			// Lost, or cut short in flight: no register value to hand back.
 			a.rec.Timeouts++
+			cpl = nil
 		}
 		if cpl != nil {
 			if cpl.Status != pcie.CplSuccess {

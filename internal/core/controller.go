@@ -520,6 +520,10 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 	case RegTeardown:
 		c.Teardown()
 	case RegMetaBase, RegMetaSize, RegRingBase, RegRingSize:
+		if reg == RegRingSize && v > RingMaxSlots {
+			c.configReject() // a doorbell's span is gathered into one buffer
+			break
+		}
 		c.mu.Lock()
 		*c.sess.reg(reg) = v
 		c.mu.Unlock()

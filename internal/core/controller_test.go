@@ -189,6 +189,21 @@ func newCtlRig(t *testing.T) *ctlRig {
 	return r
 }
 
+// TestRingSizeBounded: a ring size past RingMaxSlots is refused at the
+// control BAR, so a doorbell never sizes the SC's fetch buffer past what
+// a ring holds. A tampered size and tail once made the SC allocate 2^49
+// slots and panic.
+func TestRingSizeBounded(t *testing.T) {
+	r := newCtlRig(t)
+	rej := r.sc.Stats().ConfigRejects
+	for _, w := range [][2]uint64{{RegRingSize, 1 << 50}, {RegRingDoorbell, 1 << 49}} {
+		r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+w[0], binary.LittleEndian.AppendUint64(nil, w[1])))
+	}
+	if r.sc.Stats().ConfigRejects == rej {
+		t.Fatal("a 2^50-slot ring was accepted")
+	}
+}
+
 func (r *ctlRig) installRule(t *testing.T, rule Rule) {
 	t.Helper()
 	r.submit(ringEntry{op: RingOpRule, data: r.sealed(t, rule.Marshal())})

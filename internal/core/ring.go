@@ -92,6 +92,11 @@ const ringSpanSlots = pcie.MaxReadReq / RingSlotSize
 // before it.
 const RingMirrorSlots = ringSpanSlots
 
+// RingMaxSlots bounds the ring size the control BAR accepts: the SC
+// gathers a doorbell's published span, at most the ring, into one
+// buffer.
+const RingMaxSlots = 1 << 12
+
 // processRing consumes the span [head, tail) the doorbell just
 // published. Called from handleControl WITHOUT c.mu held — dispatch
 // reaches handlers that route on the buses.

@@ -187,8 +187,9 @@ func (pl *pipeline) setObserver(h *obsv.Hub) {
 // four streams go onto both key stores, the Adaptor initializes the SC,
 // the command ring is staged as a verified region and the native driver
 // comes up on it through the guarded port. trusted is set last, so a
-// bring-up that fails half-way never admits a task.
-func (pl *pipeline) establishTrust() error {
+// bring-up that fails half-way never admits a task, and one that fails
+// once keys are out withdraws them from both ends again (I6).
+func (pl *pipeline) establishTrust() (err error) {
 	profile := pl.dev.Profile()
 	sp := pl.obs.T().Begin(obsv.TrackTask, "establish_trust", obsv.Str("xpu", profile.Name))
 	defer sp.End()
@@ -204,6 +205,12 @@ func (pl *pipeline) establishTrust() error {
 	if !pl.SC.AttestDevice(nonce, xpu.AttestDigest(golden, nonce), xpu.RegAttestNonce, xpu.RegAttestResp) {
 		return fmt.Errorf("%w; refusing to provision keys", ErrAttestFailed)
 	}
+	defer func() {
+		if err != nil {
+			pl.Adaptor.Teardown()
+			pl.trusted = false
+		}
+	}()
 	for _, stream := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO} {
 		key, nonce := secmem.FreshKey(), secmem.FreshNonce()
 		if err := pl.scKeys.Install(stream, key, nonce); err != nil {

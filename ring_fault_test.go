@@ -22,7 +22,7 @@ import (
 // TestRingDoorbellDropRecovers deletes the first batch doorbell in
 // flight: the flush retry re-rings, and the task is exact at the cost of
 // retries only (D1).
-func TestRingDoorbellDropRecovers(t *testing.T) { runTrace(t, savedTrace(t, "ring-doorbell-drop")) }
+func TestRingDoorbellDropRecovers(t *testing.T) { playTrace(t, "ring-doorbell-drop") }
 
 // ringSeqCorrupter flips the sequence field of the first entry in
 // every ring-fetch completion (exact RingSlotSize multiples) toward
@@ -42,7 +42,7 @@ func (c *ringSeqCorrupter) Tap(p *pcie.Packet) *pcie.Packet {
 // refuses the batch (a config reject and the status word) and the
 // producer fails the session closed — no stream context, no key, no
 // plaintext on the wire (T3).
-func TestRingDesyncFailsClosed(t *testing.T) { runTrace(t, savedTrace(t, "ring-desync")) }
+func TestRingDesyncFailsClosed(t *testing.T) { playTrace(t, "ring-desync") }
 
 // TestRingCutsMMIOWritesAtLeast4x pins the control path's price per
 // 64 KiB staged task in MMIO writes, measured through the obsv counter:
@@ -76,9 +76,9 @@ func TestRingCutsMMIOWritesAtLeast4x(t *testing.T) {
 // (TestRingAppendedEntry is that attack's own cell), so a cell that
 // wants the session undisturbed rewrites an entry of a passing burst
 // instead (ringEdit, rewriteEntry).
-func forgeRingEntry(t *testing.T, p *Platform, op uint8, arg uint64, data []byte) {
+func forgeRingEntry(t *testing.T, pl *pipeline, host *pcie.Bus, op uint8, arg uint64, data []byte) {
 	t.Helper()
-	ring, ok := p.Guest.Space.Resolve(sharedBase + mem.PageSize)
+	ring, ok := pl.space.Resolve(sharedBase + mem.PageSize)
 	if !ok || ring.Name() != "dma-submitring" {
 		t.Fatal("no submission ring behind the shared window's metadata page")
 	}
@@ -87,7 +87,7 @@ func forgeRingEntry(t *testing.T, p *Platform, op uint8, arg uint64, data []byte
 	slot := ring.Bytes()[core.RingHdrSize+head%slots*core.RingSlotSize:][:core.RingSlotSize]
 	core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), op, uint16(len(data)), uint32(head), arg)
 	copy(slot[core.RingEntryHdrSize:], data)
-	p.Host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, head+1)))
+	host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, head+1)))
 }
 
 // rewriteEntry turns a ring slot into another entry in place, under the
@@ -106,4 +106,4 @@ func rewriteEntry(slot []byte, op uint8, arg uint64, data []byte) {
 // availability attack (the host can as well drop the doorbell) and ends
 // like one: the task fails the session closed with no wrong byte handed
 // back, and a re-trust serves (t2 F t2 r t2).
-func TestRingAppendedEntry(t *testing.T) { runTrace(t, savedTrace(t, "ring-appended-entry")) }
+func TestRingAppendedEntry(t *testing.T) { playTrace(t, "ring-appended-entry") }
