@@ -33,17 +33,7 @@ func TestHostBuffersReleasedAfterWork(t *testing.T) {
 	}
 
 	cfg := llm.Config{MaxNewTokens: 64, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 0x5eed}
-	sess, err := mp.Tenants[0].OpenSession(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := sess.Decode(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Prefill(ctx, []byte("host buffer hygiene")); err != nil {
-		t.Fatal(err)
-	}
+	sess, ch := openStream(t, mp.Tenants[0], cfg, []byte("host buffer hygiene"))
 	collectStream(t, ch)
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
@@ -52,16 +42,7 @@ func TestHostBuffersReleasedAfterWork(t *testing.T) {
 		t.Fatalf("after a decode session: %d live host buffers, want %d", got, baseline)
 	}
 
-	sess, err = mp.Tenants[1].OpenSession(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch, err = sess.Decode(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Prefill(ctx, []byte("closed mid-stream")); err != nil {
-		t.Fatal(err)
-	}
+	sess, ch = openStream(t, mp.Tenants[1], cfg, []byte("closed mid-stream"))
 	if c := <-ch; c.Err != nil {
 		t.Fatal(c.Err)
 	}
