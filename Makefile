@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode profile-serve clean ci
+.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke sync-count cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode profile-serve clean ci
 
 all: build test
 
@@ -14,8 +14,9 @@ all: build test
 # plans included) and the SC's control BAR and submission ring, and the
 # telemetry-plane smoke: live scrape, token isolation, audit-chain
 # tamper evidence. benchmark-check compiles and smoke-tests the
-# benchmark of record against this tree.
-ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke
+# benchmark of record against this tree, and sync-count holds the steady
+# decode step and the 64 KiB task to their mutex-section budgets.
+ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke sync-count
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/pcie/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault/
 # The tag plane against its map-based reference, from the seeded scripts
@@ -90,9 +91,14 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke teleme
 # Bus.Route — never miss, never see a freed buffer or a revoked grant or
 # claim while writers churn, under the race detector. Host buffers are
 # back at their post-trust count after tasks, sessions and a burst, and
-# an Alloc/Free pair allocates only the *Buffer.
+# an Alloc/Free pair allocates only the *Buffer. Beside them the per-record
+# snapshots and atomics: ParamsManager.Stream/NameByHash and Mux.Handle
+# never miss a live stream or unit and never return a destroyed stream
+# while Activate, Rekey, DestroyAll and AddUnit churn; a stream's Epoch,
+# Remaining and Fence.Valid stay exact across a concurrent Rekey; and
+# MACSum never answers under a key a Destroy was zeroing.
 	$(GO) test -run 'TestBusRoutesByAddress|TestBusDetach|TestIOMMUPermissionEnforcement|TestHostBuffersReleasedAfterWork|TestSpaceAllocFreeAllocatesOneObject' ./ ./internal/pcie/ ./internal/mem/
-	$(GO) test -race -run 'TestLockFreeReadersUnderChurn' ./internal/mem/
+	$(GO) test -race -run 'TestLockFreeReadersUnderChurn|TestSnapshotReadersUnderChurn|TestStreamReadersExactAcrossRekey|TestMACSumUnderKeyChurn' ./internal/mem/ ./internal/core/ ./internal/secmem/
 # One record per live region: nothing the SC held for a region outlives
 # its release — no progress count after 50 tasks, none carried into a
 # reinstall under the same ID, no tag or metadata write for a region
@@ -186,6 +192,15 @@ soak-smoke:
 # with — the §16 serving story's merge gate, in seconds.
 llm-smoke:
 	$(GO) test -count=1 -run 'TestLLMSessionStreamsExpectedTokens|TestKVStagedOncePerSession|TestDecodeDeterminism|TestDecodeStepWireBudget|TestCloseAbortMatchesBothSentinels' .
+
+# Mutex sections per op, counted in a rewritten copy of the module (the
+# checkout is only read): every sync.Mutex and sync.RWMutex there counts
+# its Lock and RLock calls by calling function. Prints a 256 B task, a
+# 64 KiB task and the steady decode step by call site, and fails when the
+# decode step or the 64 KiB task is over its budget in
+# cmd/ccai-synccount (a budget may only go down).
+sync-count:
+	$(GO) run ./cmd/ccai-synccount
 
 # The telemetry-plane smoke: boot a two-tenant chassis with the live
 # telemetry plane on an ephemeral port, fire the fault matrix (rekey,

@@ -98,7 +98,6 @@ type InferenceSession struct {
 	kvGen       int // the tenant's trust generation the KV was staged in
 	kvSealEpoch uint32
 	fence       secmem.Fence
-	finished    bool
 	err         error
 	ch          chan DecodeChunk
 	// prefillDone is closed — once, under mu, with prefillErr final —
@@ -109,6 +108,10 @@ type InferenceSession struct {
 	prefillErr    error
 	ctxStops      []func() bool
 
+	// finished is set once, under mu, when the stream ends (abort or
+	// finish). deliver reads it under mu, so no chunk is sent after abort
+	// closed the channel; runStep's early check reads it with no lock.
+	finished atomic.Bool
 	closed   atomic.Bool
 	kvFenced atomic.Bool
 	kvStaged atomic.Bool
@@ -469,11 +472,11 @@ func (s *InferenceSession) Close() error {
 // carrying err, then the channel closes. No-op on a finished stream.
 func (s *InferenceSession) abort(err error) {
 	s.mu.Lock()
-	if s.finished {
+	if s.finished.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.finished = true
+	s.finished.Store(true)
 	s.err = err
 	if !s.prefillClosed {
 		s.prefillClosed, s.prefillErr = true, err
@@ -512,16 +515,27 @@ func (s *InferenceSession) releaseStepLocked() {
 // finish closes the stream cleanly after the final chunk.
 func (s *InferenceSession) finish() { s.abort(nil) }
 
-// emit delivers one data chunk; the channel is sized so this never
-// blocks. Dropped silently once the stream finished (late step racing
-// an abort).
-func (s *InferenceSession) emit(c DecodeChunk) {
+// deliver hands a step's chunk to the stream in one critical section.
+// After a decode step it first checks the session's epoch fence: a
+// rekey under the session means the resident KV belongs to the fenced
+// epoch and stays put, while new traffic already seals under the fresh
+// one (KVFenced). The channel is sized so the send never blocks; the
+// chunk is dropped silently once the stream finished (a late step
+// racing an abort). After the prefill step it releases Prefill's
+// caller: chunk 0 is on the stream.
+func (s *InferenceSession) deliver(st *llm.Step, tokens []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.finished {
-		return
+	if st.Kind == llm.StepDecode && !s.fence.Valid() {
+		s.kvFenced.Store(true)
 	}
-	s.ch <- c
+	if !s.finished.Load() {
+		s.ch <- DecodeChunk{Index: st.Chunk, Tokens: tokens, Final: st.Chunk == s.cfg.Chunks()-1}
+	}
+	if st.Kind == llm.StepPrefill && !s.prefillClosed {
+		s.prefillClosed = true
+		close(s.prefillDone)
+	}
 }
 
 // runStep executes one engine step on the tenant's sealed pipeline:
@@ -533,7 +547,7 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 	t := s.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s.closed.Load() || s.streamOver() {
+	if s.closed.Load() || s.finished.Load() {
 		return fmt.Errorf("ccai: tenant %d: %w", t.Index, ErrSessionClosed)
 	}
 	if !t.trusted {
@@ -557,10 +571,7 @@ func (s *InferenceSession) runStep(st *llm.Step) error {
 		return err
 	}
 	// CollectD2H allocated tokens for its caller; the chunk takes it over.
-	s.emit(DecodeChunk{Index: st.Chunk, Tokens: tokens, Final: st.Chunk == s.cfg.Chunks()-1})
-	if st.Kind == llm.StepPrefill {
-		s.prefillExecuted()
-	}
+	s.deliver(st, tokens)
 	return nil
 }
 
@@ -658,38 +669,5 @@ func (s *InferenceSession) decodeStep(st *llm.Step) ([]byte, error) {
 	}
 	cmds := s.stepCommands(st, src, len(ids), s.step.Out.Buf.Base(), span)
 	staged := [1]*adaptor.Region{s.step.Window}
-	tokens, err := t.run(s.sctx, cmds[:], staged[:], s.step.Out, span)
-	if err != nil {
-		return nil, err
-	}
-	if f := s.stepFence(); !f.Valid() {
-		// Rekey happened under the session: the resident KV belongs to
-		// the fenced epoch and stays put; new traffic is already sealing
-		// under the fresh one.
-		s.kvFenced.Store(true)
-	}
-	return tokens, nil
-}
-
-// streamOver reports whether the stream already ended (abort or finish).
-func (s *InferenceSession) streamOver() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.finished
-}
-
-// prefillExecuted releases Prefill's caller: chunk 0 is on the stream.
-func (s *InferenceSession) prefillExecuted() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.prefillClosed {
-		s.prefillClosed = true
-		close(s.prefillDone)
-	}
-}
-
-func (s *InferenceSession) stepFence() secmem.Fence {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fence
+	return t.run(s.sctx, cmds[:], staged[:], s.step.Out, span)
 }

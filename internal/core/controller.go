@@ -87,11 +87,13 @@ type Controller struct {
 	guard  *EnvGuard
 
 	// mu guards the controller's own mutable state below (sess, status,
-	// stats and the freelists). Control panels (filter, params, tags,
-	// guard) carry their own leaf locks and may be called while mu is
-	// held; mu is NEVER held across a bus Route call — routing can
-	// reenter this controller on the same goroutine (doorbell → DMA
-	// upstream).
+	// stats and the freelists) and the tag manager's queue, which shares
+	// it: a handler matches, arms or discards a region's tag records in
+	// the critical section it takes for the region anyway. The other
+	// control panels (filter, params, guard) read published snapshots or
+	// carry their own leaf locks and may be called while mu is held; mu
+	// is NEVER held across a bus Route call — routing can reenter this
+	// controller on the same goroutine (doorbell → DMA upstream).
 	mu sync.Mutex
 
 	// sess is everything the session programs, one record per live
@@ -105,6 +107,12 @@ type Controller struct {
 	// to its sealing goroutine past any critical section, so it is
 	// pooled apart from the records.
 	wsFree []*writeSpan
+	// wsSpare is the shell retired last, handed back with a swap and no
+	// critical section; wsFree takes the shells that find it full.
+	wsSpare atomic.Pointer[writeSpan]
+	// sealedSpans is Stats().BatchedD2HSpans, an atomic so that retiring
+	// a span takes no critical section.
+	sealedSpans atomic.Uint64
 
 	status uint64
 
@@ -147,8 +155,9 @@ type Controller struct {
 	slab arena.Slab
 	pkts pcie.PacketArena
 
-	// stats is the one cell of every count Stats reports; the metrics
-	// registry reads it (SetObserver).
+	// stats is the one cell of every count Stats reports but the filter's
+	// and BatchedD2HSpans (sealedSpans); the metrics registry reads it
+	// (SetObserver).
 	stats Stats
 
 	// tracer records the SC's spans; nil is the untraced state, and every
@@ -204,41 +213,42 @@ func (c *Controller) authFailed() {
 	c.mu.Unlock()
 }
 
-// tagMatchEach wraps TagManager.TakeEach in a tag_match span: the
-// records of a read — one chunk's or a whole span's — leave the tag
-// queue in one operation.
-func (c *Controller) tagMatchEach(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
+// tagMatchEachLocked wraps TagManager.TakeEach in a tag_match span:
+// the records of a read — one chunk's or a whole span's — leave the tag
+// queue in one operation. Callers hold c.mu, the tag manager's lock.
+func (c *Controller) tagMatchEachLocked(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
 	var sp obsv.ActiveSpan
 	if tr := c.tracer; tr != nil {
 		sp = tr.Start(siteTagMatch, keyStream.Str(streamSym(stream)),
 			keyChunk.U64(uint64(ctrs[0])), keyChunks.I64(int64(len(ctrs))))
 	}
-	all := c.tags.TakeEach(stream, ctrs, recs, have)
+	all := c.tags.takeEachLocked(stream, ctrs, recs, have)
 	sp.Set(keyMatched.Bool(all))
 	sp.End()
 	return all
 }
 
-// tagMatch is tagMatchEach for one chunk.
-func (c *Controller) tagMatch(stream string, chunk uint32) (TagRecord, bool) {
+// tagMatchLocked is tagMatchEachLocked for one chunk.
+func (c *Controller) tagMatchLocked(stream string, chunk uint32) (TagRecord, bool) {
 	var rec [1]TagRecord
 	var have [1]bool
-	c.tagMatchEach(stream, []uint32{chunk}, rec[:], have[:])
+	c.tagMatchEachLocked(stream, []uint32{chunk}, rec[:], have[:])
 	return rec[0], have[0]
 }
 
 // NewController builds a PCIe-SC with the given identity and control
 // BAR placement, guarding the xPU whose BAR0 shadow window is xpuBar.
 func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controller {
-	return &Controller{
+	c := &Controller{
 		id:     id,
 		bar:    bar,
 		filter: NewFilter(),
 		params: NewParamsManager(keys),
-		tags:   NewTagManager(),
 		guard:  NewEnvGuard(),
 		status: SCStatusReady,
 	}
+	c.tags = newTagManager(&c.mu)
+	return c
 }
 
 // Attach wires the controller's one attachment: the trusted internal
@@ -287,6 +297,7 @@ func (c *Controller) Stats() Stats {
 	s := c.stats
 	c.mu.Unlock()
 	s.Filter = c.filter.Stats()
+	s.BatchedD2HSpans = c.sealedSpans.Load()
 	return s
 }
 
@@ -330,7 +341,7 @@ func (c *Controller) Handle(p *pcie.Packet) *pcie.Packet {
 	case ActionPassThrough:
 		return c.forwardToDevice(p)
 	case ActionWriteProtect:
-		return c.handleGuardedMMIO(p)
+		return c.handleGuardedMMIO(p, nil)
 	case ActionWriteReadProtect:
 		// Sensitive MMIO (command payloads addressed at ccAI hardware,
 		// Figure 5 L2 row 1) must arrive as sealed submission-ring
@@ -387,8 +398,11 @@ func staleCpl(req, cpl *pcie.Packet) bool {
 // handleGuardedMMIO applies action A3 to control traffic: the write's
 // MAC record must already sit in the tag queue (the Adaptor posts it
 // before issuing the write), and guarded registers must pass the
-// environment checks.
-func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
+// environment checks. carried is the wire record a guarded ring entry
+// carries behind its value (nil for a write from the host bus); it
+// joins the tag queue, like any uploaded record, in the section that
+// matches the write's record.
+func (c *Controller) handleGuardedMMIO(p *pcie.Packet, carried []byte) *pcie.Packet {
 	if p.Kind == pcie.MRd {
 		// Reads of guarded registers carry no payload to verify.
 		return c.forwardToDevice(p)
@@ -398,11 +412,19 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
 	defer sp.End()
 	// The sequence check, MAC verify and counter advance form one
 	// atomic step under mu so concurrent guarded writes cannot both
-	// claim the same sequence number. The leaf locks taken inside
-	// (tags, keystore, guard) never call back into the controller.
+	// claim the same sequence number. The tag match runs under mu, its
+	// lock; the keystore takes no lock once the MMIO key's MAC state
+	// exists, and never calls back into the controller.
+	var in [1]TagRecord
+	var names streamNames
+	n := 0
+	if len(carried) == TagRecordSize && c.parseTag(&in[0], &names, carried) {
+		n = 1
+	}
 	c.mu.Lock()
+	c.tags.enqueueLocked(in[:n])
 	seq := c.sess.mmioSeq
-	rec, ok := c.tagMatch(StreamMMIO, seq)
+	rec, ok := c.tagMatchLocked(StreamMMIO, seq)
 	if !ok {
 		c.mu.Unlock()
 		c.authFailed()
@@ -412,8 +434,7 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet) *pcie.Packet {
 	PutMACHeader(&hdr, seq, p.Address, uint32(len(p.Payload)))
 	// The 16-byte wire tag is the MAC truncated to TagSize; recompute
 	// and compare the truncation (constant-time over the full width).
-	// MACSum keeps the key inside the store and reuses its HMAC state;
-	// the keystore mutex is a leaf lock, safe under c.mu.
+	// MACSum keeps the key inside the store and reuses its HMAC state.
 	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], p.Payload)
 	if err != nil {
 		c.mu.Unlock()
@@ -599,9 +620,8 @@ func (c *Controller) armSlots(pos uint64, payload []byte) {
 		return
 	}
 	// A packet's worth of records at a time: one critical section arms
-	// their slots, one tag manager lock enqueues them. A refused record
-	// stops the entry where it stands, the records before it armed and
-	// enqueued.
+	// their slots and enqueues them. A refused record stops the entry
+	// where it stands, the records before it armed and enqueued.
 	var recs [tagSpanRecords]TagRecord
 	var names streamNames
 	for slot, refused := first, false; len(payload) > 0 && !refused; {
@@ -621,8 +641,8 @@ func (c *Controller) armSlots(pos uint64, payload []byte) {
 			slot++
 			n++
 		}
+		c.tags.enqueueLocked(recs[:n])
 		c.mu.Unlock()
-		c.tags.Enqueue(recs[:n]...)
 		if refused {
 			c.configReject() // a position outside a live window, or a record it may not arm
 		}
@@ -630,29 +650,23 @@ func (c *Controller) armSlots(pos uint64, payload []byte) {
 }
 
 // chunkCounters resolves the IV counters A2 H2D chunks first, first+1,
-// … first+len(ctrs)-1 were sealed under, under at most one critical
-// section: consecutive from FirstCounter in a one-shot region, whatever
-// the positioned tag armed in a slotted step window. It reports false
-// when a slot of the span was never armed — the read fails closed.
-func (c *Controller) chunkCounters(desc Descriptor, first uint32, ctrs []uint32) bool {
-	if !desc.Slotted {
+// … first+len(ctrs)-1 of r were sealed under: consecutive from
+// FirstCounter in a one-shot region, whatever the positioned tag armed
+// in a slotted step window. It reports false when a slot of the span was
+// never armed — the read fails closed. Callers hold c.mu.
+func (r *region) chunkCounters(first uint32, ctrs []uint32) bool {
+	if !r.desc.Slotted {
 		for i := range ctrs {
-			ctrs[i] = desc.FirstCounter + first + uint32(i)
+			ctrs[i] = r.desc.FirstCounter + first + uint32(i)
 		}
 		return true
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var armed []uint32
-	if r := c.sess.of(desc); r != nil {
-		armed = r.slots
-	}
 	for i := range ctrs {
 		slot := int(first) + i
-		if slot >= len(armed) || armed[slot] == 0 {
+		if slot >= len(r.slots) || r.slots[slot] == 0 {
 			return false
 		}
-		ctrs[i] = armed[slot]
+		ctrs[i] = r.slots[slot]
 	}
 	return true
 }
@@ -713,30 +727,30 @@ func (c *Controller) releaseRegion(id uint32) {
 		gone = c.sess.regions[i]
 		c.sess.regions = slices.Delete(c.sess.regions, i, i+1)
 	}
+	c.dropTagsLocked(gone)
 	c.mu.Unlock()
-	c.dropTags(gone)
 	c.retire(gone)
 }
 
-// dropTags discards the tag records still pending for a released A2 H2D
+// dropTagsLocked discards the tag records still pending for a released A2 H2D
 // region: those of chunks no device read took — a submission cancelled
 // before its doorbell, or one that failed — and reposted duplicates of
 // chunks the region had already verified. No read can take them once
 // the region is gone; left queued they would outlive it until the cap
-// evicted them.
-func (c *Controller) dropTags(r *region) {
+// evicted them. Callers hold c.mu, the tag manager's lock.
+func (c *Controller) dropTagsLocked(r *region) {
 	if r == nil || r.desc.Dir != DirH2D || r.desc.Class != ActionWriteReadProtect {
 		return
 	}
 	if r.desc.Slotted {
 		for _, ctr := range r.slots {
 			if ctr != 0 {
-				c.tags.Discard(StreamH2D, ctr, 1)
+				c.tags.discardLocked(StreamH2D, ctr, 1)
 			}
 		}
 		return
 	}
-	c.tags.Discard(StreamH2D, r.desc.FirstCounter, uint32((r.desc.Len+uint64(r.desc.ChunkSize)-1)/uint64(r.desc.ChunkSize)))
+	c.tags.discardLocked(StreamH2D, r.desc.FirstCounter, uint32((r.desc.Len+uint64(r.desc.ChunkSize)-1)/uint64(r.desc.ChunkSize)))
 }
 
 // retire pools records unlinked from the table: each one's pending write
@@ -923,29 +937,32 @@ func (c *Controller) InternalPort() pcie.Endpoint { return internalPort{c} }
 // (sealSpan). A write that does not get that far — dropped, misrouted,
 // failed to seal — has its classify span recorded after the fact, so
 // every drop, reject and auth failure still shows one.
+//
+// A protected packet's region is looked up in the first critical
+// section of its handler, which needs the lock for the region anyway.
+// Only a write on an observed chassis looks it up before classifying,
+// to know whether its span folds into a seal's.
 func (c *Controller) HandleFromDevice(p *pcie.Packet) *pcie.Packet {
-	var desc Descriptor
+	if c.tracer == nil || p.Kind != pcie.MWr {
+		cpl, _ := c.dispatchFromDevice(p, c.filter.classify(p, true))
+		return cpl
+	}
 	c.mu.Lock()
 	r := c.sess.at(p.Address)
-	found := r != nil
-	if found {
-		desc = r.desc
-	}
+	fold := r != nil && r.desc.Dir == DirD2H && r.desc.Class == ActionWriteReadProtect
 	c.mu.Unlock()
-	fold := c.tracer != nil && p.Kind == pcie.MWr && found && desc.Dir == DirD2H && desc.Class == ActionWriteReadProtect
 	verdict := c.filter.classify(p, !fold)
-	cpl, staged := c.dispatchFromDevice(p, verdict, desc, found)
+	cpl, staged := c.dispatchFromDevice(p, verdict)
 	if fold && !staged {
 		c.filter.traceVerdict(p, verdict)
 	}
 	return cpl
 }
 
-// dispatchFromDevice applies the verdict to a device-initiated packet;
-// desc is the live region the packet's address fell in, if found.
+// dispatchFromDevice applies the verdict to a device-initiated packet.
 // staged reports that the packet was a D2H chunk write accepted into
 // its region's write span.
-func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict, desc Descriptor, found bool) (cpl *pcie.Packet, staged bool) {
+func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict) (cpl *pcie.Packet, staged bool) {
 	switch verdict.Action {
 	case ActionDrop:
 		return c.reject(p), false
@@ -959,23 +976,37 @@ func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict, desc De
 		return cpl, false
 	}
 
-	if !found {
-		// Classified protected but no registered region: fail closed.
-		c.authFailed()
-		return c.reject(p), false
-	}
-	switch {
-	case p.Kind == pcie.MRd && desc.Dir == DirH2D && desc.Class == ActionWriteReadProtect:
-		return c.decryptRead(p, desc), false
-	case p.Kind == pcie.MRd && desc.Dir == DirH2D && desc.Class == ActionWriteProtect:
-		return c.verifiedRead(p, desc), false
-	case p.Kind == pcie.MWr && desc.Dir == DirD2H && desc.Class == ActionWriteReadProtect:
-		if c.encryptWrite(p, desc, verdict) {
+	switch p.Kind {
+	case pcie.MRd:
+		return c.deviceRead(p), false
+	case pcie.MWr:
+		if c.encryptWrite(p, verdict) {
 			return nil, true
 		}
 	}
+	// Classified protected but no live region of the packet's kind, or a
+	// write refused: fail closed.
 	c.authFailed()
 	return c.reject(p), false
+}
+
+// deviceRead serves a protected device read. Its critical section finds
+// the read's region and hands it, still locked, to the region's read
+// path, which does its checks under the same section before it fetches.
+// A read of no live H2D region fails closed.
+func (c *Controller) deviceRead(p *pcie.Packet) *pcie.Packet {
+	c.mu.Lock()
+	if r := c.sess.at(p.Address); r != nil && r.desc.Dir == DirH2D {
+		switch r.desc.Class {
+		case ActionWriteReadProtect:
+			return c.decryptRead(p, r)
+		case ActionWriteProtect:
+			return c.verifiedRead(p, r)
+		}
+	}
+	c.stats.AuthFailures++
+	c.mu.Unlock()
+	return c.reject(p)
 }
 
 // decryptRead is the SC's one A2 read path: a device read of 1 to
@@ -995,23 +1026,30 @@ func (c *Controller) dispatchFromDevice(p *pcie.Packet, verdict Verdict, desc De
 // fail-closes as a unit; any wrinkle — a consumed tag, a reposted table
 // behind the watermark — drops to the per-chunk policy in openChunk,
 // which knows about duplicates and retransmits.
-func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
+//
+// Called with c.mu held and r the read's region; the geometry and slot
+// checks run in that section, which it releases before the fetch.
+func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
+	desc := r.desc
 	sp := c.tracer.Start(siteDecryptReadSpan,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	cs, off, n := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
 	if cs == 0 || n == 0 || n > pcie.MaxReadReq || off%cs != 0 || off+n > desc.Len || (n+cs-1)/cs > spanChunks {
-		c.authFailed()
+		c.stats.AuthFailures++
+		c.mu.Unlock()
 		return c.reject(p)
 	}
 	first, k := uint32(off/cs), int((n+cs-1)/cs)
 	sc := c.takeScratch()
 	defer c.putScratch(sc)
 	ctrs, recs, have := sc.ctrs[:k], sc.recs[:k], sc.have[:k]
-	if !c.chunkCounters(desc, first, ctrs) {
-		c.authFailed()
+	if !r.chunkCounters(first, ctrs) {
+		c.stats.AuthFailures++
+		c.mu.Unlock()
 		return c.reject(p)
 	}
+	c.mu.Unlock()
 
 	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
 	cpl := c.hostBus.Route(req)
@@ -1031,7 +1069,9 @@ func (c *Controller) decryptRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
 	}
 	// Chunk i is bytes [lo, hi) of both the fetched ciphertext and pt.
 	bounds := func(i int) (lo, hi uint64) { return uint64(i) * cs, min(uint64(i+1)*cs, n) }
-	all := c.tagMatchEach(StreamH2D, ctrs, recs, have)
+	c.mu.Lock()
+	all := c.tagMatchEachLocked(StreamH2D, ctrs, recs, have)
+	c.mu.Unlock()
 	// Plaintext destined for the device-facing completion: arena-carved
 	// when the device returns completion payloads to the pool, else
 	// slab-carved (never recycled, so handing it to taps stays safe).
@@ -1198,22 +1238,30 @@ func PutRunMACHeader(buf *[16]byte, region, first, n, size uint32) {
 // already served, a slot no record names — is an auth failure without a
 // host fetch, and spends the record it found. A fetch that fails spends
 // nothing.
-func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet {
+//
+// Called with c.mu held and r the read's region; the geometry check and
+// the look at the run record run in that section, which it releases
+// before the fetch.
+func (c *Controller) verifiedRead(p *pcie.Packet, r *region) *pcie.Packet {
+	desc := r.desc
 	sp := c.tracer.Start(siteVerifiedRead,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	cs, off, n := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
 	if cs == 0 || n == 0 || off%cs != 0 || n%cs != 0 || n > pcie.MaxReadReq || n/cs > MaxRunSlots || off+n > desc.Len {
-		c.authFailed()
+		c.stats.AuthFailures++
+		c.mu.Unlock()
 		return c.reject(p)
 	}
 	first, k := uint32(off/cs), uint32(n/cs)
 	key := RunKey(desc.ID, first)
-	if rec, fresh := c.tags.Peek(StreamA3Run, key); !fresh || rec.Epoch != k {
-		c.tagMatch(StreamA3Run, key) // spends the record, or counts the miss
-		c.authFailed()
+	if rec, fresh := c.tags.peekLocked(StreamA3Run, key); !fresh || rec.Epoch != k {
+		c.tagMatchLocked(StreamA3Run, key) // spends the record, or counts the miss
+		c.stats.AuthFailures++
+		c.mu.Unlock()
 		return c.reject(p)
 	}
+	c.mu.Unlock()
 	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
 	cpl := c.hostBus.Route(req)
 	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n {
@@ -1231,21 +1279,24 @@ func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet 
 	c.releaseFetch(req, cpl, true)
 	var hdr [16]byte
 	PutRunMACHeader(&hdr, desc.ID, first, k, uint32(n))
-	rec, ok := c.tagMatch(StreamA3Run, key)
 	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], run)
+	c.mu.Lock()
+	rec, ok := c.tagMatchLocked(StreamA3Run, key)
 	match := ok && err == nil && rec.Epoch == k
 	for i := 0; i < secmem.TagSize; i++ {
 		if want[i] != rec.Tag[i] {
 			match = false
 		}
 	}
+	if match {
+		c.stats.VerifiedChunks += uint64(k)
+	} else {
+		c.stats.AuthFailures++
+	}
+	c.mu.Unlock()
 	if !match {
-		c.authFailed()
 		return c.reject(p)
 	}
-	c.mu.Lock()
-	c.stats.VerifiedChunks += uint64(k)
-	c.mu.Unlock()
 	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, run)
 }
 
@@ -1266,15 +1317,26 @@ func (c *Controller) verifiedRead(p *pcie.Packet, desc Descriptor) *pcie.Packet 
 // the chunk grid, or a seal that failed, which stops the burst where it
 // stands — and the caller fails closed. verdict is what the TLP
 // classified to; a write span holds only TLPs of one verdict, which its
-// encrypt_write span reports.
-func (c *Controller) encryptWrite(p *pcie.Packet, desc Descriptor, verdict Verdict) bool {
+// encrypt_write span reports. A write into no live A2 D2H region is
+// refused the same way. The region lookup, the geometry check and the
+// first staging are one critical section.
+func (c *Controller) encryptWrite(p *pcie.Packet, verdict Verdict) bool {
+	c.mu.Lock()
+	r := c.sess.at(p.Address)
+	if r == nil || r.desc.Dir != DirD2H || r.desc.Class != ActionWriteReadProtect {
+		c.mu.Unlock()
+		return false
+	}
+	desc := r.desc
 	cs, off, n := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(len(p.Payload))
 	if n == 0 || n > pcie.MaxReadReq || off%cs != 0 || off+n > desc.Len || (n%cs != 0 && off+n != desc.Len) {
+		c.mu.Unlock()
 		return false
 	}
 	chunk, data := uint32(off/cs), p.Payload
-	for len(data) > 0 {
-		staged, span := c.stageWrite(desc, chunk, data, p.Payload, verdict)
+	for {
+		staged, span := c.stageLocked(r, chunk, data, p.Payload, verdict)
+		c.mu.Unlock()
 		if staged == 0 && span == nil {
 			// The region was released under the burst, which no span owns.
 			c.retireStaging(p.Payload)
@@ -1289,8 +1351,12 @@ func (c *Controller) encryptWrite(p *pcie.Packet, desc Descriptor, verdict Verdi
 			}
 			return false
 		}
+		if len(data) == 0 {
+			return true
+		}
+		c.mu.Lock()
+		r = c.sess.of(desc)
 	}
-	return true
 }
 
 // tagSpanRecords is how many marshalled tag records fit one TLP payload.

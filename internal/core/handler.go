@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ccai/internal/obsv"
 	"ccai/internal/pcie"
@@ -50,19 +52,32 @@ var ErrStreamHashCollision = errors.New("core: stream name hash collides with an
 // streams the AES engine uses. Each logical transfer region binds to
 // one stream context. All methods are safe for concurrent use.
 type ParamsManager struct {
-	mu      sync.RWMutex
-	keys    *secmem.KeyStore
-	streams map[string]*secmem.Stream
-	// byHash indexes active stream names by their 32-bit wire hash —
-	// the tag-ingest hot path resolves one hash per record, so this
-	// must not rehash every name. Activation rejects collisions, so
-	// each hash maps to at most one name.
-	byHash map[uint32]string
+	// mu serializes the writers: Activate, Rekey, DestroyAll and
+	// SetObserver. hub and track are guarded by it.
+	mu   sync.Mutex
+	keys *secmem.KeyStore
+	// active is the live stream contexts, each with its 32-bit wire hash
+	// worked out once — the tag-ingest hot path resolves one hash per
+	// packet. A writer publishes a new slice under mu and never changes
+	// a published one, so Stream, NameByHash and Active read it with no
+	// lock. Activation rejects collisions, so each hash names at most
+	// one stream.
+	active atomic.Pointer[[]activeStream]
 
 	// hub/track propagate observability to streams activated later.
 	hub   *obsv.Hub
 	track string
 }
+
+// activeStream is one live stream context and its wire hash.
+type activeStream struct {
+	name   string
+	hash   uint32
+	stream *secmem.Stream
+}
+
+// streams is the published table of live stream contexts.
+func (pm *ParamsManager) streams() []activeStream { return *pm.active.Load() }
 
 // SetObserver instruments existing streams and records the hub so
 // streams activated afterwards inherit it.
@@ -71,31 +86,29 @@ func (pm *ParamsManager) SetObserver(h *obsv.Hub, track string) {
 	defer pm.mu.Unlock()
 	pm.hub = h
 	pm.track = track
-	for name, s := range pm.streams {
-		s.SetObserver(h, track, name)
+	for _, a := range pm.streams() {
+		a.stream.SetObserver(h, track, a.name)
 	}
 }
 
 // NewParamsManager builds a manager over a key store (the PCIe-SC's
 // trust-module storage).
 func NewParamsManager(keys *secmem.KeyStore) *ParamsManager {
-	return &ParamsManager{
-		keys:    keys,
-		streams: make(map[string]*secmem.Stream),
-		byHash:  make(map[uint32]string),
-	}
+	pm := &ParamsManager{keys: keys}
+	pm.active.Store(new([]activeStream))
+	return pm
 }
+
+// wellKnownStreams are the platform's fixed stream names. Tag records
+// for them resolve even before activation, and no other name may
+// activate with a colliding hash.
+var wellKnownStreams = []string{StreamH2D, StreamD2H, StreamConfig, StreamMMIO, StreamA3Run}
 
 // Activate instantiates the stream context for a named stream from
 // installed key material. A name whose 32-bit wire hash collides with
 // an already-active stream (or the reserved StreamMMIO name) is
 // rejected: tag packets identify streams by hash alone, and two live
 // streams sharing one hash could cross-match each other's tags.
-// wellKnownStreams are the platform's fixed stream names. Tag records
-// for them resolve even before activation, and no other name may
-// activate with a colliding hash.
-var wellKnownStreams = []string{StreamH2D, StreamD2H, StreamConfig, StreamMMIO, StreamA3Run}
-
 func (pm *ParamsManager) Activate(name string) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -106,10 +119,11 @@ func (pm *ParamsManager) Activate(name string) error {
 				ErrStreamHashCollision, name, known, h)
 		}
 	}
-	for other := range pm.streams {
-		if other != name && hashStream(other) == h {
+	old := pm.streams()
+	for _, a := range old {
+		if a.name != name && a.hash == h {
 			return fmt.Errorf("%w: %q vs active %q (hash %#x)",
-				ErrStreamHashCollision, name, other, h)
+				ErrStreamHashCollision, name, a.name, h)
 		}
 	}
 	s, err := pm.keys.Stream(name)
@@ -117,39 +131,46 @@ func (pm *ParamsManager) Activate(name string) error {
 		return err
 	}
 	s.SetObserver(pm.hub, pm.track, name)
-	pm.streams[name] = s
-	pm.byHash[h] = name
+	next := make([]activeStream, 0, len(old)+1)
+	for _, a := range old {
+		if a.name != name {
+			next = append(next, a)
+		}
+	}
+	next = append(next, activeStream{name: name, hash: h, stream: s})
+	pm.active.Store(&next)
 	return nil
 }
 
 // Stream returns the active context for name.
 func (pm *ParamsManager) Stream(name string) (*secmem.Stream, error) {
-	pm.mu.RLock()
-	s, ok := pm.streams[name]
-	pm.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNoStream, name)
+	for _, a := range pm.streams() {
+		if a.name == name {
+			return a.stream, nil
+		}
 	}
-	return s, nil
+	return nil, fmt.Errorf("%w %q", ErrNoStream, name)
 }
 
 // NameByHash resolves a wire stream hash to the unique active stream
 // carrying it. Activation rejects colliding names, so at most one
 // active stream can match.
 func (pm *ParamsManager) NameByHash(h uint32) (string, bool) {
-	pm.mu.RLock()
-	name, ok := pm.byHash[h]
-	pm.mu.RUnlock()
-	return name, ok
+	for _, a := range pm.streams() {
+		if a.hash == h {
+			return a.name, true
+		}
+	}
+	return "", false
 }
 
 // Rekey replaces a stream's parameters (IV-exhaustion mitigation, §6).
 func (pm *ParamsManager) Rekey(name string, key, nonce []byte) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	s, ok := pm.streams[name]
-	if !ok {
-		return fmt.Errorf("%w %q", ErrNoStream, name)
+	s, err := pm.Stream(name)
+	if err != nil {
+		return err
 	}
 	if err := pm.keys.Install(name, key, nonce); err != nil {
 		return err
@@ -160,17 +181,14 @@ func (pm *ParamsManager) Rekey(name string, key, nonce []byte) error {
 // DestroyAll drops every context and zeroizes key material (teardown).
 func (pm *ParamsManager) DestroyAll() {
 	pm.mu.Lock()
-	pm.streams = make(map[string]*secmem.Stream)
-	pm.byHash = make(map[uint32]string)
+	pm.active.Store(new([]activeStream))
 	pm.mu.Unlock()
 	pm.keys.DestroyAll()
 }
 
 // Active reports how many stream contexts are live.
 func (pm *ParamsManager) Active() int {
-	pm.mu.RLock()
-	defer pm.mu.RUnlock()
-	return len(pm.streams)
+	return len(pm.streams())
 }
 
 // --- Authentication Tag Manager -------------------------------------------
@@ -234,30 +252,39 @@ type MMIOCheck struct {
 // MMIO writes during computing and cleans the device on teardown.
 // All methods are safe for concurrent use.
 type EnvGuard struct {
-	mu       sync.Mutex
-	checks   []MMIOCheck
+	// mu serializes AddCheck and guards violated and cleans.
+	mu sync.Mutex
+	// checks is the installed predicates. AddCheck publishes a new slice
+	// under mu and never changes a published one, so VerifyMMIO scans it
+	// with no lock and takes mu only to record a violation.
+	checks   atomic.Pointer[[]MMIOCheck]
 	violated []string
 	cleans   int
 }
 
 // NewEnvGuard returns a guard with no checks installed.
-func NewEnvGuard() *EnvGuard { return &EnvGuard{} }
+func NewEnvGuard() *EnvGuard {
+	g := &EnvGuard{}
+	g.checks.Store(new([]MMIOCheck))
+	return g
+}
 
 // AddCheck installs a register predicate.
 func (g *EnvGuard) AddCheck(c MMIOCheck) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.checks = append(g.checks, c)
+	next := append(slices.Clip(*g.checks.Load()), c)
+	g.checks.Store(&next)
 }
 
 // VerifyMMIO validates a BAR0-relative register write; a false return
 // means the write must be blocked. Unguarded registers pass.
 func (g *EnvGuard) VerifyMMIO(reg uint64, value uint64) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, c := range g.checks {
+	for _, c := range *g.checks.Load() {
 		if c.Reg == reg && !c.Valid(value) {
+			g.mu.Lock()
 			g.violated = append(g.violated, c.Name)
+			g.mu.Unlock()
 			return false
 		}
 	}

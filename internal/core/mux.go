@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ccai/internal/pcie"
 )
@@ -17,13 +19,17 @@ import (
 // carries it. A single-xPU platform is a mux with one unit. Unit
 // controllers present distinct function numbers upstream, so host
 // software sees them as virtual functions of one device.
-// Dispatch takes only a read lock, so tenants routed to different units
-// proceed in parallel; AddUnit (assembly-time) is the sole writer.
+// Dispatch takes no lock, so tenants routed to different units proceed
+// in parallel; AddUnit (assembly-time) is the sole writer.
 type Mux struct {
 	id pcie.ID
 
-	mu    sync.RWMutex
-	units []*MuxUnit
+	// mu serializes AddUnit.
+	mu sync.Mutex
+	// table is the registered slices. AddUnit publishes a new slice under
+	// mu and never changes a published one, so Handle reads it with no
+	// lock.
+	table atomic.Pointer[[]*MuxUnit]
 }
 
 // MuxUnit is one isolated (TVM, xPU) slice of the controller.
@@ -38,7 +44,14 @@ type MuxUnit struct {
 
 // NewMux creates an empty multi-unit controller with the given primary
 // upstream identity.
-func NewMux(id pcie.ID) *Mux { return &Mux{id: id} }
+func NewMux(id pcie.ID) *Mux {
+	m := &Mux{id: id}
+	m.table.Store(new([]*MuxUnit))
+	return m
+}
+
+// units is the published unit list.
+func (m *Mux) units() []*MuxUnit { return *m.table.Load() }
 
 // DeviceID implements pcie.Endpoint.
 func (m *Mux) DeviceID() pcie.ID { return m.id }
@@ -54,7 +67,8 @@ func (m *Mux) AddUnit(u *MuxUnit) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.units {
+	units := m.units()
+	for _, e := range units {
 		if e.XPU == u.XPU {
 			return fmt.Errorf("core: xPU %v already sliced", u.XPU)
 		}
@@ -63,7 +77,8 @@ func (m *Mux) AddUnit(u *MuxUnit) error {
 		}
 	}
 	u.Ctrl.authorizedTVM = u.TVM
-	m.units = append(m.units, u)
+	next := append(slices.Clip(units), u)
+	m.table.Store(&next)
 	return nil
 }
 
@@ -71,17 +86,10 @@ func (m *Mux) AddUnit(u *MuxUnit) error {
 // target address selects the unit; anything outside every unit's
 // windows is rejected.
 func (m *Mux) Handle(p *pcie.Packet) *pcie.Packet {
-	m.mu.RLock()
-	var target *MuxUnit
-	for _, u := range m.units {
+	for _, u := range m.units() {
 		if u.Bar.Contains(p.Address) || u.Window.Contains(p.Address) {
-			target = u
-			break
+			return u.Ctrl.Handle(p)
 		}
-	}
-	m.mu.RUnlock()
-	if target != nil {
-		return target.Ctrl.Handle(p)
 	}
 	if p.Kind == pcie.MRd || p.Kind == pcie.CfgRd || p.Kind == pcie.CfgWr {
 		return pcie.NewCompletion(p, m.id, pcie.CplUR, nil)

@@ -135,7 +135,7 @@ func (c *Controller) routeHost(addr uint64, body []byte) bool {
 // buffer.
 //
 // A span is in one of two states. While it is its region record's ws it
-// is pending and guarded by c.mu. Once stageWrite has taken it out for
+// is pending and guarded by c.mu. Once stageLocked has taken it out for
 // sealing it belongs to the sealing goroutine alone — past every
 // critical section, which is why it is pooled on its own freelist
 // (wsFree) and not with the records — until finishSpan puts the shell
@@ -183,9 +183,9 @@ type hostWr struct {
 	body []byte
 }
 
-// stageWrite buffers the chunks of data — the rest of a device write
-// burst, from chunk on — in the region's pending span, in the one
-// critical section a span's worth of them costs. When a chunk completes
+// stageLocked buffers the chunks of data — the rest of a device write
+// burst, from chunk on — in r's pending span; its caller holds c.mu, one
+// critical section for a span's worth of chunks. When a chunk completes
 // the span (it is full, the region is complete, or the metadata publish
 // cadence is due: the progress counter must never claim chunks whose
 // ciphertext and tags are still buffered) the span comes back detached,
@@ -195,25 +195,24 @@ type hostWr struct {
 // pending span comes back detached: the caller seals it and stages
 // again. A burst that classified differently from the pending span's
 // TLPs (the rule table changed under the burst) breaks it the same way.
-// Nothing staged and nothing detached means the region is gone. The
-// span that takes the burst's last chunk takes owner, its staging
-// buffer, with it.
-func (c *Controller) stageWrite(desc Descriptor, chunk uint32, data, owner []byte, verdict Verdict) (staged int, flush *writeSpan) {
-	cs := int(desc.ChunkSize)
-	total := uint64(chunkCount(desc))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := c.sess.of(desc)
+// Nothing staged and nothing detached means the region is gone (r is
+// nil). The span that takes the burst's last chunk takes owner, its
+// staging buffer, with it.
+func (c *Controller) stageLocked(r *region, chunk uint32, data, owner []byte, verdict Verdict) (staged int, flush *writeSpan) {
 	if r == nil {
 		return 0, nil
 	}
+	cs := int(r.desc.ChunkSize)
+	total := uint64(chunkCount(r.desc))
 	span := r.ws
 	switch {
 	case span == nil:
-		if n := len(c.wsFree); n > 0 {
+		span = c.wsSpare.Swap(nil)
+		if n := len(c.wsFree); span == nil && n > 0 {
 			span = c.wsFree[n-1]
 			c.wsFree = c.wsFree[:n-1]
-		} else {
+		}
+		if span == nil {
 			span = &writeSpan{c: c}
 			span.emit = span.emitChunk
 		}
@@ -310,7 +309,7 @@ func (span *writeSpan) emitChunk(i int, chunk *secmem.Sealed) error {
 // finishSpan retires a sealed or dropped span: the staging buffers it
 // owns go back (retireStaging), its host-write buffer goes back whole
 // unless held (ciphertext: public bytes), and the shell returns to the
-// freelist.
+// freelist — the spare slot if it is empty, which takes no lock.
 func (c *Controller) finishSpan(span *writeSpan, sealed bool) {
 	for _, b := range span.owned {
 		c.retireStaging(b)
@@ -321,10 +320,13 @@ func (c *Controller) finishSpan(span *writeSpan, sealed bool) {
 	clear(span.owned)
 	clear(span.pts)
 	span.pts, span.owned, span.out, span.held = nil, nil, nil, false
-	c.mu.Lock()
 	if sealed {
-		c.stats.BatchedD2HSpans++
+		c.sealedSpans.Add(1)
 	}
+	if c.wsSpare.CompareAndSwap(nil, span) {
+		return
+	}
+	c.mu.Lock()
 	if len(c.wsFree) < 4 {
 		c.wsFree = append(c.wsFree, span)
 	}

@@ -165,8 +165,10 @@ func (c *Controller) processRing(tail uint64) {
 
 	c.mu.Lock()
 	c.sess.ringHead = tail
+	w := c.sess.cplWord
 	c.mu.Unlock()
-	c.ringPostHead(base, tail)
+	c.hostWrite64(base, tail)
+	c.postCompletionWord(base, w)
 }
 
 // ringDispatch routes one validated entry to its handler. data aliases
@@ -193,22 +195,21 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		// Region-ready: the SC has nothing to do — the entry's records and
 		// descriptor were dispatched ahead of it, in order.
 	case RingOpGuarded:
-		// The entry carries the write's MAC record behind its value. Queue
-		// the record, rebuild the A3 write the entry stands for, attributed
-		// to the authorized TVM, and run it through the full
-		// sequence+MAC+guard pipeline. The value is copied out of the gather
-		// buffer: a tap on the internal bus may keep the packet past this
-		// dispatch.
+		// The entry carries the write's MAC record behind its value.
+		// Rebuild the A3 write the entry stands for, attributed to the
+		// authorized TVM, and run it through the full sequence+MAC+guard
+		// pipeline, which queues the record in the section that matches
+		// it. The value is copied out of the gather buffer: a tap on the
+		// internal bus may keep the packet past this dispatch.
 		if len(data) <= TagRecordSize {
 			c.configReject() // a guarded entry that carries no value
 			return
 		}
 		value, rec := data[:len(data)-TagRecordSize], data[len(data)-TagRecordSize:]
-		c.ingestTags(rec)
 		val := c.payloadBuf(len(value), c.internal)
 		copy(val, value)
 		p := c.pkts.MemWrite(c.authorizedTVM, arg, val)
-		c.handleGuardedMMIO(p)
+		c.handleGuardedMMIO(p, rec)
 		if c.recycleOn(c.internal) && pcie.Release(p) {
 			arena.Put(val) // a register value the host bus already carried
 		}
@@ -235,17 +236,18 @@ func (c *Controller) ringFetch(addr uint64, dst []byte) bool {
 // producer refreshes both with the same doorbell.
 func (c *Controller) ringPostHead(base, head uint64) {
 	c.hostWrite64(base, head)
-	c.postCompletionWord(base)
-}
-
-// postCompletionWord DMA-writes the cached device command head (tagged
-// RingCplValid) into the ring header's completion slot. A zero cache —
-// no doorbell forwarded yet this session — posts nothing, leaving the
-// header word invalid so the producer falls back to the MMIO read.
-func (c *Controller) postCompletionWord(base uint64) {
 	c.mu.Lock()
 	w := c.sess.cplWord
 	c.mu.Unlock()
+	c.postCompletionWord(base, w)
+}
+
+// postCompletionWord DMA-writes w, the cached device command head
+// (tagged RingCplValid) its caller read under c.mu, into the ring
+// header's completion slot. A zero cache — no doorbell forwarded yet
+// this session — posts nothing, leaving the header word invalid so the
+// producer falls back to the MMIO read.
+func (c *Controller) postCompletionWord(base, w uint64) {
 	if w == 0 {
 		return
 	}
@@ -281,12 +283,13 @@ func (c *Controller) reapCompletion() {
 		pcie.Release(cpl)
 		pcie.Release(req)
 	}
+	w := RingCplValid | head
 	c.mu.Lock()
-	c.sess.cplWord = RingCplValid | head
+	c.sess.cplWord = w
 	base := c.sess.ringBase
 	c.mu.Unlock()
 	if base != 0 {
-		c.postCompletionWord(base)
+		c.postCompletionWord(base, w)
 	}
 }
 

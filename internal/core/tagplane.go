@@ -31,7 +31,14 @@ const DefaultTagCap = 4096
 // wire hash, so two names that collide under hashStream can never
 // cross-match or steal each other's tags.
 type TagManager struct {
-	mu sync.Mutex
+	// mu guards everything below. A manager from NewTagManager owns its
+	// lock; a Controller's manager shares the controller's mu, so the
+	// controller matches, arms and discards a region's records inside
+	// the critical section it already holds for the region (the
+	// *Locked methods, called with mu held). Either way every exported
+	// method takes mu, so scrapes and tests may call them from any
+	// goroutine.
+	mu *sync.Mutex
 
 	// log holds arrival positions [head, tail), position p in slot
 	// p&(len(log)-1). A matched or evicted entry is marked dead in place
@@ -101,8 +108,11 @@ func (tm *TagManager) SetObserver(h *obsv.Hub) {
 }
 
 // NewTagManager returns an empty tag queue with the default cap.
-func NewTagManager() *TagManager {
-	return &TagManager{cap: DefaultTagCap}
+func NewTagManager() *TagManager { return newTagManager(new(sync.Mutex)) }
+
+// newTagManager returns an empty tag queue guarded by mu.
+func newTagManager(mu *sync.Mutex) *TagManager {
+	return &TagManager{mu: mu, cap: DefaultTagCap}
 }
 
 // SetPendingCap changes the pending-queue bound (≤0 restores the
@@ -145,6 +155,11 @@ func (tm *TagManager) Enqueue(recs ...TagRecord) {
 	}
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
+	tm.enqueueLocked(recs)
+}
+
+// enqueueLocked is Enqueue for a caller that holds tm.mu.
+func (tm *TagManager) enqueueLocked(recs []TagRecord) {
 	var s *tagStream
 	var si int32
 	stored := uint64(0)
@@ -175,6 +190,11 @@ func (tm *TagManager) Enqueue(recs ...TagRecord) {
 func (tm *TagManager) Peek(stream string, chunk uint32) (TagRecord, bool) {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
+	return tm.peekLocked(stream, chunk)
+}
+
+// peekLocked is Peek for a caller that holds tm.mu.
+func (tm *TagManager) peekLocked(stream string, chunk uint32) (TagRecord, bool) {
 	e := tm.find(tm.lookup(stream), chunk)
 	if e == nil {
 		return TagRecord{}, false
@@ -197,6 +217,11 @@ func (tm *TagManager) Take(stream string, chunk uint32) (TagRecord, bool) {
 func (tm *TagManager) TakeEach(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
+	return tm.takeEachLocked(stream, ctrs, recs, have)
+}
+
+// takeEachLocked is TakeEach for a caller that holds tm.mu.
+func (tm *TagManager) takeEachLocked(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
 	s := tm.lookup(stream)
 	all := true
 	for i, c := range ctrs {
@@ -241,6 +266,11 @@ func (tm *TagManager) Evicted() uint64 {
 func (tm *TagManager) Discard(stream string, first, n uint32) {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
+	tm.discardLocked(stream, first, n)
+}
+
+// discardLocked is Discard for a caller that holds tm.mu.
+func (tm *TagManager) discardLocked(stream string, first, n uint32) {
 	if tm.live == 0 {
 		return
 	}

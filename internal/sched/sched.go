@@ -182,11 +182,19 @@ func (f *Fair) Cancel(e *Entry) bool {
 	if e == nil || !e.state.CompareAndSwap(stateQueued, stateCanceled) {
 		return false
 	}
+	f.uncount(e)
+	return true
+}
+
+// uncount is Cancel's second half: it gives back the capacity of an
+// entry whose cancel CAS the caller won. It runs after the CAS and
+// outside f.mu, so a DrainQueued may come in between; DrainQueued
+// leaves such an entry's count for this call to take off.
+func (f *Fair) uncount(e *Entry) {
 	f.mu.Lock()
 	f.flows[e.Flow].pending--
 	f.broadcast() // a Push waiter is never blocked, but Drain watchers poll via Next
 	f.mu.Unlock()
-	return true
 }
 
 // drop unlinks the flow's first k entries by shifting the rest down, so
@@ -366,7 +374,9 @@ func (f *Fair) Close() {
 
 // DrainQueued cancels every still-queued entry and returns them; the
 // caller completes their handles (Shutdown semantics). In-flight
-// entries are untouched.
+// entries are untouched. It takes off the count of the entries whose
+// CAS it won only: an entry a Cancel flipped first is still counted
+// until that Cancel's uncount runs.
 func (f *Fair) DrainQueued() []*Entry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -376,10 +386,10 @@ func (f *Fair) DrainQueued() []*Entry {
 		for _, e := range fl.entries {
 			if e.state.CompareAndSwap(stateQueued, stateCanceled) {
 				out = append(out, e)
+				fl.pending--
 			}
 		}
 		fl.entries = nil
-		fl.pending = 0
 	}
 	f.broadcast()
 	return out

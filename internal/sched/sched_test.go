@@ -207,6 +207,30 @@ func TestDrainQueuedCancelsAll(t *testing.T) {
 	}
 }
 
+// TestCancelAcrossDrainCountsOnce runs Cancel's two halves around a
+// DrainQueued: the cancel wins the entry's CAS, the drain empties the
+// queue, then the cancel takes its count off. The entry must be counted
+// off once, by the cancel, and never read below zero.
+func TestCancelAcrossDrainCountsOnce(t *testing.T) {
+	f, _ := New(Config{Flows: 2, Depth: 4})
+	e := mustPush(t, f, 0, 1, "canceled")
+	mustPush(t, f, 0, 1, "drained")
+	mustPush(t, f, 1, 1, "drained")
+	if !e.state.CompareAndSwap(stateQueued, stateCanceled) {
+		t.Fatal("cancel lost the CAS on a queued entry")
+	}
+	if drained := f.DrainQueued(); len(drained) != 2 {
+		t.Fatalf("drained %d entries, want the 2 the cancel did not take", len(drained))
+	}
+	f.uncount(e)
+	if got := f.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after the cancel and the drain, want 0", got)
+	}
+	if got := f.Len(0); got != 0 {
+		t.Fatalf("Len(0) = %d, want 0", got)
+	}
+}
+
 // TestNextBlocksUntilPushOrStop covers the waiter paths.
 func TestNextBlocksUntilPushOrStop(t *testing.T) {
 	f, _ := New(Config{Flows: 1, Depth: 4})

@@ -86,13 +86,14 @@ func (s *Stream) SealBatchInto(dst []byte, pts, aads [][]byte, emit func(i int, 
 			}
 		}
 	}
-	if uint64(s.sendCtr)+uint64(n) > uint64(^uint32(0)) {
+	st := s.ctr.Load()
+	epoch, base := splitCtr(st)
+	if uint64(base)+uint64(n) > uint64(^uint32(0)) {
 		s.mu.Unlock()
 		return ErrIVExhausted
 	}
-	base := s.sendCtr
-	s.sendCtr += uint32(n)
-	aead, nb, epoch := s.aead, s.nonceBase, s.epoch
+	s.ctr.Store(st + uint64(n))
+	aead, nb := s.aead, s.nonceBase
 	if s.ivAudit != nil {
 		for i := 0; i < n; i++ {
 			s.ivAudit(epoch, base+1+uint32(i))
@@ -178,7 +179,9 @@ func putNonce(iv *[NonceSize]byte, base [nonceBase]byte, c uint32) {
 // above the receive watermark (the batch is new, in-order traffic).
 // Chunks open in order and the batch stops at the first one that fails
 // authentication; the watermark advances through the authenticated
-// prefix, and only if no rekey intervened.
+// prefix. The whole batch — validate, decrypt, advance — is one
+// critical section, so no other open or rekey can come between its
+// check and its advance.
 // The fault hook fires for every chunk before any state changes, so a
 // transient fault leaves the stream untouched and the batch is
 // retryable. The sealed records are taken by value so the caller can
@@ -196,12 +199,8 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, _ *Po
 	if aads != nil && len(aads) != n {
 		return fmt.Errorf("secmem: %d chunks but %d aads", n, len(aads))
 	}
-	// batchMu keeps two concurrent batch opens from interleaving their
-	// validate/advance windows, and in passing makes the offset scratch
-	// single-owner so span-sized batches reuse one per-stream allocation
-	// instead of one per call. Lock order: batchMu, then mu.
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
 	if len(s.batchOffs) < n+1 {
 		s.batchOffs = make([]int, n+1)
@@ -217,33 +216,26 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, _ *Po
 		return fmt.Errorf("secmem: dst holds %d bytes, batch needs %d", len(dst), offs[n])
 	}
 
-	s.mu.Lock()
 	if s.fault != nil {
 		for range sealed {
 			if err := s.fault("open"); err != nil {
-				s.mu.Unlock()
 				return err
 			}
 		}
 	}
-	prev := s.recvCtr
+	epoch, prev := s.Epoch(), s.recvCtr
 	for i := range sealed {
 		c := &sealed[i]
-		if c.Epoch != s.epoch {
+		if c.Epoch != epoch {
 			s.obsReplay()
-			s.mu.Unlock()
-			return fmt.Errorf("%w: epoch %d vs %d", ErrReplay, c.Epoch, s.epoch)
+			return fmt.Errorf("%w: epoch %d vs %d", ErrReplay, c.Epoch, epoch)
 		}
 		if c.Counter <= prev {
 			s.obsReplay()
-			s.mu.Unlock()
 			return fmt.Errorf("%w: chunk %d counter %d after %d", ErrReplay, i, c.Counter, prev)
 		}
 		prev = c.Counter
 	}
-	aead, nb, epoch := s.aead, s.nonceBase, s.epoch
-	o := s.obs
-	s.mu.Unlock()
 
 	// One scratch carries ciphertext||tag plus the IV at its tail for
 	// every chunk — Open only reads from it while writing into dst, so
@@ -252,18 +244,16 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, _ *Po
 	good := 0
 	for ; good < n; good++ {
 		out := dst[offs[good]:offs[good]:offs[good+1]]
-		if openInto(aead, &nb, buf, &sealed[good], aadAt(aads, good), out) != nil {
+		if openInto(s.aead, &s.nonceBase, buf, &sealed[good], aadAt(aads, good), out) != nil {
 			break
 		}
 	}
 	arena.Put(buf) // scratch held ciphertext||tag||iv: public bytes
-
-	s.mu.Lock()
-	if s.epoch == epoch && good > 0 {
+	if good > 0 {
 		s.recvCtr = sealed[good-1].Counter
 	}
-	s.mu.Unlock()
 
+	o := s.obs
 	if good < n {
 		clear(dst[:offs[n]])
 		if o != nil {

@@ -58,12 +58,9 @@ var ErrTransient = errors.New("secmem: transient crypto-engine fault")
 // the receiver enforces strictly increasing counters, which defeats
 // replay and reordering on the untrusted bus segment (§8.2).
 type Stream struct {
-	// batchMu serializes whole OpenBatchInto operations (validate →
-	// decrypt → watermark advance); it is always acquired before mu and
-	// never held by single-chunk operations.
-	batchMu sync.Mutex
-	// batchOffs is OpenBatchInto's reusable offset prefix sums, owned by
-	// whoever holds batchMu.
+	// batchOffs is OpenBatchInto's reusable offset prefix sums, guarded
+	// by mu, which a batch open holds from validation to the watermark
+	// advance.
 	batchOffs []int
 
 	// sealScr is the batch seal's scratch (SealBatchStream,
@@ -75,9 +72,15 @@ type Stream struct {
 	mu        sync.Mutex
 	aead      cipher.AEAD
 	nonceBase [nonceBase]byte
-	sendCtr   uint32
 	recvCtr   uint32 // highest counter accepted so far (0 = none)
-	epoch     uint32 // increments on rekey
+
+	// ctr is the key epoch (high 32 bits, incremented by Rekey) and the
+	// send counter (low 32 bits, the last counter sealed) in one atomic
+	// word. Only holders of mu write it, so a seal's check-and-reserve
+	// stays one step; Epoch, SendCounter and Remaining read it with no
+	// lock, and a Rekey replaces both halves in one store, so no reader
+	// sees the new epoch with the old epoch's counter or the reverse.
+	ctr atomic.Uint64
 
 	// ivScratch is the IV assembly buffer for single-chunk Seal calls.
 	// Guarded by mu; batches build IVs in their own scratch (sealScr,
@@ -227,26 +230,28 @@ func (s *Stream) Seal(plaintext, aad []byte) (*Sealed, error) {
 			return nil, err
 		}
 	}
-	if s.sendCtr == ^uint32(0) {
+	st := s.ctr.Load()
+	epoch, sent := splitCtr(st)
+	if sent == ^uint32(0) {
 		return nil, ErrIVExhausted
 	}
 	var sp obsv.ActiveSpan
 	if o := s.obs; o != nil {
 		sp = o.tracer.Start(o.seal, keyStream.Str(o.name), keyBytes.I64(int64(len(plaintext))))
 	}
-	s.sendCtr++
-	c := s.sendCtr
+	s.ctr.Store(st + 1)
+	c := sent + 1
 	if s.ivAudit != nil {
-		s.ivAudit(s.epoch, c)
+		s.ivAudit(epoch, c)
 	}
 	copy(s.ivScratch[:], s.nonceBase[:])
 	binary.BigEndian.PutUint32(s.ivScratch[nonceBase:], c)
 	out := s.aead.Seal(nil, s.ivScratch[:], plaintext, aad)
 	n := len(out) - TagSize
-	sealed := &Sealed{Counter: c, Epoch: s.epoch, Ciphertext: out[:n]}
+	sealed := &Sealed{Counter: c, Epoch: epoch, Ciphertext: out[:n]}
 	copy(sealed.Tag[:], out[n:])
 	if o := s.obs; o != nil {
-		sp.Set(keyCtr.U64(uint64(c)), keyEpoch.U64(uint64(s.epoch)))
+		sp.Set(keyCtr.U64(uint64(c)), keyEpoch.U64(uint64(epoch)))
 		sp.End()
 		o.sealOps.Inc()
 		o.sealBytes.Add(uint64(len(plaintext)))
@@ -271,9 +276,9 @@ func (s *Stream) OpenDst(sealed *Sealed, aad, dst []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if sealed.Epoch != s.epoch {
+	if epoch := s.Epoch(); sealed.Epoch != epoch {
 		s.obsReplay()
-		return nil, fmt.Errorf("%w: epoch %d vs %d", ErrReplay, sealed.Epoch, s.epoch)
+		return nil, fmt.Errorf("%w: epoch %d vs %d", ErrReplay, sealed.Epoch, epoch)
 	}
 	if sealed.Counter <= s.recvCtr {
 		s.obsReplay()
@@ -343,9 +348,9 @@ func (s *Stream) OpenStateless(sealed *Sealed, aad []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if sealed.Epoch != s.epoch {
+	if epoch := s.Epoch(); sealed.Epoch != epoch {
 		s.obsReplay()
-		return nil, fmt.Errorf("%w: epoch %d vs %d", ErrReplay, sealed.Epoch, s.epoch)
+		return nil, fmt.Errorf("%w: epoch %d vs %d", ErrReplay, sealed.Epoch, epoch)
 	}
 	if sealed.Counter > s.recvCtr {
 		s.obsReplay()
@@ -387,25 +392,24 @@ func (s *Stream) SetIVAudit(fn func(epoch, counter uint32)) {
 	s.ivAudit = fn
 }
 
+// splitCtr splits the ctr word into the key epoch and the send counter.
+func splitCtr(st uint64) (epoch, sent uint32) { return uint32(st >> 32), uint32(st) }
+
 // SendCounter reports how many chunks have been sealed.
 func (s *Stream) SendCounter() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sendCtr
+	_, sent := splitCtr(s.ctr.Load())
+	return sent
 }
 
 // Epoch reports the stream's key epoch.
 func (s *Stream) Epoch() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
+	epoch, _ := splitCtr(s.ctr.Load())
+	return epoch
 }
 
 // Remaining reports how many counter values are left before exhaustion.
 func (s *Stream) Remaining() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return ^uint32(0) - s.sendCtr
+	return ^uint32(0) - s.SendCounter()
 }
 
 // Rekey installs a fresh key + nonce base and resets both counters,
@@ -420,12 +424,12 @@ func (s *Stream) Rekey(key, nonce []byte) error {
 	defer s.mu.Unlock()
 	s.aead = ns.aead
 	s.nonceBase = ns.nonceBase
-	s.sendCtr = 0
 	s.recvCtr = 0
-	s.epoch++
+	epoch := s.Epoch() + 1
+	s.ctr.Store(uint64(epoch) << 32)
 	if o := s.obs; o != nil {
 		o.rekeys.Inc()
-		o.tracer.Mark(o.rekey, keyStream.Str(o.name), keyEpoch.U64(uint64(s.epoch)))
+		o.tracer.Mark(o.rekey, keyStream.Str(o.name), keyEpoch.U64(uint64(epoch)))
 	}
 	return nil
 }
@@ -434,7 +438,7 @@ func (s *Stream) Rekey(key, nonce []byte) error {
 func (s *Stream) ForceCounter(c uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sendCtr = c
+	s.ctr.Store(uint64(s.Epoch())<<32 | uint64(c))
 }
 
 // --- A3 (Write Protected) integrity ---------------------------------------
