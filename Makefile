@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke sync-count cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode profile-serve clean ci
+.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke sync-count cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode profile-prefill profile-serve clean ci
 
 all: build test
 
@@ -297,6 +297,26 @@ profile-decode:
 	  $(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 profiles/ccai.test profiles/mem-decode.out; \
 	} > profiles/top-decode.txt
 	@cat profiles/top-decode.txt
+
+# CPU and allocation profiles of one prefill-only session
+# (BenchmarkPrefillSession, the benchmark's llm-prefill op: 65,280 B of
+# KV sealed and staged once, one 8-token chunk back) at one proc. The
+# cumulative CPU top and the allocation tops by bytes and by object
+# count land in profiles/top-prefill.txt.
+profile-prefill:
+	mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkPrefillSession$$' -benchtime 20000x -cpu 1 \
+		-cpuprofile profiles/cpu-prefill.out -o profiles/ccai.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkPrefillSession$$' -benchtime 1000x -cpu 1 \
+		-memprofile profiles/mem-prefill.out -memprofilerate 1 -o profiles/ccai.test .
+	{ echo "== BenchmarkPrefillSession, CPU"; \
+	  $(GO) tool pprof -top -cum -nodecount=40 profiles/ccai.test profiles/cpu-prefill.out; \
+	  echo "== BenchmarkPrefillSession, allocated bytes"; \
+	  $(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 profiles/ccai.test profiles/mem-prefill.out; \
+	  echo "== BenchmarkPrefillSession, allocated objects"; \
+	  $(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 profiles/ccai.test profiles/mem-prefill.out; \
+	} > profiles/top-prefill.txt
+	@cat profiles/top-prefill.txt
 
 # CPU profile of one serve-burst op (BenchmarkServeBurst: four tenants,
 # a two-slot scheduler, one submitter, eight mixed-size tasks a burst) at

@@ -119,11 +119,11 @@ func BenchmarkProtectedTaskObserved(b *testing.B) { benchProtectedTask(b, 4<<10,
 // `make profile-observed` profiles it.
 func BenchmarkProtectedTask64KiBObserved(b *testing.B) { benchProtectedTask(b, 64<<10, true) }
 
-// benchDecodeSession runs b.N streaming sessions of the benchmark's
-// llm-decode shape — 16-token prompt, 512 new tokens in 8-token chunks:
-// 64 tiny engine steps, so fixed per-record cost dominates — harvesting
-// the tracer after each when observed, as benchProtectedTask does.
-func benchDecodeSession(b *testing.B, observe bool) {
+// benchSession runs b.N streaming sessions of cfg on one tenant with
+// one engine worker, each prefilled with prompt and read to its end,
+// harvesting the tracer after each when observed, as benchProtectedTask
+// does.
+func benchSession(b *testing.B, cfg llm.Config, prompt []byte, observe bool) {
 	opts := []ccai.Option{ccai.WithLLMEngine(llm.EngineConfig{Workers: 1})}
 	if observe {
 		opts = append(opts, ccai.WithObserve())
@@ -136,7 +136,6 @@ func benchDecodeSession(b *testing.B, observe bool) {
 	if err := mp.EstablishTrustAll(); err != nil {
 		b.Fatal(err)
 	}
-	cfg := llm.Config{MaxNewTokens: 512, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 0xa110c}
 	ctx := context.Background()
 	session := func() {
 		s, err := mp.Tenants[0].OpenSession(ctx, cfg)
@@ -148,7 +147,7 @@ func benchDecodeSession(b *testing.B, observe bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Prefill(ctx, []byte("decode session benchmark")); err != nil {
+		if err := s.Prefill(ctx, prompt); err != nil {
 			b.Fatal(err)
 		}
 		for c := range ch {
@@ -172,12 +171,34 @@ func benchDecodeSession(b *testing.B, observe bool) {
 	}
 }
 
+// benchDecodeSession runs sessions of the benchmark's llm-decode shape —
+// 16-token prompt, 512 new tokens in 8-token chunks: 64 tiny engine
+// steps, so fixed per-record cost dominates.
+func benchDecodeSession(b *testing.B, observe bool) {
+	cfg := llm.Config{MaxNewTokens: 512, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 0xa110c}
+	benchSession(b, cfg, []byte("decode session benchmark"), observe)
+}
+
 // BenchmarkDecodeSession is one 512-token streaming session.
 func BenchmarkDecodeSession(b *testing.B) { benchDecodeSession(b, false) }
 
 // BenchmarkDecodeSessionObserved is the same session with the hub on;
 // `make profile-observed` profiles it.
 func BenchmarkDecodeSessionObserved(b *testing.B) { benchDecodeSession(b, true) }
+
+// BenchmarkPrefillSession is one session of the benchmark's llm-prefill
+// shape: a 128-token prompt, 480 B of KV per token (65,280 B sealed and
+// staged once) and 8 new tokens, one engine step; `make profile-prefill`
+// profiles it.
+func BenchmarkPrefillSession(b *testing.B) {
+	cfg := llm.Config{MaxNewTokens: 8, ChunkTokens: 8, MaxPromptTokens: 128, KVBytesPerToken: 480, Seed: 0xa110c}
+	prompt := make([]byte, cfg.MaxPromptTokens*llm.DefaultTokenBytes)
+	for i := range prompt {
+		prompt[i] = byte(i*13 + 1)
+	}
+	b.SetBytes(cfg.KVBytes(cfg.MaxPromptTokens))
+	benchSession(b, cfg, prompt, false)
+}
 
 // BenchmarkVanillaTask is the unprotected functional baseline.
 func BenchmarkVanillaTask(b *testing.B) {

@@ -9,12 +9,14 @@ package ccai
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ccai/internal/arena"
 	"ccai/internal/attack"
 	"ccai/internal/core"
 	"ccai/internal/fault"
+	"ccai/internal/llm"
 	"ccai/internal/xpu"
 )
 
@@ -116,6 +118,50 @@ func TestMidPipelineFaults(t *testing.T) {
 			}
 			if arenaHoldsSecret(secret) {
 				t.Fatalf("plaintext canary left in pooled buffer under mid-pipeline %v", tc.class)
+			}
+		})
+	}
+}
+
+// TestPrefillKVLeavesNoPlaintextInArena is the KV image's hygiene cell.
+// prefillStep derives the image into an arena buffer and must zero it
+// back with PutZero as soon as StageH2D returns: after a clean prefill,
+// and after one whose KV staging takes a CryptoTransient fault mid-seal
+// (skip 128: one config seal for the KV descriptor, then the fault lands
+// halfway through the 255 chunks of the KV batch, which is refused whole
+// and sealed again). A window of the session's KV image is the canary.
+// One proc, so the worker's PutZero and this goroutine's Gets share a
+// pool.
+func TestPrefillKVLeavesNoPlaintextInArena(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := llm.Config{MaxNewTokens: 8, ChunkTokens: 8, MaxPromptTokens: 128, TokenBytes: 4, KVBytesPerToken: 480, Seed: 0x4b56}
+	prompt := make([]byte, cfg.MaxPromptTokens*cfg.TokenBytes)
+	for i := range prompt {
+		prompt[i] = byte(i*7 + 3)
+	}
+	kv := llm.KVInit(llm.Digest(cfg.Seed, prompt), cfg.KVBytes(cfg.MaxPromptTokens))
+	canary := kv[len(kv)/2:][:64]
+	for _, faulted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("crypto-fault=%v", faulted), func(t *testing.T) {
+			mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
+			tn := mp.Tenants[0]
+			inj := fault.NewInjector(fault.Single(0x4b56, fault.CryptoTransient, 128, 2))
+			if faulted {
+				tn.Adaptor.InstallCryptoFault(inj.CryptoFault)
+			}
+			s, ch := openStream(t, tn, cfg, prompt)
+			got := collectStream(t, ch)
+			s.Close()
+			if !bytes.Equal(got, expectedStream(cfg, prompt)) {
+				t.Fatal("streamed chunk differs from the KV oracle")
+			}
+			if faulted {
+				if fired, rec := inj.TotalFired(), tn.Adaptor.Recovery(); fired != 2 || rec.CryptoRetries != 2 {
+					t.Fatalf("fault fired %d times, %d crypto retries; want 2 and 2", fired, rec.CryptoRetries)
+				}
+			}
+			if arenaHoldsSecret(canary) {
+				t.Fatal("KV plaintext left in a pooled buffer after prefill")
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"ccai/internal/adaptor"
+	"ccai/internal/arena"
 	"ccai/internal/llm"
 	"ccai/internal/obsv"
 	"ccai/internal/secmem"
@@ -93,7 +94,6 @@ type InferenceSession struct {
 	prompt      []byte
 	digest      uint64
 	kvBytes     int64
-	kvHost      []byte // KVInit image, dropped once staged
 	kvRegion    *adaptor.Region
 	kvGen       int // the tenant's trust generation the KV was staged in
 	kvSealEpoch uint32
@@ -390,7 +390,6 @@ func (s *InferenceSession) Prefill(ctx context.Context, prompt []byte) error {
 	}
 	s.prompt = append([]byte(nil), prompt...)
 	s.digest = llm.Digest(s.cfg.Seed, prompt)
-	s.kvHost = llm.KVInit(s.digest, s.kvBytes)
 	s.mu.Unlock()
 	if err := s.srv.eng.Start(s.state); err != nil {
 		return fmt.Errorf("ccai: tenant %d: %w", s.t.Index, err)
@@ -597,11 +596,17 @@ func (s *InferenceSession) stepCommands(st *llm.Step, ids uint64, idsLen int, ou
 func (s *InferenceSession) prefillStep(st *llm.Step) ([]byte, error) {
 	t := s.t
 	span := int64(s.cfg.ChunkSpan(st.Chunk) * s.cfg.TokenBytes)
-	// The KV image: sealed, staged, pinned, and from here on only
-	// referenced by device-local kernel reads. Recorded on the session
-	// before the submit so Close owns its release from here on, whatever
+	// The KV image is plaintext (DESIGN.md §10): derived here into an
+	// arena buffer and zeroed back into the arena as soon as StageH2D
+	// returns, sealed or not — the recovery ladder reposts the sealed
+	// region's tags and never reads it. The region is pinned, from here
+	// on only referenced by device-local kernel reads, and recorded on
+	// the session before the submit so Close owns its release whatever
 	// this step's outcome.
-	kvRegion, err := t.Adaptor.StageH2D(s.kvName, s.kvHost)
+	kv := arena.Get(int(s.kvBytes))
+	llm.KVInitInto(kv, s.digest)
+	kvRegion, err := t.Adaptor.StageH2D(s.kvName, kv)
+	arena.PutZero(kv)
 	if err != nil {
 		return nil, err
 	}
@@ -626,7 +631,7 @@ func (s *InferenceSession) prefillStep(st *llm.Step) ([]byte, error) {
 
 	step := s.stepCommands(st, ids.Buf.Base(), len(s.prompt), out.Buf.Base(), span)
 	cmds := [4]xpu.Command{
-		{Op: xpu.OpCopyH2D, Src: kvRegion.Buf.Base(), Dst: s.devBase, Len: uint64(len(s.kvHost))},
+		{Op: xpu.OpCopyH2D, Src: kvRegion.Buf.Base(), Dst: s.devBase, Len: uint64(s.kvBytes)},
 		step[0], step[1], step[2],
 	}
 	// The recovery ladder reposts every H2D region of the submission.
@@ -635,9 +640,6 @@ func (s *InferenceSession) prefillStep(st *llm.Step) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.kvHost = nil
-	s.mu.Unlock()
 	s.kvStaged.Store(true)
 	return tokens, nil
 }

@@ -96,8 +96,9 @@ type Adaptor struct {
 	scratchAADs   [][]byte
 	scratchSealed []secmem.Sealed
 	descWire      [core.DescriptorSize]byte // registerDescriptor's marshal buffer
-	// recsFree keeps the tag-record tables of released H2D regions for
-	// the next StageH2D (a 64 KiB region's table is 10 KiB).
+	// recsFree keeps up to recsFreeCap tag-record tables of released H2D
+	// regions for the next StageH2D or step window (a 64 KiB region's
+	// table is 10 KiB).
 	recsFree [][]core.TagRecord
 
 	// pkts hands out the structs of the MMIO writes this Adaptor routes;
@@ -113,6 +114,9 @@ type Adaptor struct {
 // errNoSession is what every operation that needs the session's streams
 // or its ring returns before HWInit and after teardown.
 var errNoSession = errors.New("adaptor: session not established (HWInit) or already torn down")
+
+// recsFreeCap bounds the free tag-record tables an Adaptor keeps.
+const recsFreeCap = 4
 
 // SharedRegion is the mem.Space region name the Adaptor stages bounce
 // buffers in; the platform must create it and IOMMU-map it for the SC.
@@ -388,25 +392,45 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	return &Region{Desc: desc, Buf: buf, PlainLen: int64(len(data)), Recs: recs}, nil
 }
 
-// takeRecs returns an empty tag-record table with room for n records,
-// a released region's when one is big enough. Callers hold a.mu.
+// takeRecs returns an empty tag-record table with room for n records:
+// the smallest free one that fits, so a one-chunk region never takes a
+// KV region's table. Callers hold a.mu.
 func (a *Adaptor) takeRecs(n int) []core.TagRecord {
+	best := -1
 	for i, recs := range a.recsFree {
-		if cap(recs) >= n {
-			last := len(a.recsFree) - 1
-			a.recsFree[i], a.recsFree[last] = a.recsFree[last], nil
-			a.recsFree = a.recsFree[:last]
-			return recs
+		if cap(recs) >= n && (best < 0 || cap(recs) < cap(a.recsFree[best])) {
+			best = i
 		}
 	}
-	return make([]core.TagRecord, 0, n)
+	if best < 0 {
+		return make([]core.TagRecord, 0, n)
+	}
+	recs, last := a.recsFree[best], len(a.recsFree)-1
+	a.recsFree[best], a.recsFree[last] = a.recsFree[last], nil
+	a.recsFree = a.recsFree[:last]
+	return recs
 }
 
 // putRecs keeps a released region's table (tags and counters: public
-// bytes) for the next region. Callers hold a.mu.
+// bytes) for the next region. A full list trades its smallest table for
+// a larger one, so the one-record tables of step windows and token-id
+// regions cannot crowd out the table a KV region needs. Callers hold a.mu.
 func (a *Adaptor) putRecs(recs []core.TagRecord) {
-	if cap(recs) > 0 && len(a.recsFree) < 4 {
+	if cap(recs) == 0 {
+		return
+	}
+	if len(a.recsFree) < recsFreeCap {
 		a.recsFree = append(a.recsFree, recs[:0])
+		return
+	}
+	small := 0
+	for i := range a.recsFree {
+		if cap(a.recsFree[i]) < cap(a.recsFree[small]) {
+			small = i
+		}
+	}
+	if cap(recs) > cap(a.recsFree[small]) {
+		a.recsFree[small] = recs[:0]
 	}
 }
 

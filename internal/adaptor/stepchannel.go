@@ -128,6 +128,10 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 	ch.next += n
 
 	pts, aads, aadAll := a.chunkViews(win.Desc, slot, data)
+	if cap(win.Recs) < int(n) {
+		a.putRecs(win.Recs)
+		win.Recs = a.takeRecs(int(n))
+	}
 	win.Recs, win.slot = win.Recs[:0], slot
 	// Cut at the step's bytes: the seal writes nothing outside them.
 	dst := win.Buf.Bytes()[int(slot)*core.ChunkSize:][:len(data)]

@@ -2,6 +2,7 @@ package adaptor
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 
 	"ccai/internal/core"
@@ -167,4 +168,80 @@ func TestStepChannelMultiChunkStep(t *testing.T) {
 			t.Fatalf("clean multi-chunk stream: %d auth failures, %d config rejects", st.AuthFailures, st.ConfigRejects)
 		}
 	})
+}
+
+// TestDecodeSessionsReuseTagTables replays a decode session's regions on
+// the rig — a 65,280-byte KV region staged and held, a one-chunk prompt
+// region staged and released, a step window armed step by step, then
+// the window closed and the KV region released — and checks that once
+// warm a session makes no tag-record table: the Adaptor's free list
+// holds the same tables after every session.
+func TestDecodeSessionsReuseTagTables(t *testing.T) {
+	r, _ := newRig(t)
+	a := r.adaptor
+	kv := stepData(0, 65280)
+	session := func() {
+		t.Helper()
+		kvReg, err := a.StageH2D("kv", kv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := a.StageH2D("prompt", stepData(1, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.ReleaseRegion(ids)
+		ch, err := a.OpenStepChannel("ids", "chunk", 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 8; k++ {
+			if _, err := a.ArmStep(ch, stepData(k, 32)); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.GuardedWrite(0x10, uint64(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.CloseStepChannel(ch)
+		a.ReleaseRegion(kvReg)
+	}
+	tables := func() map[*core.TagRecord]int {
+		set := make(map[*core.TagRecord]int)
+		for _, recs := range a.recsFree {
+			set[&recs[:cap(recs)][0]] = cap(recs)
+		}
+		return set
+	}
+	session()
+	session()
+	warm := tables()
+	for i := 0; i < 8; i++ {
+		session()
+		if got := tables(); !maps.Equal(got, warm) {
+			t.Fatalf("session %d after warm-up: free tag tables %v, want %v", i, got, warm)
+		}
+	}
+}
+
+// TestTagTableFreeListKeepsLargeTables pins the free list's two choices:
+// a full list trades its smallest table for a larger one, and a take
+// hands out the smallest table that fits, so one-record tables neither
+// crowd out nor borrow a KV region's.
+func TestTagTableFreeListKeepsLargeTables(t *testing.T) {
+	var a Adaptor
+	for i := 0; i < recsFreeCap; i++ {
+		a.putRecs(make([]core.TagRecord, 1))
+	}
+	big := make([]core.TagRecord, 255)
+	a.putRecs(big)
+	if n := len(a.recsFree); n != recsFreeCap {
+		t.Fatalf("free list holds %d tables, want %d", n, recsFreeCap)
+	}
+	if got := a.takeRecs(1); cap(got) != 1 {
+		t.Fatalf("a one-record take got a %d-record table", cap(got))
+	}
+	if got := a.takeRecs(200); &got[:1][0] != &big[0] {
+		t.Fatal("a full list of one-record tables dropped the larger table")
+	}
 }

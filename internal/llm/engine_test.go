@@ -1,6 +1,8 @@
 package llm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -418,8 +420,8 @@ func TestAdmitOrderIsBounded(t *testing.T) {
 }
 
 // TestKVInitWordwiseMatchesByteStream pins the KV image's definition —
-// byte i is byte i%8 of mix64(digest + i/8) — against the word-at-a-time
-// fill, for lengths on and off a word boundary.
+// byte i is byte i%8 of mix64(digest + i/8) — against KVInit's
+// word-wise fill, for lengths on and off a word boundary.
 func TestKVInitWordwiseMatchesByteStream(t *testing.T) {
 	for _, n := range []int64{0, 1, 7, 8, 9, 33, 4096, 65280, 65283} {
 		got := KVInit(0xfeedface, n)
@@ -431,5 +433,59 @@ func TestKVInitWordwiseMatchesByteStream(t *testing.T) {
 				t.Fatalf("KVInit(%d)[%d] = %#x, want %#x", n, i, b, want)
 			}
 		}
+	}
+}
+
+// kvInitWordwise is the one-word-per-iteration fill KVInitInto unrolled:
+// the reference its four-word loop must match byte for byte.
+func kvInitWordwise(dst []byte, digest uint64) {
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], mix64(digest+uint64(i/8)))
+	}
+	for w := mix64(digest + uint64(i/8)); i < len(dst); i++ {
+		dst[i] = byte(w)
+		w >>= 8
+	}
+}
+
+// TestKVInitIntoMatchesWordwise holds KVInitInto to the word-at-a-time
+// loop for every length 0–100 (each tail of the four-word, one-word and
+// byte loops) and the two KV images the benchmark shapes stage. It fills
+// a dirty buffer and writes nothing past len(dst); KVInit is the same
+// bytes in a fresh slice.
+func TestKVInitIntoMatchesWordwise(t *testing.T) {
+	lengths := []int{33792, 65280}
+	for n := 0; n <= 100; n++ {
+		lengths = append(lengths, n)
+	}
+	const digest, guard = 0x5eed0fc0ffee, 0xa5
+	for _, n := range lengths {
+		want := make([]byte, n)
+		kvInitWordwise(want, digest)
+		buf := bytes.Repeat([]byte{guard}, n+8)
+		KVInitInto(buf[:n], digest)
+		if !bytes.Equal(buf[:n], want) {
+			t.Fatalf("KVInitInto(%d bytes) differs from the word-at-a-time fill", n)
+		}
+		if !bytes.Equal(buf[n:], bytes.Repeat([]byte{guard}, 8)) {
+			t.Fatalf("KVInitInto(%d bytes) wrote past its buffer", n)
+		}
+		if !bytes.Equal(KVInit(digest, int64(n)), want) {
+			t.Fatalf("KVInit(%d) differs from KVInitInto", n)
+		}
+	}
+}
+
+// BenchmarkKVInitInto fills the llm-prefill workload's 65,280-byte KV
+// image; BenchmarkKVInitWordwise is the one-word loop it replaced.
+func BenchmarkKVInitInto(b *testing.B)     { benchKVFill(b, KVInitInto) }
+func BenchmarkKVInitWordwise(b *testing.B) { benchKVFill(b, kvInitWordwise) }
+
+func benchKVFill(b *testing.B, fill func([]byte, uint64)) {
+	dst := make([]byte, 65280)
+	b.SetBytes(int64(len(dst)))
+	for i := 0; i < b.N; i++ {
+		fill(dst, uint64(i))
 	}
 }

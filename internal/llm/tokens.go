@@ -48,22 +48,34 @@ func mix64(x uint64) uint64 {
 }
 
 // KVInit derives the session's initial KV-cache image: n bytes of
-// splitmix64 stream keyed by the digest. This is what Prefill seals and
-// stages into protected device memory exactly once.
+// splitmix64 stream keyed by the digest. Prefill derives the same bytes
+// with KVInitInto into a buffer of its own; oracles build theirs here.
 func KVInit(digest uint64, n int64) []byte {
 	out := make([]byte, n)
-	// One little-endian word of the stream per step; the tail of an
-	// image that is not a multiple of eight takes the low bytes of the
-	// next word.
-	i := 0
-	for ; i+8 <= len(out); i += 8 {
-		binary.LittleEndian.PutUint64(out[i:], mix64(digest+uint64(i/8)))
-	}
-	for w := mix64(digest + uint64(i/8)); i < len(out); i++ {
-		out[i] = byte(w)
-		w >>= 8
-	}
+	KVInitInto(out, digest)
 	return out
+}
+
+// KVInitInto fills dst with the first len(dst) bytes of the KV image:
+// byte i is byte i%8 of mix64(digest + i/8), little-endian. Four words
+// go out per iteration behind one bounds check; the tail of an image
+// that is not a multiple of eight takes the low bytes of the next word.
+func KVInitInto(dst []byte, digest uint64) {
+	w := digest
+	for len(dst) >= 32 {
+		q := (*[32]byte)(dst)
+		binary.LittleEndian.PutUint64(q[0:], mix64(w))
+		binary.LittleEndian.PutUint64(q[8:], mix64(w+1))
+		binary.LittleEndian.PutUint64(q[16:], mix64(w+2))
+		binary.LittleEndian.PutUint64(q[24:], mix64(w+3))
+		dst, w = dst[32:], w+4
+	}
+	for ; len(dst) >= 8; dst, w = dst[8:], w+1 {
+		binary.LittleEndian.PutUint64(dst, mix64(w))
+	}
+	for i, x := 0, mix64(w); i < len(dst); i, x = i+1, x>>8 {
+		dst[i] = byte(x)
+	}
 }
 
 // StepKey is the XOR key the device kernel applies for chunk idx.

@@ -170,13 +170,21 @@ func decodeStepAllocBudget(t *testing.T) {
 // prefillAllocCeiling is the hard budget for one whole prefill-only
 // session — open, 65,280 B of KV sealed and staged once (128 prompt
 // tokens × 480 B), one 8-token chunk streamed, close — the shape of the
-// benchmark's llm-prefill workload: measured 43 + 20 % (74 while each
+// benchmark's llm-prefill workload: measured 40 + 20 % (74 while each
 // session still built its llm.sessions counter name, 46 while each Close
-// still built the error it aborts an unfinished stream with).
-const prefillAllocCeiling = 52
+// still built the error it aborts an unfinished stream with, 41–43 while
+// each session made its KV image in a fresh 64 KiB slice).
+const prefillAllocCeiling = 48
 
-// prefillAllocBudget is the prefill/64KiB-KV row: heap objects per
-// session over a run of identical sessions, after two warm-up sessions.
+// prefillBytesCeiling is the same session's heap-bytes budget: 8 KiB.
+// Measured about 69 KB while every session made its KV image in a fresh
+// 64 KiB slice, and about 3.9 KB since prefillStep derives it into an
+// arena buffer it zeroes back (DESIGN.md §10).
+const prefillBytesCeiling = 8 << 10
+
+// prefillAllocBudget is the prefill/64KiB-KV row: heap objects and bytes
+// per session over a run of identical sessions, after two warm-up
+// sessions.
 func prefillAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
@@ -200,9 +208,14 @@ func prefillAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&ms1)
 	got := (ms1.Mallocs - ms0.Mallocs) / sessions
-	t.Logf("prefill/64KiB-KV: %d allocs/session at GOMAXPROCS 1 (ceiling %d)", got, prefillAllocCeiling)
+	heap := (ms1.TotalAlloc - ms0.TotalAlloc) / sessions
+	t.Logf("prefill/64KiB-KV: %d allocs and %d B/session at GOMAXPROCS 1 (ceilings %d, %d B)",
+		got, heap, prefillAllocCeiling, prefillBytesCeiling)
 	if got > prefillAllocCeiling {
 		t.Fatalf("a prefill-only session allocates %d objects; budget is %d", got, prefillAllocCeiling)
+	}
+	if heap > prefillBytesCeiling {
+		t.Fatalf("a prefill-only session allocates %d B; budget is %d B", heap, prefillBytesCeiling)
 	}
 }
 
