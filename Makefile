@@ -2,21 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke sync-count cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode profile-prefill profile-serve clean ci
+.PHONY: all build test race stress bench bench-smoke benchmark-check soak-smoke soak-full telemetry-smoke llm-smoke sync-count cover fuzz vet fmt fmt-check loc experiments profile profile-observed profile-decode profile-prefill profile-serve clean ci
 
 all: build test
 
 # Everything a merge gate needs: formatting and static checks, the full
 # suite, the race detector over the concurrent retry paths, the
 # multi-tenant stress matrix, a one-iteration pass over every benchmark
-# (so they can't rot), the smoke soak byte-diffed against its committed
-# scorecard, a short fuzz pass over the attacker-facing parsers (fault
-# plans included) and the SC's control BAR and submission ring, and the
+# (so they can't rot), both soak presets byte-diffed against their
+# committed scorecards, a short fuzz pass over the attacker-facing
+# parsers (fault plans included) and the SC's control BAR and submission ring, and the
 # telemetry-plane smoke: live scrape, token isolation, audit-chain
 # tamper evidence. benchmark-check compiles and smoke-tests the
 # benchmark of record against this tree, and sync-count holds the steady
 # decode step and the 64 KiB task to their mutex-section budgets.
-ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke telemetry-smoke llm-smoke sync-count
+ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-full telemetry-smoke llm-smoke sync-count
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/pcie/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault/
 # The tag plane against its map-based reference, from the seeded scripts
@@ -182,6 +182,11 @@ loc:
 # virtual-time numbers get an exact gate.
 soak-smoke:
 	$(GO) run ./cmd/ccai-bench -only soak -soak smoke -out "" -soak-compare BENCH_results.json
+
+# The full storm preset under the same exact gate (about 11 s on 2 vCPUs):
+# the smoke preset alone let a drift in the full scorecard go unseen.
+soak-full:
+	$(GO) run ./cmd/ccai-bench -only soak -soak full -out "" -soak-compare BENCH_results.json
 
 # The LLM-serving smoke: the streaming-session happy path, the
 # staged-once KV invariant (the PCIe tap proof that decode never
