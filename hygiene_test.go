@@ -28,9 +28,7 @@ func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space
 			defer lock.Unlock()
 		}
 		slice := strings.TrimSpace("slice " + pl.tenant)
-		// A desynced submission ring fails the Adaptor closed on its own,
-		// with trusted still set: the slice holds no session either way.
-		live := pl.trusted && pl.tvmKeys.Count() > 0
+		live := pl.trusted
 		switch {
 		case live && (pl.SC.Regions() != regions || pl.SC.Tags().Depth() != 0):
 			t.Errorf("trusted %s holds %d SC regions and %d pending tags, want %d and 0",

@@ -109,6 +109,10 @@ type Adaptor struct {
 	// holds the cached handles (zero value = uninstrumented).
 	hub *obsv.Hub
 	obs adaptorObs
+
+	// onTeardown, when set, runs at the end of every teardown, asked for
+	// or fail-closed (see SetTeardownHook).
+	onTeardown func()
 }
 
 // errNoSession is what every operation that needs the session's streams
@@ -961,4 +965,17 @@ func (a *Adaptor) teardownLocked() {
 	a.keys.DestroyAll()
 	a.h2d, a.d2h, a.config = nil, nil, nil
 	a.mmioSeq = 0
+	if a.onTeardown != nil {
+		a.onTeardown()
+	}
+}
+
+// SetTeardownHook installs fn to run, under the Adaptor's lock, at the
+// end of every teardown: Teardown, FailClosed, and the fail-closed
+// paths the Adaptor takes on its own (a desynced submission ring). fn
+// must not call back into the Adaptor.
+func (a *Adaptor) SetTeardownHook(fn func()) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.onTeardown = fn
 }

@@ -38,6 +38,9 @@ type pipeline struct {
 	ring    *adaptor.Region // StageVerified command ring, nil until trusted
 	tvmKeys *secmem.KeyStore
 	scKeys  *secmem.KeyStore
+	// trusted is set by establishTrust and cleared only by the Adaptor's
+	// teardown hook, so a session the Adaptor fails closed on its own
+	// stops admitting work like one torn down on purpose.
 	trusted bool
 	gen     int // trust generation: 1 = first attest, 2+ = re-trust
 
@@ -153,6 +156,7 @@ func (pl *pipeline) assemble(br *HostBridge, mux *core.Mux, dev *xpu.Device, s s
 	}
 
 	pl.Adaptor = adaptor.New(s.tvm, br.bus, br.space, pl.tvmKeys, s.scBar.Base, s.xpuWin.Base, s.shared.Name)
+	pl.Adaptor.SetTeardownHook(func() { pl.trusted = false })
 
 	// The host side: the mux claims the SC BAR and the xPU window and
 	// pins the slice's TVM as the one requester the control BAR answers.
@@ -205,10 +209,15 @@ func (pl *pipeline) establishTrust() (err error) {
 	if !pl.SC.AttestDevice(nonce, xpu.AttestDigest(golden, nonce), xpu.RegAttestNonce, xpu.RegAttestResp) {
 		return fmt.Errorf("%w; refusing to provision keys", ErrAttestFailed)
 	}
+	if pl.gen > 0 {
+		// A re-trust first tears down whatever of the last session the SC
+		// still holds: the write that ended it may have been lost on the
+		// link, and an SC left with a desynced ring ignores every doorbell.
+		pl.Adaptor.Teardown()
+	}
 	defer func() {
 		if err != nil {
 			pl.Adaptor.Teardown()
-			pl.trusted = false
 		}
 	}()
 	for _, stream := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO} {
@@ -347,7 +356,6 @@ func (pl *pipeline) recoverSubmission(staged []*adaptor.Region, before, want uin
 	head, _ := pl.Driver.Head()
 	pl.Adaptor.FailClosed("submission stalled",
 		obsv.U64("consumed", head-before), obsv.U64("expected", want-before), obsv.Hex("status", st))
-	pl.trusted = false
 	who := "ccai"
 	if pl.tenant != "" {
 		who = "ccai: tenant " + pl.tenant
@@ -398,6 +406,5 @@ func (pl *pipeline) label(err error) error {
 func (pl *pipeline) teardown() {
 	if pl.trusted {
 		pl.Adaptor.Teardown()
-		pl.trusted = false
 	}
 }

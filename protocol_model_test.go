@@ -506,10 +506,8 @@ func (r *traceRun) auditGeneration() {
 // ivName names a stream per trust generation: each has keys of its own.
 func (r *traceRun) ivName(stream string) string { return fmt.Sprintf("%s#%d", stream, r.m.gen) }
 
-// live is whether the slice holds a session: trusted, and its Adaptor
-// not failed closed on its own — a desynced submission ring tears the
-// Adaptor down with trusted still set, until the next bring-up or Close.
-func (r *traceRun) live() bool { return r.p.trusted && r.p.tvmKeys.Count() > 0 }
+// live is whether the slice holds a session.
+func (r *traceRun) live() bool { return r.p.trusted }
 
 // tail is the driver's command-ring tail: none before a bring-up got a
 // driver up.

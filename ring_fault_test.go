@@ -12,11 +12,14 @@ package ccai
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
+	"ccai/internal/adaptor"
 	"ccai/internal/core"
 	"ccai/internal/mem"
 	"ccai/internal/pcie"
+	"ccai/internal/xpu"
 )
 
 // TestRingDoorbellDropRecovers deletes the first batch doorbell in
@@ -43,6 +46,25 @@ func (c *ringSeqCorrupter) Tap(p *pcie.Packet) *pcie.Packet {
 // producer fails the session closed — no stream context, no key, no
 // plaintext on the wire (T3).
 func TestRingDesyncFailsClosed(t *testing.T) { playTrace(t, "ring-desync") }
+
+// TestRingDesyncLeavesSliceUntrusted: once the Adaptor fails a desynced
+// ring closed on its own, the slice is untrusted like one torn down on
+// purpose — the next task is refused with ErrNotTrusted, not run into a
+// dead session.
+func TestRingDesyncLeavesSliceUntrusted(t *testing.T) {
+	p := protectedPlatform(t, xpu.A100)
+	p.Host.AddTap(&ringSeqCorrupter{})
+	if _, err := p.RunTask(Task{Input: []byte("desync"), Kernel: KernelAdd, Param: 1}); !errors.Is(err, adaptor.ErrRingDesync) {
+		t.Fatalf("task over tampered ring framing: %v, want ErrRingDesync", err)
+	}
+	p.Host.ClearTaps()
+	if p.trusted {
+		t.Fatal("slice still trusted after the Adaptor failed closed")
+	}
+	if _, err := p.RunTask(Task{Input: []byte("after"), Kernel: KernelAdd, Param: 1}); !errors.Is(err, ErrNotTrusted) {
+		t.Fatalf("task after a ring desync: %v, want ErrNotTrusted", err)
+	}
+}
 
 // TestRingCutsMMIOWritesAtLeast4x pins the control path's price per
 // 64 KiB staged task in MMIO writes, measured through the obsv counter:
