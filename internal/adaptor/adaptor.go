@@ -175,8 +175,8 @@ func (a *Adaptor) HWInit() error {
 	} else {
 		clear(a.metaBuf.Bytes()) // last session's progress counters
 	}
-	a.mmioWrite64(core.RegMetaBase, a.metaBuf.Base())
-	a.mmioWrite64(core.RegMetaSize, uint64(a.metaBuf.Size()))
+	a.mmioWrite64(pcie.RoleControlWrite, core.RegMetaBase, a.metaBuf.Base())
+	a.mmioWrite64(pcie.RoleControlWrite, core.RegMetaSize, uint64(a.metaBuf.Size()))
 	if a.ringBuf == nil {
 		if a.ringBuf, err = a.space.Alloc(a.region, "dma-submitring", int64(core.RingHdrSize+(ringSlots+core.RingMirrorSlots)*core.RingSlotSize)); err != nil {
 			return fmt.Errorf("adaptor: submission ring: %w", err)
@@ -188,29 +188,30 @@ func (a *Adaptor) HWInit() error {
 	}
 	a.ring = &submitRing{buf: a.ringBuf, slots: ringSlots}
 	a.lastCplHead = 0
-	a.mmioWrite64(core.RegRingBase, a.ringBuf.Base())
-	a.mmioWrite64(core.RegRingSize, ringSlots)
+	a.mmioWrite64(pcie.RoleControlWrite, core.RegRingBase, a.ringBuf.Base())
+	a.mmioWrite64(pcie.RoleControlWrite, core.RegRingSize, ringSlots)
 	return nil
 }
 
 // --- raw SC MMIO -------------------------------------------------------------
 
-func (a *Adaptor) mmioWrite(off uint64, payload []byte) {
+func (a *Adaptor) mmioWrite(role pcie.Role, off uint64, payload []byte) {
 	a.io.MMIOWrites++
-	a.routeWrite(a.scBar+off, payload)
+	a.routeWrite(role, a.scBar+off, payload)
 }
 
-// routeWrite issues one posted MMIO write carrying a copy of payload.
+// routeWrite issues one posted MMIO write of the given role carrying a
+// copy of payload.
 // Copy and packet struct are pooled: every MMIO payload is public bytes
 // (sealed blobs, tag records, register values the bus shows anyway) and
 // the SC and the device consume a write before Route returns, so when
 // no tap has seen the bus — and the SC did not pin the packet because a
 // tap sits on the segment it relayed it to — the Adaptor is the last
 // holder of both.
-func (a *Adaptor) routeWrite(addr uint64, payload []byte) {
+func (a *Adaptor) routeWrite(role pcie.Role, addr uint64, payload []byte) {
 	body := arena.Get(len(payload))
 	copy(body, payload)
-	p := a.pkts.MemWrite(a.id, addr, body)
+	p := a.pkts.MemWrite(role, a.id, addr, body)
 	p.FirstBE, p.LastBE = 0xf, 0xf
 	a.bus.Route(p)
 	if a.bus.Untapped() && pcie.Release(p) {
@@ -218,10 +219,10 @@ func (a *Adaptor) routeWrite(addr uint64, payload []byte) {
 	}
 }
 
-func (a *Adaptor) mmioWrite64(off uint64, v uint64) {
+func (a *Adaptor) mmioWrite64(role pcie.Role, off uint64, v uint64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	a.mmioWrite(off, buf[:])
+	a.mmioWrite(role, off, buf[:])
 }
 
 // SCStatus reads the controller's status register (an I/O read with
@@ -774,7 +775,7 @@ func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 	}
 	a.mmioSeq++
 	a.io.MMIOWrites++
-	a.routeWrite(a.xpuBar+reg, payload)
+	a.routeWrite(pcie.RoleGuardedWrite, a.xpuBar+reg, payload)
 	return nil
 }
 
@@ -961,7 +962,7 @@ func (a *Adaptor) teardownLocked() {
 	// Pending ring entries die with the session; teardown itself stays a
 	// direct MMIO write so it cannot depend on ring health.
 	a.ring = nil
-	a.mmioWrite64(core.RegTeardown, 1)
+	a.mmioWrite64(pcie.RoleControlWrite, core.RegTeardown, 1)
 	a.keys.DestroyAll()
 	a.h2d, a.d2h, a.config = nil, nil, nil
 	a.mmioSeq = 0

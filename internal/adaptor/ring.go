@@ -7,6 +7,7 @@ import (
 	"ccai/internal/core"
 	"ccai/internal/mem"
 	"ccai/internal/obsv"
+	"ccai/internal/pcie"
 )
 
 // Submission-ring producer (§5 batched I/O): the ring is the Adaptor's
@@ -91,7 +92,7 @@ func (a *Adaptor) flushRingLocked() error {
 	delay := a.policy.Backoff
 	for attempt := 0; ; attempt++ {
 		a.obs.ringDoorbells.Inc()
-		a.mmioWrite64(core.RegRingDoorbell, r.tail)
+		a.mmioWrite64(pcie.RoleRingDoorbell, core.RegRingDoorbell, r.tail)
 		if status, err := a.space.ReadUint64(r.buf.Base() + 8); err == nil && status != 0 {
 			a.rec.FailClosed++
 			a.rec.LastFailure = "submission ring desync"
@@ -147,6 +148,6 @@ func (a *Adaptor) sendRelease(id uint32) error {
 	if a.ring != nil {
 		return a.ringPush(core.RingOpRelease, uint64(id), nil)
 	}
-	a.mmioWrite64(core.RegDescRelease, uint64(id))
+	a.mmioWrite64(pcie.RoleControlWrite, core.RegDescRelease, uint64(id))
 	return nil
 }

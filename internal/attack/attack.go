@@ -211,6 +211,8 @@ func (r *Recorder) Replay(bus *pcie.Bus) []*pcie.Packet {
 
 // RogueRequester forges packets from an arbitrary requester ID — a
 // malicious peripheral, the untrusted host OS, or an unauthorized TVM.
+// It imitates a driver's register traffic, and its packets carry the
+// roles of the packets they imitate: a register read, a guarded write.
 type RogueRequester struct {
 	ID  pcie.ID
 	Bus *pcie.Bus
@@ -219,10 +221,14 @@ type RogueRequester struct {
 // Read attempts a memory read; the returned completion exposes whether
 // the fabric (filter / IOMMU) let it through.
 func (r *RogueRequester) Read(addr uint64, n uint32) *pcie.Packet {
-	return r.Bus.Route(pcie.NewMemRead(r.ID, addr, n, 0))
+	p := pcie.NewMemRead(r.ID, addr, n, 0)
+	p.Role = pcie.RoleRegRead
+	return r.Bus.Route(p)
 }
 
 // Write attempts a posted memory write.
 func (r *RogueRequester) Write(addr uint64, data []byte) {
-	r.Bus.Route(pcie.NewMemWrite(r.ID, addr, data))
+	p := pcie.NewMemWrite(r.ID, addr, data)
+	p.Role = pcie.RoleGuardedWrite
+	r.Bus.Route(p)
 }

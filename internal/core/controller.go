@@ -1051,7 +1051,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 	}
 	c.mu.Unlock()
 
-	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
+	req := c.pkts.MemRead(pcie.RoleH2DData, c.id, p.Address, p.Length, p.Tag)
 	cpl := c.hostBus.Route(req)
 	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n {
 		return c.reject(p)
@@ -1262,7 +1262,7 @@ func (c *Controller) verifiedRead(p *pcie.Packet, r *region) *pcie.Packet {
 		return c.reject(p)
 	}
 	c.mu.Unlock()
-	req := c.pkts.MemRead(c.id, p.Address, p.Length, p.Tag)
+	req := c.pkts.MemRead(pcie.RoleCommandRun, c.id, p.Address, p.Length, p.Tag)
 	cpl := c.hostBus.Route(req)
 	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n {
 		return c.reject(p)
@@ -1426,7 +1426,7 @@ func (c *Controller) depositTags(ws *writeSpan) {
 	ws.run = r.tagRun(ws.tagStart)
 	c.mu.Unlock()
 	for _, w := range writes {
-		c.hostWrite(w.addr, w.body)
+		c.hostWrite(w.role, w.addr, w.body)
 	}
 	clear(writes)
 	ws.writes = writes[:0]
@@ -1442,7 +1442,7 @@ func (c *Controller) appendTagFlush(writes []hostWr, desc Descriptor, span *tagS
 	}
 	body := c.payloadBuf(len(span.buf), c.hostBus)
 	copy(body, span.buf)
-	return append(writes, hostWr{addr: desc.TagBase + uint64(span.start)*TagRecordSize, body: body})
+	return append(writes, hostWr{pcie.RoleTagRecord, desc.TagBase + uint64(span.start)*TagRecordSize, body})
 }
 
 // appendMetadataLocked implements the §5 I/O-read optimization: instead
@@ -1463,7 +1463,7 @@ func (c *Controller) appendMetadataLocked(writes []hostWr, region uint32, count 
 	}
 	buf := c.payloadBuf(8, c.hostBus)
 	binary.LittleEndian.PutUint64(buf, count)
-	return append(writes, hostWr{addr: slot, body: buf})
+	return append(writes, hostWr{pcie.RoleMetadata, slot, buf})
 }
 
 // D2HProgress reports completed chunks for a region: the count the SC
@@ -1487,8 +1487,11 @@ func (c *Controller) D2HProgress(region uint32) uint64 {
 func (c *Controller) AttestDevice(nonce uint64, expected uint64, attestReg, respReg uint64) bool {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], nonce)
-	c.internal.Route(pcie.NewMemWrite(c.id, c.xpuBar.Base+attestReg, buf[:]))
+	nonceWr := pcie.NewMemWrite(c.id, c.xpuBar.Base+attestReg, buf[:])
+	nonceWr.Role = pcie.RoleControlWrite
+	c.internal.Route(nonceWr)
 	req := pcie.NewMemRead(c.id, c.xpuBar.Base+respReg, 8, 0)
+	req.Role = pcie.RoleRegRead
 	cpl := c.internal.Route(req)
 	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || len(cpl.Payload) < 8 {
 		return false

@@ -103,8 +103,8 @@ func (c *Controller) releaseFetch(req, cpl *pcie.Packet, keepPayload bool) {
 // and the packet: the host bridge copies MWr bodies synchronously, so
 // after Route the SC is their last holder. Public bytes only
 // (ciphertext, marshalled tags, counters).
-func (c *Controller) hostWrite(addr uint64, body []byte) {
-	if c.routeHost(addr, body) {
+func (c *Controller) hostWrite(role pcie.Role, addr uint64, body []byte) {
+	if c.routeHost(role, addr, body) {
 		arena.Put(body)
 	}
 }
@@ -112,8 +112,8 @@ func (c *Controller) hostWrite(addr uint64, body []byte) {
 // routeHost DMA-writes body to host memory and reports whether the SC
 // got the packet back — it was body's last holder, and body's buffer may
 // go back to the arena once nothing else in it is still to be written.
-func (c *Controller) routeHost(addr uint64, body []byte) bool {
-	p := c.pkts.MemWrite(c.id, addr, body)
+func (c *Controller) routeHost(role pcie.Role, addr uint64, body []byte) bool {
+	p := c.pkts.MemWrite(role, c.id, addr, body)
 	c.hostBus.Route(p)
 	return c.recycleOn(c.hostBus) && pcie.Release(p)
 }
@@ -179,6 +179,7 @@ type writeSpan struct {
 // hostWr is one host-memory write decided under c.mu and routed after
 // it is released (routing can reenter the controller).
 type hostWr struct {
+	role pcie.Role
 	addr uint64
 	body []byte
 }
@@ -295,7 +296,7 @@ func (c *Controller) sealSpan(span *writeSpan) bool {
 func (span *writeSpan) emitChunk(i int, chunk *secmem.Sealed) error {
 	c := span.c
 	cs := uint64(span.desc.ChunkSize)
-	if !c.routeHost(span.desc.Base+uint64(span.start+uint32(i))*cs, chunk.Ciphertext) {
+	if !c.routeHost(pcie.RoleD2HData, span.desc.Base+uint64(span.start+uint32(i))*cs, chunk.Ciphertext) {
 		span.held = true
 	}
 	span.tags[span.nTags] = TagRecord{Stream: StreamD2H, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag}

@@ -167,7 +167,7 @@ func (c *Controller) processRing(tail uint64) {
 	c.sess.ringHead = tail
 	w := c.sess.cplWord
 	c.mu.Unlock()
-	c.hostWrite64(base, tail)
+	c.hostWrite64(pcie.RoleRingHead, base, tail)
 	c.postCompletionWord(base, w)
 }
 
@@ -208,7 +208,7 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		value, rec := data[:len(data)-TagRecordSize], data[len(data)-TagRecordSize:]
 		val := c.payloadBuf(len(value), c.internal)
 		copy(val, value)
-		p := c.pkts.MemWrite(c.authorizedTVM, arg, val)
+		p := c.pkts.MemWrite(pcie.RoleGuardedWrite, c.authorizedTVM, arg, val)
 		c.handleGuardedMMIO(p, rec)
 		if c.recycleOn(c.internal) && pcie.Release(p) {
 			arena.Put(val) // a register value the host bus already carried
@@ -220,7 +220,7 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 // retry for dropped completions.
 func (c *Controller) ringFetch(addr uint64, dst []byte) bool {
 	for attempt := 0; attempt < 3; attempt++ {
-		req := c.pkts.MemRead(c.id, addr, uint32(len(dst)), 0)
+		req := c.pkts.MemRead(pcie.RoleSlotFetch, c.id, addr, uint32(len(dst)), 0)
 		cpl := c.hostBus.Route(req)
 		if cpl != nil && cpl.Status == pcie.CplSuccess && !staleCpl(req, cpl) && len(cpl.Payload) >= len(dst) {
 			copy(dst, cpl.Payload)
@@ -235,7 +235,7 @@ func (c *Controller) ringFetch(addr uint64, dst []byte) bool {
 // header, followed by the current completion word so a reaping
 // producer refreshes both with the same doorbell.
 func (c *Controller) ringPostHead(base, head uint64) {
-	c.hostWrite64(base, head)
+	c.hostWrite64(pcie.RoleRingHead, base, head)
 	c.mu.Lock()
 	w := c.sess.cplWord
 	c.mu.Unlock()
@@ -251,14 +251,14 @@ func (c *Controller) postCompletionWord(base, w uint64) {
 	if w == 0 {
 		return
 	}
-	c.hostWrite64(base+RingHdrCplOff, w)
+	c.hostWrite64(pcie.RoleCompletionWord, base+RingHdrCplOff, w)
 }
 
 // hostWrite64 DMA-writes one ring-header word.
-func (c *Controller) hostWrite64(addr, v uint64) {
+func (c *Controller) hostWrite64(role pcie.Role, addr, v uint64) {
 	buf := c.payloadBuf(8, c.hostBus)
 	binary.LittleEndian.PutUint64(buf, v)
-	c.hostWrite(addr, buf)
+	c.hostWrite(role, addr, buf)
 }
 
 // reapCompletion is the SC half of batched completion reaping: after
@@ -271,7 +271,7 @@ func (c *Controller) reapCompletion() {
 	if c.internal == nil {
 		return
 	}
-	req := c.pkts.MemRead(c.id, c.xpuBar.Base+c.reapHeadReg, 8, 0)
+	req := c.pkts.MemRead(pcie.RoleRegRead, c.id, c.xpuBar.Base+c.reapHeadReg, 8, 0)
 	cpl := c.internal.Route(req)
 	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || len(cpl.Payload) < 8 {
 		return // unreadable head: leave the cache alone, MMIO fallback rules
@@ -298,5 +298,5 @@ func (c *Controller) reapCompletion() {
 // flush and fails closed.
 func (c *Controller) ringDesync(base uint64) {
 	c.configReject()
-	c.hostWrite64(base+8, RingStatusDesync)
+	c.hostWrite64(pcie.RoleRingHead, base+8, RingStatusDesync)
 }

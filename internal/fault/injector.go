@@ -13,16 +13,28 @@ import (
 	"ccai/internal/xpu"
 )
 
-// Firing is one log entry: which event fired, at which per-class match
-// index, and when on the virtual clock (0 without a clock).
+// Firing is one log entry: which class fired, on a packet of which role
+// (none for a hook class), at which ordinal among the opportunities of
+// that class and role, and when on the virtual clock (0 without a
+// clock).
 type Firing struct {
 	Class Class
+	Role  pcie.Role
 	Index uint64
 	At    sim.Time
 }
 
 func (f Firing) String() string {
-	return fmt.Sprintf("%v@%d t=%v", f.Class, f.Index, f.At)
+	if f.Role == 0 {
+		return fmt.Sprintf("%v@%d", f.Class, f.Index)
+	}
+	return fmt.Sprintf("%v/%v@%d", f.Class, f.Role, f.Index)
+}
+
+// opportunity keys the ordinal count of one class on one role.
+type opportunity struct {
+	class Class
+	role  pcie.Role
 }
 
 // Stats counts injected faults per class.
@@ -59,6 +71,7 @@ type Injector struct {
 	match func(p *pcie.Packet) bool
 
 	idx   map[Class]uint64
+	ord   map[opportunity]uint64
 	stats Stats
 	log   []Firing
 
@@ -98,6 +111,7 @@ func NewInjector(p Plan) *Injector {
 	inj := &Injector{
 		rand:  sim.NewRand(p.Seed ^ 0x9e3779b97f4a7c15),
 		idx:   make(map[Class]uint64),
+		ord:   make(map[opportunity]uint64),
 		stats: Stats{Fired: make(map[Class]uint64), Opportunities: make(map[Class]uint64)},
 	}
 	for _, e := range p.Events {
@@ -135,10 +149,14 @@ func (inj *Injector) now() sim.Time {
 }
 
 // fires decides — under inj.mu — whether class fires at this
-// opportunity, advancing the per-class match index either way.
-func (inj *Injector) fires(class Class) bool {
+// opportunity on a packet of role, advancing the per-class match index
+// and the per-class-and-role ordinal either way.
+func (inj *Injector) fires(class Class, role pcie.Role) bool {
 	i := inj.idx[class]
 	inj.idx[class] = i + 1
+	op := opportunity{class, role}
+	ord := inj.ord[op]
+	inj.ord[op] = ord + 1
 	inj.stats.Opportunities[class]++
 	for _, ev := range inj.events {
 		if ev.Class != class || ev.fired >= ev.Count {
@@ -152,7 +170,7 @@ func (inj *Injector) fires(class Class) bool {
 		}
 		ev.fired++
 		inj.stats.Fired[class]++
-		inj.log = append(inj.log, Firing{Class: class, Index: i, At: inj.now()})
+		inj.log = append(inj.log, Firing{Class: class, Role: role, Index: ord, At: inj.now()})
 		inj.obsReg.Counter(obsv.Name("fault.fired", "class", class.String())).Inc()
 		inj.obsTracer.Mark(siteFaultInjected, keyClass.Str(obsv.Intern(class.String())), keyIndex.U64(i))
 		return true
@@ -180,10 +198,10 @@ func (inj *Injector) Tap(p *pcie.Packet) *pcie.Packet {
 	// heads, metadata counters and doorbell values are all small counts.
 	if p.Kind == pcie.MWr && len(p.Payload) == 8 &&
 		binary.LittleEndian.Uint64(p.Payload)&uint64(core.RingCplValid) != 0 {
-		if inj.fires(HeadWritebackLoss) {
+		if inj.fires(HeadWritebackLoss, p.Role) {
 			return nil
 		}
-		if inj.fires(HeadRegress) {
+		if inj.fires(HeadRegress, p.Role) {
 			q := p.Clone()
 			head := binary.LittleEndian.Uint64(q.Payload) &^ uint64(core.RingCplValid)
 			if head > 0 {
@@ -192,7 +210,7 @@ func (inj *Injector) Tap(p *pcie.Packet) *pcie.Packet {
 			binary.LittleEndian.PutUint64(q.Payload, head|uint64(core.RingCplValid))
 			return q
 		}
-		if inj.fires(DuplicateCplBurst) {
+		if inj.fires(DuplicateCplBurst, p.Role) {
 			// Withhold this writeback; deliver the previously withheld
 			// one (if any) in its place — the producer reaps a duplicate
 			// of a completion it already saw while real progress hides.
@@ -203,10 +221,10 @@ func (inj *Injector) Tap(p *pcie.Packet) *pcie.Packet {
 	}
 
 	if p.Kind == pcie.Cpl || p.Kind == pcie.CplD {
-		if inj.fires(DropCompletion) {
+		if inj.fires(DropCompletion, p.Role) {
 			return nil
 		}
-		if inj.fires(StaleCompletion) {
+		if inj.fires(StaleCompletion, p.Role) {
 			// Delay this completion; deliver the previously delayed one
 			// (if any) in its place. The requester sees either a timeout
 			// (first firing) or a completion whose transaction tag
@@ -216,20 +234,20 @@ func (inj *Injector) Tap(p *pcie.Packet) *pcie.Packet {
 			return prev
 		}
 	} else {
-		if inj.fires(DropTLP) {
+		if inj.fires(DropTLP, p.Role) {
 			return nil
 		}
 	}
 
 	if p.Kind.HasPayload() && len(p.Payload) > 0 {
-		if inj.fires(TruncateTLP) {
+		if inj.fires(TruncateTLP, p.Role) {
 			q := p.Clone()
 			cut := inj.rand.Intn(len(q.Payload))
 			q.Payload = q.Payload[:cut]
 			q.Length = uint32(cut)
 			return q
 		}
-		if inj.fires(CorruptTLP) {
+		if inj.fires(CorruptTLP, p.Role) {
 			q := p.Clone()
 			bit := inj.rand.Intn(len(q.Payload) * 8)
 			q.Payload[bit/8] ^= 1 << (bit % 8)
@@ -246,9 +264,9 @@ func (inj *Injector) DeviceFault(point string) bool {
 	defer inj.mu.Unlock()
 	switch point {
 	case xpu.FaultDoorbell:
-		return inj.fires(DoorbellHang)
+		return inj.fires(DoorbellHang, 0)
 	case xpu.FaultMSI:
-		return inj.fires(DropMSI)
+		return inj.fires(DropMSI, 0)
 	}
 	return false
 }
@@ -258,7 +276,7 @@ func (inj *Injector) DeviceFault(point string) bool {
 func (inj *Injector) CryptoFault(string) error {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	if inj.fires(CryptoTransient) {
+	if inj.fires(CryptoTransient, 0) {
 		return secmem.ErrTransient
 	}
 	return nil
@@ -282,9 +300,9 @@ func (inj *Injector) SchedFault(point string) bool {
 	defer inj.mu.Unlock()
 	switch point {
 	case SchedPointDequeue:
-		return inj.fires(SchedStall)
+		return inj.fires(SchedStall, 0)
 	case SchedPointCancel:
-		return inj.fires(CancelRace)
+		return inj.fires(CancelRace, 0)
 	}
 	return false
 }
@@ -294,7 +312,7 @@ func (inj *Injector) SchedFault(point string) bool {
 func (inj *Injector) TagFault(core.TagRecord) bool {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	return inj.fires(TagLoss)
+	return inj.fires(TagLoss, 0)
 }
 
 // Fired reports how many times class has fired.

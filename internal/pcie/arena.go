@@ -99,25 +99,27 @@ func Pin(p *Packet) {
 	}
 }
 
-// MemWrite builds a memory-write packet whose payload ownership
-// transfers to the packet (no defensive copy).
-func (a *PacketArena) MemWrite(req ID, addr uint64, payload []byte) *Packet {
+// MemWrite builds a memory-write packet of the given role whose payload
+// ownership transfers to the packet (no defensive copy).
+func (a *PacketArena) MemWrite(role Role, req ID, addr uint64, payload []byte) *Packet {
 	p := a.take()
 	p.Header = Header{Kind: MWr, Requester: req, Address: addr, Length: uint32(len(payload))}
 	p.Payload = payload
+	p.Role = role
 	return p
 }
 
-// MemRead builds a memory-read request packet.
-func (a *PacketArena) MemRead(req ID, addr uint64, length uint32, tag uint8) *Packet {
+// MemRead builds a memory-read request packet of the given role.
+func (a *PacketArena) MemRead(role Role, req ID, addr uint64, length uint32, tag uint8) *Packet {
 	p := a.take()
 	p.Header = Header{Kind: MRd, Requester: req, Address: addr, Length: length, Tag: tag}
 	p.Payload = nil
+	p.Role = role
 	return p
 }
 
-// CompletionOwned builds a completion for req with ownership of payload
-// transferring to the packet (no defensive copy). The payload must never
+// CompletionOwned builds a completion for req, of req's role, with
+// ownership of payload transferring to the packet (no defensive copy). The payload must never
 // be a pooled buffer its builder might reuse while a bus tap still holds
 // the routed packet.
 func (a *PacketArena) CompletionOwned(req *Packet, completer ID, status CplStatus, payload []byte) *Packet {
@@ -134,5 +136,6 @@ func (a *PacketArena) CompletionOwned(req *Packet, completer ID, status CplStatu
 		p.Length = uint32(len(payload))
 	}
 	p.Payload = payload
+	p.Role = req.Role
 	return p
 }

@@ -153,35 +153,100 @@ type Header struct {
 	FirstBE, LastBE uint8
 }
 
+// Role names what a packet is for, in the protocol between the TVM,
+// the PCIe-SC and the xPU. The agent that builds a packet stamps it, and
+// a completion takes its request's role. A Role never goes on the wire
+// and must never influence a security decision: the SC classifies
+// packets by header fields and address range alone. It exists so test
+// harnesses and fault plans can name a packet by what it is rather than
+// by its position in the traffic.
+type Role uint8
+
+const (
+	// RoleRingDoorbell is the TVM's submission-ring doorbell write.
+	RoleRingDoorbell Role = iota + 1
+	// RoleGuardedWrite is a driver write to an xPU register: the device
+	// doorbell, the command tail, bring-up writes.
+	RoleGuardedWrite
+	// RoleControlWrite is a write that configures or tears down a
+	// session: the TVM's hw_init and teardown writes to the SC BAR, the
+	// SC's device reset and attestation nonce.
+	RoleControlWrite
+	// RoleRegRead is an MMIO read of an SC or xPU register.
+	RoleRegRead
+	// RoleSlotFetch is the SC's read of submission-ring slots.
+	RoleSlotFetch
+	// RoleRingHead is the SC's write of a ring-header word: the consumed
+	// head or the status word.
+	RoleRingHead
+	// RoleCompletionWord is the SC's write of the device command head
+	// into the ring header (batched completion reaping).
+	RoleCompletionWord
+	// RoleCommandRun is a read of a run of command-ring slots.
+	RoleCommandRun
+	// RoleH2DData is a read of host-to-device data: the device's DMA
+	// read and the SC's fetch of the ciphertext behind it.
+	RoleH2DData
+	// RoleD2HData is a write of device-to-host data: the device's DMA
+	// write and the ciphertext the SC writes to host memory.
+	RoleD2HData
+	// RoleTagRecord is the SC's write of D2H authentication tags.
+	RoleTagRecord
+	// RoleMetadata is the SC's write of a region's D2H progress count.
+	RoleMetadata
+	// RoleMSI is a device interrupt write.
+	RoleMSI
+
+	numRoles
+)
+
+var roleNames = [...]string{
+	"none", "ring-doorbell", "guarded-write", "control-write", "reg-read",
+	"slot-fetch", "ring-head", "completion-word", "command-run",
+	"h2d-data", "d2h-data", "tag-record", "metadata", "msi",
+}
+
+func (r Role) String() string {
+	if int(r) < len(roleNames) {
+		return roleNames[r]
+	}
+	return fmt.Sprintf("Role(%d)", uint8(r))
+}
+
+// Valid reports whether r names a real role.
+func (r Role) Valid() bool { return r >= RoleRingDoorbell && r < numRoles }
+
+// Roles lists every role in declaration order.
+func Roles() []Role {
+	out := make([]Role, 0, int(numRoles)-1)
+	for r := RoleRingDoorbell; r < numRoles; r++ {
+		out = append(out, r)
+	}
+	return out
+}
+
 // Packet is one TLP: header plus payload. Payload may be nil for
-// non-data kinds. Meta carries simulation-side annotations (e.g. the
-// attack harness marks injected packets) and is never serialized.
+// non-data kinds.
 type Packet struct {
 	Header
 	Payload []byte
 
-	// Meta is opaque simulation metadata; it does not exist on the wire
-	// and must never influence security decisions.
-	Meta map[string]string
+	// Role is what the packet is for (see Role); it does not exist on
+	// the wire.
+	Role Role
 
 	// home is the PacketArena the struct was carved from and may be
 	// released to; nil for every other packet (see Release, Pin).
 	home *PacketArena
 }
 
-// Clone deep-copies the packet (payload and meta included) so mutation
-// by an attacker model cannot alias the original.
+// Clone deep-copies the packet (payload included) so mutation by an
+// attacker model cannot alias the original.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.home = nil // the copy is the collector's, whatever p was
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
-	}
-	if p.Meta != nil {
-		q.Meta = make(map[string]string, len(p.Meta))
-		for k, v := range p.Meta {
-			q.Meta[k] = v
-		}
 	}
 	return &q
 }
@@ -219,7 +284,7 @@ func NewMemWrite(req ID, addr uint64, data []byte) *Packet {
 }
 
 // NewCompletion builds a completion (with data when payload is non-nil)
-// for the given request.
+// for the given request; it takes the request's role.
 func NewCompletion(req *Packet, completer ID, status CplStatus, payload []byte) *Packet {
 	h := Header{
 		Kind:      Cpl,
@@ -234,7 +299,7 @@ func NewCompletion(req *Packet, completer ID, status CplStatus, payload []byte) 
 		h.Length = uint32(len(payload))
 		data = append([]byte(nil), payload...)
 	}
-	return &Packet{Header: h, Payload: data}
+	return &Packet{Header: h, Payload: data, Role: req.Role}
 }
 
 // NewMessage builds a message packet (e.g. an interrupt-style vendor

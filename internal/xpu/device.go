@@ -566,7 +566,7 @@ func (d *Device) pump() {
 	for head != tail {
 		slot := head % size
 		run := d.cmdRun[:min(tail-head, size-slot, pcie.MaxReadReq/CmdSize)*CmdSize]
-		if !d.dmaReadInto(run, base+slot*CmdSize) {
+		if !d.dmaReadInto(pcie.RoleCommandRun, run, base+slot*CmdSize) {
 			d.fault()
 			return
 		}
@@ -610,14 +610,14 @@ func (d *Device) raiseInterrupt(cause uint64) {
 	}
 	data := d.slab.Take(4)
 	binary.LittleEndian.PutUint32(data, uint32(d.regs[RegMSIData]))
-	d.postWrite(msiAddr, data)
+	d.postWrite(pcie.RoleMSI, msiAddr, data)
 }
 
 // postWrite routes one posted write upstream and takes the packet
 // struct back when wrRecycle allows: an upstream consumer that keeps
 // the payload keeps the slice, never the packet.
-func (d *Device) postWrite(addr uint64, payload []byte) {
-	p := d.pkts.MemWrite(d.id, addr, payload)
+func (d *Device) postWrite(role pcie.Role, addr uint64, payload []byte) {
+	p := d.pkts.MemWrite(role, d.id, addr, payload)
 	d.upstream(p)
 	if d.wrRecycle != nil && d.wrRecycle() {
 		pcie.Release(p)
@@ -645,7 +645,7 @@ func (d *Device) releaseRead(req, cpl *pcie.Packet) {
 // chunk at MaxReadReq rather than MaxPayload — one request covers a
 // whole span of cipher chunks, which the SC batch-decrypts (DESIGN.md
 // §10), or a whole command run.
-func (d *Device) dmaReadInto(dst []byte, addr uint64) bool {
+func (d *Device) dmaReadInto(role pcie.Role, dst []byte, addr uint64) bool {
 	sp := d.obs.tracer.Start(siteDMARead, keyAddr.Hex(addr), keyBytes.I64(int64(len(dst))))
 	defer sp.End()
 	for len(dst) > 0 {
@@ -653,7 +653,7 @@ func (d *Device) dmaReadInto(dst []byte, addr uint64) bool {
 		if len(dst) < chunk {
 			chunk = len(dst)
 		}
-		req := d.pkts.MemRead(d.id, addr, uint32(chunk), 0)
+		req := d.pkts.MemRead(role, d.id, addr, uint32(chunk), 0)
 		cpl := d.upstream(req)
 		if cpl == nil || cpl.Status != pcie.CplSuccess || len(cpl.Payload) < chunk {
 			return false
@@ -685,7 +685,7 @@ func (d *Device) dmaWrite(addr uint64, data []byte) bool {
 			buf = d.slab.Take(chunk)
 		}
 		copy(buf, data[:chunk])
-		d.postWrite(addr, buf)
+		d.postWrite(pcie.RoleD2HData, addr, buf)
 		addr += uint64(chunk)
 		data = data[chunk:]
 	}
@@ -702,7 +702,7 @@ func (d *Device) execute(cmd Command) bool {
 		if cmd.Dst+cmd.Len > uint64(len(d.devMem)) {
 			return false
 		}
-		if !d.dmaReadInto(d.devMem[cmd.Dst:cmd.Dst+cmd.Len], cmd.Src) {
+		if !d.dmaReadInto(pcie.RoleH2DData, d.devMem[cmd.Dst:cmd.Dst+cmd.Len], cmd.Src) {
 			return false
 		}
 	case OpCopyD2H:
