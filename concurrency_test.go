@@ -19,6 +19,7 @@ import (
 	"ccai/internal/attack"
 	"ccai/internal/core"
 	"ccai/internal/fault"
+	"ccai/internal/pcie"
 	"ccai/internal/xpu"
 )
 
@@ -269,17 +270,50 @@ func BenchmarkServingConcurrent(b *testing.B) {
 	}
 }
 
+// stressRole is the role a stress cell's link class aims at: the
+// completion word, which crosses only the shared host segment; on the
+// tenant's internal segment, the device's data reads for the completion
+// classes, its D2H data writes for a drop, its command-run reads for a
+// truncation and the SC's read of its command head for a bit flip.
+// Plaintext on the internal segment is not a payload to flip: the SC
+// seals what the device gives it. Zero for a hook class.
+func stressRole(class fault.Class) pcie.Role {
+	switch class {
+	case fault.HeadWritebackLoss, fault.HeadRegress, fault.DuplicateCplBurst:
+		return pcie.RoleCompletionWord
+	case fault.DropCompletion, fault.StaleCompletion:
+		return pcie.RoleH2DData
+	case fault.DropTLP:
+		return pcie.RoleD2HData
+	case fault.TruncateTLP:
+		return pcie.RoleCommandRun
+	case fault.CorruptTLP:
+		return pcie.RoleRegRead
+	}
+	return 0
+}
+
 // wireTenantFault threads an injector into one tenant's slice of the
 // platform: its internal bus segment, device, crypto replicas, or tag
-// manager — never a shared layer, so the blast radius is the tenant.
-func wireTenantFault(tn *Tenant, inj *fault.Injector, class fault.Class) {
-	switch class {
-	case fault.DoorbellHang, fault.DropMSI:
+// manager — or, for the completion word, the shared host segment behind
+// a tap that lets through only that tenant's SC packets, so the blast
+// radius is still the tenant.
+func wireTenantFault(mp *MultiPlatform, tn *Tenant, inj *fault.Injector, class fault.Class) {
+	switch {
+	case class == fault.DoorbellHang || class == fault.DropMSI:
 		tn.Device.SetFaultHook(inj.DeviceFault)
-	case fault.CryptoTransient:
+	case class == fault.CryptoTransient:
 		tn.Adaptor.InstallCryptoFault(inj.CryptoFault)
-	case fault.TagLoss:
+	case class == fault.TagLoss:
 		tn.SC.Tags().SetFaultHook(inj.TagFault)
+	case stressRole(class) == pcie.RoleCompletionWord:
+		sc := tn.SC.DeviceID()
+		mp.Host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+			if p.Requester != sc {
+				return p
+			}
+			return inj.Tap(p)
+		}))
 	default:
 		tn.internal.AddTap(inj)
 	}
@@ -331,9 +365,9 @@ func TestConcurrencyStressMatrix(t *testing.T) {
 				// control.
 				fired := make([]*fault.Injector, tenants)
 				for i := 1; i < tenants; i++ {
-					inj := fault.NewInjector(matrixEvent(class, seed+uint64(i)))
+					inj := fault.NewInjector(matrixEvent(class, stressRole(class), seed+uint64(i)))
 					fired[i] = inj
-					wireTenantFault(mp.Tenants[i], inj, class)
+					wireTenantFault(mp, mp.Tenants[i], inj, class)
 				}
 
 				var tasks []TenantTask
@@ -371,6 +405,13 @@ func TestConcurrencyStressMatrix(t *testing.T) {
 				}
 				if r := audit.reuses(); len(r) != 0 {
 					t.Fatalf("IV REUSE under %v: %v", class, r)
+				}
+				var n uint64
+				for _, inj := range fired[1:] {
+					n += inj.TotalFired()
+				}
+				if n == 0 {
+					t.Fatalf("no injector fired under %v; cell vacuous", class)
 				}
 			})
 		}

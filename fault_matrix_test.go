@@ -17,6 +17,7 @@ import (
 	"ccai/internal/core"
 	"ccai/internal/fault"
 	"ccai/internal/llm"
+	"ccai/internal/pcie"
 	"ccai/internal/xpu"
 )
 
@@ -81,7 +82,7 @@ func TestMidPipelineFaults(t *testing.T) {
 			snoop := attack.NewSnooper()
 			p.Host.AddTap(snoop)
 
-			inj := fault.NewInjector(fault.Single(0x717e11e, tc.class, tc.skip, 2))
+			inj := fault.NewInjector(fault.Single(0x717e11e, tc.class, 0, tc.skip, 2))
 			wireFault(&p.pipeline, p.Host, inj)
 
 			// 64 KiB input (256 chunks through the pipeline) with the
@@ -145,7 +146,7 @@ func TestPrefillKVLeavesNoPlaintextInArena(t *testing.T) {
 		t.Run(fmt.Sprintf("crypto-fault=%v", faulted), func(t *testing.T) {
 			mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
 			tn := mp.Tenants[0]
-			inj := fault.NewInjector(fault.Single(0x4b56, fault.CryptoTransient, 128, 2))
+			inj := fault.NewInjector(fault.Single(0x4b56, fault.CryptoTransient, 0, 128, 2))
 			if faulted {
 				tn.Adaptor.InstallCryptoFault(inj.CryptoFault)
 			}
@@ -188,3 +189,50 @@ func TestPrefillKVTagLossHeals(t *testing.T) {
 // 2's positioned entry carries the new epoch at slot 1 of the same
 // window.
 func TestRekeyMidDecode(t *testing.T) { playTrace(t, "rekey-mid-decode") }
+
+// statusReads routes a read of the SC's status register onto host ahead
+// of every ring doorbell: packets of a role no matrix plan names.
+func statusReads(host *pcie.Bus) pcie.Tap {
+	return pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Role == pcie.RoleRingDoorbell {
+			rd := pcie.NewMemRead(TVMID, scBARBase+core.RegSCStatus, 8, 0)
+			rd.Role = pcie.RoleRegRead
+			host.Route(rd)
+		}
+		return p
+	})
+}
+
+// TestFaultsCountPerRole plays every link-class matrix trace twice, the
+// second time with an SC status read before every ring doorbell. A
+// fault counts only the packets of the role it names, so the extra
+// reads move no firing and no outcome.
+func TestFaultsCountPerRole(t *testing.T) {
+	for _, class := range fault.Classes() {
+		if class.Hook() {
+			continue
+		}
+		for _, seed := range matrixSeeds {
+			t.Run(fmt.Sprintf("%v/seed=%#x", class, seed), func(t *testing.T) {
+				data := savedTrace(t, fmt.Sprintf("matrix-%v-%#x", class, seed))
+				var reads uint64
+				counted := func(host *pcie.Bus) pcie.Tap {
+					tap := statusReads(host)
+					return pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+						if p.Role == pcie.RoleRingDoorbell {
+							reads++
+						}
+						return tap.Tap(p)
+					})
+				}
+				plain, extra := runTrace(t, data), runTraceWith(t, data, counted)
+				if reads == 0 {
+					t.Fatal("no ring doorbell crossed the host bus: no read was added")
+				}
+				if plain.sig != extra.sig {
+					t.Fatalf("%d status reads moved the cell:\n plain: %s\n extra: %s", reads, plain.sig, extra.sig)
+				}
+			})
+		}
+	}
+}

@@ -7,18 +7,19 @@
 // invariants of DESIGN.md §6. A fault may cost retries and latency; it
 // must never cost confidentiality, integrity, or freshness.
 //
-// Everything is seed-replayable: a Plan is either decoded from bytes or
-// generated from a seed, an Injector fires the plan's events at
-// deterministic match indices (optionally gated on the internal/sim
-// virtual clock), and the firing log records exactly what happened so a
-// chaos scenario can be replayed bit-for-bit in CI.
+// Everything is seed-replayable: a Plan names each fault by class, by
+// the role of the packets it hits (pcie.Role, stamped by the packet's
+// sender) and by its ordinal among them, so adding or removing a packet
+// of another role moves no fault. An Injector fires the plan's events
+// and its firing log records exactly what happened, so a chaos scenario
+// can be replayed bit-for-bit in CI.
 package fault
 
 import (
 	"encoding/binary"
 	"fmt"
 
-	"ccai/internal/sim"
+	"ccai/internal/pcie"
 )
 
 // Class identifies one fault class. The zero value is invalid so a
@@ -113,24 +114,51 @@ func Classes() []Class {
 	return out
 }
 
-// Event is one scheduled fault: after Skip matching opportunities pass,
-// fire Count times on consecutive opportunities, but not before virtual
-// instant At (when the injector has a clock).
+// Hook reports whether c fires at a hook — the device, the crypto
+// engine, the tag manager, the scheduler — rather than on a packet. A
+// hook class counts its opportunities per class; a link class counts
+// them per class and packet role.
+func (c Class) Hook() bool {
+	switch c {
+	case DoorbellHang, DropMSI, CryptoTransient, TagLoss, SchedStall, CancelRace:
+		return true
+	}
+	return false
+}
+
+// aims reports whether an event of class c may name role r: a hook
+// class names none, a completion-word class the completion word, every
+// other link class a real role.
+func (c Class) aims(r pcie.Role) bool {
+	switch {
+	case c.Hook():
+		return r == 0
+	case c == HeadWritebackLoss || c == HeadRegress || c == DuplicateCplBurst:
+		return r == pcie.RoleCompletionWord
+	}
+	return r.Valid()
+}
+
+// Event is one scheduled fault: among the opportunities of Class on
+// packets of Role (a hook class names no role), let Skip pass, then fire
+// on the next Count.
 type Event struct {
 	Class Class
+	// Role is the packet role a link class fires on; zero for a hook
+	// class.
+	Role pcie.Role
 	// Skip is the number of matching opportunities to let pass
 	// unharmed before the event arms.
 	Skip uint16
 	// Count is how many times the event fires; 0 decodes as 1.
 	Count uint16
-	// At gates the event on the virtual clock: it stays dormant until
-	// sim.Time(At)*sim.Microsecond. Ignored when the injector has no
-	// clock.
-	At uint32
 }
 
 func (e Event) String() string {
-	return fmt.Sprintf("%v{skip=%d count=%d at=%dµs}", e.Class, e.Skip, e.Count, e.At)
+	if e.Role == 0 {
+		return fmt.Sprintf("%v{skip=%d count=%d}", e.Class, e.Skip, e.Count)
+	}
+	return fmt.Sprintf("%v/%v{skip=%d count=%d}", e.Class, e.Role, e.Skip, e.Count)
 }
 
 // Decoder hard limits: plans are attacker-adjacent input (they ride in
@@ -142,8 +170,6 @@ const (
 	MaxSkip = 4096
 	// MaxCount bounds Event.Count.
 	MaxCount = 256
-	// MaxAt bounds Event.At (µs of virtual time).
-	MaxAt = 10_000_000
 )
 
 // Plan is a reproducible chaos scenario: a seed (provenance + payload
@@ -156,10 +182,11 @@ type Plan struct {
 // planMagic/planVersion frame the serialized form.
 var planMagic = [4]byte{'F', 'P', 'L', 'N'}
 
-const planVersion = 1
+const planVersion = 2
 
-// eventWireSize is the serialized size of one event.
-const eventWireSize = 1 + 2 + 2 + 4
+// eventWireSize is the serialized size of one event: class, role, skip,
+// count.
+const eventWireSize = 1 + 1 + 2 + 2
 
 // Marshal serializes the plan.
 func (p Plan) Marshal() []byte {
@@ -169,10 +196,9 @@ func (p Plan) Marshal() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, p.Seed)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Events)))
 	for _, e := range p.Events {
-		buf = append(buf, byte(e.Class))
+		buf = append(buf, byte(e.Class), byte(e.Role))
 		buf = binary.LittleEndian.AppendUint16(buf, e.Skip)
 		buf = binary.LittleEndian.AppendUint16(buf, e.Count)
-		buf = binary.LittleEndian.AppendUint32(buf, e.At)
 	}
 	return buf
 }
@@ -206,17 +232,20 @@ func UnmarshalPlan(data []byte) (Plan, error) {
 		off := i * eventWireSize
 		e := Event{
 			Class: Class(body[off]),
-			Skip:  binary.LittleEndian.Uint16(body[off+1:]),
-			Count: binary.LittleEndian.Uint16(body[off+3:]),
-			At:    binary.LittleEndian.Uint32(body[off+5:]),
+			Role:  pcie.Role(body[off+1]),
+			Skip:  binary.LittleEndian.Uint16(body[off+2:]),
+			Count: binary.LittleEndian.Uint16(body[off+4:]),
 		}
 		if !e.Class.Valid() {
 			return Plan{}, fmt.Errorf("fault: event %d has invalid class %d", i, body[off])
 		}
+		if !e.Class.aims(e.Role) {
+			return Plan{}, fmt.Errorf("fault: event %d: %v cannot aim at role %d", i, e.Class, body[off+1])
+		}
 		if e.Count == 0 {
 			e.Count = 1
 		}
-		if e.Skip > MaxSkip || e.Count > MaxCount || e.At > MaxAt {
+		if e.Skip > MaxSkip || e.Count > MaxCount {
 			return Plan{}, fmt.Errorf("fault: event %d out of bounds (%v)", i, e)
 		}
 		p.Events = append(p.Events, e)
@@ -224,36 +253,11 @@ func UnmarshalPlan(data []byte) (Plan, error) {
 	return p, nil
 }
 
-// Generate builds a deterministic chaos plan from a seed: n events
-// drawn from the given classes (all classes when none are named), with
-// small skips and counts so scenarios stay fast. The same seed always
-// yields the same plan.
-func Generate(seed uint64, n int, classes ...Class) Plan {
-	if n <= 0 {
-		n = 4
-	}
-	if n > MaxEvents {
-		n = MaxEvents
-	}
-	if len(classes) == 0 {
-		classes = Classes()
-	}
-	r := sim.NewRand(seed)
-	p := Plan{Seed: seed}
-	for i := 0; i < n; i++ {
-		p.Events = append(p.Events, Event{
-			Class: classes[r.Intn(len(classes))],
-			Skip:  uint16(r.Intn(8)),
-			Count: uint16(r.Intn(3) + 1),
-		})
-	}
-	return p
-}
-
 // Single is the one-event plan: the workhorse of the fault×invariant
 // matrix, where each cell injects exactly one class deterministically.
-func Single(seed uint64, class Class, skip, count int) Plan {
+// role is zero for a hook class.
+func Single(seed uint64, class Class, role pcie.Role, skip, count int) Plan {
 	return Plan{Seed: seed, Events: []Event{{
-		Class: class, Skip: uint16(skip), Count: uint16(count),
+		Class: class, Role: role, Skip: uint16(skip), Count: uint16(count),
 	}}}
 }

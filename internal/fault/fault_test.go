@@ -6,17 +6,19 @@ import (
 	"testing"
 
 	"ccai/internal/pcie"
-	"ccai/internal/sim"
 	"ccai/internal/xpu"
 )
 
 func TestPlanRoundTrip(t *testing.T) {
 	for _, p := range []Plan{
 		{Seed: 0},
-		{Seed: 42, Events: []Event{{Class: CorruptTLP, Skip: 3, Count: 2, At: 17}}},
-		Generate(7, 12),
-		Generate(0xdeadbeef, MaxEvents),
-		Single(9, TagLoss, 1, 4),
+		{Seed: 42, Events: []Event{{Class: CorruptTLP, Role: pcie.RoleSlotFetch, Skip: 3, Count: 2}}},
+		{Seed: 7, Events: []Event{
+			{Class: DropTLP, Role: pcie.RoleRingDoorbell, Count: 0},
+			{Class: HeadRegress, Role: pcie.RoleCompletionWord, Skip: 1, Count: MaxCount},
+			{Class: DoorbellHang, Skip: MaxSkip, Count: 1},
+		}},
+		Single(9, TagLoss, 0, 1, 4),
 	} {
 		got, err := UnmarshalPlan(p.Marshal())
 		if err != nil {
@@ -37,15 +39,22 @@ func TestPlanRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsMalformed(t *testing.T) {
-	good := Single(1, DropTLP, 0, 1).Marshal()
+	good := Single(1, DropTLP, pcie.RoleH2DData, 0, 1).Marshal()
+	hook := Single(1, TagLoss, 0, 0, 1).Marshal()
+	set := func(b []byte, i int, v byte) []byte { b = bytes.Clone(b); b[i] = v; return b }
 	cases := map[string][]byte{
-		"empty":        nil,
-		"short":        good[:8],
-		"bad magic":    append([]byte("XXXX"), good[4:]...),
-		"bad version":  func() []byte { b := bytes.Clone(good); b[4] = 99; return b }(),
-		"bad class":    func() []byte { b := bytes.Clone(good); b[15] = 0; return b }(),
-		"class high":   func() []byte { b := bytes.Clone(good); b[15] = byte(numClasses); return b }(),
-		"body surplus": append(bytes.Clone(good), 0xff),
+		"empty":                 nil,
+		"short":                 good[:8],
+		"bad magic":             append([]byte("XXXX"), good[4:]...),
+		"bad version":           set(good, 4, 99),
+		"version 1":             set(good, 4, 1),
+		"bad class":             set(good, 15, 0),
+		"class high":            set(good, 15, byte(numClasses)),
+		"link class, no role":   set(good, 16, 0),
+		"hook class with role":  set(hook, 16, byte(pcie.RoleMSI)),
+		"role out of range":     set(good, 16, byte(len(pcie.Roles())+1)),
+		"completion word aimed": set(set(good, 15, byte(HeadRegress)), 16, byte(pcie.RoleSlotFetch)),
+		"body surplus":          append(bytes.Clone(good), 0xff),
 		"count claim": func() []byte {
 			b := bytes.Clone(good)
 			b[13], b[14] = 0xff, 0xff // claim 65535 events, supply one
@@ -59,28 +68,15 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterministic(t *testing.T) {
-	a, b := Generate(1234, 16), Generate(1234, 16)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different plans")
-	}
-	c := Generate(1235, 16)
-	if reflect.DeepEqual(a.Events, c.Events) {
-		t.Fatal("different seeds produced identical plans")
-	}
-	for _, e := range a.Events {
-		if !e.Class.Valid() {
-			t.Fatalf("generated invalid class in %v", e)
-		}
-	}
-}
-
+// trafficMWr is the i-th D2H data write of a fixed traffic sequence.
 func trafficMWr(i int) *pcie.Packet {
-	return pcie.NewMemWrite(pcie.MakeID(0, 8, 0), 0x8000_0000+uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64))
+	p := pcie.NewMemWrite(pcie.MakeID(0, 8, 0), 0x8000_0000+uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64))
+	p.Role = pcie.RoleD2HData
+	return p
 }
 
 func TestInjectorSkipCountSemantics(t *testing.T) {
-	inj := NewInjector(Single(5, DropTLP, 2, 2))
+	inj := NewInjector(Single(5, DropTLP, pcie.RoleD2HData, 2, 2))
 	var dropped []int
 	for i := 0; i < 8; i++ {
 		if inj.Tap(trafficMWr(i)) == nil {
@@ -100,7 +96,12 @@ func TestInjectorSkipCountSemantics(t *testing.T) {
 }
 
 func TestInjectorDeterministicReplay(t *testing.T) {
-	plan := Generate(99, 10, CorruptTLP, TruncateTLP, DropTLP)
+	plan := Plan{Seed: 99, Events: []Event{
+		{Class: CorruptTLP, Role: pcie.RoleD2HData, Skip: 3, Count: 2},
+		{Class: TruncateTLP, Role: pcie.RoleD2HData, Skip: 1, Count: 3},
+		{Class: DropTLP, Role: pcie.RoleD2HData, Skip: 6, Count: 1},
+		{Class: CorruptTLP, Role: pcie.RoleD2HData, Skip: 20, Count: 4},
+	}}
 	run := func() ([][]byte, []Firing) {
 		inj := NewInjector(plan)
 		var out [][]byte
@@ -128,7 +129,7 @@ func TestInjectorDeterministicReplay(t *testing.T) {
 }
 
 func TestInjectorCorruptFlipsExactlyOneBit(t *testing.T) {
-	inj := NewInjector(Single(3, CorruptTLP, 0, 1))
+	inj := NewInjector(Single(3, CorruptTLP, pcie.RoleD2HData, 0, 1))
 	orig := trafficMWr(0)
 	got := inj.Tap(orig.Clone())
 	if got == nil {
@@ -147,7 +148,7 @@ func TestInjectorCorruptFlipsExactlyOneBit(t *testing.T) {
 }
 
 func TestInjectorTruncateShortens(t *testing.T) {
-	inj := NewInjector(Single(8, TruncateTLP, 0, 1))
+	inj := NewInjector(Single(8, TruncateTLP, pcie.RoleD2HData, 0, 1))
 	got := inj.Tap(trafficMWr(0))
 	if got == nil {
 		t.Fatal("truncate must not drop")
@@ -159,13 +160,14 @@ func TestInjectorTruncateShortens(t *testing.T) {
 
 func TestInjectorCompletionClasses(t *testing.T) {
 	req := pcie.NewMemRead(pcie.MakeID(0, 8, 0), 0x8000_0000, 64, 7)
+	req.Role = pcie.RoleH2DData
 	mk := func(tag uint8, fill byte) *pcie.Packet {
 		r := req.Clone()
 		r.Tag = tag
 		return pcie.NewCompletion(r, pcie.MakeID(0, 2, 0), pcie.CplSuccess, bytes.Repeat([]byte{fill}, 64))
 	}
 
-	inj := NewInjector(Single(1, DropCompletion, 0, 1))
+	inj := NewInjector(Single(1, DropCompletion, pcie.RoleH2DData, 0, 1))
 	if inj.Tap(mk(1, 0xaa)) != nil {
 		t.Fatal("drop-completion should delete the completion")
 	}
@@ -173,7 +175,7 @@ func TestInjectorCompletionClasses(t *testing.T) {
 		t.Fatal("only one completion should be dropped")
 	}
 
-	inj = NewInjector(Single(1, StaleCompletion, 0, 2))
+	inj = NewInjector(Single(1, StaleCompletion, pcie.RoleH2DData, 0, 2))
 	if got := inj.Tap(mk(1, 0xaa)); got != nil {
 		t.Fatal("first stale firing should delay (deliver nothing)")
 	}
@@ -186,7 +188,7 @@ func TestInjectorCompletionClasses(t *testing.T) {
 	}
 }
 
-func TestInjectorDeviceAndMatchScoping(t *testing.T) {
+func TestInjectorDeviceHooks(t *testing.T) {
 	inj := NewInjector(Plan{Seed: 2, Events: []Event{
 		{Class: DoorbellHang, Count: 1},
 		{Class: DropMSI, Count: 1},
@@ -200,38 +202,42 @@ func TestInjectorDeviceAndMatchScoping(t *testing.T) {
 	if inj.DeviceFault("unknown-point") {
 		t.Fatal("unknown hook points never fire")
 	}
-
-	// Match scoping: only packets to 0x9000_0000+ are eligible.
-	inj = NewInjector(Single(4, DropTLP, 0, 1))
-	inj.SetMatch(func(p *pcie.Packet) bool { return p.Address >= 0x9000_0000 })
-	if inj.Tap(trafficMWr(0)) == nil {
-		t.Fatal("non-matching packet must pass untouched")
-	}
-	hit := pcie.NewMemWrite(pcie.MakeID(0, 8, 0), 0x9000_0000, []byte{1})
-	if inj.Tap(hit) != nil {
-		t.Fatal("matching packet should be dropped")
-	}
 }
 
-func TestInjectorClockGating(t *testing.T) {
-	clk := sim.NewEngine()
-	inj := NewInjector(Plan{Seed: 1, Events: []Event{{Class: DropTLP, Count: 1, At: 5}}})
-	inj.SetClock(clk)
-	if inj.Tap(trafficMWr(0)) == nil {
-		t.Fatal("event gated at t=5µs must not fire at t=0")
+// TestInjectorCountsPerRole: an event counts only the packets of its
+// role, so packets of any other role — however many, wherever they fall
+// — neither fire it nor move which packet it hits.
+func TestInjectorCountsPerRole(t *testing.T) {
+	doorbell := func(i int) *pcie.Packet {
+		p := pcie.NewMemWrite(pcie.MakeID(0, 1, 0), 0xd010_0000, []byte{byte(i), 0, 0, 0, 0, 0, 0, 0})
+		p.Role = pcie.RoleRingDoorbell
+		return p
 	}
-	clk.RunUntil(5 * sim.Microsecond)
-	if inj.Tap(trafficMWr(1)) != nil {
-		t.Fatal("event should fire once the clock reaches its At instant")
-	}
-	log := inj.Log()
-	if len(log) != 1 || log[0].At != 5*sim.Microsecond {
-		t.Fatalf("firing log %v, want one firing at 5µs", log)
+	for _, extra := range []int{0, 1, 7} {
+		inj := NewInjector(Single(4, DropTLP, pcie.RoleRingDoorbell, 1, 1))
+		var dropped []int
+		for i := 0; i < 4; i++ {
+			for j := 0; j < extra; j++ {
+				if inj.Tap(trafficMWr(j)) == nil {
+					t.Fatalf("extra=%d: a packet of another role was dropped", extra)
+				}
+			}
+			if inj.Tap(doorbell(i)) == nil {
+				dropped = append(dropped, i)
+			}
+		}
+		if !reflect.DeepEqual(dropped, []int{1}) {
+			t.Fatalf("extra=%d: dropped doorbells %v, want [1]", extra, dropped)
+		}
+		want := []Firing{{Class: DropTLP, Role: pcie.RoleRingDoorbell, Index: 1}}
+		if log := inj.Log(); !reflect.DeepEqual(log, want) {
+			t.Fatalf("extra=%d: log %v, want %v", extra, log, want)
+		}
 	}
 }
 
 func TestInjectorCryptoTransient(t *testing.T) {
-	inj := NewInjector(Single(6, CryptoTransient, 1, 1))
+	inj := NewInjector(Single(6, CryptoTransient, 0, 1, 1))
 	if err := inj.CryptoFault("seal"); err != nil {
 		t.Fatalf("skip=1: first op must pass, got %v", err)
 	}

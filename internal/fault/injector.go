@@ -15,13 +15,11 @@ import (
 
 // Firing is one log entry: which class fired, on a packet of which role
 // (none for a hook class), at which ordinal among the opportunities of
-// that class and role, and when on the virtual clock (0 without a
-// clock).
+// that class and role.
 type Firing struct {
 	Class Class
 	Role  pcie.Role
 	Index uint64
-	At    sim.Time
 }
 
 func (f Firing) String() string {
@@ -37,14 +35,6 @@ type opportunity struct {
 	role  pcie.Role
 }
 
-// Stats counts injected faults per class.
-type Stats struct {
-	Fired map[Class]uint64
-	// Opportunities counts matching packets/hook calls seen per class,
-	// fired or not — the denominator of the injection rate.
-	Opportunities map[Class]uint64
-}
-
 // eventState is the runtime counter for one plan event.
 type eventState struct {
 	Event
@@ -53,27 +43,17 @@ type eventState struct {
 
 // Injector executes a Plan against the simulated stack. It is a
 // pcie.Tap for link-level faults and exposes hook adapters for the
-// device (DeviceFault), crypto engine (CryptoFault) and tag manager
-// (TagFault) injection points. All decisions are deterministic: for a
-// fixed plan and a fixed traffic sequence the same packets are faulted
-// the same way, byte for byte.
+// device (DeviceFault), crypto engine (CryptoFault), tag manager
+// (TagFault) and scheduler (SchedFault) injection points. All decisions
+// are deterministic: for a fixed plan and a fixed traffic sequence the
+// same packets are faulted the same way, byte for byte.
 type Injector struct {
 	mu     sync.Mutex
 	events []*eventState
 	rand   *sim.Rand
 
-	// clock, when set, gates At-scheduled events and timestamps the
-	// firing log.
-	clock *sim.Engine
-	// match, when set, scopes link-level faults (Corrupt/Drop/Truncate/
-	// completion classes) to packets it accepts; other packets are not
-	// even counted as opportunities.
-	match func(p *pcie.Packet) bool
-
-	idx   map[Class]uint64
-	ord   map[opportunity]uint64
-	stats Stats
-	log   []Firing
+	seen map[opportunity]uint64
+	log  []Firing
 
 	// stash holds the delayed completion of a StaleCompletion in
 	// progress.
@@ -109,10 +89,8 @@ func (inj *Injector) SetObserver(h *obsv.Hub) {
 // (which bit flips, where a truncation cuts) derive from the plan seed.
 func NewInjector(p Plan) *Injector {
 	inj := &Injector{
-		rand:  sim.NewRand(p.Seed ^ 0x9e3779b97f4a7c15),
-		idx:   make(map[Class]uint64),
-		ord:   make(map[opportunity]uint64),
-		stats: Stats{Fired: make(map[Class]uint64), Opportunities: make(map[Class]uint64)},
+		rand: sim.NewRand(p.Seed ^ 0x9e3779b97f4a7c15),
+		seen: make(map[opportunity]uint64),
 	}
 	for _, e := range p.Events {
 		ev := e
@@ -124,53 +102,19 @@ func NewInjector(p Plan) *Injector {
 	return inj
 }
 
-// SetClock attaches the virtual clock used for At gating and log
-// timestamps.
-func (inj *Injector) SetClock(clk *sim.Engine) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.clock = clk
-}
-
-// SetMatch scopes link-level faults to packets fn accepts. Device,
-// crypto and tag hooks are unaffected.
-func (inj *Injector) SetMatch(fn func(p *pcie.Packet) bool) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.match = fn
-}
-
-// now reports virtual time, or 0 without a clock.
-func (inj *Injector) now() sim.Time {
-	if inj.clock == nil {
-		return 0
-	}
-	return inj.clock.Now()
-}
-
 // fires decides — under inj.mu — whether class fires at this
-// opportunity on a packet of role, advancing the per-class match index
-// and the per-class-and-role ordinal either way.
+// opportunity on a packet of role (zero at a hook), advancing the
+// ordinal of that class and role either way.
 func (inj *Injector) fires(class Class, role pcie.Role) bool {
-	i := inj.idx[class]
-	inj.idx[class] = i + 1
 	op := opportunity{class, role}
-	ord := inj.ord[op]
-	inj.ord[op] = ord + 1
-	inj.stats.Opportunities[class]++
+	i := inj.seen[op]
+	inj.seen[op] = i + 1
 	for _, ev := range inj.events {
-		if ev.Class != class || ev.fired >= ev.Count {
-			continue
-		}
-		if uint64(ev.Skip) > i {
-			continue
-		}
-		if ev.At > 0 && inj.clock != nil && inj.now() < sim.Time(ev.At)*sim.Microsecond {
+		if ev.Class != class || ev.Role != role || ev.fired >= ev.Count || uint64(ev.Skip) > i {
 			continue
 		}
 		ev.fired++
-		inj.stats.Fired[class]++
-		inj.log = append(inj.log, Firing{Class: class, Role: role, Index: ord, At: inj.now()})
+		inj.log = append(inj.log, Firing{Class: class, Role: role, Index: i})
 		inj.obsReg.Counter(obsv.Name("fault.fired", "class", class.String())).Inc()
 		inj.obsTracer.Mark(siteFaultInjected, keyClass.Str(obsv.Intern(class.String())), keyIndex.U64(i))
 		return true
@@ -188,16 +132,10 @@ func (inj *Injector) Tap(p *pcie.Packet) *pcie.Packet {
 	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	if inj.match != nil && !inj.match(p) {
-		return p
-	}
 
-	// Completion-word writebacks (batched reaping, ring.go): the SC's
-	// 8-byte RingCplValid-tagged MWr into the submission-ring header.
-	// No other 8-byte write on the segment carries the top bit — device
-	// heads, metadata counters and doorbell values are all small counts.
-	if p.Kind == pcie.MWr && len(p.Payload) == 8 &&
-		binary.LittleEndian.Uint64(p.Payload)&uint64(core.RingCplValid) != 0 {
+	// Completion-word writebacks (batched reaping): the SC's 8-byte
+	// RingCplValid-tagged MWr into the submission-ring header.
+	if p.Role == pcie.RoleCompletionWord && len(p.Payload) == 8 {
 		if inj.fires(HeadWritebackLoss, p.Role) {
 			return nil
 		}
@@ -319,18 +257,20 @@ func (inj *Injector) TagFault(core.TagRecord) bool {
 func (inj *Injector) Fired(class Class) uint64 {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	return inj.stats.Fired[class]
+	var n uint64
+	for _, f := range inj.log {
+		if f.Class == class {
+			n++
+		}
+	}
+	return n
 }
 
 // TotalFired reports firings across all classes.
 func (inj *Injector) TotalFired() uint64 {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	var n uint64
-	for _, v := range inj.stats.Fired {
-		n += v
-	}
-	return n
+	return uint64(len(inj.log))
 }
 
 // Log returns a copy of the firing log in order.

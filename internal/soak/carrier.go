@@ -165,40 +165,36 @@ func (c *carrier) startWave(w Wave) {
 	}
 	c.mp.SetLLMFaultHook(c.inj.SchedFault)
 
+	aimed := func(i int) func(p *pcie.Packet) bool {
+		role := w.Aim[i]
+		return func(p *pcie.Packet) bool { return p.Role == role }
+	}
 	if w.Tamper > 0 {
-		c.mp.Host.AddTap(&attack.Tamperer{Count: int(w.Tamper)})
+		c.mp.Host.AddTap(&attack.Tamperer{Count: int(w.Tamper), Match: aimed(AimTamper)})
 	}
 	if w.Drop > 0 {
-		c.mp.Host.AddTap(&attack.Dropper{Count: int(w.Drop)})
+		c.mp.Host.AddTap(&attack.Dropper{Count: int(w.Drop), Match: aimed(AimDrop)})
 	}
 	if w.Redirect > 0 && len(c.mp.Tenants) > 1 {
-		// Redirect a bounded number of staged TVM writes into another
+		// Redirect a bounded number of the TVMs' doorbells into another
 		// tenant's device window: the victim's filter must reject the
 		// foreign requester, the origin's pipeline must recover or fail
 		// closed — never accept the loss silently.
 		var left atomic.Int32
 		left.Store(int32(w.Redirect))
 		victim := c.mp.Tenants[1].Device.BAR0().Base
+		match := aimed(AimRedirect)
 		c.mp.Host.AddTap(&attack.Redirector{
 			NewDst: victim,
-			Match: func(p *pcie.Packet) bool {
-				if p.Kind != pcie.MWr || !c.isTVM(p.Requester) || len(p.Payload) == 0 {
-					return false
-				}
-				return left.Add(-1) >= 0
-			},
+			Match:  func(p *pcie.Packet) bool { return match(p) && left.Add(-1) >= 0 },
 		})
 	}
 	c.rec = nil
 	if w.Replay > 0 {
 		var left atomic.Int32
 		left.Store(int32(w.Replay))
-		c.rec = &attack.Recorder{Match: func(p *pcie.Packet) bool {
-			if p.Kind != pcie.MWr || !c.isTVM(p.Requester) {
-				return false
-			}
-			return left.Add(-1) >= 0
-		}}
+		match := aimed(AimReplay)
+		c.rec = &attack.Recorder{Match: func(p *pcie.Packet) bool { return match(p) && left.Add(-1) >= 0 }}
 		c.mp.Host.AddTap(c.rec)
 	}
 	c.rogueN = int(w.Rogue)
@@ -262,15 +258,6 @@ func (c *carrier) rogueAttempts(n int) {
 		}
 		c.rogue += 2
 	}
-}
-
-func (c *carrier) isTVM(id pcie.ID) bool {
-	for _, t := range c.mp.Tenants {
-		if t.TVMID == id {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *carrier) decryptedChunks() uint64 {

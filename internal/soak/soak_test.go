@@ -63,6 +63,14 @@ func TestStormPlanRejectsMalformed(t *testing.T) {
 			b[15+4] = MaxIntensity + 1 // first wave's Tamper byte
 			return b
 		}),
+		"aim at no role": corrupt(func(b []byte) []byte {
+			b[15+4+6] = 0 // first wave's tamper aim
+			return b
+		}),
+		"aim out of range": corrupt(func(b []byte) []byte {
+			b[15+4+6+3] = 0xff // first wave's replay aim
+			return b
+		}),
 		"trailing bytes": append(append([]byte(nil), good...), 0),
 	}
 	for name, data := range cases {

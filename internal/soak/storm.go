@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ccai/internal/fault"
+	"ccai/internal/pcie"
 	"ccai/internal/sim"
 )
 
@@ -32,7 +33,27 @@ type Wave struct {
 	// Rekey, when nonzero, forces a carrier stream counter near
 	// exhaustion at wave start so MaybeRekey must roll keys under load.
 	Rekey uint8
+	// Aim names the packet role each attack tap hits, indexed by
+	// AimTamper, AimDrop, AimRedirect and AimReplay: tamper and drop
+	// any role, redirect and replay one of the TVM's doorbells.
+	Aim [4]pcie.Role
 }
+
+// Indexes of Wave.Aim.
+const (
+	AimTamper = iota
+	AimDrop
+	AimRedirect
+	AimReplay
+)
+
+// readRoles are the roles a wave's completion faults draw from: only a
+// read is answered.
+var readRoles = []pcie.Role{pcie.RoleRegRead, pcie.RoleSlotFetch, pcie.RoleCommandRun, pcie.RoleH2DData}
+
+// doorbellRoles are the roles a wave's redirect and replay draw from:
+// the TVM writes an adversary would misroute or play back.
+var doorbellRoles = []pcie.Role{pcie.RoleRingDoorbell, pcie.RoleGuardedWrite}
 
 // StormPlan is the whole run's adversarial schedule. It is generated
 // deterministically from the config seed and round-trips through a
@@ -56,11 +77,11 @@ const (
 // stormMagic/stormVersion frame the serialized form.
 var stormMagic = [4]byte{'S', 'S', 'T', 'M'}
 
-const stormVersion = 1
+const stormVersion = 2
 
 // Marshal serializes the plan: magic, version, seed, wave count, then
-// per wave the start instant, the six intensity bytes, and the nested
-// length-prefixed fault plan.
+// per wave the start instant, the six intensity bytes, the four aimed
+// roles, and the nested length-prefixed fault plan.
 func (p StormPlan) Marshal() []byte {
 	buf := make([]byte, 0, 16+len(p.Waves)*32)
 	buf = append(buf, stormMagic[:]...)
@@ -70,6 +91,9 @@ func (p StormPlan) Marshal() []byte {
 	for _, w := range p.Waves {
 		buf = binary.LittleEndian.AppendUint32(buf, w.AtMs)
 		buf = append(buf, w.Tamper, w.Drop, w.Redirect, w.Replay, w.Rogue, w.Rekey)
+		for _, r := range w.Aim {
+			buf = append(buf, byte(r))
+		}
 		fp := w.Faults.Marshal()
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(fp)))
 		buf = append(buf, fp...)
@@ -98,7 +122,7 @@ func UnmarshalStormPlan(data []byte) (StormPlan, error) {
 	}
 	rest := data[15:]
 	for i := 0; i < n; i++ {
-		if len(rest) < 4+6+2 {
+		if len(rest) < 4+6+4+2 {
 			return StormPlan{}, fmt.Errorf("soak: wave %d truncated", i)
 		}
 		w := Wave{
@@ -115,8 +139,14 @@ func UnmarshalStormPlan(data []byte) (StormPlan, error) {
 				return StormPlan{}, fmt.Errorf("soak: wave %d intensity %d exceeds limit %d", i, v, MaxIntensity)
 			}
 		}
-		flen := int(binary.LittleEndian.Uint16(rest[10:12]))
-		rest = rest[12:]
+		for j := range w.Aim {
+			w.Aim[j] = pcie.Role(rest[10+j])
+			if !w.Aim[j].Valid() {
+				return StormPlan{}, fmt.Errorf("soak: wave %d aims at role %d", i, rest[10+j])
+			}
+		}
+		flen := int(binary.LittleEndian.Uint16(rest[14:16]))
+		rest = rest[16:]
 		if len(rest) < flen {
 			return StormPlan{}, fmt.Errorf("soak: wave %d fault plan truncated", i)
 		}
@@ -140,12 +170,12 @@ func UnmarshalStormPlan(data []byte) (StormPlan, error) {
 // GeneratePlan derives the run's storm schedule from the config: one
 // wave per WavePeriod across the horizon, each wave's fault events
 // dealt round-robin over every fault class (so a full run exercises
-// all of them, many times over) with seed-derived skips and counts,
-// plus seed-derived attack intensities. Rekey pressure alternates
-// waves so key rolls land under many different load phases.
+// all of them, many times over) with seed-derived roles, skips and
+// counts, plus seed-derived attack intensities and aims. Rekey pressure
+// alternates waves so key rolls land under many different load phases.
 func GeneratePlan(cfg Config) StormPlan {
 	r := sim.NewRand(cfg.Seed ^ 0x5707_3141_5926_5358)
-	classes := fault.Classes()
+	classes, roles := fault.Classes(), pcie.Roles()
 	p := StormPlan{Seed: cfg.Seed}
 	period := cfg.WavePeriod
 	if period <= 0 {
@@ -161,17 +191,29 @@ func GeneratePlan(cfg Config) StormPlan {
 			Rogue:    uint8(1 + r.Intn(2)),
 			Rekey:    uint8((len(p.Waves) + 1) % 2),
 		}
+		w.Aim[AimTamper] = roles[r.Intn(len(roles))]
+		w.Aim[AimDrop] = roles[r.Intn(len(roles))]
+		w.Aim[AimRedirect] = doorbellRoles[r.Intn(len(doorbellRoles))]
+		w.Aim[AimReplay] = doorbellRoles[r.Intn(len(doorbellRoles))]
 		n := cfg.FaultsPerWave
 		if n <= 0 {
 			n = len(classes)
 		}
 		fp := fault.Plan{Seed: r.Uint64()}
 		for j := 0; j < n; j++ {
-			fp.Events = append(fp.Events, fault.Event{
-				Class: classes[j%len(classes)],
-				Skip:  uint16(r.Intn(6)),
-				Count: uint16(1 + r.Intn(2)),
-			})
+			e := fault.Event{Class: classes[j%len(classes)]}
+			switch {
+			case e.Class.Hook():
+			case e.Class == fault.HeadWritebackLoss || e.Class == fault.HeadRegress || e.Class == fault.DuplicateCplBurst:
+				e.Role = pcie.RoleCompletionWord
+			case e.Class == fault.DropCompletion || e.Class == fault.StaleCompletion:
+				e.Role = readRoles[r.Intn(len(readRoles))]
+			default:
+				e.Role = roles[r.Intn(len(roles))]
+			}
+			e.Skip = uint16(r.Intn(6))
+			e.Count = uint16(1 + r.Intn(2))
+			fp.Events = append(fp.Events, e)
 		}
 		w.Faults = fp
 		p.Waves = append(p.Waves, w)

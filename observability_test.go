@@ -149,7 +149,7 @@ func TestTimelineCoversPipeline(t *testing.T) {
 
 func TestTimelineShowsFaultRecovery(t *testing.T) {
 	p := observedPlatform(t)
-	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 1))
+	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 0, 1))
 	inj.SetObserver(p.Obs)
 	p.Device.SetFaultHook(inj.DeviceFault)
 
@@ -195,7 +195,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 
 	t.Run("crypto_retry", func(t *testing.T) {
 		p := observedPlatform(t)
-		inj := fault.NewInjector(fault.Single(seed, fault.CryptoTransient, 0, 1))
+		inj := fault.NewInjector(fault.Single(seed, fault.CryptoTransient, 0, 0, 1))
 		inj.SetObserver(p.Obs)
 		p.Adaptor.InstallCryptoFault(inj.CryptoFault)
 		run(t, p)
@@ -213,7 +213,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 
 	t.Run("tag_repost", func(t *testing.T) {
 		p := observedPlatform(t)
-		inj := fault.NewInjector(fault.Single(seed, fault.TagLoss, 0, 1))
+		inj := fault.NewInjector(fault.Single(seed, fault.TagLoss, 0, 0, 1))
 		inj.SetObserver(p.Obs)
 		p.SC.Tags().SetFaultHook(inj.TagFault)
 		run(t, p)
@@ -236,12 +236,11 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 		// Two firings: the first stashes a completion (a timeout), the
 		// second delivers it in place of a newer one — a stale tag the
 		// adaptor must suppress exactly once.
-		inj := fault.NewInjector(fault.Single(seed, fault.StaleCompletion, 0, 2))
+		// Aimed at register reads: the SC's submission-ring fetches retry
+		// stale completions internally and would swallow both firings
+		// before the Adaptor ever reads.
+		inj := fault.NewInjector(fault.Single(seed, fault.StaleCompletion, pcie.RoleRegRead, 0, 2))
 		inj.SetObserver(p.Obs)
-		// Scope to the Adaptor's own transactions: the SC's submission-
-		// ring fetches retry stale completions internally and would
-		// swallow both firings before the Adaptor ever reads.
-		inj.SetMatch(func(pk *pcie.Packet) bool { return pk.Requester == TVMID })
 		p.Host.AddTap(inj)
 		if _, err := p.Adaptor.DeviceRead(xpu.RegStatus); err != nil {
 			t.Fatalf("single fault must be recoverable: %v", err)
@@ -261,7 +260,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 // the teardown visible in both metrics and the timeline.
 func TestFailClosedTeardownMetrics(t *testing.T) {
 	p := observedPlatform(t)
-	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 16))
+	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 0, 16))
 	inj.SetObserver(p.Obs)
 	p.Device.SetFaultHook(inj.DeviceFault)
 

@@ -257,7 +257,7 @@ func TestSymbolTableBounded(t *testing.T) {
 	// The pipeline's own teardown: every doorbell hangs, the ladder
 	// exhausts.
 	p := observedPlatform(t)
-	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 64))
+	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 0, 64))
 	p.Device.SetFaultHook(inj.DeviceFault)
 	if _, err := p.RunTask(Task{Input: taskInput(), Kernel: KernelXOR, Param: 0x5a}); err == nil || p.trusted {
 		t.Fatal("the hung doorbell did not fail the session closed")
@@ -354,7 +354,7 @@ func TestObservabilityNameContract(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 1))
+	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 0, 1))
 	inj.SetObserver(mp.Obs)
 	mp.Tenants[1].Device.SetFaultHook(inj.DeviceFault)
 	if _, err := mp.Tenants[1].RunTask(Task{Input: make([]byte, 4<<10), Kernel: KernelAdd, Param: 1}); err != nil {

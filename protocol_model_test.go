@@ -403,6 +403,7 @@ type traceRun struct {
 	m     refSession
 	plan  fault.Plan
 	inj   *fault.Injector
+	extra pcie.Tap // a tap of the trace's caller, standing first
 	audit *ivAuditor
 	snoop *attack.Snooper
 	rec   *attack.Recorder
@@ -448,7 +449,11 @@ type traceRun struct {
 // the trusted flag and the recovery counters when the episode ended,
 // then the injector's whole log — its injector and its unjudged and
 // strayed counts.
-func runTrace(t *testing.T, data []byte) *traceRun {
+func runTrace(t *testing.T, data []byte) *traceRun { return runTraceWith(t, data, nil) }
+
+// runTraceWith is runTrace with extra, when non-nil, standing first on
+// the host bus for the whole trace.
+func runTraceWith(t *testing.T, data []byte, extra func(*pcie.Bus) pcie.Tap) *traceRun {
 	t.Helper()
 	ops, plan, ok := decodeTrace(data)
 	if !ok {
@@ -459,6 +464,10 @@ func runTrace(t *testing.T, data []byte) *traceRun {
 		audit: newIVAuditor(), snoop: attack.NewSnooper(), episode: true, gate: gateSteps(t, mp),
 		arms: make(map[uint32]armEntry)}
 	r.rec = &attack.Recorder{Match: func(pk *pcie.Packet) bool { return pk.Kind == pcie.MWr && pk.Requester == TVMID }}
+	if extra != nil {
+		r.extra = extra(mp.Host)
+		r.mp.Host.AddTap(r.extra)
+	}
 	r.m.buffers = r.p.Guest.Space.Live()
 	r.m.trust()
 	r.auditGeneration()
@@ -674,10 +683,13 @@ func (r *traceRun) calm() {
 	r.resetTaps()
 }
 
-// resetTaps leaves the standing taps on the host bus: the snooper, the
-// recorder and, during the episode, the injector.
+// resetTaps leaves the standing taps on the host bus: the extra tap if
+// any, the snooper, the recorder and, during the episode, the injector.
 func (r *traceRun) resetTaps() {
 	r.mp.Host.ClearTaps()
+	if r.extra != nil {
+		r.mp.Host.AddTap(r.extra)
+	}
 	r.mp.Host.AddTap(r.snoop)
 	r.mp.Host.AddTap(r.rec)
 	if r.episode {
@@ -826,10 +838,14 @@ func (r *traceRun) exhaust() {
 	}
 }
 
-// absorbable reports whether the plan is the matrix's shape — one
-// event, fired at most twice — which the recovery ladder absorbs.
+// absorbable reports whether the plan is the matrix's shape — at most
+// two firings in all — which the recovery ladder absorbs.
 func (r *traceRun) absorbable() bool {
-	return len(r.plan.Events) <= 1 && (len(r.plan.Events) == 0 || r.plan.Events[0].Count <= 2)
+	n := 0
+	for _, e := range r.plan.Events {
+		n += int(e.Count)
+	}
+	return n <= 2
 }
 
 // attestFlashed is I7: a slice whose xPU runs flashed firmware is never
@@ -1807,14 +1823,15 @@ func playTrace(t *testing.T, name string) {
 var update = flag.Bool("update", false, "rewrite testdata/fault_matrix.golden from the matrix traces")
 
 // matrixSeeds are the seeds of the matrix's cells; a cell's trace is
-// testdata/fuzz/FuzzProtocolTrace/matrix-<class>-<seed>, its fault plan
-// matrixEvent(class, seed).
+// testdata/fuzz/FuzzProtocolTrace/matrix-<class>-<seed>. A hook class's
+// plan is matrixEvent(class, 0, seed); a link class's names the roles and
+// ordinals of the packets the cell hits.
 var matrixSeeds = []uint64{0x0c0ffee1, 0x5eed0002, 0xfa117003}
 
 // matrixEvent derives a cell's injection schedule from the seed: small
 // skips so scarce injection points (doorbells, MSIs) still get hit, and
-// a count the recovery budget can absorb.
-func matrixEvent(class fault.Class, seed uint64) fault.Plan {
+// a count the recovery budget can absorb. role is zero for a hook class.
+func matrixEvent(class fault.Class, role pcie.Role, seed uint64) fault.Plan {
 	skip := int((seed >> 4) % 3)
 	count := 1 + int(seed%2)
 	switch class {
@@ -1824,7 +1841,21 @@ func matrixEvent(class fault.Class, seed uint64) fault.Plan {
 		// writeback) per task, so large skips would miss the episode.
 		skip = int(seed % 2)
 	}
-	return fault.Single(seed, class, skip, count)
+	return fault.Single(seed, class, role, skip, count)
+}
+
+// cellPlan reports whether plan is a matrix cell's: matrixEvent itself
+// for a hook class, events of the cell's class alone for a link class.
+func cellPlan(plan fault.Plan, class fault.Class, seed uint64) bool {
+	if class.Hook() {
+		return bytes.Equal(plan.Marshal(), matrixEvent(class, 0, seed).Marshal())
+	}
+	for _, e := range plan.Events {
+		if e.Class != class {
+			return false
+		}
+	}
+	return plan.Seed == seed && len(plan.Events) > 0
 }
 
 // TestFaultMatrix is the fault matrix: every fault class with an
@@ -1846,7 +1877,7 @@ func TestFaultMatrix(t *testing.T) {
 			cell := fmt.Sprintf("%v/seed=%#x", class, seed)
 			t.Run(cell, func(t *testing.T) {
 				data := savedTrace(t, fmt.Sprintf("matrix-%v-%#x", class, seed))
-				if _, plan, _ := decodeTrace(data); !bytes.Equal(plan.Marshal(), matrixEvent(class, seed).Marshal()) {
+				if _, plan, _ := decodeTrace(data); !cellPlan(plan, class, seed) {
 					t.Fatalf("the trace's fault plan is not the cell's: %+v", plan)
 				}
 				r := runTrace(t, data)

@@ -68,7 +68,7 @@ func newTestScheduler(t *testing.T, mp *MultiPlatform, cfg SchedulerConfig, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetFaultHook(fault.NewInjector(matrixEvent(fault.SchedStall, seed)).SchedFault)
+	s.SetFaultHook(fault.NewInjector(matrixEvent(fault.SchedStall, 0, seed)).SchedFault)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -485,7 +485,7 @@ func runSchedMatrixCell(t *testing.T, class fault.Class, seed uint64) (string, u
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.NewInjector(matrixEvent(class, seed))
+	inj := fault.NewInjector(matrixEvent(class, 0, seed))
 	s.SetFaultHook(inj.SchedFault)
 
 	const reqs = 8
