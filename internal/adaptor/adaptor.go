@@ -271,13 +271,14 @@ func (a *Adaptor) registerDescriptor(d core.Descriptor) error {
 }
 
 // ReleaseRegion drops a transfer region on the SC and frees its staging
-// memory.
+// memory. With no session there is no ring to carry the release: the
+// region goes on the TVM side only, and the SC dropped it at teardown —
+// or, if the teardown write was lost on the link, keeps it, as it keeps
+// the keys, until a later teardown lands.
 func (a *Adaptor) ReleaseRegion(r *Region) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.sendRelease(r.Desc.ID) == nil {
-		// A desync inside the push already tore the session down (the SC
-		// wipes its regions); only a delivered release needs publishing.
+	if a.ringPush(core.RingOpRelease, uint64(r.Desc.ID), nil) == nil {
 		_ = a.flushRingLocked()
 	}
 	a.freeRegionLocked(r)
@@ -614,8 +615,8 @@ func (a *Adaptor) prepareD2HLocked(name string, size int64) (*Region, error) {
 func (a *Adaptor) withdrawLocked(rs ...*Region) {
 	queued := true
 	for _, r := range rs {
-		if queued = a.sendRelease(r.Desc.ID) == nil; !queued {
-			break // a desync tore the session down: the SC holds nothing
+		if queued = a.ringPush(core.RingOpRelease, uint64(r.Desc.ID), nil) == nil; !queued {
+			break // a desync tore the session down: no ring to carry it
 		}
 	}
 	if queued {

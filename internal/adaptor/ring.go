@@ -135,19 +135,3 @@ func (a *Adaptor) flushRingLocked() error {
 		a.backoff(&delay)
 	}
 }
-
-// sendRelease routes one region release: a ring entry while the session
-// has a ring, otherwise — a region released after teardown, when the SC
-// has already wiped its table — the one direct write of RegDescRelease
-// left. That write is not a twin of the ring op: it is the only path a
-// no-session release has, and the soak's n-th-packet fault plans count
-// it, so dropping it shifts which packets later faults hit and moves the
-// committed scorecards. It stays until a PR regenerates them on purpose.
-// Callers hold a.mu.
-func (a *Adaptor) sendRelease(id uint32) error {
-	if a.ring != nil {
-		return a.ringPush(core.RingOpRelease, uint64(id), nil)
-	}
-	a.mmioWrite64(pcie.RoleControlWrite, core.RegDescRelease, uint64(id))
-	return nil
-}

@@ -178,9 +178,10 @@ func (a *Adaptor) postArm(win *Region) error {
 func (a *Adaptor) CloseStepChannel(ch *StepChannel) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	// A desync inside a push already tore the session down (the SC wipes
-	// its regions); only delivered releases need publishing.
-	if a.sendRelease(ch.Out.Desc.ID) == nil && a.sendRelease(ch.Window.Desc.ID) == nil {
+	// Without a ring (a desync inside a push tore the session down) there
+	// is nothing to publish.
+	if a.ringPush(core.RingOpRelease, uint64(ch.Out.Desc.ID), nil) == nil &&
+		a.ringPush(core.RingOpRelease, uint64(ch.Window.Desc.ID), nil) == nil {
 		_ = a.flushRingLocked()
 	}
 	a.freeRegionLocked(ch.Out)

@@ -21,7 +21,6 @@ import (
 // and a write to any other offset is a config reject.
 const (
 	RegSCStatus     = 0x000 // RO: status bits
-	RegDescRelease  = 0x020 // WO: release descriptor by ID (the release a torn-down producer still issues)
 	RegTeardown     = 0x028 // WO: destroy keys, clean xPU, drop regions
 	RegMetaBase     = 0x030 // RW: host address of the DMA-metadata batch buffer
 	RegMetaSize     = 0x038 // RW: batch buffer size
@@ -534,8 +533,6 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 	copy(tmp[:], p.Payload)
 	v := binary.LittleEndian.Uint64(tmp[:])
 	switch reg := off &^ 7; reg {
-	case RegDescRelease:
-		c.releaseRegion(uint32(v))
 	case RegRingDoorbell:
 		c.processRing(v)
 	case RegTeardown:
@@ -716,10 +713,9 @@ func (c *Controller) install(d Descriptor) bool {
 	return true
 }
 
-// releaseRegion unlinks one region's record, and with it everything the
-// SC held for the region — the ring's release op and the RegDescRelease
-// write of a producer with no ring left. An ID no live region has
-// releases nothing.
+// releaseRegion unlinks one region's record — the ring's release op —
+// and with it everything the SC held for the region. An ID no live
+// region has releases nothing.
 func (c *Controller) releaseRegion(id uint32) {
 	c.mu.Lock()
 	var gone *region

@@ -436,7 +436,7 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 		arm,
 		TagRecord{Stream: StreamMMIO, Chunk: 0}.Marshal(), // what the tag window took
 	}
-	offsets := []uint64{0x008, 0x010, 0x018, 0x040, 0x048, 0x070, 0x0c0, 0x0f8, 0x400, SCBarSize - 8,
+	offsets := []uint64{0x008, 0x010, 0x018, 0x020, 0x040, 0x048, 0x070, 0x0c0, 0x0f8, 0x400, SCBarSize - 8,
 		RegSCStatus, RegMMIOSeq} // read-only: not writable either
 	for off := uint64(0x080); off < 0x0c0; off += 4 {
 		offsets = append(offsets, off)

@@ -1009,7 +1009,7 @@ func TestSlottedWindowPositionAcceptedOnce(t *testing.T) {
 
 	// Release forgets the window: its arms are refused, and a new install
 	// under the same ID starts with every slot unarmed.
-	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescRelease, []byte{byte(w1.ID), 0, 0, 0, 0, 0, 0, 0}))
+	d.release(w1.ID)
 	rejects := d.sc.Stats().ConfigRejects
 	d.arm(w1.ID, 3, a2)
 	if d.sc.Stats().ConfigRejects != rejects+1 {
@@ -1517,10 +1517,9 @@ func TestD2HSpanBufferHeldOnceTapped(t *testing.T) {
 
 // --- one record per live region ------------------------------------------------
 
-// release drops region id through the control BAR, as a producer with no
-// ring left does.
+// release drops region id with the ring's release op.
 func (d *dpRig) release(id uint32) {
-	d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescRelease, le64(uint64(id))))
+	d.submit(ringEntry{op: RingOpRelease, arg: uint64(id)})
 }
 
 // TestReinstalledRegionCountsFromZero: a D2H region's progress count

@@ -101,7 +101,7 @@ func FuzzControllerControlWindow(f *testing.F) {
 	arm = TagRecord{Stream: StreamH2D, Chunk: 9, Epoch: 0}.AppendMarshal(arm)
 	f.Add(uint16(0x0c0), arm)
 	f.Add(uint16(RegRingDoorbell), []byte{3})
-	f.Add(uint16(RegDescRelease), []byte{1})
+	f.Add(uint16(0x020), []byte{1}) // where the direct region release was
 	f.Add(uint16(RegTeardown), []byte{1})
 	f.Fuzz(func(t *testing.T, off uint16, payload []byte) {
 		keys := secmem.NewKeyStore()
