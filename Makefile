@@ -117,6 +117,14 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # step-channel cells, the leaks and bugs it found).
 	$(GO) test -run '^TestFaultMatrix$$' .
 	$(GO) test -run '^$$' -fuzz=FuzzProtocolTrace -fuzztime=60s .
+# Packet roles: every packet on both segments of a protected slice
+# carries the role its sender stamped, agreeing with the register or
+# host buffer it targets; no non-test file of the SC, the Adaptor, the
+# xPU or the crypto layer reads one; a fault counts only the packets of
+# the role it names (the link-class matrix traces, replayed with an SC
+# status read before every ring doorbell, fire and end the same); and a
+# slice whose Adaptor fails a desynced ring closed is untrusted.
+	$(GO) test -run 'TestEveryPacketHasItsRole|TestRoleNeverDecides|TestFaultsCountPerRole|TestRingDesyncLeavesSliceUntrusted' ./
 # The same model on the decode stream: the session cells it replaced play
 # their saved traces — the step-channel attacks, the decode-step and
 # prefill fault cells, window renewal, release on Close and abort, the

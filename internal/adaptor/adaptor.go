@@ -195,11 +195,6 @@ func (a *Adaptor) HWInit() error {
 
 // --- raw SC MMIO -------------------------------------------------------------
 
-func (a *Adaptor) mmioWrite(role pcie.Role, off uint64, payload []byte) {
-	a.io.MMIOWrites++
-	a.routeWrite(role, a.scBar+off, payload)
-}
-
 // routeWrite issues one posted MMIO write of the given role carrying a
 // copy of payload.
 // Copy and packet struct are pooled: every MMIO payload is public bytes
@@ -222,7 +217,8 @@ func (a *Adaptor) routeWrite(role pcie.Role, addr uint64, payload []byte) {
 func (a *Adaptor) mmioWrite64(role pcie.Role, off uint64, v uint64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	a.mmioWrite(role, off, buf[:])
+	a.io.MMIOWrites++
+	a.routeWrite(role, a.scBar+off, buf[:])
 }
 
 // SCStatus reads the controller's status register (an I/O read with

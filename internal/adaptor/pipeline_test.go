@@ -17,14 +17,14 @@ import (
 )
 
 // ringTagTap parses every tag record in the tag entries of the ring
-// slots the SC fetches (completions of whole slots), in wire order.
+// slots the SC fetches, in wire order.
 type ringTagTap struct {
 	mu       sync.Mutex
 	counters []uint32
 }
 
 func (tw *ringTagTap) Tap(p *pcie.Packet) *pcie.Packet {
-	if p.Kind != pcie.CplD || len(p.Payload) == 0 || len(p.Payload)%core.RingSlotSize != 0 {
+	if p.Kind != pcie.CplD || p.Role != pcie.RoleSlotFetch {
 		return p
 	}
 	tw.mu.Lock()

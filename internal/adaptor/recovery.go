@@ -106,9 +106,7 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 		tag := a.nextTag
 		a.nextTag++
 		a.io.MMIOReads++
-		rd := pcie.NewMemRead(a.id, addr, 8, tag)
-		rd.Role = pcie.RoleRegRead
-		cpl := a.bus.Route(rd)
+		cpl := a.bus.Route(pcie.NewMemRead(a.id, addr, 8, tag).WithRole(pcie.RoleRegRead))
 		if cpl != nil && cpl.Tag != tag {
 			// A completion for a request we no longer have outstanding:
 			// stale or duplicated in flight. Accepting it would hand the

@@ -221,14 +221,10 @@ type RogueRequester struct {
 // Read attempts a memory read; the returned completion exposes whether
 // the fabric (filter / IOMMU) let it through.
 func (r *RogueRequester) Read(addr uint64, n uint32) *pcie.Packet {
-	p := pcie.NewMemRead(r.ID, addr, n, 0)
-	p.Role = pcie.RoleRegRead
-	return r.Bus.Route(p)
+	return r.Bus.Route(pcie.NewMemRead(r.ID, addr, n, 0).WithRole(pcie.RoleRegRead))
 }
 
 // Write attempts a posted memory write.
 func (r *RogueRequester) Write(addr uint64, data []byte) {
-	p := pcie.NewMemWrite(r.ID, addr, data)
-	p.Role = pcie.RoleGuardedWrite
-	r.Bus.Route(p)
+	r.Bus.Route(pcie.NewMemWrite(r.ID, addr, data).WithRole(pcie.RoleGuardedWrite))
 }

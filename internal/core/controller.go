@@ -1483,11 +1483,8 @@ func (c *Controller) D2HProgress(region uint32) uint64 {
 func (c *Controller) AttestDevice(nonce uint64, expected uint64, attestReg, respReg uint64) bool {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], nonce)
-	nonceWr := pcie.NewMemWrite(c.id, c.xpuBar.Base+attestReg, buf[:])
-	nonceWr.Role = pcie.RoleControlWrite
-	c.internal.Route(nonceWr)
-	req := pcie.NewMemRead(c.id, c.xpuBar.Base+respReg, 8, 0)
-	req.Role = pcie.RoleRegRead
+	c.internal.Route(pcie.NewMemWrite(c.id, c.xpuBar.Base+attestReg, buf[:]).WithRole(pcie.RoleControlWrite))
+	req := pcie.NewMemRead(c.id, c.xpuBar.Base+respReg, 8, 0).WithRole(pcie.RoleRegRead)
 	cpl := c.internal.Route(req)
 	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || len(cpl.Payload) < 8 {
 		return false

@@ -23,7 +23,9 @@ import (
 )
 
 // Class identifies one fault class. The zero value is invalid so a
-// zeroed Event can never fire.
+// zeroed Event can never fire. The hook classes run from DoorbellHang to
+// CancelRace and the completion-word classes come last; Hook and aims
+// rely on that order.
 type Class uint8
 
 const (
@@ -118,13 +120,7 @@ func Classes() []Class {
 // engine, the tag manager, the scheduler — rather than on a packet. A
 // hook class counts its opportunities per class; a link class counts
 // them per class and packet role.
-func (c Class) Hook() bool {
-	switch c {
-	case DoorbellHang, DropMSI, CryptoTransient, TagLoss, SchedStall, CancelRace:
-		return true
-	}
-	return false
-}
+func (c Class) Hook() bool { return c >= DoorbellHang && c <= CancelRace }
 
 // aims reports whether an event of class c may name role r: a hook
 // class names none, a completion-word class the completion word, every
@@ -133,7 +129,7 @@ func (c Class) aims(r pcie.Role) bool {
 	switch {
 	case c.Hook():
 		return r == 0
-	case c == HeadWritebackLoss || c == HeadRegress || c == DuplicateCplBurst:
+	case c >= HeadWritebackLoss: // the three completion-word classes
 		return r == pcie.RoleCompletionWord
 	}
 	return r.Valid()

@@ -87,11 +87,8 @@ func TestInjectorSkipCountSemantics(t *testing.T) {
 	if !reflect.DeepEqual(dropped, []int{2, 3}) {
 		t.Fatalf("dropped %v, want [2 3]", dropped)
 	}
-	if !inj.Exhausted() {
-		t.Fatal("plan should be exhausted")
-	}
-	if inj.Fired(DropTLP) != 2 || inj.TotalFired() != 2 {
-		t.Fatalf("fired=%d total=%d, want 2/2", inj.Fired(DropTLP), inj.TotalFired())
+	if inj.TotalFired() != 2 {
+		t.Fatalf("fired %d times, want 2", inj.TotalFired())
 	}
 }
 

@@ -29,12 +29,6 @@ func (f Firing) String() string {
 	return fmt.Sprintf("%v/%v@%d", f.Class, f.Role, f.Index)
 }
 
-// opportunity keys the ordinal count of one class on one role.
-type opportunity struct {
-	class Class
-	role  pcie.Role
-}
-
 // eventState is the runtime counter for one plan event.
 type eventState struct {
 	Event
@@ -52,7 +46,7 @@ type Injector struct {
 	events []*eventState
 	rand   *sim.Rand
 
-	seen map[opportunity]uint64
+	seen map[Event]uint64 // opportunities so far, by class and role
 	log  []Firing
 
 	// stash holds the delayed completion of a StaleCompletion in
@@ -90,7 +84,7 @@ func (inj *Injector) SetObserver(h *obsv.Hub) {
 func NewInjector(p Plan) *Injector {
 	inj := &Injector{
 		rand: sim.NewRand(p.Seed ^ 0x9e3779b97f4a7c15),
-		seen: make(map[opportunity]uint64),
+		seen: make(map[Event]uint64),
 	}
 	for _, e := range p.Events {
 		ev := e
@@ -106,7 +100,7 @@ func NewInjector(p Plan) *Injector {
 // opportunity on a packet of role (zero at a hook), advancing the
 // ordinal of that class and role either way.
 func (inj *Injector) fires(class Class, role pcie.Role) bool {
-	op := opportunity{class, role}
+	op := Event{Class: class, Role: role}
 	i := inj.seen[op]
 	inj.seen[op] = i + 1
 	for _, ev := range inj.events {
@@ -253,19 +247,6 @@ func (inj *Injector) TagFault(core.TagRecord) bool {
 	return inj.fires(TagLoss, 0)
 }
 
-// Fired reports how many times class has fired.
-func (inj *Injector) Fired(class Class) uint64 {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	var n uint64
-	for _, f := range inj.log {
-		if f.Class == class {
-			n++
-		}
-	}
-	return n
-}
-
 // TotalFired reports firings across all classes.
 func (inj *Injector) TotalFired() uint64 {
 	inj.mu.Lock()
@@ -278,16 +259,4 @@ func (inj *Injector) Log() []Firing {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return append([]Firing(nil), inj.log...)
-}
-
-// Exhausted reports whether every plan event has fired to completion.
-func (inj *Injector) Exhausted() bool {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	for _, ev := range inj.events {
-		if ev.fired < ev.Count {
-			return false
-		}
-	}
-	return true
 }

@@ -251,6 +251,13 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
+// WithRole stamps p with role and returns it, for the packets built by
+// the New* constructors.
+func (p *Packet) WithRole(role Role) *Packet {
+	p.Role = role
+	return p
+}
+
 // WireSize reports the packet's total size on the link in bytes,
 // including framing and header overhead.
 func (p *Packet) WireSize() int64 {

@@ -165,15 +165,11 @@ func (c *carrier) startWave(w Wave) {
 	}
 	c.mp.SetLLMFaultHook(c.inj.SchedFault)
 
-	aimed := func(i int) func(p *pcie.Packet) bool {
-		role := w.Aim[i]
-		return func(p *pcie.Packet) bool { return p.Role == role }
-	}
 	if w.Tamper > 0 {
-		c.mp.Host.AddTap(&attack.Tamperer{Count: int(w.Tamper), Match: aimed(AimTamper)})
+		c.mp.Host.AddTap(&attack.Tamperer{Count: int(w.Tamper), Match: func(p *pcie.Packet) bool { return p.Role == w.TamperAim }})
 	}
 	if w.Drop > 0 {
-		c.mp.Host.AddTap(&attack.Dropper{Count: int(w.Drop), Match: aimed(AimDrop)})
+		c.mp.Host.AddTap(&attack.Dropper{Count: int(w.Drop), Match: func(p *pcie.Packet) bool { return p.Role == w.DropAim }})
 	}
 	if w.Redirect > 0 && len(c.mp.Tenants) > 1 {
 		// Redirect a bounded number of the TVMs' doorbells into another
@@ -183,18 +179,16 @@ func (c *carrier) startWave(w Wave) {
 		var left atomic.Int32
 		left.Store(int32(w.Redirect))
 		victim := c.mp.Tenants[1].Device.BAR0().Base
-		match := aimed(AimRedirect)
 		c.mp.Host.AddTap(&attack.Redirector{
 			NewDst: victim,
-			Match:  func(p *pcie.Packet) bool { return match(p) && left.Add(-1) >= 0 },
+			Match:  func(p *pcie.Packet) bool { return p.Role == w.RedirectAim && left.Add(-1) >= 0 },
 		})
 	}
 	c.rec = nil
 	if w.Replay > 0 {
 		var left atomic.Int32
 		left.Store(int32(w.Replay))
-		match := aimed(AimReplay)
-		c.rec = &attack.Recorder{Match: func(p *pcie.Packet) bool { return match(p) && left.Add(-1) >= 0 }}
+		c.rec = &attack.Recorder{Match: func(p *pcie.Packet) bool { return p.Role == w.ReplayAim && left.Add(-1) >= 0 }}
 		c.mp.Host.AddTap(c.rec)
 	}
 	c.rogueN = int(w.Rogue)

@@ -33,19 +33,11 @@ type Wave struct {
 	// Rekey, when nonzero, forces a carrier stream counter near
 	// exhaustion at wave start so MaybeRekey must roll keys under load.
 	Rekey uint8
-	// Aim names the packet role each attack tap hits, indexed by
-	// AimTamper, AimDrop, AimRedirect and AimReplay: tamper and drop
-	// any role, redirect and replay one of the TVM's doorbells.
-	Aim [4]pcie.Role
+	// TamperAim, DropAim, RedirectAim and ReplayAim name the packet
+	// role each attack tap hits: tamper and drop any role, redirect and
+	// replay one of the TVM's doorbells.
+	TamperAim, DropAim, RedirectAim, ReplayAim pcie.Role
 }
-
-// Indexes of Wave.Aim.
-const (
-	AimTamper = iota
-	AimDrop
-	AimRedirect
-	AimReplay
-)
 
 // readRoles are the roles a wave's completion faults draw from: only a
 // read is answered.
@@ -91,9 +83,7 @@ func (p StormPlan) Marshal() []byte {
 	for _, w := range p.Waves {
 		buf = binary.LittleEndian.AppendUint32(buf, w.AtMs)
 		buf = append(buf, w.Tamper, w.Drop, w.Redirect, w.Replay, w.Rogue, w.Rekey)
-		for _, r := range w.Aim {
-			buf = append(buf, byte(r))
-		}
+		buf = append(buf, byte(w.TamperAim), byte(w.DropAim), byte(w.RedirectAim), byte(w.ReplayAim))
 		fp := w.Faults.Marshal()
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(fp)))
 		buf = append(buf, fp...)
@@ -133,16 +123,20 @@ func UnmarshalStormPlan(data []byte) (StormPlan, error) {
 			Replay:   rest[7],
 			Rogue:    rest[8],
 			Rekey:    rest[9],
+
+			TamperAim:   pcie.Role(rest[10]),
+			DropAim:     pcie.Role(rest[11]),
+			RedirectAim: pcie.Role(rest[12]),
+			ReplayAim:   pcie.Role(rest[13]),
 		}
 		for _, v := range []uint8{w.Tamper, w.Drop, w.Redirect, w.Replay, w.Rogue} {
 			if v > MaxIntensity {
 				return StormPlan{}, fmt.Errorf("soak: wave %d intensity %d exceeds limit %d", i, v, MaxIntensity)
 			}
 		}
-		for j := range w.Aim {
-			w.Aim[j] = pcie.Role(rest[10+j])
-			if !w.Aim[j].Valid() {
-				return StormPlan{}, fmt.Errorf("soak: wave %d aims at role %d", i, rest[10+j])
+		for _, r := range []pcie.Role{w.TamperAim, w.DropAim, w.RedirectAim, w.ReplayAim} {
+			if !r.Valid() {
+				return StormPlan{}, fmt.Errorf("soak: wave %d aims at role %d", i, r)
 			}
 		}
 		flen := int(binary.LittleEndian.Uint16(rest[14:16]))
@@ -190,11 +184,12 @@ func GeneratePlan(cfg Config) StormPlan {
 			Replay:   uint8(4 + r.Intn(5)),
 			Rogue:    uint8(1 + r.Intn(2)),
 			Rekey:    uint8((len(p.Waves) + 1) % 2),
+
+			TamperAim:   roles[r.Intn(len(roles))],
+			DropAim:     roles[r.Intn(len(roles))],
+			RedirectAim: doorbellRoles[r.Intn(len(doorbellRoles))],
+			ReplayAim:   doorbellRoles[r.Intn(len(doorbellRoles))],
 		}
-		w.Aim[AimTamper] = roles[r.Intn(len(roles))]
-		w.Aim[AimDrop] = roles[r.Intn(len(roles))]
-		w.Aim[AimRedirect] = doorbellRoles[r.Intn(len(doorbellRoles))]
-		w.Aim[AimReplay] = doorbellRoles[r.Intn(len(doorbellRoles))]
 		n := cfg.FaultsPerWave
 		if n <= 0 {
 			n = len(classes)
@@ -204,7 +199,7 @@ func GeneratePlan(cfg Config) StormPlan {
 			e := fault.Event{Class: classes[j%len(classes)]}
 			switch {
 			case e.Class.Hook():
-			case e.Class == fault.HeadWritebackLoss || e.Class == fault.HeadRegress || e.Class == fault.DuplicateCplBurst:
+			case e.Class >= fault.HeadWritebackLoss:
 				e.Role = pcie.RoleCompletionWord
 			case e.Class == fault.DropCompletion || e.Class == fault.StaleCompletion:
 				e.Role = readRoles[r.Intn(len(readRoles))]

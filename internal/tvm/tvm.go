@@ -37,17 +37,13 @@ func (p *DirectPort) WriteReg(reg uint64, v uint64) error {
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(v >> (8 * i))
 	}
-	wr := pcie.NewMemWrite(p.ID, p.BAR0+reg, buf)
-	wr.Role = pcie.RoleGuardedWrite
-	p.Bus.Route(wr)
+	p.Bus.Route(pcie.NewMemWrite(p.ID, p.BAR0+reg, buf).WithRole(pcie.RoleGuardedWrite))
 	return nil
 }
 
 // ReadReg issues a non-posted MMIO read.
 func (p *DirectPort) ReadReg(reg uint64) (uint64, error) {
-	rd := pcie.NewMemRead(p.ID, p.BAR0+reg, 8, 0)
-	rd.Role = pcie.RoleRegRead
-	cpl := p.Bus.Route(rd)
+	cpl := p.Bus.Route(pcie.NewMemRead(p.ID, p.BAR0+reg, 8, 0).WithRole(pcie.RoleRegRead))
 	if cpl == nil || cpl.Status != pcie.CplSuccess {
 		return 0, fmt.Errorf("tvm: MMIO read of %#x failed", reg)
 	}

@@ -314,10 +314,8 @@ func TestObservabilityNameContract(t *testing.T) {
 	var a2Reads atomic.Uint64
 	for _, tenant := range mp.Tenants {
 		tenant.internal.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
-			if p.Kind == pcie.MRd && p.Requester == tenant.XPUID {
-				if buf, ok := tenant.space.Resolve(p.Address); !ok || !strings.HasPrefix(buf.Name(), "cmdring") {
-					a2Reads.Add(1)
-				}
+			if p.Kind == pcie.MRd && p.Role == pcie.RoleH2DData && p.Requester == tenant.XPUID {
+				a2Reads.Add(1)
 			}
 			return p
 		}))

@@ -3,6 +3,10 @@ package ccai
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -139,5 +143,45 @@ func TestEveryPacketHasItsRole(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Log(fmt.Sprint("host ", host.counts, " internal ", internal.counts))
+	}
+}
+
+// TestRoleNeverDecides: a packet's role is stamped by its sender and
+// read by tests and fault plans, never by the components that decide
+// what a packet may do. No non-test file of the SC, the Adaptor, the
+// xPU or the crypto layer reads a .Role; it may only assign one.
+func TestRoleNeverDecides(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/core", "internal/adaptor", "internal/xpu", "internal/secmem"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stamps := map[ast.Expr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						stamps[lhs] = true
+					}
+				case *ast.SelectorExpr:
+					if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "pcie" {
+						return true // the type pcie.Role, not a packet's field
+					}
+					if n.Sel.Name == "Role" && !stamps[n] {
+						t.Errorf("%v: reads a packet's role", fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
 	}
 }

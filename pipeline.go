@@ -103,9 +103,7 @@ func (pl *pipeline) assemble(br *HostBridge, mux *core.Mux, dev *xpu.Device, s s
 		plan := sc.Guard().CleanPlan(dev.Profile().SupportsSoftReset, xpu.RegReset, xpu.ResetEnv, xpu.ResetCold)
 		buf := make([]byte, 8)
 		binary.LittleEndian.PutUint64(buf, plan.Val)
-		reset := pcie.NewMemWrite(s.sc, s.xpuWin.Base+plan.Reg, buf)
-		reset.Role = pcie.RoleControlWrite
-		internal.Route(reset)
+		internal.Route(pcie.NewMemWrite(s.sc, s.xpuWin.Base+plan.Reg, buf).WithRole(pcie.RoleControlWrite))
 	})
 	// Close the recycling loops on the internal segment: the device
 	// returns the SC's H2D plaintext completions to the arena after

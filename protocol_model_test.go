@@ -977,26 +977,15 @@ type adversary struct {
 	ok   func(a *attackRun, d int) bool
 }
 
-// Packets the attacks aim at. Ring fetches are whole ring slots
-// (tampering with them is T3's) and command-run fetches whole command
-// slots; the tasks the attacks run stage inputs that are neither.
-func dataToSC(pk *pcie.Packet) bool {
-	return pk.Kind == pcie.CplD && pk.Requester == SCID &&
-		len(pk.Payload)%core.RingSlotSize != 0 && len(pk.Payload)%xpu.CmdSize != 0
-}
+// Packets the attacks aim at, by role: the H2D data and the command
+// runs the SC fetches, the results it writes, the TVM's ring doorbell.
+func dataToSC(pk *pcie.Packet) bool { return pk.Kind == pcie.CplD && pk.Role == pcie.RoleH2DData }
 
-func commandRun(pk *pcie.Packet) bool {
-	return pk.Kind == pcie.CplD && pk.Requester == SCID &&
-		len(pk.Payload)%core.RingSlotSize != 0 && len(pk.Payload)%xpu.CmdSize == 0
-}
+func commandRun(pk *pcie.Packet) bool { return pk.Kind == pcie.CplD && pk.Role == pcie.RoleCommandRun }
 
-func resultWrite(pk *pcie.Packet) bool {
-	return pk.Kind == pcie.MWr && pk.Requester == SCID && len(pk.Payload) >= 64 // not a tag-table write
-}
+func resultWrite(pk *pcie.Packet) bool { return pk.Role == pcie.RoleD2HData }
 
-func ringDoorbell(pk *pcie.Packet) bool {
-	return pk.Kind == pcie.MWr && pk.Requester == TVMID && pk.Address == scBARBase+core.RegRingDoorbell
-}
+func ringDoorbell(pk *pcie.Packet) bool { return pk.Role == pcie.RoleRingDoorbell }
 
 func tamperOnce(match func(*pcie.Packet) bool) func(*traceRun, *attackRun, int) pcie.Tap {
 	return func(*traceRun, *attackRun, int) pcie.Tap { return &attack.Tamperer{Count: 1, Match: match} }
@@ -1087,10 +1076,7 @@ func stepDoorbell(dup bool) func(*traceRun, *attackRun, int) pcie.Tap {
 
 // deposit is the SC writing a step's output region: a chunk of
 // ciphertext, or its tag record.
-func deposit(p *pcie.Packet) bool {
-	n, span := len(p.Payload), traceSessions[0].ChunkTokens*traceSessions[0].TokenBytes
-	return p.Kind == pcie.MWr && p.Requester == SCID && (n == span || n == core.TagRecordSize)
-}
+func deposit(p *pcie.Packet) bool { return p.Role == pcie.RoleD2HData || p.Role == pcie.RoleTagRecord }
 
 // stepWindow is the step window of an open session that is (own) or is
 // not window id; nil when none is. The step attacks call it inside a
@@ -1522,7 +1508,7 @@ func ringEntry(slot []byte) (op uint8, arg uint64, data []byte) {
 // ringSlots splits a ring fetch's completion toward the SC into its
 // slots; there are none in any other packet.
 func ringSlots(p *pcie.Packet) (slots [][]byte) {
-	if p.Kind != pcie.CplD || p.Requester != SCID || len(p.Payload)%core.RingSlotSize != 0 {
+	if p.Kind != pcie.CplD || p.Role != pcie.RoleSlotFetch {
 		return nil
 	}
 	for off := 0; off < len(p.Payload); off += core.RingSlotSize {
@@ -1648,6 +1634,9 @@ func (r *traceRun) stepped(ts *traceStream, prefill, live bool, fired uint64) {
 	// SC fetched, and its reads of the KV staging, which only a prefill
 	// may cause.
 	pkts, staged := r.snoop.Packets(), false
+	ts.s.mu.Lock()
+	kv := ts.s.kvRegion
+	ts.s.mu.Unlock()
 	var entries []armEntry
 	for _, p := range pkts[min(r.seen, len(pkts)):] {
 		for _, slot := range ringSlots(p) {
@@ -1655,8 +1644,8 @@ func (r *traceRun) stepped(ts *traceStream, prefill, live bool, fired uint64) {
 				entries, r.arms[e.region] = append(entries, e), e
 			}
 		}
-		b, ok := r.p.Guest.Space.Resolve(p.Address)
-		staged = staged || ok && p.Kind == pcie.MRd && p.Requester == SCID && strings.HasPrefix(b.Name(), "llm-kv/")
+		staged = staged || kv != nil && p.Kind == pcie.MRd && p.Role == pcie.RoleH2DData &&
+			p.Address-kv.Buf.Base() < uint64(kv.Buf.Size())
 	}
 	r.seen = len(pkts)
 	if staged && !prefill {

@@ -28,12 +28,12 @@ import (
 func TestRingDoorbellDropRecovers(t *testing.T) { playTrace(t, "ring-doorbell-drop") }
 
 // ringSeqCorrupter flips the sequence field of the first entry in
-// every ring-fetch completion (exact RingSlotSize multiples) toward
-// the SC — tampered ring framing, the fail-closed family.
+// every ring-slot fetch completion toward the SC — tampered ring
+// framing, the fail-closed family.
 type ringSeqCorrupter struct{}
 
 func (c *ringSeqCorrupter) Tap(p *pcie.Packet) *pcie.Packet {
-	if p.Kind != pcie.CplD || len(p.Payload) == 0 || len(p.Payload)%core.RingSlotSize != 0 {
+	if p.Kind != pcie.CplD || p.Role != pcie.RoleSlotFetch || len(p.Payload) == 0 {
 		return p
 	}
 	q := p.Clone()

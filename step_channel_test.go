@@ -122,17 +122,15 @@ func TestDecodeStepWireBudget(t *testing.T) {
 	fetches := cmdFetches(mp.Host, &tenant.pipeline)
 	var ringSlots uint64
 	mp.Host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
-		if p.Kind == pcie.MRd && p.Requester == tenant.SC.DeviceID() {
-			if buf, ok := tenant.space.Resolve(p.Address); ok && buf.Name() == "dma-submitring" {
-				ringSlots += uint64(p.Length) / core.RingSlotSize
-			}
+		if p.Kind == pcie.MRd && p.Role == pcie.RoleSlotFetch && p.Requester == tenant.SC.DeviceID() {
+			ringSlots += uint64(p.Length) / core.RingSlotSize
 		}
 		return p
 	}))
 	// The internal segment: every TLP, and the device's command reads.
 	inner := trace.NewRecorder()
 	tenant.internal.AddTap(inner)
-	reads := cmdReads(tenant.internal, tenant.space, tenant.XPUID)
+	reads := cmdReads(tenant.internal, tenant.XPUID)
 
 	type sample struct {
 		io      adaptor.IOStats

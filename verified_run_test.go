@@ -10,12 +10,10 @@ package ccai
 import (
 	"bytes"
 	"slices"
-	"strings"
 	"testing"
 
 	"ccai/internal/adaptor"
 	"ccai/internal/llm"
-	"ccai/internal/mem"
 	"ccai/internal/pcie"
 	"ccai/internal/xpu"
 )
@@ -25,10 +23,8 @@ import (
 func cmdFetches(host *pcie.Bus, pl *pipeline) *[]int {
 	var fetches []int
 	host.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
-		if pk.Kind == pcie.MRd && pk.Requester == pl.SC.DeviceID() {
-			if buf, ok := pl.space.Resolve(pk.Address); ok && strings.HasPrefix(buf.Name(), "cmdring") {
-				fetches = append(fetches, int(pk.Length)/xpu.CmdSize)
-			}
+		if pk.Kind == pcie.MRd && pk.Role == pcie.RoleCommandRun && pk.Requester == pl.SC.DeviceID() {
+			fetches = append(fetches, int(pk.Length)/xpu.CmdSize)
 		}
 		return pk
 	}))
@@ -42,14 +38,12 @@ type cmdRead struct {
 	slots int
 }
 
-// cmdReads taps bus for requester's reads of a command ring in space.
-func cmdReads(bus *pcie.Bus, space *mem.Space, requester pcie.ID) *[]cmdRead {
+// cmdReads taps bus for requester's reads of a command ring.
+func cmdReads(bus *pcie.Bus, requester pcie.ID) *[]cmdRead {
 	var reads []cmdRead
 	bus.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
-		if pk.Kind == pcie.MRd && pk.Requester == requester {
-			if buf, ok := space.Resolve(pk.Address); ok && strings.HasPrefix(buf.Name(), "cmdring") {
-				reads = append(reads, cmdRead{pk.Address, int(pk.Length) / xpu.CmdSize})
-			}
+		if pk.Kind == pcie.MRd && pk.Role == pcie.RoleCommandRun && pk.Requester == requester {
+			reads = append(reads, cmdRead{pk.Address, int(pk.Length) / xpu.CmdSize})
 		}
 		return pk
 	}))
@@ -82,8 +76,8 @@ func TestCommandRunFetch(t *testing.T) {
 	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
 	tenant := mp.Tenants[0]
 	host := recordWire(mp.Host)
-	device := cmdReads(tenant.internal, tenant.space, tenant.XPUID)
-	fetches := cmdReads(mp.Host, tenant.space, tenant.SC.DeviceID())
+	device := cmdReads(tenant.internal, tenant.XPUID)
+	fetches := cmdReads(mp.Host, tenant.SC.DeviceID())
 	tail := tenant.Driver.Tail()
 
 	runSession(t, tenant, decodeCfg, []byte("one read per command run"))
