@@ -195,9 +195,7 @@ func TestRekeyMidDecode(t *testing.T) { playTrace(t, "rekey-mid-decode") }
 func statusReads(host *pcie.Bus) pcie.Tap {
 	return pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
 		if p.Role == pcie.RoleRingDoorbell {
-			rd := pcie.NewMemRead(TVMID, scBARBase+core.RegSCStatus, 8, 0)
-			rd.Role = pcie.RoleRegRead
-			host.Route(rd)
+			host.Route(pcie.NewMemRead(TVMID, scBARBase+core.RegSCStatus, 8, 0).WithRole(pcie.RoleRegRead))
 		}
 		return p
 	})

@@ -196,13 +196,12 @@ func (a *Adaptor) HWInit() error {
 // --- raw SC MMIO -------------------------------------------------------------
 
 // routeWrite issues one posted MMIO write of the given role carrying a
-// copy of payload.
-// Copy and packet struct are pooled: every MMIO payload is public bytes
-// (sealed blobs, tag records, register values the bus shows anyway) and
-// the SC and the device consume a write before Route returns, so when
-// no tap has seen the bus — and the SC did not pin the packet because a
-// tap sits on the segment it relayed it to — the Adaptor is the last
-// holder of both.
+// copy of payload. Copy and packet struct are pooled: every MMIO
+// payload is public bytes (sealed blobs, tag records, register values
+// the bus shows anyway) and the SC and the device consume a write
+// before Route returns, so when no tap has seen the bus — and the SC did
+// not pin the packet because a tap sits on the segment it relayed it to
+// — the Adaptor is the last holder of both.
 func (a *Adaptor) routeWrite(role pcie.Role, addr uint64, payload []byte) {
 	body := arena.Get(len(payload))
 	copy(body, payload)

@@ -1438,7 +1438,7 @@ func (c *Controller) appendTagFlush(writes []hostWr, desc Descriptor, span *tagS
 	}
 	body := c.payloadBuf(len(span.buf), c.hostBus)
 	copy(body, span.buf)
-	return append(writes, hostWr{pcie.RoleTagRecord, desc.TagBase + uint64(span.start)*TagRecordSize, body})
+	return append(writes, hostWr{role: pcie.RoleTagRecord, addr: desc.TagBase + uint64(span.start)*TagRecordSize, body: body})
 }
 
 // appendMetadataLocked implements the §5 I/O-read optimization: instead
@@ -1459,7 +1459,7 @@ func (c *Controller) appendMetadataLocked(writes []hostWr, region uint32, count 
 	}
 	buf := c.payloadBuf(8, c.hostBus)
 	binary.LittleEndian.PutUint64(buf, count)
-	return append(writes, hostWr{pcie.RoleMetadata, slot, buf})
+	return append(writes, hostWr{role: pcie.RoleMetadata, addr: slot, body: buf})
 }
 
 // D2HProgress reports completed chunks for a region: the count the SC

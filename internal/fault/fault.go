@@ -18,13 +18,14 @@ package fault
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ccai/internal/pcie"
 )
 
 // Class identifies one fault class. The zero value is invalid so a
 // zeroed Event can never fire. The hook classes run from DoorbellHang to
-// CancelRace and the completion-word classes come last; Hook and aims
+// CancelRace and the completion-word classes come last; Hook and Aims
 // rely on that order.
 type Class uint8
 
@@ -122,17 +123,23 @@ func Classes() []Class {
 // them per class and packet role.
 func (c Class) Hook() bool { return c >= DoorbellHang && c <= CancelRace }
 
-// aims reports whether an event of class c may name role r: a hook
-// class names none, a completion-word class the completion word, every
-// other link class a real role.
-func (c Class) aims(r pcie.Role) bool {
+// readRoles are the roles of the requests that are answered.
+var readRoles = []pcie.Role{pcie.RoleRegRead, pcie.RoleSlotFetch, pcie.RoleCommandRun, pcie.RoleH2DData}
+
+// Aims lists the roles an event of class c may name: none for a hook
+// class, the completion word for the three completion-word classes, the
+// roles of answered requests for the two completion classes, and every
+// role for the rest.
+func (c Class) Aims() []pcie.Role {
 	switch {
 	case c.Hook():
-		return r == 0
-	case c >= HeadWritebackLoss: // the three completion-word classes
-		return r == pcie.RoleCompletionWord
+		return nil
+	case c >= HeadWritebackLoss:
+		return []pcie.Role{pcie.RoleCompletionWord}
+	case c == DropCompletion || c == StaleCompletion:
+		return readRoles
 	}
-	return r.Valid()
+	return pcie.Roles()
 }
 
 // Event is one scheduled fault: among the opportunities of Class on
@@ -235,7 +242,8 @@ func UnmarshalPlan(data []byte) (Plan, error) {
 		if !e.Class.Valid() {
 			return Plan{}, fmt.Errorf("fault: event %d has invalid class %d", i, body[off])
 		}
-		if !e.Class.aims(e.Role) {
+		// A hook class names no role, a link class one of its Aims.
+		if aims := e.Class.Aims(); !slices.Contains(aims, e.Role) && (len(aims) > 0 || e.Role != 0) {
 			return Plan{}, fmt.Errorf("fault: event %d: %v cannot aim at role %d", i, e.Class, body[off+1])
 		}
 		if e.Count == 0 {

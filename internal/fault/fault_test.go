@@ -54,6 +54,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 		"hook class with role":  set(hook, 16, byte(pcie.RoleMSI)),
 		"role out of range":     set(good, 16, byte(len(pcie.Roles())+1)),
 		"completion word aimed": set(set(good, 15, byte(HeadRegress)), 16, byte(pcie.RoleSlotFetch)),
+		"completion of a write": set(set(good, 15, byte(DropCompletion)), 16, byte(pcie.RoleD2HData)),
 		"body surplus":          append(bytes.Clone(good), 0xff),
 		"count claim": func() []byte {
 			b := bytes.Clone(good)
@@ -70,9 +71,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 
 // trafficMWr is the i-th D2H data write of a fixed traffic sequence.
 func trafficMWr(i int) *pcie.Packet {
-	p := pcie.NewMemWrite(pcie.MakeID(0, 8, 0), 0x8000_0000+uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64))
-	p.Role = pcie.RoleD2HData
-	return p
+	return pcie.NewMemWrite(pcie.MakeID(0, 8, 0), 0x8000_0000+uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64)).WithRole(pcie.RoleD2HData)
 }
 
 func TestInjectorSkipCountSemantics(t *testing.T) {
@@ -156,8 +155,7 @@ func TestInjectorTruncateShortens(t *testing.T) {
 }
 
 func TestInjectorCompletionClasses(t *testing.T) {
-	req := pcie.NewMemRead(pcie.MakeID(0, 8, 0), 0x8000_0000, 64, 7)
-	req.Role = pcie.RoleH2DData
+	req := pcie.NewMemRead(pcie.MakeID(0, 8, 0), 0x8000_0000, 64, 7).WithRole(pcie.RoleH2DData)
 	mk := func(tag uint8, fill byte) *pcie.Packet {
 		r := req.Clone()
 		r.Tag = tag
@@ -206,9 +204,7 @@ func TestInjectorDeviceHooks(t *testing.T) {
 // — neither fire it nor move which packet it hits.
 func TestInjectorCountsPerRole(t *testing.T) {
 	doorbell := func(i int) *pcie.Packet {
-		p := pcie.NewMemWrite(pcie.MakeID(0, 1, 0), 0xd010_0000, []byte{byte(i), 0, 0, 0, 0, 0, 0, 0})
-		p.Role = pcie.RoleRingDoorbell
-		return p
+		return pcie.NewMemWrite(pcie.MakeID(0, 1, 0), 0xd010_0000, []byte{byte(i), 0, 0, 0, 0, 0, 0, 0}).WithRole(pcie.RoleRingDoorbell)
 	}
 	for _, extra := range []int{0, 1, 7} {
 		inj := NewInjector(Single(4, DropTLP, pcie.RoleRingDoorbell, 1, 1))

@@ -71,13 +71,12 @@ func FuzzFaultPlan(f *testing.F) {
 			var out [][]byte
 			for i := 0; i < 24; i++ {
 				var pkt *pcie.Packet
+				role := pcie.Roles()[i%len(pcie.Roles())]
 				if i%3 == 2 {
-					req := pcie.NewMemRead(pcie.MakeID(0, 8, 0), 0x8000_0000, 32, uint8(i))
-					req.Role = pcie.Roles()[i%len(pcie.Roles())]
+					req := pcie.NewMemRead(pcie.MakeID(0, 8, 0), 0x8000_0000, 32, uint8(i)).WithRole(role)
 					pkt = pcie.NewCompletion(req, pcie.MakeID(0, 2, 0), pcie.CplSuccess, bytes.Repeat([]byte{byte(i)}, 32))
 				} else {
-					pkt = pcie.NewMemWrite(pcie.MakeID(0, 8, 0), 0x8000_0000+uint64(i)*32, bytes.Repeat([]byte{byte(i)}, 32))
-					pkt.Role = pcie.Roles()[i%len(pcie.Roles())]
+					pkt = pcie.NewMemWrite(pcie.MakeID(0, 8, 0), 0x8000_0000+uint64(i)*32, bytes.Repeat([]byte{byte(i)}, 32)).WithRole(role)
 				}
 				got := inj.Tap(pkt)
 				if got == nil {

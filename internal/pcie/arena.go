@@ -119,9 +119,9 @@ func (a *PacketArena) MemRead(role Role, req ID, addr uint64, length uint32, tag
 }
 
 // CompletionOwned builds a completion for req, of req's role, with
-// ownership of payload transferring to the packet (no defensive copy). The payload must never
-// be a pooled buffer its builder might reuse while a bus tap still holds
-// the routed packet.
+// ownership of payload transferring to the packet (no defensive copy).
+// The payload must never be a pooled buffer its builder might reuse
+// while a bus tap still holds the routed packet.
 func (a *PacketArena) CompletionOwned(req *Packet, completer ID, status CplStatus, payload []byte) *Packet {
 	p := a.take()
 	p.Header = Header{

@@ -39,10 +39,6 @@ type Wave struct {
 	TamperAim, DropAim, RedirectAim, ReplayAim pcie.Role
 }
 
-// readRoles are the roles a wave's completion faults draw from: only a
-// read is answered.
-var readRoles = []pcie.Role{pcie.RoleRegRead, pcie.RoleSlotFetch, pcie.RoleCommandRun, pcie.RoleH2DData}
-
 // doorbellRoles are the roles a wave's redirect and replay draw from:
 // the TVM writes an adversary would misroute or play back.
 var doorbellRoles = []pcie.Role{pcie.RoleRingDoorbell, pcie.RoleGuardedWrite}
@@ -197,14 +193,12 @@ func GeneratePlan(cfg Config) StormPlan {
 		fp := fault.Plan{Seed: r.Uint64()}
 		for j := 0; j < n; j++ {
 			e := fault.Event{Class: classes[j%len(classes)]}
-			switch {
-			case e.Class.Hook():
-			case e.Class >= fault.HeadWritebackLoss:
-				e.Role = pcie.RoleCompletionWord
-			case e.Class == fault.DropCompletion || e.Class == fault.StaleCompletion:
-				e.Role = readRoles[r.Intn(len(readRoles))]
+			switch aims := e.Class.Aims(); len(aims) {
+			case 0: // a hook class
+			case 1:
+				e.Role = aims[0]
 			default:
-				e.Role = roles[r.Intn(len(roles))]
+				e.Role = aims[r.Intn(len(aims))]
 			}
 			e.Skip = uint16(r.Intn(6))
 			e.Count = uint16(1 + r.Intn(2))
