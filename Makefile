@@ -122,9 +122,10 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # host buffer it targets; no non-test file of the SC, the Adaptor, the
 # xPU or the crypto layer reads one; a fault counts only the packets of
 # the role it names (the link-class matrix traces, replayed with an SC
-# status read before every ring doorbell, fire and end the same); and a
-# slice whose Adaptor fails a desynced ring closed is untrusted.
-	$(GO) test -run 'TestEveryPacketHasItsRole|TestRoleNeverDecides|TestFaultsCountPerRole|TestRingDesyncLeavesSliceUntrusted' ./
+# status read before every ring doorbell, fire and end the same); a
+# slice whose Adaptor fails a desynced ring closed is untrusted, and
+# comes back on re-trust even when that teardown write was lost.
+	$(GO) test -run 'TestEveryPacketHasItsRole|TestRoleNeverDecides|TestFaultsCountPerRole|TestRingDesyncLeavesSliceUntrusted|TestRetrustAfterLostTeardownWrite' ./
 # The same model on the decode stream: the session cells it replaced play
 # their saved traces — the step-channel attacks, the decode-step and
 # prefill fault cells, window renewal, release on Close and abort, the

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"ccai/internal/adaptor"
+	"ccai/internal/attack"
 	"ccai/internal/core"
 	"ccai/internal/mem"
 	"ccai/internal/pcie"
@@ -63,6 +64,30 @@ func TestRingDesyncLeavesSliceUntrusted(t *testing.T) {
 	}
 	if _, err := p.RunTask(Task{Input: []byte("after"), Kernel: KernelAdd, Param: 1}); !errors.Is(err, ErrNotTrusted) {
 		t.Fatalf("task after a ring desync: %v, want ErrNotTrusted", err)
+	}
+}
+
+// TestRetrustAfterLostTeardownWrite: when the teardown write of a
+// desynced session is lost on the link, the SC still holds that session
+// and ignores every doorbell. A re-trust starts with a teardown of its
+// own, so the slice comes back.
+func TestRetrustAfterLostTeardownWrite(t *testing.T) {
+	p := protectedPlatform(t, xpu.A100)
+	lost := &attack.Dropper{Count: 1, Match: func(pk *pcie.Packet) bool { return pk.Role == pcie.RoleControlWrite }}
+	p.Host.AddTap(&ringSeqCorrupter{})
+	p.Host.AddTap(lost)
+	if _, err := p.RunTask(Task{Input: []byte("desync"), Kernel: KernelAdd, Param: 1}); !errors.Is(err, adaptor.ErrRingDesync) {
+		t.Fatalf("task over tampered ring framing: %v, want ErrRingDesync", err)
+	}
+	p.Host.ClearTaps()
+	if lost.Dropped() != 1 || p.SC.Stats().Teardowns != 0 {
+		t.Fatalf("%d writes dropped, %d teardowns reached the SC; want the one teardown lost", lost.Dropped(), p.SC.Stats().Teardowns)
+	}
+	if err := p.EstablishTrust(); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := p.RunTask(Task{Input: []byte("after"), Kernel: KernelAdd, Param: 1}); err != nil || string(out) != "bgufs" {
+		t.Fatalf("task after re-trust: %q, %v", out, err)
 	}
 }
 
