@@ -479,10 +479,11 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 
 // TestControllerRingFraming drives processRing directly: a well-framed
 // burst is consumed and the head posted; a skewed sequence number, an
-// oversized length, an unknown opcode, a tail behind the head or further
-// ahead than the ring is deep is a desync — one config reject, the status
-// word raised, the head where it was, the bad entry and everything behind
-// it undispatched.
+// oversized length, an unknown opcode or a tail further ahead than the
+// ring is deep is a desync — one config reject, the status word raised,
+// the head where it was, the bad entry and everything behind it
+// undispatched. A tail behind the head is a stale or replayed doorbell:
+// the head is posted again, and nothing is rejected or consumed.
 func TestControllerRingFraming(t *testing.T) {
 	word := func(r *ctlRig, off uint64) uint64 {
 		if b := r.hostMem[ctlRing+off]; len(b) == 8 {
@@ -512,8 +513,13 @@ func TestControllerRingFraming(t *testing.T) {
 			if r.sc.Regions() != 1 || word(r, 0) != 1 || word(r, 8) != 0 {
 				t.Fatalf("clean burst: %d regions, head word %d, status %d", r.sc.Regions(), word(r, 0), word(r, 8))
 			}
+			rejects, status := uint64(1), uint64(RingStatusDesync)
+			if c.tail == 0 { // stale: re-reaped, its head word posted again
+				rejects, status = 0, 0
+				delete(r.hostMem, ctlRing)
+			}
 			r.publish(c.slots, c.tail)
-			if st := r.sc.Stats(); st.ConfigRejects != 1 || word(r, 8) != RingStatusDesync || r.sc.sess.ringHead != 1 || word(r, 0) != 1 {
+			if st := r.sc.Stats(); st.ConfigRejects != rejects || word(r, 8) != status || r.sc.sess.ringHead != 1 || word(r, 0) != 1 {
 				t.Fatalf("%d config rejects, status %d, head %d (posted %d)", st.ConfigRejects, word(r, 8), r.sc.sess.ringHead, word(r, 0))
 			}
 			if r.sc.Regions() != 1 {

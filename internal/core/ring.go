@@ -108,20 +108,20 @@ func (c *Controller) processRing(tail uint64) {
 		c.configReject() // a doorbell with no configured ring
 		return
 	}
-	if tail < head || tail-head > slots {
-		// The producer claims a window we never saw or one larger than
-		// the ring: framing is gone, fail closed.
-		c.ringDesync(base)
+	if tail <= head {
+		// Idempotent re-reap: the doorbell names a window already
+		// consumed. Either the producer re-rang it because the head or
+		// completion writeback was lost on the bus, or the doorbell is a
+		// stale or replayed one, behind the head. Re-posting both words
+		// lets the producer's doorbell-retry ladder converge, and a
+		// replayed doorbell costs the session nothing.
+		c.ringPostHead(base, head)
 		return
 	}
-	if tail == head {
-		// Idempotent re-reap: the producer re-rang an already-consumed
-		// window, which means its view of the header is stale — the head
-		// or completion writeback was lost on the bus. Re-posting both
-		// words (instead of the old bare return) lets the producer's
-		// doorbell-retry ladder converge instead of spinning forever on a
-		// header that never refreshes.
-		c.ringPostHead(base, head)
+	if tail-head > slots {
+		// The producer claims a window larger than the ring: framing is
+		// gone, fail closed.
+		c.ringDesync(base)
 		return
 	}
 
