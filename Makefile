@@ -58,11 +58,11 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 	$(GO) test -run 'TestPlatformIsOneUnitChassis|TestPlatformHostSideIsMux|TestSlicePrivateWindowReachesFilter' ./
 # D2H write bursts: the device posts its results to the SC in MaxReadReq
 # bursts, and the host segment carries the same rows as 256-byte device
-# writes left it, protected and Vanilla; the SC takes a burst whole or
-# not at all, seals it exactly as chunk-by-chunk writes, zeroes its
-# staging on a seal fault and never publishes progress past what is in
-# host memory.
-	$(GO) test -run 'TestD2HBurstKeepsHostWire|TestEncryptWriteBurst' ./ ./internal/core/
+# writes left it, protected and Vanilla (the wire ledger's task rows);
+# the SC takes a burst whole or not at all, seals it exactly as
+# chunk-by-chunk writes, zeroes its staging on a seal fault and never
+# publishes progress past what is in host memory.
+	$(GO) test -run 'TestWireLedger|TestEncryptWriteBurst' ./ ./internal/core/
 # Sealed where the bytes leave: the SC seals a D2H span straight into one
 # host-write buffer whose slots its chunk MWrs carry, and never reuses a
 # buffer a tap may hold; SealBatchInto seals in place, writes nothing
@@ -71,18 +71,20 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # Command runs: the device fetches each run of command slots with one
 # read, and the SC answers only a read of one whole run whose record is
 # fresh, verifying the bytes it serves and keeping none; the host segment
-# carries the rows it did when the device read a slot at a time. The fuzz
+# carries the rows it did when the device read a slot at a time (the wire
+# ledger's command-run rows, the same runs on both segments). The fuzz
 # aims any read at a ring with any queued records: served whole and
 # verified, or refused with no fetch (or one, for a run that fails its
 # MAC).
-	$(GO) test -run 'TestCommandRunFetch|TestVerifiedRead|TestVerifiedRun|TestVerifiedRegionSync|TestKickReMACsRemainder' ./ ./internal/core/ ./internal/adaptor/
+	$(GO) test -run 'TestWireLedger|TestVerifiedRead|TestVerifiedRun|TestVerifiedRegionSync|TestKickReMACsRemainder' ./ ./internal/core/ ./internal/adaptor/
 	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=10s ./internal/core/
 # The one A2 read path: the SC decrypts a device read of 1 to 16 chunks
 # when it arrives, and refuses bad geometry or an unarmed step-window
 # slot before it fetches or spends a tag; the host segment carries the
-# rows it did when the SC decrypted ahead. The fuzz aims any read, under
-# any chunk size, at a staged region: served byte-exact, or refused.
-	$(GO) test -run 'TestDecryptReadRejects|TestD2HBurstKeepsHostWire|TestCommandRunFetch' ./ ./internal/core/
+# rows it did when the SC decrypted ahead (the wire ledger). The fuzz aims
+# any read, under any chunk size, at a staged region: served byte-exact,
+# or refused.
+	$(GO) test -run 'TestDecryptReadRejects|TestWireLedger' ./ ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=10s ./internal/core/
 # Per-TLP lookups without read locks: the bus binds each claim to its
 # endpoint (a claim made before attach routes, a re-attach revives no
@@ -109,6 +111,13 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # internal/bench/testdata/experiments.golden, so a refactor moves no
 # figure; regenerate with -update only when a figure is meant to move.
 	$(GO) test -run 'TestExperimentsGolden' ./internal/bench/
+# One wire ledger: what every fixed op shape — bring-up, tasks of four
+# sizes, the llm-decode session's prefill and steady steps, Close plus
+# re-trust, a Vanilla task — puts on both segments, one row per role and
+# kind, diffed against testdata/wire_ledger.golden (regenerate with
+# -update only when the wire is meant to move); beside it, every -run
+# pattern in this Makefile names a test that exists.
+	$(GO) test -run 'TestWireLedger|TestMakefileRunPatternsNameTests' ./
 # One protocol model: the fault matrix is 36 saved traces of the SC
 # session model, each played twice and its outcome line diffed against
 # testdata/fault_matrix.golden (regenerate with -update only when an
@@ -199,13 +208,13 @@ soak-full:
 
 # The LLM-serving smoke: the streaming-session happy path, the
 # staged-once KV invariant (the PCIe tap proof that decode never
-# re-stages the cache), the multi-session decode determinism check and
-# the deterministic per-step wire budget of the step channel (config
-# blobs, MMIO writes and reads, host and internal TLPs per decode step;
-# installs per session) and the error Close aborts an unfinished stream
-# with — the §16 serving story's merge gate, in seconds.
+# re-stages the cache), the multi-session decode determinism check, the
+# wire ledger (per decode step: installs, MMIO writes and reads, host
+# and internal TLPs by role; installs per session) and the error Close
+# aborts an unfinished stream with — the §16 serving story's merge gate,
+# in seconds.
 llm-smoke:
-	$(GO) test -count=1 -run 'TestLLMSessionStreamsExpectedTokens|TestKVStagedOncePerSession|TestDecodeDeterminism|TestDecodeStepWireBudget|TestCloseAbortMatchesBothSentinels' .
+	$(GO) test -count=1 -run 'TestLLMSessionStreamsExpectedTokens|TestKVStagedOncePerSession|TestDecodeDeterminism|TestWireLedger|TestCloseAbortMatchesBothSentinels' .
 
 # Mutex sections per op, counted in a rewritten copy of the module (the
 # checkout is only read): every sync.Mutex and sync.RWMutex there counts

@@ -413,7 +413,9 @@ func TestVerifiedRegionSync(t *testing.T) {
 // costs in MMIO writes: 16 chunks are 16 tag records in two ring entries
 // behind the descriptor, and one doorbell publishes descriptor, tags and
 // notify together — one write, where a write per record would be 16 and
-// more (that ratio is Figure 11's, held in internal/bench).
+// more (that ratio is Figure 11's, held in internal/bench). It stays
+// beside the root package's wire ledger, which sees the wire but not how
+// many records the SC's tag queue holds.
 func TestTagBatchingReducesWrites(t *testing.T) {
 	r, _ := newRig(t)
 	before := r.adaptor.IO().MMIOWrites
