@@ -118,6 +118,9 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # -update only when the wire is meant to move); beside it, every -run
 # pattern in this Makefile names a test that exists.
 	$(GO) test -run 'TestWireLedger|TestMakefileRunPatternsNameTests' ./
+# One exported surface: every exported function under internal/ has a
+# non-test caller, satisfies an interface, or is a seam named with its check.
+	$(GO) test -run 'TestExportedSurfaceIsCalled' ./
 # One protocol model: the fault matrix is 36 saved traces of the SC
 # session model, each played twice and its outcome line diffed against
 # testdata/fault_matrix.golden (regenerate with -update only when an

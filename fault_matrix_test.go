@@ -82,7 +82,7 @@ func TestMidPipelineFaults(t *testing.T) {
 			snoop := attack.NewSnooper()
 			p.Host.AddTap(snoop)
 
-			inj := fault.NewInjector(fault.Single(0x717e11e, tc.class, 0, tc.skip, 2))
+			inj := fault.NewInjector(fault.Plan{Seed: 0x717e11e, Events: []fault.Event{{Class: tc.class, Skip: uint16(tc.skip), Count: 2}}})
 			wireFault(&p.pipeline, p.Host, inj)
 
 			// 64 KiB input (256 chunks through the pipeline) with the
@@ -94,7 +94,7 @@ func TestMidPipelineFaults(t *testing.T) {
 			copy(in[130*256:], secret)
 			out, err := p.RunTask(Task{Input: in, Kernel: KernelXOR, Param: 0x5a})
 
-			if inj.TotalFired() == 0 {
+			if uint64(len(inj.Log())) == 0 {
 				t.Fatalf("fault never fired; skip %d missed the pipeline", tc.skip)
 			}
 			if err == nil {
@@ -146,7 +146,7 @@ func TestPrefillKVLeavesNoPlaintextInArena(t *testing.T) {
 		t.Run(fmt.Sprintf("crypto-fault=%v", faulted), func(t *testing.T) {
 			mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
 			tn := mp.Tenants[0]
-			inj := fault.NewInjector(fault.Single(0x4b56, fault.CryptoTransient, 0, 128, 2))
+			inj := fault.NewInjector(fault.Plan{Seed: 0x4b56, Events: []fault.Event{{Class: fault.CryptoTransient, Skip: 128, Count: 2}}})
 			if faulted {
 				tn.Adaptor.InstallCryptoFault(inj.CryptoFault)
 			}
@@ -157,7 +157,7 @@ func TestPrefillKVLeavesNoPlaintextInArena(t *testing.T) {
 				t.Fatal("streamed chunk differs from the KV oracle")
 			}
 			if faulted {
-				if fired, rec := inj.TotalFired(), tn.Adaptor.Recovery(); fired != 2 || rec.CryptoRetries != 2 {
+				if fired, rec := uint64(len(inj.Log())), tn.Adaptor.Recovery(); fired != 2 || rec.CryptoRetries != 2 {
 					t.Fatalf("fault fired %d times, %d crypto retries; want 2 and 2", fired, rec.CryptoRetries)
 				}
 			}

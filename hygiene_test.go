@@ -47,9 +47,29 @@ func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space
 }
 
 // chassisHygiene is sliceHygiene for every tenant of a trusted chassis.
+// Beside it, once every inference session on the chassis is closed —
+// every device session slot free — the engine must hold no KV
+// reservation and queue no step.
 func chassisHygiene(t *testing.T, mp *MultiPlatform) {
 	t.Helper()
 	for _, tn := range mp.Tenants {
 		sliceHygiene(t, &tn.pipeline, &tn.mu, mp.space)
 	}
+	t.Cleanup(func() {
+		mp.llmMu.Lock()
+		srv := mp.llmSrv
+		mp.llmMu.Unlock()
+		if srv == nil {
+			return // no session was ever opened
+		}
+		srv.mu.Lock()
+		closed := true
+		for _, free := range srv.devFree {
+			closed = closed && len(free) == llmSlotsPerVault
+		}
+		srv.mu.Unlock()
+		if kv, steps := srv.eng.KVInUse(), srv.eng.Pending(); closed && (kv != 0 || steps != 0) {
+			t.Errorf("every session closed, yet the engine holds %d KV bytes and %d queued steps", kv, steps)
+		}
+	})
 }

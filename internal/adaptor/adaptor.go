@@ -20,7 +20,6 @@ import (
 	"ccai/internal/obsv"
 	"ccai/internal/pcie"
 	"ccai/internal/secmem"
-	"ccai/internal/sim"
 )
 
 // IOStats counts the Adaptor's MMIO interactions with the PCIe-SC —
@@ -83,10 +82,8 @@ type Adaptor struct {
 	// regressed or replayed completion-word writebacks.
 	lastCplHead uint64
 
-	io     IOStats
-	policy RetryPolicy
-	clock  *sim.Engine
-	rec    RecoveryStats
+	io  IOStats
+	rec RecoveryStats
 
 	// Per-call scratch reused across staging/collect batches (guarded by
 	// mu): the slice-header tables for batch seal/open. Plaintext
@@ -135,7 +132,7 @@ func New(id pcie.ID, bus *pcie.Bus, space *mem.Space, keys *secmem.KeyStore, scB
 	return &Adaptor{
 		id: id, bus: bus, space: space, keys: keys,
 		scBar: scBar, xpuBar: xpuBar, region: region, nextID: 1,
-		nextTag: 1, policy: DefaultRetryPolicy(),
+		nextTag: 1,
 	}
 }
 
@@ -220,38 +217,6 @@ func (a *Adaptor) mmioWrite64(role pcie.Role, off uint64, v uint64) {
 	a.routeWrite(role, a.scBar+off, buf[:])
 }
 
-// SCStatus reads the controller's status register (an I/O read with
-// the full retry discipline).
-func (a *Adaptor) SCStatus() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cpl, err := a.readWithRetry(a.scBar + core.RegSCStatus)
-	if err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(cpl.Payload)
-}
-
-// --- pkt_filter_manage --------------------------------------------------------
-
-// InstallRule seals a Packet Filter policy under the config stream and
-// uploads it as a ring entry (§4.1's encrypted configuration).
-func (a *Adaptor) InstallRule(r core.Rule) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.config == nil {
-		return errNoSession
-	}
-	sealed, err := a.sealWithRetry(a.config, r.Marshal(), nil)
-	if err != nil {
-		return fmt.Errorf("adaptor: seal rule: %w", err)
-	}
-	if err := a.ringPush(core.RingOpRule, 0, core.MarshalBlob(sealed)); err != nil {
-		return err
-	}
-	return a.flushRingLocked()
-}
-
 func (a *Adaptor) registerDescriptor(d core.Descriptor) error {
 	// The wire image lives in the Adaptor (guarded by mu): a local array
 	// would escape through the cipher's interface call and cost the
@@ -324,7 +289,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	}
 	sp := a.obs.tracer.Start(siteStageH2D, a.obs.regionName(name), keyBytes.I64(int64(len(data))))
 	defer sp.End()
-	if _, err := a.maybeRekeyLocked(); err != nil {
+	if err := a.maybeRekeyLocked(); err != nil {
 		return nil, err
 	}
 	buf, err := a.space.Alloc(a.region, name, int64(len(data)))
@@ -635,24 +600,6 @@ func (a *Adaptor) freeRegionLocked(r *Region) {
 	r.Recs = nil
 }
 
-// D2HProgress reports how many chunks the SC has completed for a D2H
-// region, from the TVM metadata buffer the SC batches its progress
-// counters into (§5: a memory read, not an I/O read).
-func (a *Adaptor) D2HProgress(r *Region) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// Ordering safety: anything still pending in the ring (tag records,
-	// a notify) must reach the SC before progress is interpreted.
-	if a.metaBuf == nil || a.flushRingLocked() != nil {
-		return 0
-	}
-	v, err := a.space.ReadUint64(a.metaBuf.Base() + uint64(r.Desc.ID)*8)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
 // CollectD2H authenticates and decrypts a completed result region
 // (decrypt_data): ciphertext from the bounce buffer, tags from the tag
 // table, counters enforced in order by the d2h stream replica.
@@ -840,16 +787,10 @@ func (a *Adaptor) DeviceRead(reg uint64) (uint64, error) {
 // GCM IVs unique even with pipelined traffic in flight (§6).
 const RekeyThreshold = 1 << 16
 
-// RekeyStream rotates one protected stream: fresh material is sealed
-// under the config stream, uploaded as a ring entry, and installed on
-// both ends with a bumped epoch.
-func (a *Adaptor) RekeyStream(stream string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rekeyStreamLocked(stream)
-}
-
-func (a *Adaptor) rekeyStreamLocked(stream string) error {
+// rekeyStreamLocked rotates one protected data stream: fresh material
+// is sealed under the config stream, uploaded as a ring entry, and
+// installed on both ends with a bumped epoch.
+func (a *Adaptor) rekeyStreamLocked(stream string, s *secmem.Stream) error {
 	if a.config == nil {
 		return fmt.Errorf("adaptor: session not established")
 	}
@@ -879,17 +820,7 @@ func (a *Adaptor) rekeyStreamLocked(stream string) error {
 	if err := a.keys.Install(stream, key, nonce); err != nil {
 		return err
 	}
-	switch stream {
-	case core.StreamH2D:
-		err = a.h2d.Rekey(key, nonce)
-	case core.StreamD2H:
-		err = a.d2h.Rekey(key, nonce)
-	case core.StreamMMIO:
-		// raw MAC key; Install above is the whole rotation
-	default:
-		err = fmt.Errorf("adaptor: stream %q not rotatable", stream)
-	}
-	if err != nil {
+	if err := s.Rekey(key, nonce); err != nil {
 		return err
 	}
 	return flushErr
@@ -906,7 +837,9 @@ func (a *Adaptor) H2DFence() secmem.Fence {
 	return a.h2d.Fence()
 }
 
-// StreamEpoch reports the named data stream's current key epoch.
+// StreamEpoch reports the named data stream's current key epoch. A test
+// seam: the protocol model holds it to the SC's epoch and its own after
+// every op (I3, I8).
 func (a *Adaptor) StreamEpoch(stream string) uint32 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -919,30 +852,18 @@ func (a *Adaptor) StreamEpoch(stream string) uint32 {
 	return 0
 }
 
-// MaybeRekey rotates any data stream approaching IV exhaustion and
-// reports which streams were rotated. Call it between transfers; the
-// staging helpers call it implicitly.
-func (a *Adaptor) MaybeRekey() ([]string, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.maybeRekeyLocked()
-}
-
-func (a *Adaptor) maybeRekeyLocked() ([]string, error) {
-	var rotated []string
+// maybeRekeyLocked rotates any data stream approaching IV exhaustion.
+// The staging paths call it before they seal.
+func (a *Adaptor) maybeRekeyLocked() error {
 	if a.h2d != nil && a.h2d.Remaining() < RekeyThreshold {
-		if err := a.rekeyStreamLocked(core.StreamH2D); err != nil {
-			return rotated, err
+		if err := a.rekeyStreamLocked(core.StreamH2D, a.h2d); err != nil {
+			return err
 		}
-		rotated = append(rotated, core.StreamH2D)
 	}
 	if a.d2h != nil && a.d2h.Remaining() < RekeyThreshold {
-		if err := a.rekeyStreamLocked(core.StreamD2H); err != nil {
-			return rotated, err
-		}
-		rotated = append(rotated, core.StreamD2H)
+		return a.rekeyStreamLocked(core.StreamD2H, a.d2h)
 	}
-	return rotated, nil
+	return nil
 }
 
 // Teardown destroys the session: the SC wipes keys/regions and cleans

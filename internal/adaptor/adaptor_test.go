@@ -212,6 +212,20 @@ func (r *rig) forge(t *testing.T, op uint8, arg uint64, data []byte) {
 	}
 }
 
+// forgeSealed is forge for a payload sealed under the session's config
+// stream: what only the TVM could send.
+func (r *rig) forgeSealed(t *testing.T, op uint8, pt []byte) {
+	t.Helper()
+	a := r.adaptor
+	a.mu.Lock()
+	sealed, err := a.config.Seal(pt, nil)
+	a.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.forge(t, op, 0, core.MarshalBlob(sealed))
+}
+
 func TestStageH2DDeviceReadsPlaintext(t *testing.T) {
 	r, dev := newRig(t)
 	data := make([]byte, 1000)
@@ -262,23 +276,32 @@ func TestD2HRoundTrip(t *testing.T) {
 	}
 }
 
+// TestD2HProgressMetadataBatching: the SC publishes a D2H region's
+// progress into the TVM's metadata page — memory, not a register — so
+// the count is there with no MMIO read.
 func TestD2HProgressMetadataBatching(t *testing.T) {
 	r, dev := newRig(t)
 	region, err := r.adaptor.PrepareD2H("res", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
+	progress := func() uint64 {
+		v, err := r.adaptor.space.ReadUint64(r.adaptor.metaBuf.Base() + uint64(region.Desc.ID)*8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 	readsBefore := r.adaptor.IO().MMIOReads
-	if got := r.adaptor.D2HProgress(region); got != 0 {
+	if got := progress(); got != 0 {
 		t.Fatalf("progress = %d before any write", got)
 	}
 	dev.dmaWrite(region.Buf.Base(), make([]byte, 512))
-	if got := r.adaptor.D2HProgress(region); got != 2 {
+	if got := progress(); got != 2 {
 		t.Fatalf("progress = %d, want 2 chunks", got)
 	}
-	// Batched metadata: both progress checks were plain memory reads.
 	if r.adaptor.IO().MMIOReads != readsBefore {
-		t.Fatal("progress check used MMIO polling")
+		t.Fatal("progress reached the TVM through MMIO")
 	}
 }
 
@@ -316,16 +339,15 @@ func TestGuardedWriteSequenceDiscipline(t *testing.T) {
 	}
 }
 
+// TestInstallRuleTakesEffect: a filter rule sealed under the session's
+// config stream and posted on the ring is installed at the SC.
 func TestInstallRuleTakesEffect(t *testing.T) {
 	r, _ := newRig(t)
 	_, l2Before := r.sc.Filter().RuleCount()
-	err := r.adaptor.InstallRule(core.Rule{
+	r.forgeSealed(t, core.RingOpRule, core.Rule{
 		ID: 99, Mask: core.MatchKind | core.MatchRequester,
 		Kind: pcie.MWr, Requester: pcie.MakeID(0, 1, 0), Action: core.ActionPassThrough,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}.Marshal())
 	if _, l2After := r.sc.Filter().RuleCount(); l2After != l2Before+1 {
 		t.Fatal("sealed rule not installed")
 	}
@@ -474,13 +496,19 @@ func TestHWInitRequiresKeys(t *testing.T) {
 	}
 }
 
+// TestSCStatusReadable: the SC's status register reads ready to its TVM
+// after bring-up.
 func TestSCStatusReadable(t *testing.T) {
 	r, _ := newRig(t)
-	if st := r.adaptor.SCStatus(); st&core.SCStatusReady == 0 {
-		t.Fatalf("SC status = %#x", st)
+	cpl := r.adaptor.bus.Route(pcie.NewMemRead(r.adaptor.id, scBar+core.RegSCStatus, 8, 1))
+	if cpl == nil || cpl.Status != pcie.CplSuccess || binary.LittleEndian.Uint64(cpl.Payload)&core.SCStatusReady == 0 {
+		t.Fatalf("SC status read: %+v", cpl)
 	}
 }
 
+// TestRekeyStreamBumpsEpochBothEnds: a stream past the rekey threshold
+// rotates when the next staging starts, on both ends, and the staged
+// bytes travel under the new key.
 func TestRekeyStreamBumpsEpochBothEnds(t *testing.T) {
 	r, dev := newRig(t)
 	// Traffic before rotation works.
@@ -491,25 +519,25 @@ func TestRekeyStreamBumpsEpochBothEnds(t *testing.T) {
 	if _, ok := dev.dmaRead(region1.Buf.Base(), 512); !ok {
 		t.Fatal("pre-rekey read failed")
 	}
-	if err := r.adaptor.RekeyStream(core.StreamH2D); err != nil {
+	if err := r.adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)-8); err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("post-rekey payload, fresh epoch!")
+	region2, err := r.adaptor.StageH2D("post", data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	scStream, err := r.sc.Params().Stream(core.StreamH2D)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scStream.Epoch() != 1 {
-		t.Fatalf("SC epoch = %d after rekey", scStream.Epoch())
+	if scStream.Epoch() != 1 || r.adaptor.h2d.Epoch() != 1 {
+		t.Fatalf("epochs SC %d, TVM %d after rekey; want 1, 1", scStream.Epoch(), r.adaptor.h2d.Epoch())
 	}
 	if r.sc.Stats().ConfigRejects != 0 {
 		t.Fatal("legitimate rekey rejected")
 	}
 	// Traffic after rotation works under the new key.
-	data := []byte("post-rekey payload, fresh epoch!")
-	region2, err := r.adaptor.StageH2D("post", data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, ok := dev.dmaRead(region2.Buf.Base(), int64(len(data)))
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("post-rekey read failed")
@@ -522,29 +550,38 @@ func TestMaybeRekeyTriggersNearExhaustion(t *testing.T) {
 	r.adaptor.h2d.ForceCounter(^uint32(0) - RekeyThreshold/2)
 	// The SC replica must agree on the counter for in-order opens, but
 	// a rotation resets both sides anyway; stage triggers it.
-	rotated, err := r.adaptor.MaybeRekey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rotated) != 1 || rotated[0] != core.StreamH2D {
-		t.Fatalf("rotated = %v", rotated)
-	}
-	// End-to-end traffic continues after the implicit rotation.
 	data := []byte("still flowing")
 	region, err := r.adaptor.StageH2D("x", data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if e, d := r.adaptor.h2d.Epoch(), r.adaptor.d2h.Epoch(); e != 1 || d != 0 {
+		t.Fatalf("epochs h2d %d, d2h %d; want only h2d rotated", e, d)
+	}
+	// End-to-end traffic continues after the implicit rotation.
 	got, ok := dev.dmaRead(region.Buf.Base(), int64(len(data)))
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("traffic broken after auto-rekey")
 	}
 }
 
+// TestRekeyCannotRotateConfigStream: a rekey of the config stream,
+// sealed under that stream, is refused at the SC, and the stream goes
+// on carrying the session's descriptors.
 func TestRekeyCannotRotateConfigStream(t *testing.T) {
-	r, _ := newRig(t)
-	if err := r.adaptor.RekeyStream(core.StreamConfig); err == nil {
-		t.Fatal("config self-rekey accepted by adaptor")
+	r, dev := newRig(t)
+	cmd := core.RekeyCommand{Stream: core.StreamConfig, Key: secmem.FreshKey(), Nonce: secmem.FreshNonce()}
+	r.forgeSealed(t, core.RingOpRekey, cmd.Marshal())
+	if r.sc.Stats().ConfigRejects != 1 {
+		t.Fatal("config self-rekey accepted by the SC")
+	}
+	data := []byte("config stream intact")
+	region, err := r.adaptor.StageH2D("after", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := dev.dmaRead(region.Buf.Base(), int64(len(data))); !ok || !bytes.Equal(got, data) {
+		t.Fatal("staging failed after the refused rekey")
 	}
 }
 

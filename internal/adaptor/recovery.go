@@ -9,29 +9,15 @@ import (
 	"ccai/internal/obsv"
 	"ccai/internal/pcie"
 	"ccai/internal/secmem"
-	"ccai/internal/sim"
 )
 
-// RetryPolicy bounds the Adaptor's recovery behaviour. Every retryable
-// operation gets at most 1+MaxRetries attempts with exponential backoff
-// charged to the virtual clock; when attempts run out the Adaptor does
-// not limp along — it reports the failure so the caller can fail closed
-// (teardown through the environment guard), because a confidential
-// session in an unknown state is worth less than no session.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-attempts after the first try.
-	MaxRetries int
-	// Backoff is the wait before the first retry.
-	Backoff sim.Time
-	// Multiplier scales the wait between consecutive retries (≥1).
-	Multiplier int
-}
-
-// DefaultRetryPolicy matches PCIe completion-timeout practice scaled to
-// the simulation: four retries starting at 5µs, doubling.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 4, Backoff: 5 * sim.Microsecond, Multiplier: 2}
-}
+// maxRetries bounds the Adaptor's recovery behaviour: every retryable
+// operation gets at most 1+maxRetries attempts. When attempts run out
+// the Adaptor does not limp along — it reports the failure so the
+// caller can fail closed (teardown through the environment guard),
+// because a confidential session in an unknown state is worth less than
+// no session.
+const maxRetries = 4
 
 // RecoveryStats counts fault-recovery activity. The fault matrix
 // asserts on these to prove recovery actually exercised the injected
@@ -62,32 +48,11 @@ type RecoveryStats struct {
 	LastFailure string
 }
 
-// SetClock attaches the virtual clock that backoff waits are charged
-// to. Without a clock retries are immediate (still bounded).
-func (a *Adaptor) SetClock(clk *sim.Engine) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.clock = clk
-}
-
 // Recovery reports a snapshot of the recovery counters.
 func (a *Adaptor) Recovery() RecoveryStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.rec
-}
-
-// backoff charges one wait to the virtual clock and scales the delay.
-// Callers hold a.mu.
-func (a *Adaptor) backoff(d *sim.Time) {
-	if a.clock != nil && *d > 0 {
-		a.clock.RunUntil(a.clock.Now() + *d)
-	}
-	m := a.policy.Multiplier
-	if m < 1 {
-		m = 1
-	}
-	*d *= sim.Time(m)
 }
 
 // readWithRetry issues a non-posted read with a fresh transaction tag
@@ -101,7 +66,6 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 	if err := a.flushRingLocked(); err != nil {
 		return nil, err
 	}
-	delay := a.policy.Backoff
 	for attempt := 0; ; attempt++ {
 		tag := a.nextTag
 		a.nextTag++
@@ -129,13 +93,12 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 			}
 			return cpl, nil
 		}
-		if attempt >= a.policy.MaxRetries {
+		if attempt >= maxRetries {
 			a.rec.Exhausted++
 			return nil, fmt.Errorf("adaptor: read %#x: no completion after %d attempts", addr, attempt+1)
 		}
 		a.rec.Retries++
 		a.obs.tracer.Mark(siteRetry, keyAddr.Hex(addr), keyAttempt.I64(int64(attempt+1)))
-		a.backoff(&delay)
 	}
 }
 
@@ -148,7 +111,6 @@ func (a *Adaptor) readWithRetry(addr uint64) (*pcie.Packet, error) {
 // failed attempt never allocated one. Auth and replay failures are
 // security verdicts, not faults, and return at once. Callers hold a.mu.
 func (a *Adaptor) retryTransient(op string, fn func() error) error {
-	delay := a.policy.Backoff
 	for attempt := 0; ; attempt++ {
 		err := fn()
 		if !errors.Is(err, secmem.ErrTransient) {
@@ -157,13 +119,12 @@ func (a *Adaptor) retryTransient(op string, fn func() error) error {
 			}
 			return err
 		}
-		if attempt >= a.policy.MaxRetries {
+		if attempt >= maxRetries {
 			a.rec.Exhausted++
 			return err
 		}
 		a.rec.CryptoRetries++
 		a.obs.tracer.Mark(siteCryptoRetry, keyOp.Str(obsv.Intern(op)))
-		a.backoff(&delay)
 	}
 }
 
@@ -239,7 +200,9 @@ func (a *Adaptor) ResyncMMIO() error {
 	return nil
 }
 
-// MMIOSeq reports the local A3 sequence number (test observability).
+// MMIOSeq reports the local A3 sequence number. A test seam: the
+// protocol model holds both ends' sequences to each other after every
+// op.
 func (a *Adaptor) MMIOSeq() uint32 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

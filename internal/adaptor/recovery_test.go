@@ -3,8 +3,8 @@ package adaptor
 // Recovery-path tests: IV-counter discipline as a machine-checked
 // property (any interleaving of staging, transient crypto faults,
 // rekeys and duplicate device reads keeps IVs strictly monotonic per
-// epoch), and the MaybeRekey boundary at counter max−1 / max /
-// wraparound, including concurrent in-flight seals.
+// epoch), and the rekey boundary the staging path applies at counter
+// max−1 / max / wraparound, including concurrent in-flight seals.
 
 import (
 	"bytes"
@@ -93,9 +93,12 @@ func TestIVMonotonicProperty(t *testing.T) {
 						return false
 					}
 				}
-			case 2: // explicit rotation
-				if err := r.adaptor.RekeyStream(core.StreamH2D); err != nil {
-					return false
+			case 2: // jump just past the rekey threshold: the next stage rotates
+				target := ^uint32(0) - RekeyThreshold + 1 + uint32(b%7)
+				if r.adaptor.h2d.SendCounter() < target {
+					if err := r.adaptor.ForceStreamCounter(core.StreamH2D, target); err != nil {
+						return false
+					}
 				}
 			case 3: // arm a transient fault for the next seal
 				pending = 1 + int(b%2)
@@ -125,29 +128,23 @@ func TestIVMonotonicProperty(t *testing.T) {
 	}
 }
 
-// TestMaybeRekeyBoundary pins the rotation trigger at the exact counter
-// edges: max−1 and max must rotate, exactly-at-threshold must not, and
-// an exhausted counter must refuse to seal rather than wrap.
+// TestMaybeRekeyBoundary pins the rotation trigger the staging path
+// applies at the exact counter edges: max−1 and max must rotate,
+// exactly-at-threshold must not, and an exhausted counter must refuse to
+// seal rather than wrap.
 func TestMaybeRekeyBoundary(t *testing.T) {
 	t.Run("max-1 rotates", func(t *testing.T) {
 		r, dev := newRig(t)
 		if err := r.adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)-1); err != nil {
 			t.Fatal(err)
 		}
-		rotated, err := r.adaptor.MaybeRekey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rotated) != 1 || rotated[0] != core.StreamH2D {
-			t.Fatalf("rotated = %v", rotated)
-		}
-		if e := r.adaptor.h2d.Epoch(); e != 1 {
-			t.Fatalf("epoch = %d after boundary rotation", e)
-		}
 		data := []byte("alive at max-1")
 		region, err := r.adaptor.StageH2D("x", data)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if e, d := r.adaptor.h2d.Epoch(), r.adaptor.d2h.Epoch(); e != 1 || d != 0 {
+			t.Fatalf("epochs h2d %d, d2h %d after boundary rotation; want 1, 0", e, d)
 		}
 		if got, ok := dev.dmaRead(region.Buf.Base(), int64(len(data))); !ok || !bytes.Equal(got, data) {
 			t.Fatal("traffic broken after rotation")
@@ -167,11 +164,11 @@ func TestMaybeRekeyBoundary(t *testing.T) {
 		if c := r.adaptor.h2d.SendCounter(); c != ^uint32(0) {
 			t.Fatalf("counter wrapped to %d", c)
 		}
-		if _, err := r.adaptor.MaybeRekey(); err != nil {
+		if _, err := r.adaptor.StageH2D("x", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if c := r.adaptor.h2d.SendCounter(); c != 0 {
-			t.Fatalf("counter = %d after rotation", c)
+		if c := r.adaptor.h2d.SendCounter(); c != 1 {
+			t.Fatalf("counter = %d after rotation and one chunk", c)
 		}
 		if e := r.adaptor.h2d.Epoch(); e != 1 {
 			t.Fatalf("epoch = %d after rotation", e)
@@ -183,12 +180,11 @@ func TestMaybeRekeyBoundary(t *testing.T) {
 		if err := r.adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)-RekeyThreshold); err != nil {
 			t.Fatal(err)
 		}
-		rotated, err := r.adaptor.MaybeRekey()
-		if err != nil {
+		if _, err := r.adaptor.StageH2D("x", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if len(rotated) != 0 {
-			t.Fatalf("rotated %v with a full threshold of headroom left", rotated)
+		if e := r.adaptor.h2d.Epoch(); e != 0 {
+			t.Fatalf("rotated to epoch %d with a full threshold of headroom left", e)
 		}
 	})
 

@@ -89,7 +89,6 @@ func (a *Adaptor) flushRingLocked() error {
 		return nil
 	}
 	a.obs.ringFlushes.Inc()
-	delay := a.policy.Backoff
 	for attempt := 0; ; attempt++ {
 		a.obs.ringDoorbells.Inc()
 		a.mmioWrite64(pcie.RoleRingDoorbell, core.RegRingDoorbell, r.tail)
@@ -118,7 +117,7 @@ func (a *Adaptor) flushRingLocked() error {
 		// whole ladder means the header is lying about history, and a
 		// producer that cannot trust its own consumption record must stop.
 		implausible := err == nil && (head > r.tail || head < r.lastHead)
-		if attempt >= a.policy.MaxRetries {
+		if attempt >= maxRetries {
 			if implausible {
 				a.rec.FailClosed++
 				a.rec.LastFailure = "submission ring head regression"
@@ -132,6 +131,5 @@ func (a *Adaptor) flushRingLocked() error {
 		}
 		a.rec.Retries++
 		a.obs.tracer.Mark(siteRetry, keyOp.Str(symRingDoorbell), keyAttempt.I64(int64(attempt+1)))
-		a.backoff(&delay)
 	}
 }

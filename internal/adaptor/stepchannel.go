@@ -122,7 +122,7 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 	sp := a.obs.tracer.Start(siteArmStep,
 		keyRegion.U64(uint64(win.Desc.ID)), keySlot.U64(uint64(slot)), keyBytes.I64(int64(len(data))))
 	defer sp.End()
-	if _, err := a.maybeRekeyLocked(); err != nil {
+	if err := a.maybeRekeyLocked(); err != nil {
 		return 0, err
 	}
 	ch.next += n

@@ -35,14 +35,16 @@ func (s *Snooper) Tap(p *pcie.Packet) *pcie.Packet {
 	return p
 }
 
-// Packets returns a snapshot of everything captured.
+// Packets returns a snapshot of everything captured. A test seam: the
+// protocol model judges each op's host-segment packets through it.
 func (s *Snooper) Packets() []*pcie.Packet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*pcie.Packet(nil), s.packets...)
 }
 
-// Reset clears the capture buffer.
+// Reset clears the capture buffer. A test seam: the protocol model
+// clears the capture between the ops it judges.
 func (s *Snooper) Reset() {
 	s.mu.Lock()
 	s.packets = nil
@@ -120,9 +122,6 @@ func (t *Tamperer) Tampered() int {
 type Redirector struct {
 	Match  func(p *pcie.Packet) bool
 	NewDst uint64
-
-	mu   sync.Mutex
-	hits int
 }
 
 // Tap implements pcie.Tap.
@@ -132,17 +131,7 @@ func (r *Redirector) Tap(p *pcie.Packet) *pcie.Packet {
 	}
 	q := p.Clone()
 	q.Address = r.NewDst
-	r.mu.Lock()
-	r.hits++
-	r.mu.Unlock()
 	return q
-}
-
-// Hits reports redirected packets.
-func (r *Redirector) Hits() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hits
 }
 
 // Dropper deletes matching packets in flight.
@@ -167,13 +156,6 @@ func (d *Dropper) Tap(p *pcie.Packet) *pcie.Packet {
 	d.dropped++
 	d.mu.Unlock()
 	return nil
-}
-
-// Dropped reports deleted packets.
-func (d *Dropper) Dropped() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dropped
 }
 
 // Recorder captures packets matching a predicate for later replay.

@@ -85,9 +85,6 @@ func TestRedirectorRewritesAddress(t *testing.T) {
 	if out.Address != 0xbad0 {
 		t.Fatalf("address = %#x", out.Address)
 	}
-	if r.Hits() != 1 {
-		t.Fatalf("hits = %d", r.Hits())
-	}
 }
 
 func TestDropperDeletesUpToCount(t *testing.T) {
@@ -100,9 +97,6 @@ func TestDropperDeletesUpToCount(t *testing.T) {
 	}
 	if d.Tap(wr(0x3, []byte{3})) == nil {
 		t.Fatal("third packet dropped beyond count")
-	}
-	if d.Dropped() != 2 {
-		t.Fatalf("dropped = %d", d.Dropped())
 	}
 }
 

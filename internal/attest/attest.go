@@ -111,12 +111,6 @@ func (v *Verifier) Establish(peer Hello) error {
 	return nil
 }
 
-// SessionKey exposes the derived key (tests assert both sides agree).
-func (p *Platform) SessionKey() []byte { return p.sessKey }
-
-// SessionKey exposes the verifier's derived key.
-func (v *Verifier) SessionKey() []byte { return v.sessKey }
-
 // Certificates carries step ②'s S(AttestKey), S(EndorseKey).
 type Certificates struct {
 	EKPub  *ecdsa.PublicKey

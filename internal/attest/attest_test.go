@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ccai/internal/hrot"
-	"ccai/internal/secmem"
 )
 
 func testBlade(t *testing.T) (*hrot.Blade, *ecdsa.PrivateKey) {
@@ -54,13 +53,21 @@ func handshake(t *testing.T) (*Platform, *Verifier) {
 	return p, v
 }
 
+// TestDHKEAgreement: both ends derive one session key, so a bundle the
+// verifier seals under its key opens on the platform under its own.
 func TestDHKEAgreement(t *testing.T) {
 	p, v := handshake(t)
-	if !bytes.Equal(p.SessionKey(), v.SessionKey()) {
-		t.Fatal("session keys diverge")
+	kb := NewKeyBundle([]string{"h2d"})
+	sealed, err := v.Seal(kb)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(p.SessionKey()) != secmem.KeySize {
-		t.Fatalf("session key length = %d", len(p.SessionKey()))
+	got, err := p.OpenBundle(sealed)
+	if err != nil {
+		t.Fatalf("session keys diverge: %v", err)
+	}
+	if !bytes.Equal(got.Streams["h2d"].Key, kb.Streams["h2d"].Key) {
+		t.Fatal("bundle opened to other key material")
 	}
 }
 

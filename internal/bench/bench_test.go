@@ -273,9 +273,6 @@ func TestTable1CountsConsistent(t *testing.T) {
 		if r.Count == 0 {
 			t.Errorf("%v: no packets classified", r.Permission)
 		}
-		if r.Permission.Action() != r.Action {
-			t.Errorf("%v mapped to %v", r.Permission, r.Action)
-		}
 	}
 	// Mix shape: data writes dominate, hostile probes all dropped.
 	if rows[1].Count <= rows[0].Count {

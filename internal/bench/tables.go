@@ -13,11 +13,10 @@ import (
 
 // --- Table 1: packet access-control categorization ---------------------------
 
-// Table1Row pairs a permission category with its action and a live
-// classification count from a representative traffic mix.
+// Table1Row pairs a permission category with a live classification
+// count from a representative traffic mix.
 type Table1Row struct {
 	Permission core.Permission
-	Action     core.Action
 	Count      uint64
 }
 
@@ -55,10 +54,10 @@ func Table1Categorization() []Table1Row {
 	}
 	st := f.Stats()
 	return []Table1Row{
-		{core.Prohibited, core.ActionDrop, st.Dropped},
-		{core.WriteReadProtected, core.ActionWriteReadProtect, st.Protected},
-		{core.WriteProtected, core.ActionWriteProtect, st.Verified},
-		{core.FullAccessible, core.ActionPassThrough, st.Passed},
+		{core.Prohibited, st.Dropped},
+		{core.WriteReadProtected, st.Protected},
+		{core.WriteProtected, st.Verified},
+		{core.FullAccessible, st.Passed},
 	}
 }
 
@@ -68,7 +67,7 @@ func RenderTable1(rows []Table1Row) string {
 	b.WriteString(header("Table 1 — PCIe packet access control categories (live classification counts)"))
 	fmt.Fprintf(&b, "%-24s %-26s %8s\n", "packet access permission", "action", "packets")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %-26s %8d\n", r.Permission, r.Action, r.Count)
+		fmt.Fprintf(&b, "%-24s %-26s %8d\n", r.Permission, r.Permission.Action(), r.Count)
 	}
 	return b.String()
 }

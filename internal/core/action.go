@@ -75,7 +75,7 @@ func (p Permission) String() string {
 	return fmt.Sprintf("Permission(%d)", uint8(p))
 }
 
-// ActionFor maps a permission category to its security action (Table 1).
+// Action maps a permission category to its security action (Table 1).
 func (p Permission) Action() Action {
 	switch p {
 	case Prohibited:

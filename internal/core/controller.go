@@ -262,17 +262,6 @@ func (c *Controller) Attach(internal *pcie.Bus, window pcie.Region, host *pcie.B
 	c.hostBus = host
 }
 
-// Keys exposes the controller's trust-module key store for
-// provisioning during trust establishment.
-func (c *Controller) Keys() *secmem.KeyStore { return c.params.keys }
-
-// SCStatusBits reports the controller's status register value.
-func (c *Controller) SCStatusBits() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.status
-}
-
 // DeviceID implements pcie.Endpoint.
 func (c *Controller) DeviceID() pcie.ID { return c.id }
 
@@ -303,7 +292,8 @@ func (c *Controller) Stats() Stats {
 // SetTeardownHook installs a platform callback run after Teardown.
 func (c *Controller) SetTeardownHook(fn func()) { c.onTeardown = fn }
 
-// Regions reports live protected regions (tests). Everything the SC
+// Regions reports live protected regions. A test seam for sliceHygiene
+// and the protocol model's leak checks. Everything the SC
 // holds for a region — its descriptor, D2H progress, pending tag records
 // and write span, accepted-chunk records, step-window slots — lives in
 // that region's one record, so this count covers all of it: a leak
@@ -476,17 +466,10 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet, carried []byte) *pcie.Pac
 	return cpl
 }
 
-// MACHeader is the byte layout both ends authenticate for A3 MMIO
-// writes: sequence number, target address, payload length. The Adaptor
-// mirrors this when computing the companion tag record.
-func MACHeader(seq uint32, addr uint64, n uint32) []byte {
-	buf := make([]byte, 16)
-	PutMACHeader((*[16]byte)(buf), seq, addr, n)
-	return buf
-}
-
-// PutMACHeader writes the A3 MAC header into a caller-provided
-// (typically stack) array — the allocation-free variant.
+// PutMACHeader writes the byte layout both ends authenticate for A3
+// MMIO writes — sequence number, target address, payload length — into
+// a caller-provided (typically stack) array. The Adaptor mirrors this
+// when computing the companion tag record.
 func PutMACHeader(buf *[16]byte, seq uint32, addr uint64, n uint32) {
 	binary.LittleEndian.PutUint32(buf[0:], seq)
 	binary.LittleEndian.PutUint64(buf[4:], addr)
@@ -494,7 +477,8 @@ func PutMACHeader(buf *[16]byte, seq uint32, addr uint64, n uint32) {
 }
 
 // MMIOSeq reports the next expected A3 sequence number (the Adaptor
-// mirrors this counter).
+// mirrors this counter). A test seam: the protocol model holds both
+// ends' sequences to each other after every op.
 func (c *Controller) MMIOSeq() uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1463,7 +1447,8 @@ func (c *Controller) appendMetadataLocked(writes []hostWr, region uint32, count 
 }
 
 // D2HProgress reports completed chunks for a region: the count the SC
-// batches into the metadata buffer, read at its source (tests).
+// batches into the metadata buffer, read at its source. A test seam: the
+// D2H burst and release cells hold what the SC published to it.
 func (c *Controller) D2HProgress(region uint32) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

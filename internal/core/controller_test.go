@@ -25,6 +25,7 @@ const (
 // fake device for direct unit testing.
 type ctlRig struct {
 	sc      *Controller
+	keys    *secmem.KeyStore // the SC's trust-module key store
 	mux     *Mux
 	host    *pcie.Bus
 	inner   *pcie.Bus
@@ -182,7 +183,7 @@ func newCtlRig(t *testing.T) *ctlRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &ctlRig{sc: sc, mux: mux, host: host, inner: inner, hostMem: hm.m, hostEP: hm, cfgTx: cfgTx, dev: dev}
+	r := &ctlRig{sc: sc, keys: keys, mux: mux, host: host, inner: inner, hostMem: hm.m, hostEP: hm, cfgTx: cfgTx, dev: dev}
 	for reg, v := range map[uint64]uint64{RegRingBase: ctlRing, RegRingSize: ctlRingSlots} {
 		host.Route(pcie.NewMemWrite(tvmID, ctlBar+reg, binary.LittleEndian.AppendUint64(nil, v)))
 	}
@@ -253,7 +254,8 @@ func TestControllerEmptyDoorbellRejected(t *testing.T) {
 	if r.sc.Stats().ConfigRejects != 1 {
 		t.Fatal("rule entry without a blob accepted")
 	}
-	if r.sc.SCStatusBits()&SCStatusConfigErr == 0 {
+	cpl := r.host.Route(pcie.NewMemRead(tvmID, ctlBar+RegSCStatus, 8, 0))
+	if cpl == nil || binary.LittleEndian.Uint64(cpl.Payload)&SCStatusConfigErr == 0 {
 		t.Fatal("config error status not latched")
 	}
 }
@@ -293,21 +295,21 @@ func TestControllerVendorMessages(t *testing.T) {
 		Kind: pcie.MsgD, Requester: tvmID, AddrLo: vendorPM, AddrHi: vendorPM + 1, Action: ActionPassThrough})
 
 	// Authorized vendor message reaches the device.
-	msg := pcie.NewMessage(tvmID, vendorPM, []byte{0x01})
+	msg := &pcie.Packet{Header: pcie.Header{Kind: pcie.MsgD, Requester: tvmID, Address: vendorPM, Length: 1}, Payload: []byte{0x01}}
 	msg.Completer = r.sc.DeviceID()
 	r.sc.Handle(msg)
 	if len(r.dev.msgs) != 1 {
 		t.Fatalf("device saw %d messages, want 1", len(r.dev.msgs))
 	}
 	// A different vendor code is dropped (fail-closed L2).
-	other := pcie.NewMessage(tvmID, 0x66, []byte{0x01})
+	other := &pcie.Packet{Header: pcie.Header{Kind: pcie.MsgD, Requester: tvmID, Address: 0x66, Length: 1}, Payload: []byte{0x01}}
 	other.Completer = r.sc.DeviceID()
 	r.sc.Handle(other)
 	if len(r.dev.msgs) != 1 {
 		t.Fatal("unruled vendor message forwarded")
 	}
 	// Rogue-sourced messages never pass L1.
-	rogueMsg := pcie.NewMessage(rogueID, vendorPM, []byte{0x01})
+	rogueMsg := &pcie.Packet{Header: pcie.Header{Kind: pcie.MsgD, Requester: rogueID, Address: vendorPM, Length: 1}, Payload: []byte{0x01}}
 	rogueMsg.Completer = r.sc.DeviceID()
 	r.sc.Handle(rogueMsg)
 	if len(r.dev.msgs) != 1 {
@@ -337,7 +339,7 @@ func TestControllerIngestTagsBatch(t *testing.T) {
 	for i := uint32(0); i < 5; i++ {
 		rec := TagRecord{Stream: StreamH2D, Chunk: 100 + i}
 		rec.Tag[0] = byte(i)
-		payload = append(payload, rec.Marshal()...)
+		payload = append(payload, rec.AppendMarshal(nil)...)
 	}
 	r.submit(ringEntry{op: RingOpTags, data: payload})
 	if r.sc.Tags().Depth() != 5 {
@@ -359,7 +361,7 @@ func TestControllerIngestTagsBatch(t *testing.T) {
 func TestControllerDescriptorOverlapRejected(t *testing.T) {
 	r := newCtlRig(t)
 	install := func(d Descriptor) {
-		r.submit(ringEntry{op: RingOpDesc, data: r.sealed(t, d.Marshal())})
+		r.submit(ringEntry{op: RingOpDesc, data: r.sealed(t, d.AppendMarshal(nil))})
 	}
 	install(Descriptor{ID: 1, Dir: DirH2D, Class: ActionWriteReadProtect, Base: ctlMem, Len: 0x1000, ChunkSize: 256})
 	if r.sc.Regions() != 1 {
@@ -434,7 +436,7 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 		{1, 0, 0, 0, 0, 0, 0, 0},
 		d.sealed(t, Rule{ID: 99, Action: ActionPassThrough}.Marshal()), // well sealed, wrong door
 		arm,
-		TagRecord{Stream: StreamMMIO, Chunk: 0}.Marshal(), // what the tag window took
+		TagRecord{Stream: StreamMMIO, Chunk: 0}.AppendMarshal(nil), // what the tag window took
 	}
 	offsets := []uint64{0x008, 0x010, 0x018, 0x020, 0x040, 0x048, 0x070, 0x0c0, 0x0f8, 0x400, SCBarSize - 8,
 		RegSCStatus, RegMMIOSeq} // read-only: not writable either
@@ -509,7 +511,7 @@ func TestControllerRingFraming(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r := newCtlRig(t)
 			r.submit(ringEntry{op: RingOpDesc, data: r.sealed(t, Descriptor{ID: 1, Dir: DirH2D,
-				Class: ActionWriteReadProtect, Base: ctlMem, Len: 0x1000, ChunkSize: ChunkSize}.Marshal())})
+				Class: ActionWriteReadProtect, Base: ctlMem, Len: 0x1000, ChunkSize: ChunkSize}.AppendMarshal(nil))})
 			if r.sc.Regions() != 1 || word(r, 0) != 1 || word(r, 8) != 0 {
 				t.Fatalf("clean burst: %d regions, head word %d, status %d", r.sc.Regions(), word(r, 0), word(r, 8))
 			}
@@ -574,7 +576,7 @@ func TestControllerForgedEntriesRejected(t *testing.T) {
 	for op, pt := range map[uint8][]byte{
 		RingOpRule: Rule{ID: 99, Action: ActionPassThrough}.Marshal(),
 		RingOpDesc: Descriptor{ID: 9, Dir: DirH2D, Class: ActionWriteReadProtect,
-			Base: ctlMem, Len: 0x1000, ChunkSize: ChunkSize}.Marshal(),
+			Base: ctlMem, Len: 0x1000, ChunkSize: ChunkSize}.AppendMarshal(nil),
 		RingOpRekey: RekeyCommand{Stream: StreamH2D, Key: secmem.FreshKey(), Nonce: secmem.FreshNonce()}.Marshal(),
 	} {
 		sealed, err := wrongKey.Seal(pt, nil)

@@ -34,7 +34,7 @@ func newDPRig(t *testing.T) *dpRig {
 	d := &dpRig{ctlRig: r}
 	for _, s := range []string{StreamH2D, StreamD2H, StreamMMIO} {
 		key, nonce := secmem.FreshKey(), secmem.FreshNonce()
-		if err := r.sc.Keys().Install(s, key, nonce); err != nil {
+		if err := r.keys.Install(s, key, nonce); err != nil {
 			t.Fatal(err)
 		}
 		switch s {
@@ -84,8 +84,9 @@ func (d *dpRig) stageH2D(t *testing.T, base uint64, data []byte) Descriptor {
 		if end > len(data) {
 			end = len(data)
 		}
-		chunk := uint32(off / ChunkSize)
-		sealed, err := d.h2dTx.Seal(data[off:end], desc.AAD(chunk))
+		var aad [8]byte
+		desc.PutAAD(&aad, uint32(off/ChunkSize))
+		sealed, err := d.h2dTx.Seal(data[off:end], aad[:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,9 @@ func TestEncryptWriteDepositsCiphertextAndTags(t *testing.T) {
 		Ciphertext: ct,
 	}
 	copy(sealed.Tag[:], recBytes[12:])
-	pt, err := d.d2hRx.Open(sealed, desc.AAD(0))
+	var aad [8]byte
+	desc.PutAAD(&aad, 0)
+	pt, err := d.d2hRx.Open(sealed, aad[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +243,9 @@ func TestGuardedMMIOHappyAndTampered(t *testing.T) {
 	d := newDPRig(t)
 	write := func(seq uint32, reg uint64, val uint64, corrupt bool) {
 		payload := le64(val)
-		hdr := MACHeader(seq, ctlWin+reg, uint32(len(payload)))
-		mac := secmem.MAC(d.mmioKy, hdr, payload)
+		var hdr [16]byte
+		PutMACHeader(&hdr, seq, ctlWin+reg, uint32(len(payload)))
+		mac := secmem.MAC(d.mmioKy, hdr[:], payload)
 		rec := TagRecord{Stream: StreamMMIO, Chunk: seq}
 		copy(rec.Tag[:], mac[:secmem.TagSize])
 		d.sc.Tags().Enqueue(rec)
@@ -271,10 +275,12 @@ func TestGuardedMMIOHappyAndTampered(t *testing.T) {
 
 func TestGuardedMMIOEnvCheck(t *testing.T) {
 	d := newDPRig(t)
-	d.sc.Guard().AddCheck(MMIOCheck{Name: "reg28", Reg: 0x28, Valid: func(v uint64) bool { return v < 100 }})
+	d.sc.Guard().AddCheck(MMIOCheck{Reg: 0x28, Valid: func(v uint64) bool { return v < 100 }})
 	write := func(seq uint32, reg uint64, val uint64) {
 		payload := le64(val)
-		mac := secmem.MAC(d.mmioKy, MACHeader(seq, ctlWin+reg, 8), payload)
+		var hdr [16]byte
+		PutMACHeader(&hdr, seq, ctlWin+reg, 8)
+		mac := secmem.MAC(d.mmioKy, hdr[:], payload)
 		rec := TagRecord{Stream: StreamMMIO, Chunk: seq}
 		copy(rec.Tag[:], mac[:secmem.TagSize])
 		d.sc.Tags().Enqueue(rec)
@@ -656,8 +662,9 @@ func (d *dpRig) stageH2DSpan(t *testing.T, base uint64, data []byte) Descriptor 
 		if end > len(data) {
 			end = len(data)
 		}
-		chunk := uint32(off / ChunkSize)
-		sealed, err := d.h2dTx.Seal(data[off:end], desc.AAD(chunk))
+		var aad [8]byte
+		desc.PutAAD(&aad, uint32(off/ChunkSize))
+		sealed, err := d.h2dTx.Seal(data[off:end], aad[:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -789,7 +796,9 @@ func (d *dpRig) stageA2(t *testing.T, id uint32, base uint64, data []byte, cs ui
 		Base: base, Len: uint64(len(data)), ChunkSize: cs, FirstCounter: d.h2dTx.SendCounter() + 1}
 	var ct []byte
 	for off, j := 0, uint32(0); off < len(data); off, j = off+int(cs), j+1 {
-		sealed, err := d.h2dTx.Seal(data[off:min(off+int(cs), len(data))], desc.AAD(j))
+		var aad [8]byte
+		desc.PutAAD(&aad, j)
+		sealed, err := d.h2dTx.Seal(data[off:min(off+int(cs), len(data))], aad[:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -907,14 +916,16 @@ func (d *dpRig) installWindow(t *testing.T, id uint32, base uint64, slots int) D
 	t.Helper()
 	desc := Descriptor{ID: id, Dir: DirH2D, Class: ActionWriteReadProtect,
 		Base: base, Len: uint64(slots * ChunkSize), ChunkSize: ChunkSize, Slotted: true}
-	d.submit(ringEntry{op: RingOpDesc, data: d.sealed(t, desc.Marshal())})
+	d.submit(ringEntry{op: RingOpDesc, data: d.sealed(t, desc.AppendMarshal(nil))})
 	return desc
 }
 
 // sealSlot seals data for one window slot and returns its tag record.
 func (d *dpRig) sealSlot(t *testing.T, desc Descriptor, slot uint32, data []byte) TagRecord {
 	t.Helper()
-	sealed, err := d.h2dTx.Seal(data, desc.AAD(slot))
+	var aad [8]byte
+	desc.PutAAD(&aad, slot)
+	sealed, err := d.h2dTx.Seal(data, aad[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1045,7 +1056,7 @@ func (d *dpRig) d2hRegion(t *testing.T, id uint32, base, tagBase uint64, n int) 
 // material.
 func (d *dpRig) useD2HKey(t *testing.T, key, nonce []byte) {
 	t.Helper()
-	if err := d.sc.Keys().Install(StreamD2H, key, nonce); err != nil {
+	if err := d.keys.Install(StreamD2H, key, nonce); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.sc.Params().Activate(StreamD2H); err != nil {
@@ -1168,16 +1179,14 @@ func (d *dpRig) opens(desc Descriptor, v d2hView, j int, pt []byte) bool {
 	if v.ct[j] == nil || rec == nil {
 		return false
 	}
-	key, nonce, err := d.sc.Keys().Material(StreamD2H)
+	rx, err := d.keys.Stream(StreamD2H)
 	if err != nil {
 		return false
 	}
-	rx, err := secmem.NewStream(key, nonce)
-	if err != nil {
-		return false
-	}
+	var aad [8]byte
+	desc.PutAAD(&aad, uint32(j))
 	got, err := rx.Open(&secmem.Sealed{Counter: rec.Chunk, Epoch: rec.Epoch,
-		Ciphertext: v.ct[j], Tag: rec.Tag}, desc.AAD(uint32(j)))
+		Ciphertext: v.ct[j], Tag: rec.Tag}, aad[:])
 	return err == nil && bytes.Equal(got, pt)
 }
 
@@ -1554,7 +1563,7 @@ func TestReinstalledRegionCountsFromZero(t *testing.T) {
 func TestInstallUnderLiveIDRejected(t *testing.T) {
 	d := newDPRig(t)
 	install := func(desc Descriptor) {
-		d.submit(ringEntry{op: RingOpDesc, data: d.sealed(t, desc.Marshal())})
+		d.submit(ringEntry{op: RingOpDesc, data: d.sealed(t, desc.AppendMarshal(nil))})
 	}
 	live := Descriptor{ID: 9, Dir: DirD2H, Class: ActionWriteReadProtect,
 		Base: ctlMem + 0x4000, Len: 4 * ChunkSize, TagBase: ctlMem + 0x8000, ChunkSize: ChunkSize}

@@ -56,14 +56,9 @@ type Descriptor struct {
 // DescriptorSize is the serialized descriptor length.
 const DescriptorSize = 40
 
-// Marshal encodes the descriptor for sealed upload.
-func (d Descriptor) Marshal() []byte {
-	return d.AppendMarshal(make([]byte, 0, DescriptorSize))
-}
-
-// AppendMarshal appends the descriptor's encoding to buf and returns
-// the extended slice — the allocation-free variant for callers sealing
-// from a stack array.
+// AppendMarshal appends the descriptor's encoding, for sealed upload,
+// to buf and returns the extended slice; callers seal from a reused
+// array.
 func (d Descriptor) AppendMarshal(buf []byte) []byte {
 	var zero [DescriptorSize]byte
 	off := len(buf)
@@ -118,16 +113,9 @@ func (d Descriptor) Contains(addr uint64) bool {
 	return addr >= d.Base && addr < d.Base+d.Len
 }
 
-// AAD builds the additional authenticated data binding a chunk to its
-// region and position, preventing relocation of valid ciphertext.
-func (d Descriptor) AAD(chunk uint32) []byte {
-	buf := make([]byte, 8)
-	d.PutAAD((*[8]byte)(buf), chunk)
-	return buf
-}
-
-// PutAAD writes the chunk's AAD into a caller-provided (typically
-// stack) array — the allocation-free variant for the datapath.
+// PutAAD writes the additional authenticated data binding a chunk to
+// its region and position, preventing relocation of valid ciphertext,
+// into a caller-provided (typically stack) array.
 func (d Descriptor) PutAAD(buf *[8]byte, chunk uint32) {
 	binary.LittleEndian.PutUint32(buf[0:], d.ID)
 	binary.LittleEndian.PutUint32(buf[4:], chunk)

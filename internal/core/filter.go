@@ -273,11 +273,6 @@ func (f *Filter) InstallL2(r Rule) {
 	f.mutate(func(s *filterState) { s.l2 = append(s.l2, r) })
 }
 
-// Clear removes all rules (used on rekey/teardown).
-func (f *Filter) Clear() {
-	f.mutate(func(s *filterState) { s.l1, s.l2 = nil, nil })
-}
-
 // RuleCount reports installed rules per table.
 func (f *Filter) RuleCount() (l1, l2 int) {
 	s := f.state.Load()

@@ -165,15 +165,17 @@ func TestPermissionActionMapping(t *testing.T) {
 	}
 }
 
+// TestFilterClear: a filter whose tables are emptied, through the write
+// path every install takes, holds no rule and fails closed.
 func TestFilterClear(t *testing.T) {
 	f := paperFilter()
-	f.Clear()
+	f.mutate(func(s *filterState) { s.l1, s.l2 = nil, nil })
 	l1, l2 := f.RuleCount()
 	if l1 != 0 || l2 != 0 {
-		t.Fatal("Clear left rules")
+		t.Fatal("emptied filter kept rules")
 	}
 	if v := f.Classify(pcie.NewMemWrite(tvmID, 0x2000, []byte{1})); v.Action != ActionDrop {
-		t.Fatal("cleared filter not fail-closed")
+		t.Fatal("emptied filter not fail-closed")
 	}
 }
 
@@ -225,10 +227,11 @@ func TestFilterMemoInvalidatedByInstall(t *testing.T) {
 	}
 	f.Classify(p) // ensure the verdict is memoized before mutating
 
-	// Clear is the strongest mutation: the empty table fail-closes.
-	f.Clear()
+	// Emptying the tables is the strongest mutation: the empty table
+	// fail-closes.
+	f.mutate(func(s *filterState) { s.l1, s.l2 = nil, nil })
 	if v := f.Classify(p); v.Action != ActionDrop {
-		t.Fatalf("stale memo served after Clear: %+v", v)
+		t.Fatalf("stale memo served after emptying: %+v", v)
 	}
 	f.InstallL1(Rule{ID: 2, Mask: MatchKind | MatchRequester,
 		Kind: pcie.MWr, Requester: tvmID, Action: ActionWriteReadProtect})
@@ -268,7 +271,7 @@ func TestFilterMemoNeverCachesAddressDependentVerdicts(t *testing.T) {
 }
 
 // TestFilterConcurrentClassifyAndMutate hammers lock-free Classify
-// against concurrent Install/Clear cycles. Run under -race; the
+// against concurrent empty/Install cycles. Run under -race; the
 // assertions pin the COW contract — a classification sees some
 // complete snapshot, never a torn table, and the final state serves
 // the final rules.
@@ -286,7 +289,7 @@ func TestFilterConcurrentClassifyAndMutate(t *testing.T) {
 				return
 			default:
 			}
-			f.Clear()
+			f.mutate(func(s *filterState) { s.l1, s.l2 = nil, nil })
 			f.InstallL1(Rule{ID: uint16(i), Mask: MatchKind | MatchRequester,
 				Kind: pcie.MWr, Requester: tvmID, Action: ActionPassThrough})
 		}

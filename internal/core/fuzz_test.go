@@ -35,7 +35,7 @@ func FuzzUnmarshalRule(f *testing.F) {
 
 func FuzzUnmarshalDescriptor(f *testing.F) {
 	f.Add(Descriptor{ID: 1, Dir: DirH2D, Class: ActionWriteReadProtect,
-		Base: 0x8000_0000, Len: 4096, ChunkSize: 256}.Marshal())
+		Base: 0x8000_0000, Len: 4096, ChunkSize: 256}.AppendMarshal(nil))
 	f.Add(make([]byte, DescriptorSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := UnmarshalDescriptor(data)
@@ -143,12 +143,12 @@ func FuzzControllerRing(f *testing.F) {
 		}
 		f.Add(slots, tail)
 	}
-	rec := TagRecord{Stream: StreamH2D, Chunk: 4242}.Marshal()
+	rec := TagRecord{Stream: StreamH2D, Chunk: 4242}.AppendMarshal(nil)
 	// The forged entries of the ported security cells: unsealed rule,
 	// descriptor and rekey command, misaimed and in-window arms.
 	add(firstSeq+1, ringEntry{op: RingOpRule, data: Rule{ID: 99, Action: ActionPassThrough}.Marshal()})
 	add(firstSeq+1, ringEntry{op: RingOpDesc, data: Descriptor{ID: 9, Dir: DirH2D, Class: ActionWriteReadProtect,
-		Base: ctlMem, Len: 4096, ChunkSize: ChunkSize}.Marshal()})
+		Base: ctlMem, Len: 4096, ChunkSize: ChunkSize}.AppendMarshal(nil)})
 	add(firstSeq+1, ringEntry{op: RingOpRekey, data: RekeyCommand{Stream: StreamH2D,
 		Key: secmem.FreshKey(), Nonce: secmem.FreshNonce()}.Marshal()})
 	add(firstSeq+3,
@@ -162,9 +162,9 @@ func FuzzControllerRing(f *testing.F) {
 	// Run records no producer wrote: length 0, past the region, past one
 	// read request.
 	add(firstSeq+1, ringEntry{op: RingOpTags, data: append(append(
-		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 0)}.Marshal(),
-		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 1), Epoch: 1 << 20}.Marshal()...),
-		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 2), Epoch: MaxRunSlots + 1}.Marshal()...)})
+		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 0)}.AppendMarshal(nil),
+		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 1), Epoch: 1 << 20}.AppendMarshal(nil)...),
+		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 2), Epoch: MaxRunSlots + 1}.AppendMarshal(nil)...)})
 	// Framing: a sequence skew, an oversized length, opcodes 0 and 8 and
 	// a tail past the ring; and a stale doorbell, its tail behind the
 	// head, which is re-reaped.

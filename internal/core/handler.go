@@ -186,7 +186,8 @@ func (pm *ParamsManager) DestroyAll() {
 	pm.keys.DestroyAll()
 }
 
-// Active reports how many stream contexts are live.
+// Active reports how many stream contexts are live. A test seam for
+// sliceHygiene and the protocol model: a torn-down slice holds none.
 func (pm *ParamsManager) Active() int {
 	return len(pm.streams())
 }
@@ -207,14 +208,9 @@ type TagRecord struct {
 // TagRecordSize is the serialized tag-packet payload size.
 const TagRecordSize = 4 + 4 + 4 + secmem.TagSize // stream hash, chunk, epoch, tag
 
-// Marshal encodes the record as a tag-packet payload.
-func (t TagRecord) Marshal() []byte {
-	return t.AppendMarshal(make([]byte, 0, TagRecordSize))
-}
-
 // AppendMarshal appends the record's tag-packet encoding to buf and
-// returns the extended slice — the allocation-free variant for callers
-// assembling multi-record tag packets into reused buffers.
+// returns the extended slice; callers assemble multi-record tag packets
+// into reused buffers.
 func (t TagRecord) AppendMarshal(buf []byte) []byte {
 	var zero [TagRecordSize]byte
 	off := len(buf)
@@ -243,7 +239,6 @@ func hashStream(s string) uint32 {
 // region, §4 "checking the correctness of the xPU page table
 // register").
 type MMIOCheck struct {
-	Name  string
 	Reg   uint64 // BAR0-relative register offset
 	Valid func(value uint64) bool
 }
@@ -252,14 +247,12 @@ type MMIOCheck struct {
 // MMIO writes during computing and cleans the device on teardown.
 // All methods are safe for concurrent use.
 type EnvGuard struct {
-	// mu serializes AddCheck and guards violated and cleans.
+	// mu serializes AddCheck.
 	mu sync.Mutex
 	// checks is the installed predicates. AddCheck publishes a new slice
 	// under mu and never changes a published one, so VerifyMMIO scans it
-	// with no lock and takes mu only to record a violation.
-	checks   atomic.Pointer[[]MMIOCheck]
-	violated []string
-	cleans   int
+	// with no lock.
+	checks atomic.Pointer[[]MMIOCheck]
 }
 
 // NewEnvGuard returns a guard with no checks installed.
@@ -282,27 +275,10 @@ func (g *EnvGuard) AddCheck(c MMIOCheck) {
 func (g *EnvGuard) VerifyMMIO(reg uint64, value uint64) bool {
 	for _, c := range *g.checks.Load() {
 		if c.Reg == reg && !c.Valid(value) {
-			g.mu.Lock()
-			g.violated = append(g.violated, c.Name)
-			g.mu.Unlock()
 			return false
 		}
 	}
 	return true
-}
-
-// Violations lists failed checks so far.
-func (g *EnvGuard) Violations() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]string(nil), g.violated...)
-}
-
-// Cleans reports how many environment cleans the guard triggered.
-func (g *EnvGuard) Cleans() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cleans
 }
 
 // CleanCmd describes how the guard resets the device: a soft
@@ -316,9 +292,6 @@ type CleanCmd struct {
 // CleanPlan decides the teardown reset strategy for a device that does
 // or does not support software reset.
 func (g *EnvGuard) CleanPlan(softResetSupported bool, resetReg, softVal, coldVal uint64) CleanCmd {
-	g.mu.Lock()
-	g.cleans++
-	g.mu.Unlock()
 	if softResetSupported {
 		return CleanCmd{Soft: true, Reg: resetReg, Val: softVal}
 	}

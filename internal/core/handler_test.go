@@ -105,7 +105,7 @@ func TestTagRecordMarshalShape(t *testing.T) {
 	for i := range rec.Tag {
 		rec.Tag[i] = byte(i)
 	}
-	buf := rec.Marshal()
+	buf := rec.AppendMarshal(nil)
 	if len(buf) != TagRecordSize {
 		t.Fatalf("record size = %d, want %d", len(buf), TagRecordSize)
 	}
@@ -114,7 +114,6 @@ func TestTagRecordMarshalShape(t *testing.T) {
 func TestEnvGuardChecks(t *testing.T) {
 	g := NewEnvGuard()
 	g.AddCheck(MMIOCheck{
-		Name:  "page-table-in-range",
 		Reg:   0x50,
 		Valid: func(v uint64) bool { return v >= 0x1000 && v < 0x10000 },
 	})
@@ -127,9 +126,6 @@ func TestEnvGuardChecks(t *testing.T) {
 	if !g.VerifyMMIO(0x99, 0xffff_0000) {
 		t.Fatal("unguarded register blocked")
 	}
-	if len(g.Violations()) != 1 || g.Violations()[0] != "page-table-in-range" {
-		t.Fatalf("violations = %v", g.Violations())
-	}
 }
 
 func TestEnvGuardCleanPlan(t *testing.T) {
@@ -141,9 +137,6 @@ func TestEnvGuardCleanPlan(t *testing.T) {
 	cold := g.CleanPlan(false, 0x58, 2, 3)
 	if cold.Soft || cold.Val != 3 {
 		t.Fatalf("cold plan = %+v", cold)
-	}
-	if g.Cleans() != 2 {
-		t.Fatalf("cleans = %d", g.Cleans())
 	}
 }
 
@@ -183,7 +176,7 @@ func TestDescriptorMarshalRoundTrip(t *testing.T) {
 		Base: 0x8000_0000, Len: 1 << 20, TagBase: 0x9000_0000,
 		ChunkSize: 256, FirstCounter: 0x12345,
 	}
-	got, err := UnmarshalDescriptor(d.Marshal())
+	got, err := UnmarshalDescriptor(d.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,32 +187,32 @@ func TestDescriptorMarshalRoundTrip(t *testing.T) {
 	// region may carry it.
 	win := Descriptor{ID: 10, Dir: DirH2D, Class: ActionWriteReadProtect,
 		Base: 0x8000_0000, Len: 64 * 256, ChunkSize: 256, Slotted: true}
-	if got, err := UnmarshalDescriptor(win.Marshal()); err != nil || got != win {
+	if got, err := UnmarshalDescriptor(win.AppendMarshal(nil)); err != nil || got != win {
 		t.Fatalf("slotted round trip: %+v, %v", got, err)
 	}
 	d.Slotted = true
-	if _, err := UnmarshalDescriptor(d.Marshal()); err == nil {
+	if _, err := UnmarshalDescriptor(d.AppendMarshal(nil)); err == nil {
 		t.Fatal("slotted D2H descriptor accepted")
 	}
 }
 
 func TestDescriptorValidation(t *testing.T) {
 	bad := Descriptor{ID: 1, Class: ActionPassThrough, Len: 1, ChunkSize: 1}
-	if _, err := UnmarshalDescriptor(bad.Marshal()); err == nil {
+	if _, err := UnmarshalDescriptor(bad.AppendMarshal(nil)); err == nil {
 		t.Fatal("pass-through descriptor accepted")
 	}
 	empty := Descriptor{ID: 1, Class: ActionWriteReadProtect}
-	if _, err := UnmarshalDescriptor(empty.Marshal()); err == nil {
+	if _, err := UnmarshalDescriptor(empty.AppendMarshal(nil)); err == nil {
 		t.Fatal("empty descriptor accepted")
 	}
 }
 
 func TestDescriptorChunkGeometry(t *testing.T) {
 	d := Descriptor{ID: 1, Class: ActionWriteReadProtect, Base: 0x1000, Len: 0x1000, ChunkSize: 256}
-	if aad := d.AAD(3); len(aad) != 8 {
-		t.Fatalf("AAD length = %d", len(aad))
-	}
-	if string(d.AAD(3)) == string(d.AAD(4)) {
+	var aad3, aad4 [8]byte
+	d.PutAAD(&aad3, 3)
+	d.PutAAD(&aad4, 4)
+	if aad3 == aad4 {
 		t.Fatal("AAD not chunk-specific")
 	}
 }

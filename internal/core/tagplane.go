@@ -107,7 +107,9 @@ func (tm *TagManager) SetObserver(h *obsv.Hub) {
 	reg.CounterFunc("sc.tags.evicted", tm.Evicted)
 }
 
-// NewTagManager returns an empty tag queue with the default cap.
+// NewTagManager returns an empty tag queue with the default cap. A test
+// seam: FuzzTagPlane drives the tag plane through it against
+// refTagManager.
 func NewTagManager() *TagManager { return newTagManager(new(sync.Mutex)) }
 
 // newTagManager returns an empty tag queue guarded by mu.
@@ -116,7 +118,9 @@ func newTagManager(mu *sync.Mutex) *TagManager {
 }
 
 // SetPendingCap changes the pending-queue bound (≤0 restores the
-// default) and immediately evicts down to the new cap.
+// default) and immediately evicts down to the new cap. A test
+// seam: FuzzTagPlane drives the tag plane through it against
+// refTagManager.
 func (tm *TagManager) SetPendingCap(n int) {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -127,7 +131,9 @@ func (tm *TagManager) SetPendingCap(n int) {
 	tm.evictLocked()
 }
 
-// PendingCap reports the configured bound.
+// PendingCap reports the configured bound. A test
+// seam: FuzzTagPlane drives the tag plane through it against
+// refTagManager.
 func (tm *TagManager) PendingCap() int {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -187,6 +193,8 @@ func (tm *TagManager) enqueueLocked(recs []TagRecord) {
 // pending, uncounted: a verified-run read needs the run length its
 // record carries to size the host fetch, and a fetch that fails must
 // not have spent the record.
+// A test seam: FuzzTagPlane drives the tag plane through it against
+// refTagManager.
 func (tm *TagManager) Peek(stream string, chunk uint32) (TagRecord, bool) {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -204,6 +212,8 @@ func (tm *TagManager) peekLocked(stream string, chunk uint32) (TagRecord, bool) 
 
 // Take matches and removes the tag for (stream, chunk); ok is false
 // when no tag packet arrived, which fails the integrity check.
+// A test seam: FuzzTagPlane drives the tag plane through it against
+// refTagManager.
 func (tm *TagManager) Take(stream string, chunk uint32) (TagRecord, bool) {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -214,6 +224,8 @@ func (tm *TagManager) Take(stream string, chunk uint32) (TagRecord, bool) {
 // demand path of a span read: recs[i], have[i] are what Take(stream,
 // ctrs[i]) would have returned, each counted as matched or missing. It
 // reports whether every record was on hand.
+// A test seam: FuzzTagPlane drives the tag plane through it against
+// refTagManager.
 func (tm *TagManager) TakeEach(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -238,7 +250,8 @@ func (tm *TagManager) DroppedByFault() uint64 {
 	return tm.droppedFault
 }
 
-// Depth reports queued, unmatched tags.
+// Depth reports queued, unmatched tags. A test seam for sliceHygiene,
+// the protocol model and FuzzTagPlane.
 func (tm *TagManager) Depth() int {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -263,6 +276,8 @@ func (tm *TagManager) Evicted() uint64 {
 // first+n-1 of stream, matched by nothing and counted as nothing. It
 // walks the pending log once, so its cost is bounded by the cap however
 // large n is.
+// A test seam: FuzzTagPlane drives the tag plane through it against
+// refTagManager.
 func (tm *TagManager) Discard(stream string, first, n uint32) {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()

@@ -207,7 +207,9 @@ func (p Plan) Marshal() []byte {
 }
 
 // UnmarshalPlan parses a serialized plan, validating every structural
-// invariant; malformed input yields an error, never a partial plan.
+// invariant; malformed input yields an error, never a partial plan. A
+// test seam: the protocol model decodes each saved trace's plan with it,
+// and FuzzFaultPlan holds its bounds.
 func UnmarshalPlan(data []byte) (Plan, error) {
 	var p Plan
 	if len(data) < 4+1+8+2 {
@@ -255,13 +257,4 @@ func UnmarshalPlan(data []byte) (Plan, error) {
 		p.Events = append(p.Events, e)
 	}
 	return p, nil
-}
-
-// Single is the one-event plan: the workhorse of the fault×invariant
-// matrix, where each cell injects exactly one class deterministically.
-// role is zero for a hook class.
-func Single(seed uint64, class Class, role pcie.Role, skip, count int) Plan {
-	return Plan{Seed: seed, Events: []Event{{
-		Class: class, Role: role, Skip: uint16(skip), Count: uint16(count),
-	}}}
 }

@@ -18,7 +18,7 @@ func TestPlanRoundTrip(t *testing.T) {
 			{Class: HeadRegress, Role: pcie.RoleCompletionWord, Skip: 1, Count: MaxCount},
 			{Class: DoorbellHang, Skip: MaxSkip, Count: 1},
 		}},
-		Single(9, TagLoss, 0, 1, 4),
+		Plan{Seed: 9, Events: []Event{{Class: TagLoss, Skip: 1, Count: 4}}},
 	} {
 		got, err := UnmarshalPlan(p.Marshal())
 		if err != nil {
@@ -39,8 +39,8 @@ func TestPlanRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsMalformed(t *testing.T) {
-	good := Single(1, DropTLP, pcie.RoleH2DData, 0, 1).Marshal()
-	hook := Single(1, TagLoss, 0, 0, 1).Marshal()
+	good := Plan{Seed: 1, Events: []Event{{Class: DropTLP, Role: pcie.RoleH2DData, Count: 1}}}.Marshal()
+	hook := Plan{Seed: 1, Events: []Event{{Class: TagLoss, Count: 1}}}.Marshal()
 	set := func(b []byte, i int, v byte) []byte { b = bytes.Clone(b); b[i] = v; return b }
 	cases := map[string][]byte{
 		"empty":                 nil,
@@ -75,7 +75,7 @@ func trafficMWr(i int) *pcie.Packet {
 }
 
 func TestInjectorSkipCountSemantics(t *testing.T) {
-	inj := NewInjector(Single(5, DropTLP, pcie.RoleD2HData, 2, 2))
+	inj := NewInjector(Plan{Seed: 5, Events: []Event{{Class: DropTLP, Role: pcie.RoleD2HData, Skip: 2, Count: 2}}})
 	var dropped []int
 	for i := 0; i < 8; i++ {
 		if inj.Tap(trafficMWr(i)) == nil {
@@ -86,8 +86,8 @@ func TestInjectorSkipCountSemantics(t *testing.T) {
 	if !reflect.DeepEqual(dropped, []int{2, 3}) {
 		t.Fatalf("dropped %v, want [2 3]", dropped)
 	}
-	if inj.TotalFired() != 2 {
-		t.Fatalf("fired %d times, want 2", inj.TotalFired())
+	if uint64(len(inj.Log())) != 2 {
+		t.Fatalf("fired %d times, want 2", uint64(len(inj.Log())))
 	}
 }
 
@@ -125,7 +125,7 @@ func TestInjectorDeterministicReplay(t *testing.T) {
 }
 
 func TestInjectorCorruptFlipsExactlyOneBit(t *testing.T) {
-	inj := NewInjector(Single(3, CorruptTLP, pcie.RoleD2HData, 0, 1))
+	inj := NewInjector(Plan{Seed: 3, Events: []Event{{Class: CorruptTLP, Role: pcie.RoleD2HData, Count: 1}}})
 	orig := trafficMWr(0)
 	got := inj.Tap(orig.Clone())
 	if got == nil {
@@ -144,7 +144,7 @@ func TestInjectorCorruptFlipsExactlyOneBit(t *testing.T) {
 }
 
 func TestInjectorTruncateShortens(t *testing.T) {
-	inj := NewInjector(Single(8, TruncateTLP, pcie.RoleD2HData, 0, 1))
+	inj := NewInjector(Plan{Seed: 8, Events: []Event{{Class: TruncateTLP, Role: pcie.RoleD2HData, Count: 1}}})
 	got := inj.Tap(trafficMWr(0))
 	if got == nil {
 		t.Fatal("truncate must not drop")
@@ -162,7 +162,7 @@ func TestInjectorCompletionClasses(t *testing.T) {
 		return pcie.NewCompletion(r, pcie.MakeID(0, 2, 0), pcie.CplSuccess, bytes.Repeat([]byte{fill}, 64))
 	}
 
-	inj := NewInjector(Single(1, DropCompletion, pcie.RoleH2DData, 0, 1))
+	inj := NewInjector(Plan{Seed: 1, Events: []Event{{Class: DropCompletion, Role: pcie.RoleH2DData, Count: 1}}})
 	if inj.Tap(mk(1, 0xaa)) != nil {
 		t.Fatal("drop-completion should delete the completion")
 	}
@@ -170,7 +170,7 @@ func TestInjectorCompletionClasses(t *testing.T) {
 		t.Fatal("only one completion should be dropped")
 	}
 
-	inj = NewInjector(Single(1, StaleCompletion, pcie.RoleH2DData, 0, 2))
+	inj = NewInjector(Plan{Seed: 1, Events: []Event{{Class: StaleCompletion, Role: pcie.RoleH2DData, Count: 2}}})
 	if got := inj.Tap(mk(1, 0xaa)); got != nil {
 		t.Fatal("first stale firing should delay (deliver nothing)")
 	}
@@ -207,7 +207,7 @@ func TestInjectorCountsPerRole(t *testing.T) {
 		return pcie.NewMemWrite(pcie.MakeID(0, 1, 0), 0xd010_0000, []byte{byte(i), 0, 0, 0, 0, 0, 0, 0}).WithRole(pcie.RoleRingDoorbell)
 	}
 	for _, extra := range []int{0, 1, 7} {
-		inj := NewInjector(Single(4, DropTLP, pcie.RoleRingDoorbell, 1, 1))
+		inj := NewInjector(Plan{Seed: 4, Events: []Event{{Class: DropTLP, Role: pcie.RoleRingDoorbell, Skip: 1, Count: 1}}})
 		var dropped []int
 		for i := 0; i < 4; i++ {
 			for j := 0; j < extra; j++ {
@@ -230,7 +230,7 @@ func TestInjectorCountsPerRole(t *testing.T) {
 }
 
 func TestInjectorCryptoTransient(t *testing.T) {
-	inj := NewInjector(Single(6, CryptoTransient, 0, 1, 1))
+	inj := NewInjector(Plan{Seed: 6, Events: []Event{{Class: CryptoTransient, Skip: 1, Count: 1}}})
 	if err := inj.CryptoFault("seal"); err != nil {
 		t.Fatalf("skip=1: first op must pass, got %v", err)
 	}

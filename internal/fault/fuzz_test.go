@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ccai/internal/pcie"
@@ -17,11 +18,11 @@ import (
 // decoded plan mutate identical traffic identically.
 func FuzzFaultPlan(f *testing.F) {
 	f.Add(Plan{Seed: 1}.Marshal())
-	f.Add(Single(2, CorruptTLP, pcie.RoleD2HData, 0, 1).Marshal())
-	f.Add(Single(3, StaleCompletion, pcie.RoleH2DData, 1, 2).Marshal())
-	f.Add(Single(4, DropTLP, pcie.RoleSlotFetch, 0, 2).Marshal())
-	f.Add(Single(5, HeadRegress, pcie.RoleCompletionWord, 0, 1).Marshal())
-	f.Add(Single(6, DoorbellHang, 0, 1, 2).Marshal())
+	f.Add(Plan{Seed: 2, Events: []Event{{Class: CorruptTLP, Role: pcie.RoleD2HData, Count: 1}}}.Marshal())
+	f.Add(Plan{Seed: 3, Events: []Event{{Class: StaleCompletion, Role: pcie.RoleH2DData, Skip: 1, Count: 2}}}.Marshal())
+	f.Add(Plan{Seed: 4, Events: []Event{{Class: DropTLP, Role: pcie.RoleSlotFetch, Count: 2}}}.Marshal())
+	f.Add(Plan{Seed: 5, Events: []Event{{Class: HeadRegress, Role: pcie.RoleCompletionWord, Count: 1}}}.Marshal())
+	f.Add(Plan{Seed: 6, Events: []Event{{Class: DoorbellHang, Skip: 1, Count: 2}}}.Marshal())
 	f.Add(Plan{Seed: 7, Events: []Event{
 		{Class: TruncateTLP, Role: pcie.RoleD2HData, Count: 3},
 		{Class: DropCompletion, Role: pcie.RoleH2DData, Skip: 2},
@@ -39,7 +40,7 @@ func FuzzFaultPlan(f *testing.F) {
 			t.Fatalf("decoder exceeded MaxEvents: %d", len(p.Events))
 		}
 		for i, e := range p.Events {
-			if !e.Class.Valid() || e.Count == 0 || e.Count > MaxCount || e.Skip > MaxSkip || e.Role.Valid() == e.Class.Hook() {
+			if !e.Class.Valid() || e.Count == 0 || e.Count > MaxCount || e.Skip > MaxSkip || slices.Contains(pcie.Roles(), e.Role) == e.Class.Hook() {
 				t.Fatalf("decoder admitted out-of-bounds event %v", e)
 			}
 			// The same plan with this event aimed wrong must not decode: a

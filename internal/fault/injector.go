@@ -247,13 +247,6 @@ func (inj *Injector) TagFault(core.TagRecord) bool {
 	return inj.fires(TagLoss, 0)
 }
 
-// TotalFired reports firings across all classes.
-func (inj *Injector) TotalFired() uint64 {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return uint64(len(inj.log))
-}
-
 // Log returns a copy of the firing log in order.
 func (inj *Injector) Log() []Firing {
 	inj.mu.Lock()

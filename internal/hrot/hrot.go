@@ -47,19 +47,10 @@ type Digest = [32]byte
 // TPM-style extend-only semantics.
 type PCRBank struct {
 	regs [PCRCount]Digest
-	// log records every extend for audit (the TPM event log analogue).
-	log []ExtendEvent
-}
-
-// ExtendEvent is one entry of the measurement log.
-type ExtendEvent struct {
-	Index int
-	Value Digest
-	Desc  string
 }
 
 // Extend folds a measurement into PCR[i]: new = H(old || value).
-func (b *PCRBank) Extend(i int, value Digest, desc string) error {
+func (b *PCRBank) Extend(i int, value Digest) error {
 	if i < 0 || i >= PCRCount {
 		return fmt.Errorf("hrot: PCR index %d out of range", i)
 	}
@@ -67,15 +58,11 @@ func (b *PCRBank) Extend(i int, value Digest, desc string) error {
 	h.Write(b.regs[i][:])
 	h.Write(value[:])
 	copy(b.regs[i][:], h.Sum(nil))
-	b.log = append(b.log, ExtendEvent{Index: i, Value: value, Desc: desc})
 	return nil
 }
 
 // Read returns PCR[i]'s current value.
 func (b *PCRBank) Read(i int) Digest { return b.regs[i] }
-
-// Log returns the measurement log.
-func (b *PCRBank) Log() []ExtendEvent { return b.log }
 
 // Snapshot serializes selected PCRs for signing.
 func (b *PCRBank) Snapshot(sel []int) []byte {
@@ -169,7 +156,7 @@ func (b *Blade) SecureBoot(vendor *ecdsa.PublicKey, chain []BootImage) error {
 		if !ecdsa.VerifyASN1(vendor, sum[:], img.Signature) {
 			return fmt.Errorf("%w: %s", ErrBootRejected, img.Name)
 		}
-		if err := b.pcrs.Extend(img.PCR, sum, img.Name); err != nil {
+		if err := b.pcrs.Extend(img.PCR, sum); err != nil {
 			return err
 		}
 	}
@@ -304,20 +291,6 @@ func (b *Blade) PollSensors() (intact bool) {
 	} else {
 		copy(rec[:], h.Sum(nil))
 	}
-	_ = b.pcrs.Extend(PCRSealing, rec, "sensor-poll")
+	_ = b.pcrs.Extend(PCRSealing, rec)
 	return intact
-}
-
-// IntactSealingPCR computes the expected PCRSealing value after n
-// healthy polls (what the verifier whitelists).
-func IntactSealingPCR(n int) Digest {
-	var pcr Digest
-	rec := sha256.Sum256([]byte("chassis-intact"))
-	for i := 0; i < n; i++ {
-		h := sha256.New()
-		h.Write(pcr[:])
-		h.Write(rec[:])
-		copy(pcr[:], h.Sum(nil))
-	}
-	return pcr
 }

@@ -15,7 +15,8 @@ import (
 
 // Main runs the tests and exits with their code. A run that passed
 // fails when, a second after m.Run, more goroutines are left than
-// before it; every leftover goroutine's stack is printed.
+// before it; every leftover goroutine's stack is printed. A test seam by
+// design: the root package's and internal/adaptor's TestMain call it.
 func Main(m *testing.M) {
 	base := len(goroutines())
 	code := m.Run()

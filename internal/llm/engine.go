@@ -188,9 +188,6 @@ type EngineConfig struct {
 	KVBudget int64
 	// MaxSessions bounds concurrently admitted sessions (default 32).
 	MaxSessions int
-	// StepQuantum is the DRR deficit quantum in bytes (default 256);
-	// small, because decode steps are small.
-	StepQuantum int64
 	// Workers is a hint to the serving layer: how many dispatcher
 	// goroutines pull steps concurrently (default 2; 1 gives a fully
 	// deterministic dispatch order). The engine itself is
@@ -210,16 +207,17 @@ type Engine struct {
 	nextID uint64
 	closed bool
 
-	// log and admits keep the last StepLogCap settled-step records and
-	// admitted session IDs.
-	log    ring[StepRecord]
-	admits ring[uint64]
+	// log keeps the last StepLogCap settled-step records.
+	log ring[StepRecord]
 }
 
-// StepLogCap bounds the step log and the admission order: a serving
-// chassis keeps the most recent records, not one per token or session
-// it ever served.
+// StepLogCap bounds the step log: a serving chassis keeps the most
+// recent records, not one per token it ever served.
 const StepLogCap = 4096
+
+// stepQuantum is the DRR deficit quantum in bytes: small, because
+// decode steps are small.
+const stepQuantum = 256
 
 // ring holds the last StepLogCap values added: head is the oldest
 // value's index once the ring has wrapped.
@@ -253,12 +251,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 32
 	}
-	if cfg.StepQuantum <= 0 {
-		cfg.StepQuantum = 256
-	}
 	// Depth 2: one live entry per session, plus headroom for the
 	// requeue path.
-	q, err := sched.New(sched.Config{Flows: cfg.MaxSessions, Depth: 2, Quantum: cfg.StepQuantum})
+	q, err := sched.New(sched.Config{Flows: cfg.MaxSessions, Depth: 2, Quantum: stepQuantum})
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +264,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// KVInUse reports the summed live KV reservations.
+// KVInUse reports the summed live KV reservations. A test seam:
+// chassisHygiene checks a chassis whose sessions are all closed holds
+// none.
 func (e *Engine) KVInUse() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -277,7 +274,8 @@ func (e *Engine) KVInUse() int64 {
 }
 
 // Pending reports steps queued across all sessions — started sessions
-// whose next step has not been dispatched.
+// whose next step has not been dispatched. A test seam: chassisHygiene
+// checks a chassis whose sessions are all closed has none.
 func (e *Engine) Pending() int { return e.q.Pending() }
 
 // Admit reserves KV budget and a session slot. It does not queue any
@@ -312,7 +310,6 @@ func (e *Engine) Admit(cfg Config, promptTokens int, owner any) (*SessionState, 
 		ID: e.nextID, Cfg: cfg, PromptTokens: promptTokens,
 		KVBytes: kv, Owner: owner, slot: slot,
 	}
-	e.admits.add(s.ID)
 	return s, nil
 }
 
@@ -461,17 +458,10 @@ func (e *Engine) Close() {
 
 // StepLog returns a copy of the retained tail of the step log — the
 // last StepLogCap steps settled by Complete or Fail (session ID, kind,
-// chunk), in settle order, oldest first.
+// chunk), in settle order, oldest first. A test seam: the protocol
+// model and the determinism cells read which step settled.
 func (e *Engine) StepLog() []StepRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.log.ordered()
-}
-
-// AdmitOrder returns the IDs of the last StepLogCap sessions admitted,
-// oldest first.
-func (e *Engine) AdmitOrder() []uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.admits.ordered()
 }

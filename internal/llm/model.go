@@ -113,13 +113,3 @@ func Catalogue() []ModelSpec {
 		DeepseekR1_32B, DeepseekR1_70B, Llama3_70B, Babel83B,
 	}
 }
-
-// ByName resolves a catalogue model.
-func ByName(name string) (ModelSpec, error) {
-	for _, m := range Catalogue() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return ModelSpec{}, fmt.Errorf("llm: unknown model %q", name)
-}

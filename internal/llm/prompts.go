@@ -61,23 +61,3 @@ func (s *PromptSampler) Sample(k int) []int {
 	}
 	return out
 }
-
-// Stats reports the min, max and mean of a drawn batch (tests and
-// experiment reporting).
-func Stats(lengths []int) (min, max int, mean float64) {
-	if len(lengths) == 0 {
-		return 0, 0, 0
-	}
-	min, max = lengths[0], lengths[0]
-	sum := 0
-	for _, n := range lengths {
-		if n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-		sum += n
-	}
-	return min, max, float64(sum) / float64(len(lengths))
-}

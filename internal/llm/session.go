@@ -71,18 +71,6 @@ type Demand struct {
 	DMATransfers int
 }
 
-// Add accumulates another demand.
-func (d *Demand) Add(o Demand) {
-	d.H2DBytes += o.H2DBytes
-	d.D2HBytes += o.D2HBytes
-	d.SensitiveH2D += o.SensitiveH2D
-	d.SensitiveD2H += o.SensitiveD2H
-	d.FLOPs += o.FLOPs
-	d.DevMemBytes += o.DevMemBytes
-	d.KernelLaunches += o.KernelLaunches
-	d.DMATransfers += o.DMATransfers
-}
-
 // Trace is the expanded execution plan of a session.
 type Trace struct {
 	Session Session
@@ -203,24 +191,4 @@ func Plan(s Session, devMemBytes int64) (*Trace, error) {
 		DMATransfers: 1,
 	}
 	return t, nil
-}
-
-// Total aggregates the whole session demand (load + prefill + steps +
-// teardown), including swap traffic.
-func (t *Trace) Total() Demand {
-	var d Demand
-	d.Add(t.Load)
-	d.Add(t.Prefill)
-	steps := int64(t.Steps())
-	swap := t.StepSwapBytes + t.StepSwapSerial
-	d.H2DBytes += steps * (t.Step.H2DBytes + swap/2)
-	d.D2HBytes += steps * (t.Step.D2HBytes + swap/2)
-	d.SensitiveH2D += steps * (t.Step.SensitiveH2D + swap/2)
-	d.SensitiveD2H += steps * (t.Step.SensitiveD2H + swap/2)
-	d.FLOPs += float64(steps) * t.Step.FLOPs
-	d.DevMemBytes += steps * t.Step.DevMemBytes
-	d.KernelLaunches += int(steps) * t.Step.KernelLaunches
-	d.DMATransfers += int(steps) * t.Step.DMATransfers
-	d.Add(t.Teardown)
-	return d
 }

@@ -88,30 +88,15 @@ func (u *IOMMU) Map(dev pcie.ID, base, size uint64, perm Perm) {
 	u.grants.Store(&next)
 }
 
-// MapBuffer grants device access to a buffer's full span.
-func (u *IOMMU) MapBuffer(dev pcie.ID, b *Buffer, perm Perm) {
-	u.Map(dev, b.Base(), uint64(b.Size()), perm)
-}
-
 // Unmap revokes every mapping of dev that intersects [base, base+size).
+// A test seam: the platform maps once and never revokes, and
+// TestLockFreeReadersUnderChurn races it against the lock-free Check.
 func (u *IOMMU) Unmap(dev pcie.ID, base, size uint64) {
-	u.revoke(func(g grant) bool {
-		return g.dev == dev && base < g.base+g.size && g.base < base+size
-	})
-}
-
-// UnmapAll revokes all of a device's mappings (task teardown).
-func (u *IOMMU) UnmapAll(dev pcie.ID) {
-	u.revoke(func(g grant) bool { return g.dev == dev })
-}
-
-// revoke publishes a table without the grants drop selects.
-func (u *IOMMU) revoke(drop func(grant) bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	var kept []grant
 	for _, g := range *u.grants.Load() {
-		if !drop(g) {
+		if !(g.dev == dev && base < g.base+g.size && g.base < base+size) {
 			kept = append(kept, g)
 		}
 	}
@@ -141,22 +126,4 @@ func (u *IOMMU) Check(dev pcie.ID, addr uint64, size int64, write bool) bool {
 	u.Faults = append(u.Faults, Fault{Device: dev, Addr: addr, Write: write})
 	u.mu.Unlock()
 	return false
-}
-
-// FaultCount reports recorded faults under the lock.
-func (u *IOMMU) FaultCount() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.Faults)
-}
-
-// Mappings reports how many live mappings a device holds.
-func (u *IOMMU) Mappings(dev pcie.ID) int {
-	n := 0
-	for _, g := range *u.grants.Load() {
-		if g.dev == dev {
-			n++
-		}
-	}
-	return n
 }

@@ -39,7 +39,8 @@ func (b *Buffer) Base() uint64 { return b.base }
 // Size reports the buffer's length in bytes.
 func (b *Buffer) Size() int64 { return b.size }
 
-// Name reports the buffer's diagnostic label.
+// Name reports the buffer's diagnostic label. A test seam: the role
+// audit and the protocol model tell the host buffers apart by it.
 func (b *Buffer) Name() string { return b.name }
 
 // Bytes exposes the buffer's contents. It panics on a freed buffer: a
@@ -283,7 +284,7 @@ func (s *Space) Resolve(addr uint64) (*Buffer, bool) {
 }
 
 // Live reports how many buffers the space holds: allocated and not yet
-// freed.
+// freed. A test seam for sliceHygiene and the protocol model.
 func (s *Space) Live() int {
 	n := 0
 	slots := *s.slots.Load()
@@ -336,13 +337,6 @@ func (s *Space) ReadInto(addr uint64, dst []byte) error {
 	}
 	copy(dst, b.Bytes()[off:])
 	return nil
-}
-
-// WriteUint64 stores a little-endian 64-bit value.
-func (s *Space) WriteUint64(addr uint64, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return s.Write(addr, buf[:])
 }
 
 // ReadUint64 loads a little-endian 64-bit value.

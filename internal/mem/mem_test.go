@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -141,7 +142,7 @@ func TestWriteOverrunRejected(t *testing.T) {
 func TestUint64Helpers(t *testing.T) {
 	s := newTestSpace(t)
 	b, _ := s.Alloc("tvm", "regs", PageSize)
-	if err := s.WriteUint64(b.Base()+16, 0xdeadbeefcafef00d); err != nil {
+	if err := s.Write(b.Base()+16, binary.LittleEndian.AppendUint64(nil, 0xdeadbeefcafef00d)); err != nil {
 		t.Fatal(err)
 	}
 	v, err := s.ReadUint64(b.Base() + 16)
@@ -216,7 +217,7 @@ func TestIOMMUPermissionEnforcement(t *testing.T) {
 	if u.Check(dev, 0x1000_1000, -1, false) {
 		t.Fatal("negative-size read allowed")
 	}
-	if n := u.FaultCount(); n != 4 {
+	if n := len(u.Faults); n != 4 {
 		t.Fatalf("faults = %d, want 4 (write, straddle, wrap, negative size)", n)
 	}
 	if f := u.Faults[2]; f.Addr != 0xffff_ffff_ffff_f000 || !f.Write {
@@ -246,9 +247,9 @@ func TestIOMMUUnmap(t *testing.T) {
 	if !u.Check(dev, 0x8000, 16, false) {
 		t.Fatal("unrelated mapping lost")
 	}
-	u.UnmapAll(dev)
-	if u.Mappings(dev) != 0 || u.Check(dev, 0x8000, 16, false) {
-		t.Fatal("UnmapAll incomplete")
+	u.Unmap(dev, 0, 1<<63)
+	if u.Check(dev, 0x8000, 16, false) {
+		t.Fatal("unmapping the whole space left a grant")
 	}
 }
 
@@ -257,7 +258,7 @@ func TestIOMMUMapBuffer(t *testing.T) {
 	b, _ := s.Alloc("bounce", "h2d", 8*PageSize)
 	u := NewIOMMU()
 	sc := pcie.MakeID(4, 0, 0)
-	u.MapBuffer(sc, b, PermRead)
+	u.Map(sc, b.Base(), uint64(b.Size()), PermRead)
 	if !u.Check(sc, b.Base()+100, 256, false) {
 		t.Fatal("buffer mapping not honoured")
 	}
@@ -338,7 +339,7 @@ func TestControlPathReadsDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteUint64(b.Base()+8, 0xfeed); err != nil {
+	if err := s.Write(b.Base()+8, binary.LittleEndian.AppendUint64(nil, 0xfeed)); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {

@@ -89,16 +89,6 @@ func (h *Hub) EventsOn() bool {
 	return h != nil && h.sink.Load() != nil
 }
 
-// Event forwards one security event to the sink, if any.
-func (h *Hub) Event(kind, tenant, detail string) {
-	if h == nil {
-		return
-	}
-	if s := h.sink.Load(); s != nil {
-		(*s)(kind, tenant, detail)
-	}
-}
-
 // Eventf is Event with deferred formatting: the detail string is only
 // built when a sink is installed.
 func (h *Hub) Eventf(kind, tenant, format string, args ...any) {

@@ -23,7 +23,6 @@
 package obsv
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"sort"
@@ -73,13 +72,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add moves the gauge by delta (negative allowed).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
 // Value reports the current level (0 for a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -108,11 +100,6 @@ type Histogram struct {
 	exVals  []atomic.Int64
 }
 
-// SizeBuckets is the default byte-size bucket layout (64 B .. 1 MiB).
-func SizeBuckets() []int64 {
-	return []int64{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
-}
-
 // WaitBuckets is the queue-wait bucket layout (1 ms .. 10 s, virtual
 // nanoseconds). Scheduler waits under load sit in the ms–100 ms range;
 // with bounds sized for pipeline stages (10 ms and below) every wait
@@ -124,20 +111,9 @@ func WaitBuckets() []int64 {
 	}
 }
 
-// Observe records one sample.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
 // ObserveExemplar records one sample and stamps the sample's bucket
 // with ref (a span/task ID) as the bucket's current exemplar. ref 0
-// means "no reference" and behaves exactly like Observe.
+// means "no reference": the sample is only counted.
 func (h *Histogram) ObserveExemplar(v int64, ref uint64) {
 	if h == nil {
 		return
@@ -150,22 +126,6 @@ func (h *Histogram) ObserveExemplar(v int64, ref uint64) {
 		h.exVals[i].Store(v)
 		h.exRefs[i].Store(ref)
 	}
-}
-
-// Count reports total samples.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum reports the sum of all samples.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // Registry is a named-metric table. Lookups are get-or-create and safe
@@ -444,12 +404,4 @@ func (s Snapshot) RenderText() string {
 		}
 	}
 	return b.String()
-}
-
-// RenderText renders the registry's current state as text.
-func (r *Registry) RenderText() string { return r.Snapshot().RenderText() }
-
-// JSON renders the registry's current state as a JSON document.
-func (r *Registry) JSON() ([]byte, error) {
-	return json.MarshalIndent(r.Snapshot(), "", "  ")
 }

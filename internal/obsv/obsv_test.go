@@ -27,8 +27,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Fatalf("counter = %d, want 3", got)
 	}
 	g := r.Gauge("x.depth")
-	g.Set(5)
-	g.Add(-2)
+	g.Set(3)
 	if got := r.Gauge("x.depth").Value(); got != 3 {
 		t.Fatalf("gauge = %d, want 3", got)
 	}
@@ -86,16 +85,16 @@ func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("x.bytes", []int64{10, 100})
 	for _, v := range []int64{5, 10, 11, 1000} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 || h.Sum() != 1026 {
-		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
+		h.ObserveExemplar(v, 0)
 	}
 	snap := r.Snapshot()
 	if len(snap.Hists) != 1 {
 		t.Fatalf("snapshot has %d histograms", len(snap.Hists))
 	}
 	hv := snap.Hists[0]
+	if hv.Count != 4 || hv.Sum != 1026 {
+		t.Fatalf("count=%d sum=%d", hv.Count, hv.Sum)
+	}
 	// 5 and 10 land in le-10; 11 in le-100; 1000 in overflow.
 	want := []uint64{2, 1, 1}
 	for i, n := range want {
@@ -109,14 +108,14 @@ func TestSnapshotRender(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.ops").Inc()
 	r.Gauge("a.depth").Set(7)
-	r.Histogram("a.bytes", SizeBuckets()).Observe(128)
-	text := r.RenderText()
+	r.Histogram("a.bytes", []int64{64, 256}).ObserveExemplar(128, 0)
+	text := r.Snapshot().RenderText()
 	for _, want := range []string{"a.ops", "a.depth", "a.bytes", "(gauge)"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("RenderText missing %q:\n%s", want, text)
 		}
 	}
-	data, err := r.JSON()
+	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestNilSafety(t *testing.T) {
 	h.Reg().Counter("x").Inc()
 	h.Reg().Counter("x").Add(3)
 	h.Reg().Gauge("y").Set(1)
-	h.Reg().Histogram("z", SizeBuckets()).Observe(1)
+	h.Reg().Histogram("z", []int64{64}).ObserveExemplar(1, 0)
 	h.Reg().CounterFunc("w", func() uint64 { return 1 })
 	if h.Reg().Counter("x").Value() != 0 {
 		t.Fatal("nil counter reported a value")

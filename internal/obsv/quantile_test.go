@@ -13,7 +13,7 @@ func TestQuantileKnownDistribution(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("q.uniform", []int64{10, 20, 30, 40})
 	for v := int64(1); v <= 40; v++ {
-		h.Observe(v)
+		h.ObserveExemplar(v, 0)
 	}
 	hv := r.Snapshot().Hists[0]
 	for _, tc := range []struct {
@@ -38,12 +38,12 @@ func TestQuantileSkewedDistribution(t *testing.T) {
 	h := r.Histogram("q.skew", []int64{100, 1000, 10000})
 	// 90 fast samples, 9 medium, 1 slow: a classic latency tail.
 	for i := 0; i < 90; i++ {
-		h.Observe(50)
+		h.ObserveExemplar(50, 0)
 	}
 	for i := 0; i < 9; i++ {
-		h.Observe(500)
+		h.ObserveExemplar(500, 0)
 	}
-	h.Observe(5000)
+	h.ObserveExemplar(5000, 0)
 	hv := r.Snapshot().Hists[0]
 	// p50: rank 50 inside the first bucket (0,100] → 100*50/90 ≈ 55.6.
 	if got, want := hv.Quantile(0.5), 100.0*50/90; math.Abs(got-want) > 1e-9 {
@@ -68,7 +68,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 	r := NewRegistry()
 	h := r.Histogram("q.overflow", []int64{10, 20})
-	h.Observe(1000) // overflow bucket only
+	h.ObserveExemplar(1000, 0) // overflow bucket only
 	hv := r.Snapshot().Hists[0]
 	// Overflow saturates at the last finite bound.
 	if got := hv.Quantile(0.5); got != 20 {
@@ -90,7 +90,7 @@ func TestObserveExemplar(t *testing.T) {
 	h.ObserveExemplar(7, 41)
 	h.ObserveExemplar(9, 42)  // same bucket: latest wins
 	h.ObserveExemplar(50, 77) // second bucket
-	h.Observe(200)            // overflow, no exemplar
+	h.ObserveExemplar(200, 0) // overflow, no exemplar
 
 	hv := r.Snapshot().Hists[0]
 	if hv.Count != 5 {
@@ -106,7 +106,7 @@ func TestObserveExemplar(t *testing.T) {
 		t.Errorf("bucket-1 exemplar = %+v, want {1 77 50}", e)
 	}
 
-	text := r.RenderText()
+	text := r.Snapshot().RenderText()
 	if !strings.Contains(text, "# {task=42} 9") {
 		t.Errorf("RenderText missing exemplar annotation:\n%s", text)
 	}

@@ -124,7 +124,7 @@ func scriptAttr(k, v byte) (Attr, Field) {
 	case 3:
 		return Hex(key, uint64(v)<<12), hk.Hex(uint64(v) << 12)
 	}
-	return Bool(key, v&1 == 1), hk.Bool(v&1 == 1)
+	return Attr{Key: key, num: uint64(v & 1), kind: attrBool}, hk.Bool(v&1 == 1)
 }
 
 // playScript drives a tracer and the reference with one op script and

@@ -47,15 +47,6 @@ func I64(k string, v int64) Attr { return Attr{Key: k, num: uint64(v), kind: att
 // Hex builds a hexadecimal address attribute.
 func Hex(k string, v uint64) Attr { return Attr{Key: k, num: v, kind: attrHex} }
 
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr {
-	var n uint64
-	if v {
-		n = 1
-	}
-	return Attr{Key: k, num: n, kind: attrBool}
-}
-
 // Val renders the attribute value.
 func (a Attr) Val() string {
 	switch a.kind {

@@ -100,7 +100,8 @@ func (s Sym) String() string {
 }
 
 // SymbolCount reports how many strings the symbol table holds; it never
-// exceeds MaxSymbols.
+// exceeds MaxSymbols. A test seam: TestSymbolTableBounded holds it to
+// that bound under a stream of fresh names.
 func SymbolCount() int { return len(symbols.snapshot()) }
 
 // Site names one instrumentation site — a span's track and name —

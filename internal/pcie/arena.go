@@ -42,6 +42,7 @@ var arenaBlocks atomic.Uint64
 // ArenaBlocks reports how many 64-packet blocks all PacketArenas
 // together have allocated so far — flat across a steady-state workload
 // whose packets all come back, which is how a test sees that they do.
+// A test seam: TestPacketRecyclingRespectsTaps holds it flat.
 func ArenaBlocks() uint64 { return arenaBlocks.Load() }
 
 func (a *PacketArena) take() *Packet {

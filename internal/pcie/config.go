@@ -56,12 +56,6 @@ func (c *ConfigSpace) Write32(off uint16, v uint32) {
 	binary.LittleEndian.PutUint32(c.raw[off:], v)
 }
 
-// VendorID reports the device's vendor identifier.
-func (c *ConfigSpace) VendorID() uint16 { return binary.LittleEndian.Uint16(c.raw[CfgVendorID:]) }
-
-// DeviceID reports the device identifier.
-func (c *ConfigSpace) DeviceID() uint16 { return binary.LittleEndian.Uint16(c.raw[CfgDeviceID:]) }
-
 // SetBAR programs BAR n (0-5) with a 64-bit base address; the size is
 // tracked by the owning device model, not the register file.
 func (c *ConfigSpace) SetBAR(n int, base uint64) {
@@ -75,20 +69,6 @@ func (c *ConfigSpace) SetBAR(n int, base uint64) {
 	}
 }
 
-// BAR reads BAR n's programmed base address.
-func (c *ConfigSpace) BAR(n int) uint64 {
-	if n < 0 || n > 5 {
-		panic("pcie: BAR index out of range")
-	}
-	off := uint16(CfgBAR0 + 4*n)
-	lo := uint64(binary.LittleEndian.Uint32(c.raw[off:]) &^ 0xf)
-	var hi uint64
-	if n < 5 {
-		hi = uint64(binary.LittleEndian.Uint32(c.raw[off+4:]))
-	}
-	return hi<<32 | lo
-}
-
 // EnableMaster sets/clears bus-mastering (DMA) capability. The IOMMU and
 // the PCIe-SC both honour this bit.
 func (c *ConfigSpace) EnableMaster(on bool) {
@@ -99,9 +79,4 @@ func (c *ConfigSpace) EnableMaster(on bool) {
 		cmd &^= CmdBusMaster
 	}
 	binary.LittleEndian.PutUint16(c.raw[CfgCommand:], cmd)
-}
-
-// BusMaster reports whether the device may initiate DMA.
-func (c *ConfigSpace) BusMaster() bool {
-	return binary.LittleEndian.Uint16(c.raw[CfgCommand:])&CmdBusMaster != 0
 }

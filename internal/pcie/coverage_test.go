@@ -1,6 +1,8 @@
 package pcie
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -32,14 +34,14 @@ func TestStringers(t *testing.T) {
 	}
 }
 
+// TestWireSize: on the link model a 100-byte write is its payload plus
+// one header, and a read request one header alone.
 func TestWireSize(t *testing.T) {
-	w := NewMemWrite(MakeID(0, 1, 0), 0x1000, make([]byte, 100))
-	if w.WireSize() != 100+HeaderOverhead {
-		t.Fatalf("WireSize = %d", w.WireSize())
+	if got := WireBytes(100, 0); got != 100+HeaderOverhead {
+		t.Fatalf("write wire size = %d", got)
 	}
-	r := NewMemRead(MakeID(0, 1, 0), 0x1000, 100, 0)
-	if r.WireSize() != HeaderOverhead {
-		t.Fatalf("read WireSize = %d", r.WireSize())
+	if got := WireBytes(0, 1); got != HeaderOverhead {
+		t.Fatalf("read wire size = %d", got)
 	}
 }
 
@@ -55,17 +57,25 @@ func TestConfigSpaceDWAccess(t *testing.T) {
 	}
 }
 
+// TestBusNameAndEndpoints: every attached endpoint is reachable by its
+// ID, and a second attach under a live ID names the bus in its panic.
 func TestBusNameAndEndpoints(t *testing.T) {
 	b := NewBus("segment-x")
-	if b.Name() != "segment-x" {
-		t.Fatal("name lost")
+	d1, d3 := newEchoDevice(MakeID(1, 0, 0)), newEchoDevice(MakeID(3, 0, 0))
+	b.Attach(d3)
+	b.Attach(d1)
+	for _, d := range []*echoDevice{d1, d3} {
+		b.Route(&Packet{Header: Header{Kind: CfgRd, Requester: MakeID(0, 1, 0), Completer: d.id, Length: 4}})
+		if len(d.got) != 1 {
+			t.Fatalf("endpoint %v unreachable by ID", d.id)
+		}
 	}
-	b.Attach(newEchoDevice(MakeID(3, 0, 0)))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "segment-x") {
+			t.Fatalf("duplicate attach: %v", r)
+		}
+	}()
 	b.Attach(newEchoDevice(MakeID(1, 0, 0)))
-	ids := b.Endpoints()
-	if len(ids) != 2 || ids[0] != MakeID(1, 0, 0) || ids[1] != MakeID(3, 0, 0) {
-		t.Fatalf("endpoints = %v", ids)
-	}
 }
 
 func TestBusDuplicateAttachPanics(t *testing.T) {
@@ -134,7 +144,7 @@ func TestBroadcastMessageReachesAll(t *testing.T) {
 	sender := MakeID(0, 5, 0)
 	b.Attach(d1)
 	b.Attach(d2)
-	msg := NewMessage(sender, 0x19, nil) // no completer: broadcast
+	msg := &Packet{Header: Header{Kind: Msg, Requester: sender, Address: 0x19}} // no completer: broadcast
 	b.Route(msg)
 	if len(d1.got) != 1 || len(d2.got) != 1 {
 		t.Fatalf("broadcast delivery: %d/%d", len(d1.got), len(d2.got))
@@ -159,16 +169,15 @@ func TestEnumerate(t *testing.T) {
 	// An endpoint without config space (bridge-like).
 	b.Attach(newEchoDevice(MakeID(0, 0, 0)))
 
-	devs := Enumerate(b, MakeID(0, 1, 0))
-	if len(devs) != 1 {
-		t.Fatalf("enumerated %d devices, want 1", len(devs))
+	// The lspci scan's one read: vendor and device identity, routed by
+	// the completer ID.
+	rd := &Packet{Header: Header{Kind: CfgRd, Requester: MakeID(0, 1, 0), Completer: devID, Address: CfgVendorID, Length: 4}}
+	cpl := b.Route(rd)
+	if cpl == nil || cpl.Status != CplSuccess || len(cpl.Payload) != 4 {
+		t.Fatalf("identity read: %v", cpl)
 	}
-	if devs[0].ID != devID || devs[0].VendorID != 0x10de || devs[0].DeviceID != 0x20b0 {
-		t.Fatalf("enumeration = %+v", devs[0])
-	}
-	out := RenderEnumeration(devs)
-	if !strings.Contains(out, "10de:20b0") {
-		t.Fatalf("render = %q", out)
+	if v, d := binary.LittleEndian.Uint16(cpl.Payload), binary.LittleEndian.Uint16(cpl.Payload[2:]); v != 0x10de || d != 0x20b0 {
+		t.Fatalf("identity = %04x:%04x", v, d)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestTLPEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			wire := tc.pkt.Marshal()
+			wire := tc.pkt.SerializeInto(nil)
 
 			if tc.breakWire != nil {
 				if _, err := pcie.Unmarshal(tc.breakWire(wire)); err == nil {

@@ -97,9 +97,6 @@ func NewBus(name string) *Bus {
 	return b
 }
 
-// Name reports the bus segment's diagnostic name.
-func (b *Bus) Name() string { return b.name }
-
 // mutate rebuilds the routing snapshot under the topology lock, then
 // binds every claim to its owner's endpoint in the new snapshot.
 func (b *Bus) mutate(fn func(s *busState) error) error {
@@ -149,7 +146,9 @@ func (b *Bus) Attach(e Endpoint) {
 	}
 }
 
-// Detach removes an endpoint and all its memory claims.
+// Detach removes an endpoint and all its memory claims. A test seam:
+// the platform never detaches, and TestBusDetach and the churn test
+// race it against the lock-free Route.
 func (b *Bus) Detach(id ID) {
 	_ = b.mutate(func(s *busState) error {
 		eps := s.endpoints[:0]
@@ -214,7 +213,9 @@ func (b *Bus) ClearTaps() {
 	})
 }
 
-// Owner resolves the endpoint claiming addr, if any.
+// Owner resolves the endpoint claiming addr, if any. A test seam:
+// TestPlatformHostSideIsMux checks the chassis's host windows belong to
+// the Mux, and TestBusDetach that no claim outlives its endpoint.
 func (b *Bus) Owner(addr uint64) (ID, bool) {
 	if c := b.state.Load().claimAt(addr); c != nil {
 		return c.owner, true
@@ -290,15 +291,4 @@ func (s *busState) unsupported(p *Packet) *Packet {
 		return nil // posted / completion: silently dropped
 	}
 	return NewCompletion(p, 0, CplUR, nil)
-}
-
-// Endpoints returns the attached endpoint IDs in ascending order.
-func (b *Bus) Endpoints() []ID {
-	s := b.state.Load()
-	ids := make([]ID, len(s.endpoints))
-	for i, e := range s.endpoints {
-		ids[i] = e.DeviceID()
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

@@ -16,12 +16,12 @@ func FuzzUnmarshal(f *testing.F) {
 		NewMemWrite(MakeID(0, 1, 0), 0x1000, []byte("seed payload")),
 		NewMemWrite(MakeID(0, 1, 0), 0x1_0000_0000, bytes.Repeat([]byte{7}, 256)),
 		NewMemRead(MakeID(2, 0, 0), 0xfee0_0000, 64, 3),
-		NewMessage(MakeID(2, 0, 0), 0x19, []byte{1}),
+		&Packet{Header: Header{Kind: MsgD, Requester: MakeID(2, 0, 0), Address: 0x19, Length: 1}, Payload: []byte{1}},
 		NewCompletion(NewMemRead(MakeID(0, 1, 0), 0x10, 4, 1), MakeID(2, 0, 0), CplSuccess, []byte{1, 2, 3, 4}),
 		NewCompletion(NewMemRead(MakeID(0, 1, 0), 0x10, 4, 1), MakeID(2, 0, 0), CplUR, nil),
 	}
 	for _, p := range seeds {
-		f.Add(p.Marshal())
+		f.Add(p.SerializeInto(nil))
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
@@ -33,7 +33,7 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		// Accepted packets must re-marshal and re-parse to the same
 		// header and payload (canonicalization stability).
-		again, err := Unmarshal(p.Marshal())
+		again, err := Unmarshal(p.SerializeInto(nil))
 		if err != nil {
 			t.Fatalf("re-parse of accepted packet failed: %v", err)
 		}
@@ -57,12 +57,12 @@ func FuzzSerializeInto(f *testing.F) {
 		NewMemWrite(MakeID(0, 1, 0), 0x1_0000_0000, bytes.Repeat([]byte{7}, 256)),
 		NewMemWrite(MakeID(0, 1, 0), 0x2000, []byte{1, 2, 3}), // non-DW-aligned: exercises padding
 		NewMemRead(MakeID(2, 0, 0), 0xfee0_0000, 64, 3),
-		NewMessage(MakeID(2, 0, 0), 0x19, []byte{1}),
+		&Packet{Header: Header{Kind: MsgD, Requester: MakeID(2, 0, 0), Address: 0x19, Length: 1}, Payload: []byte{1}},
 		NewCompletion(NewMemRead(MakeID(0, 1, 0), 0x10, 4, 1), MakeID(2, 0, 0), CplSuccess, []byte{1, 2, 3, 4}),
 		NewCompletion(NewMemRead(MakeID(0, 1, 0), 0x10, 4, 1), MakeID(2, 0, 0), CplUR, nil),
 	}
 	for _, p := range seeds {
-		f.Add(p.Marshal())
+		f.Add(p.SerializeInto(nil))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,7 +70,7 @@ func FuzzSerializeInto(f *testing.F) {
 		if err != nil {
 			return
 		}
-		want := p.Marshal()
+		want := p.SerializeInto(nil)
 		if n := p.MarshalSize(); n != len(want) {
 			t.Fatalf("MarshalSize = %d, Marshal produced %d bytes", n, len(want))
 		}
@@ -101,7 +101,7 @@ func FuzzSerializeInto(f *testing.F) {
 // buffer's next occupant scribbling over it.
 func TestSerializeIntoArenaDiscipline(t *testing.T) {
 	p := NewMemWrite(MakeID(0, 1, 0), 0x4000, []byte("arena-staged tlp payload"))
-	want := p.Marshal()
+	want := p.SerializeInto(nil)
 
 	buf := arena.Get(p.MarshalSize())
 	wire := p.SerializeInto(buf)
@@ -121,7 +121,7 @@ func TestSerializeIntoArenaDiscipline(t *testing.T) {
 	if !bytes.Equal(kept, want) {
 		t.Fatal("copy taken before release was corrupted by arena reuse")
 	}
-	fresh := p.Marshal()
+	fresh := p.SerializeInto(nil)
 	if &fresh[0] == &next[0] {
 		t.Fatal("Marshal aliased a pooled arena buffer")
 	}

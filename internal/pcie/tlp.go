@@ -82,10 +82,6 @@ func (k Kind) HasPayload() bool {
 	return false
 }
 
-// IsRequest reports whether the kind is a request (as opposed to a
-// completion).
-func (k Kind) IsRequest() bool { return k != Cpl && k != CplD }
-
 // CplStatus is the completion status field.
 type CplStatus uint8
 
@@ -213,9 +209,6 @@ func (r Role) String() string {
 	return fmt.Sprintf("Role(%d)", uint8(r))
 }
 
-// Valid reports whether r names a real role.
-func (r Role) Valid() bool { return r >= RoleRingDoorbell && r < numRoles }
-
 // Roles lists every role in declaration order.
 func Roles() []Role {
 	out := make([]Role, 0, int(numRoles)-1)
@@ -258,16 +251,6 @@ func (p *Packet) WithRole(role Role) *Packet {
 	return p
 }
 
-// WireSize reports the packet's total size on the link in bytes,
-// including framing and header overhead.
-func (p *Packet) WireSize() int64 {
-	n := int64(HeaderOverhead)
-	if p.Kind.HasPayload() {
-		n += int64(len(p.Payload))
-	}
-	return n
-}
-
 func (p *Packet) String() string {
 	switch {
 	case p.Kind == Cpl || p.Kind == CplD:
@@ -307,19 +290,6 @@ func NewCompletion(req *Packet, completer ID, status CplStatus, payload []byte) 
 		data = append([]byte(nil), payload...)
 	}
 	return &Packet{Header: h, Payload: data, Role: req.Role}
-}
-
-// NewMessage builds a message packet (e.g. an interrupt-style vendor
-// message) with an optional payload.
-func NewMessage(req ID, code uint64, payload []byte) *Packet {
-	k := Msg
-	if payload != nil {
-		k = MsgD
-	}
-	return &Packet{
-		Header:  Header{Kind: k, Requester: req, Address: code, Length: uint32(len(payload))},
-		Payload: append([]byte(nil), payload...),
-	}
 }
 
 // --- Serialization -------------------------------------------------------
@@ -381,11 +351,6 @@ func (p *Packet) wireLayout() (fmtBits, typeBits uint8, use4DW bool, hdrDWs, tot
 func (p *Packet) MarshalSize() int {
 	_, _, _, _, total := p.wireLayout()
 	return total
-}
-
-// Marshal serializes the packet to wire bytes.
-func (p *Packet) Marshal() []byte {
-	return p.SerializeInto(nil)
 }
 
 // SerializeInto serializes the packet into dst when dst has capacity

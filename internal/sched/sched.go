@@ -64,7 +64,8 @@ type Entry struct {
 	seq   uint64
 }
 
-// Canceled reports whether the entry lost the claim/cancel race.
+// Canceled reports whether the entry lost the claim/cancel race. A test
+// seam: the drain and yield cells check an entry settled cancelled.
 func (e *Entry) Canceled() bool { return e.state.Load() == stateCanceled }
 
 // Config parameterizes a Fair queue.

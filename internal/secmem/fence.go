@@ -19,7 +19,8 @@ func (s *Stream) Fence() Fence {
 	return Fence{s: s, epoch: s.Epoch()}
 }
 
-// Epoch reports the pinned epoch.
+// Epoch reports the pinned epoch. A test seam: the fence cells check
+// which epoch a fence pinned.
 func (f Fence) Epoch() uint32 { return f.epoch }
 
 // Valid reports whether the stream is still in the pinned epoch. The

@@ -128,17 +128,6 @@ func (ks *KeyStore) Stream(name string) (*Stream, error) {
 	return NewStreamAEAD(e.aead, e.nonce)
 }
 
-// Material returns copies of the stored key and nonce base.
-func (ks *KeyStore) Material(name string) (key, nonce []byte, err error) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	e := ks.find(name)
-	if e == nil {
-		return nil, nil, fmt.Errorf("secmem: no key material for stream %q", name)
-	}
-	return append([]byte(nil), e.key...), append([]byte(nil), e.nonce...), nil
-}
-
 // MACSum computes the A3 integrity MAC over (header, payload) under
 // the named stream's key without copying the key out of the store and
 // without constructing a fresh HMAC per call: the entry's HMAC state is
@@ -181,22 +170,6 @@ func (ks *KeyStore) newMAC(e *keyEntry) *macState {
 	return &macState{h: hmac.New(sha256.New, e.key)}
 }
 
-// Has reports whether material exists for the stream.
-func (ks *KeyStore) Has(name string) bool {
-	return ks.find(name) != nil
-}
-
-// Destroy zeroizes and removes one stream's material.
-func (ks *KeyStore) Destroy(name string) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if e := ks.find(name); e != nil {
-		zeroize(e.key)
-		zeroize(e.nonce)
-		ks.publish(name, nil)
-	}
-}
-
 // DestroyAll zeroizes everything — task teardown per §6 ("securely
 // destroy shared symmetric keys").
 func (ks *KeyStore) DestroyAll() {
@@ -209,7 +182,8 @@ func (ks *KeyStore) DestroyAll() {
 	ks.table.Store(new([]*keyEntry))
 }
 
-// Count reports how many streams hold material.
+// Count reports how many streams hold material. A test seam for
+// sliceHygiene and the protocol model: a torn-down slice holds none.
 func (ks *KeyStore) Count() int {
 	return len(*ks.table.Load())
 }

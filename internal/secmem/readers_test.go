@@ -114,7 +114,7 @@ func TestMACSumUnderKeyChurn(t *testing.T) {
 				return
 			}
 			runtime.Gosched()
-			ks.Destroy("mmio")
+			ks.DestroyAll()
 			destroys.Add(1)
 			runtime.Gosched()
 		}
@@ -143,7 +143,7 @@ func TestMACSumUnderKeyChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if ks.Has("mmio") || ks.Count() != 0 {
-		t.Fatalf("Has %v, Count %d after the last Destroy", ks.Has("mmio"), ks.Count())
+	if ks.Count() != 0 {
+		t.Fatalf("Count %d after the last Destroy", ks.Count())
 	}
 }

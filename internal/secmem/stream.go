@@ -445,30 +445,14 @@ func (s *Stream) ForceCounter(c uint32) {
 
 // MAC computes the plain-integrity code used for Write-Protected packets
 // (action A3, Table 1): payload stays in the clear but carries an HMAC
-// binding payload and header so bus tampering is detected.
+// binding payload and header so bus tampering is detected. A test seam:
+// the A3 cells compute the TVM's expected tag from the raw key,
+// independently of the KeyStore the SC checks with.
 func MAC(key, header, payload []byte) [32]byte {
 	m := hmac.New(sha256.New, key)
 	m.Write(header)
 	m.Write(payload)
 	var out [32]byte
 	copy(out[:], m.Sum(nil))
-	return out
-}
-
-// VerifyMAC checks an A3 integrity code in constant time.
-func VerifyMAC(key, header, payload []byte, tag [32]byte) bool {
-	want := MAC(key, header, payload)
-	return hmac.Equal(want[:], tag[:])
-}
-
-// Measure hashes arbitrary firmware/bitstream content for the secure
-// boot chain (SHA-256, matching the HRoT-Blade's PCR bank).
-func Measure(parts ...[]byte) [32]byte {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
-	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
 	return out
 }

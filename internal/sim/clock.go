@@ -62,7 +62,6 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() *event  { return h[0] }
 func (h eventHeap) empty() bool   { return len(h) == 0 }
 func (h eventHeap) nextAt() (Time, bool) {
 	if len(h) == 0 {
@@ -84,8 +83,6 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	// Stats
-	fired uint64
 }
 
 // NewEngine returns an Engine positioned at virtual time zero.
@@ -144,7 +141,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.events).(*event)
 	e.now = ev.at
-	e.fired++
 	e.mu.Unlock()
 	ev.fn()
 	return true
@@ -155,39 +151,4 @@ func (e *Engine) Run() Time {
 	for e.Step() {
 	}
 	return e.Now()
-}
-
-// RunUntil fires events up to and including instant t, then advances
-// the clock to at least t. Events scheduled after t remain queued.
-func (e *Engine) RunUntil(t Time) {
-	for {
-		e.mu.Lock()
-		at, ok := e.events.nextAt()
-		if !ok || at > t {
-			if t > e.now {
-				e.now = t
-			}
-			e.mu.Unlock()
-			return
-		}
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.at
-		e.fired++
-		e.mu.Unlock()
-		ev.fn()
-	}
-}
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.events)
-}
-
-// Fired reports the total number of events executed so far.
-func (e *Engine) Fired() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fired
 }

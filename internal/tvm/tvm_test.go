@@ -168,14 +168,14 @@ func TestDriverInterruptFlow(t *testing.T) {
 	if err := d.Submit(xpu.Command{Op: xpu.OpFence}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := d.IntStatus()
+	st, err := d.port.ReadReg(xpu.RegIntStatus)
 	if err != nil || st&xpu.IntCmdDone == 0 {
 		t.Fatalf("int status = %#x, %v", st, err)
 	}
-	if err := d.AckInterrupt(xpu.IntCmdDone); err != nil {
+	if err := d.port.WriteReg(xpu.RegIntStatus, xpu.IntCmdDone); err != nil { // write-1-to-clear
 		t.Fatal(err)
 	}
-	st, _ = d.IntStatus()
+	st, _ = d.port.ReadReg(xpu.RegIntStatus)
 	if st&xpu.IntCmdDone != 0 {
 		t.Fatal("ack did not clear")
 	}
@@ -186,7 +186,7 @@ func TestDriverResetRoundTrip(t *testing.T) {
 	if err := d.Submit(xpu.Command{Op: xpu.OpNop}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Reset(xpu.ResetEnv); err != nil {
+	if err := d.port.WriteReg(xpu.RegReset, xpu.ResetEnv); err != nil {
 		t.Fatal(err)
 	}
 	if dev.EnvResets() != 1 {

@@ -1,6 +1,7 @@
 package xpu
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestDeviceAccessors(t *testing.T) {
 	if d.Profile().Name != "T4" {
 		t.Fatal("profile lost")
 	}
-	if d.Config().VendorID() != T4.VendorID {
+	if id := cfgRead(t, d, pcie.CfgVendorID); uint16(id) != T4.VendorID {
 		t.Fatal("config identity wrong")
 	}
 	bar := d.BAR0()
@@ -50,7 +51,7 @@ func TestDeviceRejectsUnknownTLP(t *testing.T) {
 
 func TestDeviceAbsorbsMessages(t *testing.T) {
 	d := NewDevice(A100, pcie.MakeID(2, 0, 0), 0xf000_0000, 1<<16)
-	if cpl := d.Handle(pcie.NewMessage(pcie.MakeID(0, 0, 0), 0x19, nil)); cpl != nil {
+	if cpl := d.Handle(&pcie.Packet{Header: pcie.Header{Kind: pcie.Msg, Requester: pcie.MakeID(0, 0, 0), Address: 0x19}}); cpl != nil {
 		t.Fatal("message produced a completion")
 	}
 }
@@ -64,9 +65,21 @@ func TestDeviceConfigWriteViaTLP(t *testing.T) {
 	if cpl := d.Handle(wr); cpl == nil || cpl.Status != pcie.CplSuccess {
 		t.Fatal("config write failed")
 	}
-	if d.Config().Read32(0x40) != 0xdeadbeef {
+	if cfgRead(t, d, 0x40) != 0xdeadbeef {
 		t.Fatal("config write lost")
 	}
+}
+
+// cfgRead reads one config-space word the way the host does: a type-0
+// configuration read routed to the device.
+func cfgRead(t *testing.T, d *Device, off uint64) uint32 {
+	t.Helper()
+	rd := &pcie.Packet{Header: pcie.Header{Kind: pcie.CfgRd, Requester: pcie.MakeID(0, 0, 0), Completer: d.DeviceID(), Address: off, Length: 4}}
+	cpl := d.Handle(rd)
+	if cpl == nil || cpl.Status != pcie.CplSuccess || len(cpl.Payload) != 4 {
+		t.Fatalf("config read of %#x: %v", off, cpl)
+	}
+	return binary.LittleEndian.Uint32(cpl.Payload)
 }
 
 func TestPumpWithoutUpstreamFaults(t *testing.T) {

@@ -332,9 +332,6 @@ func (d *Device) Profile() Profile { return d.profile }
 // DeviceID implements pcie.Endpoint.
 func (d *Device) DeviceID() pcie.ID { return d.id }
 
-// Config exposes the device's configuration space.
-func (d *Device) Config() *pcie.ConfigSpace { return d.cfg }
-
 // BAR0 reports the device's register window.
 func (d *Device) BAR0() pcie.Region {
 	return pcie.Region{Base: d.bar0, Size: BAR0Size, Name: d.profile.Name + "/bar0"}
@@ -392,15 +389,17 @@ func (d *Device) MSIDropped() int {
 	return d.msiDropped
 }
 
-// DevMem exposes functional device memory for test assertions; read it
-// only while the device is quiescent.
+// DevMem exposes functional device memory; read it only while the
+// device is quiescent. A test seam: the data-path cells check what a DMA
+// left in device memory.
 func (d *Device) DevMem() []byte { return d.devMem }
 
 // executedLogCap bounds the execution log.
 const executedLogCap = 64
 
 // Executed reports the commands completed since the last reset, oldest
-// first — the last executedLogCap of them once there were more.
+// first — the last executedLogCap of them once there were more. A test
+// seam: the command cells check which commands the device ran.
 func (d *Device) Executed() []Command {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -412,14 +411,17 @@ func (d *Device) Executed() []Command {
 	return out
 }
 
-// ColdBoots reports how many cold resets the device performed.
+// ColdBoots reports how many cold resets the device performed. A test
+// seam: the teardown cells check the environment guard's clean reached
+// the device as the reset its profile supports.
 func (d *Device) ColdBoots() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.coldBoots
 }
 
-// EnvResets reports soft environment cleans performed.
+// EnvResets reports soft environment cleans performed. A test seam, as
+// ColdBoots.
 func (d *Device) EnvResets() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

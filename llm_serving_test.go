@@ -211,7 +211,9 @@ func TestDecodeDeterminism(t *testing.T) {
 			res.streams = append(res.streams, collectStream(t, ch))
 			sessions[i].Close()
 		}
-		res.admits = mp.Engine().AdmitOrder()
+		for _, s := range sessions {
+			res.admits = append(res.admits, s.state.ID) // IDs are minted in admission order
+		}
 		res.log = mp.Engine().StepLog()
 		return res
 	}
@@ -253,7 +255,7 @@ func TestDecodeDeterminism(t *testing.T) {
 // TestLLMErrorTaxonomy pins the errors.Is paths of the session API.
 func TestLLMErrorTaxonomy(t *testing.T) {
 	mp := llmChassis(t, []xpu.Profile{xpu.A100},
-		WithKVBudget(4096)) // one small session's worth
+		WithLLMEngine(llm.EngineConfig{KVBudget: 4096})) // one small session's worth
 	tenant := mp.Tenants[0]
 	small := llm.Config{MaxNewTokens: 8, ChunkTokens: 4, MaxPromptTokens: 8,
 		TokenBytes: 4, KVBytesPerToken: 64, Seed: 1}
@@ -353,7 +355,7 @@ func TestLLMCloseReleasesDeterministically(t *testing.T) {
 		t.Fatal(err)
 	}
 	mp := llmChassis(t, []xpu.Profile{xpu.A100},
-		WithKVBudget(c.KVBytes(c.MaxPromptTokens))) // exactly one session fits
+		WithLLMEngine(llm.EngineConfig{KVBudget: c.KVBytes(c.MaxPromptTokens)})) // exactly one session fits
 	tenant := mp.Tenants[0]
 	for i := 0; i < 5; i++ {
 		sess, ch := openStream(t, tenant, cfg, []byte("close-release loop"))

@@ -14,6 +14,7 @@ import (
 	"ccai/internal/attack"
 	"ccai/internal/core"
 	"ccai/internal/pcie"
+	"ccai/internal/secmem"
 	"ccai/internal/xpu"
 )
 
@@ -149,18 +150,23 @@ func TestMultiTenantDeviceCannotReachNeighborBounce(t *testing.T) {
 func TestMultiTenantKeysAreIndependent(t *testing.T) {
 	mp := twoTenants(t)
 	a, b := mp.Tenants[0], mp.Tenants[1]
-	keyA, _, err := a.SC.Keys().Material(core.StreamH2D)
+	// Fresh replicas of each SC's h2d stream: what A's key seals, A's
+	// opens and B's does not.
+	replica := func(tn *Tenant) *secmem.Stream {
+		s, err := tn.scKeys.Stream(core.StreamH2D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sealed, err := replica(a).Seal([]byte("tenant A's chunk"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyB, err2 := func() ([]byte, error) {
-		k, _, err := b.SC.Keys().Material(core.StreamH2D)
-		return k, err
-	}()
-	if err2 != nil {
-		t.Fatal(err2)
+	if _, err := replica(a).Open(sealed, nil); err != nil {
+		t.Fatal(err)
 	}
-	if bytes.Equal(keyA, keyB) {
+	if _, err := replica(b).Open(sealed, nil); err == nil {
 		t.Fatal("tenants share stream keys")
 	}
 }
@@ -207,7 +213,7 @@ func TestTenantAttestationGatesKeyProvisioning(t *testing.T) {
 	if err := bad.EstablishTrust(); !errors.Is(err, ErrAttestFailed) {
 		t.Fatalf("flashed tenant EstablishTrust = %v, want ErrAttestFailed", err)
 	}
-	if n := bad.SC.Keys().Count() + bad.tvmKeys.Count() + bad.SC.Params().Active(); n != 0 {
+	if n := bad.scKeys.Count() + bad.tvmKeys.Count() + bad.SC.Params().Active(); n != 0 {
 		t.Fatalf("keys provisioned to an unattested device: %d streams live", n)
 	}
 	if _, err := bad.RunTask(Task{Input: []byte("x"), Kernel: KernelAdd}); !errors.Is(err, ErrNotTrusted) {

@@ -149,7 +149,7 @@ func TestTimelineCoversPipeline(t *testing.T) {
 
 func TestTimelineShowsFaultRecovery(t *testing.T) {
 	p := observedPlatform(t)
-	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 0, 1))
+	inj := fault.NewInjector(fault.Plan{Seed: matrixSeeds[0], Events: []fault.Event{{Class: fault.DoorbellHang, Count: 1}}})
 	inj.SetObserver(p.Obs)
 	p.Device.SetFaultHook(inj.DeviceFault)
 
@@ -195,7 +195,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 
 	t.Run("crypto_retry", func(t *testing.T) {
 		p := observedPlatform(t)
-		inj := fault.NewInjector(fault.Single(seed, fault.CryptoTransient, 0, 0, 1))
+		inj := fault.NewInjector(fault.Plan{Seed: seed, Events: []fault.Event{{Class: fault.CryptoTransient, Count: 1}}})
 		inj.SetObserver(p.Obs)
 		p.Adaptor.InstallCryptoFault(inj.CryptoFault)
 		run(t, p)
@@ -213,7 +213,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 
 	t.Run("tag_repost", func(t *testing.T) {
 		p := observedPlatform(t)
-		inj := fault.NewInjector(fault.Single(seed, fault.TagLoss, 0, 0, 1))
+		inj := fault.NewInjector(fault.Plan{Seed: seed, Events: []fault.Event{{Class: fault.TagLoss, Count: 1}}})
 		inj.SetObserver(p.Obs)
 		p.SC.Tags().SetFaultHook(inj.TagFault)
 		run(t, p)
@@ -239,7 +239,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 		// Aimed at register reads: the SC's submission-ring fetches retry
 		// stale completions internally and would swallow both firings
 		// before the Adaptor ever reads.
-		inj := fault.NewInjector(fault.Single(seed, fault.StaleCompletion, pcie.RoleRegRead, 0, 2))
+		inj := fault.NewInjector(fault.Plan{Seed: seed, Events: []fault.Event{{Class: fault.StaleCompletion, Role: pcie.RoleRegRead, Count: 2}}})
 		inj.SetObserver(p.Obs)
 		p.Host.AddTap(inj)
 		if _, err := p.Adaptor.DeviceRead(xpu.RegStatus); err != nil {
@@ -260,7 +260,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 // the teardown visible in both metrics and the timeline.
 func TestFailClosedTeardownMetrics(t *testing.T) {
 	p := observedPlatform(t)
-	inj := fault.NewInjector(fault.Single(matrixSeeds[0], fault.DoorbellHang, 0, 0, 16))
+	inj := fault.NewInjector(fault.Plan{Seed: matrixSeeds[0], Events: []fault.Event{{Class: fault.DoorbellHang, Count: 16}}})
 	inj.SetObserver(p.Obs)
 	p.Device.SetFaultHook(inj.DeviceFault)
 

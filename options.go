@@ -39,16 +39,8 @@ func WithTelemetry(o telemetry.Options) Option {
 func WithGoldenFirmware(fw string) Option { return func(c *config) { c.GoldenFirmware = fw } }
 
 // WithLLMEngine configures the chassis's continuous-batching inference
-// engine (KV budget, session slots, step quantum, dispatcher workers).
+// engine (KV budget, session slots, dispatcher workers).
 // Only NewMultiPlatform consumes it; zero fields keep engine defaults.
 func WithLLMEngine(cfg llm.EngineConfig) Option {
 	return func(c *config) { c.LLM = cfg }
-}
-
-// WithKVBudget bounds the summed KV-cache reservations of concurrently
-// live inference sessions, in bytes of protected device memory — the
-// admission-control knob behind Tenant.OpenSession. Shorthand for the
-// KVBudget field of WithLLMEngine.
-func WithKVBudget(bytes int64) Option {
-	return func(c *config) { c.LLM.KVBudget = bytes }
 }

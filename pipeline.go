@@ -98,6 +98,10 @@ func (pl *pipeline) assemble(br *HostBridge, mux *core.Mux, dev *xpu.Device, s s
 		}
 	}
 	dev.SetUpstream(internal.Route)
+	// Environment verification (§4): a guarded write may not point the
+	// xPU's page table outside its own memory.
+	sc.Guard().AddCheck(core.MMIOCheck{Reg: xpu.RegPageTable,
+		Valid: func(v uint64) bool { return v < uint64(dev.Profile().MemBytes) }})
 	sc.SetTeardownHook(func() {
 		// Environment guard: clean the device on session teardown.
 		plan := sc.Guard().CleanPlan(dev.Profile().SupportsSoftReset, xpu.RegReset, xpu.ResetEnv, xpu.ResetCold)

@@ -99,7 +99,7 @@ type config struct {
 	// top of the observability layer; non-nil implies Observe.
 	Telemetry *telemetry.Options
 	// LLM configures the continuous-batching inference engine behind
-	// Tenant.OpenSession (WithLLMEngine / WithKVBudget). Consumed by
+	// Tenant.OpenSession (WithLLMEngine). Consumed by
 	// NewMultiPlatform; zero fields keep engine defaults.
 	LLM llm.EngineConfig
 }

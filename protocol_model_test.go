@@ -50,8 +50,9 @@ import (
 // skipped, so any byte string is a script:
 //
 //	t<d> run traceTasks[d]
-//	k0   rekey h2d; k1 rekey d2h
-//	x    h2d counter at 2^32-9, then one task
+//	k0   h2d counter past the rekey threshold, then one step or task;
+//	     k1 the same for d2h
+//	x    h2d counter at 2^32-9, then one step or task
 //	r    re-establish trust on a slice with no session
 //	a    a flashed-firmware slice, under the same plan, must not attest
 //	b    a task cancelled before the doorbell
@@ -552,8 +553,7 @@ func (r *traceRun) observe() sliceState {
 // step runs one op on the model and the slice, then holds them to each
 // other and to the invariants that hold after every op.
 func (r *traceRun) step(op traceOp) {
-	p := r.p
-	before, fired, exact := r.observe(), r.inj.TotalFired(), !r.poisoned && r.sessionsKnown()
+	before, fired, exact := r.observe(), uint64(len(r.inj.Log())), !r.poisoned && r.sessionsKnown()
 	r.fired = fired
 	moved := r.moved
 	r.moved = false
@@ -565,15 +565,9 @@ func (r *traceRun) step(op traceOp) {
 		}
 	case 'k':
 		s := int(op.arg) % 2
-		err := p.Adaptor.RekeyStream(modelStreams[s])
-		if before.Trusted {
-			r.m.rekey(s)
-		} else if err == nil {
-			r.failf("a session that is gone was rekeyed")
-		}
-		r.runStep()
+		r.rotate(s, ^uint32(0)-adaptor.RekeyThreshold+1, "rekey")
 	case 'x':
-		r.exhaust()
+		r.rotate(sH2D, ^uint32(0)-8, "I8")
 	case 'r':
 		r.retrust(before.Trusted)
 	case 'a':
@@ -615,13 +609,13 @@ func (r *traceRun) step(op traceOp) {
 	// Fault-free, on a predicted slice, and no attack that may move it:
 	// exact — a replay moves nothing. Otherwise the order of the protocol
 	// must hold, and the model adopts the slice.
-	if exact && r.sessionsKnown() && r.inj.TotalFired() == fired && strings.IndexByte("TDRFSML", op.code) < 0 {
+	if exact && r.sessionsKnown() && uint64(len(r.inj.Log())) == fired && strings.IndexByte("TDRFSML", op.code) < 0 {
 		if want := r.m.converging(got); got != want {
 			r.failf("slice left the model:\n model: %+v\n slice: %+v", want, got)
 		}
 		return
 	}
-	r.monotone(before, got, r.inj.TotalFired() != fired)
+	r.monotone(before, got, uint64(len(r.inj.Log())) != fired)
 	r.m.adopt(got)
 }
 
@@ -678,7 +672,7 @@ func (r *traceRun) calm() {
 	for i, e := range r.errs {
 		fmt.Fprintf(&b, "err%d=%v ", i+1, e)
 	}
-	fmt.Fprintf(&b, "fired=%d trusted=%v rec=%+v", r.inj.TotalFired(), r.p.trusted, r.p.Adaptor.Recovery())
+	fmt.Fprintf(&b, "fired=%d trusted=%v rec=%+v", uint64(len(r.inj.Log())), r.p.trusted, r.p.Adaptor.Recovery())
 	r.sig, r.episode = b.String(), false
 	r.resetTaps()
 }
@@ -701,7 +695,7 @@ func (r *traceRun) resetTaps() {
 // predicted slice — nothing a fault left behind still to land — ran with
 // no fault firing: its oracles hold exactly.
 func (r *traceRun) quiet(live bool, fired uint64) bool {
-	return live && !r.poisoned && r.m.lag == nil && r.inj.TotalFired() == fired
+	return live && !r.poisoned && r.m.lag == nil && uint64(len(r.inj.Log())) == fired
 }
 
 // run runs tk, holds its output to I2 — the exact result or an error,
@@ -712,7 +706,7 @@ func (r *traceRun) quiet(live bool, fired uint64) bool {
 // on a quiet slice moves exactly one — its output region's — to the
 // chunks it sealed.
 func (r *traceRun) run(tk Task) error {
-	live, fired, meta, tail := r.live(), r.inj.TotalFired(), r.metadata(), r.tail()
+	live, fired, meta, tail := r.live(), uint64(len(r.inj.Log())), r.metadata(), r.tail()
 	out, err := r.p.RunTask(tk)
 	if live && err == nil && r.snoop.PayloadBytes() == 0 {
 		r.failf("the snooper saw no traffic: I1 checked nothing")
@@ -773,12 +767,12 @@ func (r *traceRun) metadata() []uint64 {
 // the ring (moved), it fails the session closed. Later on, which of the
 // producer's entries the SC skips decides, and the model only adopts.
 func (r *traceRun) task(tk Task, moved bool) error {
-	live, fired := r.live(), r.inj.TotalFired()
+	live, fired := r.live(), uint64(len(r.inj.Log()))
 	err := r.run(tk)
 	switch {
 	case err != nil && r.quiet(live, fired):
 		r.failf("a task failed on a quiet slice: %v", err)
-	case live && moved && r.inj.TotalFired() == fired && (err == nil || r.live()):
+	case live && moved && uint64(len(r.inj.Log())) == fired && (err == nil || r.live()):
 		r.failf("a task over a ring the host moved did not fail closed: %v", err)
 	}
 	return err
@@ -786,7 +780,7 @@ func (r *traceRun) task(tk Task, moved bool) error {
 
 // retrust is a fresh trust generation on a slice whose session is gone.
 func (r *traceRun) retrust(live bool) {
-	p, fired := r.p, r.inj.TotalFired()
+	p, fired := r.p, uint64(len(r.inj.Log()))
 	if live {
 		return
 	}
@@ -804,36 +798,41 @@ func (r *traceRun) retrust(live bool) {
 	p.Adaptor.InstallCryptoFault(r.inj.CryptoFault)
 	// A bring-up a fault hit may have placed the metadata page or the ring
 	// amiss: that generation is not the model's to predict.
-	r.rec.Captured, r.poisoned = nil, r.inj.TotalFired() != fired
+	r.rec.Captured, r.poisoned = nil, uint64(len(r.inj.Log())) != fired
 }
 
-// exhaust is I8: an h2d counter at 2^32-9 moves both ends to a new h2d
-// epoch before the next seal. A probe that succeeds shows it on both
-// ends. Once the episode is over, on a predicted slice, the probe must
-// succeed — the device, crypto and tag points still armed included —
-// as long as the plan is one the recovery budget absorbs.
-func (r *traceRun) exhaust() {
+// rotate moves stream s to a new epoch the way the program does: its
+// send counter is set at ctr, past the rekey threshold, and the next
+// staging — the queued step, or else a probe task — rotates it on both
+// ends before it seals. At 2^32-9 on h2d it is I8. Once the episode is
+// over, on a predicted slice, the probe must succeed — the device,
+// crypto and tag points still armed included — as long as the plan is
+// one the recovery budget absorbs.
+func (r *traceRun) rotate(s int, ctr uint32, check string) {
 	p := r.p
 	if !r.live() {
+		if p.Adaptor.ForceStreamCounter(modelStreams[s], ctr) == nil {
+			r.failf("a session that is gone had its %s counter set", modelStreams[s])
+		}
 		return
 	}
-	strict, epoch := !r.episode && !r.poisoned && r.absorbable(), p.Adaptor.StreamEpoch(core.StreamH2D)
-	if err := p.Adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)-8); err != nil {
+	strict, epoch := !r.episode && !r.poisoned && r.absorbable(), p.Adaptor.StreamEpoch(modelStreams[s])
+	if err := p.Adaptor.ForceStreamCounter(modelStreams[s], ctr); err != nil {
 		r.t.Fatal(err)
 	}
-	r.m.rekey(sH2D)
+	r.m.rekey(s)
 	var err error
 	if ts := r.runStep(); ts != nil {
 		err, strict = ts.err, strict && ts.kvGen == r.m.gen // a session older than the keys is refused
 	} else {
-		err = r.run(traceTasks[7]) // the exhaustion probe
+		err = r.run(traceTasks[7]) // the probe
 	}
 	switch {
 	case err != nil && strict:
-		r.failf("I8 probe failed: %v", err)
+		r.failf("%s probe failed: %v", check, err)
 	case err == nil && r.live(): // a release after collect may still fail the session closed
-		if got := r.observe(); got.EpochA[sH2D] != epoch+1 || got.EpochSC[sH2D] != epoch+1 {
-			r.failf("I8 violated: counter at 2^32-9 did not move both ends to a new h2d epoch: %+v", got)
+		if got := r.observe(); got.EpochA[s] != epoch+1 || got.EpochSC[s] != epoch+1 {
+			r.failf("%s violated: counter at %#x did not move both ends to a new %s epoch: %+v", check, ctr, modelStreams[s], got)
 		}
 	}
 }
@@ -868,7 +867,7 @@ func (r *traceRun) attestFlashed() {
 // and only then reports the cancellation. The result is withheld.
 func (r *traceRun) cancel(afterCollect bool) {
 	p := r.p
-	live, fired, tail := r.live(), r.inj.TotalFired(), r.tail()
+	live, fired, tail := r.live(), uint64(len(r.inj.Log())), r.tail()
 	tk := traceTasks[6]
 	ctx := &flipCtx{Context: context.Background(), after: 1} // the entry check passes
 	if afterCollect {
@@ -903,10 +902,10 @@ func (r *traceRun) cancel(afterCollect bool) {
 // end always forgets its keys; a teardown write the host drops leaves
 // the SC's end to the next one that lands.
 func (r *traceRun) close() {
-	p, fired := r.p, r.inj.TotalFired()
+	p, fired := r.p, uint64(len(r.inj.Log()))
 	p.Adaptor.Teardown()
 	p.trusted = false
-	if p.tvmKeys.Count() != 0 || r.inj.TotalFired() == fired &&
+	if p.tvmKeys.Count() != 0 || uint64(len(r.inj.Log())) == fired &&
 		(p.Device.MemResidue() || p.SC.Params().Active() != 0 || p.scKeys.Count() != 0) {
 		r.failf("I6 violated: residue on the device, or a stream context or key, after teardown")
 	}
@@ -1052,7 +1051,7 @@ func armed(r *traceRun, ts *traceStream, k, d int) bool { return steady(r, ts, k
 // included: carried says the record rode the burst.
 func stepDoorbell(dup bool) func(*traceRun, *attackRun, int) pcie.Tap {
 	return func(r *traceRun, a *attackRun, _ int) pcie.Tap {
-		mmio, rung, bursts := core.TagRecord{Stream: core.StreamMMIO}.Marshal()[:4], false, 0
+		mmio, rung, bursts := core.TagRecord{Stream: core.StreamMMIO}.AppendMarshal(nil)[:4], false, 0
 		return pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
 			switch {
 			case ringDoorbell(pk) && !rung:
@@ -1092,7 +1091,7 @@ func (r *traceRun) stepWindow(id uint32, own bool) *adaptor.Region {
 
 // forgedArm is a positioned tag entry's data: one h2d record carrying a
 // counter the Adaptor never sealed anything under.
-var forgedArm = core.TagRecord{Stream: core.StreamH2D, Chunk: 4242}.Marshal()
+var forgedArm = core.TagRecord{Stream: core.StreamH2D, Chunk: 4242}.AppendMarshal(nil)
 
 // misaim is where M<d> aims its forged arm, given the step's own: M0 past
 // the window, M1 a wrapped slot index, M2 a window that does not exist,
@@ -1263,7 +1262,7 @@ func (r *traceRun) attack(op traceOp) {
 	if op.code == 'M' {
 		d %= 7
 	}
-	live, fired, known := r.live(), r.inj.TotalFired(), r.sessionsKnown()
+	live, fired, known := r.live(), uint64(len(r.inj.Log())), r.sessionsKnown()
 	a := attackRun{st: r.p.SC.Stats(), rec: r.p.Adaptor.Recovery()}
 	if tap := adv.arm(r, &a, d); tap != nil {
 		r.mp.Host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet { // counts the packets it acts on
@@ -1356,7 +1355,7 @@ func (r *traceRun) replay() {
 func (r *traceRun) rogue() {
 	p := r.p
 	rogue := &attack.RogueRequester{ID: pcie.MakeID(0, 9, 0), Bus: r.mp.Host}
-	st, fired := p.SC.Stats(), r.inj.TotalFired()
+	st, fired := p.SC.Stats(), uint64(len(r.inj.Log()))
 	rogue.Write(xpuBARBase+xpu.RegDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	// A stale-completion fault may hand the rogue someone else's
 	// completion; only one answering its own read would be a breach.
@@ -1369,7 +1368,7 @@ func (r *traceRun) rogue() {
 	if got.Teardowns != st.Teardowns {
 		r.failf("I4 violated: a rogue requester tore the session down")
 	}
-	if r.inj.TotalFired() == fired && (mid.Filter.Dropped <= st.Filter.Dropped || got.ConfigRejects <= mid.ConfigRejects) {
+	if uint64(len(r.inj.Log())) == fired && (mid.Filter.Dropped <= st.Filter.Dropped || got.ConfigRejects <= mid.ConfigRejects) {
 		r.failf("I4: the filter or the control BAR did not refuse the rogue requester: %+v", got)
 	}
 }
@@ -1381,7 +1380,7 @@ func (r *traceRun) rogue() {
 // fault in the way, each costs one config reject.
 func (r *traceRun) forge() {
 	p := r.p
-	rej, fired := p.SC.Stats().ConfigRejects, r.inj.TotalFired()
+	rej, fired := p.SC.Stats().ConfigRejects, uint64(len(r.inj.Log()))
 	l1, l2 := p.SC.Filter().RuleCount()
 	garbage := make([]byte, 4+secmem.TagSize+32)
 	for i := range garbage {
@@ -1398,12 +1397,12 @@ func (r *traceRun) forge() {
 	// The host's entries sit behind the producer's tail: the SC's head is
 	// now ahead of it (TestRingAppendedEntry) — unless a fault had left
 	// entries of the producer's queued, which the forged ones overwrote.
-	r.moved = r.live() && !r.poisoned && r.m.lag == nil && r.inj.TotalFired() == fired
+	r.moved = r.live() && !r.poisoned && r.m.lag == nil && uint64(len(r.inj.Log())) == fired
 	r.poisoned = r.poisoned || r.live()
 	if n1, n2 := p.SC.Filter().RuleCount(); n1 != l1 || n2 != l2 {
 		r.failf("I5 violated: forged policy installed")
 	}
-	if got := p.SC.Stats().ConfigRejects - rej; got != 5 && r.inj.TotalFired() == fired {
+	if got := p.SC.Stats().ConfigRejects - rej; got != 5 && uint64(len(r.inj.Log())) == fired {
 		r.failf("%d config rejects for 5 forged attempts", got)
 	}
 }
@@ -1678,7 +1677,7 @@ func (r *traceRun) stepped(ts *traceStream, prefill, live bool, fired uint64) {
 			ts.slot = 0
 		}
 		m.seal(sH2D, span)
-		want := core.TagRecord{Stream: core.StreamH2D, Chunk: m.ctr[sH2D], Epoch: m.state.EpochA[sH2D]}.Marshal()
+		want := core.TagRecord{Stream: core.StreamH2D, Chunk: m.ctr[sH2D], Epoch: m.state.EpochA[sH2D]}.AppendMarshal(nil)
 		// One h2d record at the model's slot, counter and epoch (all but the
 		// GCM tag), in the window the session's last step armed unless this
 		// step opened a new one.
@@ -1829,7 +1828,7 @@ func matrixEvent(class fault.Class, role pcie.Role, seed uint64) fault.Plan {
 		// writeback) per task, so large skips would miss the episode.
 		skip = int(seed % 2)
 	}
-	return fault.Single(seed, class, role, skip, count)
+	return fault.Plan{Seed: seed, Events: []fault.Event{{Class: class, Role: role, Skip: uint16(skip), Count: uint16(count)}}}
 }
 
 // cellPlan reports whether plan is a matrix cell's: matrixEvent itself
@@ -1873,7 +1872,7 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatalf("nondeterministic:\n run1: %s\n run2: %s", r.sig, r2.sig)
 				}
 				got.WriteString(cell + " " + r.sig + "\n")
-				fired += r.inj.TotalFired()
+				fired += uint64(len(r.inj.Log()))
 			})
 		}
 		if fired == 0 {

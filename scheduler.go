@@ -48,9 +48,6 @@ type SchedulerConfig struct {
 	// (default: one per tenant). A tenant never uses more than one
 	// slot at a time — its pipeline is serial.
 	Slots int
-	// Quantum is the fair-scheduler deficit quantum in bytes (default
-	// 4096). Smaller values interleave tenants more finely.
-	Quantum int64
 }
 
 // Scheduler lifecycle states.
@@ -214,7 +211,7 @@ func (mp *MultiPlatform) NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		slots = n
 	}
 	q, err := sched.New(sched.Config{
-		Flows: n, Depth: cfg.QueueDepth, Weights: cfg.Weights, Quantum: cfg.Quantum,
+		Flows: n, Depth: cfg.QueueDepth, Weights: cfg.Weights,
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"ccai/internal/attack"
-	"ccai/internal/core"
 	"ccai/internal/pcie"
 	"ccai/internal/xpu"
 )
@@ -165,16 +164,11 @@ func TestRQ2_SCNeverReadsPrivateMemory(t *testing.T) {
 // one config reject an attempt (F, §4.1).
 func TestRQ2_ForgedConfigInjectionRejected(t *testing.T) { playTrace(t, "rq2-forged-config") }
 
-// TestRQ2_EnvGuardBlocksRoguePageTable installs the paper's example
-// environment check (page-table register validity) and verifies a
-// malicious value is stopped even with a valid MAC.
+// TestRQ2_EnvGuardBlocksRoguePageTable: the platform installs the
+// paper's example environment check (page-table register validity), so
+// a malicious value is stopped even with a valid MAC.
 func TestRQ2_EnvGuardBlocksRoguePageTable(t *testing.T) {
 	p := protectedPlatform(t, xpu.A100)
-	p.SC.Guard().AddCheck(core.MMIOCheck{
-		Name:  "page-table-range",
-		Reg:   xpu.RegPageTable,
-		Valid: func(v uint64) bool { return v < 1<<20 }, // must stay in device memory
-	})
 	// Legitimate write passes.
 	if err := p.Adaptor.GuardedWrite(xpu.RegPageTable, 0x4000); err != nil {
 		t.Fatal(err)
