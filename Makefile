@@ -27,6 +27,10 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # in for sealed configuration, positioned tags and notifies.
 	$(GO) test -run '^$$' -fuzz=FuzzControllerControlWindow -fuzztime=10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=10s ./internal/core/
+# Ring framing, slot by slot and entry by entry: a framing error anywhere
+# in a published span, a broken chain of packed entries included, refuses
+# the whole span before any entry of it is dispatched.
+	$(GO) test -run 'TestControllerRingFraming|TestControllerRingPackedFraming' ./internal/core/
 # The device's side of the SC: one MWr at any offset of a live D2H region,
 # up to 8 KiB, is refused whole or sealed exactly, and no plaintext
 # reaches the host segment either way.

@@ -69,9 +69,11 @@ func main() {
 		defer p.Close()
 		t := &attack.Tamperer{Match: func(pk *pcie.Packet) bool {
 			// Target ciphertext completions toward the SC. Submission-ring
-			// fetches are exact RingSlotSize multiples and are skipped:
-			// corrupting ring framing is a separate fail-closed path, and a
-			// flip in a slot's dead padding would make the scenario vacuous.
+			// fetches are whole RingSlotSize slots, each a chain of entries
+			// (core.CutRingEntry), and are skipped: a flip in an entry's
+			// framing is the separate fail-closed path, one in a sealed
+			// entry a config reject, and one in a slot's unused tail would
+			// make the scenario vacuous.
 			return pk.Kind == pcie.CplD && pk.Requester == ccai.SCID &&
 				len(pk.Payload)%core.RingSlotSize != 0
 		}, Count: 1}

@@ -226,6 +226,57 @@ func (r *rig) forgeSealed(t *testing.T, op uint8, pt []byte) {
 	r.forge(t, op, 0, core.MarshalBlob(sealed))
 }
 
+// TestRingPushPacksUntilPublished: entries share the open slot while
+// they fit — 17 bare notifies fill one exactly, each under the slot's
+// sequence number and chained to the next by its more bit, the mirror
+// copy kept identical — and the 18th opens the next slot. A doorbell
+// closes the open slot: the entry pushed after it opens a fresh one and
+// the published slot's bytes stay as the SC consumed them.
+func TestRingPushPacksUntilPublished(t *testing.T) {
+	r, _ := newRig(t)
+	a := r.adaptor
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ring, notifies := a.ring, core.RingSlotSize/core.RingEntryHdrSize
+	first := ring.tail
+	push := func(n int) {
+		for range n {
+			if err := a.ringPush(core.RingOpNotify, 7, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	push(notifies)
+	slot, mirror := ring.slot(first % ring.slots)
+	if ring.tail != first+1 || mirror == nil || !bytes.Equal(slot, mirror) {
+		t.Fatalf("%d notifies took %d slots, mirror copy %v; want 1 slot, mirrored", notifies, ring.tail-first, mirror != nil && bytes.Equal(slot, mirror))
+	}
+	n := 0
+	for rest := slot; rest != nil; n++ {
+		e, next, ok := core.CutRingEntry(rest)
+		if !ok || e.Seq != uint32(first) || e.Op != core.RingOpNotify || (next != nil) != (n < notifies-1) {
+			t.Fatalf("entry %d of the slot: %+v, framed %v", n, e, ok)
+		}
+		rest = next
+	}
+	push(1)
+	if ring.tail != first+2 {
+		t.Fatalf("the notify past a full slot left the tail at %d, want %d", ring.tail, first+2)
+	}
+	if err := a.flushRingLocked(); err != nil {
+		t.Fatal(err)
+	}
+	published, _ := ring.slot((first + 1) % ring.slots)
+	before := bytes.Clone(published)
+	push(1)
+	if ring.tail != first+3 || !bytes.Equal(published, before) {
+		t.Fatalf("the notify after a doorbell: tail %d (want %d), published slot rewritten %v", ring.tail, first+3, !bytes.Equal(published, before))
+	}
+	if err := a.flushRingLocked(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStageH2DDeviceReadsPlaintext(t *testing.T) {
 	r, dev := newRig(t)
 	data := make([]byte, 1000)

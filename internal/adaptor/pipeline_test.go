@@ -17,7 +17,7 @@ import (
 )
 
 // ringTagTap parses every tag record in the tag entries of the ring
-// slots the SC fetches, in wire order.
+// slots the SC fetches, in wire order, with the SC's entry decoder.
 type ringTagTap struct {
 	mu       sync.Mutex
 	counters []uint32
@@ -29,13 +29,16 @@ func (tw *ringTagTap) Tap(p *pcie.Packet) *pcie.Packet {
 	}
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
-	for slot := p.Payload; len(slot) > 0; slot = slot[core.RingSlotSize:] {
-		if slot[0] != core.RingOpTags {
-			continue
-		}
-		recs := slot[core.RingEntryHdrSize:][:binary.LittleEndian.Uint16(slot[2:])]
-		for ; len(recs) >= core.TagRecordSize; recs = recs[core.TagRecordSize:] {
-			tw.counters = append(tw.counters, binary.LittleEndian.Uint32(recs[4:]))
+	for slot := p.Payload; len(slot) >= core.RingSlotSize; slot = slot[core.RingSlotSize:] {
+		for rest := slot[:core.RingSlotSize]; rest != nil; {
+			e, next, ok := core.CutRingEntry(rest)
+			if !ok {
+				break
+			}
+			for recs := e.Data; e.Op == core.RingOpTags && len(recs) >= core.TagRecordSize; recs = recs[core.TagRecordSize:] {
+				tw.counters = append(tw.counters, binary.LittleEndian.Uint32(recs[4:]))
+			}
+			rest = next
 		}
 	}
 	return p

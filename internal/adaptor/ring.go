@@ -25,26 +25,47 @@ import (
 // inconsistent; the session has been torn down (fail closed).
 var ErrRingDesync = errors.New("adaptor: submission ring desync; session torn down")
 
-// ringSlots is the submission-ring depth. A 64 KiB staged transfer
-// needs ~32 entries (2 descriptors, ~29 tag packets, 1 notify), so a
-// whole task normally publishes with one doorbell and never wraps
-// mid-burst.
+// ringSlots is the submission-ring depth in 272-byte slots. A slot
+// carries one entry of up to a full TLP payload, or a chain of smaller
+// ones: the ~29 tag packets of a 64 KiB staged transfer, each near a
+// full TLP, take a slot apiece, while a decode step's five entries share
+// one. A 64 KiB task's 37 entries fill 34 slots over its five doorbells,
+// so a burst normally publishes with one doorbell and never wraps.
 const ringSlots = 64
 
-// submitRing is the producer view: the ring buffer plus the absolute
-// tail index and the count of entries not yet confirmed consumed.
+// submitRing is the producer view: the ring buffer, the absolute index
+// of the next slot to open, the count of slots not yet confirmed
+// consumed, and the open slot — the last pending one, which takes more
+// entries until a doorbell publishes it.
 type submitRing struct {
 	buf      *mem.Buffer
 	slots    uint64
-	tail     uint64 // absolute index of the next entry to write
-	pend     uint64 // entries published-or-pending since the last confirmed flush
+	tail     uint64 // absolute index of the next slot to open
+	pend     uint64 // slots published-or-pending since the last confirmed flush
 	lastHead uint64 // highest SC head ever confirmed; regression = fail closed
+	fill     int    // bytes in use of slot tail-1 while it is open; 0 once a doorbell published it
+	last     int    // offset in the open slot of its last entry's header
 }
 
-// ringPush appends one entry. If the ring is full the pending burst is
-// flushed first (the SC consumes synchronously, so one flush always
-// frees every slot). Plain memory writes only — the bus is not
-// touched. Callers hold a.mu.
+// slot is slot index i's bytes; its mirror copy, when it has one, is the
+// second result (nil otherwise).
+func (r *submitRing) slot(i uint64) (dst, mirror []byte) {
+	b := r.buf.Bytes()
+	dst = b[core.RingHdrSize+i*core.RingSlotSize:][:core.RingSlotSize]
+	if i < core.RingMirrorSlots {
+		// The mirror tail stays identical, so the SC can read a wrapping
+		// burst in one contiguous run.
+		mirror = b[core.RingHdrSize+(r.slots+i)*core.RingSlotSize:][:core.RingSlotSize]
+	}
+	return dst, mirror
+}
+
+// ringPush appends one entry: behind the last entry of the open slot
+// when it fits there (setting that entry's more bit), else at the start
+// of a fresh slot. If the ring is full the pending burst is flushed
+// first (the SC consumes synchronously, so one flush always frees every
+// slot). A slot a doorbell has published is never written again. Plain
+// memory writes only — the bus is not touched. Callers hold a.mu.
 func (a *Adaptor) ringPush(op uint8, arg uint64, payload []byte) error {
 	r := a.ring
 	if r == nil {
@@ -53,24 +74,30 @@ func (a *Adaptor) ringPush(op uint8, arg uint64, payload []byte) error {
 	if len(payload) > core.RingMaxData {
 		return fmt.Errorf("adaptor: ring entry payload %d exceeds %d", len(payload), core.RingMaxData)
 	}
-	if r.pend == r.slots {
-		if err := a.flushRingLocked(); err != nil {
-			return err
+	need := core.RingEntryHdrSize + len(payload)
+	at := r.fill
+	if at == 0 || at+need > core.RingSlotSize {
+		if r.pend == r.slots {
+			if err := a.flushRingLocked(); err != nil {
+				return err
+			}
 		}
+		r.tail++
+		r.pend++
+		at = 0
 	}
-	slot := r.tail % r.slots
-	dst := r.buf.Bytes()[core.RingHdrSize+slot*core.RingSlotSize:][:core.RingSlotSize]
+	dst, mirror := r.slot((r.tail - 1) % r.slots)
+	if at > 0 {
+		dst[r.last+1] |= core.RingFlagMore
+	}
 	var hdr [core.RingEntryHdrSize]byte
-	core.PutRingEntry(&hdr, op, uint16(len(payload)), uint32(r.tail), arg)
-	copy(dst, hdr[:])
-	copy(dst[core.RingEntryHdrSize:], payload)
-	if slot < core.RingMirrorSlots {
-		// Keep the mirror tail identical, so the SC can read a wrapping
-		// burst in one contiguous run.
-		copy(r.buf.Bytes()[core.RingHdrSize+(r.slots+slot)*core.RingSlotSize:], dst)
+	core.PutRingEntry(&hdr, op, uint16(len(payload)), uint32(r.tail-1), arg)
+	copy(dst[at:], hdr[:])
+	copy(dst[at+core.RingEntryHdrSize:], payload)
+	r.last, r.fill = at, at+need
+	if mirror != nil {
+		copy(mirror, dst[:r.fill])
 	}
-	r.tail++
-	r.pend++
 	a.obs.ringEntries.Inc()
 	return nil
 }
@@ -89,6 +116,7 @@ func (a *Adaptor) flushRingLocked() error {
 		return nil
 	}
 	a.obs.ringFlushes.Inc()
+	r.fill = 0 // published: the next entry opens a fresh slot
 	for attempt := 0; ; attempt++ {
 		a.obs.ringDoorbells.Inc()
 		a.mmioWrite64(pcie.RoleRingDoorbell, core.RegRingDoorbell, r.tail)

@@ -44,10 +44,22 @@ type ringEntry struct {
 }
 
 // slot frames e as the ring slot with sequence number seq.
-func (e ringEntry) slot(seq uint32) []byte {
+func (e ringEntry) slot(seq uint32) []byte { return packed(seq, e) }
+
+// packed frames entries as one ring slot with sequence number seq, each
+// behind the last with that one's more bit set, as the producer packs a
+// burst's small entries.
+func packed(seq uint32, entries ...ringEntry) []byte {
 	s := make([]byte, RingSlotSize)
-	PutRingEntry((*[RingEntryHdrSize]byte)(s), e.op, uint16(len(e.data)), seq, e.arg)
-	copy(s[RingEntryHdrSize:], e.data)
+	at := 0
+	for i, e := range entries {
+		if i > 0 {
+			s[at+1] |= RingFlagMore
+			at += RingEntryHdrSize + len(entries[i-1].data)
+		}
+		PutRingEntry((*[RingEntryHdrSize]byte)(s[at:]), e.op, uint16(len(e.data)), seq, e.arg)
+		copy(s[at+RingEntryHdrSize:], e.data)
+	}
 	return s
 }
 
@@ -483,35 +495,87 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 // burst is consumed and the head posted; a skewed sequence number, an
 // oversized length, an unknown opcode or a tail further ahead than the
 // ring is deep is a desync — one config reject, the status word raised,
-// the head where it was, the bad entry and everything behind it
-// undispatched. A tail behind the head is a stale or replayed doorbell:
-// the head is posted again, and nothing is rejected or consumed.
+// the head where it was, and no entry of the burst dispatched, not even
+// a well-framed slot ahead of the bad one. A tail behind the head is a
+// stale or replayed doorbell: the head is posted again, and nothing is
+// rejected or consumed.
 func TestControllerRingFraming(t *testing.T) {
+	release := ringEntry{op: RingOpRelease, arg: 1}
+	oversized := release.slot(1)
+	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
+	playRingCases(t, map[string]ringCase{
+		"sequence skew":    {release.slot(2), 2},
+		"oversized length": {oversized, 2},
+		"opcode 0":         {ringEntry{}.slot(1), 2},
+		"opcode 8":         {ringEntry{op: RingOpGuarded + 1}.slot(1), 2},
+		"bad entry second": {append(ringEntry{op: RingOpNotify}.slot(1), release.slot(3)...), 3},
+		"bad slot last":    {append(release.slot(1), ringEntry{op: RingOpNotify}.slot(3)...), 3},
+		"tail behind head": {release.slot(1), 0},
+		"tail past ring":   {release.slot(1), 1 + ctlRingSlots + 1},
+	})
+}
+
+// TestControllerRingPackedFraming: the entries a slot chains by their
+// more bits are framed one by one, and a chain that breaks anywhere is a
+// desync like a bad slot — nothing of the burst dispatched, the release
+// chained ahead of the break included. A well-framed chain is consumed
+// whole: the release behind a notify is dispatched.
+func TestControllerRingPackedFraming(t *testing.T) {
+	release, notify := ringEntry{op: RingOpRelease, arg: 1}, ringEntry{op: RingOpNotify, arg: 1}
+	// A rule entry long enough to leave 8 bytes of the slot behind it.
+	filler := ringEntry{op: RingOpRule, data: make([]byte, RingSlotSize-2*RingEntryHdrSize-8)}
+	noRoom := packed(1, release, filler)
+	noRoom[RingEntryHdrSize+1] |= RingFlagMore
+	pastSlot := packed(1, release, notify)
+	binary.LittleEndian.PutUint16(pastSlot[RingEntryHdrSize+2:], RingSlotSize-2*RingEntryHdrSize+1)
+	skewed := packed(1, release, notify)
+	binary.LittleEndian.PutUint32(skewed[RingEntryHdrSize+4:], 2)
+	flagged := packed(1, release, notify)
+	flagged[RingEntryHdrSize+1] = 0x80
+	opZero := packed(1, release)
+	opZero[1] = RingFlagMore
+
+	r := newRingRig(t)
+	r.publish(packed(1, notify, release), 2)
+	if st := r.sc.Stats(); st.ConfigRejects != 0 || r.sc.sess.ringHead != 2 || r.sc.Regions() != 0 {
+		t.Fatalf("clean chain: %d config rejects, head %d, %d regions; want it consumed whole", st.ConfigRejects, r.sc.sess.ringHead, r.sc.Regions())
+	}
+	playRingCases(t, map[string]ringCase{
+		"more bit, no header room":   {noRoom, 2},
+		"length past the slot":       {pastSlot, 2},
+		"sequence differs":           {skewed, 2},
+		"unknown flag bit":           {flagged, 2},
+		"op 0 behind a set more bit": {opZero, 2},
+	})
+}
+
+// ringCase is slot bytes published behind one clean burst, and the
+// doorbell's tail.
+type ringCase struct {
+	slots []byte
+	tail  uint64
+}
+
+// newRingRig is a rig whose first burst installed region 1 at sequence 0.
+func newRingRig(t *testing.T) *ctlRig {
+	r := newCtlRig(t)
+	r.submit(ringEntry{op: RingOpDesc, data: r.sealed(t, Descriptor{ID: 1, Dir: DirH2D,
+		Class: ActionWriteReadProtect, Base: ctlMem, Len: 0x1000, ChunkSize: ChunkSize}.AppendMarshal(nil))})
+	return r
+}
+
+// playRingCases plays each case on a newRingRig. A case whose tail is
+// behind the head must be re-reaped, any other refused whole.
+func playRingCases(t *testing.T, cases map[string]ringCase) {
 	word := func(r *ctlRig, off uint64) uint64 {
 		if b := r.hostMem[ctlRing+off]; len(b) == 8 {
 			return binary.LittleEndian.Uint64(b)
 		}
 		return 0
 	}
-	release := ringEntry{op: RingOpRelease, arg: 1}
-	oversized := release.slot(1)
-	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
-	for name, c := range map[string]struct {
-		slots []byte
-		tail  uint64
-	}{
-		"sequence skew":    {release.slot(2), 2},
-		"oversized length": {oversized, 2},
-		"opcode 0":         {ringEntry{}.slot(1), 2},
-		"opcode 8":         {ringEntry{op: RingOpGuarded + 1}.slot(1), 2},
-		"bad entry second": {append(ringEntry{op: RingOpNotify}.slot(1), release.slot(3)...), 3},
-		"tail behind head": {release.slot(1), 0},
-		"tail past ring":   {release.slot(1), 1 + ctlRingSlots + 1},
-	} {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			r := newCtlRig(t)
-			r.submit(ringEntry{op: RingOpDesc, data: r.sealed(t, Descriptor{ID: 1, Dir: DirH2D,
-				Class: ActionWriteReadProtect, Base: ctlMem, Len: 0x1000, ChunkSize: ChunkSize}.AppendMarshal(nil))})
+			r := newRingRig(t)
 			if r.sc.Regions() != 1 || word(r, 0) != 1 || word(r, 8) != 0 {
 				t.Fatalf("clean burst: %d regions, head word %d, status %d", r.sc.Regions(), word(r, 0), word(r, 8))
 			}

@@ -176,6 +176,27 @@ func FuzzControllerRing(f *testing.F) {
 	add(firstSeq+1, ringEntry{op: RingOpGuarded + 1})
 	add(0, ringEntry{op: RingOpNotify})
 	add(firstSeq+ctlRingSlots+1, ringEntry{op: RingOpNotify})
+	// Packed slots: a well-framed chain of an arm, a notify and a
+	// release, then chains broken each way the SC refuses — a more bit
+	// with no room left for a header, a sub-entry running past the slot
+	// or under another sequence number, an unknown flag bit, op 0 behind
+	// a more bit.
+	chain := []ringEntry{{op: RingOpTags, arg: ArmPosition(5, 1), data: rec}, {op: RingOpNotify, arg: 5}, {op: RingOpRelease, arg: 5}}
+	second := RingEntryHdrSize + len(rec) // the notify's header
+	broken := func(edit func(s []byte)) {
+		s := packed(firstSeq, chain...)
+		edit(s)
+		f.Add(s, uint64(firstSeq+1))
+	}
+	broken(func([]byte) {})
+	broken(func(s []byte) {
+		copy(s, packed(firstSeq, chain[0], ringEntry{op: RingOpRule, data: make([]byte, RingSlotSize-second-RingEntryHdrSize-8)}))
+		s[second+1] |= RingFlagMore
+	})
+	broken(func(s []byte) { binary.LittleEndian.PutUint16(s[second+2:], RingMaxData) })
+	broken(func(s []byte) { binary.LittleEndian.PutUint32(s[second+4:], firstSeq+1) })
+	broken(func(s []byte) { s[second+1] |= 0x40 })
+	broken(func(s []byte) { clear(s[second+RingEntryHdrSize:]) })
 	f.Fuzz(func(t *testing.T, slots []byte, tail uint64) {
 		d := newDPRig(t)
 		d.installWindow(t, 5, ctlMem+0x4000, 4)

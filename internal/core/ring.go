@@ -16,7 +16,9 @@ import (
 // DMA-reads the published span in MaxReadReq-sized gulps, validates
 // every entry (sequence number, bounded length, known opcode),
 // dispatches it, and DMA-writes its consumed head index back into the
-// ring header. Sealed blobs, positioned tags and notifies have no other
+// ring header. Small entries share a slot: an entry whose header has
+// RingFlagMore set is followed in the same slot by another, right behind
+// its payload. Sealed blobs, positioned tags and notifies have no other
 // way in.
 //
 // Trust boundary: the ring lives in TVM memory reachable over the
@@ -28,9 +30,10 @@ import (
 // goes out), and guarded entries go through the A3 sequence+MAC check of
 // a direct guarded write. Tampering with an entry therefore yields a config
 // reject or an auth failure. Tampering with the ring
-// *framing* (sequence skew, oversized length, unknown opcode) is a
-// desync: the SC sets the ring status word, rejects, and refuses to
-// advance — fail closed until the producer tears down.
+// *framing* (sequence skew, a length past the slot, unknown opcode or
+// flag) is a desync: the SC sets the ring status word, rejects the whole
+// published span, and refuses to advance — fail closed until the
+// producer tears down.
 const (
 	// RingHdrSize is the ring header: [0,8) consumed head (SC-written),
 	// [8,16) status word (0 ok, RingStatusDesync), [16,24) completion
@@ -49,9 +52,14 @@ const (
 	// RingEntryHdrSize frames one entry: opcode(1) flags(1) len(2)
 	// seq(4) arg(8), little-endian.
 	RingEntryHdrSize = 16
+	// RingFlagMore, the one flag bit, says another entry follows this
+	// one in its slot, starting right after its payload. Every entry of a
+	// slot carries the slot's sequence number.
+	RingFlagMore = 1
 	// RingMaxData bounds an entry payload to one TLP payload.
 	RingMaxData = pcie.MaxPayload
-	// RingSlotSize is the fixed slot stride.
+	// RingSlotSize is the fixed slot stride: room for one entry of
+	// RingMaxData, or for a chain of smaller ones.
 	RingSlotSize = RingEntryHdrSize + RingMaxData
 
 	// RingStatusDesync is the status word the SC posts when ring framing
@@ -70,14 +78,58 @@ const (
 	RingOpGuarded = 7 // arg: absolute MMIO address, payload: value, then the write's MAC record (A3 write)
 )
 
-// PutRingEntry encodes an entry header into a caller-provided
-// (typically stack) array.
+// PutRingEntry encodes an entry header, its flags clear, into a
+// caller-provided (typically stack) array.
 func PutRingEntry(hdr *[RingEntryHdrSize]byte, op uint8, n uint16, seq uint32, arg uint64) {
 	hdr[0] = op
 	hdr[1] = 0
 	binary.LittleEndian.PutUint16(hdr[2:], n)
 	binary.LittleEndian.PutUint32(hdr[4:], seq)
 	binary.LittleEndian.PutUint64(hdr[8:], arg)
+}
+
+// RingEntry is one entry of a ring slot, decoded. Data aliases the slot.
+type RingEntry struct {
+	Op   uint8
+	Seq  uint32
+	Arg  uint64
+	Data []byte
+}
+
+// CutRingEntry decodes the entry at the front of b — a slot, or what is
+// left of one behind an entry whose more bit is set — and returns it and
+// rest, the bytes its more bit says hold the next entry (nil when the
+// bit is clear: the slot's chain ends here). ok is false when b frames
+// no entry: no room for a header, a length past the end of b, an unknown
+// opcode or a flag bit other than RingFlagMore. The sequence number is
+// the caller's to check, against the slot's absolute ring index.
+func CutRingEntry(b []byte) (e RingEntry, rest []byte, ok bool) {
+	if len(b) < RingEntryHdrSize {
+		return e, nil, false
+	}
+	e = RingEntry{Op: b[0], Seq: binary.LittleEndian.Uint32(b[4:]), Arg: binary.LittleEndian.Uint64(b[8:])}
+	flags, end := b[1], RingEntryHdrSize+int(binary.LittleEndian.Uint16(b[2:]))
+	if end > len(b) || e.Op < RingOpRule || e.Op > RingOpGuarded || flags&^RingFlagMore != 0 {
+		return e, nil, false
+	}
+	e.Data = b[RingEntryHdrSize:end]
+	if flags&RingFlagMore != 0 {
+		rest = b[end:]
+	}
+	return e, rest, true
+}
+
+// ringSlotFramed reports whether slot holds a well-framed chain whose
+// every entry carries sequence number seq.
+func ringSlotFramed(slot []byte, seq uint32) bool {
+	for rest := slot; rest != nil; {
+		e, next, ok := CutRingEntry(rest)
+		if !ok || e.Seq != seq {
+			return false
+		}
+		rest = next
+	}
+	return true
 }
 
 // ringSpanSlots is how many ring slots one MaxReadReq DMA read covers.
@@ -145,21 +197,24 @@ func (c *Controller) processRing(tail uint64) {
 		i += run
 	}
 
-	// Validate, then dispatch. The sequence check pins every entry to
-	// its absolute ring index, so a stale slot left over from a previous
-	// lap — or an entry the producer never wrote — cannot be consumed.
+	// Validate the whole span, then dispatch it: a framing error anywhere
+	// refuses the batch before any entry of it acts. The sequence check
+	// pins every entry to its slot's absolute ring index, so a stale slot
+	// or entry left over from a previous lap — or one the producer never
+	// wrote — cannot be consumed.
 	for i := uint64(0); i < n; i++ {
-		e := buf[i*RingSlotSize : (i+1)*RingSlotSize]
-		op := e[0]
-		ln := binary.LittleEndian.Uint16(e[2:])
-		seq := binary.LittleEndian.Uint32(e[4:])
-		arg := binary.LittleEndian.Uint64(e[8:])
-		if seq != uint32(head+i) || int(ln) > RingMaxData || op < RingOpRule || op > RingOpGuarded {
+		if !ringSlotFramed(buf[i*RingSlotSize:][:RingSlotSize], uint32(head+i)) {
 			arena.Put(buf)
 			c.ringDesync(base)
 			return
 		}
-		c.ringDispatch(op, arg, e[RingEntryHdrSize:RingEntryHdrSize+int(ln)])
+	}
+	for i := uint64(0); i < n; i++ {
+		for rest := buf[i*RingSlotSize:][:RingSlotSize]; rest != nil; {
+			var e RingEntry
+			e, rest, _ = CutRingEntry(rest)
+			c.ringDispatch(e.Op, e.Arg, e.Data)
+		}
 	}
 	arena.Put(buf)
 

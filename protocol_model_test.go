@@ -1009,14 +1009,19 @@ func (c *truncater) Tap(p *pcie.Packet) *pcie.Packet {
 	return q
 }
 
-// ringEdit rewrites the submission-ring slots the SC fetches in flight;
-// edit reports whether it changed a slot.
-type ringEdit func(slot []byte) bool
+// ringEdit rewrites the submission-ring entries the SC fetches in
+// flight, a slot's chain at a time: edit gets the chain as the SC's
+// decoder reads it and reports whether it changed an entry; a changed
+// chain is packed back into its slot.
+type ringEdit func(chain []core.RingEntry) bool
 
 func (e ringEdit) Tap(p *pcie.Packet) *pcie.Packet {
 	q, edited := p.Clone(), false
 	for _, slot := range ringSlots(q) {
-		edited = e(slot) || edited
+		if chain := slotChain(slot); e(chain) {
+			packSlot(slot, chain)
+			edited = true
+		}
 	}
 	if !edited {
 		return p
@@ -1025,11 +1030,15 @@ func (e ringEdit) Tap(p *pcie.Packet) *pcie.Packet {
 }
 
 // editArms rewrites every positioned tag entry the step's bursts carry.
-func editArms(edit func(r *traceRun, e armEntry, slot []byte) bool) func(*traceRun, *attackRun, int) pcie.Tap {
+func editArms(edit func(r *traceRun, e armEntry, entry *core.RingEntry) bool) func(*traceRun, *attackRun, int) pcie.Tap {
 	return func(r *traceRun, _ *attackRun, _ int) pcie.Tap {
-		return ringEdit(func(slot []byte) bool {
-			e, ok := positionedEntry(slot)
-			return ok && edit(r, e, slot)
+		return ringEdit(func(chain []core.RingEntry) (edited bool) {
+			for i := range chain {
+				if e, ok := positionedEntry(chain[i]); ok {
+					edited = edit(r, e, &chain[i]) || edited
+				}
+			}
+			return edited
 		})
 	}
 }
@@ -1064,8 +1073,9 @@ func stepDoorbell(dup bool) func(*traceRun, *attackRun, int) pcie.Tap {
 			case bursts == 0 && len(ringSlots(pk)) > 0:
 				bursts++
 				for _, slot := range ringSlots(pk) {
-					op, arg, rec := ringEntry(slot)
-					a.carried = a.carried || op == core.RingOpTags && arg == 0 && len(rec) == core.TagRecordSize && bytes.Equal(rec[:4], mmio)
+					for _, e := range slotChain(slot) {
+						a.carried = a.carried || e.Op == core.RingOpTags && e.Arg == 0 && len(e.Data) == core.TagRecordSize && bytes.Equal(e.Data[:4], mmio)
+					}
 				}
 			}
 			return pk
@@ -1156,21 +1166,21 @@ var adversaries = map[byte][]adversary{
 	'S': {
 		// A forged counter on every positioned tag, reposts included: the
 		// slot arms, the device's read fails GCM.
-		{-1, editArms(func(_ *traceRun, e armEntry, _ []byte) bool {
+		{-1, editArms(func(_ *traceRun, e armEntry, _ *core.RingEntry) bool {
 			binary.LittleEndian.PutUint32(e.recs[4:], binary.LittleEndian.Uint32(e.recs[4:])+1000)
 			return true
 		}), decode, "a forged counter failed closed", (*attackRun).failedClosed},
 		// The arm suppressed — rewritten into a bare notify: the slot stays
 		// unarmed, and is not served from a neighbour's verified record.
-		{-1, editArms(func(_ *traceRun, e armEntry, slot []byte) bool {
-			rewriteEntry(slot, core.RingOpNotify, uint64(e.region), nil)
+		{-1, editArms(func(_ *traceRun, e armEntry, entry *core.RingEntry) bool {
+			*entry = core.RingEntry{Op: core.RingOpNotify, Arg: uint64(e.region)}
 			return true
 		}), decode, "a suppressed arm failed closed, no read served from a neighbour", (*attackRun).failedClosed},
 		// The full replay: slot k's ciphertext and record replaced by slot
 		// k-1's, re-aimed at slot k. Genuine counter and tag, for another
 		// position: the AAD binds the slot, the watermark is past the
 		// counter.
-		{-1, editArms(func(r *traceRun, e armEntry, _ []byte) bool {
+		{-1, editArms(func(r *traceRun, e armEntry, _ *core.RingEntry) bool {
 			prev, ok := r.arms[e.region]
 			win := r.stepWindow(e.region, true)
 			if !ok || prev.first+1 != e.first || win == nil {
@@ -1202,19 +1212,22 @@ var adversaries = map[byte][]adversary{
 	'M': {{-1, func(r *traceRun, a *attackRun, d int) pcie.Tap {
 		var own armEntry
 		forged := false // one forged arm a run
-		return ringEdit(func(slot []byte) bool {
-			if e, ok := positionedEntry(slot); ok {
-				own = e
-				if to := r.stepWindow(e.region, false); d == 5 && to != nil {
-					binary.LittleEndian.PutUint64(slot[8:], core.ArmPosition(to.Desc.ID, e.first))
-					return true
+		return ringEdit(func(chain []core.RingEntry) (edited bool) {
+			for i, entry := range chain {
+				if e, ok := positionedEntry(entry); ok {
+					own = e
+					if to := r.stepWindow(e.region, false); d == 5 && to != nil {
+						chain[i].Arg = core.ArmPosition(to.Desc.ID, e.first)
+						edited = true
+					}
+				} else if entry.Op == core.RingOpNotify && d != 5 && !forged && (own.region != 0 || d == 4) &&
+					chainSize(chain)+len(forgedArm) <= core.RingSlotSize {
+					forged = true
+					chain[i] = core.RingEntry{Op: core.RingOpTags, Arg: r.misaim(d, own), Data: forgedArm}
+					edited = true
 				}
-			} else if slot[0] == core.RingOpNotify && d != 5 && !forged && (own.region != 0 || d == 4) {
-				forged = true
-				rewriteEntry(slot, core.RingOpTags, r.misaim(d, own), forgedArm)
-				return true
 			}
-			return false
+			return edited
 		})
 	}, func(r *traceRun, ts *traceStream, k, d int) bool {
 		other := r.sess[1-ts.i]
@@ -1492,15 +1505,8 @@ type armEntry struct {
 	recs          []byte
 }
 
-func positionedEntry(slot []byte) (armEntry, bool) {
-	op, arg, recs := ringEntry(slot)
-	return armEntry{uint32(arg >> 32), uint32(arg), recs}, op == core.RingOpTags && arg != 0
-}
-
-// ringEntry decodes a submission-ring slot: its op, argument and data.
-func ringEntry(slot []byte) (op uint8, arg uint64, data []byte) {
-	n := min(int(binary.LittleEndian.Uint16(slot[2:])), len(slot)-core.RingEntryHdrSize)
-	return slot[0], binary.LittleEndian.Uint64(slot[8:]), slot[core.RingEntryHdrSize:][:n]
+func positionedEntry(e core.RingEntry) (armEntry, bool) {
+	return armEntry{uint32(e.Arg >> 32), uint32(e.Arg), e.Data}, e.Op == core.RingOpTags && e.Arg != 0
 }
 
 // ringSlots splits a ring fetch's completion toward the SC into its
@@ -1509,10 +1515,47 @@ func ringSlots(p *pcie.Packet) (slots [][]byte) {
 	if p.Kind != pcie.CplD || p.Role != pcie.RoleSlotFetch {
 		return nil
 	}
-	for off := 0; off < len(p.Payload); off += core.RingSlotSize {
+	for off := 0; off+core.RingSlotSize <= len(p.Payload); off += core.RingSlotSize {
 		slots = append(slots, p.Payload[off:][:core.RingSlotSize])
 	}
 	return slots
+}
+
+// slotChain decodes a ring slot's entries with the SC's decoder, up to
+// the first that does not frame.
+func slotChain(slot []byte) (chain []core.RingEntry) {
+	for rest := slot; rest != nil; {
+		e, next, ok := core.CutRingEntry(rest)
+		if !ok {
+			break
+		}
+		chain, rest = append(chain, e), next
+	}
+	return chain
+}
+
+// chainSize is the bytes chain takes in its slot.
+func chainSize(chain []core.RingEntry) (n int) {
+	for _, e := range chain {
+		n += core.RingEntryHdrSize + len(e.Data)
+	}
+	return n
+}
+
+// packSlot writes chain into slot as the producer would, each entry
+// under the sequence number the slot's first entry carries and every
+// entry but the last with its more bit set.
+func packSlot(slot []byte, chain []core.RingEntry) {
+	seq, out := binary.LittleEndian.Uint32(slot[4:]), make([]byte, 0, core.RingSlotSize)
+	for i, e := range chain {
+		var hdr [core.RingEntryHdrSize]byte
+		core.PutRingEntry(&hdr, e.Op, uint16(len(e.Data)), seq, e.Arg)
+		if i < len(chain)-1 {
+			hdr[1] = core.RingFlagMore
+		}
+		out = append(append(out, hdr[:]...), e.Data...)
+	}
+	copy(slot, out)
 }
 
 // await polls until cond holds, failing the trace after 30 s.
@@ -1638,8 +1681,10 @@ func (r *traceRun) stepped(ts *traceStream, prefill, live bool, fired uint64) {
 	var entries []armEntry
 	for _, p := range pkts[min(r.seen, len(pkts)):] {
 		for _, slot := range ringSlots(p) {
-			if e, ok := positionedEntry(slot); ok {
-				entries, r.arms[e.region] = append(entries, e), e
+			for _, entry := range slotChain(slot) {
+				if e, ok := positionedEntry(entry); ok {
+					entries, r.arms[e.region] = append(entries, e), e
+				}
 			}
 		}
 		staged = staged || kv != nil && p.Kind == pcie.MRd && p.Role == pcie.RoleH2DData &&

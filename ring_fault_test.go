@@ -11,6 +11,8 @@ package ccai
 // the point of the ring, is a row of the wire ledger (wire_ledger_test.go).
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"ccai/internal/adaptor"
 	"ccai/internal/attack"
 	"ccai/internal/core"
+	"ccai/internal/llm"
 	"ccai/internal/mem"
 	"ccai/internal/pcie"
 	"ccai/internal/xpu"
@@ -132,7 +135,7 @@ func TestReplayedRingDoorbellIsReReaped(t *testing.T) {
 // leaves the SC's head ahead of the producer's tail
 // (TestRingAppendedEntry is that attack's own cell), so a cell that
 // wants the session undisturbed rewrites an entry of a passing burst
-// instead (ringEdit, rewriteEntry).
+// instead (ringEdit).
 func forgeRingEntry(t *testing.T, pl *pipeline, host *pcie.Bus, op uint8, arg uint64, data []byte) {
 	t.Helper()
 	ring, ok := pl.space.Resolve(sharedBase + mem.PageSize)
@@ -147,14 +150,6 @@ func forgeRingEntry(t *testing.T, pl *pipeline, host *pcie.Bus, op uint8, arg ui
 	host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, head+1)))
 }
 
-// rewriteEntry turns a ring slot into another entry in place, under the
-// sequence number the producer gave it.
-func rewriteEntry(slot []byte, op uint8, arg uint64, data []byte) {
-	seq := binary.LittleEndian.Uint32(slot[4:])
-	core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), op, uint16(len(data)), seq, arg)
-	copy(slot[core.RingEntryHdrSize:], data)
-}
-
 // TestRingAppendedEntry: the host appends entries of its own behind the
 // producer's tail and rings the doorbell. Each earns its config reject,
 // but the SC's head now sits past the producer's tail: the producer's
@@ -164,3 +159,122 @@ func rewriteEntry(slot []byte, op uint8, arg uint64, data []byte) {
 // like one: the task fails the session closed with no wrong byte handed
 // back, and a re-trust serves (t2 F t2 r t2).
 func TestRingAppendedEntry(t *testing.T) { playTrace(t, "ring-appended-entry") }
+
+// moreBitClearer clears one more bit in a ring fetch toward the SC: in
+// the skip-th slot whose chain holds two entries or more, the first
+// entry's, so the SC sees that entry alone, or (trailing) the
+// last-but-one's, so it sees all but the last. hit holds the opcodes of
+// the entries dropped.
+type moreBitClearer struct {
+	skip     int
+	trailing bool
+	hit      []uint8
+}
+
+func (c *moreBitClearer) Tap(p *pcie.Packet) *pcie.Packet {
+	if c.hit != nil {
+		return p
+	}
+	for i, slot := range ringSlots(p) {
+		chain := slotChain(slot)
+		if len(chain) < 2 {
+			continue
+		}
+		if c.skip--; c.skip >= 0 {
+			continue
+		}
+		keep := 1
+		if c.trailing {
+			keep = len(chain) - 1
+		}
+		for _, e := range chain[keep:] {
+			c.hit = append(c.hit, e.Op)
+		}
+		q := p.Clone()
+		q.Payload[i*core.RingSlotSize+chainSize(chain[:keep-1])+1] &^= core.RingFlagMore
+		return q
+	}
+	return p
+}
+
+// TestRingClearedMoreBit: the host clears a more bit in a ring fetch
+// toward the SC — a chain's first, dropping every entry behind it, or
+// its last-but-one, dropping the trailing entry. The SC sees a shorter
+// chain, well framed, which is what rewriting a slot's entries into a
+// notify earns: an availability loss. At every packed slot of a 300 B
+// task and of a 32-token decode session, both ways, one run each: the op
+// is exact, or it fails — a task with the session failed closed — and
+// the slice serves an exact task after (a re-trust first when the
+// session failed closed). Never a wrong byte.
+func TestRingClearedMoreBit(t *testing.T) {
+	cfg := llm.Config{MaxNewTokens: 32, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 0x9f}
+	prompt := []byte("packed slots, cut short")
+	in := bytes.Repeat([]byte{7}, 300)
+	want := bytes.Repeat([]byte{8}, 300)
+	task := func(tn *Tenant) (bool, error) {
+		out, err := tn.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 1})
+		return bytes.Equal(out, want), err
+	}
+	decode := func(tn *Tenant) (bool, error) {
+		ctx := context.Background()
+		s, err := tn.OpenSession(ctx, cfg)
+		if err != nil {
+			return false, err
+		}
+		defer s.Close()
+		ch, err := s.Decode(ctx)
+		if err != nil {
+			return false, err
+		}
+		if err := s.Prefill(ctx, prompt); err != nil {
+			return false, err
+		}
+		chunks, err := readStream(t, ch)
+		var out []byte
+		for _, c := range chunks {
+			out = append(out, c.Tokens...)
+		}
+		return bytes.Equal(out, expectedStream(cfg, prompt)), err
+	}
+	for _, op := range []struct {
+		name string
+		run  func(*Tenant) (bool, error)
+	}{{"task", task}, {"decode", decode}} {
+		for _, trailing := range []bool{false, true} {
+			for k := 0; ; k++ {
+				mp, err := NewMultiPlatform([]xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tn := mp.Tenants[0]
+				if err := tn.EstablishTrust(); err != nil {
+					t.Fatal(err)
+				}
+				tap := &moreBitClearer{skip: k, trailing: trailing}
+				mp.Host.AddTap(tap)
+				exact, err := op.run(tn)
+				mp.Host.ClearTaps()
+				if tap.hit == nil { // past the op's last packed slot
+					mp.Close()
+					break
+				}
+				closed := tn.Adaptor.Recovery().FailClosed > 0
+				t.Logf("%s, packed slot %d, trailing %v: dropped ops %v; exact %v, err %v, failed closed %v",
+					op.name, k, trailing, tap.hit, exact, err, closed)
+				if err == nil && !exact || op.name == "task" && err != nil && !closed {
+					t.Errorf("%s, packed slot %d, trailing %v: exact %v, err %v, failed closed %v; want exact, or an error with the session failed closed",
+						op.name, k, trailing, exact, err, closed)
+				}
+				if closed {
+					if err := tn.EstablishTrust(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if exact, err := task(tn); !exact || err != nil {
+					t.Errorf("%s, packed slot %d, trailing %v: the next task: exact %v, err %v", op.name, k, trailing, exact, err)
+				}
+				mp.Close()
+			}
+		}
+	}
+}

@@ -38,12 +38,14 @@ const ledgerHeader = `# The wire ledger (wire_ledger_test.go). Regenerate with: 
 `
 
 // shapeWire is what an op shape cost: the rows of both segments (no
-// internal one on a Vanilla platform) and four counts — Adaptor.IO()'s
+// internal one on a Vanilla platform) and five counts — Adaptor.IO()'s
 // MMIO writes and reads, the SC's config-stream opens (descriptor
-// installs) and the adaptor.mmio.writes counter.
+// installs), the adaptor.mmio.writes counter and the adaptor.ring.entries
+// counter (ring entries pushed: over the slot-fetch bytes, how many
+// entries share a slot).
 type shapeWire struct {
 	host, inner []wireRow
-	counts      [4]uint64
+	counts      [5]uint64
 }
 
 // digest is a short digest of vs, printed one a line.
@@ -61,8 +63,9 @@ func ledgerLine(shape, segment, role, kind string, count, size any, sum string) 
 
 // lines is the shape's part of the ledger: per segment one row for each
 // role and kind, in that order, then the segment's order row; then the
-// first three counts. w may hold steps alike steps, one after another:
-// counts and bytes are then per step, digests over them all.
+// first three counts and the ring entries. w may hold steps alike steps,
+// one after another: counts and bytes are then per step, digests over
+// them all.
 func (w shapeWire) lines(shape string, steps int) []string {
 	var out []string
 	for i, rows := range [][]wireRow{w.host, w.inner} {
@@ -81,7 +84,10 @@ func (w shapeWire) lines(shape string, steps int) []string {
 		}
 		out = append(out, ledgerLine(shape, seg, "order", "-", len(rows)/steps, payload/steps, digest(order)))
 	}
-	for i, c := range []string{"adaptor mmio-writes", "adaptor mmio-reads", "sc installs"} {
+	for i, c := range []string{0: "adaptor mmio-writes", 1: "adaptor mmio-reads", 2: "sc installs", 4: "adaptor ring-entries"} {
+		if c == "" {
+			continue
+		}
 		seg, what, _ := strings.Cut(c, " ")
 		out = append(out, ledgerLine(shape, seg, what, "-", w.counts[i]/uint64(steps), "-", "-"))
 	}
@@ -150,7 +156,7 @@ func ledgerChassis(t *testing.T) (*MultiPlatform, *Tenant, func() shapeWire) {
 	host, inner := recordWire(mp.Host), recordWire(tn.internal)
 	return mp, tn, func() shapeWire {
 		io, c := tn.Adaptor.IO(), mp.Obs.Reg().Snapshot().Counters
-		m := shapeWire{host: *host, inner: *inner, counts: [4]uint64{io.MMIOWrites, io.MMIOReads, 0, c["adaptor.mmio.writes"]}}
+		m := shapeWire{host: *host, inner: *inner, counts: [5]uint64{io.MMIOWrites, io.MMIOReads, 0, c["adaptor.mmio.writes"], c["adaptor.ring.entries"]}}
 		for name, v := range c {
 			if strings.HasPrefix(name, "secmem.open.ops{") && strings.Contains(name, "side=crypto/sc") &&
 				strings.Contains(name, "stream="+core.StreamConfig) {
