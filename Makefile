@@ -11,7 +11,8 @@ all: build test
 # multi-tenant stress matrix, a one-iteration pass over every benchmark
 # (so they can't rot), both soak presets byte-diffed against their
 # committed scorecards, a short fuzz pass over the attacker-facing
-# parsers (fault plans included) and the SC's control BAR and submission ring, and the
+# parsers (fault plans included) and the SC's control BAR and submission
+# ring, the serving queue and engine against their reference models, and the
 # telemetry-plane smoke: live scrape, token isolation, audit-chain
 # tamper evidence. benchmark-check compiles and smoke-tests the
 # benchmark of record against this tree, and sync-count holds the steady
@@ -22,6 +23,21 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # The tag plane against its map-based reference, from the seeded scripts
 # TestTagPlaneMatchesReference plays.
 	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=10s ./internal/core/
+# The serving queue and the LLM engine against their reference models,
+# from the saved scripts under each package's testdata/fuzz/, which
+# the `test` target plays as FuzzServingQueue/<name> and
+# FuzzServingEngine/<name>. The queue model holds sched.Fair's
+# claims, Len and Pending, every deficit and the cursor to DRR as
+# documented: a weighted top-up only when no free flow can afford its
+# head, a claim that empties its flow giving up its leftover credit, a
+# requeue at the head with its refund, a yield at the tail without one,
+# lazy cancel (whole, or its CAS and its uncount apart), close draining
+# then ending. The engine model holds KV in use to the live
+# reservations, the session slots, the step log exact in settle order,
+# chunks in order per session with only chunk 0 a prefill, and no step
+# dispatched for a released or finished session.
+	$(GO) test -run '^$$' -fuzz=FuzzServingQueue -fuzztime=15s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz=FuzzServingEngine -fuzztime=15s ./internal/llm/
 # The SC's two host-writable surfaces: raw control-BAR writes, and the
 # submission ring — slot bytes and doorbell tail — which is the only way
 # in for sealed configuration, positioned tags and notifies.
@@ -263,7 +279,8 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Short fuzz campaigns over every attacker-facing parser.
+# Short fuzz campaigns over every attacker-facing parser, and over the
+# serving queue and engine against their reference models.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=15s ./internal/pcie/
 	$(GO) test -fuzz=FuzzUnmarshalRule -fuzztime=10s ./internal/core/
@@ -277,6 +294,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=15s ./internal/obsv/
+	$(GO) test -run '^$$' -fuzz=FuzzServingQueue -fuzztime=30s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz=FuzzServingEngine -fuzztime=30s ./internal/llm/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=15s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz=FuzzProtocolTrace -fuzztime=60s .
 

@@ -43,7 +43,6 @@ var surfaceSeams = map[string]string{
 	"(*mem.Space).Live":                "sliceHygiene and the protocol model count live host buffers",
 	"(*pcie.Bus).Owner":                "TestPlatformHostSideIsMux and TestBusDetach check who claims a window",
 	"(*pcie.Bus).Detach":               "TestBusDetach and the churn test race it against the lock-free Route",
-	"(*sched.Entry).Canceled":          "the drain and yield cells check an entry settled cancelled",
 	"(*secmem.KeyStore).Count":         "sliceHygiene: a torn-down slice holds no key",
 	"(*trace.Recorder).Retained":       "the telemetry leak check scans what the host segment carried",
 	"(*xpu.Device).ColdBoots":          "the teardown cells check the guard's clean took the right reset",

@@ -145,8 +145,8 @@ func (mp *MultiPlatform) llmServer() *llmServer {
 	}
 	eng, err := llm.NewEngine(mp.llmCfg)
 	if err != nil {
-		// EngineConfig is fully defaulted; the only failure is an absurd
-		// MaxSessions, which NewMultiPlatform's options cannot produce.
+		// EngineConfig is fully defaulted and the session count is a
+		// constant: the engine's queue always builds.
 		panic(fmt.Sprintf("ccai: llm engine: %v", err))
 	}
 	srv := &llmServer{mp: mp, eng: eng, stop: make(chan struct{})}

@@ -180,14 +180,16 @@ type StepRecord struct {
 	Chunk   int
 }
 
+// MaxSessions bounds concurrently admitted sessions: the engine's
+// session slots, one fair-queue flow each.
+const MaxSessions = 32
+
 // EngineConfig parameterizes an Engine. The zero value serves: 1 MiB
-// KV budget, 32 session slots, 256-byte step quantum.
+// KV budget and a 256-byte step quantum over MaxSessions slots.
 type EngineConfig struct {
 	// KVBudget bounds the summed KV reservations of live sessions
 	// (bytes of protected device memory, default 1 MiB).
 	KVBudget int64
-	// MaxSessions bounds concurrently admitted sessions (default 32).
-	MaxSessions int
 	// Workers is a hint to the serving layer: how many dispatcher
 	// goroutines pull steps concurrently (default 2; 1 gives a fully
 	// deterministic dispatch order). The engine itself is
@@ -248,17 +250,14 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.KVBudget <= 0 {
 		cfg.KVBudget = 1 << 20
 	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 32
-	}
 	// Depth 2: one live entry per session, plus headroom for the
 	// requeue path.
-	q, err := sched.New(sched.Config{Flows: cfg.MaxSessions, Depth: 2, Quantum: stepQuantum})
+	q, err := sched.New(sched.Config{Flows: MaxSessions, Depth: 2, Quantum: stepQuantum})
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{q: q, cfg: cfg, free: make([]int, 0, cfg.MaxSessions)}
-	for i := cfg.MaxSessions - 1; i >= 0; i-- {
+	e := &Engine{q: q, cfg: cfg, free: make([]int, 0, MaxSessions)}
+	for i := MaxSessions - 1; i >= 0; i-- {
 		e.free = append(e.free, i) // pop order: slot 0 first
 	}
 	return e, nil
@@ -300,7 +299,7 @@ func (e *Engine) Admit(cfg Config, promptTokens int, owner any) (*SessionState, 
 			ErrKVBudget, kv, e.used, e.cfg.KVBudget)
 	}
 	if len(e.free) == 0 {
-		return nil, fmt.Errorf("%w: all %d session slots live", sched.ErrQueueFull, e.cfg.MaxSessions)
+		return nil, fmt.Errorf("%w: all %d session slots live", sched.ErrQueueFull, MaxSessions)
 	}
 	slot := e.free[len(e.free)-1]
 	e.free = e.free[:len(e.free)-1]

@@ -3,293 +3,8 @@ package llm
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"testing"
-
-	"ccai/internal/sched"
 )
-
-func testCfg(maxNew int) Config {
-	return Config{MaxNewTokens: maxNew, ChunkTokens: 4, Seed: 7}
-}
-
-// drain runs the engine's dispatch loop to completion for the given
-// sessions, returning the executed step log.
-func drainEngine(t *testing.T, e *Engine, sessions []*SessionState) []StepRecord {
-	t.Helper()
-	for _, s := range sessions {
-		if err := e.Start(s); err != nil {
-			t.Fatalf("Start: %v", err)
-		}
-	}
-	live := len(sessions)
-	stop := make(chan struct{})
-	for live > 0 {
-		st, ok := e.Next(stop)
-		if !ok {
-			t.Fatalf("Next returned !ok with %d sessions live", live)
-		}
-		if !e.Complete(st) {
-			live--
-		}
-	}
-	return e.StepLog()
-}
-
-func TestEngineInterleavesSessions(t *testing.T) {
-	e, err := NewEngine(EngineConfig{MaxSessions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	a, err := e.Admit(testCfg(16), 8, nil) // 4 chunks
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Admit(testCfg(16), 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := drainEngine(t, e, []*SessionState{a, b})
-
-	if want := 2 * 4; len(log) != want {
-		t.Fatalf("got %d steps, want %d", len(log), want)
-	}
-	// Chunk 0 of each session is a prefill, rest decode; chunks arrive
-	// in order per session.
-	next := map[uint64]int{}
-	for i, r := range log {
-		if r.Chunk != next[r.Session] {
-			t.Fatalf("step %d: session %d chunk %d, want %d", i, r.Session, r.Chunk, next[r.Session])
-		}
-		next[r.Session]++
-		wantKind := StepDecode
-		if r.Chunk == 0 {
-			wantKind = StepPrefill
-		}
-		if r.Kind != wantKind {
-			t.Fatalf("step %d: kind %v, want %v", i, r.Kind, wantKind)
-		}
-	}
-	// Yield must interleave: session a's decode steps cannot all run
-	// before b's prefill ever dispatches. Count the longest same-session
-	// run; with two equal-weight flows it must be short.
-	longest, run := 0, 0
-	var prev uint64
-	for _, r := range log {
-		if r.Session == prev {
-			run++
-		} else {
-			run, prev = 1, r.Session
-		}
-		if run > longest {
-			longest = run
-		}
-	}
-	if longest > 2 {
-		t.Fatalf("longest same-session dispatch run %d; Yield is not interleaving", longest)
-	}
-}
-
-func TestEngineDeterministicStepLog(t *testing.T) {
-	run := func() ([]StepRecord, []uint64) {
-		e, err := NewEngine(EngineConfig{MaxSessions: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		var ss []*SessionState
-		for i := 0; i < 3; i++ {
-			s, err := e.Admit(testCfg(8+4*i), 4+i, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss = append(ss, s)
-		}
-		var ids []uint64 // minted in admission order
-		for _, s := range ss {
-			ids = append(ids, s.ID)
-		}
-		return drainEngine(t, e, ss), ids
-	}
-	log1, adm1 := run()
-	log2, adm2 := run()
-	if len(log1) != len(log2) {
-		t.Fatalf("step counts differ: %d vs %d", len(log1), len(log2))
-	}
-	for i := range log1 {
-		if log1[i] != log2[i] {
-			t.Fatalf("step %d differs: %+v vs %+v", i, log1[i], log2[i])
-		}
-	}
-	for i := range adm1 {
-		if adm1[i] != adm2[i] {
-			t.Fatalf("admit order differs at %d: %d vs %d", i, adm1[i], adm2[i])
-		}
-	}
-}
-
-func TestEngineKVBudget(t *testing.T) {
-	cfg := testCfg(16)
-	cfg.KVBytesPerToken = 64
-	perSession := cfg.KVBytes(8) // (8+16)*64 = 1536
-	e, err := NewEngine(EngineConfig{KVBudget: 2*perSession + 1, MaxSessions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	a, err := e.Admit(cfg, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Admit(cfg, 8, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Admit(cfg, 8, nil); !errors.Is(err, ErrKVBudget) {
-		t.Fatalf("third admit: got %v, want ErrKVBudget", err)
-	}
-	if got := e.KVInUse(); got != 2*perSession {
-		t.Fatalf("KVInUse %d, want %d", got, 2*perSession)
-	}
-	// Release frees budget; admission succeeds again. Idempotent.
-	e.Release(a)
-	e.Release(a)
-	if got := e.KVInUse(); got != perSession {
-		t.Fatalf("KVInUse after release %d, want %d", got, perSession)
-	}
-	if _, err := e.Admit(cfg, 8, nil); err != nil {
-		t.Fatalf("admit after release: %v", err)
-	}
-}
-
-func TestEngineSlotExhaustion(t *testing.T) {
-	e, err := NewEngine(EngineConfig{MaxSessions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	s1, _ := e.Admit(testCfg(8), 4, nil)
-	if _, err := e.Admit(testCfg(8), 4, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Admit(testCfg(8), 4, nil); !errors.Is(err, sched.ErrQueueFull) {
-		t.Fatalf("got %v, want sched.ErrQueueFull", err)
-	}
-	e.Release(s1)
-	if _, err := e.Admit(testCfg(8), 4, nil); err != nil {
-		t.Fatalf("admit after slot release: %v", err)
-	}
-}
-
-func TestEngineReleaseCancelsQueued(t *testing.T) {
-	e, err := NewEngine(EngineConfig{MaxSessions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	s, _ := e.Admit(testCfg(8), 4, nil)
-	if err := e.Start(s); err != nil {
-		t.Fatal(err)
-	}
-	e.Release(s)
-	// Nothing must dispatch for a released session.
-	e.Close()
-	stop := make(chan struct{})
-	if st, ok := e.Next(stop); ok {
-		t.Fatalf("dispatched step %+v for released session", st)
-	}
-}
-
-func TestEngineRequeueKeepsLogExact(t *testing.T) {
-	e, err := NewEngine(EngineConfig{MaxSessions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	s, _ := e.Admit(testCfg(8), 4, nil) // 2 chunks
-	if err := e.Start(s); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	st, ok := e.Next(stop)
-	if !ok {
-		t.Fatal("no step")
-	}
-	e.Requeue(st) // injected stall: dispatch undone, log rewound
-	if got := len(e.StepLog()); got != 0 {
-		t.Fatalf("log has %d records after requeue, want 0", got)
-	}
-	for {
-		st, ok := e.Next(stop)
-		if !ok {
-			t.Fatal("Next returned !ok before session finished")
-		}
-		if !e.Complete(st) {
-			break
-		}
-	}
-	log := e.StepLog()
-	want := []StepRecord{
-		{Session: s.ID, Kind: StepPrefill, Chunk: 0},
-		{Session: s.ID, Kind: StepDecode, Chunk: 1},
-	}
-	if len(log) != len(want) {
-		t.Fatalf("log %v, want %v", log, want)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log[%d] = %+v, want %+v", i, log[i], want[i])
-		}
-	}
-
-	// Two sessions: another session's step is claimed after the one
-	// that is requeued, so the requeued step's claim is not the newest.
-	// Each step is still logged exactly once, when it is settled.
-	e2, err := NewEngine(EngineConfig{MaxSessions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	a, _ := e2.Admit(testCfg(8), 4, nil)
-	b, _ := e2.Admit(testCfg(8), 4, nil)
-	for _, s := range []*SessionState{a, b} {
-		if err := e2.Start(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stA, okA := e2.Next(stop)
-	stB, okB := e2.Next(stop)
-	if !okA || !okB || stA.S != a || stB.S != b {
-		t.Fatalf("claims %+v, %+v: want session %d then %d", stA, stB, a.ID, b.ID)
-	}
-	e2.Requeue(stA)
-	live := 2
-	if !e2.Complete(stB) {
-		live--
-	}
-	for live > 0 {
-		st, ok := e2.Next(stop)
-		if !ok {
-			t.Fatalf("Next returned !ok with %d sessions live", live)
-		}
-		if !e2.Complete(st) {
-			live--
-		}
-	}
-	log = e2.StepLog()
-	seen := make(map[StepRecord]int)
-	for _, r := range log {
-		seen[r]++
-	}
-	if len(log) != 4 || len(seen) != 4 {
-		t.Fatalf("log %v: want each of the 4 steps once", log)
-	}
-	if first := (StepRecord{Session: b.ID, Kind: StepPrefill, Chunk: 0}); log[0] != first {
-		t.Fatalf("log[0] = %+v, want %+v: the requeued step settled later", log[0], first)
-	}
-}
 
 func TestConfigNormalizeAndChunks(t *testing.T) {
 	c := Config{MaxNewTokens: 10}

@@ -64,10 +64,6 @@ type Entry struct {
 	seq   uint64
 }
 
-// Canceled reports whether the entry lost the claim/cancel race. A test
-// seam: the drain and yield cells check an entry settled cancelled.
-func (e *Entry) Canceled() bool { return e.state.Load() == stateCanceled }
-
 // Config parameterizes a Fair queue.
 type Config struct {
 	// Flows is the number of flows (required, ≥ 1).
@@ -259,6 +255,12 @@ func (f *Fair) tryNext() *Entry {
 			fl.drop(1)
 			fl.pending--
 			fl.deficit -= e.Cost
+			if fl.head() == nil {
+				// A claim that empties its flow gives up the leftover
+				// credit, as an idle flow does: it is not carried through
+				// the busy spell into the flow's next backlog.
+				fl.deficit = 0
+			}
 			fl.busy = true
 			f.cursor = (i + 1) % n
 			return e
