@@ -477,10 +477,10 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 // two when it wraps the region — and a run gets one record: its MAC
 // binds the region, the first slot, the length and the run's bytes
 // (core.PutRunMACHeader), and the SC fetches and verifies the run as a
-// unit. The records are queued, not published: the guarded doorbell
-// write that follows flushes the ring before it goes out, so they reach
-// the SC ahead of the device's first read without a doorbell of their
-// own.
+// unit. The records are queued, not published: they ride the ring
+// burst of the guarded doorbell write that follows, ahead of it, so
+// they reach the SC before the device's first read without a doorbell
+// of their own.
 func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -665,33 +665,21 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 // --- control MMIO -----------------------------------------------------------------
 
 // GuardedWrite performs an A3-protected MMIO write to a device
-// register: the MAC record for the upcoming sequence number joins the
-// submission ring behind whatever is pending, one doorbell publishes the
-// burst — the record is consumed (head == tail) before anything else
-// happens — and then the write itself goes out through the SC's shadow
-// window. A write the device acts on stays that direct TLP: it is
-// individually MACed and sequence-bound, and batching it would hide the
-// very packet the per-write integrity protocol protects.
+// register. The write is posted, like any MMIO write: it joins the
+// submission ring as one entry — its value, then its MAC record under
+// its own sequence number — and the next ring doorbell publishes it, in
+// order behind everything queued before it. The SC checks the record in
+// place against its A3 sequence, the MAC and the environment guard, and
+// only then forwards the write to the device on its internal segment,
+// so the write costs no MMIO of its own. No read passes it: every read
+// through the Adaptor publishes the ring first (readWithRetry,
+// CompletionHead), and Publish rings the doorbell for a caller that
+// reads nothing.
 func (a *Adaptor) GuardedWrite(reg uint64, value uint64) error {
-	return a.guardedWrite(reg, value, false)
-}
-
-// GuardedWriteBatched is GuardedWrite for a register whose value the
-// device only acts on at a later doorbell (the command-ring tail): the
-// write joins the submission ring as one entry, its MAC record behind
-// its value, and reaches the SC with the burst the next direct guarded
-// write publishes — same sequence number, same MAC, same order, no MMIO
-// of its own.
-func (a *Adaptor) GuardedWriteBatched(reg uint64, value uint64) error {
-	return a.guardedWrite(reg, value, true)
-}
-
-func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Start(siteGuardedWrite, keyReg.Hex(reg))
 	defer sp.End()
-	// entry is the batched form's ring payload: value, then MAC record.
 	var entry [8 + core.TagRecordSize]byte
 	payload := entry[:8]
 	binary.LittleEndian.PutUint64(payload, value)
@@ -703,23 +691,20 @@ func (a *Adaptor) guardedWrite(reg uint64, value uint64, batched bool) error {
 	}
 	rec := core.TagRecord{Stream: core.StreamMMIO, Chunk: a.mmioSeq}
 	copy(rec.Tag[:], mac[:secmem.TagSize])
-	if batched {
-		if err := a.ringPush(core.RingOpGuarded, a.xpuBar+reg, rec.AppendMarshal(payload)); err != nil {
-			return err
-		}
-		a.mmioSeq++
-		return nil
-	}
-	if err := a.ringPush(core.RingOpTags, 0, rec.AppendMarshal(entry[8:8])); err != nil {
-		return err
-	}
-	if err := a.flushRingLocked(); err != nil {
+	if err := a.ringPush(core.RingOpGuarded, a.xpuBar+reg, rec.AppendMarshal(payload)); err != nil {
 		return err
 	}
 	a.mmioSeq++
-	a.io.MMIOWrites++
-	a.routeWrite(pcie.RoleGuardedWrite, a.xpuBar+reg, payload)
 	return nil
+}
+
+// Publish rings the ring doorbell for whatever is queued, posted guarded
+// writes included, and returns once the SC has consumed it. Nothing
+// queued costs nothing.
+func (a *Adaptor) Publish() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.flushRingLocked()
 }
 
 // CompletionHead reads the device's command-head register, serving it

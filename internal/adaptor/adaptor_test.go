@@ -361,6 +361,12 @@ func TestGuardedWriteReachesDevice(t *testing.T) {
 	if err := r.adaptor.GuardedWrite(0x10, 0xabcd); err != nil {
 		t.Fatal(err)
 	}
+	if dev.regs[0x10] != 0 || r.sc.MMIOSeq() != 0 {
+		t.Fatal("a posted guarded write reached the SC before a doorbell published it")
+	}
+	if err := r.adaptor.Publish(); err != nil {
+		t.Fatal(err)
+	}
 	if dev.regs[0x10] != 0xabcd {
 		t.Fatalf("device register = %#x", dev.regs[0x10])
 	}
@@ -379,6 +385,14 @@ func TestGuardedWriteSequenceDiscipline(t *testing.T) {
 		if err := r.adaptor.GuardedWrite(0x20+8*i, i); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// One doorbell publishes the five writes, applied in order.
+	writes := r.adaptor.IO().MMIOWrites
+	if err := r.adaptor.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.adaptor.IO().MMIOWrites - writes; got != 1 {
+		t.Fatalf("five guarded writes published with %d MMIO writes, want 1", got)
 	}
 	for i := uint64(0); i < 5; i++ {
 		if dev.regs[0x20+8*i] != i {
@@ -435,6 +449,9 @@ func TestVerifiedRegionSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := r.adaptor.GuardedWrite(reg, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.adaptor.Publish(); err != nil {
 			t.Fatal(err)
 		}
 		reg += 8

@@ -12,7 +12,7 @@ import (
 
 // Submission-ring producer (§5 batched I/O): the ring is the Adaptor's
 // control path. Sealed rule/descriptor/rekey blobs, packed tag records,
-// region releases, notifies and batched A3 guarded writes are appended
+// region releases, notifies and A3 guarded device writes are appended
 // to a ring the Adaptor owns in TVM memory, and each burst is published
 // with a single MMIO doorbell carrying the new absolute tail: an
 // operation costs a plain memory write plus its share of one doorbell,

@@ -59,6 +59,9 @@ func TestStepChannelRig(t *testing.T) {
 			if err := r.adaptor.GuardedWrite(0x10, uint64(k)); err != nil {
 				t.Fatal(err)
 			}
+			if err := r.adaptor.Publish(); err != nil {
+				t.Fatal(err)
+			}
 			if r.sc.Regions() != regions {
 				t.Fatalf("step %d changed the SC's region table", k)
 			}
@@ -137,6 +140,9 @@ func TestStepChannelMultiChunkStep(t *testing.T) {
 				if err := r.adaptor.GuardedWrite(0x10, 1); err != nil {
 					t.Fatal(err)
 				}
+				if err := r.adaptor.Publish(); err != nil {
+					t.Fatal(err)
+				}
 				var got []byte
 				if k%2 == 0 {
 					var ok bool
@@ -200,6 +206,9 @@ func TestDecodeSessionsReuseTagTables(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := a.GuardedWrite(0x10, uint64(k)); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Publish(); err != nil {
 				t.Fatal(err)
 			}
 		}

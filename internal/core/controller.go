@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -153,6 +154,11 @@ type Controller struct {
 	// their last holder on an untapped bus (pcie.PacketArena).
 	slab arena.Slab
 	pkts pcie.PacketArena
+	// guardedPkts hands out the packets of guarded ring entries. A
+	// doorbell's packet is in flight for the device's whole command pump,
+	// whose fetches take and return pkts' packets meanwhile; an arena of
+	// its own keeps both on their lock-free fast path.
+	guardedPkts pcie.PacketArena
 
 	// stats is the one cell of every count Stats reports but the filter's
 	// and BatchedD2HSpans (sealedSpans); the metrics registry reads it
@@ -330,7 +336,15 @@ func (c *Controller) Handle(p *pcie.Packet) *pcie.Packet {
 	case ActionPassThrough:
 		return c.forwardToDevice(p)
 	case ActionWriteProtect:
-		return c.handleGuardedMMIO(p, nil)
+		if p.Kind == pcie.MRd {
+			// Reads of guarded registers carry no payload to verify.
+			return c.forwardToDevice(p)
+		}
+		// A guarded write reaches the device only as a ring entry that
+		// carries its MAC record (handleGuardedMMIO); one on the host bus
+		// has no record, so it is refused.
+		c.authFailed()
+		return c.reject(p)
 	case ActionWriteReadProtect:
 		// Sensitive MMIO (command payloads addressed at ccAI hardware,
 		// Figure 5 L2 row 1) must arrive as sealed submission-ring
@@ -384,62 +398,39 @@ func staleCpl(req, cpl *pcie.Packet) bool {
 	return cpl.Requester != req.Requester || cpl.Tag != req.Tag
 }
 
-// handleGuardedMMIO applies action A3 to control traffic: the write's
-// MAC record must already sit in the tag queue (the Adaptor posts it
-// before issuing the write), and guarded registers must pass the
-// environment checks. carried is the wire record a guarded ring entry
-// carries behind its value (nil for a write from the host bus); it
-// joins the tag queue, like any uploaded record, in the section that
-// matches the write's record.
-func (c *Controller) handleGuardedMMIO(p *pcie.Packet, carried []byte) *pcie.Packet {
-	if p.Kind == pcie.MRd {
-		// Reads of guarded registers carry no payload to verify.
-		return c.forwardToDevice(p)
-	}
+// handleGuardedMMIO applies action A3 to the write a guarded ring entry
+// stands for: carried, the record the entry carries behind the value,
+// must be the MAC record of the next A3 sequence number over the
+// write's address and value, and a guarded register's value must pass
+// the environment checks. The record is checked in place and never
+// joins the tag queue, so a refused write leaves nothing behind. A
+// write to the reap doorbell caches the device head it produced, which
+// the span's head writeback posts (ring.go).
+func (c *Controller) handleGuardedMMIO(p *pcie.Packet, carried []byte) {
 	sp := c.tracer.Start(siteGuardedMMIO,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(len(p.Payload))))
 	defer sp.End()
-	// The sequence check, MAC verify and counter advance form one
-	// atomic step under mu so concurrent guarded writes cannot both
-	// claim the same sequence number. The tag match runs under mu, its
-	// lock; the keystore takes no lock once the MMIO key's MAC state
-	// exists, and never calls back into the controller.
-	var in [1]TagRecord
+	var rec TagRecord
 	var names streamNames
-	n := 0
-	if len(carried) == TagRecordSize && c.parseTag(&in[0], &names, carried) {
-		n = 1
-	}
-	c.mu.Lock()
-	c.tags.enqueueLocked(in[:n])
-	seq := c.sess.mmioSeq
-	rec, ok := c.tagMatchLocked(StreamMMIO, seq)
-	if !ok {
-		c.mu.Unlock()
+	if len(carried) != TagRecordSize || !c.parseTag(&rec, &names, carried) || rec.Stream != StreamMMIO {
 		c.authFailed()
-		return c.reject(p)
+		return
 	}
 	var hdr [16]byte
-	PutMACHeader(&hdr, seq, p.Address, uint32(len(p.Payload)))
+	PutMACHeader(&hdr, rec.Chunk, p.Address, uint32(len(p.Payload)))
 	// The 16-byte wire tag is the MAC truncated to TagSize; recompute
 	// and compare the truncation (constant-time over the full width).
 	// MACSum keeps the key inside the store and reuses its HMAC state.
 	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], p.Payload)
-	if err != nil {
+	match := err == nil && subtle.ConstantTimeCompare(want[:secmem.TagSize], rec.Tag[:]) == 1
+	// The sequence check and the counter advance form one atomic step
+	// under mu, so concurrent guarded writes cannot both claim the same
+	// sequence number.
+	c.mu.Lock()
+	if !match || rec.Chunk != c.sess.mmioSeq {
+		c.stats.AuthFailures++
 		c.mu.Unlock()
-		c.authFailed()
-		return c.reject(p)
-	}
-	match := true
-	for i := 0; i < secmem.TagSize; i++ {
-		if want[i] != rec.Tag[i] {
-			match = false
-		}
-	}
-	if !match {
-		c.mu.Unlock()
-		c.authFailed()
-		return c.reject(p)
+		return
 	}
 	c.sess.mmioSeq++
 	c.stats.VerifiedChunks++
@@ -453,17 +444,15 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet, carried []byte) *pcie.Pac
 			c.mu.Lock()
 			c.stats.GuardBlocks++
 			c.mu.Unlock()
-			return c.reject(p)
+			return
 		}
 	}
-	cpl := c.forwardToDevice(p)
+	c.forwardToDevice(p)
 	if c.reapConfigured && p.Address == c.xpuBar.Base+c.reapDoorbellReg {
 		// The doorbell ran the device's command pump synchronously; reap
-		// the batch of completions it produced with one device-head read
-		// and one ring-header writeback.
+		// the batch of completions it produced with one device-head read.
 		c.reapCompletion()
 	}
-	return cpl
 }
 
 // PutMACHeader writes the byte layout both ends authenticate for A3

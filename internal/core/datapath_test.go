@@ -239,20 +239,26 @@ func le64(v uint64) []byte {
 	return b
 }
 
+// guardedEntry is a guarded ring entry's data: the value, then the MAC
+// record of A3 sequence number seq over the write.
+func (d *dpRig) guardedEntry(seq uint32, reg, val uint64) []byte {
+	payload := le64(val)
+	var hdr [16]byte
+	PutMACHeader(&hdr, seq, ctlWin+reg, uint32(len(payload)))
+	mac := secmem.MAC(d.mmioKy, hdr[:], payload)
+	rec := TagRecord{Stream: StreamMMIO, Chunk: seq}
+	copy(rec.Tag[:], mac[:secmem.TagSize])
+	return rec.AppendMarshal(payload)
+}
+
 func TestGuardedMMIOHappyAndTampered(t *testing.T) {
 	d := newDPRig(t)
 	write := func(seq uint32, reg uint64, val uint64, corrupt bool) {
-		payload := le64(val)
-		var hdr [16]byte
-		PutMACHeader(&hdr, seq, ctlWin+reg, uint32(len(payload)))
-		mac := secmem.MAC(d.mmioKy, hdr[:], payload)
-		rec := TagRecord{Stream: StreamMMIO, Chunk: seq}
-		copy(rec.Tag[:], mac[:secmem.TagSize])
-		d.sc.Tags().Enqueue(rec)
+		data := d.guardedEntry(seq, reg, val)
 		if corrupt {
-			payload[0] ^= 1
+			data[0] ^= 1
 		}
-		d.sc.Handle(pcie.NewMemWrite(tvmID, ctlWin+reg, payload))
+		d.sc.ringDispatch(RingOpGuarded, ctlWin+reg, data)
 	}
 	write(0, 0x10, 0x1234, false)
 	if d.dev.regs[0x10] != 0x1234 {
@@ -271,20 +277,27 @@ func TestGuardedMMIOHappyAndTampered(t *testing.T) {
 	if d.dev.regs[0x20] != 0x9abc {
 		t.Fatal("sequence recovery failed")
 	}
+	// A replayed entry names a spent sequence number.
+	d.dev.regs[0x20] = 0
+	write(1, 0x20, 0x9abc, false)
+	if d.dev.regs[0x20] != 0 || d.sc.MMIOSeq() != 2 {
+		t.Fatal("a replayed guarded entry reached the device")
+	}
+	// A direct write on the host bus carries no record: refused, even with
+	// the record it needs queued, which it neither spends nor matches.
+	failures := d.sc.Stats().AuthFailures
+	d.sc.Tags().Enqueue(TagRecord{Stream: StreamMMIO, Chunk: 2})
+	d.sc.Handle(pcie.NewMemWrite(tvmID, ctlWin+0x28, le64(7)))
+	if d.dev.regs[0x28] != 0 || d.sc.MMIOSeq() != 2 || d.sc.Stats().AuthFailures != failures+1 {
+		t.Fatal("a direct guarded write was not refused")
+	}
 }
 
 func TestGuardedMMIOEnvCheck(t *testing.T) {
 	d := newDPRig(t)
 	d.sc.Guard().AddCheck(MMIOCheck{Reg: 0x28, Valid: func(v uint64) bool { return v < 100 }})
 	write := func(seq uint32, reg uint64, val uint64) {
-		payload := le64(val)
-		var hdr [16]byte
-		PutMACHeader(&hdr, seq, ctlWin+reg, 8)
-		mac := secmem.MAC(d.mmioKy, hdr[:], payload)
-		rec := TagRecord{Stream: StreamMMIO, Chunk: seq}
-		copy(rec.Tag[:], mac[:secmem.TagSize])
-		d.sc.Tags().Enqueue(rec)
-		d.sc.Handle(pcie.NewMemWrite(tvmID, ctlWin+reg, payload))
+		d.sc.ringDispatch(RingOpGuarded, ctlWin+reg, d.guardedEntry(seq, reg, val))
 	}
 	write(0, 0x28, 42)
 	if d.dev.regs[0x28] != 42 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 
 	"ccai/internal/arena"
 	"ccai/internal/pcie"
@@ -9,8 +10,8 @@ import (
 
 // Submission ring (§5 batched I/O, io_uring-shaped): the SC's control
 // path. Instead of one MMIO write per control operation — sealed
-// configuration, tag uploads, notifies, the command-tail register
-// write — the Adaptor appends fixed-size entries to a ring it owns in
+// configuration, tag uploads, notifies, the driver's device-register
+// writes — the Adaptor appends fixed-size entries to a ring it owns in
 // protected TVM memory and publishes a whole batch with a single write
 // to RegRingDoorbell carrying the new absolute tail index. The SC
 // DMA-reads the published span in MaxReadReq-sized gulps, validates
@@ -19,17 +20,18 @@ import (
 // ring header. Small entries share a slot: an entry whose header has
 // RingFlagMore set is followed in the same slot by another, right behind
 // its payload. Sealed blobs, positioned tags and notifies have no other
-// way in.
+// way in, and so do guarded device writes: the SC refuses one that
+// reaches the xPU window straight off the host bus.
 //
 // Trust boundary: the ring lives in TVM memory reachable over the
 // untrusted host bus, so its contents get no more trust than an MMIO
 // payload — rule/descriptor/rekey entries carry sealed blobs only the
 // attested peer can mint, tag entries carry tags and MAC records verified
-// on use (the record of a direct guarded write among them: it rides the
-// burst that write's flush publishes, so it is consumed before the write
-// goes out), and guarded entries go through the A3 sequence+MAC check of
-// a direct guarded write. Tampering with an entry therefore yields a config
-// reject or an auth failure. Tampering with the ring
+// on use, and a guarded entry carries its write's MAC record, which the
+// SC checks in place against the A3 sequence, the write's address and
+// its value before the filter-classified write goes to the device.
+// Tampering with an entry therefore yields a config reject or an auth
+// failure. Tampering with the ring
 // *framing* (sequence skew, a length past the slot, unknown opcode or
 // flag) is a desync: the SC sets the ring status word, rejects the whole
 // published span, and refuses to advance — fail closed until the
@@ -154,7 +156,7 @@ const RingMaxSlots = 1 << 12
 // reaches handlers that route on the buses.
 func (c *Controller) processRing(tail uint64) {
 	c.mu.Lock()
-	base, slots, head := c.sess.ringBase, c.sess.ringSize, c.sess.ringHead
+	base, slots, head, w := c.sess.ringBase, c.sess.ringSize, c.sess.ringHead, c.sess.cplWord
 	c.mu.Unlock()
 	if base == 0 || slots == 0 {
 		c.configReject() // a doorbell with no configured ring
@@ -167,7 +169,7 @@ func (c *Controller) processRing(tail uint64) {
 		// stale or replayed one, behind the head. Re-posting both words
 		// lets the producer's doorbell-retry ladder converge, and a
 		// replayed doorbell costs the session nothing.
-		c.ringPostHead(base, head)
+		c.ringPostHead(base, head, w)
 		return
 	}
 	if tail-head > slots {
@@ -218,12 +220,13 @@ func (c *Controller) processRing(tail uint64) {
 	}
 	arena.Put(buf)
 
+	// A doorbell entry of the span reaped the device head into the
+	// cache: the one head writeback posts it.
 	c.mu.Lock()
 	c.sess.ringHead = tail
-	w := c.sess.cplWord
+	w = c.sess.cplWord
 	c.mu.Unlock()
-	c.hostWrite64(pcie.RoleRingHead, base, tail)
-	c.postCompletionWord(base, w)
+	c.ringPostHead(base, tail, w)
 }
 
 // ringDispatch routes one validated entry to its handler. data aliases
@@ -253,9 +256,9 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		// The entry carries the write's MAC record behind its value.
 		// Rebuild the A3 write the entry stands for, attributed to the
 		// authorized TVM, and run it through the full sequence+MAC+guard
-		// pipeline, which queues the record in the section that matches
-		// it. The value is copied out of the gather buffer: a tap on the
-		// internal bus may keep the packet past this dispatch.
+		// check against the record it carries. The value is copied out of
+		// the gather buffer: a tap on the internal bus may keep the packet
+		// past this dispatch.
 		if len(data) <= TagRecordSize {
 			c.configReject() // a guarded entry that carries no value
 			return
@@ -263,8 +266,14 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		value, rec := data[:len(data)-TagRecordSize], data[len(data)-TagRecordSize:]
 		val := c.payloadBuf(len(value), c.internal)
 		copy(val, value)
-		p := c.pkts.MemWrite(pcie.RoleGuardedWrite, c.authorizedTVM, arg, val)
-		c.handleGuardedMMIO(p, rec)
+		p := c.guardedPkts.MemWrite(pcie.RoleGuardedWrite, c.authorizedTVM, arg, val)
+		// The policy classifies the write as it would one off the bus: an
+		// entry is a guarded write only where the filter says A3.
+		if c.filter.classify(p, false).Action == ActionWriteProtect {
+			c.handleGuardedMMIO(p, rec)
+		} else {
+			c.configReject()
+		}
 		if c.recycleOn(c.internal) && pcie.Release(p) {
 			arena.Put(val) // a register value the host bus already carried
 		}
@@ -287,26 +296,16 @@ func (c *Controller) ringFetch(addr uint64, dst []byte) bool {
 }
 
 // ringPostHead DMA-writes the consumed head index into the ring
-// header, followed by the current completion word so a reaping
-// producer refreshes both with the same doorbell.
-func (c *Controller) ringPostHead(base, head uint64) {
+// header, followed by w, the completion word its caller read under c.mu,
+// so a reaping producer refreshes both with the same doorbell. A zero
+// word — no doorbell forwarded yet this session — posts nothing,
+// leaving the header word invalid so the producer falls back to the
+// MMIO read.
+func (c *Controller) ringPostHead(base, head, w uint64) {
 	c.hostWrite64(pcie.RoleRingHead, base, head)
-	c.mu.Lock()
-	w := c.sess.cplWord
-	c.mu.Unlock()
-	c.postCompletionWord(base, w)
-}
-
-// postCompletionWord DMA-writes w, the cached device command head
-// (tagged RingCplValid) its caller read under c.mu, into the ring
-// header's completion slot. A zero cache — no doorbell forwarded yet
-// this session — posts nothing, leaving the header word invalid so the
-// producer falls back to the MMIO read.
-func (c *Controller) postCompletionWord(base, w uint64) {
-	if w == 0 {
-		return
+	if w != 0 {
+		c.hostWrite64(pcie.RoleCompletionWord, base+RingHdrCplOff, w)
 	}
-	c.hostWrite64(pcie.RoleCompletionWord, base+RingHdrCplOff, w)
 }
 
 // hostWrite64 DMA-writes one ring-header word.
@@ -318,34 +317,39 @@ func (c *Controller) hostWrite64(role pcie.Role, addr, v uint64) {
 
 // reapCompletion is the SC half of batched completion reaping: after
 // forwarding a doorbell write, read the device's command head once over
-// the internal bus and deposit it into the submission ring header. One
-// doorbell therefore drains every completion the burst produced; the
-// producer's Head() poll becomes a host-memory read, and the per-task
-// completion MMIO disappears from the hot path.
+// the internal bus and cache it for the ring header. The doorbell is a
+// ring entry, so the head writeback of the span that carried it posts
+// the word: one doorbell drains every completion the burst produced,
+// and the producer's Head() poll becomes a host-memory read.
+//
+// The doorbell also settles the run records. The device read every run
+// it was rung for before the forward returned, so a record still
+// pending is one no read will spend: a recovery kick that saw a stale
+// completion word re-posted it for a run the device had already read.
+// It is dropped here. A run the device did not get to read is re-posted
+// fresh by the kick that re-drives it.
 func (c *Controller) reapCompletion() {
 	if c.internal == nil {
 		return
 	}
+	var w uint64
 	req := c.pkts.MemRead(pcie.RoleRegRead, c.id, c.xpuBar.Base+c.reapHeadReg, 8, 0)
-	cpl := c.internal.Route(req)
-	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || len(cpl.Payload) < 8 {
-		return // unreadable head: leave the cache alone, MMIO fallback rules
+	// An unreadable head leaves the cache alone: the MMIO fallback rules.
+	if cpl := c.internal.Route(req); cpl != nil && cpl.Status == pcie.CplSuccess && !staleCpl(req, cpl) && len(cpl.Payload) >= 8 {
+		w = RingCplValid | binary.LittleEndian.Uint64(cpl.Payload)
+		if c.recycleOn(c.internal) {
+			// The device carves register completions from memory it never
+			// reuses; only the two structs come back.
+			pcie.Release(cpl)
+			pcie.Release(req)
+		}
 	}
-	head := binary.LittleEndian.Uint64(cpl.Payload)
-	if c.recycleOn(c.internal) {
-		// The device carves register completions from memory it never
-		// reuses; only the two structs come back.
-		pcie.Release(cpl)
-		pcie.Release(req)
-	}
-	w := RingCplValid | head
 	c.mu.Lock()
-	c.sess.cplWord = w
-	base := c.sess.ringBase
-	c.mu.Unlock()
-	if base != 0 {
-		c.postCompletionWord(base, w)
+	c.tags.discardLocked(StreamA3Run, 0, math.MaxUint32)
+	if w != 0 {
+		c.sess.cplWord = w
 	}
+	c.mu.Unlock()
 }
 
 // ringDesync marks the ring unusable (status word + config reject) and

@@ -419,9 +419,16 @@ func (e *Engine) Fail(st *Step) {
 // Requeue undoes a claimed-but-unexecuted dispatch (fault injection,
 // preemption): the entry returns to the head of its flow with its
 // deficit refunded. Nothing was logged at the claim, so the log still
-// holds settled steps only.
+// holds settled steps only. A session released while its step was
+// claimed has nothing to come back to, so its entry is dropped.
 func (e *Engine) Requeue(st *Step) {
-	e.q.Requeue(st.entry)
+	// Under e.mu, a Release either came first and is seen here, or comes
+	// after and cancels the requeued entry.
+	e.mu.Lock()
+	if !st.S.released {
+		e.q.Requeue(st.entry)
+	}
+	e.mu.Unlock()
 	e.q.Release(st.entry.Flow)
 }
 

@@ -5,7 +5,8 @@ package llm
 // here: admission against the KV budget and the session slots, the
 // queue op each call should make (a prefill charged its prompt, a
 // completed step yielded to the tail at a decode step's cost, a requeue
-// at the head, a release cancelling a queued step), and the step log.
+// at the head unless its session was released, a release cancelling a
+// queued step), and the step log.
 // The queue itself is a second sched.Fair driven op for op —
 // FuzzServingQueue holds that one to its own reference — so the model
 // names the step each claim must return. After every op the harness
@@ -123,7 +124,7 @@ var errStarted = errors.New("already started")
 //	      it holds one
 //	d<w>  worker w completes its step
 //	f<w>  worker w fails its step
-//	q<w>  worker w requeues its step
+//	q<w>  worker w requeues its step (dropped if its session was released)
 //	r<k>  Release the k-th most recently admitted session, its step
 //	      claimed or not
 //	z     Close
@@ -240,7 +241,9 @@ func playEngineScript(t *testing.T, script []byte) {
 			case w.st == nil:
 			case c == 'q':
 				eng.Requeue(w.st)
-				m.q.Requeue(w.entry)
+				if !w.r.released { // a released session's step is dropped
+					m.q.Requeue(w.entry)
+				}
 				m.q.Release(w.entry.Flow)
 			case c == 'f':
 				eng.Fail(w.st)

@@ -222,13 +222,16 @@ func (fl *flow) head() *Entry {
 
 // tryNext scans for a dispatchable entry under f.mu: a non-busy flow
 // whose head's cost fits its deficit. When every eligible flow is
-// short on deficit, each is topped up by quantum×weight and the scan
-// repeats — the DRR round. Returns nil when no flow is eligible at all
-// (empty, or all busy).
+// short on deficit, each is topped up by quantum×weight per DRR round,
+// as many rounds as the first of them to afford its head needs, in one
+// pass that also picks the first flow in scan order that now can.
+// Returns nil when no flow is eligible at all (empty, or all busy).
 func (f *Fair) tryNext() *Entry {
+	n := len(f.flows)
 	for {
-		eligible := false
-		n := len(f.flows)
+		// rounds is the fewest top-up rounds after which a short flow
+		// affords its head; 0 while the scan has met none.
+		var rounds int64
 		for off := 0; off < n; off++ {
 			i := (f.cursor + off) % n
 			fl := &f.flows[i]
@@ -242,41 +245,64 @@ func (f *Fair) tryNext() *Entry {
 				fl.deficit = 0
 				continue
 			}
-			eligible = true
-			if fl.deficit < e.Cost {
+			if short := e.Cost - fl.deficit; short > 0 {
+				step := f.quant * fl.weight
+				if r := (short + step - 1) / step; rounds == 0 || r < rounds {
+					rounds = r
+				}
 				continue
 			}
-			if !e.state.CompareAndSwap(stateQueued, stateClaimed) {
-				// Lost to a concurrent Cancel; unlink and rescan.
-				fl.head()
-				off--
-				continue
+			if f.claim(i, e) {
+				return e
 			}
-			fl.drop(1)
-			fl.pending--
-			fl.deficit -= e.Cost
-			if fl.head() == nil {
-				// A claim that empties its flow gives up the leftover
-				// credit, as an idle flow does: it is not carried through
-				// the busy spell into the flow's next backlog.
-				fl.deficit = 0
-			}
-			fl.busy = true
-			f.cursor = (i + 1) % n
-			return e
+			off-- // lost to a concurrent Cancel: try the flow's next head
 		}
-		if !eligible {
+		if rounds == 0 {
 			return nil
 		}
-		// Top-up round: every non-busy flow with work gains one quantum
-		// per weight unit, so service converges to the weight ratio.
-		for i := range f.flows {
+		// Top-up: every non-busy flow with work gains rounds quanta per
+		// weight unit, so service converges to the weight ratio.
+		var pick *Entry
+		at := 0
+		for off := 0; off < n; off++ {
+			i := (f.cursor + off) % n
 			fl := &f.flows[i]
-			if !fl.busy && fl.head() != nil {
-				fl.deficit += f.quant * fl.weight
+			if fl.busy {
+				continue
+			}
+			if e := fl.head(); e != nil {
+				fl.deficit += rounds * f.quant * fl.weight
+				if pick == nil && fl.deficit >= e.Cost {
+					pick, at = e, i
+				}
 			}
 		}
+		if pick != nil && f.claim(at, pick) {
+			return pick
+		}
+		// A concurrent Cancel took the pick: scan again.
 	}
+}
+
+// claim dispatches e, the head of flow i, unless a concurrent Cancel
+// won the entry first. Callers hold f.mu.
+func (f *Fair) claim(i int, e *Entry) bool {
+	if !e.state.CompareAndSwap(stateQueued, stateClaimed) {
+		return false
+	}
+	fl := &f.flows[i]
+	fl.drop(1)
+	fl.pending--
+	fl.deficit -= e.Cost
+	if fl.head() == nil {
+		// A claim that empties its flow gives up the leftover credit, as
+		// an idle flow does: it is not carried through the busy spell
+		// into the flow's next backlog.
+		fl.deficit = 0
+	}
+	fl.busy = true
+	f.cursor = (i + 1) % len(f.flows)
+	return true
 }
 
 // Next blocks until an entry is dispatchable, the queue is closed and

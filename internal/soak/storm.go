@@ -39,8 +39,10 @@ type Wave struct {
 }
 
 // doorbellRoles are the roles a wave's redirect and replay draw from:
-// the TVM writes an adversary would misroute or play back.
-var doorbellRoles = []pcie.Role{pcie.RoleRingDoorbell, pcie.RoleGuardedWrite}
+// the TVM writes an adversary would misroute or play back. A guarded
+// device write rides the submission ring, so the ring doorbell is the
+// one such write on the host segment.
+var doorbellRoles = []pcie.Role{pcie.RoleRingDoorbell}
 
 // StormPlan is the whole run's adversarial schedule. It is generated
 // deterministically from the config seed and round-trips through a

@@ -78,12 +78,15 @@ func betweenDispatches(t *testing.T, mp *MultiPlatform, at func(n int)) {
 // shows up here as a jump, in the count pass of benchmark/ as
 // obsv.spans_per_op. A submission's command slots verify as one run, and
 // the device fetches a run with one read: one sync_verified, and one
-// dma_read, classify, verified_read and tag_match per run.
+// dma_read, classify, verified_read and tag_match per run. Its two
+// guarded writes are ring entries, each one guarded_mmio span at the SC,
+// with no classify span and no tag_match: the SC checks the record an
+// entry carries in place.
 const (
-	spansPerTask64K    = 142
-	spansPerTask4K     = 37
-	spansPerDecodeStep = 29
-	spansPerPrefill    = 88
+	spansPerTask64K    = 139
+	spansPerTask4K     = 34
+	spansPerDecodeStep = 26
+	spansPerPrefill    = 85
 )
 
 // TestSpanBudget pins spans per op exactly, on the synthetic clock.

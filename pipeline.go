@@ -82,8 +82,8 @@ func (pl *pipeline) assemble(br *HostBridge, mux *core.Mux, dev *xpu.Device, s s
 	sc.Attach(internal, s.xpuWin, br.bus)
 	// Batched completion reaping: after forwarding a guarded doorbell the
 	// SC reads the device's command head once and DMA-writes it into the
-	// submission ring header, so the driver's completion poll becomes a
-	// host-memory read.
+	// submission ring header with the span's head, so the driver's
+	// completion poll becomes a host-memory read.
 	sc.ConfigureCompletionReap(xpu.RegDoorbell, xpu.RegCmdHead)
 	// The SC's internal port claims the host windows on the internal
 	// bus, so all device-initiated traffic (DMA, MSI) routes through the
@@ -262,6 +262,11 @@ func (pl *pipeline) establishTrust() (err error) {
 	if err := pl.Driver.ConfigureMSI(msiBase, 0x41); err != nil {
 		return err
 	}
+	// The driver's bring-up writes are posted; the session is trusted
+	// once the SC has applied them.
+	if err := pl.Adaptor.Publish(); err != nil {
+		return err
+	}
 	pl.trusted = true
 	pl.gen++
 	kind := obsv.EvAttest
@@ -275,18 +280,14 @@ func (pl *pipeline) establishTrust() (err error) {
 }
 
 // guardedPort carries driver MMIO through the Adaptor's A3 protocol.
-// Command-head polls route through the reaped completion word so the
-// steady-state task loop costs zero MMIO reads, and the command-tail
-// write — inert until the doorbell that always follows it — rides the
-// doorbell's ring burst instead of costing two MMIO writes of its own.
+// Every register write is a guarded ring entry, so a submission's
+// command-tail and doorbell writes ride one ring burst with its run
+// records, and command-head polls route through the reaped completion
+// word, which publishes that burst first: a submission costs one MMIO
+// write, its ring doorbell, and no MMIO read.
 type guardedPort struct{ a *adaptor.Adaptor }
 
-func (g *guardedPort) WriteReg(reg uint64, v uint64) error {
-	if reg == xpu.RegCmdTail {
-		return g.a.GuardedWriteBatched(reg, v)
-	}
-	return g.a.GuardedWrite(reg, v)
-}
+func (g *guardedPort) WriteReg(reg uint64, v uint64) error { return g.a.GuardedWrite(reg, v) }
 
 func (g *guardedPort) ReadReg(reg uint64) (uint64, error) {
 	if reg == xpu.RegCmdHead {

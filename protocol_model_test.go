@@ -65,7 +65,8 @@ import (
 //	     command-run completion
 //	R    the SC's result writes re-aimed into host memory
 //	P    every TVM write recorded this generation, replayed
-//	G    an unauthorized requester at the xPU window and control BAR
+//	G<d> G0 an unauthorized requester at the xPU window and control BAR;
+//	     G1 a direct write to the device doorbell in the TVM's name
 //	F    forged policy: ring entries and writes without the config key
 //
 // and, on inference sessions (traceSessions) served by the tenant's one
@@ -305,16 +306,12 @@ func (m *refSession) adopt(s sliceState) {
 // slice lags: the SC's regions and tags falling toward the quiet counts,
 // its key epochs rising to the Adaptor's.
 func (m *refSession) converging(got sliceState) sliceState {
-	// A fault that left the A3 sequences apart — records lost or still
-	// queued — settles at the next guarded write on one end's; the writes
-	// refused on the way leave their MAC records queued at the SC.
+	// A fault that left the A3 sequences apart — guarded entries lost or
+	// refused — settles at the next guarded write on one end's. A refused
+	// entry's record was checked in place, so it leaves nothing queued.
 	s := &m.state
 	if s.MMIOA != s.MMIOSC && got.MMIOA == got.MMIOSC && (got.MMIOA == s.MMIOA || got.MMIOA == s.MMIOSC) {
 		s.MMIOA, s.MMIOSC = got.MMIOA, got.MMIOA
-		if m.lag == nil || m.lag.Tags < got.Tags {
-			lag := got
-			m.lag = &lag
-		}
 	}
 	want, l := m.state, m.lag
 	if l == nil || !got.Trusted {
@@ -595,7 +592,11 @@ func (r *traceRun) step(op traceOp) {
 	case 'P':
 		r.replay()
 	case 'G':
-		r.rogue()
+		if op.arg%2 == 1 {
+			r.directDoorbell()
+		} else {
+			r.rogue()
+		}
 	case 'F':
 		r.forge()
 	}
@@ -930,7 +931,7 @@ func (r *traceRun) downModel() {
 // attacked step's stream, how often the adversary acted, how often the
 // attacked step's ids — and the step before's — reached the device,
 // whether the slice kept its session, and whether a step doorbell's
-// burst carried the guarded doorbell's MAC record.
+// burst carried the guarded device doorbell write.
 type attackRun struct {
 	st, st2            core.Stats
 	rec, rec2          adaptor.RecoveryStats
@@ -985,6 +986,12 @@ func commandRun(pk *pcie.Packet) bool { return pk.Kind == pcie.CplD && pk.Role =
 func resultWrite(pk *pcie.Packet) bool { return pk.Role == pcie.RoleD2HData }
 
 func ringDoorbell(pk *pcie.Packet) bool { return pk.Role == pcie.RoleRingDoorbell }
+
+// doorbellEntry is the guarded ring entry of the driver's device
+// doorbell write.
+func doorbellEntry(e core.RingEntry) bool {
+	return e.Op == core.RingOpGuarded && e.Arg == xpuBARBase+xpu.RegDoorbell
+}
 
 func tamperOnce(match func(*pcie.Packet) bool) func(*traceRun, *attackRun, int) pcie.Tap {
 	return func(*traceRun, *attackRun, int) pcie.Tap { return &attack.Tamperer{Count: 1, Match: match} }
@@ -1056,11 +1063,11 @@ func steady(_ *traceRun, ts *traceStream, k, _ int) bool {
 func armed(r *traceRun, ts *traceStream, k, d int) bool { return steady(r, ts, k, d) && ts.slot > 0 }
 
 // stepDoorbell loses or duplicates a step's one ring doorbell, which
-// publishes its whole submission, the guarded doorbell's MAC record
-// included: carried says the record rode the burst.
+// publishes its whole submission, the guarded device doorbell write
+// included: carried says that write's entry rode the burst.
 func stepDoorbell(dup bool) func(*traceRun, *attackRun, int) pcie.Tap {
 	return func(r *traceRun, a *attackRun, _ int) pcie.Tap {
-		mmio, rung, bursts := core.TagRecord{Stream: core.StreamMMIO}.AppendMarshal(nil)[:4], false, 0
+		rung, bursts := false, 0
 		return pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
 			switch {
 			case ringDoorbell(pk) && !rung:
@@ -1074,7 +1081,7 @@ func stepDoorbell(dup bool) func(*traceRun, *attackRun, int) pcie.Tap {
 				bursts++
 				for _, slot := range ringSlots(pk) {
 					for _, e := range slotChain(slot) {
-						a.carried = a.carried || e.Op == core.RingOpTags && e.Arg == 0 && len(e.Data) == core.TagRecordSize && bytes.Equal(e.Data[:4], mmio)
+						a.carried = a.carried || doorbellEntry(e)
 					}
 				}
 			}
@@ -1126,9 +1133,19 @@ var adversaries = map[byte][]adversary{
 			}},
 		{3, tamperOnce(resultWrite), nil, "a tampered result refused by the Adaptor",
 			func(a *attackRun, _ int) bool { return a.err != nil }},
-		{4, tamperOnce(func(pk *pcie.Packet) bool {
-			return pk.Kind == pcie.MWr && pk.Requester == TVMID && pk.Address >= xpuBARBase && pk.Address < xpuBARBase+0x1000
-		}), nil, "a tampered A3 write blocked, and resynced if the task completes: never executed",
+		{4, func(*traceRun, *attackRun, int) pcie.Tap {
+			done := false // one tampered entry a run
+			return ringEdit(func(chain []core.RingEntry) bool {
+				for i := range chain {
+					if !done && doorbellEntry(chain[i]) {
+						done = true
+						chain[i].Data[0] ^= 2 // the value, not the record the SC checks it by
+						return true
+					}
+				}
+				return false
+			})
+		}, nil, "a tampered A3 doorbell entry blocked, and resynced if the task completes: never executed",
 			func(a *attackRun, _ int) bool {
 				return a.authFailed() && (a.err != nil || a.rec2.Resyncs > a.rec.Resyncs)
 			}},
@@ -1383,6 +1400,28 @@ func (r *traceRun) rogue() {
 	}
 	if uint64(len(r.inj.Log())) == fired && (mid.Filter.Dropped <= st.Filter.Dropped || got.ConfigRejects <= mid.ConfigRejects) {
 		r.failf("I4: the filter or the control BAR did not refuse the rogue requester: %+v", got)
+	}
+}
+
+// directDoorbell routes a write to the device doorbell in the TVM's
+// name straight onto the host bus, where the protocol puts no guarded
+// write. The filter classifies it A3 and the SC refuses it, for want of
+// the MAC record only a guarded ring entry carries: nothing reaches the
+// device segment and no A3 sequence number is spent.
+func (r *traceRun) directDoorbell() {
+	p := r.p
+	st, seq, fired := p.SC.Stats(), p.SC.MMIOSeq(), uint64(len(r.inj.Log()))
+	inner := attack.NewSnooper()
+	p.internal.AddTap(inner)
+	r.mp.Host.Route(pcie.NewMemWrite(TVMID, xpuBARBase+xpu.RegDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}).WithRole(pcie.RoleGuardedWrite))
+	p.internal.ClearTaps()
+	if n := len(inner.Packets()); n != 0 {
+		r.failf("a direct doorbell write put %d packets on the device segment", n)
+	}
+	got := p.SC.Stats()
+	if uint64(len(r.inj.Log())) == fired &&
+		(got.Filter.Verified != st.Filter.Verified+1 || got.AuthFailures != st.AuthFailures+1 || p.SC.MMIOSeq() != seq) {
+		r.failf("a direct doorbell write was not classified A3 and refused: %+v", got)
 	}
 }
 

@@ -127,6 +127,42 @@ func TestReplayedRingDoorbellIsReReaped(t *testing.T) {
 	}
 }
 
+// TestKickedFinishedRunLeavesNoRecord: the completion words of a task's
+// doorbell span and of the repost that follows both arrive one behind
+// (a delayed writeback each). The recovery kick takes the last command
+// for unconsumed and re-posts its run record, but the device had read
+// that run already. The SC drops the record at the kick's doorbell, so
+// the task is exact and nothing stays queued at the SC.
+func TestKickedFinishedRunLeavesNoRecord(t *testing.T) {
+	p := protectedPlatform(t, xpu.A100)
+	tk := Task{Input: []byte("kicked"), Kernel: KernelAdd, Param: 1}
+	if _, err := p.RunTask(tk); err != nil {
+		t.Fatal(err)
+	}
+	regressed := 0
+	p.Host.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
+		if pk.Role != pcie.RoleCompletionWord || regressed == 2 {
+			return pk
+		}
+		head := binary.LittleEndian.Uint64(pk.Payload) &^ uint64(core.RingCplValid)
+		if head < 2*taskCommands {
+			return pk // the first task's head, re-posted by the second's staging
+		}
+		regressed++
+		q := pk.Clone()
+		binary.LittleEndian.PutUint64(q.Payload, (head-1)|core.RingCplValid)
+		return q
+	}))
+	out, err := p.RunTask(tk)
+	p.Host.ClearTaps()
+	if rec := p.Adaptor.Recovery(); err != nil || string(out) != "ljdlfe" || regressed != 2 || rec.Reposts != 1 {
+		t.Fatalf("task behind two regressed completion words: %q, %v; %d regressed, recovery %+v", out, err, regressed, rec)
+	}
+	if n := p.SC.Tags().Depth(); n != 0 {
+		t.Fatalf("%d records left queued at the SC", n)
+	}
+}
+
 // forgeRingEntry is the host writing the control path itself. The ring's
 // address is no secret — it crossed the host bus at bring-up, and the
 // shared window is host memory: the ring is its second allocation, right

@@ -116,6 +116,12 @@ func TestRQ2_DroppedPacketDetected(t *testing.T) { playTrace(t, "rq2-drop") }
 // at the control BAR is refused (G, Figure 5 ①).
 func TestRQ2_RogueTVMBlockedByFilter(t *testing.T) { playTrace(t, "rq2-rogue") }
 
+// TestRQ2_DirectDoorbellRefused: a write to the device doorbell put on
+// the host bus in the TVM's name is classified A3 and refused, since
+// only a guarded ring entry carries the MAC record a guarded write
+// needs; the device is not rung and the session carries on (G1).
+func TestRQ2_DirectDoorbellRefused(t *testing.T) { playTrace(t, "rq2-direct-doorbell") }
+
 // TestRQ2_MaliciousDeviceBlockedByIOMMU aims a rogue peripheral at TVM
 // private memory; default-deny IOMMU must fault it.
 func TestRQ2_MaliciousDeviceBlockedByIOMMU(t *testing.T) {
@@ -178,6 +184,10 @@ func TestRQ2_EnvGuardBlocksRoguePageTable(t *testing.T) {
 	// independent check still blocks the value.
 	blocksBefore := p.SC.Stats().GuardBlocks
 	_ = p.Adaptor.GuardedWrite(xpu.RegPageTable, 0xffff_0000_0000)
+	// Both writes are posted; one doorbell publishes them, in order.
+	if err := p.Adaptor.Publish(); err != nil {
+		t.Fatal(err)
+	}
 	if p.SC.Stats().GuardBlocks != blocksBefore+1 {
 		t.Fatal("environment guard did not block the rogue page table")
 	}

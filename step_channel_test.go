@@ -144,8 +144,8 @@ func TestPrefillReturnsAfterChunkZero(t *testing.T) {
 // tag (L0), a retry of its lost ring doorbell (S4), nothing for a
 // duplicated one (S5) — with the stream byte-exact and the tenant kept.
 // A steady step's one ring doorbell publishes the whole submission, the
-// guarded doorbell's MAC record included, so the doorbell cells lose or
-// duplicate that record's delivery too, and cost no auth failure.
+// device doorbell's guarded entry included, so the doorbell cells lose
+// or duplicate that write's delivery too, and cost no auth failure.
 func TestDecodeStepFaultsHeal(t *testing.T) {
 	for _, cell := range []string{"tag-loss/positioned", "drop-tlp/ring-doorbell", "dup-tlp/ring-doorbell"} {
 		t.Run(cell, func(t *testing.T) { playTrace(t, "decode-"+strings.ReplaceAll(cell, "/", "-")) })

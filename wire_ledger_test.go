@@ -402,9 +402,9 @@ func TestOptimizationReducesIOWrites(t *testing.T) {
 
 // TestRingCutsMMIOWritesAtLeast4x: a 64 KiB staged task costs the
 // task-64KiB row's MMIO writes, measured through the obsv counter — the
-// five ring doorbells of input, output, submission and two releases,
-// plus the guarded doorbell, whose MAC record rides the submission's
-// burst — and the counter is the one IO reports. However many tag
+// five ring doorbells of input, output, submission and two releases;
+// the device doorbell rides the submission's burst as a guarded entry —
+// and the counter is the one IO reports. However many tag
 // records a task stages, its MMIO writes do not grow: every task shape
 // of the ledger has the same. One write per operation would be 39 for
 // this task; that ratio is Figure 11's, held in internal/bench.
