@@ -44,9 +44,11 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 	$(GO) test -run '^$$' -fuzz=FuzzControllerControlWindow -fuzztime=10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=10s ./internal/core/
 # Ring framing, slot by slot and entry by entry: a framing error anywhere
-# in a published span, a broken chain of packed entries included, refuses
-# the whole span before any entry of it is dispatched.
+# in a published span, a broken chain of packed entries included, or a
+# seal that does not check refuses the whole span before any entry of it
+# is dispatched — a cleared more bit that would hide a release included.
 	$(GO) test -run 'TestControllerRingFraming|TestControllerRingPackedFraming' ./internal/core/
+	$(GO) test -run 'TestRingClearedMoreBit|TestRingHiddenRelease' .
 # The device's side of the SC: one MWr at any offset of a live D2H region,
 # up to 8 KiB, is refused whole or sealed exactly, and no plaintext
 # reaches the host segment either way.

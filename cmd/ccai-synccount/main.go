@@ -34,7 +34,7 @@ import (
 // not move to make room for it.
 const (
 	budgetDecodeStep = 41
-	budgetTask64KiB  = 271
+	budgetTask64KiB  = 264
 )
 
 func main() {

@@ -150,7 +150,8 @@ func main() {
 		// reaches the SC: as an entry of the submission ring, which sits
 		// in host memory right behind the shared window's metadata page.
 		// The attacker writes it at the head the SC last posted and rings
-		// the doorbell in the TVM's name.
+		// the doorbell in the TVM's name. It holds no ring-seal key
+		// either, so the SC refuses the span before any entry of it acts.
 		evil := core.Rule{ID: 99, Action: core.ActionPassThrough}.Marshal()
 		const ring, slots = 0x8000_1000, 64
 		head, err := p.Guest.Space.ReadUint64(ring)
@@ -173,7 +174,7 @@ func main() {
 		if p.SC.Stats().ConfigRejects != 2 {
 			return fmt.Sprintf("BROKEN: %d config rejects, want one per attempt", p.SC.Stats().ConfigRejects)
 		}
-		return "defended: the unsealed ring entry failed the sealed-config check, the stray register write was refused (2 config rejects)"
+		return "defended: the unsealed ring span was refused whole, the stray register write was refused (2 config rejects)"
 	})
 
 	scenario("data residue after the session", func() string {

@@ -94,7 +94,7 @@ func main() {
 	fmt.Println("report verified; delivering workload keys")
 
 	// Key delivery feeds a real protected run.
-	bundle := attest.NewKeyBundle([]string{"h2d", "d2h", "config", "mmio"})
+	bundle := attest.NewKeyBundle([]string{"h2d", "d2h", "config", "mmio", "ring-seal"})
 	sealed, err := verifier.Seal(bundle)
 	if err != nil {
 		log.Fatal(err)

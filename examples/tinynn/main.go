@@ -71,17 +71,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer plat.Adaptor.ReleaseRegion(modelRegion)
 	inputRegion, err := plat.Adaptor.StageH2D("mlp-input", input)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer plat.Adaptor.ReleaseRegion(inputRegion)
 	outRegion, err := plat.Adaptor.PrepareD2H("mlp-scores", outDim)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer plat.Adaptor.ReleaseRegion(outRegion)
+	// The three regions ride the submission's one doorbell, and go back
+	// to the SC with one more.
+	defer plat.Adaptor.ReleaseRegion(modelRegion, inputRegion, outRegion)
 
 	// Device memory plan: [W1 | x] for layer 1, [W2 | h] for layer 2.
 	const (

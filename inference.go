@@ -622,12 +622,12 @@ func (s *InferenceSession) prefillStep(st *llm.Step) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer t.Adaptor.ReleaseRegion(ids)
 	out, err := t.Adaptor.PrepareD2H(s.outName, span)
 	if err != nil {
+		t.Adaptor.ReleaseRegion(ids)
 		return nil, err
 	}
-	defer t.Adaptor.ReleaseRegion(out)
+	defer t.Adaptor.ReleaseRegion(ids, out)
 
 	step := s.stepCommands(st, ids.Buf.Base(), len(s.prompt), out.Buf.Base(), span)
 	cmds := [4]xpu.Command{

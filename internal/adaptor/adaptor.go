@@ -93,6 +93,10 @@ type Adaptor struct {
 	scratchAADs   [][]byte
 	scratchSealed []secmem.Sealed
 	descWire      [core.DescriptorSize]byte // registerDescriptor's marshal buffer
+	// sealBuf is the ring seal's nonce and tag scratch, sealSpan the copy
+	// of a stretch that wraps past the ring's mirror tail (sealLocked).
+	sealBuf  [secmem.GCMNonceSize + secmem.TagSize]byte
+	sealSpan []byte
 	// recsFree keeps up to recsFreeCap tag-record tables of released H2D
 	// regions for the next StageH2D or step window (a 64 KiB region's
 	// table is 10 KiB).
@@ -225,23 +229,21 @@ func (a *Adaptor) registerDescriptor(d core.Descriptor) error {
 	if err != nil {
 		return fmt.Errorf("adaptor: seal descriptor: %w", err)
 	}
-	// No flush here: staging callers batch the descriptor with the tag
-	// and notify entries that follow it and publish once.
+	// No flush here: the descriptor rides the doorbell of the submission
+	// that uses its region, with the tag and notify entries behind it.
 	return a.ringPush(core.RingOpDesc, 0, core.MarshalBlob(sealed))
 }
 
-// ReleaseRegion drops a transfer region on the SC and frees its staging
-// memory. With no session there is no ring to carry the release: the
-// region goes on the TVM side only, and the SC dropped it at teardown —
-// or, if the teardown write was lost on the link, keeps it, as it keeps
+// ReleaseRegion drops transfer regions on the SC — one release entry
+// each, published with one doorbell — and then frees their staging
+// memory. With no session there is no ring to carry the releases: the
+// regions go on the TVM side only, and the SC dropped them at teardown —
+// or, if the teardown write was lost on the link, keeps them, as it keeps
 // the keys, until a later teardown lands.
-func (a *Adaptor) ReleaseRegion(r *Region) {
+func (a *Adaptor) ReleaseRegion(rs ...*Region) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.ringPush(core.RingOpRelease, uint64(r.Desc.ID), nil) == nil {
-		_ = a.flushRingLocked()
-	}
-	a.freeRegionLocked(r)
+	a.releaseLocked(rs...)
 }
 
 // --- tag uploads ---------------------------------------------------------------
@@ -277,10 +279,12 @@ func (a *Adaptor) postTags(recs []core.TagRecord) error {
 // --- encrypt_data / staging ------------------------------------------------------
 
 // StageH2D encrypts data into a fresh bounce region chunk-by-chunk
-// (consuming consecutive IV counters), posts the chunk tags, registers
-// the region with the SC, and sends the single region-ready notify.
-// The returned region's bounce address is what the native driver's DMA
-// descriptors point at.
+// (consuming consecutive IV counters), and queues the region's
+// descriptor, the chunk tags and the single region-ready notify. The
+// entries are posted: the doorbell of the submission that reads the
+// region publishes them, ahead of its own entries. The returned
+// region's bounce address is what the native driver's DMA descriptors
+// point at.
 func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -305,7 +309,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	a.nextID++
 
 	// Register the descriptor up front so the tag packets the pipeline
-	// flushes below land against a known region; a failed pipeline
+	// queues below land against a known region; a failed pipeline
 	// releases it again.
 	if err := a.registerDescriptor(desc); err != nil {
 		a.space.Free(buf)
@@ -344,15 +348,12 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	arena.Put(tagPayload) // wire-format tags: public bytes
 	dropChunkViews(pts, aads, aadAll)
 	if err == nil {
-		// One region-ready notify, then one doorbell publishes the whole
-		// burst: descriptor, tag packets, notify (the batched I/O of §5).
+		// One region-ready notify closes the region's entries: descriptor,
+		// tag packets, notify (the batched I/O of §5).
 		err = a.ringPush(core.RingOpNotify, uint64(desc.ID), nil)
 	}
-	if err == nil {
-		err = a.flushRingLocked()
-	}
 	if err != nil {
-		a.withdrawLocked(&Region{Desc: desc, Buf: buf, Recs: recs})
+		a.releaseLocked(&Region{Desc: desc, Buf: buf, Recs: recs})
 		return nil, fmt.Errorf("adaptor: encrypt_data: %w", err)
 	}
 	return &Region{Desc: desc, Buf: buf, PlainLen: int64(len(data)), Recs: recs}, nil
@@ -464,7 +465,7 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 	}
 	r := &Region{Desc: desc, Buf: buf, PlainLen: size}
 	if err := a.flushRingLocked(); err != nil {
-		a.withdrawLocked(r)
+		a.releaseLocked(r)
 		return nil, err
 	}
 	return r, nil
@@ -521,23 +522,15 @@ func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 }
 
 // PrepareD2H allocates a result bounce region plus its tag table and
-// registers both with the SC.
+// queues the descriptor registering both with the SC; like StageH2D's,
+// it rides the submission's doorbell.
 func (a *Adaptor) PrepareD2H(name string, size int64) (*Region, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r, err := a.prepareD2HLocked(name, size)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.flushRingLocked(); err != nil {
-		a.withdrawLocked(r)
-		return nil, err
-	}
-	return r, nil
+	return a.prepareD2HLocked(name, size)
 }
 
-// prepareD2HLocked is PrepareD2H up to, but not including, the flush
-// that publishes the descriptor. Callers hold a.mu.
+// prepareD2HLocked is PrepareD2H under a.mu, which callers hold.
 func (a *Adaptor) prepareD2HLocked(name string, size int64) (*Region, error) {
 	if a.d2h == nil {
 		return nil, errNoSession
@@ -567,12 +560,12 @@ func (a *Adaptor) prepareD2HLocked(name string, size int64) (*Region, error) {
 	return r, nil
 }
 
-// withdrawLocked takes back regions whose descriptors the caller queued
-// but will not hand out, because a flush failed: a release rides behind
-// each, so whenever the ring next publishes, the SC drops what it
-// installs — it never keeps a region whose memory went back to the
-// space — and the staging memory is freed. Callers hold a.mu.
-func (a *Adaptor) withdrawLocked(rs ...*Region) {
+// releaseLocked queues a release entry for each region and publishes
+// them with one doorbell, then frees the staging memory. A region whose
+// descriptor is still queued is withdrawn the same way: its release
+// rides behind it, so the SC drops what it installs — it never keeps a
+// region whose memory went back to the space. Callers hold a.mu.
+func (a *Adaptor) releaseLocked(rs ...*Region) {
 	queued := true
 	for _, r := range rs {
 		if queued = a.ringPush(core.RingOpRelease, uint64(r.Desc.ID), nil) == nil; !queued {
@@ -666,12 +659,12 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 
 // GuardedWrite performs an A3-protected MMIO write to a device
 // register. The write is posted, like any MMIO write: it joins the
-// submission ring as one entry — its value, then its MAC record under
-// its own sequence number — and the next ring doorbell publishes it, in
-// order behind everything queued before it. The SC checks the record in
-// place against its A3 sequence, the MAC and the environment guard, and
-// only then forwards the write to the device on its internal segment,
-// so the write costs no MMIO of its own. No read passes it: every read
+// submission ring as one entry — its value, then its A3 sequence
+// number — and the next ring doorbell publishes it, in order behind
+// everything queued before it, under the span's seal. The SC checks the
+// seal, then the sequence number and the environment guard, and only
+// then forwards the write to the device on its internal segment, so the
+// write costs no MMIO and no MAC of its own. No read passes it: every read
 // through the Adaptor publishes the ring first (readWithRetry,
 // CompletionHead), and Publish rings the doorbell for a caller that
 // reads nothing.
@@ -680,18 +673,10 @@ func (a *Adaptor) GuardedWrite(reg uint64, value uint64) error {
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Start(siteGuardedWrite, keyReg.Hex(reg))
 	defer sp.End()
-	var entry [8 + core.TagRecordSize]byte
-	payload := entry[:8]
-	binary.LittleEndian.PutUint64(payload, value)
-	var hdr [16]byte
-	core.PutMACHeader(&hdr, a.mmioSeq, a.xpuBar+reg, uint32(len(payload)))
-	mac, err := a.keys.MACSum(core.StreamMMIO, hdr[:], payload)
-	if err != nil {
-		return fmt.Errorf("adaptor: %w", err)
-	}
-	rec := core.TagRecord{Stream: core.StreamMMIO, Chunk: a.mmioSeq}
-	copy(rec.Tag[:], mac[:secmem.TagSize])
-	if err := a.ringPush(core.RingOpGuarded, a.xpuBar+reg, rec.AppendMarshal(payload)); err != nil {
+	var entry [8 + core.GuardedSeqSize]byte
+	binary.LittleEndian.PutUint64(entry[:], value)
+	binary.LittleEndian.PutUint32(entry[8:], a.mmioSeq)
+	if err := a.ringPush(core.RingOpGuarded, a.xpuBar+reg, entry[:]); err != nil {
 		return err
 	}
 	a.mmioSeq++

@@ -176,7 +176,7 @@ func newRig(t testing.TB) (*rig, *stubXPU) {
 
 	// Shared key material.
 	tvmKeys := secmem.NewKeyStore()
-	for _, s := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO} {
+	for _, s := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO, core.KeyRingSeal} {
 		key, nonce := secmem.FreshKey(), secmem.FreshNonce()
 		if err := scKeys.Install(s, key, nonce); err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func newRig(t testing.TB) (*rig, *stubXPU) {
 		if err := tvmKeys.Install(s, key, nonce); err != nil {
 			t.Fatal(err)
 		}
-		if s != core.StreamMMIO {
+		if s != core.StreamMMIO && s != core.KeyRingSeal {
 			if err := sc.Params().Activate(s); err != nil {
 				t.Fatal(err)
 			}
@@ -197,8 +197,9 @@ func newRig(t testing.TB) (*rig, *stubXPU) {
 	return &rig{space: space, host: host, inner: inner, sc: sc, adaptor: a, iommu: iommu}, dev
 }
 
-// forge is the host writing the control path itself: one entry of its
-// choosing at the ring's tail, published like any burst.
+// forge puts one entry of the test's choosing at the ring's tail,
+// sealed and published like any burst: what a TVM that wrote it would
+// send. The host itself cannot get an entry past the span's seal.
 func (r *rig) forge(t *testing.T, op uint8, arg uint64, data []byte) {
 	t.Helper()
 	a := r.adaptor
@@ -208,6 +209,15 @@ func (r *rig) forge(t *testing.T, op uint8, arg uint64, data []byte) {
 		t.Fatal(err)
 	}
 	if err := a.flushRingLocked(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// publish rings the doorbell for what staging queued, as the submission
+// that uses the regions would, so the SC and the device see them.
+func (r *rig) publish(t testing.TB) {
+	t.Helper()
+	if err := r.adaptor.Publish(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -287,6 +297,7 @@ func TestStageH2DDeviceReadsPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.publish(t)
 	// The bounce buffer must hold ciphertext, not the data.
 	if bytes.Contains(region.Buf.Bytes(), data[:64]) {
 		t.Fatal("bounce buffer holds plaintext")
@@ -309,6 +320,7 @@ func TestD2HRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.publish(t)
 	result := make([]byte, 600)
 	for i := range result {
 		result[i] = byte(255 - i)
@@ -336,6 +348,7 @@ func TestD2HProgressMetadataBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.publish(t)
 	progress := func() uint64 {
 		v, err := r.adaptor.space.ReadUint64(r.adaptor.metaBuf.Base() + uint64(region.Desc.ID)*8)
 		if err != nil {
@@ -371,7 +384,7 @@ func TestGuardedWriteReachesDevice(t *testing.T) {
 		t.Fatalf("device register = %#x", dev.regs[0x10])
 	}
 	if r.sc.Stats().VerifiedChunks != 1 {
-		t.Fatal("MAC verification not recorded")
+		t.Fatal("A3 check not recorded")
 	}
 	v, err := r.adaptor.DeviceRead(0x10)
 	if err != nil || v != 0xabcd {
@@ -501,38 +514,54 @@ func TestVerifiedRegionSync(t *testing.T) {
 
 // TestTagBatchingReducesWrites pins what uploading a staged region's tags
 // costs in MMIO writes: 16 chunks are 16 tag records in two ring entries
-// behind the descriptor, and one doorbell publishes descriptor, tags and
-// notify together — one write, where a write per record would be 16 and
-// more (that ratio is Figure 11's, held in internal/bench). It stays
-// beside the root package's wire ledger, which sees the wire but not how
-// many records the SC's tag queue holds.
+// behind the descriptor, staging posts them without a write of its own,
+// and one doorbell publishes descriptor, tags and notify together — one
+// write, where a write per record would be 16 and more (that ratio is
+// Figure 11's, held in internal/bench). It stays beside the root
+// package's wire ledger, which sees the wire but not how many records
+// the SC's tag queue holds.
 func TestTagBatchingReducesWrites(t *testing.T) {
 	r, _ := newRig(t)
 	before := r.adaptor.IO().MMIOWrites
 	if _, err := r.adaptor.StageH2D("x", make([]byte, 16*core.ChunkSize)); err != nil {
 		t.Fatal(err)
 	}
+	if got := r.adaptor.IO().MMIOWrites - before; got != 0 {
+		t.Fatalf("staging 16 chunks cost %d MMIO writes before the doorbell, want 0", got)
+	}
+	r.publish(t)
 	if got := r.adaptor.IO().MMIOWrites - before; got != 1 {
-		t.Fatalf("staging 16 chunks cost %d MMIO writes, want 1", got)
+		t.Fatalf("staging 16 chunks and publishing them cost %d MMIO writes, want 1", got)
 	}
 	if got := r.sc.Tags().Depth(); got != 16 {
 		t.Fatalf("SC holds %d tag records, want 16", got)
 	}
 }
 
+// TestReleaseRegionFreesAndDeregisters: the regions of one call go back
+// to the SC with one doorbell, and a released region is no DMA target.
 func TestReleaseRegionFreesAndDeregisters(t *testing.T) {
 	r, dev := newRig(t)
 	region, err := r.adaptor.StageH2D("tmp", make([]byte, 512))
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, err := r.adaptor.PrepareD2H("tmp-out", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.publish(t)
 	base := region.Buf.Base()
-	if r.sc.Regions() != 1 {
+	if r.sc.Regions() != 2 {
 		t.Fatalf("regions = %d", r.sc.Regions())
 	}
-	r.adaptor.ReleaseRegion(region)
+	writes := r.adaptor.IO().MMIOWrites
+	r.adaptor.ReleaseRegion(region, out)
 	if r.sc.Regions() != 0 {
-		t.Fatal("SC still tracks the region")
+		t.Fatal("SC still tracks the regions")
+	}
+	if got := r.adaptor.IO().MMIOWrites - writes; got != 1 {
+		t.Fatalf("releasing two regions cost %d MMIO writes, want 1", got)
 	}
 	if _, ok := dev.dmaRead(base, 256); ok {
 		t.Fatal("released region still readable")
@@ -584,6 +613,7 @@ func TestRekeyStreamBumpsEpochBothEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.publish(t)
 	if _, ok := dev.dmaRead(region1.Buf.Base(), 512); !ok {
 		t.Fatal("pre-rekey read failed")
 	}
@@ -595,6 +625,7 @@ func TestRekeyStreamBumpsEpochBothEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.publish(t)
 	scStream, err := r.sc.Params().Stream(core.StreamH2D)
 	if err != nil {
 		t.Fatal(err)
@@ -623,6 +654,7 @@ func TestMaybeRekeyTriggersNearExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.publish(t)
 	if e, d := r.adaptor.h2d.Epoch(), r.adaptor.d2h.Epoch(); e != 1 || d != 0 {
 		t.Fatalf("epochs h2d %d, d2h %d; want only h2d rotated", e, d)
 	}
@@ -648,6 +680,7 @@ func TestRekeyCannotRotateConfigStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.publish(t)
 	if got, ok := dev.dmaRead(region.Buf.Base(), int64(len(data))); !ok || !bytes.Equal(got, data) {
 		t.Fatal("staging failed after the refused rekey")
 	}

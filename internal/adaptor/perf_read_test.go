@@ -41,6 +41,7 @@ func TestReadAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.publish(t)
 		dev.dmaWrite(region.Buf.Base(), result)
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)

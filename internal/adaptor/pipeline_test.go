@@ -68,6 +68,7 @@ func TestStageH2DTagOrderUnderParallelCrypto(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			r.publish(t)
 			r.host.ClearTaps()
 
 			tap.mu.Lock()
@@ -101,6 +102,7 @@ func TestStagedRegionSpanReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.publish(t)
 	got := make([]byte, 0, len(data))
 	for off := 0; off < len(data); off += pcie.MaxReadReq {
 		n := pcie.MaxReadReq

@@ -82,7 +82,7 @@ func TestIVMonotonicProperty(t *testing.T) {
 			case 0: // stage a payload (consumes IVs, possibly chunked)
 				data := bytes.Repeat([]byte{b}, 64+int(b&0x7f))
 				region, err := r.adaptor.StageH2D("prop", data)
-				if err != nil {
+				if err != nil || r.adaptor.Publish() != nil {
 					return false
 				}
 				lastBase, lastLen = region.Buf.Base(), int64(len(data))
@@ -117,7 +117,7 @@ func TestIVMonotonicProperty(t *testing.T) {
 		// The stream must still carry traffic end to end.
 		final := []byte("post-sequence payload")
 		region, err := r.adaptor.StageH2D("final", final)
-		if err != nil {
+		if err != nil || r.adaptor.Publish() != nil {
 			return false
 		}
 		got, ok := dev.dmaRead(region.Buf.Base(), int64(len(final)))
@@ -143,6 +143,7 @@ func TestMaybeRekeyBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.publish(t)
 		if e, d := r.adaptor.h2d.Epoch(), r.adaptor.d2h.Epoch(); e != 1 || d != 0 {
 			t.Fatalf("epochs h2d %d, d2h %d after boundary rotation; want 1, 0", e, d)
 		}

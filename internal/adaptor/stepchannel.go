@@ -51,10 +51,11 @@ func stepSlots(n int) uint32 { return uint32((n + core.ChunkSize - 1) / core.Chu
 func (ch *StepChannel) Fits(n int) bool { return ch.next+stepSlots(n) <= StepWindowSlots }
 
 // OpenStepChannel installs a step channel: the window and an outLen-byte
-// output region, registered with the SC in one ring burst. Every later
-// step's output must fit outLen; a multi-chunk output region must be
-// sized to the step that opens it (the SC's flush cadence counts chunks
-// against the region's size).
+// output region, whose descriptors are queued like staging's and ride
+// the doorbell of the step that opens the channel. Every later step's
+// output must fit outLen; a multi-chunk output region must be sized to
+// the step that opens it (the SC's flush cadence counts chunks against
+// the region's size).
 func (a *Adaptor) OpenStepChannel(idsName, outName string, outLen int64) (*StepChannel, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -65,19 +66,15 @@ func (a *Adaptor) OpenStepChannel(idsName, outName string, outLen int64) (*StepC
 	out, err := a.prepareD2HLocked(outName, outLen)
 	if err != nil {
 		// The window's descriptor is already queued: take it back.
-		a.withdrawLocked(win)
-		return nil, err
-	}
-	if err := a.flushRingLocked(); err != nil {
-		a.withdrawLocked(out, win)
+		a.releaseLocked(win)
 		return nil, err
 	}
 	return &StepChannel{Window: win, Out: out}, nil
 }
 
 // stageWindowLocked allocates and registers an empty step window. It
-// seals no data: slots are filled by ArmStep. Callers hold a.mu and
-// publish the descriptor with their own flush.
+// seals no data: slots are filled by ArmStep. Callers hold a.mu; the
+// descriptor is queued, not published.
 func (a *Adaptor) stageWindowLocked(name string) (*Region, error) {
 	if a.h2d == nil {
 		return nil, errNoSession
@@ -175,15 +172,4 @@ func (a *Adaptor) postArm(win *Region) error {
 
 // CloseStepChannel releases both regions on the SC in one ring burst
 // and frees their staging memory.
-func (a *Adaptor) CloseStepChannel(ch *StepChannel) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// Without a ring (a desync inside a push tore the session down) there
-	// is nothing to publish.
-	if a.ringPush(core.RingOpRelease, uint64(ch.Out.Desc.ID), nil) == nil &&
-		a.ringPush(core.RingOpRelease, uint64(ch.Window.Desc.ID), nil) == nil {
-		_ = a.flushRingLocked()
-	}
-	a.freeRegionLocked(ch.Out)
-	a.freeRegionLocked(ch.Window)
-}
+func (a *Adaptor) CloseStepChannel(ch *StepChannel) { a.ReleaseRegion(ch.Out, ch.Window) }

@@ -33,6 +33,7 @@ func TestStepChannelRig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			r.publish(t)
 			if got := r.sc.Regions(); got != baseline+2 {
 				t.Fatalf("open channel: SC holds %d regions, want %d", got, baseline+2)
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -340,9 +339,9 @@ func (c *Controller) Handle(p *pcie.Packet) *pcie.Packet {
 			// Reads of guarded registers carry no payload to verify.
 			return c.forwardToDevice(p)
 		}
-		// A guarded write reaches the device only as a ring entry that
-		// carries its MAC record (handleGuardedMMIO); one on the host bus
-		// has no record, so it is refused.
+		// A guarded write reaches the device only as an entry of a sealed
+		// ring span (handleGuardedMMIO); one on the host bus carries no
+		// seal, so it is refused.
 		c.authFailed()
 		return c.reject(p)
 	case ActionWriteReadProtect:
@@ -399,35 +398,22 @@ func staleCpl(req, cpl *pcie.Packet) bool {
 }
 
 // handleGuardedMMIO applies action A3 to the write a guarded ring entry
-// stands for: carried, the record the entry carries behind the value,
-// must be the MAC record of the next A3 sequence number over the
-// write's address and value, and a guarded register's value must pass
-// the environment checks. The record is checked in place and never
-// joins the tag queue, so a refused write leaves nothing behind. A
-// write to the reap doorbell caches the device head it produced, which
-// the span's head writeback posts (ring.go).
-func (c *Controller) handleGuardedMMIO(p *pcie.Packet, carried []byte) {
+// stands for: seq, the A3 sequence number the entry carries behind the
+// value, must be the next one, and a guarded register's value must pass
+// the environment checks. The span's seal vouched for the entry's bytes
+// before dispatch, so the number is all there is left to check: it
+// keeps a write from running twice or out of order. A write to the reap
+// doorbell caches the device head it produced, which the span's head
+// writeback posts (ring.go).
+func (c *Controller) handleGuardedMMIO(p *pcie.Packet, seq uint32) {
 	sp := c.tracer.Start(siteGuardedMMIO,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(len(p.Payload))))
 	defer sp.End()
-	var rec TagRecord
-	var names streamNames
-	if len(carried) != TagRecordSize || !c.parseTag(&rec, &names, carried) || rec.Stream != StreamMMIO {
-		c.authFailed()
-		return
-	}
-	var hdr [16]byte
-	PutMACHeader(&hdr, rec.Chunk, p.Address, uint32(len(p.Payload)))
-	// The 16-byte wire tag is the MAC truncated to TagSize; recompute
-	// and compare the truncation (constant-time over the full width).
-	// MACSum keeps the key inside the store and reuses its HMAC state.
-	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], p.Payload)
-	match := err == nil && subtle.ConstantTimeCompare(want[:secmem.TagSize], rec.Tag[:]) == 1
 	// The sequence check and the counter advance form one atomic step
 	// under mu, so concurrent guarded writes cannot both claim the same
 	// sequence number.
 	c.mu.Lock()
-	if !match || rec.Chunk != c.sess.mmioSeq {
+	if seq != c.sess.mmioSeq {
 		c.stats.AuthFailures++
 		c.mu.Unlock()
 		return
@@ -453,16 +439,6 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet, carried []byte) {
 		// the batch of completions it produced with one device-head read.
 		c.reapCompletion()
 	}
-}
-
-// PutMACHeader writes the byte layout both ends authenticate for A3
-// MMIO writes — sequence number, target address, payload length — into
-// a caller-provided (typically stack) array. The Adaptor mirrors this
-// when computing the companion tag record.
-func PutMACHeader(buf *[16]byte, seq uint32, addr uint64, n uint32) {
-	binary.LittleEndian.PutUint32(buf[0:], seq)
-	binary.LittleEndian.PutUint64(buf[4:], addr)
-	binary.LittleEndian.PutUint32(buf[12:], n)
 }
 
 // MMIOSeq reports the next expected A3 sequence number (the Adaptor
@@ -1185,9 +1161,7 @@ const MaxRunSlots = 64
 func RunKey(region, first uint32) uint32 { return region<<16 | first&0xffff }
 
 // PutRunMACHeader writes the header both ends authenticate ahead of a
-// verified run's bytes: region, first slot, run length, byte count. A
-// run's MAC input is at least 16+ChunkSize bytes and a guarded write's
-// (PutMACHeader) 24, so neither MAC verifies as the other.
+// verified run's bytes: region, first slot, run length, byte count.
 func PutRunMACHeader(buf *[16]byte, region, first, n, size uint32) {
 	binary.LittleEndian.PutUint32(buf[0:], region)
 	binary.LittleEndian.PutUint32(buf[4:], first)

@@ -63,6 +63,41 @@ func packed(seq uint32, entries ...ringEntry) []byte {
 	return s
 }
 
+// ctlSealKey is the rigs' ring-seal key: fixed, so that a fuzz seed can
+// carry a seal that checks.
+var ctlSealKey = bytes.Repeat([]byte{0x5e}, secmem.KeySize)
+
+// sealSpan closes slots, framed from absolute ring index head on, with a
+// seal entry as the producer does — behind the last slot's chain when
+// that frames and the seal fits there, else in a slot of its own — and
+// returns the slots and the doorbell's tail.
+func sealSpan(keys *secmem.KeyStore, slots []byte, head uint64) ([]byte, uint64) {
+	n := len(slots) / RingSlotSize
+	last := slots[(n-1)*RingSlotSize:]
+	at, end, framed := 0, 0, true
+	for rest := last; rest != nil && framed; {
+		var e RingEntry
+		var next []byte
+		e, next, framed = CutRingEntry(rest)
+		at, rest = len(last)-len(rest), next
+		end = at + RingEntryHdrSize + len(e.Data)
+	}
+	if framed && end+RingSealSize <= RingSlotSize {
+		last[at+1] |= RingFlagMore
+	} else {
+		slots, end = append(slots, make([]byte, RingSlotSize)...), 0
+		n++
+	}
+	off := (n-1)*RingSlotSize + end
+	PutRingEntry((*[RingEntryHdrSize]byte)(slots[off:]), RingOpSeal, secmem.TagSize, uint32(head)+uint32(n-1), 0)
+	nonce := make([]byte, secmem.GCMNonceSize)
+	PutRingSealNonce(nonce, head, head+uint64(n))
+	if err := keys.GMAC(KeyRingSeal, nonce, slots[:off+RingEntryHdrSize], slots[off+RingEntryHdrSize:][:secmem.TagSize]); err != nil {
+		panic(err)
+	}
+	return slots, head + uint64(n)
+}
+
 // publish is the rig's ring producer at its rawest: slot bytes laid down
 // where the SC's next fetch starts, then the doorbell with tail.
 // ctlHostMem serves a read from the exact address of one write, so a
@@ -72,15 +107,22 @@ func (r *ctlRig) publish(slots []byte, tail uint64) {
 	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, tail)))
 }
 
-// submit publishes well-framed entries: consecutive sequence numbers
-// from the producer's tail, the doorbell one past the last.
+// submit publishes well-framed entries as one sealed span.
 func (r *ctlRig) submit(entries ...ringEntry) {
+	slots, tail := r.span(entries...)
+	r.publish(slots, tail)
+	r.tail = tail
+}
+
+// span frames entries a slot each, consecutive sequence numbers from the
+// producer's tail on, and seals them; it returns the slots and the
+// doorbell's tail.
+func (r *ctlRig) span(entries ...ringEntry) ([]byte, uint64) {
 	var slots []byte
 	for i, e := range entries {
 		slots = append(slots, e.slot(uint32(r.tail)+uint32(i))...)
 	}
-	r.publish(slots, r.tail+uint64(len(entries)))
-	r.tail += uint64(len(entries))
+	return sealSpan(r.keys, slots, r.tail)
 }
 
 // sealed seals a marshalled rule, descriptor or rekey command under the
@@ -183,9 +225,12 @@ func newCtlRig(t *testing.T) *ctlRig {
 		}
 	}
 
-	// Config stream provisioning.
+	// Config stream and ring seal provisioning.
 	key, nonce := secmem.FreshKey(), secmem.FreshNonce()
 	if err := keys.Install(StreamConfig, key, nonce); err != nil {
+		t.Fatal(err)
+	}
+	if err := keys.Install(KeyRingSeal, ctlSealKey, nonce); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.Params().Activate(StreamConfig); err != nil {
@@ -491,28 +536,64 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 	}
 }
 
-// TestControllerRingFraming drives processRing directly: a well-framed
-// burst is consumed and the head posted; a skewed sequence number, an
-// oversized length, an unknown opcode or a tail further ahead than the
-// ring is deep is a desync — one config reject, the status word raised,
-// the head where it was, and no entry of the burst dispatched, not even
-// a well-framed slot ahead of the bad one. A tail behind the head is a
+// TestControllerRingFraming drives processRing directly: a well-framed,
+// sealed burst is consumed and the head posted; a skewed sequence
+// number, an oversized length, an unknown opcode or a tail further
+// ahead than the ring is deep is a desync — one config reject, the
+// status word raised, the head where it was, and no entry of the burst
+// dispatched, not even a well-framed slot ahead of the bad one. So is a
+// seal that does not check: none at all, one with an entry behind it, a
+// wrong tag, a tag over another (head, tail), and a span replayed at a
+// tail 2^32 slots on, where every sequence number frames again and only
+// the seal's nonce tells the spans apart. A tail behind the head is a
 // stale or replayed doorbell: the head is posted again, and nothing is
 // rejected or consumed.
 func TestControllerRingFraming(t *testing.T) {
 	release := ringEntry{op: RingOpRelease, arg: 1}
 	oversized := release.slot(1)
 	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
+	keys := ctlSealKeys(t)
+	sealed := func() []byte { s, _ := sealSpan(keys, release.slot(1), 1); return s }
+	// The release's seal sits right behind it, its tag behind that.
+	const seal, tag = RingEntryHdrSize, 2 * RingEntryHdrSize
+	notLast := sealed()
+	notLast[seal+1] |= RingFlagMore
+	PutRingEntry((*[RingEntryHdrSize]byte)(notLast[tag+secmem.TagSize:]), RingOpNotify, 0, 1, 1)
+	wrongTag := sealed()
+	wrongTag[tag] ^= 1
+	otherSpan := sealed()
+	nonce := make([]byte, secmem.GCMNonceSize)
+	PutRingSealNonce(nonce, 0, 2) // as if the span began a slot earlier
+	if err := keys.GMAC(KeyRingSeal, nonce, otherSpan[:tag], otherSpan[tag:][:secmem.TagSize]); err != nil {
+		t.Fatal(err)
+	}
+	const lap = 1 << 32
 	playRingCases(t, map[string]ringCase{
-		"sequence skew":    {release.slot(2), 2},
-		"oversized length": {oversized, 2},
-		"opcode 0":         {ringEntry{}.slot(1), 2},
-		"opcode 8":         {ringEntry{op: RingOpGuarded + 1}.slot(1), 2},
-		"bad entry second": {append(ringEntry{op: RingOpNotify}.slot(1), release.slot(3)...), 3},
-		"bad slot last":    {append(release.slot(1), ringEntry{op: RingOpNotify}.slot(3)...), 3},
-		"tail behind head": {release.slot(1), 0},
-		"tail past ring":   {release.slot(1), 1 + ctlRingSlots + 1},
+		"sequence skew":                  {slots: release.slot(2), tail: 2},
+		"oversized length":               {slots: oversized, tail: 2},
+		"opcode 0":                       {slots: ringEntry{}.slot(1), tail: 2},
+		"opcode 8":                       {slots: ringEntry{op: RingOpSeal}.slot(1), tail: 2},
+		"opcode 9":                       {slots: ringEntry{op: RingOpSeal + 1}.slot(1), tail: 2},
+		"bad entry second":               {slots: append(ringEntry{op: RingOpNotify}.slot(1), release.slot(3)...), tail: 3},
+		"bad slot last":                  {slots: append(release.slot(1), ringEntry{op: RingOpNotify}.slot(3)...), tail: 3},
+		"tail behind head":               {slots: release.slot(1), tail: 0},
+		"tail past ring":                 {slots: release.slot(1), tail: 1 + ctlRingSlots + 1},
+		"no seal":                        {slots: release.slot(1), tail: 2},
+		"seal not last":                  {slots: notLast, tail: 2},
+		"wrong tag":                      {slots: wrongTag, tail: 2},
+		"seal over another (head, tail)": {slots: otherSpan, tail: 2},
+		"replayed a lap of 2^32 on":      {slots: sealed(), tail: lap + 2, head: lap + 1},
 	})
+}
+
+// ctlSealKeys is a key store holding the rigs' ring-seal key, for seals
+// a test makes before its rig exists.
+func ctlSealKeys(t testing.TB) *secmem.KeyStore {
+	keys := secmem.NewKeyStore()
+	if err := keys.Install(KeyRingSeal, ctlSealKey, secmem.FreshNonce()); err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 // TestControllerRingPackedFraming: the entries a slot chains by their
@@ -536,24 +617,25 @@ func TestControllerRingPackedFraming(t *testing.T) {
 	opZero[1] = RingFlagMore
 
 	r := newRingRig(t)
-	r.publish(packed(1, notify, release), 2)
+	r.publish(sealSpan(r.keys, packed(1, notify, release), 1))
 	if st := r.sc.Stats(); st.ConfigRejects != 0 || r.sc.sess.ringHead != 2 || r.sc.Regions() != 0 {
 		t.Fatalf("clean chain: %d config rejects, head %d, %d regions; want it consumed whole", st.ConfigRejects, r.sc.sess.ringHead, r.sc.Regions())
 	}
 	playRingCases(t, map[string]ringCase{
-		"more bit, no header room":   {noRoom, 2},
-		"length past the slot":       {pastSlot, 2},
-		"sequence differs":           {skewed, 2},
-		"unknown flag bit":           {flagged, 2},
-		"op 0 behind a set more bit": {opZero, 2},
+		"more bit, no header room":   {slots: noRoom, tail: 2},
+		"length past the slot":       {slots: pastSlot, tail: 2},
+		"sequence differs":           {slots: skewed, tail: 2},
+		"unknown flag bit":           {slots: flagged, tail: 2},
+		"op 0 behind a set more bit": {slots: opZero, tail: 2},
 	})
 }
 
 // ringCase is slot bytes published behind one clean burst, and the
-// doorbell's tail.
+// doorbell's tail; head, when set, is where the SC's head is moved
+// first, as if that many slots had been consumed.
 type ringCase struct {
-	slots []byte
-	tail  uint64
+	slots      []byte
+	tail, head uint64
 }
 
 // newRingRig is a rig whose first burst installed region 1 at sequence 0.
@@ -579,13 +661,16 @@ func playRingCases(t *testing.T, cases map[string]ringCase) {
 			if r.sc.Regions() != 1 || word(r, 0) != 1 || word(r, 8) != 0 {
 				t.Fatalf("clean burst: %d regions, head word %d, status %d", r.sc.Regions(), word(r, 0), word(r, 8))
 			}
-			rejects, status := uint64(1), uint64(RingStatusDesync)
+			rejects, status, head := uint64(1), uint64(RingStatusDesync), uint64(1)
 			if c.tail == 0 { // stale: re-reaped, its head word posted again
 				rejects, status = 0, 0
 				delete(r.hostMem, ctlRing)
 			}
+			if c.head != 0 {
+				head, r.sc.sess.ringHead = c.head, c.head
+			}
 			r.publish(c.slots, c.tail)
-			if st := r.sc.Stats(); st.ConfigRejects != rejects || word(r, 8) != status || r.sc.sess.ringHead != 1 || word(r, 0) != 1 {
+			if st := r.sc.Stats(); st.ConfigRejects != rejects || word(r, 8) != status || r.sc.sess.ringHead != head || word(r, 0) != 1 {
 				t.Fatalf("%d config rejects, status %d, head %d (posted %d)", st.ConfigRejects, word(r, 8), r.sc.sess.ringHead, word(r, 0))
 			}
 			if r.sc.Regions() != 1 {

@@ -239,56 +239,44 @@ func le64(v uint64) []byte {
 	return b
 }
 
-// guardedEntry is a guarded ring entry's data: the value, then the MAC
-// record of A3 sequence number seq over the write.
-func (d *dpRig) guardedEntry(seq uint32, reg, val uint64) []byte {
-	payload := le64(val)
-	var hdr [16]byte
-	PutMACHeader(&hdr, seq, ctlWin+reg, uint32(len(payload)))
-	mac := secmem.MAC(d.mmioKy, hdr[:], payload)
-	rec := TagRecord{Stream: StreamMMIO, Chunk: seq}
-	copy(rec.Tag[:], mac[:secmem.TagSize])
-	return rec.AppendMarshal(payload)
+// guarded is the guarded ring entry of a write of val to reg under A3
+// sequence number seq: the value, then the number.
+func guarded(seq uint32, reg, val uint64) ringEntry {
+	return ringEntry{op: RingOpGuarded, arg: ctlWin + reg, data: binary.LittleEndian.AppendUint32(le64(val), seq)}
 }
 
+// TestGuardedMMIOHappyAndTampered: a guarded entry of a sealed span
+// reaches the device under the next A3 sequence number. A value
+// tampered in flight breaks the span's seal, so the span is refused
+// whole — nothing reaches the device, no sequence number is spent — and
+// the same span untampered is consumed. A replayed entry names a spent
+// number, and a direct write on the host bus has no seal: both refused.
 func TestGuardedMMIOHappyAndTampered(t *testing.T) {
 	d := newDPRig(t)
-	write := func(seq uint32, reg uint64, val uint64, corrupt bool) {
-		data := d.guardedEntry(seq, reg, val)
-		if corrupt {
-			data[0] ^= 1
-		}
-		d.sc.ringDispatch(RingOpGuarded, ctlWin+reg, data)
-	}
-	write(0, 0x10, 0x1234, false)
+	d.submit(guarded(0, 0x10, 0x1234))
 	if d.dev.regs[0x10] != 0x1234 {
 		t.Fatal("guarded write lost")
 	}
-	write(1, 0x18, 0x5678, true)
-	if d.dev.regs[0x18] == 0x5679 || d.dev.regs[0x18] == 0x5678 {
-		t.Fatal("tampered guarded write reached the device")
+	slots, tail := d.span(guarded(1, 0x18, 0x5678))
+	tampered := bytes.Clone(slots)
+	tampered[RingEntryHdrSize] ^= 1
+	d.publish(tampered, tail)
+	if d.dev.regs[0x18] != 0 || d.sc.MMIOSeq() != 1 || d.sc.Stats().ConfigRejects != 1 || d.sc.sess.ringHead != d.tail {
+		t.Fatalf("tampered span: register %#x, sequence %d, %d config rejects, head %d; want it refused whole",
+			d.dev.regs[0x18], d.sc.MMIOSeq(), d.sc.Stats().ConfigRejects, d.sc.sess.ringHead)
 	}
-	if d.sc.Stats().AuthFailures == 0 {
-		t.Fatal("A3 failure not recorded")
+	d.publish(slots, tail)
+	d.tail = tail
+	if d.dev.regs[0x18] != 0x5678 || d.sc.MMIOSeq() != 2 {
+		t.Fatal("the untampered span was not consumed")
 	}
-	// Sequence did not advance past the failure; the next good write
-	// must use seq 1.
-	write(1, 0x20, 0x9abc, false)
-	if d.dev.regs[0x20] != 0x9abc {
-		t.Fatal("sequence recovery failed")
-	}
-	// A replayed entry names a spent sequence number.
-	d.dev.regs[0x20] = 0
-	write(1, 0x20, 0x9abc, false)
-	if d.dev.regs[0x20] != 0 || d.sc.MMIOSeq() != 2 {
+	failures := d.sc.Stats().AuthFailures
+	d.submit(guarded(1, 0x20, 0x9abc))
+	if d.dev.regs[0x20] != 0 || d.sc.MMIOSeq() != 2 || d.sc.Stats().AuthFailures != failures+1 {
 		t.Fatal("a replayed guarded entry reached the device")
 	}
-	// A direct write on the host bus carries no record: refused, even with
-	// the record it needs queued, which it neither spends nor matches.
-	failures := d.sc.Stats().AuthFailures
-	d.sc.Tags().Enqueue(TagRecord{Stream: StreamMMIO, Chunk: 2})
 	d.sc.Handle(pcie.NewMemWrite(tvmID, ctlWin+0x28, le64(7)))
-	if d.dev.regs[0x28] != 0 || d.sc.MMIOSeq() != 2 || d.sc.Stats().AuthFailures != failures+1 {
+	if d.dev.regs[0x28] != 0 || d.sc.MMIOSeq() != 2 || d.sc.Stats().AuthFailures != failures+2 {
 		t.Fatal("a direct guarded write was not refused")
 	}
 }
@@ -296,14 +284,12 @@ func TestGuardedMMIOHappyAndTampered(t *testing.T) {
 func TestGuardedMMIOEnvCheck(t *testing.T) {
 	d := newDPRig(t)
 	d.sc.Guard().AddCheck(MMIOCheck{Reg: 0x28, Valid: func(v uint64) bool { return v < 100 }})
-	write := func(seq uint32, reg uint64, val uint64) {
-		d.sc.ringDispatch(RingOpGuarded, ctlWin+reg, d.guardedEntry(seq, reg, val))
-	}
+	write := func(seq uint32, reg uint64, val uint64) { d.submit(guarded(seq, reg, val)) }
 	write(0, 0x28, 42)
 	if d.dev.regs[0x28] != 42 {
 		t.Fatal("valid value blocked")
 	}
-	write(1, 0x28, 5000) // valid MAC, invalid value
+	write(1, 0x28, 5000) // in sequence, invalid value
 	if d.dev.regs[0x28] == 5000 {
 		t.Fatal("environment guard bypassed")
 	}

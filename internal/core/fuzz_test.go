@@ -133,13 +133,19 @@ func FuzzControllerControlWindow(f *testing.F) {
 // desync status word raised and the head where it was, or nothing
 // published at all (a tail at or behind the head: re-reaped, no status
 // raised) — never with a rule, a region or a key epoch the fuzzer did
-// not seal (it holds no key, so: none).
+// not seal (it holds no config key, so: none). The seeds carry seals
+// under the rigs' fixed ring-seal key, so theirs reach dispatch; a
+// mutated seed's seal no longer checks.
 func FuzzControllerRing(f *testing.F) {
 	const firstSeq = 1 // the rig's own window install took sequence 0
+	keys := ctlSealKeys(f)
 	add := func(tail uint64, entries ...ringEntry) {
 		var slots []byte
 		for i, e := range entries {
 			slots = append(slots, e.slot(firstSeq+uint32(i))...)
+		}
+		if tail == firstSeq+uint64(len(entries)) {
+			slots, tail = sealSpan(keys, slots, firstSeq)
 		}
 		f.Add(slots, tail)
 	}
@@ -156,9 +162,8 @@ func FuzzControllerRing(f *testing.F) {
 		ringEntry{op: RingOpTags, arg: ArmPosition(1005, 0), data: rec},
 		ringEntry{op: RingOpTags, arg: ArmPosition(5, 1), data: rec})
 	add(firstSeq+1, ringEntry{op: RingOpRelease, arg: 5})
-	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, 8)})
-	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10,
-		data: TagRecord{Stream: StreamMMIO}.AppendMarshal(make([]byte, 8))})
+	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, 8+GuardedSeqSize)})
+	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, GuardedSeqSize)})
 	// Run records no producer wrote: length 0, past the region, past one
 	// read request.
 	add(firstSeq+1, ringEntry{op: RingOpTags, data: append(append(
@@ -173,7 +178,7 @@ func FuzzControllerRing(f *testing.F) {
 	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
 	f.Add(oversized, uint64(firstSeq+1))
 	add(firstSeq+1, ringEntry{op: 0})
-	add(firstSeq+1, ringEntry{op: RingOpGuarded + 1})
+	add(firstSeq+1, ringEntry{op: RingOpSeal + 1})
 	add(0, ringEntry{op: RingOpNotify})
 	add(firstSeq+ctlRingSlots+1, ringEntry{op: RingOpNotify})
 	// Packed slots: a well-framed chain of an arm, a notify and a
@@ -184,9 +189,9 @@ func FuzzControllerRing(f *testing.F) {
 	chain := []ringEntry{{op: RingOpTags, arg: ArmPosition(5, 1), data: rec}, {op: RingOpNotify, arg: 5}, {op: RingOpRelease, arg: 5}}
 	second := RingEntryHdrSize + len(rec) // the notify's header
 	broken := func(edit func(s []byte)) {
-		s := packed(firstSeq, chain...)
+		s, tail := sealSpan(keys, packed(firstSeq, chain...), firstSeq)
 		edit(s)
-		f.Add(s, uint64(firstSeq+1))
+		f.Add(s, tail)
 	}
 	broken(func([]byte) {})
 	broken(func(s []byte) {
@@ -197,6 +202,25 @@ func FuzzControllerRing(f *testing.F) {
 	broken(func(s []byte) { binary.LittleEndian.PutUint32(s[second+4:], firstSeq+1) })
 	broken(func(s []byte) { s[second+1] |= 0x40 })
 	broken(func(s []byte) { clear(s[second+RingEntryHdrSize:]) })
+	// Seals that do not check: none, one with an entry behind it, a wrong
+	// tag, a tag over another (head, tail), and a span sealed for another
+	// lap of the ring (the SC's head is firstSeq, not firstSeq+2^32).
+	sealAt := second + 2*RingEntryHdrSize // behind the notify and the release
+	f.Add(packed(firstSeq, chain...), uint64(firstSeq+1))
+	broken(func(s []byte) {
+		s[sealAt+1] |= RingFlagMore
+		PutRingEntry((*[RingEntryHdrSize]byte)(s[sealAt+RingSealSize:]), RingOpNotify, 0, firstSeq, 5)
+	})
+	broken(func(s []byte) { s[sealAt+RingEntryHdrSize] ^= 1 })
+	reseal := func(head, tail uint64) {
+		broken(func(s []byte) {
+			nonce := make([]byte, secmem.GCMNonceSize)
+			PutRingSealNonce(nonce, head, tail)
+			_ = keys.GMAC(KeyRingSeal, nonce, s[:sealAt+RingEntryHdrSize], s[sealAt+RingEntryHdrSize:][:secmem.TagSize])
+		})
+	}
+	reseal(firstSeq-1, firstSeq+1)
+	reseal(firstSeq+1<<32, firstSeq+1+1<<32)
 	f.Fuzz(func(t *testing.T, slots []byte, tail uint64) {
 		d := newDPRig(t)
 		d.installWindow(t, 5, ctlMem+0x4000, 4)

@@ -33,6 +33,11 @@ const (
 	// that no A3 sequence number can ever name, and replace, a run's
 	// record.
 	StreamA3Run = "a3-run"
+	// KeyRingSeal keys the GMAC that seals every published span of the
+	// submission ring (ring.go). Like the StreamMMIO key it is raw key
+	// material with no stream context, and it is a key of its own: not
+	// the A3 MAC key, not the config stream.
+	KeyRingSeal = "ring-seal"
 )
 
 // ErrNoStream reports a protected packet arriving before its stream's

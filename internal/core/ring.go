@@ -1,11 +1,13 @@
 package core
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"math"
 
 	"ccai/internal/arena"
 	"ccai/internal/pcie"
+	"ccai/internal/secmem"
 )
 
 // Submission ring (§5 batched I/O, io_uring-shaped): the SC's control
@@ -24,18 +26,21 @@ import (
 // reaches the xPU window straight off the host bus.
 //
 // Trust boundary: the ring lives in TVM memory reachable over the
-// untrusted host bus, so its contents get no more trust than an MMIO
-// payload — rule/descriptor/rekey entries carry sealed blobs only the
-// attested peer can mint, tag entries carry tags and MAC records verified
-// on use, and a guarded entry carries its write's MAC record, which the
-// SC checks in place against the A3 sequence, the write's address and
-// its value before the filter-classified write goes to the device.
-// Tampering with an entry therefore yields a config reject or an auth
-// failure. Tampering with the ring
-// *framing* (sequence skew, a length past the slot, unknown opcode or
-// flag) is a desync: the SC sets the ring status word, rejects the whole
-// published span, and refuses to advance — fail closed until the
-// producer tears down.
+// untrusted host bus, so no byte of it is trusted until its seal
+// checks. The producer closes every doorbell's span with a seal entry
+// (RingOpSeal): a GMAC under the session's KeyRingSeal key over the
+// span's slot bytes, up to and including the seal's own header, with a
+// nonce bound to the span's absolute (head, tail). The SC checks every
+// seal of a published span before it dispatches any entry of it, so a
+// cleared more bit, a rewritten entry, a span replayed at another tail
+// or one with no seal is refused whole — the same refusal as torn
+// framing (a sequence skew, a length past the slot, an unknown opcode or
+// flag): the SC sets the ring status word, rejects the span, and refuses
+// to advance — fail closed until the producer tears down. Entries that
+// pass still carry what they did before: rule, descriptor and rekey
+// blobs sealed under the config stream, tag and run records verified on
+// use, and guarded writes their A3 sequence number and the environment
+// guard's check.
 const (
 	// RingHdrSize is the ring header: [0,8) consumed head (SC-written),
 	// [8,16) status word (0 ok, RingStatusDesync), [16,24) completion
@@ -64,8 +69,9 @@ const (
 	// RingMaxData, or for a chain of smaller ones.
 	RingSlotSize = RingEntryHdrSize + RingMaxData
 
-	// RingStatusDesync is the status word the SC posts when ring framing
-	// fails validation; the producer must fail closed.
+	// RingStatusDesync is the status word the SC posts when a published
+	// span's framing or seal fails validation; the producer must fail
+	// closed.
 	RingStatusDesync = 1
 )
 
@@ -77,8 +83,26 @@ const (
 	RingOpTags    = 4 // payload: packed tag records; arg != 0: positioned (ArmPosition)
 	RingOpRelease = 5 // arg: region ID
 	RingOpNotify  = 6 // arg: region ID (the region-ready notify of §5)
-	RingOpGuarded = 7 // arg: absolute MMIO address, payload: value, then the write's MAC record (A3 write)
+	RingOpGuarded = 7 // arg: absolute MMIO address, payload: value, then the write's A3 sequence number
+	RingOpSeal    = 8 // payload: the GMAC tag sealing the span that ends with this entry
 )
+
+// GuardedSeqSize is the A3 sequence number a guarded entry carries
+// behind its value.
+const GuardedSeqSize = 4
+
+// RingSealSize is a seal entry's footprint in its slot.
+const RingSealSize = RingEntryHdrSize + secmem.TagSize
+
+// PutRingSealNonce writes the nonce of the seal over the span
+// [head, tail): the absolute tail, then the span's length in slots. The
+// tail only grows within a session and every published span ends at a
+// tail of its own, so no nonce repeats under one key; a re-rung doorbell
+// re-sends the same sealed bytes under the same nonce.
+func PutRingSealNonce(nonce []byte, head, tail uint64) {
+	binary.LittleEndian.PutUint64(nonce, tail)
+	binary.LittleEndian.PutUint32(nonce[8:], uint32(tail-head))
+}
 
 // PutRingEntry encodes an entry header, its flags clear, into a
 // caller-provided (typically stack) array.
@@ -111,7 +135,7 @@ func CutRingEntry(b []byte) (e RingEntry, rest []byte, ok bool) {
 	}
 	e = RingEntry{Op: b[0], Seq: binary.LittleEndian.Uint32(b[4:]), Arg: binary.LittleEndian.Uint64(b[8:])}
 	flags, end := b[1], RingEntryHdrSize+int(binary.LittleEndian.Uint16(b[2:]))
-	if end > len(b) || e.Op < RingOpRule || e.Op > RingOpGuarded || flags&^RingFlagMore != 0 {
+	if end > len(b) || e.Op < RingOpRule || e.Op > RingOpSeal || flags&^RingFlagMore != 0 {
 		return e, nil, false
 	}
 	e.Data = b[RingEntryHdrSize:end]
@@ -182,8 +206,10 @@ func (c *Controller) processRing(tail uint64) {
 	// Gather the published slots with as few DMA reads as possible:
 	// contiguous runs bounded by MaxReadReq. A run that starts near the
 	// end of the ring continues into the mirror tail instead of wrapping.
+	// The buffer's last bytes are the seal check's nonce and tag scratch.
 	n := tail - head
-	buf := arena.Get(int(n) * RingSlotSize)
+	size := int(n) * RingSlotSize
+	buf := arena.Get(size + secmem.GCMNonceSize + secmem.TagSize)
 	for i := uint64(0); i < n; {
 		slot := (head + i) % slots
 		run := min(n-i, ringSpanSlots)
@@ -199,17 +225,23 @@ func (c *Controller) processRing(tail uint64) {
 		i += run
 	}
 
-	// Validate the whole span, then dispatch it: a framing error anywhere
-	// refuses the batch before any entry of it acts. The sequence check
-	// pins every entry to its slot's absolute ring index, so a stale slot
-	// or entry left over from a previous lap — or one the producer never
-	// wrote — cannot be consumed.
+	// Validate the whole span, then dispatch it: a framing error or a
+	// seal that does not check anywhere refuses the batch before any
+	// entry of it acts. The sequence check pins every entry to its
+	// slot's absolute ring index, so a stale slot or entry left over from
+	// a previous lap — or one the producer never wrote — cannot be
+	// consumed.
 	for i := uint64(0); i < n; i++ {
 		if !ringSlotFramed(buf[i*RingSlotSize:][:RingSlotSize], uint32(head+i)) {
 			arena.Put(buf)
 			c.ringDesync(base)
 			return
 		}
+	}
+	if !c.ringSealed(buf[:size], buf[size:], head) {
+		arena.Put(buf)
+		c.ringDesync(base)
+		return
 	}
 	for i := uint64(0); i < n; i++ {
 		for rest := buf[i*RingSlotSize:][:RingSlotSize]; rest != nil; {
@@ -227,6 +259,40 @@ func (c *Controller) processRing(tail uint64) {
 	w = c.sess.cplWord
 	c.mu.Unlock()
 	c.ringPostHead(base, tail, w)
+}
+
+// ringSealed reports whether every entry of the gathered span, framed
+// slots from absolute index head on, sits under a seal that checks. The
+// producer seals each flush, so a span whose doorbell re-publishes an
+// earlier, unconsumed flush holds several sealed stretches: each seal
+// covers the slots from the one behind the previous seal (or from head)
+// through its own header, and must end its slot's chain. The span must
+// end with a seal. scratch holds the nonce and the recomputed tag; the
+// check takes no lock.
+func (c *Controller) ringSealed(span, scratch []byte, head uint64) bool {
+	nonce, want := scratch[:secmem.GCMNonceSize], scratch[secmem.GCMNonceSize:][:secmem.TagSize]
+	from := 0 // byte offset of the open stretch's first slot
+	for at := 0; at < len(span); at += RingSlotSize {
+		slot := span[at : at+RingSlotSize]
+		for rest := slot; rest != nil; {
+			off := len(slot) - len(rest)
+			e, next, _ := CutRingEntry(rest)
+			rest = next
+			if e.Op != RingOpSeal {
+				continue
+			}
+			if next != nil || len(e.Data) != secmem.TagSize {
+				return false // a seal ends its chain, and is one tag long
+			}
+			PutRingSealNonce(nonce, head+uint64(from/RingSlotSize), head+uint64(at/RingSlotSize)+1)
+			aad := span[from : at+off+RingEntryHdrSize]
+			if c.params.keys.GMAC(KeyRingSeal, nonce, aad, want) != nil || subtle.ConstantTimeCompare(want, e.Data) != 1 {
+				return false
+			}
+			from = at + RingSlotSize
+		}
+	}
+	return from == len(span)
 }
 
 // ringDispatch routes one validated entry to its handler. data aliases
@@ -253,30 +319,32 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		// Region-ready: the SC has nothing to do — the entry's records and
 		// descriptor were dispatched ahead of it, in order.
 	case RingOpGuarded:
-		// The entry carries the write's MAC record behind its value.
 		// Rebuild the A3 write the entry stands for, attributed to the
-		// authorized TVM, and run it through the full sequence+MAC+guard
-		// check against the record it carries. The value is copied out of
-		// the gather buffer: a tap on the internal bus may keep the packet
-		// past this dispatch.
-		if len(data) <= TagRecordSize {
+		// authorized TVM, and run it through the sequence and guard checks
+		// with the sequence number it carries; the span's seal has already
+		// vouched for its address and value. The value is copied out of the
+		// gather buffer: a tap on the internal bus may keep the packet past
+		// this dispatch.
+		if len(data) <= GuardedSeqSize {
 			c.configReject() // a guarded entry that carries no value
 			return
 		}
-		value, rec := data[:len(data)-TagRecordSize], data[len(data)-TagRecordSize:]
+		value := data[:len(data)-GuardedSeqSize]
 		val := c.payloadBuf(len(value), c.internal)
 		copy(val, value)
 		p := c.guardedPkts.MemWrite(pcie.RoleGuardedWrite, c.authorizedTVM, arg, val)
 		// The policy classifies the write as it would one off the bus: an
 		// entry is a guarded write only where the filter says A3.
 		if c.filter.classify(p, false).Action == ActionWriteProtect {
-			c.handleGuardedMMIO(p, rec)
+			c.handleGuardedMMIO(p, binary.LittleEndian.Uint32(data[len(value):]))
 		} else {
 			c.configReject()
 		}
 		if c.recycleOn(c.internal) && pcie.Release(p) {
 			arena.Put(val) // a register value the host bus already carried
 		}
+	case RingOpSeal:
+		// Checked, with the span, before any entry was dispatched.
 	}
 }
 

@@ -20,11 +20,11 @@ type KeyStore struct {
 	// mu serializes the writers (Install, Destroy, DestroyAll) and
 	// guards every read of an entry's key and nonce bytes (Stream,
 	// Material, the first MACSum of an entry), so a Destroy never zeroes
-	// bytes a reader is copying. It also guards the lazily built aead.
+	// bytes a reader is copying.
 	mu sync.Mutex
 	// table is the live entries. A writer publishes a new slice under mu
-	// and never changes a published one, so lookups (MACSum, Has, Count)
-	// read it with no lock.
+	// and never changes a published one, so lookups (MACSum, GMAC, Has,
+	// Count) read it with no lock.
 	table atomic.Pointer[[]*keyEntry]
 }
 
@@ -38,11 +38,11 @@ type keyEntry struct {
 	// its own. It dies with the entry (Install replaces the entry, so a
 	// fresh key can never reuse a stale HMAC state).
 	mac atomic.Pointer[macState]
-	// aead is the lazily built AES-GCM instance for this key epoch.
-	// Streams handed out by Stream share it, so the AES key schedule
-	// runs once per Install instead of once per Stream call. Guarded by
-	// ks.mu; like mac it dies with the entry, so a rekeyed stream can
-	// never be served a cipher from the previous epoch.
+	// aead is the entry's AES-GCM instance, built by Install and never
+	// changed. Streams handed out by Stream share it, so the AES key
+	// schedule runs once per Install instead of once per Stream call, and
+	// GMAC reads it with no lock. Like mac it dies with the entry, so a
+	// rekeyed stream can never be served a cipher from the previous epoch.
 	aead cipher.AEAD
 }
 
@@ -97,12 +97,17 @@ func (ks *KeyStore) Install(name string, key, nonce []byte) error {
 	if len(nonce) != nonceBase {
 		return fmt.Errorf("secmem: nonce base %q must be %d bytes", name, nonceBase)
 	}
+	aead, err := newAEAD(key)
+	if err != nil {
+		return err
+	}
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	ks.publish(name, &keyEntry{
 		name:  name,
 		key:   append([]byte(nil), key...),
 		nonce: append([]byte(nil), nonce...),
+		aead:  aead,
 	})
 	return nil
 }
@@ -118,14 +123,24 @@ func (ks *KeyStore) Stream(name string) (*Stream, error) {
 	if e == nil {
 		return nil, fmt.Errorf("secmem: no key material for stream %q", name)
 	}
-	if e.aead == nil {
-		aead, err := newAEAD(e.key)
-		if err != nil {
-			return nil, err
-		}
-		e.aead = aead
-	}
 	return NewStreamAEAD(e.aead, e.nonce)
+}
+
+// GCMNonceSize is the nonce length GMAC takes.
+const GCMNonceSize = 12
+
+// GMAC writes the AES-GCM tag over aad alone (no plaintext) under the
+// named key and a GCMNonceSize-byte nonce into tag, TagSize bytes. The
+// caller owns nonce uniqueness per key. It takes no lock and allocates
+// nothing, provided nonce, aad and tag are not stack arrays: they meet
+// the cipher.AEAD interface.
+func (ks *KeyStore) GMAC(name string, nonce, aad, tag []byte) error {
+	e := ks.find(name)
+	if e == nil {
+		return fmt.Errorf("secmem: no key material for %q", name)
+	}
+	e.aead.Seal(tag[:0], nonce, nil, aad)
+	return nil
 }
 
 // MACSum computes the A3 integrity MAC over (header, payload) under

@@ -80,8 +80,9 @@ func betweenDispatches(t *testing.T, mp *MultiPlatform, at func(n int)) {
 // the device fetches a run with one read: one sync_verified, and one
 // dma_read, classify, verified_read and tag_match per run. Its two
 // guarded writes are ring entries, each one guarded_mmio span at the SC,
-// with no classify span and no tag_match: the SC checks the record an
-// entry carries in place.
+// with no classify span and no tag_match: the span's seal vouches for
+// an entry, and the SC checks the sequence number it carries in place.
+// Posting staging and sealing each span add no span.
 const (
 	spansPerTask64K    = 139
 	spansPerTask4K     = 34

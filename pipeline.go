@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"ccai/internal/adaptor"
@@ -224,7 +225,7 @@ func (pl *pipeline) establishTrust() (err error) {
 			pl.Adaptor.Teardown()
 		}
 	}()
-	for _, stream := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO} {
+	for _, stream := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO, core.KeyRingSeal} {
 		key, nonce := secmem.FreshKey(), secmem.FreshNonce()
 		if err := pl.scKeys.Install(stream, key, nonce); err != nil {
 			return err
@@ -232,7 +233,8 @@ func (pl *pipeline) establishTrust() (err error) {
 		if err := pl.tvmKeys.Install(stream, key, nonce); err != nil {
 			return err
 		}
-		if stream != core.StreamMMIO { // MMIO uses raw MAC keys, not a stream
+		// The A3 MAC key and the ring seal's are raw keys, not streams.
+		if stream != core.StreamMMIO && stream != core.KeyRingSeal {
 			if err := pl.SC.Params().Activate(stream); err != nil {
 				return err
 			}
@@ -315,6 +317,11 @@ func (pl *pipeline) run(ctx context.Context, cmds []xpu.Command, staged []*adapt
 	}
 	want := before + uint64(len(cmds))
 	if head, err := pl.Driver.Head(); err != nil || head != want {
+		if errors.Is(err, adaptor.ErrRingDesync) {
+			// The poll's doorbell found the span refused: the Adaptor has
+			// failed the session closed, and there is nothing to recover.
+			return nil, err
+		}
 		if err := pl.recoverSubmission(staged, before, want); err != nil {
 			return nil, err
 		}
@@ -387,12 +394,12 @@ func (pl *pipeline) task(ctx context.Context, t Task) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer pl.Adaptor.ReleaseRegion(in)
 	out, err := pl.Adaptor.PrepareD2H("task-output", outLen)
 	if err != nil {
+		pl.Adaptor.ReleaseRegion(in)
 		return nil, err
 	}
-	defer pl.Adaptor.ReleaseRegion(out)
+	defer pl.Adaptor.ReleaseRegion(in, out)
 	cmds := t.commands(in.Buf.Base(), out.Buf.Base(), outLen)
 	return pl.run(ctx, cmds[:], []*adaptor.Region{in}, out, outLen)
 }

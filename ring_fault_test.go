@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ccai/internal/adaptor"
@@ -167,11 +168,10 @@ func TestKickedFinishedRunLeavesNoRecord(t *testing.T) {
 // address is no secret — it crossed the host bus at bring-up, and the
 // shared window is host memory: the ring is its second allocation, right
 // behind the metadata page — so the attacker writes one entry at the
-// head the SC last posted and rings the doorbell one past it. That
-// leaves the SC's head ahead of the producer's tail
-// (TestRingAppendedEntry is that attack's own cell), so a cell that
-// wants the session undisturbed rewrites an entry of a passing burst
-// instead (ringEdit).
+// head the SC last posted and rings the doorbell one past it. It holds
+// no seal key: the SC refuses the span and raises the ring's status
+// word, so the producer's next flush fails the session closed
+// (TestRingAppendedEntry is that attack's own cell).
 func forgeRingEntry(t *testing.T, pl *pipeline, host *pcie.Bus, op uint8, arg uint64, data []byte) {
 	t.Helper()
 	ring, ok := pl.space.Resolve(sharedBase + mem.PageSize)
@@ -187,14 +187,22 @@ func forgeRingEntry(t *testing.T, pl *pipeline, host *pcie.Bus, op uint8, arg ui
 }
 
 // TestRingAppendedEntry: the host appends entries of its own behind the
-// producer's tail and rings the doorbell. Each earns its config reject,
-// but the SC's head now sits past the producer's tail: the producer's
-// next entries — the next task's input descriptor among them — land in
-// slots the SC holds consumed and are never dispatched. That is an
-// availability attack (the host can as well drop the doorbell) and ends
-// like one: the task fails the session closed with no wrong byte handed
-// back, and a re-trust serves (t2 F t2 r t2).
+// producer's tail and rings the doorbell. None carries a seal, so each
+// span is refused — a config reject each, no entry dispatched — and the
+// desync word it raises fails the session closed at the producer's next
+// flush. That is an availability attack (the host can as well drop the
+// doorbell) and ends like one: no wrong byte handed back, and a re-trust
+// serves (t2 F t2 r t2).
 func TestRingAppendedEntry(t *testing.T) { playTrace(t, "ring-appended-entry") }
+
+// TestRingHiddenRelease: a decode session's step renews its spent
+// window, and the doorbell that returns the old channel's two regions
+// is cut after the first release by a cleared more bit. The span's seal
+// covers the bit, so the span is refused whole and the session fails
+// closed — the window's SC region never outlives its freed host buffer —
+// and a re-trusted slice serves a new session (S6, the saved trace
+// ring-hidden-release; ROADMAP item 16).
+func TestRingHiddenRelease(t *testing.T) { playTrace(t, "ring-hidden-release") }
 
 // moreBitClearer clears one more bit in a ring fetch toward the SC: in
 // the skip-th slot whose chain holds two entries or more, the first
@@ -236,12 +244,14 @@ func (c *moreBitClearer) Tap(p *pcie.Packet) *pcie.Packet {
 // TestRingClearedMoreBit: the host clears a more bit in a ring fetch
 // toward the SC — a chain's first, dropping every entry behind it, or
 // its last-but-one, dropping the trailing entry. The SC sees a shorter
-// chain, well framed, which is what rewriting a slot's entries into a
-// notify earns: an availability loss. At every packed slot of a 300 B
-// task and of a 32-token decode session, both ways, one run each: the op
-// is exact, or it fails — a task with the session failed closed — and
-// the slice serves an exact task after (a re-trust first when the
-// session failed closed). Never a wrong byte.
+// chain, well framed, but the span's seal covers the bit: the span is
+// refused whole and the session fails closed, so no entry of it — a
+// task's D2H descriptor, a region release — is lost while the rest act.
+// At every packed slot of a 300 B task and of a 32-token decode session,
+// both ways, one run each: the op is exact, or it fails with the session
+// failed closed; the slice serves an exact task after (a re-trust first
+// when the session failed closed), and the chassis passes its hygiene
+// check. Never a wrong byte, never a stale SC region over freed memory.
 func TestRingClearedMoreBit(t *testing.T) {
 	cfg := llm.Config{MaxNewTokens: 32, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 0x9f}
 	prompt := []byte("packed slots, cut short")
@@ -278,38 +288,42 @@ func TestRingClearedMoreBit(t *testing.T) {
 	}{{"task", task}, {"decode", decode}} {
 		for _, trailing := range []bool{false, true} {
 			for k := 0; ; k++ {
-				mp, err := NewMultiPlatform([]xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				tn := mp.Tenants[0]
-				if err := tn.EstablishTrust(); err != nil {
-					t.Fatal(err)
-				}
-				tap := &moreBitClearer{skip: k, trailing: trailing}
-				mp.Host.AddTap(tap)
-				exact, err := op.run(tn)
-				mp.Host.ClearTaps()
-				if tap.hit == nil { // past the op's last packed slot
-					mp.Close()
-					break
-				}
-				closed := tn.Adaptor.Recovery().FailClosed > 0
-				t.Logf("%s, packed slot %d, trailing %v: dropped ops %v; exact %v, err %v, failed closed %v",
-					op.name, k, trailing, tap.hit, exact, err, closed)
-				if err == nil && !exact || op.name == "task" && err != nil && !closed {
-					t.Errorf("%s, packed slot %d, trailing %v: exact %v, err %v, failed closed %v; want exact, or an error with the session failed closed",
-						op.name, k, trailing, exact, err, closed)
-				}
-				if closed {
+				var hit []uint8
+				t.Run(fmt.Sprintf("%s/trailing=%v/slot=%d", op.name, trailing, k), func(t *testing.T) {
+					mp, err := NewMultiPlatform([]xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(mp.Close)
+					tn := mp.Tenants[0]
 					if err := tn.EstablishTrust(); err != nil {
 						t.Fatal(err)
 					}
+					chassisHygiene(t, mp)
+					tap := &moreBitClearer{skip: k, trailing: trailing}
+					mp.Host.AddTap(tap)
+					exact, err := op.run(tn)
+					mp.Host.ClearTaps()
+					if hit = tap.hit; hit == nil { // past the op's last packed slot
+						return
+					}
+					closed := tn.Adaptor.Recovery().FailClosed > 0
+					t.Logf("dropped ops %v; exact %v, err %v, failed closed %v", hit, exact, err, closed)
+					if err == nil && !exact || err != nil && !closed {
+						t.Errorf("exact %v, err %v, failed closed %v; want exact, or an error with the session failed closed", exact, err, closed)
+					}
+					if closed {
+						if err := tn.EstablishTrust(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if exact, err := task(tn); !exact || err != nil {
+						t.Errorf("the next task: exact %v, err %v", exact, err)
+					}
+				})
+				if hit == nil {
+					break
 				}
-				if exact, err := task(tn); !exact || err != nil {
-					t.Errorf("%s, packed slot %d, trailing %v: the next task: exact %v, err %v", op.name, k, trailing, exact, err)
-				}
-				mp.Close()
 			}
 		}
 	}
