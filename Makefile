@@ -46,9 +46,12 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # Ring framing, slot by slot and entry by entry: a framing error anywhere
 # in a published span, a broken chain of packed entries included, or a
 # seal that does not check refuses the whole span before any entry of it
-# is dispatched — a cleared more bit that would hide a release included.
+# is dispatched — a cleared more bit that would hide a release included,
+# and a stale slot from an earlier lap, which the seal alone tells apart.
+# Beside them the recovery ladder under doorbells dropped past one
+# flush's retries: the task still ends exact.
 	$(GO) test -run 'TestControllerRingFraming|TestControllerRingPackedFraming' ./internal/core/
-	$(GO) test -run 'TestRingClearedMoreBit|TestRingHiddenRelease' .
+	$(GO) test -run 'TestRingClearedMoreBit|TestRingHiddenRelease|TestRingDoorbellsDroppedPastOneFlush' .
 # The device's side of the SC: one MWr at any offset of a live D2H region,
 # up to 8 KiB, is refused whole or sealed exactly, and no plaintext
 # reaches the host segment either way.
@@ -60,8 +63,8 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # collect allocates must not depend on GOMAXPROCS. The scheduled rows of
 # TestTaskAllocBudget hold what a
 # Scheduler round trip may add, by kind of context; beside them the A3
-# record key space, 33,000 tasks past the sequence numbers that once
-# aliased command-ring slots, and the scheduler's goroutine budget: at
+# record key space, 33,000 tasks and a re-trust that stages the command
+# ring under a region id past RunKey's 16 bits, and the scheduler's goroutine budget: at
 # most Slots of them however many requests, none left after Drain or
 # Shutdown.
 	$(GO) test -cpu 1,2 -run 'TestTaskAllocBudget|TestReadAllocBudget|TestA3RecordKeySpace|TestSchedulerWorkersResident' ./ ./internal/adaptor/

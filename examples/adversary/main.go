@@ -159,7 +159,7 @@ func main() {
 			return "test broken: " + err.Error()
 		}
 		slot := make([]byte, core.RingEntryHdrSize, core.RingSlotSize)
-		core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), core.RingOpRule, uint16(len(evil)), uint32(head), 0)
+		core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), core.RingOpRule, uint16(len(evil)), 0)
 		if err := p.Guest.Space.Write(ring+core.RingHdrSize+head%slots*core.RingSlotSize, append(slot, evil...)); err != nil {
 			return "test broken: " + err.Error()
 		}

@@ -20,12 +20,10 @@ import (
 // check named beside it. The list is exact: an entry whose function is
 // gone, or that a program path now calls, fails the scan too.
 var surfaceSeams = map[string]string{
-	"(*adaptor.Adaptor).MMIOSeq":       "the protocol model holds both ends' A3 sequences to each other",
 	"(*adaptor.Adaptor).StreamEpoch":   "the protocol model holds both ends' key epochs to each other (I3, I8)",
 	"(*attack.Snooper).Packets":        "the protocol model judges each op's host-segment packets",
 	"(*attack.Snooper).Reset":          "the protocol model clears the capture between ops",
 	"(*core.Controller).D2HProgress":   "the D2H burst and release cells hold what the SC published to it",
-	"(*core.Controller).MMIOSeq":       "the protocol model and the multi-tenant A3 cell",
 	"(*core.Controller).Regions":       "sliceHygiene and the protocol model count the SC's region records",
 	"(*core.ParamsManager).Active":     "sliceHygiene: a torn-down slice holds no stream context",
 	"(*core.TagManager).Depth":         "sliceHygiene, the protocol model and FuzzTagPlane count pending tags",

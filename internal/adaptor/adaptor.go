@@ -62,7 +62,6 @@ type Adaptor struct {
 	scBar   uint64
 	xpuBar  uint64
 	region  string // staging region name within the space
-	mmioSeq uint32
 	nextID  uint32
 	nextTag uint8 // transaction tag for non-posted requests; fresh per attempt
 
@@ -659,28 +658,22 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 
 // GuardedWrite performs an A3-protected MMIO write to a device
 // register. The write is posted, like any MMIO write: it joins the
-// submission ring as one entry — its value, then its A3 sequence
-// number — and the next ring doorbell publishes it, in order behind
-// everything queued before it, under the span's seal. The SC checks the
-// seal, then the sequence number and the environment guard, and only
-// then forwards the write to the device on its internal segment, so the
-// write costs no MMIO and no MAC of its own. No read passes it: every read
-// through the Adaptor publishes the ring first (readWithRetry,
-// CompletionHead), and Publish rings the doorbell for a caller that
-// reads nothing.
+// submission ring as one entry carrying its value, and the next ring
+// doorbell publishes it, in order behind everything queued before it,
+// under the span's seal. The SC checks the seal, then the environment
+// guard, and only then forwards the write to the device on its internal
+// segment, so the write costs no MMIO and no MAC of its own. No read
+// passes it: every read through the Adaptor publishes the ring first
+// (readWithRetry, CompletionHead), and Publish rings the doorbell for a
+// caller that reads nothing.
 func (a *Adaptor) GuardedWrite(reg uint64, value uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Start(siteGuardedWrite, keyReg.Hex(reg))
 	defer sp.End()
-	var entry [8 + core.GuardedSeqSize]byte
+	var entry [8]byte
 	binary.LittleEndian.PutUint64(entry[:], value)
-	binary.LittleEndian.PutUint32(entry[8:], a.mmioSeq)
-	if err := a.ringPush(core.RingOpGuarded, a.xpuBar+reg, entry[:]); err != nil {
-		return err
-	}
-	a.mmioSeq++
-	return nil
+	return a.ringPush(core.RingOpGuarded, a.xpuBar+reg, entry[:])
 }
 
 // Publish rings the ring doorbell for whatever is queued, posted guarded
@@ -852,7 +845,6 @@ func (a *Adaptor) teardownLocked() {
 	a.mmioWrite64(pcie.RoleControlWrite, core.RegTeardown, 1)
 	a.keys.DestroyAll()
 	a.h2d, a.d2h, a.config = nil, nil, nil
-	a.mmioSeq = 0
 	if a.onTeardown != nil {
 		a.onTeardown()
 	}

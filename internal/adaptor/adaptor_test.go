@@ -237,9 +237,9 @@ func (r *rig) forgeSealed(t *testing.T, op uint8, pt []byte) {
 }
 
 // TestRingPushPacksUntilPublished: entries share the open slot while
-// they fit — 17 bare notifies fill one exactly, each under the slot's
-// sequence number and chained to the next by its more bit, the mirror
-// copy kept identical — and the 18th opens the next slot. A doorbell
+// they fit — 22 bare notifies fit in one, each chained to the next by
+// its more bit, the mirror copy kept identical — and the 23rd, with no
+// room for its header in the 4 bytes left, opens the next slot. A doorbell
 // closes the open slot: the entry pushed after it opens a fresh one and
 // the published slot's bytes stay as the SC consumed them.
 func TestRingPushPacksUntilPublished(t *testing.T) {
@@ -264,7 +264,7 @@ func TestRingPushPacksUntilPublished(t *testing.T) {
 	n := 0
 	for rest := slot; rest != nil; n++ {
 		e, next, ok := core.CutRingEntry(rest)
-		if !ok || e.Seq != uint32(first) || e.Op != core.RingOpNotify || (next != nil) != (n < notifies-1) {
+		if !ok || e.Op != core.RingOpNotify || e.Arg != 7 || (next != nil) != (n < notifies-1) {
 			t.Fatalf("entry %d of the slot: %+v, framed %v", n, e, ok)
 		}
 		rest = next
@@ -374,7 +374,7 @@ func TestGuardedWriteReachesDevice(t *testing.T) {
 	if err := r.adaptor.GuardedWrite(0x10, 0xabcd); err != nil {
 		t.Fatal(err)
 	}
-	if dev.regs[0x10] != 0 || r.sc.MMIOSeq() != 0 {
+	if dev.regs[0x10] != 0 || r.sc.Stats().VerifiedChunks != 0 {
 		t.Fatal("a posted guarded write reached the SC before a doorbell published it")
 	}
 	if err := r.adaptor.Publish(); err != nil {
@@ -412,8 +412,8 @@ func TestGuardedWriteSequenceDiscipline(t *testing.T) {
 			t.Fatalf("register %d = %d", i, dev.regs[0x20+8*i])
 		}
 	}
-	if r.sc.MMIOSeq() != 5 {
-		t.Fatalf("SC sequence = %d", r.sc.MMIOSeq())
+	if r.sc.Stats().VerifiedChunks != 5 {
+		t.Fatalf("the SC checked %d guarded writes, want 5", r.sc.Stats().VerifiedChunks)
 	}
 }
 

@@ -25,7 +25,6 @@ var (
 	siteRetry          = obsv.NewSite(obsv.TrackAdaptor, "recovery.retry")
 	siteCryptoRetry    = obsv.NewSite(obsv.TrackAdaptor, "recovery.crypto_retry")
 	siteRepostTags     = obsv.NewSite(obsv.TrackAdaptor, "recovery.repost_tags")
-	siteResyncMMIO     = obsv.NewSite(obsv.TrackAdaptor, "recovery.resync_mmio")
 	siteFailClosed     = obsv.NewSite(obsv.TrackAdaptor, "recovery.fail_closed")
 
 	keyRecords = obsv.NewKey("records")
@@ -38,7 +37,6 @@ var (
 	keyAddr    = obsv.NewKey("addr")
 	keyAttempt = obsv.NewKey("attempt")
 	keyOp      = obsv.NewKey("op")
-	keySeq     = obsv.NewKey("seq")
 	keyReason  = obsv.NewKey("reason")
 
 	symRingDoorbell       = obsv.Intern("ring-doorbell")
@@ -102,7 +100,6 @@ func (a *Adaptor) SetObserver(h *obsv.Hub) {
 	reg.CounterFunc("adaptor.recovery.stale_suppressed", func() uint64 { return a.Recovery().StaleSuppressed })
 	reg.CounterFunc("adaptor.recovery.crypto_retries", func() uint64 { return a.Recovery().CryptoRetries })
 	reg.CounterFunc("adaptor.recovery.reposts", func() uint64 { return a.Recovery().Reposts })
-	reg.CounterFunc("adaptor.recovery.resyncs", func() uint64 { return a.Recovery().Resyncs })
 	reg.CounterFunc("adaptor.recovery.exhausted", func() uint64 { return a.Recovery().Exhausted })
 	reg.CounterFunc("adaptor.recovery.fail_closed", func() uint64 { return a.Recovery().FailClosed })
 }

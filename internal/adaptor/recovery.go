@@ -1,7 +1,6 @@
 package adaptor
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -37,8 +36,9 @@ type RecoveryStats struct {
 	CryptoRetries uint64
 	// Reposts counts tag-table re-uploads after suspected tag loss.
 	Reposts uint64
-	// Resyncs counts A3 MMIO sequence re-synchronisations that actually
-	// moved the local sequence number.
+	// Resyncs is always 0. It counted re-alignments of an A3 write
+	// sequence the ring no longer has (the span seal is its one
+	// freshness check), and stays only for the readers that print it.
 	Resyncs uint64
 	// Exhausted counts operations that ran out of retries.
 	Exhausted uint64
@@ -174,39 +174,6 @@ func (a *Adaptor) RepostTags(r *Region) {
 	if err == nil {
 		_ = a.flushRingLocked()
 	}
-}
-
-// ResyncMMIO re-aligns the A3 guarded-write sequence number with the
-// SC's expectation (exposed read-only at RegMMIOSeq). A guarded write
-// lost on the link desynchronises the two counters permanently —
-// every subsequent write would fail verification — so recovery reads
-// the authoritative value back.
-func (a *Adaptor) ResyncMMIO() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.config == nil {
-		return fmt.Errorf("adaptor: session not established")
-	}
-	cpl, err := a.readWithRetry(a.scBar + core.RegMMIOSeq)
-	if err != nil {
-		return err
-	}
-	seq := uint32(binary.LittleEndian.Uint64(cpl.Payload))
-	if seq != a.mmioSeq {
-		a.rec.Resyncs++
-		a.obs.tracer.Mark(siteResyncMMIO, keySeq.U64(uint64(seq)))
-		a.mmioSeq = seq
-	}
-	return nil
-}
-
-// MMIOSeq reports the local A3 sequence number. A test seam: the
-// protocol model holds both ends' sequences to each other after every
-// op.
-func (a *Adaptor) MMIOSeq() uint32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mmioSeq
 }
 
 // FailClosed tears the session down in response to unrecoverable

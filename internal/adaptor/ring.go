@@ -30,7 +30,7 @@ import (
 // inconsistent; the session has been torn down (fail closed).
 var ErrRingDesync = errors.New("adaptor: submission ring desync; session torn down")
 
-// ringSlots is the submission-ring depth in 272-byte slots. A slot
+// ringSlots is the submission-ring depth in 268-byte slots. A slot
 // carries one entry of up to a full TLP payload, or a chain of smaller
 // ones: the ~29 tag packets of a 64 KiB staged transfer, each near a
 // full TLP, take a slot apiece, while a decode step's five entries and
@@ -99,7 +99,7 @@ func (a *Adaptor) ringPush(op uint8, arg uint64, payload []byte) error {
 		dst[r.last+1] |= core.RingFlagMore
 	}
 	var hdr [core.RingEntryHdrSize]byte
-	core.PutRingEntry(&hdr, op, uint16(len(payload)), uint32(r.tail-1), arg)
+	core.PutRingEntry(&hdr, op, uint16(len(payload)), arg)
 	copy(dst[at:], hdr[:])
 	copy(dst[at+core.RingEntryHdrSize:], payload)
 	r.last, r.fill = at, at+need

@@ -24,7 +24,6 @@ const (
 	RegTeardown     = 0x028 // WO: destroy keys, clean xPU, drop regions
 	RegMetaBase     = 0x030 // RW: host address of the DMA-metadata batch buffer
 	RegMetaSize     = 0x038 // RW: batch buffer size
-	RegMMIOSeq      = 0x050 // RO: next expected A3 MMIO sequence number (recovery resync)
 	RegRingBase     = 0x058 // RW: host address of the submission ring
 	RegRingSize     = 0x060 // RW: submission ring slot count
 	RegRingDoorbell = 0x068 // WO: publish ring entries up to the written tail index
@@ -398,40 +397,26 @@ func staleCpl(req, cpl *pcie.Packet) bool {
 }
 
 // handleGuardedMMIO applies action A3 to the write a guarded ring entry
-// stands for: seq, the A3 sequence number the entry carries behind the
-// value, must be the next one, and a guarded register's value must pass
-// the environment checks. The span's seal vouched for the entry's bytes
-// before dispatch, so the number is all there is left to check: it
-// keeps a write from running twice or out of order. A write to the reap
-// doorbell caches the device head it produced, which the span's head
-// writeback posts (ring.go).
-func (c *Controller) handleGuardedMMIO(p *pcie.Packet, seq uint32) {
+// stands for: a guarded register's value must pass the environment
+// checks. The span's seal vouched for the entry's bytes and its place in
+// the ring before dispatch, so a write cannot run twice or out of order.
+// A write to the reap doorbell caches the device head it produced, which
+// the span's head writeback posts (ring.go).
+func (c *Controller) handleGuardedMMIO(p *pcie.Packet) {
 	sp := c.tracer.Start(siteGuardedMMIO,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(len(p.Payload))))
 	defer sp.End()
-	// The sequence check and the counter advance form one atomic step
-	// under mu, so concurrent guarded writes cannot both claim the same
-	// sequence number.
-	c.mu.Lock()
-	if seq != c.sess.mmioSeq {
-		c.stats.AuthFailures++
-		c.mu.Unlock()
-		return
-	}
-	c.sess.mmioSeq++
-	c.stats.VerifiedChunks++
-	c.mu.Unlock()
-
 	// Environment verification on guarded registers.
-	if len(p.Payload) >= 8 && p.Address >= c.xpuBar.Base {
-		reg := p.Address - c.xpuBar.Base
-		val := binary.LittleEndian.Uint64(p.Payload[:8])
-		if !c.guard.VerifyMMIO(reg, val) {
-			c.mu.Lock()
-			c.stats.GuardBlocks++
-			c.mu.Unlock()
-			return
-		}
+	blocked := len(p.Payload) >= 8 && p.Address >= c.xpuBar.Base &&
+		!c.guard.VerifyMMIO(p.Address-c.xpuBar.Base, binary.LittleEndian.Uint64(p.Payload[:8]))
+	c.mu.Lock()
+	c.stats.VerifiedChunks++
+	if blocked {
+		c.stats.GuardBlocks++
+	}
+	c.mu.Unlock()
+	if blocked {
+		return
 	}
 	c.forwardToDevice(p)
 	if c.reapConfigured && p.Address == c.xpuBar.Base+c.reapDoorbellReg {
@@ -439,15 +424,6 @@ func (c *Controller) handleGuardedMMIO(p *pcie.Packet, seq uint32) {
 		// the batch of completions it produced with one device-head read.
 		c.reapCompletion()
 	}
-}
-
-// MMIOSeq reports the next expected A3 sequence number (the Adaptor
-// mirrors this counter). A test seam: the protocol model holds both
-// ends' sequences to each other after every op.
-func (c *Controller) MMIOSeq() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sess.mmioSeq
 }
 
 // --- control BAR -------------------------------------------------------------
@@ -466,8 +442,6 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 		switch reg := off &^ 7; reg {
 		case RegSCStatus:
 			v = c.status
-		case RegMMIOSeq:
-			v = uint64(c.sess.mmioSeq)
 		default:
 			if r := c.sess.reg(reg); r != nil {
 				v = *r

@@ -33,7 +33,7 @@ type ctlRig struct {
 	hostEP  *ctlHostMem
 	cfgTx   *secmem.Stream
 	dev     *ctlDevice
-	tail    uint64 // ring producer index: the next entry's sequence number
+	tail    uint64 // ring producer index: the next slot's absolute index
 }
 
 // ringEntry is one submission-ring entry as a test spells it.
@@ -43,13 +43,12 @@ type ringEntry struct {
 	data []byte
 }
 
-// slot frames e as the ring slot with sequence number seq.
-func (e ringEntry) slot(seq uint32) []byte { return packed(seq, e) }
+// slot frames e as one ring slot.
+func (e ringEntry) slot() []byte { return packed(e) }
 
-// packed frames entries as one ring slot with sequence number seq, each
-// behind the last with that one's more bit set, as the producer packs a
-// burst's small entries.
-func packed(seq uint32, entries ...ringEntry) []byte {
+// packed frames entries as one ring slot, each behind the last with that
+// one's more bit set, as the producer packs a burst's small entries.
+func packed(entries ...ringEntry) []byte {
 	s := make([]byte, RingSlotSize)
 	at := 0
 	for i, e := range entries {
@@ -57,7 +56,7 @@ func packed(seq uint32, entries ...ringEntry) []byte {
 			s[at+1] |= RingFlagMore
 			at += RingEntryHdrSize + len(entries[i-1].data)
 		}
-		PutRingEntry((*[RingEntryHdrSize]byte)(s[at:]), e.op, uint16(len(e.data)), seq, e.arg)
+		PutRingEntry((*[RingEntryHdrSize]byte)(s[at:]), e.op, uint16(len(e.data)), e.arg)
 		copy(s[at+RingEntryHdrSize:], e.data)
 	}
 	return s
@@ -89,7 +88,7 @@ func sealSpan(keys *secmem.KeyStore, slots []byte, head uint64) ([]byte, uint64)
 		n++
 	}
 	off := (n-1)*RingSlotSize + end
-	PutRingEntry((*[RingEntryHdrSize]byte)(slots[off:]), RingOpSeal, secmem.TagSize, uint32(head)+uint32(n-1), 0)
+	PutRingEntry((*[RingEntryHdrSize]byte)(slots[off:]), RingOpSeal, secmem.TagSize, 0)
 	nonce := make([]byte, secmem.GCMNonceSize)
 	PutRingSealNonce(nonce, head, head+uint64(n))
 	if err := keys.GMAC(KeyRingSeal, nonce, slots[:off+RingEntryHdrSize], slots[off+RingEntryHdrSize:][:secmem.TagSize]); err != nil {
@@ -114,13 +113,12 @@ func (r *ctlRig) submit(entries ...ringEntry) {
 	r.tail = tail
 }
 
-// span frames entries a slot each, consecutive sequence numbers from the
-// producer's tail on, and seals them; it returns the slots and the
-// doorbell's tail.
+// span frames entries a slot each from the producer's tail on, and
+// seals them; it returns the slots and the doorbell's tail.
 func (r *ctlRig) span(entries ...ringEntry) ([]byte, uint64) {
 	var slots []byte
-	for i, e := range entries {
-		slots = append(slots, e.slot(uint32(r.tail)+uint32(i))...)
+	for _, e := range entries {
+		slots = append(slots, e.slot()...)
 	}
 	return sealSpan(r.keys, slots, r.tail)
 }
@@ -385,8 +383,16 @@ func TestControllerTeardownViaRegister(t *testing.T) {
 	if r.sc.Params().Active() != 0 {
 		t.Fatal("streams survive teardown")
 	}
-	if r.sc.MMIOSeq() != 0 {
-		t.Fatal("MMIO sequence not reset")
+	// The ring-seal key died with the session: a span sealed under it is
+	// refused whole at a ring configured again.
+	for reg, v := range map[uint64]uint64{RegRingBase: ctlRing, RegRingSize: ctlRingSlots} {
+		r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+reg, binary.LittleEndian.AppendUint64(nil, v)))
+	}
+	rejects := r.sc.Stats().ConfigRejects
+	r.publish(sealSpan(ctlSealKeys(t), ringEntry{op: RingOpNotify, arg: 1}.slot(), 0))
+	if r.sc.Stats().ConfigRejects != rejects+1 || r.sc.sess.ringHead != 0 {
+		t.Fatalf("a span sealed for the torn-down session: %d config rejects, head %d; want it refused",
+			r.sc.Stats().ConfigRejects-rejects, r.sc.sess.ringHead)
 	}
 }
 
@@ -496,7 +502,7 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 		TagRecord{Stream: StreamMMIO, Chunk: 0}.AppendMarshal(nil), // what the tag window took
 	}
 	offsets := []uint64{0x008, 0x010, 0x018, 0x020, 0x040, 0x048, 0x070, 0x0c0, 0x0f8, 0x400, SCBarSize - 8,
-		RegSCStatus, RegMMIOSeq} // read-only: not writable either
+		RegSCStatus, 0x050} // read-only, and an offset no register decodes: not writable either
 	for off := uint64(0x080); off < 0x0c0; off += 4 {
 		offsets = append(offsets, off)
 	}
@@ -537,28 +543,28 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 }
 
 // TestControllerRingFraming drives processRing directly: a well-framed,
-// sealed burst is consumed and the head posted; a skewed sequence
-// number, an oversized length, an unknown opcode or a tail further
-// ahead than the ring is deep is a desync — one config reject, the
-// status word raised, the head where it was, and no entry of the burst
-// dispatched, not even a well-framed slot ahead of the bad one. So is a
-// seal that does not check: none at all, one with an entry behind it, a
-// wrong tag, a tag over another (head, tail), and a span replayed at a
-// tail 2^32 slots on, where every sequence number frames again and only
-// the seal's nonce tells the spans apart. A tail behind the head is a
-// stale or replayed doorbell: the head is posted again, and nothing is
-// rejected or consumed.
+// sealed burst is consumed and the head posted; an oversized length, an
+// unknown opcode or a tail further ahead than the ring is deep is a
+// desync — one config reject, the status word raised, the head where it
+// was, and no entry of the burst dispatched, not even a well-framed slot
+// ahead of the bad one. So is a seal that does not check: none at all,
+// one with an entry behind it, a wrong tag, a tag over another (head,
+// tail), and a span sealed where it sits but for an earlier lap of the
+// ring — one lap, a stale slot the producer has not rewritten, or 2^32
+// of them — which only the seal's nonce tells apart. A tail behind the
+// head is a stale or replayed doorbell: the head is posted again, and
+// nothing is rejected or consumed.
 func TestControllerRingFraming(t *testing.T) {
 	release := ringEntry{op: RingOpRelease, arg: 1}
-	oversized := release.slot(1)
+	oversized := release.slot()
 	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
 	keys := ctlSealKeys(t)
-	sealed := func() []byte { s, _ := sealSpan(keys, release.slot(1), 1); return s }
+	sealed := func() []byte { s, _ := sealSpan(keys, release.slot(), 1); return s }
 	// The release's seal sits right behind it, its tag behind that.
 	const seal, tag = RingEntryHdrSize, 2 * RingEntryHdrSize
 	notLast := sealed()
 	notLast[seal+1] |= RingFlagMore
-	PutRingEntry((*[RingEntryHdrSize]byte)(notLast[tag+secmem.TagSize:]), RingOpNotify, 0, 1, 1)
+	PutRingEntry((*[RingEntryHdrSize]byte)(notLast[tag+secmem.TagSize:]), RingOpNotify, 0, 1)
 	wrongTag := sealed()
 	wrongTag[tag] ^= 1
 	otherSpan := sealed()
@@ -567,22 +573,23 @@ func TestControllerRingFraming(t *testing.T) {
 	if err := keys.GMAC(KeyRingSeal, nonce, otherSpan[:tag], otherSpan[tag:][:secmem.TagSize]); err != nil {
 		t.Fatal(err)
 	}
+	flagged := func(e ringEntry) []byte { s := e.slot(); s[1] = 0x80; return s } // an unknown flag bit
 	const lap = 1 << 32
 	playRingCases(t, map[string]ringCase{
-		"sequence skew":                  {slots: release.slot(2), tail: 2},
-		"oversized length":               {slots: oversized, tail: 2},
-		"opcode 0":                       {slots: ringEntry{}.slot(1), tail: 2},
-		"opcode 8":                       {slots: ringEntry{op: RingOpSeal}.slot(1), tail: 2},
-		"opcode 9":                       {slots: ringEntry{op: RingOpSeal + 1}.slot(1), tail: 2},
-		"bad entry second":               {slots: append(ringEntry{op: RingOpNotify}.slot(1), release.slot(3)...), tail: 3},
-		"bad slot last":                  {slots: append(release.slot(1), ringEntry{op: RingOpNotify}.slot(3)...), tail: 3},
-		"tail behind head":               {slots: release.slot(1), tail: 0},
-		"tail past ring":                 {slots: release.slot(1), tail: 1 + ctlRingSlots + 1},
-		"no seal":                        {slots: release.slot(1), tail: 2},
-		"seal not last":                  {slots: notLast, tail: 2},
-		"wrong tag":                      {slots: wrongTag, tail: 2},
-		"seal over another (head, tail)": {slots: otherSpan, tail: 2},
-		"replayed a lap of 2^32 on":      {slots: sealed(), tail: lap + 2, head: lap + 1},
+		"stale slot from the previous lap": {slots: sealed(), tail: ctlRingSlots + 2, head: ctlRingSlots + 1},
+		"oversized length":                 {slots: oversized, tail: 2},
+		"opcode 0":                         {slots: ringEntry{}.slot(), tail: 2},
+		"opcode 8":                         {slots: ringEntry{op: RingOpSeal}.slot(), tail: 2},
+		"opcode 9":                         {slots: ringEntry{op: RingOpSeal + 1}.slot(), tail: 2},
+		"bad entry second":                 {slots: append(ringEntry{op: RingOpNotify}.slot(), flagged(release)...), tail: 3},
+		"bad slot last":                    {slots: append(release.slot(), flagged(ringEntry{op: RingOpNotify})...), tail: 3},
+		"tail behind head":                 {slots: release.slot(), tail: 0},
+		"tail past ring":                   {slots: release.slot(), tail: 1 + ctlRingSlots + 1},
+		"no seal":                          {slots: release.slot(), tail: 2},
+		"seal not last":                    {slots: notLast, tail: 2},
+		"wrong tag":                        {slots: wrongTag, tail: 2},
+		"seal over another (head, tail)":   {slots: otherSpan, tail: 2},
+		"replayed a lap of 2^32 on":        {slots: sealed(), tail: lap + 2, head: lap + 1},
 	})
 }
 
@@ -599,34 +606,36 @@ func ctlSealKeys(t testing.TB) *secmem.KeyStore {
 // TestControllerRingPackedFraming: the entries a slot chains by their
 // more bits are framed one by one, and a chain that breaks anywhere is a
 // desync like a bad slot — nothing of the burst dispatched, the release
-// chained ahead of the break included. A well-framed chain is consumed
-// whole: the release behind a notify is dispatched.
+// chained ahead of the break included. So is a sealed chain whose second
+// entry was edited after sealing: it frames, and the seal refuses it. A
+// well-framed chain is consumed whole: the release behind a notify is
+// dispatched.
 func TestControllerRingPackedFraming(t *testing.T) {
 	release, notify := ringEntry{op: RingOpRelease, arg: 1}, ringEntry{op: RingOpNotify, arg: 1}
 	// A rule entry long enough to leave 8 bytes of the slot behind it.
 	filler := ringEntry{op: RingOpRule, data: make([]byte, RingSlotSize-2*RingEntryHdrSize-8)}
-	noRoom := packed(1, release, filler)
+	noRoom := packed(release, filler)
 	noRoom[RingEntryHdrSize+1] |= RingFlagMore
-	pastSlot := packed(1, release, notify)
+	pastSlot := packed(release, notify)
 	binary.LittleEndian.PutUint16(pastSlot[RingEntryHdrSize+2:], RingSlotSize-2*RingEntryHdrSize+1)
-	skewed := packed(1, release, notify)
-	binary.LittleEndian.PutUint32(skewed[RingEntryHdrSize+4:], 2)
-	flagged := packed(1, release, notify)
+	edited, _ := sealSpan(ctlSealKeys(t), packed(release, notify), 1)
+	edited[RingEntryHdrSize+4] ^= 1 // the notify's arg
+	flagged := packed(release, notify)
 	flagged[RingEntryHdrSize+1] = 0x80
-	opZero := packed(1, release)
+	opZero := packed(release)
 	opZero[1] = RingFlagMore
 
 	r := newRingRig(t)
-	r.publish(sealSpan(r.keys, packed(1, notify, release), 1))
+	r.publish(sealSpan(r.keys, packed(notify, release), 1))
 	if st := r.sc.Stats(); st.ConfigRejects != 0 || r.sc.sess.ringHead != 2 || r.sc.Regions() != 0 {
 		t.Fatalf("clean chain: %d config rejects, head %d, %d regions; want it consumed whole", st.ConfigRejects, r.sc.sess.ringHead, r.sc.Regions())
 	}
 	playRingCases(t, map[string]ringCase{
-		"more bit, no header room":   {slots: noRoom, tail: 2},
-		"length past the slot":       {slots: pastSlot, tail: 2},
-		"sequence differs":           {slots: skewed, tail: 2},
-		"unknown flag bit":           {slots: flagged, tail: 2},
-		"op 0 behind a set more bit": {slots: opZero, tail: 2},
+		"more bit, no header room":           {slots: noRoom, tail: 2},
+		"length past the slot":               {slots: pastSlot, tail: 2},
+		"second entry edited after the seal": {slots: edited, tail: 2},
+		"unknown flag bit":                   {slots: flagged, tail: 2},
+		"op 0 behind a set more bit":         {slots: opZero, tail: 2},
 	})
 }
 
@@ -638,7 +647,7 @@ type ringCase struct {
 	tail, head uint64
 }
 
-// newRingRig is a rig whose first burst installed region 1 at sequence 0.
+// newRingRig is a rig whose first burst, at ring index 0, installed region 1.
 func newRingRig(t *testing.T) *ctlRig {
 	r := newCtlRig(t)
 	r.submit(ringEntry{op: RingOpDesc, data: r.sealed(t, Descriptor{ID: 1, Dir: DirH2D,

@@ -239,44 +239,54 @@ func le64(v uint64) []byte {
 	return b
 }
 
-// guarded is the guarded ring entry of a write of val to reg under A3
-// sequence number seq: the value, then the number.
-func guarded(seq uint32, reg, val uint64) ringEntry {
-	return ringEntry{op: RingOpGuarded, arg: ctlWin + reg, data: binary.LittleEndian.AppendUint32(le64(val), seq)}
+// guarded is the guarded ring entry of a write of val to reg.
+func guarded(reg, val uint64) ringEntry {
+	return ringEntry{op: RingOpGuarded, arg: ctlWin + reg, data: le64(val)}
 }
 
 // TestGuardedMMIOHappyAndTampered: a guarded entry of a sealed span
-// reaches the device under the next A3 sequence number. A value
-// tampered in flight breaks the span's seal, so the span is refused
-// whole — nothing reaches the device, no sequence number is spent — and
-// the same span untampered is consumed. A replayed entry names a spent
-// number, and a direct write on the host bus has no seal: both refused.
+// reaches the device. A value tampered in flight breaks the span's seal,
+// so the span is refused whole — nothing reaches the device — and the
+// same span untampered is consumed. The consumed span replayed at the
+// next tail is sealed for the place it was published at, so the seal
+// refuses it too; a direct write on the host bus has no seal at all and
+// is an auth failure.
 func TestGuardedMMIOHappyAndTampered(t *testing.T) {
 	d := newDPRig(t)
-	d.submit(guarded(0, 0x10, 0x1234))
+	d.submit(guarded(0x10, 0x1234))
 	if d.dev.regs[0x10] != 0x1234 {
 		t.Fatal("guarded write lost")
 	}
-	slots, tail := d.span(guarded(1, 0x18, 0x5678))
+	refused := func(what string, rejects, verified uint64) {
+		t.Helper()
+		if st := d.sc.Stats(); st.ConfigRejects != rejects || st.VerifiedChunks != verified || d.sc.sess.ringHead != d.tail {
+			t.Fatalf("%s: %d config rejects, %d guarded writes checked, head %d; want it refused whole",
+				what, st.ConfigRejects, st.VerifiedChunks, d.sc.sess.ringHead)
+		}
+	}
+	verified := d.sc.Stats().VerifiedChunks
+	slots, tail := d.span(guarded(0x18, 0x5678))
 	tampered := bytes.Clone(slots)
 	tampered[RingEntryHdrSize] ^= 1
 	d.publish(tampered, tail)
-	if d.dev.regs[0x18] != 0 || d.sc.MMIOSeq() != 1 || d.sc.Stats().ConfigRejects != 1 || d.sc.sess.ringHead != d.tail {
-		t.Fatalf("tampered span: register %#x, sequence %d, %d config rejects, head %d; want it refused whole",
-			d.dev.regs[0x18], d.sc.MMIOSeq(), d.sc.Stats().ConfigRejects, d.sc.sess.ringHead)
+	refused("tampered span", 1, verified)
+	if d.dev.regs[0x18] != 0 {
+		t.Fatal("a tampered guarded entry reached the device")
 	}
 	d.publish(slots, tail)
 	d.tail = tail
-	if d.dev.regs[0x18] != 0x5678 || d.sc.MMIOSeq() != 2 {
+	if d.dev.regs[0x18] != 0x5678 || d.sc.Stats().VerifiedChunks != verified+1 {
 		t.Fatal("the untampered span was not consumed")
 	}
-	failures := d.sc.Stats().AuthFailures
-	d.submit(guarded(1, 0x20, 0x9abc))
-	if d.dev.regs[0x20] != 0 || d.sc.MMIOSeq() != 2 || d.sc.Stats().AuthFailures != failures+1 {
+	d.dev.regs[0x18] = 0
+	d.publish(slots, d.tail+1) // the span's one slot again, at the next ring index
+	refused("replayed span", 2, verified+1)
+	if d.dev.regs[0x18] != 0 {
 		t.Fatal("a replayed guarded entry reached the device")
 	}
+	failures := d.sc.Stats().AuthFailures
 	d.sc.Handle(pcie.NewMemWrite(tvmID, ctlWin+0x28, le64(7)))
-	if d.dev.regs[0x28] != 0 || d.sc.MMIOSeq() != 2 || d.sc.Stats().AuthFailures != failures+2 {
+	if d.dev.regs[0x28] != 0 || d.sc.Stats().AuthFailures != failures+1 {
 		t.Fatal("a direct guarded write was not refused")
 	}
 }
@@ -284,12 +294,12 @@ func TestGuardedMMIOHappyAndTampered(t *testing.T) {
 func TestGuardedMMIOEnvCheck(t *testing.T) {
 	d := newDPRig(t)
 	d.sc.Guard().AddCheck(MMIOCheck{Reg: 0x28, Valid: func(v uint64) bool { return v < 100 }})
-	write := func(seq uint32, reg uint64, val uint64) { d.submit(guarded(seq, reg, val)) }
-	write(0, 0x28, 42)
+	write := func(reg uint64, val uint64) { d.submit(guarded(reg, val)) }
+	write(0x28, 42)
 	if d.dev.regs[0x28] != 42 {
 		t.Fatal("valid value blocked")
 	}
-	write(1, 0x28, 5000) // in sequence, invalid value
+	write(0x28, 5000) // sealed, invalid value
 	if d.dev.regs[0x28] == 5000 {
 		t.Fatal("environment guard bypassed")
 	}

@@ -225,13 +225,11 @@ func (r *region) detach() *writeSpan {
 }
 
 // session is the SC state a trust session programs and Teardown forgets
-// in one swap: the live regions, the next A3 MMIO sequence number, the
-// submission ring's consumed head and cached completion word, and the
-// RW registers placing the ring and the metadata buffer. Guarded by
+// in one swap: the live regions, the submission ring's consumed head
+// and cached completion word, and the RW registers placing the ring and the metadata buffer. Guarded by
 // Controller.mu.
 type session struct {
 	regions []*region
-	mmioSeq uint32
 	// ringHead is the submission-ring consumption index (absolute entry
 	// count); the matching tail arrives through RegRingDoorbell.
 	ringHead uint64

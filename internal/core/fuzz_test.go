@@ -137,79 +137,84 @@ func FuzzControllerControlWindow(f *testing.F) {
 // under the rigs' fixed ring-seal key, so theirs reach dispatch; a
 // mutated seed's seal no longer checks.
 func FuzzControllerRing(f *testing.F) {
-	const firstSeq = 1 // the rig's own window install took sequence 0
+	const first = 1 // the rig's own window install took ring slot 0
 	keys := ctlSealKeys(f)
 	add := func(tail uint64, entries ...ringEntry) {
 		var slots []byte
-		for i, e := range entries {
-			slots = append(slots, e.slot(firstSeq+uint32(i))...)
+		for _, e := range entries {
+			slots = append(slots, e.slot()...)
 		}
-		if tail == firstSeq+uint64(len(entries)) {
-			slots, tail = sealSpan(keys, slots, firstSeq)
+		if tail == first+uint64(len(entries)) {
+			slots, tail = sealSpan(keys, slots, first)
 		}
 		f.Add(slots, tail)
 	}
 	rec := TagRecord{Stream: StreamH2D, Chunk: 4242}.AppendMarshal(nil)
 	// The forged entries of the ported security cells: unsealed rule,
 	// descriptor and rekey command, misaimed and in-window arms.
-	add(firstSeq+1, ringEntry{op: RingOpRule, data: Rule{ID: 99, Action: ActionPassThrough}.Marshal()})
-	add(firstSeq+1, ringEntry{op: RingOpDesc, data: Descriptor{ID: 9, Dir: DirH2D, Class: ActionWriteReadProtect,
+	add(first+1, ringEntry{op: RingOpRule, data: Rule{ID: 99, Action: ActionPassThrough}.Marshal()})
+	add(first+1, ringEntry{op: RingOpDesc, data: Descriptor{ID: 9, Dir: DirH2D, Class: ActionWriteReadProtect,
 		Base: ctlMem, Len: 4096, ChunkSize: ChunkSize}.AppendMarshal(nil)})
-	add(firstSeq+1, ringEntry{op: RingOpRekey, data: RekeyCommand{Stream: StreamH2D,
+	add(first+1, ringEntry{op: RingOpRekey, data: RekeyCommand{Stream: StreamH2D,
 		Key: secmem.FreshKey(), Nonce: secmem.FreshNonce()}.Marshal()})
-	add(firstSeq+3,
+	add(first+3,
 		ringEntry{op: RingOpTags, arg: ArmPosition(5, 64), data: rec},
 		ringEntry{op: RingOpTags, arg: ArmPosition(1005, 0), data: rec},
 		ringEntry{op: RingOpTags, arg: ArmPosition(5, 1), data: rec})
-	add(firstSeq+1, ringEntry{op: RingOpRelease, arg: 5})
-	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, 8+GuardedSeqSize)})
-	add(firstSeq+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, GuardedSeqSize)})
+	add(first+1, ringEntry{op: RingOpRelease, arg: 5})
+	add(first+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, 8)})
+	add(first+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10})
 	// Run records no producer wrote: length 0, past the region, past one
 	// read request.
-	add(firstSeq+1, ringEntry{op: RingOpTags, data: append(append(
+	add(first+1, ringEntry{op: RingOpTags, data: append(append(
 		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 0)}.AppendMarshal(nil),
 		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 1), Epoch: 1 << 20}.AppendMarshal(nil)...),
 		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 2), Epoch: MaxRunSlots + 1}.AppendMarshal(nil)...)})
-	// Framing: a sequence skew, an oversized length, opcodes 0 and 8 and
-	// a tail past the ring; and a stale doorbell, its tail behind the
-	// head, which is re-reaped.
-	f.Add(ringEntry{op: RingOpNotify}.slot(firstSeq+1), uint64(firstSeq+1))
-	oversized := ringEntry{op: RingOpTags}.slot(firstSeq)
+	// A stale slot from the previous lap: a notify sealed where it sits,
+	// one lap of the ring earlier (modulo 2^64), which the seal refuses.
+	// Framing: an oversized length, opcodes 0 and 8 and a tail past the
+	// ring; and a stale doorbell, its tail behind the head, which is
+	// re-reaped.
+	lapBack := uint64(first)
+	lapBack -= ctlRingSlots
+	stale, _ := sealSpan(keys, ringEntry{op: RingOpNotify}.slot(), lapBack)
+	f.Add(stale, uint64(first+1))
+	oversized := ringEntry{op: RingOpTags}.slot()
 	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
-	f.Add(oversized, uint64(firstSeq+1))
-	add(firstSeq+1, ringEntry{op: 0})
-	add(firstSeq+1, ringEntry{op: RingOpSeal + 1})
+	f.Add(oversized, uint64(first+1))
+	add(first+1, ringEntry{op: 0})
+	add(first+1, ringEntry{op: RingOpSeal + 1})
 	add(0, ringEntry{op: RingOpNotify})
-	add(firstSeq+ctlRingSlots+1, ringEntry{op: RingOpNotify})
+	add(first+ctlRingSlots+1, ringEntry{op: RingOpNotify})
 	// Packed slots: a well-framed chain of an arm, a notify and a
 	// release, then chains broken each way the SC refuses — a more bit
 	// with no room left for a header, a sub-entry running past the slot
-	// or under another sequence number, an unknown flag bit, op 0 behind
-	// a more bit.
+	// or edited after the seal, an unknown flag bit, op 0 behind a more
+	// bit.
 	chain := []ringEntry{{op: RingOpTags, arg: ArmPosition(5, 1), data: rec}, {op: RingOpNotify, arg: 5}, {op: RingOpRelease, arg: 5}}
 	second := RingEntryHdrSize + len(rec) // the notify's header
 	broken := func(edit func(s []byte)) {
-		s, tail := sealSpan(keys, packed(firstSeq, chain...), firstSeq)
+		s, tail := sealSpan(keys, packed(chain...), first)
 		edit(s)
 		f.Add(s, tail)
 	}
 	broken(func([]byte) {})
 	broken(func(s []byte) {
-		copy(s, packed(firstSeq, chain[0], ringEntry{op: RingOpRule, data: make([]byte, RingSlotSize-second-RingEntryHdrSize-8)}))
+		copy(s, packed(chain[0], ringEntry{op: RingOpRule, data: make([]byte, RingSlotSize-second-RingEntryHdrSize-8)}))
 		s[second+1] |= RingFlagMore
 	})
 	broken(func(s []byte) { binary.LittleEndian.PutUint16(s[second+2:], RingMaxData) })
-	broken(func(s []byte) { binary.LittleEndian.PutUint32(s[second+4:], firstSeq+1) })
+	broken(func(s []byte) { s[second+4] ^= 1 })
 	broken(func(s []byte) { s[second+1] |= 0x40 })
 	broken(func(s []byte) { clear(s[second+RingEntryHdrSize:]) })
 	// Seals that do not check: none, one with an entry behind it, a wrong
 	// tag, a tag over another (head, tail), and a span sealed for another
-	// lap of the ring (the SC's head is firstSeq, not firstSeq+2^32).
+	// lap of the ring (the SC's head is first, not first+2^32).
 	sealAt := second + 2*RingEntryHdrSize // behind the notify and the release
-	f.Add(packed(firstSeq, chain...), uint64(firstSeq+1))
+	f.Add(packed(chain...), uint64(first+1))
 	broken(func(s []byte) {
 		s[sealAt+1] |= RingFlagMore
-		PutRingEntry((*[RingEntryHdrSize]byte)(s[sealAt+RingSealSize:]), RingOpNotify, 0, firstSeq, 5)
+		PutRingEntry((*[RingEntryHdrSize]byte)(s[sealAt+RingSealSize:]), RingOpNotify, 0, 5)
 	})
 	broken(func(s []byte) { s[sealAt+RingEntryHdrSize] ^= 1 })
 	reseal := func(head, tail uint64) {
@@ -219,14 +224,14 @@ func FuzzControllerRing(f *testing.F) {
 			_ = keys.GMAC(KeyRingSeal, nonce, s[:sealAt+RingEntryHdrSize], s[sealAt+RingEntryHdrSize:][:secmem.TagSize])
 		})
 	}
-	reseal(firstSeq-1, firstSeq+1)
-	reseal(firstSeq+1<<32, firstSeq+1+1<<32)
+	reseal(first-1, first+1)
+	reseal(first+1<<32, first+1+1<<32)
 	f.Fuzz(func(t *testing.T, slots []byte, tail uint64) {
 		d := newDPRig(t)
 		d.installWindow(t, 5, ctlMem+0x4000, 4)
 		l1, l2 := d.sc.Filter().RuleCount()
 		before := d.sc.sess.ringHead
-		if before != firstSeq || d.sc.Regions() != 1 {
+		if before != first || d.sc.Regions() != 1 {
 			t.Fatalf("rig: head %d, %d regions", before, d.sc.Regions())
 		}
 

@@ -24,14 +24,13 @@ const (
 	// StreamConfig protects Packet Filter policy updates (§4.1
 	// "dynamic and secure configuration").
 	StreamConfig = "config"
-	// StreamMMIO keys the A3 integrity MACs on control traffic, and names
-	// the records of guarded writes (counter: the A3 sequence number).
+	// StreamMMIO keys the A3 integrity MACs of verified runs' records,
+	// and nothing else: a guarded write carries no MAC, its span's seal
+	// vouching for it.
 	StreamMMIO = "mmio"
 	// StreamA3Run names the records of verified runs — the MACs, under the
 	// StreamMMIO key, over the slots of an A3 region a submission makes
-	// the device read (counter: RunKey). It is an identity of its own so
-	// that no A3 sequence number can ever name, and replace, a run's
-	// record.
+	// the device read (counter: RunKey).
 	StreamA3Run = "a3-run"
 	// KeyRingSeal keys the GMAC that seals every published span of the
 	// submission ring (ring.go). Like the StreamMMIO key it is raw key

@@ -17,7 +17,7 @@ import (
 // protected TVM memory and publishes a whole batch with a single write
 // to RegRingDoorbell carrying the new absolute tail index. The SC
 // DMA-reads the published span in MaxReadReq-sized gulps, validates
-// every entry (sequence number, bounded length, known opcode),
+// every entry (bounded length, known opcode) and the span's seal,
 // dispatches it, and DMA-writes its consumed head index back into the
 // ring header. Small entries share a slot: an entry whose header has
 // RingFlagMore set is followed in the same slot by another, right behind
@@ -34,13 +34,16 @@ import (
 // seal of a published span before it dispatches any entry of it, so a
 // cleared more bit, a rewritten entry, a span replayed at another tail
 // or one with no seal is refused whole — the same refusal as torn
-// framing (a sequence skew, a length past the slot, an unknown opcode or
-// flag): the SC sets the ring status word, rejects the span, and refuses
-// to advance — fail closed until the producer tears down. Entries that
-// pass still carry what they did before: rule, descriptor and rekey
-// blobs sealed under the config stream, tag and run records verified on
-// use, and guarded writes their A3 sequence number and the environment
-// guard's check.
+// framing (a length past the slot, an unknown opcode or flag): the SC
+// sets the ring status word, rejects the span, and refuses to advance —
+// fail closed until the producer tears down. The seal is the ring's one
+// integrity and freshness check: its key is fresh each trust bring-up
+// and its nonce binds the span's position, so a stale slot from an
+// earlier lap, or an entry replayed or moved, does not check. Entries
+// that pass still carry what they did before: rule, descriptor and
+// rekey blobs sealed under the config stream, tag and run records
+// verified on use, and guarded writes the filter's A3 classification
+// and the environment guard's check.
 const (
 	// RingHdrSize is the ring header: [0,8) consumed head (SC-written),
 	// [8,16) status word (0 ok, RingStatusDesync), [16,24) completion
@@ -57,11 +60,10 @@ const (
 	// from "head is zero".
 	RingCplValid = 1 << 63
 	// RingEntryHdrSize frames one entry: opcode(1) flags(1) len(2)
-	// seq(4) arg(8), little-endian.
-	RingEntryHdrSize = 16
+	// arg(8), little-endian.
+	RingEntryHdrSize = 12
 	// RingFlagMore, the one flag bit, says another entry follows this
-	// one in its slot, starting right after its payload. Every entry of a
-	// slot carries the slot's sequence number.
+	// one in its slot, starting right after its payload.
 	RingFlagMore = 1
 	// RingMaxData bounds an entry payload to one TLP payload.
 	RingMaxData = pcie.MaxPayload
@@ -83,13 +85,9 @@ const (
 	RingOpTags    = 4 // payload: packed tag records; arg != 0: positioned (ArmPosition)
 	RingOpRelease = 5 // arg: region ID
 	RingOpNotify  = 6 // arg: region ID (the region-ready notify of §5)
-	RingOpGuarded = 7 // arg: absolute MMIO address, payload: value, then the write's A3 sequence number
+	RingOpGuarded = 7 // arg: absolute MMIO address, payload: the value
 	RingOpSeal    = 8 // payload: the GMAC tag sealing the span that ends with this entry
 )
-
-// GuardedSeqSize is the A3 sequence number a guarded entry carries
-// behind its value.
-const GuardedSeqSize = 4
 
 // RingSealSize is a seal entry's footprint in its slot.
 const RingSealSize = RingEntryHdrSize + secmem.TagSize
@@ -106,18 +104,16 @@ func PutRingSealNonce(nonce []byte, head, tail uint64) {
 
 // PutRingEntry encodes an entry header, its flags clear, into a
 // caller-provided (typically stack) array.
-func PutRingEntry(hdr *[RingEntryHdrSize]byte, op uint8, n uint16, seq uint32, arg uint64) {
+func PutRingEntry(hdr *[RingEntryHdrSize]byte, op uint8, n uint16, arg uint64) {
 	hdr[0] = op
 	hdr[1] = 0
 	binary.LittleEndian.PutUint16(hdr[2:], n)
-	binary.LittleEndian.PutUint32(hdr[4:], seq)
-	binary.LittleEndian.PutUint64(hdr[8:], arg)
+	binary.LittleEndian.PutUint64(hdr[4:], arg)
 }
 
 // RingEntry is one entry of a ring slot, decoded. Data aliases the slot.
 type RingEntry struct {
 	Op   uint8
-	Seq  uint32
 	Arg  uint64
 	Data []byte
 }
@@ -127,13 +123,12 @@ type RingEntry struct {
 // rest, the bytes its more bit says hold the next entry (nil when the
 // bit is clear: the slot's chain ends here). ok is false when b frames
 // no entry: no room for a header, a length past the end of b, an unknown
-// opcode or a flag bit other than RingFlagMore. The sequence number is
-// the caller's to check, against the slot's absolute ring index.
+// opcode or a flag bit other than RingFlagMore.
 func CutRingEntry(b []byte) (e RingEntry, rest []byte, ok bool) {
 	if len(b) < RingEntryHdrSize {
 		return e, nil, false
 	}
-	e = RingEntry{Op: b[0], Seq: binary.LittleEndian.Uint32(b[4:]), Arg: binary.LittleEndian.Uint64(b[8:])}
+	e = RingEntry{Op: b[0], Arg: binary.LittleEndian.Uint64(b[4:])}
 	flags, end := b[1], RingEntryHdrSize+int(binary.LittleEndian.Uint16(b[2:]))
 	if end > len(b) || e.Op < RingOpRule || e.Op > RingOpSeal || flags&^RingFlagMore != 0 {
 		return e, nil, false
@@ -143,19 +138,6 @@ func CutRingEntry(b []byte) (e RingEntry, rest []byte, ok bool) {
 		rest = b[end:]
 	}
 	return e, rest, true
-}
-
-// ringSlotFramed reports whether slot holds a well-framed chain whose
-// every entry carries sequence number seq.
-func ringSlotFramed(slot []byte, seq uint32) bool {
-	for rest := slot; rest != nil; {
-		e, next, ok := CutRingEntry(rest)
-		if !ok || e.Seq != seq {
-			return false
-		}
-		rest = next
-	}
-	return true
 }
 
 // ringSpanSlots is how many ring slots one MaxReadReq DMA read covers.
@@ -227,17 +209,10 @@ func (c *Controller) processRing(tail uint64) {
 
 	// Validate the whole span, then dispatch it: a framing error or a
 	// seal that does not check anywhere refuses the batch before any
-	// entry of it acts. The sequence check pins every entry to its
-	// slot's absolute ring index, so a stale slot or entry left over from
-	// a previous lap — or one the producer never wrote — cannot be
+	// entry of it acts. The seal's nonce pins every stretch to its
+	// absolute ring position, so a stale slot or entry left over from a
+	// previous lap — or one the producer never wrote — cannot be
 	// consumed.
-	for i := uint64(0); i < n; i++ {
-		if !ringSlotFramed(buf[i*RingSlotSize:][:RingSlotSize], uint32(head+i)) {
-			arena.Put(buf)
-			c.ringDesync(base)
-			return
-		}
-	}
 	if !c.ringSealed(buf[:size], buf[size:], head) {
 		arena.Put(buf)
 		c.ringDesync(base)
@@ -261,14 +236,15 @@ func (c *Controller) processRing(tail uint64) {
 	c.ringPostHead(base, tail, w)
 }
 
-// ringSealed reports whether every entry of the gathered span, framed
-// slots from absolute index head on, sits under a seal that checks. The
-// producer seals each flush, so a span whose doorbell re-publishes an
-// earlier, unconsumed flush holds several sealed stretches: each seal
-// covers the slots from the one behind the previous seal (or from head)
-// through its own header, and must end its slot's chain. The span must
-// end with a seal. scratch holds the nonce and the recomputed tag; the
-// check takes no lock.
+// ringSealed reports whether every slot of the gathered span, from
+// absolute index head on, holds a well-framed chain and every entry sits
+// under a seal that checks: one walk does both. The producer seals each
+// flush, so a span whose doorbell re-publishes an earlier, unconsumed
+// flush holds several sealed stretches: each seal covers the slots from
+// the one behind the previous seal (or from head) through its own
+// header, and must end its slot's chain. The span must end with a seal.
+// scratch holds the nonce and the recomputed tag; the check takes no
+// lock.
 func (c *Controller) ringSealed(span, scratch []byte, head uint64) bool {
 	nonce, want := scratch[:secmem.GCMNonceSize], scratch[secmem.GCMNonceSize:][:secmem.TagSize]
 	from := 0 // byte offset of the open stretch's first slot
@@ -276,7 +252,10 @@ func (c *Controller) ringSealed(span, scratch []byte, head uint64) bool {
 		slot := span[at : at+RingSlotSize]
 		for rest := slot; rest != nil; {
 			off := len(slot) - len(rest)
-			e, next, _ := CutRingEntry(rest)
+			e, next, ok := CutRingEntry(rest)
+			if !ok {
+				return false
+			}
 			rest = next
 			if e.Op != RingOpSeal {
 				continue
@@ -320,23 +299,21 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		// descriptor were dispatched ahead of it, in order.
 	case RingOpGuarded:
 		// Rebuild the A3 write the entry stands for, attributed to the
-		// authorized TVM, and run it through the sequence and guard checks
-		// with the sequence number it carries; the span's seal has already
-		// vouched for its address and value. The value is copied out of the
-		// gather buffer: a tap on the internal bus may keep the packet past
-		// this dispatch.
-		if len(data) <= GuardedSeqSize {
+		// authorized TVM, and run it through the guard check; the span's
+		// seal has already vouched for its address and value, and for its
+		// place in the ring. The value is copied out of the gather buffer:
+		// a tap on the internal bus may keep the packet past this dispatch.
+		if len(data) == 0 {
 			c.configReject() // a guarded entry that carries no value
 			return
 		}
-		value := data[:len(data)-GuardedSeqSize]
-		val := c.payloadBuf(len(value), c.internal)
-		copy(val, value)
+		val := c.payloadBuf(len(data), c.internal)
+		copy(val, data)
 		p := c.guardedPkts.MemWrite(pcie.RoleGuardedWrite, c.authorizedTVM, arg, val)
 		// The policy classifies the write as it would one off the bus: an
 		// entry is a guarded write only where the filter says A3.
 		if c.filter.classify(p, false).Action == ActionWriteProtect {
-			c.handleGuardedMMIO(p, binary.LittleEndian.Uint32(data[len(value):]))
+			c.handleGuardedMMIO(p)
 		} else {
 			c.configReject()
 		}

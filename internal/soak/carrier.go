@@ -27,8 +27,7 @@ const (
 
 // classPenalty is the virtual recovery cost charged when a fault class
 // fires during a probe: the modelled time the recovery ladder spends
-// absorbing that class (retry rounds, tag reposts, MMIO resync, slot
-// re-dispatch). It feeds the probe-carrying request's virtual service
+// absorbing that class (retry rounds, tag reposts, slot re-dispatch). It feeds the probe-carrying request's virtual service
 // time, so injected faults surface in the scorecard's latency tails
 // exactly like they would in production traces.
 var classPenalty = map[fault.Class]sim.Time{
@@ -52,7 +51,6 @@ const (
 	retryPenalty   = 200 * sim.Microsecond
 	cryptoPenalty  = 50 * sim.Microsecond
 	repostPenalty  = 150 * sim.Microsecond
-	resyncPenalty  = 250 * sim.Microsecond
 	timeoutPenalty = 300 * sim.Microsecond
 	stalePenalty   = 100 * sim.Microsecond
 	retrustPenalty = 40 * sim.Millisecond
@@ -273,7 +271,6 @@ func (c *carrier) recoveryTotals() adaptor.RecoveryStats {
 		sum.StaleSuppressed += r.StaleSuppressed
 		sum.CryptoRetries += r.CryptoRetries
 		sum.Reposts += r.Reposts
-		sum.Resyncs += r.Resyncs
 		sum.Exhausted += r.Exhausted
 		sum.FailClosed += r.FailClosed
 	}
@@ -328,7 +325,6 @@ func (c *carrier) probe() (sim.Time, int) {
 	penalty := retryPenalty*sim.Time(recAfter.Retries-recBefore.Retries) +
 		cryptoPenalty*sim.Time(recAfter.CryptoRetries-recBefore.CryptoRetries) +
 		repostPenalty*sim.Time(recAfter.Reposts-recBefore.Reposts) +
-		resyncPenalty*sim.Time(recAfter.Resyncs-recBefore.Resyncs) +
 		timeoutPenalty*sim.Time(recAfter.Timeouts-recBefore.Timeouts) +
 		stalePenalty*sim.Time(recAfter.StaleSuppressed-recBefore.StaleSuppressed)
 	for _, f := range fired {

@@ -55,9 +55,13 @@ func TestMultiTenantBothRunTasks(t *testing.T) {
 	// that tenant's own unit.
 	for i, tenant := range mp.Tenants {
 		bar := uint64(scBARBase) + uint64(i)*tenantStride
-		cpl := mp.Host.Route(pcie.NewMemRead(tenant.TVMID, bar+core.RegMMIOSeq, 8, 0))
+		want := uint64(core.SCStatusReady)
+		if tenant.SC.Stats().ConfigRejects != 0 {
+			want |= core.SCStatusConfigErr
+		}
+		cpl := mp.Host.Route(pcie.NewMemRead(tenant.TVMID, bar+core.RegSCStatus, 8, 0))
 		if cpl == nil || cpl.Status != pcie.CplSuccess || cpl.Completer != tenant.SC.DeviceID() ||
-			binary.LittleEndian.Uint64(cpl.Payload) != uint64(tenant.SC.MMIOSeq()) {
+			binary.LittleEndian.Uint64(cpl.Payload) != want {
 			t.Fatalf("tenant %d: control-BAR read answered %v, want its own unit %v", i, cpl, tenant.SC.DeviceID())
 		}
 	}

@@ -81,7 +81,7 @@ func betweenDispatches(t *testing.T, mp *MultiPlatform, at func(n int)) {
 // dma_read, classify, verified_read and tag_match per run. Its two
 // guarded writes are ring entries, each one guarded_mmio span at the SC,
 // with no classify span and no tag_match: the span's seal vouches for
-// an entry, and the SC checks the sequence number it carries in place.
+// an entry, and the SC checks the environment guard in place.
 // Posting staging and sealing each span add no span.
 const (
 	spansPerTask64K    = 139

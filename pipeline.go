@@ -337,22 +337,19 @@ func (pl *pipeline) run(ctx context.Context, cmds []xpu.Command, staged []*adapt
 }
 
 // recoverSubmission drives the recovery ladder for a submission the
-// device did not fully consume: re-align the A3 MMIO sequence (a lost
-// guarded write desynchronises it permanently), repost the tag table of
-// every H2D region staged for the submission (tag-packet loss orphans
-// chunks; for a decode step's window that is the step's positioned
-// tag), then kick the driver (re-sync ring MACs, re-ring the
-// doorbell). A single dropped doorbell or lost guarded write is absorbed
-// here. If the device still hasn't consumed everything after bounded
-// attempts, the Adaptor tears the session down fail-closed: keys
+// device did not fully consume: repost the tag table of every H2D region
+// staged for the submission (tag-packet loss orphans chunks; for a
+// decode step's window that is the step's positioned tag), then kick the
+// driver (re-post the run records, re-ring the doorbell), then read the
+// device head. A flush that lost its doorbells is re-published by the
+// first rung whose flush gets through, so a rung that fails does not end
+// the ladder. If the device still hasn't consumed everything after
+// bounded attempts, the Adaptor tears the session down fail-closed: keys
 // zeroized on both ends and the device cleaned through the environment
 // guard, because a half-run confidential task must not leave a live
 // session behind.
 func (pl *pipeline) recoverSubmission(staged []*adaptor.Region, before, want uint64) error {
 	for attempt := 0; attempt < submitRecoveryAttempts; attempt++ {
-		if err := pl.Adaptor.ResyncMMIO(); err != nil {
-			break
-		}
 		for _, r := range staged {
 			pl.Adaptor.RepostTags(r)
 		}

@@ -180,7 +180,6 @@ type sliceState struct {
 	IV               [3]uint64
 	Regions, Tags    int
 	Tail             uint64
-	MMIOA, MMIOSC    uint32
 	Active           int
 	SCKeys, TVMKeys  int
 	HostBuffersAlive int
@@ -188,8 +187,8 @@ type sliceState struct {
 
 // refSession is the reference model of one slice's SC session: trust
 // generation, per-stream key epochs and send counters, live regions (the
-// command ring between tasks), pending tags (none between ops), the
-// command ring's tail and the A3 MMIO sequence.
+// command ring between tasks), pending tags (none between ops) and the
+// command ring's tail.
 type refSession struct {
 	gen   int
 	state sliceState
@@ -210,31 +209,29 @@ type refSession struct {
 }
 
 // Bring-up leaves the command ring as the one live region, its
-// descriptor the one config seal, four guarded writes behind, three
-// stream contexts on the SC and four keys on each end. A task that
-// reaches the doorbell is three commands and two guarded writes.
+// descriptor the one config seal, three stream contexts on the SC and
+// five keys on each end. A task that reaches the doorbell is three
+// commands.
 const (
 	trustRegions = 1
-	trustMMIO    = 4
 	taskCommands = 3
-	taskMMIO     = 2
 )
 
 var bringUpCtr = [3]uint32{sConfig: 1}
 
 func (m *refSession) trust() {
 	m.gen, m.ctr, m.lag = m.gen+1, bringUpCtr, nil
-	m.state = sliceState{Trusted: true, Regions: trustRegions, MMIOA: trustMMIO, MMIOSC: trustMMIO,
+	m.state = sliceState{Trusted: true, Regions: trustRegions,
 		Active: 3, SCKeys: 5, TVMKeys: 5, HostBuffersAlive: m.buffers + m.held[1]}
 }
 
 // teardown is a session torn down, by Close or fail-closed: keys, stream
-// contexts, regions and the A3 sequence gone on both ends. The driver's
+// contexts and regions gone on both ends. The driver's
 // tail and the staging memory stay until the next bring-up.
 func (m *refSession) teardown() {
 	s := &m.state
 	s.Trusted, s.EpochA, s.EpochSC, m.lag = false, [2]uint32{}, [3]uint32{}, nil
-	s.Regions, s.Tags, s.MMIOA, s.MMIOSC, s.Active, s.SCKeys, s.TVMKeys = 0, 0, 0, 0, 0, 0, 0
+	s.Regions, s.Tags, s.Active, s.SCKeys, s.TVMKeys = 0, 0, 0, 0, 0
 	m.held[0] = 0
 }
 
@@ -263,8 +260,6 @@ func (m *refSession) submit(tk Task) { m.rung(taskCommands, chunks(int(tk.outLen
 func (m *refSession) rung(n uint64, d2h uint32) {
 	m.seal(sD2H, d2h)
 	m.state.Tail += n
-	m.state.MMIOA += taskMMIO
-	m.state.MMIOSC += taskMMIO
 }
 
 // rekey rotates stream i: one rekey command sealed under config, a new
@@ -306,13 +301,6 @@ func (m *refSession) adopt(s sliceState) {
 // slice lags: the SC's regions and tags falling toward the quiet counts,
 // its key epochs rising to the Adaptor's.
 func (m *refSession) converging(got sliceState) sliceState {
-	// A fault that left the A3 sequences apart — guarded entries lost or
-	// refused — settles at the next guarded write on one end's. A refused
-	// entry's record was checked in place, so it leaves nothing queued.
-	s := &m.state
-	if s.MMIOA != s.MMIOSC && got.MMIOA == got.MMIOSC && (got.MMIOA == s.MMIOA || got.MMIOA == s.MMIOSC) {
-		s.MMIOA, s.MMIOSC = got.MMIOA, got.MMIOA
-	}
 	want, l := m.state, m.lag
 	if l == nil || !got.Trusted {
 		return want
@@ -529,8 +517,7 @@ func (r *traceRun) tail() uint64 {
 func (r *traceRun) observe() sliceState {
 	p := r.p
 	s := sliceState{Trusted: r.live(), Regions: p.SC.Regions(), Tags: p.SC.Tags().Depth(),
-		Tail: r.tail(), MMIOA: p.Adaptor.MMIOSeq(), MMIOSC: p.SC.MMIOSeq(),
-		Active: p.SC.Params().Active(), SCKeys: p.scKeys.Count(), TVMKeys: p.tvmKeys.Count(),
+		Tail: r.tail(), Active: p.SC.Params().Active(), SCKeys: p.scKeys.Count(), TVMKeys: p.tvmKeys.Count(),
 		HostBuffersAlive: p.Guest.Space.Live()}
 	for i, name := range modelStreams {
 		s.IV[i] = r.audit.lastIV(r.ivName(name))
@@ -639,7 +626,7 @@ func (r *traceRun) checkWire() {
 // order: a slice with no session holds no key at the TVM, and none,
 // nor a stream context or region, at the SC — unless a fault dropped the
 // teardown write in this op or an earlier one (I6); within a generation
-// no IV, epoch, tail or A3 sequence runs backwards, and the SC is never
+// no IV, epoch or tail runs backwards, and the SC is never
 // an epoch ahead of the Adaptor.
 func (r *traceRun) monotone(before, got sliceState, faulted bool) {
 	switch {
@@ -660,8 +647,8 @@ func (r *traceRun) monotone(before, got sliceState, faulted bool) {
 	if got.EpochSC[sH2D] > got.EpochA[sH2D] || got.EpochSC[sD2H] > got.EpochA[sD2H] {
 		r.failf("the SC is an epoch ahead of the Adaptor: %+v", got)
 	}
-	if got.Tail < before.Tail || got.MMIOSC < before.MMIOSC {
-		r.failf("ring tail or A3 sequence ran backwards: %+v after %+v", got, before)
+	if got.Tail < before.Tail {
+		r.failf("ring tail ran backwards: %+v after %+v", got, before)
 	}
 }
 
@@ -1177,7 +1164,7 @@ var adversaries = map[byte][]adversary{
 			})
 		}, nil, "a tampered A3 doorbell entry refused with its span, never executed, and the session failed closed",
 			(*attackRun).spanRefused},
-		{2, func(*traceRun, *attackRun, int) pcie.Tap { return &ringSeqCorrupter{} }, nil, "tampered ring framing refused and the session failed closed",
+		{2, func(*traceRun, *attackRun, int) pcie.Tap { return &ringArgCorrupter{} }, nil, "a tampered ring entry refused with its span and the session failed closed",
 			(*attackRun).spanRefused},
 		{2, tamperOnce(commandRun), nil, "a tampered command run refused at the SC and the task re-driven",
 			func(a *attackRun, _ int) bool { return a.authFailed() && a.err == nil }},
@@ -1424,11 +1411,10 @@ func (r *traceRun) rogue() {
 // directDoorbell routes a write to the device doorbell in the TVM's
 // name straight onto the host bus, where the protocol puts no guarded
 // write. The filter classifies it A3 and the SC refuses it, for want of
-// the seal only a ring span carries: nothing reaches the device segment
-// and no A3 sequence number is spent.
+// the seal only a ring span carries: nothing reaches the device segment.
 func (r *traceRun) directDoorbell() {
 	p := r.p
-	st, seq, fired := p.SC.Stats(), p.SC.MMIOSeq(), uint64(len(r.inj.Log()))
+	st, fired := p.SC.Stats(), uint64(len(r.inj.Log()))
 	inner := attack.NewSnooper()
 	p.internal.AddTap(inner)
 	r.mp.Host.Route(pcie.NewMemWrite(TVMID, xpuBARBase+xpu.RegDoorbell, []byte{1, 0, 0, 0, 0, 0, 0, 0}).WithRole(pcie.RoleGuardedWrite))
@@ -1438,7 +1424,7 @@ func (r *traceRun) directDoorbell() {
 	}
 	got := p.SC.Stats()
 	if uint64(len(r.inj.Log())) == fired &&
-		(got.Filter.Verified != st.Filter.Verified+1 || got.AuthFailures != st.AuthFailures+1 || p.SC.MMIOSeq() != seq) {
+		(got.Filter.Verified != st.Filter.Verified+1 || got.AuthFailures != st.AuthFailures+1) {
 		r.failf("a direct doorbell write was not classified A3 and refused: %+v", got)
 	}
 }
@@ -1600,14 +1586,13 @@ func chainSize(chain []core.RingEntry) (n int) {
 	return n
 }
 
-// packSlot writes chain into slot as the producer would, each entry
-// under the sequence number the slot's first entry carries and every
-// entry but the last with its more bit set.
+// packSlot writes chain into slot as the producer would, every entry
+// but the last with its more bit set.
 func packSlot(slot []byte, chain []core.RingEntry) {
-	seq, out := binary.LittleEndian.Uint32(slot[4:]), make([]byte, 0, core.RingSlotSize)
+	out := make([]byte, 0, core.RingSlotSize)
 	for i, e := range chain {
 		var hdr [core.RingEntryHdrSize]byte
-		core.PutRingEntry(&hdr, e.Op, uint16(len(e.Data)), seq, e.Arg)
+		core.PutRingEntry(&hdr, e.Op, uint16(len(e.Data)), e.Arg)
 		if i < len(chain)-1 {
 			hdr[1] = core.RingFlagMore
 		}

@@ -32,17 +32,49 @@ import (
 // retries only (D1).
 func TestRingDoorbellDropRecovers(t *testing.T) { playTrace(t, "ring-doorbell-drop") }
 
-// ringSeqCorrupter flips the sequence field of the first entry in
-// every ring-slot fetch completion toward the SC — tampered ring
-// framing, the fail-closed family.
-type ringSeqCorrupter struct{}
+// TestRingDoorbellsDroppedPastOneFlush drops 10, then 15, consecutive
+// ring doorbells during one 300 B task — two and three flushes' worth of
+// retries. The completion poll's flush exhausts its retries, and so does
+// each rung of the recovery ladder whose flush still meets a dropped
+// doorbell (a tag repost, a kick), until one gets through; the ladder
+// reads the device head after every kick, so the task ends exact,
+// nothing stays queued at the SC and the next task is exact too. A
+// ladder that gives up on a rung that cannot publish fails this session
+// closed as "submission stalled", with every command consumed.
+func TestRingDoorbellsDroppedPastOneFlush(t *testing.T) {
+	for _, c := range []struct{ dropped, reposts, exhausted uint64 }{{10, 1, 2}, {15, 2, 3}} {
+		t.Run(fmt.Sprintf("%d", c.dropped), func(t *testing.T) {
+			p := protectedPlatform(t, xpu.A100)
+			in := bytes.Repeat([]byte{0x41}, 300)
+			want := bytes.Repeat([]byte{0x42}, 300)
+			p.Host.AddTap(&attack.Dropper{Count: int(c.dropped), Match: func(pk *pcie.Packet) bool { return pk.Role == pcie.RoleRingDoorbell }})
+			out, err := p.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 1})
+			p.Host.ClearTaps()
+			rec := p.Adaptor.Recovery()
+			if err != nil || !bytes.Equal(out, want) || rec.Reposts != c.reposts || rec.Exhausted != c.exhausted || rec.FailClosed != 0 {
+				t.Fatalf("task under %d dropped doorbells: %v, exact %v; recovery %+v", c.dropped, err, bytes.Equal(out, want), rec)
+			}
+			if depth := p.SC.Tags().Depth(); depth != 0 {
+				t.Fatalf("%d tag records left queued at the SC", depth)
+			}
+			if out, err := p.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 1}); err != nil || !bytes.Equal(out, want) {
+				t.Fatalf("next task: %v, exact %v", err, bytes.Equal(out, want))
+			}
+		})
+	}
+}
 
-func (c *ringSeqCorrupter) Tap(p *pcie.Packet) *pcie.Packet {
+// ringArgCorrupter flips a bit of the first entry's arg in every
+// ring-slot fetch completion toward the SC — a ring entry rewritten in
+// flight, which breaks its span's seal: the fail-closed family.
+type ringArgCorrupter struct{}
+
+func (c *ringArgCorrupter) Tap(p *pcie.Packet) *pcie.Packet {
 	if p.Kind != pcie.CplD || p.Role != pcie.RoleSlotFetch || len(p.Payload) == 0 {
 		return p
 	}
 	q := p.Clone()
-	q.Payload[4] ^= 0x80 // entry 0 seq field
+	q.Payload[4] ^= 0x80 // entry 0's arg, low byte
 	return q
 }
 
@@ -58,9 +90,9 @@ func TestRingDesyncFailsClosed(t *testing.T) { playTrace(t, "ring-desync") }
 // dead session.
 func TestRingDesyncLeavesSliceUntrusted(t *testing.T) {
 	p := protectedPlatform(t, xpu.A100)
-	p.Host.AddTap(&ringSeqCorrupter{})
+	p.Host.AddTap(&ringArgCorrupter{})
 	if _, err := p.RunTask(Task{Input: []byte("desync"), Kernel: KernelAdd, Param: 1}); !errors.Is(err, adaptor.ErrRingDesync) {
-		t.Fatalf("task over tampered ring framing: %v, want ErrRingDesync", err)
+		t.Fatalf("task over a tampered ring entry: %v, want ErrRingDesync", err)
 	}
 	p.Host.ClearTaps()
 	if p.trusted {
@@ -85,10 +117,10 @@ func TestRetrustAfterLostTeardownWrite(t *testing.T) {
 		writes++
 		return true
 	}}
-	p.Host.AddTap(&ringSeqCorrupter{})
+	p.Host.AddTap(&ringArgCorrupter{})
 	p.Host.AddTap(lost)
 	if _, err := p.RunTask(Task{Input: []byte("desync"), Kernel: KernelAdd, Param: 1}); !errors.Is(err, adaptor.ErrRingDesync) {
-		t.Fatalf("task over tampered ring framing: %v, want ErrRingDesync", err)
+		t.Fatalf("task over a tampered ring entry: %v, want ErrRingDesync", err)
 	}
 	p.Host.ClearTaps()
 	if writes != 1 || p.SC.Stats().Teardowns != 0 {
@@ -181,7 +213,7 @@ func forgeRingEntry(t *testing.T, pl *pipeline, host *pcie.Bus, op uint8, arg ui
 	slots := (uint64(ring.Size())-core.RingHdrSize)/core.RingSlotSize - core.RingMirrorSlots
 	head := binary.LittleEndian.Uint64(ring.Bytes())
 	slot := ring.Bytes()[core.RingHdrSize+head%slots*core.RingSlotSize:][:core.RingSlotSize]
-	core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), op, uint16(len(data)), uint32(head), arg)
+	core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), op, uint16(len(data)), arg)
 	copy(slot[core.RingEntryHdrSize:], data)
 	host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, head+1)))
 }

@@ -95,21 +95,21 @@ func TestCommandRunFetch(t *testing.T) {
 	}
 }
 
-// TestA3RecordKeySpace: the records of guarded writes (keyed by the A3
-// sequence number) and of command-ring runs (keyed by region and slot)
-// have separate identities, so no sequence number names a run's record.
-// When both were counters of one stream, sequence numbers 65,536–65,599
-// aliased region 1's slots: the tail write with sequence 65,548 replaced
-// the record of slot 12, its read was an auth failure and the ladder had
-// to repost. 33,000 small tasks take the sequence past that window with
-// not one auth failure or recovery step.
+// TestA3RecordKeySpace: a command-ring run's record is keyed by RunKey,
+// which packs the low 16 bits of the ring's region id over the run's
+// first slot, so region ids 65,536 apart share keys; the MAC binds the
+// full id, so the alias is harmless. 33,000 small tasks stage two
+// regions each, so the command ring a re-trust then stages takes an id
+// past 65,536 and shares its keys with an earlier region's. Every task,
+// before the re-trust and after, is exact with not one auth failure or
+// recovery step.
 func TestA3RecordKeySpace(t *testing.T) {
 	if raceDetector {
 		t.Skip("one goroutine, 33,000 tasks: the race detector adds 25 s and no coverage")
 	}
 	p := protectedPlatform(t, xpu.A100)
 	in := bytes.Repeat([]byte{0x5a}, 256)
-	for i := 0; i < 33000; i++ {
+	run := func(i int) {
 		out, err := p.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 1})
 		if err != nil {
 			t.Fatalf("task %d: %v", i+1, err)
@@ -118,14 +118,23 @@ func TestA3RecordKeySpace(t *testing.T) {
 			t.Fatalf("task %d: wrong output", i+1)
 		}
 		if st := p.SC.Stats(); st.AuthFailures != 0 {
-			t.Fatalf("task %d (A3 sequence %d): %d auth failures", i+1, p.Adaptor.MMIOSeq(), st.AuthFailures)
+			t.Fatalf("task %d (command ring region %d): %d auth failures", i+1, p.ring.Desc.ID, st.AuthFailures)
 		}
+	}
+	for i := 0; i < 33000; i++ {
+		run(i)
+	}
+	if err := p.EstablishTrust(); err != nil {
+		t.Fatal(err)
+	}
+	if id := p.ring.Desc.ID; id <= 1<<16 {
+		t.Fatalf("the command ring re-staged as region %d: the 16-bit packing was not crossed", id)
+	}
+	for i := 33000; i < 33100; i++ {
+		run(i)
 	}
 	if rec := p.Adaptor.Recovery(); rec != (adaptor.RecoveryStats{}) {
 		t.Fatalf("recovery activity on a fault-free run: %+v", rec)
-	}
-	if seq := p.Adaptor.MMIOSeq(); seq <= 65600 {
-		t.Fatalf("A3 sequence ended at %d: the aliasing window was not crossed", seq)
 	}
 }
 
