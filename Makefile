@@ -20,9 +20,6 @@ all: build test
 ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-full telemetry-smoke llm-smoke sync-count
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/pcie/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault/
-# The tag plane against its map-based reference, from the seeded scripts
-# TestTagPlaneMatchesReference plays.
-	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=10s ./internal/core/
 # The serving queue and the LLM engine against their reference models,
 # from the saved scripts under each package's testdata/fuzz/, which
 # the `test` target plays as FuzzServingQueue/<name> and
@@ -64,9 +61,10 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # TestTaskAllocBudget hold what a
 # Scheduler round trip may add, by kind of context; beside them the A3
 # record key space, 33,000 tasks and a re-trust that stages the command
-# ring under a region id past RunKey's 16 bits, and the scheduler's goroutine budget: at
-# most Slots of them however many requests, none left after Drain or
-# Shutdown.
+# ring under a region id past 65,536 (a run record sits on its own
+# region's tag table, so no 16-bit key is left to alias), and the
+# scheduler's goroutine budget: at most Slots of them however many
+# requests, none left after Drain or Shutdown.
 	$(GO) test -cpu 1,2 -run 'TestTaskAllocBudget|TestReadAllocBudget|TestA3RecordKeySpace|TestSchedulerWorkersResident' ./ ./internal/adaptor/
 # The price of observation, as named deterministic gates beside them:
 # exact spans per op, allocation parity observed/unobserved, the
@@ -108,7 +106,7 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # slot before it fetches or spends a tag; the host segment carries the
 # rows it did when the SC decrypted ahead (the wire ledger). The fuzz aims
 # any read, under any chunk size, at a staged region: served byte-exact,
-# or refused.
+# or refused. The read is where a region's tag table is consumed.
 	$(GO) test -run 'TestDecryptReadRejects|TestWireLedger' ./ ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=10s ./internal/core/
 # Per-TLP lookups without read locks: the bus binds each claim to its
@@ -119,7 +117,7 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # claim while writers churn, under the race detector. Host buffers are
 # back at their post-trust count after tasks, sessions and a burst, and
 # an Alloc/Free pair allocates only the *Buffer. Beside them the per-record
-# snapshots and atomics: ParamsManager.Stream/NameByHash and Mux.Handle
+# snapshots and atomics: ParamsManager.Stream and Mux.Handle
 # never miss a live stream or unit and never return a destroyed stream
 # while Activate, Rekey, DestroyAll and AddUnit churn; a stream's Epoch,
 # Remaining and Fence.Valid stay exact across a concurrent Rekey; and
@@ -294,7 +292,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalRekeyCommand -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzControllerControlWindow -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=15s ./internal/core/
-	$(GO) test -run '^$$' -fuzz=FuzzTagPlane -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDeviceWriteBurst -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=15s ./internal/core/

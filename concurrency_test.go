@@ -305,7 +305,7 @@ func wireTenantFault(mp *MultiPlatform, tn *Tenant, inj *fault.Injector, class f
 	case class == fault.CryptoTransient:
 		tn.Adaptor.InstallCryptoFault(inj.CryptoFault)
 	case class == fault.TagLoss:
-		tn.SC.Tags().SetFaultHook(inj.TagFault)
+		tn.SC.SetTagFaultHook(inj.TagFault)
 	case stressRole(class) == pcie.RoleCompletionWord:
 		sc := tn.SC.DeviceID()
 		mp.Host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {

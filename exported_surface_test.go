@@ -20,40 +20,33 @@ import (
 // check named beside it. The list is exact: an entry whose function is
 // gone, or that a program path now calls, fails the scan too.
 var surfaceSeams = map[string]string{
-	"(*adaptor.Adaptor).StreamEpoch":   "the protocol model holds both ends' key epochs to each other (I3, I8)",
-	"(*attack.Snooper).Packets":        "the protocol model judges each op's host-segment packets",
-	"(*attack.Snooper).Reset":          "the protocol model clears the capture between ops",
-	"(*core.Controller).D2HProgress":   "the D2H burst and release cells hold what the SC published to it",
-	"(*core.Controller).Regions":       "sliceHygiene and the protocol model count the SC's region records",
-	"(*core.ParamsManager).Active":     "sliceHygiene: a torn-down slice holds no stream context",
-	"(*core.TagManager).Depth":         "sliceHygiene, the protocol model and FuzzTagPlane count pending tags",
-	"(*core.TagManager).Discard":       "FuzzTagPlane drives the bare tag plane against refTagManager",
-	"(*core.TagManager).Peek":          "FuzzTagPlane drives the bare tag plane against refTagManager",
-	"(*core.TagManager).PendingCap":    "FuzzTagPlane checks the cap it set",
-	"(*core.TagManager).SetPendingCap": "FuzzTagPlane evicts at small caps",
-	"(*core.TagManager).Take":          "FuzzTagPlane drives the bare tag plane against refTagManager",
-	"(*core.TagManager).TakeEach":      "FuzzTagPlane drives the bare tag plane against refTagManager",
-	"(*llm.Engine).KVInUse":            "chassisHygiene: a chassis whose sessions are closed holds no KV",
-	"(*llm.Engine).Pending":            "chassisHygiene: a chassis whose sessions are closed queues no step",
-	"(*llm.Engine).StepLog":            "the protocol model awaits each settled step; the determinism cells",
-	"(*mem.Buffer).Name":               "the role audit and the protocol model tell host buffers apart",
-	"(*mem.IOMMU).Unmap":               "the churn test races revocation against the lock-free Check",
-	"(*mem.Space).Live":                "sliceHygiene and the protocol model count live host buffers",
-	"(*pcie.Bus).Owner":                "TestPlatformHostSideIsMux and TestBusDetach check who claims a window",
-	"(*pcie.Bus).Detach":               "TestBusDetach and the churn test race it against the lock-free Route",
-	"(*secmem.KeyStore).Count":         "sliceHygiene: a torn-down slice holds no key",
-	"(*trace.Recorder).Retained":       "the telemetry leak check scans what the host segment carried",
-	"(*xpu.Device).ColdBoots":          "the teardown cells check the guard's clean took the right reset",
-	"(*xpu.Device).DevMem":             "the data-path cells check what a DMA left in device memory",
-	"(*xpu.Device).EnvResets":          "the teardown cells check the guard's clean took the right reset",
-	"(*xpu.Device).Executed":           "the command cells check which commands the device ran",
-	"(secmem.Fence).Epoch":             "the fence cells check which epoch a fence pinned",
-	"core.NewTagManager":               "FuzzTagPlane builds a bare tag plane",
-	"fault.UnmarshalPlan":              "the protocol model decodes saved traces' plans; FuzzFaultPlan holds its bounds",
-	"leakcheck.Main":                   "TestMain of the root package and internal/adaptor",
-	"obsv.SymbolCount":                 "TestSymbolTableBounded holds the symbol table to MaxSymbols",
-	"pcie.ArenaBlocks":                 "TestPacketRecyclingRespectsTaps holds packet blocks flat",
-	"secmem.MAC":                       "the A3 cells compute the expected tag independently of the KeyStore",
+	"(*adaptor.Adaptor).StreamEpoch": "the protocol model holds both ends' key epochs to each other (I3, I8)",
+	"(*attack.Snooper).Packets":      "the protocol model judges each op's host-segment packets",
+	"(*attack.Snooper).Reset":        "the protocol model clears the capture between ops",
+	"(*core.Controller).D2HProgress": "the D2H burst and release cells hold what the SC published to it",
+	"(*core.Controller).PendingTags": "sliceHygiene and the protocol model count the records no read has taken",
+	"(*core.Controller).Regions":     "sliceHygiene and the protocol model count the SC's region records",
+	"(*core.ParamsManager).Active":   "sliceHygiene: a torn-down slice holds no stream context",
+	"(*llm.Engine).KVInUse":          "chassisHygiene: a chassis whose sessions are closed holds no KV",
+	"(*llm.Engine).Pending":          "chassisHygiene: a chassis whose sessions are closed queues no step",
+	"(*llm.Engine).StepLog":          "the protocol model awaits each settled step; the determinism cells",
+	"(*mem.Buffer).Name":             "the role audit and the protocol model tell host buffers apart",
+	"(*mem.IOMMU).Unmap":             "the churn test races revocation against the lock-free Check",
+	"(*mem.Space).Live":              "sliceHygiene and the protocol model count live host buffers",
+	"(*pcie.Bus).Owner":              "TestPlatformHostSideIsMux and TestBusDetach check who claims a window",
+	"(*pcie.Bus).Detach":             "TestBusDetach and the churn test race it against the lock-free Route",
+	"(*secmem.KeyStore).Count":       "sliceHygiene: a torn-down slice holds no key",
+	"(*trace.Recorder).Retained":     "the telemetry leak check scans what the host segment carried",
+	"(*xpu.Device).ColdBoots":        "the teardown cells check the guard's clean took the right reset",
+	"(*xpu.Device).DevMem":           "the data-path cells check what a DMA left in device memory",
+	"(*xpu.Device).EnvResets":        "the teardown cells check the guard's clean took the right reset",
+	"(*xpu.Device).Executed":         "the command cells check which commands the device ran",
+	"(secmem.Fence).Epoch":           "the fence cells check which epoch a fence pinned",
+	"fault.UnmarshalPlan":            "the protocol model decodes saved traces' plans; FuzzFaultPlan holds its bounds",
+	"leakcheck.Main":                 "TestMain of the root package and internal/adaptor",
+	"obsv.SymbolCount":               "TestSymbolTableBounded holds the symbol table to MaxSymbols",
+	"pcie.ArenaBlocks":               "TestPacketRecyclingRespectsTaps holds packet blocks flat",
+	"secmem.MAC":                     "the A3 cells compute the expected tag independently of the KeyStore",
 }
 
 // TestExportedSurfaceIsCalled type-checks every package of the module —

@@ -30,9 +30,9 @@ func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space
 		slice := strings.TrimSpace("slice " + pl.tenant)
 		live := pl.trusted
 		switch {
-		case live && (pl.SC.Regions() != regions || pl.SC.Tags().Depth() != 0):
+		case live && (pl.SC.Regions() != regions || pl.SC.PendingTags() != 0):
 			t.Errorf("trusted %s holds %d SC regions and %d pending tags, want %d and 0",
-				slice, pl.SC.Regions(), pl.SC.Tags().Depth(), regions)
+				slice, pl.SC.Regions(), pl.SC.PendingTags(), regions)
 		case !live && (pl.SC.Regions() != 0 || pl.SC.Params().Active() != 0 ||
 			pl.scKeys.Count() != 0 || pl.tvmKeys.Count() != 0):
 			t.Errorf("torn-down %s holds %d regions, %d stream contexts, %d+%d keys",

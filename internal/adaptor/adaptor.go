@@ -247,29 +247,26 @@ func (a *Adaptor) ReleaseRegion(rs ...*Region) {
 
 // --- tag uploads ---------------------------------------------------------------
 
-// postTags queues tag records, as many to a ring entry as fit one TLP
-// payload.
-func (a *Adaptor) postTags(recs []core.TagRecord) error {
+// postTags queues a one-shot H2D region's tag records, as many to a
+// ring entry as fit one TLP payload, each entry positioned
+// (core.ArmPosition) at the region and its first record's chunk.
+func (a *Adaptor) postTags(r *Region) error {
+	recs := r.Recs
 	sp := a.obs.tracer.Start(sitePostTags, keyRecords.I64(int64(len(recs))))
 	defer sp.End()
 	// One reused arena buffer per upload burst: ringPush copies the
 	// payload into the slot, so the buffer is free to refill immediately.
 	perPacket := pcie.MaxPayload / core.TagRecordSize
 	payload := arena.Get(perPacket * core.TagRecordSize)[:0]
-	for len(recs) > 0 {
-		n := perPacket
-		if len(recs) < n {
-			n = len(recs)
-		}
+	for at := 0; at < len(recs); at += perPacket {
 		payload = payload[:0]
-		for _, r := range recs[:n] {
-			payload = r.AppendMarshal(payload)
+		for _, rec := range recs[at:min(at+perPacket, len(recs))] {
+			payload = rec.AppendMarshal(payload)
 		}
-		if err := a.ringPush(core.RingOpTags, 0, payload); err != nil {
+		if err := a.ringPush(core.RingOpTags, core.ArmPosition(r.Desc.ID, uint32(at)), payload); err != nil {
 			arena.Put(payload)
 			return err
 		}
-		recs = recs[n:]
 	}
 	arena.Put(payload) // wire-format tags: public bytes
 	return nil
@@ -333,7 +330,7 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 		})
 		tagPayload = recs[len(recs)-1].AppendMarshal(tagPayload)
 		if len(tagPayload) >= perPacket*core.TagRecordSize {
-			if err := a.ringPush(core.RingOpTags, 0, tagPayload); err != nil {
+			if err := a.ringPush(core.RingOpTags, core.ArmPosition(desc.ID, uint32(len(recs)-perPacket)), tagPayload); err != nil {
 				return err
 			}
 			tagPayload = tagPayload[:0]
@@ -341,8 +338,8 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 		return nil
 	}
 	err = a.sealBatchIntoWithRetry(a.h2d, buf.Bytes(), pts, aads, emit)
-	if err == nil && len(tagPayload) > 0 {
-		err = a.ringPush(core.RingOpTags, 0, tagPayload)
+	if n := len(tagPayload) / core.TagRecordSize; err == nil && n > 0 {
+		err = a.ringPush(core.RingOpTags, core.ArmPosition(desc.ID, uint32(len(recs)-n)), tagPayload)
 	}
 	arena.Put(tagPayload) // wire-format tags: public bytes
 	dropChunkViews(pts, aads, aadAll)
@@ -477,10 +474,12 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 // two when it wraps the region — and a run gets one record: its MAC
 // binds the region, the first slot, the length and the run's bytes
 // (core.PutRunMACHeader), and the SC fetches and verifies the run as a
-// unit. The records are queued, not published: they ride the ring
-// burst of the guarded doorbell write that follows, ahead of it, so
-// they reach the SC before the device's first read without a doorbell
-// of their own.
+// unit. A record names its run's first slot in its counter field and
+// its length in its epoch field; each entry is positioned at the region
+// and its first run. The records are queued, not published: they ride
+// the ring burst of the guarded doorbell write that follows, ahead of
+// it, so they reach the SC before the device's first read without a
+// doorbell of their own.
 func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -490,7 +489,7 @@ func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	cs := r.Desc.ChunkSize
 	maxRun := min(core.MaxRunSlots, pcie.MaxReadReq/int(cs))
 	var entry [core.RingMaxData]byte // one tag entry's worth of records
-	payload := entry[:0]
+	payload, at := entry[:0], uint32(0)
 	for len(chunks) > 0 {
 		n := 1
 		for n < len(chunks) && n < maxRun && chunks[n] == chunks[n-1]+1 {
@@ -503,13 +502,16 @@ func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 		if err != nil {
 			return fmt.Errorf("adaptor: %w", err)
 		}
-		rec := core.TagRecord{Stream: core.StreamA3Run, Chunk: core.RunKey(r.Desc.ID, first), Epoch: uint32(n)}
+		rec := core.TagRecord{Stream: core.StreamA3Run, Chunk: first, Epoch: uint32(n)}
 		copy(rec.Tag[:], mac[:secmem.TagSize])
 		if len(payload)+core.TagRecordSize > len(entry) {
-			if err := a.ringPush(core.RingOpTags, 0, payload); err != nil {
+			if err := a.ringPush(core.RingOpTags, core.ArmPosition(r.Desc.ID, at), payload); err != nil {
 				return err
 			}
 			payload = entry[:0]
+		}
+		if len(payload) == 0 {
+			at = first
 		}
 		payload = rec.AppendMarshal(payload)
 		chunks = chunks[n:]
@@ -517,7 +519,7 @@ func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	if len(payload) == 0 {
 		return nil
 	}
-	return a.ringPush(core.RingOpTags, 0, payload)
+	return a.ringPush(core.RingOpTags, core.ArmPosition(r.Desc.ID, at), payload)
 }
 
 // PrepareD2H allocates a result bounce region plus its tag table and

@@ -468,7 +468,7 @@ func TestVerifiedRegionSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg += 8
-		return r.sc.Tags().Depth()
+		return r.sc.PendingTags()
 	}
 	read := func(slot, n int) bool {
 		t.Helper()
@@ -519,7 +519,7 @@ func TestVerifiedRegionSync(t *testing.T) {
 // write, where a write per record would be 16 and more (that ratio is
 // Figure 11's, held in internal/bench). It stays beside the root
 // package's wire ledger, which sees the wire but not how many records
-// the SC's tag queue holds.
+// the SC holds pending.
 func TestTagBatchingReducesWrites(t *testing.T) {
 	r, _ := newRig(t)
 	before := r.adaptor.IO().MMIOWrites
@@ -533,8 +533,50 @@ func TestTagBatchingReducesWrites(t *testing.T) {
 	if got := r.adaptor.IO().MMIOWrites - before; got != 1 {
 		t.Fatalf("staging 16 chunks and publishing them cost %d MMIO writes, want 1", got)
 	}
-	if got := r.sc.Tags().Depth(); got != 16 {
+	if got := r.sc.PendingTags(); got != 16 {
 		t.Fatalf("SC holds %d tag records, want 16", got)
+	}
+}
+
+// TestReleasedAndRepostedTagsLeaveNothingPending: what the SC holds for
+// a region goes with the region, and a repost never strands a record. A
+// region released before any doorbell read it leaves none of its
+// records behind; a repost for a region whose chunks were already read
+// stores none — each chunk's accepted record serves the re-read — so
+// the SC ends with no record pending and nothing to discard.
+func TestReleasedAndRepostedTagsLeaveNothingPending(t *testing.T) {
+	r, dev := newRig(t)
+	unread, err := r.adaptor.StageH2D("unread", make([]byte, 4*core.ChunkSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.publish(t)
+	if n := r.sc.PendingTags(); n != 4 {
+		t.Fatalf("%d records pending for a staged four-chunk region, want 4", n)
+	}
+	r.adaptor.ReleaseRegion(unread)
+	if n := r.sc.PendingTags(); n != 0 {
+		t.Fatalf("%d records pending after the unread region's release", n)
+	}
+	data := bytes.Repeat([]byte{0x5c}, 4*core.ChunkSize)
+	read, err := r.adaptor.StageH2D("read", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.publish(t)
+	if got, ok := dev.dmaRead(read.Buf.Base(), int64(len(data))); !ok || !bytes.Equal(got, data) {
+		t.Fatal("the staged region did not read back")
+	}
+	r.adaptor.RepostTags(read)
+	if n := r.sc.PendingTags(); n != 0 {
+		t.Fatalf("%d records pending after a repost for chunks already read", n)
+	}
+	if got, ok := dev.dmaRead(read.Buf.Base(), int64(len(data))); !ok || !bytes.Equal(got, data) || r.sc.Stats().DuplicateReads != 4 {
+		t.Fatalf("re-read after the repost: ok %v, %d duplicate reads; want the data, 4", ok, r.sc.Stats().DuplicateReads)
+	}
+	r.adaptor.ReleaseRegion(read)
+	if n, regions := r.sc.PendingTags(), r.sc.Regions(); n != 0 || regions != 0 {
+		t.Fatalf("%d records pending, %d regions after both releases", n, regions)
 	}
 }
 

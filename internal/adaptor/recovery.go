@@ -169,7 +169,7 @@ func (a *Adaptor) RepostTags(r *Region) {
 	if r.Desc.Slotted {
 		err = a.postArm(r)
 	} else {
-		err = a.postTags(r.Recs)
+		err = a.postTags(r)
 	}
 	if err == nil {
 		_ = a.flushRingLocked()

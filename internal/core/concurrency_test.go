@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -29,29 +28,36 @@ func TestStreamHashCollisionPairHolds(t *testing.T) {
 	}
 }
 
-// TestTagManagerNoCrossMatchOnHashCollision is the regression test for
-// hash-keyed pending tags: a record posted for one stream must never
-// satisfy a take for a different stream, even when both names share a
-// wire hash. On the pre-fix code (pending keyed by chunk/hash alone)
-// the second Take succeeded with the foreign record.
-func TestTagManagerNoCrossMatchOnHashCollision(t *testing.T) {
-	tm := NewTagManager()
-	rec := TagRecord{Stream: collideA, Chunk: 7, Epoch: 1}
-	rec.Tag[0] = 0xaa
-	tm.Enqueue(rec)
-
-	if got, ok := tm.Take(collideB, 7); ok {
-		t.Fatalf("tag for %q matched stream %q: %+v", collideA, collideB, got)
+// TestIngestRefusesCollidingStreamHash is the regression test for
+// hash-named pending tags: a record carrying another stream's wire hash
+// must never arm or fill an entry of a region, even when that name
+// collides with a live stream's. An entry whose records carry collideB's
+// hash, positioned at a step window or a one-shot H2D region, is one
+// config reject that arms nothing and leaves nothing pending.
+func TestIngestRefusesCollidingStreamHash(t *testing.T) {
+	d := newDPRig(t)
+	w := d.installWindow(t, 5, ctlMem+0x4000, 4)
+	one := Descriptor{ID: 6, Dir: DirH2D, Class: ActionWriteReadProtect,
+		Base: ctlMem + 0x8000, Len: 4 * ChunkSize, ChunkSize: ChunkSize, FirstCounter: 1}
+	if !d.sc.install(one) {
+		t.Fatal("install refused")
 	}
-	got, ok := tm.Take(collideA, 7)
-	if !ok || got.Tag[0] != 0xaa {
-		t.Fatalf("legitimate take failed: %+v %v", got, ok)
+	rec := TagRecord{Stream: collideB, Chunk: 1, Epoch: 0}.AppendMarshal(nil)
+	for _, id := range []uint32{w.ID, one.ID} {
+		rejects := d.sc.Stats().ConfigRejects
+		d.submit(ringEntry{op: RingOpTags, arg: ArmPosition(id, 0), data: rec})
+		if got := d.sc.Stats().ConfigRejects - rejects; got != 1 {
+			t.Fatalf("region %d: %d config rejects for a foreign-stream record, want 1", id, got)
+		}
 	}
-	if _, ok := tm.Take(collideA, 7); ok {
-		t.Fatal("record taken twice")
+	if n := d.sc.PendingTags(); n != 0 {
+		t.Fatalf("%d foreign-stream records pending", n)
 	}
-	if matched, missing := tm.Stats(); matched != 1 || missing != 2 {
-		t.Fatalf("stats = (%d matched, %d missing), want (1, 2)", matched, missing)
+	d.sc.mu.Lock()
+	armed := d.sc.sess.byID(w.ID).recs[0].ctr
+	d.sc.mu.Unlock()
+	if armed != 0 {
+		t.Fatalf("a foreign-stream record armed slot 0 with counter %d", armed)
 	}
 }
 
@@ -154,87 +160,43 @@ func TestForwardToDeviceRejectsStaleCompletion(t *testing.T) {
 	}
 }
 
-// TestTagManagerPendingCap drives the queue past its cap and checks
-// fail-closed eviction: oldest records leave, accounting matches, and
-// the evicted records' chunks can no longer match.
-func TestTagManagerPendingCap(t *testing.T) {
-	tm := NewTagManager()
-	tm.SetPendingCap(8)
-	if tm.PendingCap() != 8 {
-		t.Fatalf("cap = %d, want 8", tm.PendingCap())
-	}
-	for i := uint32(0); i < 20; i++ {
-		tm.Enqueue(TagRecord{Stream: StreamH2D, Chunk: i})
-	}
-	if d := tm.Depth(); d != 8 {
-		t.Fatalf("depth = %d, want 8 (cap)", d)
-	}
-	if ev := tm.Evicted(); ev != 12 {
-		t.Fatalf("evicted = %d, want 12", ev)
-	}
-	// Oldest 12 are gone (fail closed), newest 8 remain.
-	if _, ok := tm.Take(StreamH2D, 0); ok {
-		t.Fatal("evicted record still matchable")
-	}
-	if _, ok := tm.Take(StreamH2D, 19); !ok {
-		t.Fatal("newest record lost")
-	}
-	// Restoring the default re-opens headroom.
-	tm.SetPendingCap(0)
-	if tm.PendingCap() != DefaultTagCap {
-		t.Fatalf("cap = %d, want default %d", tm.PendingCap(), DefaultTagCap)
-	}
-}
-
-// TestTagManagerCapShrinkEvictsImmediately: lowering the cap below the
-// current depth evicts down to the new bound at once.
-func TestTagManagerCapShrinkEvictsImmediately(t *testing.T) {
-	tm := NewTagManager()
-	for i := uint32(0); i < 16; i++ {
-		tm.Enqueue(TagRecord{Stream: StreamD2H, Chunk: i})
-	}
-	tm.SetPendingCap(4)
-	if d := tm.Depth(); d != 4 {
-		t.Fatalf("depth after shrink = %d, want 4", d)
-	}
-	if ev := tm.Evicted(); ev != 12 {
-		t.Fatalf("evicted = %d, want 12", ev)
-	}
-}
-
-// TestTagManagerConcurrent hammers Enqueue/Take/Depth from many
-// goroutines under -race: every record is matched exactly once and
-// the final accounting balances.
-func TestTagManagerConcurrent(t *testing.T) {
-	tm := NewTagManager()
+// TestRegionTagsConcurrent hammers ingest, take and PendingTags from
+// many goroutines, each on a region of its own, under -race: every
+// record is taken exactly once and nothing is left pending.
+func TestRegionTagsConcurrent(t *testing.T) {
+	r := newCtlRig(t)
 	const workers, perWorker = 8, 200
+	for w := uint32(0); w < workers; w++ {
+		if !r.sc.install(Descriptor{ID: w + 1, Dir: DirH2D, Class: ActionWriteReadProtect, Base: ctlMem + uint64(w)*0x10000,
+			Len: perWorker * ChunkSize, ChunkSize: ChunkSize, FirstCounter: 1}) {
+			t.Fatal("install refused")
+		}
+	}
 	var wg sync.WaitGroup
-	var taken [workers]uint64
-	for w := 0; w < workers; w++ {
+	var taken [workers]int
+	for w := uint32(0); w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(w uint32) {
 			defer wg.Done()
-			stream := fmt.Sprintf("s%d", w)
-			for i := 0; i < perWorker; i++ {
-				tm.Enqueue(TagRecord{Stream: stream, Chunk: uint32(i)})
-				if _, ok := tm.Take(stream, uint32(i)); ok {
+			for i := uint32(0); i < perWorker; i++ {
+				r.postTags(w+1, i, TagRecord{Stream: StreamH2D, Chunk: 1 + i})
+				r.sc.mu.Lock()
+				if _, ok := r.sc.sess.byID(w + 1).take(i); ok {
 					taken[w]++
 				}
-				tm.Depth()
+				r.sc.mu.Unlock()
+				r.sc.PendingTags()
 			}
 		}(w)
 	}
 	wg.Wait()
-	var total uint64
-	for _, n := range taken {
-		total += n
+	for w, n := range taken {
+		if n != perWorker {
+			t.Fatalf("region %d: %d records taken, want %d", w+1, n, perWorker)
+		}
 	}
-	matched, _ := tm.Stats()
-	if matched != total || total != workers*perWorker {
-		t.Fatalf("matched = %d, takes = %d, want %d", matched, total, workers*perWorker)
-	}
-	if tm.Depth() != 0 {
-		t.Fatalf("depth = %d after draining, want 0", tm.Depth())
+	if n := r.sc.PendingTags(); n != 0 {
+		t.Fatalf("%d records pending after draining, want 0", n)
 	}
 }
 
@@ -266,7 +228,6 @@ func TestParamsManagerConcurrent(t *testing.T) {
 					_ = pm.Rekey(name, secmem.FreshKey(), secmem.FreshNonce())
 				}
 				pm.Active()
-				pm.NameByHash(hashStream(name))
 			}
 		}(i)
 	}

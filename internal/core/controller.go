@@ -63,6 +63,9 @@ type Stats struct {
 	// MaxReadReq/ChunkSize consecutive D2H chunks of one region — the SC
 	// sealed as one engine batch instead of one engine dispatch per chunk.
 	BatchedD2HSpans uint64
+	// TagsDroppedByFault counts tag records the tag-loss fault hook took
+	// (SetTagFaultHook).
+	TagsDroppedByFault uint64
 }
 
 // Controller is the PCIe Security Controller. On the host bus it is a
@@ -81,17 +84,15 @@ type Controller struct {
 
 	filter *Filter
 	params *ParamsManager
-	tags   *TagManager
 	guard  *EnvGuard
 
-	// mu guards the controller's own mutable state below (sess, status,
-	// stats and the freelists) and the tag manager's queue, which shares
-	// it: a handler matches, arms or discards a region's tag records in
-	// the critical section it takes for the region anyway. The other
-	// control panels (filter, params, guard) read published snapshots or
-	// carry their own leaf locks and may be called while mu is held; mu
-	// is NEVER held across a bus Route call — routing can reenter this
-	// controller on the same goroutine (doorbell → DMA upstream).
+	// mu guards the controller's own mutable state below (sess — the
+	// region records with their tag tables —, status, stats, the tag
+	// fault hook and the freelists). The control panels (filter, params,
+	// guard) read published snapshots or carry their own leaf locks and
+	// may be called while mu is held; mu is NEVER held across a bus Route
+	// call — routing can reenter this controller on the same goroutine
+	// (doorbell → DMA upstream).
 	mu sync.Mutex
 
 	// sess is everything the session programs, one record per live
@@ -169,16 +170,20 @@ type Controller struct {
 
 	// onTeardown lets the platform hook environment cleaning.
 	onTeardown func()
+
+	// tagFault, when set, may drop an arriving tag record — the
+	// tag-packet-loss fault class. A dropped record makes the matching
+	// data chunk fail closed until the Adaptor reposts it.
+	tagFault func(rec TagRecord) bool
 }
 
 // SetObserver instruments the controller and its control panels
-// (filter, params manager, tag manager): the hub's registry reads the
-// counts Stats returns, and its tracer records spans. A nil hub stops
-// the tracing; a registry keeps its reads.
+// (filter, params manager): the hub's registry reads the counts Stats
+// returns, and its tracer records spans. A nil hub stops the tracing; a
+// registry keeps its reads.
 func (c *Controller) SetObserver(h *obsv.Hub) {
 	c.filter.SetObserver(h)
 	c.params.SetObserver(h, obsv.TrackCrypto+"/sc")
-	c.tags.SetObserver(h)
 	c.tracer = h.T()
 	reg := h.Reg()
 	reg.CounterFunc("sc.decrypted_chunks", func() uint64 { return c.Stats().DecryptedChunks })
@@ -189,6 +194,7 @@ func (c *Controller) SetObserver(h *obsv.Hub) {
 	reg.CounterFunc("sc.guard_blocks", func() uint64 { return c.Stats().GuardBlocks })
 	reg.CounterFunc("sc.teardowns", func() uint64 { return c.Stats().Teardowns })
 	reg.CounterFunc("sc.duplicate_reads", func() uint64 { return c.Stats().DuplicateReads })
+	reg.CounterFunc("sc.tags.dropped_by_fault", func() uint64 { return c.Stats().TagsDroppedByFault })
 }
 
 // EnableDatapathRecycling arms the arena-recycling fast paths (see the
@@ -216,33 +222,42 @@ func (c *Controller) authFailed() {
 	c.mu.Unlock()
 }
 
-// tagMatchEachLocked wraps TagManager.TakeEach in a tag_match span:
-// the records of a read — one chunk's or a whole span's — leave the tag
-// queue in one operation. Callers hold c.mu, the tag manager's lock.
-func (c *Controller) tagMatchEachLocked(stream string, ctrs []uint32, recs []TagRecord, have []bool) bool {
+// tagMatchLocked takes the pending records of entries first, first+1,
+// … of r's tag table — one chunk's or a whole read's — into recs and
+// have in one tag_match span; a nil r (a region released under the
+// read) holds none. stream is the records' stream symbol and ctr the
+// first one's IV counter (an A3 run's: its first slot), the span's
+// attributes. It reports whether every record was on hand. Callers hold
+// c.mu.
+func (c *Controller) tagMatchLocked(r *region, stream obsv.Sym, ctr, first uint32, recs []TagRecord, have []bool) bool {
 	var sp obsv.ActiveSpan
 	if tr := c.tracer; tr != nil {
-		sp = tr.Start(siteTagMatch, keyStream.Str(streamSym(stream)),
-			keyChunk.U64(uint64(ctrs[0])), keyChunks.I64(int64(len(ctrs))))
+		sp = tr.Start(siteTagMatch, keyStream.Str(stream),
+			keyChunk.U64(uint64(ctr)), keyChunks.I64(int64(len(recs))))
 	}
-	all := c.tags.takeEachLocked(stream, ctrs, recs, have)
+	all := true
+	for i := range recs {
+		recs[i], have[i] = r.take(first + uint32(i))
+		all = all && have[i]
+	}
 	sp.Set(keyMatched.Bool(all))
 	sp.End()
 	return all
 }
 
-// tagMatchLocked is tagMatchEachLocked for one chunk.
-func (c *Controller) tagMatchLocked(stream string, chunk uint32) (TagRecord, bool) {
+// runMatchLocked is tagMatchLocked for the one record of the A3 run at
+// slot first.
+func (c *Controller) runMatchLocked(r *region, first uint32) (TagRecord, bool) {
 	var rec [1]TagRecord
 	var have [1]bool
-	c.tagMatchEachLocked(stream, []uint32{chunk}, rec[:], have[:])
+	c.tagMatchLocked(r, symStreamA3Run, first, first, rec[:], have[:])
 	return rec[0], have[0]
 }
 
 // NewController builds a PCIe-SC with the given identity and control
 // BAR placement, guarding the xPU whose BAR0 shadow window is xpuBar.
 func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controller {
-	c := &Controller{
+	return &Controller{
 		id:     id,
 		bar:    bar,
 		filter: NewFilter(),
@@ -250,8 +265,6 @@ func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controll
 		guard:  NewEnvGuard(),
 		status: SCStatusReady,
 	}
-	c.tags = newTagManager(&c.mu)
-	return c
 }
 
 // Attach wires the controller's one attachment: the trusted internal
@@ -280,8 +293,27 @@ func (c *Controller) Params() *ParamsManager { return c.params }
 // Guard exposes the environment guard for platform check installation.
 func (c *Controller) Guard() *EnvGuard { return c.guard }
 
-// Tags exposes the Authentication Tag Manager (tests and tooling).
-func (c *Controller) Tags() *TagManager { return c.tags }
+// PendingTags reports the tag records the SC holds that no read has
+// taken yet, over every live region's tag table. A test seam for
+// sliceHygiene and the protocol model: a quiet slice holds none.
+func (c *Controller) PendingTags() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, r := range c.sess.regions {
+		n += r.pending
+	}
+	return n
+}
+
+// SetTagFaultHook installs (or clears, with nil) the tag-packet-loss
+// injection point: fn sees every tag record the SC is about to store,
+// in arrival order, and drops it by returning true.
+func (c *Controller) SetTagFaultHook(fn func(rec TagRecord) bool) {
+	c.mu.Lock()
+	c.tagFault = fn
+	c.mu.Unlock()
+}
 
 // Stats snapshots controller counters.
 func (c *Controller) Stats() Stats {
@@ -298,10 +330,11 @@ func (c *Controller) SetTeardownHook(fn func()) { c.onTeardown = fn }
 
 // Regions reports live protected regions. A test seam for sliceHygiene
 // and the protocol model's leak checks. Everything the SC
-// holds for a region — its descriptor, D2H progress, pending tag records
-// and write span, accepted-chunk records, step-window slots — lives in
-// that region's one record, so this count covers all of it: a leak
-// check that reads it sees every per-region thing the SC could leak.
+// holds for a region — its descriptor, D2H progress and write span, its
+// tag table of pending and accepted records and armed step-window
+// slots — lives in that region's one record, so this count covers all
+// of it: a leak check that reads it sees every per-region thing the SC
+// could leak.
 func (c *Controller) Regions() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -474,99 +507,89 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 	return nil
 }
 
-// ingestTags enqueues an uploaded tag packet's records under one tag
-// manager lock. Records whose hash names no known stream are dropped
-// (fail closed).
-func (c *Controller) ingestTags(payload []byte) {
-	var recs [tagSpanRecords]TagRecord
-	var names streamNames
-	n := 0
-	for ; len(payload) >= TagRecordSize; payload = payload[TagRecordSize:] {
-		if !c.parseTag(&recs[n], &names, payload) {
-			continue
-		}
-		if n++; n == len(recs) {
-			c.tags.Enqueue(recs[:]...)
-			n = 0
-		}
-	}
-	c.tags.Enqueue(recs[:n]...)
-}
-
-// streamNames remembers the last wire hash a tag packet resolved: a
-// packet's records almost always share one stream, so it is resolved
-// once per packet, not once per record.
-type streamNames struct {
-	hash  uint32
-	name  string
-	valid bool
-}
-
-// parseTag decodes one wire tag record into rec; false when its hash
-// names no known stream.
-func (c *Controller) parseTag(rec *TagRecord, names *streamNames, payload []byte) bool {
-	if h := binary.LittleEndian.Uint32(payload[0:]); !names.valid || h != names.hash {
-		*names = streamNames{hash: h, name: c.streamByHash(h), valid: true}
-	}
-	rec.Stream = names.name
-	rec.Chunk = binary.LittleEndian.Uint32(payload[4:])
-	rec.Epoch = binary.LittleEndian.Uint32(payload[8:])
-	copy(rec.Tag[:], payload[12:12+secmem.TagSize])
-	return rec.Stream != ""
-}
-
-// ArmPosition packs a positioned tag entry's position word: the step
-// window's descriptor ID and the first chunk slot the entry's records
-// arm. Descriptor IDs start at 1, so a position is never zero — which
-// is how a ring tag entry (whose arg was unused) tells the two apart.
+// ArmPosition packs a tag entry's position word: the descriptor ID of
+// the region its records authenticate and the index of the first chunk
+// or slot they fill. Descriptor IDs start at 1, so a position is never
+// zero, and an entry whose arg is zero names no region.
 func ArmPosition(region, slot uint32) uint64 { return uint64(region)<<32 | uint64(slot) }
 
-// armSlots ingests a positioned tag entry (DESIGN.md §16): record i
-// arms slot first+i of a slotted step window with the IV counter it
-// carries, then joins the tag queue like any uploaded record. The
-// entry is public, unsealed bytes, so nothing here is trusted: a
-// position outside a live step window, a record of another stream, or
-// a counter that contradicts a slot the device already consumed is a
-// config reject. A forged counter on a fresh slot is accepted here
-// and fails where it must — the slot's ciphertext and tag only open
-// under the counter and (region, slot) AAD the Adaptor sealed them
-// with, so the read fails GCM or lands behind the replay watermark. A
-// slot may be re-armed until it is consumed, so the recovery ladder's
-// repost heals a corrupted or lost arm.
-func (c *Controller) armSlots(pos uint64, payload []byte) {
-	region, first := uint32(pos>>32), uint32(pos)
+// Wire stream hashes of the two record streams a region takes.
+var (
+	hashH2D   = hashStream(StreamH2D)
+	hashA3Run = hashStream(StreamA3Run)
+)
+
+// ingestTags stores a tag entry's records on the region its position
+// (ArmPosition) names, one critical section for the entry. Record i of
+// an entry at (region, first) is chunk first+i's: in a one-shot A2 H2D
+// region it must carry counter FirstCounter+first+i; in a step window
+// (DESIGN.md §16) it arms slot first+i with the counter it carries,
+// which a slot the device already consumed refuses unless it is the
+// counter the slot was armed with. An A3 region takes run records, each
+// at the slot its counter names (the run's first). A record must carry
+// the hash of the stream its region's class implies — StreamH2D for an
+// A2 region, StreamA3Run for an A3 one — and fit the region's table. A
+// D2H region takes none, and an arg of 0 names no region. A refused
+// record is a config reject and stops the entry where it stands, the
+// records before it stored. The span's seal vouched for the entry's
+// bytes; the records are still checked on use — a forged counter on a
+// fresh slot opens under nothing the Adaptor sealed, so the read fails
+// GCM or lands behind the replay watermark. A slot or chunk may be
+// re-armed until it is consumed, so the recovery ladder's repost heals
+// a lost record.
+func (c *Controller) ingestTags(pos uint64, payload []byte) {
+	id, first := uint32(pos>>32), uint32(pos)
 	if len(payload) == 0 || len(payload)%TagRecordSize != 0 {
 		c.configReject() // not a whole number of records
 		return
 	}
-	// A packet's worth of records at a time: one critical section arms
-	// their slots and enqueues them. A refused record stops the entry
-	// where it stands, the records before it armed and enqueued.
-	var recs [tagSpanRecords]TagRecord
-	var names streamNames
-	for slot, refused := first, false; len(payload) > 0 && !refused; {
-		n := 0
-		c.mu.Lock()
-		r := c.sess.byID(region)
-		for ; len(payload) > 0 && n < len(recs); payload = payload[TagRecordSize:] {
-			rec := &recs[n]
-			c.parseTag(rec, &names, payload)
-			vrec, consumed := r.verifiedAt(slot)
-			if rec.Stream != StreamH2D || rec.Chunk == 0 || slot < first || r == nil || int(slot) >= len(r.slots) ||
-				(consumed && vrec.Chunk != rec.Chunk) {
-				refused = true
-				break
-			}
-			r.slots[slot] = rec.Chunk
-			slot++
-			n++
+	refused := false
+	c.mu.Lock()
+	r := c.sess.byID(id)
+	for i := uint64(0); len(payload) > 0; i, payload = i+1, payload[TagRecordSize:] {
+		rec := TagRecord{
+			Chunk: binary.LittleEndian.Uint32(payload[4:]),
+			Epoch: binary.LittleEndian.Uint32(payload[8:]),
 		}
-		c.tags.enqueueLocked(recs[:n])
-		c.mu.Unlock()
-		if refused {
-			c.configReject() // a position outside a live window, or a record it may not arm
+		copy(rec.Tag[:], payload[12:12+secmem.TagSize])
+		at, ok := r.admit(uint64(first)+i, binary.LittleEndian.Uint32(payload), &rec)
+		if !ok {
+			refused = true
+			break
 		}
+		lost := c.tagFault != nil && c.tagFault(rec)
+		if lost {
+			c.stats.TagsDroppedByFault++
+		}
+		r.post(at, &rec, lost)
 	}
+	c.mu.Unlock()
+	if refused {
+		c.configReject() // no live region at the position, or a record it may not take
+	}
+}
+
+// admit reports at which entry of r's tag table a record with wire
+// stream hash h goes — index, its place in the entry plus the entry's
+// first index, or an A3 run's first slot — and names the record's
+// stream; false when r may not take it (ingestTags). It is nil-safe.
+func (r *region) admit(index uint64, h uint32, rec *TagRecord) (uint32, bool) {
+	if r == nil || r.desc.Dir != DirH2D {
+		return 0, false
+	}
+	if r.desc.Class == ActionWriteProtect {
+		rec.Stream = StreamA3Run
+		return rec.Chunk, h == hashA3Run && uint64(rec.Chunk) < uint64(len(r.recs))
+	}
+	rec.Stream = StreamH2D
+	ok := h == hashH2D && index < uint64(len(r.recs))
+	if r.desc.Slotted {
+		// A slot the device consumed keeps the counter it was read under.
+		ok = ok && rec.Chunk != 0 && (r.recs[index].state != tagAccepted || r.recs[index].ctr == rec.Chunk)
+	} else {
+		ok = ok && uint64(rec.Chunk) == uint64(r.desc.FirstCounter)+index
+	}
+	return uint32(index), ok
 }
 
 // chunkCounters resolves the IV counters A2 H2D chunks first, first+1,
@@ -583,29 +606,12 @@ func (r *region) chunkCounters(first uint32, ctrs []uint32) bool {
 	}
 	for i := range ctrs {
 		slot := int(first) + i
-		if slot >= len(r.slots) || r.slots[slot] == 0 {
+		if slot >= len(r.recs) || r.recs[slot].ctr == 0 {
 			return false
 		}
-		ctrs[i] = r.slots[slot]
+		ctrs[i] = r.recs[slot].ctr
 	}
 	return true
-}
-
-// streamByHash resolves a wire stream hash against the active streams
-// plus the platform's well-known names (MMIO tags arrive before any
-// stream context exists). Activation rejects colliding names, so the
-// resolution is unambiguous, and a hash matching nothing drops the
-// record (fail closed).
-func (c *Controller) streamByHash(h uint32) string {
-	if name, ok := c.params.NameByHash(h); ok {
-		return name
-	}
-	for _, name := range wellKnownStreams {
-		if hashStream(name) == h {
-			return name
-		}
-	}
-	return ""
 }
 
 // install makes d a live region, its record from the pool: what a
@@ -627,9 +633,9 @@ func (c *Controller) install(d Descriptor) bool {
 		r = new(region)
 	}
 	r.desc = d
-	if d.Slotted {
+	if d.Dir == DirH2D {
 		n := chunkCount(d)
-		r.slots = slices.Grow(r.slots, n)[:n]
+		r.recs = slices.Grow(r.recs, n)[:n]
 	}
 	c.sess.regions = append(c.sess.regions, r)
 	c.mu.Unlock()
@@ -637,8 +643,8 @@ func (c *Controller) install(d Descriptor) bool {
 }
 
 // releaseRegion unlinks one region's record — the ring's release op —
-// and with it everything the SC held for the region. An ID no live
-// region has releases nothing.
+// and with it everything the SC held for the region, its tag records
+// included. An ID no live region has releases nothing.
 func (c *Controller) releaseRegion(id uint32) {
 	c.mu.Lock()
 	var gone *region
@@ -646,30 +652,8 @@ func (c *Controller) releaseRegion(id uint32) {
 		gone = c.sess.regions[i]
 		c.sess.regions = slices.Delete(c.sess.regions, i, i+1)
 	}
-	c.dropTagsLocked(gone)
 	c.mu.Unlock()
 	c.retire(gone)
-}
-
-// dropTagsLocked discards the tag records still pending for a released A2 H2D
-// region: those of chunks no device read took — a submission cancelled
-// before its doorbell, or one that failed — and reposted duplicates of
-// chunks the region had already verified. No read can take them once
-// the region is gone; left queued they would outlive it until the cap
-// evicted them. Callers hold c.mu, the tag manager's lock.
-func (c *Controller) dropTagsLocked(r *region) {
-	if r == nil || r.desc.Dir != DirH2D || r.desc.Class != ActionWriteReadProtect {
-		return
-	}
-	if r.desc.Slotted {
-		for _, ctr := range r.slots {
-			if ctr != 0 {
-				c.tags.discardLocked(StreamH2D, ctr, 1)
-			}
-		}
-		return
-	}
-	c.tags.discardLocked(StreamH2D, r.desc.FirstCounter, uint32((r.desc.Len+uint64(r.desc.ChunkSize)-1)/uint64(r.desc.ChunkSize)))
 }
 
 // retire pools records unlinked from the table: each one's pending write
@@ -683,9 +667,8 @@ func (c *Controller) retire(rs ...*region) {
 		if r.ws != nil {
 			c.finishSpan(r.ws, false)
 		}
-		clear(r.verified)
-		clear(r.slots)
-		*r = region{tags: tagSpan{buf: r.tags.buf[:0]}, verified: r.verified[:0], slots: r.slots[:0]}
+		clear(r.recs)
+		*r = region{tags: tagSpan{buf: r.tags.buf[:0]}, recs: r.recs[:0]}
 	}
 	c.mu.Lock()
 	for _, r := range rs {
@@ -938,12 +921,12 @@ func (c *Controller) deviceRead(p *pcie.Packet) *pcie.Packet {
 // sealed descriptor may carry any non-zero ChunkSize), and every slot
 // of a step window armed. Anything else is one auth failure with no
 // host fetch and no tag spent. Then one host fetch covers the read, its
-// tags leave the queue in one match, and one OpenBatchInto decrypts
+// records leave the region's tag table in one match, and one OpenBatchInto decrypts
 // straight into the completion payload; only the last chunk may be
 // short, and one that is not the region's tail fails its tag. When
 // every tag is on hand and fresh the batch validates, decrypts and
-// fail-closes as a unit; any wrinkle — a consumed tag, a reposted table
-// behind the watermark — drops to the per-chunk policy in openChunk,
+// fail-closes as a unit; any wrinkle — a chunk accepted before, a
+// record behind the watermark — drops to the per-chunk policy in openChunk,
 // which knows about duplicates and retransmits.
 //
 // Called with c.mu held and r the read's region; the geometry and slot
@@ -989,7 +972,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 	// Chunk i is bytes [lo, hi) of both the fetched ciphertext and pt.
 	bounds := func(i int) (lo, hi uint64) { return uint64(i) * cs, min(uint64(i+1)*cs, n) }
 	c.mu.Lock()
-	all := c.tagMatchEachLocked(StreamH2D, ctrs, recs, have)
+	all := c.tagMatchLocked(c.sess.of(desc), symStreamH2D, ctrs[0], first, recs, have)
 	c.mu.Unlock()
 	// Plaintext destined for the device-facing completion: arena-carved
 	// when the device returns completion payloads to the pool, else
@@ -1014,7 +997,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 			c.mu.Lock()
 			r := c.sess.of(desc)
 			for i := range recs {
-				r.verify(first+uint32(i), &recs[i])
+				r.accept(first+uint32(i), &recs[i])
 			}
 			c.stats.DecryptedChunks += uint64(k)
 			c.mu.Unlock()
@@ -1048,12 +1031,11 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 // full per-chunk acceptance policy:
 //
 //   - have: normal open, advancing the replay watermark; on ErrReplay
-//     (the Adaptor reposted the whole table after a loss) fall back to
-//     the retained verified record, stateless.
+//     a chunk accepted before is re-served, stateless.
 //   - !have: duplicate-read suppression — a device retrying DMA after
-//     a fault re-reads chunks whose tags were already consumed. Only
-//     chunks accepted once before are re-served, and only via the
-//     stateless open that leaves the watermark alone.
+//     a fault re-reads chunks whose records were already accepted. Only
+//     chunks accepted once before are re-served, from their accepted
+//     record and via the stateless open that leaves the watermark alone.
 //
 // Anything never accepted before stays fail-closed; the caller counts
 // the auth failure and rejects.
@@ -1063,7 +1045,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 	aad := aadBuf[:]
 	if !have {
 		c.mu.Lock()
-		vrec, seen := c.sess.of(desc).verifiedAt(chunk)
+		vrec, seen := c.sess.of(desc).acceptedAt(chunk)
 		c.mu.Unlock()
 		if !seen {
 			return false
@@ -1090,7 +1072,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 	_, err := stream.OpenDst(sealed, aad, dst[:0])
 	if errors.Is(err, secmem.ErrReplay) {
 		c.mu.Lock()
-		_, seen := c.sess.of(desc).verifiedAt(chunk)
+		_, seen := c.sess.of(desc).acceptedAt(chunk)
 		c.mu.Unlock()
 		if seen {
 			if pt, err2 := stream.OpenStateless(sealed, aad); err2 == nil {
@@ -1104,7 +1086,7 @@ func (c *Controller) openChunk(stream *secmem.Stream, desc Descriptor, chunk uin
 		return false
 	}
 	c.mu.Lock()
-	c.sess.of(desc).verify(chunk, rec)
+	c.sess.of(desc).accept(chunk, rec)
 	c.stats.DecryptedChunks++
 	c.mu.Unlock()
 	return true
@@ -1121,19 +1103,6 @@ func (c *Controller) duplicateRead() {
 // bytes, so one device read fetches a whole run.
 const MaxRunSlots = 64
 
-// RunKey is the tag-queue counter a verified run's MAC record travels
-// under (stream StreamA3Run); the record's epoch field carries the run
-// length in slots. The key packs the low 16 bits of the region id over
-// the low 16 bits of the run's first slot, so it can alias — a region id
-// past 65,535 (a chassis re-trusted after ~32k tasks stages its command
-// ring under one) with an earlier one, a slot past 65,535 with an
-// earlier slot. That is safe: the MAC binds the full region id, first
-// slot and length (PutRunMACHeader), so a record found under an aliased
-// key fails verification, and it does not happen between live regions —
-// a slice keeps one verified region, staged anew at every re-trust after
-// teardown cleared the queue.
-func RunKey(region, first uint32) uint32 { return region<<16 | first&0xffff }
-
 // PutRunMACHeader writes the header both ends authenticate ahead of a
 // verified run's bytes: region, first slot, run length, byte count.
 func PutRunMACHeader(buf *[16]byte, region, first, n, size uint32) {
@@ -1146,7 +1115,8 @@ func PutRunMACHeader(buf *[16]byte, region, first, n, size uint32) {
 // verifiedRead services a device read of an A3 H2D region (the command
 // ring). A submission's slots are authenticated as one run, and the
 // device reads a run whole: the SC answers a read only when a fresh run
-// record sits at its first slot and names exactly the read's slot count.
+// record sits at its first slot of the region's tag table and names
+// exactly the read's slot count (a run record's epoch field).
 // It then fetches the run from host memory with one read and verifies
 // the one MAC over the very buffer it serves, one only the SC holds — what
 // the device executes is byte for byte what was verified, with no window
@@ -1171,9 +1141,8 @@ func (c *Controller) verifiedRead(p *pcie.Packet, r *region) *pcie.Packet {
 		return c.reject(p)
 	}
 	first, k := uint32(off/cs), uint32(n/cs)
-	key := RunKey(desc.ID, first)
-	if rec, fresh := c.tags.peekLocked(StreamA3Run, key); !fresh || rec.Epoch != k {
-		c.tagMatchLocked(StreamA3Run, key) // spends the record, or counts the miss
+	if rec, fresh := r.peek(first); !fresh || rec.Epoch != k {
+		c.runMatchLocked(r, first) // spends the record
 		c.stats.AuthFailures++
 		c.mu.Unlock()
 		return c.reject(p)
@@ -1198,7 +1167,7 @@ func (c *Controller) verifiedRead(p *pcie.Packet, r *region) *pcie.Packet {
 	PutRunMACHeader(&hdr, desc.ID, first, k, uint32(n))
 	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], run)
 	c.mu.Lock()
-	rec, ok := c.tagMatchLocked(StreamA3Run, key)
+	rec, ok := c.runMatchLocked(c.sess.of(desc), first)
 	match := ok && err == nil && rec.Epoch == k
 	for i := 0; i < secmem.TagSize; i++ {
 		if want[i] != rec.Tag[i] {
@@ -1414,7 +1383,7 @@ func (c *Controller) AttestDevice(nonce uint64, expected uint64, attestReg, resp
 	return binary.LittleEndian.Uint64(cpl.Payload) == expected
 }
 
-// Teardown destroys key material, drops regions and pending tags,
+// Teardown destroys key material, drops regions with their tag records,
 // forgets where the session's submission ring and metadata buffer live —
 // a torn-down SC masters nothing on the host bus, whatever doorbell is
 // replayed at it; hw_init programs both again — and triggers the
@@ -1431,7 +1400,6 @@ func (c *Controller) Teardown() {
 	c.retire(old.regions...)
 	c.tracer.Mark(siteTeardown)
 	c.params.DestroyAll()
-	c.tags.Clear()
 	// The hook routes reset MMIO to the device, so it must run with no
 	// controller lock held.
 	if c.onTeardown != nil {

@@ -396,28 +396,45 @@ func TestControllerTeardownViaRegister(t *testing.T) {
 	}
 }
 
+// TestControllerIngestTagsBatch: a tag entry's records land on the
+// region its position names, record i at chunk first+i, each under the
+// counter the region's FirstCounter gives that chunk. A record of
+// another stream, or of a counter off its chunk, and an entry with no
+// position are config rejects that store nothing.
 func TestControllerIngestTagsBatch(t *testing.T) {
 	r := newCtlRig(t)
+	if !r.sc.install(Descriptor{ID: 3, Dir: DirH2D, Class: ActionWriteReadProtect, Base: ctlMem,
+		Len: 8 * ChunkSize, ChunkSize: ChunkSize, FirstCounter: 100}) {
+		t.Fatal("install refused")
+	}
 	var payload []byte
 	for i := uint32(0); i < 5; i++ {
-		rec := TagRecord{Stream: StreamH2D, Chunk: 100 + i}
+		rec := TagRecord{Stream: StreamH2D, Chunk: 102 + i}
 		rec.Tag[0] = byte(i)
 		payload = append(payload, rec.AppendMarshal(nil)...)
 	}
-	r.submit(ringEntry{op: RingOpTags, data: payload})
-	if r.sc.Tags().Depth() != 5 {
-		t.Fatalf("tag depth = %d, want 5", r.sc.Tags().Depth())
+	r.submit(ringEntry{op: RingOpTags, arg: ArmPosition(3, 2), data: payload})
+	if n := r.sc.PendingTags(); n != 5 {
+		t.Fatalf("%d records pending, want 5", n)
 	}
-	rec, ok := r.sc.Tags().Take(StreamH2D, 102)
-	if !ok || rec.Tag[0] != 2 {
+	r.sc.mu.Lock()
+	rec, ok := r.sc.sess.byID(3).take(4)
+	r.sc.mu.Unlock()
+	if !ok || rec.Tag[0] != 2 || rec.Chunk != 104 {
 		t.Fatalf("batched tag lost: %v %v", rec, ok)
 	}
-	// Garbage stream hashes are ignored, not enqueued.
 	junk := make([]byte, TagRecordSize)
 	binary.LittleEndian.PutUint32(junk, 0xdeadbeef)
-	r.submit(ringEntry{op: RingOpTags, data: junk})
-	if r.sc.Tags().Depth() != 4 {
-		t.Fatalf("junk tag enqueued (depth %d)", r.sc.Tags().Depth())
+	for _, e := range []ringEntry{
+		{op: RingOpTags, arg: ArmPosition(3, 0), data: junk},                                                        // a garbage stream hash
+		{op: RingOpTags, arg: ArmPosition(3, 0), data: TagRecord{Stream: StreamH2D, Chunk: 101}.AppendMarshal(nil)}, // chunk 0's counter is 100
+		{op: RingOpTags, data: TagRecord{Stream: StreamH2D, Chunk: 100}.AppendMarshal(nil)},                         // no position
+	} {
+		rejects := r.sc.Stats().ConfigRejects
+		r.submit(e)
+		if r.sc.Stats().ConfigRejects != rejects+1 || r.sc.PendingTags() != 4 {
+			t.Fatalf("entry %+v: %d config rejects, %d pending; want 1 and 4", e, r.sc.Stats().ConfigRejects-rejects, r.sc.PendingTags())
+		}
 	}
 }
 
@@ -519,14 +536,14 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 	if a1, a2 := d.sc.Filter().RuleCount(); a1 != l1 || a2 != l2 || d.sc.Regions() != 1 {
 		t.Fatal("a write to an unknown offset changed the rule or region table")
 	}
-	if depth := d.sc.Tags().Depth(); depth != 0 {
+	if depth := d.sc.PendingTags(); depth != 0 {
 		t.Fatalf("a write to an unknown offset queued %d tag records", depth)
 	}
 	d.sc.mu.Lock()
-	slots := d.sc.sess.byID(w.ID).slots
+	recs := d.sc.sess.byID(w.ID).recs
 	d.sc.mu.Unlock()
-	for slot, ctr := range slots {
-		if ctr != 0 {
+	for slot, e := range recs {
+		if e.ctr != 0 {
 			t.Fatalf("a write to an unknown offset armed slot %d", slot)
 		}
 	}

@@ -79,6 +79,7 @@ func (d *dpRig) stageH2D(t *testing.T, base uint64, data []byte) Descriptor {
 		Base: base, Len: uint64(len(data)), ChunkSize: ChunkSize,
 		FirstCounter: d.h2dTx.SendCounter() + 1,
 	}
+	var recs []TagRecord
 	for off := 0; off < len(data); off += ChunkSize {
 		end := off + ChunkSize
 		if end > len(data) {
@@ -91,13 +92,41 @@ func (d *dpRig) stageH2D(t *testing.T, base uint64, data []byte) Descriptor {
 			t.Fatal(err)
 		}
 		d.hostMem[base+uint64(off)] = sealed.Ciphertext
-		d.sc.Tags().Enqueue(TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
+		recs = append(recs, TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
 	}
 	if !d.sc.install(desc) {
 		t.Fatal("install refused")
 	}
+	d.postTags(desc.ID, 0, recs...)
 	return desc
 }
+
+// postTags hands recs to the SC as the tag entries the Adaptor queues
+// for region id from index first on, through the function a ring tag
+// entry reaches.
+func (r *ctlRig) postTags(id, first uint32, recs ...TagRecord) {
+	for len(recs) > 0 {
+		n := min(len(recs), tagSpanRecords)
+		var payload []byte
+		for _, rec := range recs[:n] {
+			payload = rec.AppendMarshal(payload)
+		}
+		r.sc.ingestTags(ArmPosition(id, first), payload)
+		first, recs = first+uint32(n), recs[n:]
+	}
+}
+
+// pendingAt reports whether region id holds a pending record at index i.
+func (r *ctlRig) pendingAt(id, i uint32) bool {
+	r.sc.mu.Lock()
+	defer r.sc.mu.Unlock()
+	_, ok := r.sc.sess.byID(id).peek(i)
+	return ok
+}
+
+// loseTags makes every tag record the SC receives from now on lost in
+// flight.
+func (r *ctlRig) loseTags() { r.sc.SetTagFaultHook(func(TagRecord) bool { return true }) }
 
 func TestDecryptReadHappyPath(t *testing.T) {
 	d := newDPRig(t)
@@ -120,8 +149,8 @@ func TestDecryptReadHappyPath(t *testing.T) {
 func TestDecryptReadMissingTagFails(t *testing.T) {
 	d := newDPRig(t)
 	data := make([]byte, ChunkSize)
+	d.loseTags() // tags never arrived
 	d.stageH2D(t, ctlMem+0x1000, data)
-	d.sc.Tags().Clear() // tags never arrived
 	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, ctlMem+0x1000, ChunkSize, 0))
 	if cpl != nil && cpl.Status == pcie.CplSuccess {
 		t.Fatal("read succeeded without a tag record")
@@ -362,9 +391,9 @@ func (a *a3Rig) post(first, n, claim uint32) {
 	var hdr [16]byte
 	PutRunMACHeader(&hdr, a.desc.ID, first, n, n*64)
 	mac := secmem.MAC(a.mmioKy, hdr[:], bytes.Join(a.slots[first:first+n], nil))
-	rec := TagRecord{Stream: StreamA3Run, Chunk: RunKey(a.desc.ID, first), Epoch: claim}
+	rec := TagRecord{Stream: StreamA3Run, Chunk: first, Epoch: claim}
 	copy(rec.Tag[:], mac[:secmem.TagSize])
-	a.sc.Tags().Enqueue(rec)
+	a.postTags(a.desc.ID, first, rec)
 }
 
 // readAt is the device reading n bytes at byte offset off of the region;
@@ -453,7 +482,7 @@ func TestVerifiedReadRejects(t *testing.T) {
 				t.Fatalf("%d host fetches, %d auth failures, %d verified slots; want 0, 1, 0",
 					a.fetches-fetches, after.AuthFailures-st.AuthFailures, after.VerifiedChunks-st.VerifiedChunks)
 			}
-			if _, left := a.sc.Tags().Peek(StreamA3Run, RunKey(a.desc.ID, uint32(c.off/64))); c.nothing && left {
+			if left := a.pendingAt(a.desc.ID, uint32(c.off/64)); c.nothing && left {
 				t.Fatal("the record the read found is still pending")
 			}
 		})
@@ -503,7 +532,7 @@ func TestVerifiedRunMalformedRecord(t *testing.T) {
 					t.Fatalf("read %d: %d auth failures, %d host fetches; want %d and 0", i, st.AuthFailures, a.fetches, i)
 				}
 			}
-			if a.sc.Tags().Depth() != 0 {
+			if a.sc.PendingTags() != 0 {
 				t.Fatal("malformed record still pending")
 			}
 		})
@@ -556,9 +585,9 @@ func TestVerifiedRunFreshRecordWins(t *testing.T) {
 		}
 		return p
 	}))
-	if a.read(1, 2) != nil || a.sc.Stats().AuthFailures != 0 || a.sc.Tags().Depth() != 1 {
+	if a.read(1, 2) != nil || a.sc.Stats().AuthFailures != 0 || a.sc.PendingTags() != 1 {
 		t.Fatalf("lost fetch: %d auth failures, %d records pending; want 0 and the record kept",
-			a.sc.Stats().AuthFailures, a.sc.Tags().Depth())
+			a.sc.Stats().AuthFailures, a.sc.PendingTags())
 	}
 	if got, want := a.read(1, 2), bytes.Join(a.slots[1:3], nil); !bytes.Equal(got, want) {
 		t.Fatalf("slots 1–2 after the fresh record: %x", got)
@@ -666,6 +695,7 @@ func (d *dpRig) stageH2DSpan(t *testing.T, base uint64, data []byte) Descriptor 
 		FirstCounter: d.h2dTx.SendCounter() + 1,
 	}
 	var ct []byte
+	var recs []TagRecord
 	for off := 0; off < len(data); off += ChunkSize {
 		end := off + ChunkSize
 		if end > len(data) {
@@ -678,12 +708,13 @@ func (d *dpRig) stageH2DSpan(t *testing.T, base uint64, data []byte) Descriptor 
 			t.Fatal(err)
 		}
 		ct = append(ct, sealed.Ciphertext...)
-		d.sc.Tags().Enqueue(TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
+		recs = append(recs, TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
 	}
 	d.hostMem[base] = ct
 	if !d.sc.install(desc) {
 		t.Fatal("install refused")
 	}
+	d.postTags(desc.ID, 0, recs...)
 	return desc
 }
 
@@ -750,8 +781,8 @@ func TestDecryptReadSpanBeyondRegionRejected(t *testing.T) {
 func TestDecryptReadSpanMissingTagFailsClosed(t *testing.T) {
 	d := newDPRig(t)
 	data := make([]byte, 4*ChunkSize)
+	d.loseTags() // tags never arrived
 	desc := d.stageH2DSpan(t, ctlMem+0x1000, data)
-	d.sc.Tags().Clear() // tags never arrived
 	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, desc.Base, uint32(len(data)), 0))
 	if cpl != nil && cpl.Status == pcie.CplSuccess {
 		t.Fatal("span read succeeded without tag records")
@@ -804,6 +835,7 @@ func (d *dpRig) stageA2(t *testing.T, id uint32, base uint64, data []byte, cs ui
 	desc := Descriptor{ID: id, Dir: DirH2D, Class: ActionWriteReadProtect,
 		Base: base, Len: uint64(len(data)), ChunkSize: cs, FirstCounter: d.h2dTx.SendCounter() + 1}
 	var ct []byte
+	var recs []TagRecord
 	for off, j := 0, uint32(0); off < len(data); off, j = off+int(cs), j+1 {
 		var aad [8]byte
 		desc.PutAAD(&aad, j)
@@ -812,7 +844,7 @@ func (d *dpRig) stageA2(t *testing.T, id uint32, base uint64, data []byte, cs ui
 			t.Fatal(err)
 		}
 		ct = append(ct, sealed.Ciphertext...)
-		d.sc.Tags().Enqueue(TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
+		recs = append(recs, TagRecord{Stream: StreamH2D, Chunk: sealed.Counter, Epoch: sealed.Epoch, Tag: sealed.Tag})
 	}
 	for off := 0; off < len(ct); off += int(cs) {
 		d.hostMem[base+uint64(off)] = ct[off:]
@@ -820,6 +852,7 @@ func (d *dpRig) stageA2(t *testing.T, id uint32, base uint64, data []byte, cs ui
 	if !d.sc.install(desc) {
 		t.Fatal("install refused")
 	}
+	d.postTags(desc.ID, 0, recs...)
 	return desc
 }
 
@@ -880,14 +913,14 @@ func TestDecryptReadRejects(t *testing.T) {
 				d.stageA2(t, 7, base, burstData(size, 1), c.chunk)
 				d.stageA2(t, 8, base+uint64(size), burstData(size, 2), c.chunk)
 			}
-			fetches, st, depth := d.countDataFetches(), d.sc.Stats(), d.sc.Tags().Depth()
+			fetches, st, depth := d.countDataFetches(), d.sc.Stats(), d.sc.PendingTags()
 			if got := d.devRead(base+c.off, c.n); got != nil {
 				t.Fatalf("served %d bytes", len(got))
 			}
 			after := d.sc.Stats()
-			if *fetches != 0 || after.AuthFailures != st.AuthFailures+1 || d.sc.Tags().Depth() != depth {
+			if *fetches != 0 || after.AuthFailures != st.AuthFailures+1 || d.sc.PendingTags() != depth {
 				t.Fatalf("%d host fetches, %d auth failures, %d tags spent; want 0, 1, 0",
-					*fetches, after.AuthFailures-st.AuthFailures, depth-d.sc.Tags().Depth())
+					*fetches, after.AuthFailures-st.AuthFailures, depth-d.sc.PendingTags())
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"ccai/internal/secmem"
 )
@@ -139,46 +138,108 @@ type region struct {
 	// ws is a D2H region's pending write span (pipeline.go), nil when no
 	// chunk is staged.
 	ws *writeSpan
-	// verified retains the tag record of every A2 H2D chunk accepted
-	// once, by chunk index, so a benign retransmit (a device re-read
-	// after a fault) is re-verified and re-served without loosening the
-	// stream's replay watermark (openChunk). It holds no pointers and is
-	// sized for the whole region at the first accept.
-	verified []verifiedRec
-	// slots holds a step window's IV counter per chunk slot, as a
-	// positioned tag entry armed it; 0 = never armed (counters start at
-	// 1). Sized at install for a slotted descriptor, empty otherwise.
-	slots []uint32
+	// recs is an H2D region's tag table, one entry per chunk — of a step
+	// window, per slot; of an A3 region, per slot, a run's record sitting
+	// at the run's first slot. It is sized at install, empty for a D2H
+	// region, and holds no pointers.
+	recs []tagEntry
+	// pending counts the entries of recs in state tagPending.
+	pending int
 }
 
-// verifiedRec is one accepted chunk's tag record. Only A2 H2D chunks
-// are retained, so the stream name is left out.
-type verifiedRec struct {
-	chunk, epoch uint32
-	tag          [secmem.TagSize]byte
-	seen         bool
+// tagEntry is one entry of a region's tag table: a record the TVM
+// posted (ingestTags) and where it stands. ctr is the record's IV
+// counter — for an A3 run, its first slot — and, in a step window, the
+// counter the slot is armed with (0 = never armed: counters start at
+// 1); it stays when the record is spent or lost, so an armed slot stays
+// armed. epoch and tag are the record's (an A3 run's epoch field is its
+// length in slots).
+type tagEntry struct {
+	ctr, epoch uint32
+	tag        [secmem.TagSize]byte
+	state      tagState
 }
 
-// verifiedAt returns the retained record of chunk. It is nil-safe, so a
-// lookup that found no region composes with it.
-func (r *region) verifiedAt(chunk uint32) (TagRecord, bool) {
-	if r == nil || int(chunk) >= len(r.verified) || !r.verified[chunk].seen {
+// tagState is where a tag-table entry's record stands.
+type tagState uint8
+
+const (
+	tagNone     tagState = iota // no record: never posted, spent by a read, or lost
+	tagPending                  // posted; the next read of the entry takes it
+	tagAccepted                 // an A2 chunk's record a read accepted, kept for re-reads
+)
+
+// record is e's record as the read paths use it.
+func (e *tagEntry) record() TagRecord { return TagRecord{Chunk: e.ctr, Epoch: e.epoch, Tag: e.tag} }
+
+// post stores rec, the record an entry carried for index i, as pending.
+// An accepted record stays: a repost of a chunk a read already took adds
+// nothing to spend. A lost record — the tag-loss fault took it — stores
+// nothing but its counter, so a step window's slot is armed all the
+// same; a pending record outlives its lost repost.
+func (r *region) post(i uint32, rec *TagRecord, lost bool) {
+	e := &r.recs[i]
+	switch {
+	case e.state == tagAccepted || lost && e.state == tagPending:
+	case lost:
+		e.ctr = rec.Chunk
+	default:
+		if e.state == tagNone {
+			r.pending++
+		}
+		*e = tagEntry{ctr: rec.Chunk, epoch: rec.Epoch, tag: rec.Tag, state: tagPending}
+	}
+}
+
+// peek returns entry i's pending record and leaves it pending. It is
+// nil-safe, so a lookup that found no region composes with it.
+func (r *region) peek(i uint32) (TagRecord, bool) {
+	if r == nil || int(i) >= len(r.recs) || r.recs[i].state != tagPending {
 		return TagRecord{}, false
 	}
-	v := &r.verified[chunk]
-	return TagRecord{Stream: StreamH2D, Chunk: v.chunk, Epoch: v.epoch, Tag: v.tag}, true
+	return r.recs[i].record(), true
 }
 
-// verify retains chunk's accepted record; a nil region retains nothing.
-func (r *region) verify(chunk uint32, rec *TagRecord) {
-	if r == nil {
+// take is peek that spends the record. An accepted record is not taken:
+// a re-read of an accepted chunk is served from it (openChunk).
+func (r *region) take(i uint32) (TagRecord, bool) {
+	rec, ok := r.peek(i)
+	if ok {
+		r.recs[i].state = tagNone
+		r.pending--
+	}
+	return rec, ok
+}
+
+// acceptedAt returns the accepted record of chunk. It is nil-safe.
+func (r *region) acceptedAt(chunk uint32) (TagRecord, bool) {
+	if r == nil || int(chunk) >= len(r.recs) || r.recs[chunk].state != tagAccepted {
+		return TagRecord{}, false
+	}
+	return r.recs[chunk].record(), true
+}
+
+// accept keeps chunk's record as accepted, so a benign retransmit (a
+// device re-read after a fault) is re-verified and re-served without
+// loosening the stream's replay watermark (openChunk). A nil region
+// keeps nothing.
+func (r *region) accept(chunk uint32, rec *TagRecord) {
+	if r == nil || int(chunk) >= len(r.recs) {
 		return
 	}
-	if n := chunkCount(r.desc); len(r.verified) == 0 {
-		r.verified = slices.Grow(r.verified, n)[:n]
+	if r.recs[chunk].state == tagPending {
+		r.pending--
 	}
-	if int(chunk) < len(r.verified) {
-		r.verified[chunk] = verifiedRec{chunk: rec.Chunk, epoch: rec.Epoch, tag: rec.Tag, seen: true}
+	r.recs[chunk] = tagEntry{ctr: rec.Chunk, epoch: rec.Epoch, tag: rec.Tag, state: tagAccepted}
+}
+
+// dropPending spends every pending record of the region.
+func (r *region) dropPending() {
+	for i := 0; r.pending > 0 && i < len(r.recs); i++ {
+		if r.recs[i].state == tagPending {
+			r.recs[i].state = tagNone
+			r.pending--
+		}
 	}
 }
 

@@ -164,12 +164,19 @@ func FuzzControllerRing(f *testing.F) {
 	add(first+1, ringEntry{op: RingOpRelease, arg: 5})
 	add(first+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, 8)})
 	add(first+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10})
-	// Run records no producer wrote: length 0, past the region, past one
-	// read request.
-	add(first+1, ringEntry{op: RingOpTags, data: append(append(
-		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 0)}.AppendMarshal(nil),
-		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 1), Epoch: 1 << 20}.AppendMarshal(nil)...),
-		TagRecord{Stream: StreamA3Run, Chunk: RunKey(5, 2), Epoch: MaxRunSlots + 1}.AppendMarshal(nil)...)})
+	// Run records no producer wrote — length 0, past the region, past one
+	// read request — at the window: a record under the wrong stream.
+	add(first+1, ringEntry{op: RingOpTags, arg: ArmPosition(5, 0), data: append(append(
+		TagRecord{Stream: StreamA3Run, Chunk: 0}.AppendMarshal(nil),
+		TagRecord{Stream: StreamA3Run, Chunk: 1, Epoch: 1 << 20}.AppendMarshal(nil)...),
+		TagRecord{Stream: StreamA3Run, Chunk: 2, Epoch: MaxRunSlots + 1}.AppendMarshal(nil)...)})
+	// Tag entries the SC refuses: no position (arg 0), a position past
+	// the window's table, one at the D2H region, and a re-arm of the
+	// slot the device consumed under another counter.
+	add(first+1, ringEntry{op: RingOpTags, data: rec})
+	add(first+1, ringEntry{op: RingOpTags, arg: ArmPosition(5, 4), data: rec})
+	add(first+1, ringEntry{op: RingOpTags, arg: ArmPosition(6, 0), data: rec})
+	add(first+1, ringEntry{op: RingOpTags, arg: ArmPosition(5, 0), data: rec})
 	// A stale slot from the previous lap: a notify sealed where it sits,
 	// one lap of the ring earlier (modulo 2^64), which the seal refuses.
 	// Framing: an oversized length, opcodes 0 and 8 and a tail past the
@@ -228,10 +235,16 @@ func FuzzControllerRing(f *testing.F) {
 	reseal(first+1<<32, first+1+1<<32)
 	f.Fuzz(func(t *testing.T, slots []byte, tail uint64) {
 		d := newDPRig(t)
-		d.installWindow(t, 5, ctlMem+0x4000, 4)
+		w := d.installWindow(t, 5, ctlMem+0x4000, 4)
+		// Slot 0 armed and consumed, and a D2H region beside the window.
+		d.postTags(w.ID, 0, d.sealSlot(t, w, 0, bytes.Repeat([]byte{7}, 32)))
+		if _, ok := d.readSlot(w, 0); !ok || !d.sc.install(Descriptor{ID: 6, Dir: DirD2H, Class: ActionWriteReadProtect,
+			Base: ctlMem + 0x8000, Len: ChunkSize, ChunkSize: ChunkSize}) {
+			t.Fatal("rig: slot 0 unread, or the D2H region refused")
+		}
 		l1, l2 := d.sc.Filter().RuleCount()
 		before := d.sc.sess.ringHead
-		if before != first || d.sc.Regions() != 1 {
+		if before != first || d.sc.Regions() != 2 {
 			t.Fatalf("rig: head %d, %d regions", before, d.sc.Regions())
 		}
 
@@ -246,7 +259,7 @@ func FuzzControllerRing(f *testing.F) {
 		if a1, a2 := d.sc.Filter().RuleCount(); a1 != l1 || a2 != l2 {
 			t.Fatal("fuzzed ring entries installed a filter rule")
 		}
-		if d.sc.Regions() > 1 {
+		if d.sc.Regions() > 2 {
 			t.Fatal("fuzzed ring entries installed a region")
 		}
 		for _, name := range []string{StreamH2D, StreamD2H} {
@@ -368,7 +381,7 @@ func FuzzDecryptRead(f *testing.F) {
 		n := int64(regionLen)%min(64*cs, 32<<10) + 1
 		data := burstData(int(n), byte(chunkSize))
 		d.stageA2(t, 7, base, data, uint32(cs))
-		fetches, before, depth := d.countDataFetches(), d.sc.Stats(), d.sc.Tags().Depth()
+		fetches, before, depth := d.countDataFetches(), d.sc.Stats(), d.sc.PendingTags()
 
 		got := d.devRead(base+uint64(off), uint32(length))
 
@@ -388,9 +401,9 @@ func FuzzDecryptRead(f *testing.F) {
 					length, off, n, cs, len(got), *fetches, after.AuthFailures-before.AuthFailures)
 			}
 		default:
-			if got != nil || *fetches != 0 || refusals != 1 || d.sc.Tags().Depth() != depth {
+			if got != nil || *fetches != 0 || refusals != 1 || d.sc.PendingTags() != depth {
 				t.Fatalf("read of %d B at %d of %d (chunk %d): served %d B, %d fetches, %d refusals, %d tags spent; want none, none, 1, none",
-					length, off, n, cs, len(got), *fetches, refusals, depth-d.sc.Tags().Depth())
+					length, off, n, cs, len(got), *fetches, refusals, depth-d.sc.PendingTags())
 			}
 		}
 	})
@@ -434,7 +447,9 @@ func FuzzVerifiedRead(f *testing.F) {
 			flags := script[i+2]
 			claim := [...]uint32{n, n + 1, n - 1, 0}[flags&3]
 			a.post(first, n, claim)
-			rec, _ := a.sc.Tags().Peek(StreamA3Run, RunKey(a.desc.ID, first))
+			a.sc.mu.Lock()
+			rec, _ := a.sc.sess.byID(a.desc.ID).peek(first)
+			a.sc.mu.Unlock()
 			recs = append(recs, posted{first, rec.Tag, claim})
 			if flags&0x80 != 0 {
 				a.slots[first+uint32(flags>>2&0x1f)%n][flags&0x3f] ^= 0x40

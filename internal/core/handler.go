@@ -30,7 +30,7 @@ const (
 	StreamMMIO = "mmio"
 	// StreamA3Run names the records of verified runs — the MACs, under the
 	// StreamMMIO key, over the slots of an A3 region a submission makes
-	// the device read (counter: RunKey).
+	// the device read (counter: the run's first slot; epoch: its length).
 	StreamA3Run = "a3-run"
 	// KeyRingSeal keys the GMAC that seals every published span of the
 	// submission ring (ring.go). Like the StreamMMIO key it is raw key
@@ -61,11 +61,10 @@ type ParamsManager struct {
 	mu   sync.Mutex
 	keys *secmem.KeyStore
 	// active is the live stream contexts, each with its 32-bit wire hash
-	// worked out once — the tag-ingest hot path resolves one hash per
-	// packet. A writer publishes a new slice under mu and never changes
-	// a published one, so Stream, NameByHash and Active read it with no
-	// lock. Activation rejects collisions, so each hash names at most
-	// one stream.
+	// worked out once for Activate's collision check. A writer publishes
+	// a new slice under mu and never changes a published one, so Stream
+	// and Active read it with no lock. Activation rejects collisions, so
+	// each hash names at most one stream.
 	active atomic.Pointer[[]activeStream]
 
 	// hub/track propagate observability to streams activated later.
@@ -103,9 +102,8 @@ func NewParamsManager(keys *secmem.KeyStore) *ParamsManager {
 	return pm
 }
 
-// wellKnownStreams are the platform's fixed stream names. Tag records
-// for them resolve even before activation, and no other name may
-// activate with a colliding hash.
+// wellKnownStreams are the platform's fixed stream names. No other name
+// may activate with a colliding hash.
 var wellKnownStreams = []string{StreamH2D, StreamD2H, StreamConfig, StreamMMIO, StreamA3Run}
 
 // Activate instantiates the stream context for a named stream from
@@ -156,18 +154,6 @@ func (pm *ParamsManager) Stream(name string) (*secmem.Stream, error) {
 	return nil, fmt.Errorf("%w %q", ErrNoStream, name)
 }
 
-// NameByHash resolves a wire stream hash to the unique active stream
-// carrying it. Activation rejects colliding names, so at most one
-// active stream can match.
-func (pm *ParamsManager) NameByHash(h uint32) (string, bool) {
-	for _, a := range pm.streams() {
-		if a.hash == h {
-			return a.name, true
-		}
-	}
-	return "", false
-}
-
 // Rekey replaces a stream's parameters (IV-exhaustion mitigation, §6).
 func (pm *ParamsManager) Rekey(name string, key, nonce []byte) error {
 	pm.mu.Lock()
@@ -198,10 +184,11 @@ func (pm *ParamsManager) Active() int {
 
 // --- Authentication Tag Manager -------------------------------------------
 
-// TagRecord is one entry in the authentication-tag packet queue: the
-// GCM tag and counter for a protected chunk, keyed by (stream, chunk
-// index). On the wire these arrive as companion tag packets; the
-// manager matches them to data packets by the tag attribute (§4.2).
+// TagRecord is one authentication-tag record: the GCM tag, IV counter
+// and key epoch of a protected chunk, and the stream it was sealed
+// under. On the wire these arrive as companion tag packets — ring tag
+// entries positioned at their region — and the SC keeps each on its
+// region's tag table until a read of the chunk matches it (§4.2).
 type TagRecord struct {
 	Stream string
 	Chunk  uint32

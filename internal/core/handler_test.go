@@ -54,49 +54,95 @@ func TestParamsManagerRekey(t *testing.T) {
 	}
 }
 
-func TestTagManagerMatchAndConsume(t *testing.T) {
-	tm := NewTagManager()
+// TestRegionTagsMatchAndConsume: a record posted at a chunk is matched
+// once. Peek shows it and spends nothing, hit or miss; take spends it,
+// so a second take misses (replay freshness); an accepted record is
+// kept for re-reads and never taken again.
+func TestRegionTagsMatchAndConsume(t *testing.T) {
+	r := newCtlRig(t)
+	if !r.sc.install(Descriptor{ID: 1, Dir: DirH2D, Class: ActionWriteReadProtect, Base: ctlMem,
+		Len: 4 * ChunkSize, ChunkSize: ChunkSize, FirstCounter: 42}) {
+		t.Fatal("install refused")
+	}
 	rec := TagRecord{Stream: StreamH2D, Chunk: 42, Epoch: 1}
 	rec.Tag[0] = 0xaa
-	tm.Enqueue(rec)
-	if tm.Depth() != 1 {
-		t.Fatalf("depth = %d", tm.Depth())
+	r.postTags(1, 0, rec)
+	r.sc.mu.Lock()
+	defer r.sc.mu.Unlock()
+	g := r.sc.sess.byID(1)
+	rec.Stream = "" // a region's records carry no stream name
+	if got, ok := g.peek(0); !ok || got != rec || g.pending != 1 {
+		t.Fatalf("peek = %+v, %v (%d pending)", got, ok, g.pending)
 	}
-	// Peek shows the record and spends nothing, hit or miss.
-	if got, ok := tm.Peek(StreamH2D, 42); !ok || got != rec || tm.Depth() != 1 {
-		t.Fatalf("Peek = %+v, %v (depth %d)", got, ok, tm.Depth())
+	if _, ok := g.peek(1); ok {
+		t.Fatal("peek found a record nobody posted")
 	}
-	if _, ok := tm.Peek(StreamH2D, 43); ok {
-		t.Fatal("Peek found a record nobody enqueued")
+	if got, ok := g.take(0); !ok || got != rec || g.pending != 0 {
+		t.Fatalf("take = %+v, %v (%d pending)", got, ok, g.pending)
 	}
-	if matched, missing := tm.Stats(); matched != 0 || missing != 0 {
-		t.Fatalf("Peek counted: stats = %d/%d", matched, missing)
-	}
-	got, ok := tm.Take(StreamH2D, 42)
-	if !ok || got.Tag[0] != 0xaa || got.Epoch != 1 {
-		t.Fatalf("Take = %+v, %v", got, ok)
-	}
-	// One-shot: a second Take misses (replay freshness).
-	if _, ok := tm.Take(StreamH2D, 42); ok {
+	if _, ok := g.take(0); ok {
 		t.Fatal("tag record consumed twice")
 	}
-	matched, missing := tm.Stats()
-	if matched != 1 || missing != 1 {
-		t.Fatalf("stats = %d/%d", matched, missing)
+	g.accept(0, &rec)
+	if _, ok := g.take(0); ok {
+		t.Fatal("an accepted record was taken")
+	}
+	if got, ok := g.acceptedAt(0); !ok || got != rec {
+		t.Fatalf("acceptedAt = %+v, %v", got, ok)
 	}
 }
 
-func TestTagManagerKeysByStreamAndChunk(t *testing.T) {
-	tm := NewTagManager()
-	tm.Enqueue(TagRecord{Stream: StreamH2D, Chunk: 1})
-	if _, ok := tm.Take(StreamD2H, 1); ok {
-		t.Fatal("cross-stream tag matched")
+// TestRegionTagsKeyByRegionAndIndex: a record is found only at the
+// region and index it was posted at — not at another chunk of its
+// region, nor at the same chunk of another region.
+func TestRegionTagsKeyByRegionAndIndex(t *testing.T) {
+	r := newCtlRig(t)
+	for id := uint32(1); id <= 2; id++ {
+		if !r.sc.install(Descriptor{ID: id, Dir: DirH2D, Class: ActionWriteReadProtect, Base: ctlMem + uint64(id)*0x1000,
+			Len: 4 * ChunkSize, ChunkSize: ChunkSize, FirstCounter: 1}) {
+			t.Fatal("install refused")
+		}
 	}
-	if _, ok := tm.Take(StreamH2D, 2); ok {
+	r.postTags(1, 1, TagRecord{Stream: StreamH2D, Chunk: 2})
+	r.sc.mu.Lock()
+	defer r.sc.mu.Unlock()
+	if _, ok := r.sc.sess.byID(2).take(1); ok {
+		t.Fatal("cross-region tag matched")
+	}
+	if _, ok := r.sc.sess.byID(1).take(2); ok {
 		t.Fatal("cross-chunk tag matched")
 	}
-	if _, ok := tm.Take(StreamH2D, 1); !ok {
+	if _, ok := r.sc.sess.byID(1).take(1); !ok {
 		t.Fatal("correct tag missed")
+	}
+}
+
+// TestReleaseDropsOnlyItsRegionsTags: a released region's pending
+// records go with its record, and only they — another region's stay
+// pending and matchable, and the drop counts no auth failure or reject.
+func TestReleaseDropsOnlyItsRegionsTags(t *testing.T) {
+	r := newCtlRig(t)
+	for id := uint32(1); id <= 2; id++ {
+		if !r.sc.install(Descriptor{ID: id, Dir: DirH2D, Class: ActionWriteReadProtect, Base: ctlMem + uint64(id)*0x1000,
+			Len: 8 * ChunkSize, ChunkSize: ChunkSize, FirstCounter: 1}) {
+			t.Fatal("install refused")
+		}
+		for c := uint32(0); c < 8; c++ {
+			r.postTags(id, c, TagRecord{Stream: StreamH2D, Chunk: 1 + c})
+		}
+	}
+	before := r.sc.Stats()
+	r.submit(ringEntry{op: RingOpRelease, arg: 1})
+	if n := r.sc.PendingTags(); n != 8 || r.sc.Regions() != 1 {
+		t.Fatalf("%d records pending, %d regions after releasing one of two; want 8 and 1", n, r.sc.Regions())
+	}
+	for c := uint32(0); c < 8; c++ {
+		if !r.pendingAt(2, c) {
+			t.Fatalf("region 2 lost its record at chunk %d", c)
+		}
+	}
+	if st := r.sc.Stats(); st.AuthFailures != before.AuthFailures || st.ConfigRejects != before.ConfigRejects {
+		t.Fatal("the release counted an auth failure or a reject")
 	}
 }
 

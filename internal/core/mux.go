@@ -12,7 +12,7 @@ import (
 // Mux implements the paper's §9 extension "PCIe-SC for multiple xPUs
 // and users": one physical security controller serving several
 // (TVM, xPU) pairs. Each pair gets an isolated unit — its own Packet
-// Filter policies, stream keys, tag queues and transfer regions — and
+// Filter policies, stream keys and transfer regions with their tag records — and
 // the mux is every unit's host-side presence: host packets reach a unit
 // by target address (control BAR or xPU shadow window). Device-side
 // traffic never crosses the mux; each unit's own internal segment

@@ -41,8 +41,8 @@ var (
 		}
 		return
 	}()
-	symStreamH2D  = obsv.Intern(StreamH2D)
-	symStreamMMIO = obsv.Intern(StreamMMIO)
+	symStreamH2D   = obsv.Intern(StreamH2D)
+	symStreamA3Run = obsv.Intern(StreamA3Run)
 )
 
 // kindSym is the symbol of a packet kind's name. Kinds outside the TLP
@@ -60,15 +60,4 @@ func actionSym(a Action) obsv.Sym {
 		return actionSyms[a]
 	}
 	return obsv.Intern(actionLabel(a))
-}
-
-// streamSym is the symbol of a tag-queue stream name.
-func streamSym(stream string) obsv.Sym {
-	switch stream {
-	case StreamH2D:
-		return symStreamH2D
-	case StreamMMIO:
-		return symStreamMMIO
-	}
-	return obsv.Intern(stream)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/subtle"
 	"encoding/binary"
-	"math"
 
 	"ccai/internal/arena"
 	"ccai/internal/pcie"
@@ -82,7 +81,7 @@ const (
 	RingOpRule    = 1 // payload: sealed rule blob
 	RingOpDesc    = 2 // payload: sealed descriptor blob
 	RingOpRekey   = 3 // payload: sealed rekey command
-	RingOpTags    = 4 // payload: packed tag records; arg != 0: positioned (ArmPosition)
+	RingOpTags    = 4 // payload: packed tag records; arg: their region and first index (ArmPosition)
 	RingOpRelease = 5 // arg: region ID
 	RingOpNotify  = 6 // arg: region ID (the region-ready notify of §5)
 	RingOpGuarded = 7 // arg: absolute MMIO address, payload: the value
@@ -287,11 +286,7 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 	case RingOpRekey:
 		c.applyRekeyFrame(data)
 	case RingOpTags:
-		if arg != 0 {
-			c.armSlots(arg, data)
-		} else {
-			c.ingestTags(data)
-		}
+		c.ingestTags(arg, data)
 	case RingOpRelease:
 		c.releaseRegion(uint32(arg))
 	case RingOpNotify:
@@ -369,10 +364,11 @@ func (c *Controller) hostWrite64(role pcie.Role, addr, v uint64) {
 //
 // The doorbell also settles the run records. The device read every run
 // it was rung for before the forward returned, so a record still
-// pending is one no read will spend: a recovery kick that saw a stale
-// completion word re-posted it for a run the device had already read.
-// It is dropped here. A run the device did not get to read is re-posted
-// fresh by the kick that re-drives it.
+// pending on an A3 region — the command ring — is one no read will
+// spend: a recovery kick that saw a stale completion word re-posted it
+// for a run the device had already read. It is dropped here. A run the
+// device did not get to read is re-posted fresh by the kick that
+// re-drives it.
 func (c *Controller) reapCompletion() {
 	if c.internal == nil {
 		return
@@ -390,7 +386,11 @@ func (c *Controller) reapCompletion() {
 		}
 	}
 	c.mu.Lock()
-	c.tags.discardLocked(StreamA3Run, 0, math.MaxUint32)
+	for _, r := range c.sess.regions {
+		if r.desc.Class == ActionWriteProtect {
+			r.dropPending()
+		}
+	}
 	if w != 0 {
 		c.sess.cplWord = w
 	}

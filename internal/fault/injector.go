@@ -239,8 +239,9 @@ func (inj *Injector) SchedFault(point string) bool {
 	return false
 }
 
-// TagFault is the core.TagManager fault-hook adapter: authentication
-// tag packets lost in flight.
+// TagFault is the SC's tag fault-hook adapter
+// (core.Controller.SetTagFaultHook): authentication tag records lost in
+// flight.
 func (inj *Injector) TagFault(core.TagRecord) bool {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()

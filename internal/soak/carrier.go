@@ -159,7 +159,7 @@ func (c *carrier) startWave(w Wave) {
 	for _, t := range c.mp.Tenants {
 		t.Device.SetFaultHook(c.inj.DeviceFault)
 		t.Adaptor.InstallCryptoFault(c.inj.CryptoFault)
-		t.SC.Tags().SetFaultHook(c.inj.TagFault)
+		t.SC.SetTagFaultHook(c.inj.TagFault)
 	}
 	c.mp.SetLLMFaultHook(c.inj.SchedFault)
 

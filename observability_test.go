@@ -215,7 +215,7 @@ func TestRecoveryRungMetricsExactlyOnce(t *testing.T) {
 		p := observedPlatform(t)
 		inj := fault.NewInjector(fault.Plan{Seed: seed, Events: []fault.Event{{Class: fault.TagLoss, Count: 1}}})
 		inj.SetObserver(p.Obs)
-		p.SC.Tags().SetFaultHook(inj.TagFault)
+		p.SC.SetTagFaultHook(inj.TagFault)
 		run(t, p)
 		c := p.MetricsSnapshot().Counters
 		if c["adaptor.recovery.reposts"] != 1 {

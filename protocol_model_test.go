@@ -366,14 +366,14 @@ func (a *ivAuditor) lastIV(stream string) uint64 {
 
 // wireFault threads the injector into every injection point a slice
 // has: the device, the untrusted host segment, and — once there are keys
-// — the Adaptor's stream replicas and the SC's tag manager. A point
+// — the Adaptor's stream replicas and the SC's tag ingest. A point
 // whose classes the plan does not name never fires.
 func wireFault(pl *pipeline, host *pcie.Bus, inj *fault.Injector) {
 	pl.dev.SetFaultHook(inj.DeviceFault)
 	host.AddTap(inj)
 	if pl.trusted {
 		pl.Adaptor.InstallCryptoFault(inj.CryptoFault)
-		pl.SC.Tags().SetFaultHook(inj.TagFault)
+		pl.SC.SetTagFaultHook(inj.TagFault)
 	}
 }
 
@@ -516,7 +516,7 @@ func (r *traceRun) tail() uint64 {
 // observe reads the slice's protocol state through its accessors.
 func (r *traceRun) observe() sliceState {
 	p := r.p
-	s := sliceState{Trusted: r.live(), Regions: p.SC.Regions(), Tags: p.SC.Tags().Depth(),
+	s := sliceState{Trusted: r.live(), Regions: p.SC.Regions(), Tags: p.SC.PendingTags(),
 		Tail: r.tail(), Active: p.SC.Params().Active(), SCKeys: p.scKeys.Count(), TVMKeys: p.tvmKeys.Count(),
 		HostBuffersAlive: p.Guest.Space.Live()}
 	for i, name := range modelStreams {
@@ -1273,7 +1273,7 @@ var adversaries = map[byte][]adversary{
 	// positioned tag. The ladder reposts every region the step staged.
 	'L': {{-1, func(r *traceRun, a *attackRun, d int) pcie.Tap {
 		seen := 0
-		r.p.SC.Tags().SetFaultHook(func(rec core.TagRecord) bool {
+		r.p.SC.SetTagFaultHook(func(rec core.TagRecord) bool {
 			if rec.Stream != core.StreamH2D {
 				return r.inj.TagFault(rec)
 			}
@@ -1333,7 +1333,7 @@ func (r *traceRun) attack(op traceOp) {
 		}
 	}
 	r.resetTaps()
-	r.p.SC.Tags().SetFaultHook(r.inj.TagFault)
+	r.p.SC.SetTagFaultHook(r.inj.TagFault)
 	if r.landing != nil {
 		if bytes.Contains(r.landing.Bytes(), secret) {
 			r.failf("the redirected payload held the plaintext secret")
@@ -1549,9 +1549,17 @@ type armEntry struct {
 	recs          []byte
 }
 
+// positionedEntry decodes a tag entry of h2d records: in a decode step's
+// burst, the step's arm of its window. Every tag entry is positioned at
+// its region; the run records a submission posts at the command ring
+// carry the a3-run stream's hash.
 func positionedEntry(e core.RingEntry) (armEntry, bool) {
-	return armEntry{uint32(e.Arg >> 32), uint32(e.Arg), e.Data}, e.Op == core.RingOpTags && e.Arg != 0
+	return armEntry{uint32(e.Arg >> 32), uint32(e.Arg), e.Data},
+		e.Op == core.RingOpTags && e.Arg != 0 && bytes.HasPrefix(e.Data, h2dHash)
 }
+
+// h2dHash is the wire stream hash an h2d tag record starts with.
+var h2dHash = core.TagRecord{Stream: core.StreamH2D}.AppendMarshal(nil)[:4]
 
 // ringSlots splits a ring fetch's completion toward the SC into its
 // slots; there are none in any other packet.

@@ -54,7 +54,7 @@ func TestRingDoorbellsDroppedPastOneFlush(t *testing.T) {
 			if err != nil || !bytes.Equal(out, want) || rec.Reposts != c.reposts || rec.Exhausted != c.exhausted || rec.FailClosed != 0 {
 				t.Fatalf("task under %d dropped doorbells: %v, exact %v; recovery %+v", c.dropped, err, bytes.Equal(out, want), rec)
 			}
-			if depth := p.SC.Tags().Depth(); depth != 0 {
+			if depth := p.SC.PendingTags(); depth != 0 {
 				t.Fatalf("%d tag records left queued at the SC", depth)
 			}
 			if out, err := p.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 1}); err != nil || !bytes.Equal(out, want) {
@@ -191,7 +191,7 @@ func TestKickedFinishedRunLeavesNoRecord(t *testing.T) {
 	if rec := p.Adaptor.Recovery(); err != nil || string(out) != "ljdlfe" || regressed != 2 || rec.Reposts != 1 {
 		t.Fatalf("task behind two regressed completion words: %q, %v; %d regressed, recovery %+v", out, err, regressed, rec)
 	}
-	if n := p.SC.Tags().Depth(); n != 0 {
+	if n := p.SC.PendingTags(); n != 0 {
 		t.Fatalf("%d records left queued at the SC", n)
 	}
 }

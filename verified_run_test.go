@@ -95,14 +95,14 @@ func TestCommandRunFetch(t *testing.T) {
 	}
 }
 
-// TestA3RecordKeySpace: a command-ring run's record is keyed by RunKey,
-// which packs the low 16 bits of the ring's region id over the run's
-// first slot, so region ids 65,536 apart share keys; the MAC binds the
-// full id, so the alias is harmless. 33,000 small tasks stage two
-// regions each, so the command ring a re-trust then stages takes an id
-// past 65,536 and shares its keys with an earlier region's. Every task,
-// before the re-trust and after, is exact with not one auth failure or
-// recovery step.
+// TestA3RecordKeySpace: a command-ring run's record sits at its first
+// slot on the command ring region's own tag table, found by the full
+// region id, so no part of the id is packed into a smaller key that
+// could alias an earlier region's. 33,000 small tasks stage two regions
+// each, so the command ring a re-trust then stages takes an id past
+// 65,536, where a 16-bit key would collide with an earlier region's.
+// Every task, before the re-trust and after, is exact with not one auth
+// failure or recovery step.
 func TestA3RecordKeySpace(t *testing.T) {
 	if raceDetector {
 		t.Skip("one goroutine, 33,000 tasks: the race detector adds 25 s and no coverage")
@@ -128,7 +128,7 @@ func TestA3RecordKeySpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if id := p.ring.Desc.ID; id <= 1<<16 {
-		t.Fatalf("the command ring re-staged as region %d: the 16-bit packing was not crossed", id)
+		t.Fatalf("the command ring re-staged as region %d: no region id past 16 bits was reached", id)
 	}
 	for i := 33000; i < 33100; i++ {
 		run(i)
