@@ -36,15 +36,19 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 	$(GO) test -run '^$$' -fuzz=FuzzServingQueue -fuzztime=15s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzServingEngine -fuzztime=15s ./internal/llm/
 # The SC's two host-writable surfaces: raw control-BAR writes, and the
-# submission ring — slot bytes and doorbell tail — which is the only way
-# in for sealed configuration, positioned tags and notifies.
+# submission ring — slot bytes and the doorbell's tail and end — which is
+# the only way in for sealed configuration, positioned tags, notifies and
+# command runs. The seeds carry the refused run entries (one at a non-A3
+# region, one longer than MaxRunSlots) and the refused doorbell ends (one
+# that cuts the seal, 0, past the slot).
 	$(GO) test -run '^$$' -fuzz=FuzzControllerControlWindow -fuzztime=10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzControllerRing -fuzztime=10s ./internal/core/
 # Ring framing, slot by slot and entry by entry: a framing error anywhere
-# in a published span, a broken chain of packed entries included, or a
-# seal that does not check refuses the whole span before any entry of it
-# is dispatched — a cleared more bit that would hide a release included,
-# and a stale slot from an earlier lap, which the seal alone tells apart.
+# in a published span, a broken chain of packed entries included, a
+# doorbell end that cuts the span's seal, or a seal that does not check
+# refuses the whole span before any entry of it is dispatched — a cleared
+# more bit that would hide a release included, and a stale slot from an
+# earlier lap, which the seal alone tells apart.
 # Beside them the recovery ladder under doorbells dropped past one
 # flush's retries: the task still ends exact.
 	$(GO) test -run 'TestControllerRingFraming|TestControllerRingPackedFraming' ./internal/core/
@@ -60,9 +64,10 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # collect allocates must not depend on GOMAXPROCS. The scheduled rows of
 # TestTaskAllocBudget hold what a
 # Scheduler round trip may add, by kind of context; beside them the A3
-# record key space, 33,000 tasks and a re-trust that stages the command
-# ring under a region id past 65,536 (a run record sits on its own
-# region's tag table, so no 16-bit key is left to alias), and the
+# key space, 33,000 tasks and a re-trust that stages the command ring
+# under a region id past 65,536 (a run entry is positioned at its region
+# by the full id and held on that region's own record, so no 16-bit key
+# is left to alias), and the
 # scheduler's goroutine budget: at most Slots of them however many
 # requests, none left after Drain or Shutdown.
 	$(GO) test -cpu 1,2 -run 'TestTaskAllocBudget|TestReadAllocBudget|TestA3RecordKeySpace|TestSchedulerWorkersResident' ./ ./internal/adaptor/
@@ -91,14 +96,14 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # buffer a tap may hold; SealBatchInto seals in place, writes nothing
 # past its buffer, and refuses a batch before writing any of it.
 	$(GO) test -run 'TestD2HSpanSealsIntoOneHostBuffer|TestD2HSpanBufferHeldOnceTapped|TestSealBatchInto' ./internal/core/ ./internal/secmem/
-# Command runs: the device fetches each run of command slots with one
-# read, and the SC answers only a read of one whole run whose record is
-# fresh, verifying the bytes it serves and keeping none; the host segment
-# carries the rows it did when the device read a slot at a time (the wire
-# ledger's command-run rows, the same runs on both segments). The fuzz
-# aims any read at a ring with any queued records: served whole and
-# verified, or refused with no fetch (or one, for a run that fails its
-# MAC).
+# Command runs: a submission's runs ride its sealed span as run entries,
+# the device reads each run of command slots with one read (two where it
+# wraps the ring), and the SC answers only the next read of a whole run
+# it holds, from the bytes the entries carried, keeping none once served
+# and none past the doorbell's reap; no command run crosses the
+# host segment (the wire ledger's protected shapes have no command-run
+# row). The fuzz aims any read at a ring with any run entries: served
+# whole as carried, or refused, with no host fetch either way.
 	$(GO) test -run 'TestWireLedger|TestVerifiedRead|TestVerifiedRun|TestVerifiedRegionSync|TestKickReMACsRemainder' ./ ./internal/core/ ./internal/adaptor/
 	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=10s ./internal/core/
 # The one A2 read path: the SC decrypts a device read of 1 to 16 chunks
@@ -121,9 +126,9 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # never miss a live stream or unit and never return a destroyed stream
 # while Activate, Rekey, DestroyAll and AddUnit churn; a stream's Epoch,
 # Remaining and Fence.Valid stay exact across a concurrent Rekey; and
-# MACSum never answers under a key a Destroy was zeroing.
+# GMAC never answers under a key a DestroyAll was zeroing.
 	$(GO) test -run 'TestBusRoutesByAddress|TestBusDetach|TestIOMMUPermissionEnforcement|TestHostBuffersReleasedAfterWork|TestSpaceAllocFreeAllocatesOneObject' ./ ./internal/pcie/ ./internal/mem/
-	$(GO) test -race -run 'TestLockFreeReadersUnderChurn|TestSnapshotReadersUnderChurn|TestStreamReadersExactAcrossRekey|TestMACSumUnderKeyChurn' ./internal/mem/ ./internal/core/ ./internal/secmem/
+	$(GO) test -race -run 'TestLockFreeReadersUnderChurn|TestSnapshotReadersUnderChurn|TestStreamReadersExactAcrossRekey|TestGMACUnderKeyChurn' ./internal/mem/ ./internal/core/ ./internal/secmem/
 # One record per live region: nothing the SC held for a region outlives
 # its release — no progress count after 50 tasks, none carried into a
 # reinstall under the same ID, no tag or metadata write for a region

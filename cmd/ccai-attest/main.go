@@ -141,7 +141,7 @@ func main() {
 	fmt.Println("   ④ report verified: nonce fresh, signatures valid, PCRs golden")
 
 	step("workload key delivery")
-	bundle := attest.NewKeyBundle([]string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO, core.KeyRingSeal})
+	bundle := attest.NewKeyBundle([]string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.KeyRingSeal})
 	sealed, err := verifier.Seal(bundle)
 	if err != nil {
 		die(err)

@@ -76,6 +76,11 @@ func counted(warm, n int, op func() error) (sites, error) {
 			lockcount.Enable(false)
 			return nil, err
 		}
+		// Let the resident inference worker park before the next op
+		// queues its first step: the one proc otherwise decides by timing
+		// whether the worker's sched.(*Fair).Next finds that step at once
+		// or parks and takes its lock again on the wake.
+		runtime.Gosched()
 	}
 	lockcount.Enable(false)
 	return snapshot().per(float64(n)), nil
@@ -209,6 +214,9 @@ func decodeStepCount() (sites, error) {
 			if n != cfg.Chunks() {
 				return fmt.Errorf("session streamed %d chunks, want %d", n, cfg.Chunks())
 			}
+			// Likewise before Close: its flow release wakes the worker,
+			// parked after the last step, for one more empty pass.
+			runtime.Gosched()
 			return nil
 		}
 	}

@@ -125,7 +125,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "PCIe-SC statistics:")
 		fmt.Fprintf(stdout, "  filter: %d dropped, %d A2-protected, %d A3-verified, %d A4-passed\n",
 			st.Filter.Dropped, st.Filter.Protected, st.Filter.Verified, st.Filter.Passed)
-		fmt.Fprintf(stdout, "  handlers: %d chunks decrypted, %d encrypted, %d MACs verified, %d auth failures\n",
+		fmt.Fprintf(stdout, "  handlers: %d chunks decrypted, %d encrypted, %d A3 slots and writes verified, %d auth failures\n",
 			st.DecryptedChunks, st.EncryptedChunks, st.VerifiedChunks, st.AuthFailures)
 	}
 	if *metrics {

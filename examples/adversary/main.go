@@ -69,13 +69,9 @@ func main() {
 		defer p.Close()
 		t := &attack.Tamperer{Match: func(pk *pcie.Packet) bool {
 			// Target ciphertext completions toward the SC. Submission-ring
-			// fetches are whole RingSlotSize slots, each a chain of entries
-			// (core.CutRingEntry), and are skipped: a flip in an entry's
-			// framing is the separate fail-closed path, one in a sealed
-			// entry a config reject, and one in a slot's unused tail would
-			// make the scenario vacuous.
-			return pk.Kind == pcie.CplD && pk.Requester == ccai.SCID &&
-				len(pk.Payload)%core.RingSlotSize != 0
+			// fetches are skipped: a flip anywhere in a sealed span is the
+			// separate fail-closed path, refused whole by the span's seal.
+			return pk.Kind == pcie.CplD && pk.Requester == ccai.SCID && pk.Role == pcie.RoleH2DData
 		}, Count: 1}
 		p.Host.AddTap(t)
 		out, err := p.RunTask(ccai.Task{Input: secret, Kernel: ccai.KernelAdd, Param: 0})

@@ -50,6 +50,6 @@ func main() {
 	fmt.Printf("workload residue on the device after teardown: %v\n", plat.Device.MemResidue())
 
 	st := plat.SC.Stats()
-	fmt.Printf("PCIe-SC: %d chunks decrypted, %d encrypted, %d MACs verified, %d packets dropped\n",
+	fmt.Printf("PCIe-SC: %d chunks decrypted, %d encrypted, %d A3 slots and writes verified, %d packets dropped\n",
 		st.DecryptedChunks, st.EncryptedChunks, st.VerifiedChunks, st.Filter.Dropped)
 }

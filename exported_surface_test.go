@@ -24,6 +24,7 @@ var surfaceSeams = map[string]string{
 	"(*attack.Snooper).Packets":      "the protocol model judges each op's host-segment packets",
 	"(*attack.Snooper).Reset":        "the protocol model clears the capture between ops",
 	"(*core.Controller).D2HProgress": "the D2H burst and release cells hold what the SC published to it",
+	"(*core.Controller).HeldRuns":    "sliceHygiene and the protocol model count the command runs no device read has taken",
 	"(*core.Controller).PendingTags": "sliceHygiene and the protocol model count the records no read has taken",
 	"(*core.Controller).Regions":     "sliceHygiene and the protocol model count the SC's region records",
 	"(*core.ParamsManager).Active":   "sliceHygiene: a torn-down slice holds no stream context",
@@ -46,7 +47,6 @@ var surfaceSeams = map[string]string{
 	"leakcheck.Main":                 "TestMain of the root package and internal/adaptor",
 	"obsv.SymbolCount":               "TestSymbolTableBounded holds the symbol table to MaxSymbols",
 	"pcie.ArenaBlocks":               "TestPacketRecyclingRespectsTaps holds packet blocks flat",
-	"secmem.MAC":                     "the A3 cells compute the expected tag independently of the KeyStore",
 }
 
 // TestExportedSurfaceIsCalled type-checks every package of the module —

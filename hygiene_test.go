@@ -14,9 +14,9 @@ func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // sliceHygiene checks, when the test ends and before its Close, that a
 // slice still trusted holds what bring-up left it — the same SC regions
-// (the command ring), no pending tag, the same live host buffers — and
-// that a slice whose session is gone holds no region, no stream context
-// and no key on either end. Tests that leave state behind on purpose
+// (the command ring), no pending tag, no held command run, the same live
+// host buffers — and that a slice whose session is gone holds no region,
+// no held run, no stream context and no key on either end. Tests that leave state behind on purpose
 // say so in their name and do not build their slice this way. lock
 // serializes with the slice's owner (nil for a Platform).
 func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space) {
@@ -30,13 +30,13 @@ func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space
 		slice := strings.TrimSpace("slice " + pl.tenant)
 		live := pl.trusted
 		switch {
-		case live && (pl.SC.Regions() != regions || pl.SC.PendingTags() != 0):
-			t.Errorf("trusted %s holds %d SC regions and %d pending tags, want %d and 0",
-				slice, pl.SC.Regions(), pl.SC.PendingTags(), regions)
-		case !live && (pl.SC.Regions() != 0 || pl.SC.Params().Active() != 0 ||
+		case live && (pl.SC.Regions() != regions || pl.SC.PendingTags() != 0 || pl.SC.HeldRuns() != 0):
+			t.Errorf("trusted %s holds %d SC regions, %d pending tags and %d held runs, want %d, 0 and 0",
+				slice, pl.SC.Regions(), pl.SC.PendingTags(), pl.SC.HeldRuns(), regions)
+		case !live && (pl.SC.Regions() != 0 || pl.SC.HeldRuns() != 0 || pl.SC.Params().Active() != 0 ||
 			pl.scKeys.Count() != 0 || pl.tvmKeys.Count() != 0):
-			t.Errorf("torn-down %s holds %d regions, %d stream contexts, %d+%d keys",
-				slice, pl.SC.Regions(), pl.SC.Params().Active(), pl.scKeys.Count(), pl.tvmKeys.Count())
+			t.Errorf("torn-down %s holds %d regions, %d held runs, %d stream contexts, %d+%d keys",
+				slice, pl.SC.Regions(), pl.SC.HeldRuns(), pl.SC.Params().Active(), pl.scKeys.Count(), pl.tvmKeys.Count())
 		}
 		// A failed re-trust gives the dead session's command ring back
 		// before staging its own: a slice with no session may hold fewer.

@@ -433,16 +433,17 @@ func dropChunkViews(pts, aads [][]byte, aadAll []byte) {
 
 // StageVerified stages plaintext the device may read under action A3
 // (e.g. the command ring): the data sits in the clear, and the device
-// reads only runs of chunks SyncVerified posted a one-shot MAC record
-// for.
+// reads only runs of chunks SyncVerified carried to the SC. A run entry
+// carries at least one chunk, so a chunk is at most RingMaxData less the
+// run header.
 func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Region, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.config == nil {
 		return nil, errNoSession
 	}
-	if chunkSize == 0 || chunkSize > pcie.MaxReadReq {
-		return nil, fmt.Errorf("adaptor: verified region chunk size %d outside (0, %d]", chunkSize, pcie.MaxReadReq)
+	if chunkSize == 0 || chunkSize > core.RingMaxData-core.RunHdrSize {
+		return nil, fmt.Errorf("adaptor: verified region chunk size %d outside (0, %d]", chunkSize, core.RingMaxData-core.RunHdrSize)
 	}
 	sp := a.obs.tracer.Start(siteStageVerified, a.obs.regionName(name), keyBytes.I64(size))
 	defer sp.End()
@@ -467,59 +468,47 @@ func (a *Adaptor) StageVerified(name string, size int64, chunkSize uint32) (*Reg
 	return r, nil
 }
 
-// SyncVerified posts the MAC records that let the device read the given
-// chunk indices of an A3 region; the driver (via the platform hook) calls
-// this right before ringing a doorbell that will make the device read
-// those chunks. Consecutive indices form a run — a submission is one,
-// two when it wraps the region — and a run gets one record: its MAC
-// binds the region, the first slot, the length and the run's bytes
-// (core.PutRunMACHeader), and the SC fetches and verifies the run as a
-// unit. A record names its run's first slot in its counter field and
-// its length in its epoch field; each entry is positioned at the region
-// and its first run. The records are queued, not published: they ride
-// the ring burst of the guarded doorbell write that follows, ahead of
-// it, so they reach the SC before the device's first read without a
-// doorbell of their own.
+// SyncVerified carries the given chunk indices of an A3 region to the
+// SC, for the device to read them; the driver (via the platform hook)
+// calls this right before ringing a doorbell that will make the
+// device read those chunks. Consecutive indices form a run — a
+// submission is one, its chunks going on at 0 past the region's end —
+// and the device reads a run whole, in two reads when it wraps the
+// region. A run rides as run entries (core.RingOpRun), each
+// positioned at the region and the first chunk it carries and headed
+// by the run's length, as many chunks an entry as fit one: where a
+// run wraps costs no entry of its own. The SC holds what the sealed
+// entries carried and serves the device's read from it. The entries
+// are queued, not published: they ride the ring burst of the guarded
+// doorbell write that follows, ahead of it, so they reach the SC
+// before the device's first read without a doorbell of their own.
 func (a *Adaptor) SyncVerified(r *Region, chunks []uint32) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Start(siteSyncVerified,
 		keyRegion.U64(uint64(r.Desc.ID)), keyChunks.I64(int64(len(chunks))))
 	defer sp.End()
-	cs := r.Desc.ChunkSize
-	maxRun := min(core.MaxRunSlots, pcie.MaxReadReq/int(cs))
-	var entry [core.RingMaxData]byte // one tag entry's worth of records
-	payload, at := entry[:0], uint32(0)
+	cs, slots := int(r.Desc.ChunkSize), uint32(r.Desc.Len/uint64(r.Desc.ChunkSize))
+	maxRun, per := min(core.MaxRunSlots, pcie.MaxReadReq/cs), (core.RingMaxData-core.RunHdrSize)/cs
+	var entry [core.RingMaxData]byte
 	for len(chunks) > 0 {
 		n := 1
-		for n < len(chunks) && n < maxRun && chunks[n] == chunks[n-1]+1 {
+		for n < len(chunks) && n < maxRun && chunks[n] == (chunks[n-1]+1)%slots {
 			n++
 		}
-		first, size := chunks[0], uint32(n)*cs
-		var hdr [16]byte
-		core.PutRunMACHeader(&hdr, r.Desc.ID, first, uint32(n), size)
-		mac, err := a.keys.MACSum(core.StreamMMIO, hdr[:], r.Buf.Slice(int64(first)*int64(cs), int64(size)))
-		if err != nil {
-			return fmt.Errorf("adaptor: %w", err)
-		}
-		rec := core.TagRecord{Stream: core.StreamA3Run, Chunk: first, Epoch: uint32(n)}
-		copy(rec.Tag[:], mac[:secmem.TagSize])
-		if len(payload)+core.TagRecordSize > len(entry) {
-			if err := a.ringPush(core.RingOpTags, core.ArmPosition(r.Desc.ID, at), payload); err != nil {
+		binary.LittleEndian.PutUint32(entry[:], uint32(n))
+		for at := 0; at < n; at += per {
+			m := core.RunHdrSize
+			for _, c := range chunks[at:min(at+per, n)] {
+				m += copy(entry[m:], r.Buf.Slice(int64(c)*int64(cs), int64(cs)))
+			}
+			if err := a.ringPush(core.RingOpRun, core.ArmPosition(r.Desc.ID, chunks[at]), entry[:m]); err != nil {
 				return err
 			}
-			payload = entry[:0]
 		}
-		if len(payload) == 0 {
-			at = first
-		}
-		payload = rec.AppendMarshal(payload)
 		chunks = chunks[n:]
 	}
-	if len(payload) == 0 {
-		return nil
-	}
-	return a.ringPush(core.RingOpTags, core.ArmPosition(r.Desc.ID, at), payload)
+	return nil
 }
 
 // PrepareD2H allocates a result bounce region plus its tag table and

@@ -176,7 +176,7 @@ func newRig(t testing.TB) (*rig, *stubXPU) {
 
 	// Shared key material.
 	tvmKeys := secmem.NewKeyStore()
-	for _, s := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO, core.KeyRingSeal} {
+	for _, s := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.KeyRingSeal} {
 		key, nonce := secmem.FreshKey(), secmem.FreshNonce()
 		if err := scKeys.Install(s, key, nonce); err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func newRig(t testing.TB) (*rig, *stubXPU) {
 		if err := tvmKeys.Install(s, key, nonce); err != nil {
 			t.Fatal(err)
 		}
-		if s != core.StreamMMIO && s != core.KeyRingSeal {
+		if s != core.KeyRingSeal {
 			if err := sc.Params().Activate(s); err != nil {
 				t.Fatal(err)
 			}
@@ -434,9 +434,11 @@ func TestInstallRuleTakesEffect(t *testing.T) {
 	}
 }
 
-// TestVerifiedRegionSync: SyncVerified posts one MAC record per run of
-// consecutive slots — a wrap splits a run — and the SC answers a device
-// read of a whole run, once, with one fetch and one verification.
+// TestVerifiedRegionSync: SyncVerified carries each run of consecutive
+// slots to the SC as run entries — a wrap splits a run — and the SC
+// answers a device read of a whole run, once, from what the entries
+// carried: no host fetch, and a slot the host rewrote since reaches
+// nobody.
 func TestVerifiedRegionSync(t *testing.T) {
 	r, dev := newRig(t)
 	region, err := r.adaptor.StageVerified("ring", 512, 64)
@@ -453,8 +455,8 @@ func TestVerifiedRegionSync(t *testing.T) {
 		}
 		return p
 	}))
-	// sync posts the records and rings the doorbell they ride; it returns
-	// how many records the SC holds for the region afterwards.
+	// sync queues the runs and rings the doorbell they ride; it returns
+	// how many runs the SC holds afterwards.
 	reg := uint64(0x10)
 	sync := func(chunks ...uint32) int {
 		t.Helper()
@@ -468,44 +470,48 @@ func TestVerifiedRegionSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg += 8
-		return r.sc.PendingTags()
+		return r.sc.HeldRuns()
 	}
 	read := func(slot, n int) bool {
 		t.Helper()
+		want := bytes.Clone(region.Buf.Bytes()[slot*64 : (slot+n)*64])
+		clear(region.Buf.Bytes()[slot*64 : (slot+n)*64]) // the host rewrites the run after its entries went out
 		got, ok := dev.dmaRead(region.Buf.Base()+uint64(slot)*64, int64(n)*64)
-		if ok && !bytes.Equal(got, region.Buf.Bytes()[slot*64:(slot+n)*64]) {
-			t.Fatalf("verified read of slots %d..%d returned wrong bytes", slot, slot+n-1)
+		copy(region.Buf.Bytes()[slot*64:], want)
+		if ok && !bytes.Equal(got, want) {
+			t.Fatalf("verified read of slots %d..%d returned other bytes than the entries carried", slot, slot+n-1)
 		}
 		return ok
 	}
 
 	if got := sync(1, 2, 3); got != 1 {
-		t.Fatalf("%d records pending for one run of three, want 1", got)
+		t.Fatalf("%d runs held for one run of three, want 1", got)
 	}
-	if !read(1, 3) || fetches != 1 {
-		t.Fatalf("a run of three read whole: %d host fetches, want 1", fetches)
+	if !read(1, 3) {
+		t.Fatal("a run of three refused")
 	}
-	// One-shot: a served run needs a fresh record; an unsynced slot never
+	// One-shot: a served run needs fresh entries; an unsynced slot never
 	// had any.
-	if read(1, 3) || read(0, 1) || fetches != 1 {
+	if read(1, 3) || read(0, 1) {
 		t.Fatal("a served run or an unsynced slot was readable")
 	}
-	// Whole: half a run is refused unfetched and spends its record.
+	// Whole: half a run is refused and drops the run.
 	if got := sync(4, 5, 6, 7); got != 1 {
-		t.Fatalf("%d records pending for one run of four, want 1", got)
+		t.Fatalf("%d runs held for one run of four, want 1", got)
 	}
-	if read(4, 2) || read(4, 4) || fetches != 1 {
-		t.Fatal("half a run was answered, or left its record behind")
+	if read(4, 2) || read(4, 4) || r.sc.HeldRuns() != 0 {
+		t.Fatal("half a run was answered, or left its run behind")
 	}
-	if sync(4, 5, 6, 7); !read(4, 4) || fetches != 2 {
-		t.Fatalf("a run of four synced again and read whole: %d host fetches, want 2 in all", fetches)
+	if sync(4, 5, 6, 7); !read(4, 4) {
+		t.Fatal("a run of four synced again was refused")
 	}
-	// A submission that wraps the region is two runs.
-	if got := sync(6, 7, 0); got != 2 {
-		t.Fatalf("%d records pending for a wrapping submission, want 2", got)
+	// A submission that wraps the region is one run, which the device
+	// reads in two.
+	if got := sync(6, 7, 0); got != 1 {
+		t.Fatalf("%d runs held for a wrapping submission, want 1", got)
 	}
-	if !read(6, 2) || !read(0, 1) || fetches != 4 {
-		t.Fatalf("wrapping submission: %d host fetches, want 4 in all", fetches)
+	if !read(6, 2) || !read(0, 1) || fetches != 0 || r.sc.HeldRuns() != 0 {
+		t.Fatalf("wrapping submission: %d host fetches, %d runs held; want 0 and 0", fetches, r.sc.HeldRuns())
 	}
 	if st := r.sc.Stats(); st.VerifiedChunks != 3+4+3+4 { // slots served, and four guarded writes
 		t.Fatalf("VerifiedChunks = %d, want 14", st.VerifiedChunks)

@@ -29,8 +29,9 @@ func (tw *ringTagTap) Tap(p *pcie.Packet) *pcie.Packet {
 	}
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
-	for slot := p.Payload; len(slot) >= core.RingSlotSize; slot = slot[core.RingSlotSize:] {
-		for rest := slot[:core.RingSlotSize]; rest != nil; {
+	// The fetch's last slot stops at the span's end.
+	for at := 0; at < len(p.Payload); at += core.RingSlotSize {
+		for rest := p.Payload[at:min(at+core.RingSlotSize, len(p.Payload))]; rest != nil; {
 			e, next, ok := core.CutRingEntry(rest)
 			if !ok {
 				break

@@ -19,7 +19,7 @@ import (
 // operation costs a plain memory write plus its share of one doorbell,
 // which is where the §5 I/O-reduction comes from. Staging posts its
 // entries too, so a submission's one doorbell publishes its regions,
-// run records and guarded writes together. Every flush first closes its
+// command runs and guarded writes together. Every flush first closes its
 // stretch of the ring with a seal entry, a GMAC the SC checks before it
 // acts on any entry (core/ring.go). The SC consumes synchronously on the
 // doorbell, DMA-writes its head back into the ring header, and raises
@@ -34,7 +34,7 @@ var ErrRingDesync = errors.New("adaptor: submission ring desync; session torn do
 // carries one entry of up to a full TLP payload, or a chain of smaller
 // ones: the ~29 tag packets of a 64 KiB staged transfer, each near a
 // full TLP, take a slot apiece, while a decode step's five entries and
-// its seal share one. A 64 KiB task's submission fills 31 slots under
+// its seal share two. A 64 KiB task's submission fills 31 slots under
 // one doorbell and its releases one more under a second, so a burst
 // never needs the ring-full flush.
 const ringSlots = 64
@@ -52,6 +52,7 @@ type submitRing struct {
 	lastHead uint64 // highest SC head ever confirmed; regression = fail closed
 	fill     int    // bytes in use of slot tail-1 while it is open; 0 once a doorbell published it
 	last     int    // offset in the open slot of its last entry's header
+	end      int    // bytes of slot tail-1 through the last seal: where the SC's fetch stops
 }
 
 // slot is slot index i's bytes; its mirror copy, when it has one, is the
@@ -141,12 +142,13 @@ func (a *Adaptor) sealLocked() error {
 	if mirror != nil {
 		copy(mirror[r.last+core.RingEntryHdrSize:], tag)
 	}
-	r.sealed = r.tail
+	r.sealed, r.end = r.tail, r.fill
 	return nil
 }
 
 // flushRingLocked seals and publishes the pending burst: one doorbell
-// MMIO write with the absolute tail, then the ring header is inspected
+// MMIO write with the absolute tail and the bytes of its last slot
+// through the seal (core.RingDoorbell), then the ring header is inspected
 // for the outcome. A raised status word means the SC refused the span's
 // framing or seal — that is not retryable, the session fails closed. A
 // head that did not reach the tail means the doorbell (or the SC's span
@@ -170,7 +172,7 @@ func (a *Adaptor) flushRingLocked() error {
 	r.fill = 0 // published: the next entry opens a fresh slot
 	for attempt := 0; ; attempt++ {
 		a.obs.ringDoorbells.Inc()
-		a.mmioWrite64(pcie.RoleRingDoorbell, core.RegRingDoorbell, r.tail)
+		a.mmioWrite64(pcie.RoleRingDoorbell, core.RegRingDoorbell, core.RingDoorbell(r.tail, r.end))
 		if status, err := a.space.ReadUint64(r.buf.Base() + 8); err == nil && status != 0 {
 			a.rec.FailClosed++
 			a.rec.LastFailure = "submission ring desync"

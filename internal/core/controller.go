@@ -16,8 +16,8 @@ import (
 
 // PCIe-SC control register offsets within its own 4 KB Upstream BAR
 // (§7.2: "we allocate a 4KB Upstream Bar space on the PCIe-SC"). This is
-// the whole map: sealed configuration, tag and MAC records and notifies
-// have no register — they arrive as submission-ring entries (ring.go) —
+// the whole map: sealed configuration, tag records, command runs and
+// notifies have no register — they arrive as submission-ring entries (ring.go) —
 // and a write to any other offset is a config reject.
 const (
 	RegSCStatus     = 0x000 // RO: status bits
@@ -225,14 +225,13 @@ func (c *Controller) authFailed() {
 // tagMatchLocked takes the pending records of entries first, first+1,
 // … of r's tag table — one chunk's or a whole read's — into recs and
 // have in one tag_match span; a nil r (a region released under the
-// read) holds none. stream is the records' stream symbol and ctr the
-// first one's IV counter (an A3 run's: its first slot), the span's
-// attributes. It reports whether every record was on hand. Callers hold
+// read) holds none. ctr is the first record's IV counter, a span
+// attribute. It reports whether every record was on hand. Callers hold
 // c.mu.
-func (c *Controller) tagMatchLocked(r *region, stream obsv.Sym, ctr, first uint32, recs []TagRecord, have []bool) bool {
+func (c *Controller) tagMatchLocked(r *region, ctr, first uint32, recs []TagRecord, have []bool) bool {
 	var sp obsv.ActiveSpan
 	if tr := c.tracer; tr != nil {
-		sp = tr.Start(siteTagMatch, keyStream.Str(stream),
+		sp = tr.Start(siteTagMatch, keyStream.Str(symStreamH2D),
 			keyChunk.U64(uint64(ctr)), keyChunks.I64(int64(len(recs))))
 	}
 	all := true
@@ -243,15 +242,6 @@ func (c *Controller) tagMatchLocked(r *region, stream obsv.Sym, ctr, first uint3
 	sp.Set(keyMatched.Bool(all))
 	sp.End()
 	return all
-}
-
-// runMatchLocked is tagMatchLocked for the one record of the A3 run at
-// slot first.
-func (c *Controller) runMatchLocked(r *region, first uint32) (TagRecord, bool) {
-	var rec [1]TagRecord
-	var have [1]bool
-	c.tagMatchLocked(r, symStreamA3Run, first, first, rec[:], have[:])
-	return rec[0], have[0]
 }
 
 // NewController builds a PCIe-SC with the given identity and control
@@ -302,6 +292,19 @@ func (c *Controller) PendingTags() int {
 	n := 0
 	for _, r := range c.sess.regions {
 		n += r.pending
+	}
+	return n
+}
+
+// HeldRuns reports the command runs the SC holds that no device read has
+// taken yet, over every live A3 region. A test seam for sliceHygiene and
+// the protocol model: a slice at rest holds none.
+func (c *Controller) HeldRuns() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, r := range c.sess.regions {
+		n += len(r.runs)
 	}
 	return n
 }
@@ -513,11 +516,8 @@ func (c *Controller) handleControl(p *pcie.Packet) *pcie.Packet {
 // zero, and an entry whose arg is zero names no region.
 func ArmPosition(region, slot uint32) uint64 { return uint64(region)<<32 | uint64(slot) }
 
-// Wire stream hashes of the two record streams a region takes.
-var (
-	hashH2D   = hashStream(StreamH2D)
-	hashA3Run = hashStream(StreamA3Run)
-)
+// hashH2D is the wire stream hash of the records an H2D region takes.
+var hashH2D = hashStream(StreamH2D)
 
 // ingestTags stores a tag entry's records on the region its position
 // (ArmPosition) names, one critical section for the entry. Record i of
@@ -525,11 +525,10 @@ var (
 // region it must carry counter FirstCounter+first+i; in a step window
 // (DESIGN.md §16) it arms slot first+i with the counter it carries,
 // which a slot the device already consumed refuses unless it is the
-// counter the slot was armed with. An A3 region takes run records, each
-// at the slot its counter names (the run's first). A record must carry
-// the hash of the stream its region's class implies — StreamH2D for an
-// A2 region, StreamA3Run for an A3 one — and fit the region's table. A
-// D2H region takes none, and an arg of 0 names no region. A refused
+// counter the slot was armed with. A record must carry StreamH2D's hash
+// and fit the region's table. Only an A2 H2D region takes records — an
+// A3 region takes run entries (region.hold) — and an arg of 0 names no
+// region. A refused
 // record is a config reject and stops the entry where it stands, the
 // records before it stored. The span's seal vouched for the entry's
 // bytes; the records are still checked on use — a forged counter on a
@@ -571,15 +570,11 @@ func (c *Controller) ingestTags(pos uint64, payload []byte) {
 
 // admit reports at which entry of r's tag table a record with wire
 // stream hash h goes — index, its place in the entry plus the entry's
-// first index, or an A3 run's first slot — and names the record's
-// stream; false when r may not take it (ingestTags). It is nil-safe.
+// first index — and names the record's stream; false when r may not
+// take it (ingestTags). It is nil-safe.
 func (r *region) admit(index uint64, h uint32, rec *TagRecord) (uint32, bool) {
-	if r == nil || r.desc.Dir != DirH2D {
+	if r == nil || r.desc.Dir != DirH2D || r.desc.Class != ActionWriteReadProtect {
 		return 0, false
-	}
-	if r.desc.Class == ActionWriteProtect {
-		rec.Stream = StreamA3Run
-		return rec.Chunk, h == hashA3Run && uint64(rec.Chunk) < uint64(len(r.recs))
 	}
 	rec.Stream = StreamH2D
 	ok := h == hashH2D && index < uint64(len(r.recs))
@@ -633,7 +628,9 @@ func (c *Controller) install(d Descriptor) bool {
 		r = new(region)
 	}
 	r.desc = d
-	if d.Dir == DirH2D {
+	if d.Dir == DirH2D && d.Class == ActionWriteProtect {
+		r.held = slices.Grow(r.held, int(d.Len))[:d.Len]
+	} else if d.Dir == DirH2D {
 		n := chunkCount(d)
 		r.recs = slices.Grow(r.recs, n)[:n]
 	}
@@ -644,7 +641,7 @@ func (c *Controller) install(d Descriptor) bool {
 
 // releaseRegion unlinks one region's record — the ring's release op —
 // and with it everything the SC held for the region, its tag records
-// included. An ID no live region has releases nothing.
+// and held runs included. An ID no live region has releases nothing.
 func (c *Controller) releaseRegion(id uint32) {
 	c.mu.Lock()
 	var gone *region
@@ -668,7 +665,8 @@ func (c *Controller) retire(rs ...*region) {
 			c.finishSpan(r.ws, false)
 		}
 		clear(r.recs)
-		*r = region{tags: tagSpan{buf: r.tags.buf[:0]}, recs: r.recs[:0]}
+		clear(r.held)
+		*r = region{tags: tagSpan{buf: r.tags.buf[:0]}, recs: r.recs[:0], runs: r.runs[:0], held: r.held[:0]}
 	}
 	c.mu.Lock()
 	for _, r := range rs {
@@ -780,13 +778,6 @@ func (c *Controller) applyRekeyFrame(frame []byte) {
 		// Rotating the config stream itself would let one sealed blob
 		// hand control to a new key without attestation; refuse.
 		c.configReject()
-		return
-	}
-	if rc.Stream == StreamMMIO {
-		// MMIO MACs use raw key material, not a stream context.
-		if err := c.params.keys.Install(rc.Stream, rc.Key, rc.Nonce); err != nil {
-			c.configReject() // bad key material
-		}
 		return
 	}
 	if err := c.params.Rekey(rc.Stream, rc.Key, rc.Nonce); err != nil {
@@ -972,7 +963,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 	// Chunk i is bytes [lo, hi) of both the fetched ciphertext and pt.
 	bounds := func(i int) (lo, hi uint64) { return uint64(i) * cs, min(uint64(i+1)*cs, n) }
 	c.mu.Lock()
-	all := c.tagMatchLocked(c.sess.of(desc), symStreamH2D, ctrs[0], first, recs, have)
+	all := c.tagMatchLocked(c.sess.of(desc), ctrs[0], first, recs, have)
 	c.mu.Unlock()
 	// Plaintext destined for the device-facing completion: arena-carved
 	// when the device returns completion payloads to the pool, else
@@ -1100,87 +1091,49 @@ func (c *Controller) duplicateRead() {
 }
 
 // MaxRunSlots bounds a verified run, in slots; MaxReadReq bounds it in
-// bytes, so one device read fetches a whole run.
+// bytes, so one device read takes a whole run.
 const MaxRunSlots = 64
 
-// PutRunMACHeader writes the header both ends authenticate ahead of a
-// verified run's bytes: region, first slot, run length, byte count.
-func PutRunMACHeader(buf *[16]byte, region, first, n, size uint32) {
-	binary.LittleEndian.PutUint32(buf[0:], region)
-	binary.LittleEndian.PutUint32(buf[4:], first)
-	binary.LittleEndian.PutUint32(buf[8:], n)
-	binary.LittleEndian.PutUint32(buf[12:], size)
-}
+// RunHdrSize is a run entry's header: the run's length in slots,
+// little-endian, ahead of the slots the entry carries.
+const RunHdrSize = 4
 
 // verifiedRead services a device read of an A3 H2D region (the command
-// ring). A submission's slots are authenticated as one run, and the
-// device reads a run whole: the SC answers a read only when a fresh run
-// record sits at its first slot of the region's tag table and names
-// exactly the read's slot count (a run record's epoch field).
-// It then fetches the run from host memory with one read and verifies
-// the one MAC over the very buffer it serves, one only the SC holds — what
-// the device executes is byte for byte what was verified, with no window
-// between the check and a copy — and the SC keeps nothing.
-// Any other read — part of a run, two runs, more than a run, a run
-// already served, a slot no record names — is an auth failure without a
-// host fetch, and spends the record it found. A fetch that fails spends
-// nothing.
+// ring). The device reads a submission's run whole — in two reads when
+// it wraps the region's end, where the device cuts its reads — and the
+// SC answers a read only when it is exactly the next read of a whole
+// held run: it serves the run's held bytes — what the sealed entries
+// carried, not what host memory holds now — and drops the run once all
+// of it is read. Any other read — part of a run, two runs, more than a
+// run, a run already served, a slot no read of a run starts at — is an
+// auth failure, and drops the run it found. Nothing is fetched from the
+// host.
 //
-// Called with c.mu held and r the read's region; the geometry check and
-// the look at the run record run in that section, which it releases
-// before the fetch.
+// Called with c.mu held and r the read's region; it releases c.mu.
 func (c *Controller) verifiedRead(p *pcie.Packet, r *region) *pcie.Packet {
 	desc := r.desc
 	sp := c.tracer.Start(siteVerifiedRead,
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	cs, off, n := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
-	if cs == 0 || n == 0 || off%cs != 0 || n%cs != 0 || n > pcie.MaxReadReq || n/cs > MaxRunSlots || off+n > desc.Len {
-		c.stats.AuthFailures++
-		c.mu.Unlock()
-		return c.reject(p)
-	}
-	first, k := uint32(off/cs), uint32(n/cs)
-	if rec, fresh := r.peek(first); !fresh || rec.Epoch != k {
-		c.runMatchLocked(r, first) // spends the record
-		c.stats.AuthFailures++
-		c.mu.Unlock()
-		return c.reject(p)
-	}
-	c.mu.Unlock()
-	req := c.pkts.MemRead(pcie.RoleCommandRun, c.id, p.Address, p.Length, p.Tag)
-	cpl := c.hostBus.Route(req)
-	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n {
-		return c.reject(p)
-	}
-	// The MAC is taken over the buffer the device gets. On a host bus no
-	// tap ever saw, the fetched payload is the SC's alone and is served as
-	// it is; otherwise a tap may still hold it, so the SC verifies and
-	// serves a copy of its own.
-	run := cpl.Payload[:n]
-	if !c.recycleOn(c.hostBus) {
-		run = c.payloadBuf(int(n), c.internal)
-		copy(run, cpl.Payload)
-	}
-	c.releaseFetch(req, cpl, true)
-	var hdr [16]byte
-	PutRunMACHeader(&hdr, desc.ID, first, k, uint32(n))
-	want, err := c.params.keys.MACSum(StreamMMIO, hdr[:], run)
-	c.mu.Lock()
-	rec, ok := c.runMatchLocked(c.sess.of(desc), first)
-	match := ok && err == nil && rec.Epoch == k
-	for i := 0; i < secmem.TagSize; i++ {
-		if want[i] != rec.Tag[i] {
-			match = false
+	var run []byte
+	if i := r.runAt(uint32(off / cs)); i >= 0 && off%cs == 0 {
+		h := &r.runs[i]
+		if k := min(h.n, r.slots()-h.first); h.have == h.n && n == uint64(k)*cs {
+			run = c.payloadBuf(int(n), c.internal)
+			copy(run, r.held[off:off+n])
+			c.stats.VerifiedChunks += uint64(k)
+			h.first, h.n, h.have = 0, h.n-k, h.have-k // what is left of a run that wraps
+		}
+		if run == nil || h.n == 0 {
+			r.runs = slices.Delete(r.runs, i, i+1)
 		}
 	}
-	if match {
-		c.stats.VerifiedChunks += uint64(k)
-	} else {
+	if run == nil {
 		c.stats.AuthFailures++
 	}
 	c.mu.Unlock()
-	if !match {
+	if run == nil {
 		return c.reject(p)
 	}
 	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, run)

@@ -98,12 +98,34 @@ func sealSpan(keys *secmem.KeyStore, slots []byte, head uint64) ([]byte, uint64)
 }
 
 // publish is the rig's ring producer at its rawest: slot bytes laid down
-// where the SC's next fetch starts, then the doorbell with tail.
-// ctlHostMem serves a read from the exact address of one write, so a
-// burst must be what one SC fetch covers (≤ 15 slots).
-func (r *ctlRig) publish(slots []byte, tail uint64) {
+// where the SC's next fetch starts, then the doorbell with tail and the
+// end of the last slot's chain (doorbell).
+func (r *ctlRig) publish(slots []byte, tail uint64) { r.ring(slots, doorbell(slots, tail)) }
+
+// ring is publish with the doorbell value db as it is. ctlHostMem serves
+// a read from the exact address of one write, so a burst must be what
+// one SC fetch covers (≤ 15 slots).
+func (r *ctlRig) ring(slots []byte, db uint64) {
 	r.hostMem[ctlRing+RingHdrSize+r.tail%ctlRingSlots*RingSlotSize] = slots
-	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, tail)))
+	r.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, db)))
+}
+
+// doorbell is the doorbell value the producer rings for slots up to
+// tail: its end is where the last slot's chain ends — through the seal,
+// when the span is sealed — or the whole slot when that chain does not
+// frame.
+func doorbell(slots []byte, tail uint64) uint64 {
+	last := slots[max(len(slots)-RingSlotSize, 0):]
+	end := len(last)
+	for rest := last; rest != nil; {
+		e, next, ok := CutRingEntry(rest)
+		if !ok {
+			end = len(last)
+			break
+		}
+		end, rest = len(last)-len(rest)+RingEntryHdrSize+len(e.Data), next
+	}
+	return RingDoorbell(tail, end)
 }
 
 // submit publishes well-framed entries as one sealed span.
@@ -516,7 +538,7 @@ func TestControllerUnknownOffsetsRejected(t *testing.T) {
 		{1, 0, 0, 0, 0, 0, 0, 0},
 		d.sealed(t, Rule{ID: 99, Action: ActionPassThrough}.Marshal()), // well sealed, wrong door
 		arm,
-		TagRecord{Stream: StreamMMIO, Chunk: 0}.AppendMarshal(nil), // what the tag window took
+		TagRecord{Stream: StreamConfig, Chunk: 0}.AppendMarshal(nil), // what the tag window took
 	}
 	offsets := []uint64{0x008, 0x010, 0x018, 0x020, 0x040, 0x048, 0x070, 0x0c0, 0x0f8, 0x400, SCBarSize - 8,
 		RegSCStatus, 0x050} // read-only, and an offset no register decodes: not writable either
@@ -597,7 +619,8 @@ func TestControllerRingFraming(t *testing.T) {
 		"oversized length":                 {slots: oversized, tail: 2},
 		"opcode 0":                         {slots: ringEntry{}.slot(), tail: 2},
 		"opcode 8":                         {slots: ringEntry{op: RingOpSeal}.slot(), tail: 2},
-		"opcode 9":                         {slots: ringEntry{op: RingOpSeal + 1}.slot(), tail: 2},
+		"opcode 9":                         {slots: ringEntry{op: RingOpRun}.slot(), tail: 2},
+		"opcode 10":                        {slots: ringEntry{op: RingOpRun + 1}.slot(), tail: 2},
 		"bad entry second":                 {slots: append(ringEntry{op: RingOpNotify}.slot(), flagged(release)...), tail: 3},
 		"bad slot last":                    {slots: append(release.slot(), flagged(ringEntry{op: RingOpNotify})...), tail: 3},
 		"tail behind head":                 {slots: release.slot(), tail: 0},
@@ -607,6 +630,11 @@ func TestControllerRingFraming(t *testing.T) {
 		"wrong tag":                        {slots: wrongTag, tail: 2},
 		"seal over another (head, tail)":   {slots: otherSpan, tail: 2},
 		"replayed a lap of 2^32 on":        {slots: sealed(), tail: lap + 2, head: lap + 1},
+		// The doorbell's end: one byte short of the seal's tag, none, and
+		// a byte past the slot.
+		"end cutting the seal": {slots: sealed(), tail: 2, db: RingDoorbell(2, tag+secmem.TagSize-1)},
+		"end 0":                {slots: sealed(), tail: 2, db: RingDoorbell(2, 0)},
+		"end past the slot":    {slots: sealed(), tail: 2, db: RingDoorbell(2, RingSlotSize+1)},
 	})
 }
 
@@ -657,11 +685,12 @@ func TestControllerRingPackedFraming(t *testing.T) {
 }
 
 // ringCase is slot bytes published behind one clean burst, and the
-// doorbell's tail; head, when set, is where the SC's head is moved
-// first, as if that many slots had been consumed.
+// doorbell's tail — or, when db is set, the doorbell's value as it is;
+// head, when set, is where the SC's head is moved first, as if that many
+// slots had been consumed.
 type ringCase struct {
-	slots      []byte
-	tail, head uint64
+	slots          []byte
+	tail, head, db uint64
 }
 
 // newRingRig is a rig whose first burst, at ring index 0, installed region 1.
@@ -695,7 +724,10 @@ func playRingCases(t *testing.T, cases map[string]ringCase) {
 			if c.head != 0 {
 				head, r.sc.sess.ringHead = c.head, c.head
 			}
-			r.publish(c.slots, c.tail)
+			if c.db == 0 {
+				c.db = doorbell(c.slots, c.tail)
+			}
+			r.ring(c.slots, c.db)
 			if st := r.sc.Stats(); st.ConfigRejects != rejects || word(r, 8) != status || r.sc.sess.ringHead != head || word(r, 0) != 1 {
 				t.Fatalf("%d config rejects, status %d, head %d (posted %d)", st.ConfigRejects, word(r, 8), r.sc.sess.ringHead, word(r, 0))
 			}

@@ -23,32 +23,26 @@ import (
 // stream replicas, so tests can seal/open payloads themselves.
 type dpRig struct {
 	*ctlRig
-	h2dTx  *secmem.Stream
-	d2hRx  *secmem.Stream
-	mmioKy []byte
+	h2dTx *secmem.Stream
+	d2hRx *secmem.Stream
 }
 
 func newDPRig(t *testing.T) *dpRig {
 	t.Helper()
 	r := newCtlRig(t)
 	d := &dpRig{ctlRig: r}
-	for _, s := range []string{StreamH2D, StreamD2H, StreamMMIO} {
+	for _, s := range []string{StreamH2D, StreamD2H} {
 		key, nonce := secmem.FreshKey(), secmem.FreshNonce()
 		if err := r.keys.Install(s, key, nonce); err != nil {
 			t.Fatal(err)
 		}
-		switch s {
-		case StreamH2D:
+		if s == StreamH2D {
 			d.h2dTx, _ = secmem.NewStream(key, nonce)
-		case StreamD2H:
+		} else {
 			d.d2hRx, _ = secmem.NewStream(key, nonce)
-		case StreamMMIO:
-			d.mmioKy = key
 		}
-		if s != StreamMMIO {
-			if err := r.sc.Params().Activate(s); err != nil {
-				t.Fatal(err)
-			}
+		if err := r.sc.Params().Activate(s); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// L1 screens for both parties, then device-side DMA rules.
@@ -339,7 +333,7 @@ func TestGuardedMMIOEnvCheck(t *testing.T) {
 
 // a3Rig is a dpRig with one A3 region of 64-byte slots (a command ring)
 // whose host-memory image the test owns, and a count of the SC's host
-// fetches from it.
+// fetches from it — which the SC, serving held runs, never makes.
 type a3Rig struct {
 	*dpRig
 	desc    Descriptor
@@ -384,16 +378,42 @@ func (a *a3Rig) sync() {
 	}
 }
 
-// post queues the MAC record of run [first, first+n), as the Adaptor's
-// SyncVerified does, over the slots as they are now; claim is the run
-// length the record says it covers.
+// runEntries frames the run of n slots from first, going on at slot 0
+// past the last, as the Adaptor's SyncVerified does — entries of up to
+// three slots, each headed by claim, the run length it names. A first
+// slot past the last stays where it is.
+func runEntries(id, first, n, claim uint32, slots [][]byte) []ringEntry {
+	var es []ringEntry
+	ring := uint32(len(slots))
+	for at := uint32(0); at < n; at += 3 {
+		data := binary.LittleEndian.AppendUint32(nil, claim)
+		for j := at; j < min(at+3, n); j++ {
+			data = append(data, slots[(first+j)%ring]...)
+		}
+		pos := first + at
+		if first < ring {
+			pos %= ring
+		}
+		es = append(es, ringEntry{op: RingOpRun, arg: ArmPosition(id, pos), data: data})
+	}
+	return es
+}
+
+// post hands the SC run [first, first+n), as the slots are now, through
+// the function a ring run entry reaches; claim is the run length the
+// entries name.
 func (a *a3Rig) post(first, n, claim uint32) {
-	var hdr [16]byte
-	PutRunMACHeader(&hdr, a.desc.ID, first, n, n*64)
-	mac := secmem.MAC(a.mmioKy, hdr[:], bytes.Join(a.slots[first:first+n], nil))
-	rec := TagRecord{Stream: StreamA3Run, Chunk: first, Epoch: claim}
-	copy(rec.Tag[:], mac[:secmem.TagSize])
-	a.postTags(a.desc.ID, first, rec)
+	for _, e := range runEntries(a.desc.ID, first, n, claim, a.slots) {
+		a.sc.ringDispatch(e.op, e.arg, e.data)
+	}
+}
+
+// heldAt reports whether the region holds a run starting at slot first.
+func (a *a3Rig) heldAt(first uint32) bool {
+	a.sc.mu.Lock()
+	defer a.sc.mu.Unlock()
+	r := a.sc.sess.of(a.desc)
+	return r != nil && r.runAt(first) >= 0
 }
 
 // readAt is the device reading n bytes at byte offset off of the region;
@@ -409,11 +429,11 @@ func (a *a3Rig) readAt(off, n uint64) []byte {
 // read is the device reading k slots from slot on; nil when refused.
 func (a *a3Rig) read(slot, k uint32) []byte { return a.readAt(uint64(slot)*64, uint64(k)*64) }
 
-// TestVerifiedReadPath: a read covering exactly the run a fresh record
-// names is answered with one host fetch and one verification, byte-exact
-// — 64 B at a time over one-slot runs, 128 B at once over two-slot runs,
-// a 64-slot run in one 4 KiB read — and the SC keeps nothing: the record
-// is spent, so the run read again is an auth failure without a fetch.
+// TestVerifiedReadPath: a read covering exactly a held run is answered
+// from the run, byte-exact, with no host fetch — 64 B at a time over
+// one-slot runs, 128 B at once over two-slot runs, a 64-slot run in one
+// 4 KiB read — and the SC keeps nothing: the run is dropped, so the run
+// read again is an auth failure.
 func TestVerifiedReadPath(t *testing.T) {
 	for name, c := range map[string]struct{ slots, run uint32 }{
 		"64 B at a time": {4, 1},
@@ -431,30 +451,28 @@ func TestVerifiedReadPath(t *testing.T) {
 					t.Fatalf("read of %d slots at %d: %x", c.run, first, got)
 				}
 			}
-			runs := int(c.slots / c.run)
-			if st := a.sc.Stats(); a.fetches != runs || st.VerifiedChunks != uint64(c.slots) || st.AuthFailures != 0 {
-				t.Fatalf("%d host fetches, %d verified slots, %d auth failures; want %d, %d, 0",
-					a.fetches, st.VerifiedChunks, st.AuthFailures, runs, c.slots)
+			if st := a.sc.Stats(); a.fetches != 0 || st.VerifiedChunks != uint64(c.slots) || st.AuthFailures != 0 || st.ConfigRejects != 0 {
+				t.Fatalf("%d host fetches, %d verified slots, %d auth failures, %d config rejects; want 0, %d, 0, 0",
+					a.fetches, st.VerifiedChunks, st.AuthFailures, st.ConfigRejects, c.slots)
 			}
-			if a.read(0, c.run) != nil || a.fetches != runs || a.sc.Stats().AuthFailures != 1 {
-				t.Fatalf("served run read again: %d host fetches, %d auth failures; want %d and 1 (refused)",
-					a.fetches, a.sc.Stats().AuthFailures, runs)
+			if a.read(0, c.run) != nil || a.sc.Stats().AuthFailures != 1 {
+				t.Fatalf("served run read again: %d auth failures; want 1 (refused)", a.sc.Stats().AuthFailures)
 			}
 		})
 	}
 }
 
-// TestVerifiedReadRejects: the SC answers no read but a whole run. Over
-// runs [0,3) and [3,5) of an 8-slot region (128 slots for the oversized
-// read), each read below is exactly one auth failure, with no host fetch
-// and nothing handed to the device.
+// TestVerifiedReadRejects: the SC answers no read but a whole held run.
+// Over runs [0,3) and [3,5) of an 8-slot region (128 slots for the
+// oversized read), each read below is exactly one auth failure, with no
+// host fetch and nothing handed to the device.
 func TestVerifiedReadRejects(t *testing.T) {
 	const over = pcie.MaxReadReq/64 + 1
 	for name, c := range map[string]struct {
 		slots   int
 		prep    func(a *a3Rig) // runs before the counts are taken
 		off, n  uint64         // the read, in bytes
-		nothing bool           // no record may remain at the read's first slot
+		nothing bool           // no run may remain at the read's first slot
 	}{
 		"partial run":          {off: 0, n: 2 * 64, nothing: true},
 		"straddling two runs":  {off: 0, n: 5 * 64, nothing: true},
@@ -462,7 +480,7 @@ func TestVerifiedReadRejects(t *testing.T) {
 		"re-read after served": {prep: func(a *a3Rig) { a.read(0, 3) }, off: 0, n: 3 * 64, nothing: true},
 		"unaligned start":      {off: 32, n: 3 * 64},
 		"ragged length":        {off: 0, n: 3*64 - 1},
-		"past the region end":  {prep: func(a *a3Rig) { a.post(6, 2, 3) }, off: 6 * 64, n: 3 * 64},
+		"past the region end":  {prep: func(a *a3Rig) { a.post(6, 2, 2) }, off: 6 * 64, n: 3 * 64},
 		"no record":            {off: 5 * 64, n: 64, nothing: true},
 		"over MaxReadReq":      {slots: 128, prep: func(a *a3Rig) { a.post(0, over, over) }, off: 0, n: over * 64},
 	} {
@@ -473,57 +491,130 @@ func TestVerifiedReadRejects(t *testing.T) {
 			if c.prep != nil {
 				c.prep(a)
 			}
-			fetches, st := a.fetches, a.sc.Stats()
+			st := a.sc.Stats()
 			if got := a.readAt(c.off, c.n); got != nil {
 				t.Fatalf("served %d bytes", len(got))
 			}
 			after := a.sc.Stats()
-			if a.fetches != fetches || after.AuthFailures != st.AuthFailures+1 || after.VerifiedChunks != st.VerifiedChunks {
+			if a.fetches != 0 || after.AuthFailures != st.AuthFailures+1 || after.VerifiedChunks != st.VerifiedChunks {
 				t.Fatalf("%d host fetches, %d auth failures, %d verified slots; want 0, 1, 0",
-					a.fetches-fetches, after.AuthFailures-st.AuthFailures, after.VerifiedChunks-st.VerifiedChunks)
+					a.fetches, after.AuthFailures-st.AuthFailures, after.VerifiedChunks-st.VerifiedChunks)
 			}
-			if left := a.pendingAt(a.desc.ID, uint32(c.off/64)); c.nothing && left {
-				t.Fatal("the record the read found is still pending")
+			if c.nothing && a.heldAt(uint32(c.off/64)) {
+				t.Fatal("the run the read found is still held")
 			}
 		})
 	}
 }
 
-// TestVerifiedRunTamperRejectsWholeRun: a bit flipped in any slot of a
-// three-slot run after its record was posted fails the one MAC: one host
-// fetch, one auth failure, and none of the three slots reaches the device
-// — not even the untouched ones.
-func TestVerifiedRunTamperRejectsWholeRun(t *testing.T) {
-	for flipped := 0; flipped < 3; flipped++ {
-		a := newA3Rig(t, 4)
-		a.post(0, 3, 3)
-		a.slots[flipped][17] ^= 4
-		a.sync()
-		if a.read(0, 3) != nil {
-			t.Fatalf("bit flipped in slot %d: the run was served", flipped)
-		}
-		if st := a.sc.Stats(); st.VerifiedChunks != 0 || st.AuthFailures != 1 || a.fetches != 1 {
-			t.Fatalf("bit flipped in slot %d: %d verified, %d auth failures, %d fetches; want 0, 1, 1",
-				flipped, st.VerifiedChunks, st.AuthFailures, a.fetches)
+// TestVerifiedReadWrapsRegion: a run that goes on past the region's
+// end at slot 0 — its entries carry it whole, the wrap costing no entry
+// — is held once and served in the two reads the device cuts it into:
+// to the region's end, then from slot 0. Its second read first finds no
+// run and leaves it held; part of its first read drops it. Each refusal
+// is an auth failure.
+func TestVerifiedReadWrapsRegion(t *testing.T) {
+	a := newA3Rig(t, 8)
+	if es := runEntries(a.desc.ID, 6, 3, 3, a.slots); len(es) != 1 {
+		t.Fatalf("a three-slot run wrapping the region rides %d entries, want 1", len(es))
+	}
+	a.post(6, 3, 3)
+	if got := a.read(6, 2); !bytes.Equal(got, bytes.Join(a.slots[6:8], nil)) {
+		t.Fatalf("read to the region's end: %x", got)
+	}
+	if got := a.read(0, 1); !bytes.Equal(got, a.slots[0]) || a.heldAt(0) || a.heldAt(6) {
+		t.Fatalf("read from slot 0: %x, run still held %v", got, a.heldAt(0) || a.heldAt(6))
+	}
+	if st := a.sc.Stats(); st.VerifiedChunks != 3 || st.AuthFailures != 0 || a.fetches != 0 {
+		t.Fatalf("%d verified slots, %d auth failures, %d host fetches; want 3, 0, 0", st.VerifiedChunks, st.AuthFailures, a.fetches)
+	}
+	a.post(6, 3, 3)
+	if a.read(0, 1) != nil || !a.heldAt(6) {
+		t.Fatal("the second read first was served, or dropped the run")
+	}
+	if a.read(6, 1) != nil || a.heldAt(6) || a.read(6, 2) != nil {
+		t.Fatal("part of the first read was served, or left the run held")
+	}
+	if st := a.sc.Stats(); st.AuthFailures != 3 || st.VerifiedChunks != 3 {
+		t.Fatalf("%d auth failures, %d verified slots; want 3 and 3", st.AuthFailures, st.VerifiedChunks)
+	}
+}
+
+// TestVerifiedRunEntriesThroughRing: run entries reach the SC inside a
+// sealed span. A run at the A3 region is held and served whole; an entry
+// positioned at a step window, at no region, or naming a run longer than
+// MaxRunSlots is one config reject each, and holds nothing.
+func TestVerifiedRunEntriesThroughRing(t *testing.T) {
+	a := newA3Rig(t, 8)
+	w := a.installWindow(t, 9, ctlMem+0x4000, 4)
+	a.submit(runEntries(a.desc.ID, 0, 5, 5, a.slots)...)
+	if got := a.read(0, 5); !bytes.Equal(got, bytes.Join(a.slots[:5], nil)) {
+		t.Fatalf("run [0,5) through the ring: %x", got)
+	}
+	refused := []ringEntry{
+		{op: RingOpRun, arg: ArmPosition(w.ID, 0), data: runEntries(a.desc.ID, 0, 1, 1, a.slots)[0].data},
+		{op: RingOpRun, arg: ArmPosition(99, 0), data: runEntries(a.desc.ID, 0, 1, 1, a.slots)[0].data},
+		runEntries(a.desc.ID, 5, 1, MaxRunSlots+1, a.slots)[0],
+	}
+	for i, e := range refused {
+		rejects := a.sc.Stats().ConfigRejects
+		a.submit(e)
+		if a.sc.Stats().ConfigRejects != rejects+1 || a.heldAt(5) || a.heldAt(0) {
+			t.Fatalf("entry %d: %d config rejects, runs held; want 1 and none", i, a.sc.Stats().ConfigRejects-rejects)
 		}
 	}
 }
 
-// TestVerifiedRunMalformedRecord: a record whose run length is zero,
-// runs past the region, or asks for more than one read request or more
-// slots than the SC tracks, is an auth failure without a host fetch —
-// and spent: the read after it finds nothing.
+// TestVerifiedRunTamperRejectsWholeRun: a bit flipped in any slot of a
+// three-slot run's entry on its way to the SC fails the span's seal: the
+// SC refuses the span whole and holds nothing, so none of the three slots
+// reaches the device — not even the untouched ones. A bit flipped in host
+// memory after the entry went out reaches nobody: the device gets the
+// bytes the seal covered.
+func TestVerifiedRunTamperRejectsWholeRun(t *testing.T) {
+	for flipped := 0; flipped < 3; flipped++ {
+		a := newA3Rig(t, 4)
+		slots, tail := a.span(runEntries(a.desc.ID, 0, 3, 3, a.slots)...)
+		slots[RingEntryHdrSize+RunHdrSize+flipped*64+17] ^= 4
+		a.publish(slots, tail)
+		if a.read(0, 3) != nil {
+			t.Fatalf("bit flipped in slot %d: the run was served", flipped)
+		}
+		if st := a.sc.Stats(); st.VerifiedChunks != 0 || st.AuthFailures != 1 || a.fetches != 0 || a.sc.sess.ringHead == tail {
+			t.Fatalf("bit flipped in slot %d: %d verified, %d auth failures, %d fetches, span consumed %v; want 0, 1, 0, false",
+				flipped, st.VerifiedChunks, st.AuthFailures, a.fetches, a.sc.sess.ringHead == tail)
+		}
+	}
+	a := newA3Rig(t, 4)
+	want := bytes.Join(a.slots[:3], nil)
+	a.submit(runEntries(a.desc.ID, 0, 3, 3, a.slots)...)
+	a.slots[1][17] ^= 4
+	a.sync()
+	if got := a.read(0, 3); !bytes.Equal(got, want) || a.fetches != 0 {
+		t.Fatalf("host rewrote slot 1 after the entry: served %x with %d fetches; want the sealed bytes, none", got, a.fetches)
+	}
+}
+
+// TestVerifiedRunMalformedRecord: a run entry positioned past the
+// region, or whose run length is zero, longer than the region, or asks
+// for more than one read request or more slots than the SC tracks, is a
+// config reject and holds nothing: the reads after it are auth failures,
+// with no host fetch.
 func TestVerifiedRunMalformedRecord(t *testing.T) {
 	for name, c := range map[string]struct{ slots, first, claim uint32 }{
-		"length 0":         {8, 0, 0},
-		"past the region":  {8, 6, 3},
-		"over MaxReadReq":  {128, 0, pcie.MaxReadReq/64 + 1},
-		"over MaxRunSlots": {128, 0, MaxRunSlots + 1},
-		"length 2^32-1":    {8, 0, ^uint32(0)},
+		"length 0":               {8, 0, 0},
+		"past the region":        {8, 8, 1},
+		"longer than the region": {4, 1, 5},
+		"over MaxReadReq":        {128, 0, pcie.MaxReadReq/64 + 1},
+		"over MaxRunSlots":       {128, 0, MaxRunSlots + 1},
+		"length 2^32-1":          {8, 0, ^uint32(0)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			a := newA3Rig(t, int(c.slots))
 			a.post(c.first, 1, c.claim)
+			if st := a.sc.Stats(); st.ConfigRejects != 1 || a.heldAt(c.first) {
+				t.Fatalf("%d config rejects, run held %v; want 1, false", st.ConfigRejects, a.heldAt(c.first))
+			}
 			for i := uint64(1); i <= 2; i++ {
 				if a.read(c.first, 1) != nil {
 					t.Fatal("served")
@@ -532,74 +623,64 @@ func TestVerifiedRunMalformedRecord(t *testing.T) {
 					t.Fatalf("read %d: %d auth failures, %d host fetches; want %d and 0", i, st.AuthFailures, a.fetches, i)
 				}
 			}
-			if a.sc.PendingTags() != 0 {
-				t.Fatal("malformed record still pending")
-			}
 		})
 	}
 }
 
 // TestVerifiedReadUntappedHost: recycling as on a platform, over buses no
-// tap ever saw, the SC verifies and serves the fetched buffer itself. A
-// whole run is served byte-exact, once; a run the host rewrote after its
-// MAC was taken is refused.
+// tap ever saw, the SC serves a held run from an arena buffer. A whole
+// run is served byte-exact, once — as its entry carried it, though the
+// host rewrote its slots since — and nothing else is.
 func TestVerifiedReadUntappedHost(t *testing.T) {
 	a := untappedA3Rig(t, 8)
 	a.sc.EnableDatapathRecycling()
+	want := bytes.Join(a.slots[3:5], nil)
 	a.post(0, 3, 3)
 	a.post(3, 2, 2)
-	a.slots[4][9] ^= 1 // after run [3,5) was MACed
+	a.slots[4][9] ^= 1 // after run [3,5) went out
 	a.sync()
-	if got, want := a.read(0, 3), bytes.Join(a.slots[0:3], nil); !bytes.Equal(got, want) {
+	if got := a.read(0, 3); !bytes.Equal(got, bytes.Join(a.slots[0:3], nil)) {
 		t.Fatalf("run [0,3): %x", got)
 	}
-	if a.read(0, 3) != nil || a.read(3, 2) != nil {
-		t.Fatal("a served run, or one the host rewrote, was answered")
+	if got := a.read(3, 2); !bytes.Equal(got, want) {
+		t.Fatalf("run [3,5): %x; want the bytes its entry carried", got)
 	}
-	if st := a.sc.Stats(); st.VerifiedChunks != 3 || st.AuthFailures != 2 || !a.host.Untapped() {
-		t.Fatalf("%d verified slots, %d auth failures, host untapped %v; want 3, 2, true",
+	if a.read(0, 3) != nil || a.read(3, 2) != nil {
+		t.Fatal("a served run was answered again")
+	}
+	if st := a.sc.Stats(); st.VerifiedChunks != 5 || st.AuthFailures != 2 || !a.host.Untapped() {
+		t.Fatalf("%d verified slots, %d auth failures, host untapped %v; want 5, 2, true",
 			st.VerifiedChunks, st.AuthFailures, a.host.Untapped())
 	}
 }
 
-// TestVerifiedRunFreshRecordWins: a three-slot run was served, the host
-// rewrote slot 1, and a record re-MACs slots 1–2 (the driver's Kick after
-// the device faulted on slot 1). The SC kept no copy of the served run to
-// answer from: the read of the remainder fetches and verifies the host's
-// current bytes. A fetch that fails spends no record.
+// TestVerifiedRunFreshRecordWins: a three-slot run is held, the host
+// rewrites slot 1, and a fresh run entry carries slots 1–2 (the driver's
+// Kick after the device faulted on slot 1). The fresh run drops the held
+// run it overlaps: the read of the old run is refused, and the read of
+// the fresh one gets the fresh entry's bytes.
 func TestVerifiedRunFreshRecordWins(t *testing.T) {
 	a := newA3Rig(t, 4)
 	a.post(0, 3, 3)
-	if a.read(0, 3) == nil {
-		t.Fatal("run refused")
-	}
 	a.slots[1] = bytes.Repeat([]byte{0xee}, 64) // the host rewrote a pending slot
-	a.sync()
 	a.post(1, 2, 2)
-
-	drop := true
-	a.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
-		if drop && p.Kind == pcie.CplD {
-			drop = false
-			return nil
-		}
-		return p
-	}))
-	if a.read(1, 2) != nil || a.sc.Stats().AuthFailures != 0 || a.sc.PendingTags() != 1 {
-		t.Fatalf("lost fetch: %d auth failures, %d records pending; want 0 and the record kept",
-			a.sc.Stats().AuthFailures, a.sc.PendingTags())
+	if a.heldAt(0) || !a.heldAt(1) {
+		t.Fatalf("held at 0: %v, at 1: %v; want the fresh run only", a.heldAt(0), a.heldAt(1))
+	}
+	if a.read(0, 3) != nil {
+		t.Fatal("the overlapped run was served")
 	}
 	if got, want := a.read(1, 2), bytes.Join(a.slots[1:3], nil); !bytes.Equal(got, want) {
-		t.Fatalf("slots 1–2 after the fresh record: %x", got)
+		t.Fatalf("slots 1–2 after the fresh entry: %x", got)
 	}
-	if st := a.sc.Stats(); a.fetches != 3 || st.VerifiedChunks != 5 || st.AuthFailures != 0 {
-		t.Fatalf("%d fetches, %d verified, %d auth failures; want 3, 5, 0", a.fetches, st.VerifiedChunks, st.AuthFailures)
+	if st := a.sc.Stats(); a.fetches != 0 || st.VerifiedChunks != 2 || st.AuthFailures != 1 {
+		t.Fatalf("%d fetches, %d verified, %d auth failures; want 0, 2, 1", a.fetches, st.VerifiedChunks, st.AuthFailures)
 	}
 }
 
-// TestVerifiedRunDroppedWithRegion: nothing of a served run outlives its
+// TestVerifiedRunDroppedWithRegion: nothing of a held run outlives its
 // region. After release or teardown, a region reinstalled under the same
-// id answers neither the old run nor a slot of it, and fetches nothing.
+// id holds no run and answers no read of one.
 func TestVerifiedRunDroppedWithRegion(t *testing.T) {
 	for name, drop := range map[string]func(a *a3Rig){
 		"release":  func(a *a3Rig) { a.submit(ringEntry{op: RingOpRelease, arg: uint64(a.desc.ID)}) },
@@ -608,6 +689,7 @@ func TestVerifiedRunDroppedWithRegion(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a := newA3Rig(t, 4)
 			a.post(0, 2, 2)
+			a.post(2, 2, 2)
 			if a.read(0, 2) == nil {
 				t.Fatal("run refused")
 			}
@@ -615,8 +697,8 @@ func TestVerifiedRunDroppedWithRegion(t *testing.T) {
 			if !a.sc.install(a.desc) {
 				t.Fatal("install refused")
 			}
-			if a.read(0, 2) != nil || a.read(1, 1) != nil || a.fetches != 1 {
-				t.Fatalf("a served run outlived its region (%d host fetches, want 1)", a.fetches)
+			if a.heldAt(2) || a.read(2, 2) != nil || a.read(0, 2) != nil || a.fetches != 0 {
+				t.Fatalf("a held run outlived its region (%d host fetches, want 0)", a.fetches)
 			}
 		})
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
+	"ccai/internal/pcie"
 	"ccai/internal/secmem"
 )
 
@@ -38,9 +40,10 @@ type Descriptor struct {
 	Len   uint64
 	// TagBase is where the SC deposits tag records for D2H regions.
 	TagBase uint64
-	// ChunkSize is the protection granularity: one IV counter / one MAC
-	// record per chunk. Data regions use the TLP payload size; command
-	// rings use their entry size.
+	// ChunkSize is the protection granularity: one IV counter and tag
+	// record per chunk of an A2 region, one command slot of an A3 one.
+	// Data regions use the TLP payload size; command rings use their
+	// entry size.
 	ChunkSize uint32
 	// FirstCounter is the IV counter of chunk 0 for A2 H2D regions
 	// (the Adaptor sealed them with consecutive counters).
@@ -138,22 +141,87 @@ type region struct {
 	// ws is a D2H region's pending write span (pipeline.go), nil when no
 	// chunk is staged.
 	ws *writeSpan
-	// recs is an H2D region's tag table, one entry per chunk — of a step
-	// window, per slot; of an A3 region, per slot, a run's record sitting
-	// at the run's first slot. It is sized at install, empty for a D2H
+	// recs is an A2 H2D region's tag table, one entry per chunk — of a
+	// step window, per slot. It is sized at install, empty for any other
 	// region, and holds no pointers.
 	recs []tagEntry
 	// pending counts the entries of recs in state tagPending.
 	pending int
+	// runs is an A3 region's held runs: the command slots sealed run
+	// entries carried (hold), each waiting for the device's read of it —
+	// one read, two where it wraps the region's end (verifiedRead) — or,
+	// unread, the reap that follows the device's doorbell
+	// (reapCompletion). Their bytes sit in held, the region's length, at
+	// their slots' offsets; held runs never overlap.
+	runs []heldRun
+	held []byte
+}
+
+// heldRun is one run of an A3 region's slots the SC holds: n slots from
+// first, going on at slot 0 past the region's end, have of them carried
+// so far. Once the device has read a wrapping run to the region's end,
+// the run is what is left of it, from slot 0.
+type heldRun struct{ first, n, have uint32 }
+
+// continues reports whether an entry at slot, naming a run of n slots,
+// carries the next slots of h.
+func (h heldRun) continues(slot, n, slots uint32) bool {
+	return h.have < h.n && h.n == n && (h.first+h.have)%slots == slot
+}
+
+// slots is an A3 region's length in slots.
+func (r *region) slots() uint32 { return uint32(r.desc.Len / uint64(r.desc.ChunkSize)) }
+
+// hold stores a run entry's slots: data is the run's length in slots
+// (RunHdrSize bytes), then whole slots from slot on, going on at slot 0
+// past the region's end. An entry at the slot where the last held run,
+// not yet whole, goes on, naming the same length, continues that run;
+// any other opens a run of that length at slot and drops the held runs
+// it overlaps. It reports false — and stores nothing — when r is no A3
+// H2D region, or the entry carries no whole slot, sits past the region,
+// names a length of 0, past MaxRunSlots, one read request or the
+// region, or carries more slots than its run has left. It is nil-safe.
+func (r *region) hold(slot uint32, data []byte) bool {
+	if r == nil || r.desc.Dir != DirH2D || r.desc.Class != ActionWriteProtect || len(data) < RunHdrSize {
+		return false
+	}
+	cs, body, slots := uint64(r.desc.ChunkSize), data[RunHdrSize:], r.slots()
+	n, k := uint64(binary.LittleEndian.Uint32(data)), uint64(len(body))/cs
+	if k == 0 || uint64(len(body))%cs != 0 || slot >= slots || n > MaxRunSlots || n*cs > pcie.MaxReadReq || n > uint64(slots) {
+		return false
+	}
+	last := len(r.runs) - 1
+	if last < 0 || !r.runs[last].continues(slot, uint32(n), slots) {
+		if k > n {
+			return false
+		}
+		r.runs = slices.DeleteFunc(r.runs, func(h heldRun) bool { // the held runs it overlaps
+			return (slot+slots-h.first)%slots < h.n || (h.first+slots-slot)%slots < uint32(n)
+		})
+		r.runs = append(r.runs, heldRun{first: slot, n: uint32(n)})
+		last = len(r.runs) - 1
+	}
+	if uint64(r.runs[last].have)+k > n {
+		return false
+	}
+	ring := r.held[:uint64(slots)*cs]
+	copy(ring, body[copy(ring[uint64(slot)*cs:], body):])
+	r.runs[last].have += uint32(k)
+	return true
+}
+
+// runAt returns the index of the held run that starts at slot first, -1
+// when none does.
+func (r *region) runAt(first uint32) int {
+	return slices.IndexFunc(r.runs, func(h heldRun) bool { return h.first == first })
 }
 
 // tagEntry is one entry of a region's tag table: a record the TVM
 // posted (ingestTags) and where it stands. ctr is the record's IV
-// counter — for an A3 run, its first slot — and, in a step window, the
-// counter the slot is armed with (0 = never armed: counters start at
-// 1); it stays when the record is spent or lost, so an armed slot stays
-// armed. epoch and tag are the record's (an A3 run's epoch field is its
-// length in slots).
+// counter and, in a step window, the counter the slot is armed with
+// (0 = never armed: counters start at 1); it stays when the record is
+// spent or lost, so an armed slot stays armed. epoch and tag are the
+// record's.
 type tagEntry struct {
 	ctr, epoch uint32
 	tag        [secmem.TagSize]byte
@@ -231,16 +299,6 @@ func (r *region) accept(chunk uint32, rec *TagRecord) {
 		r.pending--
 	}
 	r.recs[chunk] = tagEntry{ctr: rec.Chunk, epoch: rec.Epoch, tag: rec.Tag, state: tagAccepted}
-}
-
-// dropPending spends every pending record of the region.
-func (r *region) dropPending() {
-	for i := 0; r.pending > 0 && i < len(r.recs); i++ {
-		if r.recs[i].state == tagPending {
-			r.recs[i].state = tagNone
-			r.pending--
-		}
-	}
 }
 
 // tagRun reports how many tag records of the region, deposited in chunk

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"ccai/internal/pcie"
@@ -147,7 +148,10 @@ func FuzzControllerRing(f *testing.F) {
 		if tail == first+uint64(len(entries)) {
 			slots, tail = sealSpan(keys, slots, first)
 		}
-		f.Add(slots, tail)
+		f.Add(slots, doorbell(slots, tail))
+	}
+	run := func(n uint32, body int) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, n), make([]byte, body)...)
 	}
 	rec := TagRecord{Stream: StreamH2D, Chunk: 4242}.AppendMarshal(nil)
 	// The forged entries of the ported security cells: unsealed rule,
@@ -164,12 +168,18 @@ func FuzzControllerRing(f *testing.F) {
 	add(first+1, ringEntry{op: RingOpRelease, arg: 5})
 	add(first+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10, data: make([]byte, 8)})
 	add(first+1, ringEntry{op: RingOpGuarded, arg: ctlWin + 0x10})
-	// Run records no producer wrote — length 0, past the region, past one
-	// read request — at the window: a record under the wrong stream.
-	add(first+1, ringEntry{op: RingOpTags, arg: ArmPosition(5, 0), data: append(append(
-		TagRecord{Stream: StreamA3Run, Chunk: 0}.AppendMarshal(nil),
-		TagRecord{Stream: StreamA3Run, Chunk: 1, Epoch: 1 << 20}.AppendMarshal(nil)...),
-		TagRecord{Stream: StreamA3Run, Chunk: 2, Epoch: MaxRunSlots + 1}.AppendMarshal(nil)...)})
+	// Run entries: one the A3 region holds, and the refused — one
+	// positioned at the window, a non-A3 region, and a run longer than
+	// MaxRunSlots.
+	add(first+1, ringEntry{op: RingOpRun, arg: ArmPosition(7, 0), data: run(3, 3)})
+	add(first+1, ringEntry{op: RingOpRun, arg: ArmPosition(5, 1), data: run(1, 64)})
+	add(first+1, ringEntry{op: RingOpRun, arg: ArmPosition(7, 0), data: run(MaxRunSlots+1, MaxRunSlots+1)})
+	// Doorbell ends the SC refuses: one that cuts the seal, 0 (a bare
+	// tail) and one past the slot.
+	notify, tail := sealSpan(keys, ringEntry{op: RingOpNotify, arg: 5}.slot(), first)
+	f.Add(notify, doorbell(notify, tail)-1<<RingTailBits)
+	f.Add(notify, tail)
+	f.Add(notify, RingDoorbell(tail, RingSlotSize+1))
 	// Tag entries the SC refuses: no position (arg 0), a position past
 	// the window's table, one at the D2H region, and a re-arm of the
 	// slot the device consumed under another counter.
@@ -185,12 +195,12 @@ func FuzzControllerRing(f *testing.F) {
 	lapBack := uint64(first)
 	lapBack -= ctlRingSlots
 	stale, _ := sealSpan(keys, ringEntry{op: RingOpNotify}.slot(), lapBack)
-	f.Add(stale, uint64(first+1))
+	f.Add(stale, doorbell(stale, first+1))
 	oversized := ringEntry{op: RingOpTags}.slot()
 	binary.LittleEndian.PutUint16(oversized[2:], RingMaxData+1)
-	f.Add(oversized, uint64(first+1))
+	f.Add(oversized, doorbell(oversized, first+1))
 	add(first+1, ringEntry{op: 0})
-	add(first+1, ringEntry{op: RingOpSeal + 1})
+	add(first+1, ringEntry{op: RingOpRun + 1})
 	add(0, ringEntry{op: RingOpNotify})
 	add(first+ctlRingSlots+1, ringEntry{op: RingOpNotify})
 	// Packed slots: a well-framed chain of an arm, a notify and a
@@ -203,7 +213,7 @@ func FuzzControllerRing(f *testing.F) {
 	broken := func(edit func(s []byte)) {
 		s, tail := sealSpan(keys, packed(chain...), first)
 		edit(s)
-		f.Add(s, tail)
+		f.Add(s, doorbell(s, tail))
 	}
 	broken(func([]byte) {})
 	broken(func(s []byte) {
@@ -218,7 +228,7 @@ func FuzzControllerRing(f *testing.F) {
 	// tag, a tag over another (head, tail), and a span sealed for another
 	// lap of the ring (the SC's head is first, not first+2^32).
 	sealAt := second + 2*RingEntryHdrSize // behind the notify and the release
-	f.Add(packed(chain...), uint64(first+1))
+	f.Add(packed(chain...), doorbell(packed(chain...), first+1))
 	broken(func(s []byte) {
 		s[sealAt+1] |= RingFlagMore
 		PutRingEntry((*[RingEntryHdrSize]byte)(s[sealAt+RingSealSize:]), RingOpNotify, 0, 5)
@@ -233,22 +243,25 @@ func FuzzControllerRing(f *testing.F) {
 	}
 	reseal(first-1, first+1)
 	reseal(first+1<<32, first+1+1<<32)
-	f.Fuzz(func(t *testing.T, slots []byte, tail uint64) {
+	f.Fuzz(func(t *testing.T, slots []byte, db uint64) {
 		d := newDPRig(t)
 		w := d.installWindow(t, 5, ctlMem+0x4000, 4)
-		// Slot 0 armed and consumed, and a D2H region beside the window.
+		// Slot 0 armed and consumed, a D2H region beside the window, and an
+		// A3 region of one-byte slots.
 		d.postTags(w.ID, 0, d.sealSlot(t, w, 0, bytes.Repeat([]byte{7}, 32)))
 		if _, ok := d.readSlot(w, 0); !ok || !d.sc.install(Descriptor{ID: 6, Dir: DirD2H, Class: ActionWriteReadProtect,
-			Base: ctlMem + 0x8000, Len: ChunkSize, ChunkSize: ChunkSize}) {
-			t.Fatal("rig: slot 0 unread, or the D2H region refused")
+			Base: ctlMem + 0x8000, Len: ChunkSize, ChunkSize: ChunkSize}) || !d.sc.install(Descriptor{ID: 7, Dir: DirH2D,
+			Class: ActionWriteProtect, Base: ctlMem + 0x9000, Len: 2 * MaxRunSlots, ChunkSize: 1}) {
+			t.Fatal("rig: slot 0 unread, or the D2H or A3 region refused")
 		}
 		l1, l2 := d.sc.Filter().RuleCount()
 		before := d.sc.sess.ringHead
-		if before != first || d.sc.Regions() != 2 {
+		if before != first || d.sc.Regions() != 3 {
 			t.Fatalf("rig: head %d, %d regions", before, d.sc.Regions())
 		}
 
-		d.publish(slots, tail)
+		d.ring(slots, db)
+		tail := db & (1<<RingTailBits - 1)
 
 		head := d.sc.sess.ringHead
 		desync := len(d.hostMem[ctlRing+8]) == 8 && binary.LittleEndian.Uint64(d.hostMem[ctlRing+8]) == RingStatusDesync
@@ -259,7 +272,7 @@ func FuzzControllerRing(f *testing.F) {
 		if a1, a2 := d.sc.Filter().RuleCount(); a1 != l1 || a2 != l2 {
 			t.Fatal("fuzzed ring entries installed a filter rule")
 		}
-		if d.sc.Regions() > 2 {
+		if d.sc.Regions() > 3 {
 			t.Fatal("fuzzed ring entries installed a region")
 		}
 		for _, name := range []string{StreamH2D, StreamD2H} {
@@ -410,16 +423,17 @@ func FuzzDecryptRead(f *testing.F) {
 }
 
 // FuzzVerifiedRead aims one device read — any offset from an A3 region's
-// base, any length — at a 64-slot command ring with a script of queued run
-// records. A record op is three bytes: first slot, run length − 1, flags:
-// the low two bits make the length the record claims the run's, one more,
-// one less or zero, and bit 7 flips a byte of the run in host memory after
-// its MAC was taken. Nothing may panic, and the read ends one of three
-// ways. Served: the newest record at the read's first slot claims exactly
-// the read's slots, its MAC verifies over the host's bytes, and those bytes
-// are what the device gets, with one host fetch. Fetched and refused: such
-// a record's MAC does not verify — one fetch, one auth failure. Refused
-// unfetched: anything else — one auth failure or filter drop, no fetch.
+// base, any length — at a 64-slot command ring with a script of run
+// entries. An op is three bytes: first slot, run length − 1, flags: the
+// low two bits make the length the entries name the run's, one more, one
+// less or zero, and bit 7 flips a byte of the run in host memory after
+// its entries went out. A run goes on at slot 0 past the ring's end. A
+// reference written from region.hold's rules predicts the runs the SC
+// holds and their bytes. Nothing may panic, and the read ends one of two
+// ways, with no host fetch either way. Served: a whole held run starts at
+// the read's first slot and the read is its first, to the run's end or
+// the ring's, and the device gets the bytes its entries carried.
+// Refused: anything else — one auth failure or filter drop.
 func FuzzVerifiedRead(f *testing.F) {
 	f.Add(int64(0), uint16(3*64), []byte{0, 2, 0})
 	f.Add(int64(0), uint16(2*64), []byte{0, 2, 0})
@@ -431,50 +445,63 @@ func FuzzVerifiedRead(f *testing.F) {
 	f.Add(int64(0), uint16(3*64), []byte{0, 2, 0, 0, 2, 0x80})
 	f.Add(int64(32), uint16(3*64), []byte{0, 2, 0})
 	f.Add(int64(62*64), uint16(3*64), []byte{62, 2, 0})
+	f.Add(int64(62*64), uint16(2*64), []byte{62, 2, 0})
+	f.Add(int64(0), uint16(64), []byte{0, 2, 0, 62, 2, 0})
 	f.Add(int64(-64), uint16(64), []byte{0, 0, 0})
+	f.Add(int64(0), uint16(4*64), []byte{0, 2, 1, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, off int64, length uint16, script []byte) {
 		const slots = 64
 		a := newA3Rig(t, slots)
-		type posted struct {
-			first uint32
-			tag   [secmem.TagSize]byte
-			claim uint32
+		type refRun struct {
+			first, n uint32
+			data     []byte
 		}
-		var recs []posted
+		var held []refRun
+		hold := func(slot, claim uint32, body []byte) {
+			k := uint32(len(body)) / 64
+			last := len(held) - 1
+			if claim == 0 || claim > min(MaxRunSlots, slots, pcie.MaxReadReq/64) {
+				return
+			}
+			if last < 0 || uint32(len(held[last].data))/64 == held[last].n || held[last].n != claim ||
+				(held[last].first+uint32(len(held[last].data))/64)%slots != slot {
+				if k > claim {
+					return
+				}
+				held = slices.DeleteFunc(held, func(h refRun) bool {
+					return (slot+slots-h.first)%slots < h.n || (h.first+slots-slot)%slots < claim
+				})
+				held = append(held, refRun{first: slot, n: claim})
+				last = len(held) - 1
+			}
+			if uint32(len(held[last].data))/64+k <= claim {
+				held[last].data = append(held[last].data, body...)
+			}
+		}
 		for i := 0; i+3 <= len(script) && i < 3*16; i += 3 {
 			first := uint32(script[i]) % slots
-			n := min(uint32(script[i+1])%slots+1, slots-first)
+			n := uint32(script[i+1])%slots + 1
 			flags := script[i+2]
 			claim := [...]uint32{n, n + 1, n - 1, 0}[flags&3]
 			a.post(first, n, claim)
-			a.sc.mu.Lock()
-			rec, _ := a.sc.sess.byID(a.desc.ID).peek(first)
-			a.sc.mu.Unlock()
-			recs = append(recs, posted{first, rec.Tag, claim})
+			for _, e := range runEntries(a.desc.ID, first, n, claim, a.slots) {
+				hold(uint32(e.arg), claim, e.data[RunHdrSize:])
+			}
 			if flags&0x80 != 0 {
-				a.slots[first+uint32(flags>>2&0x1f)%n][flags&0x3f] ^= 0x40
+				a.slots[(first+uint32(flags>>2&0x1f)%n)%slots][flags&0x3f] ^= 0x40
 				a.sync()
 			}
 		}
 
-		// The oracle: the read's run, and the newest record naming its slot.
+		// The oracle: the whole held run at the read's first slot, its
+		// first read of the read's length.
 		k := uint32(length) / 64
-		aligned := off >= 0 && off%64 == 0 && length%64 == 0 && k >= 1 && off/64+int64(k) <= slots
-		var rec *posted
-		for i := range recs {
-			if aligned && recs[i].first == uint32(off/64) {
-				rec = &recs[i]
-			}
-		}
-		want := []byte(nil)
-		candidate := rec != nil && rec.claim == k
-		if candidate {
-			first := uint32(off / 64)
-			var hdr [16]byte
-			PutRunMACHeader(&hdr, a.desc.ID, first, k, k*64)
-			bytesNow := bytes.Join(a.slots[first:first+k], nil)
-			if mac := secmem.MAC(a.mmioKy, hdr[:], bytesNow); bytes.Equal(mac[:secmem.TagSize], rec.tag[:]) {
-				want = bytesNow
+		var want []byte
+		if off >= 0 && off%64 == 0 && length%64 == 0 && k >= 1 && off/64+int64(k) <= slots {
+			for _, h := range held {
+				if h.first == uint32(off/64) && min(h.n, slots-h.first) == k && uint32(len(h.data)) == h.n*64 {
+					want = h.data[:k*64]
+				}
 			}
 		}
 
@@ -482,22 +509,14 @@ func FuzzVerifiedRead(f *testing.F) {
 		got := a.readAt(uint64(off), uint64(length))
 		after := a.sc.Stats()
 		refusals := after.AuthFailures + after.Filter.Dropped - before.AuthFailures - before.Filter.Dropped
-		switch {
-		case want != nil:
-			if !bytes.Equal(got, want) || a.fetches != 1 || refusals != 0 || after.VerifiedChunks != uint64(k) {
-				t.Fatalf("read of %d B at %d: served %d B (want the %d verified), %d fetches, %d refusals, %d verified slots",
+		if want != nil {
+			if !bytes.Equal(got, want) || a.fetches != 0 || refusals != 0 || after.VerifiedChunks != uint64(k) {
+				t.Fatalf("read of %d B at %d: served %d B (want the %d held), %d fetches, %d refusals, %d verified slots",
 					length, off, len(got), len(want), a.fetches, refusals, after.VerifiedChunks)
 			}
-		case candidate:
-			if got != nil || a.fetches != 1 || after.AuthFailures != before.AuthFailures+1 || after.VerifiedChunks != 0 {
-				t.Fatalf("read of %d B at %d against a run that fails its MAC: served %d B, %d fetches, %d auth failures",
-					length, off, len(got), a.fetches, after.AuthFailures-before.AuthFailures)
-			}
-		default:
-			if got != nil || a.fetches != 0 || refusals != 1 || after.VerifiedChunks != 0 {
-				t.Fatalf("read of %d B at %d: served %d B, %d fetches, %d refusals; want none, none, 1",
-					length, off, len(got), a.fetches, refusals)
-			}
+		} else if got != nil || a.fetches != 0 || refusals != 1 || after.VerifiedChunks != 0 {
+			t.Fatalf("read of %d B at %d: served %d B, %d fetches, %d refusals; want none, none, 1",
+				length, off, len(got), a.fetches, refusals)
 		}
 	})
 }

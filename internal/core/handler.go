@@ -24,18 +24,11 @@ const (
 	// StreamConfig protects Packet Filter policy updates (§4.1
 	// "dynamic and secure configuration").
 	StreamConfig = "config"
-	// StreamMMIO keys the A3 integrity MACs of verified runs' records,
-	// and nothing else: a guarded write carries no MAC, its span's seal
-	// vouching for it.
-	StreamMMIO = "mmio"
-	// StreamA3Run names the records of verified runs — the MACs, under the
-	// StreamMMIO key, over the slots of an A3 region a submission makes
-	// the device read (counter: the run's first slot; epoch: its length).
-	StreamA3Run = "a3-run"
 	// KeyRingSeal keys the GMAC that seals every published span of the
-	// submission ring (ring.go). Like the StreamMMIO key it is raw key
-	// material with no stream context, and it is a key of its own: not
-	// the A3 MAC key, not the config stream.
+	// submission ring (ring.go): raw key material with no stream context,
+	// and a key of its own, not the config stream's. The seal is the one
+	// check on everything A3 a submission carries — its guarded writes
+	// and its command runs.
 	KeyRingSeal = "ring-seal"
 )
 
@@ -44,8 +37,8 @@ const (
 var ErrNoStream = errors.New("core: no de/encryption parameters for stream")
 
 // ErrStreamHashCollision reports an Activate whose stream name collides
-// with an already-active stream (or the reserved MMIO stream) under the
-// 32-bit wire hash. Tag packets carry only the hash, so admitting both
+// with an already-active stream (or a reserved one) under the 32-bit
+// wire hash. Tag packets carry only the hash, so admitting both
 // names would make their records ambiguous; the manager fails closed
 // and rejects the second stream.
 var ErrStreamHashCollision = errors.New("core: stream name hash collides with an active stream")
@@ -104,11 +97,11 @@ func NewParamsManager(keys *secmem.KeyStore) *ParamsManager {
 
 // wellKnownStreams are the platform's fixed stream names. No other name
 // may activate with a colliding hash.
-var wellKnownStreams = []string{StreamH2D, StreamD2H, StreamConfig, StreamMMIO, StreamA3Run}
+var wellKnownStreams = []string{StreamH2D, StreamD2H, StreamConfig}
 
 // Activate instantiates the stream context for a named stream from
 // installed key material. A name whose 32-bit wire hash collides with
-// an already-active stream (or the reserved StreamMMIO name) is
+// an already-active stream (or a reserved name) is
 // rejected: tag packets identify streams by hash alone, and two live
 // streams sharing one hash could cross-match each other's tags.
 func (pm *ParamsManager) Activate(name string) error {

@@ -41,8 +41,7 @@ var (
 		}
 		return
 	}()
-	symStreamH2D   = obsv.Intern(StreamH2D)
-	symStreamA3Run = obsv.Intern(StreamA3Run)
+	symStreamH2D = obsv.Intern(StreamH2D)
 )
 
 // kindSym is the symbol of a packet kind's name. Kinds outside the TLP

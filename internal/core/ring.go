@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"crypto/subtle"
 	"encoding/binary"
 
@@ -20,29 +21,33 @@ import (
 // dispatches it, and DMA-writes its consumed head index back into the
 // ring header. Small entries share a slot: an entry whose header has
 // RingFlagMore set is followed in the same slot by another, right behind
-// its payload. Sealed blobs, positioned tags and notifies have no other
-// way in, and so do guarded device writes: the SC refuses one that
-// reaches the xPU window straight off the host bus.
+// its payload. Sealed blobs, positioned tags, notifies and the device's
+// command runs have no other way in, and so do guarded device writes:
+// the SC refuses one that reaches the xPU window straight off the host
+// bus.
 //
 // Trust boundary: the ring lives in TVM memory reachable over the
 // untrusted host bus, so no byte of it is trusted until its seal
 // checks. The producer closes every doorbell's span with a seal entry
 // (RingOpSeal): a GMAC under the session's KeyRingSeal key over the
-// span's slot bytes, up to and including the seal's own header, with a
-// nonce bound to the span's absolute (head, tail). The SC checks every
-// seal of a published span before it dispatches any entry of it, so a
-// cleared more bit, a rewritten entry, a span replayed at another tail
-// or one with no seal is refused whole — the same refusal as torn
-// framing (a length past the slot, an unknown opcode or flag): the SC
-// sets the ring status word, rejects the span, and refuses to advance —
-// fail closed until the producer tears down. The seal is the ring's one
-// integrity and freshness check: its key is fresh each trust bring-up
-// and its nonce binds the span's position, so a stale slot from an
-// earlier lap, or an entry replayed or moved, does not check. Entries
-// that pass still carry what they did before: rule, descriptor and
-// rekey blobs sealed under the config stream, tag and run records
-// verified on use, and guarded writes the filter's A3 classification
-// and the environment guard's check.
+// span's slot bytes, up to and including the seal's own header, with
+// a nonce bound to the span's absolute (head, tail). The SC checks
+// every seal of a published span before it dispatches any entry of
+// it, so a cleared more bit, a rewritten entry, a span replayed at
+// another tail or one with no seal is refused whole — the same
+// refusal as torn framing (a length past the slot, an unknown opcode
+// or flag). The SC fetches a refused span once more, for the bus may
+// have corrupted it; refused again, it sets the ring status word,
+// rejects the span, and refuses to advance — fail closed until the
+// producer tears down. The seal is the ring's one integrity and
+// freshness check: its key is fresh each trust bring-up and its nonce
+// binds the span's position, so a stale slot from an earlier lap, or
+// an entry replayed or moved, does not check. Entries that pass still
+// carry what they did before: rule, descriptor and rekey blobs sealed
+// under the config stream, tag records verified on use, and guarded
+// writes the filter's A3 classification and the environment guard's
+// check. A command run needs nothing more: the SC holds the sealed
+// bytes and serves the device's read from them.
 const (
 	// RingHdrSize is the ring header: [0,8) consumed head (SC-written),
 	// [8,16) status word (0 ok, RingStatusDesync), [16,24) completion
@@ -86,6 +91,7 @@ const (
 	RingOpNotify  = 6 // arg: region ID (the region-ready notify of §5)
 	RingOpGuarded = 7 // arg: absolute MMIO address, payload: the value
 	RingOpSeal    = 8 // payload: the GMAC tag sealing the span that ends with this entry
+	RingOpRun     = 9 // payload: run length (RunHdrSize), then command slots; arg: their region and first slot (ArmPosition)
 )
 
 // RingSealSize is a seal entry's footprint in its slot.
@@ -100,6 +106,15 @@ func PutRingSealNonce(nonce []byte, head, tail uint64) {
 	binary.LittleEndian.PutUint64(nonce, tail)
 	binary.LittleEndian.PutUint32(nonce[8:], uint32(tail-head))
 }
+
+// RingTailBits is the width of a doorbell's tail: the bits above it
+// carry the span's end, which a tail never reaches.
+const RingTailBits = 48
+
+// RingDoorbell is the doorbell value that publishes the ring up to the
+// absolute tail, where end is the bytes in use of the span's last slot:
+// through its seal, the last bytes the SC fetches.
+func RingDoorbell(tail uint64, end int) uint64 { return tail | uint64(end)<<RingTailBits }
 
 // PutRingEntry encodes an entry header, its flags clear, into a
 // caller-provided (typically stack) array.
@@ -129,7 +144,7 @@ func CutRingEntry(b []byte) (e RingEntry, rest []byte, ok bool) {
 	}
 	e = RingEntry{Op: b[0], Arg: binary.LittleEndian.Uint64(b[4:])}
 	flags, end := b[1], RingEntryHdrSize+int(binary.LittleEndian.Uint16(b[2:]))
-	if end > len(b) || e.Op < RingOpRule || e.Op > RingOpSeal || flags&^RingFlagMore != 0 {
+	if end > len(b) || e.Op < RingOpRule || e.Op > RingOpRun || flags&^RingFlagMore != 0 {
 		return e, nil, false
 	}
 	e.Data = b[RingEntryHdrSize:end]
@@ -156,10 +171,11 @@ const RingMirrorSlots = ringSpanSlots
 // buffer.
 const RingMaxSlots = 1 << 12
 
-// processRing consumes the span [head, tail) the doorbell just
-// published. Called from handleControl WITHOUT c.mu held — dispatch
-// reaches handlers that route on the buses.
-func (c *Controller) processRing(tail uint64) {
+// processRing consumes the span [head, tail) that doorbell v
+// (RingDoorbell) just published. Called from handleControl WITHOUT c.mu
+// held — dispatch reaches handlers that route on the buses.
+func (c *Controller) processRing(v uint64) {
+	tail, end := v&(1<<RingTailBits-1), int(v>>RingTailBits)
 	c.mu.Lock()
 	base, slots, head, w := c.sess.ringBase, c.sess.ringSize, c.sess.ringHead, c.sess.cplWord
 	c.mu.Unlock()
@@ -177,33 +193,14 @@ func (c *Controller) processRing(tail uint64) {
 		c.ringPostHead(base, head, w)
 		return
 	}
-	if tail-head > slots {
-		// The producer claims a window larger than the ring: framing is
-		// gone, fail closed.
-		c.ringDesync(base)
+	if tail-head > slots || end == 0 || end > RingSlotSize {
+		// The producer claims a window larger than the ring, or a last
+		// slot that holds nothing or more than a slot: framing is gone.
+		// A config reject, and the status word marks the ring unusable:
+		// the producer observes it on its next flush and fails closed.
+		c.configReject()
+		c.hostWrite64(pcie.RoleRingHead, base+8, RingStatusDesync)
 		return
-	}
-
-	// Gather the published slots with as few DMA reads as possible:
-	// contiguous runs bounded by MaxReadReq. A run that starts near the
-	// end of the ring continues into the mirror tail instead of wrapping.
-	// The buffer's last bytes are the seal check's nonce and tag scratch.
-	n := tail - head
-	size := int(n) * RingSlotSize
-	buf := arena.Get(size + secmem.GCMNonceSize + secmem.TagSize)
-	for i := uint64(0); i < n; {
-		slot := (head + i) % slots
-		run := min(n-i, ringSpanSlots)
-		addr := base + RingHdrSize + slot*RingSlotSize
-		off := int(i) * RingSlotSize
-		if !c.ringFetch(addr, buf[off:off+int(run)*RingSlotSize]) {
-			// The span read kept failing (dropped completions under fault
-			// injection). Head stays put and no status is raised: the
-			// producer's doorbell retry re-publishes the same window.
-			arena.Put(buf)
-			return
-		}
-		i += run
 	}
 
 	// Validate the whole span, then dispatch it: a framing error or a
@@ -211,20 +208,47 @@ func (c *Controller) processRing(tail uint64) {
 	// entry of it acts. The seal's nonce pins every stretch to its
 	// absolute ring position, so a stale slot or entry left over from a
 	// previous lap — or one the producer never wrote — cannot be
-	// consumed.
-	if !c.ringSealed(buf[:size], buf[size:], head) {
-		arena.Put(buf)
-		c.ringDesync(base)
-		return
+	// consumed. A span refused once is fetched once more before the SC
+	// fails closed: the producer never rewrites a published slot, so a
+	// copy that checks the second time is the span it sealed, and the
+	// first was corrupted on the bus. That refusal is counted and costs
+	// nothing else; the SC only verifies, so a re-fetch uses no nonce
+	// twice. The buffer's last bytes are the seal check's nonce and tag
+	// scratch.
+	n := tail - head
+	size := int(n-1)*RingSlotSize + end
+	buf := arena.Get(size + secmem.GCMNonceSize + secmem.TagSize)
+	defer arena.Put(buf)
+	for fetched := false; ; fetched = true {
+		// Gather the published slots with as few DMA reads as possible:
+		// contiguous runs bounded by MaxReadReq, the last one stopping at
+		// the span's end. A run that starts near the end of the ring
+		// continues into the mirror tail instead of wrapping.
+		for i := uint64(0); i < n; i += ringSpanSlots {
+			off := int(i) * RingSlotSize
+			if !c.ringFetch(base+RingHdrSize+(head+i)%slots*RingSlotSize, buf[off:min(off+ringSpanSlots*RingSlotSize, size)]) {
+				// The span read kept failing (dropped completions under
+				// fault injection). Head stays put and no status is raised:
+				// the producer's doorbell retry re-publishes the same window.
+				return
+			}
+		}
+		if c.ringSealed(buf[:size], buf[size:], head) {
+			break
+		}
+		if fetched {
+			c.hostWrite64(pcie.RoleRingHead, base+8, RingStatusDesync) // refused twice: fail closed
+			return
+		}
+		c.configReject() // one reject a refused span, whether its re-fetch checks or not
 	}
-	for i := uint64(0); i < n; i++ {
-		for rest := buf[i*RingSlotSize:][:RingSlotSize]; rest != nil; {
+	for at := 0; at < size; at += RingSlotSize {
+		for rest := buf[at:min(at+RingSlotSize, size)]; rest != nil; {
 			var e RingEntry
 			e, rest, _ = CutRingEntry(rest)
 			c.ringDispatch(e.Op, e.Arg, e.Data)
 		}
 	}
-	arena.Put(buf)
 
 	// A doorbell entry of the span reaped the device head into the
 	// cache: the one head writeback posts it.
@@ -241,14 +265,15 @@ func (c *Controller) processRing(tail uint64) {
 // flush, so a span whose doorbell re-publishes an earlier, unconsumed
 // flush holds several sealed stretches: each seal covers the slots from
 // the one behind the previous seal (or from head) through its own
-// header, and must end its slot's chain. The span must end with a seal.
-// scratch holds the nonce and the recomputed tag; the check takes no
-// lock.
+// header, and must end its slot's chain. The span must end with a seal;
+// its last slot stops at the doorbell's end, so an end that cuts the
+// seal fails here. scratch holds the nonce and the recomputed tag; the
+// check takes no lock.
 func (c *Controller) ringSealed(span, scratch []byte, head uint64) bool {
 	nonce, want := scratch[:secmem.GCMNonceSize], scratch[secmem.GCMNonceSize:][:secmem.TagSize]
 	from := 0 // byte offset of the open stretch's first slot
 	for at := 0; at < len(span); at += RingSlotSize {
-		slot := span[at : at+RingSlotSize]
+		slot := span[at:min(at+RingSlotSize, len(span))]
 		for rest := slot; rest != nil; {
 			off := len(slot) - len(rest)
 			e, next, ok := CutRingEntry(rest)
@@ -267,7 +292,7 @@ func (c *Controller) ringSealed(span, scratch []byte, head uint64) bool {
 			if c.params.keys.GMAC(KeyRingSeal, nonce, aad, want) != nil || subtle.ConstantTimeCompare(want, e.Data) != 1 {
 				return false
 			}
-			from = at + RingSlotSize
+			from = at + len(slot)
 		}
 	}
 	return from == len(span)
@@ -275,8 +300,8 @@ func (c *Controller) ringSealed(span, scratch []byte, head uint64) bool {
 
 // ringDispatch routes one validated entry to its handler. data aliases
 // the gather buffer; every handler either consumes it synchronously
-// (sealed-blob open, MAC verify) or copies (tag ingest), so the buffer is
-// reusable on return.
+// (sealed-blob open) or copies (tag ingest, a held run), so the buffer
+// is reusable on return.
 func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 	switch op {
 	case RingOpRule:
@@ -314,6 +339,16 @@ func (c *Controller) ringDispatch(op uint8, arg uint64, data []byte) {
 		}
 		if c.recycleOn(c.internal) && pcie.Release(p) {
 			arena.Put(val) // a register value the host bus already carried
+		}
+	case RingOpRun:
+		// The span's seal vouched for the run's bytes and their place: the
+		// SC holds exactly what the TVM wrote for the device's read
+		// (verifiedRead). An entry the region may not take is refused.
+		c.mu.Lock()
+		ok := c.sess.byID(uint32(arg>>32)).hold(uint32(arg), data)
+		c.mu.Unlock()
+		if !ok {
+			c.configReject()
 		}
 	case RingOpSeal:
 		// Checked, with the span, before any entry was dispatched.
@@ -360,15 +395,10 @@ func (c *Controller) hostWrite64(role pcie.Role, addr, v uint64) {
 // the internal bus and cache it for the ring header. The doorbell is a
 // ring entry, so the head writeback of the span that carried it posts
 // the word: one doorbell drains every completion the burst produced,
-// and the producer's Head() poll becomes a host-memory read.
-//
-// The doorbell also settles the run records. The device read every run
-// it was rung for before the forward returned, so a record still
-// pending on an A3 region — the command ring — is one no read will
-// spend: a recovery kick that saw a stale completion word re-posted it
-// for a run the device had already read. It is dropped here. A run the
-// device did not get to read is re-posted fresh by the kick that
-// re-drives it.
+// and the producer's Head() poll becomes a host-memory read. The pump
+// has read every run it will, so a run still held — one a recovery kick
+// re-sent for commands the device had read already — no read takes: it
+// goes.
 func (c *Controller) reapCompletion() {
 	if c.internal == nil {
 		return
@@ -387,20 +417,8 @@ func (c *Controller) reapCompletion() {
 	}
 	c.mu.Lock()
 	for _, r := range c.sess.regions {
-		if r.desc.Class == ActionWriteProtect {
-			r.dropPending()
-		}
+		r.runs = r.runs[:0]
 	}
-	if w != 0 {
-		c.sess.cplWord = w
-	}
+	c.sess.cplWord = cmp.Or(w, c.sess.cplWord)
 	c.mu.Unlock()
-}
-
-// ringDesync marks the ring unusable (status word + config reject) and
-// refuses to advance. The producer observes the status on its next
-// flush and fails closed.
-func (c *Controller) ringDesync(base uint64) {
-	c.configReject()
-	c.hostWrite64(pcie.RoleRingHead, base+8, RingStatusDesync)
 }

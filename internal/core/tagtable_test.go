@@ -20,7 +20,7 @@ import (
 const (
 	ttOneShot = 1 + iota // A2 H2D, consecutive counters from ttFirstCounter
 	ttWindow             // A2 H2D step window: slots armed with any counter
-	ttRun                // A3: a run record at its first slot
+	ttA3                 // A3: takes no records (its runs ride run entries)
 	ttD2H                // takes no records
 	ttRegions            // selectors 0 … ttRegions-1
 )
@@ -33,7 +33,7 @@ const ttIndexes = 32
 var ttDescs = map[uint32]Descriptor{
 	ttOneShot: {Dir: DirH2D, Class: ActionWriteReadProtect, FirstCounter: ttFirstCounter, Len: 24 * ChunkSize},
 	ttWindow:  {Dir: DirH2D, Class: ActionWriteReadProtect, Slotted: true, Len: 8 * ChunkSize},
-	ttRun:     {Dir: DirH2D, Class: ActionWriteProtect, Len: 16 * ChunkSize},
+	ttA3:      {Dir: DirH2D, Class: ActionWriteProtect, Len: 16 * ChunkSize},
 	ttD2H:     {Dir: DirD2H, Class: ActionWriteReadProtect, Len: 8 * ChunkSize},
 }
 
@@ -44,13 +44,14 @@ func ttDesc(id uint32) Descriptor {
 }
 
 // ttStreams are the names a script's records carry on the wire; two of
-// them collide under hashStream, and neither is a stream a region takes.
-var ttStreams = []string{StreamH2D, StreamA3Run, collideA, collideB, StreamMMIO}
+// them collide under hashStream, and only StreamH2D is a stream a region
+// takes.
+var ttStreams = []string{StreamH2D, StreamD2H, collideA, collideB, StreamConfig}
 
 // ttOps spreads op codes over a byte so random bytes mostly post and
 // read, and seldom release.
 var ttOps = func() (t [100]byte) {
-	weights := []int{30, 8, 15, 15, 10, 5, 5, 7, 5} // must sum to 100
+	weights := []int{30, 8, 15, 15, 10, 5, 5, 12} // must sum to 100
 	i := 0
 	for op, w := range weights {
 		for ; w > 0; w-- {
@@ -70,7 +71,6 @@ const (
 	ttHook           // set or clear the tag-loss fault hook
 	ttRelease        // the ring's release op
 	ttInstall        // a descriptor entry
-	ttDrop           // a completion reap's drop of pending records
 )
 
 // refTagEntry is the reference's entry: what the TVM posted at one
@@ -111,10 +111,7 @@ func (p *refTagPlane) ingest(id, first uint32, hashes []uint32, recs []TagRecord
 		index := uint64(first) + uint64(i)
 		var ok bool
 		switch {
-		case !p.live[id] || d.Dir != DirH2D:
-		case d.Class == ActionWriteProtect:
-			rec.Stream, index = StreamA3Run, uint64(rec.Chunk)
-			ok = hashes[i] == hashStream(StreamA3Run) && index < size
+		case !p.live[id] || d.Dir != DirH2D || d.Class == ActionWriteProtect:
 		case d.Slotted:
 			rec.Stream = StreamH2D
 			e := p.entries[[2]uint32{id, uint32(index)}]
@@ -246,8 +243,6 @@ func (r *ttRunState) counters(id, first uint32, n int) []uint32 {
 	base := uint32(r.next())
 	for i := range ctrs {
 		switch id {
-		case ttRun:
-			ctrs[i] = (first + uint32(i)) % 20 // a run's first slot, a few past the table
 		case ttWindow:
 			ctrs[i] = 1 + (base+uint32(i))%40
 		default:
@@ -267,9 +262,6 @@ func (r *ttRunState) step() {
 		// Every record of an entry carries the stream its region's class
 		// implies, unless the script names a foreign one for all of them.
 		name := StreamH2D
-		if id == ttRun {
-			name = StreamA3Run
-		}
 		if s := r.next(); s%4 == 0 {
 			name = ttStreams[int(s/4)%len(ttStreams)]
 		}
@@ -294,7 +286,7 @@ func (r *ttRunState) step() {
 		first, k := uint32(r.next()%ttIndexes), 1+int(r.next())%spanChunks
 		recs, have := make([]TagRecord, k), make([]bool, k)
 		r.sc.mu.Lock()
-		all := r.sc.tagMatchLocked(r.sc.sess.byID(id), symStreamH2D, 0, first, recs, have)
+		all := r.sc.tagMatchLocked(r.sc.sess.byID(id), 0, first, recs, have)
 		r.sc.mu.Unlock()
 		wantAll := true
 		for i := range recs {
@@ -353,18 +345,6 @@ func (r *ttRunState) step() {
 			r.ref.rejects++
 		}
 		r.ref.live[id] = true
-	case ttDrop:
-		r.sc.mu.Lock()
-		if reg := r.sc.sess.byID(id); reg != nil {
-			reg.dropPending()
-		}
-		r.sc.mu.Unlock()
-		for k, e := range r.ref.entries {
-			if k[0] == id && e.state == tagPending {
-				e.state = tagNone
-				r.ref.entries[k] = e
-			}
-		}
 	}
 	r.opsPlayed++
 	r.compare()
@@ -521,16 +501,12 @@ func tagTableScripts() [][]byte {
 	window.op(ttTakeRun, ttWindow, 0, 7)
 	scripts = append(scripts, window.data)
 	// Churn: every region released and installed again between entries,
-	// the command ring's run records reaped, arg 0 and the D2H region
-	// refused.
+	// arg 0, the A3 region and the D2H region refused.
 	var churn ttScript
 	for i := 0; i < 40; i++ {
 		id := byte(1 + i%4)
 		churn.op(ttPost, id, byte(i%20), byte(i), 1, valid, byte(i), 0)
 		churn.op(ttPost, 0, 0, 0, 1, valid, 0, 0)
-		if i%3 == 0 {
-			churn.op(ttDrop, ttRun)
-		}
 		churn.op(ttRelease, id)
 		churn.op(ttInstall, id)
 	}
@@ -542,7 +518,7 @@ func tagTableScripts() [][]byte {
 // map-based reference with the same scripts — entries posted at a
 // one-shot region, a step window, an A3 region, a D2H region and arg 0,
 // reposts, single and span takes, accepting reads, fault-hook drops,
-// release, install and a completion reap — and requires every reject,
+// release and install — and requires every reject,
 // every counter and every entry to match.
 func TestTagPlaneMatchesReference(t *testing.T) {
 	for i, data := range tagTableScripts() {

@@ -123,8 +123,10 @@ func Classes() []Class {
 // them per class and packet role.
 func (c Class) Hook() bool { return c >= DoorbellHang && c <= CancelRace }
 
-// readRoles are the roles of the requests that are answered.
-var readRoles = []pcie.Role{pcie.RoleRegRead, pcie.RoleSlotFetch, pcie.RoleCommandRun, pcie.RoleH2DData}
+// readRoles are the roles of the requests that are answered on the host
+// bus. A protected device's command-run reads are not among them: the SC
+// answers those on the internal segment, from the runs the ring carried.
+var readRoles = []pcie.Role{pcie.RoleRegRead, pcie.RoleSlotFetch, pcie.RoleH2DData}
 
 // Aims lists the roles an event of class c may name: none for a hook
 // class, the completion word for the three completion-word classes, the

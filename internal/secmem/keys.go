@@ -2,11 +2,8 @@ package secmem
 
 import (
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"fmt"
-	"hash"
 	"sync"
 	"sync/atomic"
 )
@@ -17,14 +14,13 @@ import (
 // device cannot decrypt recorded traffic afterwards. All methods are
 // safe for concurrent use.
 type KeyStore struct {
-	// mu serializes the writers (Install, Destroy, DestroyAll) and
-	// guards every read of an entry's key and nonce bytes (Stream,
-	// Material, the first MACSum of an entry), so a Destroy never zeroes
-	// bytes a reader is copying.
+	// mu serializes the writers (Install, DestroyAll) and guards every
+	// read of an entry's nonce bytes (Stream), so a DestroyAll never
+	// zeroes bytes a reader is copying.
 	mu sync.Mutex
 	// table is the live entries. A writer publishes a new slice under mu
-	// and never changes a published one, so lookups (MACSum, GMAC, Has,
-	// Count) read it with no lock.
+	// and never changes a published one, so lookups (GMAC, Count) read it
+	// with no lock.
 	table atomic.Pointer[[]*keyEntry]
 }
 
@@ -32,27 +28,13 @@ type keyEntry struct {
 	name  string
 	key   []byte
 	nonce []byte
-	// mac is the entry's reusable HMAC-SHA256 state for MACSum. A MACSum
-	// takes it with a swap and puts it back when done, so one caller at a
-	// time owns it without a lock; a caller that finds it taken builds
-	// its own. It dies with the entry (Install replaces the entry, so a
-	// fresh key can never reuse a stale HMAC state).
-	mac atomic.Pointer[macState]
 	// aead is the entry's AES-GCM instance, built by Install and never
 	// changed. Streams handed out by Stream share it, so the AES key
 	// schedule runs once per Install instead of once per Stream call, and
-	// GMAC reads it with no lock. Like mac it dies with the entry, so a
-	// rekeyed stream can never be served a cipher from the previous epoch.
+	// GMAC reads it with no lock. It dies with the entry (Install replaces
+	// the entry), so a rekeyed stream can never be served a cipher from
+	// the previous epoch.
 	aead cipher.AEAD
-}
-
-// macState is an HMAC over one key with its reusable input and output
-// scratch. The scratch holds only bytes the bus carries in the clear
-// (A3 is integrity-only).
-type macState struct {
-	h   hash.Hash
-	msg []byte
-	sum []byte
 }
 
 // NewKeyStore returns an empty store.
@@ -141,48 +123,6 @@ func (ks *KeyStore) GMAC(name string, nonce, aad, tag []byte) error {
 	}
 	e.aead.Seal(tag[:0], nonce, nil, aad)
 	return nil
-}
-
-// MACSum computes the A3 integrity MAC over (header, payload) under
-// the named stream's key without copying the key out of the store and
-// without constructing a fresh HMAC per call: the entry's HMAC state is
-// cached and Reset between uses. It takes no lock once the entry's
-// state exists — the lookup reads the published table and the state is
-// taken with a swap — so callers may hold their own locks across this
-// call. The message is assembled in the state's scratch before it meets
-// the hash.Hash interface, so a caller's stack arrays stay on the
-// stack: the steady-state cost is zero allocations on both sides of the
-// call.
-func (ks *KeyStore) MACSum(name string, header, payload []byte) ([32]byte, error) {
-	var out [32]byte
-	e := ks.find(name)
-	var m *macState
-	if e != nil {
-		if m = e.mac.Swap(nil); m == nil {
-			m = ks.newMAC(e)
-		}
-	}
-	if m == nil {
-		return out, fmt.Errorf("secmem: no key material for stream %q", name)
-	}
-	m.h.Reset()
-	m.msg = append(append(m.msg[:0], header...), payload...)
-	m.h.Write(m.msg)
-	m.sum = m.h.Sum(m.sum[:0])
-	copy(out[:], m.sum)
-	e.mac.Store(m)
-	return out, nil
-}
-
-// newMAC builds an HMAC state over e's key under ks.mu, so it never
-// reads key bytes a Destroy is zeroing; nil once e is no longer live.
-func (ks *KeyStore) newMAC(e *keyEntry) *macState {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if ks.find(e.name) != e {
-		return nil
-	}
-	return &macState{h: hmac.New(sha256.New, e.key)}
 }
 
 // DestroyAll zeroizes everything — task teardown per §6 ("securely

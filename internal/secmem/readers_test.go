@@ -83,19 +83,19 @@ func TestStreamReadersExactAcrossRekey(t *testing.T) {
 	}
 }
 
-// TestMACSumUnderKeyChurn takes MACs, which take no lock once the
-// entry's HMAC state exists, while a writer installs a fresh key and
-// destroys it, round after round. Every MAC a reader is handed must be
-// the MAC under a key that was installed — never one under a key a
-// Destroy was zeroing — and a reader between a Destroy and the next
-// Install gets an error. Meant for -race (make ci runs it so).
-func TestMACSumUnderKeyChurn(t *testing.T) {
+// TestGMACUnderKeyChurn takes GMACs, which take no lock, while a writer
+// installs a fresh key and destroys it, round after round. Every tag a
+// reader is handed must be the tag under a key that was installed — never
+// one under a key a DestroyAll was zeroing — and a reader between a
+// DestroyAll and the next Install gets an error. Meant for -race (make ci
+// runs it so).
+func TestGMACUnderKeyChurn(t *testing.T) {
 	const rounds = 300
 	ks := NewKeyStore()
-	hdr, payload := []byte("header"), []byte("payload")
+	nonce, aad := make([]byte, GCMNonceSize), []byte("span bytes")
 	var mu sync.Mutex
-	valid := map[[32]byte]bool{}
-	// installs counts Install calls begun, destroys Destroy calls returned.
+	valid := map[[TagSize]byte]bool{}
+	// installs counts Install calls begun, destroys DestroyAll calls returned.
 	var installs, destroys atomic.Uint64
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -105,11 +105,17 @@ func TestMACSumUnderKeyChurn(t *testing.T) {
 		defer done.Store(true)
 		for i := 0; i < rounds; i++ {
 			key := FreshKey()
+			ref := NewKeyStore()
+			var tag [TagSize]byte
+			if err := ref.Install("seal", key, FreshNonce()); err != nil || ref.GMAC("seal", nonce, aad, tag[:]) != nil {
+				t.Error("reference GMAC failed")
+				return
+			}
 			mu.Lock()
-			valid[MAC(key, hdr, payload)] = true
+			valid[tag] = true
 			mu.Unlock()
 			installs.Add(1)
-			if err := ks.Install("mmio", key, FreshNonce()); err != nil {
+			if err := ks.Install("seal", key, FreshNonce()); err != nil {
 				t.Error(err)
 				return
 			}
@@ -122,20 +128,21 @@ func TestMACSumUnderKeyChurn(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func() {
 			defer wg.Done()
+			tag := make([]byte, TagSize)
 			for !done.Load() {
 				i1 := installs.Load()
 				d1 := destroys.Load()
-				sum, err := ks.MACSum("mmio", hdr, payload)
+				err := ks.GMAC("seal", nonce, aad, tag)
 				settled := i1 == d1 && installs.Load() == i1
 				mu.Lock()
-				ok := valid[sum]
+				ok := valid[[TagSize]byte(tag)]
 				mu.Unlock()
 				switch {
 				case err == nil && !ok:
-					t.Error("MACSum returned a MAC under no installed key")
+					t.Error("GMAC returned a tag under no installed key")
 					return
 				case err == nil && settled:
-					t.Errorf("MACSum succeeded after Destroy %d returned, before the next Install", d1)
+					t.Errorf("GMAC succeeded after DestroyAll %d returned, before the next Install", d1)
 					return
 				}
 				runtime.Gosched()
@@ -144,6 +151,6 @@ func TestMACSumUnderKeyChurn(t *testing.T) {
 	}
 	wg.Wait()
 	if ks.Count() != 0 {
-		t.Fatalf("Count %d after the last Destroy", ks.Count())
+		t.Fatalf("Count %d after the last DestroyAll", ks.Count())
 	}
 }

@@ -1,7 +1,8 @@
 // Package secmem implements ccAI's cryptographic machinery: AES-GCM
 // protected streams with the paper's IV discipline (12-byte nonce +
-// 4-byte big-endian counter, §7.2), IV-exhaustion rekeying (§6), and plain
-// HMAC integrity for Write-Protected (A3) traffic. It moves real bytes
+// 4-byte big-endian counter, §7.2), IV-exhaustion rekeying (§6), and the
+// GMAC that seals the submission ring's spans, the one integrity check on
+// Write-Protected (A3) traffic. It moves real bytes
 // through real AES-GCM; what the crypto costs in time is priced by the
 // analytic cost model in internal/bench.
 package secmem
@@ -9,8 +10,6 @@ package secmem
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -439,20 +438,4 @@ func (s *Stream) ForceCounter(c uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ctr.Store(uint64(s.Epoch())<<32 | uint64(c))
-}
-
-// --- A3 (Write Protected) integrity ---------------------------------------
-
-// MAC computes the plain-integrity code used for Write-Protected packets
-// (action A3, Table 1): payload stays in the clear but carries an HMAC
-// binding payload and header so bus tampering is detected. A test seam:
-// the A3 cells compute the TVM's expected tag from the raw key,
-// independently of the KeyStore the SC checks with.
-func MAC(key, header, payload []byte) [32]byte {
-	m := hmac.New(sha256.New, key)
-	m.Write(header)
-	m.Write(payload)
-	var out [32]byte
-	copy(out[:], m.Sum(nil))
-	return out
 }

@@ -95,7 +95,7 @@ type Driver struct {
 	tail     uint64
 	// preDoorbell runs just before the doorbell write with the ring
 	// chunk indices about to be consumed; ccAI's platform glue uses it
-	// to post MAC records. Vanilla leaves it nil.
+	// to carry those commands to the SC. Vanilla leaves it nil.
 	preDoorbell func(chunks []uint32) error
 	// chunks is Submit's slot-index list, reused call to call: the
 	// preDoorbell hook does not retain it, and the driver's owner
@@ -190,9 +190,9 @@ func (d *Driver) Submit(cmds ...xpu.Command) error {
 
 // Kick recovers a stalled submission: it re-reads the device's head,
 // re-runs the pre-doorbell hook for every not-yet-consumed slot (ccAI's
-// ring MAC records are one-shot, so a re-fetch after a lost doorbell
-// needs fresh ones), rewrites the tail register and rings the doorbell
-// again. Safe when nothing is pending — the device ignores a doorbell
+// SC serves each run it holds once, so a re-read after a lost doorbell
+// needs the run carried again), rewrites the tail register and rings
+// the doorbell again. Safe when nothing is pending — the device ignores a doorbell
 // with head == tail.
 func (d *Driver) Kick() error {
 	sp := d.obs.tracer.Start(siteKick, keyTail.U64(d.tail))

@@ -76,18 +76,19 @@ func betweenDispatches(t *testing.T, mp *MultiPlatform, at func(n int)) {
 // device read of an A2 region, one chunk or sixteen, is one
 // decrypt_read_span and one tag_match. A new per-TLP or per-chunk span
 // shows up here as a jump, in the count pass of benchmark/ as
-// obsv.spans_per_op. A submission's command slots verify as one run, and
-// the device fetches a run with one read: one sync_verified, and one
-// dma_read, classify, verified_read and tag_match per run. Its two
+// obsv.spans_per_op. A submission's command slots ride its span as one
+// run, and the device reads a run with one read the SC serves from the
+// run it holds: one sync_verified, and one dma_read, classify and
+// verified_read per run, with no tag_match. Its two
 // guarded writes are ring entries, each one guarded_mmio span at the SC,
 // with no classify span and no tag_match: the span's seal vouches for
 // an entry, and the SC checks the environment guard in place.
 // Posting staging and sealing each span add no span.
 const (
-	spansPerTask64K    = 139
-	spansPerTask4K     = 34
-	spansPerDecodeStep = 26
-	spansPerPrefill    = 85
+	spansPerTask64K    = 138
+	spansPerTask4K     = 33
+	spansPerDecodeStep = 25
+	spansPerPrefill    = 84
 )
 
 // TestSpanBudget pins spans per op exactly, on the synthetic clock.
@@ -132,8 +133,8 @@ func TestSpanBudget(t *testing.T) {
 		})
 		// One of the 48 submissions straddles the end of the 64-slot command
 		// ring (commands 127–129 of the session are slots 63, 0, 1): two
-		// runs, so one dma_read, classify, verified_read and tag_match more.
-		if want := spansPerDecodeStep*(to-from) + 4; spans != want {
+		// runs, so one dma_read, classify and verified_read more.
+		if want := spansPerDecodeStep*(to-from) + 3; spans != want {
 			t.Errorf("%d decode steps record %d spans, budget is exactly %d a step and one for the wrap (%d)",
 				to-from, spans, spansPerDecodeStep, want)
 		}

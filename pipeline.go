@@ -225,7 +225,7 @@ func (pl *pipeline) establishTrust() (err error) {
 			pl.Adaptor.Teardown()
 		}
 	}()
-	for _, stream := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.StreamMMIO, core.KeyRingSeal} {
+	for _, stream := range []string{core.StreamH2D, core.StreamD2H, core.StreamConfig, core.KeyRingSeal} {
 		key, nonce := secmem.FreshKey(), secmem.FreshNonce()
 		if err := pl.scKeys.Install(stream, key, nonce); err != nil {
 			return err
@@ -233,8 +233,8 @@ func (pl *pipeline) establishTrust() (err error) {
 		if err := pl.tvmKeys.Install(stream, key, nonce); err != nil {
 			return err
 		}
-		// The A3 MAC key and the ring seal's are raw keys, not streams.
-		if stream != core.StreamMMIO && stream != core.KeyRingSeal {
+		// The ring seal's is a raw key, not a stream.
+		if stream != core.KeyRingSeal {
 			if err := pl.SC.Params().Activate(stream); err != nil {
 				return err
 			}
@@ -340,7 +340,7 @@ func (pl *pipeline) run(ctx context.Context, cmds []xpu.Command, staged []*adapt
 // device did not fully consume: repost the tag table of every H2D region
 // staged for the submission (tag-packet loss orphans chunks; for a
 // decode step's window that is the step's positioned tag), then kick the
-// driver (re-post the run records, re-ring the doorbell), then read the
+// driver (re-send the command runs, re-ring the doorbell), then read the
 // device head. A flush that lost its doorbells is re-published by the
 // first rung whose flush gets through, so a rung that fails does not end
 // the ladder. If the device still hasn't consumed everything after

@@ -60,9 +60,9 @@ import (
 //	z    tear the session down
 //	.    end the fault episode: the injector leaves the host bus
 //	T<d> tamper: T0 H2D data, T1 the D2H result, T2 an A3 write, T3 ring
-//	     framing, T4 a command run, T5 H2D data cut short
-//	D<d> drop: D0 an H2D data completion, D1 the ring doorbell, D2 a
-//	     command-run completion
+//	     framing, T4 a command run's entry, T5 H2D data cut short
+//	D<d> drop: D0 an H2D data completion, D1 the ring doorbell, D2 the
+//	     slot-fetch completion carrying a command run
 //	R    the SC's result writes re-aimed into host memory
 //	P    every TVM write recorded this generation, replayed
 //	G<d> G0 an unauthorized requester at the xPU window and control BAR;
@@ -177,18 +177,18 @@ type sliceState struct {
 	EpochSC [3]uint32
 	// IV is the last epoch<<32|counter each stream sealed under this
 	// trust generation; zero before the first seal after bring-up.
-	IV               [3]uint64
-	Regions, Tags    int
-	Tail             uint64
-	Active           int
-	SCKeys, TVMKeys  int
-	HostBuffersAlive int
+	IV                  [3]uint64
+	Regions, Tags, Runs int
+	Tail                uint64
+	Active              int
+	SCKeys, TVMKeys     int
+	HostBuffersAlive    int
 }
 
 // refSession is the reference model of one slice's SC session: trust
 // generation, per-stream key epochs and send counters, live regions (the
-// command ring between tasks), pending tags (none between ops) and the
-// command ring's tail.
+// command ring between tasks), pending tags and held command runs (none
+// between ops) and the command ring's tail.
 type refSession struct {
 	gen   int
 	state sliceState
@@ -201,16 +201,14 @@ type refSession struct {
 	held [2]int
 	// lag is the state a fault left the slice in, behind the model: the
 	// SC holding releases or a rekey a cut-short flush left queued on the
-	// producer's side of the ring (the next flush publishes them), or MAC
-	// records a recovery kick re-posted for a command run the device had
-	// already read (replaced when the slot comes round). From there the
-	// slice may only converge on the model; nil once it has.
+	// producer's side of the ring (the next flush publishes them). From
+	// there the slice may only converge on the model; nil once it has.
 	lag *sliceState
 }
 
 // Bring-up leaves the command ring as the one live region, its
 // descriptor the one config seal, three stream contexts on the SC and
-// five keys on each end. A task that reaches the doorbell is three
+// four keys on each end. A task that reaches the doorbell is three
 // commands.
 const (
 	trustRegions = 1
@@ -222,7 +220,7 @@ var bringUpCtr = [3]uint32{sConfig: 1}
 func (m *refSession) trust() {
 	m.gen, m.ctr, m.lag = m.gen+1, bringUpCtr, nil
 	m.state = sliceState{Trusted: true, Regions: trustRegions,
-		Active: 3, SCKeys: 5, TVMKeys: 5, HostBuffersAlive: m.buffers + m.held[1]}
+		Active: 3, SCKeys: 4, TVMKeys: 4, HostBuffersAlive: m.buffers + m.held[1]}
 }
 
 // teardown is a session torn down, by Close or fail-closed: keys, stream
@@ -231,7 +229,7 @@ func (m *refSession) trust() {
 func (m *refSession) teardown() {
 	s := &m.state
 	s.Trusted, s.EpochA, s.EpochSC, m.lag = false, [2]uint32{}, [3]uint32{}, nil
-	s.Regions, s.Tags, s.Active, s.SCKeys, s.TVMKeys = 0, 0, 0, 0, 0
+	s.Regions, s.Tags, s.Runs, s.Active, s.SCKeys, s.TVMKeys = 0, 0, 0, 0, 0, 0
 	m.held[0] = 0
 }
 
@@ -279,7 +277,7 @@ func (m *refSession) adopt(s sliceState) {
 	m.state, m.lag = s, nil
 	if s.Trusted {
 		quiet := s
-		quiet.Regions, quiet.Tags = trustRegions+m.held[0], 0
+		quiet.Regions, quiet.Tags, quiet.Runs = trustRegions+m.held[0], 0, 0
 		quiet.EpochSC[sH2D], quiet.EpochSC[sD2H] = s.EpochA[sH2D], s.EpochA[sD2H]
 		if quiet != s {
 			m.state, m.lag = quiet, &s
@@ -299,7 +297,8 @@ func (m *refSession) adopt(s sliceState) {
 
 // converging is the state the model accepts after a quiet op while the
 // slice lags: the SC's regions and tags falling toward the quiet counts,
-// its key epochs rising to the Adaptor's.
+// its key epochs rising to the Adaptor's. No held run outlives its
+// doorbell, so none is ever left to converge.
 func (m *refSession) converging(got sliceState) sliceState {
 	want, l := m.state, m.lag
 	if l == nil || !got.Trusted {
@@ -516,7 +515,7 @@ func (r *traceRun) tail() uint64 {
 // observe reads the slice's protocol state through its accessors.
 func (r *traceRun) observe() sliceState {
 	p := r.p
-	s := sliceState{Trusted: r.live(), Regions: p.SC.Regions(), Tags: p.SC.PendingTags(),
+	s := sliceState{Trusted: r.live(), Regions: p.SC.Regions(), Tags: p.SC.PendingTags(), Runs: p.SC.HeldRuns(),
 		Tail: r.tail(), Active: p.SC.Params().Active(), SCKeys: p.scKeys.Count(), TVMKeys: p.tvmKeys.Count(),
 		HostBuffersAlive: p.Guest.Space.Live()}
 	for i, name := range modelStreams {
@@ -968,11 +967,21 @@ type adversary struct {
 	ok   func(a *attackRun, d int) bool
 }
 
-// Packets the attacks aim at, by role: the H2D data and the command
-// runs the SC fetches, the results it writes, the TVM's ring doorbell.
+// Packets the attacks aim at, by role: the H2D data and the ring slots
+// carrying a command run the SC fetches, the results it writes, the
+// TVM's ring doorbell.
 func dataToSC(pk *pcie.Packet) bool { return pk.Kind == pcie.CplD && pk.Role == pcie.RoleH2DData }
 
-func commandRun(pk *pcie.Packet) bool { return pk.Kind == pcie.CplD && pk.Role == pcie.RoleCommandRun }
+func runFetch(pk *pcie.Packet) bool {
+	for _, slot := range ringSlots(pk) {
+		for _, e := range slotChain(slot) {
+			if e.Op == core.RingOpRun {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 func resultWrite(pk *pcie.Packet) bool { return pk.Role == pcie.RoleD2HData }
 
@@ -1007,17 +1016,17 @@ func (c *truncater) Tap(p *pcie.Packet) *pcie.Packet {
 	return q
 }
 
-// releaseHider clears, once, the more bit of the entry chained ahead of
-// a region release in a ring fetch toward the SC: the chain the SC reads
-// ends there, the release and what follows it gone.
-type releaseHider struct{ done bool }
+// releaseHider clears the more bit of the entry chained ahead of a
+// region release in every ring fetch toward the SC, the span's re-fetch
+// included: the chain the SC reads ends there, the release and what
+// follows it gone.
+type releaseHider struct{}
 
-func (h *releaseHider) Tap(p *pcie.Packet) *pcie.Packet {
+func (h releaseHider) Tap(p *pcie.Packet) *pcie.Packet {
 	for i, slot := range ringSlots(p) {
 		chain := slotChain(slot)
-		for j := 1; j < len(chain) && !h.done; j++ {
+		for j := 1; j < len(chain); j++ {
 			if chain[j].Op == core.RingOpRelease {
-				h.done = true
 				q := p.Clone()
 				q.Payload[i*core.RingSlotSize+chainSize(chain[:j-1])+1] &^= core.RingFlagMore
 				return q
@@ -1030,14 +1039,24 @@ func (h *releaseHider) Tap(p *pcie.Packet) *pcie.Packet {
 // ringEdit rewrites the submission-ring entries the SC fetches in
 // flight, a slot's chain at a time: edit gets the chain as the SC's
 // decoder reads it and reports whether it changed an entry; a changed
-// chain is packed back into its slot.
+// chain is packed back into its slot. An edit must leave every slot
+// well framed, as far as the fetch reads it, so that what the SC
+// refuses it refuses on the seal: a fetch with an edit that does not
+// frame back whole goes through untouched, and the attack has not
+// acted.
 type ringEdit func(chain []core.RingEntry) bool
 
 func (e ringEdit) Tap(p *pcie.Packet) *pcie.Packet {
 	q, edited := p.Clone(), false
 	for _, slot := range ringSlots(q) {
 		if chain := slotChain(slot); e(chain) {
+			if chainSize(chain) > len(slot) {
+				return p
+			}
 			packSlot(slot, chain)
+			if len(slotChain(slot)) != len(chain) {
+				return p
+			}
 			edited = true
 		}
 	}
@@ -1150,12 +1169,11 @@ var adversaries = map[byte][]adversary{
 			}},
 		{3, tamperOnce(resultWrite), nil, "a tampered result refused by the Adaptor",
 			func(a *attackRun, _ int) bool { return a.err != nil }},
+		// Every fetch of the span tampered alike, its re-fetch included.
 		{4, func(*traceRun, *attackRun, int) pcie.Tap {
-			done := false // one tampered entry a run
 			return ringEdit(func(chain []core.RingEntry) bool {
 				for i := range chain {
-					if !done && doorbellEntry(chain[i]) {
-						done = true
+					if doorbellEntry(chain[i]) {
 						chain[i].Data[0] ^= 2 // the value, under the span's seal
 						return true
 					}
@@ -1166,8 +1184,25 @@ var adversaries = map[byte][]adversary{
 			(*attackRun).spanRefused},
 		{2, func(*traceRun, *attackRun, int) pcie.Tap { return &ringArgCorrupter{} }, nil, "a tampered ring entry refused with its span and the session failed closed",
 			(*attackRun).spanRefused},
-		{2, tamperOnce(commandRun), nil, "a tampered command run refused at the SC and the task re-driven",
-			func(a *attackRun, _ int) bool { return a.authFailed() && a.err == nil }},
+		// A command run rides its submission's span, under the seal: one
+		// tampered fetch of it is refused, and its re-fetch checks.
+		{2, func(*traceRun, *attackRun, int) pcie.Tap {
+			done := false // one tampered run a run
+			return ringEdit(func(chain []core.RingEntry) bool {
+				for i := range chain {
+					if !done && chain[i].Op == core.RingOpRun {
+						done = true
+						chain[i].Data[core.RunHdrSize] ^= 2 // the first command's opcode
+						return true
+					}
+				}
+				return false
+			})
+		}, nil, "a tampered command run refused with its span and fetched again, the task exact at no cost",
+			func(a *attackRun, _ int) bool {
+				return a.err == nil && a.rec2 == a.rec && a.trusted && !a.authFailed() &&
+					a.st2.ConfigRejects == a.st.ConfigRejects+1
+			}},
 		{2, func(*traceRun, *attackRun, int) pcie.Tap { return &truncater{} }, nil, "a cut-short H2D data completion refused, not served whole, and re-driven",
 			func(a *attackRun, _ int) bool { return a.err == nil && a.rec2.Reposts > a.rec.Reposts }},
 	},
@@ -1179,8 +1214,10 @@ var adversaries = map[byte][]adversary{
 			func(a *attackRun, _ int) bool {
 				return a.recovered() && a.rec2.Retries > a.rec.Retries && a.rec2.Recovered > a.rec.Recovered
 			}},
-		{5, dropOnce(commandRun), nil, "a lost command-run completion reposted and recovered",
-			func(a *attackRun, _ int) bool { return a.recovered() && a.rec2.Reposts > a.rec.Reposts }},
+		// The SC fetches a slot run again itself: the producer never sees
+		// the loss.
+		{5, dropOnce(runFetch), nil, "a lost slot fetch carrying a command run fetched again, the task exact at no cost",
+			func(a *attackRun, _ int) bool { return a.err == nil && a.rec2 == a.rec && !a.authFailed() }},
 	},
 	// The SC's result writes re-aimed into host memory the adversary reads
 	// (attack checks it never holds the plaintext).
@@ -1236,28 +1273,30 @@ var adversaries = map[byte][]adversary{
 		// The spent channel's two releases, which the renewing step
 		// publishes in one chain, cut after the first: the window's
 		// release hidden (ROADMAP item 16's interleaving).
-		{-1, func(*traceRun, *attackRun, int) pcie.Tap { return &releaseHider{} }, renews,
+		{-1, func(*traceRun, *attackRun, int) pcie.Tap { return releaseHider{} }, renews,
 			"a release hidden behind a cleared more bit refused with its span, failed closed", (*attackRun).spanRefused},
 	},
-	// M<d>: the step's region-ready notify — an entry the SC does nothing
-	// with — rewritten into a forged arm (misaim); M5 re-aims the step's own
-	// arms into the other session's window instead. Each edit breaks the
-	// span's seal, so no aim is ever tried: the span is refused whole.
+	// M<d>: the step's own arm rewritten in place into a forged one
+	// (misaim) — one record for one record, so the chain still frames
+	// and only the span's seal can refuse it; M4 with no step queued
+	// forges a task's one-record positioned entry the same way. M5
+	// re-aims the step's own arms into the other session's window
+	// instead. Every fetch of the span is edited alike, so its re-fetch
+	// is refused too, and no aim is ever tried: the span is refused
+	// whole.
 	'M': {{-1, func(r *traceRun, a *attackRun, d int) pcie.Tap {
-		var own armEntry
-		forged := false // one forged arm a run
 		return ringEdit(func(chain []core.RingEntry) (edited bool) {
 			for i, entry := range chain {
-				if e, ok := positionedEntry(entry); ok {
-					own = e
-					if to := r.stepWindow(e.region, false); d == 5 && to != nil {
+				e, ok := positionedEntry(entry)
+				switch {
+				case !ok:
+				case d == 5:
+					if to := r.stepWindow(e.region, false); to != nil {
 						chain[i].Arg = core.ArmPosition(to.Desc.ID, e.first)
 						edited = true
 					}
-				} else if entry.Op == core.RingOpNotify && d != 5 && !forged && (own.region != 0 || d == 4) &&
-					chainSize(chain)+len(forgedArm) <= core.RingSlotSize {
-					forged = true
-					chain[i] = core.RingEntry{Op: core.RingOpTags, Arg: r.misaim(d, own), Data: forgedArm}
+				case len(e.recs) == len(forgedArm):
+					chain[i] = core.RingEntry{Op: core.RingOpTags, Arg: r.misaim(d, e), Data: forgedArm}
 					edited = true
 				}
 			}
@@ -1551,8 +1590,8 @@ type armEntry struct {
 
 // positionedEntry decodes a tag entry of h2d records: in a decode step's
 // burst, the step's arm of its window. Every tag entry is positioned at
-// its region; the run records a submission posts at the command ring
-// carry the a3-run stream's hash.
+// its region; a submission's command runs ride entries of their own
+// (RingOpRun).
 func positionedEntry(e core.RingEntry) (armEntry, bool) {
 	return armEntry{uint32(e.Arg >> 32), uint32(e.Arg), e.Data},
 		e.Op == core.RingOpTags && e.Arg != 0 && bytes.HasPrefix(e.Data, h2dHash)
@@ -1562,13 +1601,14 @@ func positionedEntry(e core.RingEntry) (armEntry, bool) {
 var h2dHash = core.TagRecord{Stream: core.StreamH2D}.AppendMarshal(nil)[:4]
 
 // ringSlots splits a ring fetch's completion toward the SC into its
-// slots; there are none in any other packet.
+// slots, the last one as far as the fetch reads it (the span's end);
+// there are none in any other packet.
 func ringSlots(p *pcie.Packet) (slots [][]byte) {
 	if p.Kind != pcie.CplD || p.Role != pcie.RoleSlotFetch {
 		return nil
 	}
-	for off := 0; off+core.RingSlotSize <= len(p.Payload); off += core.RingSlotSize {
-		slots = append(slots, p.Payload[off:][:core.RingSlotSize])
+	for off := 0; off < len(p.Payload); off += core.RingSlotSize {
+		slots = append(slots, p.Payload[off:min(off+core.RingSlotSize, len(p.Payload))])
 	}
 	return slots
 }

@@ -65,14 +65,16 @@ func TestRingDoorbellsDroppedPastOneFlush(t *testing.T) {
 }
 
 // ringArgCorrupter flips a bit of the first entry's arg in every
-// ring-slot fetch completion toward the SC — a ring entry rewritten in
-// flight, which breaks its span's seal: the fail-closed family.
-type ringArgCorrupter struct{}
+// ring-slot fetch completion toward the SC, counting them — a ring entry
+// rewritten in flight, which breaks its span's seal: the fail-closed
+// family.
+type ringArgCorrupter struct{ fetches int }
 
 func (c *ringArgCorrupter) Tap(p *pcie.Packet) *pcie.Packet {
 	if p.Kind != pcie.CplD || p.Role != pcie.RoleSlotFetch || len(p.Payload) == 0 {
 		return p
 	}
+	c.fetches++
 	q := p.Clone()
 	q.Payload[4] ^= 0x80 // entry 0's arg, low byte
 	return q
@@ -84,15 +86,21 @@ func (c *ringArgCorrupter) Tap(p *pcie.Packet) *pcie.Packet {
 // plaintext on the wire (T3).
 func TestRingDesyncFailsClosed(t *testing.T) { playTrace(t, "ring-desync") }
 
-// TestRingDesyncLeavesSliceUntrusted: once the Adaptor fails a desynced
-// ring closed on its own, the slice is untrusted like one torn down on
-// purpose — the next task is refused with ErrNotTrusted, not run into a
-// dead session.
+// TestRingDesyncLeavesSliceUntrusted: a span tampered in every fetch is
+// fetched twice — refused, fetched once more, refused again — and no
+// more. Once the Adaptor fails the desynced ring closed on its own, the
+// slice is untrusted like one torn down on purpose — the next task is
+// refused with ErrNotTrusted, not run into a dead session.
 func TestRingDesyncLeavesSliceUntrusted(t *testing.T) {
 	p := protectedPlatform(t, xpu.A100)
-	p.Host.AddTap(&ringArgCorrupter{})
+	tamper := &ringArgCorrupter{}
+	p.Host.AddTap(tamper)
+	rejects := p.SC.Stats().ConfigRejects
 	if _, err := p.RunTask(Task{Input: []byte("desync"), Kernel: KernelAdd, Param: 1}); !errors.Is(err, adaptor.ErrRingDesync) {
 		t.Fatalf("task over a tampered ring entry: %v, want ErrRingDesync", err)
+	}
+	if got := p.SC.Stats().ConfigRejects - rejects; tamper.fetches != 2 || got != 1 {
+		t.Fatalf("the tampered span was fetched %d times for %d config rejects; want 2 and 1", tamper.fetches, got)
 	}
 	p.Host.ClearTaps()
 	if p.trusted {
@@ -163,9 +171,9 @@ func TestReplayedRingDoorbellIsReReaped(t *testing.T) {
 // TestKickedFinishedRunLeavesNoRecord: the completion words of a task's
 // doorbell span and of the repost that follows both arrive one behind
 // (a delayed writeback each). The recovery kick takes the last command
-// for unconsumed and re-posts its run record, but the device had read
-// that run already. The SC drops the record at the kick's doorbell, so
-// the task is exact and nothing stays queued at the SC.
+// for unconsumed and re-sends its run, but the device had read that run
+// already. The SC drops the run at the reap that follows the kick's
+// doorbell, so the task is exact and nothing stays held at the SC.
 func TestKickedFinishedRunLeavesNoRecord(t *testing.T) {
 	p := protectedPlatform(t, xpu.A100)
 	tk := Task{Input: []byte("kicked"), Kernel: KernelAdd, Param: 1}
@@ -191,8 +199,8 @@ func TestKickedFinishedRunLeavesNoRecord(t *testing.T) {
 	if rec := p.Adaptor.Recovery(); err != nil || string(out) != "ljdlfe" || regressed != 2 || rec.Reposts != 1 {
 		t.Fatalf("task behind two regressed completion words: %q, %v; %d regressed, recovery %+v", out, err, regressed, rec)
 	}
-	if n := p.SC.PendingTags(); n != 0 {
-		t.Fatalf("%d records left queued at the SC", n)
+	if n, held := p.SC.PendingTags(), p.SC.HeldRuns(); n != 0 || held != 0 {
+		t.Fatalf("%d records and %d runs left at the SC", n, held)
 	}
 }
 
@@ -229,9 +237,9 @@ func TestRingAppendedEntry(t *testing.T) { playTrace(t, "ring-appended-entry") }
 
 // TestRingHiddenRelease: a decode session's step renews its spent
 // window, and the doorbell that returns the old channel's two regions
-// is cut after the first release by a cleared more bit. The span's seal
-// covers the bit, so the span is refused whole and the session fails
-// closed — the window's SC region never outlives its freed host buffer —
+// is cut after the first release by a cleared more bit, in every fetch.
+// The span's seal covers the bit, so the span is refused whole, its
+// re-fetch too, and the session fails closed — the window's SC region never outlives its freed host buffer —
 // and a re-trusted slice serves a new session (S6, the saved trace
 // ring-hidden-release; ROADMAP item 16).
 func TestRingHiddenRelease(t *testing.T) { playTrace(t, "ring-hidden-release") }

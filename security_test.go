@@ -81,10 +81,11 @@ func TestRQ2_SnoopProtectedSeesOnlyCiphertext(t *testing.T) {
 // op's oracles and the model's invariant checks are the assertions.
 
 // TestRQ2_TamperedDataDetected flips a bit in flight toward the SC: of
-// a command-run fetch, which the SC refuses and the ladder re-drives to
-// an exact result (T4); then of encrypted H2D data, which the SC's GCM
-// check catches before any byte reaches the device, at the cost of the
-// session (T0).
+// a command run's entry in the slot fetch, whose span the seal refuses
+// whole, so no command of that copy executes, and the SC's re-fetch gets
+// the sealed one: the task is exact at the cost of one config reject
+// (T4); then of encrypted H2D data, which the SC's GCM check catches
+// before any byte reaches the device, at the cost of the session (T0).
 func TestRQ2_TamperedDataDetected(t *testing.T) { playTrace(t, "rq2-tamper-h2d") }
 
 // TestRQ2_TamperedResultDetected flips a bit of the sealed D2H result:
@@ -92,9 +93,9 @@ func TestRQ2_TamperedDataDetected(t *testing.T) { playTrace(t, "rq2-tamper-h2d")
 func TestRQ2_TamperedResultDetected(t *testing.T) { playTrace(t, "rq2-tamper-result") }
 
 // TestRQ2_TamperedDoorbellBlocked flips a bit of the value of the A3
-// doorbell write's ring entry in flight: the span's seal refuses the
-// span whole, so the forged write never executes, and the session fails
-// closed (T2).
+// doorbell write's ring entry in every fetch of its span: the span's
+// seal refuses it whole, its re-fetch too, so the forged write never
+// executes, and the session fails closed (T2).
 func TestRQ2_TamperedDoorbellBlocked(t *testing.T) { playTrace(t, "rq2-tamper-doorbell") }
 
 // TestRQ2_ReplayRejected re-injects every TVM write of a finished task:
@@ -107,9 +108,10 @@ func TestRQ2_ReplayRejected(t *testing.T) { playTrace(t, "rq2-replay") }
 func TestRQ2_RedirectedResultUnreadable(t *testing.T) { playTrace(t, "rq2-redirect") }
 
 // TestRQ2_DroppedPacketDetected deletes a completion toward the SC in
-// flight — of a command run (D2), then of encrypted H2D data (D0): each
-// time the recovery ladder reposts and re-drives, and the task is exact
-// — never computed on a hole.
+// flight — of the slot fetch carrying a command run (D2), which the SC
+// fetches again, then of encrypted H2D data (D0), which the recovery
+// ladder reposts and re-drives: the task is exact each time — never
+// computed on a hole.
 func TestRQ2_DroppedPacketDetected(t *testing.T) { playTrace(t, "rq2-drop") }
 
 // TestRQ2_RogueTVMBlockedByFilter: an unauthorized requester's writes and
@@ -256,12 +258,13 @@ func TestStepChannelSuppressedArm(t *testing.T) { playTrace(t, "step-suppressed-
 // k−1's ids reach the device only in their own step (S2).
 func TestStepChannelReplayedStep(t *testing.T) { playTrace(t, "step-replayed") }
 
-// TestStepChannelMisaimedArm: a positioned tag forged for a slot past
-// the window, a wrapped slot index, a window that does not exist, a
-// consumed slot, a window already released or a slot ahead (M0–M4, M6),
-// each in a fresh session, and a session's arms redirected into another
-// session's window (M5): every one breaks its span's seal, so no aim is
-// tried — the span is refused whole and the tenant fails closed.
+// TestStepChannelMisaimedArm: the step's positioned tag forged, in
+// place and well framed, for a slot past the window, a wrapped slot
+// index, a window that does not exist, a consumed slot, a window already
+// released or a slot ahead (M0–M4, M6), each in a fresh session, and a
+// session's arms redirected into another session's window (M5): every
+// one breaks its span's seal in every fetch, so no aim is tried — the
+// span is refused whole, its re-fetch too, and the tenant fails closed.
 func TestStepChannelMisaimedArm(t *testing.T) {
 	playTrace(t, "step-misaimed-arm")
 	playTrace(t, "step-foreign-arm")

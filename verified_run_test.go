@@ -1,35 +1,36 @@
 package ccai
 
 // A submission's command slots cross the untrusted bus as one verified
-// run (DESIGN.md §6 invariant 2): one MAC record, one device read, one SC
-// fetch, the run served whole and nothing of it kept. These are the
-// platform-level cells; the SC-level ones (malformed records, reads that
-// are not one whole run, a served run re-read) sit beside the rig in
-// internal/core and internal/adaptor.
+// run (DESIGN.md §6 invariant 2): run entries in the submission's sealed
+// span, held at the SC, one device read served from them whole, nothing
+// of the run kept once served, and no fetch of the command ring from the
+// host. These are the platform-level cells; the SC-level ones (malformed
+// run entries, reads that are not one whole run, a served run re-read)
+// sit beside the rig in internal/core and internal/adaptor.
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"testing"
 
 	"ccai/internal/adaptor"
+	"ccai/internal/core"
 	"ccai/internal/llm"
 	"ccai/internal/pcie"
 	"ccai/internal/xpu"
 )
 
-// cmdFetches taps a host bus for one slice's SC reads of its command
-// ring and returns their lengths in slots, in order.
-func cmdFetches(host *pcie.Bus, pl *pipeline) *[]int {
-	var fetches []int
-	host.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
-		if pk.Kind == pcie.MRd && pk.Role == pcie.RoleCommandRun && pk.Requester == pl.SC.DeviceID() {
-			fetches = append(fetches, int(pk.Length)/xpu.CmdSize)
+// cmdReads taps a slice's internal bus for the device's reads of its
+// command ring and returns their lengths in slots, in order.
+func cmdReads(internal *pcie.Bus) *[]int {
+	var reads []int
+	internal.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
+		if pk.Kind == pcie.MRd && pk.Role == pcie.RoleCommandRun {
+			reads = append(reads, int(pk.Length)/xpu.CmdSize)
 		}
 		return pk
 	}))
-	return &fetches
+	return &reads
 }
 
 // runCuts is where submissions of the given command counts, queued from
@@ -51,9 +52,9 @@ func runCuts(tail uint64, sizes ...int) []int {
 // Over the wire ledger's 512-token decode session (a 4-command prefill,
 // 63 three-command steps) and three 64 KiB tasks on one tenant, the internal segment
 // carries one command MRd per run, cut at the end of the command ring,
-// the SC answers each with one host fetch of the same slots, and the
-// host segment carries the wire ledger's decode-session rows, then its
-// task-64KiB rows for each task.
+// the SC answers each from the run its span carried, with no host fetch,
+// and the host segment carries the wire ledger's decode-session rows,
+// then its task-64KiB rows for each task.
 func TestCommandRunFetch(t *testing.T) {
 	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
 	tenant := mp.Tenants[0]
@@ -84,8 +85,8 @@ func TestCommandRunFetch(t *testing.T) {
 			t.Fatalf("device command read %d covers %d slots, want %d", i, slots, want[i])
 		}
 	}
-	if fetches := commandRuns(*host); !slices.Equal(device, fetches) {
-		t.Fatalf("the SC's host fetches are not the device's reads:\ndevice %v\nhost   %v", device, fetches)
+	if fetches := commandRuns(*host); len(fetches) != 0 {
+		t.Fatalf("the SC fetched command runs from the host: %v", fetches)
 	}
 	for i, shape := range shapes {
 		got := shapeWire{host: (*host)[cut[i]:cut[i+1]]}.lines(shape, 1)
@@ -95,10 +96,10 @@ func TestCommandRunFetch(t *testing.T) {
 	}
 }
 
-// TestA3RecordKeySpace: a command-ring run's record sits at its first
-// slot on the command ring region's own tag table, found by the full
-// region id, so no part of the id is packed into a smaller key that
-// could alias an earlier region's. 33,000 small tasks stage two regions
+// TestA3RecordKeySpace: a command run's entries are positioned at the
+// command ring region by its full id (core.ArmPosition), and the SC holds
+// the run on that region's own record, so no part of the id is packed
+// into a smaller key that could alias an earlier region's. 33,000 small tasks stage two regions
 // each, so the command ring a re-trust then stages takes an id past
 // 65,536, where a 16-bit key would collide with an earlier region's.
 // Every task, before the re-trust and after, is exact with not one auth
@@ -138,24 +139,35 @@ func TestA3RecordKeySpace(t *testing.T) {
 	}
 }
 
-// TestVerifiedRunBusTamper flips one bit in the SC's fetch of a
-// three-command run, in each of the three slots in turn. The one MAC
-// fails, so not even the untouched commands execute; the auth failure is
-// counted, the ladder's Kick re-MACs the same three slots and the task
-// completes byte-exact.
+// TestVerifiedRunBusTamper: a three-command run crosses the host bus
+// only inside its submission's sealed span. One bit flipped in flight in
+// any of its three slots breaks the seal: the SC refuses that copy of
+// the span whole, so not one command of it — not even the untouched
+// ones — reaches the device, and fetches the span once more. The second
+// copy checks: the device reads the run once, the task is exact, and
+// the refusal is counted as one config reject, with no recovery step. A
+// bit the host flips in the command ring in host memory once the run's
+// entries went out reaches nobody: the device runs the bytes the seal
+// covered, and the task is exact.
 func TestVerifiedRunBusTamper(t *testing.T) {
 	for slot := 0; slot < 3; slot++ {
 		p := protectedPlatform(t, xpu.A100)
-		fetches := cmdFetches(p.Host, &p.pipeline)
-		tampered := false
+		reads := cmdReads(p.Internal)
+		rejects, tampered := p.SC.Stats().ConfigRejects, false
 		p.Host.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
-			if tampered || pk.Kind != pcie.CplD || len(pk.Payload) != 3*xpu.CmdSize {
-				return pk
+			for i, s := range ringSlots(pk) {
+				at := 0
+				for _, e := range slotChain(s) {
+					if !tampered && e.Op == core.RingOpRun {
+						tampered = true
+						q := pk.Clone()
+						q.Payload[i*core.RingSlotSize+at+core.RingEntryHdrSize+core.RunHdrSize+slot*xpu.CmdSize+9] ^= 0x10
+						return q
+					}
+					at += core.RingEntryHdrSize + len(e.Data)
+				}
 			}
-			tampered = true
-			q := pk.Clone()
-			q.Payload[slot*xpu.CmdSize+9] ^= 0x10
-			return q
+			return pk
 		}))
 		in := taskInput()
 		out, err := p.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 2})
@@ -167,21 +179,43 @@ func TestVerifiedRunBusTamper(t *testing.T) {
 				t.Fatalf("slot %d: output wrong at byte %d", slot, i)
 			}
 		}
-		// The Kick re-MACs [head, tail): a second fetch of all three slots
-		// says the device's head never moved — nothing of the run executed.
-		if got := *fetches; !tampered || len(got) != 2 || got[0] != 3 || got[1] != 3 {
-			t.Fatalf("slot %d: tampered %v, command fetches %v, want [3 3]", slot, tampered, got)
+		if rec, st := p.Adaptor.Recovery(), p.SC.Stats(); !tampered || len(*reads) != 1 || (*reads)[0] != 3 ||
+			!p.trusted || rec != (adaptor.RecoveryStats{}) || st.AuthFailures != 0 || st.ConfigRejects != rejects+1 {
+			t.Fatalf("slot %d: tampered %v, device command reads %v, trusted %v, %d auth failures, %d config rejects, recovery %+v; want one read of 3, one reject, no recovery",
+				slot, tampered, *reads, p.trusted, st.AuthFailures, st.ConfigRejects-rejects, rec)
 		}
-		if st, rec := p.SC.Stats(), p.Adaptor.Recovery(); st.AuthFailures != 1 || rec.FailClosed != 0 {
-			t.Fatalf("slot %d: %d auth failures, recovery %+v; want 1 and no teardown", slot, st.AuthFailures, rec)
+	}
+
+	p := protectedPlatform(t, xpu.A100)
+	flipped := false
+	p.Host.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
+		if pk.Role == pcie.RoleRingDoorbell && !flipped {
+			flipped = true
+			slot := p.Driver.Tail() - 2 // the run's middle command
+			p.ring.Buf.Bytes()[slot%ringEntries*xpu.CmdSize+9] ^= 0x10
 		}
+		return pk
+	}))
+	in := taskInput()
+	out, err := p.RunTask(Task{Input: in, Kernel: KernelAdd, Param: 2})
+	if err != nil || !flipped {
+		t.Fatalf("the host rewrote the command ring behind the run's entries: %v (flipped %v)", err, flipped)
+	}
+	for i := range in {
+		if out[i] != in[i]+2 {
+			t.Fatalf("output wrong at byte %d: the host's bytes were run", i)
+		}
+	}
+	if st := p.SC.Stats(); st.AuthFailures != 0 {
+		t.Fatalf("%d auth failures", st.AuthFailures)
 	}
 }
 
 // TestVerifiedRunWrap: the 22nd three-command task on a 64-slot command
-// ring occupies slots 63, 0 and 1. That is two runs — two records, each
-// answering one fetch — and the output is byte-exact with no auth
-// failure.
+// ring occupies slots 63, 0 and 1. That is one run, riding one run entry
+// of three slots as an unwrapped run does, which the device reads in
+// two — slot 63, then slots 0 and 1 — each read served from the held
+// run; the output is byte-exact with no auth failure and nothing held.
 func TestVerifiedRunWrap(t *testing.T) {
 	p := protectedPlatform(t, xpu.A100)
 	in := taskInput()
@@ -203,26 +237,38 @@ func TestVerifiedRunWrap(t *testing.T) {
 	if tail := p.Driver.Tail(); tail != ringEntries-1 {
 		t.Fatalf("driver tail %d after 21 tasks, want %d", tail, ringEntries-1)
 	}
-	fetches := cmdFetches(p.Host, &p.pipeline)
+	reads := cmdReads(p.Internal)
+	var entries []int // the run entries' sizes in slots
+	p.Host.AddTap(pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
+		for _, s := range ringSlots(pk) {
+			for _, e := range slotChain(s) {
+				if e.Op == core.RingOpRun {
+					entries = append(entries, (len(e.Data)-core.RunHdrSize)/xpu.CmdSize)
+				}
+			}
+		}
+		return pk
+	}))
 	run()
-	if got := *fetches; len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("command fetches of the straddling task: %v, want [1 2]", got)
+	p.Host.ClearTaps()
+	if got := *reads; len(got) != 2 || got[0] != 1 || got[1] != 2 || len(entries) != 1 || entries[0] != 3 {
+		t.Fatalf("the straddling task: device command reads %v, want [1 2]; run entries of %v slots, want [3]", got, entries)
 	}
-	if st := p.SC.Stats(); st.AuthFailures != 0 {
-		t.Fatalf("%d auth failures", st.AuthFailures)
+	if st := p.SC.Stats(); st.AuthFailures != 0 || p.SC.HeldRuns() != 0 {
+		t.Fatalf("%d auth failures, %d runs held", st.AuthFailures, p.SC.HeldRuns())
 	}
 	run() // and the ring goes on from slot 2
 }
 
 // TestKickReMACsRemainder: the device consumes the first of three
 // commands and faults on the second (an opcode it does not know). The
-// driver repairs the slot and kicks: the Kick re-MACs the two pending
-// slots as one run, and the SC serves that run — fetched and verified
-// anew — not what is left of the first run's verified copy, which still
-// holds the broken command.
+// driver repairs the slot and kicks: the Kick re-sends the two pending
+// slots as one run, and the SC serves that run from the fresh entries —
+// not what is left of the first run's held copy, which still holds the
+// broken command.
 func TestKickReMACsRemainder(t *testing.T) {
 	p := protectedPlatform(t, xpu.A100)
-	fetches := cmdFetches(p.Host, &p.pipeline)
+	reads := cmdReads(p.Internal)
 	in := taskInput()
 	task := Task{Input: in, Kernel: KernelAdd, Param: 4}
 	staged, err := p.Adaptor.StageH2D("task-input", in)
@@ -261,13 +307,13 @@ func TestKickReMACsRemainder(t *testing.T) {
 	}
 	for i := range in {
 		if got[i] != in[i]+4 {
-			t.Fatalf("output wrong at byte %d: the stale verified copy was served", i)
+			t.Fatalf("output wrong at byte %d: the stale held copy was served", i)
 		}
 	}
-	if f := *fetches; len(f) != 2 || f[0] != 3 || f[1] != 2 {
-		t.Fatalf("command fetches %v, want [3 2]", f)
+	if r := *reads; len(r) != 2 || r[0] != 3 || r[1] != 2 {
+		t.Fatalf("device command reads %v, want [3 2]", r)
 	}
-	if st := p.SC.Stats(); st.AuthFailures != 0 {
-		t.Fatalf("%d auth failures", st.AuthFailures)
+	if st := p.SC.Stats(); st.AuthFailures != 0 || p.SC.HeldRuns() != 0 {
+		t.Fatalf("%d auth failures, %d runs held", st.AuthFailures, p.SC.HeldRuns())
 	}
 }

@@ -108,8 +108,9 @@ func commandRuns(rows []wireRow) [][2]uint64 {
 // check holds a protected shape to what the ledger computes but does not
 // pin: the MMIO writes IO() counts are the adaptor.mmio.writes counter's
 // and the host segment's ring-doorbell, guarded-write and control-write
-// MWrs, the reads it counts are the host's reg-read MRds, and the SC
-// fetches from the host exactly the command runs the device reads.
+// MWrs, the reads it counts are the host's reg-read MRds, and no command
+// run crosses the host segment: the SC answers the device's reads of
+// its ring from the runs the sealed spans carried.
 func (w shapeWire) check(t *testing.T, shape string) {
 	t.Helper()
 	var writes, reads uint64
@@ -125,8 +126,8 @@ func (w shapeWire) check(t *testing.T, shape string) {
 		t.Errorf("%s: IO() moved %d MMIO writes and %d reads, adaptor.mmio.writes %d; the host segment carries %d ring-doorbell + guarded-write + control-write MWrs and %d reg-read MRds",
 			shape, w.counts[0], w.counts[1], w.counts[3], writes, reads)
 	}
-	if device, host := commandRuns(w.inner), commandRuns(w.host); !slices.Equal(device, host) {
-		t.Errorf("%s: the SC's host command-run fetches are not the device's reads:\ninternal %v\nhost     %v", shape, device, host)
+	if host := commandRuns(w.host); len(host) != 0 {
+		t.Errorf("%s: the SC fetched command runs from the host: %v", shape, host)
 	}
 }
 
@@ -367,12 +368,12 @@ func TestWireLedger(t *testing.T) {
 // TestOptimizationReducesIOWrites: what the §5 batching leaves of the
 // control path's I/O on a protected Platform is the ledger's — trust
 // bring-up costs the bring-up rows' MMIO writes (metadata and ring
-// placement, one ring doorbell for the command ring's descriptor, four
-// guarded driver writes each behind the ring doorbell that delivers its
-// MAC record), an 8 KiB task — 32 tag records — the task-8KiB rows' (five
-// ring doorbells: input, output, submission, two releases; the guarded
-// doorbell, whose MAC record rides the submission's burst), and neither
-// an MMIO read. The unoptimized figure these stand against is Figure
+// placement, and the ring doorbells that deliver the command ring's
+// descriptor and the driver's guarded bring-up writes as ring entries),
+// an 8 KiB task — 32 tag records — the task-8KiB rows' (two ring
+// doorbells: the submission's, which carries input, output, the command
+// run and the guarded writes, and the releases'), and neither an MMIO
+// read. The unoptimized figure these stand against is Figure
 // 11's, held by TestDecompositionEndpointsMatchFigure11 in internal/bench.
 func TestOptimizationReducesIOWrites(t *testing.T) {
 	ledger := func(shape string) adaptor.IOStats {
