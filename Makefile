@@ -35,6 +35,15 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # dispatched for a released or finished session.
 	$(GO) test -run '^$$' -fuzz=FuzzServingQueue -fuzztime=15s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzServingEngine -fuzztime=15s ./internal/llm/
+# The platform code that drives them, against one model: the blob
+# Scheduler on a two-tenant chassis — admission and its sentinels,
+# dispatch order through its one gated slot, cancels and deadlines in
+# the queue and at the slot, backpressure, drain, shutdown, the
+# SchedStall and CancelRace plans — beside tenant 0's inference
+# sessions, which the protocol model drives: every chunk, every
+# terminal error, the chassis hygiene after every close. The scheduler
+# and session cells it replaced play as FuzzServingPlatform/<name>.
+	$(GO) test -run '^$$' -fuzz=FuzzServingPlatform -fuzztime=15s .
 # The SC's two host-writable surfaces: raw control-BAR writes, and the
 # submission ring — slot bytes and the doorbell's tail and end — which is
 # the only way in for sealed configuration, positioned tags, notifies and
@@ -190,12 +199,15 @@ race:
 # The multi-tenant concurrency stress matrix (N tenants × fault classes
 # × seeds) plus the shared-layer concurrency tests, run twice under the
 # race detector so scheduling varies between passes — and the weighted
-# fairness cell, a flake until ISSUE 25, twenty times; beside them a
+# fairness flood, a flake until ISSUE 25, twenty times, with the serving
+# model's saved scripts, whose slot hand-offs and cancellation hooks
+# race the model's checks, and the ungated race cell (sessions on two
+# tenants and two engine workers beside a cancelled blob storm); beside them a
 # metrics scrape racing a serving scheduler, and the same scrape fifty
 # times at one proc, where its goroutine is scheduled last.
 stress:
 	$(GO) test -race -count=2 -run 'TestConcurrencyStressMatrix|TestConcurrentMultiTenantServing|TestSameTenantConcurrentCallsSerialize|Concurrent|TestSnapshotDuringServing' ./ ./internal/core/ ./internal/secmem/
-	$(GO) test -race -count=20 -run 'TestSchedulerSemanticsTable/weighted_fairness_flood' ./
+	$(GO) test -race -count=20 -run 'TestSchedulerSemanticsTable/weighted_fairness_flood|FuzzServingPlatform|TestServingRacesAcrossTenants' ./
 	$(GO) test -cpu 1 -count=50 -run 'TestSnapshotDuringServing' ./
 
 vet:
@@ -237,15 +249,16 @@ soak-smoke:
 soak-full:
 	$(GO) run ./cmd/ccai-bench -only soak -soak full -out "" -soak-compare BENCH_results.json
 
-# The LLM-serving smoke: the streaming-session happy path, the
+# The LLM-serving smoke: the serving model's saved scripts (the
+# streaming sessions, exact chunk by chunk and interleaved with each
+# other and with blob tasks, the error taxonomy, release on Close), the
 # staged-once KV invariant (the PCIe tap proof that decode never
-# re-stages the cache), the multi-session decode determinism check, the
-# wire ledger (per decode step: installs, MMIO writes and reads, host
+# re-stages the cache), the wire ledger (per decode step: installs, MMIO writes and reads, host
 # and internal TLPs by role; installs per session) and the error Close
 # aborts an unfinished stream with — the §16 serving story's merge gate,
 # in seconds.
 llm-smoke:
-	$(GO) test -count=1 -run 'TestLLMSessionStreamsExpectedTokens|TestKVStagedOncePerSession|TestDecodeDeterminism|TestWireLedger|TestCloseAbortMatchesBothSentinels' .
+	$(GO) test -count=1 -run 'FuzzServingPlatform|TestKVStagedOncePerSession|TestWireLedger|TestCloseAbortMatchesBothSentinels' .
 
 # Mutex sections per op, counted in a rewritten copy of the module (the
 # checkout is only read): every sync.Mutex and sync.RWMutex there counts
@@ -303,6 +316,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzTracerScript -fuzztime=15s ./internal/obsv/
 	$(GO) test -run '^$$' -fuzz=FuzzServingQueue -fuzztime=30s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzServingEngine -fuzztime=30s ./internal/llm/
+	$(GO) test -run '^$$' -fuzz=FuzzServingPlatform -fuzztime=30s .
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=15s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz=FuzzProtocolTrace -fuzztime=60s .
 

@@ -12,17 +12,18 @@ import (
 // TestMain fails the package when goroutines outlive its tests.
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
-// sliceHygiene checks, when the test ends and before its Close, that a
+// sliceHygiene checks, when the test ends and before its Close — and
+// whenever the check it returns is called — that a
 // slice still trusted holds what bring-up left it — the same SC regions
 // (the command ring), no pending tag, no held command run, the same live
 // host buffers — and that a slice whose session is gone holds no region,
 // no held run, no stream context and no key on either end. Tests that leave state behind on purpose
 // say so in their name and do not build their slice this way. lock
 // serializes with the slice's owner (nil for a Platform).
-func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space) {
+func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space) func() {
 	t.Helper()
 	regions, buffers := pl.SC.Regions(), space.Live()
-	t.Cleanup(func() {
+	check := func() {
 		if lock != nil {
 			lock.Lock()
 			defer lock.Unlock()
@@ -43,19 +44,23 @@ func sliceHygiene(t *testing.T, pl *pipeline, lock sync.Locker, space *mem.Space
 		if n := space.Live(); n > buffers || live && n != buffers {
 			t.Errorf("%s: %d live host buffers, %d after bring-up", slice, n, buffers)
 		}
-	})
+	}
+	t.Cleanup(check)
+	return check
 }
 
 // chassisHygiene is sliceHygiene for every tenant of a trusted chassis.
 // Beside it, once every inference session on the chassis is closed —
 // every device session slot free — the engine must hold no KV
-// reservation and queue no step.
-func chassisHygiene(t *testing.T, mp *MultiPlatform) {
+// reservation and queue no step. It returns the check, which runs when
+// the test ends too.
+func chassisHygiene(t *testing.T, mp *MultiPlatform) func() {
 	t.Helper()
+	var perSlice []func()
 	for _, tn := range mp.Tenants {
-		sliceHygiene(t, &tn.pipeline, &tn.mu, mp.space)
+		perSlice = append(perSlice, sliceHygiene(t, &tn.pipeline, &tn.mu, mp.space))
 	}
-	t.Cleanup(func() {
+	engine := func() {
 		mp.llmMu.Lock()
 		srv := mp.llmSrv
 		mp.llmMu.Unlock()
@@ -71,5 +76,12 @@ func chassisHygiene(t *testing.T, mp *MultiPlatform) {
 		if kv, steps := srv.eng.KVInUse(), srv.eng.Pending(); closed && (kv != 0 || steps != 0) {
 			t.Errorf("every session closed, yet the engine holds %d KV bytes and %d queued steps", kv, steps)
 		}
-	})
+	}
+	t.Cleanup(engine)
+	return func() {
+		for _, check := range perSlice {
+			check()
+		}
+		engine()
+	}
 }

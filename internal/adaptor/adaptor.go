@@ -78,7 +78,8 @@ type Adaptor struct {
 
 	// lastCplHead is the highest device command head accepted by
 	// CompletionHead this session — the monotonicity floor that rejects
-	// regressed or replayed completion-word writebacks.
+	// regressed or replayed completion-word writebacks. It never passes
+	// the command tail the caller last wrote.
 	lastCplHead uint64
 
 	io  IOStats
@@ -679,13 +680,16 @@ func (a *Adaptor) Publish() error {
 // CompletionHead reads the device's command-head register, serving it
 // from the submission ring's completion word (a host-memory read) while
 // the session has a ring. The word is accepted only when it carries
-// the RingCplValid tag and is monotonic against the session floor;
-// anything else — never posted, scrubbed, regressed, or corrupted —
-// falls back to the guarded MMIO read, which is authoritative. A stale
-// word is safe by construction: the SC only writes heads it just read
-// from the device, so a lost writeback makes the producer see an old
-// (smaller) head and re-kick, never a fabricated completion.
-func (a *Adaptor) CompletionHead(reg uint64) (uint64, error) {
+// the RingCplValid tag and lies between the session floor and tail, the
+// command tail the caller last wrote to the device: a word behind the
+// floor is a delayed or replayed writeback, one past tail counts
+// commands nobody submitted. Anything else — never posted, scrubbed,
+// regressed, forged ahead or corrupted — falls back to the guarded MMIO
+// read, which is authoritative, and moves no floor. A stale word is
+// safe by construction: the SC only writes heads it just read from the
+// device, so a lost writeback makes the producer see an old (smaller)
+// head and re-kick, never a fabricated completion.
+func (a *Adaptor) CompletionHead(reg, tail uint64) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp := a.obs.tracer.Start(siteCompletionHead, keyReg.Hex(reg))
@@ -698,14 +702,9 @@ func (a *Adaptor) CompletionHead(reg uint64) (uint64, error) {
 			return 0, err
 		}
 		if w, err := a.space.ReadUint64(a.ring.buf.Base() + core.RingHdrCplOff); err == nil && w&core.RingCplValid != 0 {
-			head := w &^ uint64(core.RingCplValid)
-			if head >= a.lastCplHead {
-				a.lastCplHead = head
+			if head := w &^ uint64(core.RingCplValid); a.raiseCplFloor(head, tail) {
 				return head, nil
 			}
-			// Regressed completion word: a delayed or tampered writeback.
-			// Fall through to the MMIO read rather than hand the driver a
-			// head that moved backwards.
 		}
 	}
 	cpl, err := a.readWithRetry(a.xpuBar + reg)
@@ -713,10 +712,18 @@ func (a *Adaptor) CompletionHead(reg uint64) (uint64, error) {
 		return 0, err
 	}
 	head := binary.LittleEndian.Uint64(cpl.Payload)
-	if head >= a.lastCplHead {
-		a.lastCplHead = head
-	}
+	a.raiseCplFloor(head, tail)
 	return head, nil
+}
+
+// raiseCplFloor moves the completion floor to head and reports true when
+// head lies in [floor, tail]. Callers hold a.mu.
+func (a *Adaptor) raiseCplFloor(head, tail uint64) bool {
+	if head < a.lastCplHead || head > tail {
+		return false
+	}
+	a.lastCplHead = head
+	return true
 }
 
 // DeviceRead performs a pass-through (A4) read of a device register

@@ -1,25 +1,26 @@
 package ccai
 
-// Continuous token-level LLM serving tests (DESIGN.md §16): the
-// streaming Session API happy path, the acceptance gate pinning that
-// KV-cache bytes cross PCIe once per session (not once per decode
-// step), same-seed determinism of multi-session interleaving, the
-// typed error taxonomy, and deterministic resource release on Close.
+// Continuous token-level LLM serving (DESIGN.md §16): the chassis and
+// stream helpers the session tests share, the acceptance gate pinning
+// that KV-cache bytes cross PCIe once per session (not once per decode
+// step), and the cells the serving model does not reach: among them
+// the ungated race of sessions on two tenants and two workers. The
+// streaming happy path, the typed error taxonomy, release on Close and
+// decode determinism are saved scripts of the serving model
+// (serving_model_test.go, testdata/fuzz/FuzzServingPlatform).
 //
-// Quickstart: go test -race -run 'TestLLM|TestKVStagedOnce|TestDecodeDeterminism' -v
+// Quickstart: go test -race -run 'TestKVStagedOnce|TestCloseAbort|TestOwnerless|TestServingRaces|FuzzServingPlatform' -v
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ccai/internal/llm"
-	"ccai/internal/sched"
 	"ccai/internal/xpu"
 )
 
@@ -95,38 +96,114 @@ func expectedStream(cfg llm.Config, prompt []byte) []byte {
 	return out
 }
 
-func TestLLMSessionStreamsExpectedTokens(t *testing.T) {
-	mp := llmChassis(t, []xpu.Profile{xpu.A100, xpu.T4})
-	cfg := llm.Config{MaxNewTokens: 48, ChunkTokens: 8, MaxPromptTokens: 32, Seed: 11}
+// TestLLMSessionStreamsExpectedTokens: two sessions stream to their end,
+// interleaved, every chunk the one the reference kernel gives, and
+// close with nothing left reserved (sessions-stream-expected).
+func TestLLMSessionStreamsExpectedTokens(t *testing.T) { playServing(t, "sessions-stream-expected") }
 
-	type run struct {
-		sess   *InferenceSession
-		prompt []byte
-		ch     <-chan DecodeChunk
+// TestDecodeDeterminism: two sessions' prefills and decode steps
+// interleave with each other and with blob tasks on the same tenant,
+// each step the exact chunk the model names, in the order the
+// dispatcher gives (decode-interleaved-with-blobs).
+func TestDecodeDeterminism(t *testing.T) { playServing(t, "decode-interleaved-with-blobs") }
+
+// TestLLMErrorTaxonomy: the errors.Is paths of the session API — a
+// session past its device window, the KV budget at admission, spent
+// device slots, an empty or overlong prompt, Prefill and Decode after
+// Close (session-error-taxonomy).
+func TestLLMErrorTaxonomy(t *testing.T) { playServing(t, "session-error-taxonomy") }
+
+// TestLLMCloseReleasesDeterministically: Close frees the KV reservation
+// and device slot synchronously, so sessions close and reopen at the
+// budget's edge (close-reopen-at-budget-edge).
+func TestLLMCloseReleasesDeterministically(t *testing.T) {
+	playServing(t, "close-reopen-at-budget-edge")
+}
+
+// TestServingRacesAcrossTenants is the serving half with nothing gated,
+// beside the model, which passes one step and one blob at a time: two
+// sessions on each of two tenants stream on the engine's default
+// workers while a scheduler with a slot per tenant runs blob tasks on
+// the same tenants. Of the blobs, a third are cancelled while the slots
+// are held, so they end cancelled, and a third on cancels racing their
+// run, so they end either way. Every stream is its exact bytes, every
+// blob its bytes or its cancellation, and the chassis hygiene (at the
+// test's end, after the scheduler's shutdown) holds. `make stress` runs
+// it under -race.
+func TestServingRacesAcrossTenants(t *testing.T) {
+	mp := llmChassis(t, []xpu.Profile{xpu.A100, xpu.T4})
+	s, err := mp.NewScheduler(SchedulerConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var runs []run
-	for ti, tenant := range mp.Tenants {
-		for s := 0; s < 2; s++ {
-			c := cfg
-			c.Seed = uint64(100*ti + s)
-			prompt := []byte(fmt.Sprintf("tenant %d session %d: summarize the ccAI paper", ti, s))
-			sess, ch := openStream(t, tenant, c, prompt)
-			runs = append(runs, run{sess: sess, prompt: prompt, ch: ch})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	hold := make(chan struct{})
+	s.execGate = func(int) { <-hold }
+
+	type stream struct {
+		s       *InferenceSession
+		ch      <-chan DecodeChunk
+		prompt  []byte
+		want    []byte
+		prefill chan error
+	}
+	var streams []*stream
+	for ti, tn := range mp.Tenants {
+		for i := 0; i < 2; i++ {
+			cfg := llm.Config{MaxNewTokens: 48, ChunkTokens: 8, MaxPromptTokens: 32, Seed: uint64(100*ti + i)}
+			prompt := []byte(fmt.Sprintf("tenant %d session %d: summarize the ccAI paper", ti, i))
+			sess, err := tn.OpenSession(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := sess.Decode(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams = append(streams, &stream{s: sess, ch: ch, prompt: prompt, want: expectedStream(cfg, prompt), prefill: make(chan error, 1)})
 		}
 	}
-	for i, r := range runs {
-		got := collectStream(t, r.ch)
-		c := cfg
-		c.Seed = uint64(100*(i/2) + i%2)
-		if !bytes.Equal(got, expectedStream(c, r.prompt)) {
-			t.Fatalf("run %d: stream is not the expected one", i)
+
+	const n = 24
+	hs, cancels := make([]*Handle, n), make([]context.CancelFunc, n)
+	for i := range hs {
+		ctx, cancel := context.WithCancel(context.Background())
+		if hs[i], err = s.Submit(ctx, TenantTask{Tenant: i % 2, Task: schedTask(byte(i+1), 256*(1+i%4))}); err != nil {
+			t.Fatal(err)
 		}
-		if err := r.sess.Close(); err != nil {
+		if cancels[i] = cancel; i%3 == 1 {
+			cancel()
+		}
+	}
+	// The prefills, the held blobs and the racing cancels start together.
+	for _, st := range streams {
+		go func() { st.prefill <- st.s.Prefill(context.Background(), st.prompt) }()
+	}
+	close(hold)
+	for i := 2; i < n; i += 3 {
+		go cancels[i]()
+	}
+	for i, st := range streams {
+		if got := collectStream(t, st.ch); !bytes.Equal(got, st.want) || <-st.prefill != nil {
+			t.Fatalf("session %d: the stream is not its expected one, or its Prefill failed", i)
+		}
+		if err := st.s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if used := mp.Engine().KVInUse(); used != 0 {
-		t.Fatalf("KV budget leak: %d bytes still reserved after Close", used)
+	for i, h := range hs {
+		out, err := mustResult(t, h)
+		switch {
+		case err == nil && i%3 != 1:
+			checkXOR(t, schedTask(byte(i+1), 256*(1+i%4)).Input, out)
+		case err == nil || out != nil || !errors.Is(err, context.Canceled) || i%3 == 0:
+			t.Fatalf("blob %d ended %v with %d bytes", i, err, len(out))
+		}
+		cancels[i]()
 	}
 }
 
@@ -136,238 +213,6 @@ func TestLLMSessionStreamsExpectedTokens(t *testing.T) {
 // a prefill must cause and nothing after it may — over a session closed
 // after its prefill and one streamed to its end.
 func TestKVStagedOncePerSession(t *testing.T) { playTrace(t, "kv-staged-once") }
-
-// TestDecodeDeterminism pins same-seed byte determinism for a
-// multi-session decode interleaving: two independent runs must produce
-// byte-identical token streams and identical admission order, with the
-// sessions genuinely interleaved (prefills race, decode steps yield
-// between sessions) — the streams owe nothing to scheduling luck
-// because each is a pure function of (seed, prompt) and the resident
-// KV, not of step order.
-func TestDecodeDeterminism(t *testing.T) {
-	type result struct {
-		streams [][]byte
-		admits  []uint64
-		log     []llm.StepRecord
-	}
-	run := func() result {
-		mp := llmChassis(t, []xpu.Profile{xpu.A100, xpu.A100},
-			WithLLMEngine(llm.EngineConfig{Workers: 1}))
-		defer mp.Close()
-		// Hold the dispatcher (via the deterministic fault probe) until
-		// every session's prefill is queued: without the gate a single
-		// fast worker can drain one session to completion before the
-		// other prefill goroutines even land, and the interleaving
-		// assertion below would be at the mercy of goroutine timing.
-		gate := gateSteps(t, mp)
-		var sessions []*InferenceSession
-		var chans []<-chan DecodeChunk
-		var prompts [][]byte
-		// Admission is sequential — the deterministic admit order the
-		// engine must reproduce run-over-run.
-		for ti, tenant := range mp.Tenants {
-			for si := 0; si < 2; si++ {
-				cfg := llm.Config{MaxNewTokens: 48 + 8*si, ChunkTokens: 4,
-					MaxPromptTokens: 16, Seed: uint64(10*ti + si)}
-				sess, err := tenant.OpenSession(context.Background(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ch, err := sess.Decode(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sessions = append(sessions, sess)
-				chans = append(chans, ch)
-				prompts = append(prompts, []byte(fmt.Sprintf("deterministic prompt %d/%d", ti, si)))
-			}
-		}
-		// Prefills race: all sessions go live together, so the single
-		// dispatcher interleaves their prefill and decode steps.
-		errs := make(chan error, len(sessions))
-		for i := range sessions {
-			go func(i int) {
-				errs <- sessions[i].Prefill(context.Background(), prompts[i])
-			}(i)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for mp.Engine().Pending()+int(gate.parked.Load()) < len(sessions) {
-			if time.Now().After(deadline) {
-				t.Fatal("prefills never queued")
-			}
-			runtime.Gosched()
-		}
-		gate.release()
-		for range sessions {
-			if err := <-errs; err != nil {
-				t.Error(err)
-			}
-		}
-		if t.Failed() {
-			t.FailNow()
-		}
-		var res result
-		for i, ch := range chans {
-			res.streams = append(res.streams, collectStream(t, ch))
-			sessions[i].Close()
-		}
-		for _, s := range sessions {
-			res.admits = append(res.admits, s.state.ID) // IDs are minted in admission order
-		}
-		res.log = mp.Engine().StepLog()
-		return res
-	}
-	a, b := run(), run()
-	if len(a.streams) != len(b.streams) {
-		t.Fatalf("stream counts differ: %d vs %d", len(a.streams), len(b.streams))
-	}
-	for i := range a.streams {
-		if len(a.streams[i]) == 0 {
-			t.Fatalf("session %d produced no tokens", i)
-		}
-		if string(a.streams[i]) != string(b.streams[i]) {
-			t.Fatalf("session %d: token streams differ between runs", i)
-		}
-	}
-	if len(a.admits) != len(b.admits) {
-		t.Fatal("admit orders differ in length")
-	}
-	for i := range a.admits {
-		if a.admits[i] != b.admits[i] {
-			t.Fatalf("admit order differs at %d: %d vs %d", i, a.admits[i], b.admits[i])
-		}
-	}
-	// The dispatch log must show sessions alternating — continuous
-	// batching, not run-to-completion. (The log's exact order is
-	// timing-dependent — prefills race admission — which is exactly why
-	// the byte-determinism above cannot come from scheduling luck.)
-	switches := 0
-	for i := 1; i < len(a.log); i++ {
-		if a.log[i].Session != a.log[i-1].Session {
-			switches++
-		}
-	}
-	if switches < len(a.streams) {
-		t.Fatalf("only %d session switches across %d steps: not continuous batching", switches, len(a.log))
-	}
-}
-
-// TestLLMErrorTaxonomy pins the errors.Is paths of the session API.
-func TestLLMErrorTaxonomy(t *testing.T) {
-	mp := llmChassis(t, []xpu.Profile{xpu.A100},
-		WithLLMEngine(llm.EngineConfig{KVBudget: 4096})) // one small session's worth
-	tenant := mp.Tenants[0]
-	small := llm.Config{MaxNewTokens: 8, ChunkTokens: 4, MaxPromptTokens: 8,
-		TokenBytes: 4, KVBytesPerToken: 64, Seed: 1}
-
-	open := func() (*InferenceSession, error) {
-		return tenant.OpenSession(context.Background(), small)
-	}
-	sess, err := open()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name string
-		err  func() error
-		want []error
-	}{
-		{"kv budget exceeded at admission", func() error {
-			_, err := open() // budget 4096, first session holds (8+8)*64=1024... open until it trips
-			for err == nil {
-				_, err = open()
-			}
-			return err
-		}, []error{ErrKVBudgetExceeded, llm.ErrKVBudget}},
-		{"oversized session vs device window", func() error {
-			big := small
-			big.MaxNewTokens = 4096
-			big.KVBytesPerToken = 512
-			_, err := tenant.OpenSession(context.Background(), big)
-			return err
-		}, []error{ErrKVBudgetExceeded}},
-		{"prompt overruns reservation", func() error {
-			return sess.Prefill(context.Background(), make([]byte, 8*small.TokenBytes+1))
-		}, []error{ErrKVBudgetExceeded}},
-		{"empty prompt", func() error {
-			return sess.Prefill(context.Background(), nil)
-		}, []error{ErrEmptyInput}},
-	}
-	for _, tc := range cases {
-		err := tc.err()
-		if err == nil {
-			t.Fatalf("%s: no error", tc.name)
-		}
-		for _, want := range tc.want {
-			if !errors.Is(err, want) {
-				t.Fatalf("%s: %v does not match %v", tc.name, err, want)
-			}
-		}
-	}
-
-	// A stream aborted through its consumer's context ends with
-	// ErrStreamAborted wrapping context.Canceled: the protocol model's q
-	// op (close-abort-sentinels, before a prefill; step-release-close-abort,
-	// mid-decode).
-
-	// Closed-session operations.
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Prefill(context.Background(), []byte("late")); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("Prefill after Close: %v, want ErrSessionClosed", err)
-	}
-	if _, err := sess.Decode(context.Background()); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("Decode after Close: %v, want ErrSessionClosed", err)
-	}
-
-	// Device-slot exhaustion maps to ErrQueueFull.
-	mp2 := llmChassis(t, []xpu.Profile{xpu.A100})
-	var open2 []*InferenceSession
-	var slotErr error
-	for i := 0; i < 64; i++ {
-		s, err := mp2.Tenants[0].OpenSession(context.Background(), small)
-		if err != nil {
-			slotErr = err
-			break
-		}
-		open2 = append(open2, s)
-	}
-	if slotErr == nil {
-		t.Fatal("session slots never exhausted")
-	}
-	if !errors.Is(slotErr, ErrQueueFull) && !errors.Is(slotErr, sched.ErrQueueFull) {
-		t.Fatalf("slot exhaustion err %v, want ErrQueueFull", slotErr)
-	}
-	for _, s := range open2 {
-		s.Close()
-	}
-}
-
-// TestLLMCloseReleasesDeterministically pins that Close frees the KV
-// reservation and device slot synchronously — a close/reopen loop at
-// the budget edge never wedges.
-func TestLLMCloseReleasesDeterministically(t *testing.T) {
-	cfg := llm.Config{MaxNewTokens: 16, ChunkTokens: 8, MaxPromptTokens: 16, Seed: 5}
-	var c = cfg
-	if err := c.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	mp := llmChassis(t, []xpu.Profile{xpu.A100},
-		WithLLMEngine(llm.EngineConfig{KVBudget: c.KVBytes(c.MaxPromptTokens)})) // exactly one session fits
-	tenant := mp.Tenants[0]
-	for i := 0; i < 5; i++ {
-		sess, ch := openStream(t, tenant, cfg, []byte("close-release loop"))
-		collectStream(t, ch)
-		if err := sess.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if used := mp.Engine().KVInUse(); used != 0 {
-			t.Fatalf("iteration %d: %d KV bytes leaked after Close", i, used)
-		}
-	}
-}
 
 // TestCloseAbortMatchesBothSentinels: Close on a session whose stream has
 // not finished ends the stream with one error chunk matching both

@@ -286,14 +286,23 @@ func (pl *pipeline) establishTrust() (err error) {
 // command-tail and doorbell writes ride one ring burst with its run
 // records, and command-head polls route through the reaped completion
 // word, which publishes that burst first: a submission costs one MMIO
-// write, its ring doorbell, and no MMIO read.
-type guardedPort struct{ a *adaptor.Adaptor }
+// write, its ring doorbell, and no MMIO read. tail is the command tail
+// the driver last wrote, the most a head it is handed may count.
+type guardedPort struct {
+	a    *adaptor.Adaptor
+	tail uint64
+}
 
-func (g *guardedPort) WriteReg(reg uint64, v uint64) error { return g.a.GuardedWrite(reg, v) }
+func (g *guardedPort) WriteReg(reg uint64, v uint64) error {
+	if reg == xpu.RegCmdTail {
+		g.tail = v
+	}
+	return g.a.GuardedWrite(reg, v)
+}
 
 func (g *guardedPort) ReadReg(reg uint64) (uint64, error) {
 	if reg == xpu.RegCmdHead {
-		return g.a.CompletionHead(reg)
+		return g.a.CompletionHead(reg, g.tail)
 	}
 	return g.a.DeviceRead(reg)
 }

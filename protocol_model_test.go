@@ -68,6 +68,9 @@ import (
 //	G<d> G0 an unauthorized requester at the xPU window and control BAR;
 //	     G1 a direct write to the device doorbell in the TVM's name
 //	F    forged policy: ring entries and writes without the config key
+//	H<d> a ring-header word forged in host memory: H0 every completion
+//	     word ahead, H1 every completion word one behind, H2 the status
+//	     word, H3 the consumed head at the tail of a doorbell dropped
 //
 // and, on inference sessions (traceSessions) served by the tenant's one
 // dispatcher, whose steps pass a gate one at a time:
@@ -90,7 +93,7 @@ import (
 // With a step queued, k and x apply to the next decode step: the rekey,
 // or the counter at 2^32-9, lands between two steps and one step runs.
 const (
-	traceOpCodes = "tkxrabcz.TDRPGFopswqeSML"
+	traceOpCodes = "tkxrabcz.TDRPGFHopswqeSML"
 	maxTraceOps  = 32 // a script's length bound, so a fuzz input stays fast
 )
 
@@ -102,9 +105,9 @@ func (o traceOp) String() string { return string(o.code) + strconv.Itoa(int(o.ar
 // script ends and the plan begins.
 var planMagic = fault.Plan{}.Marshal()[:4]
 
-// decodeTrace splits a trace into its ops and its fault plan; ok is
-// false when the plan does not decode.
-func decodeTrace(data []byte) (ops []traceOp, plan fault.Plan, ok bool) {
+// decodeTrace splits a trace into its ops, those codes names, and its
+// fault plan; ok is false when the plan does not decode.
+func decodeTrace(data []byte, codes string) (ops []traceOp, plan fault.Plan, ok bool) {
 	if i := bytes.Index(data, planMagic); i >= 0 {
 		var err error
 		if plan, err = fault.UnmarshalPlan(data[i:]); err != nil {
@@ -113,7 +116,7 @@ func decodeTrace(data []byte) (ops []traceOp, plan fault.Plan, ok bool) {
 		data = data[:i]
 	}
 	for i := 0; i < len(data) && len(ops) < maxTraceOps; i++ {
-		if strings.IndexByte(traceOpCodes, data[i]) < 0 {
+		if strings.IndexByte(codes, data[i]) < 0 {
 			continue
 		}
 		op := traceOp{code: data[i]}
@@ -440,11 +443,19 @@ func runTrace(t *testing.T, data []byte) *traceRun { return runTraceWith(t, data
 // the host bus for the whole trace.
 func runTraceWith(t *testing.T, data []byte, extra func(*pcie.Bus) pcie.Tap) *traceRun {
 	t.Helper()
-	ops, plan, ok := decodeTrace(data)
+	ops, plan, ok := decodeTrace(data, traceOpCodes)
 	if !ok {
 		t.Fatal("the trace's fault plan does not decode")
 	}
 	mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
+	r := newTraceRun(t, mp, plan, extra)
+	r.play(ops)
+	return r
+}
+
+// newTraceRun sets a trace up on tenant 0 of mp, whose one inference
+// worker it puts behind the step gate.
+func newTraceRun(t *testing.T, mp *MultiPlatform, plan fault.Plan, extra func(*pcie.Bus) pcie.Tap) *traceRun {
 	r := &traceRun{t: t, mp: mp, p: mp.Tenants[0], plan: plan, inj: fault.NewInjector(plan),
 		audit: newIVAuditor(), snoop: attack.NewSnooper(), episode: true, gate: gateSteps(t, mp),
 		arms: make(map[uint32]armEntry)}
@@ -459,22 +470,37 @@ func runTraceWith(t *testing.T, data []byte, extra func(*pcie.Bus) pcie.Tap) *tr
 	r.mp.Host.AddTap(r.snoop)
 	r.mp.Host.AddTap(r.rec)
 	wireFault(&r.p.pipeline, r.mp.Host, r.inj)
+	return r
+}
+
+// play runs ops, then ends what the script left: the fault episode, the
+// sessions and the session itself.
+func (r *traceRun) play(ops []traceOp) {
 	for i, op := range ops {
 		r.at = fmt.Sprintf("op %d %v", i, op)
 		r.step(op)
 	}
+	r.endEpisode()
+	r.endSessions()
+	r.close()
+}
+
+// endEpisode ends the fault episode if the script did not, and appends
+// the injector's whole log to the outcome line.
+func (r *traceRun) endEpisode() {
 	if r.episode {
 		r.calm()
 	}
 	r.sig = fmt.Sprintf("%s log=%v", r.sig, r.inj.Log())
-	// Whatever the script left — open sessions, releases a fault kept
-	// queued on the producer's side of the ring — teardown takes it all
-	// (I6).
+}
+
+// endSessions closes whatever sessions the script left open; with them,
+// releases a fault kept queued on the producer's side of the ring go
+// too, and the teardown after takes the rest (I6).
+func (r *traceRun) endSessions() {
 	r.at = "final teardown"
 	r.end(0, true)
 	r.end(1, true)
-	r.close()
-	return r
 }
 
 func (r *traceRun) failf(format string, args ...any) {
@@ -535,9 +561,38 @@ func (r *traceRun) observe() sliceState {
 
 // step runs one op on the model and the slice, then holds them to each
 // other and to the invariants that hold after every op.
-func (r *traceRun) step(op traceOp) {
+func (r *traceRun) step(op traceOp) { r.checked(op, r.apply) }
+
+// checked runs op by apply, then holds the model and the slice to each
+// other and to the invariants that hold after every op: exactly when
+// nothing may have moved the slice off the model, else in the order the
+// protocol keeps.
+func (r *traceRun) checked(op traceOp, apply func(traceOp)) {
 	before, fired, exact := r.observe(), uint64(len(r.inj.Log())), !r.poisoned && r.sessionsKnown()
 	r.fired = fired
+	apply(op)
+
+	r.checkWire()
+	r.poisoned, r.leftCommands = r.poisoned || r.leftCommands, false
+	got := r.observe()
+	if before.Trusted && !got.Trusted {
+		r.downModel() // failed closed: the model follows the slice down
+	}
+	// Fault-free, on a predicted slice, and no attack that may move it:
+	// exact — a replay moves nothing. Otherwise the order of the protocol
+	// must hold, and the model adopts the slice.
+	if exact && r.sessionsKnown() && uint64(len(r.inj.Log())) == fired && strings.IndexByte("TDRFHSML", op.code) < 0 {
+		if want := r.m.converging(got); got != want {
+			r.failf("slice left the model:\n model: %+v\n slice: %+v", want, got)
+		}
+		return
+	}
+	r.monotone(before, got, uint64(len(r.inj.Log())) != fired)
+	r.m.adopt(got)
+}
+
+// apply runs one op of the protocol model on the model and the slice.
+func (r *traceRun) apply(op traceOp) {
 	moved := r.moved
 	r.moved = false
 	switch op.code {
@@ -552,7 +607,7 @@ func (r *traceRun) step(op traceOp) {
 	case 'x':
 		r.rotate(sH2D, ^uint32(0)-8, "I8")
 	case 'r':
-		r.retrust(before.Trusted)
+		r.retrust(r.live())
 	case 'a':
 		r.attestFlashed()
 	case 'b', 'c':
@@ -563,7 +618,7 @@ func (r *traceRun) step(op traceOp) {
 		if r.episode {
 			r.calm()
 		}
-	case 'T', 'D', 'R', 'S', 'M', 'L':
+	case 'T', 'D', 'R', 'S', 'M', 'L', 'H':
 		r.attack(op)
 	case 'o':
 		r.open(int(op.arg) % 2)
@@ -586,24 +641,6 @@ func (r *traceRun) step(op traceOp) {
 	case 'F':
 		r.forge()
 	}
-
-	r.checkWire()
-	r.poisoned, r.leftCommands = r.poisoned || r.leftCommands, false
-	got := r.observe()
-	if before.Trusted && !got.Trusted {
-		r.downModel() // failed closed: the model follows the slice down
-	}
-	// Fault-free, on a predicted slice, and no attack that may move it:
-	// exact — a replay moves nothing. Otherwise the order of the protocol
-	// must hold, and the model adopts the slice.
-	if exact && r.sessionsKnown() && uint64(len(r.inj.Log())) == fired && strings.IndexByte("TDRFSML", op.code) < 0 {
-		if want := r.m.converging(got); got != want {
-			r.failf("slice left the model:\n model: %+v\n slice: %+v", want, got)
-		}
-		return
-	}
-	r.monotone(before, got, uint64(len(r.inj.Log())) != fired)
-	r.m.adopt(got)
 }
 
 // checkWire holds what went over the wire to I1 — no plaintext on the
@@ -913,7 +950,7 @@ func (r *traceRun) downModel() {
 // --- adversity ----------------------------------------------------------------
 
 // attackRun is what an adversary op's verdict reads: the SC's and the
-// Adaptor's counters around the run, the task's error or what ended the
+// Adaptor's counters around the run, its MMIO included, the task's error or what ended the
 // attacked step's stream, how often the adversary acted, how often the
 // attacked step's ids — and the step before's — reached the device,
 // whether the slice kept its session, and whether a step doorbell's
@@ -921,6 +958,7 @@ func (r *traceRun) downModel() {
 type attackRun struct {
 	st, st2            core.Stats
 	rec, rec2          adaptor.RecoveryStats
+	io, io2            adaptor.IOStats
 	err                error
 	acted              int
 	device, prevDevice int
@@ -1307,6 +1345,50 @@ var adversaries = map[byte][]adversary{
 		return steady(r, ts, k, d) && (d != 3 || ts.slot > 0) && (d != 6 || ts.slot+4 < adaptor.StepWindowSlots) &&
 			(d != 5 || other != nil && other.slot >= 0) // M5: a foreign window
 	}, "a misaimed arm refused with its span, failed closed", (*attackRun).spanRefused}},
+	// H<d>: a word of the ring header, which the SC writes into host
+	// memory and no seal covers (DESIGN.md §6, the host-written words the
+	// TVM reads), forged by the host for one task.
+	'H': {
+		// Past the tail the driver wrote: refused for the guarded read.
+		{0, func(*traceRun, *attackRun, int) pcie.Tap { return &cplForger{d: 1 << 20, all: true} }, nil,
+			"completion words forged ahead refused for the guarded MMIO read, the task exact at no recovery",
+			func(a *attackRun, _ int) bool {
+				return a.healed() && a.rec2 == a.rec && a.io2.MMIOReads == a.io.MMIOReads+1
+			}},
+		// Behind the device yet not behind the floor, a word reads as a
+		// delayed writeback: the ladder kicks until it gives up.
+		{0, func(*traceRun, *attackRun, int) pcie.Tap { return &cplForger{d: ^uint64(0), all: true} }, nil,
+			"completion words forged one behind stall the submission, and the session fails closed",
+			func(a *attackRun, _ int) bool {
+				return a.err != nil && a.rec2.FailClosed == a.rec.FailClosed+1 && strings.HasPrefix(a.rec2.LastFailure, "submission stalled") &&
+					!a.trusted && !a.authFailed()
+			}},
+		{0, func(r *traceRun, a *attackRun, _ int) pcie.Tap {
+			binary.LittleEndian.PutUint64(hostRing(r.t, &r.p.pipeline).Bytes()[8:], core.RingStatusDesync)
+			a.acted++
+			return nil
+		}, nil, "a forged status word fails the session closed at the next flush, nothing dispatched",
+			func(a *attackRun, _ int) bool {
+				return errors.Is(a.err, adaptor.ErrRingDesync) && a.rec2.FailClosed == a.rec.FailClosed+1 &&
+					a.st2.ConfigRejects == a.st.ConfigRejects && !a.trusted
+			}},
+		// A doorbell the host drops while it writes the head the producer
+		// waits for: the completion poll finds the commands unrun, and the
+		// ladder publishes the span again.
+		{0, func(r *traceRun, _ *attackRun, _ int) pcie.Tap {
+			ring, done := hostRing(r.t, &r.p.pipeline), false
+			return pcie.TapFunc(func(pk *pcie.Packet) *pcie.Packet {
+				if done || !ringDoorbell(pk) {
+					return pk
+				}
+				done = true
+				tail := binary.LittleEndian.Uint64(pk.Payload) & (1<<core.RingTailBits - 1)
+				binary.LittleEndian.PutUint64(ring.Bytes(), tail)
+				return nil
+			})
+		}, nil, "a consumed head forged over a dropped doorbell re-published by the ladder, the task exact",
+			func(a *attackRun, _ int) bool { return a.healed() && a.rec2.Reposts > a.rec.Reposts && !a.authFailed() }},
+	},
 	// L<d>: the d-th h2d tag record of the step lost at the SC's tag
 	// manager — of a prefill, its KV region's; of a decode step (L0), its
 	// positioned tag. The ladder reposts every region the step staged.
@@ -1339,7 +1421,7 @@ func (r *traceRun) attack(op traceOp) {
 		d %= 7
 	}
 	live, fired, known := r.live(), uint64(len(r.inj.Log())), r.sessionsKnown()
-	a := attackRun{st: r.p.SC.Stats(), rec: r.p.Adaptor.Recovery()}
+	a := attackRun{st: r.p.SC.Stats(), rec: r.p.Adaptor.Recovery(), io: r.p.Adaptor.IO()}
 	if tap := adv.arm(r, &a, d); tap != nil {
 		r.mp.Host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet { // counts the packets it acts on
 			q := tap.Tap(p)
@@ -1384,7 +1466,7 @@ func (r *traceRun) attack(op traceOp) {
 		r.unjudged++
 		return
 	}
-	a.st2, a.rec2, a.trusted = r.p.SC.Stats(), r.p.Adaptor.Recovery(), r.p.trusted
+	a.st2, a.rec2, a.io2, a.trusted = r.p.SC.Stats(), r.p.Adaptor.Recovery(), r.p.Adaptor.IO(), r.p.trusted
 	if a.acted == 0 || !adv.ok(&a, d) {
 		r.failf("want %s; the adversary acted %d times, the run ended %v, device reads %d/%d, recovery %+v",
 			adv.want, a.acted, a.err, a.device, a.prevDevice, a.rec2)
@@ -1527,10 +1609,14 @@ const (
 // traceStream is one open session of a trace: its handles, what its
 // stream delivered, and what the model predicts of it.
 type traceStream struct {
-	i       int
-	s       *InferenceSession
-	ch      <-chan DecodeChunk
-	cancel  context.CancelFunc
+	i      int
+	s      *InferenceSession
+	ch     <-chan DecodeChunk
+	cancel context.CancelFunc // its Decode context's
+	// scancel cancels the context it was opened under, and ctxDone says
+	// it was: its next step aborts the stream at the claim.
+	scancel context.CancelFunc
+	ctxDone bool
 	prefill chan error // Prefill's outcome; nil until called
 	want    []byte
 	got     int   // data chunks delivered: the next step's chunk index
@@ -1665,8 +1751,10 @@ func (r *traceRun) open(i int) {
 	if r.sess[i] != nil {
 		return
 	}
-	s, err := r.p.OpenSession(context.Background(), traceSessions[i])
+	sctx, scancel := context.WithCancel(context.Background())
+	s, err := r.p.OpenSession(sctx, traceSessions[i])
 	if err != nil {
+		scancel()
 		if r.p.trusted {
 			r.failf("a trusted slice refused a session: %v", err)
 		}
@@ -1674,12 +1762,14 @@ func (r *traceRun) open(i int) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ch, _ := s.Decode(ctx) // refused only on a closed session or a done context
-	r.sess[i] = &traceStream{i: i, s: s, ch: ch, cancel: cancel, known: true, slot: noChannel,
+	r.sess[i] = &traceStream{i: i, s: s, ch: ch, cancel: cancel, scancel: scancel, known: true, slot: noChannel,
 		want: expectedStream(traceSessions[i], tracePrompt)}
 }
 
 // startPrefill is p: session i's Prefill called, its step queued — it
-// waits at the gate, or behind the step that does — but not run.
+// waits at the gate, or behind the step that does — but not run. Under a
+// cancelled session context Prefill returns at once, its step queued
+// all the same, unless the stream is over.
 func (r *traceRun) startPrefill(i int) {
 	ts := r.sess[i]
 	if ts == nil || ts.prefill != nil {
@@ -1690,8 +1780,9 @@ func (r *traceRun) startPrefill(i int) {
 	n := queued()
 	ts.prefill = make(chan error, 1)
 	go func() { ts.prefill <- ts.s.Prefill(context.Background(), tracePrompt) }()
-	r.await("a prefill never queued", func() bool { return queued() > n || len(ts.prefill) > 0 })
-	ts.over = ts.over || len(ts.prefill) > 0 // refused before it queued
+	refused := func() bool { return len(ts.prefill) > 0 && (!ts.ctxDone || ts.over) }
+	r.await("a prefill never queued", func() bool { return queued() > n || refused() })
+	ts.over = ts.over || refused() // refused before it queued
 }
 
 // runStep lets the dispatcher run one step of an open session — steps
@@ -1794,6 +1885,15 @@ func (r *traceRun) stepped(ts *traceStream, prefill, live bool, fired uint64) {
 		r.m.hold(ts, -ts.regions, -ts.buffers)
 		return
 	}
+	if ts.ctxDone {
+		// The context it was opened under is cancelled: the step ends the
+		// stream at the claim, touching nothing, and the channel goes back.
+		if !errors.Is(ts.err, ErrStreamAborted) || !errors.Is(ts.err, context.Canceled) || staged {
+			r.failf("session %d step %d under a cancelled context ended %v, KV read %v", ts.i, k, ts.err, staged)
+		}
+		r.release(ts)
+		return
+	}
 	if ts.err != nil || prefill && !staged {
 		r.failf("session %d step %d failed on a quiet slice (%v), or a prefill read no KV", ts.i, k, ts.err)
 	}
@@ -1889,6 +1989,7 @@ func (r *traceRun) end(i int, closing bool) {
 	}
 	if closing {
 		ts.s.Close()
+		ts.scancel()
 		cause = ErrSessionClosed
 	}
 	ts.cancel()
@@ -1910,7 +2011,7 @@ func (r *traceRun) end(i int, closing bool) {
 // saved ones in testdata/fuzz/FuzzProtocolTrace.
 func FuzzProtocolTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, ok := decodeTrace(data); ok {
+		if _, _, ok := decodeTrace(data, traceOpCodes); ok {
 			runTrace(t, data)
 		}
 	})
@@ -1918,9 +2019,12 @@ func FuzzProtocolTrace(f *testing.F) {
 
 // savedTrace reads a trace of the corpus: a file holding the "go test
 // fuzz v1" header and one []byte("…").
-func savedTrace(t *testing.T, name string) []byte {
+func savedTrace(t *testing.T, name string) []byte { return savedInput(t, "FuzzProtocolTrace", name) }
+
+// savedInput reads the saved input name of the fuzz target target.
+func savedInput(t *testing.T, target, name string) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzProtocolTrace", name))
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -2000,7 +2104,7 @@ func TestFaultMatrix(t *testing.T) {
 			cell := fmt.Sprintf("%v/seed=%#x", class, seed)
 			t.Run(cell, func(t *testing.T) {
 				data := savedTrace(t, fmt.Sprintf("matrix-%v-%#x", class, seed))
-				if _, plan, _ := decodeTrace(data); !cellPlan(plan, class, seed) {
+				if _, plan, _ := decodeTrace(data, traceOpCodes); !cellPlan(plan, class, seed) {
 					t.Fatalf("the trace's fault plan is not the cell's: %+v", plan)
 				}
 				r := runTrace(t, data)

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ccai/internal/adaptor"
@@ -204,6 +205,70 @@ func TestKickedFinishedRunLeavesNoRecord(t *testing.T) {
 	}
 }
 
+// cplForger adds d to the head of the completion words the SC posts
+// into the ring header, modulo 2^64 (^0 sets each one behind), keeping
+// RingCplValid: the first word whose head reaches from on, or every
+// word when all is set. forged counts them.
+type cplForger struct {
+	d, from uint64
+	all     bool
+	forged  int
+}
+
+func (f *cplForger) Tap(pk *pcie.Packet) *pcie.Packet {
+	if pk.Role != pcie.RoleCompletionWord || f.forged > 0 && !f.all {
+		return pk
+	}
+	head := binary.LittleEndian.Uint64(pk.Payload) &^ uint64(core.RingCplValid)
+	if head < f.from {
+		return pk
+	}
+	f.forged++
+	q := pk.Clone()
+	binary.LittleEndian.PutUint64(q.Payload, (head+f.d)|core.RingCplValid)
+	return q
+}
+
+// TestForgedCompletionWordMovesNoFloor: the host forges the completion
+// word ahead by d, keeping its valid tag. The Adaptor takes no word past
+// the command tail the driver last wrote, so the forged word moves no
+// floor: the task that reads it pays at most its one guarded MMIO read,
+// every later task reads the word again for free, and nothing is
+// reposted. With every word forged, every task pays the read and is
+// exact, and no forgery is reported as a stall.
+func TestForgedCompletionWordMovesNoFloor(t *testing.T) {
+	tk := Task{Input: []byte("forged ahead"), Kernel: KernelAdd, Param: 1}
+	for _, d := range []uint64{64, 1 << 20} {
+		for _, all := range []bool{false, true} {
+			t.Run(fmt.Sprintf("d=%d/all=%v", d, all), func(t *testing.T) {
+				p := protectedPlatform(t, xpu.A100)
+				if _, err := p.RunTask(tk); err != nil {
+					t.Fatal(err)
+				}
+				forger := &cplForger{d: d, from: p.Driver.Tail() + taskCommands, all: all}
+				p.Host.AddTap(forger)
+				var reads []uint64
+				for i := 0; i < 6; i++ {
+					before := p.Adaptor.IO().MMIOReads
+					out, err := p.RunTask(tk)
+					if err != nil || !bytes.Equal(out, tk.want()) {
+						t.Fatalf("task %d behind forged completion words: %v, exact %v", i, err, bytes.Equal(out, tk.want()))
+					}
+					reads = append(reads, p.Adaptor.IO().MMIOReads-before)
+				}
+				p.Host.ClearTaps()
+				want := []uint64{1, 0, 0, 0, 0, 0}
+				if all {
+					want = []uint64{1, 1, 1, 1, 1, 1}
+				}
+				if rec := p.Adaptor.Recovery(); forger.forged == 0 || !slices.Equal(reads, want) || rec.Reposts != 0 {
+					t.Fatalf("%d words forged: MMIO reads per task %v, want %v; recovery %+v", forger.forged, reads, want, rec)
+				}
+			})
+		}
+	}
+}
+
 // forgeRingEntry is the host writing the control path itself. The ring's
 // address is no secret — it crossed the host bus at bring-up, and the
 // shared window is host memory: the ring is its second allocation, right
@@ -214,16 +279,36 @@ func TestKickedFinishedRunLeavesNoRecord(t *testing.T) {
 // (TestRingAppendedEntry is that attack's own cell).
 func forgeRingEntry(t *testing.T, pl *pipeline, host *pcie.Bus, op uint8, arg uint64, data []byte) {
 	t.Helper()
-	ring, ok := pl.space.Resolve(sharedBase + mem.PageSize)
-	if !ok || ring.Name() != "dma-submitring" {
-		t.Fatal("no submission ring behind the shared window's metadata page")
-	}
+	ring := hostRing(t, pl)
 	slots := (uint64(ring.Size())-core.RingHdrSize)/core.RingSlotSize - core.RingMirrorSlots
 	head := binary.LittleEndian.Uint64(ring.Bytes())
 	slot := ring.Bytes()[core.RingHdrSize+head%slots*core.RingSlotSize:][:core.RingSlotSize]
 	core.PutRingEntry((*[core.RingEntryHdrSize]byte)(slot), op, uint16(len(data)), arg)
 	copy(slot[core.RingEntryHdrSize:], data)
 	host.Route(pcie.NewMemWrite(TVMID, scBARBase+core.RegRingDoorbell, binary.LittleEndian.AppendUint64(nil, head+1)))
+}
+
+// hostRing is the slice's submission ring in host memory, header first.
+func hostRing(t *testing.T, pl *pipeline) *mem.Buffer {
+	t.Helper()
+	ring, ok := pl.space.Resolve(sharedBase + mem.PageSize)
+	if !ok || ring.Name() != "dma-submitring" {
+		t.Fatal("no submission ring behind the shared window's metadata page")
+	}
+	return ring
+}
+
+// TestRingHeaderForgeries: each word of the ring header the SC writes
+// into host memory, forged by the host for one task (the protocol
+// model's H ops, one saved trace each; DESIGN.md §6 tabulates the
+// words). A completion word forged ahead costs the one guarded read; one
+// forged behind, like a forged status word, costs the session; a
+// consumed head forged over a dropped doorbell costs a repost. Never a
+// wrong byte, and a re-trusted slice serves.
+func TestRingHeaderForgeries(t *testing.T) {
+	for _, name := range []string{"header-cpl-ahead", "header-cpl-behind", "header-status", "header-head-at-tail"} {
+		t.Run(name, func(t *testing.T) { playTrace(t, name) })
+	}
 }
 
 // TestRingAppendedEntry: the host appends entries of its own behind the

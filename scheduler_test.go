@@ -1,15 +1,14 @@
 package ccai
 
-// The serving-scheduler semantics table (DESIGN.md §11): admission
-// validation, cancel-before/while-queued, deadline expiry in the queue,
-// fail-fast backpressure, weighted fairness under a two-tenant flood,
-// drain-with-inflight and shutdown — each cell crossed with two fault-
-// matrix seeds driving a SchedStall injector, because a mid-queue stall
-// must be invisible to every one of these contracts. The scheduler's own
-// fault classes (SchedStall, CancelRace) get their replayed matrix in
-// TestSchedulerFaultMatrix, and TestSchedulerCancellationIntegrity is
-// the acceptance gate: a seeded storm of cancellations must never
-// poison a tenant's stream state.
+// The serving scheduler's cells that test races, counters and hooks
+// rather than outcomes. Its semantics — admission validation,
+// cancellation and deadlines in the queue, backpressure, drain,
+// shutdown, the SchedStall and CancelRace fault classes and a seeded
+// cancellation storm — are saved scripts of the serving model
+// (serving_model_test.go, testdata/fuzz/FuzzServingPlatform). What
+// stays here: the weighted-fairness flood, whose two-tenant flood races
+// its first claim (`make stress` runs it twenty times under -race), the
+// observability cells and the cancellation-hook detach check.
 //
 // Quickstart: go test -race -run TestScheduler -v
 
@@ -19,9 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,227 +75,91 @@ func newTestScheduler(t *testing.T, mp *MultiPlatform, cfg SchedulerConfig, seed
 	return s
 }
 
-// TestSchedulerSemanticsTable is the scenario × seed grid described in
-// the file header. Every scenario gets a fresh two-tenant chassis.
+// TestSchedulerSemanticsTable is the scheduler's semantics, each cell
+// at two fault-matrix seeds driving a SchedStall injector, because a
+// mid-queue stall must be invisible to every one of these contracts.
+// Every cell but the flood plays its saved script of the serving model,
+// <cell>-<seed>, whose plan must be the seed's SchedStall plan:
+// admission validation, cancel and deadline while queued (never
+// reaching the slot), fail-fast backpressure per tenant, drain with a
+// request in flight, shutdown dropping the queue.
 func TestSchedulerSemanticsTable(t *testing.T) {
-	cells := []struct {
-		name string
-		run  func(t *testing.T, mp *MultiPlatform, seed uint64)
-	}{
-		{"cancel_before_admission", schedCellCancelBeforeAdmission},
-		{"cancel_while_queued", schedCellCancelWhileQueued},
-		{"deadline_while_queued", schedCellDeadlineWhileQueued},
-		{"queue_full_backpressure", schedCellQueueFull},
-		{"weighted_fairness_flood", schedCellWeightedFairness},
-		{"drain_with_inflight", schedCellDrain},
-		{"shutdown_cancels_queued", schedCellShutdown},
-	}
-	for _, c := range cells {
+	for _, cell := range []string{"cancel-before-admission", "cancel-while-queued", "deadline-while-queued",
+		"queue-full-backpressure", "weighted-fairness-flood", "drain-with-inflight", "shutdown-cancels-queued"} {
 		for _, seed := range matrixSeeds[:2] {
-			c, seed := c, seed
-			t.Run(fmt.Sprintf("%s/seed=%#x", c.name, seed), func(t *testing.T) {
-				c.run(t, servingPlatform(t, 2), seed)
+			t.Run(fmt.Sprintf("%s/seed=%#x", strings.ReplaceAll(cell, "-", "_"), seed), func(t *testing.T) {
+				if cell == "weighted-fairness-flood" {
+					schedFlood(t, servingPlatform(t, 2), seed)
+					return
+				}
+				playServingCell(t, fmt.Sprintf("%s-%#x", cell, seed), fault.SchedStall, seed)
 			})
 		}
 	}
 }
 
-// A context that is already dead never reaches the queue: Submit
-// rejects it with the context's own error, and the scheduler keeps
-// serving afterwards.
-func schedCellCancelBeforeAdmission(t *testing.T, mp *MultiPlatform, seed uint64) {
-	s := newTestScheduler(t, mp, SchedulerConfig{}, seed)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.Submit(ctx, TenantTask{Tenant: 0, Task: schedTask(1, 64)}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled submit: err = %v, want context.Canceled", err)
+// playServingCell plays the saved script name, whose fault plan must be
+// the matrix cell's of class at seed, and returns its model.
+func playServingCell(t *testing.T, name string, class fault.Class, seed uint64) *servingModel {
+	t.Helper()
+	data := savedInput(t, "FuzzServingPlatform", name)
+	if _, plan, _ := decodeTrace(data, servingOpCodes); !cellPlan(plan, class, seed) {
+		t.Fatalf("%s: the script's fault plan is not the cell's: %+v", name, plan)
 	}
-	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
-	defer dcancel()
-	if _, err := s.Submit(dctx, TenantTask{Tenant: 0, Task: schedTask(2, 64)}); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("expired-deadline submit: err = %v, want ErrDeadlineExceeded", err)
-	}
-	// Validation rejections stay typed too.
-	if _, err := s.Submit(context.Background(), TenantTask{Tenant: 9, Task: schedTask(3, 64)}); !errors.Is(err, ErrNoTenant) {
-		t.Fatalf("bad tenant: err = %v, want ErrNoTenant", err)
-	}
-	if _, err := s.Submit(context.Background(), TenantTask{Tenant: 0}); !errors.Is(err, ErrEmptyInput) {
-		t.Fatalf("empty input: err = %v, want ErrEmptyInput", err)
-	}
-
-	task := schedTask(4, 128)
-	h, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := mustResult(t, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkXOR(t, task.Input, out)
+	return runServing(t, data)
 }
 
-// A request canceled while queued completes with context.Canceled and
-// provably never occupies an execution slot.
-func schedCellCancelWhileQueued(t *testing.T, mp *MultiPlatform, seed uint64) {
-	s := newTestScheduler(t, mp, SchedulerConfig{Slots: 1}, seed)
-	entered := make(chan struct{})
-	var enteredOnce sync.Once
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(releaseOnce)
-	var gateHits atomic.Int32
-	s.execGate = func(int) {
-		gateHits.Add(1)
-		enteredOnce.Do(func() { close(entered) })
-		<-release
-	}
-
-	task1 := schedTask(1, 128)
-	h1, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // h1 holds the only slot
-
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	h2, err := s.Submit(ctx2, TenantTask{Tenant: 0, Task: schedTask(2, 128)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d, want 1", got)
-	}
-	cancel2()
-	out2, err2 := mustResult(t, h2)
-	if !errors.Is(err2, context.Canceled) {
-		t.Fatalf("queued-cancel err = %v, want context.Canceled", err2)
-	}
-	if out2 != nil {
-		t.Fatalf("canceled request returned %d bytes of output", len(out2))
-	}
-	if h2.QueueWait() != 0 {
-		t.Fatal("canceled request reports a dispatch: it reached a slot")
-	}
-
-	releaseOnce()
-	out1, err1 := mustResult(t, h1)
-	if err1 != nil {
-		t.Fatal(err1)
-	}
-	checkXOR(t, task1.Input, out1)
-	if got := gateHits.Load(); got != 1 {
-		t.Fatalf("execution slots used = %d, want 1 — the canceled request ran", got)
-	}
-}
-
-// A deadline that expires in the queue behaves exactly like a cancel:
-// ErrDeadlineExceeded, no slot ever occupied.
-func schedCellDeadlineWhileQueued(t *testing.T, mp *MultiPlatform, seed uint64) {
-	s := newTestScheduler(t, mp, SchedulerConfig{Slots: 1}, seed)
-	entered := make(chan struct{})
-	var enteredOnce sync.Once
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(releaseOnce)
-	s.execGate = func(int) {
-		enteredOnce.Do(func() { close(entered) })
-		<-release
-	}
-
-	task1 := schedTask(1, 128)
-	h1, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel2()
-	h2, err := s.Submit(ctx2, TenantTask{Tenant: 0, Task: schedTask(2, 128)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err2 := mustResult(t, h2)
-	if !errors.Is(err2, ErrDeadlineExceeded) {
-		t.Fatalf("queued-deadline err = %v, want ErrDeadlineExceeded", err2)
-	}
-	if h2.QueueWait() != 0 {
-		t.Fatal("deadline-expired request reports a dispatch: it reached a slot")
-	}
-
-	releaseOnce()
-	out1, err1 := mustResult(t, h1)
-	if err1 != nil {
-		t.Fatal(err1)
-	}
-	checkXOR(t, task1.Input, out1)
-}
-
-// Backpressure is fail-fast and per-tenant: a full queue rejects with
-// ErrQueueFull immediately, a neighbor's queue is unaffected, and
-// capacity frees as soon as the queue drains.
-func schedCellQueueFull(t *testing.T, mp *MultiPlatform, seed uint64) {
-	s := newTestScheduler(t, mp, SchedulerConfig{Slots: 1, QueueDepth: 1}, seed)
-	entered := make(chan struct{})
-	var enteredOnce sync.Once
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(releaseOnce)
-	s.execGate = func(int) {
-		enteredOnce.Do(func() { close(entered) })
-		<-release
-	}
-
-	task := schedTask(1, 128)
-	h1, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // h1 dispatched; tenant 0's queue is empty again
-
-	h2, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("over-capacity submit: err = %v, want ErrQueueFull", err)
-	}
-	// The neighbor's bounded queue is its own.
-	h4, err := s.Submit(context.Background(), TenantTask{Tenant: 1, Task: task})
-	if err != nil {
-		t.Fatalf("neighbor submit rejected by tenant 0's backpressure: %v", err)
-	}
-
-	releaseOnce()
-	for _, h := range []*Handle{h1, h2, h4} {
-		out, err := mustResult(t, h)
-		if err != nil {
-			t.Fatal(err)
+// TestSchedulerFaultMatrix crosses the scheduler's fault classes with
+// the matrix seeds: eight requests on one tenant under the class's plan,
+// then a probe, each a saved script matrix-<class>-<seed> whose plan
+// must be the cell's. A stall is invisible; a cancel race settles its
+// request cancelled, never run. The model copies the plan, so a plan
+// that never fires would pass unexercised: every class must fire on
+// some seed, and a cancel race that fired must have cancelled a request.
+// The model names the dispatch order and every outcome exactly, so a
+// second run of a cell would check nothing the first does not.
+func TestSchedulerFaultMatrix(t *testing.T) {
+	for _, class := range []fault.Class{fault.SchedStall, fault.CancelRace} {
+		fired := 0
+		for _, seed := range matrixSeeds {
+			t.Run(fmt.Sprintf("%v/seed=%#x", class, seed), func(t *testing.T) {
+				m := playServingCell(t, fmt.Sprintf("matrix-%v-%#x", class, seed), class, seed)
+				n := len(m.inj.Log())
+				fired += n
+				if class == fault.CancelRace && n > 0 && m.count(func(req *blobReq, err error) bool { return errors.Is(err, context.Canceled) }) == 0 {
+					t.Fatalf("the cancel race fired %d times and cancelled no request", n)
+				}
+			})
 		}
-		checkXOR(t, task.Input, out)
+		if fired == 0 {
+			t.Errorf("%v never fired on any seed; its matrix rows are vacuous", class)
+		}
 	}
-	// Capacity freed: admission works again.
-	h5, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := mustResult(t, h5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkXOR(t, task.Input, out)
 }
 
-// Two tenants flood a single execution slot with equal-cost tasks at
-// weights 1:3. The first 40 dispatches must give the light tenant the
+// TestSchedulerCancellationIntegrity: a seeded storm of cancels and
+// deadlines on both tenants, landing while queued and at the slot, then
+// a probe on each tenant (the saved script cancellation-storm). The storm
+// must hold all three populations: requests that ran to their bytes,
+// requests cancelled while queued and requests cancelled at the slot.
+func TestSchedulerCancellationIntegrity(t *testing.T) {
+	m := playServing(t, "cancellation-storm")
+	ended := func(err error) bool { return errors.Is(err, context.Canceled) || errors.Is(err, ErrDeadlineExceeded) }
+	exact := m.count(func(req *blobReq, err error) bool { return err == nil })
+	queued := m.count(func(req *blobReq, err error) bool { return ended(err) && !req.ran })
+	atSlot := m.count(func(req *blobReq, err error) bool { return ended(err) && req.ran })
+	if exact == 0 || queued == 0 || atSlot == 0 {
+		t.Fatalf("storm vacuous: %d exact, %d cancelled queued, %d at the slot — need all three", exact, queued, atSlot)
+	}
+}
+
+// schedFlood: two tenants flood a single execution slot with equal-cost
+// tasks at weights 1:3. The first 40 dispatches must give the light tenant the
 // share sched.Fair's reference model predicts. The first claim takes
 // tenant 0's first task, and what follows depends only on how much of
 // the flood was queued by then: 13:27 when tenant 0 was alone, 9:31 when
 // each tenant had one task queued, 12:28 when more was queued.
-func schedCellWeightedFairness(t *testing.T, mp *MultiPlatform, seed uint64) {
+func schedFlood(t *testing.T, mp *MultiPlatform, seed uint64) {
 	const per = 40
 	s := newTestScheduler(t, mp, SchedulerConfig{
 		Slots: 1, QueueDepth: per, Weights: []int{1, 3},
@@ -344,318 +206,6 @@ func schedCellWeightedFairness(t *testing.T, mp *MultiPlatform, seed uint64) {
 	t.Logf("first %d dispatches: tenant0=%d tenant1=%d", per, counts[0], counts[1])
 	if light := counts[0]; light != 12 && light != 13 && light != 9 {
 		t.Fatalf("light tenant got %d of the first %d dispatches, want 12 (or 13, or 9, by when the first claim came)", light, per)
-	}
-}
-
-// Drain stops admission, finishes everything queued and in flight, and
-// leaves every result intact.
-func schedCellDrain(t *testing.T, mp *MultiPlatform, seed uint64) {
-	s := newTestScheduler(t, mp, SchedulerConfig{Slots: 1}, seed)
-	entered := make(chan struct{})
-	var enteredOnce sync.Once
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(releaseOnce)
-	s.execGate = func(int) {
-		enteredOnce.Do(func() { close(entered) })
-		<-release
-	}
-
-	task := schedTask(3, 128)
-	h1, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	h2, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h3, err := s.Submit(context.Background(), TenantTask{Tenant: 1, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- s.Drain(ctx)
-	}()
-	for atomic.LoadInt32(&s.state) == schedRunning {
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task}); !errors.Is(err, ErrSchedulerClosed) {
-		t.Fatalf("submit during drain: err = %v, want ErrSchedulerClosed", err)
-	}
-
-	releaseOnce()
-	if err := <-drained; err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	for _, h := range []*Handle{h1, h2, h3} {
-		out, err := mustResult(t, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkXOR(t, task.Input, out)
-	}
-	if got := s.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after drain", got)
-	}
-}
-
-// Shutdown cancels the queue (ErrSchedulerClosed) but still drains
-// in-flight work to a correct result.
-func schedCellShutdown(t *testing.T, mp *MultiPlatform, seed uint64) {
-	s := newTestScheduler(t, mp, SchedulerConfig{Slots: 1}, seed)
-	entered := make(chan struct{})
-	var enteredOnce sync.Once
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(releaseOnce)
-	s.execGate = func(int) {
-		enteredOnce.Do(func() { close(entered) })
-		<-release
-	}
-
-	task := schedTask(5, 128)
-	h1, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	h2, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: task})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stopped := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		stopped <- s.Shutdown(ctx)
-	}()
-	// The queued request settles immediately, before in-flight drains.
-	_, err2 := mustResult(t, h2)
-	if !errors.Is(err2, ErrSchedulerClosed) {
-		t.Fatalf("queued request at shutdown: err = %v, want ErrSchedulerClosed", err2)
-	}
-
-	releaseOnce()
-	if err := <-stopped; err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	out1, err1 := mustResult(t, h1)
-	if err1 != nil {
-		t.Fatalf("in-flight request at shutdown: %v", err1)
-	}
-	checkXOR(t, task.Input, out1)
-}
-
-// runSchedMatrixCell drives one scheduler fault class with one seed on
-// a single-tenant chassis (one flow keeps the claim order — and thus
-// the fault's opportunity sequence — fully deterministic), checks the
-// class's contract, probes that the tenant's stream state survived, and
-// returns the cell's outcome signature for the determinism check.
-func runSchedMatrixCell(t *testing.T, class fault.Class, seed uint64) (string, uint64) {
-	t.Helper()
-	mp := servingPlatform(t, 1)
-	s, err := mp.NewScheduler(SchedulerConfig{QueueDepth: 16, Slots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.NewInjector(matrixEvent(class, 0, seed))
-	s.SetFaultHook(inj.SchedFault)
-
-	const reqs = 8
-	tasks := make([]Task, reqs)
-	handles := make([]*Handle, reqs)
-	for i := range tasks {
-		tasks[i] = schedTask(byte(i+1), 96+i*32)
-		handles[i], err = s.Submit(context.Background(), TenantTask{Tenant: 0, Task: tasks[i]})
-		if err != nil {
-			t.Fatalf("submit %d under %v: %v", i, class, err)
-		}
-	}
-	errBits := 0
-	for i, h := range handles {
-		out, rerr := mustResult(t, h)
-		if rerr == nil {
-			checkXOR(t, tasks[i].Input, out)
-			continue
-		}
-		errBits |= 1 << i
-		if class == fault.SchedStall {
-			t.Fatalf("request %d failed under %v (stalls must be transparent): %v", i, class, rerr)
-		}
-		if !errors.Is(rerr, context.Canceled) {
-			t.Fatalf("request %d under %v: err = %v, want context.Canceled", i, class, rerr)
-		}
-	}
-	if class == fault.CancelRace && errBits == 0 && uint64(len(inj.Log())) > 0 {
-		t.Fatalf("%v fired %d times but no request was canceled", class, uint64(len(inj.Log())))
-	}
-
-	// The episode is over: the scheduler and the tenant's stream state
-	// must serve a fresh request byte-perfectly.
-	s.SetFaultHook(nil)
-	probe := schedTask(0x7e, 256)
-	hp, err := s.Submit(context.Background(), TenantTask{Tenant: 0, Task: probe})
-	if err != nil {
-		t.Fatalf("post-episode probe rejected under %v: %v", class, err)
-	}
-	out, perr := mustResult(t, hp)
-	if perr != nil {
-		t.Fatalf("post-episode probe failed under %v — state poisoned: %v", class, perr)
-	}
-	checkXOR(t, probe.Input, out)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown under %v: %v", class, err)
-	}
-	return fmt.Sprintf("errs=%#x fired=%d log=%v", errBits, uint64(len(inj.Log())), inj.Log()), uint64(len(inj.Log()))
-}
-
-// TestSchedulerFaultMatrix crosses the scheduler-level fault classes
-// with the matrix seeds, each cell replayed twice for determinism —
-// the scheduler's wing of TestFaultMatrix.
-func TestSchedulerFaultMatrix(t *testing.T) {
-	firedByClass := make(map[fault.Class]uint64)
-	for _, class := range []fault.Class{fault.SchedStall, fault.CancelRace} {
-		for _, seed := range matrixSeeds {
-			class, seed := class, seed
-			t.Run(fmt.Sprintf("%v/seed=%#x", class, seed), func(t *testing.T) {
-				sig1, fired := runSchedMatrixCell(t, class, seed)
-				sig2, _ := runSchedMatrixCell(t, class, seed)
-				if sig1 != sig2 {
-					t.Fatalf("cell is nondeterministic:\n run1: %s\n run2: %s", sig1, sig2)
-				}
-				firedByClass[class] += fired
-			})
-		}
-	}
-	for class, n := range firedByClass {
-		t.Logf("class %v fired %d times across seeds", class, n)
-		if n == 0 {
-			t.Fatalf("class %v never fired; its matrix rows are vacuous", class)
-		}
-	}
-}
-
-// TestSchedulerCancellationIntegrity is the acceptance gate from the
-// issue: N requests with a seeded random subset canceled mid-flight
-// (explicit cancels and short deadlines, landing before and during
-// execution). Survivors must be byte-for-byte correct, every canceled
-// request must fail with context.Canceled or ErrDeadlineExceeded, and
-// afterwards both tenants must still serve perfectly — cancellation
-// never corrupts IV or tag state.
-func TestSchedulerCancellationIntegrity(t *testing.T) {
-	mp := servingPlatform(t, 2)
-	s, err := mp.NewScheduler(SchedulerConfig{QueueDepth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-	// Slow each execution slightly so queues build and short deadlines
-	// genuinely expire mid-flight.
-	s.execGate = func(int) { time.Sleep(500 * time.Microsecond) }
-
-	const n = 60
-	rng := rand.New(rand.NewSource(int64(matrixSeeds[0])))
-	type req struct {
-		task      Task
-		h         *Handle
-		cancelled bool // a cancel or deadline was armed
-	}
-	var reqs []req
-	var cancels []context.CancelFunc
-	earlyCanceled := 0
-	for i := 0; i < n; i++ {
-		task := schedTask(byte(i%251+1), 256+rng.Intn(2048))
-		ctx := context.Background()
-		armed := false
-		var cancelAfter func() // arms the explicit cancel, once Submit has returned
-		switch rng.Intn(3) {
-		case 1: // explicit cancel at a random moment mid-storm
-			cctx, cancel := context.WithCancel(ctx)
-			ctx = cctx
-			cancels = append(cancels, cancel)
-			delay := time.Duration(rng.Intn(4)) * time.Millisecond
-			// Armed after Submit: a zero delay must cancel the request
-			// it was drawn for, not beat its admission.
-			cancelAfter = func() { time.AfterFunc(delay, cancel) }
-			armed = true
-		case 2: // short deadline that may expire queued or executing
-			dctx, cancel := context.WithTimeout(ctx, time.Duration(1+rng.Intn(4))*time.Millisecond)
-			ctx = dctx
-			cancels = append(cancels, cancel)
-			armed = true
-		}
-		h, err := s.Submit(ctx, TenantTask{Tenant: i % 2, Task: task})
-		if err != nil {
-			// A deadline can still run out before admission on a loaded
-			// box; that is a cancellation, just an early one.
-			if armed && (errors.Is(err, context.Canceled) || errors.Is(err, ErrDeadlineExceeded)) {
-				earlyCanceled++
-				continue
-			}
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		if cancelAfter != nil {
-			cancelAfter()
-		}
-		reqs = append(reqs, req{task: task, h: h, cancelled: armed})
-	}
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-
-	survivors, canceled := 0, earlyCanceled
-	for i, r := range reqs {
-		out, err := mustResult(t, r.h)
-		if err == nil {
-			survivors++
-			checkXOR(t, r.task.Input, out)
-			continue
-		}
-		canceled++
-		if !r.cancelled {
-			t.Fatalf("request %d had no cancel armed but failed: %v", i, err)
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("request %d: err = %v, want context.Canceled or ErrDeadlineExceeded", i, err)
-		}
-		if out != nil {
-			t.Fatalf("request %d canceled but returned %d output bytes", i, len(out))
-		}
-	}
-	t.Logf("storm: %d survivors, %d canceled of %d", survivors, canceled, n)
-	if survivors == 0 || canceled == 0 {
-		t.Fatalf("storm vacuous: %d survivors, %d canceled — need both populations", survivors, canceled)
-	}
-
-	// Post-storm: every tenant's stream state must be pristine.
-	s.execGate = nil
-	for tn := 0; tn < 2; tn++ {
-		probe := schedTask(0x33, 512)
-		h, err := s.Submit(context.Background(), TenantTask{Tenant: tn, Task: probe})
-		if err != nil {
-			t.Fatalf("post-storm probe tenant %d: %v", tn, err)
-		}
-		out, err := mustResult(t, h)
-		if err != nil {
-			t.Fatalf("post-storm probe tenant %d failed — stream state poisoned: %v", tn, err)
-		}
-		checkXOR(t, probe.Input, out)
 	}
 }
 

@@ -25,31 +25,46 @@ import (
 	"ccai/internal/xpu"
 )
 
-// workerGate parks the single inference worker in its dequeue probe: each
-// pass lets one claimed step through, and the gate opens for good when
-// the test ends, before the chassis it was built after closes.
+// workerGate parks a single serving worker — the inference worker in its
+// dequeue probe (gateSteps), the scheduler's one slot at the top of its
+// run (the serving model) — until a pass lets the unit it claimed
+// through; the gate opens for good when the test ends, before the
+// chassis it was built after closes. arrivals counts the units that
+// reached it.
 type workerGate struct {
-	permit chan struct{}
-	open   chan struct{}
-	once   sync.Once
-	parked atomic.Int32 // 1 while the worker waits at the gate
+	permit   chan struct{}
+	open     chan struct{}
+	once     sync.Once
+	parked   atomic.Int32 // 1 while the worker waits at the gate
+	arrivals atomic.Int32
+}
+
+func newWorkerGate(t *testing.T) *workerGate {
+	g := &workerGate{permit: make(chan struct{}), open: make(chan struct{})}
+	t.Cleanup(g.release)
+	return g
 }
 
 func gateSteps(t *testing.T, mp *MultiPlatform) *workerGate {
-	g := &workerGate{permit: make(chan struct{}), open: make(chan struct{})}
+	g := newWorkerGate(t)
 	mp.SetLLMFaultHook(func(point string) bool {
 		if point == fault.SchedPointDequeue {
-			g.parked.Store(1)
-			select {
-			case <-g.permit:
-			case <-g.open:
-			}
-			g.parked.Store(0)
+			g.wait()
 		}
 		return false
 	})
-	t.Cleanup(g.release)
 	return g
+}
+
+// wait parks the calling worker until a pass, or the gate opens.
+func (g *workerGate) wait() {
+	g.arrivals.Add(1)
+	g.parked.Store(1)
+	select {
+	case <-g.permit:
+	case <-g.open:
+	}
+	g.parked.Store(0)
 }
 
 // pass lets the worker run the step it has claimed; false when it claims
