@@ -42,13 +42,17 @@ type StepChannel struct {
 	next uint32 // first unspent window slot
 }
 
-// stepSlots is how many chunk slots an n-byte step payload takes.
-func stepSlots(n int) uint32 { return uint32((n + core.ChunkSize - 1) / core.ChunkSize) }
+// slots is how many of the window's chunk slots an n-byte step payload
+// takes.
+func (ch *StepChannel) slots(n int) uint32 {
+	cs := int(ch.Window.Desc.ChunkSize)
+	return uint32((n + cs - 1) / cs)
+}
 
 // Fits reports whether the window has unspent slots for an n-byte step
 // payload; when it does not, the channel is spent: close it and open
 // the next one.
-func (ch *StepChannel) Fits(n int) bool { return ch.next+stepSlots(n) <= StepWindowSlots }
+func (ch *StepChannel) Fits(n int) bool { return ch.next+ch.slots(n) <= StepWindowSlots }
 
 // OpenStepChannel installs a step channel: the window and an outLen-byte
 // output region, whose descriptors are queued like staging's and ride
@@ -63,7 +67,7 @@ func (a *Adaptor) OpenStepChannel(idsName, outName string, outLen int64) (*StepC
 	if err != nil {
 		return nil, err
 	}
-	out, err := a.prepareD2HLocked(outName, outLen)
+	out, err := a.prepareD2HLocked(outName, outLen, core.ChunkSize)
 	if err != nil {
 		// The window's descriptor is already queued: take it back.
 		a.releaseLocked(win)
@@ -112,7 +116,8 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 	if a.h2d == nil {
 		return 0, errNoSession
 	}
-	win, slot, n := ch.Window, ch.next, stepSlots(len(data))
+	win, slot, n := ch.Window, ch.next, ch.slots(len(data))
+	cs := uint64(win.Desc.ChunkSize)
 	if n == 0 || !ch.Fits(len(data)) {
 		return 0, fmt.Errorf("adaptor: %d-byte step does not fit step window %d at slot %d", len(data), win.Desc.ID, slot)
 	}
@@ -131,7 +136,7 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 	}
 	win.Recs, win.slot = win.Recs[:0], slot
 	// Cut at the step's bytes: the seal writes nothing outside them.
-	dst := win.Buf.Bytes()[int(slot)*core.ChunkSize:][:len(data)]
+	dst := win.Buf.Bytes()[uint64(slot)*cs:][:len(data)]
 	err := a.sealBatchIntoWithRetry(a.h2d, dst, pts, aads, func(_ int, chunk *secmem.Sealed) error {
 		win.Recs = append(win.Recs, core.TagRecord{
 			Stream: core.StreamH2D, Chunk: chunk.Counter, Epoch: chunk.Epoch, Tag: chunk.Tag,
@@ -148,7 +153,7 @@ func (a *Adaptor) ArmStep(ch *StepChannel, data []byte) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("adaptor: arm step: %w", err)
 	}
-	return win.Buf.Base() + uint64(slot)*core.ChunkSize, nil
+	return win.Buf.Base() + uint64(slot)*cs, nil
 }
 
 // postArm queues the positioned tag entries for the step a window

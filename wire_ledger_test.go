@@ -25,6 +25,7 @@ import (
 	"ccai/internal/core"
 	"ccai/internal/fault"
 	"ccai/internal/llm"
+	"ccai/internal/obsv"
 	"ccai/internal/pcie"
 	"ccai/internal/xpu"
 )
@@ -38,14 +39,58 @@ const ledgerHeader = `# The wire ledger (wire_ledger_test.go). Regenerate with: 
 `
 
 // shapeWire is what an op shape cost: the rows of both segments (no
-// internal one on a Vanilla platform) and five counts — Adaptor.IO()'s
+// internal one on a Vanilla platform), five counts — Adaptor.IO()'s
 // MMIO writes and reads, the SC's config-stream opens (descriptor
 // installs), the adaptor.mmio.writes counter and the adaptor.ring.entries
 // counter (ring entries pushed: over the slot-fetch bytes, how many
-// entries share a slot).
+// entries share a slot) — and its AES-GCM calls.
 type shapeWire struct {
 	host, inner []wireRow
 	counts      [5]uint64
+	crypto      gcmCalls
+}
+
+// gcmCalls is what the secmem.seal and secmem.open counters counted, by
+// side and call: "sc open-h2d" → {calls, bytes}.
+type gcmCalls map[string][2]uint64
+
+// readGCMCalls collects the seal and open counters of a registry
+// snapshot, e.g. secmem.open.ops{stream=h2d,side=crypto/sc}.
+func readGCMCalls(counters map[string]uint64) gcmCalls {
+	calls := gcmCalls{}
+	for name, v := range counters {
+		base, labels, ok := strings.Cut(strings.TrimSuffix(name, "}"), "{")
+		op, what, _ := strings.Cut(strings.TrimPrefix(base, "secmem."), ".")
+		if !ok || (op != "seal" && op != "open") || (what != "ops" && what != "bytes") {
+			continue
+		}
+		var side, stream string
+		for _, kv := range strings.Split(labels, ",") {
+			switch k, v, _ := strings.Cut(kv, "="); k {
+			case "side":
+				side = strings.TrimPrefix(v, obsv.TrackCrypto+"/")
+			case "stream":
+				stream = v
+			}
+		}
+		key, i := side+" "+op+"-"+stream, 0
+		if what == "bytes" {
+			i = 1
+		}
+		c := calls[key]
+		c[i] += v
+		calls[key] = c
+	}
+	return calls
+}
+
+// minus is what c counted past o.
+func (c gcmCalls) minus(o gcmCalls) gcmCalls {
+	d := gcmCalls{}
+	for k, v := range c {
+		d[k] = [2]uint64{v[0] - o[k][0], v[1] - o[k][1]}
+	}
+	return d
 }
 
 // digest is a short digest of vs, printed one a line.
@@ -63,9 +108,10 @@ func ledgerLine(shape, segment, role, kind string, count, size any, sum string) 
 
 // lines is the shape's part of the ledger: per segment one row for each
 // role and kind, in that order, then the segment's order row; then the
-// first three counts and the ring entries. w may hold steps alike steps,
-// one after another: counts and bytes are then per step, digests over
-// them all.
+// first three counts and the ring entries; then, per side, one gcm row
+// for each seal or open stream it called, its calls and bytes. w may hold
+// steps alike steps, one after another: counts and bytes are then per
+// step, digests over them all.
 func (w shapeWire) lines(shape string, steps int) []string {
 	var out []string
 	for i, rows := range [][]wireRow{w.host, w.inner} {
@@ -90,6 +136,12 @@ func (w shapeWire) lines(shape string, steps int) []string {
 		}
 		seg, what, _ := strings.Cut(c, " ")
 		out = append(out, ledgerLine(shape, seg, what, "-", w.counts[i]/uint64(steps), "-", "-"))
+	}
+	for _, k := range slices.Sorted(maps.Keys(w.crypto)) {
+		if c := w.crypto[k]; c[0] > 0 {
+			side, call, _ := strings.Cut(k, " ")
+			out = append(out, ledgerLine(shape, side, call, "gcm", c[0]/uint64(steps), c[1]/uint64(steps), "-"))
+		}
 	}
 	return out
 }
@@ -136,7 +188,7 @@ var ledgerPrompt = []byte("sixteen tokens of prompt, staged once")
 
 // between is what a slice carried and counted from mark a to mark b.
 func between(a, b shapeWire) shapeWire {
-	w := shapeWire{host: slices.Clone(b.host[len(a.host):]), inner: slices.Clone(b.inner[len(a.inner):])}
+	w := shapeWire{host: slices.Clone(b.host[len(a.host):]), inner: slices.Clone(b.inner[len(a.inner):]), crypto: b.crypto.minus(a.crypto)}
 	for i := range w.counts {
 		w.counts[i] = b.counts[i] - a.counts[i]
 	}
@@ -157,7 +209,7 @@ func ledgerChassis(t *testing.T) (*MultiPlatform, *Tenant, func() shapeWire) {
 	host, inner := recordWire(mp.Host), recordWire(tn.internal)
 	return mp, tn, func() shapeWire {
 		io, c := tn.Adaptor.IO(), mp.Obs.Reg().Snapshot().Counters
-		m := shapeWire{host: *host, inner: *inner, counts: [5]uint64{io.MMIOWrites, io.MMIOReads, 0, c["adaptor.mmio.writes"], c["adaptor.ring.entries"]}}
+		m := shapeWire{host: *host, inner: *inner, counts: [5]uint64{io.MMIOWrites, io.MMIOReads, 0, c["adaptor.mmio.writes"], c["adaptor.ring.entries"]}, crypto: readGCMCalls(c)}
 		for name, v := range c {
 			if strings.HasPrefix(name, "secmem.open.ops{") && strings.Contains(name, "side=crypto/sc") &&
 				strings.Contains(name, "stream="+core.StreamConfig) {
@@ -283,12 +335,15 @@ func TestWireLedger(t *testing.T) {
 		key := profile(w.lines("", 1))
 		g := groups[key]
 		if g == nil {
-			g, profiles = &shapeWire{}, append(profiles, key)
+			g, profiles = &shapeWire{crypto: gcmCalls{}}, append(profiles, key)
 			groups[key] = g
 		}
 		g.host, g.inner, steps[key] = append(g.host, w.host...), append(g.inner, w.inner...), append(steps[key], i)
 		for k := range w.counts {
 			g.counts[k] += w.counts[k]
+		}
+		for k, c := range w.crypto {
+			g.crypto[k] = [2]uint64{g.crypto[k][0] + c[0], g.crypto[k][1] + c[1]}
 		}
 	}
 	named := map[string]int{}
