@@ -59,9 +59,13 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # more bit that would hide a release included, and a stale slot from an
 # earlier lap, which the seal alone tells apart.
 # Beside them the recovery ladder under doorbells dropped past one
-# flush's retries: the task still ends exact.
-	$(GO) test -run 'TestControllerRingFraming|TestControllerRingPackedFraming' ./internal/core/
-	$(GO) test -run 'TestRingClearedMoreBit|TestRingHiddenRelease|TestRingDoorbellsDroppedPastOneFlush' .
+# flush's retries: the task still ends exact. And the protection
+# granularity: a device read inside a bulk region's 4 KiB chunks is
+# served from every chunk it touches, each fetched and verified whole —
+# a tampered one anywhere under the read fails it — and the wire ledger
+# holds each shape's TLPs and GCM calls (64 a 64 KiB task).
+	$(GO) test -run 'TestControllerRingFraming|TestControllerRingPackedFraming|TestDecryptReadInsideChunks' ./internal/core/
+	$(GO) test -run 'TestRingClearedMoreBit|TestRingHiddenRelease|TestRingDoorbellsDroppedPastOneFlush|TestWireLedger' .
 # The device's side of the SC: one MWr at any offset of a live D2H region,
 # up to 8 KiB, is refused whole or sealed exactly, and no plaintext
 # reaches the host segment either way.
@@ -115,12 +119,14 @@ ci: fmt-check vet test race stress bench-smoke benchmark-check soak-smoke soak-f
 # whole as carried, or refused, with no host fetch either way.
 	$(GO) test -run 'TestWireLedger|TestVerifiedRead|TestVerifiedRun|TestVerifiedRegionSync|TestKickReMACsRemainder' ./ ./internal/core/ ./internal/adaptor/
 	$(GO) test -run '^$$' -fuzz=FuzzVerifiedRead -fuzztime=10s ./internal/core/
-# The one A2 read path: the SC decrypts a device read of 1 to 16 chunks
-# when it arrives, and refuses bad geometry or an unarmed step-window
-# slot before it fetches or spends a tag; the host segment carries the
-# rows it did when the SC decrypted ahead (the wire ledger). The fuzz aims
-# any read, under any chunk size, at a staged region: served byte-exact,
-# or refused. The read is where a region's tag table is consumed.
+# The one A2 read path: the SC decrypts a device read touching 1 to 16
+# chunks when it arrives — a read inside a one-shot region's chunks from
+# every chunk it touches, fetched and verified whole — and refuses bad
+# geometry or an unarmed step-window slot before it fetches or spends a
+# tag (the wire ledger holds what it fetches). The fuzz aims any read,
+# under any chunk size, at a staged region: served byte-exact after the
+# fetches of the chunks it touches, or refused with none. The read is
+# where a region's tag table is consumed.
 	$(GO) test -run 'TestDecryptReadRejects|TestWireLedger' ./ ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzDecryptRead -fuzztime=10s ./internal/core/
 # Per-TLP lookups without read locks: the bus binds each claim to its

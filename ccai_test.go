@@ -91,9 +91,9 @@ func TestProtectedTaskMultiChunk(t *testing.T) {
 }
 
 // TestD2HSealsWriteSpansAsBatches runs one 64 KiB protected task and
-// checks that the D2H path sealed its 256 chunks as engine batches, one
-// per write span (16 chunks cut at the 8-chunk metadata cadence: 32),
-// rather than chunk-at-a-time. (The crypto/DMA overlap of the paper's
+// checks that the D2H path sealed its result as engine batches, one per
+// write span — a span ends at MaxReadReq bytes, here one 4 KiB chunk:
+// 16 — rather than one per TLP. (The crypto/DMA overlap of the paper's
 // hardware exists only on the virtual clock; internal/bench's overlap
 // test holds it there.)
 func TestD2HSealsWriteSpansAsBatches(t *testing.T) {
@@ -107,8 +107,8 @@ func TestD2HSealsWriteSpansAsBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := p.SC.Stats()
-	if d2h := after.BatchedD2HSpans - before.BatchedD2HSpans; d2h != 32 {
-		t.Fatalf("%d D2H write spans sealed as batches, want 32", d2h)
+	if d2h := after.BatchedD2HSpans - before.BatchedD2HSpans; d2h != 16 {
+		t.Fatalf("%d D2H write spans sealed as batches, want 16", d2h)
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 // not move to make room for it.
 const (
 	budgetDecodeStep = 40
-	budgetTask64KiB  = 263
+	budgetTask64KiB  = 188
 )
 
 func main() {

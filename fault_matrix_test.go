@@ -49,7 +49,7 @@ func arenaHoldsSecret(canary []byte) bool {
 
 // TestMidPipelineFaults targets the streaming staging pipeline
 // specifically: the fault skips are tuned so the injection lands in
-// the middle of a 256-chunk H2D staging run, not at its edges. The
+// the middle of a 16-chunk H2D staging run, not at its edges. The
 // contract is the recovery ladder's — a mid-pipeline fault costs
 // retries or (at worst) the session, never an invariant: no silently
 // wrong output, no plaintext on the host segment, no IV reuse, and no
@@ -59,14 +59,14 @@ func TestMidPipelineFaults(t *testing.T) {
 		class fault.Class
 		skip  int
 	}{
-		// CryptoTransient at skip 100: the engine faults while the
-		// pipeline still has ~150 chunks to seal; the abort consumes no
+		// CryptoTransient at skip 6: the engine faults while the
+		// pipeline still has ~9 chunks to seal; the abort consumes no
 		// counters and the retry reuses the same IV range.
-		{fault.CryptoTransient, 100},
-		// TagLoss at skip 130: the Tag Manager drops a record mid-table;
-		// the device's span read over that chunk fails closed until the
+		{fault.CryptoTransient, 6},
+		// TagLoss at skip 8: the SC drops a record mid-table; the
+		// device's span read over that chunk fails closed until the
 		// recovery ladder reposts the table.
-		{fault.TagLoss, 130},
+		{fault.TagLoss, 8},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -85,8 +85,8 @@ func TestMidPipelineFaults(t *testing.T) {
 			inj := fault.NewInjector(fault.Plan{Seed: 0x717e11e, Events: []fault.Event{{Class: tc.class, Skip: uint16(tc.skip), Count: 2}}})
 			wireFault(&p.pipeline, p.Host, inj)
 
-			// 64 KiB input (256 chunks through the pipeline) with the
-			// canary embedded mid-stream, near the injection point.
+			// 64 KiB input (16 chunks through the pipeline) with the
+			// canary embedded mid-stream, in the chunk the tag loss hits.
 			in := make([]byte, 64<<10)
 			for i := range in {
 				in[i] = byte(i * 11)
@@ -128,8 +128,8 @@ func TestMidPipelineFaults(t *testing.T) {
 // prefillStep derives the image into an arena buffer and must zero it
 // back with PutZero as soon as StageH2D returns: after a clean prefill,
 // and after one whose KV staging takes a CryptoTransient fault mid-seal
-// (skip 128: one config seal for the KV descriptor, then the fault lands
-// halfway through the 255 chunks of the KV batch, which is refused whole
+// (skip 8: one config seal for the KV descriptor, then the fault lands
+// halfway through the 16 chunks of the KV batch, which is refused whole
 // and sealed again). A window of the session's KV image is the canary.
 // One proc, so the worker's PutZero and this goroutine's Gets share a
 // pool.
@@ -146,7 +146,7 @@ func TestPrefillKVLeavesNoPlaintextInArena(t *testing.T) {
 		t.Run(fmt.Sprintf("crypto-fault=%v", faulted), func(t *testing.T) {
 			mp := llmChassis(t, []xpu.Profile{xpu.A100}, WithLLMEngine(llm.EngineConfig{Workers: 1}))
 			tn := mp.Tenants[0]
-			inj := fault.NewInjector(fault.Plan{Seed: 0x4b56, Events: []fault.Event{{Class: fault.CryptoTransient, Skip: 128, Count: 2}}})
+			inj := fault.NewInjector(fault.Plan{Seed: 0x4b56, Events: []fault.Event{{Class: fault.CryptoTransient, Skip: 8, Count: 2}}})
 			if faulted {
 				tn.Adaptor.InstallCryptoFault(inj.CryptoFault)
 			}

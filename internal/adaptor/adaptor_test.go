@@ -83,10 +83,12 @@ func (s *stubXPU) Handle(p *pcie.Packet) *pcie.Packet {
 	return nil
 }
 
+// dmaRead reads in MaxReadReq requests, as a device's DMA engine does
+// (xpu.Device.dmaReadInto).
 func (s *stubXPU) dmaRead(addr uint64, n int64) ([]byte, bool) {
 	out := make([]byte, 0, n)
 	for n > 0 {
-		chunk := int64(pcie.MaxPayload)
+		chunk := int64(pcie.MaxReadReq)
 		if n < chunk {
 			chunk = n
 		}
@@ -101,9 +103,11 @@ func (s *stubXPU) dmaRead(addr uint64, n int64) ([]byte, bool) {
 	return out, true
 }
 
+// dmaWrite posts data in MaxReadReq bursts, as a device behind a PCIe-SC
+// does (xpu.Device.SetWriteBurst).
 func (s *stubXPU) dmaWrite(addr uint64, data []byte) {
 	for len(data) > 0 {
-		chunk := pcie.MaxPayload
+		chunk := pcie.MaxReadReq
 		if len(data) < chunk {
 			chunk = len(data)
 		}
@@ -289,7 +293,7 @@ func TestRingPushPacksUntilPublished(t *testing.T) {
 
 func TestStageH2DDeviceReadsPlaintext(t *testing.T) {
 	r, dev := newRig(t)
-	data := make([]byte, 1000)
+	data := make([]byte, 3*BulkChunkSize+1000)
 	for i := range data {
 		data[i] = byte(i * 11)
 	}
@@ -344,7 +348,7 @@ func TestD2HRoundTrip(t *testing.T) {
 // the count is there with no MMIO read.
 func TestD2HProgressMetadataBatching(t *testing.T) {
 	r, dev := newRig(t)
-	region, err := r.adaptor.PrepareD2H("res", 512)
+	region, err := r.adaptor.PrepareD2H("res", 2*BulkChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +364,7 @@ func TestD2HProgressMetadataBatching(t *testing.T) {
 	if got := progress(); got != 0 {
 		t.Fatalf("progress = %d before any write", got)
 	}
-	dev.dmaWrite(region.Buf.Base(), make([]byte, 512))
+	dev.dmaWrite(region.Buf.Base(), make([]byte, 2*BulkChunkSize))
 	if got := progress(); got != 2 {
 		t.Fatalf("progress = %d, want 2 chunks", got)
 	}
@@ -529,7 +533,7 @@ func TestVerifiedRegionSync(t *testing.T) {
 func TestTagBatchingReducesWrites(t *testing.T) {
 	r, _ := newRig(t)
 	before := r.adaptor.IO().MMIOWrites
-	if _, err := r.adaptor.StageH2D("x", make([]byte, 16*core.ChunkSize)); err != nil {
+	if _, err := r.adaptor.StageH2D("x", make([]byte, 16*BulkChunkSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.adaptor.IO().MMIOWrites - before; got != 0 {
@@ -552,7 +556,7 @@ func TestTagBatchingReducesWrites(t *testing.T) {
 // the SC ends with no record pending and nothing to discard.
 func TestReleasedAndRepostedTagsLeaveNothingPending(t *testing.T) {
 	r, dev := newRig(t)
-	unread, err := r.adaptor.StageH2D("unread", make([]byte, 4*core.ChunkSize))
+	unread, err := r.adaptor.StageH2D("unread", make([]byte, 4*BulkChunkSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +568,7 @@ func TestReleasedAndRepostedTagsLeaveNothingPending(t *testing.T) {
 	if n := r.sc.PendingTags(); n != 0 {
 		t.Fatalf("%d records pending after the unread region's release", n)
 	}
-	data := bytes.Repeat([]byte{0x5c}, 4*core.ChunkSize)
+	data := bytes.Repeat([]byte{0x5c}, 4*BulkChunkSize)
 	read, err := r.adaptor.StageH2D("read", data)
 	if err != nil {
 		t.Fatal(err)
@@ -710,6 +714,47 @@ func TestMaybeRekeyTriggersNearExhaustion(t *testing.T) {
 	got, ok := dev.dmaRead(region.Buf.Base(), int64(len(data)))
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("traffic broken after auto-rekey")
+	}
+}
+
+// TestRekeyWaitsForStagedRegions: a staging that finds the h2d stream
+// past the rekey threshold while an earlier staging's region waits for
+// its submission does not rotate the stream — the SC would take that
+// region's records under the retiring epoch and refuse the device's read
+// of them, as a prefill stages its KV image and then its prompt. The
+// first staging after the flush rotates it.
+func TestRekeyWaitsForStagedRegions(t *testing.T) {
+	r, dev := newRig(t)
+	r.adaptor.h2d.ForceCounter(^uint32(0) - RekeyThreshold) // the next seal crosses the threshold
+	data := [][]byte{bytes.Repeat([]byte{0x6b}, BulkChunkSize), []byte("the prompt")}
+	var staged []*Region
+	for _, d := range data {
+		region, err := r.adaptor.StageH2D("staged", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged = append(staged, region)
+	}
+	r.publish(t)
+	if e := r.adaptor.h2d.Epoch(); e != 0 {
+		t.Fatalf("h2d rotated to epoch %d between two stagings for one submission", e)
+	}
+	for i, region := range staged {
+		if got, ok := dev.dmaRead(region.Buf.Base(), int64(len(data[i]))); !ok || !bytes.Equal(got, data[i]) {
+			t.Fatalf("staged region %d refused or wrong after the threshold was crossed", i)
+		}
+	}
+	next := []byte("after the flush")
+	region, err := r.adaptor.StageH2D("next", next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.publish(t)
+	if e := r.adaptor.h2d.Epoch(); e != 1 {
+		t.Fatalf("h2d epoch %d after the next staging, want 1", e)
+	}
+	if got, ok := dev.dmaRead(region.Buf.Base(), int64(len(next))); !ok || !bytes.Equal(got, next) {
+		t.Fatal("traffic broken after the deferred rotation")
 	}
 }
 

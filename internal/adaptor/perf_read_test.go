@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-
-	"ccai/internal/core"
 )
 
 // readAllocCeiling is the hard allocs-per-collect budget for the 64 KiB
@@ -66,7 +64,7 @@ func TestReadAllocBudget(t *testing.T) {
 	}
 	perCollect := total / iters
 	t.Logf("D2H read path: %d allocs per 64 KiB CollectD2H (ceiling %d, %d chunks)",
-		perCollect, readAllocCeiling, size/core.ChunkSize)
+		perCollect, readAllocCeiling, size/BulkChunkSize)
 	if perCollect > readAllocCeiling {
 		t.Fatalf("CollectD2H allocates %d/op for 64 KiB; budget is %d", perCollect, readAllocCeiling)
 	}

@@ -61,7 +61,7 @@ func TestStageH2DTagOrderUnderParallelCrypto(t *testing.T) {
 			tap := &ringTagTap{}
 			r.host.AddTap(tap)
 
-			data := make([]byte, 64<<10) // 256 chunks through the pipeline
+			data := make([]byte, 64<<10) // 16 chunks through the pipeline
 			for i := range data {
 				data[i] = byte(i * 31)
 			}
@@ -75,7 +75,7 @@ func TestStageH2DTagOrderUnderParallelCrypto(t *testing.T) {
 			tap.mu.Lock()
 			counters := append([]uint32(nil), tap.counters...)
 			tap.mu.Unlock()
-			nChunks := (len(data) + core.ChunkSize - 1) / core.ChunkSize
+			nChunks := (len(data) + BulkChunkSize - 1) / BulkChunkSize
 			if len(counters) != nChunks {
 				t.Fatalf("saw %d tag records on the wire, want %d", len(counters), nChunks)
 			}
@@ -119,13 +119,13 @@ func TestStagedRegionSpanReadable(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("span reads reassembled wrong plaintext")
 	}
-	if n := r.sc.Stats().DecryptedChunks; n != 256 {
-		t.Fatalf("DecryptedChunks = %d, want 256", n)
+	if n := r.sc.Stats().DecryptedChunks; n != uint64(len(data)/BulkChunkSize) {
+		t.Fatalf("DecryptedChunks = %d, want %d", n, len(data)/BulkChunkSize)
 	}
 }
 
 // BenchmarkStageH2D64KiB times the hot staging path in isolation:
-// seal 256 chunks, write the bounce buffer, upload tags. allocs/op is
+// seal 16 chunks, write the bounce buffer, upload tags. allocs/op is
 // the number the arena work targets (the benchmark of record tracks it
 // as adaptor.stage_h2d_64k_xref and allocs_per_op).
 func BenchmarkStageH2D64KiB(b *testing.B) {

@@ -183,7 +183,7 @@ func (a *Adaptor) flushRingLocked() error {
 		}
 		head, err := a.space.ReadUint64(r.buf.Base())
 		if err == nil && head == r.tail {
-			r.pend = 0
+			r.pend, a.h2dStaged = 0, false
 			r.lastHead = head
 			if attempt > 0 {
 				a.rec.Recovered++

@@ -16,8 +16,8 @@ import "sync"
 
 // The class pools hold pointers to fixed-size arrays, one pool per
 // power-of-two size class. The smallest covers MAC headers and AAD
-// scratch; 512 covers one TLP-payload chunk (256 B) plus a GCM tag with
-// headroom. An array pointer crosses the sync.Pool interface without a
+// scratch; 512 covers a 256 B step-slot chunk plus a GCM tag with
+// headroom, 4096 one bulk chunk or a device read. An array pointer crosses the sync.Pool interface without a
 // box, and Put recovers it from the slice by conversion, so a Get/Put
 // pair is one pool operation each way and allocates nothing.
 var (

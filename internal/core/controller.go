@@ -907,18 +907,27 @@ func (c *Controller) deviceRead(p *pcie.Packet) *pcie.Packet {
 // is fetched or decrypted before the device asks for it, and the SC
 // keeps no plaintext once the completion is handed over.
 //
-// The read's geometry is checked first: a chunk-aligned start, 1 to
-// MaxReadReq bytes, inside the region, at most spanChunks chunks (a
-// sealed descriptor may carry any non-zero ChunkSize), and every slot
-// of a step window armed. Anything else is one auth failure with no
-// host fetch and no tag spent. Then one host fetch covers the read, its
-// records leave the region's tag table in one match, and one OpenBatchInto decrypts
-// straight into the completion payload; only the last chunk may be
-// short, and one that is not the region's tail fails its tag. When
-// every tag is on hand and fresh the batch validates, decrypts and
-// fail-closes as a unit; any wrinkle — a chunk accepted before, a
-// record behind the watermark — drops to the per-chunk policy in openChunk,
-// which knows about duplicates and retransmits.
+// A one-shot region's chunk i is sealed over bytes [i·ChunkSize,
+// (i+1)·ChunkSize) of the region, cut at its end, so a read that starts
+// or ends inside a chunk is served from every chunk it touches, fetched
+// and verified whole, and the completion carries the read's slice of
+// them. A step window's slot is sealed over what its step carried, so a
+// read of a window starts on a slot and its last chunk ends where the
+// read does.
+//
+// The read's geometry is checked first: 1 to MaxReadReq bytes, inside
+// the region, at most spanChunks chunks touched (a sealed descriptor may
+// carry any non-zero ChunkSize), a window read starting on a slot with
+// every slot it covers armed. Anything else is one auth failure with no
+// host fetch and no tag spent. Then the touched chunks are fetched —
+// one host read, or reads of whole chunks of at most MaxReadReq each
+// when they span more — their records leave the region's tag table in
+// one match, and one OpenBatchInto decrypts them; only the region's
+// last chunk may be short. When every tag is on hand and fresh the batch
+// validates, decrypts and fail-closes as a unit; any wrinkle — a chunk
+// accepted before (an earlier read touched it too), a record behind the
+// watermark — drops to the per-chunk policy in openChunk, which knows
+// about duplicates and retransmits.
 //
 // Called with c.mu held and r the read's region; the geometry and slot
 // checks run in that section, which it releases before the fetch.
@@ -928,12 +937,17 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 		keyAddr.Hex(p.Address), keyBytes.I64(int64(p.Length)), keyRegion.U64(uint64(desc.ID)))
 	defer sp.End()
 	cs, off, n := uint64(desc.ChunkSize), p.Address-desc.Base, uint64(p.Length)
-	if cs == 0 || n == 0 || n > pcie.MaxReadReq || off%cs != 0 || off+n > desc.Len || (n+cs-1)/cs > spanChunks {
+	lo, hi := off, off+n // the bytes of the chunks the read touches
+	if cs != 0 && !desc.Slotted {
+		lo, hi = off/cs*cs, min((off+n+cs-1)/cs*cs, desc.Len)
+	}
+	if cs == 0 || n == 0 || n > pcie.MaxReadReq || lo%cs != 0 || off+n > desc.Len ||
+		(hi-lo+cs-1)/cs > spanChunks || cs > pcie.MaxReadReq && hi-lo > pcie.MaxReadReq {
 		c.stats.AuthFailures++
 		c.mu.Unlock()
 		return c.reject(p)
 	}
-	first, k := uint32(off/cs), int((n+cs-1)/cs)
+	first, k := uint32(lo/cs), int((hi-lo+cs-1)/cs)
 	sc := c.takeScratch()
 	defer c.putScratch(sc)
 	ctrs, recs, have := sc.ctrs[:k], sc.recs[:k], sc.have[:k]
@@ -944,46 +958,64 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 	}
 	c.mu.Unlock()
 
-	req := c.pkts.MemRead(pcie.RoleH2DData, c.id, p.Address, p.Length, p.Tag)
-	cpl := c.hostBus.Route(req)
-	if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < n {
+	// The fetches are consumed on every path below (their ciphertext is
+	// either decrypted or abandoned on reject), so when they came from the
+	// host bridge's arena pool they go back on the way out. Runs before
+	// the deferred putScratch clears the sealed views — harmless, the
+	// views are rebuilt per read.
+	defer c.releaseFetches(sc)
+	per := max(1, pcie.MaxReadReq/cs) * cs // bytes of one fetch of whole chunks
+	if !c.fetchChunks(sc, desc.Base+lo, hi-lo, per, p.Tag) {
 		return c.reject(p)
 	}
-	// The bounce fetch is consumed on every path below (its ciphertext
-	// is either decrypted into pt or abandoned on reject), so when it
-	// came from the host bridge's arena pool it goes back on the way
-	// out. Runs before the deferred putScratch clears the sealed views —
-	// harmless, the views are rebuilt per read.
-	defer c.releaseFetch(req, cpl, false)
 	stream, err := c.params.Stream(StreamH2D)
 	if err != nil {
 		c.authFailed()
 		return c.reject(p)
 	}
-	// Chunk i is bytes [lo, hi) of both the fetched ciphertext and pt.
-	bounds := func(i int) (lo, hi uint64) { return uint64(i) * cs, min(uint64(i+1)*cs, n) }
+	// Chunk i is bytes [lo, hi) of dst, and of the fetch it lies in from
+	// that fetch's start.
+	span := hi - lo
+	bounds := func(i int) (lo, hi uint64) { return uint64(i) * cs, min(uint64(i+1)*cs, span) }
+	ciphertext := func(i int) []byte {
+		lo, hi := bounds(i)
+		f := min(lo/per, uint64(sc.fetched-1))
+		return sc.cpls[f].Payload[lo-f*per : hi-f*per]
+	}
 	c.mu.Lock()
 	all := c.tagMatchLocked(c.sess.of(desc), ctrs[0], first, recs, have)
 	c.mu.Unlock()
 	// Plaintext destined for the device-facing completion: arena-carved
 	// when the device returns completion payloads to the pool, else
-	// slab-carved (never recycled, so handing it to taps stays safe).
+	// slab-carved (never recycled, so handing it to taps stays safe). A
+	// read inside its chunks decrypts them into arena scratch, zeroed back
+	// once the read's slice is copied out.
 	pt := c.payloadBuf(int(n), c.internal)
+	dst := pt
+	if span != n {
+		dst = arena.Get(int(span))
+		defer arena.PutZero(dst)
+	}
+	served := func() *pcie.Packet {
+		if span != n {
+			copy(pt, dst[off-lo:])
+		}
+		return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
+	}
 	if all {
 		sealed, aads := sc.sealed[:k], sc.aads[:k]
 		for i := range sealed {
-			lo, hi := bounds(i)
 			sealed[i] = secmem.Sealed{
 				Counter:    recs[i].Chunk,
 				Epoch:      recs[i].Epoch,
-				Ciphertext: cpl.Payload[lo:hi],
+				Ciphertext: ciphertext(i),
 				Tag:        recs[i].Tag,
 			}
 			ab := sc.aadBuf[8*i : 8*i+8 : 8*i+8]
 			desc.PutAAD((*[8]byte)(ab), first+uint32(i))
 			aads[i] = ab
 		}
-		err = stream.OpenBatchInto(pt, sealed, aads, nil)
+		err = stream.OpenBatchInto(dst, sealed, aads, nil)
 		if err == nil {
 			c.mu.Lock()
 			r := c.sess.of(desc)
@@ -992,7 +1024,7 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 			}
 			c.stats.DecryptedChunks += uint64(k)
 			c.mu.Unlock()
-			return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
+			return served()
 		}
 		if !errors.Is(err, secmem.ErrReplay) {
 			// ErrAuth (dst already zeroed) or a fault-hook error: the
@@ -1006,15 +1038,46 @@ func (c *Controller) decryptRead(p *pcie.Packet, r *region) *pcie.Packet {
 	}
 	for i := 0; i < k; i++ {
 		lo, hi := bounds(i)
-		if !c.openChunk(stream, desc, first+uint32(i), cpl.Payload[lo:hi], pt[lo:hi], &recs[i], have[i]) {
+		if !c.openChunk(stream, desc, first+uint32(i), ciphertext(i), dst[lo:hi], &recs[i], have[i]) {
 			// Zero the partial plaintext before dropping it: a fail-closed
 			// read never leaks the chunks that did verify.
-			clear(pt)
+			clear(dst)
 			c.authFailed()
 			return c.reject(p)
 		}
 	}
-	return c.pkts.CompletionOwned(p, c.id, pcie.CplSuccess, pt)
+	return served()
+}
+
+// fetchChunks reads the n bytes at addr — whole chunks of a read's
+// region — from host memory into sc, in reads of per bytes but for the
+// last, which takes the rest when it fits one read request. It reports
+// false when a fetch failed, came back stale or short; the fetches that
+// did come back are sc's to release.
+func (c *Controller) fetchChunks(sc *spanScratch, addr, n, per uint64, tag uint8) bool {
+	for at := uint64(0); at < n; sc.fetched++ {
+		m := n - at
+		if m > pcie.MaxReadReq {
+			m = per
+		}
+		req := c.pkts.MemRead(pcie.RoleH2DData, c.id, addr+at, uint32(m), tag)
+		cpl := c.hostBus.Route(req)
+		if cpl == nil || cpl.Status != pcie.CplSuccess || staleCpl(req, cpl) || uint64(len(cpl.Payload)) < m {
+			return false
+		}
+		sc.reqs[sc.fetched], sc.cpls[sc.fetched] = req, cpl
+		at += m
+	}
+	return true
+}
+
+// releaseFetches gives back a read's host fetches (releaseFetch).
+func (c *Controller) releaseFetches(sc *spanScratch) {
+	for i := range sc.fetched {
+		c.releaseFetch(sc.reqs[i], sc.cpls[i], false)
+		sc.reqs[i], sc.cpls[i] = nil, nil
+	}
+	sc.fetched = 0
 }
 
 // openChunk authenticates and decrypts one H2D chunk whose tag-match

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -154,12 +155,16 @@ func TestDecryptReadMissingTagFails(t *testing.T) {
 	}
 }
 
+// TestDecryptReadChunkBoundaryViolation: a step window's slot is sealed
+// over what its step carried, not over a whole chunk, so a read that
+// straddles two armed slots cannot be decrypted as one unit.
 func TestDecryptReadChunkBoundaryViolation(t *testing.T) {
 	d := newDPRig(t)
-	data := make([]byte, 2*ChunkSize)
-	d.stageH2D(t, ctlMem+0x1000, data)
-	// A read straddling two chunks cannot be decrypted as one unit.
-	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, ctlMem+0x1000+128, ChunkSize, 0))
+	w := d.installWindow(t, 9, ctlMem+0x1000, 2)
+	for slot := range uint32(2) {
+		d.arm(w.ID, slot, d.sealSlot(t, w, slot, bytes.Repeat([]byte{byte(slot)}, ChunkSize)))
+	}
+	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, w.Base+128, ChunkSize, 0))
 	if cpl != nil && cpl.Status == pcie.CplSuccess {
 		t.Fatal("boundary-straddling read accepted")
 	}
@@ -837,11 +842,13 @@ func TestDecryptReadSpanPartialTailChunk(t *testing.T) {
 
 func TestDecryptReadSpanUnalignedRejected(t *testing.T) {
 	d := newDPRig(t)
-	data := make([]byte, 4*ChunkSize)
-	desc := d.stageH2DSpan(t, ctlMem+0x1000, data)
-	// Multi-chunk read starting mid-chunk: the span path requires
-	// chunk-aligned starts so tag identity stays positional.
-	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, desc.Base+128, 2*ChunkSize, 0))
+	w := d.installWindow(t, 9, ctlMem+0x1000, 4)
+	for slot := range uint32(4) {
+		d.arm(w.ID, slot, d.sealSlot(t, w, slot, bytes.Repeat([]byte{byte(slot)}, ChunkSize)))
+	}
+	// Multi-slot read of a step window starting mid-slot: a window's
+	// reads start on a slot, whose seal covers only what its step carried.
+	cpl := d.sc.HandleFromDevice(pcie.NewMemRead(d.dev.id, w.Base+128, 2*ChunkSize, 0))
 	if cpl != nil && cpl.Status == pcie.CplSuccess {
 		t.Fatal("unaligned span accepted")
 	}
@@ -961,12 +968,13 @@ func (d *dpRig) devRead(addr uint64, n uint32) []byte {
 }
 
 // TestDecryptReadRejects: the SC's one A2 read path checks a read's
-// geometry, and in a step window that every slot it covers is armed,
-// before it fetches anything. Against two adjacent live regions of
-// eight chunks (32 for the oversized read; 64-byte chunks for the read
-// of seventeen) with every tag queued, or a four-slot step window with
-// slot 0 armed, each read below is exactly one auth failure, with no
-// host fetch, no tag spent and nothing handed to the device.
+// geometry, and in a step window that it starts on a slot and every slot
+// it covers is armed, before it fetches anything. Against two adjacent
+// live regions of eight chunks (32 for the oversized read; 64-byte
+// chunks for the read touching seventeen) with every tag queued, or a
+// four-slot step window with slot 0 armed, each read below is exactly
+// one auth failure, with no host fetch, no tag spent and nothing handed
+// to the device.
 func TestDecryptReadRejects(t *testing.T) {
 	const base, cs = ctlMem + 0x10000, ChunkSize
 	for name, c := range map[string]struct {
@@ -976,12 +984,13 @@ func TestDecryptReadRejects(t *testing.T) {
 		n      uint32
 		window bool
 	}{
-		"unaligned start":                 {chunk: cs, chunks: 8, off: cs / 2, n: cs},
+		"unaligned start":                 {window: true, off: cs / 2, n: cs},
 		"zero length":                     {chunk: cs, chunks: 8, off: 0, n: 0},
 		"over MaxReadReq":                 {chunk: cs, chunks: 32, off: 0, n: 2 * pcie.MaxReadReq},
 		"past the region end":             {chunk: cs, chunks: 8, off: 6 * cs, n: 3 * cs},
 		"straddling two regions":          {chunk: cs, chunks: 8, off: 7 * cs, n: 2 * cs},
 		"more than 16 chunks":             {chunk: 64, chunks: 32, off: 0, n: (spanChunks + 1) * 64},
+		"touching more than 16 chunks":    {chunk: 64, chunks: 32, off: 32, n: spanChunks * 64},
 		"two-slot read, one slot unarmed": {window: true, off: 0, n: 2 * cs},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -1029,6 +1038,77 @@ func TestDecryptReadShortCompletion(t *testing.T) {
 		if n := d.sc.Stats().DecryptedChunks; n != 0 {
 			t.Fatalf("%d-chunk read decrypted %d chunks from a truncated fetch", chunks, n)
 		}
+	}
+}
+
+// fetchLog records the (address, length) of the SC's host reads below
+// the rig's submission ring from now on.
+func (d *dpRig) fetchLog() *[][2]uint64 {
+	log := new([][2]uint64)
+	d.host.AddTap(pcie.TapFunc(func(p *pcie.Packet) *pcie.Packet {
+		if p.Kind == pcie.MRd && p.Requester == d.sc.DeviceID() && p.Address < ctlRing {
+			*log = append(*log, [2]uint64{p.Address, uint64(p.Length)})
+		}
+		return p
+	}))
+	return log
+}
+
+// TestDecryptReadInsideChunks: a bulk region is sealed in MaxReadReq
+// chunks, and a device read that starts or ends inside one — a model
+// region's second weight matrix, say — is served from every chunk it
+// touches, each fetched and verified whole. Against a three-chunk region
+// with every tag queued: a read inside chunk 0 is one fetch of chunk 0
+// and its one verified chunk; a read straddling chunks 0 and 1 fetches
+// and verifies both. A flipped ciphertext byte in a touched chunk —
+// outside the read's own bytes, or in the second chunk — is one auth
+// failure and nothing served, after the same fetches.
+func TestDecryptReadInsideChunks(t *testing.T) {
+	const base, cs = ctlMem + 0x10000, pcie.MaxReadReq
+	for name, c := range map[string]struct {
+		off, n  uint64
+		fetches [][2]uint64 // from the region's base
+		flip    int         // ciphertext byte flipped before the read; -1 none
+	}{
+		"starts mid-chunk":           {off: 1024, n: 1024, fetches: [][2]uint64{{0, cs}}, flip: -1},
+		"mid-chunk, tampered chunk":  {off: 1024, n: 1024, fetches: [][2]uint64{{0, cs}}, flip: 3000},
+		"straddles two chunks":       {off: cs / 2, n: cs, fetches: [][2]uint64{{0, cs}, {cs, cs}}, flip: -1},
+		"straddles, second tampered": {off: cs / 2, n: cs, fetches: [][2]uint64{{0, cs}, {cs, cs}}, flip: cs + 100},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := newDPRig(t)
+			data := burstData(3*cs, 5)
+			d.stageA2(t, 7, base, data, cs)
+			if c.flip >= 0 {
+				d.hostMem[base][c.flip] ^= 1
+			}
+			log, before, depth := d.fetchLog(), d.sc.Stats(), d.sc.PendingTags()
+			got := d.devRead(base+c.off, uint32(c.n))
+			after := d.sc.Stats()
+			touched := len(c.fetches)
+			for i := range c.fetches {
+				c.fetches[i][0] += base
+			}
+			if !slices.Equal(*log, c.fetches) || depth-d.sc.PendingTags() != touched {
+				t.Fatalf("fetched %v and spent %d tags; want %v and %d", *log, depth-d.sc.PendingTags(), c.fetches, touched)
+			}
+			if c.flip >= 0 {
+				if got != nil || after.AuthFailures != before.AuthFailures+1 || after.DecryptedChunks != before.DecryptedChunks {
+					t.Fatalf("tampered chunk: served %d B, %d auth failures, %d chunks decrypted; want none, 1, none",
+						len(got), after.AuthFailures-before.AuthFailures, after.DecryptedChunks-before.DecryptedChunks)
+				}
+				return
+			}
+			if !bytes.Equal(got, data[c.off:c.off+c.n]) || after.DecryptedChunks != before.DecryptedChunks+uint64(touched) {
+				t.Fatalf("served %d B (plaintext: %v), %d chunks decrypted; want the read's %d B from %d verified chunks",
+					len(got), bytes.Equal(got, data[c.off:c.off+c.n]), after.DecryptedChunks-before.DecryptedChunks, c.n, touched)
+			}
+			// A later read of the rest of chunk 0 re-verifies it under its
+			// accepted record.
+			if again := d.devRead(base, 1024); !bytes.Equal(again, data[:1024]) || d.sc.Stats().DuplicateReads != 1 {
+				t.Fatalf("re-read of chunk 0 served %d B, %d duplicate reads; want its first 1024 B, 1", len(again), d.sc.Stats().DuplicateReads)
+			}
+		})
 	}
 }
 
@@ -1162,12 +1242,19 @@ func TestSlottedWindowPositionAcceptedOnce(t *testing.T) {
 const burstMeta = ctlMem + 0xf000
 
 // d2hRegion registers an A2 D2H region of n bytes at base with its tag
-// table at tagBase, as the Adaptor's PrepareD2H does, and points the
-// SC's metadata buffer at burstMeta.
+// table at tagBase, in ChunkSize chunks, and points the SC's metadata
+// buffer at burstMeta.
 func (d *dpRig) d2hRegion(t *testing.T, id uint32, base, tagBase uint64, n int) Descriptor {
 	t.Helper()
+	return d.d2hRegionIn(t, id, base, tagBase, n, ChunkSize)
+}
+
+// d2hRegionIn is d2hRegion in chunks of cs, as the Adaptor's PrepareD2H
+// registers a bulk region in MaxReadReq chunks.
+func (d *dpRig) d2hRegionIn(t *testing.T, id uint32, base, tagBase uint64, n int, cs uint32) Descriptor {
+	t.Helper()
 	desc := Descriptor{ID: id, Dir: DirD2H, Class: ActionWriteReadProtect,
-		Base: base, Len: uint64(n), TagBase: tagBase, ChunkSize: ChunkSize}
+		Base: base, Len: uint64(n), TagBase: tagBase, ChunkSize: cs}
 	if !d.sc.install(desc) {
 		t.Fatal("install refused")
 	}
@@ -1254,7 +1341,7 @@ func viewD2H(t *testing.T, desc Descriptor, writes []hostWrite) d2hView {
 	cs := uint64(desc.ChunkSize)
 	backed := func() (k uint64) {
 		for j := range v.ct {
-			if v.ct[j] != nil && v.recs[j] != nil {
+			if uint64(len(v.ct[j])) == min(cs, desc.Len-uint64(j)*cs) && v.recs[j] != nil {
 				k++
 			}
 		}
@@ -1263,12 +1350,16 @@ func viewD2H(t *testing.T, desc Descriptor, writes []hostWrite) d2hView {
 	for _, w := range writes {
 		switch {
 		case desc.Contains(w.addr):
+			// A chunk's ciphertext leaves in MaxPayload MWrs, in order.
 			off := w.addr - desc.Base
-			j := off / cs
-			if off%cs != 0 || uint64(len(w.body)) != min(cs, desc.Len-off) {
+			j, at := off/cs, off%cs
+			if at == 0 {
+				v.ct[j] = nil
+			}
+			if at != uint64(len(v.ct[j])) || uint64(len(w.body)) != min(pcie.MaxPayload, desc.Len-off, cs-at) {
 				t.Fatalf("ciphertext write of %d bytes at region offset %d is off the chunk grid", len(w.body), off)
 			}
-			v.ct[j] = w.body
+			v.ct[j] = append(v.ct[j], w.body...)
 		case w.addr >= desc.TagBase && w.addr < desc.TagBase+uint64(n)*TagRecordSize:
 			off := w.addr - desc.TagBase
 			if off%TagRecordSize != 0 || len(w.body)%TagRecordSize != 0 || off+uint64(len(w.body)) > uint64(n)*TagRecordSize {

@@ -284,40 +284,49 @@ func FuzzControllerRing(f *testing.F) {
 }
 
 // FuzzDeviceWriteBurst posts one device MWr — any offset from a live A2
-// D2H region's base, up to 8 KiB of payload — at the SC. Nothing may
+// D2H region's base, up to 8 KiB of payload — at the SC, the region in
+// ChunkSize chunks or, when bulk, in MaxReadReq chunks. Nothing may
 // panic, and the write ends one of two ways. Refused: one auth failure
 // or filter drop, nothing staged, nothing on the host segment. Taken:
 // once the rest of the region is written chunk by chunk (the chunks
 // after the burst, then those before it), every chunk the burst carried
 // sits in host memory as the ciphertext and tag record that open to its
-// bytes. Either way the SC's host writes are only ciphertext chunks, tag
-// records and progress counters (viewD2H), and no plaintext chunk of the
-// burst appears in any of them.
+// bytes. Either way the SC's host writes are only ciphertext chunks, in
+// MaxPayload MWrs, tag records and progress counters (viewD2H), and no
+// plaintext chunk of the burst appears in any of them.
 func FuzzDeviceWriteBurst(f *testing.F) {
-	const cs = ChunkSize
-	f.Add(int64(0), uint16(16*cs), burstData(16*cs, 1))
-	f.Add(int64(0), uint16(2*cs+128), burstData(2*cs+128, 2))
-	f.Add(int64(4*cs), uint16(24*cs), burstData(16*cs, 3))
-	f.Add(int64(0), uint16(24*cs), burstData(3*cs, 4))
-	f.Add(int64(cs/2), uint16(16*cs), make([]byte, 2*cs))
-	f.Add(int64(0), uint16(4*cs), make([]byte, 3*cs+1))
-	f.Add(int64(0), uint16(32*cs), make([]byte, 17*cs))
-	f.Add(int64(-cs), uint16(4*cs), make([]byte, cs))
-	f.Add(int64(ctlMemN), uint16(4*cs), make([]byte, cs))
-	f.Fuzz(func(t *testing.T, off int64, regionLen uint16, payload []byte) {
+	const cs, big = ChunkSize, pcie.MaxReadReq
+	f.Add(int64(0), uint16(16*cs), burstData(16*cs, 1), false)
+	f.Add(int64(0), uint16(2*cs+128), burstData(2*cs+128, 2), false)
+	f.Add(int64(4*cs), uint16(24*cs), burstData(16*cs, 3), false)
+	f.Add(int64(0), uint16(24*cs), burstData(3*cs, 4), false)
+	f.Add(int64(cs/2), uint16(16*cs), make([]byte, 2*cs), false)
+	f.Add(int64(0), uint16(4*cs), make([]byte, 3*cs+1), false)
+	f.Add(int64(0), uint16(32*cs), make([]byte, 17*cs), false)
+	f.Add(int64(-cs), uint16(4*cs), make([]byte, cs), false)
+	f.Add(int64(ctlMemN), uint16(4*cs), make([]byte, cs), false)
+	// Bulk chunks: one whole, one at the region's tail, one mid-chunk.
+	f.Add(int64(big), uint16(4*big), burstData(big, 5), true)
+	f.Add(int64(2*big), uint16(2*big+300), burstData(300, 6), true)
+	f.Add(int64(big/2), uint16(4*big), burstData(big, 7), true)
+	f.Fuzz(func(t *testing.T, off int64, regionLen uint16, payload []byte, bulk bool) {
 		payload = payload[:min(len(payload), 8<<10)]
+		cs := int64(ChunkSize)
+		if bulk {
+			cs = pcie.MaxReadReq
+		}
 		d := newDPRig(t)
 		// As on a platform: the device stages its writes in the arena and
 		// the SC gives them back zeroed once sealed.
 		d.sc.EnableDatapathRecycling()
-		n := int(regionLen)%(32*cs) + 1
-		desc := d.d2hRegion(t, 9, ctlMem+0x10000, ctlMem+0x20000, n)
+		n := int(int64(regionLen)%(32*cs)) + 1
+		desc := d.d2hRegionIn(t, 9, ctlMem+0x10000, ctlMem+0x50000, n, uint32(cs))
 		writes := d.recordHostWrites()
 		taken := d.devWrite(desc.Base+uint64(off), deviceStaging(payload))
 
 		end := off + int64(len(payload))
 		valid := off >= 0 && off%cs == 0 && len(payload) > 0 && len(payload) <= pcie.MaxReadReq &&
-			end <= int64(n) && (len(payload)%cs == 0 || end == int64(n))
+			end <= int64(n) && (int64(len(payload))%cs == 0 || end == int64(n))
 		if taken != valid {
 			t.Fatalf("write of %d bytes at offset %d into %d: taken %v, valid %v", len(payload), off, n, taken, valid)
 		}
@@ -328,17 +337,17 @@ func FuzzDeviceWriteBurst(f *testing.F) {
 			return
 		}
 		first, last := int(off/cs), int((end-1)/cs)
-		fill := func(j int) []byte { return bytes.Repeat([]byte{byte(j)}, int(min(cs, int64(n)-int64(j*cs)))) }
+		fill := func(j int) []byte { return bytes.Repeat([]byte{byte(j)}, int(min(cs, int64(n)-int64(j)*cs))) }
 		for _, span := range [][2]int{{last + 1, chunkCount(desc)}, {0, first}} {
 			for j := span[0]; j < span[1]; j++ {
-				if !d.devWrite(desc.Base+uint64(j*cs), deviceStaging(fill(j))) {
+				if !d.devWrite(desc.Base+uint64(int64(j)*cs), deviceStaging(fill(j))) {
 					t.Fatalf("fill chunk %d refused", j)
 				}
 			}
 		}
 		v := viewD2H(t, desc, *writes)
 		for j := first; j <= last; j++ {
-			pt := payload[(j-first)*cs : min((j-first+1)*cs, len(payload))]
+			pt := payload[int64(j-first)*cs : min(int64(j-first+1)*cs, int64(len(payload)))]
 			if !d.opens(desc, v, j, pt) {
 				t.Fatalf("chunk %d of the burst does not open to its bytes", j)
 			}
@@ -360,20 +369,21 @@ func FuzzDeviceWriteBurst(f *testing.F) {
 // FuzzDecryptRead aims one device read — any offset from an A2 H2D
 // region's base, any length — at a region of up to 64 chunks staged
 // under any ChunkSize, with every tag queued. Nothing may panic, and the
-// read ends one of two ways. Served: its geometry is valid (chunk-aligned
-// start, 1 to MaxReadReq bytes, inside the region, at most 16 chunks)
-// and it ends on a chunk boundary or at the region's end; the device
-// gets exactly those plaintext bytes, after one host fetch. Refused: one
-// auth failure or filter drop and nothing served — with no host fetch
-// and no tag spent when the geometry is invalid, and after one fetch
-// when a valid read ends inside a chunk, whose tag then fails.
+// read ends one of two ways. Served: its geometry is valid (1 to
+// MaxReadReq bytes, inside the region, the chunks it touches at most 16
+// and, when they are more than MaxReadReq bytes, each at most
+// MaxReadReq); the device gets exactly those plaintext bytes, after the
+// host fetches of the touched chunks — one, or one per MaxReadReq of
+// whole chunks, the last taking the rest when it fits. Refused: one auth
+// failure or filter drop and nothing served, with no host fetch and no
+// tag spent.
 func FuzzDecryptRead(f *testing.F) {
 	// add seeds a read of length bytes at off from a region of region
 	// bytes in chunks of chunk.
 	add := func(off int64, length, chunk, region int) {
 		f.Add(off, uint16(length), uint16(chunk-1), uint16(region-1))
 	}
-	const cs = ChunkSize
+	const cs, big = ChunkSize, pcie.MaxReadReq
 	add(0, 16*cs, cs, 16*cs)
 	add(4*cs, cs, cs, 8*cs)
 	add(cs, cs+128, cs, 2*cs+128)
@@ -387,6 +397,12 @@ func FuzzDecryptRead(f *testing.F) {
 	add(0, 300, 5000, 300)
 	add(-cs, cs, cs, 4*cs)
 	add(ctlMemN, cs, cs, 4*cs)
+	// Bulk regions' chunks: whole, inside one, across two, to the tail.
+	add(big, big, big, 8*big)
+	add(1024, 1024, big, 4*big)
+	add(big/2, big, big, 4*big)
+	add(3*big-100, 200, big, 3*big+100)
+	add(100, 3000, 3000, 9000)
 	f.Fuzz(func(t *testing.T, off int64, length, chunkSize, regionLen uint16) {
 		const base = ctlMem + 0x10000
 		d := newDPRig(t)
@@ -400,24 +416,25 @@ func FuzzDecryptRead(f *testing.F) {
 
 		after := d.sc.Stats()
 		refusals := after.AuthFailures + after.Filter.Dropped - before.AuthFailures - before.Filter.Dropped
-		end, k := off+int64(length), (int64(length)+cs-1)/cs
-		valid := off >= 0 && off%cs == 0 && length > 0 && length <= pcie.MaxReadReq && end <= n && k <= spanChunks
-		switch {
-		case valid && (int64(length)%cs == 0 || end == n):
-			if !bytes.Equal(got, data[off:end]) || *fetches != 1 || refusals != 0 {
-				t.Fatalf("read of %d B at %d of %d (chunk %d): served %d B (want the plaintext), %d fetches, %d refusals",
-					length, off, n, cs, len(got), *fetches, refusals)
+		end := off + int64(length)
+		if off >= 0 && length > 0 && length <= pcie.MaxReadReq && end <= n {
+			lo, hi := off/cs*cs, min((end+cs-1)/cs*cs, n)
+			if (hi-lo+cs-1)/cs <= spanChunks && (cs <= pcie.MaxReadReq || hi-lo <= pcie.MaxReadReq) {
+				want := 1
+				if over := hi - lo - pcie.MaxReadReq; over > 0 {
+					per := pcie.MaxReadReq / cs * cs
+					want += int((over + per - 1) / per) // fetches of per bytes until the rest fits one
+				}
+				if !bytes.Equal(got, data[off:end]) || *fetches != want || refusals != 0 {
+					t.Fatalf("read of %d B at %d of %d (chunk %d): served %d B (want the plaintext), %d fetches (want %d), %d refusals",
+						length, off, n, cs, len(got), *fetches, want, refusals)
+				}
+				return
 			}
-		case valid:
-			if got != nil || *fetches != 1 || after.AuthFailures != before.AuthFailures+1 {
-				t.Fatalf("read of %d B at %d of %d (chunk %d) ending inside a chunk: served %d B, %d fetches, %d auth failures",
-					length, off, n, cs, len(got), *fetches, after.AuthFailures-before.AuthFailures)
-			}
-		default:
-			if got != nil || *fetches != 0 || refusals != 1 || d.sc.PendingTags() != depth {
-				t.Fatalf("read of %d B at %d of %d (chunk %d): served %d B, %d fetches, %d refusals, %d tags spent; want none, none, 1, none",
-					length, off, n, cs, len(got), *fetches, refusals, depth-d.sc.PendingTags())
-			}
+		}
+		if got != nil || *fetches != 0 || refusals != 1 || d.sc.PendingTags() != depth {
+			t.Fatalf("read of %d B at %d of %d (chunk %d): served %d B, %d fetches, %d refusals, %d tags spent; want none, none, 1, none",
+				length, off, n, cs, len(got), *fetches, refusals, depth-d.sc.PendingTags())
 		}
 	})
 }

@@ -282,7 +282,9 @@ func (g *EnvGuard) CleanPlan(softResetSupported bool, resetReg, softVal, coldVal
 	return CleanCmd{Soft: false, Reg: resetReg, Val: coldVal}
 }
 
-// ChunkSize is the protected-payload chunking granularity: one TLP
-// payload (Max_Payload_Size). Each chunk consumes one IV counter and
-// one tag record.
+// ChunkSize is the smallest protection granularity the Adaptor uses:
+// one TLP payload (Max_Payload_Size), the slot of a step window and the
+// chunk of a step channel's output region. Each chunk consumes one IV
+// counter and one tag record. A region's own granularity is its
+// descriptor's ChunkSize; bulk regions use MaxReadReq chunks.
 const ChunkSize = pcie.MaxPayload

@@ -71,10 +71,11 @@ func betweenDispatches(t *testing.T, mp *MultiPlatform, at func(n int)) {
 }
 
 // Span budgets, pinned at what each op records today. Aggregates keep
-// them flat in the transfer size: a 64 KiB task's 256 D2H chunk writes
-// are 32 encrypt_write spans (one per sealed write span), and every
-// device read of an A2 region, one chunk or sixteen, is one
-// decrypt_read_span and one tag_match. A new per-TLP or per-chunk span
+// them flat in the transfer size: a 64 KiB task's 16 D2H chunk writes
+// are 16 encrypt_write spans and 16 seal_stream spans (one each per
+// sealed write span, which ends at MaxReadReq bytes), and every device
+// read of an A2 region, one chunk or sixteen, is one decrypt_read_span
+// and one tag_match. A new per-TLP or per-chunk span
 // shows up here as a jump, in the count pass of benchmark/ as
 // obsv.spans_per_op. A submission's command slots ride its span as one
 // run, and the device reads a run with one read the SC serves from the
@@ -85,8 +86,8 @@ func betweenDispatches(t *testing.T, mp *MultiPlatform, at func(n int)) {
 // an entry, and the SC checks the environment guard in place.
 // Posting staging and sealing each span add no span.
 const (
-	spansPerTask64K    = 138
-	spansPerTask4K     = 33
+	spansPerTask64K    = 106
+	spansPerTask4K     = 31
 	spansPerDecodeStep = 25
 	spansPerPrefill    = 84
 )

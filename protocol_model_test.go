@@ -243,18 +243,25 @@ func (m *refSession) seal(i int, n uint32) {
 	}
 }
 
-// chunks is how many IV counters n bytes consume.
+// chunks is how many IV counters n bytes of a step window or step output
+// consume: one a core.ChunkSize slot.
 func chunks(n int) uint32 { return uint32((n + core.ChunkSize - 1) / core.ChunkSize) }
+
+// bulkChunks is how many IV counters n bytes of a bulk region — a task's
+// input or output, a prefill's KV, prompt or output — consume.
+func bulkChunks(n int) uint32 {
+	return uint32((n + adaptor.BulkChunkSize - 1) / adaptor.BulkChunkSize)
+}
 
 // stage is a task's staging: its input sealed under h2d, its input and
 // output descriptors under config.
 func (m *refSession) stage(tk Task) {
-	m.seal(sH2D, chunks(len(tk.Input)))
+	m.seal(sH2D, bulkChunks(len(tk.Input)))
 	m.seal(sConfig, 2)
 }
 
 // submit is a staged task rung and collected.
-func (m *refSession) submit(tk Task) { m.rung(taskCommands, chunks(int(tk.outLen()))) }
+func (m *refSession) submit(tk Task) { m.rung(taskCommands, bulkChunks(int(tk.outLen()))) }
 
 // rung is a submission of n commands rung and collected, its result
 // sealed in d2h chunks.
@@ -754,8 +761,8 @@ func (r *traceRun) run(tk Task) error {
 				moved = append(moved, v)
 			}
 		}
-		if len(moved) != 1 || moved[0] != uint64(chunks(int(tk.outLen()))) {
-			r.failf("the task moved metadata records to %v, want its output region's to %d", moved, chunks(int(tk.outLen())))
+		if len(moved) != 1 || moved[0] != uint64(bulkChunks(int(tk.outLen()))) {
+			r.failf("the task moved metadata records to %v, want its output region's to %d", moved, bulkChunks(int(tk.outLen())))
 		}
 	}
 	return err
@@ -1823,6 +1830,9 @@ func (r *traceRun) runStep() *traceStream {
 func (r *traceRun) stepped(ts *traceStream, prefill, live bool, fired uint64) {
 	cfg, k := traceSessions[ts.i], ts.got
 	span := chunks(cfg.ChunkSpan(k) * cfg.TokenBytes)
+	if prefill {
+		span = bulkChunks(cfg.ChunkSpan(k) * cfg.TokenBytes) // a PrepareD2H region
+	}
 	r.pre = *ts
 	c, ok := <-ts.ch // a step settles after its chunk, or its stream's abort, is out
 	ts.err = c.Err
@@ -1899,7 +1909,7 @@ func (r *traceRun) stepped(ts *traceStream, prefill, live bool, fired uint64) {
 	}
 	m, commands := &r.m, uint64(taskCommands)
 	if prefill {
-		m.seal(sH2D, chunks(int(cfg.KVBytes(cfg.MaxPromptTokens)))+chunks(len(tracePrompt)))
+		m.seal(sH2D, bulkChunks(int(cfg.KVBytes(cfg.MaxPromptTokens)))+bulkChunks(len(tracePrompt)))
 		m.seal(sConfig, 3) // KV, prompt and output descriptors
 		m.hold(ts, 1, 1)   // the KV stays
 		ts.kvEpoch, commands = m.state.EpochA[sH2D], taskCommands+1

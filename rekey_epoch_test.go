@@ -94,9 +94,10 @@ func TestRekeyEpochFencesCachedCipher(t *testing.T) {
 		t.Fatalf("epoch rotated prematurely: %d -> %d", epoch0, got)
 	}
 
-	// Park the send counter inside the proactive window: the next
-	// staged task must trip MaybeRekey mid-serving.
-	if err := tn.Adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)-adaptor.RekeyThreshold-4); err != nil {
+	// Park the send counter at the proactive window's edge: the next
+	// staged task's one chunk crosses it, and the task after must trip
+	// MaybeRekey mid-serving.
+	if err := tn.Adaptor.ForceStreamCounter(core.StreamH2D, ^uint32(0)-adaptor.RekeyThreshold); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
